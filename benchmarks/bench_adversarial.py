@@ -25,8 +25,8 @@ The assertions cover the acceptance criteria:
 from __future__ import annotations
 
 from repro.experiments import reporting
-from repro.serving import (MIXES, ReplayConfig, ReplayDriver,
-                           ShardedTopKServer, TopKServer)
+from repro.serving import (MIXES, ReplayConfig, ReplayDriver, TopKServer,
+                           create_server)
 from repro.workload.dblp import DblpConfig
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
 
@@ -64,23 +64,14 @@ def _run_cell(mix_name, backend, shards):
     """One matrix cell: verified replay of one mix on one engine/topology."""
     driver = _driver(mix_name)
     db = driver.build_world(SYN, backend=backend)
-    if shards > 1:
-        server = ShardedTopKServer(db, shards=shards, capacity=CAPACITY,
-                                   parallel_fanout=True)
-    else:
-        server = TopKServer(db, capacity=CAPACITY)
+    server = create_server(db, shards=shards, capacity=CAPACITY)
     try:
-        if shards > 1:
-            report = driver.run_sharded(server, driver.schedule(db),
-                                        verify=True)
-        else:
-            report = driver.run(server, driver.schedule(db), verify=True,
-                                label=f"{mix_name}/{backend}")
-        stats = server.stats()
+        report = driver.run(server, driver.schedule(db), verify=True,
+                            label=f"{mix_name}/{backend}/shards={shards}")
+        metrics = server.metrics()
     finally:
         server.close()
         db.close()
-    results = stats["results"]
     return {
         "mix": mix_name, "backend": backend, "shards": shards,
         "ops": report.ops, "reads": report.reads,
@@ -89,10 +80,11 @@ def _run_cell(mix_name, backend, shards):
         "mutations": report.inserts + report.deletes + report.data_updates,
         "sql_statements": report.sql_statements,
         "verified_results": report.verified_results,
-        "repairs": results["repairs"],
-        "data_invalidations": results["data_invalidations"],
-        "profile_invalidations": results["profile_invalidations"],
-        "repair_underflows": results["repair_underflows"],
+        "repairs": metrics["serving.result_cache.repairs"],
+        "data_invalidations": metrics["serving.results.data_invalidations"],
+        "profile_invalidations":
+            metrics["serving.results.profile_invalidations"],
+        "repair_underflows": metrics["serving.result_cache.repair_underflows"],
         "seconds": report.seconds,
     }
 

@@ -46,16 +46,16 @@ REPETITIONS = 3
 
 
 def _run_replay(driver: ReplayDriver, backend: str):
-    """One full serving-replay arm on ``backend``; returns (report, stats)."""
+    """One full serving-replay arm on ``backend``; returns (report, metrics)."""
     db = driver.build_world(DBLP, backend=backend)
     server = TopKServer(db, capacity=CAPACITY)
     ops = driver.schedule(db)
     gc.collect()  # keep a stray collection out of either arm's timing
     report = driver.run(server, ops, label=backend)
-    stats = server.stats()
+    metrics = server.metrics()
     server.close()
     db.close()
-    return report, stats
+    return report, metrics
 
 
 def _normalised_events(report):

@@ -41,7 +41,7 @@ from repro.loadgen import (
     loadgen_payload,
     run_multiprocess,
 )
-from repro.serving import ReplayConfig, ReplayDriver, ShardedTopKServer, TopKServer
+from repro.serving import ReplayConfig, ReplayDriver, TopKServer, create_server
 from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
 
@@ -99,11 +99,7 @@ def _run_cell(backend: str, shards: int, processes: int = 1):
     else:
         driver = ReplayDriver(REPLAY)
         db = driver.build_world(DBLP, backend=backend)
-        if shards > 1:
-            server = ShardedTopKServer(db, shards=shards, capacity=CAPACITY,
-                                       parallel_fanout=True)
-        else:
-            server = TopKServer(db, capacity=CAPACITY)
+        server = create_server(db, shards=shards, capacity=CAPACITY)
         try:
             report = LoadGenerator(LOAD).run(server, telemetry=Telemetry())
         finally:
@@ -114,7 +110,10 @@ def _run_cell(backend: str, shards: int, processes: int = 1):
             f"errors={report.errors} audit={report.audit}")
         assert report.telemetry["metrics"], "telemetry snapshot came back empty"
     assert report.ops > 0 and report.throughput_ops_per_sec > 0
-    return report.as_dict()
+    # The committed artifact is a baseline, not a dump: it carries the gated
+    # numbers (latency, throughput, locks, audit, server_stats), not the
+    # run's full telemetry snapshot.
+    return {**report.as_dict(), "telemetry": {}}
 
 
 def test_loadgen_slo_matrix(benchmark):

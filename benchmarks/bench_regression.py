@@ -12,7 +12,8 @@ What is compared, and with what tolerance, is explicit below:
   ``LATENCY_SLACK_MS`` allowance (CI machines are slower and noisier than
   the machine that wrote the baseline; a real regression — a lock held
   across SQL, a cache stampede — moves the tail by far more than this);
-* **SQL work per operation** — ``sql_statements_total / ops`` must stay
+* **SQL work per operation** — ``backend.<name>.statements_executed /
+  ops`` (from the run's ``server_stats``, the server's ``metrics()``) must stay
   within ``SQL_PER_OP_FACTOR``x plus ``SQL_PER_OP_SLACK`` of the
   committed cell. This is the cache-effectiveness gate: latency may be
   machine-dependent, but statements-per-op barely is, so its tolerance is
@@ -42,7 +43,9 @@ SQL_PER_OP_SLACK = 1.0
 
 
 def _sql_per_op(run: dict) -> float:
-    return run["server_stats"]["sql_statements_total"] / max(run["ops"], 1)
+    statements = run["server_stats"][
+        f"backend.{run['backend']}.statements_executed"]
+    return statements / max(run["ops"], 1)
 
 
 def _cell_key(run: dict):

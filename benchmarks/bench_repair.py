@@ -53,7 +53,7 @@ def _run_arm(driver, repair_delta, label):
     try:
         report = driver.run(server, driver.schedule(db), verify=True,
                             label=label)
-        return report, server.stats(), server.metrics()
+        return report, server.metrics()
     finally:
         server.close()
         db.close()
@@ -62,9 +62,9 @@ def _run_arm(driver, repair_delta, label):
 def test_repair_beats_invalidate_and_recompute(benchmark):
     """The acceptance benchmark: repair rate, warm-rate and SQL comparison."""
     driver = ReplayDriver(REPLAY)
-    repair, repair_stats, repair_metrics = run_once(
+    repair, repair_metrics = run_once(
         benchmark, _run_arm, driver, None, "repair")
-    baseline, baseline_stats, _ = _run_arm(driver, -1, "invalidate")
+    baseline, baseline_metrics = _run_arm(driver, -1, "invalidate")
 
     def warm_rate(report):
         return report.read_hits / max(1, report.reads)
@@ -75,9 +75,9 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
                       if event["results_invalidated"] == 0
                       and event["repair_sql_statements"] == 0]
     event_rate = len(fully_repaired) / max(1, len(affected))
-    results = repair_stats["results"]
-    entry_rate = results["repairs"] / max(
-        1, results["repairs"] + results["repair_fallbacks"])
+    repairs = repair_metrics["serving.result_cache.repairs"]
+    fallbacks = repair_metrics["serving.result_cache.repair_fallbacks"]
+    entry_rate = repairs / max(1, repairs + fallbacks)
 
     reporting.print_report(
         f"Repair vs invalidate-and-recompute — {REPLAY.users} users, "
@@ -95,9 +95,10 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
             "affected mutation events": len(affected),
             "fully repaired events": len(fully_repaired),
             "event repair rate": f"{event_rate:.3f}",
-            "entries repaired": results["repairs"],
-            "repair fallbacks": results["repair_fallbacks"],
-            "underflow fallbacks": results["repair_underflows"],
+            "entries repaired": repairs,
+            "repair fallbacks": fallbacks,
+            "underflow fallbacks":
+                repair_metrics["serving.result_cache.repair_underflows"],
             "entry repair rate": f"{entry_rate:.3f}",
         }))
 
@@ -107,13 +108,12 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
     assert entry_rate >= REPAIR_RATE_FLOOR
     assert all(event["repair_sql_statements"] == 0
                for event in repair.mutation_events)
-    assert repair_metrics["serving.result_cache.repairs"] == results["repairs"]
 
     # The baseline arm really is the old world: no repairs anywhere, same
     # schedule, strictly more invalidations.
-    assert baseline_stats["results"]["repairs"] == 0
-    assert (baseline_stats["results"]["data_invalidations"]
-            > results["data_invalidations"])
+    assert baseline_metrics["serving.result_cache.repairs"] == 0
+    assert (baseline_metrics["serving.results.data_invalidations"]
+            > repair_metrics["serving.results.data_invalidations"])
 
     # (b) Repairs convert recomputations into warm hits: strictly better
     # warm-read rate, strictly less SQL end to end.

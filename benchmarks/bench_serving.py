@@ -46,7 +46,7 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
     server = TopKServer(serving_db, capacity=CAPACITY)
     ops = driver.schedule(serving_db)
     serving = run_once(benchmark, driver.run, server, ops)
-    stats = server.stats()
+    metrics = server.metrics()
 
     baseline_db = driver.build_world(SCALES[SCALE])
     baseline = driver.run_baseline(baseline_db, driver.schedule(baseline_db))
@@ -95,8 +95,8 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
 
     # The shared cache really is shared: sessions outnumber residency, yet
     # every session's counts flowed through one store.
-    assert stats["sessions"]["resident"] <= CAPACITY
-    assert stats["count_cache"]["hits"] > 0
+    assert metrics["serving.sessions.resident"] <= CAPACITY
+    assert metrics["index.count_cache.hits"] > 0
 
 
 def test_eviction_rebuild_stays_correct(benchmark):

@@ -59,11 +59,13 @@ def test_cluster_scales_and_invalidates_selectively(benchmark):
                                     parallel_fanout=shards > 1)
         try:
             ops = driver.schedule(db)
+            label = f"sharded-{shards}"
             if shards == SHARD_COUNTS[0]:
-                report = run_once(benchmark, driver.run_sharded, cluster, ops)
+                report = run_once(benchmark, driver.run, cluster, ops,
+                                  label=label)
             else:
-                report = driver.run_sharded(cluster, ops)
-            arms.append((shards, report, cluster.stats()))
+                report = driver.run(cluster, ops, label=label)
+            arms.append((shards, report, cluster.metrics()))
         finally:
             cluster.close()
             db.close()
@@ -82,11 +84,11 @@ def test_cluster_scales_and_invalidates_selectively(benchmark):
         reporting.format_table([
             {"arm": report.label, "shards": shards,
              "reads": report.reads, "read_hits": report.read_hits,
-             "warm_rate": f"{stats['warm_rate']:.2f}",
+             "warm_rate": f"{stats['serving.cluster.warm_rate']:.2f}",
              "zero_sql_reads": report.zero_sql_reads,
              "sql_statements": report.sql_statements,
-             "data_invalidated": stats["results"]["data_invalidations"],
-             "data_spared": stats["results"]["data_spared"],
+             "data_invalidated": stats["serving.results.data_invalidations"],
+             "data_spared": stats["serving.results.data_spared"],
              "seconds": f"{report.seconds:.3f}"}
             for shards, report, stats in arms]
             + [{"arm": baseline.label, "shards": "-",
@@ -169,9 +171,9 @@ def test_parallel_fanout_matches_serial_replay(benchmark):
         try:
             ops = driver.schedule(db)
             if parallel:
-                report = run_once(benchmark, driver.run_sharded, cluster, ops)
+                report = run_once(benchmark, driver.run, cluster, ops)
             else:
-                report = driver.run_sharded(cluster, ops)
+                report = driver.run(cluster, ops)
             outcomes[parallel] = report
         finally:
             cluster.close()

@@ -11,8 +11,8 @@ the tutorial —
 2. serve a population of users through a ``ShardedTopKServer`` (users are
    partitioned across four independent ``TopKServer`` shards by a
    deterministic hash partitioner; warm repeats cost zero SQL statements),
-3. broadcast a data mutation and show the per-shard invalidation breakdown
-   rolled up in the ``ClusterMutationReport``,
+3. mutate the data and show the per-shard invalidation breakdown the
+   ``DataMutationReport`` carries (the same report a single server returns),
 4. replay a deterministic Zipf-skewed multi-user workload through the
    cluster with the after-every-mutation equivalence verifier on, and
    compare its SQL bill against the no-cache baseline.
@@ -70,11 +70,12 @@ def serve_some_users() -> None:
         print(f"  shard {shard.shard}: {shard.results_invalidated} "
               f"invalidated, {shard.results_spared} spared")
 
-    stats = cluster.stats()
-    print(f"\nCluster stats: {stats['shards']} shards, "
-          f"warm-rate {stats['warm_rate']:.2f}, "
-          f"{stats['broadcasts']} broadcasts, "
-          f"{stats['sql_statements_total']} SQL statements total")
+    metrics = cluster.metrics()
+    print(f"\nCluster metrics: {metrics['serving.cluster.shards']} shards, "
+          f"warm-rate {metrics['serving.cluster.warm_rate']:.2f}, "
+          f"{metrics['serving.cluster.broadcasts']} broadcasts, "
+          f"{metrics['backend.sqlite.statements_executed']} SQL statements "
+          f"total")
     cluster.close()
     db.close()
 
@@ -84,8 +85,8 @@ def replay_with_verification() -> None:
 
     sharded_db = driver.build_world(WORLD)
     with ShardedTopKServer(sharded_db, shards=2, capacity=6) as cluster:
-        sharded = driver.run_sharded(cluster, driver.schedule(sharded_db),
-                                     verify=True)
+        sharded = driver.run(cluster, driver.schedule(sharded_db),
+                             verify=True, label="sharded-2")
     sharded_db.close()
 
     baseline_db = driver.build_world(WORLD)

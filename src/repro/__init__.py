@@ -65,8 +65,8 @@ Serving engine (:mod:`repro.serving`)
     :class:`TopKServer` — thread-safe multi-user Top-K front door with an
     update-aware result cache and per-request metrics.
     :class:`ShardedTopKServer` — user-partitioned serving cluster: N
-    independent shards behind one front door, broadcast mutations with a
-    concurrent fan-out path and rolled-up invalidation reports.
+    independent shards behind the same front door and report types as a
+    single server, with a concurrent mutation fan-out path.
     :class:`HashPartitioner` — the deterministic default user→shard
     placement (the :class:`~repro.serving.Partitioner` protocol is
     pluggable).
@@ -75,20 +75,19 @@ Serving engine (:mod:`repro.serving`)
     :class:`ResultCache` — materialised Top-K answers, invalidated by
     profile events and selectively by data mutations (insert/delete/update).
     :class:`ReplayDriver` / :class:`ReplayConfig` — deterministic Zipf
-    multi-user replays with no-cache baseline and sharded arms.
+    multi-user replays against a server or a cluster, with a no-cache
+    baseline arm.
     :func:`fresh_top_k` — from-scratch recomputation (the serving oracle).
 
 Storage backends (:mod:`repro.backend`)
     :class:`StorageBackend` — the narrow engine protocol every layer above
     storage is wired against (counts, id lists, joined-view scan, mutation
     surface with image capture, op accounting, event subscriptions).
-    :class:`SqliteBackend` — the relational engine (the protocol-named
-    entry point over :class:`Database`).
     :class:`MemoryBackend` — the pure in-memory columnar engine
     (dict-of-columns + per-attribute inverted index, SQLite-faithful
     predicate semantics).
     :func:`create_backend` — engine factory by name (``REPRO_BACKEND``
-    environment default).
+    environment default); ``"sqlite"`` is :class:`Database`.
 
 Relational substrate and workload
     :class:`Database` — SQLite connection wrapper with the DBLP schema,
@@ -138,7 +137,7 @@ from .algorithms import (
     preferences_from_graph,
     ta_top_k,
 )
-from .backend import MemoryBackend, SqliteBackend, StorageBackend, create_backend
+from .backend import MemoryBackend, StorageBackend, create_backend
 from .graphstore import PropertyGraph
 from .index import (
     CountCache,
@@ -199,7 +198,6 @@ __all__ = [
     "SelectivityEstimator",
     "SessionRegistry",
     "ShardedTopKServer",
-    "SqliteBackend",
     "StorageBackend",
     "QualitativePreference",
     "QuantitativePreference",

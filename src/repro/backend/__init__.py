@@ -15,17 +15,14 @@ Public API
     ``joined_rows``), the mutation surface with pre-/post-image capture,
     data-mutation subscriptions, op accounting (``statements_executed``,
     ``rows_touched``) and the replay driver's workload-shape helpers.
-:class:`SqliteBackend`
-    The relational engine — a protocol-named subclass of
-    :class:`~repro.sqldb.database.Database`, which carries the actual
-    implementation.
 :class:`MemoryBackend`
     The pure in-memory columnar engine: dict-of-columns over the joined
     view with a per-attribute inverted index, answering predicates by set
     algebra under the same SQLite-faithful comparison rules.
 :func:`create_backend`
     Factory: engine name (``"sqlite"`` / ``"memory"`` or ``None`` for the
-    environment default) → a fresh backend instance.
+    environment default) → a fresh backend instance.  ``"sqlite"`` is the
+    relational engine, :class:`~repro.sqldb.database.Database`.
 :func:`default_backend_name`
     The process-wide default engine name: the ``REPRO_BACKEND`` environment
     variable when set (this is how the CI matrix re-runs the tier-1 suite
@@ -40,13 +37,13 @@ import os
 from typing import Optional
 
 from ..exceptions import RelationalError
+from ..sqldb.database import Database
 from .memory import MemoryBackend
 from .protocol import StorageBackend
-from .sqlite import SqliteBackend
 
 #: Engine name -> backend class (extend here to register a third engine).
 _REGISTRY = {
-    "sqlite": SqliteBackend,
+    "sqlite": Database,
     "memory": MemoryBackend,
 }
 
@@ -92,7 +89,6 @@ def create_backend(name: Optional[str] = None,
 __all__ = [
     "BACKEND_NAMES",
     "MemoryBackend",
-    "SqliteBackend",
     "StorageBackend",
     "create_backend",
     "default_backend_name",

@@ -23,7 +23,7 @@ through the same SQLite-faithful coercion rules as
 number-before-text ordering, exact integer conversion) — the differential
 tests of PR 3 pinned those rules against the real engine, and the
 whole-system lockstep harness (``tests/test_backend_differential.py``)
-asserts this backend and :class:`~repro.backend.SqliteBackend` stay
+asserts this backend and :class:`~repro.sqldb.database.Database` stay
 answer-identical across the full replay mutation mix.
 
 Mutations mirror the SQLite loader bodies
@@ -496,7 +496,7 @@ class MemoryBackend:
     #
     # Locking shape: the physical writes and image capture run under the
     # backend lock, but the notification is delivered AFTER releasing it —
-    # mirroring SqliteBackend, whose loader bodies hold no backend-side lock
+    # mirroring the SQLite engine, whose loader bodies hold no backend-side lock
     # at all.  Listeners (TopKServer._on_data_mutation) take their own
     # server lock and then issue backend queries; delivering under our lock
     # would order the two locks backend→server here while every serve path

@@ -4,8 +4,7 @@ Every layer above the storage engine (count cache, query runner, serving
 engine, replay driver, experiment context, CLI) consumes exactly the narrow
 surface written down here, never a concrete engine class.  The protocol is
 *structural* (:class:`typing.Protocol`): any object with these members is a
-backend — :class:`~repro.sqldb.database.Database` (the SQLite engine, exposed
-as :class:`repro.backend.SqliteBackend`) and
+backend — :class:`~repro.sqldb.database.Database` (the SQLite engine) and
 :class:`repro.backend.MemoryBackend` (the pure in-memory columnar engine)
 both satisfy it, and a third engine only has to implement the same members
 (see ``docs/BACKENDS.md`` for the recipe).

@@ -58,14 +58,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from .algorithms import PEPSAlgorithm
 from .backend import BACKEND_NAMES, default_backend_name
 from .experiments import figures, reporting
 from .experiments.context import SCALES, ExperimentContext
-from .serving import (MIXES, ReplayConfig, ReplayDriver, ShardedTopKServer,
-                      TopKServer)
+from .serving import (MIXES, ReplayConfig, ReplayDriver, ServingSurface,
+                      create_server)
 from .telemetry import Telemetry
 from .workload.synthetic import SYNTHETIC_SCALES, synthetic_profile_factory
 
@@ -95,6 +96,36 @@ def _resolve_workload(family: str, scale: str):
     if family == "synthetic":
         return config, synthetic_profile_factory(config)
     return config, None
+
+
+def _check_shards(shards: int) -> None:
+    if shards < 0:
+        raise ValueError("--shards must be >= 0 (0/1 serve from one server)")
+
+
+@contextmanager
+def _serving_world(driver: ReplayDriver, workload_config: Any,
+                   backend: Optional[str], shards: int, capacity: int,
+                   repair_delta: Optional[int] = None,
+                   observer: Optional[Telemetry] = None,
+                   ) -> Iterator[ServingSurface]:
+    """A fresh replay world fronted by a server (a cluster for ``shards``
+    >= 2), closed on exit; ``observer`` attaches tracing, the metrics
+    registry and lock instrumentation for the duration."""
+    db = driver.build_world(workload_config, backend=backend)
+    server = create_server(db, shards=shards, capacity=capacity,
+                           repair_delta=repair_delta)
+    handle = None
+    if observer is not None:
+        observer.observe(server)
+        handle = observer.instrument_locks(server)
+    try:
+        yield server
+    finally:
+        if handle is not None:
+            handle.uninstrument()
+        server.close()
+        db.close()
 
 #: Experiment name -> (description, needs a uid argument).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -272,10 +303,10 @@ def run_serve_replay(scale: str = "tiny",
     Builds one world per arm (identical datasets and schedules), runs the
     :class:`~repro.serving.TopKServer` arm, — unless ``baseline`` is
     disabled — the no-cache baseline arm, and — when ``shards`` > 0 — a
-    :class:`~repro.serving.ShardedTopKServer` arm partitioning the users
-    across that many shards (with the concurrent fan-out pool enabled for
-    2+ shards), and reports request counters, SQL statements and cache
-    behaviour side by side.  The five weights control the operation mix
+    sharded arm built by :func:`~repro.serving.create_server` (a
+    :class:`~repro.serving.ShardedTopKServer` partitioning the users across
+    that many shards, for 2+), and reports request counters, SQL statements
+    and cache behaviour — each arm's flat ``metrics()`` — side by side.  The five weights control the operation mix
     (reads, profile updates, tuple inserts/deletes/in-place updates); a
     weight of zero removes that kind entirely.  ``backend`` picks the
     storage engine every arm's world is built on (``sqlite`` / ``memory``;
@@ -291,34 +322,22 @@ def run_serve_replay(scale: str = "tiny",
     updates).
     """
     workload_config, profile_factory = _resolve_workload(family, scale)
-    if shards < 0:
-        raise ValueError("--shards must be >= 0 (0 disables the sharded arm)")
+    _check_shards(shards)
     driver = ReplayDriver(ReplayConfig(
         users=users, requests=requests, k=k, seed=seed,
         read_weight=read_weight, update_weight=update_weight,
         insert_weight=insert_weight, delete_weight=delete_weight,
         data_update_weight=data_update_weight, mix=mix),
         profile_factory=profile_factory)
-    serving_db = driver.build_world(workload_config, backend=backend)
-    server = TopKServer(serving_db, capacity=capacity,
-                        repair_delta=repair_delta)
-    observer = None
-    handle = None
+    observer = Telemetry() if telemetry else None
     snapshot = None
-    if telemetry:
-        observer = Telemetry()
-        observer.observe(server)
-        handle = observer.instrument_locks(server)
-    try:
-        serving_report = driver.run(server, driver.schedule(serving_db))
-        stats = server.stats()
+    with _serving_world(driver, workload_config, backend, shards=0,
+                        capacity=capacity, repair_delta=repair_delta,
+                        observer=observer) as server:
+        serving_report = driver.run(server, driver.schedule(server.db))
+        metrics = server.metrics()
         if observer is not None:
             snapshot = observer.json_snapshot()
-    finally:
-        if handle is not None:
-            handle.uninstrument()
-        server.close()
-        serving_db.close()
 
     baseline_report = None
     if baseline:
@@ -330,24 +349,18 @@ def run_serve_replay(scale: str = "tiny",
             baseline_db.close()
 
     sharded_report = None
-    cluster_stats = None
+    cluster_metrics = None
     if shards:
-        sharded_db = driver.build_world(workload_config, backend=backend)
-        cluster = ShardedTopKServer(sharded_db, shards=shards,
-                                    capacity=capacity,
-                                    parallel_fanout=shards > 1,
-                                    repair_delta=repair_delta)
-        try:
-            sharded_report = driver.run_sharded(cluster,
-                                                driver.schedule(sharded_db))
-            cluster_stats = cluster.stats()
-        finally:
-            cluster.close()
-            sharded_db.close()
+        with _serving_world(driver, workload_config, backend, shards=shards,
+                            capacity=capacity,
+                            repair_delta=repair_delta) as cluster:
+            sharded_report = driver.run(cluster, driver.schedule(cluster.db),
+                                        label=f"sharded-{shards}")
+            cluster_metrics = cluster.metrics()
 
     # The per-kind mutation counters the server tracks (inserts, deletes,
     # in-place tuple updates), surfaced explicitly in both output modes.
-    mutations = {kind: stats["requests"][kind]
+    mutations = {kind: metrics[f"serving.server.{kind}"]
                  for kind in ("inserts", "deletes", "tuple_updates")}
 
     if as_json:
@@ -365,8 +378,8 @@ def run_serve_replay(scale: str = "tiny",
             "serving": serving_report.as_dict(),
             "baseline": baseline_report.as_dict() if baseline_report else None,
             "sharded": sharded_report.as_dict() if sharded_report else None,
-            "server": stats,
-            "cluster": cluster_stats,
+            "server": metrics,
+            "cluster": cluster_metrics,
             "mutations": mutations,
             "telemetry": snapshot,
         }
@@ -387,13 +400,13 @@ def run_serve_replay(scale: str = "tiny",
              f"k={k}, scale={scale}, family={family}"
              + (f", mix={mix}" if mix else "")
              + f", backend={backend or default_backend_name()})", table]
-    sessions = stats["sessions"]
-    results = stats["results"]
     lines.append(
-        f"sessions: {sessions['resident']}/{sessions['capacity']} resident, "
-        f"{sessions['evictions']} evictions; result cache: "
-        f"{results['hits']} hits, {results['data_invalidations']} "
-        f"data-invalidated, {results['data_spared']} spared")
+        f"sessions: {metrics['serving.sessions.resident']}/"
+        f"{metrics['serving.sessions.capacity']} resident, "
+        f"{metrics['serving.sessions.evictions']} evictions; result cache: "
+        f"{metrics['serving.results.hits']} hits, "
+        f"{metrics['serving.results.data_invalidations']} "
+        f"data-invalidated, {metrics['serving.results.data_spared']} spared")
     lines.append(
         f"mutations: {mutations['inserts']} inserts, "
         f"{mutations['deletes']} deletes, "
@@ -403,14 +416,13 @@ def run_serve_replay(scale: str = "tiny",
         lines.append(f"SQL statements saved vs no-cache baseline: {saved} "
                      f"({baseline_report.sql_statements} -> "
                      f"{serving_report.sql_statements})")
-    if cluster_stats is not None:
+    if sharded_report is not None:
+        warm_rate = sharded_report.read_hits / max(sharded_report.reads, 1)
         lines.append(
-            f"cluster: {cluster_stats['shards']} shards "
-            f"({cluster_stats['partitioner']}, parallel_fanout="
-            f"{cluster_stats['parallel_fanout']}), warm-rate "
-            f"{cluster_stats['warm_rate']:.2f}, "
-            f"{cluster_stats['results']['data_invalidations']} "
-            f"data-invalidated, {cluster_stats['results']['data_spared']} "
+            f"cluster: {shards} shards, warm-rate {warm_rate:.2f}, "
+            f"{cluster_metrics['serving.results.data_invalidations']} "
+            f"data-invalidated, "
+            f"{cluster_metrics['serving.results.data_spared']} "
             f"spared across shards")
     if snapshot is not None:
         traces = snapshot["traces"]["buffer"]
@@ -442,9 +454,9 @@ def run_load(scale: str = "tiny",
     """Drive the concurrent load harness against a live serving instance.
 
     Builds one world (``users`` synthetic profiles, persisted up front),
-    fronts it with a :class:`~repro.serving.TopKServer` — or, with
-    ``shards`` >= 2, a :class:`~repro.serving.ShardedTopKServer` with the
-    concurrent fan-out pool enabled — and runs
+    fronts it with :func:`~repro.serving.create_server` — a
+    :class:`~repro.serving.TopKServer`, or with ``shards`` >= 2 a
+    :class:`~repro.serving.ShardedTopKServer` — and runs
     :class:`~repro.loadgen.LoadGenerator` over it: ``threads`` workers in
     closed loop (``qps`` ``None``; the achieved rate is the throughput at
     saturation) or open loop against the target arrival rate, with the
@@ -467,8 +479,7 @@ def run_load(scale: str = "tiny",
                           write_bench_json)
 
     workload_config, profile_factory = _resolve_workload(family, scale)
-    if shards < 0:
-        raise ValueError("--shards must be >= 0 (0/1 run a single server)")
+    _check_shards(shards)
     if processes < 1:
         raise ValueError("--processes must be >= 1")
     config = LoadConfig(threads=threads, duration_seconds=duration,
@@ -487,21 +498,11 @@ def run_load(scale: str = "tiny",
     else:
         driver = ReplayDriver(ReplayConfig(users=users, k=k, seed=seed),
                               profile_factory=profile_factory)
-        db = driver.build_world(workload_config, backend=backend)
-        if shards >= 2:
-            server: Any = ShardedTopKServer(db, shards=shards,
-                                            capacity=capacity,
-                                            parallel_fanout=True,
-                                            repair_delta=repair_delta)
-        else:
-            server = TopKServer(db, capacity=capacity,
-                                repair_delta=repair_delta)
-        try:
+        with _serving_world(driver, workload_config, backend, shards=shards,
+                            capacity=capacity,
+                            repair_delta=repair_delta) as server:
             report = LoadGenerator(config).run(
                 server, telemetry=Telemetry() if telemetry else None)
-        finally:
-            server.close()
-            db.close()
 
     run_record = report.as_dict()
     config_record = {"scale": scale, "users": users, "threads": threads,
@@ -575,8 +576,8 @@ def run_stats(scale: str = "tiny",
               slow_ms: float = 250.0) -> str:
     """Drive a short replay under full observability and export the metrics.
 
-    Builds one world, fronts it with a :class:`~repro.serving.TopKServer`
-    (or an N-shard cluster for ``shards`` >= 2), attaches a
+    Builds one world, fronts it with :func:`~repro.serving.create_server`
+    (an N-shard cluster for ``shards`` >= 2), attaches a
     :class:`~repro.telemetry.Telemetry` — request-scoped tracing, the
     unified metrics registry, instrumented locks — replays a deterministic
     mixed workload, and returns the end-of-run export: the schema-versioned
@@ -584,34 +585,17 @@ def run_stats(scale: str = "tiny",
     ``prometheus``.  Requests slower than ``slow_ms`` land in the slow-trace
     capture, so the snapshot attributes their latency span by span.
     """
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}; pick one of {sorted(SCALES)}")
-    if shards < 0:
-        raise ValueError("--shards must be >= 0 (0/1 run a single server)")
+    workload_config, _ = _resolve_workload("dblp", scale)
+    _check_shards(shards)
     driver = ReplayDriver(ReplayConfig(users=users, requests=requests,
                                        k=k, seed=seed))
-    db = driver.build_world(SCALES[scale], backend=backend)
-    if shards >= 2:
-        server: Any = ShardedTopKServer(db, shards=shards, capacity=capacity,
-                                        parallel_fanout=True)
-    else:
-        server = TopKServer(db, capacity=capacity)
     observer = Telemetry(slow_threshold=slow_ms / 1000.0)
-    observer.observe(server)
-    handle = observer.instrument_locks(server)
-    try:
-        schedule = driver.schedule(db)
-        if shards >= 2:
-            driver.run_sharded(server, schedule)
-        else:
-            driver.run(server, schedule)
+    with _serving_world(driver, workload_config, backend, shards=shards,
+                        capacity=capacity, observer=observer) as server:
+        driver.run(server, driver.schedule(server.db))
         if prometheus:
             return observer.prometheus()
         return json.dumps(observer.json_snapshot(), indent=2, sort_keys=True)
-    finally:
-        handle.uninstrument()
-        server.close()
-        db.close()
 
 
 def list_experiments() -> str:
@@ -619,6 +603,70 @@ def list_experiments() -> str:
     rows = [{"name": name, "description": description, "per-user": "yes" if per_user else "no"}
             for name, (description, per_user) in EXPERIMENTS.items()]
     return reporting.format_table(rows)
+
+
+# -- shared option groups ------------------------------------------------------------
+# Each flag is declared once, here; a sub-command picks the groups it takes
+# through `_options` and overrides defaults with `set_defaults`.
+
+
+def _scale_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scale", default="tiny", choices=sorted(SCALES))
+
+
+def _query_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=int, default=5)
+    parser.add_argument("--backend", default=None,
+                        choices=sorted(BACKEND_NAMES),
+                        help="storage engine the workload lives on "
+                             "(default: the REPRO_BACKEND environment "
+                             "default)")
+
+
+def _json_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit the report as JSON")
+
+
+def _population_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--users", type=int, default=50,
+                        help="size of the synthetic user population")
+    parser.add_argument("--seed", type=int, default=17)
+    parser.add_argument("--capacity", type=int, default=16,
+                        help="maximum number of resident user sessions")
+    parser.add_argument("--shards", type=int, default=0,
+                        help="partition the users across an N-shard "
+                             "cluster (serve-replay: as an extra arm; "
+                             "0/1 = single server)")
+
+
+def _workload_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", default="dblp",
+                        choices=sorted(WORKLOAD_FAMILIES),
+                        help="workload family the world is generated from")
+    parser.add_argument("--mix", default=None, choices=sorted(MIXES),
+                        help="drive a named adversarial mix instead of the "
+                             "benign default (hot-key storms, delete churn, "
+                             "profile thrash, repair-boundary updates)")
+    parser.add_argument("--repair-delta", type=int, default=None, metavar="N",
+                        help="over-fetch margin for in-place answer repair "
+                             "(default: 2*k per request; negative disables "
+                             "repair, restoring invalidate-and-recompute)")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="run under request tracing, the unified metrics "
+                             "registry and lock instrumentation, and report "
+                             "the snapshot")
+
+
+def _options(*groups: Callable[[argparse.ArgumentParser], None]
+             ) -> argparse.ArgumentParser:
+    """A parent parser carrying ``groups`` — a fresh one per sub-command:
+    argparse shares a parent's action objects with every child, so a
+    per-command ``set_defaults`` on a shared parent would leak."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for add in groups:
+        add(parent)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,44 +677,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list available experiments")
 
-    experiment = subparsers.add_parser("experiment", help="run one table/figure experiment")
+    experiment = subparsers.add_parser(
+        "experiment", parents=[_options(_scale_option)],
+        help="run one table/figure experiment")
     experiment.add_argument("name", choices=sorted(EXPERIMENTS))
-    experiment.add_argument("--scale", default="tiny", choices=sorted(SCALES))
     experiment.add_argument("--uid", type=int, default=None,
                             help="user id (default: the preference-richest user)")
 
-    topk = subparsers.add_parser("topk", help="run a personalised Top-K query")
-    topk.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    topk.add_argument("--k", type=int, default=10)
+    topk = subparsers.add_parser(
+        "topk", parents=[_options(_scale_option, _query_options, _json_option)],
+        help="run a personalised Top-K query")
+    topk.set_defaults(k=10)
     topk.add_argument("--uid", type=int, default=None)
     topk.add_argument("--reuse-index", action="store_true",
                       help="serve the query from the incremental pair index "
                            "(kept fresh by graph mutation events) and report "
                            "its maintenance statistics")
-    topk.add_argument("--json", action="store_true", dest="as_json",
-                      help="emit the ranking and statistics as JSON")
-    topk.add_argument("--backend", default=None, choices=sorted(BACKEND_NAMES),
-                      help="storage engine answering the enhanced queries "
-                           "(default: the REPRO_BACKEND environment default)")
 
     replay = subparsers.add_parser(
         "serve-replay",
+        parents=[_options(_scale_option, _query_options, _json_option,
+                          _population_options, _workload_options)],
         help="replay a Zipf multi-user workload through the serving engine")
-    replay.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    replay.add_argument("--users", type=int, default=50,
-                        help="size of the synthetic user population")
     replay.add_argument("--requests", type=int, default=300,
                         help="number of operations in the replay schedule")
-    replay.add_argument("--k", type=int, default=5)
-    replay.add_argument("--seed", type=int, default=17)
-    replay.add_argument("--capacity", type=int, default=16,
-                        help="maximum number of resident user sessions")
     replay.add_argument("--no-baseline", action="store_true",
                         help="skip the no-cache baseline arm")
-    replay.add_argument("--shards", type=int, default=0,
-                        help="also run a sharded serving arm partitioning "
-                             "the users across N TopKServer shards "
-                             "(0 disables it)")
     replay.add_argument("--read-weight", type=float,
                         default=_REPLAY_DEFAULTS.read_weight,
                         help="relative weight of Top-K reads in the mix")
@@ -683,38 +719,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_REPLAY_DEFAULTS.data_update_weight,
                         help="relative weight of in-place tuple updates "
                              "in the mix")
-    replay.add_argument("--repair-delta", type=int, default=None,
-                        metavar="N",
-                        help="over-fetch margin for in-place answer repair "
-                             "(default: 2*k per request; negative disables "
-                             "repair, restoring invalidate-and-recompute)")
-    replay.add_argument("--family", default="dblp",
-                        choices=sorted(WORKLOAD_FAMILIES),
-                        help="workload family the replay worlds are "
-                             "generated from")
-    replay.add_argument("--mix", default=None, choices=sorted(MIXES),
-                        help="replace the five weight flags with a named "
-                             "adversarial mix (hot-key storms, delete "
-                             "churn, profile thrash, repair-boundary "
-                             "updates)")
-    replay.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the replay reports as JSON")
-    replay.add_argument("--telemetry", action="store_true",
-                        help="attach request tracing, the unified metrics "
-                             "registry and lock instrumentation to the "
-                             "serving arm and report its snapshot")
-    replay.add_argument("--backend", default=None,
-                        choices=sorted(BACKEND_NAMES),
-                        help="storage engine every replay arm's world is "
-                             "built on (default: the REPRO_BACKEND "
-                             "environment default)")
 
     load = subparsers.add_parser(
         "load",
+        parents=[_options(_scale_option, _query_options, _json_option,
+                          _population_options, _workload_options)],
         help="hammer a live server with concurrent threads and report SLOs")
-    load.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    load.add_argument("--users", type=int, default=50,
-                      help="size of the synthetic user population")
     load.add_argument("--threads", type=int, default=2,
                       help="number of load-generator worker threads "
                            "(per process)")
@@ -727,58 +737,24 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--qps", type=float, default=None,
                       help="open-loop target arrival rate across all "
                            "workers (default: closed loop at saturation)")
-    load.add_argument("--shards", type=int, default=0,
-                      help="front the world with an N-shard cluster "
-                           "instead of a single server (0/1 = single)")
-    load.add_argument("--seed", type=int, default=17)
-    load.add_argument("--k", type=int, default=5)
-    load.add_argument("--capacity", type=int, default=16,
-                      help="maximum number of resident user sessions")
     load.add_argument("--audit-interval", type=float, default=0.5,
                       help="seconds between background equivalence audits "
                            "(0 disables auditing)")
-    load.add_argument("--repair-delta", type=int, default=None, metavar="N",
-                      help="over-fetch margin for in-place answer repair "
-                           "(default: 2*k per request; negative disables "
-                           "repair, restoring invalidate-and-recompute)")
-    load.add_argument("--family", default="dblp",
-                      choices=sorted(WORKLOAD_FAMILIES),
-                      help="workload family the world is generated from")
-    load.add_argument("--mix", default=None, choices=sorted(MIXES),
-                      help="drive a named adversarial mix instead of the "
-                           "benign default (includes its hot/boundary "
-                           "targeting and base-relation churn)")
     load.add_argument("--output", default=None, metavar="FILE",
                       help="also write the schema-versioned "
                            "BENCH_loadgen.json document to FILE")
-    load.add_argument("--json", action="store_true", dest="as_json",
-                      help="emit the load report as JSON")
-    load.add_argument("--telemetry", action="store_true",
-                      help="run under full observability and carry the "
-                           "metrics/trace snapshot in the report")
-    load.add_argument("--backend", default=None,
-                      choices=sorted(BACKEND_NAMES),
-                      help="storage engine the world is built on "
-                           "(default: the REPRO_BACKEND environment "
-                           "default)")
 
     stats = subparsers.add_parser(
         "stats",
+        parents=[_options(_scale_option, _query_options, _population_options)],
         help="replay a short workload under telemetry and export the metrics")
-    stats.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    stats.add_argument("--users", type=int, default=25,
-                       help="size of the synthetic user population")
+    stats.set_defaults(users=25)
     stats.add_argument("--requests", type=int, default=120,
                        help="number of operations in the replay schedule")
-    stats.add_argument("--k", type=int, default=5)
-    stats.add_argument("--seed", type=int, default=17)
-    stats.add_argument("--capacity", type=int, default=16,
-                       help="maximum number of resident user sessions")
-    stats.add_argument("--shards", type=int, default=0,
-                       help="front the world with an N-shard cluster "
-                            "instead of a single server (0/1 = single)")
     stats.add_argument("--slow-ms", type=float, default=250.0,
                        help="slow-request capture threshold in milliseconds")
+    # Its own --json: mutually exclusive with --prometheus, which a flag
+    # inherited from a parent parser cannot be.
     output_format = stats.add_mutually_exclusive_group()
     output_format.add_argument("--json", action="store_true", dest="as_json",
                                help="emit the schema-versioned JSON snapshot "
@@ -786,64 +762,30 @@ def build_parser() -> argparse.ArgumentParser:
     output_format.add_argument("--prometheus", action="store_true",
                                help="emit the Prometheus text exposition "
                                     "instead of JSON")
-    stats.add_argument("--backend", default=None,
-                       choices=sorted(BACKEND_NAMES),
-                       help="storage engine the world is built on "
-                            "(default: the REPRO_BACKEND environment "
-                            "default)")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Every flag's dest is the keyword the command's run_* function takes.
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        if args.command == "list":
+        if command == "list":
             print(list_experiments())
-        elif args.command == "experiment":
-            print(run_experiment(args.name, scale=args.scale, uid=args.uid))
-        elif args.command == "topk":
-            print(run_topk(args.scale, args.k, uid=args.uid,
-                           reuse_index=args.reuse_index,
-                           as_json=args.as_json,
-                           backend=args.backend))
-        elif args.command == "serve-replay":
-            print(run_serve_replay(scale=args.scale, users=args.users,
-                                   requests=args.requests, k=args.k,
-                                   seed=args.seed, capacity=args.capacity,
-                                   baseline=not args.no_baseline,
-                                   shards=args.shards,
-                                   read_weight=args.read_weight,
-                                   update_weight=args.update_weight,
-                                   insert_weight=args.insert_weight,
-                                   delete_weight=args.delete_weight,
-                                   data_update_weight=args.data_update_weight,
-                                   as_json=args.as_json,
-                                   backend=args.backend,
-                                   telemetry=args.telemetry,
-                                   repair_delta=args.repair_delta,
-                                   family=args.family, mix=args.mix))
-        elif args.command == "load":
-            print(run_load(scale=args.scale, users=args.users,
-                           threads=args.threads, duration=args.duration,
-                           qps=args.qps, shards=args.shards,
-                           backend=args.backend, seed=args.seed, k=args.k,
-                           capacity=args.capacity,
-                           audit_interval=args.audit_interval,
-                           output=args.output, as_json=args.as_json,
-                           telemetry=args.telemetry,
-                           repair_delta=args.repair_delta,
-                           family=args.family, mix=args.mix,
-                           processes=args.processes))
-        elif args.command == "stats":
-            print(run_stats(scale=args.scale, users=args.users,
-                            requests=args.requests, k=args.k,
-                            seed=args.seed, capacity=args.capacity,
-                            shards=args.shards, backend=args.backend,
-                            prometheus=args.prometheus,
-                            slow_ms=args.slow_ms))
+        elif command == "experiment":
+            print(run_experiment(**options))
+        elif command == "topk":
+            print(run_topk(**options))
+        elif command == "serve-replay":
+            options["baseline"] = not options.pop("no_baseline")
+            print(run_serve_replay(**options))
+        elif command == "load":
+            print(run_load(**options))
+        elif command == "stats":
+            del options["as_json"]  # JSON is the default output
+            print(run_stats(**options))
     except Exception as exc:  # pragma: no cover - defensive top-level handler
         print(f"error: {exc}", file=sys.stderr)
         return 1

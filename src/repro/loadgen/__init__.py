@@ -35,20 +35,15 @@ Public API
     One worker's deterministic op stream over an owned pid namespace, the
     operations it emits, and the per-worker partitioned construction.
 :class:`WorkerResult`
-    One worker's private accounting (histograms, op counts, error) before
-    the merge.
-:class:`LatencyHistogram`
-    Lock-free log-linear per-worker latency histogram with exact merging
-    and nearest-rank quantiles.
+    One worker's private accounting (its
+    :class:`~repro.telemetry.LatencyHistogram` instances, op counts, error)
+    before the merge.
 :class:`TrafficGate`
     Pause-and-drain gate the auditor uses to get a quiesced snapshot while
     workers keep their own locks out of the picture.
 :class:`EquivalenceAuditor`
     Daemon thread that periodically quiesces traffic and verifies
     materialised answers against a from-scratch recomputation.
-:func:`instrument_server` / :func:`lock_report`
-    Swap :class:`~repro.concurrency.TimedRLock` wrappers into an idle
-    server and read the per-lock contention records back.
 :class:`WorldSpec` / :func:`build_server` / :func:`run_multiprocess` /
 :func:`merge_reports` / :class:`MultiProcessLoadReport`
     The multi-process front: N child processes each call
@@ -65,7 +60,6 @@ Public API
 """
 
 from .audit import EquivalenceAuditor, TrafficGate
-from .instrument import instrument_server, lock_report
 from .multiproc import (
     PROCESS_SEED_STRIDE,
     MultiProcessLoadReport,
@@ -83,12 +77,10 @@ from .report import (
     write_bench_json,
 )
 from .runner import LoadConfig, LoadGenerator, LoadReport, WorkerResult
-from .stats import LatencyHistogram
 from .workload import LoadMix, LoadOp, WorkerStream, build_streams
 
 __all__ = [
     "EquivalenceAuditor",
-    "LatencyHistogram",
     "LoadConfig",
     "LoadGenerator",
     "LoadMix",
@@ -104,10 +96,8 @@ __all__ = [
     "bench_envelope",
     "build_server",
     "build_streams",
-    "instrument_server",
     "load_and_validate",
     "loadgen_payload",
-    "lock_report",
     "merge_reports",
     "run_multiprocess",
     "validate_loadgen_payload",

@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ServingError
+from ..telemetry import LatencyHistogram
 from .runner import LoadConfig, LoadGenerator, LoadReport
-from .stats import LatencyHistogram
 
 #: Seed offset between children — a large prime so per-process op streams
 #: never collide even when the base config's seed is varied in small steps.
@@ -60,8 +60,9 @@ class WorldSpec:
     ``workload`` is the family's config dataclass (``DblpConfig`` /
     ``SyntheticConfig``); ``family`` names it so the synthetic profile
     factory — a closure — is rebuilt child-side instead of crossing the
-    process boundary.  ``shards >= 2`` fronts the world with a
-    :class:`~repro.serving.cluster.ShardedTopKServer`.
+    process boundary.  ``shards`` is handed to
+    :func:`~repro.serving.cluster.create_server` (``>= 2`` fronts the world
+    with a cluster).
     """
 
     workload: Any
@@ -86,8 +87,7 @@ def build_server(spec: WorldSpec) -> Tuple[Any, Any]:
 
     The caller owns both and must ``close()`` them (server first).
     """
-    from ..serving import (ReplayConfig, ReplayDriver, ShardedTopKServer,
-                           TopKServer)
+    from ..serving import ReplayConfig, ReplayDriver, create_server
     factory = None
     if spec.family == "synthetic":
         from ..workload.synthetic import synthetic_profile_factory
@@ -96,13 +96,8 @@ def build_server(spec: WorldSpec) -> Tuple[Any, Any]:
         ReplayConfig(users=spec.users, k=spec.k, seed=spec.seed),
         profile_factory=factory)
     db = driver.build_world(spec.workload, backend=spec.backend)
-    if spec.shards >= 2:
-        server: Any = ShardedTopKServer(
-            db, shards=spec.shards, capacity=spec.capacity,
-            parallel_fanout=True, repair_delta=spec.repair_delta)
-    else:
-        server = TopKServer(db, capacity=spec.capacity,
-                            repair_delta=spec.repair_delta)
+    server = create_server(db, shards=spec.shards, capacity=spec.capacity,
+                           repair_delta=spec.repair_delta)
     return server, db
 
 
@@ -176,9 +171,10 @@ def merge_reports(reports: Sequence[LoadReport]) -> LoadReport:
     """One report describing every process's run, merged exactly.
 
     Latency histograms add bucket-by-bucket (exact — see module docs);
-    counters and stats trees sum; throughput is total ops over the longest
-    process's duration (the processes ran concurrently); the read-hit rate
-    is re-derived from summed hits over summed reads.
+    counters, stats trees and the flat ``server_stats`` metrics sum;
+    throughput is total ops over the longest process's duration (the
+    processes ran concurrently); the read-hit rate and a cluster's
+    ``warm_rate`` are re-derived from summed hits over summed reads.
     """
     if not reports:
         raise ServingError("merge_reports needs at least one report")
@@ -209,6 +205,12 @@ def merge_reports(reports: Sequence[LoadReport]) -> LoadReport:
     per_shard = [sum(report.per_shard_requests[index] for report in reports)
                  for index in range(shards)]
     mean_load = (sum(per_shard) / shards) if sum(per_shard) else 0.0
+    server_stats = _sum_tree([report.server_stats for report in reports])
+    if "serving.cluster.warm_rate" in server_stats:
+        served = server_stats["serving.server.reads"]
+        server_stats["serving.cluster.warm_rate"] = (
+            server_stats["serving.server.read_hits"] / served
+            if served else 0.0)
     return LoadReport(
         mode=reports[0].mode,
         backend=reports[0].backend,
@@ -230,7 +232,7 @@ def merge_reports(reports: Sequence[LoadReport]) -> LoadReport:
         locks=_merge_locks(reports),
         gate=_sum_tree([report.gate for report in reports]),
         audit=_sum_tree([report.audit for report in reports]),
-        server_stats=_sum_tree([report.server_stats for report in reports]),
+        server_stats=server_stats,
         errors=[error for report in reports for error in report.errors],
         telemetry={},
         histogram=overall,

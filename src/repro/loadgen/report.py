@@ -31,7 +31,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 #: v3 added the required per-run ``processes`` count (1 for in-process
 #: runs; >1 for reports merged across load-generator processes by
 #: :mod:`repro.loadgen.multiproc`).
-SCHEMA_VERSION = 3
+#: v4 made the per-run ``server_stats`` section required and flat: it is
+#: the server's ``metrics()`` mapping (unified ``layer.component.metric``
+#: names) instead of the removed nested ``stats()`` tree.
+SCHEMA_VERSION = 4
 
 #: Keys every per-run record must carry, with their required types.
 RUN_REQUIRED_KEYS: Dict[str, type] = {
@@ -49,6 +52,7 @@ RUN_REQUIRED_KEYS: Dict[str, type] = {
     "shard_skew": float,
     "locks": list,
     "audit": dict,
+    "server_stats": dict,
     "errors": list,
     "telemetry": dict,
 }
@@ -151,6 +155,9 @@ def validate_loadgen_payload(document: Mapping[str, Any]) -> int:
                 _require(key in record, f"{label}.locks missing {key!r}")
         for key in ("audits", "comparisons", "mismatches"):
             _require(key in run["audit"], f"{label}.audit missing {key!r}")
+        statements = f"backend.{run['backend']}.statements_executed"
+        _require(isinstance(run["server_stats"].get(statements), (int, float)),
+                 f"{label}.server_stats missing {statements!r}")
         if run["telemetry"]:
             # Non-empty means the run carried a Telemetry — hold the section
             # to the exporter's own envelope contract.

@@ -1,14 +1,16 @@
 """The multi-threaded load generator: closed- and open-loop, with SLOs.
 
-:class:`LoadGenerator` hammers a live :class:`~repro.serving.server.TopKServer`
-or :class:`~repro.serving.cluster.ShardedTopKServer` with N worker threads,
+:class:`LoadGenerator` hammers a live
+:class:`~repro.serving.server.ServingSurface` (a
+:class:`~repro.serving.server.TopKServer` or a
+:class:`~repro.serving.cluster.ShardedTopKServer`) with N worker threads,
 each replaying its own deterministic :class:`~repro.loadgen.workload.WorkerStream`
 of Zipf-skewed Top-K reads and profile/tuple mutations, and produces a
 :class:`LoadReport` with:
 
 * **latency SLOs** — p50/p95/p99 (and min/mean/max) overall and per op
   kind, from lock-free per-worker
-  :class:`~repro.loadgen.stats.LatencyHistogram` instances merged after the
+  :class:`~repro.telemetry.LatencyHistogram` instances merged after the
   run;
 * **throughput** — achieved ops/sec; in closed-loop mode (``target_qps
   None``) every worker fires its next op the moment the previous returns,
@@ -21,7 +23,7 @@ of Zipf-skewed Top-K reads and profile/tuple mutations, and produces a
 * **per-shard load skew** — requests per shard under the cluster's
   partitioner;
 * **lock contention** — wait/hold per named serving-layer lock (via
-  :mod:`repro.loadgen.instrument`);
+  :func:`repro.telemetry.instrument_locks`);
 * **audit outcome** — a background
   :class:`~repro.loadgen.audit.EquivalenceAuditor` periodically quiesces
   traffic through a :class:`~repro.loadgen.audit.TrafficGate` and verifies
@@ -40,11 +42,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..exceptions import ServingError
 from ..serving.mixes import TARGET_ANY, target_pool
-from ..telemetry import Telemetry
-from ..telemetry.locks import LockInstrumentation, instrument_locks
+from ..telemetry import LatencyHistogram, Telemetry, instrument_locks
 from .audit import EquivalenceAuditor, TrafficGate
-from .instrument import lock_report
-from .stats import LatencyHistogram
 from .workload import (
     DATA_UPDATE,
     DELETE,
@@ -137,6 +136,7 @@ class LoadReport:
     locks: List[Dict[str, Any]]
     gate: Dict[str, Any]
     audit: Dict[str, Any]
+    #: The server's end-of-run ``metrics()`` (flat unified names).
     server_stats: Dict[str, Any]
     errors: List[str]
     #: The run's telemetry JSON snapshot (unified metrics + trace-buffer
@@ -336,13 +336,11 @@ class LoadGenerator:
 
         if telemetry is not None:
             telemetry.observe(server)
-        handle: Optional[LockInstrumentation] = None
-        locks: List[Any] = []
+        handle = None
         if config.instrument_locks:
             handle = instrument_locks(
                 server,
                 registry=telemetry.registry if telemetry is not None else None)
-            locks = handle.locks
         gate = TrafficGate()
         auditor = None
         if config.audit_interval is not None:
@@ -379,8 +377,10 @@ class LoadGenerator:
             auditor.audit_once()
 
         try:
-            return self._assemble(server, results, locks, gate, auditor,
-                                  elapsed, telemetry)
+            return self._assemble(
+                server, results,
+                handle.report() if handle is not None else [],
+                gate, auditor, elapsed, telemetry)
         finally:
             # Hand the server back the exact locks it started with — load
             # runs observe, they don't permanently rewire.
@@ -390,7 +390,7 @@ class LoadGenerator:
     # -- report assembly ----------------------------------------------------------
 
     def _assemble(self, server: Any, results: Sequence[WorkerResult],
-                  locks: List[Any], gate: TrafficGate,
+                  locks: List[Dict[str, Any]], gate: TrafficGate,
                   auditor: Optional[EquivalenceAuditor],
                   elapsed: float,
                   telemetry: Optional[Telemetry] = None) -> LoadReport:
@@ -410,15 +410,11 @@ class LoadGenerator:
         reads = kind_counts.get(READ, 0)
         read_hits = sum(result.read_hits for result in results)
 
-        shards = getattr(server, "shards", 1)
+        shards = server.shards
         per_shard = [0] * shards
-        if shards > 1:
-            for result in results:
-                for uid, count in result.uid_counts.items():
-                    per_shard[server.shard_of(uid)] += count
-        else:
-            per_shard[0] = sum(sum(result.uid_counts.values())
-                               for result in results)
+        for result in results:
+            for uid, count in result.uid_counts.items():
+                per_shard[server.shard_of(uid)] += count
         mean_load = (sum(per_shard) / shards) if sum(per_shard) else 0.0
         skew = (max(per_shard) / mean_load) if mean_load else 0.0
 
@@ -440,12 +436,12 @@ class LoadGenerator:
                              for kind, histogram in sorted(by_kind.items())},
             per_shard_requests=per_shard,
             shard_skew=skew,
-            locks=lock_report(locks),
+            locks=locks,
             gate=gate.stats(),
             audit=(auditor.stats() if auditor is not None
                    else {"audits": 0, "comparisons": 0, "mismatches": 0,
                          "errors": []}),
-            server_stats=server.stats(),
+            server_stats=server.metrics(),
             errors=[result.error for result in results if result.error],
             telemetry=(telemetry.json_snapshot()
                        if telemetry is not None else {}),

@@ -9,32 +9,38 @@ LRU, all sessions share one batched
 necessary — profile mutations from :mod:`repro.core.hypre.events` and the
 full tuple-mutation spectrum (inserts, deletes, in-place updates) from
 :mod:`repro.sqldb.events`.  On top of the single-server engine,
-:mod:`repro.serving.cluster` scales it horizontally: users are partitioned
-across N independent shards behind one front door (see
-``docs/ARCHITECTURE.md`` for the event flow and the cluster layer, and
-``docs/SERVING.md`` for the end-to-end tutorial).
+:mod:`repro.serving.cluster` partitions users across N independent shards
+behind the *same* front door: a server and a cluster are one
+:class:`ServingSurface` — same doors, same report types, same ``metrics()``
+names, one data-mutation pipeline (see ``docs/ARCHITECTURE.md`` for the
+event flow, and ``docs/SERVING.md`` for the end-to-end tutorial).
 
 Public API
 ----------
+:class:`ServingSurface`
+    The front door both engines are: ``top_k(uid, k)`` /
+    ``update_profile(uid, profile)`` / ``insert_tuples(papers, ...)`` /
+    ``delete_tuples(pids)`` / ``update_tuples(papers)`` / ``metrics()`` /
+    ``close()``, plus ``shards`` / ``shard_of(uid)`` / ``shard_servers``
+    (a plain server is its own single shard).  Owns the one data-mutation
+    pipeline and the terminal ``close()``.
 :class:`TopKServer`
-    Thread-safe front door: ``top_k(uid, k)`` / ``update_profile(uid,
-    profile)`` / ``insert_tuples(papers, ...)`` / ``delete_tuples(pids)`` /
-    ``update_tuples(papers)``, each returning per-request metrics (cache
-    hit, SQL statements, latency).
-:class:`ServeResult` / :class:`UpdateReport` / :class:`InsertReport` /
-:class:`DeleteReport` / :class:`TupleUpdateReport`
-    The per-request metrics records (the last three share the
-    :class:`DataMutationReport` shape).
+    The thread-safe single-server engine; every door returns per-request
+    metrics (cache hit, SQL statements, latency).
 :class:`ShardedTopKServer`
-    The sharded cluster front door: routes ``top_k``/``update_profile`` to
-    the owning shard, broadcasts data mutations to every shard (serially or
-    via a concurrent fan-out pool) and aggregates cluster metrics.
+    The sharded cluster: routes ``top_k``/``update_profile`` to the owning
+    shard and delivers each data mutation to every shard (serially or via a
+    concurrent fan-out pool).
+:func:`create_server`
+    The one construction call: a :class:`TopKServer`, or for ``shards >= 2``
+    a :class:`ShardedTopKServer`.
+:class:`ServeResult` / :class:`UpdateReport` / :class:`DataMutationReport` /
+:class:`ShardMutationReport`
+    The per-request metrics records; a data-mutation report carries the
+    totals plus one per-shard record per shard.
 :class:`Partitioner` / :class:`HashPartitioner` / :class:`ModuloPartitioner`
     The pluggable user→shard placement protocol and its deterministic
     built-in implementations.
-:class:`ClusterMutationReport` / :class:`ShardMutationReport`
-    The rolled-up and per-shard invalidation reports of one broadcast
-    mutation.
 :class:`ClusterResultsView`
     Read-only aggregate view over every shard's result cache.
 :class:`SessionRegistry`
@@ -51,9 +57,9 @@ Public API
 :class:`ReplayDriver` / :class:`ReplayConfig` / :class:`ReplayOp` /
 :class:`ReplayReport`
     Deterministic Zipf-skewed multi-user workload replay (reads / profile
-    updates / data inserts / deletes / in-place tuple updates) with a
-    no-cache baseline arm, a sharded arm (:meth:`ReplayDriver.run_sharded`)
-    and equivalence verifiers — the engine behind
+    updates / data inserts / deletes / in-place tuple updates) against any
+    :class:`ServingSurface`, with a no-cache baseline arm and equivalence
+    verifiers — the engine behind
     ``benchmarks/bench_serving.py``, ``benchmarks/bench_serving_cluster.py``
     and ``python -m repro.cli serve-replay``.
 ``READ`` / ``UPDATE`` / ``INSERT`` / ``DELETE`` / ``DATA_UPDATE``
@@ -70,13 +76,12 @@ Public API
 """
 
 from .cluster import (
-    ClusterMutationReport,
     ClusterResultsView,
     HashPartitioner,
     ModuloPartitioner,
     Partitioner,
-    ShardMutationReport,
     ShardedTopKServer,
+    create_server,
 )
 from .driver import (
     DATA_UPDATE,
@@ -101,11 +106,10 @@ from .mixes import (
 from .results import CachedResult, ResultCache
 from .server import (
     DataMutationReport,
-    DeleteReport,
-    InsertReport,
     ServeResult,
+    ServingSurface,
+    ShardMutationReport,
     TopKServer,
-    TupleUpdateReport,
     UpdateReport,
     fresh_top_k,
 )
@@ -114,15 +118,12 @@ from .sessions import SessionRegistry, UserSession
 __all__ = [
     "AdversarialMix",
     "CachedResult",
-    "ClusterMutationReport",
     "ClusterResultsView",
     "DATA_UPDATE",
     "DELETE",
     "DataMutationReport",
-    "DeleteReport",
     "HashPartitioner",
     "INSERT",
-    "InsertReport",
     "MIXES",
     "MUTATION_KINDS",
     "ModuloPartitioner",
@@ -134,6 +135,7 @@ __all__ = [
     "ReplayReport",
     "ResultCache",
     "ServeResult",
+    "ServingSurface",
     "SessionRegistry",
     "ShardMutationReport",
     "ShardedTopKServer",
@@ -141,10 +143,10 @@ __all__ = [
     "TARGET_BOUNDARY",
     "TARGET_HOT",
     "TopKServer",
-    "TupleUpdateReport",
     "UPDATE",
     "UpdateReport",
     "UserSession",
+    "create_server",
     "fresh_top_k",
     "resolve_mix",
 ]

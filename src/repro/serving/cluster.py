@@ -1,58 +1,46 @@
 """Sharded Top-K serving cluster: N independent shards behind one front door.
 
-After PR 2–3 the serving layer is exact under the full mutation spectrum but
-still one :class:`~repro.serving.server.TopKServer` behind one lock — the
-next scaling axis is horizontal.  :class:`ShardedTopKServer` partitions
-**users** across N independent shards, each a full ``TopKServer`` with its
-own session LRU, count cache and result cache over the one shared workload
-database:
+:class:`ShardedTopKServer` partitions **users** across N independent shards,
+each a full :class:`~repro.serving.server.TopKServer` with its own session
+LRU, count cache and result cache over the one shared workload database.  It
+is the same :class:`~repro.serving.server.ServingSurface` a single server
+is — same doors, same reports, same ``metrics()`` names — and adds only
+*routing*:
 
-* ``top_k`` / ``update_profile`` are **routed** to the owning shard — the
-  deterministic :class:`Partitioner` (default :class:`HashPartitioner`)
-  decides ownership, so a user's resident state lives on exactly one shard;
-* ``insert_tuples`` / ``delete_tuples`` / ``update_tuples`` are
-  **broadcast**: the loader mutation runs once against the shared database,
-  and the resulting :class:`~repro.sqldb.events.DataMutation` — one batched
-  event carrying every affected pre-/post-image row — is fanned out to every
-  shard, serially or concurrently on a :class:`~concurrent.futures.
-  ThreadPoolExecutor` (``parallel_fanout=True``).  Fan-out work is pure
-  in-memory invalidation (no SQL), which is what makes it safe to
-  parallelise across shards.
+* ``top_k`` / ``update_profile`` go to the owning shard — the deterministic
+  :class:`Partitioner` (default :class:`HashPartitioner`) decides ownership,
+  so a user's resident state lives on exactly one shard;
+* ``insert_tuples`` / ``delete_tuples`` / ``update_tuples`` are the shared
+  surface's doors: the loader mutation runs once against the shared
+  database, and the cluster's ``_sweep`` delivers the resulting
+  :class:`~repro.sqldb.events.DataMutation` — one batched event carrying
+  every affected pre-/post-image row — to every shard, serially or
+  concurrently on a :class:`~concurrent.futures.ThreadPoolExecutor`
+  (``parallel_fanout=True``).  Fan-out work is pure in-memory invalidation
+  (no SQL), which is what makes it safe to parallelise across shards.
 
-Each shard reacts to a broadcast exactly as a standalone server would —
-dropping only the cached answers, counts and pair-index entries the
-mutation's images may affect — and reports its impact; the cluster rolls the
-per-shard reports up into one :class:`ClusterMutationReport`.  Because every
-shard sees every mutation and the relevance test is sound (see
+Each shard reacts to a delivered event exactly as a standalone server would
+— dropping only the cached answers, counts and pair-index entries the
+mutation's images may affect — and reports its impact; the per-shard records
+ride along in the :class:`~repro.serving.server.DataMutationReport`.
+Because every shard sees every mutation and the relevance test is sound (see
 ``docs/INVALIDATION.md``), the cluster's answers stay identical to a single
 server's and to a from-scratch recomputation after every mutation — the
-equivalence the replay driver's sharded arm verifies.
+equivalence :meth:`~repro.serving.driver.ReplayDriver.verify_cluster_equivalence`
+verifies.
 
-Why this shape scales: per-partition incremental state stays small (each
-shard maintains sessions and indexes for ~1/N of the users, in the spirit of
-keeping per-update touched state small in dynamic query answering under
-updates), while the broadcast path touches each shard only as far as its own
-cached state overlaps the mutation.
+Under the GIL in-process shards buy partitioned state, not parallelism:
+``BENCH_loadgen.json`` shows throughput falling as the shard count rises.
+The cluster is a partitioning abstraction until a cross-process mode earns
+more (see ROADMAP).
 """
 
 from __future__ import annotations
 
 import contextvars
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 from typing import Protocol, runtime_checkable
 
@@ -60,16 +48,13 @@ from ..backend.protocol import StorageBackend
 from ..core.preference import UserProfile
 from ..exceptions import ServingError
 from ..sqldb.events import DataMutation
-from ..telemetry import Telemetry, span
-from ..workload.loader import append_papers, delete_papers, update_papers
 from .results import CachedResult
 from .server import (
-    STATS_ALIASES,
-    PaperLike,
     ServeResult,
+    ServingSurface,
+    ShardMutationReport,
     TopKServer,
     UpdateReport,
-    normalise_papers,
 )
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -123,83 +108,6 @@ class ModuloPartitioner:
         return int(uid) % shards
 
 
-@dataclass(frozen=True)
-class ShardMutationReport:
-    """One shard's reaction to a broadcast data mutation."""
-
-    shard: int
-    results_invalidated: int
-    results_spared: int
-    index_entries_dropped: int
-    results_repaired: int = 0
-    repair_fallbacks: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict rendering (for JSON reports and replay events)."""
-        return {"shard": self.shard,
-                "results_invalidated": self.results_invalidated,
-                "results_spared": self.results_spared,
-                "index_entries_dropped": self.index_entries_dropped,
-                "results_repaired": self.results_repaired,
-                "repair_fallbacks": self.repair_fallbacks}
-
-
-@dataclass(frozen=True)
-class ClusterMutationReport:
-    """Rolled-up outcome of one broadcast mutation across every shard.
-
-    ``shard_reports`` carries the per-shard breakdown; the aggregate
-    properties expose the same surface as a single server's
-    :class:`~repro.serving.server.DataMutationReport`, so replay drivers and
-    benchmarks can consume either interchangeably.
-    """
-
-    kind: str
-    papers: int
-    joined_rows: int
-    shard_reports: Tuple[ShardMutationReport, ...]
-    sql_statements: int
-    seconds: float
-
-    @property
-    def results_invalidated(self) -> int:
-        """Total cached answers dropped across all shards."""
-        return sum(report.results_invalidated for report in self.shard_reports)
-
-    @property
-    def results_spared(self) -> int:
-        """Total cached answers proven fresh (kept) across all shards."""
-        return sum(report.results_spared for report in self.shard_reports)
-
-    @property
-    def results_repaired(self) -> int:
-        """Total cached answers repaired in place across all shards."""
-        return sum(report.results_repaired for report in self.shard_reports)
-
-    @property
-    def repair_fallbacks(self) -> int:
-        """Total affected answers that fell back to invalidation."""
-        return sum(report.repair_fallbacks for report in self.shard_reports)
-
-    @property
-    def index_entries_dropped(self) -> int:
-        """Total count/pair-index entries dropped across all shards."""
-        return sum(report.index_entries_dropped for report in self.shard_reports)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict rendering (for JSON reports)."""
-        return {"kind": self.kind, "papers": self.papers,
-                "joined_rows": self.joined_rows,
-                "results_invalidated": self.results_invalidated,
-                "results_spared": self.results_spared,
-                "results_repaired": self.results_repaired,
-                "repair_fallbacks": self.repair_fallbacks,
-                "index_entries_dropped": self.index_entries_dropped,
-                "sql_statements": self.sql_statements,
-                "seconds": self.seconds,
-                "shards": [report.as_dict() for report in self.shard_reports]}
-
-
 class ClusterResultsView:
     """Read-only aggregate view over every shard's result cache.
 
@@ -222,14 +130,6 @@ class ClusterResultsView:
             users.update(server.results.cached_users())
         return sorted(users)
 
-    def stats(self) -> Dict[str, int]:
-        """Result-cache counters summed across shards."""
-        totals: Dict[str, int] = {}
-        for server in self._cluster.shard_servers:
-            for key, value in server.results.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
     def __len__(self) -> int:
         return sum(len(server.results) for server in self._cluster.shard_servers)
 
@@ -238,24 +138,26 @@ class ClusterResultsView:
         return key in self._cluster.shard_for(uid).results
 
 
-class ShardedTopKServer:
+class ShardedTopKServer(ServingSurface):
     """Partition users across N independent :class:`TopKServer` shards.
 
     All shards serve the same shared
     :class:`~repro.backend.protocol.StorageBackend`;
     what is partitioned is the *serving state* — sessions, pair indexes,
     count caches and materialised answers.  ``capacity`` bounds resident
-    sessions **per shard**.  With ``parallel_fanout`` broadcast mutations
+    sessions **per shard**.  With ``parallel_fanout`` data mutations
     invalidate every shard concurrently on a thread pool (the fan-out work
     is pure in-memory predicate evaluation, so shards proceed without
     touching SQLite).
 
     The cluster owns the one database subscription: shard servers are built
     with ``subscribe=False`` and receive each
-    :class:`~repro.sqldb.events.DataMutation` from the cluster's fan-out, so
+    :class:`~repro.sqldb.events.DataMutation` from the cluster's sweep, so
     a mutation performed through *any* front door (or directly through the
     loader API) invalidates every shard exactly once.
     """
+
+    _span_root = "cluster"
 
     def __init__(self, db: StorageBackend,
                  shards: int = 2,
@@ -268,23 +170,18 @@ class ShardedTopKServer:
                  stripes: Optional[int] = None) -> None:
         if shards < 1:
             raise ServingError("a sharded server needs at least one shard")
-        self._lock = threading.RLock()
-        self.db = db
-        self.shards = shards
         self.capacity = capacity
         self.cache_results = cache_results
         #: Over-fetch depth handed to every shard (see
-        #: :class:`~repro.serving.server.TopKServer`): broadcast mutations
+        #: :class:`~repro.serving.server.TopKServer`): delivered mutations
         #: then repair each shard's own cached answers in place.
         self.repair_delta = repair_delta
         self.partitioner: Partitioner = (partitioner if partitioner is not None
                                          else HashPartitioner())
-        shard_kwargs: Dict[str, Any] = {}
-        if stripes is not None:
-            # Per-shard stripe width (each shard owns ~1/N of the users, so
-            # the default width is usually already generous).
-            shard_kwargs["stripes"] = stripes
-        self.shard_servers: Tuple[TopKServer, ...] = tuple(
+        # Per-shard stripe width (each shard owns ~1/N of the users, so the
+        # default width is usually already generous).
+        shard_kwargs = {} if stripes is None else {"stripes": stripes}
+        self._shard_servers: Tuple[TopKServer, ...] = tuple(
             TopKServer(db, capacity=capacity, cache_results=cache_results,
                        subscribe=False, repair_delta=repair_delta,
                        **shard_kwargs)
@@ -296,54 +193,37 @@ class ShardedTopKServer:
                 thread_name_prefix="shard-fanout")
         self.parallel_fanout = self._executor is not None
         self.results = ClusterResultsView(self)
-        self._last_fanout: Optional[Tuple[Tuple[ShardMutationReport, ...],
-                                          int, str]] = None
-        #: Broadcast mutations delivered to every shard.
+        #: Data mutations delivered to every shard.
         self.broadcasts = 0
-        #: The adopted telemetry bundle (set by :meth:`Telemetry.observe`,
-        #: which also sets every shard's, so routed requests trace there).
-        self.telemetry: Optional[Telemetry] = None
-        self._data_listener = db.subscribe(self._on_data_mutation)
-
-    def _trace(self, name: str):
-        """A root span for a cluster front door (ambient child otherwise)."""
-        if self.telemetry is not None:
-            return self.telemetry.trace(name, self.db)
-        return span(name, self.db)
+        super().__init__(db)
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Unsubscribe, stop the fan-out pool and close every shard."""
-        if self._data_listener is not None:
-            self.db.unsubscribe(self._data_listener)
-            self._data_listener = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        for server in self.shard_servers:
-            server.close()
-
-    def __enter__(self) -> "ShardedTopKServer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        """Unsubscribe, close every shard and stop the fan-out pool."""
+        with self._exclusive():
+            super().close()
+            for server in self._shard_servers:
+                server.close()
+            if self._executor is not None:
+                self._executor.shutdown(wait=True)
+                self._executor = None
 
     # -- routing ------------------------------------------------------------------
 
+    @property
+    def shard_servers(self) -> Tuple[TopKServer, ...]:
+        return self._shard_servers
+
     def shard_of(self, uid: int) -> int:
         """The shard index owning ``uid`` (validated partitioner verdict)."""
-        index = self.partitioner.shard_of(uid, self.shards)
-        if not 0 <= index < self.shards:
+        shards = len(self._shard_servers)
+        index = self.partitioner.shard_of(uid, shards)
+        if not 0 <= index < shards:
             raise ServingError(
                 f"partitioner placed uid={uid} on shard {index!r}, "
-                f"outside range(0, {self.shards})")
+                f"outside range(0, {shards})")
         return index
-
-    def shard_for(self, uid: int) -> TopKServer:
-        """The :class:`TopKServer` shard owning ``uid``."""
-        return self.shard_servers[self.shard_of(uid)]
 
     def top_k(self, uid: int, k: int) -> ServeResult:
         """Answer one Top-K request on the owning shard."""
@@ -351,162 +231,60 @@ class ShardedTopKServer:
         with self._trace("cluster.top_k") as trace:
             trace.annotate("shard", shard)
             # The shard's own front-door span nests under this root.
-            return self.shard_servers[shard].top_k(uid, k)
-
-    def submit_top_k(self, uid: int, k: int):
-        """Answer one Top-K request asynchronously on the owning shard's pool."""
-        return self.shard_for(uid).submit_top_k(uid, k)
-
-    def top_k_many(self, requests: Sequence[Tuple[int, int]]
-                   ) -> List[ServeResult]:
-        """Answer a batch of ``(uid, k)`` requests, results in input order.
-
-        Requests are submitted to every owning shard's read pool before the
-        first result is awaited, so distinct-shard (and distinct-stripe)
-        work overlaps instead of queueing.
-        """
-        futures = [self.submit_top_k(uid, k) for uid, k in requests]
-        return [future.result() for future in futures]
+            return self._shard_servers[shard].top_k(uid, k)
 
     def update_profile(self, uid: int, profile: UserProfile) -> UpdateReport:
         """Persist and apply a profile update on the owning shard."""
         shard = self.shard_of(uid)
         with self._trace("cluster.update_profile") as trace:
             trace.annotate("shard", shard)
-            return self.shard_servers[shard].update_profile(uid, profile)
+            return self._shard_servers[shard].update_profile(uid, profile)
 
-    def register_user(self, uid: int, profile: UserProfile) -> UpdateReport:
-        """Persist a new user's profile (alias of :meth:`update_profile`)."""
-        return self.update_profile(uid, profile)
+    # -- data-side updates --------------------------------------------------------
 
-    # -- broadcast mutations ------------------------------------------------------
-
-    def insert_tuples(self, papers: Sequence[PaperLike],
-                      paper_authors: Iterable[Tuple[int, int]] = (),
-                      citations: Iterable[Tuple[int, int]] = ()
-                      ) -> ClusterMutationReport:
-        """Append workload tuples and fan the mutation out to every shard."""
-        with self._lock:
-            records, links = normalise_papers(papers, paper_authors)
-            return self._broadcast(
-                "tuples_inserted", len(records),
-                lambda: append_papers(self.db, records, links, citations))
-
-    def delete_tuples(self, pids: Iterable[int]) -> ClusterMutationReport:
-        """Delete workload tuples and fan the mutation out to every shard."""
-        with self._lock:
-            pids = list(pids)
-            return self._broadcast(
-                "tuples_deleted", len(pids),
-                lambda: delete_papers(self.db, pids))
-
-    def update_tuples(self, papers: Sequence[PaperLike]) -> ClusterMutationReport:
-        """Update tuples in place and fan the mutation out to every shard."""
-        with self._lock:
-            records, _ = normalise_papers(papers)
-            return self._broadcast(
-                "tuples_updated", len(records),
-                lambda: update_papers(self.db, records))
-
-    def _broadcast(self, kind: str, papers: int,
-                   mutate: Callable[[], object]) -> ClusterMutationReport:
-        """Run one loader mutation and roll up the per-shard fan-out reports.
-
-        ``mutate`` commits and notifies; the notification re-enters
-        :meth:`_on_data_mutation` (the cluster is the only subscriber on the
-        shards' behalf), which fans out and leaves the per-shard reports in
-        ``_last_fanout``.  A no-op mutation (e.g. deleting unknown pids)
-        never notifies: every shard's whole cache counts as spared.
-        """
-        start = time.perf_counter()
-        statements_before = self.db.statements_executed
-        self._last_fanout = None
-        with self._trace(f"cluster.{kind}") as trace:
-            trace.annotate("papers", papers)
-            mutate()
-        fanout = self._last_fanout
-        self._last_fanout = None
-        if fanout is None:
-            shard_reports = tuple(
-                ShardMutationReport(shard=index, results_invalidated=0,
-                                    results_spared=len(server.results),
-                                    index_entries_dropped=0)
-                for index, server in enumerate(self.shard_servers))
-            joined_rows = 0
-        else:
-            shard_reports, joined_rows, kind = fanout
-        return ClusterMutationReport(
-            kind=kind, papers=papers, joined_rows=joined_rows,
-            shard_reports=shard_reports,
-            sql_statements=self.db.statements_executed - statements_before,
-            seconds=time.perf_counter() - start)
-
-    def _on_data_mutation(self, mutation: DataMutation) -> None:
-        """Database listener: deliver one batched event to every shard.
-
-        Runs for mutations from the cluster's own front doors *and* for
-        direct loader calls against the shared database — either way each
-        shard invalidates exactly once, in parallel when the fan-out pool is
-        enabled.  Takes the cluster lock (re-entrant, so a front-door
-        broadcast's own notification passes straight through) so a direct
-        loader mutation from another thread can never interleave with an
-        in-flight ``_broadcast`` and be misattributed to its report.
-        """
-        with self._lock:
-            self.broadcasts += 1
-            reports = self._fan_out(mutation)
-            self._last_fanout = (reports, len(mutation.invalidation_rows()),
-                                 mutation.kind)
-
-    def _fan_out(self, mutation: DataMutation
-                 ) -> Tuple[ShardMutationReport, ...]:
+    def _sweep(self, mutation: DataMutation
+               ) -> Tuple[ShardMutationReport, ...]:
+        """Deliver one batched event to every shard, in parallel when the
+        fan-out pool is enabled (the caller holds every shard's gate)."""
+        self.broadcasts += 1
         if self._executor is not None:
             # Each task runs under a fresh copy of the caller's contextvars
             # context (one Context object cannot be entered concurrently),
             # so a shard's invalidation span lands as a child of the
-            # broadcasting request's span instead of orphaned worker state.
+            # mutating request's span instead of orphaned worker state.
             futures = [
                 self._executor.submit(contextvars.copy_context().run,
-                                      server._on_data_mutation, mutation)
-                for server in self.shard_servers]
-            impacts = [future.result() for future in futures]
+                                      server._sweep, mutation)
+                for server in self._shard_servers]
+            swept = [future.result() for future in futures]
         else:
-            impacts = [server._on_data_mutation(mutation)
-                       for server in self.shard_servers]
-        return tuple(
-            ShardMutationReport(
-                shard=index,
-                results_invalidated=impact["results_invalidated"],
-                results_spared=impact["results_spared"],
-                index_entries_dropped=impact["index_entries_dropped"],
-                results_repaired=impact.get("results_repaired", 0),
-                repair_fallbacks=impact.get("repair_fallbacks", 0))
-            for index, impact in enumerate(impacts))
+            swept = [server._sweep(mutation) for server in self._shard_servers]
+        return tuple(replace(reports[0], shard=index)
+                     for index, reports in enumerate(swept))
 
     # -- introspection ------------------------------------------------------------
-
-    def resident_uids(self) -> Dict[int, List[int]]:
-        """Resident user ids per shard index (LRU order within each shard)."""
-        return {index: server.sessions.resident_uids()
-                for index, server in enumerate(self.shard_servers)}
 
     def metrics(self) -> Dict[str, Union[int, float]]:
         """Cluster-wide counters as one flat unified-name mapping.
 
-        The primary introspection surface (see
-        :meth:`TopKServer.metrics`): per-shard counters are summed under
-        the same unified names a single server reports, plus the
-        cluster-level ``serving.cluster.*`` metrics.  The statement
-        counter lives on the shared database, so it appears exactly once
-        (summing the shards' copies would read N× the truth).
+        Per-shard counters are summed under the same unified names a single
+        server reports (see :meth:`TopKServer.metrics`), the data-mutation
+        doors' request counters are the cluster's own, and the
+        ``serving.cluster.*`` metrics are added.  The statement counter
+        lives on the shared database, so it appears exactly once (summing
+        the shards' copies would read N× the truth).
         """
         flat: Dict[str, Union[int, float]] = {}
         backend_key = f"backend.{self.db.backend_name}.statements_executed"
-        for server in self.shard_servers:
+        for server in self._shard_servers:
             for name, value in server.metrics().items():
                 if name == backend_key:
                     continue
                 flat[name] = flat.get(name, 0) + value
+        with self._stats_lock:
+            flat["serving.server.inserts"] = self.inserts
+            flat["serving.server.deletes"] = self.deletes
+            flat["serving.server.tuple_updates"] = self.tuple_updates
         reads = flat.get("serving.server.reads", 0)
         hits = flat.get("serving.server.read_hits", 0)
         flat["serving.cluster.shards"] = self.shards
@@ -515,33 +293,19 @@ class ShardedTopKServer:
         flat[backend_key] = self.db.statements_executed
         return flat
 
-    def stats(self) -> Dict[str, Any]:
-        """The legacy nested cluster snapshot, as documented aliases.
 
-        Deprecated in favour of :meth:`metrics`; kept for one release.
-        The aggregate sections are reconstructed *from* :meth:`metrics`
-        through :data:`~repro.serving.server.STATS_ALIASES` (so the two
-        surfaces cannot drift apart); the non-numeric identification
-        fields and the per-shard breakdown are appended as before.
-        """
-        flat = self.metrics()
-        nested: Dict[str, Any] = {}
-        for unified, (section, key) in STATS_ALIASES.items():
-            nested.setdefault(section, {})[key] = flat[unified]
-        per_shard = []
-        for index, server in enumerate(self.shard_servers):
-            shard_stats = server.stats()
-            shard_stats["shard"] = index
-            shard_stats.pop("sql_statements_total", None)
-            per_shard.append(shard_stats)
-        nested.update({
-            "shards": self.shards,
-            "partitioner": type(self.partitioner).__name__,
-            "parallel_fanout": self.parallel_fanout,
-            "broadcasts": flat["serving.cluster.broadcasts"],
-            "warm_rate": flat["serving.cluster.warm_rate"],
-            "sql_statements_total":
-                flat[f"backend.{self.db.backend_name}.statements_executed"],
-            "per_shard": per_shard,
-        })
-        return nested
+def create_server(db: StorageBackend, shards: int = 0,
+                  **options: object) -> ServingSurface:
+    """One serving front door over ``db``: a server, or a cluster of them.
+
+    ``shards`` of 0 or 1 builds a :class:`TopKServer`; 2 or more a
+    :class:`ShardedTopKServer` with the concurrent fan-out pool enabled.
+    ``options`` are the constructor arguments the two share (``capacity``,
+    ``cache_results``, ``repair_delta``, ``stripes``).
+    """
+    if shards < 0:
+        raise ServingError("shards must be >= 0 (0/1 build a single server)")
+    if shards >= 2:
+        return ShardedTopKServer(db, shards=shards, parallel_fanout=True,
+                                 **options)
+    return TopKServer(db, **options)

@@ -7,9 +7,10 @@ update spectrum — **inserts**, **deletes** and **in-place tuple updates**
 (most traffic concentrates on a few hot users, as the ROADMAP's
 "millions of users" target implies).  The same schedule can be replayed
 
-* against a :class:`~repro.serving.server.TopKServer` (:meth:`ReplayDriver.run`),
-  optionally verifying after *every* mutation that each cached answer equals
-  a from-scratch recomputation (:func:`~repro.serving.server.fresh_top_k`);
+* against any :class:`~repro.serving.server.ServingSurface` — a single
+  server or a sharded cluster (:meth:`ReplayDriver.run`) — optionally
+  verifying after *every* mutation that each cached answer equals a
+  from-scratch recomputation (:func:`~repro.serving.server.fresh_top_k`);
 * against a **no-cache baseline** (:meth:`ReplayDriver.run_baseline`) that
   rebuilds sessions ad hoc and recomputes every read — the seed behaviour
   the serving layer replaces.
@@ -42,7 +43,7 @@ from ..workload.loader import (
 from ..workload.synthetic import generate_workload
 from .cluster import Partitioner, ShardedTopKServer
 from .mixes import AdversarialMix, resolve_mix, target_pool
-from .server import TopKServer, fresh_top_k
+from .server import ServingSurface, TopKServer, fresh_top_k
 
 #: Operation kinds in a replay schedule.
 READ = "read"
@@ -345,16 +346,16 @@ class ReplayDriver:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, server: TopKServer,
+    def run(self, server: ServingSurface,
             ops: Optional[Sequence[ReplayOp]] = None,
             verify: bool = False,
             label: str = "serving") -> ReplayReport:
         """Replay the schedule against ``server``; optionally verify answers.
 
-        ``server`` may be a :class:`~repro.serving.server.TopKServer` or a
-        :class:`~repro.serving.cluster.ShardedTopKServer` — both expose the
-        same front door, result-cache view and shared database (the sharded
-        arm of :meth:`run_sharded` is this method under a different label).
+        ``server`` is a :class:`~repro.serving.server.TopKServer` or a
+        :class:`~repro.serving.cluster.ShardedTopKServer`; each mutation
+        event carries the per-shard invalidation breakdown (one record for
+        a single server).
 
         With ``verify`` every mutation is followed by an equivalence sweep:
         each answer still materialised in the result cache — including the
@@ -393,25 +394,20 @@ class ReplayDriver:
                 else:
                     outcome = server.update_tuples(op.papers)
                     report.data_updates += 1
-                event = {
+                report.mutation_events.append({
                     "kind": op.kind,
                     "cached_before": cached_before,
                     "results_invalidated": outcome.results_invalidated,
                     "results_spared": outcome.results_spared,
-                    "results_repaired": getattr(outcome, "results_repaired", 0),
-                    "repair_fallbacks": getattr(outcome, "repair_fallbacks", 0),
-                    "repair_sql_statements": getattr(
-                        outcome, "repair_sql_statements", 0),
+                    "results_repaired": outcome.results_repaired,
+                    "repair_fallbacks": outcome.repair_fallbacks,
+                    "repair_sql_statements": outcome.repair_sql_statements,
                     "index_entries_dropped": outcome.index_entries_dropped,
-                }
-                # A sharded arm's ClusterMutationReport carries the per-shard
-                # breakdown; surface it so benchmarks can assert a broadcast
-                # invalidates on one shard while sparing another.
-                shard_reports = getattr(outcome, "shard_reports", None)
-                if shard_reports is not None:
-                    event["shards"] = [shard.as_dict()
-                                       for shard in shard_reports]
-                report.mutation_events.append(event)
+                    # The per-shard breakdown, so benchmarks can assert a
+                    # mutation invalidates on one shard while sparing another.
+                    "shards": [shard.as_dict()
+                               for shard in outcome.shard_reports],
+                })
             report.sql_statements += server.db.statements_executed - statements_before
             if verify:
                 if op.kind == READ:
@@ -421,13 +417,14 @@ class ReplayDriver:
         report.seconds = time.perf_counter() - start
         return report
 
-    def _verify_cached(self, server: TopKServer, report: ReplayReport) -> None:
+    def _verify_cached(self, server: ServingSurface,
+                       report: ReplayReport) -> None:
         keys = [(uid, self.config.k) for uid in server.results.cached_users()
                 if server.results.peek(uid, self.config.k) is not None]
         self._verify(server, keys, report)
 
     @staticmethod
-    def _verify(server: TopKServer, keys: Sequence[Tuple[int, int]],
+    def _verify(server: ServingSurface, keys: Sequence[Tuple[int, int]],
                 report: ReplayReport) -> None:
         for uid, k in keys:
             entry = server.results.peek(uid, k)
@@ -477,22 +474,7 @@ class ReplayDriver:
         report.sql_statements = db.statements_executed - statements_before
         return report
 
-    # -- sharded arm --------------------------------------------------------------
-
-    def run_sharded(self, cluster: ShardedTopKServer,
-                    ops: Optional[Sequence[ReplayOp]] = None,
-                    verify: bool = False) -> ReplayReport:
-        """Replay the schedule through a sharded cluster.
-
-        Identical accounting to :meth:`run` (the cluster exposes the same
-        front door over the same shared database), labelled
-        ``sharded-<N>``; each mutation event additionally carries the
-        per-shard invalidation breakdown.  With ``verify`` every answer any
-        shard keeps materialised must equal a from-scratch recomputation
-        after every mutation.
-        """
-        return self.run(cluster, ops, verify=verify,
-                        label=f"sharded-{cluster.shards}")
+    # -- cluster equivalence ------------------------------------------------------
 
     def verify_cluster_equivalence(self, workload_config: Any,
                                    shards: int,
@@ -528,7 +510,7 @@ class ReplayDriver:
         is forwarded to each constructor), so every comparison after a
         mutation checks *repaired* shard answers against the single server
         and a from-scratch recomputation.  ``stats_out``, when given, is
-        filled with the cluster's and the single server's final ``stats()``
+        filled with the cluster's and the single server's final ``metrics()``
         snapshots — tests use it to assert the equivalence run actually
         exercised repairs rather than invalidating everything.
         """
@@ -579,8 +561,8 @@ class ReplayDriver:
                         checked += self._compare_arms(
                             cluster, server, baseline_db, seen, self.config.k)
                 if stats_out is not None:
-                    stats_out["cluster"] = cluster.stats()
-                    stats_out["server"] = server.stats()
+                    stats_out["cluster"] = cluster.metrics()
+                    stats_out["server"] = server.metrics()
         finally:
             cluster_db.close()
             server_db.close()

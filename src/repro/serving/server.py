@@ -23,6 +23,17 @@
 Every request returns a metrics record (cache hit, SQL statements issued,
 wall-clock seconds) so benchmarks and operators can attribute cost.
 
+**One surface.**  :class:`ServingSurface` is the front door shared with the
+sharded cluster (:mod:`repro.serving.cluster`): lifecycle, tracing,
+telemetry adoption and the three data-mutation doors live there once.  Every
+data mutation runs the same pipeline — door → :meth:`ServingSurface._mutate`
+(trace → writer gate → loader → impact → counter → latency) → the
+database's notification → :meth:`ServingSurface._sweep` — and only
+``_sweep`` differs: a server sweeps its own caches, the cluster fans the
+event out to its shards.  A plain server is its own single shard
+(``shards == 1``, ``shard_of(uid) == 0``, ``shard_servers == (self,)``), so
+callers never branch on which of the two they hold.
+
 **Locking.**  The server-level locking is *striped*: instead of one big
 re-entrant lock, the server keeps
 
@@ -55,9 +66,10 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..concurrency import RWLock
 from ..core.hypre.builder import HypreGraphBuilder
@@ -65,7 +77,12 @@ from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError, UnknownUserError
 from ..backend.protocol import StorageBackend
 from ..index import CountCache
-from ..sqldb.events import DataMutation
+from ..sqldb.events import (
+    TUPLES_DELETED,
+    TUPLES_INSERTED,
+    TUPLES_UPDATED,
+    DataMutation,
+)
 from ..telemetry import Telemetry, span
 from ..workload.dblp import Paper
 from ..workload.loader import (
@@ -80,40 +97,20 @@ from .sessions import SessionRegistry
 
 PaperLike = Union[Paper, Mapping[str, Any]]
 
-#: Unified metric name → its path in the legacy nested ``stats()`` dict.
-#: ``metrics()`` is the primary surface; ``stats()`` is reconstructed from
-#: it through this mapping (the old keys are deprecated aliases, kept for
-#: one release), so the two can never drift apart.
-STATS_ALIASES: Dict[str, Tuple[str, str]] = {
-    "serving.server.reads": ("requests", "reads"),
-    "serving.server.read_hits": ("requests", "read_hits"),
-    "serving.server.updates": ("requests", "updates"),
-    "serving.server.inserts": ("requests", "inserts"),
-    "serving.server.deletes": ("requests", "deletes"),
-    "serving.server.tuple_updates": ("requests", "tuple_updates"),
-    "serving.server.stripe_count": ("stripes", "count"),
-    "serving.server.stripe_acquisitions": ("stripes", "acquisitions"),
-    "serving.sessions.resident": ("sessions", "resident"),
-    "serving.sessions.capacity": ("sessions", "capacity"),
-    "serving.sessions.hits": ("sessions", "hits"),
-    "serving.sessions.misses": ("sessions", "misses"),
-    "serving.sessions.evictions": ("sessions", "evictions"),
-    "serving.sessions.sessions_built": ("sessions", "sessions_built"),
-    "serving.results.entries": ("results", "entries"),
-    "serving.results.hits": ("results", "hits"),
-    "serving.results.misses": ("results", "misses"),
-    "serving.results.profile_invalidations": ("results", "profile_invalidations"),
-    "serving.results.data_invalidations": ("results", "data_invalidations"),
-    "serving.results.data_spared": ("results", "data_spared"),
-    "serving.result_cache.repairs": ("results", "repairs"),
-    "serving.result_cache.repair_fallbacks": ("results", "repair_fallbacks"),
-    "serving.result_cache.repair_underflows": ("results", "repair_underflows"),
-    "serving.results.stale_puts_rejected": ("results", "stale_puts_rejected"),
-    "index.count_cache.entries": ("count_cache", "entries"),
-    "index.count_cache.hits": ("count_cache", "hits"),
-    "index.count_cache.misses": ("count_cache", "misses"),
-    "index.count_cache.statements": ("count_cache", "statements"),
+#: Data-mutation kind → (front-door name, request counter) of the door that
+#: causes it: the span is ``<server|cluster>.<door>``, the counter is
+#: exported as ``serving.server.<counter>``.
+_DOORS: Dict[str, Tuple[str, str]] = {
+    TUPLES_INSERTED: ("insert_tuples", "inserts"),
+    TUPLES_DELETED: ("delete_tuples", "deletes"),
+    TUPLES_UPDATED: ("update_tuples", "tuple_updates"),
 }
+
+#: The cache-impact fields a :class:`DataMutationReport` totals over its
+#: per-shard records.
+_IMPACT_FIELDS = ("results_invalidated", "results_spared",
+                  "index_entries_dropped", "results_repaired",
+                  "repair_fallbacks", "repair_sql_statements")
 
 #: Result-cache counters reported under ``serving.result_cache.*`` (the
 #: repair path's own metric component) instead of ``serving.results.*``.
@@ -161,14 +158,43 @@ class UpdateReport:
 
 
 @dataclass(frozen=True)
-class DataMutationReport:
-    """Shared metrics of one data-side mutation request.
+class ShardMutationReport:
+    """One shard's reaction to a data mutation (a server is shard 0)."""
 
-    ``papers`` counts the affected dblp rows, ``joined_rows`` the pre- plus
-    post-image joined-view rows the notification carried, and the remaining
-    fields how selectively each cache layer reacted.
+    shard: int
+    results_invalidated: int = 0
+    results_spared: int = 0
+    index_entries_dropped: int = 0
+    results_repaired: int = 0
+    repair_fallbacks: int = 0
+    #: SQL the result-cache sweep itself issued (always 0 — repairs are
+    #: pure in-memory; ``benchmarks/bench_repair.py`` asserts it).
+    repair_sql_statements: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        """Plain-dict rendering (for JSON reports and replay events)."""
+        return {"shard": self.shard,
+                "results_invalidated": self.results_invalidated,
+                "results_spared": self.results_spared,
+                "index_entries_dropped": self.index_entries_dropped,
+                "results_repaired": self.results_repaired,
+                "repair_fallbacks": self.repair_fallbacks,
+                "repair_sql_statements": self.repair_sql_statements}
+
+
+@dataclass(frozen=True)
+class DataMutationReport:
+    """Metrics of one data-side mutation request, on a server or a cluster.
+
+    ``kind`` is the :class:`~repro.sqldb.events.DataMutation` kind the door
+    caused, ``papers`` counts the affected dblp rows, ``joined_rows`` the
+    pre- plus post-image joined-view rows the notification carried, and the
+    cache-impact fields how selectively each layer reacted — totals over
+    ``shard_reports``, which carries one record per shard (a plain server
+    is its own single shard).
     """
 
+    kind: str
     papers: int
     joined_rows: int
     results_invalidated: int
@@ -178,23 +204,25 @@ class DataMutationReport:
     seconds: float
     #: Cached answers maintained in place by a delta repair, the affected
     #: entries that had to fall back to invalidation, and the SQL the result
-    #: cache sweep itself issued (always 0 — repairs are pure in-memory;
-    #: ``benchmarks/bench_repair.py`` asserts it).
+    #: cache sweeps themselves issued.
     results_repaired: int = 0
     repair_fallbacks: int = 0
     repair_sql_statements: int = 0
+    shard_reports: Tuple[ShardMutationReport, ...] = ()
 
-
-class InsertReport(DataMutationReport):
-    """Metrics of one ``insert_tuples`` call."""
-
-
-class DeleteReport(DataMutationReport):
-    """Metrics of one ``delete_tuples`` call."""
-
-
-class TupleUpdateReport(DataMutationReport):
-    """Metrics of one ``update_tuples`` call."""
+    def as_dict(self) -> Dict[str, Any]:
+        """Plain-dict rendering (for JSON reports)."""
+        return {"kind": self.kind, "papers": self.papers,
+                "joined_rows": self.joined_rows,
+                "results_invalidated": self.results_invalidated,
+                "results_spared": self.results_spared,
+                "results_repaired": self.results_repaired,
+                "repair_fallbacks": self.repair_fallbacks,
+                "repair_sql_statements": self.repair_sql_statements,
+                "index_entries_dropped": self.index_entries_dropped,
+                "sql_statements": self.sql_statements,
+                "seconds": self.seconds,
+                "shards": [report.as_dict() for report in self.shard_reports]}
 
 
 def _as_paper(row: PaperLike) -> Paper:
@@ -212,8 +240,7 @@ def normalise_papers(papers: Sequence[PaperLike],
 
     Accepts :class:`~repro.workload.dblp.Paper` records or plain mappings
     (``pid``/``venue``/``year`` required); an ``aids`` sequence in a mapping
-    expands into author links.  Shared by :meth:`TopKServer.insert_tuples`
-    and the sharded cluster front door, so both accept the same payloads.
+    expands into author links.
     """
     links = list(paper_authors)
     records: List[Paper] = []
@@ -225,80 +252,69 @@ def normalise_papers(papers: Sequence[PaperLike],
     return records, links
 
 
-class TopKServer:
-    """Thread-safe multi-user Top-K serving engine over one workload backend.
+class ServingSurface:
+    """The front door a :class:`TopKServer` and the sharded cluster share.
 
-    ``db`` is any :class:`~repro.backend.protocol.StorageBackend` — the
-    SQLite engine and the in-memory columnar engine serve identical answers
-    (asserted by the cross-backend differential harness); the server only
-    consumes the protocol surface.
+    Owns what is identical on both: the backend handle and its one
+    data-mutation subscription, the exclusive section over the shards'
+    writer gates, telemetry adoption and tracing, the terminal
+    :meth:`close`, and the three data-mutation doors with their single
+    :meth:`_mutate` pipeline.  A subclass supplies
+    ``top_k`` / ``update_profile`` / ``metrics``, a ``results`` view and
+    :meth:`_sweep` — how one :class:`~repro.sqldb.events.DataMutation`
+    reaches its cached state.
     """
 
-    def __init__(self, db: StorageBackend,
-                 capacity: int = 64,
-                 cache_results: bool = True,
-                 count_cache: Optional[CountCache] = None,
-                 subscribe: bool = True,
-                 repair_delta: Optional[int] = None,
-                 stripes: int = DEFAULT_STRIPES,
-                 read_pool_size: Optional[int] = None) -> None:
-        if stripes < 1:
-            raise ServingError("a server needs at least one lock stripe")
-        if read_pool_size is not None and read_pool_size < 1:
-            raise ServingError("the read pool needs at least one thread")
-        # Striped per-user locking (see the module docstring): cold reads
-        # and profile updates serialise per stripe; data mutations take the
-        # exclusive side of the writer gate.  The gate keeps the historical
-        # ``server`` lock name so contention reports stay comparable.
-        self._gate = RWLock("server")
-        self._stripes: Tuple[Any, ...] = tuple(
-            threading.RLock() for _ in range(stripes))
+    #: Root of the front-door span names (``server.top_k``, ...).
+    _span_root = "server"
+
+    def __init__(self, db: StorageBackend, subscribe: bool = True) -> None:
         self.db = db
-        self.cache_results = cache_results
-        #: Over-fetch depth of the maintainable result buffers: a cold
-        #: ``top_k(uid, k)`` scores ``k + repair_delta`` tuples so data
-        #: mutations can be folded into the cached answer in place instead
-        #: of dropping it.  ``None`` means the default ``2 * k`` per
-        #: request; a negative value disables the repair path entirely
-        #: (the invalidate-and-recompute baseline).
-        self.repair_delta = repair_delta
-        self.sessions = SessionRegistry(db, capacity=capacity,
-                                        count_cache=count_cache,
-                                        profile_loader=self._load_profile)
-        self.results = ResultCache(
-            repair=repair_delta is None or repair_delta >= 0)
-        if cache_results:
-            # Profile mutations reach the result cache through every session
-            # graph; data mutations arrive via the database subscription.
-            self.sessions.add_graph_listener(self.results.on_profile_mutation)
+        self._closed = False
+        self._telemetry: Optional[Telemetry] = None
+        self._read_latency = None
+        self._mutation_latency = None
+        # Request counters are bumped by the lock-free warm path too, so
+        # they get their own little lock.
+        self._stats_lock = threading.Lock()
+        self.inserts = 0
+        self.deletes = 0
+        self.tuple_updates = 0
+        #: ``(joined rows, per-shard reports)`` of the sweep the mutation in
+        #: flight caused; written by the listener, consumed by ``_mutate``
+        #: (both inside :meth:`_exclusive`).
+        self._last_sweep: Optional[
+            Tuple[int, Tuple[ShardMutationReport, ...]]] = None
         # ``subscribe=False`` leaves event delivery to an outer coordinator:
         # the sharded cluster subscribes once and fans each DataMutation out
         # to every shard itself (possibly from worker threads).
         self._data_listener = (db.subscribe(self._on_data_mutation)
                                if subscribe else None)
-        self._last_data_impact: Dict[str, int] = {}
-        self._telemetry: Optional[Telemetry] = None
-        self._read_latency = None
-        self._mutation_latency = None
-        # Request counters are bumped by the lock-free warm path too, so
-        # they get their own little lock; every request path folds all of
-        # its counter deltas into one `_bump` call — a single acquisition
-        # per request, not one per counter.
-        self._stats_lock = threading.Lock()
-        self.reads = 0
-        self.read_hits = 0
-        self.updates = 0
-        self.inserts = 0
-        self.deletes = 0
-        self.tuple_updates = 0
-        #: Requests that took a stripe lock (cold reads + profile updates).
-        self.stripe_acquisitions = 0
-        # Optional thread-pool front door (`submit_top_k` / `top_k_many`),
-        # created on first use so a serially-driven server never pays for it.
-        self._read_pool: Optional[ThreadPoolExecutor] = None
-        self._read_pool_size = (read_pool_size if read_pool_size is not None
-                                else min(stripes, 8))
-        self._read_pool_lock = threading.Lock()
+
+    # -- sharding (a plain server is its own single shard) ------------------------
+
+    @property
+    def shard_servers(self) -> Tuple["TopKServer", ...]:
+        """The :class:`TopKServer` instances holding the serving state."""
+        return (self,)
+
+    @property
+    def shards(self) -> int:
+        """How many shards the users are partitioned across."""
+        return len(self.shard_servers)
+
+    def shard_of(self, uid: int) -> int:
+        """The shard index owning ``uid``."""
+        return 0
+
+    def shard_for(self, uid: int) -> "TopKServer":
+        """The :class:`TopKServer` shard owning ``uid``."""
+        return self.shard_servers[self.shard_of(uid)]
+
+    def resident_uids(self) -> Dict[int, List[int]]:
+        """Resident user ids per shard index (LRU order within each shard)."""
+        return {index: shard.sessions.resident_uids()
+                for index, shard in enumerate(self.shard_servers)}
 
     # -- telemetry ----------------------------------------------------------------
 
@@ -334,58 +350,244 @@ class TopKServer:
 
     # -- lifecycle ----------------------------------------------------------------
 
+    def _exclusive(self) -> ExitStack:
+        """``with self._exclusive():`` — the exclusive (re-entrant) side of
+        every shard's writer gate, in shard order; a plain server's one gate.
+
+        Whoever holds it is alone with the backend and every cached state:
+        no cold compute or profile update anywhere overlaps a commit or a
+        sweep, and no second mutation runs — on a cluster exactly as on a
+        single server, with no lock of the cluster's own.
+        """
+        with ExitStack() as held:
+            for shard in self.shard_servers:
+                held.enter_context(shard._gate.write())
+            return held.pop_all()
+
     def close(self) -> None:
-        """Unsubscribe from the database (sessions stay usable standalone)."""
-        if self._data_listener is not None:
-            self.db.unsubscribe(self._data_listener)
-            self._data_listener = None
-        with self._read_pool_lock:
-            pool, self._read_pool = self._read_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Stop serving, for good: unsubscribe and refuse from now on.
+
+        Terminal — without the subscription the cached state can no longer
+        be kept exact, so every front door that reaches the cold or the
+        mutation path raises ``ServingError("server is closed")`` afterwards
+        (subclasses also drop their cached answers, which sends every read
+        down the cold path).  Waits for in-flight requests to drain.
+        """
+        with self._exclusive():
+            self._closed = True
+            if self._data_listener is not None:
+                self.db.unsubscribe(self._data_listener)
+                self._data_listener = None
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServingError("server is closed")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    # -- data-side updates --------------------------------------------------------
+
+    def insert_tuples(self, papers: Sequence[PaperLike],
+                      paper_authors: Iterable[Tuple[int, int]] = (),
+                      citations: Iterable[Tuple[int, int]] = ()
+                      ) -> DataMutationReport:
+        """Append workload tuples and selectively invalidate every cache.
+
+        ``papers`` accepts :class:`~repro.workload.dblp.Paper` records or
+        plain mappings (``pid``/``venue``/``year`` required; an ``aids``
+        sequence in a mapping expands into author links).  The append commits
+        and then notifies, so by the time this returns every stale cache
+        entry is gone and every provably fresh one survived.
+        """
+        records, links = normalise_papers(papers, paper_authors)
+        return self._mutate(
+            TUPLES_INSERTED, len(records),
+            lambda: append_papers(self.db, records, links, citations))
+
+    def delete_tuples(self, pids: Iterable[int]) -> DataMutationReport:
+        """Delete workload tuples and selectively invalidate every cache.
+
+        The delete commits and then notifies with the removed rows'
+        *pre-image*, so by the time this returns every cached answer, count
+        and id list a removed tuple may have contributed to is gone —
+        including id-list memos, which deletes shrink in a way counts alone
+        would not reveal — and everything provably unaffected survived.
+        """
+        pids = list(pids)
+        return self._mutate(TUPLES_DELETED, len(pids),
+                            lambda: delete_papers(self.db, pids))
+
+    def update_tuples(self, papers: Sequence[PaperLike]) -> DataMutationReport:
+        """Update existing workload tuples in place, invalidating selectively.
+
+        ``papers`` carry the new attribute values for already-present pids
+        (:class:`~repro.exceptions.WorkloadError` for unknown ones).  The
+        notification carries the pre- *and* post-image, so a cached entry is
+        spared only when no predicate can match either version of a changed
+        tuple.
+        """
+        records = [_as_paper(row) for row in papers]
+        return self._mutate(TUPLES_UPDATED, len(records),
+                            lambda: update_papers(self.db, records))
+
+    def _mutate(self, kind: str, papers: int,
+                loader_call: Callable[[], object]) -> DataMutationReport:
+        """The one data-mutation pipeline: trace → writer gate → loader →
+        impact → counter → latency.
+
+        ``loader_call`` commits and notifies; the notification re-enters
+        :meth:`_on_data_mutation` (the gates' write sides are re-entrant),
+        which sweeps and leaves the per-shard impact in ``_last_sweep``.
+        """
+        door, counter = _DOORS[kind]
+        with self._trace(f"{self._span_root}.{door}") as trace:
+            trace.annotate("papers", papers)
+            with self._exclusive():
+                self._check_open()
+                start = time.perf_counter()
+                statements_before = self.db.statements_executed
+                self._last_sweep = None
+                loader_call()
+                swept, self._last_sweep = self._last_sweep, None
+                if swept is None:
+                    # A no-op mutation (e.g. deleting unknown pids) never
+                    # notifies: nothing was invalidated, so everything
+                    # cached counts as spared.
+                    swept = 0, tuple(
+                        ShardMutationReport(shard=index,
+                                            results_spared=len(shard.results))
+                        for index, shard in enumerate(self.shard_servers))
+                joined_rows, shard_reports = swept
+                totals = {name: sum(getattr(shard, name)
+                                    for shard in shard_reports)
+                          for name in _IMPACT_FIELDS}
+                report = DataMutationReport(
+                    kind=kind, papers=papers, joined_rows=joined_rows,
+                    sql_statements=(self.db.statements_executed
+                                    - statements_before),
+                    seconds=time.perf_counter() - start,
+                    shard_reports=shard_reports, **totals)
+                with self._stats_lock:
+                    setattr(self, counter, getattr(self, counter) + 1)
+        if self._mutation_latency is not None:
+            self._mutation_latency.record(report.seconds)
+        return report
+
+    def _on_data_mutation(self, mutation: DataMutation) -> None:
+        """Database listener: sweep once per event, whoever caused it.
+
+        Runs for mutations from this surface's own doors *and* for direct
+        loader calls against the shared database; the gates' exclusive side
+        keeps a direct mutation from another thread from interleaving with
+        an in-flight :meth:`_mutate` and being misattributed to its report.
+        """
+        with self._exclusive():
+            self._last_sweep = (len(mutation.invalidation_rows()),
+                                self._sweep(mutation))
+
+    def _sweep(self, mutation: DataMutation
+               ) -> Tuple[ShardMutationReport, ...]:
+        """Bring the cached state up to date with ``mutation``.
+
+        Called with :meth:`_exclusive` held (by the calling thread, or on
+        its behalf while it waits for the cluster's fan-out pool); returns
+        one impact record per shard.
+        """
+        raise NotImplementedError
+
+    # -- introspection ------------------------------------------------------------
+
+    def metrics(self) -> Dict[str, Union[int, float]]:
+        """Every layer's counters as one flat unified-name mapping."""
+        raise NotImplementedError
+
+
+class TopKServer(ServingSurface):
+    """Thread-safe multi-user Top-K serving engine over one workload backend.
+
+    ``db`` is any :class:`~repro.backend.protocol.StorageBackend` — the
+    SQLite engine and the in-memory columnar engine serve identical answers
+    (asserted by the cross-backend differential harness); the server only
+    consumes the protocol surface.
+    """
+
+    def __init__(self, db: StorageBackend,
+                 capacity: int = 64,
+                 cache_results: bool = True,
+                 count_cache: Optional[CountCache] = None,
+                 subscribe: bool = True,
+                 repair_delta: Optional[int] = None,
+                 stripes: int = DEFAULT_STRIPES) -> None:
+        if stripes < 1:
+            raise ServingError("a server needs at least one lock stripe")
+        # Striped per-user locking (see the module docstring): cold reads
+        # and profile updates serialise per stripe and share the gate's read
+        # side; data mutations hold its exclusive side (see `_exclusive`).
+        # The gate keeps the historical ``server`` lock name so contention
+        # reports stay comparable.
+        self._gate = RWLock("server")
+        self._stripes: Tuple[Any, ...] = tuple(
+            threading.RLock() for _ in range(stripes))
+        self.cache_results = cache_results
+        #: Over-fetch depth of the maintainable result buffers: a cold
+        #: ``top_k(uid, k)`` scores ``k + repair_delta`` tuples so data
+        #: mutations can be folded into the cached answer in place instead
+        #: of dropping it.  ``None`` means the default ``2 * k`` per
+        #: request; a negative value disables the repair path entirely
+        #: (the invalidate-and-recompute baseline).
+        self.repair_delta = repair_delta
+        self.sessions = SessionRegistry(db, capacity=capacity,
+                                        count_cache=count_cache,
+                                        profile_loader=self._load_profile)
+        self.results = ResultCache(
+            repair=repair_delta is None or repair_delta >= 0)
+        if cache_results:
+            # Profile mutations reach the result cache through every session
+            # graph; data mutations arrive via the database subscription.
+            self.sessions.add_graph_listener(self.results.on_profile_mutation)
+        self.reads = 0
+        self.read_hits = 0
+        self.updates = 0
+        #: Requests that took a stripe lock (cold reads + profile updates).
+        self.stripe_acquisitions = 0
+        super().__init__(db, subscribe=subscribe)
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    def close(self) -> None:
+        """Unsubscribe, refuse from now on and drop every cached answer."""
+        with self._exclusive():
+            super().close()
+            self.results.clear()
 
     # -- striping -----------------------------------------------------------------
 
     @property
     def stripes(self) -> int:
-        """Width of the per-user stripe-lock array."""
+        """Width of the per-user stripe-lock array (keyed by ``uid % N``)."""
         return len(self._stripes)
 
-    def stripe_of(self, uid: int) -> int:
-        """The stripe index serialising requests for ``uid``."""
-        return int(uid) % len(self._stripes)
-
     def _stripe_lock(self, uid: int) -> Any:
-        return self._stripes[self.stripe_of(uid)]
+        return self._stripes[int(uid) % len(self._stripes)]
 
     def _bump(self, reads: int = 0, read_hits: int = 0, updates: int = 0,
-              inserts: int = 0, deletes: int = 0, tuple_updates: int = 0,
               stripe_acquisitions: int = 0) -> None:
         """Fold one request's counter deltas in under a single acquisition."""
         with self._stats_lock:
             self.reads += reads
             self.read_hits += read_hits
             self.updates += updates
-            self.inserts += inserts
-            self.deletes += deletes
-            self.tuple_updates += tuple_updates
             self.stripe_acquisitions += stripe_acquisitions
-
-    def __enter__(self) -> "TopKServer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- profile storage ----------------------------------------------------------
 
     def _load_profile(self, uid: int) -> Optional[UserProfile]:
         registry = read_profiles(self.db, [uid])
         return registry.get(uid) if uid in registry else None
-
-    def register_user(self, uid: int, profile: UserProfile) -> UpdateReport:
-        """Persist a new user's profile (alias of :meth:`update_profile`)."""
-        return self.update_profile(uid, profile)
 
     def update_profile(self, uid: int, profile: UserProfile) -> UpdateReport:
         """Persist ``profile``'s preferences and apply them to the session.
@@ -406,6 +608,7 @@ class TopKServer:
             # keeps the write out of any data-mutation sweep's consistent
             # view without serialising profile updates against each other.
             with self._stripe_lock(uid), self._gate.read():
+                self._check_open()
                 start = time.perf_counter()
                 statements_before = self.db.statements_executed
                 invalidated_before = self.results.profile_invalidations
@@ -453,36 +656,6 @@ class TopKServer:
             self._read_latency.record(result.seconds)
         return result
 
-    def _ensure_read_pool(self) -> ThreadPoolExecutor:
-        with self._read_pool_lock:
-            if self._read_pool is None:
-                self._read_pool = ThreadPoolExecutor(
-                    max_workers=self._read_pool_size,
-                    thread_name_prefix="topk-read")
-            return self._read_pool
-
-    def submit_top_k(self, uid: int, k: int) -> "Future[ServeResult]":
-        """Answer one Top-K request asynchronously on the read pool.
-
-        The optional front door for callers that want to overlap backend
-        I/O: requests for users on different stripes genuinely proceed
-        concurrently (SQLite releases the GIL inside its C calls, and the
-        in-memory backend's reader/writer lock admits parallel readers).
-        The pool is created lazily and shut down by :meth:`close`.
-        """
-        return self._ensure_read_pool().submit(self.top_k, uid, k)
-
-    def top_k_many(self, requests: Sequence[Tuple[int, int]]
-                   ) -> List[ServeResult]:
-        """Answer a batch of ``(uid, k)`` requests, results in input order.
-
-        All requests are submitted to the read pool before the first result
-        is awaited, so distinct-stripe cold misses overlap instead of
-        queueing; errors surface on the request that raised them.
-        """
-        futures = [self.submit_top_k(uid, k) for uid, k in requests]
-        return [future.result() for future in futures]
-
     def _serve_top_k(self, uid: int, k: int) -> ServeResult:
         """The uninstrumented ``top_k`` body (see :meth:`top_k`)."""
         start = time.perf_counter()
@@ -510,6 +683,9 @@ class TopKServer:
                         sql_statements=self.db.statements_executed - statements_before,
                         seconds=time.perf_counter() - start)
             with self._gate.read():
+                # The warm path above never asks: a closed server holds no
+                # cached answers, so every read ends up here.
+                self._check_open()
                 try:
                     with span("sessions.get_or_create", self.db):
                         session = self.sessions.get_or_create(uid)
@@ -555,107 +731,15 @@ class TopKServer:
 
     # -- data-side updates --------------------------------------------------------
 
-    def insert_tuples(self, papers: Sequence[PaperLike],
-                      paper_authors: Iterable[Tuple[int, int]] = (),
-                      citations: Iterable[Tuple[int, int]] = ()) -> InsertReport:
-        """Append workload tuples and selectively invalidate every cache.
-
-        ``papers`` accepts :class:`~repro.workload.dblp.Paper` records or
-        plain mappings (``pid``/``venue``/``year`` required; an ``aids``
-        sequence in a mapping expands into author links).  The append commits
-        and then notifies, so by the time this returns every stale cache
-        entry is gone and every provably fresh one survived.
-        """
-        with self._trace("server.insert_tuples") as trace:
-            with self._gate.write():
-                records, links = normalise_papers(papers, paper_authors)
-                report = self._run_data_mutation(
-                    InsertReport, len(records),
-                    lambda: append_papers(self.db, records, links, citations))
-                self._bump(inserts=1)
-            trace.annotate("papers", report.papers)
-            if self._mutation_latency is not None:
-                self._mutation_latency.record(report.seconds)
-            return report
-
-    def delete_tuples(self, pids: Iterable[int]) -> DeleteReport:
-        """Delete workload tuples and selectively invalidate every cache.
-
-        The delete commits and then notifies with the removed rows'
-        *pre-image*, so by the time this returns every cached answer, count
-        and id list a removed tuple may have contributed to is gone —
-        including id-list memos, which deletes shrink in a way counts alone
-        would not reveal — and everything provably unaffected survived.
-        """
-        with self._trace("server.delete_tuples") as trace:
-            with self._gate.write():
-                pids = list(pids)
-                report = self._run_data_mutation(
-                    DeleteReport, len(pids),
-                    lambda: delete_papers(self.db, pids))
-                self._bump(deletes=1)
-            trace.annotate("papers", report.papers)
-            if self._mutation_latency is not None:
-                self._mutation_latency.record(report.seconds)
-            return report
-
-    def update_tuples(self, papers: Sequence[PaperLike]) -> TupleUpdateReport:
-        """Update existing workload tuples in place, invalidating selectively.
-
-        ``papers`` carry the new attribute values for already-present pids
-        (:class:`~repro.exceptions.WorkloadError` for unknown ones).  The
-        notification carries the pre- *and* post-image, so a cached entry is
-        spared only when no predicate can match either version of a changed
-        tuple.
-        """
-        with self._trace("server.update_tuples") as trace:
-            with self._gate.write():
-                records = [_as_paper(row) for row in papers]
-                report = self._run_data_mutation(
-                    TupleUpdateReport, len(records),
-                    lambda: update_papers(self.db, records))
-                self._bump(tuple_updates=1)
-            trace.annotate("papers", report.papers)
-            if self._mutation_latency is not None:
-                self._mutation_latency.record(report.seconds)
-            return report
-
-    def _run_data_mutation(self, report_cls, papers: int, mutate) -> Any:
-        """Run one loader mutation and collect the cache-impact metrics.
-
-        ``mutate`` commits and notifies; the notification re-enters
-        :meth:`_on_data_mutation` (the gate's write side is re-entrant),
-        which records its impact in ``_last_data_impact`` for the report.
-        """
-        start = time.perf_counter()
-        statements_before = self.db.statements_executed
-        self._last_data_impact = {}
-        mutate()
-        impact = dict(self._last_data_impact)
-        # A no-op mutation (e.g. deleting unknown pids) never notifies:
-        # nothing was invalidated, so everything cached counts as spared.
-        return report_cls(
-            papers=papers,
-            joined_rows=impact.get("joined_rows", 0),
-            results_invalidated=impact.get("results_invalidated", 0),
-            results_spared=impact.get("results_spared", len(self.results)),
-            index_entries_dropped=impact.get("index_entries_dropped", 0),
-            sql_statements=self.db.statements_executed - statements_before,
-            seconds=time.perf_counter() - start,
-            results_repaired=impact.get("results_repaired", 0),
-            repair_fallbacks=impact.get("repair_fallbacks", 0),
-            repair_sql_statements=impact.get("repair_sql_statements", 0))
-
-    def _on_data_mutation(self, mutation: DataMutation) -> Dict[str, int]:
-        """Database listener: fan any data mutation out to every cache layer.
+    def _sweep(self, mutation: DataMutation
+               ) -> Tuple[ShardMutationReport, ...]:
+        """Fan one data mutation out to every cache layer of this server.
 
         ``invalidation_rows`` covers the full update spectrum — inserted
         post-image, deleted pre-image, both images of an in-place update —
-        so one sound relevance test serves all three kinds.  Returns the
-        impact record (also kept in ``_last_data_impact``) so the sharded
-        cluster can collect per-shard reports when it delivers the event.
+        so one sound relevance test serves all three kinds.
         """
-        with self._gate.write(), span("server.on_data_mutation") as trace:
+        with span("server.on_data_mutation") as trace:
             rows = mutation.invalidation_rows()
             repairs_before = self.results.repairs
             fallbacks_before = self.results.repair_fallbacks
@@ -669,29 +753,26 @@ class TopKServer:
             trace.annotate("kind", mutation.kind)
             trace.annotate("results_invalidated", results_invalidated)
             trace.annotate("results_repaired", results_repaired)
-            self._last_data_impact = {
-                "kind": mutation.kind,
-                "joined_rows": len(rows),
-                "results_invalidated": results_invalidated,
-                "results_spared": len(self.results) - results_repaired,
-                "index_entries_dropped": dropped,
-                "results_repaired": results_repaired,
-                "repair_fallbacks": repair_fallbacks,
-                "repair_sql_statements": repair_sql,
-            }
-            return self._last_data_impact
+            return (ShardMutationReport(
+                shard=0,
+                results_invalidated=results_invalidated,
+                results_spared=len(self.results) - results_repaired,
+                index_entries_dropped=dropped,
+                results_repaired=results_repaired,
+                repair_fallbacks=repair_fallbacks,
+                repair_sql_statements=repair_sql),)
 
     # -- introspection ------------------------------------------------------------
 
     def metrics(self) -> Dict[str, Union[int, float]]:
         """Every layer's counters as one flat unified-name mapping.
 
-        The primary introspection surface: names follow the telemetry
-        naming scheme (``serving.server.reads``,
-        ``serving.results.hits``, ``index.count_cache.misses``,
+        The one introspection surface: names follow the telemetry naming
+        scheme (``serving.server.reads``, ``serving.results.hits``,
+        ``index.count_cache.misses``,
         ``backend.<name>.statements_executed``), so the mapping plugs
         straight into a :class:`~repro.telemetry.MetricsRegistry` as a
-        snapshot adapter.  :meth:`stats` is derived from this.
+        snapshot adapter.
         """
         with self._stats_lock:
             flat: Dict[str, Union[int, float]] = {
@@ -718,22 +799,6 @@ class TopKServer:
         flat[f"backend.{self.db.backend_name}.statements_executed"] = \
             self.db.statements_executed
         return flat
-
-    def stats(self) -> Dict[str, Any]:
-        """The legacy nested snapshot, as documented aliases.
-
-        Deprecated in favour of :meth:`metrics`; kept for one release.
-        Reconstructed *from* :meth:`metrics` through
-        :data:`STATS_ALIASES`, so the two surfaces cannot drift apart.
-        """
-        flat = self.metrics()
-        nested: Dict[str, Any] = {}
-        for unified, (section, key) in STATS_ALIASES.items():
-            nested.setdefault(section, {})[key] = flat[unified]
-        nested["sql_statements_total"] = \
-            flat[f"backend.{self.db.backend_name}.statements_executed"]
-        return nested
-
 
 def fresh_top_k(db: StorageBackend, uid: int, k: int) -> List[Tuple[int, float]]:
     """Recompute one user's Top-K from scratch — the serving-path oracle.

@@ -8,7 +8,8 @@ Connection (:mod:`repro.sqldb.database`)
     (``statements_executed`` / ``rows_touched``) and data-mutation
     subscriptions.  Since the backend split it carries the full
     :class:`~repro.backend.protocol.StorageBackend` surface — it *is* the
-    SQLite engine behind :class:`repro.backend.SqliteBackend`.
+    SQLite engine :func:`repro.backend.create_backend` returns for
+    ``"sqlite"``.
 
 Data-update events (:mod:`repro.sqldb.events`)
     :class:`DataMutation` — the tuple-mutation notification carrying the

@@ -24,8 +24,7 @@ SQLite implementation of the** :class:`~repro.backend.protocol.StorageBackend`
 (:meth:`load_dataset` / :meth:`append_papers` / :meth:`delete_papers` /
 :meth:`update_papers` / profile round-trips) and the op accounting
 (:attr:`statements_executed`, :attr:`rows_touched`).
-:class:`repro.backend.SqliteBackend` is the protocol-named entry point and
-subclasses this wrapper without changing behaviour.
+:func:`repro.backend.create_backend` returns this class for ``"sqlite"``.
 """
 
 from __future__ import annotations

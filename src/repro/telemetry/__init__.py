@@ -1,7 +1,7 @@
 """Unified observability for the serving stack: metrics, traces, exporters.
 
 Every earlier subsystem answered "what is this process doing?" in its own
-dialect — ``TopKServer.stats()`` nests, the backends count
+dialect — the serving engine counted requests, the backends count
 ``statements_executed``, locks speak the contention vocabulary, the load
 harness bolts timed wrappers on.  :mod:`repro.telemetry` gives the whole
 stack one vocabulary (``layer.component.metric`` names), one request-scoped
@@ -40,8 +40,7 @@ Public API
     The ambient helpers lower layers call: attach a child stage or a note
     to the current request's trace, or no-op when untraced.
 :class:`LockInstrumentation` / :func:`instrument_locks`
-    Reversible, idempotent timed-lock swapping with a restore handle
-    (supersedes the load harness' one-way ``instrument_server``).
+    Reversible, idempotent timed-lock swapping with a restore handle.
 :func:`json_snapshot` / :func:`validate_snapshot` / :data:`SNAPSHOT_SCHEMA_VERSION`
     The schema-versioned JSON snapshot document and its structural check.
 :func:`prometheus_text`
@@ -148,7 +147,7 @@ class Telemetry:
         the adapters, so this is idempotent.  Returns the engine.
         """
         server.telemetry = self
-        for shard in getattr(server, "shard_servers", ()) or ():
+        for shard in server.shard_servers:
             shard.telemetry = self
         self.registry.register_adapter("serving", server.metrics)
         self.registry.register_adapter(

@@ -1,20 +1,20 @@
 """Reversible lock instrumentation with registry integration.
 
-The load harness has always answered "name the hot lock" by swapping
+The load harness answers "name the hot lock" by swapping
 :class:`~repro.concurrency.TimedRLock` wrappers into a live serving engine.
-The historical :func:`repro.loadgen.instrument.instrument_server` did the
-swap irreversibly — fine for a load run that owns the server, wrong for a
+A one-way swap is fine for a load run that owns the server, wrong for a
 long-lived process that wants contention numbers for a while and then its
 plain locks back.  This module makes the swap a *handle*:
 
 * :func:`instrument_locks` covers the whole server-level lock set (every
   per-user stripe lock, the session registry, the shared count cache +
-  rebuilt condition variable, the result cache; per shard plus the
-  broadcast lock for a cluster).  The server's writer gate and the memory
+  rebuilt condition variable, the result cache; per shard for a
+  cluster, which has no lock of its own).  The writer gates and the memory
   backend's lock are self-accounting :class:`~repro.concurrency.RWLock`
-  instances, so they are tracked un-swapped — the gate reports under the
-  historical ``server`` name (``shard<i>-server`` in a cluster), each
-  stripe under ``stripe<j>``.  Everything swapped or renamed is recorded
+  instances, so they are tracked un-swapped — a server's gate reports
+  under the historical ``server`` name (``shard<i>-server`` in a
+  cluster), each stripe under ``stripe<j>``.  Everything swapped or
+  renamed is recorded
   as ``(owner, attribute, original)`` in the returned
   :class:`LockInstrumentation`;
 * :meth:`LockInstrumentation.uninstrument` restores every original object
@@ -53,9 +53,9 @@ LOCK_METRIC_KEYS = ("acquisitions", "contended", "wait_seconds",
 class LockInstrumentation:
     """A reversible record of one engine-wide lock swap.
 
-    ``locks`` is the uniform trackable list the historical API returned
-    (every entry answers ``stats()``); :meth:`uninstrument` puts every
-    original object back and deregisters the registry adapter.
+    ``locks`` is the uniform trackable list (every entry answers
+    ``stats()``); :meth:`uninstrument` puts every original object back and
+    deregisters the registry adapter.
     """
 
     def __init__(self, server: Any) -> None:
@@ -135,22 +135,18 @@ def _instrument_count_cache(handle: LockInstrumentation, cache: Any,
 def _instrument_single(handle: LockInstrumentation, server: Any,
                        prefix: str = "") -> None:
     """Swap one TopKServer's lock set into the handle."""
-    gate = getattr(server, "_gate", None)
-    if isinstance(gate, RWLock):
-        # The writer gate accounts itself; rename it under the shard prefix
-        # (recorded like any swap, so uninstrument restores the name) and
-        # track it un-swapped.
-        handle._swap(gate, "name", f"{prefix}server")
-        handle.locks.append(gate)
-    stripes = getattr(server, "_stripes", None)
-    if stripes is not None:
-        # Wrap every stripe around its *original* inner lock, so a thread
-        # idling between requests never races a fresh lock object.
-        replacement = tuple(
-            TimedRLock(f"{prefix}stripe{index}", lock=stripe)
-            for index, stripe in enumerate(stripes))
-        handle._swap(server, "_stripes", replacement)
-        handle.locks.extend(replacement)
+    # The writer gate accounts itself: rename it under the shard prefix
+    # (recorded like any swap, so uninstrument restores the name) and track
+    # it un-swapped.
+    handle._swap(server._gate, "name", f"{prefix}server")
+    handle.locks.append(server._gate)
+    # Wrap every stripe around its *original* inner lock, so a thread
+    # idling between requests never races a fresh lock object.
+    replacement = tuple(
+        TimedRLock(f"{prefix}stripe{index}", lock=stripe)
+        for index, stripe in enumerate(server._stripes))
+    handle._swap(server, "_stripes", replacement)
+    handle.locks.extend(replacement)
     handle.locks.append(
         handle._swap(server.sessions, "_lock",
                      TimedRLock(f"{prefix}sessions")))
@@ -178,14 +174,12 @@ def instrument_locks(server: Any,
             existing._export(registry, adapter_key)
         return existing
     handle = LockInstrumentation(server)
-    shard_servers = getattr(server, "shard_servers", None)
-    if shard_servers is not None:
-        handle.locks.append(
-            handle._swap(server, "_lock", TimedRLock("cluster-broadcast")))
-        for index, shard in enumerate(shard_servers):
-            _instrument_single(handle, shard, prefix=f"shard{index}-")
-    else:
-        _instrument_single(handle, server)
+    shards = server.shard_servers
+    for index, shard in enumerate(shards):
+        # A plain server is its own only shard and keeps the bare names.
+        _instrument_single(
+            handle, shard,
+            prefix="" if shards == (server,) else f"shard{index}-")
     backend_lock = getattr(server.db, "_lock", None)
     if isinstance(backend_lock, RWLock):
         # The memory backend's RWLock accounts itself; track, don't swap.

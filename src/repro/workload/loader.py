@@ -17,8 +17,7 @@ front doors**: each dispatches to the same-named method of the
 the historical ``loader.append_papers(db, ...)`` spelling while the image
 capture runs inside whichever engine owns the data.  The ``sqlite_*``
 functions below are the SQLite implementation bodies —
-:class:`~repro.sqldb.database.Database` (and therefore
-:class:`~repro.backend.SqliteBackend`) delegates its mutation methods to
+:class:`~repro.sqldb.database.Database` delegates its mutation methods to
 them; :class:`~repro.backend.MemoryBackend` implements the same contract
 natively over its column store.
 """

@@ -15,13 +15,13 @@ import pytest
 from repro.backend import (
     BACKEND_NAMES,
     MemoryBackend,
-    SqliteBackend,
     StorageBackend,
     create_backend,
     default_backend_name,
 )
 from repro.core.preference import ProfileRegistry, UserProfile
 from repro.exceptions import PredicateError, RelationalError, WorkloadError
+from repro.sqldb.database import Database
 from repro.sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED
 from repro.workload.dblp import DblpConfig, Paper, generate_dblp
 from repro.workload.loader import (
@@ -90,7 +90,7 @@ class TestBackendContract:
             default_backend_name()
         monkeypatch.delenv("REPRO_BACKEND")
         assert default_backend_name() == "sqlite"
-        assert isinstance(create_backend(None), SqliteBackend)
+        assert type(create_backend(None)) is Database
 
     # -- schema / statistics ------------------------------------------------------
 

@@ -164,7 +164,7 @@ class TestJsonOutput:
         assert payload["baseline"]["ops"] == 30
         assert payload["serving"]["sql_statements"] < \
             payload["baseline"]["sql_statements"]
-        assert "sessions" in payload["server"]
+        assert "serving.sessions.resident" in payload["server"]
 
     def test_serve_replay_json_without_baseline(self):
         payload = json.loads(run_serve_replay(
@@ -182,7 +182,7 @@ class TestJsonOutput:
         mutations = payload["mutations"]
         assert set(mutations) == {"inserts", "deletes", "tuple_updates"}
         assert mutations == {
-            kind: payload["server"]["requests"][kind]
+            kind: payload["server"][f"serving.server.{kind}"]
             for kind in ("inserts", "deletes", "tuple_updates")}
         assert mutations["inserts"] == payload["serving"]["inserts"]
         assert mutations["deletes"] == payload["serving"]["deletes"]
@@ -200,10 +200,9 @@ class TestJsonOutput:
         # same request counts as the single-server arm.
         assert sharded["reads"] == payload["serving"]["reads"]
         cluster = payload["cluster"]
-        assert cluster["shards"] == 2
-        assert cluster["parallel_fanout"] is True
-        assert len(cluster["per_shard"]) == 2
-        assert 0.0 <= cluster["warm_rate"] <= 1.0
+        assert cluster["serving.cluster.shards"] == 2
+        assert cluster["serving.server.reads"] == sharded["reads"]
+        assert 0.0 <= cluster["serving.cluster.warm_rate"] <= 1.0
 
     def test_serve_replay_rejects_negative_shards(self):
         with pytest.raises(ValueError, match="--shards"):
@@ -215,13 +214,13 @@ class TestJsonOutput:
         repaired = json.loads(run_serve_replay(
             scale="tiny", users=8, requests=40, k=3, capacity=4, seed=2,
             baseline=False, as_json=True))
-        assert repaired["server"]["results"]["repairs"] > 0
+        assert repaired["server"]["serving.result_cache.repairs"] > 0
         disabled = json.loads(run_serve_replay(
             scale="tiny", users=8, requests=40, k=3, capacity=4, seed=2,
             baseline=False, as_json=True, repair_delta=-1))
-        assert disabled["server"]["results"]["repairs"] == 0
-        assert (disabled["server"]["results"]["data_invalidations"]
-                >= repaired["server"]["results"]["data_invalidations"])
+        assert disabled["server"]["serving.result_cache.repairs"] == 0
+        assert (disabled["server"]["serving.results.data_invalidations"]
+                >= repaired["server"]["serving.results.data_invalidations"])
 
 
 class TestServeReplayText:

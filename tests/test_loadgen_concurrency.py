@@ -364,7 +364,7 @@ class TestStripedServing:
             uids = sorted(profile.uid for profile in world.read_profiles())
             uid_a = uids[0]
             uid_b = next(uid for uid in uids
-                         if server.stripe_of(uid) != server.stripe_of(uid_a))
+                         if uid % server.stripes != uid_a % server.stripes)
             rendezvous = threading.Barrier(2, timeout=DEADLINE_SECONDS)
             original = server.sessions.get_or_create
             overlapped = []

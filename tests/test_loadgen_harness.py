@@ -29,15 +29,14 @@ from repro.loadgen import (
     WorkerStream,
     bench_envelope,
     build_streams,
-    instrument_server,
     load_and_validate,
     loadgen_payload,
-    lock_report,
     validate_loadgen_payload,
     write_bench_json,
 )
 from repro.loadgen.workload import DELETE, INSERT, OP_KINDS, PID_STRIDE, READ
 from repro.serving import ReplayConfig, ReplayDriver, TopKServer
+from repro.telemetry import instrument_locks
 from repro.workload.dblp import DblpConfig
 
 DBLP = DblpConfig(n_papers=150, n_authors=60, n_venues=6, seed=11)
@@ -214,14 +213,14 @@ class TestWorkerStream:
 
 class TestInstrumentation:
     def test_single_server_locks_are_swapped_and_reported(self, server):
-        locks = instrument_server(server)
-        names = {lock.stats()["name"] for lock in locks}
+        handle = instrument_locks(server)
+        names = {lock.stats()["name"] for lock in handle.locks}
         assert {"server", "sessions", "count-cache", "result-cache"} <= names
         # The instrumented server still serves (and the condition variable
         # over the count cache still coalesces).
         uid = sorted(profile.uid for profile in server.db.read_profiles())[0]
         assert server.top_k(uid, REPLAY.k).ranking
-        report = lock_report(locks)
+        report = handle.report()
         assert report[0]["wait_seconds"] >= report[-1]["wait_seconds"]
         assert any(record["acquisitions"] > 0 for record in report)
 
@@ -229,8 +228,8 @@ class TestInstrumentation:
         db = ReplayDriver(REPLAY).build_world(DBLP, backend="memory")
         instance = TopKServer(db, capacity=8)
         try:
-            locks = instrument_server(instance)
-            assert any(isinstance(lock, RWLock) for lock in locks)
+            locks = instrument_locks(instance).locks
+            assert db._lock in locks and isinstance(db._lock, RWLock)
         finally:
             instance.close()
             db.close()
@@ -306,6 +305,7 @@ def _minimal_run(**overrides):
                    "wait_seconds": 0.0, "hold_seconds": 0.1}],
         "audit": {"audits": 1, "comparisons": 2, "mismatches": 0,
                   "errors": []},
+        "server_stats": {"backend.sqlite.statements_executed": 7},
         "errors": [],
         "telemetry": {},
     }
@@ -345,6 +345,9 @@ class TestReportSchema:
         (lambda run: run["audit"].pop("mismatches"), "audit"),
         (lambda run: run["locks"][0].pop("wait_seconds"), "locks"),
         (lambda run: run.pop("telemetry"), "missing 'telemetry'"),
+        (lambda run: run.pop("server_stats"), "missing 'server_stats'"),
+        (lambda run: run.update(server_stats={"sql_statements_total": 7}),
+         "server_stats missing 'backend.sqlite.statements_executed'"),
         (lambda run: run.update(telemetry={"schema_version": 1}),
          "telemetry missing 'metrics'"),
     ])

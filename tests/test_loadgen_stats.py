@@ -20,7 +20,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.loadgen.stats import (
+from repro.telemetry.histogram import (
     REPORT_QUANTILES,
     SUB_BUCKET_BITS,
     LatencyHistogram,

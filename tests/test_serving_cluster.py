@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import ServingError, UnknownUserError
 from repro.serving import (
-    ClusterMutationReport,
+    DataMutationReport,
     HashPartitioner,
     ModuloPartitioner,
     Partitioner,
@@ -143,7 +143,7 @@ class TestBroadcast:
             report = cluster.insert_tuples(
                 [Paper(pid=90_001, title="X", venue="V0", year=2011)],
                 paper_authors=[(90_001, 1)])
-            assert isinstance(report, ClusterMutationReport)
+            assert isinstance(report, DataMutationReport)
             assert report.kind == "tuples_inserted"
             assert len(report.shard_reports) == 3
             assert [shard.shard for shard in report.shard_reports] == [0, 1, 2]
@@ -236,18 +236,19 @@ class TestClusterMetrics:
             cluster.insert_tuples(
                 [Paper(pid=94_000, title="X", venue="V5", year=2011)],
                 paper_authors=[(94_000, 6)])
-            stats = cluster.stats()
-        assert stats["shards"] == 3
-        assert stats["requests"]["reads"] == 12
-        assert stats["requests"]["read_hits"] == sum(
-            shard["requests"]["read_hits"] for shard in stats["per_shard"])
-        assert stats["warm_rate"] == pytest.approx(
-            stats["requests"]["read_hits"] / stats["requests"]["reads"])
-        assert stats["broadcasts"] == 1
-        assert len(stats["per_shard"]) == 3
-        assert [shard["shard"] for shard in stats["per_shard"]] == [0, 1, 2]
-        assert stats["results"]["entries"] == len(cluster.results)
-        assert stats["sql_statements_total"] == db.statements_executed
+            metrics = cluster.metrics()
+            per_shard = [shard.metrics() for shard in cluster.shard_servers]
+            assert metrics["serving.results.entries"] == len(cluster.results)
+        assert metrics["serving.cluster.shards"] == 3
+        assert metrics["serving.server.reads"] == 12
+        assert metrics["serving.server.read_hits"] == sum(
+            shard["serving.server.read_hits"] for shard in per_shard)
+        assert metrics["serving.cluster.warm_rate"] == pytest.approx(
+            metrics["serving.server.read_hits"] / metrics["serving.server.reads"])
+        assert metrics["serving.cluster.broadcasts"] == 1
+        assert metrics["serving.server.inserts"] == 1
+        assert (metrics["backend.%s.statements_executed" % db.backend_name]
+                == db.statements_executed)
 
     def test_results_view_routes_to_owner(self, world):
         driver, db = world
@@ -298,19 +299,19 @@ class TestEquivalence:
             DBLP, shards=shards, capacity=4, parallel_fanout=parallel_fanout,
             stats_out=stats)
         assert checked > 0
-        assert stats["cluster"]["results"]["repairs"] > 0
-        assert stats["server"]["results"]["repairs"] > 0
+        assert stats["cluster"]["serving.result_cache.repairs"] > 0
+        assert stats["server"]["serving.result_cache.repairs"] > 0
         # Repair must dominate: the mutation-heavy mix keeps most affected
         # answers maintained in place rather than dropped.
-        cluster_results = stats["cluster"]["results"]
-        assert cluster_results["repairs"] >= cluster_results["repair_fallbacks"]
+        assert (stats["cluster"]["serving.result_cache.repairs"]
+                >= stats["cluster"]["serving.result_cache.repair_fallbacks"])
 
     def test_replay_verify_covers_all_mutation_kinds(self):
         driver, db = make_world()
         try:
             with ShardedTopKServer(db, shards=3, capacity=4) as cluster:
-                report = driver.run_sharded(cluster, driver.schedule(db),
-                                            verify=True)
+                report = driver.run(cluster, driver.schedule(db),
+                                    verify=True, label="sharded-3")
         finally:
             db.close()
         assert report.label == "sharded-3"
@@ -323,7 +324,7 @@ class TestEquivalence:
         driver, db = make_world()
         try:
             with ShardedTopKServer(db, shards=2, capacity=6) as cluster:
-                report = driver.run_sharded(cluster, driver.schedule(db))
+                report = driver.run(cluster, driver.schedule(db))
         finally:
             db.close()
         assert report.mutation_events

@@ -117,11 +117,12 @@ def test_repair_sweep_with_zero_surviving_rows(backend_name):
         for uid in uids:
             assert list(server.top_k(uid, 4).ranking) == []
             assert fresh_top_k(db, uid, 4) == []
-        stats = server.stats()["results"]
+        metrics = server.metrics()
         # Every cached answer was either repaired down or invalidated —
         # none may survive claiming rows that no longer exist.
-        assert (stats["repairs"] + stats["data_invalidations"]
-                + stats["data_spared"]) > 0
+        assert (metrics["serving.result_cache.repairs"]
+                + metrics["serving.results.data_invalidations"]
+                + metrics["serving.results.data_spared"]) > 0
     finally:
         server.close()
         db.close()

@@ -272,17 +272,17 @@ class TestDataUpdates:
             server.update_tuples(
                 [Paper(pid=888_888, title="Ghost", venue="VLDB", year=2000)])
 
-    def test_mutation_counters_in_stats(self, server):
+    def test_mutation_counters_in_metrics(self, server):
         server.insert_tuples(
             [Paper(pid=9202, title="Counted", venue="VLDB", year=2001)],
             paper_authors=[(9202, 1)])
         server.update_tuples(
             [Paper(pid=9202, title="Counted", venue="ICDE", year=2001)])
         server.delete_tuples([9202])
-        requests = server.stats()["requests"]
-        assert requests["inserts"] == 1
-        assert requests["tuple_updates"] == 1
-        assert requests["deletes"] == 1
+        metrics = server.metrics()
+        assert metrics["serving.server.inserts"] == 1
+        assert metrics["serving.server.tuple_updates"] == 1
+        assert metrics["serving.server.deletes"] == 1
 
 
 class TestThreadSafety:
@@ -307,15 +307,18 @@ class TestThreadSafety:
             thread.join()
         assert not errors
 
-    def test_stats_snapshot_shape(self, server):
-        stripe_before = server.stats()["stripes"]["acquisitions"]
+    def test_metrics_snapshot_shape(self, server):
+        stripe_before = server.metrics()["serving.server.stripe_acquisitions"]
         server.top_k(1, 5)
         server.top_k(1, 5)
-        stats = server.stats()
-        assert stats["requests"]["reads"] == 2
-        assert stats["requests"]["read_hits"] == 1
-        assert set(stats) == {"requests", "stripes", "sessions", "results",
-                              "count_cache", "sql_statements_total"}
-        assert stats["stripes"]["count"] == server.stripes
+        metrics = server.metrics()
+        assert metrics["serving.server.reads"] == 2
+        assert metrics["serving.server.read_hits"] == 1
+        assert {name.rsplit(".", 1)[0] for name in metrics} == {
+            "serving.server", "serving.sessions", "serving.results",
+            "serving.result_cache", "index.count_cache",
+            f"backend.{server.db.backend_name}"}
+        assert metrics["serving.server.stripe_count"] == server.stripes
         # One stripe acquisition for the cold read, none for the warm hit.
-        assert stats["stripes"]["acquisitions"] - stripe_before == 1
+        assert (metrics["serving.server.stripe_acquisitions"]
+                - stripe_before) == 1

@@ -3,10 +3,8 @@
 Covers the unified metrics registry (naming scheme, instrument semantics,
 snapshot adapters), request-scoped tracing (span nesting, annotations, the
 bounded trace ring and slow-request capture), the JSON/Prometheus
-exporters, the reversible lock instrumentation, and the stats-vocabulary
-normalisation (``stats()`` and ``metrics()`` kept in sync through
-:data:`repro.serving.server.STATS_ALIASES`) — on every registered storage
-backend.
+exporters and the reversible lock instrumentation — on every registered
+storage backend.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ from repro.concurrency import TimedRLock
 from repro.core.preference import UserProfile
 from repro.exceptions import TelemetryError
 from repro.loadgen import LoadConfig, LoadGenerator, LoadMix
-from repro.loadgen.instrument import instrument_server, lock_report
 from repro.serving import ReplayConfig, ReplayDriver, ShardedTopKServer, TopKServer
-from repro.serving.server import STATS_ALIASES
 from repro.telemetry import (
     MetricsRegistry,
     SNAPSHOT_SCHEMA_VERSION,
@@ -322,7 +318,7 @@ class TestClusterTelemetry:
                        year=2012)],
                 paper_authors=[(90_001, 1)])
             record = telemetry.traces.snapshot()[-1]
-            assert record.name == "cluster.tuples_inserted"
+            assert record.name == "cluster.insert_tuples"
             mutations = [child for child in record.children
                          if child.name == "server.on_data_mutation"]
             assert len(mutations) == cluster.shards
@@ -398,47 +394,7 @@ class TestLockInstrumentation:
         with ShardedTopKServer(serving_db, shards=2, capacity=8) as cluster:
             with instrument_locks(cluster) as handle:
                 names = {lock.stats()["name"] for lock in handle.locks}
-                assert "cluster-broadcast" in names
                 assert {"shard0-server", "shard1-server"} <= names
-
-    def test_legacy_shim_still_reports(self, server):
-        locks = instrument_server(server)
-        server.top_k(1, 5)
-        records = lock_report(locks)
-        assert records and all("wait_seconds" in record
-                               for record in records)
-        instrument_locks(server).uninstrument()
-
-
-# -- satellite: stats vocabulary normalisation --------------------------------
-
-
-class TestStatsAliases:
-    def test_server_stats_and_metrics_agree(self, server):
-        server.top_k(1, 5)
-        server.top_k(1, 5)
-        metrics = server.metrics()
-        stats = server.stats()
-        for unified, (section, key) in STATS_ALIASES.items():
-            assert stats[section][key] == metrics[unified], unified
-        backend = server.db.backend_name
-        assert (stats["sql_statements_total"]
-                == metrics[f"backend.{backend}.statements_executed"])
-
-    def test_cluster_stats_and_metrics_agree(self, serving_db):
-        with ShardedTopKServer(serving_db, shards=2, capacity=8) as cluster:
-            cluster.update_profile(1, make_profile(1))
-            cluster.top_k(1, 5)
-            metrics = cluster.metrics()
-            stats = cluster.stats()
-            for unified, (section, key) in STATS_ALIASES.items():
-                assert stats[section][key] == metrics[unified], unified
-            assert stats["shards"] == metrics["serving.cluster.shards"]
-            assert len(stats["per_shard"]) == cluster.shards
-
-    def test_every_alias_is_a_unified_name(self):
-        for unified in STATS_ALIASES:
-            assert validate_metric_name(unified)
 
 
 # -- the load harness under telemetry -----------------------------------------

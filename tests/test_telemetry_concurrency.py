@@ -154,7 +154,7 @@ class TestSpanIsolation:
                 records = telemetry.traces.snapshot()
                 assert len(records) == 3
                 for record in records:
-                    assert record.name == "cluster.tuples_inserted"
+                    assert record.name == "cluster.insert_tuples"
                     handled = [child for child in record.children
                                if child.name == "server.on_data_mutation"]
                     # Every shard's pool-thread handler landed under the
