@@ -25,8 +25,8 @@ The assertions cover the acceptance criteria:
 from __future__ import annotations
 
 from repro.experiments import reporting
-from repro.serving import (MIXES, ReplayConfig, ReplayDriver, TopKServer,
-                           create_server)
+from repro.serving import (MIXES, OpMix, ReplayConfig, ReplayDriver,
+                           TopKServer, create_server)
 from repro.workload.dblp import DblpConfig
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
 
@@ -56,7 +56,7 @@ DIFF_REQUESTS = 70
 def _driver(mix_name):
     return ReplayDriver(
         ReplayConfig(users=USERS, requests=REQUESTS, k=K, seed=SEED,
-                     mix=mix_name),
+                     mix=OpMix.named(mix_name)),
         profile_factory=synthetic_profile_factory(SYN))
 
 
@@ -177,7 +177,7 @@ def test_lockstep_differential_per_mix(benchmark):
         for mix_name in sorted(MIXES):
             driver = ReplayDriver(
                 ReplayConfig(users=DIFF_USERS, requests=DIFF_REQUESTS,
-                             k=K, seed=SEED, mix=mix_name),
+                             k=K, seed=SEED, mix=OpMix.named(mix_name)),
                 profile_factory=synthetic_profile_factory(SYN))
             checked[mix_name] = driver.verify_cluster_equivalence(
                 SYN, shards=2, capacity=CAPACITY, parallel_fanout=True,

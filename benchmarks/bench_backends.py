@@ -28,7 +28,15 @@ from __future__ import annotations
 import gc
 
 from repro.experiments import reporting
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer
+from repro.serving import (
+    MUTATION_KINDS,
+    READ,
+    ReplayConfig,
+    ReplayDriver,
+    TopKServer,
+    Uncached,
+    apply_op,
+)
 from repro.workload.dblp import DblpConfig
 
 from bench_utils import run_once, write_bench_json
@@ -36,9 +44,7 @@ from bench_utils import run_once, write_bench_json
 #: The replay world (tiny scale keeps the CI smoke job quick).
 DBLP = DblpConfig(n_papers=300, n_authors=120, n_venues=10, seed=7)
 #: Zipf replay with every mutation kind present.
-REPLAY = ReplayConfig(users=40, requests=260, k=5, seed=23,
-                      insert_weight=1.0, delete_weight=0.5,
-                      data_update_weight=0.5)
+REPLAY = ReplayConfig(users=40, requests=260, k=5, seed=23)
 CAPACITY = 16
 BACKENDS = ("sqlite", "memory")
 #: Interleaved timing repetitions per backend (minimum wins).
@@ -76,18 +82,10 @@ def test_memory_backend_beats_sqlite_on_serving_replay(benchmark):
         ops = driver.schedule(db)
         served = []
         for op in ops:
-            if op.kind == "read":
-                result = server.top_k(op.uid, op.k)
+            result = apply_op(server, op)
+            if op.kind == READ:
                 served.append((op.uid, op.k, result.cache_hit,
                                tuple(result.ranking)))
-            elif op.kind == "update":
-                server.update_profile(op.uid, op.profile)
-            elif op.kind == "insert":
-                server.insert_tuples(op.papers, op.paper_authors)
-            elif op.kind == "delete":
-                server.delete_tuples(op.pids)
-            else:
-                server.update_tuples(op.papers)
         rankings[backend] = served
         server.close()
         db.close()
@@ -160,13 +158,10 @@ def test_memory_backend_query_path_margin(benchmark):
         ops = driver.schedule(db)
         # Mutate the world first so both engines answer over identical,
         # non-pristine data (inserts + deletes + in-place updates applied).
+        bare = Uncached(db)
         for op in ops:
-            if op.kind == "insert":
-                db.append_papers(list(op.papers), list(op.paper_authors))
-            elif op.kind == "delete":
-                db.delete_papers(op.pids)
-            elif op.kind == "data_update":
-                db.update_papers(list(op.papers))
+            if op.kind in MUTATION_KINDS:
+                apply_op(bare, op)
         worlds[backend] = db
         if predicates is None:
             registry = db.read_profiles()

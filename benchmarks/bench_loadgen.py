@@ -35,7 +35,6 @@ from __future__ import annotations
 from repro.loadgen import (
     LoadConfig,
     LoadGenerator,
-    LoadMix,
     WorldSpec,
     load_and_validate,
     loadgen_payload,
@@ -57,7 +56,7 @@ SHARD_COUNTS = (1, 2, 4)
 PROCESS_COUNTS = (1, 2)
 #: Per-cell closed-loop run shape (per process, when processes > 1).
 LOAD = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
-                  mix=LoadMix(k=REPLAY.k), audit_interval=0.3,
+                  k=REPLAY.k, audit_interval=0.3,
                   audit_sample=6)
 
 #: The single ``server`` RLock's contention from the committed
@@ -178,7 +177,7 @@ def test_four_thread_throughput_beats_global_lock_baseline(benchmark):
     beat the baseline's saturated throughput on both backends.
     """
     four = LoadConfig(threads=4, duration_seconds=1.0, seed=23,
-                      mix=LoadMix(k=REPLAY.k), audit_interval=0.3,
+                      k=REPLAY.k, audit_interval=0.3,
                       audit_sample=6)
 
     def _probe(backend: str):

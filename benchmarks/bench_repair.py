@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from repro.experiments import reporting
 from repro.experiments.context import SCALES
-from repro.loadgen import LoadConfig, LoadGenerator, LoadMix
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer
+from repro.loadgen import LoadConfig, LoadGenerator
+from repro.serving import OpMix, ReplayConfig, ReplayDriver, TopKServer
 from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
 
@@ -38,9 +38,9 @@ from bench_utils import run_once
 
 #: Mutation-heavy mix: half the schedule churns the data under the cache.
 REPLAY = ReplayConfig(users=40, requests=260, k=5, seed=17,
-                      read_weight=5.0, update_weight=0.5,
-                      insert_weight=1.5, delete_weight=1.2,
-                      data_update_weight=1.2)
+                      mix=OpMix(read_weight=5.0, update_weight=0.5,
+                                insert_weight=1.5, delete_weight=1.2,
+                                data_update_weight=1.2))
 SCALE = "tiny"
 CAPACITY = 24
 #: The acceptance floor: share of affected mutation events fully repaired.
@@ -131,8 +131,8 @@ def test_repairs_stay_clean_under_concurrent_load(benchmark):
                                        n_venues=8, seed=7))
     server = TopKServer(db, capacity=16)
     config = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
-                        mix=LoadMix(k=5, delete_weight=1.0,
-                                    data_update_weight=1.0),
+                        mix=OpMix(delete_weight=1.0, data_update_weight=1.0),
+                        k=5,
                         audit_interval=0.3, audit_sample=6)
     try:
         report = run_once(benchmark, LoadGenerator(config).run, server,

@@ -53,7 +53,7 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
 
     reporting.print_report(
         f"Serving replay — {REPLAY.users} users, {REPLAY.requests} requests "
-        f"(Zipf {REPLAY.zipf_exponent})",
+        f"(Zipf {REPLAY.mix.zipf_exponent})",
         reporting.format_table([
             {"arm": arm.label, "reads": arm.reads, "read_hits": arm.read_hits,
              "zero_sql_reads": arm.zero_sql_reads, "updates": arm.updates,

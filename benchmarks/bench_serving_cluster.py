@@ -79,7 +79,7 @@ def test_cluster_scales_and_invalidates_selectively(benchmark):
 
     reporting.print_report(
         f"Sharded serving replay — {REPLAY.users} users, "
-        f"{REPLAY.requests} requests (Zipf {REPLAY.zipf_exponent}), "
+        f"{REPLAY.requests} requests (Zipf {REPLAY.mix.zipf_exponent}), "
         f"capacity {CAPACITY}/shard",
         reporting.format_table([
             {"arm": report.label, "shards": shards,

@@ -13,15 +13,17 @@ the tutorial —
    deterministic hash partitioner; warm repeats cost zero SQL statements),
 3. mutate the data and show the per-shard invalidation breakdown the
    ``DataMutationReport`` carries (the same report a single server returns),
-4. replay a deterministic Zipf-skewed multi-user workload through the
-   cluster with the after-every-mutation equivalence verifier on, and
-   compare its SQL bill against the no-cache baseline.
+4. replay a deterministic Zipf-skewed multi-user workload — its shape set
+   by one ``OpMix`` — through the cluster with the after-every-mutation
+   equivalence verifier on, and compare its SQL bill against the no-cache
+   baseline (the same schedule applied to an uncached world).
 """
 
 from __future__ import annotations
 
 from repro import (
     Database,
+    OpMix,
     ReplayConfig,
     ReplayDriver,
     ShardedTopKServer,
@@ -81,7 +83,10 @@ def serve_some_users() -> None:
 
 
 def replay_with_verification() -> None:
-    driver = ReplayDriver(ReplayConfig(users=12, requests=80, k=4, seed=5))
+    # Twice the default share of deletes and in-place updates.
+    driver = ReplayDriver(ReplayConfig(
+        users=12, requests=80, k=4, seed=5,
+        mix=OpMix(delete_weight=1.0, data_update_weight=1.0)))
 
     sharded_db = driver.build_world(WORLD)
     with ShardedTopKServer(sharded_db, shards=2, capacity=6) as cluster:

@@ -74,6 +74,11 @@ Serving engine (:mod:`repro.serving`)
     count cache.
     :class:`ResultCache` — materialised Top-K answers, invalidated by
     profile events and selectively by data mutations (insert/delete/update).
+    :class:`OpMix` / :func:`apply_op` — the one op vocabulary
+    (:mod:`repro.serving.ops`): the relative weights, skew and mutation
+    targeting of a run (``OpMix.named("hot-keys")`` for a hostile one), and
+    the single dispatcher that applies a generated op to a server, a
+    cluster or an uncached world.
     :class:`ReplayDriver` / :class:`ReplayConfig` — deterministic Zipf
     multi-user replays against a server or a cluster, with a no-cache
     baseline arm.
@@ -148,12 +153,14 @@ from .index import (
 )
 from .serving import (
     HashPartitioner,
+    OpMix,
     ReplayConfig,
     ReplayDriver,
     ResultCache,
     SessionRegistry,
     ShardedTopKServer,
     TopKServer,
+    apply_op,
     fresh_top_k,
 )
 from .sqldb import Database, DataMutation, enhance_query, rank_tuples
@@ -185,6 +192,7 @@ __all__ = [
     "IncrementalPairIndex",
     "MemoryBackend",
     "NaiveTopK",
+    "OpMix",
     "PEPSAlgorithm",
     "PairwiseCombinationIndex",
     "PartiallyCombineAllAlgorithm",
@@ -206,6 +214,7 @@ __all__ = [
     "TopKServer",
     "UserProfile",
     "append_papers",
+    "apply_op",
     "build_hypre_graph",
     "build_workload_database",
     "create_backend",

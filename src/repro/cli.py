@@ -65,14 +65,14 @@ from .algorithms import PEPSAlgorithm
 from .backend import BACKEND_NAMES, default_backend_name
 from .experiments import figures, reporting
 from .experiments.context import SCALES, ExperimentContext
-from .serving import (MIXES, ReplayConfig, ReplayDriver, ServingSurface,
+from .serving import (MIXES, OpMix, ReplayConfig, ReplayDriver, ServingSurface,
                       create_server)
 from .telemetry import Telemetry
 from .workload.synthetic import SYNTHETIC_SCALES, synthetic_profile_factory
 
 #: Single source of truth for the replay op-mix defaults (the CLI flags and
 #: run_serve_replay must not drift from the dataclass).
-_REPLAY_DEFAULTS = ReplayConfig()
+_REPLAY_DEFAULTS = OpMix()
 
 #: Workload families the serving/load commands can build their world from.
 WORKLOAD_FAMILIES = ("dblp", "synthetic")
@@ -323,11 +323,13 @@ def run_serve_replay(scale: str = "tiny",
     """
     workload_config, profile_factory = _resolve_workload(family, scale)
     _check_shards(shards)
-    driver = ReplayDriver(ReplayConfig(
-        users=users, requests=requests, k=k, seed=seed,
+    op_mix = OpMix.named(mix) if mix is not None else OpMix(
         read_weight=read_weight, update_weight=update_weight,
         insert_weight=insert_weight, delete_weight=delete_weight,
-        data_update_weight=data_update_weight, mix=mix),
+        data_update_weight=data_update_weight)
+    driver = ReplayDriver(
+        ReplayConfig(users=users, requests=requests, k=k, seed=seed,
+                     mix=op_mix),
         profile_factory=profile_factory)
     observer = Telemetry() if telemetry else None
     snapshot = None
@@ -467,14 +469,14 @@ def run_load(scale: str = "tiny",
     report (and the persisted document) carries the unified metrics/trace
     snapshot for the run.  ``family`` picks the workload family
     (``dblp`` / ``synthetic``); ``mix`` swaps the benign default
-    :class:`~repro.loadgen.LoadMix` for a named adversarial one (via
-    :meth:`~repro.loadgen.LoadMix.named`), including its hot/boundary
+    :class:`~repro.serving.OpMix` for a named adversarial one (via
+    :meth:`~repro.serving.OpMix.named`), including its hot/boundary
     mutation targeting and base-relation churn behaviour.  ``processes``
     >= 2 forks that many independent load-generator processes — each with
     its own world replica and seed lane — and reports the exact
     histogram-level merge (see :mod:`repro.loadgen.multiproc`).
     """
-    from .loadgen import (LoadConfig, LoadGenerator, LoadMix, WorldSpec,
+    from .loadgen import (LoadConfig, LoadGenerator, WorldSpec,
                           loadgen_payload, run_multiprocess,
                           write_bench_json)
 
@@ -483,7 +485,7 @@ def run_load(scale: str = "tiny",
     if processes < 1:
         raise ValueError("--processes must be >= 1")
     config = LoadConfig(threads=threads, duration_seconds=duration,
-                        target_qps=qps, mix=LoadMix.named(mix, k=k),
+                        target_qps=qps, mix=OpMix.named(mix), k=k,
                         seed=seed, audit_interval=audit_interval or None)
     if processes >= 2:
         if telemetry:

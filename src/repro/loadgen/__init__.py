@@ -18,22 +18,18 @@ Public API
     histograms and assembles the report.
 :class:`LoadConfig`
     Shape of a run: ``threads`` / ``duration_seconds`` / ``target_qps``
-    (``None`` = closed loop) / ``mix`` / ``seed`` / audit cadence / lock
-    instrumentation toggle.
+    (``None`` = closed loop) / ``mix`` (an :class:`~repro.serving.OpMix`;
+    ``OpMix.named("hot-keys")`` for a hostile one) / ``k`` / ``seed`` /
+    audit cadence / lock instrumentation toggle.  Each worker consumes one
+    :class:`~repro.serving.OpStream` built by
+    :func:`~repro.serving.build_streams` — the op vocabulary, mixes and
+    generator are the serving package's (:mod:`repro.serving.ops`), shared
+    with the serial replay driver.
 :class:`LoadReport`
     The JSON-ready outcome: p50/p95/p99 overall and per op kind,
     ``throughput_ops_per_sec``, ``per_shard_requests`` + ``shard_skew``,
     ``locks`` (contention, hottest first), ``gate``/``audit`` sections and
     per-worker ``errors``.
-:class:`LoadMix`
-    Relative op-mix weights (reads / profile updates / inserts / deletes /
-    in-place updates), Zipf exponent and ``k``; :meth:`LoadMix.named`
-    builds one from the adversarial-mix catalogue
-    (:data:`~repro.serving.mixes.MIXES`), wiring in hot/boundary mutation
-    targeting and base-relation churn.
-:class:`WorkerStream` / :class:`LoadOp` / :func:`build_streams`
-    One worker's deterministic op stream over an owned pid namespace, the
-    operations it emits, and the per-worker partitioned construction.
 :class:`WorkerResult`
     One worker's private accounting (its
     :class:`~repro.telemetry.LatencyHistogram` instances, op counts, error)
@@ -77,25 +73,20 @@ from .report import (
     write_bench_json,
 )
 from .runner import LoadConfig, LoadGenerator, LoadReport, WorkerResult
-from .workload import LoadMix, LoadOp, WorkerStream, build_streams
 
 __all__ = [
     "EquivalenceAuditor",
     "LoadConfig",
     "LoadGenerator",
-    "LoadMix",
-    "LoadOp",
     "LoadReport",
     "MultiProcessLoadReport",
     "PROCESS_SEED_STRIDE",
     "SCHEMA_VERSION",
     "TrafficGate",
     "WorkerResult",
-    "WorkerStream",
     "WorldSpec",
     "bench_envelope",
     "build_server",
-    "build_streams",
     "load_and_validate",
     "loadgen_payload",
     "merge_reports",

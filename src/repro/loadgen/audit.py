@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..serving.server import fresh_top_k
+from ..serving.ops import audit_materialised
 
 
 class TrafficGate:
@@ -139,7 +139,6 @@ class EquivalenceAuditor(threading.Thread):
 
     def audit_once(self) -> int:
         """Quiesce, verify a sample of cached answers; returns comparisons made."""
-        checked = 0
         with self.gate.quiesce():
             self.audits += 1
             cached = self.server.results.cached_users()
@@ -150,19 +149,10 @@ class EquivalenceAuditor(threading.Thread):
             window = [cached[(start + offset) % len(cached)]
                       for offset in range(min(self.sample, len(cached)))]
             self._cursor += self.sample
-            for uid in window:
-                entry = self.server.results.peek(uid, self.k)
-                if entry is None:
-                    continue
-                fresh = [tuple(item) for item in
-                         fresh_top_k(self.server.db, uid, self.k)]
-                served = [tuple(item) for item in entry.ranking]
-                checked += 1
-                self.comparisons += 1
-                if served != fresh:
-                    self.mismatches.append({
-                        "uid": uid, "k": self.k,
-                        "served": served, "fresh": fresh})
+            checked, mismatches = audit_materialised(self.server, window,
+                                                     self.k)
+            self.comparisons += checked
+            self.mismatches.extend(mismatches)
         return checked
 
     # -- thread lifecycle ---------------------------------------------------------

@@ -4,8 +4,9 @@
 :class:`~repro.serving.server.ServingSurface` (a
 :class:`~repro.serving.server.TopKServer` or a
 :class:`~repro.serving.cluster.ShardedTopKServer`) with N worker threads,
-each replaying its own deterministic :class:`~repro.loadgen.workload.WorkerStream`
-of Zipf-skewed Top-K reads and profile/tuple mutations, and produces a
+each consuming its own deterministic :class:`~repro.serving.ops.OpStream`
+of Zipf-skewed Top-K reads and profile/tuple mutations (the same generator
+a serial replay runs one of), and produces a
 :class:`LoadReport` with:
 
 * **latency SLOs** — p50/p95/p99 (and min/mean/max) overall and per op
@@ -37,25 +38,22 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..exceptions import ServingError
-from ..serving.mixes import TARGET_ANY, target_pool
-from ..telemetry import LatencyHistogram, Telemetry, instrument_locks
-from .audit import EquivalenceAuditor, TrafficGate
-from .workload import (
-    DATA_UPDATE,
-    DELETE,
-    INSERT,
+from ..serving.ops import (
     OP_KINDS,
     READ,
     UPDATE,
-    LoadMix,
-    LoadOp,
-    WorkerStream,
+    OpMix,
+    OpStream,
+    apply_op,
     build_streams,
 )
+from ..telemetry import LatencyHistogram, Telemetry, instrument_locks
+from .audit import EquivalenceAuditor, TrafficGate
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,9 @@ class LoadConfig:
     duration_seconds: float = 2.0
     #: Target arrival rate across all workers; ``None`` = closed loop.
     target_qps: Optional[float] = None
-    mix: LoadMix = field(default_factory=LoadMix)
+    mix: OpMix = OpMix()
+    #: The ``k`` of every read (and of the audited answers).
+    k: int = 5
     seed: int = 17
     #: Seconds between background equivalence audits; ``None`` disables.
     audit_interval: Optional[float] = 0.5
@@ -81,6 +81,8 @@ class LoadConfig:
             raise ServingError("load run duration must be positive")
         if self.target_qps is not None and self.target_qps <= 0:
             raise ServingError("target QPS must be positive (or None)")
+        if self.audit_interval is not None and self.audit_interval <= 0:
+            raise ServingError("audit interval must be positive (or None)")
 
 
 @dataclass
@@ -234,23 +236,6 @@ class LoadReport:
         )
 
 
-def _execute(server: Any, op: LoadOp) -> bool:
-    """Run one op against the front door; returns the read's cache-hit flag."""
-    if op.kind == READ:
-        return bool(server.top_k(op.uid, op.k).cache_hit)
-    if op.kind == UPDATE:
-        server.update_profile(op.uid, op.profile)
-    elif op.kind == INSERT:
-        server.insert_tuples(op.papers, op.paper_authors)
-    elif op.kind == DELETE:
-        server.delete_tuples(op.pids)
-    elif op.kind == DATA_UPDATE:
-        server.update_tuples(op.papers)
-    else:  # pragma: no cover - streams only emit OP_KINDS
-        raise ServingError(f"unknown load op kind {op.kind!r}")
-    return False
-
-
 class LoadGenerator:
     """Drives one concurrent load run and assembles the :class:`LoadReport`."""
 
@@ -259,17 +244,18 @@ class LoadGenerator:
 
     # -- worker body --------------------------------------------------------------
 
-    def _closed_loop(self, server: Any, stream: WorkerStream, gate: TrafficGate,
+    def _closed_loop(self, server: Any, stream: OpStream, gate: TrafficGate,
                      result: WorkerResult, deadline: float) -> None:
         while time.perf_counter() < deadline:
-            op = stream.next_op()
+            op = next(stream)
             with gate.request():
                 start = time.perf_counter()
-                hit = _execute(server, op)
+                outcome = apply_op(server, op)
                 elapsed = time.perf_counter() - start
-            result.record(op.kind, op.uid, elapsed, hit)
+            result.record(op.kind, op.uid, elapsed,
+                          op.kind == READ and outcome.cache_hit)
 
-    def _open_loop(self, server: Any, stream: WorkerStream, gate: TrafficGate,
+    def _open_loop(self, server: Any, stream: OpStream, gate: TrafficGate,
                    result: WorkerResult, deadline: float,
                    interval: float) -> None:
         # Fixed-schedule arrivals: op i is *due* at start + i*interval.
@@ -282,14 +268,14 @@ class LoadGenerator:
                 time.sleep(scheduled - now)
             else:
                 result.late_starts += 1
-            op = stream.next_op()
+            op = next(stream)
             with gate.request():
-                hit = _execute(server, op)
-            result.record(op.kind, op.uid,
-                          time.perf_counter() - scheduled, hit)
+                outcome = apply_op(server, op)
+            result.record(op.kind, op.uid, time.perf_counter() - scheduled,
+                          op.kind == READ and outcome.cache_hit)
             scheduled += interval
 
-    def _worker(self, server: Any, stream: WorkerStream, gate: TrafficGate,
+    def _worker(self, server: Any, stream: OpStream, gate: TrafficGate,
                 result: WorkerResult, deadline: float,
                 interval: Optional[float]) -> None:
         try:
@@ -322,70 +308,55 @@ class LoadGenerator:
         ``telemetry`` section holding the end-of-run JSON snapshot.
         """
         config = self.config
-        db = server.db
-        uids = sorted(profile.uid for profile in db.read_profiles())
-        venues, lo, hi = db.workload_shape()
-        mix = config.mix
-        base_pids = db.paper_ids() if mix.churn_base else []
-        hot_pids = (target_pool(db, uids, mix.k, mix.target)
-                    if mix.target != TARGET_ANY else [])
-        streams = build_streams(
-            config.threads, mix, uids, venues, lo, hi,
-            max_aid=db.max_author_id(), pid_base=db.max_paper_id() + 1,
-            seed=config.seed, base_pids=base_pids, hot_pids=hot_pids)
-
+        uids = sorted(profile.uid for profile in server.db.read_profiles())
+        streams = build_streams(server.db, config.threads, config.mix, uids,
+                                config.k, config.seed)
         if telemetry is not None:
             telemetry.observe(server)
-        handle = None
-        if config.instrument_locks:
-            handle = instrument_locks(
-                server,
-                registry=telemetry.registry if telemetry is not None else None)
-        gate = TrafficGate()
-        auditor = None
-        if config.audit_interval is not None:
-            auditor = EquivalenceAuditor(server, gate, k=config.mix.k,
-                                         interval=config.audit_interval,
-                                         sample=config.audit_sample)
-        if telemetry is not None:
-            telemetry.observe_gate(gate)
+        # Load runs observe, they don't permanently rewire: everything after
+        # the first swapped-in lock runs inside the handle's ``with``, so any
+        # exit hands the server back the exact locks it started with.
+        registry = telemetry.registry if telemetry is not None else None
+        with (instrument_locks(server, registry=registry)
+              if config.instrument_locks else nullcontext()) as handle:
+            gate = TrafficGate()
+            auditor = None
+            if config.audit_interval is not None:
+                auditor = EquivalenceAuditor(server, gate, k=config.k,
+                                             interval=config.audit_interval,
+                                             sample=config.audit_sample)
+            if telemetry is not None:
+                telemetry.observe_gate(gate)
+                if auditor is not None:
+                    telemetry.observe_auditor(auditor)
+
+            results = [WorkerResult(worker_id=stream.worker_id)
+                       for stream in streams]
+            interval = (config.threads / config.target_qps
+                        if config.target_qps else None)
+            start = time.perf_counter()
+            deadline = start + config.duration_seconds
+            threads = [
+                threading.Thread(
+                    target=self._worker, name=f"loadgen-{stream.worker_id}",
+                    args=(server, stream, gate, result, deadline, interval),
+                    daemon=True)
+                for stream, result in zip(streams, results)]
+            for thread in threads:
+                thread.start()
             if auditor is not None:
-                telemetry.observe_auditor(auditor)
-
-        results = [WorkerResult(worker_id=stream.worker_id)
-                   for stream in streams]
-        interval = (config.threads / config.target_qps
-                    if config.target_qps else None)
-        start = time.perf_counter()
-        deadline = start + config.duration_seconds
-        threads = [
-            threading.Thread(
-                target=self._worker, name=f"loadgen-{stream.worker_id}",
-                args=(server, stream, gate, result, deadline, interval),
-                daemon=True)
-            for stream, result in zip(streams, results)]
-        for thread in threads:
-            thread.start()
-        if auditor is not None:
-            auditor.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        if auditor is not None:
-            auditor.stop()
-            # One final audit over the fully quiesced end state.
-            auditor.audit_once()
-
-        try:
+                auditor.start()
+            for thread in threads:
+                thread.join()
+            elapsed = time.perf_counter() - start
+            if auditor is not None:
+                auditor.stop()
+                # One final audit over the fully quiesced end state.
+                auditor.audit_once()
             return self._assemble(
                 server, results,
                 handle.report() if handle is not None else [],
                 gate, auditor, elapsed, telemetry)
-        finally:
-            # Hand the server back the exact locks it started with — load
-            # runs observe, they don't permanently rewire.
-            if handle is not None:
-                handle.uninstrument()
 
     # -- report assembly ----------------------------------------------------------
 

@@ -54,23 +54,33 @@ Public API
     profile events and *selectively* by data-mutation events.
 :class:`CachedResult`
     One materialised answer plus the predicates it depends on.
-:class:`ReplayDriver` / :class:`ReplayConfig` / :class:`ReplayOp` /
-:class:`ReplayReport`
+:class:`Op` / ``READ`` / ``UPDATE`` / ``INSERT`` / ``DELETE`` / ``DATA_UPDATE``
+    The one operation vocabulary: a frozen op record and its five kinds
+    (``OP_KINDS`` lists them, ``MUTATION_KINDS`` groups the data-side
+    three).
+:class:`OpMix` / ``MIXES``
+    The five relative op weights, Zipf exponent and mutation-targeting
+    policy of a run (``TARGET_ANY`` / ``TARGET_HOT`` / ``TARGET_BOUNDARY``).
+    ``OpMix()`` is the benign default; ``MIXES`` names the hostile ones
+    (hot-key mutation storms, delete-heavy churn, profile thrash,
+    repair-boundary updates) and ``OpMix.named(name)`` looks one up — the
+    CLI ``--mix`` flags go through it.
+:class:`OpStream` / :func:`build_streams` / :func:`target_pool`
+    The one generator: a deterministic endless op stream over an owned pid
+    namespace.  A serial replay is the one-worker stream owning the whole
+    relation; :func:`build_streams` partitions N for a concurrent run.
+:func:`apply_op` / :class:`Uncached`
+    ``apply_op(target, op)`` calls the front door an op names and returns
+    its result; ``target`` is any :class:`ServingSurface` or
+    ``Uncached(db)``, the same five doors over the bare loader and
+    :func:`fresh_top_k` (the no-serving-layer arm).
+:class:`ReplayDriver` / :class:`ReplayConfig` / :class:`ReplayReport`
     Deterministic Zipf-skewed multi-user workload replay (reads / profile
     updates / data inserts / deletes / in-place tuple updates) against any
-    :class:`ServingSurface`, with a no-cache baseline arm and equivalence
-    verifiers — the engine behind
-    ``benchmarks/bench_serving.py``, ``benchmarks/bench_serving_cluster.py``
-    and ``python -m repro.cli serve-replay``.
-``READ`` / ``UPDATE`` / ``INSERT`` / ``DELETE`` / ``DATA_UPDATE``
-    The replay operation kinds (``MUTATION_KINDS`` groups the data-side
-    three).
-:class:`AdversarialMix` / ``MIXES`` / :func:`resolve_mix`
-    Named hostile replay mixes (hot-key mutation storms, delete-heavy
-    churn, profile thrash, repair-boundary updates) selectable via
-    ``ReplayConfig(mix=...)``, ``LoadMix.named(...)`` and the CLI
-    ``--mix`` flags; ``TARGET_ANY`` / ``TARGET_HOT`` / ``TARGET_BOUNDARY``
-    name the mutation-targeting policies.
+    arm, with a no-cache baseline and equivalence verifiers — the engine
+    behind ``benchmarks/bench_serving.py``,
+    ``benchmarks/bench_serving_cluster.py`` and
+    ``python -m repro.cli serve-replay``.
 :func:`fresh_top_k`
     From-scratch recomputation of one user's Top-K — the serving oracle.
 """
@@ -83,25 +93,26 @@ from .cluster import (
     ShardedTopKServer,
     create_server,
 )
-from .driver import (
+from .driver import ReplayConfig, ReplayDriver, ReplayReport
+from .ops import (
     DATA_UPDATE,
     DELETE,
     INSERT,
-    MUTATION_KINDS,
-    READ,
-    UPDATE,
-    ReplayConfig,
-    ReplayDriver,
-    ReplayOp,
-    ReplayReport,
-)
-from .mixes import (
     MIXES,
+    MUTATION_KINDS,
+    OP_KINDS,
+    READ,
     TARGET_ANY,
     TARGET_BOUNDARY,
     TARGET_HOT,
-    AdversarialMix,
-    resolve_mix,
+    UPDATE,
+    Op,
+    OpMix,
+    OpStream,
+    Uncached,
+    apply_op,
+    build_streams,
+    target_pool,
 )
 from .results import CachedResult, ResultCache
 from .server import (
@@ -116,7 +127,6 @@ from .server import (
 from .sessions import SessionRegistry, UserSession
 
 __all__ = [
-    "AdversarialMix",
     "CachedResult",
     "ClusterResultsView",
     "DATA_UPDATE",
@@ -127,11 +137,14 @@ __all__ = [
     "MIXES",
     "MUTATION_KINDS",
     "ModuloPartitioner",
+    "OP_KINDS",
+    "Op",
+    "OpMix",
+    "OpStream",
     "Partitioner",
     "READ",
     "ReplayConfig",
     "ReplayDriver",
-    "ReplayOp",
     "ReplayReport",
     "ResultCache",
     "ServeResult",
@@ -144,9 +157,12 @@ __all__ = [
     "TARGET_HOT",
     "TopKServer",
     "UPDATE",
+    "Uncached",
     "UpdateReport",
     "UserSession",
+    "apply_op",
+    "build_streams",
     "create_server",
     "fresh_top_k",
-    "resolve_mix",
+    "target_pool",
 ]

@@ -1,11 +1,11 @@
-"""The named adversarial mixes: catalogue, targeting, replay and loadgen.
+"""The named adversarial mixes: targeting, replay and loadgen.
 
-Every mix must (a) resolve and validate, (b) produce the identical verified
-replay on both storage engines, (c) aim its mutations where its targeting
-policy says, and (d) drive the load harness with the same semantics —
-including the delete-churn regression: a mix with inserts disabled must
-never synthesize a liveness-fallback insert that resurrects the drained
-relation.
+Every mix must (a) produce the identical verified replay on both storage
+engines, (b) aim its mutations where its targeting policy says, and (c)
+drive the load harness — with real thread concurrency — to a clean finish.
+The catalogue itself and the generator-level rules (a mix with inserts
+disabled never synthesizes a liveness-fallback insert) live in
+``test_serving_ops.py`` and ``test_properties_hypothesis.py``.
 """
 
 from __future__ import annotations
@@ -17,22 +17,21 @@ import pytest
 from repro.backend import BACKEND_NAMES
 from repro.cli import run_load, run_serve_replay
 from repro.exceptions import ServingError
-from repro.loadgen import LoadMix, WorkerStream, build_streams
+from repro.loadgen import LoadConfig, LoadGenerator
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
     INSERT,
     MIXES,
-    READ,
     TARGET_ANY,
     TARGET_BOUNDARY,
     TARGET_HOT,
+    OpMix,
     ReplayConfig,
     ReplayDriver,
     TopKServer,
-    resolve_mix,
+    target_pool,
 )
-from repro.serving.mixes import target_pool
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
 
 SYN = SyntheticConfig(n_papers=160, n_authors=50, width=2,
@@ -43,31 +42,8 @@ SYN = SyntheticConfig(n_papers=160, n_authors=50, width=2,
 def make_driver(mix_name, users=16, requests=90, seed=21):
     return ReplayDriver(
         ReplayConfig(users=users, requests=requests, k=4, seed=seed,
-                     mix=mix_name),
+                     mix=OpMix.named(mix_name)),
         profile_factory=synthetic_profile_factory(SYN))
-
-
-# -- catalogue ----------------------------------------------------------------
-
-
-def test_catalogue_resolves_and_validates():
-    assert resolve_mix(None) is None
-    for name, mix in MIXES.items():
-        assert resolve_mix(name) is mix
-        assert mix.name == name
-        weights = mix.weights()
-        assert len(weights) == 5 and all(w >= 0 for w in weights)
-        assert mix.target in (TARGET_ANY, TARGET_HOT, TARGET_BOUNDARY)
-    with pytest.raises(ServingError, match="unknown adversarial mix"):
-        resolve_mix("does-not-exist")
-    with pytest.raises(ServingError):
-        ReplayDriver(ReplayConfig(mix="does-not-exist"))
-
-
-def test_mix_overrides_config_weights():
-    driver = make_driver("delete-churn")
-    assert driver.mix is MIXES["delete-churn"]
-    assert driver._weights == list(MIXES["delete-churn"].weights())
 
 
 # -- replay: cross-backend agreement per mix ----------------------------------
@@ -163,55 +139,30 @@ def test_benign_schedule_unchanged_by_mix_support():
         db_b.close()
 
 
-# -- loadgen ------------------------------------------------------------------
+# -- loadgen: the targeted mixes under real concurrency -----------------------
 
 
-def test_loadmix_named_maps_the_catalogue():
-    for name, mix in MIXES.items():
-        load_mix = LoadMix.named(name, k=7)
-        assert load_mix.name == name
-        assert load_mix.k == 7
-        assert load_mix.weights() == mix.weights()
-        assert load_mix.target == mix.target
-        assert load_mix.churn_base == (mix.insert_weight == 0.0
-                                       and mix.delete_weight > 0.0)
-    assert LoadMix.named(None) == LoadMix()
-    with pytest.raises(ServingError):
-        LoadMix.named("does-not-exist")
-
-
-def test_worker_stream_without_inserts_degrades_to_reads():
-    mix = LoadMix.named("delete-churn", k=3)
-    stream = WorkerStream(0, mix, uids=[1, 2, 3], venues=["V"], lo=2000,
-                          hi=2005, max_aid=4, pid_base=1000, seed=5,
-                          owned_pids=[10, 11, 12])
-    kinds = [stream.next_op().kind for _ in range(300)]
-    assert kinds.count(INSERT) == 0
-    assert kinds.count(DELETE) == 3  # exactly the owned pids, then drained
-    assert kinds.count(READ) > 0
-
-
-def test_worker_stream_hot_targeting_hits_the_shared_pool():
-    mix = LoadMix.named("hot-keys", k=3)
-    stream = WorkerStream(0, mix, uids=[1, 2], venues=["V"], lo=2000,
-                          hi=2005, max_aid=4, pid_base=1000, seed=5,
-                          hot_pids=[41, 42, 43])
-    updates = [op for op in (stream.next_op() for _ in range(300))
-               if op.kind == DATA_UPDATE]
-    assert updates
-    assert all(op.papers[0].pid in {41, 42, 43} for op in updates)
-
-
-def test_build_streams_stripes_base_pids_disjointly():
-    mix = LoadMix.named("delete-churn")
-    base = list(range(100, 110))
-    streams = build_streams(3, mix, uids=[1], venues=["V"], lo=2000, hi=2005,
-                            max_aid=2, pid_base=1000, seed=7, base_pids=base)
-    slices = [set(stream._alive) for stream in streams]
-    assert set().union(*slices) == set(base)
-    for index, first in enumerate(slices):
-        for second in slices[index + 1:]:
-            assert not first & second
+@pytest.mark.parametrize("backend", sorted(BACKEND_NAMES))
+@pytest.mark.parametrize("mix_name", sorted(MIXES))
+def test_mix_runs_clean_through_the_load_harness(mix_name, backend):
+    """Two threads on a shared target pool (hot-keys, repair-hostile) or on
+    striped base pids (delete-churn): no worker may ever name a dead pid."""
+    driver = make_driver(mix_name)
+    db = driver.build_world(SYN, backend=backend)
+    server = TopKServer(db, capacity=8)
+    try:
+        report = LoadGenerator(LoadConfig(
+            threads=2, duration_seconds=0.6, seed=21,
+            mix=OpMix.named(mix_name), k=4, audit_interval=0.2)).run(server)
+    finally:
+        server.close()
+        db.close()
+    assert report.clean, (report.errors, report.audit)
+    assert not [error for error in report.errors if "WorkloadError" in error]
+    assert report.ops > 0
+    if mix_name == "delete-churn":
+        assert report.kind_counts[INSERT] == 0
+        assert report.kind_counts[DELETE] > 0
 
 
 # -- CLI ----------------------------------------------------------------------

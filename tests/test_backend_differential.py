@@ -22,15 +22,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer
+from repro.serving import (
+    READ,
+    UPDATE,
+    OpMix,
+    ReplayConfig,
+    ReplayDriver,
+    TopKServer,
+    apply_op,
+)
 from repro.workload.dblp import DblpConfig
 
 #: Small world, every operation kind present, heavy mutation mix.
 DBLP = DblpConfig(n_papers=160, n_authors=70, n_venues=8, seed=13)
 REPLAY = ReplayConfig(users=14, requests=120, k=4, seed=29,
-                      read_weight=6.0, update_weight=1.0,
-                      insert_weight=1.0, delete_weight=0.8,
-                      data_update_weight=0.8)
+                      mix=OpMix(read_weight=6.0, update_weight=1.0,
+                                insert_weight=1.0, delete_weight=0.8,
+                                data_update_weight=0.8))
 
 
 def _normalised_rows(rows):
@@ -47,19 +55,12 @@ class _Arm:
 
     def apply(self, op):
         """Run one replay op; return the comparable outcome record."""
-        if op.kind == "read":
-            result = self.server.top_k(op.uid, op.k)
-            return ("read", op.uid, result.cache_hit, tuple(result.ranking))
-        if op.kind == "update":
-            report = self.server.update_profile(op.uid, op.profile)
-            return ("update", op.uid, report.resident,
+        report = apply_op(self.server, op)
+        if op.kind == READ:
+            return (READ, op.uid, report.cache_hit, tuple(report.ranking))
+        if op.kind == UPDATE:
+            return (UPDATE, op.uid, report.resident,
                     report.results_invalidated)
-        if op.kind == "insert":
-            report = self.server.insert_tuples(op.papers, op.paper_authors)
-        elif op.kind == "delete":
-            report = self.server.delete_tuples(op.pids)
-        else:
-            report = self.server.update_tuples(op.papers)
         return (op.kind, report.papers, report.joined_rows,
                 report.results_invalidated, report.results_spared,
                 report.index_entries_dropped)
@@ -134,9 +135,9 @@ class TestLockstepDifferential:
 class TestReplayDriverVerified:
     def test_memory_backend_replay_verifies_against_fresh(self):
         """The after-every-mutation oracle sweep passes on the memory engine."""
-        driver = ReplayDriver(ReplayConfig(users=8, requests=50, k=4, seed=31,
-                                           insert_weight=1.0, delete_weight=0.8,
-                                           data_update_weight=0.8))
+        driver = ReplayDriver(ReplayConfig(
+            users=8, requests=50, k=4, seed=31,
+            mix=OpMix(delete_weight=0.8, data_update_weight=0.8)))
         db = driver.build_world(DBLP, backend="memory")
         server = TopKServer(db, capacity=4)
         try:
@@ -151,9 +152,9 @@ class TestCrossBackendClusterEquivalence:
     """Satellite: the three-way verifier's cross-backend arm."""
 
     def test_sqlite_cluster_vs_memory_server_vs_fresh(self):
-        driver = ReplayDriver(ReplayConfig(users=10, requests=60, k=4, seed=37,
-                                           insert_weight=1.0, delete_weight=0.6,
-                                           data_update_weight=0.6))
+        driver = ReplayDriver(ReplayConfig(
+            users=10, requests=60, k=4, seed=37,
+            mix=OpMix(delete_weight=0.6, data_update_weight=0.6)))
         checked = driver.verify_cluster_equivalence(
             DBLP, shards=2, capacity=4, server_backend="memory")
         assert checked > 0
@@ -161,8 +162,7 @@ class TestCrossBackendClusterEquivalence:
     def test_cross_backend_arm_matches_same_backend_arm(self):
         """The cross-backend sweep checks exactly as many answers as the
         single-backend sweep over the same schedule."""
-        driver = ReplayDriver(ReplayConfig(users=8, requests=40, k=3, seed=41,
-                                           insert_weight=1.0))
+        driver = ReplayDriver(ReplayConfig(users=8, requests=40, k=3, seed=41))
         same = driver.verify_cluster_equivalence(DBLP, shards=2, capacity=4)
         cross = driver.verify_cluster_equivalence(DBLP, shards=2, capacity=4,
                                                   server_backend="memory")

@@ -33,16 +33,21 @@ import pytest
 
 from repro.core.predicate import equals
 from repro.index.count_cache import CountCache
-from repro.loadgen import LoadConfig, LoadGenerator, LoadMix, TrafficGate
-from repro.loadgen.workload import (
+from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate
+from repro.serving import (
     DATA_UPDATE,
     DELETE,
     INSERT,
     READ,
     UPDATE,
-    WorkerStream,
+    OpMix,
+    OpStream,
+    ReplayConfig,
+    ReplayDriver,
+    ShardedTopKServer,
+    TopKServer,
+    apply_op,
 )
-from repro.serving import ReplayConfig, ReplayDriver, ShardedTopKServer, TopKServer
 from repro.serving.results import ResultCache
 from repro.serving.server import fresh_top_k
 from repro.workload.dblp import DblpConfig
@@ -101,7 +106,7 @@ def test_mixed_load_finishes_clean_under_contention(world):
     """Reads + all mutation kinds, 3 threads, auditor live: clean finish."""
     server = TopKServer(world, capacity=12)
     config = LoadConfig(threads=3, duration_seconds=1.0, seed=31,
-                        mix=LoadMix(k=REPLAY.k), audit_interval=0.25,
+                        k=REPLAY.k, audit_interval=0.25,
                         audit_sample=6)
     outcome = {}
 
@@ -126,26 +131,12 @@ def test_mixed_load_finishes_clean_under_contention(world):
 # -- readers vs writers: no torn reads ---------------------------------------
 
 
-def _apply(server, op):
-    if op.kind == READ:
-        server.top_k(op.uid, op.k)
-    elif op.kind == UPDATE:
-        server.update_profile(op.uid, op.profile)
-    elif op.kind == INSERT:
-        server.insert_tuples(op.papers, op.paper_authors)
-    elif op.kind == DELETE:
-        server.delete_tuples(op.pids)
-    else:
-        server.update_tuples(op.papers)
-
-
 def test_readers_and_writers_no_torn_reads(world):
     """2 writers + 2 readers race; every quiesce point must find every
     materialised ranking equal to a from-scratch recomputation on the
     frozen (quiesced) database."""
     server = TopKServer(world, capacity=12)
     uids = sorted(profile.uid for profile in world.read_profiles())
-    venues, lo, hi = world.workload_shape()
     gate = TrafficGate()
     stop = threading.Event()
     errors = []
@@ -153,22 +144,20 @@ def test_readers_and_writers_no_torn_reads(world):
     def worker(stream):
         try:
             while not stop.is_set():
-                op = stream.next_op()
+                op = next(stream)
                 with gate.request():
-                    _apply(server, op)
+                    apply_op(server, op)
         except Exception as exc:
             errors.append(f"{stream.worker_id}: {type(exc).__name__}: {exc}")
 
-    write_only = LoadMix(read_weight=0.0, update_weight=1.0,
-                         insert_weight=1.0, delete_weight=0.5,
-                         data_update_weight=0.5, k=REPLAY.k)
-    read_only = LoadMix(read_weight=1.0, update_weight=0.0,
-                        insert_weight=0.0, delete_weight=0.0,
-                        data_update_weight=0.0, k=REPLAY.k)
+    write_only = OpMix(read_weight=0.0, update_weight=1.0,
+                       insert_weight=1.0, delete_weight=0.5,
+                       data_update_weight=0.5)
+    read_only = OpMix(read_weight=1.0, update_weight=0.0,
+                      insert_weight=0.0, delete_weight=0.0,
+                      data_update_weight=0.0)
     streams = [
-        WorkerStream(worker_id, mix, uids, venues, lo, hi,
-                     max_aid=world.max_author_id(),
-                     pid_base=world.max_paper_id() + 1, seed=31)
+        OpStream(world, mix, uids, REPLAY.k, seed=31, worker=worker_id)
         for worker_id, mix in enumerate([write_only, write_only,
                                          read_only, read_only])]
     threads = [threading.Thread(target=worker, args=(stream,),

@@ -3,8 +3,8 @@
 The concurrency stress suite (``test_loadgen_concurrency.py``) proves the
 serving stack under the harness; this file pins down the harness's own
 parts in isolation — the traffic gate's pause-and-drain protocol, the
-equivalence auditor's sampling and verdicts, deterministic workload
-streams, lock instrumentation, run configuration validation, and the
+equivalence auditor's sampling and verdicts, lock instrumentation, run
+configuration validation (and lock restoration when a run fails), and the
 schema-versioned ``BENCH_loadgen.json`` envelope CI validates before
 uploading.
 """
@@ -24,26 +24,19 @@ from repro.loadgen import (
     EquivalenceAuditor,
     LoadConfig,
     LoadGenerator,
-    LoadMix,
     TrafficGate,
-    WorkerStream,
     bench_envelope,
-    build_streams,
     load_and_validate,
     loadgen_payload,
     validate_loadgen_payload,
     write_bench_json,
 )
-from repro.loadgen.workload import DELETE, INSERT, OP_KINDS, PID_STRIDE, READ
 from repro.serving import ReplayConfig, ReplayDriver, TopKServer
 from repro.telemetry import instrument_locks
 from repro.workload.dblp import DblpConfig
 
 DBLP = DblpConfig(n_papers=150, n_authors=60, n_venues=6, seed=11)
 REPLAY = ReplayConfig(users=8, k=4, seed=31)
-
-STREAM_SHAPE = dict(uids=[1, 2, 3], venues=["VLDB", "SIGMOD"],
-                    lo=1990, hi=2015, max_aid=40, pid_base=10_000, seed=5)
 
 
 @pytest.fixture()
@@ -162,52 +155,6 @@ class TestEquivalenceAuditor:
             EquivalenceAuditor(server, TrafficGate(), k=3, interval=0.0)
 
 
-# -- workload streams --------------------------------------------------------
-
-
-class TestWorkerStream:
-    def test_streams_are_deterministic(self):
-        mix = LoadMix()
-        ops_a = [WorkerStream(0, mix, **STREAM_SHAPE).next_op()
-                 for _ in range(50)]
-        ops_b = [WorkerStream(0, mix, **STREAM_SHAPE).next_op()
-                 for _ in range(50)]
-        assert ops_a == ops_b
-
-    def test_workers_own_disjoint_pid_namespaces(self):
-        streams = build_streams(3, LoadMix(), **STREAM_SHAPE)
-        pids = {}
-        for stream in streams:
-            mine = set()
-            for _ in range(200):
-                op = stream.next_op()
-                if op.kind == INSERT:
-                    mine.update(paper.pid for paper in op.papers)
-                elif op.kind == DELETE:
-                    # Deletes only ever name the worker's own inserts.
-                    assert set(op.pids) <= mine
-            base = STREAM_SHAPE["pid_base"] + stream.worker_id * PID_STRIDE
-            assert all(base <= pid < base + PID_STRIDE for pid in mine)
-            pids[stream.worker_id] = mine
-        assert not (pids[0] & pids[1]) and not (pids[1] & pids[2])
-
-    def test_zero_weight_removes_a_kind(self):
-        mix = LoadMix(read_weight=1.0, update_weight=0.0, insert_weight=0.0,
-                      delete_weight=0.0, data_update_weight=0.0)
-        stream = WorkerStream(0, mix, **STREAM_SHAPE)
-        assert {stream.next_op().kind for _ in range(100)} == {READ}
-
-    def test_all_kinds_appear_in_the_default_mix(self):
-        stream = WorkerStream(0, LoadMix(), **STREAM_SHAPE)
-        kinds = {stream.next_op().kind for _ in range(600)}
-        assert kinds == set(OP_KINDS)
-
-    def test_empty_population_is_rejected(self):
-        shape = dict(STREAM_SHAPE, uids=[])
-        with pytest.raises(ServingError):
-            WorkerStream(0, LoadMix(), **shape)
-
-
 # -- lock instrumentation ----------------------------------------------------
 
 
@@ -282,10 +229,29 @@ class TestLoadConfig:
         with pytest.raises(ServingError):
             LoadConfig(target_qps=-5.0)
 
-    def test_mix_rejects_all_zero_weights(self):
+    @pytest.mark.parametrize("interval", [0, 0.0, -0.5])
+    def test_rejects_non_positive_audit_interval(self, interval):
         with pytest.raises(ServingError):
-            LoadMix(read_weight=0.0, update_weight=0.0, insert_weight=0.0,
-                    delete_weight=0.0, data_update_weight=0.0).weights()
+            LoadConfig(audit_interval=interval)
+        assert LoadConfig(audit_interval=None).audit_interval is None
+
+    def test_a_failing_run_hands_the_original_locks_back(self, server):
+        """Regression: a run that failed after lock instrumentation (here:
+        the auditor rejecting its interval) left the timed locks swapped in
+        for the rest of the server's life."""
+        def lock_types():
+            return ([type(stripe) for stripe in server._stripes],
+                    type(server.sessions._lock), type(server.results._lock))
+
+        before = lock_types()
+        config = LoadConfig(threads=1, duration_seconds=0.1)
+        # Slip a bad interval past the config's own validation, so the run
+        # fails between instrumentation and report assembly.
+        object.__setattr__(config, "audit_interval", 0.0)
+        with pytest.raises(ValueError, match="audit interval"):
+            LoadGenerator(config).run(server)
+        assert lock_types() == before
+        assert TimedRLock not in before[0]
 
 
 # -- report persistence and validation ---------------------------------------
@@ -375,7 +341,7 @@ class TestReportSchema:
 
 def test_generator_report_passes_the_schema_validator(server):
     config = LoadConfig(threads=2, duration_seconds=0.4, seed=31,
-                        mix=LoadMix(k=REPLAY.k), audit_interval=0.2)
+                        k=REPLAY.k, audit_interval=0.2)
     report = LoadGenerator(config).run(server)
     assert report.clean, (report.errors, report.audit)
     document = bench_envelope("loadgen",

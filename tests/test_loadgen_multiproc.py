@@ -20,7 +20,6 @@ from repro.loadgen import (
     PROCESS_SEED_STRIDE,
     LoadConfig,
     LoadGenerator,
-    LoadMix,
     LoadReport,
     WorldSpec,
     build_server,
@@ -34,7 +33,7 @@ from repro.workload.synthetic import SyntheticConfig
 DBLP = DblpConfig(n_papers=120, n_authors=50, n_venues=6, seed=9)
 K = 5
 LOAD = LoadConfig(threads=2, duration_seconds=0.3, seed=29,
-                  mix=LoadMix(k=K), audit_interval=0.15, audit_sample=4)
+                  k=K, audit_interval=0.15, audit_sample=4)
 
 
 @pytest.fixture(params=("sqlite", "memory"))
@@ -136,7 +135,7 @@ def test_merge_reports_is_exact(backend):
     first = _one_report(backend)
     second = _one_report(backend, config=LoadConfig(
         threads=1, duration_seconds=0.2, seed=29 + PROCESS_SEED_STRIDE,
-        mix=LoadMix(k=K), audit_interval=None))
+        k=K, audit_interval=None))
     merged = merge_reports([first, second])
     assert merged.processes == 2
     assert merged.ops == first.ops + second.ops

@@ -2,12 +2,14 @@
 
 The generators stay inside the legal intensity domains and exercise the
 algebraic properties the paper's propositions rely on, plus structural
-invariants of the predicate tree and the HYPRE graph builder.
+invariants of the predicate tree and the HYPRE graph builder, and the
+liveness rules of the one op generator (``repro.serving.OpStream``).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,23 @@ from repro.core.predicate import (
 from repro.core.preference import UserProfile
 from repro.core.hypre import HypreGraphBuilder
 from repro.graphstore import PREFERS
+from repro.serving import (
+    DATA_UPDATE,
+    DELETE,
+    INSERT,
+    READ,
+    TARGET_ANY,
+    TARGET_HOT,
+    UPDATE,
+    OpMix,
+    OpStream,
+    ReplayConfig,
+    ReplayDriver,
+    build_streams,
+    target_pool,
+)
+from repro.serving.ops import PID_STRIDE
+from repro.workload.dblp import DblpConfig
 
 # -- strategies --------------------------------------------------------------
 
@@ -219,3 +238,79 @@ def test_builder_prefers_subgraph_is_acyclic(pairs):
     graph = builder.hypre.graph
     # topological_order raises ValueError when a PREFERS cycle exists.
     graph.topological_order(rel_types=(PREFERS,))
+
+
+# -- the op generator's liveness rules -------------------------------------------
+
+STREAM_K = 3
+
+
+@pytest.fixture(scope="module")
+def stream_world():
+    """A small prepared world; streams only read it, at construction."""
+    driver = ReplayDriver(ReplayConfig(users=6, k=STREAM_K, seed=5))
+    db = driver.build_world(
+        DblpConfig(n_papers=24, n_authors=10, n_venues=4, seed=3),
+        backend="memory")
+    yield db
+    db.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+                        min_size=5, max_size=5).filter(any),
+       target=st.sampled_from([TARGET_ANY, TARGET_HOT]),
+       seed=st.integers(min_value=0, max_value=10_000),
+       workers=st.integers(min_value=1, max_value=4),
+       serial=st.booleans())
+def test_op_streams_only_name_their_own_live_pids(stream_world, weights,
+                                                  target, seed, workers,
+                                                  serial):
+    """Deletes and in-place updates name only live pids, workers never name
+    each other's pids, and a mix with inserts disabled never emits an insert
+    — once drained it degrades to reads instead of resurrecting the relation.
+
+    ``serial`` checks the replay shape (one stream owning the whole
+    relation and its target pool); otherwise ``workers`` concurrent streams
+    from :func:`build_streams`, whose shared pool is update-only.
+    """
+    db = stream_world
+    read, update, insert, delete, data_update = weights
+    mix = OpMix(read_weight=read, update_weight=update, insert_weight=insert,
+                delete_weight=delete, data_update_weight=data_update,
+                target=target)
+    uids = sorted(profile.uid for profile in db.read_profiles())
+    base, first_free = db.paper_ids(), db.max_paper_id() + 1
+    pool = target_pool(db, uids, STREAM_K, target)
+    if serial:
+        streams = [OpStream(db, mix, uids, STREAM_K, seed, owned=base,
+                            hot=pool)]
+        owned = [set(base)]
+        shared = set()
+    else:
+        streams = build_streams(db, workers, mix, uids, STREAM_K, seed)
+        seeded = insert == 0 and delete > 0
+        owned = [set(base[worker::workers]) if seeded else set()
+                 for worker in range(workers)]
+        # Under seeding every pool pid has an owner who may delete it.
+        shared = set() if seeded else set(pool)
+    for stream, mine in zip(streams, owned):
+        others = set().union(*(other for other in owned if other is not mine))
+        lane = first_free + stream.worker_id * PID_STRIDE
+        for op in islice(stream, 150):
+            assert not (set(op.pids) | {paper.pid for paper in op.papers}) \
+                & others
+            if op.kind == INSERT:
+                assert insert > 0
+                (paper,) = op.papers
+                assert lane <= paper.pid < lane + PID_STRIDE
+                assert paper.pid not in mine
+                mine.add(paper.pid)
+            elif op.kind == DELETE:
+                (pid,) = op.pids
+                assert pid in mine
+                mine.remove(pid)
+            elif op.kind == DATA_UPDATE:
+                assert op.papers[0].pid in mine | shared
+            else:
+                assert op.kind in (READ, UPDATE) and op.uid in uids

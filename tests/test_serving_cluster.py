@@ -9,6 +9,7 @@ from repro.serving import (
     DataMutationReport,
     HashPartitioner,
     ModuloPartitioner,
+    OpMix,
     Partitioner,
     ReplayConfig,
     ReplayDriver,
@@ -291,9 +292,10 @@ class TestEquivalence:
         """Repairs happen on every shard topology — serial and parallel
         fan-out alike — and every repaired answer passes the three-way
         lockstep check (cluster == single server == fresh)."""
-        driver = ReplayDriver(ReplayConfig(users=8, requests=48, k=4, seed=11,
-                                           insert_weight=1.2, delete_weight=1.0,
-                                           data_update_weight=1.0))
+        driver = ReplayDriver(ReplayConfig(
+            users=8, requests=48, k=4, seed=11,
+            mix=OpMix(insert_weight=1.2, delete_weight=1.0,
+                      data_update_weight=1.0)))
         stats = {}
         checked = driver.verify_cluster_equivalence(
             DBLP, shards=shards, capacity=4, parallel_fanout=parallel_fanout,

@@ -12,6 +12,7 @@ from repro.serving import (
     MUTATION_KINDS,
     READ,
     UPDATE,
+    Op,
     ReplayConfig,
     ReplayDriver,
     TopKServer,
@@ -45,25 +46,6 @@ class TestSchedule:
             db.close()
         assert kinds == {READ, UPDATE, INSERT, DELETE, DATA_UPDATE}
 
-    def test_deletes_target_live_pids_only(self, driver):
-        """A pid is deleted at most once, and only while it exists."""
-        db = driver.build_world(DBLP)
-        try:
-            ops = driver.schedule(db)
-            initial = set(db.paper_ids())
-        finally:
-            db.close()
-        alive = set(initial)
-        for op in ops:
-            if op.kind == INSERT:
-                alive.update(paper.pid for paper in op.papers)
-            elif op.kind == DELETE:
-                for pid in op.pids:
-                    assert pid in alive
-                    alive.remove(pid)
-            elif op.kind == DATA_UPDATE:
-                assert all(paper.pid in alive for paper in op.papers)
-
     def test_zipf_skew_concentrates_reads(self, driver):
         db = driver.build_world(DBLP)
         try:
@@ -82,16 +64,6 @@ class TestSchedule:
         with pytest.raises(ServingError):
             ReplayDriver(ReplayConfig(users=0))
 
-    def test_rejects_invalid_weights(self):
-        # random.choices samples nonsense for negative weights and raises a
-        # cryptic error for all-zero ones — the driver fails loudly instead.
-        with pytest.raises(ServingError, match="non-negative"):
-            ReplayDriver(ReplayConfig(delete_weight=-1.0))
-        with pytest.raises(ServingError, match="not all be zero"):
-            ReplayDriver(ReplayConfig(
-                read_weight=0.0, update_weight=0.0, insert_weight=0.0,
-                delete_weight=0.0, data_update_weight=0.0))
-
 
 class TestReplay:
     def test_equivalence_after_every_mutation(self, driver):
@@ -108,6 +80,28 @@ class TestReplay:
         assert report.inserts > 0 and report.updates > 0
         # The full update spectrum is exercised, not just inserts.
         assert report.deletes > 0 and report.data_updates > 0
+
+    def test_verify_raises_on_the_first_divergence_naming_the_user(self, driver):
+        """A materialised answer that no longer equals a fresh recomputation
+        fails the replay — on the read that serves it, and after any other
+        op, while it is still cached."""
+        db = driver.build_world(DBLP)
+        try:
+            with TopKServer(db, capacity=6) as server:
+                stale, other = CONFIG.uids()[:2]
+                server.top_k(stale, CONFIG.k)
+                entry = server.results.peek(stale, CONFIG.k)
+                # Corrupt the materialised ranking behind the cache's back.
+                object.__setattr__(entry, "ranking", ((999_999, 1.0),))
+                update = next(op for op in driver.schedule(db)
+                              if op.kind == UPDATE and op.uid != stale)
+                for op in (Op(READ, uid=stale, k=CONFIG.k), update):
+                    with pytest.raises(ServingError, match=f"uid={stale} "):
+                        driver.run(server, [op], verify=True)
+                assert driver.run(server, [Op(READ, uid=other, k=CONFIG.k)],
+                                  verify=True).verified_results == 1
+        finally:
+            db.close()
 
     def test_serving_beats_baseline_and_hits_are_free(self, driver):
         serving_db = driver.build_world(DBLP)

@@ -1,12 +1,14 @@
 """Delete-heavy churn down to an empty relation: both engines must agree.
 
-The regression this file pins down: the replay driver's liveness fallback
+The regression this file pins down: the op stream's liveness fallback
 used to force an INSERT whenever deletes/updates found no live pid — even
 for a mix with ``insert_weight=0`` — silently resurrecting a relation the
 delete-churn mix had deliberately drained.  The fallback now degrades to a
-READ, and everything downstream of an empty joined view (fresh Top-K, the
-serving front door, cached-answer repair sweeps, the replay itself) must
-behave identically on SQLite and the in-memory engine.
+READ (the generator-level rule is a Hypothesis property in
+``test_properties_hypothesis.py``), and everything downstream of an empty
+joined view (fresh Top-K, the serving front door, cached-answer repair
+sweeps, the replay itself) must behave identically on SQLite and the
+in-memory engine.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import pytest
 from repro.backend import BACKEND_NAMES
 from repro.exceptions import ServingError
 from repro.serving import (
-    INSERT,
-    READ,
+    OpMix,
     ReplayConfig,
     ReplayDriver,
     TopKServer,
@@ -33,8 +34,8 @@ SYN = SyntheticConfig(n_papers=90, n_authors=30, width=2,
 #: so the regression is locked at the driver level independent of the
 #: catalogue.
 CHURN = dict(users=10, requests=150, k=4, seed=11,
-             read_weight=3.0, update_weight=0.3, insert_weight=0.0,
-             delete_weight=8.0, data_update_weight=0.7)
+             mix=OpMix(read_weight=3.0, update_weight=0.3, insert_weight=0.0,
+                       delete_weight=8.0, data_update_weight=0.7))
 
 
 @pytest.fixture(params=sorted(BACKEND_NAMES))
@@ -48,22 +49,6 @@ def make_world(backend_name, **overrides):
                           profile_factory=synthetic_profile_factory(SYN))
     db = driver.build_world(SYN, backend=backend_name)
     return driver, db
-
-
-def test_zero_insert_weight_never_schedules_inserts(backend_name):
-    driver, db = make_world(backend_name)
-    try:
-        ops = driver.schedule(db)
-        kinds = [op.kind for op in ops]
-        assert INSERT not in kinds
-        # The drain happens well before the schedule ends, so the liveness
-        # fallback had to fire — and it must have degraded to reads.
-        deletes = sum(1 for kind in kinds if kind == "delete")
-        assert deletes <= SYN.n_papers
-        assert kinds.count(READ) > 0
-        assert kinds[-1] != INSERT
-    finally:
-        db.close()
 
 
 def test_churn_to_empty_replays_identically_on_both_backends():

@@ -17,7 +17,7 @@ from repro.backend import BACKEND_NAMES, create_backend
 from repro.concurrency import TimedRLock
 from repro.core.preference import UserProfile
 from repro.exceptions import TelemetryError
-from repro.loadgen import LoadConfig, LoadGenerator, LoadMix
+from repro.loadgen import LoadConfig, LoadGenerator
 from repro.serving import ReplayConfig, ReplayDriver, ShardedTopKServer, TopKServer
 from repro.telemetry import (
     MetricsRegistry,
@@ -404,7 +404,7 @@ class TestLoadgenTelemetry:
     def test_load_run_report_carries_snapshot(self, server):
         telemetry = Telemetry()
         config = LoadConfig(threads=2, duration_seconds=0.3,
-                            mix=LoadMix(k=5), audit_interval=0.2)
+                            k=5, audit_interval=0.2)
         report = LoadGenerator(config).run(server, telemetry=telemetry)
         assert report.clean
         document = report.telemetry
@@ -420,7 +420,7 @@ class TestLoadgenTelemetry:
 
     def test_load_run_without_telemetry_is_unchanged(self, server):
         config = LoadConfig(threads=1, duration_seconds=0.2,
-                            mix=LoadMix(k=5), audit_interval=None)
+                            k=5, audit_interval=None)
         report = LoadGenerator(config).run(server)
         assert report.telemetry == {}
         assert report.as_dict()["telemetry"] == {}
