@@ -1,0 +1,170 @@
+"""The scale curve: world build, cold and warm Top-K from 300 to 30 000 papers.
+
+Every other benchmark in this directory runs at 220–800 papers; this one
+publishes how the serving path grows with the *relation*.  Per size and
+backend it builds the world through the public front doors, serves 40 users
+once cold (fresh server, session LRU large enough to hold them) and then
+warm, and writes ``BENCH_scale.json``: build phases, cold/warm latency, and
+the three work counters :class:`~repro.algorithms.peps.PEPSAlgorithm`
+records per call.
+
+The gate is on the counters, not the clock.  A cold read folds every
+preference's id list once, so ``memberships_folded`` (= Σ|ids|, pinned to
+that meaning by ``tests/test_peps_cold_path.py``) is the input size of the
+read; ``tuples_scored + combinations_scanned`` is what PEPS does with it:
+one score per covered tuple, and a combination scan that stops after a
+bounded number of records.  Their ratio must not grow with the relation, at
+any machine speed.  The counters must also be equal on both engines: they
+count answers, not storage work.
+
+The 40 users are a systematic sample of the *typical* mined profiles (at
+most 64 preferences, the same cut the end-to-end benchmark's ``typical``
+population uses).  That holds profile width steady while the relation grows
+100×: the pair table is quadratic in profile width by design, and the
+productive authors of a 30 000-paper world mine thousands of preferences.
+
+``pytest benchmarks/bench_scale.py -q -s`` runs 300 and 3 000 papers (2 s);
+the 30 000-paper row (15 s, most of it mining 6 400 profiles) is opt-in:
+``pytest benchmarks/bench_scale.py -q -s -m scale_large``.
+"""
+
+from __future__ import annotations
+
+import time
+from statistics import mean, median
+
+import pytest
+
+from repro import PreferenceExtractor, TopKServer, create_backend, generate_dblp
+from repro.experiments import reporting
+from repro.workload import load_dataset, load_profiles
+from repro.workload.dblp import DblpConfig
+
+from bench_utils import run_once, write_bench_json
+
+SIZES = (300, 3_000, 30_000)
+BACKENDS = ("sqlite", "memory")
+USERS = 40
+K = 5
+WARM_ROUNDS = 50
+#: A profile is *typical* up to this many mined preferences.
+TYPICAL_PREFERENCES = 64
+#: How far the work-per-membership ratio may drift above the smallest size's.
+RATIO_SLACK = 2.0
+
+
+def _config(papers: int) -> DblpConfig:
+    """The default world's proportions (2000 papers, 600 authors) at ``papers``."""
+    return DblpConfig(n_papers=papers, n_authors=max(40, papers * 3 // 10),
+                      n_venues=24, seed=42)
+
+
+def _sample_users(registry) -> list:
+    typical = sorted(profile.uid for profile in registry
+                     if len(profile.quantitative) + len(profile.qualitative)
+                     <= TYPICAL_PREFERENCES)
+    return typical[::max(1, len(typical) // USERS)][:USERS]
+
+
+def _measure(papers: int) -> list:
+    """One row per backend for a world of ``papers`` papers."""
+    now = time.perf_counter
+    started = now()
+    dataset = generate_dblp(_config(papers))
+    generate_s = now() - started
+    started = now()
+    registry = PreferenceExtractor(dataset).extract_all()
+    extract_s = now() - started
+    uids = _sample_users(registry)
+
+    rows = []
+    for backend in BACKENDS:
+        started = now()
+        db = create_backend(backend, path=":memory:")
+        load_dataset(db, dataset)
+        load_profiles(db, registry)
+        load_s = now() - started
+        server = TopKServer(db, capacity=2 * USERS)
+        try:
+            cold_ms = []
+            work = {"tuples_scored": 0, "memberships_folded": 0,
+                    "combinations_scanned": 0}
+            for uid in uids:
+                started = now()
+                result = server.top_k(uid, K)
+                cold_ms.append((now() - started) * 1e3)
+                assert not result.cache_hit
+                peps = server.sessions.get_or_create(uid).algorithm()
+                for counter in work:
+                    work[counter] += getattr(peps, counter)
+            started = now()
+            for _ in range(WARM_ROUNDS):
+                for uid in uids:
+                    server.top_k(uid, K)
+            warm_us = (now() - started) * 1e6 / (WARM_ROUNDS * len(uids))
+        finally:
+            server.close()
+            db.close()
+        rows.append({
+            "papers": papers, "backend": backend, "users": len(uids), "k": K,
+            "generate_s": generate_s, "extract_s": extract_s, "load_s": load_s,
+            "build_s": generate_s + extract_s + load_s,
+            "cold_ms_mean": mean(cold_ms), "cold_ms_p50": median(cold_ms),
+            "cold_ms_max": max(cold_ms), "warm_us_mean": warm_us,
+            **work,
+            "work_per_membership": (
+                (work["tuples_scored"] + work["combinations_scanned"])
+                / max(1, work["memberships_folded"])),
+        })
+    return rows
+
+
+def _sweep(sizes) -> list:
+    return [row for papers in sizes for row in _measure(papers)]
+
+
+def _publish(rows) -> None:
+    reporting.print_report(
+        f"Scale curve — {USERS} typical users, k={K}",
+        reporting.format_table([
+            {"papers": row["papers"], "backend": row["backend"],
+             "build_s": f"{row['build_s']:.2f}",
+             "cold_ms": f"{row['cold_ms_mean']:.2f}",
+             "warm_us": f"{row['warm_us_mean']:.1f}",
+             "memberships": row["memberships_folded"],
+             "scored": row["tuples_scored"],
+             "scanned": row["combinations_scanned"],
+             "work/membership": f"{row['work_per_membership']:.3f}"}
+            for row in rows]))
+    write_bench_json("scale", {
+        "users": USERS, "k": K, "warm_rounds": WARM_ROUNDS,
+        "typical_preferences": TYPICAL_PREFERENCES, "rows": rows})
+
+    by_backend = {backend: [row for row in rows if row["backend"] == backend]
+                  for backend in BACKENDS}
+    counters = ("tuples_scored", "memberships_folded", "combinations_scanned")
+    for sqlite_row, memory_row in zip(*by_backend.values()):
+        assert ([sqlite_row[counter] for counter in counters]
+                == [memory_row[counter] for counter in counters]), (
+            "the engines disagree on the work a cold read does")
+    for curve in by_backend.values():
+        smallest = curve[0]
+        for row in curve[1:]:
+            assert row["memberships_folded"] > smallest["memberships_folded"]
+            assert (row["work_per_membership"]
+                    <= RATIO_SLACK * smallest["work_per_membership"]), (
+                f"cold-read work grows faster than the id lists it reads: "
+                f"{row['work_per_membership']:.3f} per membership at "
+                f"{row['papers']} papers, {smallest['work_per_membership']:.3f} "
+                f"at {smallest['papers']}")
+
+
+def test_scale_curve(benchmark):
+    """300 and 3 000 papers on both backends (the CI job)."""
+    _publish(run_once(benchmark, _sweep, SIZES[:2]))
+
+
+@pytest.mark.scale_large
+def test_scale_curve_with_30k(benchmark):
+    """The full curve, 30 000-paper row included (opt-in, see module doc)."""
+    _publish(run_once(benchmark, _sweep, SIZES))

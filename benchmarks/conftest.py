@@ -35,3 +35,13 @@ def focus_uid(ctx) -> int:
 def second_uid(ctx) -> int:
     """The second focus user (the paper's uid=38437 stand-in)."""
     return ctx.focus_users[1] if len(ctx.focus_users) > 1 else ctx.focus_users[0]
+
+
+def pytest_collection_modifyitems(config, items):
+    """``scale_large`` benchmarks run only when ``-m`` asks for them."""
+    if "scale_large" in config.getoption("-m"):
+        return
+    skip = pytest.mark.skip(reason="opt in with -m scale_large")
+    for item in items:
+        if "scale_large" in item.keywords:
+            item.add_marker(skip)

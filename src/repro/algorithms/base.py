@@ -11,7 +11,8 @@ that extracts an algorithm-ready preference list from a HYPRE graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..core.hypre import HypreGraph
@@ -43,9 +44,9 @@ class ScoredPreference:
         """Attributes referenced by the predicate."""
         return self.predicate.attributes()
 
-    @property
+    @cached_property
     def sql(self) -> str:
-        """SQL rendering of the predicate."""
+        """SQL rendering of the predicate (rendered once per preference)."""
         return self.predicate.to_sql()
 
     def __repr__(self) -> str:

@@ -28,12 +28,11 @@ Two variants exist (Sections 5.5.1 / 5.5.2):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-from typing import Any, Mapping
+from heapq import heappush, heapreplace
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.intensity import combine_and, min_preferences_to_beat
-from ..core.predicate import conjunction
+from ..core.predicate import Or, conjunction
 from ..exceptions import EmptyPreferenceListError, TopKError
 from ..index.selectivity import exact_match_row
 from ..index.pair_index import (
@@ -42,6 +41,7 @@ from ..index.pair_index import (
     PairIndexBase,
     PairwiseCombinationIndex,
 )
+from ..telemetry import annotate
 from .base import (
     CombinationRecord,
     PreferenceQueryRunner,
@@ -69,6 +69,13 @@ class PEPSAlgorithm:
         self.max_combinations = max(1, max_combinations)
         self.pair_index = (pair_index if pair_index is not None
                            else PairwiseCombinationIndex(runner, self.preferences))
+        #: Work done by the most recent :meth:`top_k` / :meth:`retrieved_above`
+        #: call — machine-independent, so tests gate on these, not on a clock:
+        #: tuples given a score, id-list entries folded into the scores, and
+        #: combination records whose id list was read before the scan stopped.
+        self.tuples_scored = 0
+        self.memberships_folded = 0
+        self.combinations_scanned = 0
 
     @classmethod
     def for_graph_user(cls, runner: PreferenceQueryRunner, hypre, uid: int,
@@ -135,12 +142,17 @@ class PEPSAlgorithm:
             combos.append(current)
             if len(current) >= self.max_combination_size:
                 continue
-            highest = max(current)
-            for nxt in range(highest + 1, len(self.preferences)):
-                if all(self.pair_index.is_applicable(member, nxt) for member in current):
-                    extended = current | {nxt}
-                    if extended not in emitted:
-                        stack.append(extended)
+            # Bit ``nxt`` survives when ``nxt`` lies above every member and
+            # is applicable with each of them.
+            common = -1 << (max(current) + 1)
+            for member in current:
+                common &= self.pair_index.applicable_partners(member)
+            while common:
+                lowest = common & -common
+                extended = current | {lowest.bit_length() - 1}
+                if extended not in emitted:
+                    stack.append(extended)
+                common ^= lowest
 
     def order_combinations(self, include_singletons: bool = True) -> List[CombinationRecord]:
         """Return AND combinations ordered by descending combined intensity.
@@ -165,22 +177,26 @@ class PEPSAlgorithm:
                     emitted.add(single)
                     combos.append(single)
 
+        # How each preference reads inside a longer conjunction: its own
+        # key, parenthesised when it is a disjunction.
+        conjuncts = [f"({pref.sql})" if isinstance(pref.predicate, Or) else pref.sql
+                     for pref in self.preferences]
         records: List[CombinationRecord] = []
         for combo in combos:
-            members = [self.preferences[index] for index in sorted(combo)]
+            indexes = sorted(combo)
+            members = [self.preferences[index] for index in indexes]
             predicate = conjunction([member.predicate for member in members])
-            intensity = combine_and([member.intensity for member in members])
-            if len(combo) == 2:
-                first, second = sorted(combo)
-                tuple_count = self.pair_index.pair(first, second).tuple_count
+            if len(indexes) == 1:
+                label = predicate.to_sql()
             else:
-                tuple_count = -1
+                label = " AND ".join([conjuncts[index] for index in indexes])
             records.append(CombinationRecord(
-                size=len(combo),
-                tuple_count=tuple_count,
-                intensity=intensity,
+                size=len(indexes),
+                tuple_count=(self.pair_index.pair(*indexes).tuple_count
+                             if len(indexes) == 2 else -1),
+                intensity=combine_and([member.intensity for member in members]),
                 predicate=predicate,
-                label=predicate.to_sql(),
+                label=label,
             ))
         records.sort(key=lambda record: (-record.intensity, record.size, record.label))
         return records
@@ -188,15 +204,6 @@ class PEPSAlgorithm:
     # ------------------------------------------------------------------
     # Top-K retrieval
     # ------------------------------------------------------------------
-
-    def _exact_score(self, pid: int,
-                     membership: Dict[int, Tuple[int, ...]]) -> float:
-        """Combined intensity of every preference the tuple actually matches."""
-        matched = [self.preferences[index].intensity
-                   for index, pids in membership.items() if pid in pids]
-        if not matched:
-            return 0.0
-        return combine_and(matched)
 
     def score_row(self, row: Mapping[str, Any]) -> Optional[float]:
         """Exact score one joined-view row earns its tuple, without the backend.
@@ -231,8 +238,9 @@ class PEPSAlgorithm:
         over all covered tuples — and ``complete`` is ``True`` when the
         buffer holds the *entire* covered universe (the fetch came back
         short), so a maintainer never needs floor reasoning.  Over-fetching
-        is free here: the scoring pass already scores every covered tuple,
-        the depth only moves the truncation point.
+        is free here because scoring is one linear fold over the preferences'
+        id lists that gives *every* covered tuple its exact score whatever
+        the depth; ``delta`` only moves the truncation point.
         """
         depth = k + max(0, delta)
         buffer = self.top_k(depth)
@@ -252,46 +260,83 @@ class PEPSAlgorithm:
         """
         if k <= 0:
             raise TopKError("k must be positive")
+        if min_intensity is not None:
+            return self.retrieved_above(min_intensity)
+        return self._ranking(k=k)[:k]
+
+    def retrieved_above(self, min_intensity: float) -> List[Tuple[int, float]]:
+        """All tuples whose combined intensity reaches ``min_intensity``."""
+        return [entry for entry in self._ranking(min_intensity=min_intensity)
+                if entry[1] >= min_intensity]
+
+    def _ranking(self, k: Optional[int] = None,
+                 min_intensity: Optional[float] = None
+                 ) -> List[Tuple[int, float]]:
+        """Every discovered and covered tuple with its exact score, best first.
+
+        The combination scan stops at the first record below
+        ``min_intensity`` (threshold mode) or, given ``k`` instead, as soon
+        as the k-th best score found so far reaches the next record's
+        intensity (count mode).
+        """
         ordered = self.order_combinations(include_singletons=True)
-        membership: Dict[int, Tuple[int, ...]] = {
-            index: self.runner.ids(pref.predicate)
-            for index, pref in enumerate(self.preferences)
-            if pref.intensity > 0.0
-        }
+        # Transient inverted map: pid -> prod(1 - intensity) over the positive
+        # preferences matching it.  Each id list is walked once, in
+        # preference order, so the product runs through exactly the factors,
+        # in exactly the order, of ``combine_and`` over the tuple's matched
+        # intensities — the scores are the same floats, for O(sum |ids|).
+        remainder: Dict[int, float] = {}
+        memberships = 0
+        for pref in self.preferences:
+            if pref.intensity <= 0.0:
+                continue
+            miss = 1.0 - pref.intensity
+            pids = self.runner.ids(pref.predicate)
+            memberships += len(pids)
+            for pid in pids:
+                remainder[pid] = remainder.get(pid, 1.0) * miss
         scores: Dict[int, float] = {}
+        best: List[float] = []  # min-heap of the k best scores discovered
+        scanned = 0
         for record in ordered:
-            if min_intensity is not None and record.intensity < min_intensity:
-                break
-            if min_intensity is None and len(scores) >= k:
+            if min_intensity is not None:
+                if record.intensity < min_intensity:
+                    break
+            elif len(best) == k and best[0] >= record.intensity:
                 # Sound stopping rule: every undiscovered tuple's exact score
                 # is bounded by the intensity of its (not yet processed) full
                 # combination, which cannot exceed the current record's
                 # intensity because combinations are processed in descending
                 # order.  Once the current k-th best score reaches that bound
                 # no later combination can change the Top-K.
-                kth_best = sorted(scores.values(), reverse=True)[k - 1]
-                if kth_best >= record.intensity:
-                    break
+                break
+            scanned += 1
             for pid in self.runner.ids(record.predicate):
-                if pid not in scores:
-                    scores[pid] = self._exact_score(pid, membership)
+                if pid in scores:
+                    continue
+                # A tuple only non-positive preferences match scores 0.
+                score = scores[pid] = (1.0 - remainder[pid]
+                                       if pid in remainder else 0.0)
+                if k is None:
+                    continue
+                if len(best) < k:
+                    heappush(best, score)
+                elif score > best[0]:
+                    heapreplace(best, score)
         # The combination scan can stop early (or be truncated by the
         # expansion caps); fold in every tuple covered by a single preference
         # so the produced order is the complete total order over covered
         # tuples — the guarantee the paper's system provides.
-        for pids in membership.values():
-            for pid in pids:
-                if pid not in scores:
-                    scores[pid] = self._exact_score(pid, membership)
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        if min_intensity is not None:
-            return [entry for entry in ranked if entry[1] >= min_intensity]
-        return ranked[:k]
-
-    def retrieved_above(self, min_intensity: float) -> List[Tuple[int, float]]:
-        """All tuples whose combined intensity reaches ``min_intensity``."""
-        return self.top_k(k=len(self.preferences) * 1000 + 1,
-                          min_intensity=min_intensity)
+        for pid, missed in remainder.items():
+            if pid not in scores:
+                scores[pid] = 1.0 - missed
+        self.tuples_scored = len(scores)
+        self.memberships_folded = memberships
+        self.combinations_scanned = scanned
+        annotate("tuples_scored", self.tuples_scored)
+        annotate("memberships_folded", memberships)
+        annotate("combinations_scanned", scanned)
+        return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
 def peps_top_k(runner: PreferenceQueryRunner,

@@ -26,6 +26,7 @@ the benchmarks) works with either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -90,8 +91,13 @@ class IndexedPreference:
     predicate: PredicateExpr
     intensity: float
 
-    @property
+    @cached_property
     def sql(self) -> str:
+        """SQL rendering of the predicate — the key of every count table.
+
+        Rendered once per preference object: the ordering sort asks first,
+        and the O(n²) pair loops of a refresh reuse that string.
+        """
         return self.predicate.to_sql()
 
     @property
@@ -119,11 +125,35 @@ def _ordered(preferences: Sequence[IndexedPreference]) -> List[IndexedPreference
 
 
 class PairIndexBase:
-    """Shared read interface over a positional pair table."""
+    """Shared read interface over a positional pair table.
+
+    Besides the table itself two positional views are kept, both derived
+    from it by :meth:`_set_pairs`: the applicable pairs grouped by their
+    lower index (already in serving order) and, per index, the bitmask of
+    its applicable partners.  PEPS's expansion reads only these, so ordering
+    the combinations never scans the O(n²) table.
+    """
 
     def __init__(self) -> None:
         self.preferences: List[IndexedPreference] = []
-        self._pairs: Dict[Tuple[int, int], PairCombination] = {}
+        self._set_pairs({})
+
+    def _set_pairs(self, pairs: Dict[Tuple[int, int], PairCombination]) -> None:
+        """Install a freshly built table and derive the positional views."""
+        size = len(self.preferences)
+        grouped: List[List[PairCombination]] = [[] for _ in range(size)]
+        partners = [0] * size
+        for (i, j), pair in pairs.items():
+            if pair.tuple_count > 0:
+                grouped[i].append(pair)
+                partners[i] |= 1 << j
+                partners[j] |= 1 << i
+        for group in grouped:
+            # Stable: equal intensities stay in table (ascending partner) order.
+            group.sort(key=lambda pair: -pair.intensity)
+        self._pairs = pairs
+        self._pairs_from = grouped
+        self._partners = partners
 
     def pair(self, i: int, j: int) -> PairCombination:
         """Return the stored pair record for indexes ``i`` and ``j``."""
@@ -132,15 +162,16 @@ class PairIndexBase:
 
     def is_applicable(self, i: int, j: int) -> bool:
         """``True`` when the AND of preferences ``i`` and ``j`` returns tuples."""
-        if i == j:
-            return True
-        return self.pair(i, j).is_applicable
+        return i == j or bool(self._partners[i] >> j & 1)
+
+    def applicable_partners(self, i: int) -> int:
+        """Bitmask of ``i``'s applicable partners: bit ``j`` is set exactly
+        when the AND of preferences ``i`` and ``j`` returns tuples."""
+        return self._partners[i]
 
     def applicable_pairs_from(self, i: int) -> List[PairCombination]:
         """All applicable pairs whose lower index is ``i``, best intensity first."""
-        pairs = [pair for (a, _), pair in self._pairs.items()
-                 if a == i and pair.is_applicable]
-        return sorted(pairs, key=lambda pair: -pair.intensity)
+        return list(self._pairs_from[i]) if i < len(self._pairs_from) else []
 
     def all_applicable(self) -> List[PairCombination]:
         """Every applicable pair, best intensity first."""
@@ -149,10 +180,6 @@ class PairIndexBase:
 
     def __len__(self) -> int:
         return len(self._pairs)
-
-
-def _compatible(first: IndexedPreference, second: IndexedPreference) -> bool:
-    return are_and_compatible(first.predicate, second.predicate)
 
 
 class PairwiseCombinationIndex(PairIndexBase):
@@ -177,28 +204,32 @@ class PairwiseCombinationIndex(PairIndexBase):
         self._build()
 
     def _build(self) -> None:
+        pairs: Dict[Tuple[int, int], PairCombination] = {}
         pending: List[Tuple[int, int, float]] = []
         predicates: List[PredicateExpr] = []
-        for i in range(len(self.preferences)):
+        known_empty = [self.estimator.known_empty(pref.predicate)
+                       for pref in self.preferences]
+        for i, first in enumerate(self.preferences):
             for j in range(i + 1, len(self.preferences)):
-                first, second = self.preferences[i], self.preferences[j]
-                if not _compatible(first, second):
+                second = self.preferences[j]
+                if not are_and_compatible(first.predicate, second.predicate):
                     self.pairs_prefiltered += 1
-                    self._pairs[(i, j)] = PairCombination(i, j, 0.0, 0)
+                    pairs[(i, j)] = PairCombination(i, j, 0.0, 0)
                     continue
                 intensity = combine_and([first.intensity, second.intensity])
-                if self.estimator.proves_empty(first.predicate, second.predicate):
+                if known_empty[i] or known_empty[j]:
                     # Compatible but a side is already known to match zero
                     # tuples: the conjunction is empty, no query needed.
                     self.pairs_prefiltered += 1
-                    self._pairs[(i, j)] = PairCombination(i, j, intensity, 0)
+                    pairs[(i, j)] = PairCombination(i, j, intensity, 0)
                     continue
                 pending.append((i, j, intensity))
                 predicates.append(conjunction([first.predicate, second.predicate]))
         counts = _count_many(self.counter, predicates)
         self.pairs_counted += len(predicates)
         for (i, j, intensity), count in zip(pending, counts):
-            self._pairs[(i, j)] = PairCombination(i, j, intensity, count)
+            pairs[(i, j)] = PairCombination(i, j, intensity, count)
+        self._set_pairs(pairs)
 
 
 def _count_many(counter, predicates: Sequence[PredicateExpr]) -> List[int]:
@@ -403,26 +434,34 @@ class IncrementalPairIndex(PairIndexBase):
             return self
         if self._loader is not None:
             self.preferences = _ordered(self._loader())
-        self._recount_missing_pairs()
-        self._rebuild_rows()
+        self._rebuild_rows(self._recount_missing_pairs())
         self._dirty.clear()
         self._stale = False
         self.refreshes += 1
         return self
 
-    def _recount_missing_pairs(self) -> None:
+    def _recount_missing_pairs(self) -> Dict[PairKey, bool]:
+        """Count every pair missing from the persistent table, in one batch.
+
+        Returns the AND-compatibility verdict of each pair it had to look
+        at, so :meth:`_rebuild_rows` decides no pair a second time.
+        """
+        preferences = self.preferences
+        keys = [pref.sql for pref in preferences]
+        known_empty = [self.estimator.known_empty(pref.predicate)
+                       for pref in preferences]
+        compatible: Dict[PairKey, bool] = {}
         pending_keys: List[PairKey] = []
         predicates: List[PredicateExpr] = []
-        self.last_refresh_pair_counts = 0
-        seen: Set[PairKey] = set()
-        for i in range(len(self.preferences)):
-            for j in range(i + 1, len(self.preferences)):
-                first, second = self.preferences[i], self.preferences[j]
-                key = frozenset((first.sql, second.sql))
-                if key in self._counts or key in seen:
+        for i, first in enumerate(preferences):
+            for j in range(i + 1, len(preferences)):
+                key = frozenset((keys[i], keys[j]))
+                if key in self._counts or key in compatible:
                     continue
-                seen.add(key)
-                if self.estimator.proves_empty(first.predicate, second.predicate):
+                second = preferences[j]
+                verdict = compatible[key] = are_and_compatible(
+                    first.predicate, second.predicate)
+                if not verdict or known_empty[i] or known_empty[j]:
                     self.pairs_prefiltered += 1
                     self._counts[key] = 0
                     continue
@@ -433,16 +472,20 @@ class IncrementalPairIndex(PairIndexBase):
         self.last_refresh_pair_counts = len(predicates)
         for key, count in zip(pending_keys, counts):
             self._counts[key] = count
+        return compatible
 
-    def _rebuild_rows(self) -> None:
-        self._pairs = {}
-        for i in range(len(self.preferences)):
-            for j in range(i + 1, len(self.preferences)):
-                first, second = self.preferences[i], self.preferences[j]
-                count = self._counts[frozenset((first.sql, second.sql))]
-                if _compatible(first, second):
-                    intensity = combine_and([first.intensity, second.intensity])
-                else:
-                    intensity = 0.0
-                self._pairs[(i, j)] = PairCombination(i, j, intensity, count)
-
+    def _rebuild_rows(self, compatible: Dict[PairKey, bool]) -> None:
+        preferences = self.preferences
+        keys = [pref.sql for pref in preferences]
+        pairs: Dict[Tuple[int, int], PairCombination] = {}
+        for i, first in enumerate(preferences):
+            for j in range(i + 1, len(preferences)):
+                second = preferences[j]
+                key = frozenset((keys[i], keys[j]))
+                verdict = compatible.get(key)
+                if verdict is None:
+                    verdict = are_and_compatible(first.predicate, second.predicate)
+                intensity = (combine_and([first.intensity, second.intensity])
+                             if verdict else 0.0)
+                pairs[(i, j)] = PairCombination(i, j, intensity, self._counts[key])
+        self._set_pairs(pairs)

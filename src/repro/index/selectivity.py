@@ -157,15 +157,18 @@ class SelectivityEstimator:
     def __init__(self, count_cache: Optional[object] = None) -> None:
         self.count_cache = count_cache
 
-    def _known_count(self, predicate: PredicateExpr) -> Optional[int]:
-        if self.count_cache is None:
-            return None
-        return self.count_cache.peek(predicate)
+    def known_empty(self, predicate: PredicateExpr) -> bool:
+        """``True`` when the cache already holds a zero count for ``predicate``.
+
+        One peek, no query: the pair indexes ask this once per *preference*
+        and reuse the answer for every pair the preference joins.
+        """
+        return (self.count_cache is not None
+                and self.count_cache.peek(predicate) == 0)
 
     def estimate(self, predicate: PredicateExpr) -> float:
         """Selectivity estimate for one predicate (cached count wins)."""
-        known = self._known_count(predicate)
-        if known == 0:
+        if self.known_empty(predicate):
             return 0.0
         return estimate_selectivity(predicate)
 

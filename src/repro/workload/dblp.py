@@ -19,7 +19,9 @@ the experiment harness reproducible.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from ..exceptions import WorkloadError
@@ -179,10 +181,12 @@ def generate_dblp(config: DblpConfig = DblpConfig()) -> DblpDataset:
     rng = random.Random(config.seed)
     dataset = DblpDataset()
 
+    # Every weighted draw below bisects a cumulative-weight vector built
+    # once; ``rng.choices(..., weights=)`` would re-accumulate it per draw.
     venues = list(DEFAULT_VENUES[: config.n_venues])
-    venue_weights = _zipf_weights(len(venues))
+    venue_cum = list(accumulate(_zipf_weights(len(venues))))
     author_ids = list(range(1, config.n_authors + 1))
-    author_weights = _zipf_weights(len(author_ids))
+    author_cum = list(accumulate(_zipf_weights(len(author_ids))))
 
     dataset.authors = [Author(aid=aid, full_name=_make_author_name(rng, aid))
                        for aid in author_ids]
@@ -191,7 +195,7 @@ def generate_dblp(config: DblpConfig = DblpConfig()) -> DblpDataset:
     years = sorted(rng.randint(config.min_year, config.max_year)
                    for _ in range(config.n_papers))
     for index, year in enumerate(years, start=1):
-        venue = rng.choices(venues, weights=venue_weights, k=1)[0]
+        venue = rng.choices(venues, cum_weights=venue_cum, k=1)[0]
         dataset.papers.append(Paper(
             pid=index,
             title=_make_title(rng),
@@ -206,7 +210,7 @@ def generate_dblp(config: DblpConfig = DblpConfig()) -> DblpDataset:
         team_size = rng.randint(1, config.max_authors_per_paper)
         team = set()
         while len(team) < team_size:
-            aid = rng.choices(author_ids, weights=author_weights, k=1)[0]
+            aid = rng.choices(author_ids, cum_weights=author_cum, k=1)[0]
             team.add(aid)
         for aid in sorted(team):
             if (paper.pid, aid) not in seen_pairs:
@@ -214,7 +218,11 @@ def generate_dblp(config: DblpConfig = DblpConfig()) -> DblpDataset:
                 dataset.paper_authors.append((paper.pid, aid))
 
     # Citations: papers cite older papers; popular (early, low-pid) papers
-    # attract more citations via a rank-skewed choice.
+    # attract more citations via a rank-skewed choice.  One Zipf(0.8) vector
+    # serves every citing paper: the weights of a paper's ``older``
+    # candidates are its first ``older`` entries, and a running sum's prefix
+    # is the prefix's running sum.
+    citation_cum = list(accumulate(_zipf_weights(config.n_papers, exponent=0.8)))
     citation_pairs = set()
     for paper in dataset.papers:
         older = paper.pid - 1
@@ -223,10 +231,12 @@ def generate_dblp(config: DblpConfig = DblpConfig()) -> DblpDataset:
         n_citations = rng.randint(0, config.max_citations_per_paper)
         if n_citations == 0:
             continue
-        candidate_ids = list(range(1, older + 1))
-        weights = _zipf_weights(len(candidate_ids), exponent=0.8)
+        total = citation_cum[older - 1]
         for _ in range(n_citations):
-            cited = rng.choices(candidate_ids, weights=weights, k=1)[0]
+            # ``rng.choices(range(1, older + 1), weights=...)`` without the
+            # per-paper vectors: the same one ``random()`` per draw, bisected
+            # within the prefix exactly as ``choices`` does.
+            cited = 1 + bisect(citation_cum, rng.random() * total, 0, older - 1)
             if (paper.pid, cited) not in citation_pairs and cited != paper.pid:
                 citation_pairs.add((paper.pid, cited))
                 dataset.citations.append((paper.pid, cited))
