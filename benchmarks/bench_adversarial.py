@@ -180,8 +180,7 @@ def test_lockstep_differential_per_mix(benchmark):
                              k=K, seed=SEED, mix=OpMix.named(mix_name)),
                 profile_factory=synthetic_profile_factory(SYN))
             checked[mix_name] = driver.verify_cluster_equivalence(
-                SYN, shards=2, capacity=CAPACITY, parallel_fanout=True,
-                server_backend="memory")
+                SYN, shards=2, capacity=CAPACITY, server_backend="memory")
         return checked
 
     checked = run_once(benchmark, sweep)

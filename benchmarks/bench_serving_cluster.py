@@ -55,8 +55,7 @@ def test_cluster_scales_and_invalidates_selectively(benchmark):
     arms = []
     for shards in SHARD_COUNTS:
         db = driver.build_world(SCALES[SCALE])
-        cluster = ShardedTopKServer(db, shards=shards, capacity=CAPACITY,
-                                    parallel_fanout=shards > 1)
+        cluster = ShardedTopKServer(db, shards=shards, capacity=CAPACITY)
         try:
             ops = driver.schedule(db)
             label = f"sharded-{shards}"
@@ -157,38 +156,3 @@ def test_cluster_scales_and_invalidates_selectively(benchmark):
                  f"{shard['results_invalidated']}/{shard['results_spared']}"
                  for shard in event["shards"])}
             for position, event in enumerate(arms[1][1].mutation_events)]))
-
-
-def test_parallel_fanout_matches_serial_replay(benchmark):
-    """The concurrent fan-out path must reproduce the serial path's replay
-    bit for bit: same invalidation events, same warm reads, same SQL."""
-    driver = ReplayDriver(ReplayConfig(users=16, requests=100, k=4, seed=9))
-    outcomes = {}
-    for parallel in (False, True):
-        db = driver.build_world(SCALES[SCALE])
-        cluster = ShardedTopKServer(db, shards=4, capacity=6,
-                                    parallel_fanout=parallel)
-        try:
-            ops = driver.schedule(db)
-            if parallel:
-                report = run_once(benchmark, driver.run, cluster, ops)
-            else:
-                report = driver.run(cluster, ops)
-            outcomes[parallel] = report
-        finally:
-            cluster.close()
-            db.close()
-
-    serial, parallel = outcomes[False], outcomes[True]
-    assert serial.mutation_events == parallel.mutation_events
-    assert serial.read_hits == parallel.read_hits
-    assert serial.sql_statements == parallel.sql_statements
-    reporting.print_report(
-        "Parallel vs serial fan-out (4 shards)",
-        reporting.format_mapping({
-            "mutation_events": len(serial.mutation_events),
-            "read_hits": serial.read_hits,
-            "sql_statements": serial.sql_statements,
-            "serial_seconds": f"{serial.seconds:.3f}",
-            "parallel_seconds": f"{parallel.seconds:.3f}",
-        }))

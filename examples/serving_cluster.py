@@ -37,8 +37,7 @@ WORLD = DblpConfig(n_papers=300, n_authors=120, n_venues=10, seed=7)
 def serve_some_users() -> None:
     db = Database(":memory:")
     load_dataset(db, generate_dblp(WORLD))
-    cluster = ShardedTopKServer(db, shards=4, capacity=8,
-                                parallel_fanout=True)
+    cluster = ShardedTopKServer(db, shards=4, capacity=8)
 
     # Eight users, partitioned across the shards by the hash partitioner.
     for uid in range(1, 9):

@@ -29,12 +29,11 @@ Two variants exist (Sections 5.5.1 / 5.5.2):
 from __future__ import annotations
 
 from heapq import heappush, heapreplace
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.intensity import combine_and, min_preferences_to_beat
 from ..core.predicate import Or, conjunction
 from ..exceptions import EmptyPreferenceListError, TopKError
-from ..index.selectivity import exact_match_row
 from ..index.pair_index import (
     IncrementalPairIndex,
     PairCombination,
@@ -204,30 +203,6 @@ class PEPSAlgorithm:
     # ------------------------------------------------------------------
     # Top-K retrieval
     # ------------------------------------------------------------------
-
-    def score_row(self, row: Mapping[str, Any]) -> Optional[float]:
-        """Exact score one joined-view row earns its tuple, without the backend.
-
-        Evaluates every positive-intensity preference predicate against
-        ``row`` in memory and combines the matched intensities exactly as
-        :meth:`top_k`'s scoring pass would — the entry point the result
-        cache's repair path uses to place a delta row into a maintained
-        ranking.  Returns ``None`` when some predicate references an
-        attribute the row does not carry (the verdict would be a guess, so
-        the caller must fall back to invalidation).  Note a *tuple* matches a
-        predicate when **any** of its joined rows does, so a multi-row
-        tuple's score is the fold over its full row image, not one call.
-        """
-        matched: List[float] = []
-        for pref in self.preferences:
-            if pref.intensity <= 0.0:
-                continue
-            verdict = exact_match_row(pref.predicate, row)
-            if verdict is None:
-                return None
-            if verdict:
-                matched.append(pref.intensity)
-        return combine_and(matched) if matched else 0.0
 
     def top_k_buffer(self, k: int, delta: int = 0
                      ) -> Tuple[List[Tuple[int, float]], bool]:

@@ -182,7 +182,8 @@ def min_preferences_to_beat(target: float, base: float) -> float:
     preferences with intensity at most ``p2 = base``, an AND combination of
     ``K`` preferences of intensity ``p2`` can only reach ``p1`` when
     ``K >= log(1 - p1) / log(1 - p2)``.  Returns ``inf`` when ``base`` is 0
-    (combinations of zero-intensity preferences never improve) and 1.0 when
+    or so small that ``1 - base`` rounds to 1 (combinations of such
+    preferences never improve in float arithmetic) and 1.0 when
     ``base >= target`` or either value saturates at 1.
     """
     target = validate_quantitative(target)
@@ -193,7 +194,10 @@ def min_preferences_to_beat(target: float, base: float) -> float:
         return 1.0 if base >= 1.0 else math.inf
     if base <= 0.0:
         return math.inf
-    return math.log(1.0 - target) / math.log(1.0 - base)
+    denominator = math.log(1.0 - base)
+    if denominator == 0.0:
+        return math.inf
+    return math.log(1.0 - target) / denominator
 
 
 def is_negative(value: float) -> bool:

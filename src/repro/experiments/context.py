@@ -128,20 +128,6 @@ class ExperimentContext:
         # positional view and the index agree (no-op when not stale).
         return self._pair_indexes[uid].refresh()
 
-    def server(self, capacity: int = 16, cache_results: bool = True):
-        """A :class:`~repro.serving.TopKServer` over this context's workload.
-
-        The context already persists every selected profile into the staging
-        tables (``load_profiles`` in :meth:`create`), so the server can
-        build a session for any ``registry`` user on first request.  The
-        server shares the context's count cache: counts learned by the
-        figure reproductions warm the serving path and vice versa.
-        """
-        from ..serving import TopKServer
-        return TopKServer(self.db, capacity=capacity,
-                          cache_results=cache_results,
-                          count_cache=self.count_cache)
-
     def profile(self, uid: int):
         """The raw extracted profile for ``uid``."""
         return self.registry.get(uid)

@@ -28,8 +28,8 @@ Public API
     Heuristic per-predicate selectivity in ``(0, 1]``.
 :func:`pair_provably_empty`
     Syntactic unsatisfiability check for an AND pair.
-:func:`may_match_row` / :func:`any_may_match`
-    Sound tuple-relevance checks used by data-update invalidation across
+:func:`may_match_row`
+    Sound tuple-relevance check used by data-update invalidation across
     the full mutation spectrum: ``False`` proves that no image of an
     affected tuple — inserted post-image, deleted pre-image, either image
     of an in-place update — can satisfy a predicate, so the cached entry
@@ -64,7 +64,6 @@ from .pair_index import (
 )
 from .selectivity import (
     SelectivityEstimator,
-    any_may_match,
     estimate_selectivity,
     exact_match_row,
     may_match_row,
@@ -83,7 +82,6 @@ __all__ = [
     "PairCombination",
     "PairwiseCombinationIndex",
     "SelectivityEstimator",
-    "any_may_match",
     "estimate_selectivity",
     "exact_match_row",
     "may_match_row",

@@ -28,7 +28,7 @@ is why the same sound relevance test serves every
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..core.predicate import (
     And,
@@ -135,14 +135,6 @@ def may_match_row(predicate: Union[str, PredicateExpr],
     """
     verdict = exact_match_row(predicate, row)
     return True if verdict is None else verdict
-
-
-def any_may_match(predicates: Iterable[Union[str, PredicateExpr]],
-                  rows: Iterable[Mapping[str, Any]]) -> bool:
-    """``True`` when any predicate may match any of the inserted rows."""
-    rows = list(rows)
-    return any(may_match_row(predicate, row)
-               for predicate in predicates for row in rows)
 
 
 class SelectivityEstimator:

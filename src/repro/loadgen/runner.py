@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -71,8 +70,6 @@ class LoadConfig:
     #: Seconds between background equivalence audits; ``None`` disables.
     audit_interval: Optional[float] = 0.5
     audit_sample: int = 8
-    #: Swap timed locks into the server before the run.
-    instrument_locks: bool = True
 
     def __post_init__(self) -> None:
         if self.threads < 1:
@@ -317,8 +314,7 @@ class LoadGenerator:
         # the first swapped-in lock runs inside the handle's ``with``, so any
         # exit hands the server back the exact locks it started with.
         registry = telemetry.registry if telemetry is not None else None
-        with (instrument_locks(server, registry=registry)
-              if config.instrument_locks else nullcontext()) as handle:
+        with instrument_locks(server, registry=registry) as handle:
             gate = TrafficGate()
             auditor = None
             if config.audit_interval is not None:
@@ -353,10 +349,8 @@ class LoadGenerator:
                 auditor.stop()
                 # One final audit over the fully quiesced end state.
                 auditor.audit_once()
-            return self._assemble(
-                server, results,
-                handle.report() if handle is not None else [],
-                gate, auditor, elapsed, telemetry)
+            return self._assemble(server, results, handle.report(), gate,
+                                  auditor, elapsed, telemetry)
 
     # -- report assembly ----------------------------------------------------------
 

@@ -29,8 +29,7 @@ Public API
     metrics (cache hit, SQL statements, latency).
 :class:`ShardedTopKServer`
     The sharded cluster: routes ``top_k``/``update_profile`` to the owning
-    shard and delivers each data mutation to every shard (serially or via a
-    concurrent fan-out pool).
+    shard and delivers each data mutation to every shard.
 :func:`create_server`
     The one construction call: a :class:`TopKServer`, or for ``shards >= 2``
     a :class:`ShardedTopKServer`.

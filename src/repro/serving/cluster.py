@@ -14,10 +14,8 @@ is — same doors, same reports, same ``metrics()`` names — and adds only
   surface's doors: the loader mutation runs once against the shared
   database, and the cluster's ``_sweep`` delivers the resulting
   :class:`~repro.sqldb.events.DataMutation` — one batched event carrying
-  every affected pre-/post-image row — to every shard, serially or
-  concurrently on a :class:`~concurrent.futures.ThreadPoolExecutor`
-  (``parallel_fanout=True``).  Fan-out work is pure in-memory invalidation
-  (no SQL), which is what makes it safe to parallelise across shards.
+  every affected pre-/post-image row — to every shard in shard order, on
+  the mutating thread (pure in-memory invalidation, no SQL).
 
 Each shard reacts to a delivered event exactly as a standalone server would
 — dropping only the cached answers, counts and pair-index entries the
@@ -30,15 +28,14 @@ equivalence :meth:`~repro.serving.driver.ReplayDriver.verify_cluster_equivalence
 verifies.
 
 Under the GIL in-process shards buy partitioned state, not parallelism:
-``BENCH_loadgen.json`` shows throughput falling as the shard count rises.
-The cluster is a partitioning abstraction until a cross-process mode earns
-more (see ROADMAP).
+``BENCH_loadgen.json`` shows throughput falling as the shard count rises,
+and a thread pool for the sweep measured no faster than this loop (see
+``docs/ARCHITECTURE.md``).  The cluster is a partitioning abstraction until
+a cross-process mode earns more (see ROADMAP).
 """
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -145,10 +142,7 @@ class ShardedTopKServer(ServingSurface):
     :class:`~repro.backend.protocol.StorageBackend`;
     what is partitioned is the *serving state* — sessions, pair indexes,
     count caches and materialised answers.  ``capacity`` bounds resident
-    sessions **per shard**.  With ``parallel_fanout`` data mutations
-    invalidate every shard concurrently on a thread pool (the fan-out work
-    is pure in-memory predicate evaluation, so shards proceed without
-    touching SQLite).
+    sessions **per shard**.
 
     The cluster owns the one database subscription: shard servers are built
     with ``subscribe=False`` and receive each
@@ -162,36 +156,21 @@ class ShardedTopKServer(ServingSurface):
     def __init__(self, db: StorageBackend,
                  shards: int = 2,
                  capacity: int = 64,
-                 cache_results: bool = True,
                  partitioner: Optional[Partitioner] = None,
-                 parallel_fanout: bool = False,
-                 max_workers: Optional[int] = None,
-                 repair_delta: Optional[int] = None,
-                 stripes: Optional[int] = None) -> None:
+                 repair_delta: Optional[int] = None) -> None:
         if shards < 1:
             raise ServingError("a sharded server needs at least one shard")
         self.capacity = capacity
-        self.cache_results = cache_results
         #: Over-fetch depth handed to every shard (see
         #: :class:`~repro.serving.server.TopKServer`): delivered mutations
         #: then repair each shard's own cached answers in place.
         self.repair_delta = repair_delta
         self.partitioner: Partitioner = (partitioner if partitioner is not None
                                          else HashPartitioner())
-        # Per-shard stripe width (each shard owns ~1/N of the users, so the
-        # default width is usually already generous).
-        shard_kwargs = {} if stripes is None else {"stripes": stripes}
         self._shard_servers: Tuple[TopKServer, ...] = tuple(
-            TopKServer(db, capacity=capacity, cache_results=cache_results,
-                       subscribe=False, repair_delta=repair_delta,
-                       **shard_kwargs)
+            TopKServer(db, capacity=capacity, subscribe=False,
+                       repair_delta=repair_delta)
             for _ in range(shards))
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if parallel_fanout and shards > 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max_workers or min(shards, 8),
-                thread_name_prefix="shard-fanout")
-        self.parallel_fanout = self._executor is not None
         self.results = ClusterResultsView(self)
         #: Data mutations delivered to every shard.
         self.broadcasts = 0
@@ -200,14 +179,11 @@ class ShardedTopKServer(ServingSurface):
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Unsubscribe, close every shard and stop the fan-out pool."""
+        """Unsubscribe and close every shard."""
         with self._exclusive():
             super().close()
             for server in self._shard_servers:
                 server.close()
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
 
     # -- routing ------------------------------------------------------------------
 
@@ -244,21 +220,10 @@ class ShardedTopKServer(ServingSurface):
 
     def _sweep(self, mutation: DataMutation
                ) -> Tuple[ShardMutationReport, ...]:
-        """Deliver one batched event to every shard, in parallel when the
-        fan-out pool is enabled (the caller holds every shard's gate)."""
+        """Deliver one batched event to every shard, in shard order (the
+        caller holds every shard's gate)."""
         self.broadcasts += 1
-        if self._executor is not None:
-            # Each task runs under a fresh copy of the caller's contextvars
-            # context (one Context object cannot be entered concurrently),
-            # so a shard's invalidation span lands as a child of the
-            # mutating request's span instead of orphaned worker state.
-            futures = [
-                self._executor.submit(contextvars.copy_context().run,
-                                      server._sweep, mutation)
-                for server in self._shard_servers]
-            swept = [future.result() for future in futures]
-        else:
-            swept = [server._sweep(mutation) for server in self._shard_servers]
+        swept = [server._sweep(mutation) for server in self._shard_servers]
         return tuple(replace(reports[0], shard=index)
                      for index, reports in enumerate(swept))
 
@@ -299,13 +264,11 @@ def create_server(db: StorageBackend, shards: int = 0,
     """One serving front door over ``db``: a server, or a cluster of them.
 
     ``shards`` of 0 or 1 builds a :class:`TopKServer`; 2 or more a
-    :class:`ShardedTopKServer` with the concurrent fan-out pool enabled.
-    ``options`` are the constructor arguments the two share (``capacity``,
-    ``cache_results``, ``repair_delta``, ``stripes``).
+    :class:`ShardedTopKServer`.  ``options`` are the constructor arguments
+    the two share (``capacity``, ``repair_delta``).
     """
     if shards < 0:
         raise ServingError("shards must be >= 0 (0/1 build a single server)")
     if shards >= 2:
-        return ShardedTopKServer(db, shards=shards, parallel_fanout=True,
-                                 **options)
+        return ShardedTopKServer(db, shards=shards, **options)
     return TopKServer(db, **options)

@@ -38,7 +38,7 @@ from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError
 from ..workload.loader import load_dataset, load_profiles
 from ..workload.synthetic import generate_workload
-from .cluster import Partitioner, ShardedTopKServer
+from .cluster import ShardedTopKServer
 from .ops import (
     DATA_UPDATE,
     DELETE,
@@ -315,10 +315,7 @@ class ReplayDriver:
     def verify_cluster_equivalence(self, workload_config: Any,
                                    shards: int,
                                    capacity: int = 8,
-                                   partitioner: Optional[Partitioner] = None,
-                                   parallel_fanout: bool = False,
                                    server_backend: Optional[str] = None,
-                                   repair_delta: Optional[int] = None,
                                    stats_out: Optional[Dict[str, Any]] = None,
                                    ) -> int:
         """Lockstep three-way equivalence: cluster == single server == fresh.
@@ -341,13 +338,13 @@ class ReplayDriver:
         certifies sharding *and* the backend abstraction at once); ``None``
         keeps all three worlds on the process default engine.
 
-        Both serving arms run with the repair path active (``repair_delta``
-        is forwarded to each constructor), so every comparison after a
-        mutation checks *repaired* shard answers against the single server
-        and a from-scratch recomputation.  ``stats_out``, when given, is
-        filled with the cluster's and the single server's final ``metrics()``
-        snapshots — tests use it to assert the equivalence run actually
-        exercised repairs rather than invalidating everything.
+        Both serving arms run with the repair path active, so every
+        comparison after a mutation checks *repaired* shard answers against
+        the single server and a from-scratch recomputation.  ``stats_out``,
+        when given, is filled with the cluster's and the single server's
+        final ``metrics()`` snapshots — tests use it to assert the
+        equivalence run actually exercised repairs rather than invalidating
+        everything.
         """
         cluster_db, server_db, baseline_db = worlds = [
             self.build_world(workload_config, backend=backend)
@@ -356,12 +353,8 @@ class ReplayDriver:
         try:
             ops = self.schedule(cluster_db)
             with ShardedTopKServer(cluster_db, shards=shards,
-                                   capacity=capacity,
-                                   partitioner=partitioner,
-                                   parallel_fanout=parallel_fanout,
-                                   repair_delta=repair_delta) as cluster, \
-                    TopKServer(server_db, capacity=capacity,
-                               repair_delta=repair_delta) as server:
+                                   capacity=capacity) as cluster, \
+                    TopKServer(server_db, capacity=capacity) as server:
                 arms = (cluster, server, Uncached(baseline_db))
                 seen: List[int] = []
                 for op in ops:

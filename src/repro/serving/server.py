@@ -76,7 +76,6 @@ from ..core.hypre.builder import HypreGraphBuilder
 from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError, UnknownUserError
 from ..backend.protocol import StorageBackend
-from ..index import CountCache
 from ..sqldb.events import (
     TUPLES_DELETED,
     TUPLES_INSERTED,
@@ -117,11 +116,11 @@ _IMPACT_FIELDS = ("results_invalidated", "results_spared",
 _REPAIR_METRIC_KEYS = frozenset(
     {"repairs", "repair_fallbacks", "repair_underflows"})
 
-#: Default width of the per-user stripe-lock array.  Stripes only bound
-#: *concurrency* (uids sharing ``uid % stripes`` serialise against each
+#: Width of the per-user stripe-lock array.  Stripes only bound
+#: *concurrency* (uids sharing ``uid % STRIPES`` serialise against each
 #: other), never correctness, so a small power of two is plenty for the
 #: thread counts the load harness drives.
-DEFAULT_STRIPES = 8
+STRIPES = 8
 
 
 @dataclass(frozen=True)
@@ -287,7 +286,7 @@ class ServingSurface:
             Tuple[int, Tuple[ShardMutationReport, ...]]] = None
         # ``subscribe=False`` leaves event delivery to an outer coordinator:
         # the sharded cluster subscribes once and fans each DataMutation out
-        # to every shard itself (possibly from worker threads).
+        # to every shard itself.
         self._data_listener = (db.subscribe(self._on_data_mutation)
                                if subscribe else None)
 
@@ -357,7 +356,10 @@ class ServingSurface:
         Whoever holds it is alone with the backend and every cached state:
         no cold compute or profile update anywhere overlaps a commit or a
         sweep, and no second mutation runs — on a cluster exactly as on a
-        single server, with no lock of the cluster's own.
+        single server, with no lock of the cluster's own.  Every
+        :meth:`_sweep` runs on the thread that holds every shard's gate, so
+        when the section unwinds — normally or on an exception — no sweep is
+        still running.
         """
         with ExitStack() as held:
             for shard in self.shard_servers:
@@ -493,8 +495,7 @@ class ServingSurface:
                ) -> Tuple[ShardMutationReport, ...]:
         """Bring the cached state up to date with ``mutation``.
 
-        Called with :meth:`_exclusive` held (by the calling thread, or on
-        its behalf while it waits for the cluster's fan-out pool); returns
+        Called with :meth:`_exclusive` held by the calling thread; returns
         one impact record per shard.
         """
         raise NotImplementedError
@@ -517,13 +518,8 @@ class TopKServer(ServingSurface):
 
     def __init__(self, db: StorageBackend,
                  capacity: int = 64,
-                 cache_results: bool = True,
-                 count_cache: Optional[CountCache] = None,
                  subscribe: bool = True,
-                 repair_delta: Optional[int] = None,
-                 stripes: int = DEFAULT_STRIPES) -> None:
-        if stripes < 1:
-            raise ServingError("a server needs at least one lock stripe")
+                 repair_delta: Optional[int] = None) -> None:
         # Striped per-user locking (see the module docstring): cold reads
         # and profile updates serialise per stripe and share the gate's read
         # side; data mutations hold its exclusive side (see `_exclusive`).
@@ -531,8 +527,7 @@ class TopKServer(ServingSurface):
         # reports stay comparable.
         self._gate = RWLock("server")
         self._stripes: Tuple[Any, ...] = tuple(
-            threading.RLock() for _ in range(stripes))
-        self.cache_results = cache_results
+            threading.RLock() for _ in range(STRIPES))
         #: Over-fetch depth of the maintainable result buffers: a cold
         #: ``top_k(uid, k)`` scores ``k + repair_delta`` tuples so data
         #: mutations can be folded into the cached answer in place instead
@@ -541,14 +536,12 @@ class TopKServer(ServingSurface):
         #: (the invalidate-and-recompute baseline).
         self.repair_delta = repair_delta
         self.sessions = SessionRegistry(db, capacity=capacity,
-                                        count_cache=count_cache,
                                         profile_loader=self._load_profile)
         self.results = ResultCache(
             repair=repair_delta is None or repair_delta >= 0)
-        if cache_results:
-            # Profile mutations reach the result cache through every session
-            # graph; data mutations arrive via the database subscription.
-            self.sessions.add_graph_listener(self.results.on_profile_mutation)
+        # Profile mutations reach the result cache through every session
+        # graph; data mutations arrive via the database subscription.
+        self.sessions.add_graph_listener(self.results.on_profile_mutation)
         self.reads = 0
         self.read_hits = 0
         self.updates = 0
@@ -618,7 +611,7 @@ class TopKServer(ServingSurface):
                 session = self.sessions.get(uid)
                 if session is not None:
                     session.apply_profile(profile)
-                elif self.cache_results:
+                else:
                     self.results.invalidate_user(uid)
                 self._bump(updates=1, stripe_acquisitions=1)
                 report = UpdateReport(
@@ -659,29 +652,26 @@ class TopKServer(ServingSurface):
     def _serve_top_k(self, uid: int, k: int) -> ServeResult:
         """The uninstrumented ``top_k`` body (see :meth:`top_k`)."""
         start = time.perf_counter()
-        if self.cache_results:
-            entry = self.results.get(uid, k)
-            if entry is not None:
-                with self._stats_lock:
-                    self.reads += 1
-                    self.read_hits += 1
-                return ServeResult(
-                    uid=uid, k=k, ranking=entry.ranking, cache_hit=True,
-                    sql_statements=0,
-                    seconds=time.perf_counter() - start)
+        entry = self.results.get(uid, k)
+        if entry is not None:
+            with self._stats_lock:
+                self.reads += 1
+                self.read_hits += 1
+            return ServeResult(
+                uid=uid, k=k, ranking=entry.ranking, cache_hit=True,
+                sql_statements=0,
+                seconds=time.perf_counter() - start)
         with self._stripe_lock(uid):
             statements_before = self.db.statements_executed
-            epoch = None
-            if self.cache_results:
-                # Another thread may have materialised the answer while we
-                # queued on the stripe — serve it rather than recompute.
-                entry = self.results.peek(uid, k)
-                if entry is not None:
-                    self._bump(reads=1, read_hits=1, stripe_acquisitions=1)
-                    return ServeResult(
-                        uid=uid, k=k, ranking=entry.ranking, cache_hit=True,
-                        sql_statements=self.db.statements_executed - statements_before,
-                        seconds=time.perf_counter() - start)
+            # Another thread may have materialised the answer while we
+            # queued on the stripe — serve it rather than recompute.
+            entry = self.results.peek(uid, k)
+            if entry is not None:
+                self._bump(reads=1, read_hits=1, stripe_acquisitions=1)
+                return ServeResult(
+                    uid=uid, k=k, ranking=entry.ranking, cache_hit=True,
+                    sql_statements=self.db.statements_executed - statements_before,
+                    seconds=time.perf_counter() - start)
             with self._gate.read():
                 # The warm path above never asks: a closed server holds no
                 # cached answers, so every read ends up here.
@@ -691,13 +681,11 @@ class TopKServer(ServingSurface):
                         session = self.sessions.get_or_create(uid)
                 except ServingError:
                     raise UnknownUserError(uid) from None
-                if self.cache_results:
-                    # Snapshot *after* the session exists (building one
-                    # replays profile events, which legitimately bump the
-                    # epoch) but *before* the data-reading computation the
-                    # snapshot guards.
-                    epoch = self.results.epoch
-                repair = self.cache_results and self.results.repair_enabled
+                # Snapshot *after* the session exists (building one replays
+                # profile events, which legitimately bump the epoch) but
+                # *before* the data-reading computation the snapshot guards.
+                epoch = self.results.epoch
+                repair = self.results.repair_enabled
                 with span("peps.top_k", self.db):
                     if repair:
                         delta = (self.repair_delta
@@ -707,22 +695,17 @@ class TopKServer(ServingSurface):
                     else:
                         buffer, complete = None, False
                         ranking = tuple(session.top_k(k))
-                if self.cache_results:
-                    peps = session.algorithm()
-                    predicates = [pref.predicate
-                                  for pref in peps.preferences]
-                    intensities = ([pref.intensity
-                                    for pref in peps.preferences]
-                                   if repair else None)
+                peps = session.algorithm()
+                predicates = [pref.predicate for pref in peps.preferences]
+                intensities = ([pref.intensity for pref in peps.preferences]
+                               if repair else None)
             # The gate is released *before* the put: a data mutation may
             # sweep between the compute and the materialisation, and the
             # epoch snapshot is exactly what makes that race safe — the
             # cache refuses the stale put.
-            if self.cache_results:
-                self.results.put(
-                    uid, k, ranking, predicates, epoch=epoch,
-                    intensities=intensities, buffer=buffer,
-                    complete=complete)
+            self.results.put(
+                uid, k, ranking, predicates, epoch=epoch,
+                intensities=intensities, buffer=buffer, complete=complete)
             self._bump(reads=1, stripe_acquisitions=1)
             return ServeResult(
                 uid=uid, k=k, ranking=ranking, cache_hit=False,
@@ -744,8 +727,7 @@ class TopKServer(ServingSurface):
             repairs_before = self.results.repairs
             fallbacks_before = self.results.repair_fallbacks
             sweep_statements_before = self.db.statements_executed
-            results_invalidated = (self.results.on_data_mutation(mutation)
-                                   if self.cache_results else 0)
+            results_invalidated = self.results.on_data_mutation(mutation)
             results_repaired = self.results.repairs - repairs_before
             repair_fallbacks = self.results.repair_fallbacks - fallbacks_before
             repair_sql = self.db.statements_executed - sweep_statements_before

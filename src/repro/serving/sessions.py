@@ -44,11 +44,10 @@ MutationListener = Callable[[GraphMutation], None]
 class UserSession:
     """One user's resident serving state (graph + pair index + PEPS)."""
 
-    def __init__(self, uid: int, runner: PreferenceQueryRunner,
-                 default_strategy: str = "avg_pos") -> None:
+    def __init__(self, uid: int, runner: PreferenceQueryRunner) -> None:
         self.uid = uid
         self.runner = runner
-        self.builder = HypreGraphBuilder(default_strategy=default_strategy)
+        self.builder = HypreGraphBuilder()
         self.index = IncrementalPairIndex(runner)
         self._peps: Optional[PEPSAlgorithm] = None
         #: Number of profile updates applied since the session was created.

@@ -5,8 +5,8 @@ dialect — the serving engine counted requests, the backends count
 ``statements_executed``, locks speak the contention vocabulary, the load
 harness bolts timed wrappers on.  :mod:`repro.telemetry` gives the whole
 stack one vocabulary (``layer.component.metric`` names), one request-scoped
-tracing mechanism (:mod:`contextvars`-ambient spans that survive the
-cluster's thread-pool fan-out) and two wire formats (schema-versioned JSON,
+tracing mechanism (:mod:`contextvars`-ambient spans, one tree per request
+however many threads serve) and two wire formats (schema-versioned JSON,
 Prometheus text).  It sits *below* the serving layer in the import order —
 it imports only the standard library and :mod:`repro.exceptions` — so every
 layer above can use it without cycles.

@@ -62,7 +62,6 @@ class LockInstrumentation:
         self._server = server
         self._swaps: List[Tuple[Any, str, Any]] = []
         self._registry: Union[MetricsRegistry, None] = None
-        self._adapter_key: Union[str, None] = None
         self._active = True
         self.locks: List[Any] = []
 
@@ -74,11 +73,10 @@ class LockInstrumentation:
         setattr(owner, attribute, replacement)
         return replacement
 
-    def _export(self, registry: MetricsRegistry, key: str) -> None:
-        """Register the per-lock adapter under ``key`` on ``registry``."""
-        registry.register_adapter(key, self._adapter)
+    def _export(self, registry: MetricsRegistry) -> None:
+        """Register the per-lock adapter on ``registry``."""
+        registry.register_adapter("locks", self._adapter)
         self._registry = registry
-        self._adapter_key = key
 
     def _adapter(self) -> Dict[str, float]:
         """Live ``concurrency.lock.<name>.<metric>`` values for snapshots."""
@@ -113,8 +111,8 @@ class LockInstrumentation:
             setattr(owner, attribute, original)
         if getattr(self._server, _HANDLE_ATTR, None) is self:
             delattr(self._server, _HANDLE_ATTR)
-        if self._registry is not None and self._adapter_key is not None:
-            self._registry.unregister_adapter(self._adapter_key)
+        if self._registry is not None:
+            self._registry.unregister_adapter("locks")
 
     def __enter__(self) -> "LockInstrumentation":
         return self
@@ -158,8 +156,8 @@ def _instrument_single(handle: LockInstrumentation, server: Any,
 
 
 def instrument_locks(server: Any,
-                     registry: Union[MetricsRegistry, None] = None,
-                     adapter_key: str = "locks") -> LockInstrumentation:
+                     registry: Union[MetricsRegistry, None] = None
+                     ) -> LockInstrumentation:
     """Swap timed locks into ``server`` (single or sharded); must be idle.
 
     Returns the :class:`LockInstrumentation` handle.  Calling this on a
@@ -171,7 +169,7 @@ def instrument_locks(server: Any,
     existing = getattr(server, _HANDLE_ATTR, None)
     if existing is not None and existing.active:
         if registry is not None and existing._registry is None:
-            existing._export(registry, adapter_key)
+            existing._export(registry)
         return existing
     handle = LockInstrumentation(server)
     shards = server.shard_servers
@@ -186,5 +184,5 @@ def instrument_locks(server: Any,
         handle.locks.append(backend_lock)
     setattr(server, _HANDLE_ATTR, handle)
     if registry is not None:
-        handle._export(registry, adapter_key)
+        handle._export(registry)
     return handle

@@ -5,11 +5,8 @@ request spend its time?*  A :class:`Span` measures one named stage of a
 request — wall time plus the backend work done while it was open
 (``statements_executed`` / ``rows_touched`` deltas) and free-form
 annotations (cache outcomes, uids, shard indexes).  Spans nest: the active
-span lives in a :mod:`contextvars` context variable, so nesting follows the
-*logical* request even when it hops threads — the sharded cluster's
-parallel fan-out copies the caller's context into each pool task
-(:func:`contextvars.copy_context`), so per-shard invalidation spans attach
-to the broadcasting request's span, not to some unrelated worker state.
+span lives in a :mod:`contextvars` context variable, so concurrent requests
+on different threads each see their own span tree.
 
 The ambient design keeps instrumentation cheap and local:
 
@@ -179,8 +176,6 @@ class Span:
         )
         _CURRENT_SPAN.reset(self._token)
         if self._parent is not None:
-            # list.append is atomic, so children closing on fan-out worker
-            # threads land safely while the parent stays open.
             self._parent._children.append(record)
         elif self._sink is not None:
             self._sink.record(record)

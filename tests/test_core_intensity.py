@@ -184,6 +184,10 @@ class TestProposition6:
     def test_zero_base_never_beats(self):
         assert min_preferences_to_beat(0.5, 0.0) == math.inf
 
+    def test_base_lost_to_rounding_never_beats(self):
+        # 1.0 - 1e-18 == 1.0, so log(1 - base) is 0.0: inf, not a division.
+        assert min_preferences_to_beat(0.5, 1e-18) == math.inf
+
     def test_saturated_target(self):
         assert min_preferences_to_beat(1.0, 0.5) == math.inf
         assert min_preferences_to_beat(1.0, 1.0) == 1.0

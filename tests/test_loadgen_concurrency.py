@@ -12,9 +12,9 @@ instead of hanging the suite — the repo has no pytest-timeout plugin):
   quiesces traffic through a :class:`~repro.loadgen.TrafficGate` and
   recomputes every materialised answer from scratch on the quiesced
   (frozen) database: no torn read may survive a quiesce point;
-* **cluster fan-out equivalence** — concurrent ``top_k`` calls against a
-  ``parallel_fanout`` sharded cluster must return exactly the rankings a
-  single serial server computes for the same world;
+* **cluster read equivalence** — concurrent ``top_k`` calls against a
+  sharded cluster must return exactly the rankings a single serial server
+  computes for the same world;
 
 plus barrier-provoked regression tests for the invalidation races the
 epoch guards in :class:`~repro.serving.results.ResultCache` and
@@ -191,11 +191,11 @@ def test_readers_and_writers_no_torn_reads(world):
     assert quiesce_points >= 2
 
 
-# -- cluster fan-out equivalence ---------------------------------------------
+# -- cluster read equivalence ------------------------------------------------
 
 
-def test_cluster_parallel_fanout_concurrent_topk_equivalence(backend):
-    """Concurrent reads through a parallel-fan-out cluster == the serial
+def test_cluster_concurrent_topk_equivalence(backend):
+    """Concurrent reads through a sharded cluster == the serial
     single-server rankings for the same world."""
     driver = ReplayDriver(REPLAY)
 
@@ -209,8 +209,7 @@ def test_cluster_parallel_fanout_concurrent_topk_equivalence(backend):
     reference_db.close()
 
     cluster_db = driver.build_world(DBLP, backend=backend)
-    cluster = ShardedTopKServer(cluster_db, shards=3, capacity=32,
-                                parallel_fanout=True)
+    cluster = ShardedTopKServer(cluster_db, shards=3, capacity=32)
     served = {}
     errors = []
 

@@ -172,10 +172,7 @@ def reference_ranking(peps, k=None, min_intensity=None):
 
 intensities = st.one_of(
     st.sampled_from([0.0, -0.5, -1.0, 0.5, 1.0]),
-    # Six decimals: below ~1e-17 ``min_preferences_to_beat`` divides by
-    # log(1 - base) == 0.0, on this commit's parent as well.
-    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-    .map(lambda value: round(value, 6)))
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 preference_lists = st.lists(
     st.tuples(st.sampled_from(POOL), intensities),
     min_size=1, max_size=9, unique_by=lambda entry: entry[0])

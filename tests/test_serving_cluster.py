@@ -183,27 +183,6 @@ class TestBroadcast:
             assert report.results_spared == cached
             assert len(cluster.results) == cached
 
-    def test_parallel_fanout_matches_serial(self):
-        """The concurrent fan-out path must invalidate exactly what the
-        serial path invalidates — shard for shard."""
-        reports = {}
-        for parallel in (False, True):
-            driver, db = make_world()
-            try:
-                with ShardedTopKServer(db, shards=4, capacity=8,
-                                       parallel_fanout=parallel) as cluster:
-                    for uid in driver.config.uids():
-                        cluster.top_k(uid, k=4)
-                    outcome = cluster.insert_tuples(
-                        [Paper(pid=91_000, title="X", venue="V2", year=2012)],
-                        paper_authors=[(91_000, 3)])
-                    reports[parallel] = [shard.as_dict()
-                                         for shard in outcome.shard_reports]
-                    assert cluster.parallel_fanout is parallel
-            finally:
-                db.close()
-        assert reports[False] == reports[True]
-
     def test_mapping_payloads_accepted(self, world):
         driver, db = world
         with ShardedTopKServer(db, shards=2) as cluster:
@@ -264,7 +243,7 @@ class TestClusterMetrics:
 
     def test_close_unsubscribes_and_stops_fanout(self, world):
         driver, db = world
-        cluster = ShardedTopKServer(db, shards=2, parallel_fanout=True)
+        cluster = ShardedTopKServer(db, shards=2)
         cluster.top_k(REPLAY.uid_base, k=3)
         cluster.close()
         before = cluster.broadcasts
@@ -283,23 +262,21 @@ class TestEquivalence:
         recomputation, in lockstep over identical worlds."""
         driver = ReplayDriver(ReplayConfig(users=8, requests=48, k=4, seed=11))
         checked = driver.verify_cluster_equivalence(
-            DBLP, shards=shards, capacity=4, parallel_fanout=shards > 1)
+            DBLP, shards=shards, capacity=4)
         assert checked > 0
 
-    @pytest.mark.parametrize("parallel_fanout", [False, True])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_repaired_answers_stay_equivalent(self, shards, parallel_fanout):
-        """Repairs happen on every shard topology — serial and parallel
-        fan-out alike — and every repaired answer passes the three-way
-        lockstep check (cluster == single server == fresh)."""
+    def test_repaired_answers_stay_equivalent(self, shards):
+        """Repairs happen on every shard topology and every repaired answer
+        passes the three-way lockstep check (cluster == single server ==
+        fresh)."""
         driver = ReplayDriver(ReplayConfig(
             users=8, requests=48, k=4, seed=11,
             mix=OpMix(insert_weight=1.2, delete_weight=1.0,
                       data_update_weight=1.0)))
         stats = {}
         checked = driver.verify_cluster_equivalence(
-            DBLP, shards=shards, capacity=4, parallel_fanout=parallel_fanout,
-            stats_out=stats)
+            DBLP, shards=shards, capacity=4, stats_out=stats)
         assert checked > 0
         assert stats["cluster"]["serving.result_cache.repairs"] > 0
         assert stats["server"]["serving.result_cache.repairs"] > 0

@@ -6,14 +6,18 @@ Pins the contract of :class:`repro.serving.ServingSurface` over
 same public methods, one mutation report type, the same ``metrics()`` names,
 identical answers and report totals for one fixed script, and a terminal
 ``close()`` — plus the known resident-vs-rebuilt divergence as a strict
-xfail, so the fix flips it.
+xfail, so the fix flips it.  Also pins the construction surface (every
+settable parameter, by name) and what a sweep guarantees: it runs on the
+mutating thread, shard by shard, so a failing one leaves nothing held.
 """
 
 from __future__ import annotations
 
 import inspect
+import threading
 
 import pytest
+from test_loadgen_concurrency import start_and_join
 
 from repro.backend import BACKEND_NAMES
 from repro.core.preference import UserProfile
@@ -25,6 +29,7 @@ from repro.serving import (
     ReplayDriver,
     ShardedTopKServer,
     TopKServer,
+    create_server,
     fresh_top_k,
 )
 from repro.telemetry import validate_metric_name
@@ -153,6 +158,70 @@ def test_script_reports_and_metrics(surface):
     assert metrics["serving.server.tuple_updates"] == 1
     assert metrics["serving.server.deletes"] == 2
     assert metrics["serving.server.updates"] == 1
+
+
+def test_construction_surface_is_pinned():
+    """Every settable parameter of the serving constructors, by name: a new
+    option is a deliberate edit of this list, not a drive-by."""
+    pinned = {
+        TopKServer: ["db", "capacity", "subscribe", "repair_delta"],
+        ShardedTopKServer: ["db", "shards", "capacity", "partitioner",
+                            "repair_delta"],
+        create_server: ["db", "shards", "options"],
+        ReplayDriver.verify_cluster_equivalence: [
+            "self", "workload_config", "shards", "capacity", "server_backend",
+            "stats_out"],
+    }
+    for target, names in pinned.items():
+        assert list(inspect.signature(target).parameters) == names, target
+
+
+def test_cluster_sweeps_on_the_mutating_thread_in_shard_order(backend):
+    db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
+    swept = []
+
+    def recording(index, sweep):
+        def wrapped(mutation):
+            swept.append((index, threading.get_ident()))
+            return sweep(mutation)
+        return wrapped
+
+    with create_server(db, shards=3) as cluster:
+        for index, shard in enumerate(cluster.shard_servers):
+            shard._sweep = recording(index, shard._sweep)
+        cluster.insert_tuples(
+            [Paper(pid=90_003, title="Swept", venue="V0", year=2012)])
+    db.close()
+    me = threading.get_ident()
+    assert swept == [(0, me), (1, me), (2, me)]
+
+
+def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
+    """A sweep that raises surfaces at the door that caused it, and by then
+    every gate is released: cold reads on every shard and a further
+    mutation, all from another thread, complete."""
+    uids = REPLAY.uids()
+    last = surface.shard_servers[-1]
+
+    def failing(mutation):
+        raise RuntimeError("sweep failed")
+
+    last._sweep = failing
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        surface.insert_tuples(
+            [Paper(pid=90_004, title="Unswept", venue="V0", year=2012)])
+    del last._sweep  # the class's method again
+    outcome = {}
+
+    def read_everyone_then_mutate():
+        outcome["cold"] = [surface.top_k(uid, K).cache_hit for uid in uids]
+        outcome["report"] = surface.delete_tuples([90_004])
+
+    start_and_join([threading.Thread(target=read_everyone_then_mutate,
+                                     name="after-failed-sweep", daemon=True)])
+    assert outcome["cold"] == [False] * len(uids)
+    assert outcome["report"].papers == 1
+    assert len(outcome["report"].shard_reports) == surface.shards
 
 
 def test_one_script_same_answers_totals_and_metric_names(backend):

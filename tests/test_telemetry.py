@@ -308,20 +308,25 @@ class TestServerTelemetry:
 class TestClusterTelemetry:
     def test_fanout_trace_nests_every_shard(self, serving_db):
         telemetry = Telemetry()
-        with ShardedTopKServer(serving_db, shards=3, capacity=8,
-                               parallel_fanout=True) as cluster:
+        with ShardedTopKServer(serving_db, shards=3, capacity=8) as cluster:
             telemetry.observe(cluster)
             for uid in range(1, 5):
                 cluster.update_profile(uid, make_profile(uid))
-            cluster.insert_tuples(
-                [Paper(pid=90_001, title="fanout paper", venue="VLDB",
-                       year=2012)],
-                paper_authors=[(90_001, 1)])
-            record = telemetry.traces.snapshot()[-1]
-            assert record.name == "cluster.insert_tuples"
-            mutations = [child for child in record.children
-                         if child.name == "server.on_data_mutation"]
-            assert len(mutations) == cluster.shards
+            telemetry.traces.clear()
+            for pid in (90_001, 90_002, 90_003):
+                cluster.insert_tuples(
+                    [Paper(pid=pid, title="fanout paper", venue="VLDB",
+                           year=2012)],
+                    paper_authors=[(pid, 1)])
+            records = telemetry.traces.snapshot()
+            assert len(records) == 3
+            for record in records:
+                # Every shard's sweep landed under the request that caused
+                # it, none under a neighbouring request.
+                assert record.name == "cluster.insert_tuples"
+                mutations = [child for child in record.children
+                             if child.name == "server.on_data_mutation"]
+                assert len(mutations) == cluster.shards
 
     def test_read_nests_shard_front_door(self, serving_db):
         telemetry = Telemetry()

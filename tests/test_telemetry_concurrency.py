@@ -6,9 +6,7 @@ Three families of guarantees, proven rather than assumed:
   increments under real thread contention, property-tested over arbitrary
   per-thread workloads with Hypothesis;
 * **span integrity** — concurrent traced requests never contaminate each
-  other's trees (contextvars isolation per thread), and the cluster's
-  parallel fan-out attaches every worker-thread span to the broadcasting
-  request's root;
+  other's trees (contextvars isolation per thread);
 * **bounded, untorn traces** — however many threads record, the trace ring
   never exceeds its capacity and only complete span trees are ever
   observable.
@@ -20,20 +18,12 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.preference import UserProfile
-from repro.serving import ShardedTopKServer
-from repro.sqldb.database import Database
 from repro.telemetry import (
     MetricsRegistry,
     Span,
-    Telemetry,
     TraceBuffer,
     span,
 )
-from repro.workload.dblp import DblpConfig, Paper, generate_dblp
-from repro.workload.loader import load_dataset
-
-VENUES = ("VLDB", "SIGMOD", "PVLDB", "ICDE", "PODS", "CIKM")
 
 
 def _run_all(threads):
@@ -128,40 +118,6 @@ class TestSpanIsolation:
                 "stage_a", "stage_c"]
             assert record.find("stage_b") is not None
             assert record.span_count() == 4
-
-    def test_parallel_fanout_attaches_worker_spans_to_root(self):
-        db = Database(":memory:")
-        load_dataset(db, generate_dblp(
-            DblpConfig(n_papers=150, n_authors=50, n_venues=6, seed=7)))
-        telemetry = Telemetry()
-        try:
-            with ShardedTopKServer(db, shards=3, capacity=8,
-                                   parallel_fanout=True) as cluster:
-                telemetry.observe(cluster)
-                for uid in range(1, 7):
-                    profile = UserProfile(uid=uid)
-                    profile.add_quantitative(
-                        f"dblp.venue = '{VENUES[uid % len(VENUES)]}'", 0.9)
-                    profile.add_quantitative(
-                        "dblp.year >= 2008 AND dblp.year <= 2009", 0.5)
-                    cluster.update_profile(uid, profile)
-                telemetry.traces.clear()
-                for round_ in range(3):
-                    cluster.insert_tuples(
-                        [Paper(pid=91_000 + round_, title="fanout",
-                               venue="VLDB", year=2012)],
-                        paper_authors=[(91_000 + round_, 1)])
-                records = telemetry.traces.snapshot()
-                assert len(records) == 3
-                for record in records:
-                    assert record.name == "cluster.insert_tuples"
-                    handled = [child for child in record.children
-                               if child.name == "server.on_data_mutation"]
-                    # Every shard's pool-thread handler landed under the
-                    # broadcasting request's root, none went astray.
-                    assert len(handled) == cluster.shards
-        finally:
-            db.close()
 
 
 # -- bounded, untorn trace ring -----------------------------------------------
