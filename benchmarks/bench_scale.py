@@ -1,4 +1,5 @@
-"""The scale curve: world build, cold and warm Top-K from 300 to 30 000 papers.
+"""The scale curve: world build, cold and warm Top-K and one mutation of each
+kind, from 300 to 30 000 papers.
 
 Every other benchmark in this directory runs at 220–800 papers; this one
 publishes how the serving path grows with the *relation*.  Per size and
@@ -6,7 +7,10 @@ backend it builds the world through the public front doors, serves 40 users
 once cold (fresh server, session LRU large enough to hold them) and then
 warm, and writes ``BENCH_scale.json``: build phases, cold/warm latency, and
 the three work counters :class:`~repro.algorithms.peps.PEPSAlgorithm`
-records per call.
+records per call.  Then, with the 40 sessions resident, it inserts, rewrites
+in place and deletes one 2-author paper: latency per kind, plus what the
+sweep did — ``predicate_row_tests`` (the relevance evaluations its one
+:class:`~repro.index.RowMatch` made) and ``index_entries_dropped``.
 
 The gate is on the counters, not the clock.  A cold read folds every
 preference's id list once, so ``memberships_folded`` (= Σ|ids|, pinned to
@@ -15,7 +19,8 @@ read; ``tuples_scored + combinations_scanned`` is what PEPS does with it:
 one score per covered tuple, and a combination scan that stops after a
 bounded number of records.  Their ratio must not grow with the relation, at
 any machine speed.  The counters must also be equal on both engines: they
-count answers, not storage work.
+count answers, not storage work — and so must the two mutation counters,
+which depend on the resident predicates and the mutation rows alone.
 
 The 40 users are a systematic sample of the *typical* mined profiles (at
 most 64 preferences, the same cut the end-to-end benchmark's ``typical``
@@ -37,8 +42,9 @@ import pytest
 
 from repro import PreferenceExtractor, TopKServer, create_backend, generate_dblp
 from repro.experiments import reporting
+from repro.telemetry import Telemetry
 from repro.workload import load_dataset, load_profiles
-from repro.workload.dblp import DblpConfig
+from repro.workload.dblp import DblpConfig, Paper
 
 from bench_utils import run_once, write_bench_json
 
@@ -51,6 +57,9 @@ WARM_ROUNDS = 50
 TYPICAL_PREFERENCES = 64
 #: How far the work-per-membership ratio may drift above the smallest size's.
 RATIO_SLACK = 2.0
+MUTATIONS = ("insert", "update", "delete")
+#: The sweep's two machine-independent counters, per mutation kind.
+MUTATION_COUNTERS = ("predicate_row_tests", "index_entries_dropped")
 
 
 def _config(papers: int) -> DblpConfig:
@@ -64,6 +73,41 @@ def _sample_users(registry) -> list:
                      if len(profile.quantitative) + len(profile.qualitative)
                      <= TYPICAL_PREFERENCES)
     return typical[::max(1, len(typical) // USERS)][:USERS]
+
+
+def _mutate(server: TopKServer, dataset) -> dict:
+    """Insert, rewrite in place and delete one 2-author paper each, with
+    every session resident; per kind: latency and what the sweep did.
+
+    The three papers sit in three different venues, so no kind finds its
+    cache entries already dropped by the one before it.
+    """
+    telemetry = Telemetry()
+    telemetry.observe(server)
+    authors_of = dataset.authors_of()
+    by_venue = {paper.venue: paper for paper in dataset.papers
+                if len(authors_of[paper.pid]) == 2}
+    cloned, rewritten, deleted = list(by_venue.values())[:3]
+    pid = max(paper.pid for paper in dataset.papers) + 1
+    doors = {
+        "insert": lambda: server.insert_tuples(
+            [Paper(pid, "scale probe", cloned.venue, cloned.year)],
+            paper_authors=[(pid, aid) for aid in authors_of[cloned.pid]]),
+        "update": lambda: server.update_tuples(
+            [Paper(rewritten.pid, rewritten.title, rewritten.venue,
+                   rewritten.year + 1)]),
+        "delete": lambda: server.delete_tuples([deleted.pid]),
+    }
+    measured = {}
+    for kind in MUTATIONS:
+        started = time.perf_counter()
+        report = doors[kind]()
+        measured[f"{kind}_ms"] = (time.perf_counter() - started) * 1e3
+        sweep = telemetry.traces.snapshot()[-1].find("server.on_data_mutation")
+        measured[f"{kind}_predicate_row_tests"] = sweep.annotation(
+            "predicate_row_tests")
+        measured[f"{kind}_index_entries_dropped"] = report.index_entries_dropped
+    return measured
 
 
 def _measure(papers: int) -> list:
@@ -102,6 +146,7 @@ def _measure(papers: int) -> list:
                 for uid in uids:
                     server.top_k(uid, K)
             warm_us = (now() - started) * 1e6 / (WARM_ROUNDS * len(uids))
+            mutated = _mutate(server, dataset)
         finally:
             server.close()
             db.close()
@@ -111,7 +156,7 @@ def _measure(papers: int) -> list:
             "build_s": generate_s + extract_s + load_s,
             "cold_ms_mean": mean(cold_ms), "cold_ms_p50": median(cold_ms),
             "cold_ms_max": max(cold_ms), "warm_us_mean": warm_us,
-            **work,
+            **work, **mutated,
             "work_per_membership": (
                 (work["tuples_scored"] + work["combinations_scanned"])
                 / max(1, work["memberships_folded"])),
@@ -136,17 +181,27 @@ def _publish(rows) -> None:
              "scanned": row["combinations_scanned"],
              "work/membership": f"{row['work_per_membership']:.3f}"}
             for row in rows]))
+    reporting.print_report(
+        f"Mutation curve — one 2-author paper, {USERS} resident sessions",
+        reporting.format_table([
+            {"papers": row["papers"], "backend": row["backend"], "kind": kind,
+             "ms": f"{row[f'{kind}_ms']:.2f}",
+             **{counter: row[f"{kind}_{counter}"]
+                for counter in MUTATION_COUNTERS}}
+            for row in rows for kind in MUTATIONS]))
     write_bench_json("scale", {
         "users": USERS, "k": K, "warm_rounds": WARM_ROUNDS,
         "typical_preferences": TYPICAL_PREFERENCES, "rows": rows})
 
     by_backend = {backend: [row for row in rows if row["backend"] == backend]
                   for backend in BACKENDS}
-    counters = ("tuples_scored", "memberships_folded", "combinations_scanned")
+    counters = ("tuples_scored", "memberships_folded", "combinations_scanned",
+                *(f"{kind}_{counter}" for kind in MUTATIONS
+                  for counter in MUTATION_COUNTERS))
     for sqlite_row, memory_row in zip(*by_backend.values()):
         assert ([sqlite_row[counter] for counter in counters]
                 == [memory_row[counter] for counter in counters]), (
-            "the engines disagree on the work a cold read does")
+            "the engines disagree on the work a cold read or a sweep does")
     for curve in by_backend.values():
         smallest = curve[0]
         for row in curve[1:]:

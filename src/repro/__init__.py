@@ -58,7 +58,6 @@ Incremental index subsystem (:mod:`repro.index`)
     :class:`CountCache` — shared, batched, invalidation-aware count store.
     :class:`PairwiseCombinationIndex` — full-rebuild pairwise index.
     :class:`IncrementalPairIndex` — graph-subscribed incremental index.
-    :class:`SelectivityEstimator` — emptiness-proving selectivity estimates.
     :class:`GraphMutation` — the mutation event the HYPRE graph emits.
 
 Serving engine (:mod:`repro.serving`)
@@ -149,7 +148,6 @@ from .index import (
     GraphMutation,
     IncrementalPairIndex,
     PairwiseCombinationIndex,
-    SelectivityEstimator,
 )
 from .serving import (
     HashPartitioner,
@@ -203,7 +201,6 @@ __all__ = [
     "ReplayConfig",
     "ReplayDriver",
     "ResultCache",
-    "SelectivityEstimator",
     "SessionRegistry",
     "ShardedTopKServer",
     "StorageBackend",

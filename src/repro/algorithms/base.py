@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.hypre import HypreGraph
 from ..core.intensity import combine_and, combine_or
@@ -29,7 +29,7 @@ from ..backend.protocol import StorageBackend
 from ..exceptions import EmptyPreferenceListError
 from ..index.count_cache import CountCache
 from ..index.pair_index import preference_sort_key
-from ..index.selectivity import may_match_row
+from ..index.selectivity import RowMatch
 
 
 @dataclass(frozen=True)
@@ -167,25 +167,22 @@ class PreferenceQueryRunner:
         """Definition 15 — the enhanced query returns at least one tuple."""
         return self.count(predicate) > 0
 
-    def invalidate_matching(self, rows: Sequence[Mapping[str, Any]]) -> int:
-        """Selectively invalidate after new tuples landed in the relation.
+    def invalidate_matching(self, match: RowMatch) -> int:
+        """Selectively invalidate after a data mutation changed the relation.
 
         Drops the memoised id lists *and* the shared count-cache entries
-        whose predicate may match one of the inserted joined-view rows (see
+        whose predicate may match one of the mutation rows (pre ∪ post
+        image) — a key is stale iff its mask in ``match``, the sweep's shared
+        :class:`~repro.index.selectivity.RowMatch`, is non-zero (see
         :meth:`CountCache.invalidate_matching`); everything provably
-        unaffected stays cached.  The serving layer calls this from its
-        :class:`~repro.sqldb.events.DataMutation` handler.  Returns the
-        number of entries dropped across both caches.
+        unaffected stays cached.  Returns the number of entries dropped
+        across both caches.
         """
-        rows = list(rows)
-        stale_ids = []
-        for key in self._ids_cache:
-            predicate = ensure_predicate(key)  # parse once, not per row
-            if any(may_match_row(predicate, row) for row in rows):
-                stale_ids.append(key)
+        stale_ids = ([key for key in self._ids_cache if match.mask(key)]
+                     if match.rows else ())
         for key in stale_ids:
             del self._ids_cache[key]
-        return len(stale_ids) + self.count_cache.invalidate_matching(rows)
+        return len(stale_ids) + self.count_cache.invalidate_matching(match)
 
     def clear(self) -> None:
         """Drop this runner's cached results (used between benchmark reps).

@@ -49,13 +49,11 @@ def attribute_names_match(first: str, second: str) -> bool:
 
     A qualified name (``dblp.venue``) matches itself and its bare suffix
     (``venue``); two *differently* qualified names stay distinct.  This is
-    the one normalisation rule shared by tuple-dict lookup (:func:`_lookup`),
-    row-attribute presence checks
-    (:func:`repro.index.selectivity.may_match_row`) and attribute-based cache
-    invalidation (``CountCache.invalidate_attribute`` /
-    ``IncrementalPairIndex.invalidate_attribute``) — so a predicate written
-    as ``dblp.venue = 'VLDB'`` is never silently spared when ``venue`` is
-    invalidated, and vice versa.  Memoised: the selective-invalidation hot
+    the one normalisation rule shared by tuple-dict lookup (:func:`_lookup`)
+    and row-attribute presence checks
+    (:func:`repro.index.selectivity.may_match_row`) — so a predicate written
+    as ``dblp.venue = 'VLDB'`` is never silently spared by a row keyed
+    ``venue``, and vice versa.  Memoised: the selective-invalidation hot
     path asks this about the same few (predicate attribute, row key) pairs
     hundreds of thousands of times per replay.
     """

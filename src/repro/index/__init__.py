@@ -21,13 +21,10 @@ Public API
     One ``<first, second, intensity, tuple count>`` row of a pair index.
 :class:`IndexedPreference`
     Lightweight scored preference record used by the index layer.
-:class:`SelectivityEstimator`
-    Pair-level selectivity estimates; proves emptiness soundly before any
-    database work.
-:func:`estimate_selectivity`
-    Heuristic per-predicate selectivity in ``(0, 1]``.
-:func:`pair_provably_empty`
-    Syntactic unsatisfiability check for an AND pair.
+:class:`RowMatch`
+    One data mutation's rows with each distinct predicate judged against
+    them at most once (a row bitmask per predicate); the serving sweep
+    builds one per mutation and every ``invalidate_matching`` consumes it.
 :func:`may_match_row`
     Sound tuple-relevance check used by data-update invalidation across
     the full mutation spectrum: ``False`` proves that no image of an
@@ -62,13 +59,7 @@ from .pair_index import (
     PairCombination,
     PairwiseCombinationIndex,
 )
-from .selectivity import (
-    SelectivityEstimator,
-    estimate_selectivity,
-    exact_match_row,
-    may_match_row,
-    pair_provably_empty,
-)
+from .selectivity import RowMatch, exact_match_row, may_match_row
 
 __all__ = [
     "CountCache",
@@ -81,9 +72,7 @@ __all__ = [
     "NODE_INSERTED",
     "PairCombination",
     "PairwiseCombinationIndex",
-    "SelectivityEstimator",
-    "estimate_selectivity",
+    "RowMatch",
     "exact_match_row",
     "may_match_row",
-    "pair_provably_empty",
 ]

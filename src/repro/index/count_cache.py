@@ -11,10 +11,11 @@ build.  :class:`CountCache` centralises the answers:
   backend round-trip per ~200 misses (a compound ``UNION ALL`` statement on
   the SQLite backend, one logical batch op on the memory backend) instead of
   one operation per predicate;
-* the cache is invalidation-aware: :meth:`invalidate` / :meth:`clear` drop
-  entries when the underlying relation changes (the preference *graph*
-  changing never invalidates counts — counts depend only on predicates and
-  data, which is what makes the incremental pair index correct).
+* the cache is invalidation-aware: :meth:`invalidate_matching` /
+  :meth:`clear` drop entries when the underlying relation changes (the
+  preference *graph* changing never invalidates counts — counts depend only
+  on predicates and data, which is what makes the incremental pair index
+  correct).
 
 Statistics (``hits``, ``misses``, ``statements``) are tracked so tests and
 benchmarks can assert the batching and reuse actually happen.
@@ -32,23 +33,23 @@ Two mechanisms keep the released-lock window sound:
   cache's condition variable instead of issuing a duplicate query, so each
   unique predicate is still a miss (and a statement) exactly once however
   many threads race on it;
-* an **invalidation epoch** — every ``invalidate*``/``clear`` bumps it, and
-  a count resolved under an older epoch is returned to its caller but never
-  memoised, closing the check-then-act window where a pre-mutation count
-  could be stored *after* the mutation's invalidation sweep already dropped
-  everything stale.
+* an **invalidation epoch** — every ``invalidate_matching``/``clear`` bumps
+  it, and a count resolved under an older epoch is returned to its caller but
+  never memoised, closing the check-then-act window where a pre-mutation
+  count could be stored *after* the mutation's invalidation sweep already
+  dropped everything stale.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..backend.protocol import StorageBackend
-from ..core.predicate import PredicateExpr, attribute_names_match, ensure_predicate
+from ..core.predicate import PredicateExpr, ensure_predicate
 from ..sqldb.query_builder import BATCH_COUNT_CHUNK
 from ..telemetry import span
-from .selectivity import may_match_row
+from .selectivity import RowMatch
 
 PredicateLike = Union[str, PredicateExpr]
 
@@ -212,50 +213,23 @@ class CountCache:
         with self._lock:
             self._counts[self.key(predicate)] = int(count)
 
-    def invalidate(self, predicate: PredicateLike) -> None:
-        """Drop one entry (call when the relation changed under it)."""
-        with self._lock:
-            self._epoch += 1
-            self._counts.pop(self.key(predicate), None)
+    def invalidate_matching(self, match: RowMatch) -> int:
+        """Drop every cached count whose predicate may match a mutation row.
 
-    def invalidate_attribute(self, attribute: str) -> int:
-        """Drop every cached count whose predicate references ``attribute``.
-
-        Returns the number of entries dropped.  This is the coarse hook for
-        relation updates: after e.g. new rows land in ``dblp``, counts for
-        predicates over its columns are stale while all others stay valid.
-        Qualified and bare spellings are normalised — invalidating ``venue``
-        also drops counts over ``dblp.venue`` (and vice versa), so no stale
-        count survives on a naming technicality.
-        """
-        with self._lock:
-            self._epoch += 1
-            stale = [key for key in self._counts
-                     if any(attribute_names_match(attribute, referenced)
-                            for referenced in ensure_predicate(key).attributes())]
-            for key in stale:
-                del self._counts[key]
-            return len(stale)
-
-    def invalidate_matching(self, rows: Sequence[Mapping[str, Any]]) -> int:
-        """Drop every cached count whose predicate may match an inserted row.
-
-        The *selective* hook for tuple inserts (the serving layer calls it
-        from the :class:`~repro.sqldb.events.DataMutation` handler): a count
-        can only have changed if its predicate can be satisfied by one of the
-        new joined-view rows — everything else stays cached.  Soundness comes
-        from :func:`~repro.index.selectivity.may_match_row`, which only
-        answers ``False`` when the row provably cannot satisfy the predicate.
+        The selective hook for data mutations (the serving layer calls it
+        from the :class:`~repro.sqldb.events.DataMutation` sweep): a count
+        can only have changed if its predicate can be satisfied by one of
+        the mutation rows (pre ∪ post image) — everything else stays cached.
+        ``match`` is the sweep's shared
+        :class:`~repro.index.selectivity.RowMatch`; a key is stale iff its
+        mask is non-zero, and a mutation that carries no rows visits no key.
         Returns the number of entries dropped.
         """
-        rows = list(rows)
         with self._lock:
             self._epoch += 1
-            stale = []
-            for key in self._counts:
-                predicate = ensure_predicate(key)  # parse once, not per row
-                if any(may_match_row(predicate, row) for row in rows):
-                    stale.append(key)
+            if not match.rows:
+                return 0
+            stale = [key for key in self._counts if match.mask(key)]
             for key in stale:
                 del self._counts[key]
             return len(stale)

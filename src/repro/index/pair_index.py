@@ -8,8 +8,9 @@ module provides both maintenance strategies:
 * :class:`PairwiseCombinationIndex` rebuilds the whole table for a fixed
   preference list.  Counts go through one *batched* request
   (:meth:`CountCache.count_many`-style) instead of one query per pair, and a
-  :class:`~repro.index.selectivity.SelectivityEstimator` pre-filter records
-  provably-empty pairs without touching the database at all.
+  pre-filter (syntactic incompatibility, or a side the cache already
+  :func:`~repro.index.selectivity.known_empty`) records provably-empty pairs
+  without touching the database at all.
 * :class:`IncrementalPairIndex` additionally *subscribes* to
   :class:`~repro.core.hypre.graph.HypreGraph` mutation events.  Pair counts
   are keyed by predicate SQL — they depend only on the predicates and the
@@ -48,12 +49,11 @@ from ..core.intensity import combine_and
 from ..core.predicate import (
     PredicateExpr,
     are_and_compatible,
-    attribute_names_match,
     conjunction,
     ensure_predicate,
 )
 from .count_cache import CountCache
-from .selectivity import SelectivityEstimator, may_match_row
+from .selectivity import RowMatch, known_empty
 
 
 def _backing_cache(counter) -> Optional[CountCache]:
@@ -191,12 +191,10 @@ class PairwiseCombinationIndex(PairIndexBase):
     :class:`~repro.index.count_cache.CountCache` qualify.
     """
 
-    def __init__(self, counter, preferences: Sequence[IndexedPreference],
-                 estimator: Optional[SelectivityEstimator] = None) -> None:
+    def __init__(self, counter, preferences: Sequence[IndexedPreference]) -> None:
         super().__init__()
         self.counter = counter
         self.preferences = list(preferences)
-        self.estimator = estimator or SelectivityEstimator(_backing_cache(counter))
         #: Pairs whose emptiness the pre-filter proved without a query.
         self.pairs_prefiltered = 0
         #: Pair predicates actually submitted for counting.
@@ -207,8 +205,8 @@ class PairwiseCombinationIndex(PairIndexBase):
         pairs: Dict[Tuple[int, int], PairCombination] = {}
         pending: List[Tuple[int, int, float]] = []
         predicates: List[PredicateExpr] = []
-        known_empty = [self.estimator.known_empty(pref.predicate)
-                       for pref in self.preferences]
+        cache = _backing_cache(self.counter)
+        empty = [known_empty(cache, pref.predicate) for pref in self.preferences]
         for i, first in enumerate(self.preferences):
             for j in range(i + 1, len(self.preferences)):
                 second = self.preferences[j]
@@ -217,7 +215,7 @@ class PairwiseCombinationIndex(PairIndexBase):
                     pairs[(i, j)] = PairCombination(i, j, 0.0, 0)
                     continue
                 intensity = combine_and([first.intensity, second.intensity])
-                if known_empty[i] or known_empty[j]:
+                if empty[i] or empty[j]:
                     # Compatible but a side is already known to match zero
                     # tuples: the conjunction is empty, no query needed.
                     self.pairs_prefiltered += 1
@@ -272,11 +270,9 @@ class IncrementalPairIndex(PairIndexBase):
     """
 
     def __init__(self, counter,
-                 preferences: Optional[Sequence[IndexedPreference]] = None,
-                 estimator: Optional[SelectivityEstimator] = None) -> None:
+                 preferences: Optional[Sequence[IndexedPreference]] = None) -> None:
         super().__init__()
         self.counter = counter
-        self.estimator = estimator or SelectivityEstimator(_backing_cache(counter))
         self._counts: Dict[PairKey, int] = {}
         self._loader: Optional[PreferenceLoader] = None
         self._hypre = None
@@ -379,40 +375,27 @@ class IncrementalPairIndex(PairIndexBase):
         self._counts.clear()
         self._stale = True
 
-    def invalidate_attribute(self, attribute: str) -> int:
-        """Drop pair counts whose predicates reference ``attribute``.
+    def invalidate_matching(self, match: RowMatch) -> int:
+        """Drop pair counts whose conjunction may match a mutation row.
 
-        The per-attribute analogue of
-        :meth:`CountCache.invalidate_attribute` for relation updates that
-        only touch some columns.  Returns the number of pairs dropped and
-        marks the index stale so the next refresh re-counts them.
+        The per-session half of a data-mutation sweep (see
+        :meth:`CountCache.invalidate_matching`): a pair count is stale only
+        if **all** its predicates can be satisfied by the same mutation row
+        (pre ∪ post image) — i.e. their masks in the sweep's shared
+        :class:`~repro.index.selectivity.RowMatch` intersect.  A one-member
+        key (both preferences render the same SQL) is its own mask; a
+        mutation that carries no rows visits no pair.  Returns the number of
+        pairs dropped and marks the index stale so the next refresh
+        re-counts them.
         """
-        stale_keys = [key for key in self._counts
-                      if any(attribute_names_match(attribute, referenced)
-                             for sql in key
-                             for referenced in ensure_predicate(sql).attributes())]
-        for key in stale_keys:
-            del self._counts[key]
-        if stale_keys:
-            self._stale = True
-        return len(stale_keys)
-
-    def invalidate_matching(self, rows) -> int:
-        """Drop pair counts whose conjunction may match an inserted tuple.
-
-        The selective analogue of :meth:`invalidate_attribute` for data-side
-        updates (see :meth:`CountCache.invalidate_matching`): a pair count is
-        stale only if **both** predicates of the pair can be satisfied by the
-        same new joined-view row — i.e. the conjunction may match it.
-        Returns the number of pairs dropped and marks the index stale so the
-        next refresh re-counts them.
-        """
-        rows = list(rows)
+        if not match.rows:
+            return 0
         stale_keys = []
         for key in self._counts:
-            predicates = [ensure_predicate(sql) for sql in key]  # parse once
-            if any(all(may_match_row(predicate, row) for predicate in predicates)
-                   for row in rows):
+            shared = -1
+            for sql in key:
+                shared &= match.mask(sql)
+            if shared:
                 stale_keys.append(key)
         for key in stale_keys:
             del self._counts[key]
@@ -448,8 +431,8 @@ class IncrementalPairIndex(PairIndexBase):
         """
         preferences = self.preferences
         keys = [pref.sql for pref in preferences]
-        known_empty = [self.estimator.known_empty(pref.predicate)
-                       for pref in preferences]
+        cache = _backing_cache(self.counter)
+        empty = [known_empty(cache, pref.predicate) for pref in preferences]
         compatible: Dict[PairKey, bool] = {}
         pending_keys: List[PairKey] = []
         predicates: List[PredicateExpr] = []
@@ -461,7 +444,7 @@ class IncrementalPairIndex(PairIndexBase):
                 second = preferences[j]
                 verdict = compatible[key] = are_and_compatible(
                     first.predicate, second.predicate)
-                if not verdict or known_empty[i] or known_empty[j]:
+                if not verdict or empty[i] or empty[j]:
                     self.pairs_prefiltered += 1
                     self._counts[key] = 0
                     continue

@@ -16,10 +16,11 @@ events are the deltas):
   from the workload database, covering the full update spectrum.  A
   mutation drops a cached answer **iff** one of the predicates it was
   computed from may match one of the event's invalidation rows
-  (:func:`~repro.index.selectivity.may_match_row`) — the new joined-view
-  rows for an insert, the removed pre-image rows for a delete, either
-  image for an in-place update; every other user's answer provably cannot
-  change and survives.
+  (:func:`~repro.index.selectivity.may_match_row`, asked through the
+  sweep's shared :class:`~repro.index.selectivity.RowMatch`) — the new
+  joined-view rows for an insert, the removed pre-image rows for a delete,
+  either image for an in-place update; every other user's answer provably
+  cannot change and survives.
 
 Every entry therefore remembers the predicate list it was computed from —
 the same positive-intensity predicates PEPS scored with.
@@ -71,7 +72,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.hypre.events import RESULT_AFFECTING_KINDS, GraphMutation
 from ..core.intensity import combine_and
 from ..core.predicate import PredicateExpr
-from ..index.selectivity import exact_match_row, may_match_row
+from ..index.selectivity import RowMatch, exact_match_row
 from ..sqldb.events import DataMutation
 from ..telemetry import annotate
 
@@ -85,10 +86,6 @@ FALLBACK_DISABLED = "disabled"
 FALLBACK_UNSCORABLE = "unscorable"
 #: Removals sank a truncated buffer below ``k`` ranked tuples.
 FALLBACK_UNDERFLOW = "underflow"
-
-#: Memo of ``may_match_row`` verdicts shared across one invalidation sweep,
-#: keyed by ``(predicate SQL, row index)`` — many users share predicates.
-SweepMemo = Dict[Tuple[str, int], bool]
 
 
 @dataclass(frozen=True)
@@ -120,49 +117,18 @@ class CachedResult:
         return bool(self.intensities) and \
             len(self.intensities) == len(self.predicates)
 
-    def affected_rows(self, rows: Sequence[Mapping[str, Any]],
-                      memo: Optional[SweepMemo] = None,
-                      ) -> List[Mapping[str, Any]]:
-        """The subset of ``rows`` that may match one of this entry's predicates.
+    def is_affected(self, match: RowMatch) -> bool:
+        """Can the data mutation behind ``match`` change this answer?
 
-        ``rows`` are the mutation's invalidation rows: inserted post-image,
-        deleted pre-image, or both images of an in-place update.  A tuple
-        enters (or leaves, or re-scores in) the user's ranking only if one
-        of its images matches at least one of the user's scored predicates —
-        a tuple matching none scores zero and is never discovered, so its
-        insertion, deletion or rewrite cannot move any ranked tuple either.
-        An empty result therefore proves the answer fresh; a non-empty one
-        is exactly the row set the repair path must fold in, so the sweep
-        derives relevance and the repair work-list in one pass (each row
-        tested against each predicate at most once, short-circuiting on the
-        first match).  ``memo`` shares per-``(predicate, row)`` verdicts
-        across the entries of one sweep — Zipf populations share hot venue
-        predicates, so a wide mutation is evaluated once, not once per user.
+        ``match`` holds the mutation's invalidation rows: inserted
+        post-image, deleted pre-image, or both images of an in-place update.
+        A tuple enters (or leaves, or re-scores in) the user's ranking only
+        if one of its images matches at least one of the user's scored
+        predicates — a tuple matching none scores zero and is never
+        discovered, so its insertion, deletion or rewrite cannot move any
+        ranked tuple either.  ``False`` therefore proves the answer fresh.
         """
-        if not self.predicates:
-            return []
-        matching: List[Mapping[str, Any]] = []
-        if memo is None:
-            for row in rows:
-                if any(may_match_row(predicate, row)
-                       for predicate in self.predicates):
-                    matching.append(row)
-            return matching
-        keys = [predicate.to_sql() for predicate in self.predicates]
-        for index, row in enumerate(rows):
-            for key, predicate in zip(keys, self.predicates):
-                verdict = memo.get((key, index))
-                if verdict is None:
-                    verdict = may_match_row(predicate, row)
-                    memo[(key, index)] = verdict
-                if verdict:
-                    matching.append(row)
-                    break
-        return matching
-
-    def may_be_affected_by(self, rows: Sequence[Mapping[str, Any]]) -> bool:
-        """Can a data mutation touching ``rows`` change this answer?"""
-        return bool(self.affected_rows(rows))
+        return any(match.mask(predicate) for predicate in self.predicates)
 
     # -- repair ------------------------------------------------------------------
 
@@ -375,12 +341,17 @@ class ResultCache:
         if mutation.kind in RESULT_AFFECTING_KINDS:
             self.invalidate_user(mutation.uid)
 
-    def on_data_mutation(self, mutation: DataMutation) -> int:
+    def on_data_mutation(self, mutation: DataMutation,
+                         match: Optional[RowMatch] = None) -> int:
         """Data-event handler: repair the affected answers, drop the rest.
 
         Handles every :data:`~repro.sqldb.events.DATA_MUTATION_KINDS` kind by
-        checking predicates against the event's pre- *and* post-image rows.
-        Each affected entry is routed repair-first: a maintainable view is
+        checking predicates against the event's pre- *and* post-image rows —
+        ``match``, the :class:`~repro.index.selectivity.RowMatch` over
+        ``mutation.invalidation_rows()`` that a server sweep shares with its
+        other caches (a cache listening on its own builds one); a mutation
+        that carries no rows spares every entry without visiting one.  Each
+        affected entry is routed repair-first: a maintainable view is
         folded forward by :meth:`CachedResult.apply_delta` (zero SQL, counted
         in :attr:`repairs`) and only an entry whose repair is impossible is
         dropped (counted in :attr:`repair_fallbacks` *and*
@@ -393,15 +364,16 @@ class ResultCache:
         this stays positive, i.e. no mutation kind ever blindly flushes the
         cache.
         """
-        rows = mutation.invalidation_rows()
+        if match is None:
+            match = RowMatch(mutation.invalidation_rows())
         with self._lock:
             self._epoch += 1
-            memo: SweepMemo = {}
             stale: List[ResultKey] = []
             repaired = 0
             underflows = 0
-            for key, entry in self._entries.items():
-                if not entry.affected_rows(rows, memo):
+            examined = self._entries.items() if match.rows else ()
+            for key, entry in examined:
+                if not entry.is_affected(match):
                     continue
                 replacement, reason = (
                     entry.apply_delta(mutation) if self.repair_enabled

@@ -76,6 +76,7 @@ from ..core.hypre.builder import HypreGraphBuilder
 from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError, UnknownUserError
 from ..backend.protocol import StorageBackend
+from ..index import RowMatch
 from ..sqldb.events import (
     TUPLES_DELETED,
     TUPLES_INSERTED,
@@ -720,21 +721,26 @@ class TopKServer(ServingSurface):
 
         ``invalidation_rows`` covers the full update spectrum — inserted
         post-image, deleted pre-image, both images of an in-place update —
-        so one sound relevance test serves all three kinds.
+        so one sound relevance test serves all three kinds: one
+        :class:`~repro.index.selectivity.RowMatch` per sweep, shared by
+        every layer (a cluster builds one per shard — each owns its caches).
         """
         with span("server.on_data_mutation") as trace:
-            rows = mutation.invalidation_rows()
+            match = RowMatch(mutation.invalidation_rows())
             repairs_before = self.results.repairs
             fallbacks_before = self.results.repair_fallbacks
             sweep_statements_before = self.db.statements_executed
-            results_invalidated = self.results.on_data_mutation(mutation)
+            results_invalidated = self.results.on_data_mutation(mutation, match)
             results_repaired = self.results.repairs - repairs_before
             repair_fallbacks = self.results.repair_fallbacks - fallbacks_before
             repair_sql = self.db.statements_executed - sweep_statements_before
-            dropped = self.sessions.invalidate_matching(rows)
+            dropped = self.sessions.invalidate_matching(match)
             trace.annotate("kind", mutation.kind)
             trace.annotate("results_invalidated", results_invalidated)
             trace.annotate("results_repaired", results_repaired)
+            trace.annotate("rows", len(match.rows))
+            trace.annotate("distinct_predicates", match.distinct_predicates)
+            trace.annotate("predicate_row_tests", match.predicate_row_tests)
             return (ShardMutationReport(
                 shard=0,
                 results_invalidated=results_invalidated,

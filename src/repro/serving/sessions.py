@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..algorithms.base import PreferenceQueryRunner, preferences_from_graph
 from ..algorithms.peps import PEPSAlgorithm
@@ -34,7 +34,7 @@ from ..core.hypre.builder import BuildReport, HypreGraphBuilder
 from ..core.hypre.events import GraphMutation
 from ..core.preference import UserProfile
 from ..exceptions import ServingError
-from ..index import CountCache, IncrementalPairIndex
+from ..index import CountCache, IncrementalPairIndex, RowMatch
 from ..telemetry import span
 
 ProfileLoader = Callable[[int], Optional[UserProfile]]
@@ -242,18 +242,19 @@ class SessionRegistry:
 
     # -- data-update fan-out ------------------------------------------------------
 
-    def invalidate_matching(self, rows: Sequence[Mapping[str, Any]]) -> int:
-        """Propagate a tuple insert to every resident session's pair index.
+    def invalidate_matching(self, match: RowMatch) -> int:
+        """Propagate a data mutation to every resident session's pair index.
 
         The shared runner (count cache + id lists) is invalidated once, then
-        each resident index drops the pair counts the new rows may affect.
-        Returns the total number of cache entries dropped.
+        each resident index drops the pair counts the mutation rows (pre ∪
+        post image) may affect — all through the one ``match`` the sweep
+        built, so a predicate many sessions share is judged once.  Returns
+        the total number of cache entries dropped.
         """
-        rows = list(rows)
         with self._lock:
-            dropped = self.runner.invalidate_matching(rows)
+            dropped = self.runner.invalidate_matching(match)
             for session in self._sessions.values():
-                dropped += session.index.invalidate_matching(rows)
+                dropped += session.index.invalidate_matching(match)
             return dropped
 
     # -- introspection ------------------------------------------------------------

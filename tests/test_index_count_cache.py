@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms.base import PreferenceQueryRunner
 from repro.core.predicate import parse_predicate
-from repro.index import CountCache
+from repro.index import CountCache, RowMatch
 from repro.sqldb.query_builder import (
     batched_count_query,
     count_matching_papers,
@@ -96,43 +96,6 @@ class TestCountCache:
         assert cache.count(predicate) == 0
         assert cache.misses == 0
 
-    def test_invalidate_forces_recount(self, tiny_db):
-        cache = CountCache(tiny_db)
-        predicate = parse_predicate("dblp.year >= 2005")
-        cache.count(predicate)
-        cache.invalidate(predicate)
-        cache.count(predicate)
-        assert cache.misses == 2
-
-    def test_invalidate_attribute_targets_only_its_predicates(self, tiny_db):
-        cache = CountCache(tiny_db)
-        year = parse_predicate("dblp.year >= 2005")
-        venue = parse_predicate("dblp.venue = 'VLDB'")
-        cache.count(year)
-        cache.count(venue)
-        dropped = cache.invalidate_attribute("dblp.year")
-        assert dropped == 1
-        assert cache.peek(year) is None
-        assert cache.peek(venue) is not None
-
-    def test_invalidate_attribute_normalises_qualified_names(self, tiny_db):
-        """A bare name must drop qualified predicates and vice versa —
-        otherwise a stale count survives on a spelling technicality."""
-        cache = CountCache(tiny_db)
-        qualified = parse_predicate("dblp.venue = 'VLDB'")
-        bare = parse_predicate("venue = 'ICDE'")
-        other = parse_predicate("dblp.year >= 2005")
-        cache.count(qualified)
-        cache.count(bare)
-        cache.count(other)
-        assert cache.invalidate_attribute("venue") == 2
-        assert cache.peek(qualified) is None
-        assert cache.peek(bare) is None
-        assert cache.peek(other) is not None
-        cache.count(qualified)
-        cache.count(bare)
-        assert cache.invalidate_attribute("dblp.venue") == 2
-
     def test_clear_resets_statistics(self, tiny_db):
         cache = CountCache(tiny_db)
         cache.count(parse_predicate("dblp.year >= 2005"))
@@ -147,12 +110,13 @@ class TestInvalidateMatching:
         vldb = parse_predicate("dblp.venue = 'VLDB'")
         icde = parse_predicate("dblp.venue = 'ICDE'")
         recent = parse_predicate("dblp.year >= 2010")
-        cache.count_many([vldb, icde, recent])
+        bare = parse_predicate("venue = 'VLDB'")
+        cache.count_many([vldb, icde, recent, bare])
         row = {"pid": 901, "title": "t", "venue": "VLDB", "year": 2003,
                "abstract": "", "aid": 1}
-        dropped = cache.invalidate_matching([row])
-        assert dropped == 1
-        assert cache.peek(vldb) is None
+        dropped = cache.invalidate_matching(RowMatch([row]))
+        assert dropped == 2  # the qualified and the bare spelling alike
+        assert cache.peek(vldb) is None and cache.peek(bare) is None
         assert cache.peek(icde) is not None
         assert cache.peek(recent) is not None
 
@@ -161,7 +125,7 @@ class TestInvalidateMatching:
         author = parse_predicate("dblp_author.aid = 5")
         cache.count(author)
         row = {"pid": 902, "venue": "VLDB", "year": 2003}  # no aid column
-        assert cache.invalidate_matching([row]) == 1
+        assert cache.invalidate_matching(RowMatch([row])) == 1
         assert cache.peek(author) is None
 
 

@@ -30,9 +30,6 @@ from repro.index import (
     CountCache,
     IncrementalPairIndex,
     PairwiseCombinationIndex,
-    SelectivityEstimator,
-    estimate_selectivity,
-    pair_provably_empty,
 )
 from repro.algorithms.base import make_preferences, preferences_from_graph
 from repro.algorithms.peps import PEPSAlgorithm
@@ -249,30 +246,6 @@ class TestRelationUpdateInvalidation:
         # Every compatible pair was re-counted from scratch.
         assert index.pairs_counted == 2 * counted
 
-    def test_invalidate_attribute_recounts_only_matching_pairs(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        dropped = index.invalidate_attribute("dblp.year")
-        assert dropped > 0
-        assert index.stale
-        before = index.pairs_counted
-        index.refresh()
-        recounted = index.pairs_counted - before
-        # Only the dropped pairs came back (minus any prefilter-provable
-        # ones), and venue-only pairs were untouched.
-        assert 0 < recounted <= dropped
-
-    def test_invalidate_attribute_normalises_qualified_names(self, tiny_db):
-        """Bare "year" must drop the same pair counts as "dblp.year" — the
-        predicates are written qualified, and a spelling mismatch would
-        silently spare stale counts."""
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        qualified = index.invalidate_attribute("dblp.year")
-        index.refresh()
-        bare = index.invalidate_attribute("year")
-        assert bare == qualified > 0
-
     def test_relation_update_reflected_after_invalidation(self, tiny_dataset):
         """End to end: new rows land in dblp -> invalidate -> counts change."""
         from repro.sqldb.database import Database
@@ -343,38 +316,8 @@ class TestPepsIntegration:
 
 
 class TestSelectivity:
-    def test_incompatible_pair_is_provably_empty(self):
-        first = parse_predicate("dblp.venue = 'VLDB'")
-        second = parse_predicate("dblp.venue = 'SIGMOD'")
-        assert pair_provably_empty(first, second)
-        assert SelectivityEstimator().pair_estimate(first, second) == 0.0
-
-    def test_compatible_pair_never_estimates_zero(self):
-        first = parse_predicate("dblp.venue = 'VLDB'")
-        second = parse_predicate("dblp.year >= 2005")
-        estimate = SelectivityEstimator().pair_estimate(first, second)
-        assert estimate > 0.0
-
-    def test_cached_zero_count_proves_emptiness(self, tiny_db):
-        cache = CountCache(tiny_db)
-        empty = parse_predicate("dblp.venue = 'NO_SUCH_VENUE'")
-        other = parse_predicate("dblp.year >= 2005")
-        estimator = SelectivityEstimator(cache)
-        assert not estimator.proves_empty(empty, other)  # not yet known
-        cache.count(empty)  # caches 0
-        assert estimator.proves_empty(empty, other)
-
-    def test_estimates_are_clamped_to_unit_interval(self):
-        wide = parse_predicate(
-            "dblp.venue = 'A' OR dblp.venue = 'B' OR dblp.year >= 0 OR dblp.year <= 9999")
-        narrow = parse_predicate(
-            "dblp.venue = 'A' AND dblp.year >= 2000 AND dblp.year <= 2001 "
-            "AND dblp.title = 'x' AND dblp_author.aid = 1")
-        for predicate in (wide, narrow):
-            assert 0.0 < estimate_selectivity(predicate) <= 1.0
-
     def test_counter_as_cache_enables_cached_zero_prefilter(self, tiny_db):
-        """Regression: a bare CountCache counter must back the estimator."""
+        """Regression: a bare CountCache counter must back the pre-filter."""
         cache = CountCache(tiny_db)
         cache.count(parse_predicate("dblp.venue = 'NO_SUCH_VENUE'"))  # 0
         preferences = make_preferences([
@@ -389,9 +332,8 @@ class TestSelectivity:
         preferences = make_preferences(POOL)
         cache = CountCache(tiny_db)
         filtered = PairwiseCombinationIndex(cache, preferences)
-        unfiltered = PairwiseCombinationIndex(
-            CountCache(tiny_db), preferences,
-            estimator=SelectivityEstimator())  # no cached-zero sharpening
+        # A fresh cache holds no zero counts: no cached-zero sharpening.
+        unfiltered = PairwiseCombinationIndex(CountCache(tiny_db), preferences)
         assert pair_table(filtered) == pair_table(unfiltered)
         assert filtered.pairs_prefiltered > 0
 

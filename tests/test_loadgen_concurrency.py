@@ -32,7 +32,7 @@ import time
 import pytest
 
 from repro.core.predicate import equals
-from repro.index.count_cache import CountCache
+from repro.index import CountCache, RowMatch
 from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate
 from repro.serving import (
     DATA_UPDATE,
@@ -308,7 +308,7 @@ class TestInvalidationRaceRegression:
         counter.start()
         assert in_query.wait(DEADLINE_SECONDS)
         # The relation changes while the count query is in flight.
-        cache.invalidate(predicate)
+        cache.invalidate_matching(RowMatch([{"venue": "VLDB"}]))
         release_query.set()
         assert join_with_deadline([counter]) == []
 

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.index.pair_index as pair_index_module
-import repro.index.selectivity as selectivity_module
 from repro import PreferenceExtractor, TopKServer, create_backend, generate_dblp
 from repro.algorithms.base import (
     PreferenceQueryRunner,
@@ -40,6 +39,7 @@ from repro.core.preference import QuantitativePreference
 from repro.experiments.context import SCALES
 from repro.index import CountCache, IncrementalPairIndex, PairwiseCombinationIndex
 from repro.index.pair_index import IndexedPreference
+from repro.index.selectivity import RowMatch
 from repro.workload import load_dataset, load_profiles
 from repro.workload.dblp import Paper
 
@@ -299,9 +299,9 @@ def test_views_follow_the_table_through_refreshes(tiny_dataset, backend):
         # Data mutation: the new tuple makes VLDB-in-2012 pairs non-empty.
         paper = Paper(pid=9001, title="t", venue="VLDB", year=2012)
         db.append_papers([paper], [(9001, 1)])
-        rows = db.joined_rows([9001])
-        query_runner.invalidate_matching(rows)
-        assert index.invalidate_matching(rows) > 0
+        match = RowMatch(db.joined_rows([9001]))
+        query_runner.invalidate_matching(match)
+        assert index.invalidate_matching(match) > 0
         index.refresh()
         assert_views_match_table(index)
 
@@ -350,12 +350,12 @@ def test_ordering_never_scans_the_pair_table(tiny_runner, index_class):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a counting pass-through; returns the tally."""
+    """Replace ``owner.name`` by a pass-through recording each call's args."""
     original = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -374,8 +374,6 @@ def test_refresh_keys_each_preference_once(monkeypatch, tiny_db, preference_clas
     renders = count_calls(monkeypatch, preference_class.__dict__["sql"], "func")
     peeks = count_calls(monkeypatch, CountCache, "peek")
     verdicts = count_calls(monkeypatch, pair_index_module, "are_and_compatible")
-    monkeypatch.setattr(selectivity_module, "are_and_compatible",
-                        pair_index_module.are_and_compatible)
     tallies = (renders, peeks, verdicts)
 
     def spent():

@@ -30,7 +30,7 @@ from repro.core.predicate import (
     not_equals,
     parse_predicate,
 )
-from repro.index.selectivity import may_match_row
+from repro.index.selectivity import RowMatch, may_match_row
 from repro.sqldb.database import Database
 from repro.sqldb.query_builder import matching_paper_ids
 from repro.sqldb.schema import BASE_FROM
@@ -127,6 +127,20 @@ def test_may_match_row_never_spares_a_sql_match(differential_db, predicate):
     joined row the relevance test flags, so invalidation driven by
     ``may_match_row`` can never wrongly spare a cache entry."""
     sql_pids = set(matching_paper_ids(differential_db, predicate))
-    flagged = {row["pid"] for row in joined_rows(differential_db)
-               if may_match_row(predicate, row)}
+    rows = [dict(row) for row in joined_rows(differential_db)]
+    flagged = {row["pid"] for row in rows if may_match_row(predicate, row)}
     assert sql_pids <= flagged
+    # RowMatch is that same judge bit for bit — rows missing a referenced
+    # attribute included — asked once per key (expression or its SQL text).
+    referenced = {name.split(".")[-1] for name in predicate.attributes()}
+    rows += [{key: value for key, value in row.items() if key not in referenced}
+             for row in rows[:2]]
+    forms = [predicate]
+    if not isinstance(getattr(predicate, "value", None), float):
+        forms.append(predicate.to_sql())  # the parser reads no 1e+16 literal
+    for asked in forms:
+        match = RowMatch(rows)
+        assert match.mask(asked) == sum(may_match_row(asked, row) << index
+                                        for index, row in enumerate(rows))
+        assert match.mask(forms[0]) == match.mask(forms[-1])
+        assert match.predicate_row_tests == len(rows)

@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import TopKServer, UserProfile, fresh_top_k, parse_predicate
 from repro.core.intensity import combine_and
 from repro.backend import create_backend
+from repro.index import RowMatch
 from repro.serving.results import (
     FALLBACK_UNDERFLOW,
     FALLBACK_UNSCORABLE,
@@ -306,12 +307,11 @@ class TestApplyDelta:
         repaired, _ = entry.apply_delta(_insert(_row(10)))
         assert repaired is None
 
-    def test_affected_rows_returns_the_matching_subset(self):
+    def test_is_affected_iff_a_row_may_match_a_predicate(self):
         entry = _entry([(1, BOTH)])
         rows = [_row(5), _row(6, venue="ICDE", year=1999), _row(7, year=2011)]
-        assert entry.affected_rows(rows) == [rows[0], rows[2]]
-        assert entry.may_be_affected_by(rows)
-        assert not entry.may_be_affected_by([rows[1]])
+        assert entry.is_affected(RowMatch(rows))
+        assert not entry.is_affected(RowMatch([rows[1]]))
 
 
 # -- the repair-vs-epoch race -------------------------------------------------

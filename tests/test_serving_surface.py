@@ -8,21 +8,26 @@ identical answers and report totals for one fixed script, and a terminal
 ``close()`` — plus the known resident-vs-rebuilt divergence as a strict
 xfail, so the fix flips it.  Also pins the construction surface (every
 settable parameter, by name) and what a sweep guarantees: it runs on the
-mutating thread, shard by shard, so a failing one leaves nothing held.
+mutating thread, shard by shard, so a failing one leaves nothing held, and
+it judges relevance through one ``RowMatch`` — each distinct predicate once.
 """
 
 from __future__ import annotations
 
 import inspect
 import threading
+from pathlib import Path
 
 import pytest
 from test_loadgen_concurrency import start_and_join
+from test_peps_cold_path import count_calls
 
+import repro.index.selectivity as selectivity
 from repro.backend import BACKEND_NAMES
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
 from repro.experiments.context import SCALES
+from repro.index import RowMatch, may_match_row
 from repro.serving import (
     DataMutationReport,
     ReplayConfig,
@@ -32,7 +37,8 @@ from repro.serving import (
     create_server,
     fresh_top_k,
 )
-from repro.telemetry import validate_metric_name
+from repro.serving.results import CachedResult
+from repro.telemetry import Telemetry, validate_metric_name
 from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
 from repro.workload.dblp import DblpConfig, Paper
 
@@ -222,6 +228,82 @@ def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
     assert outcome["cold"] == [False] * len(uids)
     assert outcome["report"].papers == 1
     assert len(outcome["report"].shard_reports) == surface.shards
+
+
+def sweepable_keys(surface):
+    """Every key a data sweep can drop, as ``((kind, owner), member SQLs)``:
+    a shard owns its count and id-list caches, a session its pair counts."""
+    keys = set()
+    for index, shard in enumerate(surface.shard_servers):
+        registry = shard.sessions
+        keys |= {(("count", index), frozenset([sql]))
+                 for sql in registry.count_cache._counts}
+        keys |= {(("ids", index), frozenset([sql]))
+                 for sql in registry.runner._ids_cache}
+        keys |= {(("pair", uid), key) for uid in registry.resident_uids()
+                 for key in registry.peek(uid).index._counts}
+    return keys
+
+
+def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
+    """Work gate, by counting: with eight resident sessions sharing
+    predicates, updating a multi-author paper costs distinct predicates x rows
+    evaluations through one ``RowMatch`` per shard and drops exactly what the
+    plain loop, written out below, calls stale.  No rows, no work: an
+    author-less insert notifies, yet no consumer walks the keys it holds."""
+    db, uids = surface.db, REPLAY.uids()
+    Telemetry().observe(surface)
+    ranked = [hit for uid in uids for hit in surface.top_k(uid, K).ranking]
+    # Scoring above one intensity means matching a venue *and* a year
+    # predicate: the pre-image alone stales a count, an id list and a pair.
+    pid = next(pid for pid, score in ranked
+               if score > 0.9 and len(db.joined_rows([pid])) >= 2)
+    answers = {(uid, K): surface.shard_for(uid).results.peek(uid, K).predicates
+               for uid in uids}
+    before = sweepable_keys(surface)
+    judged = count_calls(monkeypatch, selectivity, "exact_match_row")
+    built = count_calls(monkeypatch, RowMatch, "__init__")
+    # ``apply_delta`` runs on exactly the affected answers.
+    repairs = count_calls(monkeypatch, CachedResult, "apply_delta")
+    venues, _, hi = db.workload_shape()
+    report = surface.update_tuples(
+        [Paper(pid=pid, title="Moved", venue=venues[1], year=hi)])
+    asked, rows = len(judged), built[0][1]  # the reference asks the same judge
+    sweeps = [record for record in surface.telemetry.traces.snapshot()[-1].walk()
+              if record.name == "server.on_data_mutation"]
+    assert len(built) == len(sweeps) == surface.shards
+    assert all(sweep.annotation("rows") == len(rows) >= 4 for sweep in sweeps)
+    tests = sum(sweep.annotation("predicate_row_tests") for sweep in sweeps)
+    keys = sum(sweep.annotation("distinct_predicates") for sweep in sweeps)
+    assert asked == tests == keys * len(rows)
+
+    def stale(members):  # the plain loop: some row may match every member
+        return any(all(may_match_row(predicate, row) for predicate in members)
+                   for row in rows)
+
+    dropped = before - sweepable_keys(surface)
+    assert dropped == {key for key in before if stale(key[1])}
+    assert {kind for (kind, _), _ in dropped} == {"count", "ids", "pair"}
+    assert report.index_entries_dropped == len(dropped)
+    assert {(entry.uid, entry.k) for entry, _ in repairs} == {
+        key for key, predicates in answers.items()
+        if any(stale([predicate]) for predicate in predicates)} != set()
+
+    masks = count_calls(monkeypatch, RowMatch, "mask")
+    report = surface.insert_tuples(
+        [Paper(pid=90_005, title="No author", venue=venues[0], year=hi)])
+    assert masks == [] and before - sweepable_keys(surface) == dropped
+    assert report.joined_rows == report.index_entries_dropped == 0
+    assert report.results_spared == sum(
+        len(shard.results) for shard in surface.shard_servers) > 0
+
+
+def test_may_match_row_has_one_calling_module():
+    """A fifth private relevance loop is a deliberate edit of this test."""
+    src = Path(selectivity.__file__).parents[1]
+    callers = [path.relative_to(src).as_posix() for path in src.rglob("*.py")
+               if "may_match_row(" in path.read_text(encoding="utf-8")]
+    assert callers == ["index/selectivity.py"]
 
 
 def test_one_script_same_answers_totals_and_metric_names(backend):
