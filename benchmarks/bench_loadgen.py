@@ -1,33 +1,22 @@
-"""Concurrent load harness SLO matrix (ISSUE 6, extended by ISSUE 10).
+"""Concurrent load harness SLO cells (ISSUE 6; one lock per server since ISSUE 20).
 
-Runs the :mod:`repro.loadgen` generator closed-loop over every cell of
-``processes x shards x backend`` — a single
-:class:`~repro.serving.TopKServer` and 2- and 4-shard
-:class:`~repro.serving.ShardedTopKServer` clusters, on both storage
-engines, driven either in-process or by two forked load-generator
-processes merged exactly (:mod:`repro.loadgen.multiproc`) — with the
-background equivalence auditor live, and persists the full SLO matrix
-(p50/p95/p99, throughput at saturation, per-shard load skew, lock
-contention, audit outcome) as the schema-versioned ``BENCH_loadgen.json``
-at the repository root.
+Runs the :mod:`repro.loadgen` generator closed-loop against a single
+:class:`~repro.serving.TopKServer` on each storage engine, with the
+background equivalence auditor live, and persists the cells (p50/p95/p99,
+throughput at saturation, lock contention, audit outcome) as the
+schema-versioned ``BENCH_loadgen.json`` at the repository root.
 
-Assertions:
+Assertions — what is machine-independent, no wall-clock constant:
 
 (a) **clean under contention** — every cell finishes with zero worker
     errors and zero audit mismatches (the auditor quiesced a live
-    mixed-mutation run several times per cell);
+    mixed-mutation run several times per cell), and its telemetry snapshot
+    is non-empty;
 (b) **the artifact is consumable** — the written document passes
     :func:`repro.loadgen.validate_loadgen_payload`, the same structural
     check the CI smoke job applies before uploading it;
-(c) **sharding spreads load** — every multi-shard cell reports a finite
-    skew over a full per-shard request vector;
-(d) **striping killed the global-lock queue** — on single-server cells,
-    cumulative contended wait across every per-user stripe, per
-    operation, is at least :data:`STRIPE_IMPROVEMENT`x lower than the
-    old single ``server`` RLock's wait-per-op from the committed
-    pre-striping ``BENCH_loadgen.json`` baseline (frozen below as
-    :data:`GLOBAL_LOCK_BASELINE` — the regenerated artifact no longer
-    carries the old lock, so the numbers are pinned here).
+(c) **the lock set is the one documented** — the lock report names exactly
+    the server lock and its three leaf locks, plus the memory engine's own.
 """
 
 from __future__ import annotations
@@ -35,12 +24,10 @@ from __future__ import annotations
 from repro.loadgen import (
     LoadConfig,
     LoadGenerator,
-    WorldSpec,
     load_and_validate,
     loadgen_payload,
-    run_multiprocess,
 )
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer, create_server
+from repro.serving import ReplayConfig, ReplayDriver, TopKServer
 from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
 
@@ -52,105 +39,43 @@ DBLP = DblpConfig(n_papers=220, n_authors=90, n_venues=8, seed=7)
 REPLAY = ReplayConfig(users=32, k=5, seed=23)
 CAPACITY = 16
 BACKENDS = ("sqlite", "memory")
-SHARD_COUNTS = (1, 2, 4)
-PROCESS_COUNTS = (1, 2)
-#: Per-cell closed-loop run shape (per process, when processes > 1).
+#: Per-cell closed-loop run shape.
 LOAD = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
                   k=REPLAY.k, audit_interval=0.3,
                   audit_sample=6)
-
-#: The single ``server`` RLock's contention from the committed
-#: ``BENCH_loadgen.json`` at the last pre-striping commit (backend ->
-#: cumulative wait over the 1 s shards=1 cell and the ops it served).
-#: Frozen verbatim: regenerating the artifact under striping erases the
-#: old lock's records, and this bench asserts against what was replaced.
-GLOBAL_LOCK_BASELINE = {
-    "sqlite": {"wait_seconds": 0.954, "ops": 1107},
-    "memory": {"wait_seconds": 0.934, "ops": 1154},
-}
-#: Required stripe-vs-global-lock contention improvement (per operation).
-STRIPE_IMPROVEMENT = 5.0
+#: Every lock a server's load report may name (``memory-backend`` on that
+#: engine only); ``tests/test_serving_surface.py`` pins the same set.
+SERVER_LOCKS = {"server", "sessions", "count-cache", "result-cache"}
 
 
-def _stripe_wait_per_op(record: dict) -> float:
-    """Cumulative contended wait across every stripe lock, per operation."""
-    wait = sum(lock["wait_seconds"] for lock in record["locks"]
-               if "stripe" in lock["name"])
-    return wait / max(record["ops"], 1)
-
-
-def _world_spec(backend: str, shards: int) -> WorldSpec:
-    return WorldSpec(workload=DBLP, family="dblp", users=REPLAY.users,
-                     k=REPLAY.k, seed=REPLAY.seed, capacity=CAPACITY,
-                     shards=shards, backend=backend)
-
-
-def _run_cell(backend: str, shards: int, processes: int = 1):
-    """One matrix cell: build the world(s), run the load, return the record."""
-    if processes > 1:
-        result = run_multiprocess(_world_spec(backend, shards), LOAD,
-                                  processes=processes)
-        assert result.clean, (
-            f"load cell backend={backend} shards={shards} "
-            f"processes={processes} was not clean: "
-            f"errors={result.merged.errors} audit={result.merged.audit}")
-        report = result.merged
-    else:
-        driver = ReplayDriver(REPLAY)
-        db = driver.build_world(DBLP, backend=backend)
-        server = create_server(db, shards=shards, capacity=CAPACITY)
-        try:
-            report = LoadGenerator(LOAD).run(server, telemetry=Telemetry())
-        finally:
-            server.close()
-            db.close()
-        assert report.clean, (
-            f"load cell backend={backend} shards={shards} was not clean: "
-            f"errors={report.errors} audit={report.audit}")
-        assert report.telemetry["metrics"], "telemetry snapshot came back empty"
+def _run_cell(backend: str):
+    """One cell: build the world, run the load, return the record."""
+    driver = ReplayDriver(REPLAY)
+    db = driver.build_world(DBLP, backend=backend)
+    server = TopKServer(db, capacity=CAPACITY)
+    try:
+        report = LoadGenerator(LOAD).run(server, telemetry=Telemetry())
+    finally:
+        server.close()
+        db.close()
+    assert report.clean, (
+        f"load cell backend={backend} was not clean: "
+        f"errors={report.errors} audit={report.audit}")
+    assert report.telemetry["metrics"], "telemetry snapshot came back empty"
     assert report.ops > 0 and report.throughput_ops_per_sec > 0
-    # The committed artifact is a baseline, not a dump: it carries the gated
+    expected = SERVER_LOCKS | ({"memory-backend"} if backend == "memory"
+                               else set())
+    assert {lock["name"] for lock in report.locks} == expected
+    # The committed artifact is a baseline, not a dump: it carries the
     # numbers (latency, throughput, locks, audit, server_stats), not the
     # run's full telemetry snapshot.
     return {**report.as_dict(), "telemetry": {}}
 
 
-def test_loadgen_slo_matrix(benchmark):
-    """Acceptance: clean SLO matrix over the sweep, artifact valid."""
-    runs = []
-    timed = False
-    for backend in BACKENDS:
-        for shards in SHARD_COUNTS:
-            for processes in PROCESS_COUNTS:
-                if not timed:
-                    record = run_once(benchmark, _run_cell, backend, shards,
-                                      processes)
-                    timed = True
-                else:
-                    record = _run_cell(backend, shards, processes)
-                runs.append(record)
-
-    for record in runs:
-        assert len(record["per_shard_requests"]) == record["shards"]
-        if record["shards"] > 1:
-            assert sum(record["per_shard_requests"]) > 0
-            assert record["shard_skew"] >= 1.0
-        if record["shards"] == 1 and record["processes"] == 1:
-            # Apples to apples with the frozen baseline, which was a
-            # single-process run: multi-process cells time-share the CPU
-            # with their sibling, so a descheduled stripe *holder* inflates
-            # waiters' wall-clock wait — scheduler noise, not lock queueing.
-            baseline = GLOBAL_LOCK_BASELINE[record["backend"]]
-            ceiling = (baseline["wait_seconds"] / baseline["ops"]
-                       / STRIPE_IMPROVEMENT)
-            got = _stripe_wait_per_op(record)
-            assert got <= ceiling, (
-                f"{record['backend']}/processes={record['processes']}: "
-                f"stripe contended wait {got * 1e6:.0f}us/op exceeds "
-                f"{ceiling * 1e6:.0f}us/op (1/{STRIPE_IMPROVEMENT:.0f} of "
-                f"the pre-striping server lock's "
-                f"{baseline['wait_seconds'] / baseline['ops'] * 1e6:.0f}"
-                f"us/op)")
+def test_loadgen_slo_cells(benchmark):
+    """Acceptance: one clean cell per backend, artifact valid."""
+    runs = [run_once(benchmark, _run_cell, BACKENDS[0])]
+    runs += [_run_cell(backend) for backend in BACKENDS[1:]]
 
     write_bench_json("loadgen", loadgen_payload(runs, {
         "threads": LOAD.threads,
@@ -159,53 +84,7 @@ def test_loadgen_slo_matrix(benchmark):
         "users": REPLAY.users,
         "papers": DBLP.n_papers,
         "backends": list(BACKENDS),
-        "shard_counts": list(SHARD_COUNTS),
-        "process_counts": list(PROCESS_COUNTS),
         "audit_interval": LOAD.audit_interval,
     }))
     document = load_and_validate(str(REPO_ROOT / "BENCH_loadgen.json"))
-    assert len(document["payload"]["runs"]) == (
-        len(BACKENDS) * len(SHARD_COUNTS) * len(PROCESS_COUNTS))
-
-
-def test_four_thread_throughput_beats_global_lock_baseline(benchmark):
-    """Closed loop at 4 threads clears the committed pre-striping ceiling.
-
-    The frozen baseline ran 2 threads against the single global RLock and
-    still spent ~0.95 s of a 1 s run queueing on it — adding threads there
-    only deepened the queue.  Under striping, 4 threads on one server must
-    beat the baseline's saturated throughput on both backends.
-    """
-    four = LoadConfig(threads=4, duration_seconds=1.0, seed=23,
-                      k=REPLAY.k, audit_interval=0.3,
-                      audit_sample=6)
-
-    def _probe(backend: str):
-        driver = ReplayDriver(REPLAY)
-        db = driver.build_world(DBLP, backend=backend)
-        server = TopKServer(db, capacity=CAPACITY)
-        try:
-            report = LoadGenerator(four).run(server)
-        finally:
-            server.close()
-            db.close()
-        assert report.clean, f"4-thread probe on {backend} was not clean"
-        return report
-
-    timed = False
-    print()
-    for backend in BACKENDS:
-        if not timed:
-            report = run_once(benchmark, _probe, backend)
-            timed = True
-        else:
-            report = _probe(backend)
-        baseline = GLOBAL_LOCK_BASELINE[backend]
-        floor = baseline["ops"] / 1.0  # the baseline cell ran for 1 s
-        print(f"  {backend:<8} 4-thread throughput "
-              f"{report.throughput_ops_per_sec:.0f} ops/s "
-              f"(pre-striping 2-thread baseline {floor:.0f} ops/s)")
-        assert report.throughput_ops_per_sec > floor, (
-            f"{backend}: 4-thread striped throughput "
-            f"{report.throughput_ops_per_sec:.0f} ops/s did not beat the "
-            f"pre-striping baseline {floor:.0f} ops/s")
+    assert len(document["payload"]["runs"]) == len(BACKENDS)

@@ -11,13 +11,10 @@ surface with pure set algebra:
   thousands) and unions the qualifying buckets,
 * AND intersects child row-id sets, OR unions them,
 
-so a count never touches individual rows.  Queries take the **read side**
-of a writer-preferring :class:`~repro.concurrency.RWLock` — any number of
-load-generator worker threads count and enumerate concurrently — while
-mutations take the exclusive write side; the serial cost profile is
-unchanged and the concurrent one stops serialising reads on one mutex
-(the refactor the multi-threaded load harness of :mod:`repro.loadgen`
-forced).  Every value comparison goes
+so a count never touches individual rows.  Queries and mutations alike run
+under the backend's one re-entrant lock (two shards of a cluster may query
+at once; everything on one server is already serialised by the server
+lock).  Every value comparison goes
 through the same SQLite-faithful coercion rules as
 :meth:`repro.core.predicate.Condition.evaluate` (NUMERIC/TEXT affinity,
 number-before-text ordering, exact integer conversion) — the differential
@@ -53,7 +50,6 @@ from ..core.predicate import (
     ensure_predicate,
 )
 from ..core.preference import ProfileRegistry, QualitativePreference, QuantitativePreference
-from ..concurrency import RWLock
 from ..exceptions import RelationalError, WorkloadError
 from ..sqldb import schema
 from ..sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED, DataMutation
@@ -86,13 +82,10 @@ class MemoryBackend:
                 f"the memory backend cannot persist to {path!r}; "
                 "use the sqlite backend for file-backed workloads")
         self.path = ":memory:"
-        # Reader/writer split: queries share the read side (pure set algebra
-        # plus a GIL-safe memo store), mutations take the exclusive write
-        # side.  ``_lock`` is the write side so existing ``with self._lock:``
-        # call sites keep their exclusive semantics.
-        self._lock = RWLock("memory-backend")
-        # Op-accounting increments happen on the read path too, so they get
-        # their own tiny mutex instead of racing under concurrent readers.
+        # Guards the tables, the joined view and the condition memo; never
+        # held while a notification is delivered (see the mutation surface).
+        self._lock = threading.RLock()
+        # Op accounting has its own tiny mutex.
         self._stats_lock = threading.Lock()
         self._closed = False
         # Base tables.
@@ -159,7 +152,7 @@ class MemoryBackend:
         self._require_open()
 
     def _account(self, statements: int = 0, rows: int = 0) -> None:
-        """Bump op accounting under its own mutex (read paths run concurrently)."""
+        """Bump op accounting under its own mutex."""
         with self._stats_lock:
             self.statements_executed += statements
             self.rows_touched += rows
@@ -350,7 +343,7 @@ class MemoryBackend:
 
     def count_matching(self, predicate: Optional[Any] = None) -> int:
         """Distinct papers matching ``predicate`` (whole relation on ``None``)."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=1)
             return len(self._matching_pids(predicate))
@@ -358,7 +351,7 @@ class MemoryBackend:
     def count_many(self, predicates: Sequence[Any],
                    chunk_size: Optional[int] = None) -> List[int]:
         """One count per predicate, in order; accounted one op per chunk."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             chunk = BATCH_COUNT_CHUNK if chunk_size is None else max(1, chunk_size)
             if predicates:
@@ -369,7 +362,7 @@ class MemoryBackend:
     def matching_paper_ids(self, predicate: Optional[Any] = None,
                            limit: Optional[int] = None) -> List[int]:
         """Distinct matching paper ids, ascending, optionally limited."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=1)
             pids = sorted(self._matching_pids(predicate))
@@ -378,7 +371,7 @@ class MemoryBackend:
     def joined_rows(self, pids: Optional[Sequence[int]] = None
                     ) -> List[Dict[str, Any]]:
         """The joined-view rows (restricted to ``pids``), in row-id order."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=1)
             return self._joined_rows_unlocked(pids)
@@ -397,7 +390,7 @@ class MemoryBackend:
 
     def table_counts(self) -> Dict[str, int]:
         """Row counts for every workload table (Table 10 statistics)."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             return {
                 "dblp": len(self._papers),
@@ -410,13 +403,13 @@ class MemoryBackend:
 
     def total_papers(self) -> int:
         """Number of papers in the relation."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             return len(self._papers)
 
     def distinct_count(self, table: str, column: str) -> int:
         """``COUNT(DISTINCT column)`` over a workload table."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             if table not in schema.TABLES:
                 raise RelationalError(f"unknown table {table!r}")
@@ -456,7 +449,7 @@ class MemoryBackend:
 
     def workload_shape(self) -> Tuple[List[str], int, int]:
         """``(sorted venues, min year, max year)``; ``([], 0, 0)`` if empty."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=1)
             if not self._papers:
@@ -467,21 +460,21 @@ class MemoryBackend:
 
     def paper_ids(self) -> List[int]:
         """Every pid in the relation, ascending."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=1)
             return sorted(self._papers)
 
     def max_paper_id(self) -> int:
         """Largest pid (0 when the relation is empty)."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=1)
             return max(self._papers, default=0)
 
     def max_author_id(self) -> int:
         """Largest aid referenced by an author link (0 when none)."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=1)
             return max((aid for aids in self._links.values() for aid in aids),
@@ -670,7 +663,7 @@ class MemoryBackend:
     def read_profiles(self, uids: Optional[Iterable[int]] = None
                       ) -> ProfileRegistry:
         """Rebuild profiles from the staging tables, in insertion order."""
-        with self._lock.read():
+        with self._lock:
             self._require_open()
             self._account(statements=2)  # the two staging-table reads
             wanted = None if uids is None else {int(uid) for uid in uids}

@@ -451,8 +451,7 @@ def run_load(scale: str = "tiny",
              telemetry: bool = False,
              repair_delta: Optional[int] = None,
              family: str = "dblp",
-             mix: Optional[str] = None,
-             processes: int = 1) -> str:
+             mix: Optional[str] = None) -> str:
     """Drive the concurrent load harness against a live serving instance.
 
     Builds one world (``users`` synthetic profiles, persisted up front),
@@ -471,40 +470,23 @@ def run_load(scale: str = "tiny",
     (``dblp`` / ``synthetic``); ``mix`` swaps the benign default
     :class:`~repro.serving.OpMix` for a named adversarial one (via
     :meth:`~repro.serving.OpMix.named`), including its hot/boundary
-    mutation targeting and base-relation churn behaviour.  ``processes``
-    >= 2 forks that many independent load-generator processes — each with
-    its own world replica and seed lane — and reports the exact
-    histogram-level merge (see :mod:`repro.loadgen.multiproc`).
+    mutation targeting and base-relation churn behaviour.
     """
-    from .loadgen import (LoadConfig, LoadGenerator, WorldSpec,
-                          loadgen_payload, run_multiprocess,
+    from .loadgen import (LoadConfig, LoadGenerator, loadgen_payload,
                           write_bench_json)
 
     workload_config, profile_factory = _resolve_workload(family, scale)
     _check_shards(shards)
-    if processes < 1:
-        raise ValueError("--processes must be >= 1")
     config = LoadConfig(threads=threads, duration_seconds=duration,
                         target_qps=qps, mix=OpMix.named(mix), k=k,
                         seed=seed, audit_interval=audit_interval or None)
-    if processes >= 2:
-        if telemetry:
-            raise ValueError(
-                "--processes does not combine with --telemetry: Telemetry "
-                "snapshots are per-process and have no exact merge")
-        spec = WorldSpec(workload=workload_config, family=family,
-                         users=users, k=k, seed=seed, capacity=capacity,
-                         shards=shards, backend=backend,
-                         repair_delta=repair_delta)
-        report = run_multiprocess(spec, config, processes=processes).merged
-    else:
-        driver = ReplayDriver(ReplayConfig(users=users, k=k, seed=seed),
-                              profile_factory=profile_factory)
-        with _serving_world(driver, workload_config, backend, shards=shards,
-                            capacity=capacity,
-                            repair_delta=repair_delta) as server:
-            report = LoadGenerator(config).run(
-                server, telemetry=Telemetry() if telemetry else None)
+    driver = ReplayDriver(ReplayConfig(users=users, k=k, seed=seed),
+                          profile_factory=profile_factory)
+    with _serving_world(driver, workload_config, backend, shards=shards,
+                        capacity=capacity,
+                        repair_delta=repair_delta) as server:
+        report = LoadGenerator(config).run(
+            server, telemetry=Telemetry() if telemetry else None)
 
     run_record = report.as_dict()
     config_record = {"scale": scale, "users": users, "threads": threads,
@@ -513,8 +495,7 @@ def run_load(scale: str = "tiny",
                      "backend": backend or default_backend_name(),
                      "family": family, "mix": mix,
                      "seed": seed, "k": k, "capacity": capacity,
-                     "audit_interval": audit_interval,
-                     "processes": processes}
+                     "audit_interval": audit_interval}
     if output:
         write_bench_json(output, "loadgen",
                          loadgen_payload([run_record], config_record))
@@ -526,8 +507,7 @@ def run_load(scale: str = "tiny",
     latency = report.latency
     lines = [
         f"Load run ({report.mode} loop, {report.threads} threads"
-        + (f" across {report.processes} processes" if processes > 1 else "")
-        + f", {report.duration_seconds:.2f}s, scale={scale}, family={family}"
+        f", {report.duration_seconds:.2f}s, scale={scale}, family={family}"
         + (f", mix={mix}" if mix else "")
         + f", backend={report.backend}, shards={report.shards})",
         f"ops: {report.ops} "
@@ -728,12 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
                           _population_options, _workload_options)],
         help="hammer a live server with concurrent threads and report SLOs")
     load.add_argument("--threads", type=int, default=2,
-                      help="number of load-generator worker threads "
-                           "(per process)")
-    load.add_argument("--processes", type=int, default=1,
-                      help="fork N independent load-generator processes, "
-                           "each with its own world replica and seed lane, "
-                           "and merge their reports exactly (1 = in-process)")
+                      help="number of load-generator worker threads")
     load.add_argument("--duration", type=float, default=2.0,
                       help="run length in seconds")
     load.add_argument("--qps", type=float, default=None,

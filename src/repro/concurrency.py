@@ -1,36 +1,20 @@
-"""Shared concurrency primitives for the serving and storage layers.
+"""The one lock shape of the serving and storage layers.
 
-Two lock shapes recur once the system is driven by the multi-threaded load
-harness (:mod:`repro.loadgen`) instead of the strictly serial replay driver:
+Every lock in the serving stack is a plain re-entrant lock
+(:class:`threading.RLock`); :class:`TimedRLock` is the drop-in wrapper that
+accounts contention — how many acquisitions there were, how many had to
+wait, how long they waited and how long the lock was held.
+:func:`repro.telemetry.instrument_locks` swaps it around every tracked lock
+of a live server so a load report can name the hot lock instead of
+guessing, and reads the numbers back through ``stats()``
+(``acquisitions`` / ``contended`` / ``wait_seconds`` / ``hold_seconds``).
 
-:class:`RWLock`
-    A writer-preferring reader/writer lock.  The in-memory columnar backend
-    answers counts and id-list queries by pure set algebra — reads that never
-    write shared state except a memo dict — so serialising them on one mutex
-    wastes every core but one.  The reader/writer split lets any number of
-    query threads proceed concurrently while mutations retain exclusive
-    access, and waiting writers block *new* readers so a mutation storm is
-    never starved by a read storm.
-
-:class:`TimedRLock`
-    A drop-in re-entrant lock wrapper that accounts contention: how many
-    acquisitions there were, how many had to wait, how long they waited and
-    how long the lock was held.  The load harness wraps the server lock, the
-    session registry lock, the count-cache lock and the backend lock with it
-    so a load report can name the hot lock instead of guessing — the
-    "lock-hold / contention accounting" the ROADMAP's load-harness item asks
-    for.
-
-Both classes expose a ``stats()`` dict with a common vocabulary
-(``acquisitions`` / ``contended`` / ``wait_seconds`` / ``hold_seconds``) so
-:class:`repro.loadgen.runner.LoadGenerator` can aggregate them uniformly.
-
-Lock ordering across the system (outermost first): *per-user stripe lock →
-server writer gate → session registry → count cache / result cache →
-backend* (see the :mod:`repro.serving.server` docstring for the striped
-scheme).  Notifications are always delivered with no backend-side lock
-held (see :mod:`repro.backend.memory`), which is what keeps the
-server→backend order acyclic.
+Lock order across the system, outermost first: *server lock → session
+registry → count cache / result cache → backend* (the protocol is one
+sentence in the :mod:`repro.serving.server` docstring).  Notifications are
+always delivered with no backend-side lock held (see
+:mod:`repro.backend.memory`), which is what keeps the server→backend order
+acyclic.
 """
 
 from __future__ import annotations
@@ -38,167 +22,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Any, Dict, Optional
-
-
-class RWLock:
-    """A writer-preferring reader/writer lock with contention statistics.
-
-    * Any number of threads may hold the **read** side at once.
-    * The **write** side is exclusive and re-entrant (a writer may nest
-      further write — and read — acquisitions without deadlocking itself).
-    * Writer preference: once a writer is waiting, new readers queue behind
-      it, so heavy read traffic cannot starve mutations.
-
-    Upgrading (acquiring write while holding only read on the same thread)
-    is **not** supported and will deadlock two upgraders against each other;
-    none of the repository's code paths upgrade.
-    """
-
-    def __init__(self, name: str = "rwlock") -> None:
-        self.name = name
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer: Optional[int] = None
-        self._writer_depth = 0
-        self._waiting_writers = 0
-        #: Contention statistics (guarded by the condition's lock).
-        self.read_acquisitions = 0
-        self.write_acquisitions = 0
-        self.read_contended = 0
-        self.write_contended = 0
-        self.read_wait_seconds = 0.0
-        self.write_wait_seconds = 0.0
-        self.write_hold_seconds = 0.0
-        self._write_acquired_at = 0.0
-
-    # -- read side ----------------------------------------------------------------
-
-    def acquire_read(self) -> None:
-        """Block until the read side is held (shared)."""
-        me = threading.get_ident()
-        with self._cond:
-            self.read_acquisitions += 1
-            if self._writer == me:
-                # A writer re-entering as a reader: already exclusive.
-                self._readers += 1
-                return
-            if self._writer is not None or self._waiting_writers:
-                self.read_contended += 1
-                start = time.perf_counter()
-                while self._writer is not None or self._waiting_writers:
-                    self._cond.wait()
-                self.read_wait_seconds += time.perf_counter() - start
-            self._readers += 1
-
-    def release_read(self) -> None:
-        """Release one read hold."""
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    class _ReadContext:
-        __slots__ = ("_lock",)
-
-        def __init__(self, lock: "RWLock") -> None:
-            self._lock = lock
-
-        def __enter__(self) -> "RWLock":
-            self._lock.acquire_read()
-            return self._lock
-
-        def __exit__(self, *exc_info: object) -> None:
-            self._lock.release_read()
-
-    def read(self) -> "RWLock._ReadContext":
-        """``with lock.read():`` — shared acquisition as a context manager."""
-        return RWLock._ReadContext(self)
-
-    # -- write side ---------------------------------------------------------------
-
-    def acquire_write(self) -> None:
-        """Block until the write side is held (exclusive, re-entrant)."""
-        me = threading.get_ident()
-        with self._cond:
-            self.write_acquisitions += 1
-            if self._writer == me:
-                self._writer_depth += 1
-                return
-            if self._readers or self._writer is not None:
-                self.write_contended += 1
-                start = time.perf_counter()
-                self._waiting_writers += 1
-                try:
-                    while self._readers or self._writer is not None:
-                        self._cond.wait()
-                finally:
-                    self._waiting_writers -= 1
-                self.write_wait_seconds += time.perf_counter() - start
-            self._writer = me
-            self._writer_depth = 1
-            self._write_acquired_at = time.perf_counter()
-
-    def release_write(self) -> None:
-        """Release one write hold (exclusivity ends at depth zero)."""
-        with self._cond:
-            if self._writer != threading.get_ident():
-                raise RuntimeError("release_write() by a thread not holding it")
-            self._writer_depth -= 1
-            if self._writer_depth == 0:
-                self.write_hold_seconds += (time.perf_counter()
-                                            - self._write_acquired_at)
-                self._writer = None
-                self._cond.notify_all()
-
-    class _WriteContext:
-        __slots__ = ("_lock",)
-
-        def __init__(self, lock: "RWLock") -> None:
-            self._lock = lock
-
-        def __enter__(self) -> "RWLock":
-            self._lock.acquire_write()
-            return self._lock
-
-        def __exit__(self, *exc_info: object) -> None:
-            self._lock.release_write()
-
-    def write(self) -> "RWLock._WriteContext":
-        """``with lock.write():`` — exclusive acquisition as a context manager."""
-        return RWLock._WriteContext(self)
-
-    # The plain context-manager protocol acquires the *write* side, so an
-    # ``RWLock`` can drop into code written for ``with self._lock:``.
-    def __enter__(self) -> "RWLock":
-        self.acquire_write()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release_write()
-
-    # -- introspection ------------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """Contention counters in the shared lock-report vocabulary."""
-        with self._cond:
-            return {
-                "kind": "rwlock",
-                "name": self.name,
-                "acquisitions": self.read_acquisitions + self.write_acquisitions,
-                "contended": self.read_contended + self.write_contended,
-                "wait_seconds": self.read_wait_seconds + self.write_wait_seconds,
-                "hold_seconds": self.write_hold_seconds,
-                "read_acquisitions": self.read_acquisitions,
-                "write_acquisitions": self.write_acquisitions,
-                "read_contended": self.read_contended,
-                "write_contended": self.write_contended,
-                "read_wait_seconds": self.read_wait_seconds,
-                "write_wait_seconds": self.write_wait_seconds,
-            }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"RWLock({self.name!r}, readers={self._readers}, "
-                f"writer={self._writer is not None})")
 
 
 class TimedRLock:

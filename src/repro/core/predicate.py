@@ -451,7 +451,7 @@ _TOKEN_RE = re.compile(
         |'(?:[^']|'')*'                          # single-quoted string
         |"(?:[^"]|"")*"                          # double-quoted string
         |[A-Za-z_][A-Za-z0-9_.]*                 # identifiers / keywords
-        |-?\d+\.\d+|-?\d+                        # numbers
+        |-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?  # numbers (SQLite's shape)
     )""",
     re.VERBOSE,
 )

@@ -20,7 +20,7 @@ Public API
     Shape of a run: ``threads`` / ``duration_seconds`` / ``target_qps``
     (``None`` = closed loop) / ``mix`` (an :class:`~repro.serving.OpMix`;
     ``OpMix.named("hot-keys")`` for a hostile one) / ``k`` / ``seed`` /
-    audit cadence / lock instrumentation toggle.  Each worker consumes one
+    audit cadence.  Each worker consumes one
     :class:`~repro.serving.OpStream` built by
     :func:`~repro.serving.build_streams` — the op vocabulary, mixes and
     generator are the serving package's (:mod:`repro.serving.ops`), shared
@@ -40,14 +40,6 @@ Public API
 :class:`EquivalenceAuditor`
     Daemon thread that periodically quiesces traffic and verifies
     materialised answers against a from-scratch recomputation.
-:class:`WorldSpec` / :func:`build_server` / :func:`run_multiprocess` /
-:func:`merge_reports` / :class:`MultiProcessLoadReport`
-    The multi-process front: N child processes each call
-    :func:`build_server` on a picklable :class:`WorldSpec` to build their
-    own world replica and run the same :class:`LoadConfig` (seeds offset
-    by :data:`~repro.loadgen.multiproc.PROCESS_SEED_STRIDE`); reports
-    come home as JSON-safe primitives and merge exactly — histograms add
-    bucket-by-bucket, counters sum, rates are re-derived after summing.
 :func:`write_bench_json` / :func:`validate_loadgen_payload` /
 :func:`load_and_validate` / :func:`loadgen_payload` / :func:`bench_envelope`
     Schema-versioned ``BENCH_*.json`` persistence (``SCHEMA_VERSION``,
@@ -56,14 +48,6 @@ Public API
 """
 
 from .audit import EquivalenceAuditor, TrafficGate
-from .multiproc import (
-    PROCESS_SEED_STRIDE,
-    MultiProcessLoadReport,
-    WorldSpec,
-    build_server,
-    merge_reports,
-    run_multiprocess,
-)
 from .report import (
     SCHEMA_VERSION,
     bench_envelope,
@@ -79,18 +63,12 @@ __all__ = [
     "LoadConfig",
     "LoadGenerator",
     "LoadReport",
-    "MultiProcessLoadReport",
-    "PROCESS_SEED_STRIDE",
     "SCHEMA_VERSION",
     "TrafficGate",
     "WorkerResult",
-    "WorldSpec",
     "bench_envelope",
-    "build_server",
     "load_and_validate",
     "loadgen_payload",
-    "merge_reports",
-    "run_multiprocess",
     "validate_loadgen_payload",
     "write_bench_json",
 ]

@@ -28,13 +28,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 #: Bump when a consumer-visible key of the envelope or payload changes.
 #: v2 added the per-run ``telemetry`` section (the unified metrics/trace
 #: snapshot from :mod:`repro.telemetry`; ``{}`` for runs made without it).
-#: v3 added the required per-run ``processes`` count (1 for in-process
-#: runs; >1 for reports merged across load-generator processes by
-#: :mod:`repro.loadgen.multiproc`).
+#: v3 added a required per-run ``processes`` count.
 #: v4 made the per-run ``server_stats`` section required and flat: it is
 #: the server's ``metrics()`` mapping (unified ``layer.component.metric``
 #: names) instead of the removed nested ``stats()`` tree.
-SCHEMA_VERSION = 4
+#: v5 dropped ``processes``: the harness drives one process.
+SCHEMA_VERSION = 5
 
 #: Keys every per-run record must carry, with their required types.
 RUN_REQUIRED_KEYS: Dict[str, type] = {
@@ -42,7 +41,6 @@ RUN_REQUIRED_KEYS: Dict[str, type] = {
     "backend": str,
     "shards": int,
     "threads": int,
-    "processes": int,
     "duration_seconds": float,
     "ops": int,
     "throughput_ops_per_sec": float,

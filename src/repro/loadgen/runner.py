@@ -142,14 +142,6 @@ class LoadReport:
     #: state) when the run was given a :class:`~repro.telemetry.Telemetry`;
     #: empty otherwise.
     telemetry: Dict[str, Any] = field(default_factory=dict)
-    #: Full-state merged latency histograms (``latency`` / ``latency_by_kind``
-    #: above are the lossy summaries of these).  Carried so reports can be
-    #: merged exactly across processes.
-    histogram: Optional[LatencyHistogram] = None
-    histograms_by_kind: Dict[str, LatencyHistogram] = field(default_factory=dict)
-    #: How many load-generator processes produced this report (1 for an
-    #: in-process run; >1 only for reports merged by :mod:`repro.loadgen.multiproc`).
-    processes: int = 1
 
     @property
     def clean(self) -> bool:
@@ -161,7 +153,6 @@ class LoadReport:
         return {
             "mode": self.mode, "backend": self.backend,
             "shards": self.shards, "threads": self.threads,
-            "processes": self.processes,
             "duration_seconds": self.duration_seconds,
             "target_qps": self.target_qps, "seed": self.seed,
             "ops": self.ops,
@@ -181,56 +172,6 @@ class LoadReport:
             "errors": list(self.errors),
             "telemetry": dict(self.telemetry),
         }
-
-    # -- serialisation ------------------------------------------------------------
-    # A LoadReport holds no locks or backend handles, but its histograms are
-    # live objects; to_dict()/from_dict() round-trip the WHOLE report through
-    # JSON-safe primitives so the multi-process load generator can ship each
-    # child's report across the process boundary without pickling anything
-    # stateful, then merge the full-state histograms exactly.
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full state as JSON-safe primitives; ``from_dict`` restores it."""
-        payload = self.as_dict()
-        payload["histogram"] = (self.histogram.to_dict()
-                                if self.histogram is not None else None)
-        payload["histograms_by_kind"] = {
-            kind: histogram.to_dict()
-            for kind, histogram in sorted(self.histograms_by_kind.items())}
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "LoadReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        histogram = payload.get("histogram")
-        by_kind = payload.get("histograms_by_kind") or {}
-        return cls(
-            mode=payload["mode"], backend=payload["backend"],
-            shards=payload["shards"], threads=payload["threads"],
-            duration_seconds=payload["duration_seconds"],
-            target_qps=payload["target_qps"], seed=payload["seed"],
-            ops=payload["ops"],
-            throughput_ops_per_sec=payload["throughput_ops_per_sec"],
-            read_hit_rate=payload["read_hit_rate"],
-            late_starts=payload["late_starts"],
-            kind_counts=dict(payload["kind_counts"]),
-            latency=dict(payload["latency"]),
-            latency_by_kind={kind: dict(summary) for kind, summary
-                             in payload["latency_by_kind"].items()},
-            per_shard_requests=list(payload["per_shard_requests"]),
-            shard_skew=payload["shard_skew"],
-            locks=[dict(record) for record in payload["locks"]],
-            gate=dict(payload["gate"]),
-            audit=dict(payload["audit"]),
-            server_stats=dict(payload["server_stats"]),
-            errors=list(payload["errors"]),
-            telemetry=dict(payload.get("telemetry") or {}),
-            histogram=(LatencyHistogram.from_dict(histogram)
-                       if histogram is not None else None),
-            histograms_by_kind={kind: LatencyHistogram.from_dict(state)
-                                for kind, state in by_kind.items()},
-            processes=int(payload.get("processes", 1)),
-        )
 
 
 class LoadGenerator:
@@ -410,6 +351,4 @@ class LoadGenerator:
             errors=[result.error for result in results if result.error],
             telemetry=(telemetry.json_snapshot()
                        if telemetry is not None else {}),
-            histogram=overall,
-            histograms_by_kind=dict(sorted(by_kind.items())),
         )

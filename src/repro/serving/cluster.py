@@ -221,7 +221,7 @@ class ShardedTopKServer(ServingSurface):
     def _sweep(self, mutation: DataMutation
                ) -> Tuple[ShardMutationReport, ...]:
         """Deliver one batched event to every shard, in shard order (the
-        caller holds every shard's gate)."""
+        caller holds every shard's lock)."""
         self.broadcasts += 1
         swept = [server._sweep(mutation) for server in self._shard_servers]
         return tuple(replace(reports[0], shard=index)

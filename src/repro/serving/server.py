@@ -27,51 +27,29 @@ wall-clock seconds) so benchmarks and operators can attribute cost.
 sharded cluster (:mod:`repro.serving.cluster`): lifecycle, tracing,
 telemetry adoption and the three data-mutation doors live there once.  Every
 data mutation runs the same pipeline — door → :meth:`ServingSurface._mutate`
-(trace → writer gate → loader → impact → counter → latency) → the
+(trace → server lock → loader → impact → counter → latency) → the
 database's notification → :meth:`ServingSurface._sweep` — and only
 ``_sweep`` differs: a server sweeps its own caches, the cluster fans the
 event out to its shards.  A plain server is its own single shard
 (``shards == 1``, ``shard_of(uid) == 0``, ``shard_servers == (self,)``), so
 callers never branch on which of the two they hold.
 
-**Locking.**  The server-level locking is *striped*: instead of one big
-re-entrant lock, the server keeps
-
-* an array of N **stripe locks** keyed by ``uid % N`` — a cold read or a
-  profile update serialises only against other requests for users on the
-  same stripe, so cold computes for different users proceed concurrently;
-* one writer-preferring **gate** (:class:`~repro.concurrency.RWLock`,
-  reported as the ``server`` lock): cold computes and profile updates hold
-  its *read* side — any number at once — while data mutations (which sweep
-  every user's cached state) hold the exclusive *write* side, so a sweep
-  always sees a consistent world and no compute ever reads a half-applied
-  mutation.
-
-*Warm* reads acquire **zero server-level locks** — neither a stripe nor
-the gate — the :class:`~repro.serving.results.ResultCache` carries its own
-leaf lock, so a cache hit costs one leaf-lock acquisition and zero SQL
-statements however many writers are queued (the multi-threaded load
-harness' hot path).  The check-then-act window this opens (an answer
-computed from pre-mutation data materialised *after* the mutation's
-invalidation sweep) is closed by the cache's invalidation epoch: ``top_k``
-snapshots it before computing, releases the gate *before* materialising,
-and the cache refuses the put when a sweep ran in between.  Lock order,
-outermost first: stripe lock → writer gate → session registry → count
-cache / result cache → backend.  Nothing acquires a stripe while holding
-the gate, and nothing re-acquires the gate's read side while already
-holding it (writer preference would self-deadlock a re-entrant reader).
+**Locking.**  Warm reads take no server lock; everything else on a server
+— cold read, profile update, data mutation, close — runs alone under that
+server's one re-entrant lock; a cluster mutation takes every shard's lock in
+shard order.  Lock order, outermost first: server lock → session registry →
+count cache / result cache → backend.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
-from ..concurrency import RWLock
 from ..core.hypre.builder import HypreGraphBuilder
 from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError, UnknownUserError
@@ -116,13 +94,6 @@ _IMPACT_FIELDS = ("results_invalidated", "results_spared",
 #: repair path's own metric component) instead of ``serving.results.*``.
 _REPAIR_METRIC_KEYS = frozenset(
     {"repairs", "repair_fallbacks", "repair_underflows"})
-
-#: Width of the per-user stripe-lock array.  Stripes only bound
-#: *concurrency* (uids sharing ``uid % STRIPES`` serialise against each
-#: other), never correctness, so a small power of two is plenty for the
-#: thread counts the load harness drives.
-STRIPES = 8
-
 
 @dataclass(frozen=True)
 class ServeResult:
@@ -257,7 +228,7 @@ class ServingSurface:
 
     Owns what is identical on both: the backend handle and its one
     data-mutation subscription, the exclusive section over the shards'
-    writer gates, telemetry adoption and tracing, the terminal
+    locks, telemetry adoption and tracing, the terminal
     :meth:`close`, and the three data-mutation doors with their single
     :meth:`_mutate` pipeline.  A subclass supplies
     ``top_k`` / ``update_profile`` / ``metrics``, a ``results`` view and
@@ -351,20 +322,20 @@ class ServingSurface:
     # -- lifecycle ----------------------------------------------------------------
 
     def _exclusive(self) -> ExitStack:
-        """``with self._exclusive():`` — the exclusive (re-entrant) side of
-        every shard's writer gate, in shard order; a plain server's one gate.
+        """``with self._exclusive():`` — every shard's (re-entrant) server
+        lock, in shard order; a plain server's one lock.
 
         Whoever holds it is alone with the backend and every cached state:
         no cold compute or profile update anywhere overlaps a commit or a
         sweep, and no second mutation runs — on a cluster exactly as on a
         single server, with no lock of the cluster's own.  Every
-        :meth:`_sweep` runs on the thread that holds every shard's gate, so
+        :meth:`_sweep` runs on the thread that holds every shard's lock, so
         when the section unwinds — normally or on an exception — no sweep is
         still running.
         """
         with ExitStack() as held:
             for shard in self.shard_servers:
-                held.enter_context(shard._gate.write())
+                held.enter_context(shard._lock)
             return held.pop_all()
 
     def close(self) -> None:
@@ -439,17 +410,19 @@ class ServingSurface:
 
     def _mutate(self, kind: str, papers: int,
                 loader_call: Callable[[], object]) -> DataMutationReport:
-        """The one data-mutation pipeline: trace → writer gate → loader →
+        """The one data-mutation pipeline: trace → server lock → loader →
         impact → counter → latency.
 
         ``loader_call`` commits and notifies; the notification re-enters
-        :meth:`_on_data_mutation` (the gates' write sides are re-entrant),
-        which sweeps and leaves the per-shard impact in ``_last_sweep``.
+        :meth:`_on_data_mutation` (the server locks are re-entrant), which
+        sweeps and leaves the per-shard impact in ``_last_sweep``.
         """
         door, counter = _DOORS[kind]
         with self._trace(f"{self._span_root}.{door}") as trace:
             trace.annotate("papers", papers)
-            with self._exclusive():
+            with span("server.lock_wait"):
+                held = self._exclusive()
+            with held:
                 self._check_open()
                 start = time.perf_counter()
                 statements_before = self.db.statements_executed
@@ -484,7 +457,7 @@ class ServingSurface:
         """Database listener: sweep once per event, whoever caused it.
 
         Runs for mutations from this surface's own doors *and* for direct
-        loader calls against the shared database; the gates' exclusive side
+        loader calls against the shared database; the exclusive section
         keeps a direct mutation from another thread from interleaving with
         an in-flight :meth:`_mutate` and being misattributed to its report.
         """
@@ -521,14 +494,8 @@ class TopKServer(ServingSurface):
                  capacity: int = 64,
                  subscribe: bool = True,
                  repair_delta: Optional[int] = None) -> None:
-        # Striped per-user locking (see the module docstring): cold reads
-        # and profile updates serialise per stripe and share the gate's read
-        # side; data mutations hold its exclusive side (see `_exclusive`).
-        # The gate keeps the historical ``server`` lock name so contention
-        # reports stay comparable.
-        self._gate = RWLock("server")
-        self._stripes: Tuple[Any, ...] = tuple(
-            threading.RLock() for _ in range(STRIPES))
+        # The one server lock (see the module docstring).
+        self._lock = threading.RLock()
         #: Over-fetch depth of the maintainable result buffers: a cold
         #: ``top_k(uid, k)`` scores ``k + repair_delta`` tuples so data
         #: mutations can be folded into the cached answer in place instead
@@ -546,7 +513,9 @@ class TopKServer(ServingSurface):
         self.reads = 0
         self.read_hits = 0
         self.updates = 0
-        #: Requests that took a stripe lock (cold reads + profile updates).
+        #: Requests that took the server lock (cold reads + profile
+        #: updates).  The name predates the one lock: the e2e benchmark
+        #: indexes ``serving.server.stripe_acquisitions``.
         self.stripe_acquisitions = 0
         super().__init__(db, subscribe=subscribe)
 
@@ -558,15 +527,16 @@ class TopKServer(ServingSurface):
             super().close()
             self.results.clear()
 
-    # -- striping -----------------------------------------------------------------
-
-    @property
-    def stripes(self) -> int:
-        """Width of the per-user stripe-lock array (keyed by ``uid % N``)."""
-        return len(self._stripes)
-
-    def _stripe_lock(self, uid: int) -> Any:
-        return self._stripes[int(uid) % len(self._stripes)]
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        """``with self._locked():`` — the server lock, the time spent
+        queueing for it recorded as a ``server.lock_wait`` child span."""
+        with span("server.lock_wait"):
+            self._lock.acquire()
+        try:
+            yield
+        finally:
+            self._lock.release()
 
     def _bump(self, reads: int = 0, read_hits: int = 0, updates: int = 0,
               stripe_acquisitions: int = 0) -> None:
@@ -598,10 +568,7 @@ class TopKServer(ServingSurface):
                 f"profile for uid={profile.uid} passed to update_profile(uid={uid})")
         with self._trace("server.update_profile") as trace:
             trace.annotate("uid", uid)
-            # Per-user serialisation via the stripe; the gate's read side
-            # keeps the write out of any data-mutation sweep's consistent
-            # view without serialising profile updates against each other.
-            with self._stripe_lock(uid), self._gate.read():
+            with self._locked():
                 self._check_open()
                 start = time.perf_counter()
                 statements_before = self.db.statements_executed
@@ -636,11 +603,9 @@ class TopKServer(ServingSurface):
         Warm requests are served straight from the result cache — zero SQL
         statements and **no server-level lock** (see the module docstring),
         the acceptance criterion of the serving benchmark and the load
-        harness' hot path.  Cold requests take the user's stripe lock and
-        the writer gate's read side, build/refresh the user's session, run
-        PEPS and materialise the answer for the next caller — unless an
-        invalidation swept past while they computed, in which case the
-        answer is served but not cached (it can no longer be proven fresh).
+        harness' hot path.  Cold requests take the server lock,
+        build/refresh the user's session, run PEPS and materialise the
+        answer for the next caller while still holding it.
         """
         with self._trace("server.top_k") as trace:
             trace.annotate("uid", uid)
@@ -662,10 +627,10 @@ class TopKServer(ServingSurface):
                 uid=uid, k=k, ranking=entry.ranking, cache_hit=True,
                 sql_statements=0,
                 seconds=time.perf_counter() - start)
-        with self._stripe_lock(uid):
+        with self._locked():
             statements_before = self.db.statements_executed
             # Another thread may have materialised the answer while we
-            # queued on the stripe — serve it rather than recompute.
+            # queued on the lock — serve it rather than recompute.
             entry = self.results.peek(uid, k)
             if entry is not None:
                 self._bump(reads=1, read_hits=1, stripe_acquisitions=1)
@@ -673,37 +638,35 @@ class TopKServer(ServingSurface):
                     uid=uid, k=k, ranking=entry.ranking, cache_hit=True,
                     sql_statements=self.db.statements_executed - statements_before,
                     seconds=time.perf_counter() - start)
-            with self._gate.read():
-                # The warm path above never asks: a closed server holds no
-                # cached answers, so every read ends up here.
-                self._check_open()
-                try:
-                    with span("sessions.get_or_create", self.db):
-                        session = self.sessions.get_or_create(uid)
-                except ServingError:
-                    raise UnknownUserError(uid) from None
-                # Snapshot *after* the session exists (building one replays
-                # profile events, which legitimately bump the epoch) but
-                # *before* the data-reading computation the snapshot guards.
-                epoch = self.results.epoch
-                repair = self.results.repair_enabled
-                with span("peps.top_k", self.db):
-                    if repair:
-                        delta = (self.repair_delta
-                                 if self.repair_delta is not None else 2 * k)
-                        buffer, complete = session.top_k_buffer(k, delta)
-                        ranking = tuple(buffer[:k])
-                    else:
-                        buffer, complete = None, False
-                        ranking = tuple(session.top_k(k))
-                peps = session.algorithm()
-                predicates = [pref.predicate for pref in peps.preferences]
-                intensities = ([pref.intensity for pref in peps.preferences]
-                               if repair else None)
-            # The gate is released *before* the put: a data mutation may
-            # sweep between the compute and the materialisation, and the
-            # epoch snapshot is exactly what makes that race safe — the
-            # cache refuses the stale put.
+            # The warm path above never asks: a closed server holds no
+            # cached answers, so every read ends up here.
+            self._check_open()
+            try:
+                with span("sessions.get_or_create", self.db):
+                    session = self.sessions.get_or_create(uid)
+            except ServingError:
+                raise UnknownUserError(uid) from None
+            # Snapshot *after* the session exists (building one replays
+            # profile events, which legitimately bump the epoch) but
+            # *before* the data-reading computation the snapshot guards.
+            # No sweep can run before the put below — both happen under
+            # the server lock — so the guard only protects a cache driven
+            # without a server.
+            epoch = self.results.epoch
+            repair = self.results.repair_enabled
+            with span("peps.top_k", self.db):
+                if repair:
+                    delta = (self.repair_delta
+                             if self.repair_delta is not None else 2 * k)
+                    buffer, complete = session.top_k_buffer(k, delta)
+                    ranking = tuple(buffer[:k])
+                else:
+                    buffer, complete = None, False
+                    ranking = tuple(session.top_k(k))
+            peps = session.algorithm()
+            predicates = [pref.predicate for pref in peps.preferences]
+            intensities = ([pref.intensity for pref in peps.preferences]
+                           if repair else None)
             self.results.put(
                 uid, k, ranking, predicates, epoch=epoch,
                 intensities=intensities, buffer=buffer, complete=complete)
@@ -770,7 +733,6 @@ class TopKServer(ServingSurface):
                 "serving.server.inserts": self.inserts,
                 "serving.server.deletes": self.deletes,
                 "serving.server.tuple_updates": self.tuple_updates,
-                "serving.server.stripe_count": len(self._stripes),
                 "serving.server.stripe_acquisitions": self.stripe_acquisitions,
             }
         for key, value in self.sessions.stats().items():

@@ -68,10 +68,9 @@ class Database:
         # two threads interleaving DML race the sqlite3 module's implicit
         # BEGIN ("cannot start a transaction within a transaction") and, far
         # worse, commit each other's half-written batches.  Data mutations
-        # are already serialised by the serving layer's writer gate, but
-        # profile-staging writes deliberately ride the gate's *read* side
-        # (so they don't serialise against Top-K computes) — this lock makes
-        # each such write transaction atomic on the shared connection.
+        # hold every shard's server lock, but profile updates on different
+        # shards of a cluster hold only their own — this lock makes each
+        # such write transaction atomic on the shared connection.
         self._write_lock = threading.RLock()
         #: Number of rows written by DML through this wrapper (inserts,
         #: deletes, updates; every row of an ``executemany`` batch counts).
@@ -373,9 +372,9 @@ class Database:
         """Persist extracted preference profiles into the staging tables.
 
         Atomic on the shared connection (see ``_write_lock``): profile
-        writes may arrive from concurrent threads holding only the serving
-        gate's read side, and interleaving their transactions would let one
-        thread commit another's half-written profile.
+        updates on different shards of a cluster may arrive from concurrent
+        threads, and interleaving their transactions would let one thread
+        commit another's half-written profile.
         """
         from ..workload.loader import sqlite_load_profiles
         with self._write_lock:

@@ -169,45 +169,6 @@ class LatencyHistogram:
         summary.update(self.percentiles_ms())
         return summary
 
-    # -- serialisation ------------------------------------------------------------
-    # as_dict() is a lossy report summary; to_dict()/from_dict() carry the
-    # FULL bucket state so a histogram can cross a process boundary (the
-    # multi-process load generator ships per-process histograms back as
-    # JSON-safe dicts) and merge exactly on the other side.
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full state as JSON-safe primitives; ``from_dict`` restores exactly."""
-        return {
-            "buckets": [[index, self._buckets[index]]
-                        for index in sorted(self._buckets)],
-            "count": self.count,
-            "sum_us": self.sum_us,
-            "min_us": self.min_us,
-            "max_us": self.max_us,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "LatencyHistogram":
-        """Rebuild a histogram from :meth:`to_dict` output (validating)."""
-        histogram = cls()
-        total = 0
-        for index, count in payload["buckets"]:
-            if count < 0 or index < 0:
-                raise ValueError(
-                    f"invalid histogram bucket [{index}, {count}]")
-            histogram._buckets[int(index)] = int(count)
-            total += int(count)
-        histogram.count = int(payload["count"])
-        if histogram.count != total:
-            raise ValueError(
-                f"histogram count {histogram.count} != bucket sum {total}")
-        histogram.sum_us = int(payload["sum_us"])
-        histogram.min_us = (None if payload["min_us"] is None
-                            else int(payload["min_us"]))
-        histogram.max_us = (None if payload["max_us"] is None
-                            else int(payload["max_us"]))
-        return histogram
-
     def __len__(self) -> int:
         return self.count
 

@@ -6,17 +6,13 @@ A one-way swap is fine for a load run that owns the server, wrong for a
 long-lived process that wants contention numbers for a while and then its
 plain locks back.  This module makes the swap a *handle*:
 
-* :func:`instrument_locks` covers the whole server-level lock set (every
-  per-user stripe lock, the session registry, the shared count cache +
-  rebuilt condition variable, the result cache; per shard for a
-  cluster, which has no lock of its own).  The writer gates and the memory
-  backend's lock are self-accounting :class:`~repro.concurrency.RWLock`
-  instances, so they are tracked un-swapped — a server's gate reports
-  under the historical ``server`` name (``shard<i>-server`` in a
-  cluster), each stripe under ``stripe<j>``.  Everything swapped or
-  renamed is recorded
-  as ``(owner, attribute, original)`` in the returned
-  :class:`LockInstrumentation`;
+* :func:`instrument_locks` covers the whole lock set: per server the
+  server lock, the session registry, the shared count cache + rebuilt
+  condition variable and the result cache — ``server`` / ``sessions`` /
+  ``count-cache`` / ``result-cache``, prefixed ``shard<i>-`` per shard of
+  a cluster, which has no lock of its own — plus ``memory-backend`` once
+  on that engine.  Every swap is recorded as ``(owner, attribute,
+  original)`` in the returned :class:`LockInstrumentation`;
 * :meth:`LockInstrumentation.uninstrument` restores every original object
   in reverse order — including the count cache's original condition
   variable, so in-flight coalescing waiters are never left parked on a
@@ -39,7 +35,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Tuple, Union
 
-from ..concurrency import RWLock, TimedRLock
+from ..concurrency import TimedRLock
 from .registry import MetricsRegistry, sanitize_component
 
 #: The attribute the active handle parks on, making repeats idempotent.
@@ -121,38 +117,25 @@ class LockInstrumentation:
         self.uninstrument()
 
 
-def _instrument_count_cache(handle: LockInstrumentation, cache: Any,
-                            name: str) -> None:
-    """Swap a count cache's lock, rebuilding its condition on the wrapper."""
-    lock = TimedRLock(name)
-    handle._swap(cache, "_lock", lock)
-    handle._swap(cache, "_cond", threading.Condition(lock))
+def _wrap(handle: LockInstrumentation, owner: Any, name: str) -> TimedRLock:
+    """Swap ``owner._lock`` for a timed wrapper around the *original* lock,
+    so a thread idling between requests never races a fresh lock object."""
+    lock = handle._swap(owner, "_lock", TimedRLock(name, lock=owner._lock))
     handle.locks.append(lock)
+    return lock
 
 
 def _instrument_single(handle: LockInstrumentation, server: Any,
                        prefix: str = "") -> None:
     """Swap one TopKServer's lock set into the handle."""
-    # The writer gate accounts itself: rename it under the shard prefix
-    # (recorded like any swap, so uninstrument restores the name) and track
-    # it un-swapped.
-    handle._swap(server._gate, "name", f"{prefix}server")
-    handle.locks.append(server._gate)
-    # Wrap every stripe around its *original* inner lock, so a thread
-    # idling between requests never races a fresh lock object.
-    replacement = tuple(
-        TimedRLock(f"{prefix}stripe{index}", lock=stripe)
-        for index, stripe in enumerate(server._stripes))
-    handle._swap(server, "_stripes", replacement)
-    handle.locks.extend(replacement)
-    handle.locks.append(
-        handle._swap(server.sessions, "_lock",
-                     TimedRLock(f"{prefix}sessions")))
-    _instrument_count_cache(handle, server.sessions.count_cache,
-                            f"{prefix}count-cache")
-    handle.locks.append(
-        handle._swap(server.results, "_lock",
-                     TimedRLock(f"{prefix}result-cache")))
+    _wrap(handle, server, f"{prefix}server")
+    _wrap(handle, server.sessions, f"{prefix}sessions")
+    cache = server.sessions.count_cache
+    # The condition is rebuilt on the wrapper, so in-flight coalescing
+    # parks and resumes through the lock the cache now holds.
+    handle._swap(cache, "_cond", threading.Condition(
+        _wrap(handle, cache, f"{prefix}count-cache")))
+    _wrap(handle, server.results, f"{prefix}result-cache")
 
 
 def instrument_locks(server: Any,
@@ -178,10 +161,9 @@ def instrument_locks(server: Any,
         _instrument_single(
             handle, shard,
             prefix="" if shards == (server,) else f"shard{index}-")
-    backend_lock = getattr(server.db, "_lock", None)
-    if isinstance(backend_lock, RWLock):
-        # The memory backend's RWLock accounts itself; track, don't swap.
-        handle.locks.append(backend_lock)
+    if getattr(server.db, "_lock", None) is not None:
+        # Only the memory engine has a lock of its own (``memory-backend``).
+        _wrap(handle, server.db, f"{server.db.backend_name}-backend")
     setattr(server, _HANDLE_ATTR, handle)
     if registry is not None:
         handle._export(registry)

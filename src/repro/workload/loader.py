@@ -178,7 +178,7 @@ def sqlite_append_papers(db: Database,
     # The write lock keeps this transaction atomic against concurrent
     # profile-staging writes on the shared connection; the notification
     # below stays OUTSIDE it (listeners take serving-layer locks, and
-    # write-lock -> gate edges would close a deadlock cycle).
+    # write-lock -> server-lock edges would close a deadlock cycle).
     with db._write_lock:
         replaced_rows = (db.joined_rows([paper.pid for paper in papers])
                          if papers and db.has_subscribers else [])

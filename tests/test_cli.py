@@ -81,7 +81,6 @@ class TestParser:
         args = build_parser().parse_args(["load"])
         assert args.command == "load"
         assert args.threads == 2
-        assert args.processes == 1
         assert args.duration == 2.0
         assert args.qps is None  # closed loop by default
         assert args.shards == 0
@@ -286,35 +285,6 @@ class TestLoad:
     def test_load_rejects_negative_shards(self):
         with pytest.raises(ValueError, match="--shards"):
             run_load(scale="tiny", shards=-1)
-
-    def test_load_multiprocess_merges_and_validates(self, tmp_path):
-        from repro.loadgen import load_and_validate
-        path = tmp_path / "BENCH_loadgen.json"
-        payload = json.loads(run_load(
-            scale="tiny", users=8, threads=1, duration=0.3, k=3,
-            audit_interval=0.2, processes=2, as_json=True,
-            output=str(path)))
-        run = payload["run"]
-        assert run["processes"] == 2
-        assert run["threads"] == 2  # one per process, summed by the merge
-        assert run["ops"] > 0
-        assert run["audit"]["mismatches"] == 0 and run["errors"] == []
-        assert payload["config"]["processes"] == 2
-        document = load_and_validate(str(path))
-        assert document["payload"]["runs"][0]["processes"] == 2
-
-    def test_load_multiprocess_text_names_the_processes(self):
-        text = run_load(scale="tiny", users=8, threads=1, duration=0.3,
-                        k=3, audit_interval=0.2, processes=2)
-        assert "across 2 processes" in text
-
-    def test_load_rejects_zero_processes(self):
-        with pytest.raises(ValueError, match="--processes"):
-            run_load(scale="tiny", processes=0)
-
-    def test_load_rejects_multiprocess_telemetry(self):
-        with pytest.raises(ValueError, match="telemetry"):
-            run_load(scale="tiny", processes=2, telemetry=True)
 
 
 class TestMainEntryPoint:

@@ -172,6 +172,20 @@ class TestParsing:
         expr = parse_predicate("score > 0.5")
         assert expr == Condition("score", ">", 0.5)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1e+16", 1e16), ("1.5e3", 1500.0), (".5", 0.5), ("1.", 1.0),
+        ("-2.5E-3", -0.0025), ("17", 17), ("e5", "e5")])
+    def test_parse_numeric_literal_shapes(self, text, value):
+        """SQLite's numeric-literal shape, exponent forms included; a bare
+        word that merely looks like an exponent stays a word."""
+        parsed = parse_predicate(f"venue = {text}").value
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("value", [1e16, 1.5e300, 1e-7, -2.5e20, 0.5, 3])
+    def test_rendered_numeric_literal_parses_back(self, value):
+        condition = Condition("dblp.venue", "=", value)
+        assert parse_predicate(condition.to_sql()) == condition
+
     def test_parse_and(self):
         expr = parse_predicate("year>=2000 AND year<=2005")
         assert expr == between("year", 2000, 2005)

@@ -50,6 +50,7 @@ from repro.serving import (
 )
 from repro.serving.results import ResultCache
 from repro.serving.server import fresh_top_k
+from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
 
 #: Upper bound on any single concurrent phase; generous on purpose — it
@@ -337,36 +338,35 @@ class TestInvalidationRaceRegression:
 # -- striping regressions ------------------------------------------------------
 
 
-class TestStripedServing:
-    """The striped lock discipline, provoked with barriers: distinct-stripe
-    cold misses genuinely overlap, a data mutation landing mid-compute
-    still hits the per-stripe epoch guard, and in-place repair sweeps
-    never resurrect entries a mutation dropped."""
+class TestOneLockServing:
+    """The one-lock protocol, provoked by parking a request inside the
+    lock: cold computes never overlap, the put happens under the lock (so
+    no sweep can slip between a compute and its put), and in-place repair
+    sweeps never resurrect entries a mutation dropped."""
 
-    def test_cold_misses_on_distinct_stripes_overlap(self, world):
-        """Two users on different stripes rendezvous *inside* their cold
-        computes — impossible under the old server-wide lock, where the
-        second request queued until the first finished."""
+    def test_cold_computes_never_overlap(self, world):
+        """A cold read parked inside its compute keeps a second user's cold
+        read out until it finishes; the second one's trace shows the wait."""
         server = TopKServer(world, capacity=12)
+        telemetry = Telemetry()
+        telemetry.observe(server)
+        inside, release = threading.Event(), threading.Event()
         try:
-            uids = sorted(profile.uid for profile in world.read_profiles())
-            uid_a = uids[0]
-            uid_b = next(uid for uid in uids
-                         if uid % server.stripes != uid_a % server.stripes)
-            rendezvous = threading.Barrier(2, timeout=DEADLINE_SECONDS)
+            uid_a, uid_b = sorted(
+                profile.uid for profile in world.read_profiles())[:2]
             original = server.sessions.get_or_create
-            overlapped = []
+            events = []
 
-            def meeting_point(uid):
-                # Runs while the caller holds its stripe lock and the
-                # gate's read side: both cold misses can only meet here if
-                # neither server-level lock serialises them.
-                if uid in (uid_a, uid_b):
-                    rendezvous.wait()
-                    overlapped.append(uid)
-                return original(uid)
+            def parking(uid):
+                events.append(("enter", uid))
+                if uid == uid_a:
+                    inside.set()
+                    assert release.wait(DEADLINE_SECONDS)
+                session = original(uid)
+                events.append(("exit", uid))
+                return session
 
-            server.sessions.get_or_create = meeting_point
+            server.sessions.get_or_create = parking
             outcome, errors = {}, []
 
             def read(uid):
@@ -375,72 +375,98 @@ class TestStripedServing:
                 except Exception as exc:  # noqa: BLE001 - surfaced below
                     errors.append(f"{uid}: {type(exc).__name__}: {exc}")
 
-            start_and_join([
-                threading.Thread(target=read, args=(uid,), daemon=True,
-                                 name=f"cold-{uid}")
-                for uid in (uid_a, uid_b)])
+            readers = {uid: threading.Thread(target=read, args=(uid,),
+                                             daemon=True, name=f"cold-{uid}")
+                       for uid in (uid_a, uid_b)}
+            readers[uid_a].start()
+            assert inside.wait(DEADLINE_SECONDS)
+            readers[uid_b].start()
+            time.sleep(0.2)
+            assert ("enter", uid_b) not in events
+            release.set()
+            assert join_with_deadline(list(readers.values())) == []
             server.sessions.get_or_create = original
-            # A BrokenBarrierError here means the computes serialised.
+
             assert not errors, errors
-            assert sorted(overlapped) == sorted((uid_a, uid_b))
+            assert events == [("enter", uid_a), ("exit", uid_a),
+                              ("enter", uid_b), ("exit", uid_b)]
             for uid in (uid_a, uid_b):
                 assert not outcome[uid].cache_hit
                 assert list(outcome[uid].ranking) \
                     == fresh_top_k(world, uid, REPLAY.k)
+            record = next(record for record in telemetry.traces.snapshot()
+                          if record.name == "server.top_k"
+                          and record.annotation("uid") == uid_b)
+            assert record.find("server.lock_wait").seconds >= 0.15
         finally:
+            release.set()
             server.close()
 
-    def test_mutation_mid_compute_triggers_stale_put_refusal(self, world):
-        """A data mutation sweeping between a cold compute and its put (the
-        gate is released before the put) must see the put refused by the
-        epoch guard — per stripe, with no server-wide lock to hide behind."""
+    def test_put_happens_under_the_lock(self, world):
+        """While a cold read's put is parked, neither a second reader of the
+        same user nor a data mutation gets in: the window between compute
+        and put that the epoch guard used to cover no longer exists."""
         server = TopKServer(world, capacity=12)
+        ready, proceed = threading.Event(), threading.Event()
         try:
             uid = sorted(profile.uid
                          for profile in world.read_profiles())[0]
-            ready, proceed = threading.Event(), threading.Event()
             original_put = server.results.put
 
-            def stalled_put(put_uid, k, *args, **kwargs):
-                if put_uid == uid:
+            def stalled_put(*args, **kwargs):
+                if not ready.is_set():
                     ready.set()
                     assert proceed.wait(DEADLINE_SECONDS)
-                return original_put(put_uid, k, *args, **kwargs)
+                return original_put(*args, **kwargs)
 
             server.results.put = stalled_put
-            outcome = {}
+            outcome, errors = {}, []
 
-            def read():
-                outcome["result"] = server.top_k(uid, REPLAY.k)
+            def run(name, call):
+                try:
+                    outcome[name] = call()
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(f"{name}: {type(exc).__name__}: {exc}")
 
-            reader = threading.Thread(target=read, name="cold-reader",
-                                      daemon=True)
-            reader.start()
+            def thread(name, call):
+                return threading.Thread(target=run, args=(name, call),
+                                        daemon=True, name=name)
+
+            first = thread("first", lambda: server.top_k(uid, REPLAY.k))
+            first.start()
             assert ready.wait(DEADLINE_SECONDS)
-            before = server.results.stats()["stale_puts_rejected"]
-            # The reader holds its *stripe* but released the gate: the
-            # mutation (gate.write) proceeds and bumps the epoch.
+            stale_before = server.results.stats()["stale_puts_rejected"]
             pid = world.max_paper_id() + 1
-            server.insert_tuples(
-                [{"pid": pid, "title": "mid-compute insert",
-                  "venue": "VLDB", "year": 2015, "aids": [1]}])
+            waiters = [
+                thread("second", lambda: server.top_k(uid, REPLAY.k)),
+                thread("insert", lambda: server.insert_tuples(
+                    [{"pid": pid, "title": "mid-put insert",
+                      "venue": "VLDB", "year": 2015, "aids": [1]}]))]
+            for waiter in waiters:
+                waiter.start()
+            time.sleep(0.2)
+            assert set(outcome) == set() and not errors
             proceed.set()
-            assert join_with_deadline([reader]) == []
+            assert join_with_deadline([first] + waiters) == []
             server.results.put = original_put
 
-            assert server.results.stats()["stale_puts_rejected"] == before + 1
-            # The stale answer was served but never materialised...
-            assert outcome["result"].cache_hit is False
-            assert server.results.peek(uid, REPLAY.k) is None
-            # ...and the next request computes (and caches) a fresh one.
-            fresh = server.top_k(uid, REPLAY.k)
-            assert not fresh.cache_hit
-            assert list(fresh.ranking) == fresh_top_k(world, uid, REPLAY.k)
+            assert not errors, errors
+            assert server.sessions.stats()["sessions_built"] == 1
+            report = outcome["insert"]
+            assert (report.results_repaired + report.results_invalidated
+                    + report.results_spared) >= 1
+            assert server.results.stats()["stale_puts_rejected"] \
+                == stale_before
+            for cached_uid in server.results.cached_users():
+                entry = server.results.peek(cached_uid, REPLAY.k)
+                assert list(entry.ranking) \
+                    == fresh_top_k(world, cached_uid, REPLAY.k)
         finally:
+            proceed.set()
             server.close()
 
     def test_repair_sweeps_never_resurrect_dropped_entries(self, world):
-        """Deletes land while readers hammer every stripe; after the dust
+        """Deletes land while readers hammer the server; after the dust
         settles no cached ranking may contain a dropped paper, and every
         survivor must equal the from-scratch oracle."""
         server = TopKServer(world, capacity=32)

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.concurrency import RWLock, TimedRLock
+from repro.concurrency import TimedRLock
 from repro.exceptions import ServingError
 from repro.loadgen import (
     SCHEMA_VERSION,
@@ -171,12 +171,17 @@ class TestInstrumentation:
         assert report[0]["wait_seconds"] >= report[-1]["wait_seconds"]
         assert any(record["acquisitions"] > 0 for record in report)
 
-    def test_memory_backend_rwlock_is_included(self):
+    def test_memory_backend_lock_is_included(self):
         db = ReplayDriver(REPLAY).build_world(DBLP, backend="memory")
         instance = TopKServer(db, capacity=8)
         try:
-            locks = instrument_locks(instance).locks
-            assert db._lock in locks and isinstance(db._lock, RWLock)
+            original = db._lock
+            handle = instrument_locks(instance)
+            assert db._lock in handle.locks
+            assert db._lock.name == "memory-backend"
+            assert db._lock._inner is original
+            handle.uninstrument()
+            assert db._lock is original
         finally:
             instance.close()
             db.close()
@@ -240,8 +245,8 @@ class TestLoadConfig:
         the auditor rejecting its interval) left the timed locks swapped in
         for the rest of the server's life."""
         def lock_types():
-            return ([type(stripe) for stripe in server._stripes],
-                    type(server.sessions._lock), type(server.results._lock))
+            return (type(server._lock), type(server.sessions._lock),
+                    type(server.results._lock))
 
         before = lock_types()
         config = LoadConfig(threads=1, duration_seconds=0.1)
@@ -251,7 +256,7 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="audit interval"):
             LoadGenerator(config).run(server)
         assert lock_types() == before
-        assert TimedRLock not in before[0]
+        assert TimedRLock not in before
 
 
 # -- report persistence and validation ---------------------------------------
@@ -262,7 +267,6 @@ def _minimal_run(**overrides):
                "min_ms": 0.5, "mean_ms": 1.2, "max_ms": 4.0}
     run = {
         "mode": "closed", "backend": "sqlite", "shards": 1, "threads": 2,
-        "processes": 1,
         "duration_seconds": 1.0, "ops": 10, "throughput_ops_per_sec": 10.0,
         "latency": dict(latency),
         "latency_by_kind": {"read": dict(latency)},

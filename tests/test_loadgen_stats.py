@@ -14,7 +14,6 @@ pinned down as properties over arbitrary sample sets:
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -104,58 +103,6 @@ def test_merge_is_commutative_on_summaries(left_values, right_values):
     right_first = LatencyHistogram.merged([_fill(right_values),
                                            _fill(left_values)])
     assert left_first == right_first
-
-
-# -- cross-process serialization ---------------------------------------------
-
-
-def _ship(histogram):
-    """Round-trip a histogram through an actual process boundary's wire
-    format: ``to_dict`` -> JSON text -> ``from_dict``."""
-    return LatencyHistogram.from_dict(json.loads(json.dumps(
-        histogram.to_dict())))
-
-
-@given(samples_us)
-@settings(max_examples=80, deadline=None)
-def test_to_dict_from_dict_roundtrip_is_exact(values):
-    """Full state survives the wire: buckets, count, sum, min, max."""
-    histogram = _fill(values)
-    clone = _ship(histogram)
-    assert clone == histogram
-    for q in REPORT_QUANTILES:
-        assert clone.quantile_us(q) == histogram.quantile_us(q)
-    assert clone.as_dict() == histogram.as_dict()
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(st.integers(min_value=0, max_value=2**32),
-                         min_size=0, max_size=60),
-                min_size=1, max_size=6))
-def test_merged_across_processes_equals_recorded_in_one(process_samples):
-    """The multi-process harness's core exactness property: per-process
-    histograms shipped home as primitives and merged are *identical* to one
-    histogram that recorded every sample in a single process."""
-    shipped = [_ship(_fill(values)) for values in process_samples]
-    merged = LatencyHistogram.merged(shipped)
-    one_process = _fill([value for values in process_samples
-                         for value in values])
-    assert merged == one_process
-    assert merged.as_dict() == one_process.as_dict()
-
-
-def test_empty_histogram_roundtrips():
-    assert _ship(LatencyHistogram()) == LatencyHistogram()
-
-
-def test_from_dict_rejects_corrupt_payloads():
-    payload = _fill([5, 10]).to_dict()
-    short = dict(payload, count=3)
-    with pytest.raises(ValueError):
-        LatencyHistogram.from_dict(short)
-    negative = dict(payload, buckets=[[5, -1]], count=-1)
-    with pytest.raises(ValueError):
-        LatencyHistogram.from_dict(negative)
 
 
 # -- quantile properties -----------------------------------------------------

@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+from repro.backend import BACKEND_NAMES, create_backend
+from repro.core.predicate import Condition
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError, UnknownUserError
 from repro.serving import TopKServer, fresh_top_k
@@ -100,6 +102,26 @@ class TestProfileUpdates:
             assert engine.results.peek(1, 5) is None
             served = engine.top_k(1, 5)
             assert list(served.ranking) == fresh_top_k(serving_db, 1, 5)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_exponent_form_literal_survives_the_round_trip(self, backend):
+        """Regression: ``to_sql`` renders a float >= 1e16 as ``1e+16``, which
+        the parser could not read back — the update persisted the row and
+        then raised, and every later rebuild for that user raised too."""
+        db = create_backend(backend)
+        load_dataset(db, generate_dblp(
+            DblpConfig(n_papers=200, n_authors=60, n_venues=6, seed=7)))
+        with TopKServer(db, capacity=8) as server:
+            server.update_profile(1, make_profile(1))
+            update = UserProfile(uid=1)
+            update.add_quantitative(Condition("dblp.year", "<", 1e16), 0.8)
+            server.update_profile(1, update)
+            assert list(server.top_k(1, 5).ranking) == fresh_top_k(db, 1, 5)
+            server.insert_tuples(
+                [{"pid": 90_001, "title": "New", "venue": VENUES[1],
+                  "year": 2009, "aids": [1]}])
+            assert list(server.top_k(1, 5).ranking) == fresh_top_k(db, 1, 5)
+        db.close()
 
     def test_uid_mismatch_rejected(self, server):
         with pytest.raises(ServingError):
@@ -308,7 +330,7 @@ class TestThreadSafety:
         assert not errors
 
     def test_metrics_snapshot_shape(self, server):
-        stripe_before = server.metrics()["serving.server.stripe_acquisitions"]
+        locked_before = server.metrics()["serving.server.stripe_acquisitions"]
         server.top_k(1, 5)
         server.top_k(1, 5)
         metrics = server.metrics()
@@ -318,7 +340,6 @@ class TestThreadSafety:
             "serving.server", "serving.sessions", "serving.results",
             "serving.result_cache", "index.count_cache",
             f"backend.{server.db.backend_name}"}
-        assert metrics["serving.server.stripe_count"] == server.stripes
-        # One stripe acquisition for the cold read, none for the warm hit.
+        # One lock acquisition for the cold read, none for the warm hit.
         assert (metrics["serving.server.stripe_acquisitions"]
-                - stripe_before) == 1
+                - locked_before) == 1

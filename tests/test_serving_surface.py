@@ -7,7 +7,7 @@ same public methods, one mutation report type, the same ``metrics()`` names,
 identical answers and report totals for one fixed script, and a terminal
 ``close()`` — plus the known resident-vs-rebuilt divergence as a strict
 xfail, so the fix flips it.  Also pins the construction surface (every
-settable parameter, by name) and what a sweep guarantees: it runs on the
+settable parameter, by name), the lock set, and what a sweep guarantees: it runs on the
 mutating thread, shard by shard, so a failing one leaves nothing held, and
 it judges relevance through one ``RowMatch`` — each distinct predicate once.
 """
@@ -22,8 +22,11 @@ import pytest
 from test_loadgen_concurrency import start_and_join
 from test_peps_cold_path import count_calls
 
+import repro.concurrency
 import repro.index.selectivity as selectivity
 from repro.backend import BACKEND_NAMES
+from repro.cli import run_load
+from repro.concurrency import TimedRLock
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
 from repro.experiments.context import SCALES
@@ -38,7 +41,7 @@ from repro.serving import (
     fresh_top_k,
 )
 from repro.serving.results import CachedResult
-from repro.telemetry import Telemetry, validate_metric_name
+from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
 from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
 from repro.workload.dblp import DblpConfig, Paper
 
@@ -167,9 +170,14 @@ def test_script_reports_and_metrics(surface):
 
 
 def test_construction_surface_is_pinned():
-    """Every settable parameter of the serving constructors, by name: a new
-    option is a deliberate edit of this list, not a drive-by."""
+    """Every settable parameter of the serving constructors and of the load
+    harness' front door, by name: a new option is a deliberate edit of this
+    list, not a drive-by."""
     pinned = {
+        run_load: ["scale", "users", "threads", "duration", "qps", "shards",
+                   "backend", "seed", "k", "capacity", "audit_interval",
+                   "output", "as_json", "telemetry", "repair_delta", "family",
+                   "mix"],
         TopKServer: ["db", "capacity", "subscribe", "repair_delta"],
         ShardedTopKServer: ["db", "shards", "capacity", "partitioner",
                             "repair_delta"],
@@ -180,6 +188,39 @@ def test_construction_surface_is_pinned():
     }
     for target, names in pinned.items():
         assert list(inspect.signature(target).parameters) == names, target
+
+
+def test_lock_set_is_pinned(surface):
+    """Every lock ``instrument_locks`` may report, by name, all of the one
+    shape ``repro.concurrency`` defines; a new lock is a deliberate edit of
+    this list.  Restoring hands back every original object."""
+    shards = surface.shard_servers
+    prefixes = ([""] if shards == (surface,)
+                else [f"shard{index}-" for index in range(len(shards))])
+    expected = [prefix + name for prefix in prefixes
+                for name in ("server", "sessions", "count-cache",
+                             "result-cache")]
+    swapped = [(owner, "_lock") for shard in shards
+               for owner in (shard, shard.sessions,
+                             shard.sessions.count_cache, shard.results)]
+    swapped += [(shard.sessions.count_cache, "_cond") for shard in shards]
+    if surface.db.backend_name == "memory":
+        expected.append("memory-backend")
+        swapped.append((surface.db, "_lock"))
+    originals = [getattr(owner, name) for owner, name in swapped]
+
+    handle = instrument_locks(surface)
+    records = handle.report()
+    assert sorted(record["name"] for record in records) == sorted(expected)
+    assert {record["kind"] for record in records} == {"rlock"}
+    assert all(isinstance(getattr(owner, name), TimedRLock)
+               for owner, name in swapped if name == "_lock")
+    handle.uninstrument()
+    assert all(getattr(owner, name) is original
+               for (owner, name), original in zip(swapped, originals))
+    assert {name for name, cls
+            in inspect.getmembers(repro.concurrency, inspect.isclass)
+            if cls.__module__ == "repro.concurrency"} == {"TimedRLock"}
 
 
 def test_cluster_sweeps_on_the_mutating_thread_in_shard_order(backend):
@@ -204,7 +245,7 @@ def test_cluster_sweeps_on_the_mutating_thread_in_shard_order(backend):
 
 def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
     """A sweep that raises surfaces at the door that caused it, and by then
-    every gate is released: cold reads on every shard and a further
+    every lock is released: cold reads on every shard and a further
     mutation, all from another thread, complete."""
     uids = REPLAY.uids()
     last = surface.shard_servers[-1]

@@ -345,24 +345,17 @@ class TestClusterTelemetry:
 
 class TestLockInstrumentation:
     def test_roundtrip_restores_every_original(self, server):
-        originals = (server._stripes, server._gate, server.sessions._lock,
+        originals = (server._lock, server.sessions._lock,
                      server.sessions.count_cache._lock,
                      server.sessions.count_cache._cond,
                      server.results._lock)
         handle = instrument_locks(server)
         assert handle.active
         assert all(isinstance(lock.stats(), dict) for lock in handle.locks)
-        # Every per-user stripe is wrapped individually, around its
-        # *original* inner lock (a thread mid-acquire keeps working).
-        assert all(isinstance(stripe, TimedRLock)
-                   for stripe in server._stripes)
-        assert tuple(stripe._inner for stripe in server._stripes) \
-            == originals[0]
-        names = {lock.stats()["name"] for lock in handle.locks}
-        assert {f"stripe{index}" for index in
-                range(len(server._stripes))} <= names
-        # The writer gate accounts itself and is tracked un-swapped.
-        assert server._gate is originals[1]
+        # The server lock is wrapped around its *original* inner lock (a
+        # thread mid-acquire keeps working).
+        assert isinstance(server._lock, TimedRLock)
+        assert server._lock._inner is originals[0]
         # The count cache's condition must ride the wrapper lock while
         # instrumented, or in-flight coalescing would deadlock.
         assert (server.sessions.count_cache._cond._lock
@@ -370,7 +363,7 @@ class TestLockInstrumentation:
         server.top_k(1, 5)
         handle.uninstrument()
         assert not handle.active
-        restored = (server._stripes, server._gate, server.sessions._lock,
+        restored = (server._lock, server.sessions._lock,
                     server.sessions.count_cache._lock,
                     server.sessions.count_cache._cond,
                     server.results._lock)
@@ -419,8 +412,7 @@ class TestLoadgenTelemetry:
                 "telemetry"} <= layers
         assert document["metrics"]["loadgen.audit.mismatches"] == 0
         # The runner restored the locks after assembling the report.
-        assert not any(isinstance(stripe, TimedRLock)
-                       for stripe in server._stripes)
+        assert not isinstance(server._lock, TimedRLock)
         assert "locks" not in telemetry.registry.adapter_names()
 
     def test_load_run_without_telemetry_is_unchanged(self, server):
