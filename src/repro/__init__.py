@@ -54,11 +54,10 @@ Algorithms and Top-K
     :class:`ThresholdAlgorithm` / :class:`NaiveTopK` / :func:`ta_top_k` —
     Fagin's TA baseline and the brute-force reference.
 
-Incremental index subsystem (:mod:`repro.index`)
+Index subsystem (:mod:`repro.index`)
     :class:`CountCache` — shared, batched, invalidation-aware count store.
-    :class:`PairwiseCombinationIndex` — full-rebuild pairwise index.
-    :class:`IncrementalPairIndex` — graph-subscribed incremental index.
-    :class:`GraphMutation` — the mutation event the HYPRE graph emits.
+    :class:`IncrementalPairIndex` — the pairwise index; re-counts only what
+    a data mutation invalidated.
 
 Serving engine (:mod:`repro.serving`)
     :class:`TopKServer` — thread-safe multi-user Top-K front door with an
@@ -143,12 +142,7 @@ from .algorithms import (
 )
 from .backend import MemoryBackend, StorageBackend, create_backend
 from .graphstore import PropertyGraph
-from .index import (
-    CountCache,
-    GraphMutation,
-    IncrementalPairIndex,
-    PairwiseCombinationIndex,
-)
+from .index import CountCache, IncrementalPairIndex
 from .serving import (
     HashPartitioner,
     OpMix,
@@ -183,7 +177,6 @@ __all__ = [
     "DataMutation",
     "DblpConfig",
     "DefaultValueStrategy",
-    "GraphMutation",
     "HashPartitioner",
     "HypreGraph",
     "HypreGraphBuilder",
@@ -192,7 +185,6 @@ __all__ = [
     "NaiveTopK",
     "OpMix",
     "PEPSAlgorithm",
-    "PairwiseCombinationIndex",
     "PartiallyCombineAllAlgorithm",
     "PreferenceExtractor",
     "PreferenceQueryRunner",

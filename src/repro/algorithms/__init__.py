@@ -34,8 +34,8 @@ Combination counting (Propositions 3/4)
 Top-K retrieval
     :class:`PEPSAlgorithm` / :func:`peps_top_k` — §5.5 Top-K over the
     pairwise combination index (see :mod:`repro.index`).
-    :class:`PairwiseCombinationIndex` / :class:`PairCombination` — the pair
-    index and its row type (re-exported from :mod:`repro.index`).
+    :class:`PairCombination` — the pair index's row type (re-exported from
+    :mod:`repro.index`).
     :class:`ThresholdAlgorithm` / :func:`ta_top_k` — Fagin's TA baseline.
     :class:`GradeList` / :func:`build_grade_lists` — per-attribute grade
     lists feeding TA.
@@ -80,7 +80,7 @@ from .fagin import (
     ta_top_k,
 )
 from .partial import PartiallyCombineAllAlgorithm, partially_combine_all
-from .peps import PairCombination, PairwiseCombinationIndex, PEPSAlgorithm, peps_top_k
+from .peps import PairCombination, PEPSAlgorithm, peps_top_k
 
 __all__ = [
     "AND_OR_SEMANTICS",
@@ -93,7 +93,6 @@ __all__ = [
     "NaiveTopK",
     "PEPSAlgorithm",
     "PairCombination",
-    "PairwiseCombinationIndex",
     "PartiallyCombineAllAlgorithm",
     "PreferenceQueryRunner",
     "ScoredPreference",

@@ -10,13 +10,9 @@ be empty, and emits combinations ordered by combined intensity.  Tuples are
 then retrieved combination-by-combination until ``k`` are collected.
 
 The pair index lives in :mod:`repro.index`:
-:class:`~repro.index.PairwiseCombinationIndex` is the full-rebuild variant
-(batched counts, emptiness pre-filter) and
-:class:`~repro.index.IncrementalPairIndex` keeps the table refreshed whenever
-the preference graph changes by subscribing to
-:class:`~repro.core.hypre.graph.HypreGraph` mutation events and re-counting
-only the affected pair rows — use :meth:`PEPSAlgorithm.for_graph_user` to get
-a PEPS instance wired to a live graph that way.
+:class:`~repro.index.IncrementalPairIndex` (batched counts, emptiness
+pre-filter, re-counts only what a data mutation invalidated).  Pass one in to
+reuse its table across PEPS instances over the same preference list.
 
 Two variants exist (Sections 5.5.1 / 5.5.2):
 
@@ -34,19 +30,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..core.intensity import combine_and, min_preferences_to_beat
 from ..core.predicate import Or, conjunction
 from ..exceptions import EmptyPreferenceListError, TopKError
-from ..index.pair_index import (
-    IncrementalPairIndex,
-    PairCombination,
-    PairIndexBase,
-    PairwiseCombinationIndex,
-)
+from ..index.pair_index import IncrementalPairIndex, PairCombination
 from ..telemetry import annotate
 from .base import (
     CombinationRecord,
     PreferenceQueryRunner,
     ScoredPreference,
     ordered_by_intensity,
-    preferences_from_graph,
 )
 
 
@@ -58,7 +48,7 @@ class PEPSAlgorithm:
                  approximate: bool = False,
                  max_combination_size: int = 6,
                  max_combinations: int = 2000,
-                 pair_index: Optional[PairIndexBase] = None) -> None:
+                 pair_index: Optional[IncrementalPairIndex] = None) -> None:
         self.runner = runner
         self.preferences = ordered_by_intensity(preferences)
         if not self.preferences:
@@ -67,7 +57,7 @@ class PEPSAlgorithm:
         self.max_combination_size = max(2, max_combination_size)
         self.max_combinations = max(1, max_combinations)
         self.pair_index = (pair_index if pair_index is not None
-                           else PairwiseCombinationIndex(runner, self.preferences))
+                           else IncrementalPairIndex(runner, self.preferences))
         #: Work done by the most recent :meth:`top_k` / :meth:`retrieved_above`
         #: call — machine-independent, so tests gate on these, not on a clock:
         #: tuples given a score, id-list entries folded into the scores, and
@@ -75,27 +65,6 @@ class PEPSAlgorithm:
         self.tuples_scored = 0
         self.memberships_folded = 0
         self.combinations_scanned = 0
-
-    @classmethod
-    def for_graph_user(cls, runner: PreferenceQueryRunner, hypre, uid: int,
-                       pair_index: Optional[IncrementalPairIndex] = None,
-                       **kwargs) -> "PEPSAlgorithm":
-        """PEPS wired to a live graph through an incremental pair index.
-
-        The returned algorithm's pair index subscribes to ``hypre``'s
-        mutation events, so later graph changes only re-count the affected
-        pair rows; pass the same ``pair_index`` back in to reuse its count
-        table across PEPS instances (e.g. one per request for the same user).
-        """
-        if pair_index is None:
-            pair_index = IncrementalPairIndex(runner)
-        if pair_index.hypre is not hypre or pair_index.uid != uid:
-            pair_index.attach(
-                hypre, uid,
-                loader=lambda: preferences_from_graph(hypre, uid))
-        else:
-            pair_index.refresh()
-        return cls(runner, pair_index.preferences, pair_index=pair_index, **kwargs)
 
     # ------------------------------------------------------------------
     # Combination ordering

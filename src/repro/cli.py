@@ -6,7 +6,7 @@ Usage::
     python -m repro.cli experiment table10 --scale tiny
     python -m repro.cli experiment fig28 --scale small --uid 1
     python -m repro.cli topk --scale tiny --k 10
-    python -m repro.cli topk --scale tiny --k 10 --reuse-index --json
+    python -m repro.cli topk --scale tiny --k 10 --json
     python -m repro.cli serve-replay --scale tiny --users 50 --requests 300
     python -m repro.cli serve-replay --scale tiny --delete-weight 1 --data-update-weight 1
     python -m repro.cli serve-replay --scale tiny --shards 4
@@ -24,9 +24,8 @@ Usage::
 
 ``list`` prints every available experiment; ``experiment`` regenerates one
 table/figure and prints the same rows the benchmark harness reports; ``topk``
-runs a personalised Top-K query for one user of the synthetic workload
-(``--reuse-index`` serves it from the incremental pairwise-combination index
-of :mod:`repro.index` and prints the index maintenance statistics);
+runs a personalised Top-K query for one user of the synthetic workload and
+prints the statistics of its pairwise-combination index;
 ``serve-replay`` drives the multi-user serving engine of :mod:`repro.serving`
 with a deterministic Zipf-skewed request mix — Top-K reads, profile updates
 and the full tuple-mutation spectrum (inserts, deletes, in-place updates,
@@ -223,15 +222,13 @@ def run_experiment(name: str, scale: str = "tiny", uid: Optional[int] = None) ->
 
 
 def run_topk(scale: str, k: int, uid: Optional[int] = None,
-             reuse_index: bool = False, as_json: bool = False,
+             as_json: bool = False,
              backend: Optional[str] = None) -> str:
     """Run a personalised Top-K query on the synthetic workload.
 
-    With ``reuse_index`` the pairwise combination index is the *incremental*
-    one attached to the context's HYPRE graph: it is built once, kept fresh
-    by graph mutation events, and its maintenance statistics are reported
-    alongside the ranking.  ``as_json`` renders the ranking and statistics
-    as one machine-readable JSON object instead of the text table.
+    The pairwise combination index's statistics are reported alongside the
+    ranking.  ``as_json`` renders both as one machine-readable JSON object
+    instead of the text table.
     ``backend`` picks the storage engine answering the enhanced queries
     (``sqlite`` / ``memory``; default: the ``REPRO_BACKEND`` environment
     default) — the ranking is engine-independent.
@@ -240,13 +237,8 @@ def run_topk(scale: str, k: int, uid: Optional[int] = None,
                                    backend=backend)
     try:
         user = _resolve_uid(ctx, uid)
-        if reuse_index:
-            peps = PEPSAlgorithm.for_graph_user(ctx.runner, ctx.hypre, user,
-                                                pair_index=ctx.pair_index(user))
-            index = peps.pair_index
-        else:
-            index = None
-            peps = PEPSAlgorithm(ctx.runner, ctx.preferences(user))
+        peps = PEPSAlgorithm(ctx.runner, ctx.preferences(user))
+        index = peps.pair_index
         papers = {paper.pid: paper for paper in ctx.dataset.papers}
         rows = []
         for pid, intensity in peps.top_k(k):
@@ -254,26 +246,22 @@ def run_topk(scale: str, k: int, uid: Optional[int] = None,
             rows.append({"pid": pid, "intensity": intensity,
                          "venue": paper.venue, "year": paper.year,
                          "title": paper.title})
-        index_stats = None
-        if index is not None:
-            index_stats = {"pairs": len(index),
-                           "pairs_counted": index.pairs_counted,
-                           "pairs_prefiltered": index.pairs_prefiltered,
-                           "refreshes": index.refreshes}
+        index_stats = {"pairs": len(index),
+                       "pairs_counted": index.pairs_counted,
+                       "pairs_prefiltered": index.pairs_prefiltered,
+                       "refreshes": index.refreshes}
         if as_json:
             return json.dumps({"uid": user, "k": k, "scale": scale,
                                "backend": ctx.db.backend_name,
                                "results": rows, "index": index_stats},
                               indent=2, sort_keys=True)
-        report = (f"Top-{k} papers for uid={user}\n"
-                  + reporting.format_table(
-                      rows, columns=["intensity", "venue", "year", "title"]))
-        if index_stats is not None:
-            report += (f"\npair index: {index_stats['pairs']} pairs, "
-                       f"{index_stats['pairs_counted']} counted, "
-                       f"{index_stats['pairs_prefiltered']} pre-filtered, "
-                       f"{index_stats['refreshes']} refreshes")
-        return report
+        return (f"Top-{k} papers for uid={user}\n"
+                + reporting.format_table(
+                    rows, columns=["intensity", "venue", "year", "title"])
+                + f"\npair index: {index_stats['pairs']} pairs, "
+                  f"{index_stats['pairs_counted']} counted, "
+                  f"{index_stats['pairs_prefiltered']} pre-filtered, "
+                  f"{index_stats['refreshes']} refreshes")
     finally:
         ctx.close()
 
@@ -671,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a personalised Top-K query")
     topk.set_defaults(k=10)
     topk.add_argument("--uid", type=int, default=None)
-    topk.add_argument("--reuse-index", action="store_true",
-                      help="serve the query from the incremental pair index "
-                           "(kept fresh by graph mutation events) and report "
-                           "its maintenance statistics")
 
     replay = subparsers.add_parser(
         "serve-replay",

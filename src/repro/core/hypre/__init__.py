@@ -3,9 +3,8 @@
 Public API
 ----------
 :class:`HypreGraph`
-    The unified preference graph (Definition 14); emits
-    :class:`~repro.core.hypre.events.GraphMutation` events consumed by the
-    incremental index.  ``UID_INDEX_LABEL`` names the indexed node label;
+    The unified preference graph (Definition 14).  ``UID_INDEX_LABEL``
+    names the indexed node label;
     ``SOURCE_USER`` / ``SOURCE_COMPUTED`` / ``SOURCE_DEFAULT`` record
     intensity provenance.
 :class:`HypreGraphBuilder` / :func:`build_hypre_graph`

@@ -26,7 +26,6 @@ from ..intensity import LEFT, RIGHT, compute_intensity
 from ..preference import ProfileRegistry, QualitativePreference, QuantitativePreference, UserProfile
 from .conflict import ConflictKind, classify_edge, intensities_consistent
 from .defaults import DefaultValueStrategy
-from .events import NODES_MERGED, GraphMutation
 from .graph import SOURCE_COMPUTED, SOURCE_DEFAULT, SOURCE_USER, HypreGraph
 
 
@@ -99,12 +98,6 @@ class HypreGraphBuilder:
             else:
                 merged = (existing + preference.intensity) / 2.0
                 self.hypre.set_intensity(node_id, merged, SOURCE_USER)
-            # set_intensity already emitted INTENSITY_CHANGED; the merge event
-            # additionally tells subscribers this was a duplicate fold, which
-            # only the builder can know.
-            self.hypre.notify(GraphMutation(
-                NODES_MERGED, preference.uid, preference.predicate_sql,
-                intensity=self.hypre.intensity_of(node_id)))
             report.quantitative_merged += 1
             return node_id, report
         node_id, _ = self.hypre.create_or_return_node(

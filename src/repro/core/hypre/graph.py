@@ -17,18 +17,12 @@ with preference semantics:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ...exceptions import NodeNotFoundError
 from ...graphstore import CYCLE, DISCARD, PREFERS, Edge, Node, NodeQuery, PropertyGraph
 from ..intensity import validate_quantitative
 from ..predicate import PredicateExpr, ensure_predicate, predicate_key
-from .events import (
-    EDGE_INSERTED,
-    INTENSITY_CHANGED,
-    NODE_INSERTED,
-    GraphMutation,
-)
 
 #: Label carried by every preference node; also the indexed label.
 UID_INDEX_LABEL = "uidIndex"
@@ -52,37 +46,6 @@ class HypreGraph:
             if node.has_label(UID_INDEX_LABEL):
                 key = (node.get("uid"), node.get("predicate"))
                 self._node_key_index[key] = node.node_id
-        # Mutation subscribers (see repro.core.hypre.events / repro.index).
-        self._listeners: List[Callable[[GraphMutation], None]] = []
-
-    # ------------------------------------------------------------------
-    # Mutation events
-    # ------------------------------------------------------------------
-
-    def subscribe(self, listener: Callable[[GraphMutation], None]) -> Callable[[GraphMutation], None]:
-        """Register ``listener`` to receive every :class:`GraphMutation`.
-
-        Returns the listener so callers can keep the handle for
-        :meth:`unsubscribe`.  Listeners are called synchronously, in
-        registration order, after the graph state has been updated.
-        """
-        self._listeners.append(listener)
-        return listener
-
-    def unsubscribe(self, listener: Callable[[GraphMutation], None]) -> None:
-        """Remove a previously registered mutation listener (idempotent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def notify(self, mutation: GraphMutation) -> None:
-        """Deliver ``mutation`` to every subscriber.
-
-        Public so that higher layers holding extra context (e.g. the builder,
-        which alone knows that a duplicate quantitative preference was
-        *merged* rather than re-scored) can emit their own events.
-        """
-        for listener in tuple(self._listeners):
-            listener(mutation)
 
     # ------------------------------------------------------------------
     # Node management
@@ -113,8 +76,6 @@ class HypreGraph:
             properties["intensity_source"] = source
         node = self.graph.add_node(properties, labels=(UID_INDEX_LABEL,))
         self._node_key_index[(uid, sql)] = node.node_id
-        self.notify(GraphMutation(NODE_INSERTED, uid, sql,
-                                  intensity=properties.get("intensity")))
         return node.node_id, True
 
     def add_quantitative_batch(self, uid: int,
@@ -139,9 +100,6 @@ class HypreGraph:
         nodes = self.graph.add_nodes_batch(payloads, labels=(UID_INDEX_LABEL,))
         for sql, node in zip(sqls, nodes):
             self._node_key_index[(uid, sql)] = node.node_id
-        for payload in payloads:
-            self.notify(GraphMutation(NODE_INSERTED, uid, payload["predicate"],
-                                      intensity=payload["intensity"]))
         return [node.node_id for node in nodes]
 
     def node(self, node_id: int) -> Node:
@@ -154,13 +112,10 @@ class HypreGraph:
 
     def set_intensity(self, node_id: int, intensity: float, source: str) -> None:
         """Assign/overwrite a node intensity, recording its provenance."""
-        node = self.graph.update_node(node_id, {
+        self.graph.update_node(node_id, {
             "intensity": validate_quantitative(intensity),
             "intensity_source": source,
         })
-        self.notify(GraphMutation(INTENSITY_CHANGED, node.get("uid"),
-                                  node.get("predicate"),
-                                  intensity=node.get("intensity")))
 
     def intensity_source(self, node_id: int) -> Optional[str]:
         """Return the provenance of the node's intensity (user/computed/default)."""
@@ -172,16 +127,9 @@ class HypreGraph:
 
     def _add_qualitative_edge(self, left_id: int, right_id: int,
                               rel_type: str, intensity: float) -> Edge:
-        """Insert a qualitative edge and notify subscribers."""
-        edge = self.graph.add_edge(left_id, right_id, rel_type,
+        """Insert a qualitative edge carrying its intensity."""
+        return self.graph.add_edge(left_id, right_id, rel_type,
                                    {"intensity": intensity})
-        left = self.graph.get_node(left_id)
-        right = self.graph.get_node(right_id)
-        self.notify(GraphMutation(EDGE_INSERTED, left.get("uid"),
-                                  left.get("predicate"),
-                                  other_predicate=right.get("predicate"),
-                                  intensity=intensity, edge_type=rel_type))
-        return edge
 
     def add_prefers_edge(self, left_id: int, right_id: int, intensity: float) -> Edge:
         """Insert a valid qualitative preference edge (``PREFERS``)."""

@@ -23,7 +23,7 @@ from ..backend import create_backend
 from ..backend.protocol import StorageBackend
 from ..core.hypre import BuildReport, HypreGraph, HypreGraphBuilder
 from ..core.preference import ProfileRegistry
-from ..index import CountCache, IncrementalPairIndex
+from ..index import CountCache
 from ..workload.dblp import DblpConfig, DblpDataset, generate_dblp
 from ..workload.extraction import ExtractionConfig, PreferenceExtractor, richest_users
 from ..workload.loader import load_dataset, load_profiles
@@ -58,7 +58,6 @@ class ExperimentContext:
         # reuse each other's predicate counts.
         self.count_cache = CountCache(self.db)
         self.runner = PreferenceQueryRunner(self.db, count_cache=self.count_cache)
-        self._pair_indexes: Dict[int, IncrementalPairIndex] = {}
 
     # -- factory ----------------------------------------------------------------
 
@@ -112,21 +111,6 @@ class ExperimentContext:
     def preferences(self, uid: int, positive_only: bool = True) -> List[ScoredPreference]:
         """Ordered algorithm-ready preference list for ``uid`` from the graph."""
         return preferences_from_graph(self.hypre, uid, positive_only=positive_only)
-
-    def pair_index(self, uid: int) -> IncrementalPairIndex:
-        """The incremental pair index for ``uid`` (created and attached once).
-
-        The index subscribes to the context's HYPRE graph, so profile updates
-        after this call only re-count the affected pairs on the next refresh.
-        """
-        if uid not in self._pair_indexes:
-            index = IncrementalPairIndex(self.runner)
-            index.attach(self.hypre, uid,
-                         loader=lambda: self.preferences(uid))
-            self._pair_indexes[uid] = index
-        # Fold in any mutations since the last hand-out, so the caller's
-        # positional view and the index agree (no-op when not stale).
-        return self._pair_indexes[uid].refresh()
 
     def profile(self, uid: int):
         """The raw extracted profile for ``uid``."""

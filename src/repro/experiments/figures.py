@@ -22,13 +22,14 @@ from ..algorithms.counting import (
 )
 from ..algorithms.fagin import ThresholdAlgorithm, build_grade_lists
 from ..algorithms.partial import PartiallyCombineAllAlgorithm
-from ..algorithms.peps import PEPSAlgorithm, PairwiseCombinationIndex
+from ..algorithms.peps import PEPSAlgorithm
 from ..core.hypre import HypreGraphBuilder, default_value_table
 from ..core.intensity import f_and, f_dominant, f_or
 from ..core.metrics import CoverageReport, overlap, similarity
 from ..core.predicate import ensure_predicate
 from ..core.preference import UserProfile
 from ..graphstore import PropertyGraph
+from ..index import IncrementalPairIndex
 from ..sqldb.query_builder import matching_paper_ids
 from .context import ExperimentContext
 
@@ -300,7 +301,7 @@ def fig39_40_peps_time(ctx: ExperimentContext, uid: int,
                        k_values: Sequence[int] = (10, 100, 200, 400, 800)) -> List[Dict[str, float]]:
     """Figures 39/40 — PEPS execution time while K grows (complete vs approximate)."""
     preferences = ctx.preferences(uid)
-    pair_index = PairwiseCombinationIndex(ctx.runner, preferences)
+    pair_index = IncrementalPairIndex(ctx.runner, preferences)
     rows: List[Dict[str, float]] = []
     for k in k_values:
         row: Dict[str, float] = {"k": k}

@@ -1,26 +1,22 @@
-"""Incremental pairwise-combination index with a shared count cache.
+"""Pairwise-combination index with a shared count cache.
 
 This subsystem replaces the throwaway per-run pair index of the seed
 implementation: counts are memoised in one shared store, executed in batched
-SQL round-trips, and maintained *incrementally* under preference-graph
-mutations instead of rebuilt from scratch (see ``docs/ARCHITECTURE.md`` for
-the layer diagram and the invalidation contract).
+SQL round-trips, and maintained *incrementally* under data mutations instead
+of rebuilt from scratch (see ``docs/ARCHITECTURE.md`` for the layer diagram
+and the invalidation contract).
 
 Public API
 ----------
 :class:`CountCache`
     Memoizing, invalidation-aware predicate-count store shared by all
     combination algorithms; batches cache misses into compound statements.
-:class:`PairwiseCombinationIndex`
-    Full-rebuild pairwise index with batched counts and an emptiness
-    pre-filter (the drop-in successor of the seed class of the same name).
 :class:`IncrementalPairIndex`
-    Pair index that subscribes to :class:`~repro.core.hypre.graph.HypreGraph`
-    mutations and updates only the affected pair rows on refresh.
+    The pair index of one fixed preference list: batched counts, an
+    emptiness pre-filter, and a refresh that re-counts only the pairs a data
+    mutation invalidated.
 :class:`PairCombination`
     One ``<first, second, intensity, tuple count>`` row of a pair index.
-:class:`IndexedPreference`
-    Lightweight scored preference record used by the index layer.
 :class:`RowMatch`
     One data mutation's rows with each distinct predicate judged against
     them at most once (a row bitmask per predicate); the serving sweep
@@ -38,40 +34,16 @@ Public API
     when the verdict cannot be decided from the row alone.  The repair
     path uses it to re-score cached answers without SQL, falling back to
     invalidation whenever it returns ``None``.
-:class:`GraphMutation`
-    The mutation event record emitted by the HYPRE graph (re-exported from
-    :mod:`repro.core.hypre.events`).
-``NODE_INSERTED``, ``NODES_MERGED``, ``EDGE_INSERTED``, ``INTENSITY_CHANGED``
-    Event kinds carried by :class:`GraphMutation`.
 """
 
-from ..core.hypre.events import (
-    EDGE_INSERTED,
-    INTENSITY_CHANGED,
-    NODE_INSERTED,
-    NODES_MERGED,
-    GraphMutation,
-)
 from .count_cache import CountCache
-from .pair_index import (
-    IncrementalPairIndex,
-    IndexedPreference,
-    PairCombination,
-    PairwiseCombinationIndex,
-)
+from .pair_index import IncrementalPairIndex, PairCombination
 from .selectivity import RowMatch, exact_match_row, may_match_row
 
 __all__ = [
     "CountCache",
-    "EDGE_INSERTED",
-    "GraphMutation",
-    "INTENSITY_CHANGED",
     "IncrementalPairIndex",
-    "IndexedPreference",
-    "NODES_MERGED",
-    "NODE_INSERTED",
     "PairCombination",
-    "PairwiseCombinationIndex",
     "RowMatch",
     "exact_match_row",
     "may_match_row",

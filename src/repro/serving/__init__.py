@@ -5,10 +5,10 @@ users" target plugs into: instead of rebuilding one user's state per query
 (the seed behaviour), many users' HYPRE state stays **resident** behind an
 LRU, all sessions share one batched
 :class:`~repro.index.CountCache`, and finished Top-K answers are
-**materialised** and kept exactly as fresh as two event streams prove
-necessary — profile mutations from :mod:`repro.core.hypre.events` and the
-full tuple-mutation spectrum (inserts, deletes, in-place updates) from
-:mod:`repro.sqldb.events`.  On top of the single-server engine,
+**materialised** and kept exactly as fresh as one event stream proves
+necessary — the full tuple-mutation spectrum (inserts, deletes, in-place
+updates) from :mod:`repro.sqldb.events`; a profile update persists, drops
+that user's session and answers, and the next read rebuilds them.  On top of the single-server engine,
 :mod:`repro.serving.cluster` partitions users across N independent shards
 behind the *same* front door: a server and a cluster are one
 :class:`ServingSurface` — same doors, same report types, same ``metrics()``
@@ -46,11 +46,11 @@ Public API
     Capacity-bounded LRU of resident user sessions sharing one count cache,
     with hit/miss/eviction statistics.
 :class:`UserSession`
-    One user's resident state: HYPRE builder + incremental pair index +
-    PEPS instance.
+    One user's resident state, a snapshot of one persisted profile: HYPRE
+    graph + pair index + PEPS instance.
 :class:`ResultCache`
     Materialised ``(uid, k) -> ranking`` answers, invalidated per-user by
-    profile events and *selectively* by data-mutation events.
+    profile updates and *selectively* by data-mutation events.
 :class:`CachedResult`
     One materialised answer plus the predicates it depends on.
 :class:`Op` / ``READ`` / ``UPDATE`` / ``INSERT`` / ``DELETE`` / ``DATA_UPDATE``

@@ -2,16 +2,13 @@
 
 :class:`ResultCache` keeps finished ``(uid, k) -> ranking`` answers so a
 repeated request costs zero SQL statements.  Its correctness rests on two
-event streams, in the spirit of incremental query answering under updates
-(Berkholz, Keppeler & Schweikardt — the materialised answer is the view, the
-events are the deltas):
+invalidation paths, in the spirit of incremental query answering under
+updates (Berkholz, Keppeler & Schweikardt — the materialised answer is the
+view, the events are the deltas):
 
-* **profile events** — :class:`~repro.core.hypre.events.GraphMutation`
-  notifications from each session's HYPRE graph.  Any mutation that can
-  change the user's preference list or intensities
-  (:data:`~repro.core.hypre.events.RESULT_AFFECTING_KINDS`) drops every
-  cached answer *of that user only*; edge insertions alone are ignored
-  because their intensity consequences arrive as separate events.
+* **profile updates** — the server calls :meth:`ResultCache.invalidate_user`
+  after persisting one, which drops every cached answer *of that user only*
+  (the update also drops the user's session: persist, drop, rebuild).
 * **data events** — :class:`~repro.sqldb.events.DataMutation` notifications
   from the workload database, covering the full update spectrum.  A
   mutation drops a cached answer **iff** one of the predicates it was
@@ -69,7 +66,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.hypre.events import RESULT_AFFECTING_KINDS, GraphMutation
 from ..core.intensity import combine_and
 from ..core.predicate import PredicateExpr
 from ..index.selectivity import RowMatch, exact_match_row
@@ -335,11 +331,6 @@ class ResultCache:
                 del self._entries[key]
             self.profile_invalidations += len(stale)
             return len(stale)
-
-    def on_profile_mutation(self, mutation: GraphMutation) -> None:
-        """Graph-event handler: a profile mutation stales its user's answers."""
-        if mutation.kind in RESULT_AFFECTING_KINDS:
-            self.invalidate_user(mutation.uid)
 
     def on_data_mutation(self, mutation: DataMutation,
                          match: Optional[RowMatch] = None) -> int:

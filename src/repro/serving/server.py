@@ -6,10 +6,12 @@
   repeats from the :class:`~repro.serving.results.ResultCache` (zero SQL
   statements) and cold ones through the user's resident
   :class:`~repro.serving.sessions.UserSession`;
-* ``update_profile(uid, profile)`` — persist new preferences to the staging
-  tables and fold them into the resident session, whose graph-mutation
-  events keep the pair index and the result cache exactly as stale as they
-  must be;
+* ``update_profile(uid, profile)`` — *persist, drop, rebuild*: append the
+  new preferences to the staging tables, drop the user's resident session
+  and cached answers, and let the next read rebuild the session from the
+  persisted profile — the one way a user's graph is ever built, so what is
+  served equals :func:`fresh_top_k` whichever door a preference came
+  through;
 * ``insert_tuples(...)`` / ``delete_tuples(...)`` / ``update_tuples(...)``
   — mutate the workload relation through the loader's
   :func:`~repro.workload.loader.append_papers` /
@@ -507,9 +509,6 @@ class TopKServer(ServingSurface):
                                         profile_loader=self._load_profile)
         self.results = ResultCache(
             repair=repair_delta is None or repair_delta >= 0)
-        # Profile mutations reach the result cache through every session
-        # graph; data mutations arrive via the database subscription.
-        self.sessions.add_graph_listener(self.results.on_profile_mutation)
         self.reads = 0
         self.read_hits = 0
         self.updates = 0
@@ -554,14 +553,15 @@ class TopKServer(ServingSurface):
         return registry.get(uid) if uid in registry else None
 
     def update_profile(self, uid: int, profile: UserProfile) -> UpdateReport:
-        """Persist ``profile``'s preferences and apply them to the session.
+        """Persist ``profile``'s preferences and drop what they outdate.
 
-        The preferences are appended to the relational staging tables first —
-        eviction safety: a later session rebuild replays the full history —
-        then folded into the resident session, whose mutation events dirty
-        the pair index and invalidate this user's cached answers.  For a
-        non-resident user the result cache is invalidated directly (there is
-        no graph to emit events).
+        The preferences are appended to the relational staging tables; the
+        user's resident session (a snapshot of the profile as it was) and
+        cached answers are dropped.  The next read rebuilds the session from
+        the staging tables through the same
+        :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_profile`
+        every other build uses, re-counting only the pairs the shared count
+        cache has not seen.
         """
         if profile.uid != uid:
             raise ServingError(
@@ -572,23 +572,19 @@ class TopKServer(ServingSurface):
                 self._check_open()
                 start = time.perf_counter()
                 statements_before = self.db.statements_executed
-                invalidated_before = self.results.profile_invalidations
                 registry = ProfileRegistry()
                 registry.add(profile)
                 load_profiles(self.db, registry)
-                session = self.sessions.get(uid)
-                if session is not None:
-                    session.apply_profile(profile)
-                else:
-                    self.results.invalidate_user(uid)
+                resident = self.sessions.drop_for_profile_update(uid)
+                trace.annotate("resident", resident)
+                invalidated = self.results.invalidate_user(uid)
                 self._bump(updates=1, stripe_acquisitions=1)
                 report = UpdateReport(
                     uid=uid,
-                    resident=session is not None,
+                    resident=resident,
                     quantitative=len(profile.quantitative),
                     qualitative=len(profile.qualitative),
-                    results_invalidated=(self.results.profile_invalidations
-                                         - invalidated_before),
+                    results_invalidated=invalidated,
                     sql_statements=self.db.statements_executed - statements_before,
                     seconds=time.perf_counter() - start)
             if self._mutation_latency is not None:
@@ -646,12 +642,10 @@ class TopKServer(ServingSurface):
                     session = self.sessions.get_or_create(uid)
             except ServingError:
                 raise UnknownUserError(uid) from None
-            # Snapshot *after* the session exists (building one replays
-            # profile events, which legitimately bump the epoch) but
-            # *before* the data-reading computation the snapshot guards.
-            # No sweep can run before the put below — both happen under
-            # the server lock — so the guard only protects a cache driven
-            # without a server.
+            # Snapshot *before* the data-reading computation the snapshot
+            # guards.  No sweep can run before the put below — both happen
+            # under the server lock — so the guard only protects a cache
+            # driven without a server.
             epoch = self.results.epoch
             repair = self.results.repair_enabled
             with span("peps.top_k", self.db):

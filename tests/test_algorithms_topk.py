@@ -12,7 +12,8 @@ from repro.algorithms.fagin import (
     build_grade_lists,
     ta_top_k,
 )
-from repro.algorithms.peps import PairwiseCombinationIndex, PEPSAlgorithm, peps_top_k
+from repro.algorithms.peps import PEPSAlgorithm, peps_top_k
+from repro.index import IncrementalPairIndex
 from repro.core.intensity import combine_and
 from repro.core.metrics import overlap, similarity
 from repro.exceptions import EmptyPreferenceListError, TopKError
@@ -123,13 +124,13 @@ class TestThresholdAlgorithm:
 class TestPairwiseIndex:
     def test_index_contains_all_pairs(self, topk_workload):
         runner, preferences = topk_workload
-        index = PairwiseCombinationIndex(runner, preferences)
+        index = IncrementalPairIndex(runner, preferences)
         n = len(preferences)
         assert len(index) == n * (n - 1) // 2
 
     def test_incompatible_pairs_marked_inapplicable(self, topk_workload):
         runner, preferences = topk_workload
-        index = PairwiseCombinationIndex(runner, preferences)
+        index = IncrementalPairIndex(runner, preferences)
         # Two different venue equalities can never be satisfied together.
         venue_indices = [i for i, pref in enumerate(preferences)
                          if "dblp.venue" in pref.sql]
@@ -139,13 +140,13 @@ class TestPairwiseIndex:
 
     def test_pair_lookup_is_symmetric(self, topk_workload):
         runner, preferences = topk_workload
-        index = PairwiseCombinationIndex(runner, preferences)
+        index = IncrementalPairIndex(runner, preferences)
         assert index.pair(2, 0) == index.pair(0, 2)
         assert index.is_applicable(3, 3)
 
     def test_applicable_pairs_sorted_by_intensity(self, topk_workload):
         runner, preferences = topk_workload
-        index = PairwiseCombinationIndex(runner, preferences)
+        index = IncrementalPairIndex(runner, preferences)
         pairs = index.applicable_pairs_from(0)
         intensities = [pair.intensity for pair in pairs]
         assert intensities == sorted(intensities, reverse=True)
@@ -207,7 +208,7 @@ class TestPEPS:
 
     def test_reused_pair_index(self, topk_workload):
         runner, preferences = topk_workload
-        index = PairwiseCombinationIndex(runner, preferences)
+        index = IncrementalPairIndex(runner, preferences)
         first = PEPSAlgorithm(runner, preferences, pair_index=index).top_k(5)
         second = PEPSAlgorithm(runner, preferences, approximate=True,
                                pair_index=index).top_k(5)

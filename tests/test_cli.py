@@ -38,11 +38,11 @@ class TestParser:
         args = build_parser().parse_args(["topk", "--k", "5", "--scale", "tiny"])
         assert args.command == "topk"
         assert args.k == 5
-        assert args.reuse_index is False
 
     def test_topk_reuse_index_flag(self):
-        args = build_parser().parse_args(["topk", "--reuse-index"])
-        assert args.reuse_index is True
+        """Gone with the second pair-index class it switched to."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["topk", "--reuse-index"])
 
     def test_topk_json_flag(self):
         args = build_parser().parse_args(["topk", "--json"])
@@ -128,11 +128,6 @@ class TestListAndDispatch:
         text = run_topk("tiny", k=5)
         assert "Top-5" in text
         assert "intensity" in text
-        assert "pair index" not in text
-
-    def test_run_topk_reuse_index_reports_stats(self):
-        text = run_topk("tiny", k=5, reuse_index=True)
-        assert "Top-5" in text
         assert "pair index" in text
         assert "pre-filtered" in text
 
@@ -145,15 +140,10 @@ class TestJsonOutput:
         assert len(payload["results"]) == 3
         first = payload["results"][0]
         assert set(first) == {"pid", "intensity", "venue", "year", "title"}
-        assert payload["index"] is None
-
-    def test_topk_json_includes_index_stats_with_reuse(self):
-        payload = json.loads(run_topk("tiny", k=3, reuse_index=True,
-                                      as_json=True))
         index = payload["index"]
-        assert index is not None
         assert index["pairs"] > 0
-        assert index["refreshes"] >= 1
+        assert index["pairs_counted"] + index["pairs_prefiltered"] == index["pairs"]
+        assert index["refreshes"] == 1
 
     def test_serve_replay_json_reports_both_arms(self):
         payload = json.loads(run_serve_replay(

@@ -1,15 +1,16 @@
-"""Tests for the incremental pairwise-combination index and its invalidation.
+"""Tests for the pairwise-combination index and its invalidation.
 
-The invalidation contract under test (see ``docs/ARCHITECTURE.md``):
+The contract under test (see ``docs/ARCHITECTURE.md``):
 
-* inserting a preference node dirties exactly the pairs joining the new
-  predicate with every existing preference — nothing more, nothing less;
-* merging duplicate quantitative preferences or recomputing an intensity
-  never re-issues a count (counts depend only on predicates and data);
-* a qualitative edge insertion by itself dirties nothing;
-* after any mutation sequence, a refresh produces exactly the pair table a
-  full rebuild would produce, while issuing strictly fewer count queries
-  after a single node insertion.
+* the index is a table over one *fixed* preference list; a changed profile
+  gets a new index (persist, drop, rebuild), and because every count flows
+  through the shared :class:`CountCache` that rebuild issues counts only for
+  the pairs the cache has not seen — the pairs a new predicate joins;
+* a merged duplicate or a recomputed intensity re-issues no count (counts
+  depend only on predicates and data);
+* a data mutation drops exactly the pair counts it may have changed; reads
+  serve the last refreshed snapshot until ``refresh`` re-counts them, and the
+  refreshed table equals a freshly built one.
 """
 
 from __future__ import annotations
@@ -17,23 +18,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hypre import HypreGraphBuilder
-from repro.core.hypre.events import (
-    EDGE_INSERTED,
-    INTENSITY_CHANGED,
-    NODE_INSERTED,
-    NODES_MERGED,
-    GraphMutation,
+from repro.algorithms.base import (
+    PreferenceQueryRunner,
+    make_preferences,
+    preferences_from_graph,
 )
-from repro.core.preference import QuantitativePreference, QualitativePreference
-from repro.index import (
-    CountCache,
-    IncrementalPairIndex,
-    PairwiseCombinationIndex,
-)
-from repro.algorithms.base import make_preferences, preferences_from_graph
 from repro.algorithms.peps import PEPSAlgorithm
+from repro.core.hypre import HypreGraphBuilder
 from repro.core.predicate import parse_predicate
+from repro.core.preference import QuantitativePreference, QualitativePreference
+from repro.index import CountCache, IncrementalPairIndex, RowMatch
+from repro.sqldb.database import Database
+from repro.workload.dblp import Paper
+from repro.workload.loader import append_papers, load_dataset
 
 UID = 1
 
@@ -59,18 +56,17 @@ def build_graph(entries):
     return builder
 
 
-def attached_index(db, builder):
-    """An incremental index attached to the builder's graph for user 1."""
-    cache = CountCache(db)
-    index = IncrementalPairIndex(cache)
-    index.attach(builder.hypre, UID)
-    return cache, index
+def index_over(db, builder, cache=None):
+    """An index over the builder's current preference list for user 1,
+    counting through ``cache`` (a cold one by default)."""
+    cache = cache if cache is not None else CountCache(db)
+    return cache, IncrementalPairIndex(
+        cache, preferences_from_graph(builder.hypre, UID))
 
 
 def pair_table(index):
     """The index content as a comparable predicate-keyed mapping."""
-    if getattr(index, "stale", False):
-        index.refresh()
+    index.refresh()
     table = {}
     for i in range(len(index.preferences)):
         for j in range(i + 1, len(index.preferences)):
@@ -80,165 +76,109 @@ def pair_table(index):
     return table
 
 
-class TestDirtyTracking:
-    def test_initial_attach_builds_clean_index(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        assert not index.stale
-        assert index.dirty_predicates() == frozenset()
-        assert len(index) == 6  # C(4, 2)
+@pytest.fixture()
+def own_db(tiny_dataset):
+    """A private tiny world the test may mutate."""
+    with Database(":memory:") as db:
+        load_dataset(db, tiny_dataset)
+        yield db
 
-    def test_node_insert_dirties_exactly_new_pairs(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        new_sql, new_intensity = POOL[4]
-        builder.add_quantitative(QuantitativePreference(UID, new_sql, new_intensity))
-        assert index.stale
-        new_key = parse_predicate(new_sql).to_sql()
-        assert index.dirty_predicates() == frozenset({new_key})
-        expected = {frozenset((new_key, parse_predicate(sql).to_sql()))
-                    for sql, _ in POOL[:4]}
-        assert index.dirty_pairs() == expected
 
-    def test_merge_dirties_only_merged_predicate(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        sql, _ = POOL[0]
-        builder.add_quantitative(QuantitativePreference(UID, sql, 0.5))
-        key = parse_predicate(sql).to_sql()
-        assert index.dirty_predicates() == frozenset({key})
-
-    def test_plain_edge_insert_dirties_nothing(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        hypre = builder.hypre
-        # Endpoint intensities (0.9 > 0.8) already satisfy the edge
-        # direction, so no intensity is recomputed: the edge itself must not
-        # dirty any pair.
-        left = hypre.find_node_id(UID, POOL[0][0])
-        right = hypre.find_node_id(UID, POOL[1][0])
-        hypre.add_prefers_edge(left, right, 0.1)
-        assert index.dirty_predicates() == frozenset()
-        assert not index.stale
-
-    def test_other_users_mutations_are_ignored(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        builder.add_quantitative(QuantitativePreference(99, POOL[5][0], 0.4))
-        assert not index.stale
-        assert index.dirty_predicates() == frozenset()
-
-    def test_detach_stops_tracking(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        index.detach()
-        builder.add_quantitative(QuantitativePreference(UID, POOL[4][0], 0.5))
-        assert not index.stale
-
-    def test_cycle_and_discard_edges_emit_events_but_dirty_nothing(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        hypre = builder.hypre
-        received = []
-        hypre.subscribe(received.append)
-        left = hypre.find_node_id(UID, POOL[0][0])
-        right = hypre.find_node_id(UID, POOL[1][0])
-        hypre.add_cycle_edge(left, right, 0.2)
-        hypre.add_discard_edge(left, right, 0.2)
-        kinds = [(event.kind, event.edge_type) for event in received]
-        assert (EDGE_INSERTED, "CYCLE") in kinds
-        assert (EDGE_INSERTED, "DISCARD") in kinds
-        assert index.dirty_predicates() == frozenset()
+def append_vldb_2011(db) -> RowMatch:
+    """Insert one VLDB paper of 2011 and return the sweep's row match."""
+    append_papers(db, [Paper(pid=99001, title="new paper", venue="VLDB",
+                             year=2011)], [(99001, 1)])
+    return RowMatch(db.joined_rows([99001]))
 
 
 class TestIncrementalRefresh:
+    """A changed profile gets a new index over the *same* count cache."""
+
     def test_insert_issues_strictly_fewer_counts_than_rebuild(self, tiny_db):
         builder = build_graph(POOL[:6])
-        _, index = attached_index(tiny_db, builder)
+        cache, _ = index_over(tiny_db, builder)
         builder.add_quantitative(
             QuantitativePreference(UID, POOL[6][0], POOL[6][1]))
-        index.refresh()
-        incremental_counts = index.last_refresh_pair_counts
+        misses_before = cache.misses
+        index_over(tiny_db, builder, cache)
+        warm_counts = cache.misses - misses_before
+        cold_cache, _ = index_over(tiny_db, builder)
 
-        rebuild_cache = CountCache(tiny_db)
-        rebuild = PairwiseCombinationIndex(
-            rebuild_cache, preferences_from_graph(builder.hypre, UID))
-        full_counts = rebuild.pairs_counted
-
-        # The incremental path counted at most the pairs involving the new
-        # predicate; the rebuild counted every compatible pair.
-        assert incremental_counts < full_counts
-        assert incremental_counts <= len(POOL[:6])
+        # The warm cache was asked only for pairs involving the new
+        # predicate; the cold one for every compatible pair.
+        assert warm_counts < cold_cache.misses
+        assert warm_counts <= len(POOL[:6])
 
     def test_incremental_equals_full_rebuild_after_insert(self, tiny_db):
         builder = build_graph(POOL[:5])
-        _, index = attached_index(tiny_db, builder)
+        cache, _ = index_over(tiny_db, builder)
         builder.add_quantitative(
             QuantitativePreference(UID, POOL[5][0], POOL[5][1]))
-        rebuild = PairwiseCombinationIndex(
-            CountCache(tiny_db), preferences_from_graph(builder.hypre, UID))
-        assert pair_table(index) == pair_table(rebuild)
+        _, warm = index_over(tiny_db, builder, cache)
+        _, cold = index_over(tiny_db, builder)
+        assert pair_table(warm) == pair_table(cold)
 
     def test_merge_refresh_issues_no_counts(self, tiny_db):
         builder = build_graph(POOL[:5])
-        cache, index = attached_index(tiny_db, builder)
+        cache, _ = index_over(tiny_db, builder)
         misses_before = cache.misses
-        builder.add_quantitative(QuantitativePreference(UID, POOL[0][0], 0.3))
-        index.refresh()
+        # (0.9 + 0.7) / 2 keeps VLDB on top: same order, same conjunctions
+        # (the cache keys a pair by its conjunction in list order).
+        builder.add_quantitative(QuantitativePreference(UID, POOL[0][0], 0.7))
+        _, warm = index_over(tiny_db, builder, cache)
         assert cache.misses == misses_before
-        assert index.last_refresh_pair_counts == 0
-        # The merged intensity ((0.9 + 0.3) / 2) is reflected in the rows.
-        rebuild = PairwiseCombinationIndex(
-            CountCache(tiny_db), preferences_from_graph(builder.hypre, UID))
-        assert pair_table(index) == pair_table(rebuild)
+        # The merged intensity is reflected in the rows.
+        _, cold = index_over(tiny_db, builder)
+        assert pair_table(warm) == pair_table(cold)
 
     def test_intensity_recompute_issues_no_counts(self, tiny_db):
         builder = build_graph(POOL[:5])
-        cache, index = attached_index(tiny_db, builder)
+        cache, _ = index_over(tiny_db, builder)
         misses_before = cache.misses
         # A qualitative preference between two existing nodes whose current
-        # intensities contradict the edge direction forces a recompute.
-        builder.add_qualitative(
-            QualitativePreference(UID, POOL[4][0], POOL[0][0], 0.2))
-        index.refresh()
+        # intensities contradict the edge direction forces a recompute: VLDB
+        # drops from 0.9 to ~0.77, below SIGMOD but still above the year
+        # ranges.  The cache keys a pair by its conjunction in list order, so
+        # "no counts" holds because no *compatible* pair changed its order.
+        report = builder.add_qualitative(
+            QualitativePreference(UID, POOL[1][0], POOL[0][0], 0.05))
+        assert report.intensities_recomputed == 1
+        _, warm = index_over(tiny_db, builder, cache)
         assert cache.misses == misses_before
-        rebuild = PairwiseCombinationIndex(
-            CountCache(tiny_db), preferences_from_graph(builder.hypre, UID))
-        assert pair_table(index) == pair_table(rebuild)
+        _, cold = index_over(tiny_db, builder)
+        assert pair_table(warm) == pair_table(cold)
 
     def test_qualitative_insert_with_new_nodes_counts_only_new_pairs(self, tiny_db):
         builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
+        cache, _ = index_over(tiny_db, builder)
+        misses_before = cache.misses
         # Both endpoints are new nodes: two predicates join the profile.
         builder.add_qualitative(
             QualitativePreference(UID, POOL[6][0], POOL[7][0], 0.3))
-        index.refresh()
-        rebuild = PairwiseCombinationIndex(
-            CountCache(tiny_db), preferences_from_graph(builder.hypre, UID))
-        assert pair_table(index) == pair_table(rebuild)
-        assert index.last_refresh_pair_counts < rebuild.pairs_counted
+        _, warm = index_over(tiny_db, builder, cache)
+        cold_cache, cold = index_over(tiny_db, builder)
+        assert pair_table(warm) == pair_table(cold)
+        assert cache.misses - misses_before < cold_cache.misses
 
-    def test_reads_serve_stable_snapshot_until_refresh(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
-        builder.add_quantitative(
-            QuantitativePreference(UID, POOL[4][0], POOL[4][1]))
+    def test_reads_serve_stable_snapshot_until_refresh(self, own_db):
+        cache, index = index_over(own_db, build_graph([POOL[0], POOL[2]]))
+        before = index.pair(0, 1)            # VLDB x year>=2005
+        match = append_vldb_2011(own_db)
+        cache.invalidate_matching(match)
+        assert index.invalidate_matching(match) == 1
         assert index.stale
         # Reads keep serving the pre-mutation snapshot: a consumer holding
-        # the old positional preference list must not have the index shift
-        # underneath it mid-run.
-        assert len(index) == 6  # still C(4, 2)
-        assert len(index.preferences) == 4
+        # the table positionally must not have it change mid-run.
+        assert index.pair(0, 1) is before
         # Only an explicit refresh folds the mutation in.
         index.refresh()
         assert not index.stale
-        assert len(index) == 10  # C(5, 2)
+        assert index.pair(0, 1).tuple_count == before.tuple_count + 1
 
 
 class TestRelationUpdateInvalidation:
     def test_invalidate_counts_forces_full_recount(self, tiny_db):
-        builder = build_graph(POOL[:4])
-        _, index = attached_index(tiny_db, builder)
+        _, index = index_over(tiny_db, build_graph(POOL[:4]))
         counted = index.pairs_counted
         index.invalidate_counts()
         assert index.stale
@@ -253,8 +193,8 @@ class TestRelationUpdateInvalidation:
 
         with Database(":memory:") as db:
             load_dataset(db, tiny_dataset)
-            builder = build_graph([POOL[0], POOL[2]])  # VLDB x year>=2005
-            cache, index = attached_index(db, builder)
+            # VLDB x year>=2005
+            cache, index = index_over(db, build_graph([POOL[0], POOL[2]]))
             stale_count = index.pair(0, 1).tuple_count
             db.execute("INSERT INTO dblp (pid, title, venue, year) "
                        "VALUES (99001, 'new paper', 'VLDB', 2011)")
@@ -267,52 +207,32 @@ class TestRelationUpdateInvalidation:
 
 
 class TestPepsIntegration:
-    def test_for_graph_user_tracks_mutations(self, tiny_db):
-        builder = build_graph(POOL[:5])
-        from repro.algorithms.base import PreferenceQueryRunner
-
-        runner = PreferenceQueryRunner(tiny_db)
-        peps = PEPSAlgorithm.for_graph_user(runner, builder.hypre, UID)
-        before = peps.top_k(5)
-
-        builder.add_quantitative(
-            QuantitativePreference(UID, POOL[5][0], POOL[5][1]))
-        updated = PEPSAlgorithm.for_graph_user(
-            runner, builder.hypre, UID, pair_index=peps.pair_index)
-
-        fresh_runner = PreferenceQueryRunner(tiny_db)
-        oracle = PEPSAlgorithm(fresh_runner,
-                               preferences_from_graph(builder.hypre, UID))
-        assert updated.top_k(5) == oracle.top_k(5)
-        assert before  # the pre-mutation ranking remains a valid list
-
-    def test_mutation_mid_run_does_not_desync_live_peps(self, tiny_db):
-        """Regression: a mutation landing while a PEPS instance is live must
-        not shift the index's positional view under that instance."""
-        builder = build_graph(POOL[:5])
-        from repro.algorithms.base import PreferenceQueryRunner
-
-        runner = PreferenceQueryRunner(tiny_db)
-        peps = PEPSAlgorithm.for_graph_user(runner, builder.hypre, UID)
-        snapshot = peps.top_k(5)
-        builder.add_quantitative(
-            QuantitativePreference(UID, POOL[5][0], POOL[5][1]))
-        # The live instance keeps answering from its captured snapshot
-        # (previously this raised IndexError / returned wrong pairs).
-        assert peps.top_k(5) == snapshot
-        assert len(peps.pair_index.preferences) == len(peps.preferences)
+    def test_mutation_mid_run_does_not_desync_live_peps(self, own_db):
+        """A data mutation landing while a PEPS instance is live: once the
+        index is refreshed the live instance serves the post-mutation answer
+        — the positional view it captured cannot shift, the list is fixed."""
+        runner = PreferenceQueryRunner(own_db)
+        preferences = make_preferences(POOL[:5])
+        peps = PEPSAlgorithm(runner, preferences)
+        peps.top_k(5)
+        match = append_vldb_2011(own_db)
+        runner.invalidate_matching(match)
+        assert peps.pair_index.invalidate_matching(match) > 0
+        peps.pair_index.refresh()
+        oracle = PEPSAlgorithm(PreferenceQueryRunner(own_db), preferences)
+        assert peps.top_k(5) == oracle.top_k(5)
+        assert peps.pair_index.preferences == peps.preferences
 
     def test_incremental_index_reused_across_instances(self, tiny_db):
-        builder = build_graph(POOL[:5])
-        from repro.algorithms.base import PreferenceQueryRunner
-
         runner = PreferenceQueryRunner(tiny_db)
-        peps = PEPSAlgorithm.for_graph_user(runner, builder.hypre, UID)
+        preferences = make_preferences(POOL[:5])
+        peps = PEPSAlgorithm(runner, preferences)
         counted = peps.pair_index.pairs_counted
-        again = PEPSAlgorithm.for_graph_user(runner, builder.hypre, UID,
-                                             pair_index=peps.pair_index)
+        again = PEPSAlgorithm(runner, preferences, approximate=True,
+                              pair_index=peps.pair_index)
         assert again.pair_index is peps.pair_index
         assert peps.pair_index.pairs_counted == counted
+        assert peps.pair_index.refreshes == 1
 
 
 class TestSelectivity:
@@ -324,46 +244,57 @@ class TestSelectivity:
             ("dblp.venue = 'NO_SUCH_VENUE'", 0.9),
             ("dblp.year >= 2005", 0.7),
         ])
-        index = PairwiseCombinationIndex(cache, preferences)
+        index = IncrementalPairIndex(cache, preferences)
         assert index.pairs_prefiltered == 1
         assert index.pairs_counted == 0
 
     def test_prefilter_never_changes_results(self, tiny_db):
         preferences = make_preferences(POOL)
         cache = CountCache(tiny_db)
-        filtered = PairwiseCombinationIndex(cache, preferences)
+        filtered = IncrementalPairIndex(cache, preferences)
         # A fresh cache holds no zero counts: no cached-zero sharpening.
-        unfiltered = PairwiseCombinationIndex(CountCache(tiny_db), preferences)
+        unfiltered = IncrementalPairIndex(CountCache(tiny_db), preferences)
         assert pair_table(filtered) == pair_table(unfiltered)
         assert filtered.pairs_prefiltered > 0
 
 
-# -- property: incremental maintenance == full rebuild -----------------------
+# -- property: invalidate_matching + refresh == a freshly built index ---------
+
+#: Papers the property inserts: venue x year combinations that hit different
+#: subsets of ``POOL`` (and one venue no predicate mentions).
+NEW_PAPERS = [("VLDB", 2011), ("SIGMOD", 2003), ("CIKM", 2007),
+              ("ICDE", 1999), ("NOWHERE", 2012)]
+
 
 @st.composite
-def insertion_sequences(draw):
-    """An initial profile plus a mutation sequence over the predicate pool."""
-    initial = draw(st.integers(min_value=1, max_value=4))
-    mutations = draw(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=len(POOL) - 1),
-                  st.floats(min_value=0.05, max_value=1.0,
-                            allow_nan=False, allow_infinity=False)),
-        min_size=1, max_size=6))
-    return initial, mutations
+def mutation_sequences(draw):
+    """A profile size plus a sequence of data mutations over ``NEW_PAPERS``."""
+    size = draw(st.integers(min_value=2, max_value=len(POOL)))
+    papers = draw(st.lists(
+        st.integers(min_value=0, max_value=len(NEW_PAPERS) - 1),
+        min_size=1, max_size=4))
+    return size, papers
 
 
 class TestEquivalenceProperty:
     @settings(max_examples=25, deadline=None)
-    @given(insertion_sequences())
-    def test_incremental_equals_rebuild(self, tiny_db, sequence):
-        initial, mutations = sequence
-        builder = build_graph(POOL[:initial])
-        _, index = attached_index(tiny_db, builder)
-        for pool_position, intensity in mutations:
-            sql = POOL[pool_position][0]
-            builder.add_quantitative(
-                QuantitativePreference(UID, sql, intensity))
-        index.refresh()
-        rebuild = PairwiseCombinationIndex(
-            CountCache(tiny_db), preferences_from_graph(builder.hypre, UID))
-        assert pair_table(index) == pair_table(rebuild)
+    @given(mutation_sequences())
+    def test_incremental_equals_rebuild(self, tiny_dataset, sequence):
+        size, papers = sequence
+        with Database(":memory:") as db:
+            load_dataset(db, tiny_dataset)
+            cache, index = index_over(db, build_graph(POOL[:size]))
+            for offset, choice in enumerate(papers):
+                venue, year = NEW_PAPERS[choice]
+                pid = 99001 + offset
+                append_papers(db, [Paper(pid=pid, title="t", venue=venue,
+                                         year=year)], [(pid, 1)])
+                match = RowMatch(db.joined_rows([pid]))
+                cache.invalidate_matching(match)
+                index.invalidate_matching(match)
+            counted_before = index.pairs_counted
+            index.refresh()
+            _, rebuilt = index_over(db, build_graph(POOL[:size]))
+            assert pair_table(index) == pair_table(rebuilt)
+            # Incremental: never more recounts than a rebuild counts.
+            assert index.pairs_counted - counted_before <= rebuilt.pairs_counted

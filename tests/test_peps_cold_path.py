@@ -37,8 +37,7 @@ from repro.core.intensity import combine_and, min_preferences_to_beat
 from repro.core.predicate import conjunction
 from repro.core.preference import QuantitativePreference
 from repro.experiments.context import SCALES
-from repro.index import CountCache, IncrementalPairIndex, PairwiseCombinationIndex
-from repro.index.pair_index import IndexedPreference
+from repro.index import CountCache, IncrementalPairIndex
 from repro.index.selectivity import RowMatch
 from repro.workload import load_dataset, load_profiles
 from repro.workload.dblp import Paper
@@ -284,15 +283,17 @@ def test_views_follow_the_table_through_refreshes(tiny_dataset, backend):
     try:
         query_runner = PreferenceQueryRunner(db)
         builder = graph_of(PROFILE[:9])
-        index = IncrementalPairIndex(query_runner).attach(builder.hypre, UID)
+        index = IncrementalPairIndex(
+            query_runner, preferences_from_graph(builder.hypre, UID))
         assert_views_match_table(index)
 
-        # Profile mutation: new nodes, a merged duplicate, a changed order.
+        # Profile change: new nodes, a merged duplicate, a changed order —
+        # a new index over the same runner, as a rebuilt session gets.
         for sql, intensity in PROFILE[9:]:
             builder.add_quantitative(QuantitativePreference(UID, sql, intensity))
         builder.add_quantitative(QuantitativePreference(UID, PROFILE[8][0], 0.95))
-        assert index.stale
-        index.refresh()
+        index = IncrementalPairIndex(
+            query_runner, preferences_from_graph(builder.hypre, UID))
         assert len(index.preferences) == len(PROFILE)
         assert_views_match_table(index)
 
@@ -305,7 +306,7 @@ def test_views_follow_the_table_through_refreshes(tiny_dataset, backend):
         index.refresh()
         assert_views_match_table(index)
 
-        rebuilt = PairwiseCombinationIndex(
+        rebuilt = IncrementalPairIndex(
             PreferenceQueryRunner(db), index.preferences)
         assert_views_match_table(rebuilt)
         assert rebuilt._pairs == index._pairs
@@ -338,10 +339,9 @@ class ScanCountingTable(dict):
         return self._scan(super().__iter__())
 
 
-@pytest.mark.parametrize("index_class", [IncrementalPairIndex, PairwiseCombinationIndex])
-def test_ordering_never_scans_the_pair_table(tiny_runner, index_class):
+def test_ordering_never_scans_the_pair_table(tiny_runner):
     preferences = make_preferences(PROFILE)
-    index = index_class(tiny_runner, preferences)
+    index = IncrementalPairIndex(tiny_runner, preferences)
     index._pairs = ScanCountingTable(index._pairs)
     peps = PEPSAlgorithm(tiny_runner, preferences, pair_index=index)
     assert len(peps.order_combinations()) > len(preferences)
@@ -362,16 +362,12 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("preference_class", [IndexedPreference, ScoredPreference])
-def test_refresh_keys_each_preference_once(monkeypatch, tiny_db, preference_class):
-    """Per refresh over n preferences: at most n key renders, n cache peeks
-    and one compatibility verdict per pair — first refresh (every pair is
-    missing) and steady state (none is) alike."""
-    builder = graph_of(PROFILE[:10])
-    loader = None
-    if preference_class is ScoredPreference:  # what a serving session installs
-        loader = lambda: preferences_from_graph(builder.hypre, UID)  # noqa: E731
-    renders = count_calls(monkeypatch, preference_class.__dict__["sql"], "func")
+def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):
+    """Per refresh over n preferences: at most n key renders (none once the
+    preferences have rendered theirs), n cache peeks and one compatibility
+    verdict per pair — first refresh (every pair is missing), after a data
+    mutation (some are) and after ``invalidate_counts`` (all are) alike."""
+    renders = count_calls(monkeypatch, ScoredPreference.__dict__["sql"], "func")
     peeks = count_calls(monkeypatch, CountCache, "peek")
     verdicts = count_calls(monkeypatch, pair_index_module, "are_and_compatible")
     tallies = (renders, peeks, verdicts)
@@ -382,25 +378,29 @@ def test_refresh_keys_each_preference_once(monkeypatch, tiny_db, preference_clas
             tally.clear()
         return totals
 
-    index = IncrementalPairIndex(PreferenceQueryRunner(tiny_db))
-    index.attach(builder.hypre, UID, loader=loader)
-    assert spent() == (10, 10, 45)
+    db = fresh_db(tiny_dataset, "sqlite")
+    try:
+        runner = PreferenceQueryRunner(db)
+        index = IncrementalPairIndex(runner, make_preferences(PROFILE[:10]))
+        assert spent() == (10, 10, 45)
 
-    for sql, intensity in PROFILE[10:]:
-        builder.add_quantitative(QuantitativePreference(UID, sql, intensity))
-    index.refresh()
-    size = len(PROFILE)
-    assert index.last_refresh_pair_counts > 0
-    renders_spent, peeks_spent, verdicts_spent = spent()
-    assert renders_spent == size and peeks_spent == size
-    assert verdicts_spent <= size * (size - 1) // 2
+        db.append_papers([Paper(pid=9001, title="t", venue="VLDB", year=2012)],
+                         [(9001, 1)])
+        match = RowMatch(db.joined_rows([9001]))
+        runner.invalidate_matching(match)
+        assert 0 < index.invalidate_matching(match) < 45
+        index.refresh()
+        assert 0 < index.last_refresh_pair_counts < 45
+        assert spent() == (0, 10, 45)
 
-    builder.add_quantitative(QuantitativePreference(UID, PROFILE[3][0], 0.99))
-    index.refresh()
-    assert index.last_refresh_pair_counts == 0
-    renders_spent, peeks_spent, verdicts_spent = spent()
-    assert renders_spent == size and peeks_spent == size
-    assert verdicts_spent <= size * (size - 1) // 2
+        index.refresh()                     # not stale: no work at all
+        assert spent() == (0, 0, 0)
+
+        index.invalidate_counts()
+        index.refresh()
+        assert spent() == (0, 10, 45)
+    finally:
+        db.close()
 
 
 def test_counters_are_annotated_on_the_request_span(tiny_runner):

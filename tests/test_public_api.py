@@ -25,6 +25,23 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
 
+    def test_graph_event_bus_and_second_pair_index_are_gone(self):
+        """One way to build a user's graph: nothing is left to subscribe to."""
+        import repro.algorithms as algorithms
+        import repro.core.hypre as hypre
+        import repro.index as index
+
+        removed = {"GraphMutation", "PairwiseCombinationIndex",
+                   "IndexedPreference", "NODE_INSERTED", "NODES_MERGED",
+                   "EDGE_INSERTED", "INTENSITY_CHANGED"}
+        for module in (repro, algorithms, hypre, index):
+            assert not removed & set(module.__all__), module.__name__
+            assert not removed & set(vars(module)), module.__name__
+        assert not hasattr(hypre, "events")
+        for name in ("subscribe", "unsubscribe", "notify"):
+            assert not hasattr(repro.HypreGraph, name)
+        assert not hasattr(PEPSAlgorithm, "for_graph_user")
+
     def test_subpackage_all_names_resolve(self):
         import repro.algorithms as algorithms
         import repro.backend as backend

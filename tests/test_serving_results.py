@@ -2,12 +2,6 @@
 
 from __future__ import annotations
 
-from repro.core.hypre.events import (
-    EDGE_INSERTED,
-    INTENSITY_CHANGED,
-    NODE_INSERTED,
-    GraphMutation,
-)
 from repro.core.predicate import parse_predicate
 from repro.serving.results import ResultCache
 from repro.sqldb.events import (
@@ -59,28 +53,19 @@ class TestLookups:
 
 class TestProfileInvalidation:
     def test_result_affecting_mutation_drops_only_that_user(self):
+        """A profile update reaches the cache as ``invalidate_user``."""
         cache = ResultCache()
         cache.put(1, 5, [(10, 0.9)], [VLDB])
         cache.put(1, 10, [(10, 0.9)], [VLDB])
         cache.put(2, 5, [(11, 0.8)], [ICDE])
-        cache.on_profile_mutation(GraphMutation(NODE_INSERTED, 1, "dblp.year >= 2000"))
+        epoch = cache.epoch
+        assert cache.invalidate_user(1) == 2
         assert cache.peek(1, 5) is None and cache.peek(1, 10) is None
         assert cache.peek(2, 5) is not None
         assert cache.profile_invalidations == 2
-
-    def test_intensity_change_invalidates(self):
-        cache = ResultCache()
-        cache.put(1, 5, [(10, 0.9)], [VLDB])
-        cache.on_profile_mutation(
-            GraphMutation(INTENSITY_CHANGED, 1, VLDB.to_sql(), intensity=0.4))
-        assert cache.peek(1, 5) is None
-
-    def test_edge_insert_alone_is_ignored(self):
-        cache = ResultCache()
-        cache.put(1, 5, [(10, 0.9)], [VLDB])
-        cache.on_profile_mutation(GraphMutation(
-            EDGE_INSERTED, 1, VLDB.to_sql(), other_predicate=ICDE.to_sql()))
-        assert cache.peek(1, 5) is not None
+        # An answer computed before the update must lose the put race.
+        assert cache.put(1, 5, [(10, 0.9)], [VLDB], epoch=epoch) is None
+        assert cache.stale_puts_rejected == 1
 
 
 class TestDataInvalidation:

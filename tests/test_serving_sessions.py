@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
-from repro.index import CountCache
-from repro.serving.sessions import SessionRegistry, UserSession
+from repro.index import CountCache, RowMatch
+from repro.serving.sessions import SessionRegistry
 from repro.sqldb.database import Database
 from repro.workload.dblp import DblpConfig, generate_dblp
 from repro.workload.loader import load_dataset
@@ -41,20 +41,33 @@ class TestUserSession:
 
     def test_profile_uid_mismatch_rejected(self, serving_db):
         registry = SessionRegistry(serving_db, capacity=4)
-        session = registry.get_or_create(1, make_profile(1))
         with pytest.raises(ServingError):
-            session.apply_profile(make_profile(2))
+            registry.get_or_create(1, make_profile(2))
+        assert 1 not in registry
 
     def test_peps_instance_reused_until_stale(self, serving_db):
         registry = SessionRegistry(serving_db, capacity=4)
         session = registry.get_or_create(1, make_profile(1))
         first = session.algorithm()
         assert session.algorithm() is first
-        update = UserProfile(uid=1)
-        update.add_quantitative("dblp.venue = 'SIGMOD'", 0.7)
-        session.apply_profile(update)
+        # A data mutation the profile's pairs may match drops their counts.
+        row = {"pid": 9001, "title": "t", "venue": VENUES[1], "year": 2011,
+               "abstract": "", "aid": 1}
+        assert registry.invalidate_matching(RowMatch([row])) > 0
         assert session.index.stale
         assert session.algorithm() is not first
+        assert not session.index.stale
+
+    def test_resident_session_ignores_a_handed_in_profile(self, serving_db):
+        """Sessions are snapshots: only a drop replaces one."""
+        registry = SessionRegistry(serving_db, capacity=4)
+        session = registry.get_or_create(1, make_profile(1))
+        update = make_profile(1)
+        update.add_quantitative("dblp.venue = 'PODS'", 0.4)
+        assert registry.get_or_create(1, update) is session
+        assert session.preference_count() == 2
+        assert registry.drop_for_profile_update(1)
+        assert registry.get_or_create(1, update).preference_count() == 3
 
 
 class TestSessionRegistryLRU:
@@ -68,11 +81,17 @@ class TestSessionRegistryLRU:
         assert 2 not in registry
         assert registry.stats()["evictions"] == 1
 
-    def test_eviction_detaches_index(self, serving_db):
+    def test_drops_are_counted_by_reason(self, serving_db):
         registry = SessionRegistry(serving_db, capacity=1)
-        first = registry.get_or_create(1, make_profile(1))
-        registry.get_or_create(2, make_profile(2))
-        assert first.index.hypre is None
+        registry.get_or_create(1, make_profile(1))
+        registry.get_or_create(2, make_profile(2))      # LRU pressure
+        assert registry.evict(2) and not registry.evict(2)
+        registry.get_or_create(3, make_profile(3))
+        assert registry.drop_for_profile_update(3)
+        assert not registry.drop_for_profile_update(3)
+        stats = registry.stats()
+        assert (stats["evictions"], stats["profile_drops"]) == (2, 1)
+        assert stats["resident"] == 0
 
     def test_evicted_user_rebuilds_through_loader(self, serving_db):
         profiles = {uid: make_profile(uid) for uid in (1, 2)}
@@ -114,14 +133,3 @@ class TestSharedCountCache:
         assert registry.count_cache is cache
         registry.get_or_create(1, make_profile(1)).top_k(3)
         assert len(cache) > 0
-
-    def test_graph_listener_sees_existing_and_new_sessions(self, serving_db):
-        registry = SessionRegistry(serving_db, capacity=4)
-        registry.get_or_create(1, make_profile(1))
-        seen = []
-        registry.add_graph_listener(lambda mutation: seen.append(mutation.uid))
-        update = UserProfile(uid=1)
-        update.add_quantitative("dblp.venue = 'PODS'", 0.4)
-        registry.get(1).apply_profile(update)
-        registry.get_or_create(2, make_profile(2))
-        assert 1 in seen and 2 in seen

@@ -4,9 +4,9 @@ Pins the contract of :class:`repro.serving.ServingSurface` over
 ``TopKServer``, ``ShardedTopKServer(shards=1)`` and
 ``ShardedTopKServer(shards=3)`` on every registered storage backend: the
 same public methods, one mutation report type, the same ``metrics()`` names,
-identical answers and report totals for one fixed script, and a terminal
-``close()`` — plus the known resident-vs-rebuilt divergence as a strict
-xfail, so the fix flips it.  Also pins the construction surface (every
+identical answers and report totals for one fixed script, a terminal
+``close()``, and served == ``fresh_top_k`` under profile updates drawn from
+the user's own predicates.  Also pins the construction surface (every
 settable parameter, by name), the lock set, and what a sweep guarantees: it runs on the
 mutating thread, shard by shard, so a failing one leaves nothing held, and
 it judges relevance through one ``RowMatch`` — each distinct predicate once.
@@ -15,6 +15,7 @@ it judges relevance through one ``RowMatch`` — each distinct predicate once.
 from __future__ import annotations
 
 import inspect
+import random
 import threading
 from pathlib import Path
 
@@ -27,10 +28,11 @@ import repro.index.selectivity as selectivity
 from repro.backend import BACKEND_NAMES
 from repro.cli import run_load
 from repro.concurrency import TimedRLock
+from repro.core.predicate import are_and_compatible, parse_predicate
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
-from repro.experiments.context import SCALES
-from repro.index import RowMatch, may_match_row
+from repro.algorithms.peps import PEPSAlgorithm
+from repro.index import IncrementalPairIndex, RowMatch, may_match_row
 from repro.serving import (
     DataMutationReport,
     ReplayConfig,
@@ -41,6 +43,7 @@ from repro.serving import (
     fresh_top_k,
 )
 from repro.serving.results import CachedResult
+from repro.serving.sessions import UserSession
 from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
 from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
 from repro.workload.dblp import DblpConfig, Paper
@@ -170,10 +173,16 @@ def test_script_reports_and_metrics(surface):
 
 
 def test_construction_surface_is_pinned():
-    """Every settable parameter of the serving constructors and of the load
-    harness' front door, by name: a new option is a deliberate edit of this
-    list, not a drive-by."""
+    """Every settable parameter of the serving constructors, of what a
+    session is built from and of the load harness' front door, by name: a new
+    option is a deliberate edit of this list, not a drive-by."""
     pinned = {
+        IncrementalPairIndex: ["counter", "preferences"],
+        UserSession: ["uid", "runner", "profile"],
+        UserSession.algorithm: ["self"],
+        PEPSAlgorithm: ["runner", "preferences", "approximate",
+                        "max_combination_size", "max_combinations",
+                        "pair_index"],
         run_load: ["scale", "users", "threads", "duration", "qps", "shards",
                    "backend", "seed", "k", "capacity", "audit_interval",
                    "output", "as_json", "telemetry", "repair_delta", "family",
@@ -394,28 +403,130 @@ def test_closed_surface_refuses_instead_of_serving_stale(surface):
     surface.close()  # idempotent
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known resident-vs-rebuilt divergence (found by PR 11): a profile update "
-    "that re-states a predicate already in the user's graph makes the "
-    "resident session disagree with a session rebuilt from the staging "
-    "tables; its own follow-up flips this"))
-def test_resident_session_matches_rebuilt_after_restating_update():
-    dataset = generate_dblp(SCALES["tiny"])
-    registry = PreferenceExtractor(dataset).extract_all()
-    profiles = [profile for profile in sorted(registry, key=lambda p: p.uid)
-                if profile.qualitative][:20]
-    db = ReplayDriver(REPLAY).build_world(SCALES["tiny"])
-    load_profiles(db, registry)
+# -- served == fresh_top_k under profile updates --------------------------------
+#
+# The first rules of the stateful oracle (ROADMAP item 3): each takes the
+# surface, a seeded rng and one user's state — ``uid`` plus the predicates and
+# qualitative pairs the user has stated so far — and performs one step.
+# Profile updates draw from the user's *own* predicates: the door generated
+# schedules (``dblp.year``, which no mined preference mentions) never open.
+
+
+def _state(surface, rng, user, predicate, over=None):
+    """One profile update: ``predicate`` at a drawn intensity, or preferred
+    ``over`` another predicate by it."""
+    update = UserProfile(uid=user["uid"])
+    if over is None:
+        update.add_quantitative(predicate, rng.choice(INTENSITIES))
+    else:
+        update.add_qualitative(predicate, over, rng.choice(INTENSITIES))
+    surface.update_profile(user["uid"], update)
+
+
+def rule_restate_right_side(surface, rng, user):
+    _state(surface, rng, user, rng.choice(user["pairs"])[1])
+
+
+def rule_restate_left_side(surface, rng, user):
+    _state(surface, rng, user, rng.choice(user["pairs"])[0])
+
+
+def rule_duplicate_quantitative(surface, rng, user):
+    _state(surface, rng, user, rng.choice(user["predicates"]))
+
+
+def rule_edge_between_existing_nodes(surface, rng, user):
+    left, right = rng.sample(user["predicates"], 2)
+    _state(surface, rng, user, left, over=right)
+    user["pairs"].append((left, right))
+
+
+def rule_fresh_predicate(surface, rng, user):
+    predicate = f"dblp.year >= {rng.randint(1990, 2012)}"
+    _state(surface, rng, user, predicate)
+    user["predicates"].append(predicate)
+
+
+def rule_evict(surface, rng, user):
+    surface.shard_for(user["uid"]).sessions.evict(user["uid"])
+
+
+def rule_read(surface, rng, user):
+    """Every step ends in a checked read; this one is only that."""
+
+
+INTENSITIES = (0.15, 0.45, 0.75, 0.95)
+RULES = (rule_restate_right_side, rule_restate_left_side,
+         rule_duplicate_quantitative, rule_edge_between_existing_nodes,
+         rule_fresh_predicate, rule_evict, rule_read)
+
+
+def test_resident_session_matches_rebuilt_after_restating_update(surface):
+    """Whichever door a preference came through, and whether or not the user
+    was resident when it did, the surface serves ``fresh_top_k``.
+
+    What this pins against: a resident session that folds an update in
+    arrival order while a rebuild inserts all quantitative preferences
+    before all qualitative ones — re-stating a predicate inside a mined
+    qualitative chain then makes the two disagree.
+    """
+    db = surface.db
+    mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
+    load_profiles(db, mined)
+    profiles = [profile for profile in sorted(mined, key=lambda p: p.uid)
+                if profile.qualitative and len(profile.predicates()) >= 2][:8]
+    rng = random.Random(22)
     diverged = []
-    with TopKServer(db, capacity=32) as server:
-        for profile in profiles:
-            server.top_k(profile.uid, 5)
-            # Re-state the right side of a mined qualitative pair.
-            update = UserProfile(uid=profile.uid)
-            update.add_quantitative(profile.qualitative[0].right_sql, 0.45)
-            server.update_profile(profile.uid, update)
-            served = list(server.top_k(profile.uid, 5).ranking)
-            if served != fresh_top_k(db, profile.uid, 5):
-                diverged.append(profile.uid)
+    for profile in profiles:
+        user = {"uid": profile.uid, "predicates": profile.predicates(),
+                "pairs": [(pair.left_sql, pair.right_sql)
+                          for pair in profile.qualitative]}
+        trail = ["cold"]
+        for rule in [rule_read, rule_restate_right_side] + rng.choices(RULES, k=6):
+            rule(surface, rng, user)
+            trail.append(rule.__name__)
+            served = list(surface.top_k(profile.uid, K).ranking)
+            if served != fresh_top_k(db, profile.uid, K):
+                diverged.append((profile.uid, tuple(trail)))
+                break
+    assert not diverged, f"{len(diverged)} of {len(profiles)} users diverged: {diverged[:3]}"
+
+
+def test_update_then_read_counts_only_the_new_predicates_pairs(backend):
+    """What *persist, drop, rebuild* costs, in counters: the read after an
+    update that adds one predicate to a resident user's profile misses the
+    shared count cache exactly for the AND-compatible pairs containing the
+    new predicate — no pair of the old profile is counted again — in one
+    count statement, and the only SQL the rebuild adds to that read is the
+    two ``read_profiles`` statements (3 statements with the fold this
+    replaced, 5 now)."""
+    db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
+    mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
+    load_profiles(db, mined)
+    uid = max(mined, key=lambda profile: len(profile.predicates())).uid
+    with TopKServer(db, capacity=16) as server:
+        server.top_k(uid, K)
+        cache, runner = server.sessions.count_cache, server.sessions.runner
+        old = server.sessions.peek(uid).algorithm().preferences
+        assert len(old) > 10
+        misses, statements = cache.misses, cache.statements
+        queries = runner.queries_executed
+
+        new = parse_predicate("dblp.year >= 1990")
+        update = UserProfile(uid=uid)
+        update.add_quantitative(new, 0.33)
+        report = server.update_profile(uid, update)
+        assert report.resident and report.sql_statements == 1
+        assert uid not in server.sessions
+        result = server.top_k(uid, K)
+
+        assert list(result.ranking) == fresh_top_k(db, uid, K)
+        new_pairs = sum(are_and_compatible(new, pref.predicate) for pref in old)
+        assert 0 < new_pairs == cache.misses - misses
+        assert cache.statements - statements == 1
+        id_lists = runner.queries_executed - queries - new_pairs
+        assert result.sql_statements == 2 + 1 + id_lists
+        stats = server.sessions.stats()
+        assert (stats["profile_drops"], stats["evictions"]) == (1, 0)
+        assert stats["sessions_built"] == 2
     db.close()
-    assert not diverged, f"{len(diverged)} of {len(profiles)} users diverged"
