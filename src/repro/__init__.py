@@ -27,12 +27,12 @@ Model and graph construction
     :class:`QuantitativePreference` — a predicate scored in ``[-1, 1]``.
     :class:`QualitativePreference` — *left over right* with a strength.
     :class:`ProfileRegistry` — a collection of user profiles.
-    :class:`HypreGraph` — the unified preference graph (Definition 14).
+    :class:`HypreGraph` — the unified preference graph (Definition 14); it
+    keeps its own nodes, typed edges and per-user lookup (§4.3).
     :class:`HypreGraphBuilder` — Algorithm 1: profiles → graph.
     :func:`build_hypre_graph` — one-shot builder for a profile/registry.
     :class:`BuildReport` — counters and timings of a graph build.
     :class:`DefaultValueStrategy` — DEFAULT_VALUE seeding policies.
-    :class:`PropertyGraph` — the embedded property-graph engine underneath.
 
 Predicates and intensity algebra
     :func:`parse_predicate` — textual SQL predicate → expression tree.
@@ -141,7 +141,6 @@ from .algorithms import (
     ta_top_k,
 )
 from .backend import MemoryBackend, StorageBackend, create_backend
-from .graphstore import PropertyGraph
 from .index import CountCache, IncrementalPairIndex
 from .serving import (
     HashPartitioner,
@@ -189,7 +188,6 @@ __all__ = [
     "PreferenceExtractor",
     "PreferenceQueryRunner",
     "ProfileRegistry",
-    "PropertyGraph",
     "ReplayConfig",
     "ReplayDriver",
     "ResultCache",

@@ -106,11 +106,10 @@ class HypreGraphBuilder:
         return node_id, report
 
     def add_all_quantitative(self, uid: int,
-                             preferences: Iterable[QuantitativePreference],
-                             batch: bool = True) -> BuildReport:
+                             preferences: Iterable[QuantitativePreference]) -> BuildReport:
         """Insert all quantitative preferences for ``uid``.
 
-        When ``batch`` is true and the predicates are unique, insertion uses
+        When the predicates are unique and new to the user, insertion uses
         the fast batched path (paper Step 1); otherwise each preference goes
         through duplicate detection.
         """
@@ -121,7 +120,7 @@ class HypreGraphBuilder:
         unique = len(set(sqls)) == len(sqls)
         no_existing = all(
             self.hypre.find_node_id(uid, sql) is None for sql in sqls)
-        if batch and unique and no_existing:
+        if unique and no_existing:
             self.hypre.add_quantitative_batch(
                 uid, [(pref.predicate_sql, pref.intensity) for pref in preferences])
             report.quantitative_nodes += len(preferences)
@@ -234,19 +233,19 @@ class HypreGraphBuilder:
                        self.hypre.quantitative_preferences(uid, include_negative=True)]
         return self.default_strategy(intensities)
 
-    def build_profile(self, profile: UserProfile, batch: bool = True) -> BuildReport:
+    def build_profile(self, profile: UserProfile) -> BuildReport:
         """Insert all preferences of ``profile`` (Step 1 then Step 2)."""
-        report = self.add_all_quantitative(profile.uid, profile.quantitative, batch=batch)
+        report = self.add_all_quantitative(profile.uid, profile.quantitative)
         default_value = self.user_default(profile.uid)
         for preference in profile.qualitative:
             report.merge(self.add_qualitative(preference, default_value=default_value))
         return report
 
-    def build_registry(self, registry: ProfileRegistry, batch: bool = True) -> BuildReport:
+    def build_registry(self, registry: ProfileRegistry) -> BuildReport:
         """Insert every profile of ``registry`` into the shared graph."""
         total = BuildReport()
         for profile in registry:
-            total.merge(self.build_profile(profile, batch=batch))
+            total.merge(self.build_profile(profile))
         return total
 
 

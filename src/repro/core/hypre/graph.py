@@ -1,55 +1,111 @@
 """The HYPRE preference graph (paper Definition 14, Sections 4.2–4.5).
 
-:class:`HypreGraph` wraps the generic :class:`~repro.graphstore.graph.PropertyGraph`
-with preference semantics:
+:class:`HypreGraph` stores every user's preference profile in one graph and
+keeps exactly the structures the paper asks of its graph database (§4.3):
 
-* every vertex is a preference node with properties ``uid``, ``predicate``
-  (SQL text), ``intensity`` (may be absent until computed) and
-  ``intensity_source`` (``user`` / ``computed`` / ``default``);
-* all nodes carry the ``uidIndex`` label and an index on ``uid`` provides the
-  interactive per-user lookup described in Section 4.3;
+* every vertex is a preference node with a ``uid``, a ``predicate`` (SQL
+  text), an ``intensity`` (absent until computed) and an ``intensity_source``
+  (``user`` / ``computed`` / ``default``);
+* a ``uid -> node ids`` list — the paper's ``uidIndex`` — provides the
+  interactive per-user lookup, and a ``(uid, predicate) -> node id`` map the
+  O(1) ``createOrReturnNodeId`` of Algorithm 1;
 * a quantitative preference is a node with an intensity; a qualitative
   preference is a ``PREFERS`` edge between two nodes, carrying the
-  qualitative intensity as an edge property;
-* conflicting edges stay in the graph labelled ``CYCLE`` or ``DISCARD`` and
-  are excluded from traversal.
+  qualitative intensity;
+* conflicting edges stay in the graph typed ``CYCLE`` or ``DISCARD`` and
+  are excluded from traversal and from the typed degree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ...exceptions import NodeNotFoundError
-from ...graphstore import CYCLE, DISCARD, PREFERS, Edge, Node, NodeQuery, PropertyGraph
 from ..intensity import validate_quantitative
-from ..predicate import PredicateExpr, ensure_predicate, predicate_key
+from ..predicate import PredicateExpr, predicate_key
 
-#: Label carried by every preference node; also the indexed label.
-UID_INDEX_LABEL = "uidIndex"
+#: Edge type of a valid qualitative preference, traversed by all algorithms.
+PREFERS = "PREFERS"
+#: Edge type of a conflicting (cycle-creating) edge; kept, never traversed.
+CYCLE = "CYCLE"
+#: Edge type of an edge dropped due to incompatible intensities.
+DISCARD = "DISCARD"
 
-#: Provenance markers for the ``intensity_source`` node property.
+#: All edge types of the HYPRE graph.
+HYPRE_EDGE_TYPES = (PREFERS, CYCLE, DISCARD)
+
+#: Provenance markers for a node's ``intensity_source``.
 SOURCE_USER = "user"
 SOURCE_COMPUTED = "computed"
 SOURCE_DEFAULT = "default"
 
 
-class HypreGraph:
-    """A store of user preference profiles as a single property graph."""
+@dataclass(frozen=True)
+class Edge:
+    """A directed qualitative edge ``source -> target`` (left over right)."""
 
-    def __init__(self, graph: Optional[PropertyGraph] = None) -> None:
-        self.graph = graph if graph is not None else PropertyGraph()
-        if not self.graph.has_index(UID_INDEX_LABEL, "uid"):
-            self.graph.create_index(UID_INDEX_LABEL, "uid")
+    source: int
+    target: int
+    rel_type: str
+    intensity: float
+
+    def get(self, key: str, default: Any = None) -> Any:
+        """Return the edge property ``key`` (only ``"intensity"`` exists)."""
+        return self.intensity if key == "intensity" else default
+
+    def is_self_loop(self) -> bool:
+        """Return ``True`` when the edge starts and ends on the same node."""
+        return self.source == self.target
+
+
+class _Node:
+    """One preference node with its out-edges and its typed degree."""
+
+    __slots__ = ("uid", "predicate", "intensity", "source", "out_edges",
+                 "prefers_degree")
+
+    def __init__(self, uid: int, predicate: str,
+                 intensity: Optional[float], source: Optional[str]) -> None:
+        self.uid = uid
+        self.predicate = predicate
+        self.intensity = intensity
+        self.source = source
+        self.out_edges: List[Edge] = []
+        self.prefers_degree = 0
+
+
+class HypreGraph:
+    """A store of user preference profiles as a single graph."""
+
+    def __init__(self) -> None:
+        # Node ids are dense, assigned in insertion order, never reused.
+        self._nodes: List[_Node] = []
+        self._edges: List[Edge] = []
+        # uid -> node ids in insertion order (the paper's uidIndex).
+        self._uid_index: Dict[int, List[int]] = {}
         # (uid, predicate sql) -> node id, kept for O(1) createOrReturnNodeId.
         self._node_key_index: Dict[Tuple[int, str], int] = {}
-        for node in self.graph.nodes():
-            if node.has_label(UID_INDEX_LABEL):
-                key = (node.get("uid"), node.get("predicate"))
-                self._node_key_index[key] = node.node_id
 
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
+
+    def _node(self, node_id: int) -> _Node:
+        """Return the node record or raise :class:`NodeNotFoundError`."""
+        if isinstance(node_id, int) and 0 <= node_id < len(self._nodes):
+            return self._nodes[node_id]
+        raise NodeNotFoundError(node_id)
+
+    def _add_node(self, uid: int, sql: str, intensity: Optional[float] = None,
+                  source: Optional[str] = None) -> int:
+        """Append a node (``intensity`` already validated) and index it."""
+        node_id = len(self._nodes)
+        self._nodes.append(_Node(uid, sql, intensity, source))
+        self._uid_index.setdefault(uid, []).append(node_id)
+        self._node_key_index[(uid, sql)] = node_id
+        return node_id
 
     def find_node_id(self, uid: int, predicate: Union[str, PredicateExpr]) -> Optional[int]:
         """Return the node id for ``(uid, predicate)`` or ``None``."""
@@ -70,13 +126,9 @@ class HypreGraph:
         existing = self._node_key_index.get((uid, sql))
         if existing is not None:
             return existing, False
-        properties: Dict[str, object] = {"uid": uid, "predicate": sql}
-        if intensity is not None:
-            properties["intensity"] = validate_quantitative(intensity)
-            properties["intensity_source"] = source
-        node = self.graph.add_node(properties, labels=(UID_INDEX_LABEL,))
-        self._node_key_index[(uid, sql)] = node.node_id
-        return node.node_id, True
+        if intensity is None:
+            return self._add_node(uid, sql), True
+        return self._add_node(uid, sql, validate_quantitative(intensity), source), True
 
     def add_quantitative_batch(self, uid: int,
                                entries: Iterable[Tuple[str, float]]) -> List[int]:
@@ -86,40 +138,24 @@ class HypreGraph:
         unique per user (the batch path skips duplicate detection for speed,
         exactly as the paper does for Step 1 of graph creation).
         """
-        payloads = []
-        sqls = []
-        for predicate, intensity in entries:
-            sql = predicate_key(predicate)
-            sqls.append(sql)
-            payloads.append({
-                "uid": uid,
-                "predicate": sql,
-                "intensity": validate_quantitative(intensity),
-                "intensity_source": SOURCE_USER,
-            })
-        nodes = self.graph.add_nodes_batch(payloads, labels=(UID_INDEX_LABEL,))
-        for sql, node in zip(sqls, nodes):
-            self._node_key_index[(uid, sql)] = node.node_id
-        return [node.node_id for node in nodes]
-
-    def node(self, node_id: int) -> Node:
-        """Return the underlying graph node."""
-        return self.graph.get_node(node_id)
+        validated = [(predicate_key(predicate), validate_quantitative(intensity))
+                     for predicate, intensity in entries]
+        return [self._add_node(uid, sql, intensity, SOURCE_USER)
+                for sql, intensity in validated]
 
     def intensity_of(self, node_id: int) -> Optional[float]:
         """Return the node's intensity or ``None`` when not yet assigned."""
-        return self.graph.get_node(node_id).get("intensity")
+        return self._node(node_id).intensity
 
     def set_intensity(self, node_id: int, intensity: float, source: str) -> None:
         """Assign/overwrite a node intensity, recording its provenance."""
-        self.graph.update_node(node_id, {
-            "intensity": validate_quantitative(intensity),
-            "intensity_source": source,
-        })
+        node = self._node(node_id)
+        node.intensity = validate_quantitative(intensity)
+        node.source = source
 
     def intensity_source(self, node_id: int) -> Optional[str]:
         """Return the provenance of the node's intensity (user/computed/default)."""
-        return self.graph.get_node(node_id).get("intensity_source")
+        return self._node(node_id).source
 
     # ------------------------------------------------------------------
     # Edge management
@@ -128,8 +164,14 @@ class HypreGraph:
     def _add_qualitative_edge(self, left_id: int, right_id: int,
                               rel_type: str, intensity: float) -> Edge:
         """Insert a qualitative edge carrying its intensity."""
-        return self.graph.add_edge(left_id, right_id, rel_type,
-                                   {"intensity": intensity})
+        left, right = self._node(left_id), self._node(right_id)
+        edge = Edge(left_id, right_id, rel_type, intensity)
+        self._edges.append(edge)
+        left.out_edges.append(edge)
+        if rel_type == PREFERS and left_id != right_id:
+            left.prefers_degree += 1
+            right.prefers_degree += 1
+        return edge
 
     def add_prefers_edge(self, left_id: int, right_id: int, intensity: float) -> Edge:
         """Insert a valid qualitative preference edge (``PREFERS``)."""
@@ -145,69 +187,81 @@ class HypreGraph:
 
     def prefers_degree(self, node_id: int) -> int:
         """Degree of a node counting only ``PREFERS`` edges (no self loops)."""
-        return self.graph.degree(node_id, rel_types=(PREFERS,))
+        return self._node(node_id).prefers_degree
 
     def creates_cycle(self, left_id: int, right_id: int) -> bool:
-        """``True`` when adding ``left -> right`` would close a PREFERS cycle."""
-        return self.graph.path_exists(right_id, left_id, rel_types=(PREFERS,))
+        """``True`` when adding ``left -> right`` would close a PREFERS cycle.
+
+        That is the case precisely when a ``PREFERS`` path ``right -> left``
+        already exists; a node always has the trivial path to itself.
+        """
+        self._node(left_id)
+        self._node(right_id)
+        if left_id == right_id:
+            return True
+        seen = {right_id}
+        frontier = deque([right_id])
+        while frontier:
+            for edge in self._nodes[frontier.popleft()].out_edges:
+                if edge.rel_type != PREFERS:
+                    continue
+                if edge.target == left_id:
+                    return True
+                if edge.target not in seen:
+                    seen.add(edge.target)
+                    frontier.append(edge.target)
+        return False
 
     # ------------------------------------------------------------------
     # Per-user views
     # ------------------------------------------------------------------
 
     def user_node_ids(self, uid: int) -> List[int]:
-        """All preference node ids stored for ``uid`` (indexed lookup)."""
-        nodes = self.graph.find_by_index(UID_INDEX_LABEL, "uid", uid)
-        return [node.node_id for node in nodes]
-
-    def user_nodes(self, uid: int) -> List[Node]:
-        """All preference nodes stored for ``uid``."""
-        return self.graph.find_by_index(UID_INDEX_LABEL, "uid", uid)
+        """All preference node ids stored for ``uid``, in insertion order."""
+        return list(self._uid_index.get(uid, ()))
 
     def user_ids(self) -> List[int]:
         """All user ids present in the graph."""
-        return sorted({node.get("uid") for node in self.graph.nodes()
-                       if node.has_label(UID_INDEX_LABEL)})
+        return sorted(self._uid_index)
 
     def quantitative_preferences(self, uid: int,
-                                 include_negative: bool = True,
-                                 ordered: bool = True) -> List[Tuple[str, float]]:
+                                 include_negative: bool = True) -> List[Tuple[str, float]]:
         """Return ``(predicate, intensity)`` pairs for every node with a score.
 
         This is the CYPHER query of Section 4.3 (*all preferences for one user
         ordered descending by intensity*); negative preferences can be
         excluded since enhanced queries never add them as soft constraints.
+        Equal intensities keep insertion order (every ranking depends on it).
         """
-        query = (NodeQuery(self.graph)
-                 .with_label(UID_INDEX_LABEL)
-                 .where("uid", "=", uid))
-        if not include_negative:
-            query = query.where("intensity", ">", 0.0)
-        if ordered:
-            query = query.order_by("intensity", descending=True)
-        rows = query.returning("predicate", "intensity").run()
-        return [(row["predicate"], row["intensity"]) for row in rows
-                if row["intensity"] is not None]
+        nodes = (self._nodes[node_id] for node_id in self._uid_index.get(uid, ()))
+        rows = [(node.predicate, node.intensity) for node in nodes
+                if node.intensity is not None
+                and (include_negative or node.intensity > 0.0)]
+        rows.sort(key=lambda row: row[1], reverse=True)
+        return rows
 
     def qualitative_edges(self, uid: int,
                           rel_types: Tuple[str, ...] = (PREFERS,)) -> List[Edge]:
-        """All qualitative edges between this user's nodes (default: valid ones)."""
-        node_ids = set(self.user_node_ids(uid))
-        edges: List[Edge] = []
-        for node_id in node_ids:
-            for edge in self.graph.out_edges(node_id, rel_types):
-                if edge.target in node_ids and not edge.is_self_loop():
-                    edges.append(edge)
-        return edges
+        """All qualitative edges between this user's nodes (default: valid ones).
+
+        Specified order: by source node id, then in the order the edges were
+        inserted.  Self loops are left out.
+        """
+        return [edge
+                for node_id in self._uid_index.get(uid, ())
+                for edge in self._nodes[node_id].out_edges
+                if edge.rel_type in rel_types
+                and not edge.is_self_loop()
+                and self._nodes[edge.target].uid == uid]
 
     def user_subgraph_stats(self, uid: int) -> Dict[str, int]:
         """Node/edge counts for one user's profile subgraph."""
-        node_ids = set(self.user_node_ids(uid))
+        node_ids = self._uid_index.get(uid, ())
         with_intensity = sum(
             1 for node_id in node_ids
-            if self.graph.get_node(node_id).get("intensity") is not None)
+            if self._nodes[node_id].intensity is not None)
         counts = {"nodes": len(node_ids), "nodes_with_intensity": with_intensity}
-        for rel_type in (PREFERS, CYCLE, DISCARD):
+        for rel_type in HYPRE_EDGE_TYPES:
             counts[f"edges[{rel_type}]"] = len(self.qualitative_edges(uid, (rel_type,)))
         return counts
 
@@ -216,11 +270,15 @@ class HypreGraph:
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Graph-wide statistics (delegates to the property graph)."""
-        return self.graph.stats()
+        """Graph-wide node and edge counts, with one entry per edge type in use."""
+        summary = {"nodes": len(self._nodes), "edges": len(self._edges)}
+        for rel_type, count in sorted(Counter(
+                edge.rel_type for edge in self._edges).items()):
+            summary[f"edges[{rel_type}]"] = count
+        return summary
 
     def __len__(self) -> int:
-        return self.graph.node_count()
+        return len(self._nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"HypreGraph(nodes={self.graph.node_count()}, edges={self.graph.edge_count()})"
+        return f"HypreGraph(nodes={len(self._nodes)}, edges={len(self._edges)})"

@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from :class:`ReproError`, so callers
 can install a single ``except ReproError`` guard around library calls.  More
-specific subclasses exist per subsystem (graph store, relational substrate,
-preference model, algorithms) so tests and applications can assert on the
+specific subclasses exist per subsystem (relational substrate, preference
+model, algorithms, serving) so tests and applications can assert on the
 precise failure mode.
 """
 
@@ -12,47 +12,6 @@ from __future__ import annotations
 
 class ReproError(Exception):
     """Base class for all errors raised by the HYPRE reproduction library."""
-
-
-# ---------------------------------------------------------------------------
-# Graph store (property graph engine)
-# ---------------------------------------------------------------------------
-
-
-class GraphStoreError(ReproError):
-    """Base class for property-graph engine errors."""
-
-
-class NodeNotFoundError(GraphStoreError):
-    """A node id was requested that does not exist in the graph."""
-
-    def __init__(self, node_id: int) -> None:
-        super().__init__(f"node {node_id!r} does not exist")
-        self.node_id = node_id
-
-
-class EdgeNotFoundError(GraphStoreError):
-    """An edge id was requested that does not exist in the graph."""
-
-    def __init__(self, edge_id: int) -> None:
-        super().__init__(f"edge {edge_id!r} does not exist")
-        self.edge_id = edge_id
-
-
-class DuplicateIndexError(GraphStoreError):
-    """An index with the same (label, property) pair already exists."""
-
-
-class IndexNotFoundError(GraphStoreError):
-    """An index lookup was attempted on a (label, property) pair without an index."""
-
-
-class GraphQueryError(GraphStoreError):
-    """A declarative graph query was malformed or referenced unknown fields."""
-
-
-class GraphPersistenceError(GraphStoreError):
-    """Saving or loading a property graph to/from disk failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +60,16 @@ class PredicateParseError(PredicateError):
     """A textual SQL predicate could not be parsed."""
 
 
-class IncompatiblePredicateError(PredicateError):
-    """Two predicates cannot be conjoined (e.g. two different venue equalities)."""
-
-
 class ProfileError(PreferenceError):
     """A user profile operation failed (unknown user, empty profile, ...)."""
 
 
-class ConflictError(PreferenceError):
-    """A preference insertion produced an unresolvable conflict."""
+class NodeNotFoundError(PreferenceError):
+    """A node id was requested that does not exist in the preference graph."""
 
-
-class CycleConflictError(ConflictError):
-    """Inserting a qualitative preference would create a cycle (conflicting behaviour)."""
-
-
-class IncompatibleIntensityError(ConflictError):
-    """Left/right node intensities contradict the direction of a qualitative edge."""
+    def __init__(self, node_id: int) -> None:
+        super().__init__(f"node {node_id!r} does not exist")
+        self.node_id = node_id
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from ..algorithms.counting import (
 from ..algorithms.fagin import ThresholdAlgorithm, build_grade_lists
 from ..algorithms.partial import PartiallyCombineAllAlgorithm
 from ..algorithms.peps import PEPSAlgorithm
-from ..core.hypre import HypreGraphBuilder, default_value_table
+from ..core.hypre import HypreGraph, HypreGraphBuilder, default_value_table
 from ..core.intensity import f_and, f_dominant, f_or
 from ..core.metrics import CoverageReport, overlap, similarity
 from ..core.predicate import ensure_predicate
 from ..core.preference import UserProfile
-from ..graphstore import PropertyGraph
 from ..index import IncrementalPairIndex
 from ..sqldb.query_builder import matching_paper_ids
 from .context import ExperimentContext
@@ -75,24 +74,22 @@ def fig13_node_insertion(total_nodes: int = 200_000,
                          batch_size: int = 20_000) -> List[Tuple[int, float]]:
     """Figure 13 — node insertion time per batch (scaled down from 7 billion).
 
-    Returns ``(cumulative nodes, seconds for this batch)`` pairs; the expected
-    shape is a slowly growing, near-flat curve because insertion cost per
-    batch is roughly constant.
+    Each batch is one user's Step-1 insertion through
+    :meth:`HypreGraph.add_quantitative_batch`.  Returns ``(cumulative nodes,
+    seconds for this batch)`` pairs, the node counts read back through the
+    per-user lookup; the expected shape is a slowly growing, near-flat curve
+    because insertion cost per batch is roughly constant.
     """
-    graph = PropertyGraph()
-    graph.create_index("uidIndex", "uid")
+    hypre = HypreGraph()
     series: List[Tuple[int, float]] = []
     inserted = 0
-    batch_number = 0
-    while inserted < total_nodes:
-        count = min(batch_size, total_nodes - inserted)
-        payload = [{"uid": batch_number, "predicate": f"p{i}", "intensity": 0.5}
-                   for i in range(count)]
+    for uid, first in enumerate(range(0, total_nodes, batch_size)):
+        entries = [(f"p = {i}", 0.5)
+                   for i in range(min(batch_size, total_nodes - first))]
         start = time.perf_counter()
-        graph.add_nodes_batch(payload, labels=("uidIndex",))
+        hypre.add_quantitative_batch(uid, entries)
         elapsed = time.perf_counter() - start
-        inserted += count
-        batch_number += 1
+        inserted += len(hypre.user_node_ids(uid))
         series.append((inserted, elapsed))
     return series
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.hypre import (
+    CYCLE,
+    DISCARD,
+    PREFERS,
     HypreGraph,
     HypreGraphBuilder,
     build_hypre_graph,
@@ -20,7 +25,8 @@ from repro.core.preference import (
     QuantitativePreference,
     UserProfile,
 )
-from repro.graphstore import CYCLE, DISCARD, PREFERS
+from repro.experiments.context import SCALES
+from repro.workload import PreferenceExtractor, generate_dblp
 
 
 def make_builder() -> HypreGraphBuilder:
@@ -241,3 +247,38 @@ class TestConflictHelpers:
         as_dict = report.as_dict()
         assert as_dict["quantitative_nodes"] == len(dblp_profile.quantitative)
         assert as_dict["qualitative_seconds"] >= 0.0
+
+
+#: sha256 over every mined user's graph — node ids, predicates, intensities
+#: and their provenance in served order, every typed edge, the build report's
+#: counters and ``stats()`` — captured on the commit before ``HypreGraph``
+#: took over its own nodes and edges from the general graph engine.  It moves
+#: only when a node id, an intensity, a tie-break or an edge verdict moves.
+PARENT_GRAPH_DIGESTS = {
+    "tiny": "0bfe0b15173ca7ba826167bef9a06cb5c45be611ece74265357f4dd8de83e7e3",
+    "default": "24949ebc1f375350fd1a49b2c9e842554a08082b1e3f79bd197e88d709c3a5b7",
+}
+
+
+@pytest.mark.parametrize("scale", sorted(PARENT_GRAPH_DIGESTS))
+def test_mined_graph_matches_the_parent_digest(scale):
+    builder = HypreGraphBuilder()
+    report = builder.build_registry(
+        PreferenceExtractor(generate_dblp(SCALES[scale])).extract_all())
+    hypre = builder.hypre
+    digest = hashlib.sha256()
+    for uid in hypre.user_ids():
+        for predicate, intensity in hypre.quantitative_preferences(
+                uid, include_negative=True):
+            node_id = hypre.find_node_id(uid, predicate)
+            digest.update(f"{uid}|n|{node_id}|{predicate}|{intensity!r}|"
+                          f"{hypre.intensity_source(node_id)}\n".encode())
+        for rel_type in (PREFERS, CYCLE, DISCARD):
+            for row in sorted((edge.source, edge.target, edge.get("intensity"))
+                              for edge in hypre.qualitative_edges(uid, (rel_type,))):
+                digest.update(f"{uid}|e|{rel_type}|{row!r}\n".encode())
+    digest.update(repr(sorted(
+        (name, value) for name, value in report.as_dict().items()
+        if not name.endswith("_seconds"))).encode())
+    digest.update(repr(sorted(hypre.stats().items())).encode())
+    assert digest.hexdigest() == PARENT_GRAPH_DIGESTS[scale]

@@ -10,13 +10,17 @@ from repro.core.hypre.defaults import (
     DefaultValueStrategy,
     default_value_table,
 )
+from repro.core.hypre import HypreGraphBuilder
 from repro.core.hypre.graph import (
+    CYCLE,
+    DISCARD,
+    PREFERS,
     SOURCE_COMPUTED,
     SOURCE_USER,
-    UID_INDEX_LABEL,
     HypreGraph,
 )
-from repro.graphstore import CYCLE, DISCARD, PREFERS, PropertyGraph
+from repro.core.preference import UserProfile
+from repro.exceptions import IntensityRangeError, NodeNotFoundError
 
 
 class TestHypreGraphNodes:
@@ -55,14 +59,57 @@ class TestHypreGraphNodes:
         assert hypre.user_node_ids(3) == sorted(ids)
 
     def test_uid_index_exists(self):
+        """The per-user lookup answers for users it has never seen, too."""
         hypre = HypreGraph()
-        assert hypre.graph.has_index(UID_INDEX_LABEL, "uid")
+        assert hypre.user_node_ids(7) == []
+        node_id, _ = hypre.create_or_return_node(7, "venue = 'A'")
+        assert hypre.user_node_ids(7) == [node_id]
+        hypre.user_node_ids(7).append(99)
+        assert hypre.user_node_ids(7) == [node_id]
 
-    def test_wrapping_existing_graph_rebuilds_lookup(self):
+    def test_builder_over_existing_graph_reuses_its_nodes(self):
         hypre = HypreGraph()
-        hypre.create_or_return_node(1, "venue = 'A'", 0.4)
-        rewrapped = HypreGraph(hypre.graph)
-        assert rewrapped.find_node_id(1, "venue = 'A'") is not None
+        node_id, _ = hypre.create_or_return_node(1, "venue = 'A'", 0.4)
+        profile = UserProfile(uid=1)
+        profile.add_quantitative("venue = 'A'", 0.8)
+        report = HypreGraphBuilder(hypre).build_profile(profile)
+        assert report.quantitative_merged == 1 and len(hypre) == 1
+        assert hypre.intensity_of(node_id) == pytest.approx(0.6)
+
+    def test_unknown_node_id_is_refused_everywhere(self):
+        hypre = HypreGraph()
+        known, _ = hypre.create_or_return_node(1, "a = 1", 0.5)
+        for unknown in (1, -1, 99, "0", None):
+            for call in (
+                lambda: hypre.intensity_of(unknown),
+                lambda: hypre.intensity_source(unknown),
+                lambda: hypre.set_intensity(unknown, 0.1, SOURCE_USER),
+                lambda: hypre.prefers_degree(unknown),
+                lambda: hypre.creates_cycle(known, unknown),
+                lambda: hypre.creates_cycle(unknown, known),
+                lambda: hypre.add_prefers_edge(known, unknown, 0.1),
+                lambda: hypre.add_prefers_edge(unknown, known, 0.1),
+                lambda: hypre.add_cycle_edge(unknown, known, 0.1),
+                lambda: hypre.add_discard_edge(known, unknown, 0.1),
+            ):
+                with pytest.raises(NodeNotFoundError) as caught:
+                    call()
+                assert caught.value.node_id == unknown
+                assert str(caught.value) == f"node {unknown!r} does not exist"
+        assert hypre.stats() == {"nodes": 1, "edges": 0}
+        assert hypre.prefers_degree(known) == 0
+
+    def test_out_of_range_intensity_is_refused_on_every_door(self):
+        hypre = HypreGraph()
+        with pytest.raises(IntensityRangeError):
+            hypre.create_or_return_node(1, "a = 1", 1.5)
+        with pytest.raises(IntensityRangeError):
+            hypre.add_quantitative_batch(1, [("a = 2", 0.5), ("a = 3", -1.5)])
+        assert len(hypre) == 0 and hypre.user_ids() == []
+        node_id, _ = hypre.create_or_return_node(1, "a = 1", 0.5)
+        with pytest.raises(IntensityRangeError):
+            hypre.set_intensity(node_id, 2.0, SOURCE_USER)
+        assert hypre.intensity_of(node_id) == 0.5
 
 
 class TestHypreGraphEdges:
@@ -96,6 +143,50 @@ class TestHypreGraphEdges:
         assert hypre.creates_cycle(c, a)
         assert not hypre.creates_cycle(a, c)
 
+    def test_creates_cycle_ignores_conflict_edges_and_is_reflexive(self):
+        hypre = HypreGraph()
+        a, _ = hypre.create_or_return_node(1, "a = 1", 0.5)
+        b, _ = hypre.create_or_return_node(1, "a = 2", 0.3)
+        hypre.add_cycle_edge(a, b, 0.1)
+        hypre.add_discard_edge(a, b, 0.1)
+        assert not hypre.creates_cycle(b, a)
+        assert hypre.creates_cycle(a, a)
+
+    def test_self_loop_does_not_count_toward_prefers_degree(self):
+        hypre = HypreGraph()
+        a, _ = hypre.create_or_return_node(1, "a = 1", 0.5)
+        b, _ = hypre.create_or_return_node(1, "a = 2", 0.3)
+        hypre.add_prefers_edge(a, a, 0.1)
+        assert hypre.prefers_degree(a) == 0
+        assert hypre.qualitative_edges(1, (PREFERS,)) == []
+        assert hypre.stats()[f"edges[{PREFERS}]"] == 1
+        hypre.add_prefers_edge(b, a, 0.1)
+        hypre.add_prefers_edge(a, b, 0.1)
+        assert hypre.prefers_degree(a) == 2 and hypre.prefers_degree(b) == 2
+
+    def test_qualitative_edges_come_back_in_insertion_order(self):
+        """By source node id, then by edge id — never hash-table order.
+
+        The user's node ids are 7..10 on purpose: a ``set`` of them iterates
+        8, 9, 10, 7.
+        """
+        hypre = HypreGraph()
+        hypre.add_quantitative_batch(2, [(f"b = {i}", 0.1) for i in range(7)])
+        n = hypre.add_quantitative_batch(
+            1, [(f"a = {i}", 0.9 - i / 10) for i in range(4)])
+        assert n == [7, 8, 9, 10]
+        for left, right in [(n[1], n[3]), (n[0], n[3]), (n[0], n[1]),
+                            (n[1], n[2]), (n[0], n[2])]:
+            hypre.add_prefers_edge(left, right, 0.1)
+        hypre.add_cycle_edge(n[0], n[0], 0.1)
+        hypre.add_cycle_edge(n[3], n[0], 0.1)
+        edges = hypre.qualitative_edges(1)
+        assert [(edge.source, edge.target) for edge in edges] == [
+            (n[0], n[3]), (n[0], n[1]), (n[0], n[2]), (n[1], n[3]), (n[1], n[2])]
+        both = hypre.qualitative_edges(1, (PREFERS, CYCLE))
+        assert [edge.rel_type for edge in both] == [PREFERS] * 5 + [CYCLE]
+        assert both[-1].get("intensity") == 0.1 and not both[-1].is_self_loop()
+
 
 class TestUserViews:
     @pytest.fixture()
@@ -117,6 +208,31 @@ class TestUserViews:
         assert all(intensity > 0 for _, intensity in pairs)
         assert len(pairs) == 2
 
+    def test_equal_intensities_keep_insertion_order(self):
+        hypre = HypreGraph()
+        hypre.add_quantitative_batch(1, [("a = 3", 0.5), ("a = 1", 0.7),
+                                         ("a = 2", 0.5)])
+        hypre.create_or_return_node(1, "a = 0", 0.5)
+        hypre.create_or_return_node(1, "a = 9")
+        assert hypre.quantitative_preferences(1) == [
+            ("a = 1", 0.7), ("a = 3", 0.5), ("a = 2", 0.5), ("a = 0", 0.5)]
+
+    def test_users_sharing_a_graph_never_see_each_other(self, populated):
+        own = populated.find_node_id(2, "venue = 'INFOCOM'")
+        other = populated.find_node_id(9, "venue = 'VLDB'")
+        twin, created = populated.create_or_return_node(9, "venue = 'INFOCOM'", 0.1)
+        assert created and twin != own
+        populated.add_prefers_edge(other, twin, 0.2)
+        populated.add_prefers_edge(own, other, 0.2)  # crosses users
+        assert own in populated.user_node_ids(2)
+        assert not set(populated.user_node_ids(2)) & set(populated.user_node_ids(9))
+        assert populated.qualitative_edges(2) == []
+        assert [(edge.source, edge.target)
+                for edge in populated.qualitative_edges(9)] == [(other, twin)]
+        assert all(predicate != "venue = 'VLDB'"
+                   for predicate, _ in populated.quantitative_preferences(2))
+        assert populated.user_subgraph_stats(2)["nodes"] == 3
+
     def test_user_ids(self, populated):
         assert populated.user_ids() == [2, 9]
 
@@ -130,7 +246,8 @@ class TestUserViews:
         left = populated.find_node_id(2, "venue = 'INFOCOM'")
         right = populated.find_node_id(2, "venue = 'PODS'")
         populated.add_prefers_edge(left, right, 0.1)
-        assert populated.stats()[f"edges[{PREFERS}]"] == 1
+        assert populated.stats() == {"nodes": 4, "edges": 1,
+                                     f"edges[{PREFERS}]": 1}
 
 
 class TestDefaultValueStrategies:

@@ -16,7 +16,7 @@ from repro.algorithms.base import make_preferences
 from repro.core.hypre import build_hypre_graph
 from repro.core.intensity import combine_and, f_and
 from repro.core.predicate import parse_predicate
-from repro.graphstore import CYCLE, DISCARD, PREFERS
+from repro.core.hypre import CYCLE, DISCARD, PREFERS
 from repro.sqldb.enhancer import mixed_clause
 
 

@@ -33,7 +33,7 @@ from repro.core.predicate import (
 )
 from repro.core.preference import UserProfile
 from repro.core.hypre import HypreGraphBuilder
-from repro.graphstore import PREFERS
+from repro.core.hypre import PREFERS
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
@@ -208,12 +208,10 @@ def test_builder_prefers_edges_never_violate_order(pairs):
         return
     builder = HypreGraphBuilder()
     builder.build_profile(profile)
-    graph = builder.hypre.graph
-    for edge in graph.edges():
-        if edge.rel_type != PREFERS or edge.is_self_loop():
-            continue
-        left_value = graph.get_node(edge.source).get("intensity")
-        right_value = graph.get_node(edge.target).get("intensity")
+    hypre = builder.hypre
+    for edge in hypre.qualitative_edges(1, (PREFERS,)):
+        left_value = hypre.intensity_of(edge.source)
+        right_value = hypre.intensity_of(edge.target)
         assert left_value is not None and right_value is not None
         assert left_value >= right_value - 1e-9
 
@@ -235,9 +233,19 @@ def test_builder_prefers_subgraph_is_acyclic(pairs):
         return
     builder = HypreGraphBuilder()
     builder.build_profile(profile)
-    graph = builder.hypre.graph
-    # topological_order raises ValueError when a PREFERS cycle exists.
-    graph.topological_order(rel_types=(PREFERS,))
+    edges = builder.hypre.qualitative_edges(1, (PREFERS,))
+    successors = {}
+    for edge in edges:
+        successors.setdefault(edge.source, set()).add(edge.target)
+    # For every PREFERS edge u -> v there is no PREFERS path v -> u.
+    for edge in edges:
+        reached, frontier = {edge.target}, [edge.target]
+        while frontier:
+            for nxt in successors.get(frontier.pop(), ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
+        assert edge.source not in reached, edge
 
 
 # -- the op generator's liveness rules -------------------------------------------

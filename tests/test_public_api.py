@@ -42,12 +42,41 @@ class TestPackageSurface:
             assert not hasattr(repro.HypreGraph, name)
         assert not hasattr(PEPSAlgorithm, "for_graph_user")
 
+    def test_graph_engine_is_gone_and_hypre_signatures_are_pinned(self):
+        """One graph layer: ``HypreGraph`` owns its nodes and edges, no options."""
+        import importlib
+        import inspect
+
+        import repro.core as core
+        import repro.core.hypre as hypre
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.graphstore")
+        for module in (repro, core, hypre):
+            assert "PropertyGraph" not in module.__all__, module.__name__
+            assert not hasattr(module, "PropertyGraph"), module.__name__
+        assert not hasattr(repro.HypreGraph(), "graph")
+
+        builder = repro.HypreGraphBuilder
+        pinned = {
+            repro.HypreGraph: [],
+            builder.build_profile: ["self", "profile"],
+            builder.build_registry: ["self", "registry"],
+            builder.add_all_quantitative: ["self", "uid", "preferences"],
+            repro.HypreGraph.quantitative_preferences: [
+                "self", "uid", "include_negative"],
+        }
+        for target, names in pinned.items():
+            assert list(inspect.signature(target).parameters) == names, target
+        assert inspect.signature(
+            repro.HypreGraph.quantitative_preferences
+        ).parameters["include_negative"].default is True
+
     def test_subpackage_all_names_resolve(self):
         import repro.algorithms as algorithms
         import repro.backend as backend
         import repro.core as core
         import repro.extensions as extensions
-        import repro.graphstore as graphstore
         import repro.index as index
         import repro.loadgen as loadgen
         import repro.serving as serving
@@ -55,8 +84,8 @@ class TestPackageSurface:
         import repro.telemetry as telemetry
         import repro.workload as workload
 
-        for module in (algorithms, backend, core, extensions, graphstore,
-                       index, loadgen, serving, sqldb, telemetry, workload):
+        for module in (algorithms, backend, core, extensions, index, loadgen,
+                       serving, sqldb, telemetry, workload):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name} missing"
 
@@ -67,7 +96,6 @@ class TestPackageSurface:
         import repro.core as core
         import repro.core.hypre as hypre
         import repro.extensions as extensions
-        import repro.graphstore as graphstore
         import repro.index as index
         import repro.loadgen as loadgen
         import repro.serving as serving
@@ -76,8 +104,7 @@ class TestPackageSurface:
         import repro.workload as workload
 
         for module in (repro, algorithms, backend, core, hypre, extensions,
-                       graphstore, index, loadgen, serving, sqldb, telemetry,
-                       workload):
+                       index, loadgen, serving, sqldb, telemetry, workload):
             for name in module.__all__:
                 assert name in module.__doc__, (
                     f"{name} undocumented in {module.__name__}")
