@@ -10,7 +10,8 @@ the three work counters :class:`~repro.algorithms.peps.PEPSAlgorithm`
 records per call.  Then, with the 40 sessions resident, it inserts, rewrites
 in place and deletes one 2-author paper: latency per kind, plus what the
 sweep did — ``predicate_row_tests`` (the relevance evaluations its one
-:class:`~repro.index.RowMatch` made) and ``index_entries_dropped``.
+:class:`~repro.index.RowMatch` made) and ``index_entries_dropped`` (counts and
+id lists dropped from the shared stores; sessions hold none).
 
 The gate is on the counters, not the clock.  A cold read folds every
 preference's id list once, so ``memberships_folded`` (= Σ|ids|, pinned to
@@ -20,7 +21,10 @@ one score per covered tuple, and a combination scan that stops after a
 bounded number of records.  Their ratio must not grow with the relation, at
 any machine speed.  The counters must also be equal on both engines: they
 count answers, not storage work — and so must the two mutation counters,
-which depend on the resident predicates and the mutation rows alone.
+which depend on the resident predicates and the mutation rows alone: a sweep
+evaluates each distinct predicate text it is asked about once per row, and
+it is only ever asked about a resident preference or one of its conjuncts —
+never about a pair, however many pairs the sessions hold.
 
 The 40 users are a systematic sample of the *typical* mined profiles (at
 most 64 preferences, the same cut the end-to-end benchmark's ``typical``
@@ -40,7 +44,8 @@ from statistics import mean, median
 
 import pytest
 
-from repro import PreferenceExtractor, TopKServer, create_backend, generate_dblp
+from repro import (CountCache, PreferenceExtractor, TopKServer, create_backend,
+                   generate_dblp)
 from repro.experiments import reporting
 from repro.telemetry import Telemetry
 from repro.workload import load_dataset, load_profiles
@@ -60,6 +65,11 @@ RATIO_SLACK = 2.0
 MUTATIONS = ("insert", "update", "delete")
 #: The sweep's two machine-independent counters, per mutation kind.
 MUTATION_COUNTERS = ("predicate_row_tests", "index_entries_dropped")
+#: Every machine-independent field of a row: equal on both engines here, and
+#: equal to the committed ``BENCH_scale.json``'s in CI's ``scale-benchmark`` job.
+WORK_COUNTERS = ("tuples_scored", "memberships_folded", "combinations_scanned",
+                 *(f"{kind}_{counter}" for kind in MUTATIONS
+                   for counter in MUTATION_COUNTERS))
 
 
 def _config(papers: int) -> DblpConfig:
@@ -98,12 +108,22 @@ def _mutate(server: TopKServer, dataset) -> dict:
                    rewritten.year + 1)]),
         "delete": lambda: server.delete_tuples([deleted.pid]),
     }
+    # Every text a sweep can be asked about: a resident preference (the
+    # result cache asks) or one of its conjuncts (the stores and sessions do).
+    preferences = [pref for uid in server.sessions.resident_uids()
+                   for pref in server.sessions.peek(uid).index.preferences]
+    resident_texts = {pref.sql for pref in preferences}.union(
+        *(CountCache.key(pref.predicate) for pref in preferences))
     measured = {}
     for kind in MUTATIONS:
         started = time.perf_counter()
         report = doors[kind]()
         measured[f"{kind}_ms"] = (time.perf_counter() - started) * 1e3
         sweep = telemetry.traces.snapshot()[-1].find("server.on_data_mutation")
+        distinct = sweep.annotation("distinct_predicates")
+        assert 0 < distinct <= len(resident_texts)
+        assert (sweep.annotation("predicate_row_tests")
+                == distinct * sweep.annotation("rows"))
         measured[f"{kind}_predicate_row_tests"] = sweep.annotation(
             "predicate_row_tests")
         measured[f"{kind}_index_entries_dropped"] = report.index_entries_dropped
@@ -195,12 +215,9 @@ def _publish(rows) -> None:
 
     by_backend = {backend: [row for row in rows if row["backend"] == backend]
                   for backend in BACKENDS}
-    counters = ("tuples_scored", "memberships_folded", "combinations_scanned",
-                *(f"{kind}_{counter}" for kind in MUTATIONS
-                  for counter in MUTATION_COUNTERS))
     for sqlite_row, memory_row in zip(*by_backend.values()):
-        assert ([sqlite_row[counter] for counter in counters]
-                == [memory_row[counter] for counter in counters]), (
+        assert ([sqlite_row[counter] for counter in WORK_COUNTERS]
+                == [memory_row[counter] for counter in WORK_COUNTERS]), (
             "the engines disagree on the work a cold read or a sweep does")
     for curve in by_backend.values():
         smallest = curve[0]

@@ -56,8 +56,8 @@ Algorithms and Top-K
 
 Index subsystem (:mod:`repro.index`)
     :class:`CountCache` — shared, batched, invalidation-aware count store.
-    :class:`IncrementalPairIndex` — the pairwise index; re-counts only what
-    a data mutation invalidated.
+    :class:`IncrementalPairIndex` — the pairwise index, a view over the
+    store's pair counts; stale only when a data mutation may change one.
 
 Serving engine (:mod:`repro.serving`)
     :class:`TopKServer` — thread-safe multi-user Top-K front door with an

@@ -133,7 +133,7 @@ class PreferenceQueryRunner:
         self.db = db
         self._owns_cache = count_cache is None
         self.count_cache = count_cache if count_cache is not None else CountCache(db)
-        self._ids_cache: Dict[str, Tuple[int, ...]] = {}
+        self._ids_cache: Dict[FrozenSet[str], Tuple[int, ...]] = {}
         self.queries_executed = 0
 
     def count(self, predicate: PredicateExpr) -> int:
@@ -157,7 +157,7 @@ class PreferenceQueryRunner:
 
     def ids(self, predicate: PredicateExpr) -> Tuple[int, ...]:
         """Distinct paper ids matching ``predicate`` (cached)."""
-        key = predicate.to_sql()
+        key = CountCache.key(predicate)
         if key not in self._ids_cache:
             self._ids_cache[key] = tuple(self.db.matching_paper_ids(predicate))
             self.queries_executed += 1
@@ -172,13 +172,12 @@ class PreferenceQueryRunner:
 
         Drops the memoised id lists *and* the shared count-cache entries
         whose predicate may match one of the mutation rows (pre ∪ post
-        image) — a key is stale iff its mask in ``match``, the sweep's shared
-        :class:`~repro.index.selectivity.RowMatch`, is non-zero (see
-        :meth:`CountCache.invalidate_matching`); everything provably
-        unaffected stays cached.  Returns the number of entries dropped
-        across both caches.
+        image).  Both stores key an entry by its conjuncts
+        (:meth:`CountCache.key`) and a key is stale iff ``match.shared(key)``
+        is non-zero; everything provably unaffected stays cached.  Returns
+        the number of entries dropped across both caches.
         """
-        stale_ids = ([key for key in self._ids_cache if match.mask(key)]
+        stale_ids = ([key for key in self._ids_cache if match.shared(key)]
                      if match.rows else ())
         for key in stale_ids:
             del self._ids_cache[key]

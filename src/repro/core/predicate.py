@@ -587,12 +587,13 @@ def _parse_predicate_cached(text: str) -> PredicateExpr:
     """Memoised parser body (see :func:`parse_predicate`).
 
     Caching is sound because expression trees are immutable (frozen
-    dataclasses holding tuples), so every caller may share one instance —
-    and it is load-bearing for the serving hot path: the selective
-    invalidation sweep re-derives predicates from their canonical SQL cache
-    keys on *every* data mutation, which without the memo dominated the
-    replay profile.  Parse errors are not cached (``lru_cache`` re-raises by
-    re-running), so failure behaviour is unchanged.
+    dataclasses holding tuples), so every caller may share one instance.
+    What still leans on it: a data-mutation sweep parses each distinct
+    *conjunct* text of the count and id-list keys once per mutation
+    (:class:`~repro.index.selectivity.RowMatch` — never a whole conjunction),
+    and a session rebuild parses the user's persisted preference texts.
+    Parse errors are not cached (``lru_cache`` re-raises by re-running), so
+    failure behaviour is unchanged.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -604,8 +605,8 @@ def parse_predicate(text: str) -> PredicateExpr:
     """Parse a textual SQL predicate into an expression tree.
 
     Repeated parses of the same text return one shared immutable tree (the
-    serving layer's invalidation sweeps parse canonical cache keys over and
-    over).
+    serving layer's invalidation sweeps parse the same conjunct texts on
+    every mutation).
 
     Examples
     --------

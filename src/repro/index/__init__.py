@@ -10,11 +10,12 @@ Public API
 ----------
 :class:`CountCache`
     Memoizing, invalidation-aware predicate-count store shared by all
-    combination algorithms; batches cache misses into compound statements.
+    combination algorithms, keyed by a predicate's conjuncts; batches cache
+    misses into compound statements.
 :class:`IncrementalPairIndex`
-    The pair index of one fixed preference list: batched counts, an
-    emptiness pre-filter, and a refresh that re-counts only the pairs a data
-    mutation invalidated.
+    The pair index of one fixed preference list, a positional view that
+    stores no count: one batched request per refresh, stale only when a
+    data mutation's row may match two of its preferences.
 :class:`PairCombination`
     One ``<first, second, intensity, tuple count>`` row of a pair index.
 :class:`RowMatch`

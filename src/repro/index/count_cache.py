@@ -5,8 +5,10 @@ baseline) keeps asking the same question — *how many distinct papers match
 this predicate?* — and the pairwise combination index asks it O(n²) times per
 build.  :class:`CountCache` centralises the answers:
 
-* counts are memoised by canonical predicate SQL, so any number of algorithm
-  instances sharing one cache never repeat a count query;
+* counts are memoised by the predicate's *conjuncts* (:meth:`CountCache.key`),
+  so any number of algorithm instances sharing one cache never repeat a count
+  query, whatever order each lists a conjunction's members in — this is the
+  one place a pair count lives;
 * :meth:`CountCache.count_many` resolves a whole batch of predicates with one
   backend round-trip per ~200 misses (a compound ``UNION ALL`` statement on
   the SQLite backend, one logical batch op on the memory backend) instead of
@@ -14,8 +16,8 @@ build.  :class:`CountCache` centralises the answers:
 * the cache is invalidation-aware: :meth:`invalidate_matching` /
   :meth:`clear` drop entries when the underlying relation changes (the
   preference *graph* changing never invalidates counts — counts depend only
-  on predicates and data, which is what makes the incremental pair index
-  correct).
+  on predicates and data, which is what lets a rebuilt pair index reuse
+  them).
 
 Statistics (``hits``, ``misses``, ``statements``) are tracked so tests and
 benchmarks can assert the batching and reuse actually happen.
@@ -43,10 +45,10 @@ Two mechanisms keep the released-lock window sound:
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
 from ..backend.protocol import StorageBackend
-from ..core.predicate import PredicateExpr, ensure_predicate
+from ..core.predicate import And, PredicateExpr, ensure_predicate
 from ..sqldb.query_builder import BATCH_COUNT_CHUNK
 from ..telemetry import span
 from .selectivity import RowMatch
@@ -63,10 +65,9 @@ class CountCache:
     interchangeable underneath every algorithm sharing this store.
     """
 
-    def __init__(self, db: StorageBackend, chunk_size: int = BATCH_COUNT_CHUNK) -> None:
+    def __init__(self, db: StorageBackend) -> None:
         self.db = db
-        self.chunk_size = max(1, chunk_size)
-        self._counts: Dict[str, int] = {}
+        self._counts: Dict[FrozenSet[str], int] = {}
         # Guards the memo dict, the statistics, the epoch and the in-flight
         # set; backend round-trips run with it released (module docstring).
         self._lock = threading.RLock()
@@ -86,9 +87,14 @@ class CountCache:
     # -- lookups ----------------------------------------------------------------
 
     @staticmethod
-    def key(predicate: PredicateLike) -> str:
-        """Canonical cache key: the predicate's SQL rendering."""
-        return ensure_predicate(predicate).to_sql()
+    def key(predicate: PredicateLike) -> FrozenSet[str]:
+        """Canonical cache key: the SQL texts of the predicate's conjuncts —
+        a conjunction's members, in no order; anything else is its own only
+        conjunct."""
+        predicate = ensure_predicate(predicate)
+        if isinstance(predicate, And):
+            return frozenset(child.to_sql() for child in predicate.children)
+        return frozenset((predicate.to_sql(),))
 
     def peek(self, predicate: PredicateLike) -> Optional[int]:
         """The cached count, or ``None`` — never executes a query."""
@@ -139,10 +145,10 @@ class CountCache:
         """Counts for ``predicates`` in order, batching every miss.
 
         Cached entries are served from memory; the remaining predicates are
-        resolved with one compound statement per :attr:`chunk_size` misses.
+        resolved with one compound statement per ``BATCH_COUNT_CHUNK`` misses.
         """
         keys = [self.key(predicate) for predicate in predicates]
-        resolved: Dict[str, int] = {}
+        resolved: Dict[FrozenSet[str], int] = {}
         with self._cond:
             missing: List[int] = []
             pending = set()
@@ -177,7 +183,7 @@ class CountCache:
                 for position in missing:
                     self._inflight.add(keys[position])
                 self.misses += len(missing)
-                self.statements += (len(missing) + self.chunk_size - 1) // self.chunk_size
+                self.statements += (len(missing) + BATCH_COUNT_CHUNK - 1) // BATCH_COUNT_CHUNK
                 epoch = self._epoch
         if missing:
             to_count = [ensure_predicate(predicates[position]) for position in missing]
@@ -186,8 +192,7 @@ class CountCache:
                 # Backend round-trip with the lock released (module docstring).
                 with span("count_cache.backend_query", self.db) as trace:
                     trace.annotate("predicates", len(to_count))
-                    values = self.db.count_many(to_count,
-                                                chunk_size=self.chunk_size)
+                    values = self.db.count_many(to_count)
                 done = True
             finally:
                 with self._cond:
@@ -202,34 +207,25 @@ class CountCache:
                     self._cond.notify_all()
         return [resolved[key] for key in keys]
 
-    def is_applicable(self, predicate: PredicateLike) -> bool:
-        """Definition 15 — the predicate matches at least one tuple."""
-        return self.count(predicate) > 0
-
-    # -- priming / invalidation ---------------------------------------------------
-
-    def seed(self, predicate: PredicateLike, count: int) -> None:
-        """Prime the cache with an externally known count."""
-        with self._lock:
-            self._counts[self.key(predicate)] = int(count)
+    # -- invalidation ---------------------------------------------------------------
 
     def invalidate_matching(self, match: RowMatch) -> int:
         """Drop every cached count whose predicate may match a mutation row.
 
         The selective hook for data mutations (the serving layer calls it
         from the :class:`~repro.sqldb.events.DataMutation` sweep): a count
-        can only have changed if its predicate can be satisfied by one of
-        the mutation rows (pre ∪ post image) — everything else stays cached.
+        can only have changed if one of the mutation rows (pre ∪ post image)
+        may match every conjunct of its key — everything else stays cached.
         ``match`` is the sweep's shared
-        :class:`~repro.index.selectivity.RowMatch`; a key is stale iff its
-        mask is non-zero, and a mutation that carries no rows visits no key.
-        Returns the number of entries dropped.
+        :class:`~repro.index.selectivity.RowMatch`, never handed a whole
+        conjunction to parse again; a mutation that carries no rows visits
+        no key.  Returns the number of entries dropped.
         """
         with self._lock:
             self._epoch += 1
             if not match.rows:
                 return 0
-            stale = [key for key in self._counts if match.mask(key)]
+            stale = [key for key in self._counts if match.shared(key)]
             for key in stale:
                 del self._counts[key]
             return len(stale)

@@ -2,46 +2,37 @@
 
 PEPS (paper Section 5.5) relies on a pre-computed index of all AND-compatible
 preference *pairs* — their combined intensity and tuple count.
-:class:`IncrementalPairIndex` is that table for one fixed preference list:
+:class:`IncrementalPairIndex` is that table for one fixed preference list — a
+positional *view*: it stores no count of its own.
 
-* Counts go through one *batched* request
-  (:meth:`CountCache.count_many`-style) instead of one query per pair, and a
-  pre-filter (syntactic incompatibility, or a side the cache already
-  :func:`~repro.index.selectivity.known_empty`) records provably-empty pairs
-  without touching the database at all.
-* It is incremental under **data mutations**: pair counts are kept by
-  predicate SQL, :meth:`~IncrementalPairIndex.invalidate_matching` drops only
-  the pairs a mutation's rows may have changed, and the next
-  :meth:`~IncrementalPairIndex.refresh` re-counts exactly those.
+* Every pair count lives in the shared
+  :class:`~repro.index.count_cache.CountCache` behind ``counter``, keyed by
+  the pair's conjuncts, so two users holding the same two predicates share
+  one count.  :meth:`~IncrementalPairIndex.refresh` asks for every
+  AND-compatible pair in one batched ``count_many``; syntactically
+  incompatible pairs are recorded empty without touching the database.
+* It is incremental under **data mutations**:
+  :meth:`~IncrementalPairIndex.invalidate_matching` marks the view stale only
+  when one mutation row may match two of its preferences, and the next
+  refresh re-reads the counts — those the cache's own sweep spared are hits,
+  so only the dropped ones reach the backend.
 
 The preference list never changes.  A profile update is *persist, drop,
 rebuild*: the serving layer drops the user's session and the next read builds
-a new index over the rebuilt graph's list — through the shared
-:class:`CountCache`, so only pairs the cache has not seen are counted again.
+a new index over the rebuilt graph's list — through the same shared cache, so
+only pairs the cache has not seen are counted again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.intensity import combine_and
-from ..core.predicate import PredicateExpr, are_and_compatible, conjunction
+from ..core.predicate import are_and_compatible, conjunction
 from .count_cache import CountCache
-from .selectivity import RowMatch, known_empty
-
-
-def _backing_cache(counter) -> Optional[CountCache]:
-    """The :class:`CountCache` behind ``counter`` (itself, or its attribute).
-
-    ``counter`` is the only storage coupling the pair index has: every
-    count flows through it into whichever
-    :class:`~repro.backend.protocol.StorageBackend` the cache/runner wraps,
-    so the index is backend-agnostic by construction.
-    """
-    if isinstance(counter, CountCache):
-        return counter
-    return getattr(counter, "count_cache", None)
+from .selectivity import RowMatch
 
 
 @dataclass(frozen=True)
@@ -58,9 +49,6 @@ class PairCombination:
         return self.tuple_count > 0
 
 
-PairKey = FrozenSet[str]
-
-
 def preference_sort_key(preference) -> Tuple[float, str]:
     """THE canonical preference ordering key: descending intensity, SQL tie-break.
 
@@ -72,57 +60,43 @@ def preference_sort_key(preference) -> Tuple[float, str]:
     return (-preference.intensity, preference.sql)
 
 
-def _count_many(counter, predicates: Sequence[PredicateExpr]) -> List[int]:
-    """Batch-count through ``counter``, falling back to per-predicate calls."""
-    if not predicates:
-        return []
-    count_many = getattr(counter, "count_many", None)
-    if count_many is not None:
-        return list(count_many(predicates))
-    return [counter.count(predicate) for predicate in predicates]
-
-
 class IncrementalPairIndex:
     """The pair table of one fixed preference list, incremental under data
     mutations.
 
-    ``counter`` is any object offering ``count(predicate) -> int`` and,
-    optionally, ``count_many(predicates) -> List[int]`` — both
-    :class:`~repro.algorithms.base.PreferenceQueryRunner` and
-    :class:`~repro.index.count_cache.CountCache` qualify.  ``preferences``
-    (anything with ``predicate`` / ``intensity`` / ``sql``, e.g.
+    ``counter`` is a :class:`~repro.algorithms.base.PreferenceQueryRunner` or
+    a :class:`~repro.index.count_cache.CountCache` — every count flows through
+    its ``count_many`` into whichever
+    :class:`~repro.backend.protocol.StorageBackend` it wraps, so the index is
+    backend-agnostic by construction.  ``preferences`` (anything with
+    ``predicate`` / ``intensity`` / ``sql``, e.g.
     :class:`~repro.algorithms.base.ScoredPreference`) are held in the
     canonical :func:`preference_sort_key` order.
 
-    The index keeps a *persistent* count table keyed by the unordered pair of
-    predicate SQL texts.  The positional table is a derived view rebuilt (no
-    queries) on :meth:`refresh`; only pairs whose count is missing — every
-    pair at construction, afterwards the ones :meth:`invalidate_matching` or
-    :meth:`invalidate_counts` dropped — are counted, in one batched
-    round-trip.
-
-    Besides the table itself two positional views are kept, both derived
-    from it by :meth:`_set_pairs`: the applicable pairs grouped by their
-    lower index (already in serving order) and, per index, the bitmask of
-    its applicable partners.  PEPS's expansion reads only these, so ordering
-    the combinations never scans the O(n²) table.
+    :meth:`refresh` builds the table and two positional views of it: the
+    applicable pairs grouped by their lower index (already in serving order)
+    and, per index, the bitmask of its applicable partners.  PEPS's expansion
+    reads only these, so ordering the combinations never scans the O(n²)
+    table.
 
     Reads (``pair`` / ``is_applicable`` / ...) always serve the *last
     refreshed snapshot*: an invalidation only marks the index :attr:`stale`,
-    and the dropped counts are folded back in by an explicit :meth:`refresh`.
+    and the changed counts are folded back in by an explicit :meth:`refresh`.
     """
 
     def __init__(self, counter, preferences: Sequence) -> None:
         self.counter = counter
         self.preferences = sorted(preferences, key=preference_sort_key)
-        self._counts: Dict[PairKey, int] = {}
+        #: Each preference's conjuncts — what the sweep's staleness rule reads.
+        self._conjuncts = [CountCache.key(pref.predicate)
+                           for pref in self.preferences]
         self._stale = True
-        #: Statistics: cumulative pair predicates counted / pre-filtered,
-        #: number of refreshes, and the count volume of the last refresh.
+        #: Statistics: pair conjunctions asked of the counter, pairs recorded
+        #: empty as incompatible, refreshes, pairs a sweep had to compare.
         self.pairs_counted = 0
         self.pairs_prefiltered = 0
         self.refreshes = 0
-        self.last_refresh_pair_counts = 0
+        self.pairs_visited = 0
         self.refresh()
 
     # -- reads -------------------------------------------------------------------
@@ -155,123 +129,69 @@ class IncrementalPairIndex:
 
     @property
     def stale(self) -> bool:
-        """``True`` when counts were dropped since the last refresh."""
+        """``True`` when a mutation may have changed a count since the last
+        refresh."""
         return self._stale
 
     # -- relation-update invalidation ---------------------------------------------
 
-    def invalidate_counts(self) -> None:
-        """Drop every persistent pair count and mark the index stale.
-
-        For a change to the relation that arrived without a
-        :class:`~repro.sqldb.events.DataMutation` to judge it by.  Pair with
-        :meth:`CountCache.clear` on the shared cache.
-        """
-        self._counts.clear()
-        self._stale = True
-
     def invalidate_matching(self, match: RowMatch) -> int:
-        """Drop pair counts whose conjunction may match a mutation row.
+        """Mark the index stale if a mutation row may match two preferences.
 
         The per-session half of a data-mutation sweep (see
-        :meth:`CountCache.invalidate_matching`): a pair count is stale only
-        if **all** its predicates can be satisfied by the same mutation row
-        (pre ∪ post image) — i.e. their masks in the sweep's shared
-        :class:`~repro.index.selectivity.RowMatch` intersect.  A one-member
-        key (both preferences render the same SQL) is its own mask; a
-        mutation that carries no rows visits no pair.  Returns the number of
-        pairs dropped and marks the index stale so the next refresh
-        re-counts them.
+        :meth:`CountCache.invalidate_matching`): a pair count can only have
+        changed if the same mutation row (pre ∪ post image) may match both
+        preferences — their masks in the sweep's shared
+        :class:`~repro.index.selectivity.RowMatch` intersect.  One mask
+        lookup per preference; only preferences some row may match are paired
+        up, so a session the mutation cannot touch visits no pair.  Returns
+        the number of pairs whose masks intersect.
         """
         if not match.rows:
             return 0
-        stale_keys = []
-        for key in self._counts:
-            shared = -1
-            for sql in key:
-                shared &= match.mask(sql)
-            if shared:
-                stale_keys.append(key)
-        for key in stale_keys:
-            del self._counts[key]
-        if stale_keys:
+        touched = [mask for mask in map(match.shared, self._conjuncts) if mask]
+        self.pairs_visited += len(touched) * (len(touched) - 1) // 2
+        stale_pairs = sum(1 for first, second in combinations(touched, 2)
+                          if first & second)
+        if stale_pairs:
             self._stale = True
-        return len(stale_keys)
+        return stale_pairs
 
     # -- maintenance ---------------------------------------------------------------
 
     def refresh(self) -> "IncrementalPairIndex":
         """Bring the positional pair table up to date with the relation.
 
-        Counts are issued only for pairs whose key is missing from the
-        persistent count table (batched into one round-trip); everything
-        else — ordering, intensities, applicability — is recomputed from
-        memory.
+        One pass decides AND-compatibility once per pair and asks the counter
+        for every compatible pair in one batch — a count the shared cache
+        still holds is a hit, so only pairs it has not seen, or a sweep
+        dropped, reach the backend.
         """
         if not self._stale:
             return self
-        self._rebuild_rows(self._recount_missing_pairs())
-        self._stale = False
-        self.refreshes += 1
-        return self
-
-    def _recount_missing_pairs(self) -> Dict[PairKey, bool]:
-        """Count every pair missing from the persistent table, in one batch.
-
-        Returns the AND-compatibility verdict of each pair it had to look
-        at, so :meth:`_rebuild_rows` decides no pair a second time.
-        """
         preferences = self.preferences
-        keys = [pref.sql for pref in preferences]
-        cache = _backing_cache(self.counter)
-        empty = [known_empty(cache, pref.predicate) for pref in preferences]
-        compatible: Dict[PairKey, bool] = {}
-        pending_keys: List[PairKey] = []
-        predicates: List[PredicateExpr] = []
-        for i, first in enumerate(preferences):
-            for j in range(i + 1, len(preferences)):
-                key = frozenset((keys[i], keys[j]))
-                if key in self._counts or key in compatible:
-                    continue
-                second = preferences[j]
-                verdict = compatible[key] = are_and_compatible(
-                    first.predicate, second.predicate)
-                if not verdict or empty[i] or empty[j]:
-                    self.pairs_prefiltered += 1
-                    self._counts[key] = 0
-                    continue
-                pending_keys.append(key)
-                predicates.append(conjunction([first.predicate, second.predicate]))
-        counts = _count_many(self.counter, predicates)
-        self.pairs_counted += len(predicates)
-        self.last_refresh_pair_counts = len(predicates)
-        for key, count in zip(pending_keys, counts):
-            self._counts[key] = count
-        return compatible
-
-    def _rebuild_rows(self, compatible: Dict[PairKey, bool]) -> None:
-        preferences = self.preferences
-        keys = [pref.sql for pref in preferences]
+        size = len(preferences)
         pairs: Dict[Tuple[int, int], PairCombination] = {}
+        counted: List[Tuple[int, int]] = []
+        predicates = []
         for i, first in enumerate(preferences):
-            for j in range(i + 1, len(preferences)):
+            for j in range(i + 1, size):
                 second = preferences[j]
-                key = frozenset((keys[i], keys[j]))
-                verdict = compatible.get(key)
-                if verdict is None:
-                    verdict = are_and_compatible(first.predicate, second.predicate)
-                intensity = (combine_and([first.intensity, second.intensity])
-                             if verdict else 0.0)
-                pairs[(i, j)] = PairCombination(i, j, intensity, self._counts[key])
-        self._set_pairs(pairs)
-
-    def _set_pairs(self, pairs: Dict[Tuple[int, int], PairCombination]) -> None:
-        """Install a freshly built table and derive the positional views."""
-        size = len(self.preferences)
+                if are_and_compatible(first.predicate, second.predicate):
+                    counted.append((i, j))
+                    predicates.append(
+                        conjunction([first.predicate, second.predicate]))
+                else:
+                    pairs[(i, j)] = PairCombination(i, j, 0.0, 0)
+        self.pairs_prefiltered += len(pairs)
+        self.pairs_counted += len(counted)
         grouped: List[List[PairCombination]] = [[] for _ in range(size)]
         partners = [0] * size
-        for (i, j), pair in pairs.items():
-            if pair.tuple_count > 0:
+        for (i, j), count in zip(counted, self.counter.count_many(predicates)):
+            pair = pairs[(i, j)] = PairCombination(
+                i, j, combine_and([preferences[i].intensity,
+                                   preferences[j].intensity]), count)
+            if count > 0:
                 grouped[i].append(pair)
                 partners[i] |= 1 << j
                 partners[j] |= 1 << i
@@ -281,3 +201,6 @@ class IncrementalPairIndex:
         self._pairs = pairs
         self._pairs_from = grouped
         self._partners = partners
+        self._stale = False
+        self.refreshes += 1
+        return self

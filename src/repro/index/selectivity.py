@@ -1,8 +1,8 @@
-"""The row-relevance test behind data-update invalidation, plus ``known_empty``.
+"""The row-relevance test behind data-update invalidation.
 
 A change to the *relation* is the one event the preference graph cannot
-signal, so every cache that depends on the data — predicate counts, id
-lists, per-session pair counts, materialised Top-K answers — asks one sound
+signal, so everything that depends on the data — predicate counts, id
+lists, each session's pair table, materialised Top-K answers — asks one sound
 question about each mutation: *can this tuple image satisfy this predicate?*
 
 * :func:`exact_match_row` is the three-valued verdict (``None`` when the
@@ -12,18 +12,14 @@ question about each mutation: *can this tuple image satisfy this predicate?*
   only judge invalidation consults, and only :class:`RowMatch` consults it.
 * :class:`RowMatch` is one mutation's rows, each distinct predicate tested
   against them at most once.  ``TopKServer._sweep`` builds one per mutation
-  and every consumer reads its verdicts as a row bitmask — a count or id
-  list is stale iff its mask is non-zero, a pair iff its members' masks
-  intersect, a cached answer iff any of its predicates' masks is non-zero.
-
-:func:`known_empty` is the pair indexes' one cached-knowledge shortcut: a
-predicate whose count is already cached as zero empties every conjunction
-it joins, so such a pair is recorded without a query.
+  and every consumer reads its verdicts as row bitmasks.  A count, an id
+  list and a pair of preferences are all conjunctions, and one rule —
+  :meth:`RowMatch.shared`, *some row may match every conjunct* — judges all
+  three; a cached answer is stale iff any of its predicates' masks is
+  non-zero.
 
 Nothing in this module touches a storage engine — predicates are evaluated
-over event-carried rows and at most an in-memory
-:class:`~repro.index.count_cache.CountCache` is peeked — which is why the
-same relevance test serves every
+over event-carried rows — which is why the same relevance test serves every
 :class:`~repro.backend.protocol.StorageBackend` unchanged.
 """
 
@@ -36,16 +32,6 @@ from ..core.predicate import (
     attribute_names_match,
     ensure_predicate,
 )
-
-
-def known_empty(count_cache: Optional[object], predicate: PredicateExpr) -> bool:
-    """``True`` when ``count_cache`` already holds a zero count for ``predicate``.
-
-    One peek, no query: the pair indexes ask this once per *preference* and
-    reuse the answer for every pair the preference joins.  ``count_cache``
-    is ``None`` for a counter that is not backed by a cache.
-    """
-    return count_cache is not None and count_cache.peek(predicate) == 0
 
 
 def _row_has_attribute(row: Mapping[str, Any], attribute: str) -> bool:
@@ -97,10 +83,11 @@ class RowMatch:
     """One mutation's rows, each distinct predicate judged at most once.
 
     ``rows`` are a :class:`~repro.sqldb.events.DataMutation`'s
-    ``invalidation_rows()`` (pre ∪ post image).  :meth:`mask` is the whole
-    interface: every invalidation consumer of one sweep shares this object,
-    so a predicate many users hold is evaluated once per mutation, not once
-    per cache entry that mentions it.
+    ``invalidation_rows()`` (pre ∪ post image).  :meth:`mask` judges one
+    predicate, :meth:`shared` a conjunction by its conjuncts' masks; every
+    invalidation consumer of one sweep shares this object, so a predicate
+    many users hold is evaluated once per mutation, not once per cache entry
+    that mentions it.
     """
 
     def __init__(self, rows: Iterable[Mapping[str, Any]]) -> None:
@@ -132,3 +119,17 @@ class RowMatch:
             self._masks[key] = mask
             self.predicate_row_tests += len(self.rows)
         return mask
+
+    def shared(self, conjuncts: Iterable[Union[str, PredicateExpr]]) -> int:
+        """Row bitmask of the rows that may match *every* conjunct.
+
+        The one staleness rule of a sweep: a count or id list keyed by its
+        conjuncts, and a pair of preferences, can only have changed if this
+        is non-zero.  Never looser than judging the conjunction whole — a
+        conjunct that is definitely false on a row clears its bit even when
+        another conjunct's attribute is absent from that row.
+        """
+        shared = (1 << len(self.rows)) - 1
+        for conjunct in conjuncts:
+            shared &= self.mask(conjunct)
+        return shared

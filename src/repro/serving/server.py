@@ -172,6 +172,7 @@ class DataMutationReport:
     joined_rows: int
     results_invalidated: int
     results_spared: int
+    #: Counts and id lists dropped from the shared stores (sessions hold none).
     index_entries_dropped: int
     sql_statements: int
     seconds: float

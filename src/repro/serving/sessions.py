@@ -39,7 +39,7 @@ from ..core.hypre.builder import HypreGraphBuilder
 from ..core.preference import UserProfile
 from ..exceptions import ServingError
 from ..index import CountCache, IncrementalPairIndex, RowMatch
-from ..telemetry import span
+from ..telemetry import annotate, span
 
 ProfileLoader = Callable[[int], Optional[UserProfile]]
 
@@ -72,8 +72,8 @@ class UserSession:
         """The session's PEPS instance, rebuilt only when the index is stale.
 
         A PEPS instance captures the pair table positionally, so it is
-        replaced whenever a data mutation dropped pair counts; between
-        mutations the same instance serves every request.
+        replaced whenever a data mutation may have changed a pair count;
+        between mutations the same instance serves every request.
         """
         if self._peps is None or self.index.stale:
             self._peps = PEPSAlgorithm(
@@ -213,18 +213,24 @@ class SessionRegistry:
     # -- data-update fan-out ------------------------------------------------------
 
     def invalidate_matching(self, match: RowMatch) -> int:
-        """Propagate a data mutation to every resident session's pair index.
+        """Propagate a data mutation to the shared stores and every resident
+        session's pair index.
 
         The shared runner (count cache + id lists) is invalidated once, then
-        each resident session drops the pair counts the mutation rows (pre ∪
-        post image) may affect — all through the one ``match`` the sweep
-        built, so a predicate many sessions share is judged once.  Returns
-        the total number of cache entries dropped.
+        each resident session's index marks itself stale if the mutation rows
+        (pre ∪ post image) may have changed one of its pairs — all through the
+        one ``match`` the sweep built, so a predicate many sessions share is
+        judged once.  Returns the number of entries dropped from the shared
+        stores (sessions hold none); the span carries the sessions' share.
         """
         with self._lock:
             dropped = self.runner.invalidate_matching(match)
-            for session in self._sessions.values():
-                dropped += session.index.invalidate_matching(match)
+            indexes = [session.index for session in self._sessions.values()]
+            visited = sum(index.pairs_visited for index in indexes)
+            annotate("sessions_stale", sum(
+                index.invalidate_matching(match) > 0 for index in indexes))
+            annotate("pairs_visited",
+                     sum(index.pairs_visited for index in indexes) - visited)
             return dropped
 
     # -- introspection ------------------------------------------------------------

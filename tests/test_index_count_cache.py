@@ -87,14 +87,24 @@ class TestCountCache:
         # Duplicate occurrences are hits: hits + misses == lookups.
         assert cache.hits == 2
 
-    def test_seed_and_peek(self, tiny_db):
+    def test_peek_never_queries(self, tiny_db):
         cache = CountCache(tiny_db)
         predicate = parse_predicate("dblp.venue = 'NOWHERE'")
         assert cache.peek(predicate) is None
-        cache.seed(predicate, 0)
-        assert cache.peek(predicate) == 0
+        assert (cache.hits, cache.misses) == (0, 0)
         assert cache.count(predicate) == 0
-        assert cache.misses == 0
+        assert cache.peek(predicate) == 0
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_a_conjunction_is_keyed_by_its_members_in_no_order(self, tiny_db):
+        cache = CountCache(tiny_db)
+        forward = "dblp.year >= 2005 AND dblp.venue = 'VLDB'"
+        backward = "dblp.venue = 'VLDB' AND dblp.year >= 2005"
+        assert CountCache.key(forward) == CountCache.key(backward) == {
+            "dblp.year >= 2005", "dblp.venue = 'VLDB'"}
+        assert CountCache.key("dblp.venue = 'VLDB'") == {"dblp.venue = 'VLDB'"}
+        assert cache.count(forward) == cache.count(backward)
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
 
     def test_clear_resets_statistics(self, tiny_db):
         cache = CountCache(tiny_db)
@@ -127,6 +137,18 @@ class TestInvalidateMatching:
         row = {"pid": 902, "venue": "VLDB", "year": 2003}  # no aid column
         assert cache.invalidate_matching(RowMatch([row])) == 1
         assert cache.peek(author) is None
+
+    def test_a_definitely_false_conjunct_spares_the_conjunction(self, tiny_db):
+        """Conjunct by conjunct is never looser than the conjunction whole:
+        with ``aid`` absent the whole is unknown, yet no ICDE count can have
+        changed for a VLDB row."""
+        cache = CountCache(tiny_db)
+        icde = parse_predicate("dblp.venue = 'ICDE' AND dblp_author.aid = 5")
+        vldb = parse_predicate("dblp.venue = 'VLDB' AND dblp_author.aid = 5")
+        cache.count_many([icde, vldb])
+        row = {"pid": 902, "venue": "VLDB", "year": 2003}  # no aid column
+        assert cache.invalidate_matching(RowMatch([row])) == 1
+        assert cache.peek(icde) is not None and cache.peek(vldb) is None
 
 
 class TestConcurrentAccess:

@@ -8,9 +8,12 @@ The contract under test (see ``docs/ARCHITECTURE.md``):
   the pairs the cache has not seen — the pairs a new predicate joins;
 * a merged duplicate or a recomputed intensity re-issues no count (counts
   depend only on predicates and data);
-* a data mutation drops exactly the pair counts it may have changed; reads
-  serve the last refreshed snapshot until ``refresh`` re-counts them, and the
-  refreshed table equals a freshly built one.
+* the index stores no count: a pair count lives once, in the shared cache,
+  keyed by the pair's conjuncts whatever order a user ranks them in;
+* a data mutation marks the index stale exactly when one of its rows may
+  match two of the preferences; reads serve the last refreshed snapshot until
+  ``refresh`` re-reads the counts — only the ones the cache's sweep dropped
+  reach the backend — and the refreshed table equals a freshly built one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.peps import PEPSAlgorithm
 from repro.core.hypre import HypreGraphBuilder
-from repro.core.predicate import parse_predicate
+from repro.core.predicate import conjunction
 from repro.core.preference import QuantitativePreference, QualitativePreference
 from repro.index import CountCache, IncrementalPairIndex, RowMatch
 from repro.sqldb.database import Database
@@ -122,8 +125,8 @@ class TestIncrementalRefresh:
         builder = build_graph(POOL[:5])
         cache, _ = index_over(tiny_db, builder)
         misses_before = cache.misses
-        # (0.9 + 0.7) / 2 keeps VLDB on top: same order, same conjunctions
-        # (the cache keys a pair by its conjunction in list order).
+        # (0.9 + 0.7) / 2 keeps VLDB on top; the order would not matter
+        # anyway — the cache keys a pair by its members, in no order.
         builder.add_quantitative(QuantitativePreference(UID, POOL[0][0], 0.7))
         _, warm = index_over(tiny_db, builder, cache)
         assert cache.misses == misses_before
@@ -137,9 +140,8 @@ class TestIncrementalRefresh:
         misses_before = cache.misses
         # A qualitative preference between two existing nodes whose current
         # intensities contradict the edge direction forces a recompute: VLDB
-        # drops from 0.9 to ~0.77, below SIGMOD but still above the year
-        # ranges.  The cache keys a pair by its conjunction in list order, so
-        # "no counts" holds because no *compatible* pair changed its order.
+        # drops from 0.9 to ~0.77, below SIGMOD.  The cache keys a pair by
+        # its members, so a changed order re-issues no count.
         report = builder.add_qualitative(
             QualitativePreference(UID, POOL[1][0], POOL[0][0], 0.05))
         assert report.intensities_recomputed == 1
@@ -176,15 +178,56 @@ class TestIncrementalRefresh:
         assert index.pair(0, 1).tuple_count == before.tuple_count + 1
 
 
-class TestRelationUpdateInvalidation:
-    def test_invalidate_counts_forces_full_recount(self, tiny_db):
-        _, index = index_over(tiny_db, build_graph(POOL[:4]))
-        counted = index.pairs_counted
-        index.invalidate_counts()
-        assert index.stale
+class TestOneStore:
+    """Every pair count lives once, in the shared cache."""
+
+    def test_swapped_intensities_share_one_count(self, tiny_db):
+        """Two users ranking the same two predicates in opposite order cost
+        one backend count and one entry (two of each when the key was the
+        conjunction's text in list order)."""
+        cache = CountCache(tiny_db)
+        vldb, recent = POOL[0][0], POOL[2][0]
+        first = IncrementalPairIndex(
+            cache, make_preferences([(vldb, 0.9), (recent, 0.7)]))
+        second = IncrementalPairIndex(
+            cache, make_preferences([(vldb, 0.7), (recent, 0.9)]))
+        assert [pref.sql for pref in first.preferences] == [
+            pref.sql for pref in reversed(second.preferences)]
+        assert (cache.misses, len(cache)) == (1, 1)
+        assert first.pair(0, 1).tuple_count == second.pair(0, 1).tuple_count > 0
+
+    def test_refresh_recounts_exactly_what_the_sweep_dropped(self, own_db):
+        cache, index = index_over(own_db, build_graph(POOL))
+        pair_keys = {CountCache.key(conjunction([first.predicate,
+                                                 second.predicate]))
+                     for first in index.preferences
+                     for second in index.preferences if first is not second}
+        held = set(cache._counts)
+        assert held <= pair_keys  # the index asked for nothing else
+        match = append_vldb_2011(own_db)
+        dropped = cache.invalidate_matching(match)
+        assert 0 < dropped == len(held - set(cache._counts)) < len(held)
+        assert index.invalidate_matching(match) > 0 and index.stale
+        misses_before = cache.misses
         index.refresh()
+        assert cache.misses - misses_before == dropped
+        assert pair_table(index) == pair_table(index_over(own_db,
+                                                          build_graph(POOL))[1])
+
+
+class TestRelationUpdateInvalidation:
+    def test_cleared_cache_recounts_everything(self, tiny_db):
+        """Forgetting everything — a change to the relation that arrived
+        without a mutation to judge it by — is ``CountCache.clear()`` and new
+        indexes."""
+        cache, index = index_over(tiny_db, build_graph(POOL[:4]))
+        counted = cache.misses
+        assert counted == index.pairs_counted > 0
+        cache.clear()
+        _, again = index_over(tiny_db, build_graph(POOL[:4]), cache)
         # Every compatible pair was re-counted from scratch.
-        assert index.pairs_counted == 2 * counted
+        assert cache.misses == counted
+        assert pair_table(again) == pair_table(index)
 
     def test_relation_update_reflected_after_invalidation(self, tiny_dataset):
         """End to end: new rows land in dblp -> invalidate -> counts change."""
@@ -200,9 +243,10 @@ class TestRelationUpdateInvalidation:
                        "VALUES (99001, 'new paper', 'VLDB', 2011)")
             db.execute("INSERT INTO dblp_author (pid, aid) VALUES (99001, 1)")
             db.commit()
+            assert not index.stale  # nobody told it: the snapshot stands
+            assert index.pair(0, 1).tuple_count == stale_count
             cache.clear()
-            index.invalidate_counts()
-            index.refresh()
+            _, index = index_over(db, build_graph([POOL[0], POOL[2]]), cache)
             assert index.pair(0, 1).tuple_count == stale_count + 1
 
 
@@ -236,26 +280,17 @@ class TestPepsIntegration:
 
 
 class TestSelectivity:
-    def test_counter_as_cache_enables_cached_zero_prefilter(self, tiny_db):
-        """Regression: a bare CountCache counter must back the pre-filter."""
-        cache = CountCache(tiny_db)
-        cache.count(parse_predicate("dblp.venue = 'NO_SUCH_VENUE'"))  # 0
-        preferences = make_preferences([
-            ("dblp.venue = 'NO_SUCH_VENUE'", 0.9),
-            ("dblp.year >= 2005", 0.7),
-        ])
-        index = IncrementalPairIndex(cache, preferences)
-        assert index.pairs_prefiltered == 1
-        assert index.pairs_counted == 0
-
     def test_prefilter_never_changes_results(self, tiny_db):
-        preferences = make_preferences(POOL)
-        cache = CountCache(tiny_db)
-        filtered = IncrementalPairIndex(cache, preferences)
-        # A fresh cache holds no zero counts: no cached-zero sharpening.
-        unfiltered = IncrementalPairIndex(CountCache(tiny_db), preferences)
-        assert pair_table(filtered) == pair_table(unfiltered)
-        assert filtered.pairs_prefiltered > 0
+        """A pair recorded empty without a query (syntactically
+        incompatible) is one the database counts as empty too."""
+        index = IncrementalPairIndex(CountCache(tiny_db), make_preferences(POOL))
+        prefs = index.preferences
+        assert 0 < index.pairs_prefiltered < len(index)
+        assert index.pairs_prefiltered + index.pairs_counted == len(index)
+        for i in range(len(prefs)):
+            for j in range(i + 1, len(prefs)):
+                assert index.pair(i, j).tuple_count == tiny_db.count_matching(
+                    conjunction([prefs[i].predicate, prefs[j].predicate]))
 
 
 # -- property: invalidate_matching + refresh == a freshly built index ---------

@@ -364,13 +364,14 @@ def count_calls(monkeypatch, owner, name):
 
 def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):
     """Per refresh over n preferences: at most n key renders (none once the
-    preferences have rendered theirs), n cache peeks and one compatibility
-    verdict per pair — first refresh (every pair is missing), after a data
-    mutation (some are) and after ``invalidate_counts`` (all are) alike."""
+    preferences have rendered theirs), one compatibility verdict per pair,
+    no cache peek and one ``count_many`` — first refresh (the cache has seen
+    no pair) and after a data mutation (it lost some) alike."""
     renders = count_calls(monkeypatch, ScoredPreference.__dict__["sql"], "func")
     peeks = count_calls(monkeypatch, CountCache, "peek")
     verdicts = count_calls(monkeypatch, pair_index_module, "are_and_compatible")
-    tallies = (renders, peeks, verdicts)
+    batches = count_calls(monkeypatch, CountCache, "count_many")
+    tallies = (renders, peeks, verdicts, batches)
 
     def spent():
         totals = tuple(len(tally) for tally in tallies)
@@ -382,23 +383,21 @@ def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):
     try:
         runner = PreferenceQueryRunner(db)
         index = IncrementalPairIndex(runner, make_preferences(PROFILE[:10]))
-        assert spent() == (10, 10, 45)
+        assert spent() == (10, 0, 45, 1)
+        assert index.pairs_counted + index.pairs_prefiltered == 45
 
         db.append_papers([Paper(pid=9001, title="t", venue="VLDB", year=2012)],
                          [(9001, 1)])
         match = RowMatch(db.joined_rows([9001]))
-        runner.invalidate_matching(match)
+        dropped = runner.invalidate_matching(match)
         assert 0 < index.invalidate_matching(match) < 45
+        misses_before = runner.count_cache.misses
         index.refresh()
-        assert 0 < index.last_refresh_pair_counts < 45
-        assert spent() == (0, 10, 45)
+        assert 0 < runner.count_cache.misses - misses_before <= dropped
+        assert spent() == (0, 0, 45, 1)
 
         index.refresh()                     # not stale: no work at all
-        assert spent() == (0, 0, 0)
-
-        index.invalidate_counts()
-        index.refresh()
-        assert spent() == (0, 10, 45)
+        assert spent() == (0, 0, 0, 0)
     finally:
         db.close()
 

@@ -32,6 +32,7 @@ from repro.core.predicate import (
     parse_predicate,
 )
 from repro.core.preference import UserProfile
+from repro.index import CountCache, RowMatch, exact_match_row, may_match_row
 from repro.core.hypre import HypreGraphBuilder
 from repro.core.hypre import PREFERS
 from repro.serving import (
@@ -186,6 +187,43 @@ def test_conjunction_evaluation_matches_all(parts):
     expr = conjunction(parts)
     row = {"dblp.venue": "VLDB", "dblp.year": 2010, "dblp_author.aid": 5, "price": 100}
     assert expr.evaluate(row) == all(part.evaluate(row) for part in parts)
+
+
+# -- the one staleness rule ------------------------------------------------------
+
+#: The tiny schema's joined view, small enough that conjuncts often match.
+ROW_VALUES = {"venue": ["VLDB", "SIGMOD", "ICDE"], "year": [1999, 2005, 2011],
+              "aid": [1, 2, 3]}
+row_conjuncts = st.builds(
+    Condition,
+    st.sampled_from(["dblp.venue", "venue", "dblp.year", "dblp_author.aid"]),
+    st.sampled_from(["=", "!=", "<", ">="]),
+    st.sampled_from(["VLDB", "ICDE", 2, 2005]))
+joined_rows = st.fixed_dictionaries(
+    {name: st.sampled_from(values) for name, values in ROW_VALUES.items()})
+
+
+@given(st.lists(st.tuples(joined_rows, st.sets(st.sampled_from(sorted(ROW_VALUES)))),
+                min_size=1, max_size=4),
+       st.lists(st.one_of(row_conjuncts,
+                          st.builds(disjunction, st.lists(row_conjuncts,
+                                                          min_size=2, max_size=2))),
+                min_size=1, max_size=3))
+def test_shared_mask_is_sound_and_never_looser_than_the_whole(images, conjuncts):
+    """``RowMatch.shared`` over a conjunction's conjuncts, on rows with
+    random attributes removed: a set bit implies the whole conjunction may
+    match that row (never looser than judging it whole), and a row whose
+    full image definitely matches keeps its bit in every projection."""
+    whole = conjunction(conjuncts)
+    rows = [{name: value for name, value in full.items() if name not in removed}
+            for full, removed in images]
+    shared = RowMatch(rows).shared(CountCache.key(whole))
+    for position, (full, _) in enumerate(images):
+        bit = shared >> position & 1
+        if bit:
+            assert may_match_row(whole, rows[position])
+        if exact_match_row(whole, full) is True:
+            assert bit
 
 
 # -- HYPRE builder invariant ------------------------------------------------------

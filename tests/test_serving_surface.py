@@ -28,7 +28,7 @@ import repro.index.selectivity as selectivity
 from repro.backend import BACKEND_NAMES
 from repro.cli import run_load
 from repro.concurrency import TimedRLock
-from repro.core.predicate import are_and_compatible, parse_predicate
+from repro.core.predicate import And, are_and_compatible, parse_predicate
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
 from repro.algorithms.peps import PEPSAlgorithm
@@ -281,31 +281,35 @@ def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
 
 
 def sweepable_keys(surface):
-    """Every key a data sweep can drop, as ``((kind, owner), member SQLs)``:
-    a shard owns its count and id-list caches, a session its pair counts."""
+    """Every key a data sweep can drop, as ``((kind, shard), conjunct SQLs)``:
+    a shard owns its count and id-list stores; sessions hold none."""
     keys = set()
     for index, shard in enumerate(surface.shard_servers):
         registry = shard.sessions
-        keys |= {(("count", index), frozenset([sql]))
-                 for sql in registry.count_cache._counts}
-        keys |= {(("ids", index), frozenset([sql]))
-                 for sql in registry.runner._ids_cache}
-        keys |= {(("pair", uid), key) for uid in registry.resident_uids()
-                 for key in registry.peek(uid).index._counts}
+        keys |= {(("count", index), key) for key in registry.count_cache._counts}
+        keys |= {(("ids", index), key) for key in registry.runner._ids_cache}
     return keys
+
+
+def resident_indexes(surface):
+    return [shard.sessions.peek(uid).index for shard in surface.shard_servers
+            for uid in shard.sessions.resident_uids()]
 
 
 def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     """Work gate, by counting: with eight resident sessions sharing
     predicates, updating a multi-author paper costs distinct predicates x rows
     evaluations through one ``RowMatch`` per shard and drops exactly what the
-    plain loop, written out below, calls stale.  No rows, no work: an
-    author-less insert notifies, yet no consumer walks the keys it holds."""
+    plain loop, written out below, calls stale — judged conjunct by conjunct:
+    no count or id-list key hands ``mask`` a conjunction to parse again, and a
+    session pairs up only the preferences some row may match.  No rows, no
+    work: an author-less insert notifies, yet no consumer walks the keys it
+    holds."""
     db, uids = surface.db, REPLAY.uids()
     Telemetry().observe(surface)
     ranked = [hit for uid in uids for hit in surface.top_k(uid, K).ranking]
     # Scoring above one intensity means matching a venue *and* a year
-    # predicate: the pre-image alone stales a count, an id list and a pair.
+    # predicate: the pre-image alone stales a count, an id list and a session.
     pid = next(pid for pid, score in ranked
                if score > 0.9 and len(db.joined_rows([pid])) >= 2)
     answers = {(uid, K): surface.shard_for(uid).results.peek(uid, K).predicates
@@ -315,6 +319,7 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     built = count_calls(monkeypatch, RowMatch, "__init__")
     # ``apply_delta`` runs on exactly the affected answers.
     repairs = count_calls(monkeypatch, CachedResult, "apply_delta")
+    masks = count_calls(monkeypatch, RowMatch, "mask")
     venues, _, hi = db.workload_shape()
     report = surface.update_tuples(
         [Paper(pid=pid, title="Moved", venue=venues[1], year=hi)])
@@ -326,6 +331,10 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     tests = sum(sweep.annotation("predicate_row_tests") for sweep in sweeps)
     keys = sum(sweep.annotation("distinct_predicates") for sweep in sweeps)
     assert asked == tests == keys * len(rows)
+    # Count and id-list keys reach ``mask`` as conjunct texts, never whole.
+    assert any(len(members) > 1 for _, members in before)
+    assert not any(isinstance(parse_predicate(asked), And)
+                   for _, asked in masks if isinstance(asked, str))
 
     def stale(members):  # the plain loop: some row may match every member
         return any(all(may_match_row(predicate, row) for predicate in members)
@@ -333,19 +342,62 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
 
     dropped = before - sweepable_keys(surface)
     assert dropped == {key for key in before if stale(key[1])}
-    assert {kind for (kind, _), _ in dropped} == {"count", "ids", "pair"}
+    assert {kind for (kind, _), _ in dropped} == {"count", "ids"}
     assert report.index_entries_dropped == len(dropped)
+    touched = [[pref.sql for pref in index.preferences if stale([pref.sql])]
+               for index in resident_indexes(surface)]
+    assert sum(sweep.annotation("pairs_visited") for sweep in sweeps) == sum(
+        len(sqls) * (len(sqls) - 1) // 2 for sqls in touched) > 0
+    assert sum(sweep.annotation("sessions_stale") for sweep in sweeps) == sum(
+        any(stale([first, second]) for position, first in enumerate(sqls)
+            for second in sqls[position + 1:]) for sqls in touched) > 0
     assert {(entry.uid, entry.k) for entry, _ in repairs} == {
         key for key, predicates in answers.items()
         if any(stale([predicate]) for predicate in predicates)} != set()
 
-    masks = count_calls(monkeypatch, RowMatch, "mask")
+    masks.clear()
     report = surface.insert_tuples(
         [Paper(pid=90_005, title="No author", venue=venues[0], year=hi)])
     assert masks == [] and before - sweepable_keys(surface) == dropped
     assert report.joined_rows == report.index_entries_dropped == 0
     assert report.results_spared == sum(
         len(shard.results) for shard in surface.shard_servers) > 0
+
+
+def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch):
+    """Work gate, by counting: a mutation no resident preference can match —
+    a venue, a year and an author nobody mentions — looks up one mask per
+    preference per session (two for a year range: one per conjunct) and
+    visits no pair; nothing is dropped, no session is stale."""
+    uids = REPLAY.uids()
+    Telemetry().observe(surface)
+    for uid in uids:
+        surface.top_k(uid, K)
+    before = sweepable_keys(surface)
+    indexes = resident_indexes(surface)
+    report = surface.insert_tuples(
+        [Paper(pid=90_006, title="Elsewhere", venue="NOWHERE", year=1900)],
+        paper_authors=[(90_006, 999_999)])
+    sweeps = [record for record in surface.telemetry.traces.snapshot()[-1].walk()
+              if record.name == "server.on_data_mutation"]
+    assert [sweep.annotation("rows") for sweep in sweeps] == [1] * surface.shards
+    assert all(sweep.annotation("pairs_visited") == 0 ==
+               sweep.annotation("sessions_stale") for sweep in sweeps)
+    assert all(sweep.annotation("predicate_row_tests") ==
+               sweep.annotation("distinct_predicates") > 0 for sweep in sweeps)
+    assert report.index_entries_dropped == 0
+    assert sweepable_keys(surface) == before
+    assert len(indexes) == len(uids)
+
+    match = RowMatch(surface.db.joined_rows([90_006]))
+    masks = count_calls(monkeypatch, RowMatch, "mask")
+    for index in indexes:
+        assert index.invalidate_matching(match) == 0
+        assert len(masks) == sum(
+            2 if isinstance(pref.predicate, And) else 1
+            for pref in index.preferences) >= len(index.preferences) > 1
+        assert (index.pairs_visited, index.stale) == (0, False)
+        masks.clear()
 
 
 def test_may_match_row_has_one_calling_module():
