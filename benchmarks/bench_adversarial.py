@@ -2,16 +2,15 @@
 
 Every named hostile mix (:data:`repro.serving.MIXES` — hot-key mutation
 storms, delete-heavy churn, profile thrash, repair-boundary updates) replays
-over the synthetic workload family on **both** storage engines and through
-**both** topologies (single server, 2-shard cluster), always with the
-after-every-mutation equivalence verifier on; each mix additionally runs the
-three-way cross-backend lockstep differential (SQLite cluster vs memory
-single server vs fresh recomputation).
+over the synthetic workload family on **both** storage engines, always with
+the after-every-mutation equivalence verifier on; each mix additionally runs
+the three-way cross-backend lockstep differential (SQLite server vs memory
+server vs fresh recomputation).
 
 The assertions cover the acceptance criteria:
 
-(a) **verified throughout** — every cell of the mix x backend x shards
-    matrix verifies at least one materialised answer against the
+(a) **verified throughout** — every cell of the mix x backend matrix
+    verifies at least one materialised answer against the
     from-scratch oracle, and every per-mix lockstep differential performs
     comparisons without a single divergence;
 (b) **the mixes bite** — across the matrix the repair path fires (nonzero
@@ -25,8 +24,7 @@ The assertions cover the acceptance criteria:
 from __future__ import annotations
 
 from repro.experiments import reporting
-from repro.serving import (MIXES, OpMix, ReplayConfig, ReplayDriver,
-                           TopKServer, create_server)
+from repro.serving import MIXES, OpMix, ReplayConfig, ReplayDriver, TopKServer
 from repro.workload.dblp import DblpConfig
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
 
@@ -46,7 +44,6 @@ K = 5
 CAPACITY = 12
 SEED = 29
 BACKENDS = ("sqlite", "memory")
-SHARD_COUNTS = (1, 2)
 #: Reduced shape for the per-mix three-way lockstep differential (it builds
 #: three worlds and compares after every mutation).
 DIFF_USERS = 14
@@ -60,20 +57,20 @@ def _driver(mix_name):
         profile_factory=synthetic_profile_factory(SYN))
 
 
-def _run_cell(mix_name, backend, shards):
-    """One matrix cell: verified replay of one mix on one engine/topology."""
+def _run_cell(mix_name, backend):
+    """One matrix cell: verified replay of one mix on one engine."""
     driver = _driver(mix_name)
     db = driver.build_world(SYN, backend=backend)
-    server = create_server(db, shards=shards, capacity=CAPACITY)
+    server = TopKServer(db, capacity=CAPACITY)
     try:
         report = driver.run(server, driver.schedule(db), verify=True,
-                            label=f"{mix_name}/{backend}/shards={shards}")
+                            label=f"{mix_name}/{backend}")
         metrics = server.metrics()
     finally:
         server.close()
         db.close()
     return {
-        "mix": mix_name, "backend": backend, "shards": shards,
+        "mix": mix_name, "backend": backend,
         "ops": report.ops, "reads": report.reads,
         "read_hits": report.read_hits,
         "warm_rate": report.read_hits / max(1, report.reads),
@@ -108,14 +105,13 @@ def _dblp_baseline():
 
 
 def _matrix():
-    return [_run_cell(mix_name, backend, shards)
+    return [_run_cell(mix_name, backend)
             for mix_name in sorted(MIXES)
-            for backend in BACKENDS
-            for shards in SHARD_COUNTS]
+            for backend in BACKENDS]
 
 
 def test_adversarial_matrix_verified(benchmark):
-    """Every mix x backend x shards cell passes the equivalence verifier."""
+    """Every mix x backend cell passes the equivalence verifier."""
     runs = run_once(benchmark, _matrix)
     baseline = _dblp_baseline()
 
@@ -124,7 +120,7 @@ def test_adversarial_matrix_verified(benchmark):
         f"{REQUESTS} requests, verified after every mutation",
         reporting.format_table([
             {"mix": run["mix"], "backend": run["backend"],
-             "shards": run["shards"], "reads": run["reads"],
+             "reads": run["reads"],
              "warm_rate": f"{run['warm_rate']:.3f}",
              "mutations": run["mutations"], "repairs": run["repairs"],
              "data_inv": run["data_invalidations"],
@@ -139,11 +135,10 @@ def test_adversarial_matrix_verified(benchmark):
             "verified": baseline["verified_results"]}))
 
     # (a) Every cell verified materialised answers against the oracle.
-    assert len(runs) == len(MIXES) * len(BACKENDS) * len(SHARD_COUNTS)
+    assert len(runs) == len(MIXES) * len(BACKENDS)
     for run in runs:
         assert run["verified_results"] > 0, (
-            f"{run['mix']} on {run['backend']}/shards={run['shards']} "
-            f"verified nothing")
+            f"{run['mix']} on {run['backend']} verified nothing")
 
     # (b) The mixes exercise the maintenance machinery: repairs fire,
     # invalidations happen (the data side repairs in place, so the
@@ -179,14 +174,14 @@ def test_lockstep_differential_per_mix(benchmark):
                 ReplayConfig(users=DIFF_USERS, requests=DIFF_REQUESTS,
                              k=K, seed=SEED, mix=OpMix.named(mix_name)),
                 profile_factory=synthetic_profile_factory(SYN))
-            checked[mix_name] = driver.verify_cluster_equivalence(
-                SYN, shards=2, capacity=CAPACITY, server_backend="memory")
+            checked[mix_name] = driver.verify_backend_equivalence(
+                SYN, capacity=CAPACITY)
         return checked
 
     checked = run_once(benchmark, sweep)
     reporting.print_report(
-        "Cross-backend lockstep differential (SQLite cluster vs memory "
-        "single server vs fresh recomputation)",
+        "Cross-backend lockstep differential (SQLite server vs memory "
+        "server vs fresh recomputation)",
         reporting.format_mapping({mix_name: f"{count} comparisons"
                                   for mix_name, count in checked.items()}))
     assert set(checked) == set(MIXES)

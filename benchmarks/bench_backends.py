@@ -64,12 +64,6 @@ def _run_replay(driver: ReplayDriver, backend: str):
     return report, metrics
 
 
-def _normalised_events(report):
-    """Mutation events without the timing-irrelevant per-shard breakdown."""
-    return [{key: value for key, value in event.items() if key != "shards"}
-            for event in report.mutation_events]
-
-
 def test_memory_backend_beats_sqlite_on_serving_replay(benchmark):
     """Acceptance: identical replay answers, memory strictly faster."""
     driver = ReplayDriver(REPLAY)
@@ -130,7 +124,7 @@ def test_memory_backend_beats_sqlite_on_serving_replay(benchmark):
     sqlite_report, memory_report = best["sqlite"], best["memory"]
     # Same replay behaviour on both engines...
     assert memory_report.read_hits == sqlite_report.read_hits
-    assert _normalised_events(memory_report) == _normalised_events(sqlite_report)
+    assert memory_report.mutation_events == sqlite_report.mutation_events
     # ...and the memory engine is strictly faster end to end.
     assert memory_report.seconds < sqlite_report.seconds, (
         f"memory backend not faster: {memory_report.seconds:.4f}s vs "

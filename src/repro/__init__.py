@@ -62,12 +62,6 @@ Index subsystem (:mod:`repro.index`)
 Serving engine (:mod:`repro.serving`)
     :class:`TopKServer` — thread-safe multi-user Top-K front door with an
     update-aware result cache and per-request metrics.
-    :class:`ShardedTopKServer` — user-partitioned serving cluster: N
-    independent shards behind the same front door and report types as a
-    single server, with a concurrent mutation fan-out path.
-    :class:`HashPartitioner` — the deterministic default user→shard
-    placement (the :class:`~repro.serving.Partitioner` protocol is
-    pluggable).
     :class:`SessionRegistry` — LRU of resident user sessions sharing one
     count cache.
     :class:`ResultCache` — materialised Top-K answers, invalidated by
@@ -75,11 +69,10 @@ Serving engine (:mod:`repro.serving`)
     :class:`OpMix` / :func:`apply_op` — the one op vocabulary
     (:mod:`repro.serving.ops`): the relative weights, skew and mutation
     targeting of a run (``OpMix.named("hot-keys")`` for a hostile one), and
-    the single dispatcher that applies a generated op to a server, a
-    cluster or an uncached world.
+    the single dispatcher that applies a generated op to a server or an
+    uncached world.
     :class:`ReplayDriver` / :class:`ReplayConfig` — deterministic Zipf
-    multi-user replays against a server or a cluster, with a no-cache
-    baseline arm.
+    multi-user replays against a server, with a no-cache baseline arm.
     :func:`fresh_top_k` — from-scratch recomputation (the serving oracle).
 
 Storage backends (:mod:`repro.backend`)
@@ -143,13 +136,11 @@ from .algorithms import (
 from .backend import MemoryBackend, StorageBackend, create_backend
 from .index import CountCache, IncrementalPairIndex
 from .serving import (
-    HashPartitioner,
     OpMix,
     ReplayConfig,
     ReplayDriver,
     ResultCache,
     SessionRegistry,
-    ShardedTopKServer,
     TopKServer,
     apply_op,
     fresh_top_k,
@@ -176,7 +167,6 @@ __all__ = [
     "DataMutation",
     "DblpConfig",
     "DefaultValueStrategy",
-    "HashPartitioner",
     "HypreGraph",
     "HypreGraphBuilder",
     "IncrementalPairIndex",
@@ -192,7 +182,6 @@ __all__ = [
     "ReplayDriver",
     "ResultCache",
     "SessionRegistry",
-    "ShardedTopKServer",
     "StorageBackend",
     "QualitativePreference",
     "QuantitativePreference",

@@ -12,9 +12,10 @@ surface with pure set algebra:
 * AND intersects child row-id sets, OR unions them,
 
 so a count never touches individual rows.  Queries and mutations alike run
-under the backend's one re-entrant lock (two shards of a cluster may query
-at once; everything on one server is already serialised by the server
-lock).  Every value comparison goes
+under the backend's one re-entrant lock (a direct loader call, a second
+server over the same backend or an oracle recomputation may run beside a
+server's request; everything on one server is already serialised by the
+server lock).  Every value comparison goes
 through the same SQLite-faithful coercion rules as
 :meth:`repro.core.predicate.Condition.evaluate` (NUMERIC/TEXT affinity,
 number-before-text ordering, exact integer conversion) — the differential

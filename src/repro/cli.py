@@ -9,18 +9,17 @@ Usage::
     python -m repro.cli topk --scale tiny --k 10 --json
     python -m repro.cli serve-replay --scale tiny --users 50 --requests 300
     python -m repro.cli serve-replay --scale tiny --delete-weight 1 --data-update-weight 1
-    python -m repro.cli serve-replay --scale tiny --shards 4
     python -m repro.cli topk --scale tiny --backend memory
     python -m repro.cli serve-replay --scale tiny --backend memory
     python -m repro.cli serve-replay --scale tiny --family synthetic --mix hot-keys
     python -m repro.cli load --scale tiny --threads 2 --duration 2
     python -m repro.cli load --scale tiny --family synthetic --mix delete-churn
-    python -m repro.cli load --scale tiny --threads 4 --qps 500 --shards 4
+    python -m repro.cli load --scale tiny --threads 4 --qps 500
     python -m repro.cli load --scale tiny --backend memory --output BENCH_loadgen.json
     python -m repro.cli serve-replay --scale tiny --telemetry --json
     python -m repro.cli load --scale tiny --telemetry --json
     python -m repro.cli stats --scale tiny --json
-    python -m repro.cli stats --scale tiny --shards 2 --prometheus
+    python -m repro.cli stats --scale tiny --prometheus
 
 ``list`` prints every available experiment; ``experiment`` regenerates one
 table/figure and prints the same rows the benchmark harness reports; ``topk``
@@ -30,18 +29,15 @@ prints the statistics of its pairwise-combination index;
 with a deterministic Zipf-skewed request mix — Top-K reads, profile updates
 and the full tuple-mutation spectrum (inserts, deletes, in-place updates,
 mixed via the ``--*-weight`` flags) — and compares it against the no-cache
-baseline (``--shards N`` adds a third arm replaying the same schedule
-through a user-partitioned :class:`~repro.serving.ShardedTopKServer`
-cluster); ``load`` drives the concurrent load harness of
+baseline; ``load`` drives the concurrent load harness of
 :mod:`repro.loadgen` — N worker threads, closed-loop at saturation or
-open-loop against ``--qps``, optionally sharded via ``--shards``, with a
-background equivalence audit — and reports latency SLOs (p50/p95/p99),
-throughput, per-shard skew and per-lock contention (``--output FILE``
-additionally persists the schema-versioned ``BENCH_loadgen.json``
-document); ``stats`` drives a short replay under full observability
-(:mod:`repro.telemetry` — request tracing, the unified metrics registry
-and instrumented locks) and prints the schema-versioned JSON snapshot
-(default / ``--json``) or the Prometheus text exposition
+open-loop against ``--qps``, with a background equivalence audit — and
+reports latency SLOs (p50/p95/p99), throughput and per-lock contention
+(``--output FILE`` additionally persists the schema-versioned
+``BENCH_loadgen.json`` document); ``stats`` drives a short replay under
+full observability (:mod:`repro.telemetry` — request tracing, the unified
+metrics registry and instrumented locks) and prints the schema-versioned
+JSON snapshot (default / ``--json``) or the Prometheus text exposition
 (``--prometheus``), with every layer — serving counters, cache behaviour,
 lock contention and backend statement accounting — under one naming
 scheme.  ``--telemetry`` on ``serve-replay``/``load`` attaches the same
@@ -64,8 +60,7 @@ from .algorithms import PEPSAlgorithm
 from .backend import BACKEND_NAMES, default_backend_name
 from .experiments import figures, reporting
 from .experiments.context import SCALES, ExperimentContext
-from .serving import (MIXES, OpMix, ReplayConfig, ReplayDriver, ServingSurface,
-                      create_server)
+from .serving import MIXES, OpMix, ReplayConfig, ReplayDriver, TopKServer
 from .telemetry import Telemetry
 from .workload.synthetic import SYNTHETIC_SCALES, synthetic_profile_factory
 
@@ -97,23 +92,17 @@ def _resolve_workload(family: str, scale: str):
     return config, None
 
 
-def _check_shards(shards: int) -> None:
-    if shards < 0:
-        raise ValueError("--shards must be >= 0 (0/1 serve from one server)")
-
-
 @contextmanager
 def _serving_world(driver: ReplayDriver, workload_config: Any,
-                   backend: Optional[str], shards: int, capacity: int,
+                   backend: Optional[str], capacity: int,
                    repair_delta: Optional[int] = None,
                    observer: Optional[Telemetry] = None,
-                   ) -> Iterator[ServingSurface]:
-    """A fresh replay world fronted by a server (a cluster for ``shards``
-    >= 2), closed on exit; ``observer`` attaches tracing, the metrics
-    registry and lock instrumentation for the duration."""
+                   ) -> Iterator[TopKServer]:
+    """A fresh replay world fronted by a server, closed on exit;
+    ``observer`` attaches tracing, the metrics registry and lock
+    instrumentation for the duration."""
     db = driver.build_world(workload_config, backend=backend)
-    server = create_server(db, shards=shards, capacity=capacity,
-                           repair_delta=repair_delta)
+    server = TopKServer(db, capacity=capacity, repair_delta=repair_delta)
     handle = None
     if observer is not None:
         observer.observe(server)
@@ -273,7 +262,6 @@ def run_serve_replay(scale: str = "tiny",
                      seed: int = 17,
                      capacity: int = 16,
                      baseline: bool = True,
-                     shards: int = 0,
                      read_weight: float = _REPLAY_DEFAULTS.read_weight,
                      update_weight: float = _REPLAY_DEFAULTS.update_weight,
                      insert_weight: float = _REPLAY_DEFAULTS.insert_weight,
@@ -289,14 +277,12 @@ def run_serve_replay(scale: str = "tiny",
     """Replay a deterministic multi-user workload through the serving engine.
 
     Builds one world per arm (identical datasets and schedules), runs the
-    :class:`~repro.serving.TopKServer` arm, — unless ``baseline`` is
-    disabled — the no-cache baseline arm, and — when ``shards`` > 0 — a
-    sharded arm built by :func:`~repro.serving.create_server` (a
-    :class:`~repro.serving.ShardedTopKServer` partitioning the users across
-    that many shards, for 2+), and reports request counters, SQL statements
-    and cache behaviour — each arm's flat ``metrics()`` — side by side.  The five weights control the operation mix
-    (reads, profile updates, tuple inserts/deletes/in-place updates); a
-    weight of zero removes that kind entirely.  ``backend`` picks the
+    :class:`~repro.serving.TopKServer` arm and — unless ``baseline`` is
+    disabled — the no-cache baseline arm, and reports request counters,
+    SQL statements and cache behaviour side by side.  The five weights
+    control the operation mix (reads, profile updates, tuple
+    inserts/deletes/in-place updates); a weight of zero removes that kind
+    entirely.  ``backend`` picks the
     storage engine every arm's world is built on (``sqlite`` / ``memory``;
     default: the ``REPRO_BACKEND`` environment default) — the replay
     answers are engine-independent, only the cost profile changes.
@@ -310,7 +296,6 @@ def run_serve_replay(scale: str = "tiny",
     updates).
     """
     workload_config, profile_factory = _resolve_workload(family, scale)
-    _check_shards(shards)
     op_mix = OpMix.named(mix) if mix is not None else OpMix(
         read_weight=read_weight, update_weight=update_weight,
         insert_weight=insert_weight, delete_weight=delete_weight,
@@ -321,7 +306,7 @@ def run_serve_replay(scale: str = "tiny",
         profile_factory=profile_factory)
     observer = Telemetry() if telemetry else None
     snapshot = None
-    with _serving_world(driver, workload_config, backend, shards=0,
+    with _serving_world(driver, workload_config, backend,
                         capacity=capacity, repair_delta=repair_delta,
                         observer=observer) as server:
         serving_report = driver.run(server, driver.schedule(server.db))
@@ -338,16 +323,6 @@ def run_serve_replay(scale: str = "tiny",
         finally:
             baseline_db.close()
 
-    sharded_report = None
-    cluster_metrics = None
-    if shards:
-        with _serving_world(driver, workload_config, backend, shards=shards,
-                            capacity=capacity,
-                            repair_delta=repair_delta) as cluster:
-            sharded_report = driver.run(cluster, driver.schedule(cluster.db),
-                                        label=f"sharded-{shards}")
-            cluster_metrics = cluster.metrics()
-
     # The per-kind mutation counters the server tracks (inserts, deletes,
     # in-place tuple updates), surfaced explicitly in both output modes.
     mutations = {kind: metrics[f"serving.server.{kind}"]
@@ -357,7 +332,6 @@ def run_serve_replay(scale: str = "tiny",
         payload: Dict[str, Any] = {
             "config": {"scale": scale, "users": users, "requests": requests,
                        "k": k, "seed": seed, "capacity": capacity,
-                       "shards": shards,
                        "backend": backend or default_backend_name(),
                        "family": family, "mix": mix,
                        "read_weight": read_weight,
@@ -367,17 +341,13 @@ def run_serve_replay(scale: str = "tiny",
                        "data_update_weight": data_update_weight},
             "serving": serving_report.as_dict(),
             "baseline": baseline_report.as_dict() if baseline_report else None,
-            "sharded": sharded_report.as_dict() if sharded_report else None,
             "server": metrics,
-            "cluster": cluster_metrics,
             "mutations": mutations,
             "telemetry": snapshot,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    arms = ([serving_report]
-            + ([baseline_report] if baseline_report else [])
-            + ([sharded_report] if sharded_report else []))
+    arms = [serving_report] + ([baseline_report] if baseline_report else [])
     table = reporting.format_table([
         {"arm": arm.label, "ops": arm.ops, "reads": arm.reads,
          "read_hits": arm.read_hits, "zero_sql_reads": arm.zero_sql_reads,
@@ -406,14 +376,6 @@ def run_serve_replay(scale: str = "tiny",
         lines.append(f"SQL statements saved vs no-cache baseline: {saved} "
                      f"({baseline_report.sql_statements} -> "
                      f"{serving_report.sql_statements})")
-    if sharded_report is not None:
-        warm_rate = sharded_report.read_hits / max(sharded_report.reads, 1)
-        lines.append(
-            f"cluster: {shards} shards, warm-rate {warm_rate:.2f}, "
-            f"{cluster_metrics['serving.results.data_invalidations']} "
-            f"data-invalidated, "
-            f"{cluster_metrics['serving.results.data_spared']} "
-            f"spared across shards")
     if snapshot is not None:
         traces = snapshot["traces"]["buffer"]
         lines.append(
@@ -428,7 +390,6 @@ def run_load(scale: str = "tiny",
              threads: int = 2,
              duration: float = 2.0,
              qps: Optional[float] = None,
-             shards: int = 0,
              backend: Optional[str] = None,
              seed: int = 17,
              k: int = 5,
@@ -443,9 +404,7 @@ def run_load(scale: str = "tiny",
     """Drive the concurrent load harness against a live serving instance.
 
     Builds one world (``users`` synthetic profiles, persisted up front),
-    fronts it with :func:`~repro.serving.create_server` — a
-    :class:`~repro.serving.TopKServer`, or with ``shards`` >= 2 a
-    :class:`~repro.serving.ShardedTopKServer` — and runs
+    fronts it with a :class:`~repro.serving.TopKServer` and runs
     :class:`~repro.loadgen.LoadGenerator` over it: ``threads`` workers in
     closed loop (``qps`` ``None``; the achieved rate is the throughput at
     saturation) or open loop against the target arrival rate, with the
@@ -464,14 +423,12 @@ def run_load(scale: str = "tiny",
                           write_bench_json)
 
     workload_config, profile_factory = _resolve_workload(family, scale)
-    _check_shards(shards)
     config = LoadConfig(threads=threads, duration_seconds=duration,
                         target_qps=qps, mix=OpMix.named(mix), k=k,
                         seed=seed, audit_interval=audit_interval or None)
     driver = ReplayDriver(ReplayConfig(users=users, k=k, seed=seed),
                           profile_factory=profile_factory)
-    with _serving_world(driver, workload_config, backend, shards=shards,
-                        capacity=capacity,
+    with _serving_world(driver, workload_config, backend, capacity=capacity,
                         repair_delta=repair_delta) as server:
         report = LoadGenerator(config).run(
             server, telemetry=Telemetry() if telemetry else None)
@@ -479,7 +436,6 @@ def run_load(scale: str = "tiny",
     run_record = report.as_dict()
     config_record = {"scale": scale, "users": users, "threads": threads,
                      "duration_seconds": duration, "target_qps": qps,
-                     "shards": report.shards,
                      "backend": backend or default_backend_name(),
                      "family": family, "mix": mix,
                      "seed": seed, "k": k, "capacity": capacity,
@@ -497,7 +453,7 @@ def run_load(scale: str = "tiny",
         f"Load run ({report.mode} loop, {report.threads} threads"
         f", {report.duration_seconds:.2f}s, scale={scale}, family={family}"
         + (f", mix={mix}" if mix else "")
-        + f", backend={report.backend}, shards={report.shards})",
+        + f", backend={report.backend})",
         f"ops: {report.ops} "
         f"({report.throughput_ops_per_sec:.0f} ops/sec"
         + (f", target {qps:.0f} QPS, {report.late_starts} late starts)"
@@ -508,9 +464,6 @@ def run_load(scale: str = "tiny",
         f"reads: {report.kind_counts.get('read', 0)} "
         f"({report.read_hit_rate:.0%} warm)",
     ]
-    if report.shards > 1:
-        lines.append(f"per-shard requests: {report.per_shard_requests} "
-                     f"(skew {report.shard_skew:.2f})")
     audit = report.audit
     lines.append(f"audit: {audit['audits']} passes, "
                  f"{audit['comparisons']} comparisons, "
@@ -540,28 +493,26 @@ def run_stats(scale: str = "tiny",
               k: int = 5,
               seed: int = 17,
               capacity: int = 16,
-              shards: int = 0,
               backend: Optional[str] = None,
               prometheus: bool = False,
               slow_ms: float = 250.0) -> str:
     """Drive a short replay under full observability and export the metrics.
 
-    Builds one world, fronts it with :func:`~repro.serving.create_server`
-    (an N-shard cluster for ``shards`` >= 2), attaches a
-    :class:`~repro.telemetry.Telemetry` — request-scoped tracing, the
-    unified metrics registry, instrumented locks — replays a deterministic
-    mixed workload, and returns the end-of-run export: the schema-versioned
-    JSON snapshot by default, or the Prometheus text exposition with
-    ``prometheus``.  Requests slower than ``slow_ms`` land in the slow-trace
-    capture, so the snapshot attributes their latency span by span.
+    Builds one world, fronts it with a :class:`~repro.serving.TopKServer`,
+    attaches a :class:`~repro.telemetry.Telemetry` — request-scoped
+    tracing, the unified metrics registry, instrumented locks — replays a
+    deterministic mixed workload, and returns the end-of-run export: the
+    schema-versioned JSON snapshot by default, or the Prometheus text
+    exposition with ``prometheus``.  Requests slower than ``slow_ms`` land
+    in the slow-trace capture, so the snapshot attributes their latency
+    span by span.
     """
     workload_config, _ = _resolve_workload("dblp", scale)
-    _check_shards(shards)
     driver = ReplayDriver(ReplayConfig(users=users, requests=requests,
                                        k=k, seed=seed))
     observer = Telemetry(slow_threshold=slow_ms / 1000.0)
-    with _serving_world(driver, workload_config, backend, shards=shards,
-                        capacity=capacity, observer=observer) as server:
+    with _serving_world(driver, workload_config, backend, capacity=capacity,
+                        observer=observer) as server:
         driver.run(server, driver.schedule(server.db))
         if prometheus:
             return observer.prometheus()
@@ -604,10 +555,6 @@ def _population_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--capacity", type=int, default=16,
                         help="maximum number of resident user sessions")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="partition the users across an N-shard "
-                             "cluster (serve-replay: as an extra arm; "
-                             "0/1 = single server)")
 
 
 def _workload_options(parser: argparse.ArgumentParser) -> None:

@@ -2,13 +2,12 @@
 
 Everything before this subsystem measured the serving layer serially; the
 ROADMAP's "heavy traffic" target is only proven by **concurrent** load.
-:mod:`repro.loadgen` hammers a live :class:`~repro.serving.TopKServer` or
-:class:`~repro.serving.ShardedTopKServer` with worker threads replaying
-deterministic Zipf-skewed mixes of Top-K reads and profile/tuple mutations,
-and reports tail latency, throughput at saturation, per-shard load skew,
-per-lock contention and a background correctness audit — the numbers land
-in ``BENCH_loadgen.json`` (see ``docs/LOADGEN.md`` for the tutorial and
-``python -m repro.cli load`` for the command-line front end).
+:mod:`repro.loadgen` hammers a live :class:`~repro.serving.TopKServer` with
+worker threads replaying deterministic Zipf-skewed mixes of Top-K reads and
+profile/tuple mutations, and reports tail latency, throughput at
+saturation, per-lock contention and a background correctness audit — the
+numbers land in ``BENCH_loadgen.json`` (see ``docs/LOADGEN.md`` for the
+tutorial and ``python -m repro.cli load`` for the command-line front end).
 
 Public API
 ----------
@@ -27,9 +26,8 @@ Public API
     with the serial replay driver.
 :class:`LoadReport`
     The JSON-ready outcome: p50/p95/p99 overall and per op kind,
-    ``throughput_ops_per_sec``, ``per_shard_requests`` + ``shard_skew``,
-    ``locks`` (contention, hottest first), ``gate``/``audit`` sections and
-    per-worker ``errors``.
+    ``throughput_ops_per_sec``, ``locks`` (contention, hottest first),
+    ``gate``/``audit`` sections and per-worker ``errors``.
 :class:`WorkerResult`
     One worker's private accounting (its
     :class:`~repro.telemetry.LatencyHistogram` instances, op counts, error)

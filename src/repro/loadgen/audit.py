@@ -16,10 +16,9 @@ pause is reported (``paused_seconds``) so a load report can attribute the
 latency the audits themselves injected.
 
 :class:`EquivalenceAuditor` is the daemon thread that periodically quiesces
-and compares a sample of the materialised answers — on a single server or
-across every shard of a cluster — against ``fresh_top_k``.  Mismatches are
-collected (not raised across threads); the run fails afterwards if any
-audit saw a divergence.
+and compares a sample of the server's materialised answers against
+``fresh_top_k``.  Mismatches are collected (not raised across threads); the
+run fails afterwards if any audit saw a divergence.
 """
 
 from __future__ import annotations
@@ -108,9 +107,8 @@ class TrafficGate:
 class EquivalenceAuditor(threading.Thread):
     """Daemon thread auditing materialised answers against ``fresh_top_k``.
 
-    ``server`` may be a :class:`~repro.serving.server.TopKServer` or a
-    :class:`~repro.serving.cluster.ShardedTopKServer` — both expose
-    ``results`` (with ``cached_users``/``peek``) and the shared ``db``.
+    ``server`` is a :class:`~repro.serving.server.TopKServer`: its
+    ``results`` (with ``cached_users``/``peek``) and its ``db``.
     Every ``interval`` seconds the auditor quiesces the gate, samples up to
     ``sample`` cached users (round-robin over the cached population, so
     successive audits cover different users) and verifies each materialised

@@ -14,8 +14,8 @@ delegates here):
 
 :func:`validate_loadgen_payload` is the structural check the CI smoke job
 runs on the artifact before uploading it: every SLO consumer key (p50/p95/
-p99, throughput at saturation, per-shard skew, lock and audit sections)
-must be present in every run record with a sane type.
+p99, throughput at saturation, lock and audit sections) must be present in
+every run record with a sane type.
 """
 
 from __future__ import annotations
@@ -33,21 +33,20 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 #: the server's ``metrics()`` mapping (unified ``layer.component.metric``
 #: names) instead of the removed nested ``stats()`` tree.
 #: v5 dropped ``processes``: the harness drives one process.
-SCHEMA_VERSION = 5
+#: v6 dropped the three user-partitioning fields (partition count,
+#: requests per partition, their skew): the harness drives one server.
+SCHEMA_VERSION = 6
 
 #: Keys every per-run record must carry, with their required types.
 RUN_REQUIRED_KEYS: Dict[str, type] = {
     "mode": str,
     "backend": str,
-    "shards": int,
     "threads": int,
     "duration_seconds": float,
     "ops": int,
     "throughput_ops_per_sec": float,
     "latency": dict,
     "latency_by_kind": dict,
-    "per_shard_requests": list,
-    "shard_skew": float,
     "locks": list,
     "audit": dict,
     "server_stats": dict,
@@ -143,8 +142,6 @@ def validate_loadgen_payload(document: Mapping[str, Any]) -> int:
         _check_latency(run["latency"], f"{label}.latency")
         for kind, summary in run["latency_by_kind"].items():
             _check_latency(summary, f"{label}.latency_by_kind[{kind!r}]")
-        _require(len(run["per_shard_requests"]) == run["shards"],
-                 f"{label}.per_shard_requests length != shards")
         _require(run["mode"] in ("closed", "open"),
                  f"{label}.mode not in closed/open")
         for record in run["locks"]:

@@ -1,9 +1,7 @@
 """The multi-threaded load generator: closed- and open-loop, with SLOs.
 
 :class:`LoadGenerator` hammers a live
-:class:`~repro.serving.server.ServingSurface` (a
-:class:`~repro.serving.server.TopKServer` or a
-:class:`~repro.serving.cluster.ShardedTopKServer`) with N worker threads,
+:class:`~repro.serving.server.TopKServer` with N worker threads,
 each consuming its own deterministic :class:`~repro.serving.ops.OpStream`
 of Zipf-skewed Top-K reads and profile/tuple mutations (the same generator
 a serial replay runs one of), and produces a
@@ -21,8 +19,6 @@ a serial replay runs one of), and produces a
   schedule and latency is measured from each op's *scheduled* start, so
   queueing delay is charged to the service, not hidden (the classic
   coordinated-omission correction);
-* **per-shard load skew** — requests per shard under the cluster's
-  partitioner;
 * **lock contention** — wait/hold per named serving-layer lock (via
   :func:`repro.telemetry.instrument_locks`);
 * **audit outcome** — a background
@@ -45,7 +41,6 @@ from ..exceptions import ServingError
 from ..serving.ops import (
     OP_KINDS,
     READ,
-    UPDATE,
     OpMix,
     OpStream,
     apply_op,
@@ -91,14 +86,12 @@ class WorkerResult:
     per_kind: Dict[str, LatencyHistogram] = field(default_factory=dict)
     ops: int = 0
     kind_counts: Dict[str, int] = field(default_factory=dict)
-    uid_counts: Dict[int, int] = field(default_factory=dict)
     read_hits: int = 0
     #: Ops that fired later than their open-loop schedule allowed.
     late_starts: int = 0
     error: Optional[str] = None
 
-    def record(self, kind: str, uid: int, seconds: float,
-               cache_hit: bool) -> None:
+    def record(self, kind: str, seconds: float, cache_hit: bool) -> None:
         self.ops += 1
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         self.overall.record(seconds)
@@ -106,8 +99,6 @@ class WorkerResult:
         if histogram is None:
             histogram = self.per_kind[kind] = LatencyHistogram()
         histogram.record(seconds)
-        if kind in (READ, UPDATE):
-            self.uid_counts[uid] = self.uid_counts.get(uid, 0) + 1
         if cache_hit:
             self.read_hits += 1
 
@@ -118,7 +109,6 @@ class LoadReport:
 
     mode: str
     backend: str
-    shards: int
     threads: int
     duration_seconds: float
     target_qps: Optional[float]
@@ -130,8 +120,6 @@ class LoadReport:
     kind_counts: Dict[str, int]
     latency: Dict[str, Any]
     latency_by_kind: Dict[str, Dict[str, Any]]
-    per_shard_requests: List[int]
-    shard_skew: float
     locks: List[Dict[str, Any]]
     gate: Dict[str, Any]
     audit: Dict[str, Any]
@@ -152,7 +140,7 @@ class LoadReport:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "mode": self.mode, "backend": self.backend,
-            "shards": self.shards, "threads": self.threads,
+            "threads": self.threads,
             "duration_seconds": self.duration_seconds,
             "target_qps": self.target_qps, "seed": self.seed,
             "ops": self.ops,
@@ -163,8 +151,6 @@ class LoadReport:
             "latency": dict(self.latency),
             "latency_by_kind": {kind: dict(summary) for kind, summary
                                 in self.latency_by_kind.items()},
-            "per_shard_requests": list(self.per_shard_requests),
-            "shard_skew": self.shard_skew,
             "locks": [dict(record) for record in self.locks],
             "gate": dict(self.gate),
             "audit": dict(self.audit),
@@ -190,7 +176,7 @@ class LoadGenerator:
                 start = time.perf_counter()
                 outcome = apply_op(server, op)
                 elapsed = time.perf_counter() - start
-            result.record(op.kind, op.uid, elapsed,
+            result.record(op.kind, elapsed,
                           op.kind == READ and outcome.cache_hit)
 
     def _open_loop(self, server: Any, stream: OpStream, gate: TrafficGate,
@@ -209,7 +195,7 @@ class LoadGenerator:
             op = next(stream)
             with gate.request():
                 outcome = apply_op(server, op)
-            result.record(op.kind, op.uid, time.perf_counter() - scheduled,
+            result.record(op.kind, time.perf_counter() - scheduled,
                           op.kind == READ and outcome.cache_hit)
             scheduled += interval
 
@@ -315,19 +301,9 @@ class LoadGenerator:
         ops = sum(result.ops for result in results)
         reads = kind_counts.get(READ, 0)
         read_hits = sum(result.read_hits for result in results)
-
-        shards = server.shards
-        per_shard = [0] * shards
-        for result in results:
-            for uid, count in result.uid_counts.items():
-                per_shard[server.shard_of(uid)] += count
-        mean_load = (sum(per_shard) / shards) if sum(per_shard) else 0.0
-        skew = (max(per_shard) / mean_load) if mean_load else 0.0
-
         return LoadReport(
             mode="open" if config.target_qps else "closed",
             backend=server.db.backend_name,
-            shards=shards,
             threads=config.threads,
             duration_seconds=elapsed,
             target_qps=config.target_qps,
@@ -340,8 +316,6 @@ class LoadGenerator:
             latency=overall.as_dict(),
             latency_by_kind={kind: histogram.as_dict()
                              for kind, histogram in sorted(by_kind.items())},
-            per_shard_requests=per_shard,
-            shard_skew=skew,
             locks=locks,
             gate=gate.stats(),
             audit=(auditor.stats() if auditor is not None

@@ -8,40 +8,21 @@ LRU, all sessions share one batched
 **materialised** and kept exactly as fresh as one event stream proves
 necessary — the full tuple-mutation spectrum (inserts, deletes, in-place
 updates) from :mod:`repro.sqldb.events`; a profile update persists, drops
-that user's session and answers, and the next read rebuilds them.  On top of the single-server engine,
-:mod:`repro.serving.cluster` partitions users across N independent shards
-behind the *same* front door: a server and a cluster are one
-:class:`ServingSurface` — same doors, same report types, same ``metrics()``
-names, one data-mutation pipeline (see ``docs/ARCHITECTURE.md`` for the
-event flow, and ``docs/SERVING.md`` for the end-to-end tutorial).
+that user's session and answers, and the next read rebuilds them (see
+``docs/ARCHITECTURE.md`` for the event flow, and ``docs/SERVING.md`` for the
+end-to-end tutorial).
 
 Public API
 ----------
-:class:`ServingSurface`
-    The front door both engines are: ``top_k(uid, k)`` /
-    ``update_profile(uid, profile)`` / ``insert_tuples(papers, ...)`` /
-    ``delete_tuples(pids)`` / ``update_tuples(papers)`` / ``metrics()`` /
-    ``close()``, plus ``shards`` / ``shard_of(uid)`` / ``shard_servers``
-    (a plain server is its own single shard).  Owns the one data-mutation
-    pipeline and the terminal ``close()``.
 :class:`TopKServer`
-    The thread-safe single-server engine; every door returns per-request
-    metrics (cache hit, SQL statements, latency).
-:class:`ShardedTopKServer`
-    The sharded cluster: routes ``top_k``/``update_profile`` to the owning
-    shard and delivers each data mutation to every shard.
-:func:`create_server`
-    The one construction call: a :class:`TopKServer`, or for ``shards >= 2``
-    a :class:`ShardedTopKServer`.
-:class:`ServeResult` / :class:`UpdateReport` / :class:`DataMutationReport` /
-:class:`ShardMutationReport`
-    The per-request metrics records; a data-mutation report carries the
-    totals plus one per-shard record per shard.
-:class:`Partitioner` / :class:`HashPartitioner` / :class:`ModuloPartitioner`
-    The pluggable user→shard placement protocol and its deterministic
-    built-in implementations.
-:class:`ClusterResultsView`
-    Read-only aggregate view over every shard's result cache.
+    The thread-safe serving engine and its one front door:
+    ``top_k(uid, k)`` / ``update_profile(uid, profile)`` /
+    ``insert_tuples(papers, ...)`` / ``delete_tuples(pids)`` /
+    ``update_tuples(papers)`` / ``metrics()`` / ``close()``; every door
+    returns per-request metrics (cache hit, SQL statements, latency), and
+    every data mutation runs one pipeline.
+:class:`ServeResult` / :class:`UpdateReport` / :class:`DataMutationReport`
+    The per-request metrics records.
 :class:`SessionRegistry`
     Capacity-bounded LRU of resident user sessions sharing one count cache,
     with hit/miss/eviction statistics.
@@ -70,28 +51,19 @@ Public API
     relation; :func:`build_streams` partitions N for a concurrent run.
 :func:`apply_op` / :class:`Uncached`
     ``apply_op(target, op)`` calls the front door an op names and returns
-    its result; ``target`` is any :class:`ServingSurface` or
-    ``Uncached(db)``, the same five doors over the bare loader and
-    :func:`fresh_top_k` (the no-serving-layer arm).
+    its result; ``target`` is a :class:`TopKServer` or ``Uncached(db)``,
+    the same five doors over the bare loader and :func:`fresh_top_k` (the
+    no-serving-layer arm).
 :class:`ReplayDriver` / :class:`ReplayConfig` / :class:`ReplayReport`
     Deterministic Zipf-skewed multi-user workload replay (reads / profile
     updates / data inserts / deletes / in-place tuple updates) against any
     arm, with a no-cache baseline and equivalence verifiers — the engine
-    behind ``benchmarks/bench_serving.py``,
-    ``benchmarks/bench_serving_cluster.py`` and
+    behind ``benchmarks/bench_serving.py`` and
     ``python -m repro.cli serve-replay``.
 :func:`fresh_top_k`
     From-scratch recomputation of one user's Top-K — the serving oracle.
 """
 
-from .cluster import (
-    ClusterResultsView,
-    HashPartitioner,
-    ModuloPartitioner,
-    Partitioner,
-    ShardedTopKServer,
-    create_server,
-)
 from .driver import ReplayConfig, ReplayDriver, ReplayReport
 from .ops import (
     DATA_UPDATE,
@@ -117,8 +89,6 @@ from .results import CachedResult, ResultCache
 from .server import (
     DataMutationReport,
     ServeResult,
-    ServingSurface,
-    ShardMutationReport,
     TopKServer,
     UpdateReport,
     fresh_top_k,
@@ -127,30 +97,23 @@ from .sessions import SessionRegistry, UserSession
 
 __all__ = [
     "CachedResult",
-    "ClusterResultsView",
     "DATA_UPDATE",
     "DELETE",
     "DataMutationReport",
-    "HashPartitioner",
     "INSERT",
     "MIXES",
     "MUTATION_KINDS",
-    "ModuloPartitioner",
     "OP_KINDS",
     "Op",
     "OpMix",
     "OpStream",
-    "Partitioner",
     "READ",
     "ReplayConfig",
     "ReplayDriver",
     "ReplayReport",
     "ResultCache",
     "ServeResult",
-    "ServingSurface",
     "SessionRegistry",
-    "ShardMutationReport",
-    "ShardedTopKServer",
     "TARGET_ANY",
     "TARGET_BOUNDARY",
     "TARGET_HOT",
@@ -161,7 +124,6 @@ __all__ = [
     "UserSession",
     "apply_op",
     "build_streams",
-    "create_server",
     "fresh_top_k",
     "target_pool",
 ]

@@ -10,10 +10,10 @@ update spectrum — **inserts**, **deletes** and **in-place tuple updates**
 same generator the concurrent load harness runs N of.  The same schedule
 can be replayed
 
-* against any :class:`~repro.serving.server.ServingSurface` — a single
-  server or a sharded cluster (:meth:`ReplayDriver.run`) — optionally
-  verifying after *every* mutation that each cached answer equals a
-  from-scratch recomputation (:func:`~repro.serving.server.fresh_top_k`);
+* against a :class:`~repro.serving.server.TopKServer`
+  (:meth:`ReplayDriver.run`) — optionally verifying after *every* mutation
+  that each cached answer equals a from-scratch recomputation
+  (:func:`~repro.serving.server.fresh_top_k`);
 * against a **no-cache baseline** (:meth:`ReplayDriver.run_baseline` —
   the same ``run`` over an :class:`~repro.serving.ops.Uncached` world) that
   rebuilds sessions ad hoc and recomputes every read — the seed behaviour
@@ -38,7 +38,6 @@ from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError
 from ..workload.loader import load_dataset, load_profiles
 from ..workload.synthetic import generate_workload
-from .cluster import ShardedTopKServer
 from .ops import (
     DATA_UPDATE,
     DELETE,
@@ -231,12 +230,10 @@ class ReplayDriver:
         """Replay the schedule against ``target``; optionally verify answers.
 
         ``target`` is any arm :func:`~repro.serving.ops.apply_op` accepts —
-        a :class:`~repro.serving.server.TopKServer`, a
-        :class:`~repro.serving.cluster.ShardedTopKServer` or an
-        :class:`~repro.serving.ops.Uncached` world.  On a serving surface
-        each mutation event carries the per-shard invalidation breakdown
-        (one record for a single server); an uncached arm has no caches to
-        react, so it records none.
+        a :class:`~repro.serving.server.TopKServer` or an
+        :class:`~repro.serving.ops.Uncached` world.  On a server each
+        mutation event records how selectively the caches reacted; an
+        uncached arm has no caches to react, so it records none.
 
         With ``verify`` every mutation is followed by an equivalence sweep:
         each answer still materialised in the result cache — including the
@@ -276,10 +273,6 @@ class ReplayDriver:
                     "repair_fallbacks": outcome.repair_fallbacks,
                     "repair_sql_statements": outcome.repair_sql_statements,
                     "index_entries_dropped": outcome.index_entries_dropped,
-                    # The per-shard breakdown, so benchmarks can assert a
-                    # mutation invalidates on one shard while sparing another.
-                    "shards": [shard.as_dict()
-                               for shard in outcome.shard_reports],
                 })
             if verify:
                 report.verified_results += self._verify(target, op)
@@ -310,52 +303,34 @@ class ReplayDriver:
         """
         return self.run(Uncached(db), ops, label="baseline")
 
-    # -- cluster equivalence ------------------------------------------------------
+    # -- backend equivalence ------------------------------------------------------
 
-    def verify_cluster_equivalence(self, workload_config: Any,
-                                   shards: int,
-                                   capacity: int = 8,
-                                   server_backend: Optional[str] = None,
-                                   stats_out: Optional[Dict[str, Any]] = None,
-                                   ) -> int:
-        """Lockstep three-way equivalence: cluster == single server == fresh.
+    def verify_backend_equivalence(self, workload_config: Any,
+                                   capacity: int = 8) -> int:
+        """Lockstep three-way equivalence: SQLite == memory == fresh.
 
         ``workload_config`` may belong to any workload family (DBLP or
         synthetic) and the replay may carry any mix — the sweep's contract
         is family- and mix-independent.  Builds three identical worlds and
         applies the identical schedule to three arms — a
-        :class:`~repro.serving.cluster.ShardedTopKServer`, a single
-        :class:`~repro.serving.server.TopKServer` and an
-        :class:`~repro.serving.ops.Uncached` world (the from-scratch
-        reference) — and **after every mutation** asserts that every user
-        read so far gets the same Top-K ranking from all three.  Raises
-        :class:`~repro.exceptions.ServingError` on the first divergence;
-        returns the number of three-way comparisons performed.
-
-        ``server_backend`` puts the single-server arm on a different storage
-        engine (``"memory"`` turns this into the cross-backend sweep: SQLite
-        cluster vs memory single-server vs fresh recomputation, so one run
-        certifies sharding *and* the backend abstraction at once); ``None``
-        keeps all three worlds on the process default engine.
-
-        Both serving arms run with the repair path active, so every
-        comparison after a mutation checks *repaired* shard answers against
-        the single server and a from-scratch recomputation.  ``stats_out``,
-        when given, is filled with the cluster's and the single server's
-        final ``metrics()`` snapshots — tests use it to assert the
-        equivalence run actually exercised repairs rather than invalidating
-        everything.
+        :class:`~repro.serving.server.TopKServer` on the SQLite engine, one
+        on the memory engine and an :class:`~repro.serving.ops.Uncached`
+        world (the from-scratch reference) — and **after every mutation**
+        asserts that every user read so far gets the same Top-K ranking
+        from all three.  Both servers run with the repair path active, so
+        every comparison after a mutation checks *repaired* answers.
+        Raises :class:`~repro.exceptions.ServingError` on the first
+        divergence; returns the number of three-way comparisons performed.
         """
-        cluster_db, server_db, baseline_db = worlds = [
+        sqlite_db, memory_db, baseline_db = worlds = [
             self.build_world(workload_config, backend=backend)
-            for backend in (None, server_backend, None)]
+            for backend in ("sqlite", "memory", None)]
         checked = 0
         try:
-            ops = self.schedule(cluster_db)
-            with ShardedTopKServer(cluster_db, shards=shards,
-                                   capacity=capacity) as cluster, \
-                    TopKServer(server_db, capacity=capacity) as server:
-                arms = (cluster, server, Uncached(baseline_db))
+            ops = self.schedule(sqlite_db)
+            with TopKServer(sqlite_db, capacity=capacity) as sqlite_server, \
+                    TopKServer(memory_db, capacity=capacity) as memory_server:
+                arms = (sqlite_server, memory_server, Uncached(baseline_db))
                 seen: List[int] = []
                 for op in ops:
                     if op.kind == READ:
@@ -369,9 +344,6 @@ class ReplayDriver:
                         due = (seen if op.kind in MUTATION_KINDS
                                else [op.uid] if op.uid in seen else [])
                     checked += _assert_arms_agree(arms, due, self.config.k)
-                if stats_out is not None:
-                    stats_out["cluster"] = cluster.metrics()
-                    stats_out["server"] = server.metrics()
         finally:
             for world in worlds:
                 world.close()
@@ -382,10 +354,10 @@ def _assert_arms_agree(arms: Sequence[Any], uids: Sequence[int],
                        k: int) -> int:
     """Assert every arm serves the same Top-K for every uid; count checks."""
     for uid in uids:
-        sharded, single, fresh = (list(arm.top_k(uid, k).ranking)
-                                  for arm in arms)
-        if sharded != single or sharded != fresh:
+        sqlite, memory, fresh = (list(arm.top_k(uid, k).ranking)
+                                 for arm in arms)
+        if sqlite != memory or sqlite != fresh:
             raise ServingError(
-                f"cluster Top-{k} for uid={uid} diverged: "
-                f"sharded={sharded!r} single={single!r} fresh={fresh!r}")
+                f"Top-{k} for uid={uid} diverged across backends: "
+                f"sqlite={sqlite!r} memory={memory!r} fresh={fresh!r}")
     return len(uids)

@@ -9,8 +9,8 @@ and mutation targeting (``OpMix()`` is benign, :data:`MIXES` names the
 hostile ones); an :class:`OpStream` generating ops over an *owned* pid
 namespace (a serial replay is the one-worker stream that owns the whole
 relation, a load run the N streams of :func:`build_streams`);
-:func:`apply_op`, which calls the front door an op names on any
-:class:`~repro.serving.server.ServingSurface` or on :class:`Uncached` (the
+:func:`apply_op`, which calls the front door an op names on a
+:class:`~repro.serving.server.TopKServer` or on :class:`Uncached` (the
 same doors over the bare loader and ``fresh_top_k``); and the one
 served-vs-``fresh_top_k`` comparison (:func:`audit_materialised`) whose
 mismatches the replay verifier raises on and the load harness's auditor
@@ -343,7 +343,7 @@ def build_streams(db: StorageBackend, workers: int, mix: OpMix,
 def apply_op(target: Any, op: Op) -> Any:
     """Call the front door ``op`` names on ``target``; return its result.
 
-    ``target`` is any :class:`~repro.serving.server.ServingSurface` or an
+    ``target`` is a :class:`~repro.serving.server.TopKServer` or an
     :class:`Uncached` arm.  This is the only place an op's kind is turned
     into a call.
     """

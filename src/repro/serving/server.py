@@ -25,29 +25,23 @@
 Every request returns a metrics record (cache hit, SQL statements issued,
 wall-clock seconds) so benchmarks and operators can attribute cost.
 
-**One surface.**  :class:`ServingSurface` is the front door shared with the
-sharded cluster (:mod:`repro.serving.cluster`): lifecycle, tracing,
-telemetry adoption and the three data-mutation doors live there once.  Every
-data mutation runs the same pipeline — door → :meth:`ServingSurface._mutate`
-(trace → server lock → loader → impact → counter → latency) → the
-database's notification → :meth:`ServingSurface._sweep` — and only
-``_sweep`` differs: a server sweeps its own caches, the cluster fans the
-event out to its shards.  A plain server is its own single shard
-(``shards == 1``, ``shard_of(uid) == 0``, ``shard_servers == (self,)``), so
-callers never branch on which of the two they hold.
+**One pipeline.**  Every data mutation runs the same path — door →
+:meth:`TopKServer._mutate` (trace → server lock → loader → impact → counter
+→ latency) → the database's notification → :meth:`TopKServer._sweep`, which
+brings every cache layer up to date through one shared
+:class:`~repro.index.RowMatch` and returns the impact the report carries.
 
-**Locking.**  Warm reads take no server lock; everything else on a server
-— cold read, profile update, data mutation, close — runs alone under that
-server's one re-entrant lock; a cluster mutation takes every shard's lock in
-shard order.  Lock order, outermost first: server lock → session registry →
-count cache / result cache → backend.
+**Locking.**  Warm reads take no server lock; everything else — cold read,
+profile update, data mutation, close — runs alone under the server's one
+re-entrant lock.  Lock order, outermost first: server lock → session
+registry → count cache / result cache → backend.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple, Union)
@@ -78,19 +72,13 @@ from .sessions import SessionRegistry
 PaperLike = Union[Paper, Mapping[str, Any]]
 
 #: Data-mutation kind → (front-door name, request counter) of the door that
-#: causes it: the span is ``<server|cluster>.<door>``, the counter is
-#: exported as ``serving.server.<counter>``.
+#: causes it: the span is ``server.<door>``, the counter is exported as
+#: ``serving.server.<counter>``.
 _DOORS: Dict[str, Tuple[str, str]] = {
     TUPLES_INSERTED: ("insert_tuples", "inserts"),
     TUPLES_DELETED: ("delete_tuples", "deletes"),
     TUPLES_UPDATED: ("update_tuples", "tuple_updates"),
 }
-
-#: The cache-impact fields a :class:`DataMutationReport` totals over its
-#: per-shard records.
-_IMPACT_FIELDS = ("results_invalidated", "results_spared",
-                  "index_entries_dropped", "results_repaired",
-                  "repair_fallbacks", "repair_sql_statements")
 
 #: Result-cache counters reported under ``serving.result_cache.*`` (the
 #: repair path's own metric component) instead of ``serving.results.*``.
@@ -131,40 +119,13 @@ class UpdateReport:
 
 
 @dataclass(frozen=True)
-class ShardMutationReport:
-    """One shard's reaction to a data mutation (a server is shard 0)."""
-
-    shard: int
-    results_invalidated: int = 0
-    results_spared: int = 0
-    index_entries_dropped: int = 0
-    results_repaired: int = 0
-    repair_fallbacks: int = 0
-    #: SQL the result-cache sweep itself issued (always 0 — repairs are
-    #: pure in-memory; ``benchmarks/bench_repair.py`` asserts it).
-    repair_sql_statements: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict rendering (for JSON reports and replay events)."""
-        return {"shard": self.shard,
-                "results_invalidated": self.results_invalidated,
-                "results_spared": self.results_spared,
-                "index_entries_dropped": self.index_entries_dropped,
-                "results_repaired": self.results_repaired,
-                "repair_fallbacks": self.repair_fallbacks,
-                "repair_sql_statements": self.repair_sql_statements}
-
-
-@dataclass(frozen=True)
 class DataMutationReport:
-    """Metrics of one data-side mutation request, on a server or a cluster.
+    """Metrics of one data-side mutation request.
 
     ``kind`` is the :class:`~repro.sqldb.events.DataMutation` kind the door
     caused, ``papers`` counts the affected dblp rows, ``joined_rows`` the
     pre- plus post-image joined-view rows the notification carried, and the
-    cache-impact fields how selectively each layer reacted — totals over
-    ``shard_reports``, which carries one record per shard (a plain server
-    is its own single shard).
+    cache-impact fields how selectively each layer reacted.
     """
 
     kind: str
@@ -178,11 +139,11 @@ class DataMutationReport:
     seconds: float
     #: Cached answers maintained in place by a delta repair, the affected
     #: entries that had to fall back to invalidation, and the SQL the result
-    #: cache sweeps themselves issued.
+    #: cache sweep itself issued (always 0 — repairs are pure in-memory;
+    #: ``benchmarks/bench_repair.py`` asserts it).
     results_repaired: int = 0
     repair_fallbacks: int = 0
     repair_sql_statements: int = 0
-    shard_reports: Tuple[ShardMutationReport, ...] = ()
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict rendering (for JSON reports)."""
@@ -195,8 +156,7 @@ class DataMutationReport:
                 "repair_sql_statements": self.repair_sql_statements,
                 "index_entries_dropped": self.index_entries_dropped,
                 "sql_statements": self.sql_statements,
-                "seconds": self.seconds,
-                "shards": [report.as_dict() for report in self.shard_reports]}
+                "seconds": self.seconds}
 
 
 def _as_paper(row: PaperLike) -> Paper:
@@ -226,24 +186,34 @@ def normalise_papers(papers: Sequence[PaperLike],
     return records, links
 
 
-class ServingSurface:
-    """The front door a :class:`TopKServer` and the sharded cluster share.
+class TopKServer:
+    """Thread-safe multi-user Top-K serving engine over one workload backend.
 
-    Owns what is identical on both: the backend handle and its one
-    data-mutation subscription, the exclusive section over the shards'
-    locks, telemetry adoption and tracing, the terminal
-    :meth:`close`, and the three data-mutation doors with their single
-    :meth:`_mutate` pipeline.  A subclass supplies
-    ``top_k`` / ``update_profile`` / ``metrics``, a ``results`` view and
-    :meth:`_sweep` — how one :class:`~repro.sqldb.events.DataMutation`
-    reaches its cached state.
+    ``db`` is any :class:`~repro.backend.protocol.StorageBackend` — the
+    SQLite engine and the in-memory columnar engine serve identical answers
+    (asserted by the cross-backend differential harness); the server only
+    consumes the protocol surface.  The server subscribes to ``db``'s data
+    mutations once, so a mutation through any door — its own or a direct
+    loader call — reaches every cache layer exactly once.
     """
 
-    #: Root of the front-door span names (``server.top_k``, ...).
-    _span_root = "server"
-
-    def __init__(self, db: StorageBackend, subscribe: bool = True) -> None:
+    def __init__(self, db: StorageBackend,
+                 capacity: int = 64,
+                 repair_delta: Optional[int] = None) -> None:
         self.db = db
+        # The one server lock (see the module docstring).
+        self._lock = threading.RLock()
+        #: Over-fetch depth of the maintainable result buffers: a cold
+        #: ``top_k(uid, k)`` scores ``k + repair_delta`` tuples so data
+        #: mutations can be folded into the cached answer in place instead
+        #: of dropping it.  ``None`` means the default ``2 * k`` per
+        #: request; a negative value disables the repair path entirely
+        #: (the invalidate-and-recompute baseline).
+        self.repair_delta = repair_delta
+        self.sessions = SessionRegistry(db, capacity=capacity,
+                                        profile_loader=self._load_profile)
+        self.results = ResultCache(
+            repair=repair_delta is None or repair_delta >= 0)
         self._closed = False
         self._telemetry: Optional[Telemetry] = None
         self._read_latency = None
@@ -251,44 +221,20 @@ class ServingSurface:
         # Request counters are bumped by the lock-free warm path too, so
         # they get their own little lock.
         self._stats_lock = threading.Lock()
+        self.reads = 0
+        self.read_hits = 0
+        self.updates = 0
         self.inserts = 0
         self.deletes = 0
         self.tuple_updates = 0
-        #: ``(joined rows, per-shard reports)`` of the sweep the mutation in
-        #: flight caused; written by the listener, consumed by ``_mutate``
-        #: (both inside :meth:`_exclusive`).
-        self._last_sweep: Optional[
-            Tuple[int, Tuple[ShardMutationReport, ...]]] = None
-        # ``subscribe=False`` leaves event delivery to an outer coordinator:
-        # the sharded cluster subscribes once and fans each DataMutation out
-        # to every shard itself.
-        self._data_listener = (db.subscribe(self._on_data_mutation)
-                               if subscribe else None)
-
-    # -- sharding (a plain server is its own single shard) ------------------------
-
-    @property
-    def shard_servers(self) -> Tuple["TopKServer", ...]:
-        """The :class:`TopKServer` instances holding the serving state."""
-        return (self,)
-
-    @property
-    def shards(self) -> int:
-        """How many shards the users are partitioned across."""
-        return len(self.shard_servers)
-
-    def shard_of(self, uid: int) -> int:
-        """The shard index owning ``uid``."""
-        return 0
-
-    def shard_for(self, uid: int) -> "TopKServer":
-        """The :class:`TopKServer` shard owning ``uid``."""
-        return self.shard_servers[self.shard_of(uid)]
-
-    def resident_uids(self) -> Dict[int, List[int]]:
-        """Resident user ids per shard index (LRU order within each shard)."""
-        return {index: shard.sessions.resident_uids()
-                for index, shard in enumerate(self.shard_servers)}
+        #: Requests that took the server lock (cold reads + profile
+        #: updates).  The name predates the one lock: the e2e benchmark
+        #: indexes ``serving.server.stripe_acquisitions``.
+        self.stripe_acquisitions = 0
+        #: The impact of the sweep the mutation in flight caused; written by
+        #: the listener, consumed by ``_mutate`` (both under the lock).
+        self._last_sweep: Optional[Dict[str, int]] = None
+        self._data_listener = db.subscribe(self._on_data_mutation)
 
     # -- telemetry ----------------------------------------------------------------
 
@@ -315,8 +261,7 @@ class ServingSurface:
 
     def _trace(self, name: str):
         """A root span when telemetry is adopted; an ambient child span
-        otherwise (so an unobserved shard still nests under a traced
-        cluster request, and a bare server pays a no-op)."""
+        otherwise (a no-op unless the caller already has a span open)."""
         telemetry = self._telemetry
         if telemetry is not None:
             return telemetry.trace(name, self.db)
@@ -324,37 +269,40 @@ class ServingSurface:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def _exclusive(self) -> ExitStack:
-        """``with self._exclusive():`` — every shard's (re-entrant) server
-        lock, in shard order; a plain server's one lock.
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        """``with self._locked():`` — the server lock, the time spent
+        queueing for it recorded as a ``server.lock_wait`` child span.
 
         Whoever holds it is alone with the backend and every cached state:
-        no cold compute or profile update anywhere overlaps a commit or a
-        sweep, and no second mutation runs — on a cluster exactly as on a
-        single server, with no lock of the cluster's own.  Every
-        :meth:`_sweep` runs on the thread that holds every shard's lock, so
-        when the section unwinds — normally or on an exception — no sweep is
-        still running.
+        no cold compute or profile update overlaps a commit or a sweep, and
+        no second mutation runs.  Every :meth:`_sweep` runs on the thread
+        that holds it, so when the section unwinds — normally or on an
+        exception — no sweep is still running.
         """
-        with ExitStack() as held:
-            for shard in self.shard_servers:
-                held.enter_context(shard._lock)
-            return held.pop_all()
+        with span("server.lock_wait"):
+            self._lock.acquire()
+        try:
+            yield
+        finally:
+            self._lock.release()
 
     def close(self) -> None:
-        """Stop serving, for good: unsubscribe and refuse from now on.
+        """Stop serving, for good: unsubscribe, drop every cached answer and
+        refuse from now on.
 
         Terminal — without the subscription the cached state can no longer
         be kept exact, so every front door that reaches the cold or the
         mutation path raises ``ServingError("server is closed")`` afterwards
-        (subclasses also drop their cached answers, which sends every read
-        down the cold path).  Waits for in-flight requests to drain.
+        (with no cached answers left, every read takes the cold path).
+        Waits for in-flight requests to drain.
         """
-        with self._exclusive():
+        with self._lock:
             self._closed = True
             if self._data_listener is not None:
                 self.db.unsubscribe(self._data_listener)
                 self._data_listener = None
+            self.results.clear()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -365,178 +313,6 @@ class ServingSurface:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- data-side updates --------------------------------------------------------
-
-    def insert_tuples(self, papers: Sequence[PaperLike],
-                      paper_authors: Iterable[Tuple[int, int]] = (),
-                      citations: Iterable[Tuple[int, int]] = ()
-                      ) -> DataMutationReport:
-        """Append workload tuples and selectively invalidate every cache.
-
-        ``papers`` accepts :class:`~repro.workload.dblp.Paper` records or
-        plain mappings (``pid``/``venue``/``year`` required; an ``aids``
-        sequence in a mapping expands into author links).  The append commits
-        and then notifies, so by the time this returns every stale cache
-        entry is gone and every provably fresh one survived.
-        """
-        records, links = normalise_papers(papers, paper_authors)
-        return self._mutate(
-            TUPLES_INSERTED, len(records),
-            lambda: append_papers(self.db, records, links, citations))
-
-    def delete_tuples(self, pids: Iterable[int]) -> DataMutationReport:
-        """Delete workload tuples and selectively invalidate every cache.
-
-        The delete commits and then notifies with the removed rows'
-        *pre-image*, so by the time this returns every cached answer, count
-        and id list a removed tuple may have contributed to is gone —
-        including id-list memos, which deletes shrink in a way counts alone
-        would not reveal — and everything provably unaffected survived.
-        """
-        pids = list(pids)
-        return self._mutate(TUPLES_DELETED, len(pids),
-                            lambda: delete_papers(self.db, pids))
-
-    def update_tuples(self, papers: Sequence[PaperLike]) -> DataMutationReport:
-        """Update existing workload tuples in place, invalidating selectively.
-
-        ``papers`` carry the new attribute values for already-present pids
-        (:class:`~repro.exceptions.WorkloadError` for unknown ones).  The
-        notification carries the pre- *and* post-image, so a cached entry is
-        spared only when no predicate can match either version of a changed
-        tuple.
-        """
-        records = [_as_paper(row) for row in papers]
-        return self._mutate(TUPLES_UPDATED, len(records),
-                            lambda: update_papers(self.db, records))
-
-    def _mutate(self, kind: str, papers: int,
-                loader_call: Callable[[], object]) -> DataMutationReport:
-        """The one data-mutation pipeline: trace → server lock → loader →
-        impact → counter → latency.
-
-        ``loader_call`` commits and notifies; the notification re-enters
-        :meth:`_on_data_mutation` (the server locks are re-entrant), which
-        sweeps and leaves the per-shard impact in ``_last_sweep``.
-        """
-        door, counter = _DOORS[kind]
-        with self._trace(f"{self._span_root}.{door}") as trace:
-            trace.annotate("papers", papers)
-            with span("server.lock_wait"):
-                held = self._exclusive()
-            with held:
-                self._check_open()
-                start = time.perf_counter()
-                statements_before = self.db.statements_executed
-                self._last_sweep = None
-                loader_call()
-                swept, self._last_sweep = self._last_sweep, None
-                if swept is None:
-                    # A no-op mutation (e.g. deleting unknown pids) never
-                    # notifies: nothing was invalidated, so everything
-                    # cached counts as spared.
-                    swept = 0, tuple(
-                        ShardMutationReport(shard=index,
-                                            results_spared=len(shard.results))
-                        for index, shard in enumerate(self.shard_servers))
-                joined_rows, shard_reports = swept
-                totals = {name: sum(getattr(shard, name)
-                                    for shard in shard_reports)
-                          for name in _IMPACT_FIELDS}
-                report = DataMutationReport(
-                    kind=kind, papers=papers, joined_rows=joined_rows,
-                    sql_statements=(self.db.statements_executed
-                                    - statements_before),
-                    seconds=time.perf_counter() - start,
-                    shard_reports=shard_reports, **totals)
-                with self._stats_lock:
-                    setattr(self, counter, getattr(self, counter) + 1)
-        if self._mutation_latency is not None:
-            self._mutation_latency.record(report.seconds)
-        return report
-
-    def _on_data_mutation(self, mutation: DataMutation) -> None:
-        """Database listener: sweep once per event, whoever caused it.
-
-        Runs for mutations from this surface's own doors *and* for direct
-        loader calls against the shared database; the exclusive section
-        keeps a direct mutation from another thread from interleaving with
-        an in-flight :meth:`_mutate` and being misattributed to its report.
-        """
-        with self._exclusive():
-            self._last_sweep = (len(mutation.invalidation_rows()),
-                                self._sweep(mutation))
-
-    def _sweep(self, mutation: DataMutation
-               ) -> Tuple[ShardMutationReport, ...]:
-        """Bring the cached state up to date with ``mutation``.
-
-        Called with :meth:`_exclusive` held by the calling thread; returns
-        one impact record per shard.
-        """
-        raise NotImplementedError
-
-    # -- introspection ------------------------------------------------------------
-
-    def metrics(self) -> Dict[str, Union[int, float]]:
-        """Every layer's counters as one flat unified-name mapping."""
-        raise NotImplementedError
-
-
-class TopKServer(ServingSurface):
-    """Thread-safe multi-user Top-K serving engine over one workload backend.
-
-    ``db`` is any :class:`~repro.backend.protocol.StorageBackend` — the
-    SQLite engine and the in-memory columnar engine serve identical answers
-    (asserted by the cross-backend differential harness); the server only
-    consumes the protocol surface.
-    """
-
-    def __init__(self, db: StorageBackend,
-                 capacity: int = 64,
-                 subscribe: bool = True,
-                 repair_delta: Optional[int] = None) -> None:
-        # The one server lock (see the module docstring).
-        self._lock = threading.RLock()
-        #: Over-fetch depth of the maintainable result buffers: a cold
-        #: ``top_k(uid, k)`` scores ``k + repair_delta`` tuples so data
-        #: mutations can be folded into the cached answer in place instead
-        #: of dropping it.  ``None`` means the default ``2 * k`` per
-        #: request; a negative value disables the repair path entirely
-        #: (the invalidate-and-recompute baseline).
-        self.repair_delta = repair_delta
-        self.sessions = SessionRegistry(db, capacity=capacity,
-                                        profile_loader=self._load_profile)
-        self.results = ResultCache(
-            repair=repair_delta is None or repair_delta >= 0)
-        self.reads = 0
-        self.read_hits = 0
-        self.updates = 0
-        #: Requests that took the server lock (cold reads + profile
-        #: updates).  The name predates the one lock: the e2e benchmark
-        #: indexes ``serving.server.stripe_acquisitions``.
-        self.stripe_acquisitions = 0
-        super().__init__(db, subscribe=subscribe)
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self) -> None:
-        """Unsubscribe, refuse from now on and drop every cached answer."""
-        with self._exclusive():
-            super().close()
-            self.results.clear()
-
-    @contextmanager
-    def _locked(self) -> Iterator[None]:
-        """``with self._locked():`` — the server lock, the time spent
-        queueing for it recorded as a ``server.lock_wait`` child span."""
-        with span("server.lock_wait"):
-            self._lock.acquire()
-        try:
-            yield
-        finally:
-            self._lock.release()
 
     def _bump(self, reads: int = 0, read_hits: int = 0, updates: int = 0,
               stripe_acquisitions: int = 0) -> None:
@@ -673,15 +449,107 @@ class TopKServer(ServingSurface):
 
     # -- data-side updates --------------------------------------------------------
 
-    def _sweep(self, mutation: DataMutation
-               ) -> Tuple[ShardMutationReport, ...]:
+    def insert_tuples(self, papers: Sequence[PaperLike],
+                      paper_authors: Iterable[Tuple[int, int]] = (),
+                      citations: Iterable[Tuple[int, int]] = ()
+                      ) -> DataMutationReport:
+        """Append workload tuples and selectively invalidate every cache.
+
+        ``papers`` accepts :class:`~repro.workload.dblp.Paper` records or
+        plain mappings (``pid``/``venue``/``year`` required; an ``aids``
+        sequence in a mapping expands into author links).  The append commits
+        and then notifies, so by the time this returns every stale cache
+        entry is gone and every provably fresh one survived.
+        """
+        records, links = normalise_papers(papers, paper_authors)
+        return self._mutate(
+            TUPLES_INSERTED, len(records),
+            lambda: append_papers(self.db, records, links, citations))
+
+    def delete_tuples(self, pids: Iterable[int]) -> DataMutationReport:
+        """Delete workload tuples and selectively invalidate every cache.
+
+        The delete commits and then notifies with the removed rows'
+        *pre-image*, so by the time this returns every cached answer, count
+        and id list a removed tuple may have contributed to is gone —
+        including id-list memos, which deletes shrink in a way counts alone
+        would not reveal — and everything provably unaffected survived.
+        """
+        pids = list(pids)
+        return self._mutate(TUPLES_DELETED, len(pids),
+                            lambda: delete_papers(self.db, pids))
+
+    def update_tuples(self, papers: Sequence[PaperLike]) -> DataMutationReport:
+        """Update existing workload tuples in place, invalidating selectively.
+
+        ``papers`` carry the new attribute values for already-present pids
+        (:class:`~repro.exceptions.WorkloadError` for unknown ones).  The
+        notification carries the pre- *and* post-image, so a cached entry is
+        spared only when no predicate can match either version of a changed
+        tuple.
+        """
+        records = [_as_paper(row) for row in papers]
+        return self._mutate(TUPLES_UPDATED, len(records),
+                            lambda: update_papers(self.db, records))
+
+    def _mutate(self, kind: str, papers: int,
+                loader_call: Callable[[], object]) -> DataMutationReport:
+        """The one data-mutation pipeline: trace → server lock → loader →
+        impact → counter → latency.
+
+        ``loader_call`` commits and notifies; the notification re-enters
+        :meth:`_on_data_mutation` (the server lock is re-entrant), which
+        sweeps and leaves the impact in ``_last_sweep``.
+        """
+        door, counter = _DOORS[kind]
+        with self._trace(f"server.{door}") as trace:
+            trace.annotate("papers", papers)
+            with self._locked():
+                self._check_open()
+                start = time.perf_counter()
+                statements_before = self.db.statements_executed
+                self._last_sweep = None
+                loader_call()
+                impact, self._last_sweep = self._last_sweep, None
+                if impact is None:
+                    # A no-op mutation (e.g. deleting unknown pids) never
+                    # notifies: nothing was invalidated, so everything
+                    # cached counts as spared.
+                    impact = {"joined_rows": 0, "results_invalidated": 0,
+                              "results_spared": len(self.results),
+                              "index_entries_dropped": 0}
+                report = DataMutationReport(
+                    kind=kind, papers=papers,
+                    sql_statements=(self.db.statements_executed
+                                    - statements_before),
+                    seconds=time.perf_counter() - start, **impact)
+                with self._stats_lock:
+                    setattr(self, counter, getattr(self, counter) + 1)
+        if self._mutation_latency is not None:
+            self._mutation_latency.record(report.seconds)
+        return report
+
+    def _on_data_mutation(self, mutation: DataMutation) -> None:
+        """Database listener: sweep once per event, whoever caused it.
+
+        Runs for mutations from this server's own doors *and* for direct
+        loader calls against the shared database; the server lock keeps a
+        direct mutation from another thread from interleaving with an
+        in-flight :meth:`_mutate` and being misattributed to its report.
+        """
+        with self._lock:
+            self._last_sweep = self._sweep(mutation)
+
+    def _sweep(self, mutation: DataMutation) -> Dict[str, int]:
         """Fan one data mutation out to every cache layer of this server.
 
+        Called with the server lock held by the calling thread; returns the
+        :class:`DataMutationReport` fields that describe the impact.
         ``invalidation_rows`` covers the full update spectrum — inserted
         post-image, deleted pre-image, both images of an in-place update —
         so one sound relevance test serves all three kinds: one
         :class:`~repro.index.selectivity.RowMatch` per sweep, shared by
-        every layer (a cluster builds one per shard — each owns its caches).
+        every layer.
         """
         with span("server.on_data_mutation") as trace:
             match = RowMatch(mutation.invalidation_rows())
@@ -699,14 +567,13 @@ class TopKServer(ServingSurface):
             trace.annotate("rows", len(match.rows))
             trace.annotate("distinct_predicates", match.distinct_predicates)
             trace.annotate("predicate_row_tests", match.predicate_row_tests)
-            return (ShardMutationReport(
-                shard=0,
-                results_invalidated=results_invalidated,
-                results_spared=len(self.results) - results_repaired,
-                index_entries_dropped=dropped,
-                results_repaired=results_repaired,
-                repair_fallbacks=repair_fallbacks,
-                repair_sql_statements=repair_sql),)
+            return {"joined_rows": len(match.rows),
+                    "results_invalidated": results_invalidated,
+                    "results_spared": len(self.results) - results_repaired,
+                    "index_entries_dropped": dropped,
+                    "results_repaired": results_repaired,
+                    "repair_fallbacks": repair_fallbacks,
+                    "repair_sql_statements": repair_sql}
 
     # -- introspection ------------------------------------------------------------
 
@@ -744,6 +611,7 @@ class TopKServer(ServingSurface):
         flat[f"backend.{self.db.backend_name}.statements_executed"] = \
             self.db.statements_executed
         return flat
+
 
 def fresh_top_k(db: StorageBackend, uid: int, k: int) -> List[Tuple[int, float]]:
     """Recompute one user's Top-K from scratch — the serving-path oracle.

@@ -67,10 +67,11 @@ class Database:
         # off), which makes a *write transaction* connection-global state:
         # two threads interleaving DML race the sqlite3 module's implicit
         # BEGIN ("cannot start a transaction within a transaction") and, far
-        # worse, commit each other's half-written batches.  Data mutations
-        # hold every shard's server lock, but profile updates on different
-        # shards of a cluster hold only their own — this lock makes each
-        # such write transaction atomic on the shared connection.
+        # worse, commit each other's half-written batches.  A server runs
+        # its own writes one at a time under its lock, but a direct loader
+        # call or a second server on the same connection holds no lock of
+        # that server's — this lock makes each write transaction atomic on
+        # the shared connection.
         self._write_lock = threading.RLock()
         #: Number of rows written by DML through this wrapper (inserts,
         #: deletes, updates; every row of an ``executemany`` batch counts).
@@ -371,10 +372,11 @@ class Database:
     def load_profiles(self, registry: Any) -> Dict[str, int]:
         """Persist extracted preference profiles into the staging tables.
 
-        Atomic on the shared connection (see ``_write_lock``): profile
-        updates on different shards of a cluster may arrive from concurrent
-        threads, and interleaving their transactions would let one thread
-        commit another's half-written profile.
+        Atomic on the shared connection (see ``_write_lock``): a direct
+        loader call or a second server on the same connection may write
+        profiles from a concurrent thread, and interleaving their
+        transactions would let one thread commit another's half-written
+        profile.
         """
         from ..workload.loader import sqlite_load_profiles
         with self._write_lock:

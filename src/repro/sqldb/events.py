@@ -80,11 +80,10 @@ class DataMutation:
         (pre-image), an insert can add one (post-image) and an in-place
         update can do both at once.
 
-        The union is memoised on the (frozen) event: one broadcast mutation
-        is examined by every shard's result cache, count cache and pair
-        index, so the sharded fan-out asks for these rows many times per
-        event — batching the answer is part of keeping the fan-out cheap
-        under concurrent load.
+        The union is memoised on the (frozen) event: every listener
+        subscribed to the database is handed the same event — each server
+        on a shared connection, a result cache listening on its own — and
+        each asks for these rows, so the tuple is built once per event.
         """
         cached = getattr(self, "_invalidation_rows", None)
         if cached is None:

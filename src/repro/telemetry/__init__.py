@@ -131,24 +131,22 @@ class Telemetry:
 
     def trace(self, name: str, db: Any = None) -> Span:
         """A root-capable span: sinks to the trace ring when it closes as a
-        root, attaches as a child when a span is already open (so a shard's
-        front door nests under the cluster's)."""
+        root, attaches as a child when a span is already open (so a request
+        a caller already traces nests under the caller's span)."""
         return Span(name, db=db, sink=self.traces)
 
     # -- adoption ------------------------------------------------------------------
 
     def observe(self, server: Any) -> Any:
-        """Adopt a serving engine (single server or sharded cluster).
+        """Adopt a serving engine.
 
-        Sets ``engine.telemetry = self`` (shards included) so the front
-        doors trace into this bundle, and registers the engine's unified
-        ``metrics()`` surface and its backend's op accounting as snapshot
-        adapters.  Re-observing (or observing a rebuilt engine) replaces
-        the adapters, so this is idempotent.  Returns the engine.
+        Sets ``server.telemetry = self`` so the front doors trace into this
+        bundle, and registers the server's unified ``metrics()`` surface
+        and its backend's op accounting as snapshot adapters.
+        Re-observing (or observing a rebuilt server) replaces the
+        adapters, so this is idempotent.  Returns the server.
         """
         server.telemetry = self
-        for shard in server.shard_servers:
-            shard.telemetry = self
         self.registry.register_adapter("serving", server.metrics)
         self.registry.register_adapter(
             "backend", partial(backend_metrics, server.db))

@@ -6,13 +6,12 @@ A one-way swap is fine for a load run that owns the server, wrong for a
 long-lived process that wants contention numbers for a while and then its
 plain locks back.  This module makes the swap a *handle*:
 
-* :func:`instrument_locks` covers the whole lock set: per server the
-  server lock, the session registry, the shared count cache + rebuilt
-  condition variable and the result cache — ``server`` / ``sessions`` /
-  ``count-cache`` / ``result-cache``, prefixed ``shard<i>-`` per shard of
-  a cluster, which has no lock of its own — plus ``memory-backend`` once
-  on that engine.  Every swap is recorded as ``(owner, attribute,
-  original)`` in the returned :class:`LockInstrumentation`;
+* :func:`instrument_locks` covers the whole lock set: the server lock,
+  the session registry, the shared count cache + rebuilt condition
+  variable and the result cache — ``server`` / ``sessions`` /
+  ``count-cache`` / ``result-cache`` — plus ``memory-backend`` on that
+  engine.  Every swap is recorded as ``(owner, attribute, original)`` in
+  the returned :class:`LockInstrumentation`;
 * :meth:`LockInstrumentation.uninstrument` restores every original object
   in reverse order — including the count cache's original condition
   variable, so in-flight coalescing waiters are never left parked on a
@@ -23,7 +22,7 @@ plain locks back.  This module makes the swap a *handle*:
 * given a :class:`~repro.telemetry.registry.MetricsRegistry`, the handle
   registers a snapshot adapter exporting every tracked lock under
   ``concurrency.lock.<name>.<metric>`` (the wrapper names are sanitised
-  into legal segments, e.g. ``shard0-server`` → ``shard0_server``), and
+  into legal segments, e.g. ``count-cache`` → ``count_cache``), and
   unregisters it again on restore.
 
 The swap still requires an **idle** engine: a thread blocked inside an old
@@ -125,23 +124,10 @@ def _wrap(handle: LockInstrumentation, owner: Any, name: str) -> TimedRLock:
     return lock
 
 
-def _instrument_single(handle: LockInstrumentation, server: Any,
-                       prefix: str = "") -> None:
-    """Swap one TopKServer's lock set into the handle."""
-    _wrap(handle, server, f"{prefix}server")
-    _wrap(handle, server.sessions, f"{prefix}sessions")
-    cache = server.sessions.count_cache
-    # The condition is rebuilt on the wrapper, so in-flight coalescing
-    # parks and resumes through the lock the cache now holds.
-    handle._swap(cache, "_cond", threading.Condition(
-        _wrap(handle, cache, f"{prefix}count-cache")))
-    _wrap(handle, server.results, f"{prefix}result-cache")
-
-
 def instrument_locks(server: Any,
                      registry: Union[MetricsRegistry, None] = None
                      ) -> LockInstrumentation:
-    """Swap timed locks into ``server`` (single or sharded); must be idle.
+    """Swap timed locks into ``server``; it must be idle.
 
     Returns the :class:`LockInstrumentation` handle.  Calling this on a
     server whose handle is still active returns that handle unchanged (no
@@ -155,12 +141,14 @@ def instrument_locks(server: Any,
             existing._export(registry)
         return existing
     handle = LockInstrumentation(server)
-    shards = server.shard_servers
-    for index, shard in enumerate(shards):
-        # A plain server is its own only shard and keeps the bare names.
-        _instrument_single(
-            handle, shard,
-            prefix="" if shards == (server,) else f"shard{index}-")
+    _wrap(handle, server, "server")
+    _wrap(handle, server.sessions, "sessions")
+    cache = server.sessions.count_cache
+    # The condition is rebuilt on the wrapper, so in-flight coalescing
+    # parks and resumes through the lock the cache now holds.
+    handle._swap(cache, "_cond", threading.Condition(
+        _wrap(handle, cache, "count-cache")))
+    _wrap(handle, server.results, "result-cache")
     if getattr(server.db, "_lock", None) is not None:
         # Only the memory engine has a lock of its own (``memory-backend``).
         _wrap(handle, server.db, f"{server.db.backend_name}-backend")

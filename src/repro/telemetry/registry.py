@@ -1,8 +1,8 @@
 """The unified, process-wide metrics registry.
 
 Before this layer every subsystem grew its own ad-hoc introspection surface
-(``TopKServer.stats()``, cluster roll-ups, backend ``statements_executed``,
-lock ``stats()``, the load harness' bolt-on accounting) and answering "what
+(``TopKServer.stats()``, backend ``statements_executed``, lock
+``stats()``, the load harness' bolt-on accounting) and answering "what
 is this process doing?" meant knowing every one of them.
 :class:`MetricsRegistry` centralises the vocabulary:
 
@@ -20,7 +20,7 @@ is this process doing?" meant knowing every one of them.
 * **adapters** pull the *existing* sources in without duplicating their
   counters: an adapter is a zero-argument callable returning a mapping of
   unified names to numbers, re-read on every :meth:`MetricsRegistry.snapshot`
-  — the server/cluster ``metrics()`` surfaces, backend op accounting, lock
+  — the server's ``metrics()`` surface, backend op accounting, lock
   contention, and the load harness' gate/audit sections all register this
   way (:mod:`repro.telemetry.adapters`).
 

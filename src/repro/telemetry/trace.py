@@ -4,7 +4,7 @@ Answers the question the metrics registry cannot: *where did this slow
 request spend its time?*  A :class:`Span` measures one named stage of a
 request — wall time plus the backend work done while it was open
 (``statements_executed`` / ``rows_touched`` deltas) and free-form
-annotations (cache outcomes, uids, shard indexes).  Spans nest: the active
+annotations (cache outcomes, uids, row counts).  Spans nest: the active
 span lives in a :mod:`contextvars` context variable, so concurrent requests
 on different threads each see their own span tree.
 

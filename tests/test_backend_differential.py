@@ -13,9 +13,8 @@ after **every operation** the two engines must agree on:
 * raw counts and id lists for the live predicate population,
 * the joined view itself.
 
-The replay driver's cross-backend arm (``verify_cluster_equivalence`` with
-``server_backend="memory"``) additionally closes the loop three ways:
-SQLite cluster == memory single server == fresh recomputation.
+The replay driver's ``verify_backend_equivalence`` additionally closes the
+loop three ways: SQLite server == memory server == fresh recomputation.
 """
 
 from __future__ import annotations
@@ -148,22 +147,11 @@ class TestReplayDriverVerified:
             db.close()
 
 
-class TestCrossBackendClusterEquivalence:
-    """Satellite: the three-way verifier's cross-backend arm."""
+class TestCrossBackendEquivalence:
+    """The three-way verifier: SQLite server == memory server == fresh."""
 
-    def test_sqlite_cluster_vs_memory_server_vs_fresh(self):
+    def test_sqlite_server_vs_memory_server_vs_fresh(self):
         driver = ReplayDriver(ReplayConfig(
             users=10, requests=60, k=4, seed=37,
             mix=OpMix(delete_weight=0.6, data_update_weight=0.6)))
-        checked = driver.verify_cluster_equivalence(
-            DBLP, shards=2, capacity=4, server_backend="memory")
-        assert checked > 0
-
-    def test_cross_backend_arm_matches_same_backend_arm(self):
-        """The cross-backend sweep checks exactly as many answers as the
-        single-backend sweep over the same schedule."""
-        driver = ReplayDriver(ReplayConfig(users=8, requests=40, k=3, seed=41))
-        same = driver.verify_cluster_equivalence(DBLP, shards=2, capacity=4)
-        cross = driver.verify_cluster_equivalence(DBLP, shards=2, capacity=4,
-                                                  server_backend="memory")
-        assert same == cross > 0
+        assert driver.verify_backend_equivalence(DBLP, capacity=4) > 0

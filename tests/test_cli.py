@@ -62,11 +62,12 @@ class TestParser:
              "--capacity", "8", "--no-baseline", "--json"])
         assert (args.users, args.requests, args.capacity) == (20, 80, 8)
         assert args.no_baseline and args.as_json
-        assert args.shards == 0  # sharded arm disabled by default
 
     def test_serve_replay_shards_flag(self):
-        args = build_parser().parse_args(["serve-replay", "--shards", "4"])
-        assert args.shards == 4
+        """Gone with the in-process cluster it partitioned users across."""
+        for command in ("serve-replay", "load", "stats"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--shards", "4"])
 
     def test_repair_delta_flag(self):
         assert build_parser().parse_args(
@@ -83,16 +84,15 @@ class TestParser:
         assert args.threads == 2
         assert args.duration == 2.0
         assert args.qps is None  # closed loop by default
-        assert args.shards == 0
         assert args.audit_interval == 0.5
         assert args.output is None and args.as_json is False
 
     def test_load_options(self):
         args = build_parser().parse_args(
             ["load", "--threads", "4", "--qps", "500", "--duration", "1.5",
-             "--shards", "4", "--backend", "memory",
+             "--backend", "memory",
              "--output", "BENCH_loadgen.json", "--json"])
-        assert (args.threads, args.qps, args.shards) == (4, 500.0, 4)
+        assert (args.threads, args.qps) == (4, 500.0)
         assert args.duration == 1.5
         assert args.backend == "memory"
         assert args.output == "BENCH_loadgen.json" and args.as_json
@@ -160,7 +160,8 @@ class TestJsonOutput:
             scale="tiny", users=6, requests=20, k=3, capacity=4,
             baseline=False, as_json=True))
         assert payload["baseline"] is None
-        assert payload["sharded"] is None and payload["cluster"] is None
+        assert set(payload) == {"config", "serving", "baseline", "server",
+                                "mutations", "telemetry"}
 
     def test_serve_replay_json_reports_per_kind_mutation_counters(self):
         """The JSON report surfaces the server's per-kind mutation counters
@@ -176,26 +177,6 @@ class TestJsonOutput:
         assert mutations["inserts"] == payload["serving"]["inserts"]
         assert mutations["deletes"] == payload["serving"]["deletes"]
         assert mutations["tuple_updates"] == payload["serving"]["data_updates"]
-
-    def test_serve_replay_json_with_sharded_arm(self):
-        payload = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=30, k=3, capacity=4, shards=2,
-            as_json=True))
-        assert payload["config"]["shards"] == 2
-        sharded = payload["sharded"]
-        assert sharded["label"] == "sharded-2"
-        assert sharded["ops"] == 30
-        # Identical schedule over an identical world: the cluster serves the
-        # same request counts as the single-server arm.
-        assert sharded["reads"] == payload["serving"]["reads"]
-        cluster = payload["cluster"]
-        assert cluster["serving.cluster.shards"] == 2
-        assert cluster["serving.server.reads"] == sharded["reads"]
-        assert 0.0 <= cluster["serving.cluster.warm_rate"] <= 1.0
-
-    def test_serve_replay_rejects_negative_shards(self):
-        with pytest.raises(ValueError, match="--shards"):
-            run_serve_replay(scale="tiny", users=4, requests=10, shards=-1)
 
     def test_serve_replay_repairs_by_default_and_disables_on_negative(self):
         """The default serving arm repairs answers in place; a negative
@@ -220,12 +201,6 @@ class TestServeReplayText:
         assert "SQL statements saved" in text
         assert "mutations:" in text and "in-place updates" in text
 
-    def test_text_report_includes_sharded_arm_when_requested(self):
-        text = run_serve_replay(scale="tiny", users=8, requests=30, k=3,
-                                capacity=4, shards=2)
-        assert "sharded-2" in text
-        assert "cluster: 2 shards" in text and "warm-rate" in text
-
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
             run_serve_replay(scale="galactic")
@@ -244,14 +219,13 @@ class TestLoad:
         assert run["audit"]["mismatches"] == 0 and run["errors"] == []
         assert payload["config"]["threads"] == 2
 
-    def test_load_open_loop_with_shards(self):
+    def test_load_open_loop(self):
         payload = json.loads(run_load(
             scale="tiny", users=8, threads=2, duration=0.4, qps=100.0,
-            shards=2, k=3, audit_interval=0.2, as_json=True))
+            k=3, audit_interval=0.2, as_json=True))
         run = payload["run"]
-        assert run["mode"] == "open" and run["shards"] == 2
-        assert len(run["per_shard_requests"]) == 2
-        assert run["shard_skew"] >= 1.0
+        assert run["mode"] == "open" and run["target_qps"] == 100.0
+        assert run["ops"] > 0 and run["audit"]["mismatches"] == 0
 
     def test_load_text_report_names_the_slos(self):
         text = run_load(scale="tiny", users=8, threads=2, duration=0.4,
@@ -272,9 +246,6 @@ class TestLoad:
         with pytest.raises(ValueError):
             run_load(scale="galactic")
 
-    def test_load_rejects_negative_shards(self):
-        with pytest.raises(ValueError, match="--shards"):
-            run_load(scale="tiny", shards=-1)
 
 
 class TestMainEntryPoint:
@@ -330,15 +301,6 @@ class TestStats:
         assert "repro_serving_server_reads " in text
         assert "repro_concurrency_lock_server_acquisitions " in text
         assert text.endswith("\n")
-
-    def test_stats_sharded_names_every_shard(self):
-        from repro.cli import run_stats
-        document = json.loads(run_stats(scale="tiny", users=8, requests=30,
-                                        k=3, shards=2))
-        metrics = document["metrics"]
-        assert metrics["serving.cluster.shards"] == 2
-        assert "concurrency.lock.shard0_server.acquisitions" in metrics
-        assert "concurrency.lock.shard1_server.acquisitions" in metrics
 
     def test_main_stats(self, capsys):
         assert main(["stats", "--scale", "tiny", "--users", "8",

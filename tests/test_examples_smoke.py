@@ -13,7 +13,6 @@ FAST_EXAMPLES = [
     "car_dealership.py",
     "skyline_hotels.py",
     "quickstart.py",
-    "serving_cluster.py",
 ]
 
 
@@ -28,8 +27,7 @@ def test_example_runs(script, capsys):
 
 def test_all_examples_present():
     expected = {"quickstart.py", "car_dealership.py", "dblp_personalization.py",
-                "topk_comparison.py", "skyline_hotels.py",
-                "serving_cluster.py"}
+                "topk_comparison.py", "skyline_hotels.py"}
     found = {entry.name for entry in EXAMPLES_DIR.glob("*.py")}
     assert expected <= found
 

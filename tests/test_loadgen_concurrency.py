@@ -1,6 +1,6 @@
 """Concurrency stress tests: the serving stack under real thread contention.
 
-Three layers of proof, each bounded by an explicit deadline (threads are
+Two layers of proof, each bounded by an explicit deadline (threads are
 daemons and joined with a timeout, so a deadlock fails the test in seconds
 instead of hanging the suite — the repo has no pytest-timeout plugin):
 
@@ -12,9 +12,6 @@ instead of hanging the suite — the repo has no pytest-timeout plugin):
   quiesces traffic through a :class:`~repro.loadgen.TrafficGate` and
   recomputes every materialised answer from scratch on the quiesced
   (frozen) database: no torn read may survive a quiesce point;
-* **cluster read equivalence** — concurrent ``top_k`` calls against a
-  sharded cluster must return exactly the rankings a single serial server
-  computes for the same world;
 
 plus barrier-provoked regression tests for the invalidation races the
 epoch guards in :class:`~repro.serving.results.ResultCache` and
@@ -44,7 +41,6 @@ from repro.serving import (
     OpStream,
     ReplayConfig,
     ReplayDriver,
-    ShardedTopKServer,
     TopKServer,
     apply_op,
 )
@@ -190,55 +186,6 @@ def test_readers_and_writers_no_torn_reads(world):
     assert not errors, errors
     assert not torn, f"torn reads survived a quiesce point: {torn[:3]}"
     assert quiesce_points >= 2
-
-
-# -- cluster read equivalence ------------------------------------------------
-
-
-def test_cluster_concurrent_topk_equivalence(backend):
-    """Concurrent reads through a sharded cluster == the serial
-    single-server rankings for the same world."""
-    driver = ReplayDriver(REPLAY)
-
-    reference_db = driver.build_world(DBLP, backend=backend)
-    single = TopKServer(reference_db, capacity=32)
-    expected = {}
-    uids = sorted(profile.uid for profile in reference_db.read_profiles())
-    for uid in uids:
-        expected[uid] = tuple(single.top_k(uid, REPLAY.k).ranking)
-    single.close()
-    reference_db.close()
-
-    cluster_db = driver.build_world(DBLP, backend=backend)
-    cluster = ShardedTopKServer(cluster_db, shards=3, capacity=32)
-    served = {}
-    errors = []
-
-    def reader(worker_id):
-        try:
-            # Each thread walks the uids from a different offset, so shards
-            # field overlapping requests for the same uid concurrently.
-            mine = {}
-            for step in range(len(uids) * 2):
-                uid = uids[(worker_id * 5 + step) % len(uids)]
-                mine[uid] = tuple(cluster.top_k(uid, REPLAY.k).ranking)
-            served[worker_id] = mine
-        except Exception as exc:
-            errors.append(f"reader {worker_id}: {type(exc).__name__}: {exc}")
-
-    try:
-        start_and_join([threading.Thread(target=reader, args=(worker_id,),
-                                         name=f"cluster-reader-{worker_id}",
-                                         daemon=True)
-                        for worker_id in range(4)])
-    finally:
-        cluster.close()
-        cluster_db.close()
-    assert not errors, errors
-    assert len(served) == 4
-    for mine in served.values():
-        for uid, ranking in mine.items():
-            assert ranking == expected[uid], f"uid {uid} diverged"
 
 
 # -- invalidation-race regressions -------------------------------------------

@@ -266,11 +266,10 @@ def _minimal_run(**overrides):
     latency = {"count": 10, "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0,
                "min_ms": 0.5, "mean_ms": 1.2, "max_ms": 4.0}
     run = {
-        "mode": "closed", "backend": "sqlite", "shards": 1, "threads": 2,
+        "mode": "closed", "backend": "sqlite", "threads": 2,
         "duration_seconds": 1.0, "ops": 10, "throughput_ops_per_sec": 10.0,
         "latency": dict(latency),
         "latency_by_kind": {"read": dict(latency)},
-        "per_shard_requests": [10], "shard_skew": 1.0,
         "locks": [{"name": "server", "acquisitions": 1, "contended": 0,
                    "wait_seconds": 0.0, "hold_seconds": 0.1}],
         "audit": {"audits": 1, "comparisons": 2, "mismatches": 0,
@@ -309,8 +308,7 @@ class TestReportSchema:
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda run: run.pop("latency"), "missing 'latency'"),
         (lambda run: run["latency"].update(p50_ms=9.0), "not monotone"),
-        (lambda run: run.update(per_shard_requests=[1, 2]),
-         "per_shard_requests"),
+        (lambda run: run.update(threads="2"), "threads"),
         (lambda run: run.update(mode="sideways"), "mode"),
         (lambda run: run["audit"].pop("mismatches"), "audit"),
         (lambda run: run["locks"][0].pop("wait_seconds"), "locks"),

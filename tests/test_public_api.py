@@ -116,6 +116,29 @@ class TestPackageSurface:
             raise IntensityRangeError(2.0, -1.0, 1.0)
 
 
+def test_in_process_cluster_is_gone():
+    """One server: no cluster module, no name that hid which of two front
+    doors a caller held, and no shard plumbing left on ``TopKServer``."""
+    import importlib
+    import pkgutil
+
+    import repro.serving as serving
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.serving.cluster")
+    gone = {"ShardedTopKServer", "ClusterResultsView", "Partitioner",
+            "HashPartitioner", "ModuloPartitioner", "create_server",
+            "ServingSurface", "ShardMutationReport"}
+    modules = [repro] + [importlib.import_module(info.name) for info
+                         in pkgutil.walk_packages(repro.__path__, "repro.")]
+    for module in modules:
+        assert not gone & set(getattr(module, "__all__", ())), module.__name__
+    assert not any(hasattr(serving, name) for name in gone)
+    for name in ("shard_of", "shards", "shard_servers", "shard_for",
+                 "resident_uids"):
+        assert not hasattr(repro.TopKServer, name), name
+
+
 class TestReadmeQuickstart:
     """The README quickstart must stay runnable end to end."""
 

@@ -9,8 +9,8 @@ that down:
 * the load harness's per-worker streams are op-for-op what they were before
   the two generators were merged (digests computed at the parent commit);
 * one op list applied through :func:`~repro.serving.apply_op` leaves a
-  server, a cluster and an uncached world — on either engine — with the
-  same relation and the same rankings;
+  server and an uncached world — on either engine — with the same relation
+  and the same rankings;
 * the mix validates its weights once, and a world without author links
   still schedules.
 
@@ -43,7 +43,6 @@ from repro.serving import (
     OpStream,
     ReplayConfig,
     ReplayDriver,
-    ShardedTopKServer,
     TopKServer,
     Uncached,
     apply_op,
@@ -271,7 +270,6 @@ def test_apply_op_leaves_every_arm_in_the_same_state():
                                        mix=mutation_heavy))
     arms = {
         "server": lambda db: TopKServer(db, capacity=6),
-        "cluster": lambda db: ShardedTopKServer(db, shards=2, capacity=6),
         "uncached": Uncached,
     }
     ops = None

@@ -1,15 +1,14 @@
-"""One serving surface: a server and a cluster are interchangeable.
+"""The serving front door: one ``TopKServer`` per storage backend.
 
-Pins the contract of :class:`repro.serving.ServingSurface` over
-``TopKServer``, ``ShardedTopKServer(shards=1)`` and
-``ShardedTopKServer(shards=3)`` on every registered storage backend: the
-same public methods, one mutation report type, the same ``metrics()`` names,
-identical answers and report totals for one fixed script, a terminal
-``close()``, and served == ``fresh_top_k`` under profile updates drawn from
-the user's own predicates.  Also pins the construction surface (every
-settable parameter, by name), the lock set, and what a sweep guarantees: it runs on the
-mutating thread, shard by shard, so a failing one leaves nothing held, and
-it judges relevance through one ``RowMatch`` — each distinct predicate once.
+Pins, on every registered storage backend: one mutation report type and
+valid ``metrics()`` names for one fixed script whose every answer equals
+``fresh_top_k``, a terminal ``close()``, served == ``fresh_top_k`` under
+profile updates drawn from the user's own predicates, and the fault
+contract's first rules — a failed sweep or a cold read whose backend raises
+surfaces at the door and leaves nothing held, claimed or published.  Also
+pins the construction surface (every settable parameter, by name), the lock
+set, and what a sweep guarantees: it judges relevance through one
+``RowMatch`` — each distinct predicate once.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from test_peps_cold_path import count_calls
 import repro.concurrency
 import repro.index.selectivity as selectivity
 from repro.backend import BACKEND_NAMES
-from repro.cli import run_load
+from repro.cli import run_load, run_serve_replay, run_stats
 from repro.concurrency import TimedRLock
 from repro.core.predicate import And, are_and_compatible, parse_predicate
 from repro.core.preference import UserProfile
@@ -37,9 +36,7 @@ from repro.serving import (
     DataMutationReport,
     ReplayConfig,
     ReplayDriver,
-    ShardedTopKServer,
     TopKServer,
-    create_server,
     fresh_top_k,
 )
 from repro.serving.results import CachedResult
@@ -52,111 +49,59 @@ DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
 REPLAY = ReplayConfig(users=8, k=4, seed=3)
 K = REPLAY.k
 
-#: Every way to stand the one surface up (capacity never binds: the script's
-#: cache behaviour must not depend on how the users are partitioned).
-SURFACES = {
-    "server": lambda db: TopKServer(db, capacity=16),
-    "cluster-1": lambda db: ShardedTopKServer(db, shards=1, capacity=16),
-    "cluster-3": lambda db: ShardedTopKServer(db, shards=3, capacity=16),
-}
-
-#: Report totals that must not depend on the partitioning.
-#: ``index_entries_dropped`` and ``sql_statements`` are left out: every
-#: shard keeps its own count cache, so a predicate two shards' users share
-#: is counted — and dropped — once per shard.
-PARTITION_FREE_TOTALS = ("kind", "papers", "joined_rows", "results_invalidated",
-                         "results_spared", "results_repaired",
-                         "repair_fallbacks", "repair_sql_statements")
-
 
 @pytest.fixture(params=sorted(BACKEND_NAMES))
 def backend(request):
     return request.param
 
 
-@pytest.fixture(params=sorted(SURFACES))
+# One server per backend; the ``server`` id keeps every test's name the same
+# whichever backend list it runs over.
+@pytest.fixture(params=["server"])
 def surface(request, backend):
     db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
-    engine = SURFACES[request.param](db)
-    yield engine
-    engine.close()
+    server = TopKServer(db, capacity=16)
+    yield server
+    server.close()
     db.close()
 
 
-def public_methods(cls):
-    return {name for name, _ in inspect.getmembers(cls, callable)
-            if not name.startswith("_")}
-
-
-def run_script(engine):
-    """One fixed read/update/insert/update-tuples/delete script; returns the
-    transcript of every answer and every mutation report's totals."""
+def run_script(server):
+    """One fixed read/update/insert/update-tuples/delete script: every answer
+    must equal a fresh recomputation, every door the one report type."""
     uids = REPLAY.uids()
-    venues, _, hi = engine.db.workload_shape()
-    transcript = []
+    venues, _, hi = server.db.workload_shape()
 
     def read_everyone():
         for uid in uids:
-            result = engine.top_k(uid, K)
-            assert list(result.ranking) == fresh_top_k(engine.db, uid, K)
-            transcript.append((uid, result.cache_hit, result.ranking))
+            result = server.top_k(uid, K)
+            assert list(result.ranking) == fresh_top_k(server.db, uid, K)
 
     def mutated(report):
         assert type(report) is DataMutationReport
-        assert len(report.shard_reports) == engine.shards
-        assert [shard.shard for shard in report.shard_reports] \
-            == list(range(engine.shards))
-        for name in ("results_invalidated", "results_spared",
-                     "index_entries_dropped", "results_repaired",
-                     "repair_fallbacks", "repair_sql_statements"):
-            assert getattr(report, name) == sum(
-                getattr(shard, name) for shard in report.shard_reports), name
-        transcript.append(tuple(getattr(report, name)
-                                for name in PARTITION_FREE_TOTALS))
+        return report
 
     read_everyone()
     read_everyone()
     update = UserProfile(uid=uids[0])
     update.add_quantitative(f"dblp.venue = '{venues[3]}'", 0.95)
-    engine.update_profile(uids[0], update)
+    server.update_profile(uids[0], update)
     read_everyone()
-    mutated(engine.insert_tuples(
+    mutated(server.insert_tuples(
         [Paper(pid=90_001, title="Inserted", venue=venues[0], year=hi)],
         paper_authors=[(90_001, 1)]))
     read_everyone()
-    mutated(engine.update_tuples(
+    mutated(server.update_tuples(
         [Paper(pid=90_001, title="Moved", venue=venues[1], year=hi - 1)]))
     read_everyone()
-    top_pid = engine.top_k(uids[1], K).ranking[0][0]
-    mutated(engine.delete_tuples([90_001, top_pid]))
+    top_pid = server.top_k(uids[1], K).ranking[0][0]
+    mutated(server.delete_tuples([90_001, top_pid]))
     read_everyone()
-    mutated(engine.delete_tuples([999_999_999]))  # no-op: never notifies
-    return transcript
-
-
-def test_identical_public_method_set():
-    assert public_methods(TopKServer) == public_methods(ShardedTopKServer)
-    assert {"top_k", "update_profile", "insert_tuples", "delete_tuples",
-            "update_tuples", "metrics", "close", "shard_of"} \
-        <= public_methods(TopKServer)
-
-
-def test_mutation_doors_are_defined_once():
-    for door in ("insert_tuples", "delete_tuples", "update_tuples"):
-        assert getattr(TopKServer, door) is getattr(ShardedTopKServer, door)
-
-
-def test_a_plain_server_is_its_own_single_shard(backend):
-    db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
-    with TopKServer(db, capacity=4) as server:
-        uid = REPLAY.uids()[0]
-        assert server.shards == 1
-        assert server.shard_of(uid) == 0
-        assert server.shard_servers == (server,)
-        assert server.shard_for(uid) is server
-        server.top_k(uid, K)
-        assert server.resident_uids() == {0: [uid]}
-    db.close()
+    cached = len(server.results)
+    noop = mutated(server.delete_tuples([999_999_999]))  # never notifies
+    assert (noop.joined_rows, noop.results_invalidated,
+            noop.index_entries_dropped) == (0, 0, 0)
+    assert noop.results_spared == cached > 0
 
 
 def test_script_reports_and_metrics(surface):
@@ -173,9 +118,9 @@ def test_script_reports_and_metrics(surface):
 
 
 def test_construction_surface_is_pinned():
-    """Every settable parameter of the serving constructors, of what a
-    session is built from and of the load harness' front door, by name: a new
-    option is a deliberate edit of this list, not a drive-by."""
+    """Every settable parameter of the serving constructor, of what a
+    session is built from and of the CLI's serving front doors, by name: a
+    new option is a deliberate edit of this list, not a drive-by."""
     pinned = {
         IncrementalPairIndex: ["counter", "preferences"],
         UserSession: ["uid", "runner", "profile"],
@@ -183,17 +128,20 @@ def test_construction_surface_is_pinned():
         PEPSAlgorithm: ["runner", "preferences", "approximate",
                         "max_combination_size", "max_combinations",
                         "pair_index"],
-        run_load: ["scale", "users", "threads", "duration", "qps", "shards",
+        run_load: ["scale", "users", "threads", "duration", "qps",
                    "backend", "seed", "k", "capacity", "audit_interval",
                    "output", "as_json", "telemetry", "repair_delta", "family",
                    "mix"],
-        TopKServer: ["db", "capacity", "subscribe", "repair_delta"],
-        ShardedTopKServer: ["db", "shards", "capacity", "partitioner",
-                            "repair_delta"],
-        create_server: ["db", "shards", "options"],
-        ReplayDriver.verify_cluster_equivalence: [
-            "self", "workload_config", "shards", "capacity", "server_backend",
-            "stats_out"],
+        run_serve_replay: ["scale", "users", "requests", "k", "seed",
+                           "capacity", "baseline", "read_weight",
+                           "update_weight", "insert_weight", "delete_weight",
+                           "data_update_weight", "as_json", "backend",
+                           "telemetry", "repair_delta", "family", "mix"],
+        run_stats: ["scale", "users", "requests", "k", "seed", "capacity",
+                    "backend", "prometheus", "slow_ms"],
+        TopKServer: ["db", "capacity", "repair_delta"],
+        ReplayDriver.verify_backend_equivalence: [
+            "self", "workload_config", "capacity"],
     }
     for target, names in pinned.items():
         assert list(inspect.signature(target).parameters) == names, target
@@ -203,16 +151,11 @@ def test_lock_set_is_pinned(surface):
     """Every lock ``instrument_locks`` may report, by name, all of the one
     shape ``repro.concurrency`` defines; a new lock is a deliberate edit of
     this list.  Restoring hands back every original object."""
-    shards = surface.shard_servers
-    prefixes = ([""] if shards == (surface,)
-                else [f"shard{index}-" for index in range(len(shards))])
-    expected = [prefix + name for prefix in prefixes
-                for name in ("server", "sessions", "count-cache",
-                             "result-cache")]
-    swapped = [(owner, "_lock") for shard in shards
-               for owner in (shard, shard.sessions,
-                             shard.sessions.count_cache, shard.results)]
-    swapped += [(shard.sessions.count_cache, "_cond") for shard in shards]
+    expected = ["server", "sessions", "count-cache", "result-cache"]
+    cache = surface.sessions.count_cache
+    swapped = [(owner, "_lock") for owner in (surface, surface.sessions,
+                                               cache, surface.results)]
+    swapped.append((cache, "_cond"))
     if surface.db.backend_name == "memory":
         expected.append("memory-backend")
         swapped.append((surface.db, "_lock"))
@@ -232,41 +175,20 @@ def test_lock_set_is_pinned(surface):
             if cls.__module__ == "repro.concurrency"} == {"TimedRLock"}
 
 
-def test_cluster_sweeps_on_the_mutating_thread_in_shard_order(backend):
-    db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
-    swept = []
-
-    def recording(index, sweep):
-        def wrapped(mutation):
-            swept.append((index, threading.get_ident()))
-            return sweep(mutation)
-        return wrapped
-
-    with create_server(db, shards=3) as cluster:
-        for index, shard in enumerate(cluster.shard_servers):
-            shard._sweep = recording(index, shard._sweep)
-        cluster.insert_tuples(
-            [Paper(pid=90_003, title="Swept", venue="V0", year=2012)])
-    db.close()
-    me = threading.get_ident()
-    assert swept == [(0, me), (1, me), (2, me)]
-
-
 def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
     """A sweep that raises surfaces at the door that caused it, and by then
-    every lock is released: cold reads on every shard and a further
-    mutation, all from another thread, complete."""
+    every lock is released: cold reads and a further mutation, all from
+    another thread, complete."""
     uids = REPLAY.uids()
-    last = surface.shard_servers[-1]
 
     def failing(mutation):
         raise RuntimeError("sweep failed")
 
-    last._sweep = failing
+    surface._sweep = failing
     with pytest.raises(RuntimeError, match="sweep failed"):
         surface.insert_tuples(
             [Paper(pid=90_004, title="Unswept", venue="V0", year=2012)])
-    del last._sweep  # the class's method again
+    del surface._sweep  # the class's method again
     outcome = {}
 
     def read_everyone_then_mutate():
@@ -277,29 +199,59 @@ def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
                                      name="after-failed-sweep", daemon=True)])
     assert outcome["cold"] == [False] * len(uids)
     assert outcome["report"].papers == 1
-    assert len(outcome["report"].shard_reports) == surface.shards
+
+
+def test_cold_read_whose_backend_raises_publishes_nothing(surface, monkeypatch):
+    """Fault contract, first rule: a cold read whose backend raises while a
+    resident-free user's session is built surfaces the error from
+    ``top_k`` and leaves nothing behind — the server lock is free (another
+    user's cold read from a second thread completes), no count is still
+    claimed in flight, no answer is published and no session is resident.
+    Once the backend answers again, the same read is exact."""
+    uid, other = REPLAY.uids()[:2]
+    db, cache = surface.db, surface.sessions.count_cache
+    calls = []
+
+    def failing(predicates):
+        calls.append(len(predicates))
+        raise RuntimeError("backend down")
+
+    monkeypatch.setattr(db, "count_many", failing)
+    with pytest.raises(RuntimeError, match="backend down"):
+        surface.top_k(uid, K)
+    assert calls  # the failure came from the session build's pair counts
+    monkeypatch.undo()
+
+    outcome = {}
+    start_and_join([threading.Thread(
+        target=lambda: outcome.update(other=surface.top_k(other, K)),
+        name="after-failed-cold-read", daemon=True)])
+    assert list(outcome["other"].ranking) == fresh_top_k(db, other, K)
+    assert cache._inflight == set()
+    assert surface.results.peek(uid, K) is None
+    assert uid not in surface.sessions
+    served = surface.top_k(uid, K)
+    assert not served.cache_hit
+    assert list(served.ranking) == fresh_top_k(db, uid, K)
 
 
 def sweepable_keys(surface):
-    """Every key a data sweep can drop, as ``((kind, shard), conjunct SQLs)``:
-    a shard owns its count and id-list stores; sessions hold none."""
-    keys = set()
-    for index, shard in enumerate(surface.shard_servers):
-        registry = shard.sessions
-        keys |= {(("count", index), key) for key in registry.count_cache._counts}
-        keys |= {(("ids", index), key) for key in registry.runner._ids_cache}
-    return keys
+    """Every key a data sweep can drop, as ``(kind, conjunct SQLs)``: the
+    server owns its count and id-list stores; sessions hold none."""
+    registry = surface.sessions
+    return ({("count", key) for key in registry.count_cache._counts}
+            | {("ids", key) for key in registry.runner._ids_cache})
 
 
 def resident_indexes(surface):
-    return [shard.sessions.peek(uid).index for shard in surface.shard_servers
-            for uid in shard.sessions.resident_uids()]
+    return [surface.sessions.peek(uid).index
+            for uid in surface.sessions.resident_uids()]
 
 
 def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     """Work gate, by counting: with eight resident sessions sharing
     predicates, updating a multi-author paper costs distinct predicates x rows
-    evaluations through one ``RowMatch`` per shard and drops exactly what the
+    evaluations through one ``RowMatch`` per sweep and drops exactly what the
     plain loop, written out below, calls stale — judged conjunct by conjunct:
     no count or id-list key hands ``mask`` a conjunction to parse again, and a
     session pairs up only the preferences some row may match.  No rows, no
@@ -312,7 +264,7 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     # predicate: the pre-image alone stales a count, an id list and a session.
     pid = next(pid for pid, score in ranked
                if score > 0.9 and len(db.joined_rows([pid])) >= 2)
-    answers = {(uid, K): surface.shard_for(uid).results.peek(uid, K).predicates
+    answers = {(uid, K): surface.results.peek(uid, K).predicates
                for uid in uids}
     before = sweepable_keys(surface)
     judged = count_calls(monkeypatch, selectivity, "exact_match_row")
@@ -324,13 +276,13 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     report = surface.update_tuples(
         [Paper(pid=pid, title="Moved", venue=venues[1], year=hi)])
     asked, rows = len(judged), built[0][1]  # the reference asks the same judge
-    sweeps = [record for record in surface.telemetry.traces.snapshot()[-1].walk()
-              if record.name == "server.on_data_mutation"]
-    assert len(built) == len(sweeps) == surface.shards
-    assert all(sweep.annotation("rows") == len(rows) >= 4 for sweep in sweeps)
-    tests = sum(sweep.annotation("predicate_row_tests") for sweep in sweeps)
-    keys = sum(sweep.annotation("distinct_predicates") for sweep in sweeps)
-    assert asked == tests == keys * len(rows)
+    (sweep,) = [record for record
+                in surface.telemetry.traces.snapshot()[-1].walk()
+                if record.name == "server.on_data_mutation"]
+    assert len(built) == 1
+    assert sweep.annotation("rows") == len(rows) >= 4
+    assert asked == sweep.annotation("predicate_row_tests") == \
+        sweep.annotation("distinct_predicates") * len(rows)
     # Count and id-list keys reach ``mask`` as conjunct texts, never whole.
     assert any(len(members) > 1 for _, members in before)
     assert not any(isinstance(parse_predicate(asked), And)
@@ -342,13 +294,13 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
 
     dropped = before - sweepable_keys(surface)
     assert dropped == {key for key in before if stale(key[1])}
-    assert {kind for (kind, _), _ in dropped} == {"count", "ids"}
+    assert {kind for kind, _ in dropped} == {"count", "ids"}
     assert report.index_entries_dropped == len(dropped)
     touched = [[pref.sql for pref in index.preferences if stale([pref.sql])]
                for index in resident_indexes(surface)]
-    assert sum(sweep.annotation("pairs_visited") for sweep in sweeps) == sum(
+    assert sweep.annotation("pairs_visited") == sum(
         len(sqls) * (len(sqls) - 1) // 2 for sqls in touched) > 0
-    assert sum(sweep.annotation("sessions_stale") for sweep in sweeps) == sum(
+    assert sweep.annotation("sessions_stale") == sum(
         any(stale([first, second]) for position, first in enumerate(sqls)
             for second in sqls[position + 1:]) for sqls in touched) > 0
     assert {(entry.uid, entry.k) for entry, _ in repairs} == {
@@ -360,8 +312,7 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
         [Paper(pid=90_005, title="No author", venue=venues[0], year=hi)])
     assert masks == [] and before - sweepable_keys(surface) == dropped
     assert report.joined_rows == report.index_entries_dropped == 0
-    assert report.results_spared == sum(
-        len(shard.results) for shard in surface.shard_servers) > 0
+    assert report.results_spared == len(surface.results) > 0
 
 
 def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch):
@@ -378,13 +329,14 @@ def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch)
     report = surface.insert_tuples(
         [Paper(pid=90_006, title="Elsewhere", venue="NOWHERE", year=1900)],
         paper_authors=[(90_006, 999_999)])
-    sweeps = [record for record in surface.telemetry.traces.snapshot()[-1].walk()
-              if record.name == "server.on_data_mutation"]
-    assert [sweep.annotation("rows") for sweep in sweeps] == [1] * surface.shards
-    assert all(sweep.annotation("pairs_visited") == 0 ==
-               sweep.annotation("sessions_stale") for sweep in sweeps)
-    assert all(sweep.annotation("predicate_row_tests") ==
-               sweep.annotation("distinct_predicates") > 0 for sweep in sweeps)
+    (sweep,) = [record for record
+                in surface.telemetry.traces.snapshot()[-1].walk()
+                if record.name == "server.on_data_mutation"]
+    assert sweep.annotation("rows") == 1
+    assert sweep.annotation("pairs_visited") == 0 == \
+        sweep.annotation("sessions_stale")
+    assert sweep.annotation("predicate_row_tests") == \
+        sweep.annotation("distinct_predicates") > 0
     assert report.index_entries_dropped == 0
     assert sweepable_keys(surface) == before
     assert len(indexes) == len(uids)
@@ -406,21 +358,6 @@ def test_may_match_row_has_one_calling_module():
     callers = [path.relative_to(src).as_posix() for path in src.rglob("*.py")
                if "may_match_row(" in path.read_text(encoding="utf-8")]
     assert callers == ["index/selectivity.py"]
-
-
-def test_one_script_same_answers_totals_and_metric_names(backend):
-    transcripts, names = {}, {}
-    for label, build in SURFACES.items():
-        db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
-        with build(db) as engine:
-            transcripts[label] = run_script(engine)
-            names[label] = {name for name in engine.metrics()
-                            if not name.startswith("serving.cluster.")}
-        db.close()
-    assert transcripts["cluster-1"] == transcripts["server"]
-    assert transcripts["cluster-3"] == transcripts["server"]
-    assert names["cluster-1"] == names["server"]
-    assert names["cluster-3"] == names["server"]
 
 
 def test_closed_surface_refuses_instead_of_serving_stale(surface):
@@ -500,7 +437,7 @@ def rule_fresh_predicate(surface, rng, user):
 
 
 def rule_evict(surface, rng, user):
-    surface.shard_for(user["uid"]).sessions.evict(user["uid"])
+    surface.sessions.evict(user["uid"])
 
 
 def rule_read(surface, rng, user):

@@ -18,7 +18,7 @@ from repro.concurrency import TimedRLock
 from repro.core.preference import UserProfile
 from repro.exceptions import TelemetryError
 from repro.loadgen import LoadConfig, LoadGenerator
-from repro.serving import ReplayConfig, ReplayDriver, ShardedTopKServer, TopKServer
+from repro.serving import ReplayConfig, ReplayDriver, TopKServer
 from repro.telemetry import (
     MetricsRegistry,
     SNAPSHOT_SCHEMA_VERSION,
@@ -77,7 +77,7 @@ def server(serving_db):
 class TestNaming:
     def test_valid_names_pass(self):
         for name in ("serving.server.reads", "index.count_cache.hits",
-                     "concurrency.lock.shard0_server.wait_seconds",
+                     "concurrency.lock.count_cache.wait_seconds",
                      "a.b.c.d"):
             assert validate_metric_name(name) == name
 
@@ -89,7 +89,7 @@ class TestNaming:
             validate_metric_name(name)
 
     def test_sanitize_component(self):
-        assert sanitize_component("shard0-server") == "shard0_server"
+        assert sanitize_component("count-cache") == "count_cache"
         assert sanitize_component("Memory Backend!") == "memory_backend"
         assert sanitize_component("---") == "unnamed"
 
@@ -305,41 +305,6 @@ class TestServerTelemetry:
         assert record.find("server.on_data_mutation") is not None
 
 
-class TestClusterTelemetry:
-    def test_fanout_trace_nests_every_shard(self, serving_db):
-        telemetry = Telemetry()
-        with ShardedTopKServer(serving_db, shards=3, capacity=8) as cluster:
-            telemetry.observe(cluster)
-            for uid in range(1, 5):
-                cluster.update_profile(uid, make_profile(uid))
-            telemetry.traces.clear()
-            for pid in (90_001, 90_002, 90_003):
-                cluster.insert_tuples(
-                    [Paper(pid=pid, title="fanout paper", venue="VLDB",
-                           year=2012)],
-                    paper_authors=[(pid, 1)])
-            records = telemetry.traces.snapshot()
-            assert len(records) == 3
-            for record in records:
-                # Every shard's sweep landed under the request that caused
-                # it, none under a neighbouring request.
-                assert record.name == "cluster.insert_tuples"
-                mutations = [child for child in record.children
-                             if child.name == "server.on_data_mutation"]
-                assert len(mutations) == cluster.shards
-
-    def test_read_nests_shard_front_door(self, serving_db):
-        telemetry = Telemetry()
-        with ShardedTopKServer(serving_db, shards=2, capacity=8) as cluster:
-            telemetry.observe(cluster)
-            cluster.update_profile(1, make_profile(1))
-            cluster.top_k(1, 5)
-            record = telemetry.traces.snapshot()[-1]
-            assert record.name == "cluster.top_k"
-            assert record.find("server.top_k") is not None
-            assert record.depth() >= 4
-
-
 # -- satellite: reversible lock instrumentation -------------------------------
 
 
@@ -387,12 +352,6 @@ class TestLockInstrumentation:
             assert snapshot["concurrency.lock.server.acquisitions"] > 0
         assert "concurrency" not in {name.split(".", 1)[0]
                                      for name in registry.snapshot()}
-
-    def test_cluster_locks_cover_every_shard(self, serving_db):
-        with ShardedTopKServer(serving_db, shards=2, capacity=8) as cluster:
-            with instrument_locks(cluster) as handle:
-                names = {lock.stats()["name"] for lock in handle.locks}
-                assert {"shard0-server", "shard1-server"} <= names
 
 
 # -- the load harness under telemetry -----------------------------------------
