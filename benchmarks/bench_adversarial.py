@@ -1,18 +1,18 @@
-"""Adversarial mixes on the synthetic family, differentially verified (ISSUE 9).
+"""Adversarial mixes on the synthetic family, audited on both engines.
 
 Every named hostile mix (:data:`repro.serving.MIXES` — hot-key mutation
 storms, delete-heavy churn, profile thrash, repair-boundary updates) replays
-over the synthetic workload family on **both** storage engines, always with
-the after-every-mutation equivalence verifier on; each mix additionally runs
-the three-way cross-backend lockstep differential (SQLite server vs memory
-server vs fresh recomputation).
+serially over the synthetic workload family on **both** storage engines:
+one run of :class:`repro.loadgen.LoadGenerator` per cell, with one worker,
+an op budget and the inline audit (every materialised answer compared with
+a from-scratch recomputation after every op).
 
 The assertions cover the acceptance criteria:
 
-(a) **verified throughout** — every cell of the mix x backend matrix
-    verifies at least one materialised answer against the
-    from-scratch oracle, and every per-mix lockstep differential performs
-    comparisons without a single divergence;
+(a) **audited throughout** — every cell of the mix x backend matrix
+    compares materialised answers against the from-scratch oracle without a
+    single divergence, and the two engines' cells of one mix agree op for
+    op (same kinds, warm hits and audit comparisons);
 (b) **the mixes bite** — across the matrix the repair path fires (nonzero
     repairs), invalidations happen (nonzero profile + data invalidations),
     and at least one mix documented as ``cache_hostile`` drives the
@@ -24,7 +24,8 @@ The assertions cover the acceptance criteria:
 from __future__ import annotations
 
 from repro.experiments import reporting
-from repro.serving import MIXES, OpMix, ReplayConfig, ReplayDriver, TopKServer
+from repro.loadgen import LoadConfig, LoadGenerator, build_world
+from repro.serving import MIXES, OpMix, TopKServer
 from repro.workload.dblp import DblpConfig
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
 
@@ -44,64 +45,50 @@ K = 5
 CAPACITY = 12
 SEED = 29
 BACKENDS = ("sqlite", "memory")
-#: Reduced shape for the per-mix three-way lockstep differential (it builds
-#: three worlds and compares after every mutation).
-DIFF_USERS = 14
-DIFF_REQUESTS = 70
 
 
-def _driver(mix_name):
-    return ReplayDriver(
-        ReplayConfig(users=USERS, requests=REQUESTS, k=K, seed=SEED,
-                     mix=OpMix.named(mix_name)),
-        profile_factory=synthetic_profile_factory(SYN))
+def _replay(db, mix_name=None):
+    """One audited serial replay of ``mix_name`` over ``db``."""
+    config = LoadConfig(threads=1, requests=REQUESTS, k=K, seed=SEED,
+                        mix=OpMix.named(mix_name), audit_interval=0)
+    with TopKServer(db, capacity=CAPACITY) as server:
+        report = LoadGenerator(config).run(server)
+    db.close()
+    assert report.clean, (report.errors, report.audit)
+    return report
 
 
 def _run_cell(mix_name, backend):
-    """One matrix cell: verified replay of one mix on one engine."""
-    driver = _driver(mix_name)
-    db = driver.build_world(SYN, backend=backend)
-    server = TopKServer(db, capacity=CAPACITY)
-    try:
-        report = driver.run(server, driver.schedule(db), verify=True,
-                            label=f"{mix_name}/{backend}")
-        metrics = server.metrics()
-    finally:
-        server.close()
-        db.close()
+    """One matrix cell: audited replay of one mix on one engine."""
+    report = _replay(build_world(SYN, USERS, backend,
+                                 synthetic_profile_factory(SYN)), mix_name)
+    metrics = report.server_stats
+    kinds = report.kind_counts
     return {
         "mix": mix_name, "backend": backend,
-        "ops": report.ops, "reads": report.reads,
+        "ops": report.ops, "reads": kinds["read"],
         "read_hits": report.read_hits,
-        "warm_rate": report.read_hits / max(1, report.reads),
-        "mutations": report.inserts + report.deletes + report.data_updates,
+        "warm_rate": report.read_hit_rate,
+        "mutations": kinds["insert"] + kinds["delete"] + kinds["data_update"],
         "sql_statements": report.sql_statements,
-        "verified_results": report.verified_results,
+        "verified_results": report.audit["comparisons"],
         "repairs": metrics["serving.result_cache.repairs"],
         "data_invalidations": metrics["serving.results.data_invalidations"],
         "profile_invalidations":
             metrics["serving.results.profile_invalidations"],
         "repair_underflows": metrics["serving.result_cache.repair_underflows"],
-        "seconds": report.seconds,
+        "seconds": report.duration_seconds,
     }
 
 
 def _dblp_baseline():
     """Benign default-mix replay on DBLP: the warm-rate comparison floor."""
-    driver = ReplayDriver(ReplayConfig(users=USERS, requests=REQUESTS,
-                                       k=K, seed=SEED))
-    db = driver.build_world(DBLP)
-    server = TopKServer(db, capacity=CAPACITY)
-    try:
-        report = driver.run(server, driver.schedule(db), verify=True,
-                            label="dblp-benign")
-    finally:
-        server.close()
-        db.close()
+    report = _replay(build_world(DBLP, USERS))
     return {"family": "dblp", "mix": None,
-            "warm_rate": report.read_hits / max(1, report.reads),
-            "reads": report.reads, "read_hits": report.read_hits,
-            "verified_results": report.verified_results}
+            "warm_rate": report.read_hit_rate,
+            "reads": report.kind_counts["read"],
+            "read_hits": report.read_hits,
+            "verified_results": report.audit["comparisons"]}
 
 
 def _matrix():
@@ -111,13 +98,14 @@ def _matrix():
 
 
 def test_adversarial_matrix_verified(benchmark):
-    """Every mix x backend cell passes the equivalence verifier."""
+    """Every mix x backend cell passes the inline audit, and both engines
+    replay each mix alike."""
     runs = run_once(benchmark, _matrix)
     baseline = _dblp_baseline()
 
     reporting.print_report(
         f"Adversarial mixes on the synthetic family — {USERS} users, "
-        f"{REQUESTS} requests, verified after every mutation",
+        f"{REQUESTS} requests, audited after every op",
         reporting.format_table([
             {"mix": run["mix"], "backend": run["backend"],
              "reads": run["reads"],
@@ -134,11 +122,18 @@ def test_adversarial_matrix_verified(benchmark):
             "reads": baseline["reads"],
             "verified": baseline["verified_results"]}))
 
-    # (a) Every cell verified materialised answers against the oracle.
+    # (a) Every cell audited materialised answers against the oracle, and
+    # the two engines' cells of one mix agree.
     assert len(runs) == len(MIXES) * len(BACKENDS)
     for run in runs:
         assert run["verified_results"] > 0, (
             f"{run['mix']} on {run['backend']} verified nothing")
+    same = ("ops", "reads", "read_hits", "mutations", "verified_results",
+            "repairs", "data_invalidations", "profile_invalidations")
+    for mix_name in MIXES:
+        sqlite, memory = ([run[key] for key in same] for run in runs
+                          if run["mix"] == mix_name)
+        assert sqlite == memory, f"{mix_name}: engines diverged"
 
     # (b) The mixes exercise the maintenance machinery: repairs fire,
     # invalidations happen (the data side repairs in place, so the
@@ -165,37 +160,13 @@ def test_adversarial_matrix_verified(benchmark):
     })
 
 
-def test_lockstep_differential_per_mix(benchmark):
-    """Each mix passes the three-way cross-backend lockstep differential."""
-    def sweep():
-        checked = {}
-        for mix_name in sorted(MIXES):
-            driver = ReplayDriver(
-                ReplayConfig(users=DIFF_USERS, requests=DIFF_REQUESTS,
-                             k=K, seed=SEED, mix=OpMix.named(mix_name)),
-                profile_factory=synthetic_profile_factory(SYN))
-            checked[mix_name] = driver.verify_backend_equivalence(
-                SYN, capacity=CAPACITY)
-        return checked
-
-    checked = run_once(benchmark, sweep)
-    reporting.print_report(
-        "Cross-backend lockstep differential (SQLite server vs memory "
-        "server vs fresh recomputation)",
-        reporting.format_mapping({mix_name: f"{count} comparisons"
-                                  for mix_name, count in checked.items()}))
-    assert set(checked) == set(MIXES)
-    for mix_name, count in checked.items():
-        assert count > 0, f"{mix_name} differential compared nothing"
-
-
 def test_synthetic_worlds_identical_across_backends(benchmark):
     """Both engines load the synthetic family to identical statistics."""
     def shapes():
         out = {}
         for backend in BACKENDS:
-            driver = _driver(None)
-            db = driver.build_world(SYN, backend=backend)
+            db = build_world(SYN, USERS, backend,
+                             synthetic_profile_factory(SYN))
             try:
                 out[backend] = (db.table_counts(), db.workload_shape(),
                                 db.max_paper_id(), db.max_author_id())

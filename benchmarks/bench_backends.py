@@ -5,9 +5,11 @@ the first somewhere that matters.  This benchmark replays one deterministic
 Zipf-skewed serving workload — reads, profile updates and the full tuple
 mutation spectrum — over two identical worlds, one per backend, and asserts:
 
-(a) **equal answers** — every read of the replay returns the identical
-    ranking and the identical cache-hit flag on both engines, and every
-    mutation produces the identical invalidation report;
+(a) **equal behaviour** — the replay (the one-worker run of
+    :class:`repro.loadgen.LoadGenerator`) leaves both engines' servers with
+    identical ``serving.*`` counters: the same reads, warm hits, sessions,
+    invalidations, repairs and spared answers (per-op answers and reports
+    are compared in lockstep by ``tests/test_server_machine.py``);
 (b) **memory strictly faster** — the memory backend's replay wall-clock
     (best of three interleaved repetitions, after a warm-up round) is
     strictly below SQLite's;
@@ -27,15 +29,17 @@ from __future__ import annotations
 
 import gc
 
+from itertools import islice
+
 from repro.experiments import reporting
+from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
 from repro.serving import (
     MUTATION_KINDS,
-    READ,
-    ReplayConfig,
-    ReplayDriver,
+    OpMix,
     TopKServer,
     Uncached,
     apply_op,
+    build_streams,
 )
 from repro.workload.dblp import DblpConfig
 
@@ -44,91 +48,76 @@ from bench_utils import run_once, write_bench_json
 #: The replay world (tiny scale keeps the CI smoke job quick).
 DBLP = DblpConfig(n_papers=300, n_authors=120, n_venues=10, seed=7)
 #: Zipf replay with every mutation kind present.
-REPLAY = ReplayConfig(users=40, requests=260, k=5, seed=23)
+USERS = 40
+REPLAY = LoadConfig(threads=1, requests=260, k=5, seed=23,
+                    audit_interval=None)
 CAPACITY = 16
 BACKENDS = ("sqlite", "memory")
 #: Interleaved timing repetitions per backend (minimum wins).
 REPETITIONS = 3
 
 
-def _run_replay(driver: ReplayDriver, backend: str):
-    """One full serving-replay arm on ``backend``; returns (report, metrics)."""
-    db = driver.build_world(DBLP, backend=backend)
+def _run_replay(backend: str):
+    """One full serving-replay arm on ``backend``; returns its report."""
+    db = build_world(DBLP, USERS, backend)
     server = TopKServer(db, capacity=CAPACITY)
-    ops = driver.schedule(db)
     gc.collect()  # keep a stray collection out of either arm's timing
-    report = driver.run(server, ops, label=backend)
-    metrics = server.metrics()
+    report = LoadGenerator(REPLAY).run(server)
     server.close()
     db.close()
-    return report, metrics
+    return report
+
+
+def _serving(report):
+    return {name: value for name, value in report.server_stats.items()
+            if name.startswith("serving.")}
 
 
 def test_memory_backend_beats_sqlite_on_serving_replay(benchmark):
-    """Acceptance: identical replay answers, memory strictly faster."""
-    driver = ReplayDriver(REPLAY)
-
-    # -- (a) equal answers: one verification pass per backend ------------------
-    rankings = {}
+    """Acceptance: identical serving behaviour, memory strictly faster."""
+    # Warm-up, then best-of-N interleaved.
     for backend in BACKENDS:
-        db = driver.build_world(DBLP, backend=backend)
-        server = TopKServer(db, capacity=CAPACITY)
-        ops = driver.schedule(db)
-        served = []
-        for op in ops:
-            result = apply_op(server, op)
-            if op.kind == READ:
-                served.append((op.uid, op.k, result.cache_hit,
-                               tuple(result.ranking)))
-        rankings[backend] = served
-        server.close()
-        db.close()
-    assert rankings["sqlite"] == rankings["memory"], (
-        "backends diverged on replay answers or cache behaviour")
-
-    # -- (b) wall-clock: warm-up, then best-of-N interleaved -------------------
-    for backend in BACKENDS:
-        _run_replay(driver, backend)
+        _run_replay(backend)
     best = {}
     for _ in range(REPETITIONS):
         for backend in BACKENDS:
-            report, _ = _run_replay(driver, backend)
-            if backend not in best or report.seconds < best[backend].seconds:
+            report = _run_replay(backend)
+            if backend not in best or \
+                    report.duration_seconds < best[backend].duration_seconds:
                 best[backend] = report
-    timed_report, _ = run_once(benchmark, _run_replay, driver, "memory")
-    if timed_report.seconds < best["memory"].seconds:
+    timed_report = run_once(benchmark, _run_replay, "memory")
+    if timed_report.duration_seconds < best["memory"].duration_seconds:
         best["memory"] = timed_report
 
     reporting.print_report(
-        f"Backend face-off — {REPLAY.users} users, {REPLAY.requests} requests, "
+        f"Backend face-off — {USERS} users, {REPLAY.requests} requests, "
         f"best of {REPETITIONS}",
         reporting.format_table([
-            {"backend": backend, "seconds": f"{best[backend].seconds:.4f}",
+            {"backend": backend,
+             "seconds": f"{best[backend].duration_seconds:.4f}",
              "ops(statements)": best[backend].sql_statements,
-             "read_hits": best[backend].read_hits,
-             "zero_sql_reads": best[backend].zero_sql_reads}
+             "read_hits": best[backend].read_hits}
             for backend in BACKENDS]))
 
     write_bench_json("backends", {
-        "scale": {"users": REPLAY.users, "requests": REPLAY.requests,
+        "scale": {"users": USERS, "requests": REPLAY.requests,
                   "papers": DBLP.n_papers},
         "repetitions": REPETITIONS,
         "arms": [{"backend": backend,
-                  "seconds": best[backend].seconds,
+                  "seconds": best[backend].duration_seconds,
                   "sql_statements": best[backend].sql_statements,
-                  "read_hits": best[backend].read_hits,
-                  "zero_sql_reads": best[backend].zero_sql_reads}
+                  "read_hits": best[backend].read_hits}
                  for backend in BACKENDS],
     })
 
     sqlite_report, memory_report = best["sqlite"], best["memory"]
-    # Same replay behaviour on both engines...
+    # (a) Same serving behaviour on both engines...
     assert memory_report.read_hits == sqlite_report.read_hits
-    assert memory_report.mutation_events == sqlite_report.mutation_events
-    # ...and the memory engine is strictly faster end to end.
-    assert memory_report.seconds < sqlite_report.seconds, (
-        f"memory backend not faster: {memory_report.seconds:.4f}s vs "
-        f"sqlite {sqlite_report.seconds:.4f}s")
+    assert _serving(memory_report) == _serving(sqlite_report)
+    # (b) ...and the memory engine is strictly faster end to end.
+    assert memory_report.duration_seconds < sqlite_report.duration_seconds, (
+        f"memory backend not faster: {memory_report.duration_seconds:.4f}s "
+        f"vs sqlite {sqlite_report.duration_seconds:.4f}s")
 
 
 def test_memory_backend_query_path_margin(benchmark):
@@ -144,12 +133,13 @@ def test_memory_backend_query_path_margin(benchmark):
 
     from repro.core.predicate import ensure_predicate
 
-    driver = ReplayDriver(REPLAY)
     worlds = {}
     predicates = None
     for backend in BACKENDS:
-        db = driver.build_world(DBLP, backend=backend)
-        ops = driver.schedule(db)
+        db = build_world(DBLP, USERS, backend)
+        (stream,) = build_streams(db, 1, OpMix(), population(USERS),
+                                  REPLAY.k, REPLAY.seed)
+        ops = list(islice(stream, REPLAY.requests))
         # Mutate the world first so both engines answer over identical,
         # non-pristine data (inserts + deletes + in-place updates applied).
         bare = Uncached(db)

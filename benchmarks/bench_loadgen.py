@@ -24,10 +24,11 @@ from __future__ import annotations
 from repro.loadgen import (
     LoadConfig,
     LoadGenerator,
+    build_world,
     load_and_validate,
     loadgen_payload,
 )
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer
+from repro.serving import TopKServer
 from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
 
@@ -36,12 +37,12 @@ from bench_utils import REPO_ROOT, run_once, write_bench_json
 #: The load world (small enough for the CI smoke job, big enough to contend).
 DBLP = DblpConfig(n_papers=220, n_authors=90, n_venues=8, seed=7)
 #: Profile population the workers draw uids from.
-REPLAY = ReplayConfig(users=32, k=5, seed=23)
+USERS = 32
 CAPACITY = 16
 BACKENDS = ("sqlite", "memory")
 #: Per-cell closed-loop run shape.
 LOAD = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
-                  k=REPLAY.k, audit_interval=0.3,
+                  k=5, audit_interval=0.3,
                   audit_sample=6)
 #: Every lock a server's load report may name (``memory-backend`` on that
 #: engine only); ``tests/test_serving_surface.py`` pins the same set.
@@ -50,8 +51,7 @@ SERVER_LOCKS = {"server", "sessions", "count-cache", "result-cache"}
 
 def _run_cell(backend: str):
     """One cell: build the world, run the load, return the record."""
-    driver = ReplayDriver(REPLAY)
-    db = driver.build_world(DBLP, backend=backend)
+    db = build_world(DBLP, USERS, backend)
     server = TopKServer(db, capacity=CAPACITY)
     try:
         report = LoadGenerator(LOAD).run(server, telemetry=Telemetry())
@@ -81,7 +81,7 @@ def test_loadgen_slo_cells(benchmark):
         "threads": LOAD.threads,
         "duration_seconds": LOAD.duration_seconds,
         "seed": LOAD.seed,
-        "users": REPLAY.users,
+        "users": USERS,
         "papers": DBLP.n_papers,
         "backends": list(BACKENDS),
         "audit_interval": LOAD.audit_interval,

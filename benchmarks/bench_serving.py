@@ -1,12 +1,13 @@
 """Multi-user serving engine vs ad-hoc recomputation (ISSUE 2 tentpole,
 extended by ISSUE 3 to the full update spectrum).
 
-A 50+-user Zipf-skewed replay (reads / profile updates / tuple inserts,
-deletes and in-place updates) runs twice over identical worlds: once through
-:class:`repro.serving.TopKServer` (resident LRU sessions, shared count
-cache, update-aware result cache) and once through the no-cache baseline
-that rebuilds every user's state per read — the seed behaviour the serving
-layer replaces.
+A 50+-user Zipf-skewed serial replay (reads / profile updates / tuple
+inserts, deletes and in-place updates) runs twice over identical worlds —
+the one-worker run of :class:`repro.loadgen.LoadGenerator`, so both arms
+apply the identical op list: once through :class:`repro.serving.TopKServer`
+(resident LRU sessions, shared count cache, update-aware result cache) and
+once through :class:`repro.serving.Uncached`, which rebuilds every user's
+state per read — the seed behaviour the serving layer replaces.
 
 The printed report and the assertions cover the acceptance criteria:
 
@@ -19,77 +20,124 @@ The printed report and the assertions cover the acceptance criteria:
 (c) the end-to-end replay issues strictly fewer SQL statements than the
     no-cache baseline.
 
-Equivalence (served results == fresh recomputation after every mutation of
-any kind) is asserted by ``tests/test_serving_driver.py`` at the same
-driver settings.
+(c) compares the two runner reports.  (a) and (b) are per-request claims,
+so a third, identical world steps the same one-worker op list through
+:func:`repro.serving.apply_op` and keeps each read's
+:class:`~repro.serving.ServeResult` and each mutation's
+:class:`~repro.serving.DataMutationReport`.
+
+Equivalence (served results == fresh recomputation after every op) is the
+state machine's, ``tests/test_server_machine.py``; the eviction-thrash case
+below also audits inline.
 """
 
 from __future__ import annotations
 
 from repro.experiments import reporting
 from repro.experiments.context import SCALES
-from repro.serving import MUTATION_KINDS, ReplayConfig, ReplayDriver, TopKServer
+from itertools import islice
+
+from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
+from repro.serving import (MUTATION_KINDS, READ, TopKServer, Uncached,
+                           apply_op, build_streams)
 
 from bench_utils import run_once
 
 #: ≥50 users, Zipf-skewed; small enough to keep the smoke job quick.
-REPLAY = ReplayConfig(users=50, requests=300, k=5, seed=17)
+USERS = 50
+REPLAY = LoadConfig(threads=1, requests=300, k=5, seed=17,
+                    audit_interval=None)
 SCALE = "tiny"
 CAPACITY = 24
 
 
+def _run(target):
+    return LoadGenerator(REPLAY).run(target)
+
+
+def _step(server):
+    """The replay's op list, one op at a time: ``(reads, events)`` — each
+    read's result, and per data mutation its kind, the answers cached just
+    before it and its report."""
+    (stream,) = build_streams(server.db, 1, REPLAY.mix, population(USERS),
+                              REPLAY.k, REPLAY.seed)
+    reads, events = [], []
+    for op in islice(stream, REPLAY.requests):
+        cached_before = len(server.results)
+        outcome = apply_op(server, op)
+        if op.kind == READ:
+            reads.append(outcome)
+        elif op.kind in MUTATION_KINDS:
+            events.append((op.kind, cached_before, outcome))
+    return reads, events
+
+
 def test_serving_replay_beats_no_cache_baseline(benchmark):
     """The acceptance benchmark: cache behaviour + SQL-statement comparison."""
-    driver = ReplayDriver(REPLAY)
-
-    serving_db = driver.build_world(SCALES[SCALE])
+    serving_db = build_world(SCALES[SCALE], USERS)
     server = TopKServer(serving_db, capacity=CAPACITY)
-    ops = driver.schedule(serving_db)
-    serving = run_once(benchmark, driver.run, server, ops)
-    metrics = server.metrics()
-
-    baseline_db = driver.build_world(SCALES[SCALE])
-    baseline = driver.run_baseline(baseline_db, driver.schedule(baseline_db))
+    serving = run_once(benchmark, _run, server)
+    metrics = serving.server_stats
+    baseline_db = build_world(SCALES[SCALE], USERS)
+    baseline = _run(Uncached(baseline_db))
+    stepped_db = build_world(SCALES[SCALE], USERS)
+    with TopKServer(stepped_db, capacity=CAPACITY) as stepped:
+        reads, events = _step(stepped)
+    server.close()
+    for db in (serving_db, baseline_db, stepped_db):
+        db.close()
 
     reporting.print_report(
-        f"Serving replay — {REPLAY.users} users, {REPLAY.requests} requests "
+        f"Serving replay — {USERS} users, {REPLAY.requests} requests "
         f"(Zipf {REPLAY.mix.zipf_exponent})",
         reporting.format_table([
-            {"arm": arm.label, "reads": arm.reads, "read_hits": arm.read_hits,
-             "zero_sql_reads": arm.zero_sql_reads, "updates": arm.updates,
-             "inserts": arm.inserts, "deletes": arm.deletes,
-             "data_updates": arm.data_updates,
+            {"arm": label, **arm.kind_counts, "read_hits": arm.read_hits,
              "sql_statements": arm.sql_statements,
-             "seconds": f"{arm.seconds:.3f}"}
-            for arm in (serving, baseline)]))
+             "seconds": f"{arm.duration_seconds:.3f}"}
+            for label, arm in (("serving", serving),
+                               ("baseline", baseline))]))
     reporting.print_report(
         "Result-cache behaviour under data mutations",
         reporting.format_table([
-            {"op": position, **event}
-            for position, event in enumerate(serving.mutation_events)]))
+            {"op": position, "kind": kind, "cached_before": cached_before,
+             "results_invalidated": report.results_invalidated,
+             "results_spared": report.results_spared,
+             "results_repaired": report.results_repaired,
+             "index_entries_dropped": report.index_entries_dropped}
+            for position, (kind, cached_before, report)
+            in enumerate(events)]))
+
+    # The stepped world replayed the runner's op list.
+    hits = [read for read in reads if read.cache_hit]
+    assert len(hits) == serving.read_hits
+    assert len(events) == sum(serving.kind_counts[kind]
+                              for kind in MUTATION_KINDS)
 
     # (a) Warm requests answer from the materialised result cache with zero
     # SQL statements — and the skew guarantees plenty of warm requests.
-    assert serving.read_hits > 0
-    assert serving.zero_sql_reads == serving.read_hits
+    assert hits
+    assert all(read.sql_statements == 0 for read in hits)
+    assert metrics["serving.results.hits"] == serving.read_hits
 
     # (b) Every mutation kind invalidates *selectively*.  Inserts touch one
     # venue, so against every multi-entry cache strictly fewer than all
-    # cached answers are dropped (a single-entry cache may legitimately lose
-    # its only — affected — entry); and for each of insert/delete/update the
-    # replay leaves cached answers untouched (spared > 0) — no kind ever
-    # degenerates into a blanket cache flush.
-    populated = [event for event in serving.events_of_kind("insert")
-                 if event["cached_before"] >= 2]
+    # cached answers are dropped or repaired (a single-entry cache may
+    # legitimately lose its only — affected — entry); and for each of
+    # insert/delete/update the replay leaves cached answers untouched
+    # (spared > 0) — no kind ever degenerates into a blanket cache flush.
+    populated = [(cached_before, report) for kind, cached_before, report
+                 in events if kind == "insert" and cached_before >= 2]
     assert populated, "replay produced no insert against a warm cache"
-    for event in populated:
-        assert event["results_invalidated"] < event["cached_before"]
+    for cached_before, report in populated:
+        assert (report.results_invalidated
+                + report.results_repaired) < cached_before
     for kind in MUTATION_KINDS:
-        events = serving.events_of_kind(kind)
-        assert events, f"replay produced no {kind} operations"
-        assert sum(event["results_spared"] for event in events) > 0
+        spared = [report.results_spared for event_kind, _, report in events
+                  if event_kind == kind]
+        assert spared, f"replay produced no {kind} operations"
+        assert sum(spared) > 0
 
-    # (c) End-to-end, the serving engine does strictly less SQL work than
+    # (c) End to end, the serving engine does strictly less SQL work than
     # ad-hoc recomputation over the identical schedule.
     assert serving.sql_statements < baseline.sql_statements
 
@@ -101,18 +149,22 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
 
 def test_eviction_rebuild_stays_correct(benchmark):
     """A tiny-capacity registry thrashes, yet every answer stays exact."""
-    config = ReplayConfig(users=12, requests=60, k=4, seed=5)
-    driver = ReplayDriver(config)
-    db = driver.build_world(SCALES[SCALE])
+    config = LoadConfig(threads=1, requests=60, k=4, seed=5,
+                        audit_interval=0)
+    db = build_world(SCALES[SCALE], 12)
     server = TopKServer(db, capacity=3)
-    report = run_once(benchmark, driver.run, server, driver.schedule(db), True)
+    report = run_once(benchmark, LoadGenerator(config).run, server)
+    server.close()
+    db.close()
 
+    evictions = report.server_stats["serving.sessions.evictions"]
     reporting.print_report(
         "Eviction thrash — capacity 3, 12 users",
         reporting.format_mapping({
-            "evictions": server.sessions.stats()["evictions"],
-            "sessions_built": server.sessions.stats()["sessions_built"],
-            "verified_results": report.verified_results,
+            "evictions": evictions,
+            "sessions_built":
+                report.server_stats["serving.sessions.sessions_built"],
+            "audit_comparisons": report.audit["comparisons"],
         }))
-    assert server.sessions.stats()["evictions"] > 0
-    assert report.verified_results > 0
+    assert evictions > 0
+    assert report.clean and report.audit["comparisons"] > 0

@@ -70,9 +70,8 @@ Serving engine (:mod:`repro.serving`)
     (:mod:`repro.serving.ops`): the relative weights, skew and mutation
     targeting of a run (``OpMix.named("hot-keys")`` for a hostile one), and
     the single dispatcher that applies a generated op to a server or an
-    uncached world.
-    :class:`ReplayDriver` / :class:`ReplayConfig` — deterministic Zipf
-    multi-user replays against a server, with a no-cache baseline arm.
+    uncached world (:class:`repro.loadgen.LoadGenerator` runs the streams,
+    serially or from N threads).
     :func:`fresh_top_k` — from-scratch recomputation (the serving oracle).
 
 Storage backends (:mod:`repro.backend`)
@@ -137,8 +136,6 @@ from .backend import MemoryBackend, StorageBackend, create_backend
 from .index import CountCache, IncrementalPairIndex
 from .serving import (
     OpMix,
-    ReplayConfig,
-    ReplayDriver,
     ResultCache,
     SessionRegistry,
     TopKServer,
@@ -178,8 +175,6 @@ __all__ = [
     "PreferenceExtractor",
     "PreferenceQueryRunner",
     "ProfileRegistry",
-    "ReplayConfig",
-    "ReplayDriver",
     "ResultCache",
     "SessionRegistry",
     "StorageBackend",

@@ -20,9 +20,9 @@ through the same SQLite-faithful coercion rules as
 :meth:`repro.core.predicate.Condition.evaluate` (NUMERIC/TEXT affinity,
 number-before-text ordering, exact integer conversion) — the differential
 tests of PR 3 pinned those rules against the real engine, and the
-whole-system lockstep harness (``tests/test_backend_differential.py``)
-asserts this backend and :class:`~repro.sqldb.database.Database` stay
-answer-identical across the full replay mutation mix.
+lockstep check in ``tests/test_server_machine.py`` asserts this backend
+and :class:`~repro.sqldb.database.Database` stay answer-identical across
+the full replay mutation mix.
 
 Mutations mirror the SQLite loader bodies
 (:mod:`repro.workload.loader`) operation for operation — REPLACE semantics,

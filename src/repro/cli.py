@@ -53,15 +53,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from .algorithms import PEPSAlgorithm
 from .backend import BACKEND_NAMES, default_backend_name
 from .experiments import figures, reporting
 from .experiments.context import SCALES, ExperimentContext
-from .serving import MIXES, OpMix, ReplayConfig, ReplayDriver, TopKServer
-from .telemetry import Telemetry
+from .loadgen import (LoadConfig, LoadGenerator, LoadReport, build_world,
+                      loadgen_payload, write_bench_json)
+from .serving import MIXES, OpMix, TopKServer, Uncached
+from .telemetry import Telemetry, prometheus_text
 from .workload.synthetic import SYNTHETIC_SCALES, synthetic_profile_factory
 
 #: Single source of truth for the replay op-mix defaults (the CLI flags and
@@ -75,8 +76,8 @@ WORKLOAD_FAMILIES = ("dblp", "synthetic")
 def _resolve_workload(family: str, scale: str):
     """``(workload_config, profile_factory)`` of one family at one scale.
 
-    The DBLP family replays with the driver's built-in venue/year profiles;
-    the synthetic family swaps in
+    The DBLP family replays with the default venue/year profiles
+    (:func:`~repro.loadgen.initial_profile`); the synthetic family swaps in
     :func:`~repro.workload.synthetic.synthetic_profile_factory` so replay
     profiles also exercise the generated extra attributes.
     """
@@ -92,27 +93,22 @@ def _resolve_workload(family: str, scale: str):
     return config, None
 
 
-@contextmanager
-def _serving_world(driver: ReplayDriver, workload_config: Any,
-                   backend: Optional[str], capacity: int,
-                   repair_delta: Optional[int] = None,
-                   observer: Optional[Telemetry] = None,
-                   ) -> Iterator[TopKServer]:
-    """A fresh replay world fronted by a server, closed on exit;
-    ``observer`` attaches tracing, the metrics registry and lock
-    instrumentation for the duration."""
-    db = driver.build_world(workload_config, backend=backend)
-    server = TopKServer(db, capacity=capacity, repair_delta=repair_delta)
-    handle = None
-    if observer is not None:
-        observer.observe(server)
-        handle = observer.instrument_locks(server)
+def _run_world(config: LoadConfig, workload_config: Any, users: int,
+               backend: Optional[str], profile_factory: Any = None,
+               capacity: Optional[int] = None,
+               repair_delta: Optional[int] = None,
+               telemetry: Optional[Telemetry] = None) -> LoadReport:
+    """One run over a fresh world, closed afterwards: through a
+    :class:`~repro.serving.TopKServer` of ``capacity`` sessions, or — with
+    no capacity — the :class:`~repro.serving.Uncached` baseline arm."""
+    db = build_world(workload_config, users, backend, profile_factory)
     try:
-        yield server
+        if capacity is None:
+            return LoadGenerator(config).run(Uncached(db))
+        with TopKServer(db, capacity=capacity,
+                        repair_delta=repair_delta) as server:
+            return LoadGenerator(config).run(server, telemetry=telemetry)
     finally:
-        if handle is not None:
-            handle.uninstrument()
-        server.close()
         db.close()
 
 #: Experiment name -> (description, needs a uid argument).
@@ -255,6 +251,13 @@ def run_topk(scale: str, k: int, uid: Optional[int] = None,
         ctx.close()
 
 
+def _arm(report: LoadReport) -> Dict[str, Any]:
+    """One replay arm's JSON record (the telemetry snapshot is reported
+    once, at the top level)."""
+    return {key: value for key, value in report.as_dict().items()
+            if key != "telemetry"}
+
+
 def run_serve_replay(scale: str = "tiny",
                      users: int = 50,
                      requests: int = 300,
@@ -300,28 +303,17 @@ def run_serve_replay(scale: str = "tiny",
         read_weight=read_weight, update_weight=update_weight,
         insert_weight=insert_weight, delete_weight=delete_weight,
         data_update_weight=data_update_weight)
-    driver = ReplayDriver(
-        ReplayConfig(users=users, requests=requests, k=k, seed=seed,
-                     mix=op_mix),
-        profile_factory=profile_factory)
-    observer = Telemetry() if telemetry else None
-    snapshot = None
-    with _serving_world(driver, workload_config, backend,
-                        capacity=capacity, repair_delta=repair_delta,
-                        observer=observer) as server:
-        serving_report = driver.run(server, driver.schedule(server.db))
-        metrics = server.metrics()
-        if observer is not None:
-            snapshot = observer.json_snapshot()
-
-    baseline_report = None
-    if baseline:
-        baseline_db = driver.build_world(workload_config, backend=backend)
-        try:
-            baseline_report = driver.run_baseline(baseline_db,
-                                                  driver.schedule(baseline_db))
-        finally:
-            baseline_db.close()
+    # A serial replay: one worker, an op budget, no audit.
+    config = LoadConfig(threads=1, requests=requests, mix=op_mix, k=k,
+                        seed=seed, audit_interval=None)
+    serving_report = _run_world(
+        config, workload_config, users, backend, profile_factory,
+        capacity=capacity, repair_delta=repair_delta,
+        telemetry=Telemetry() if telemetry else None)
+    metrics = serving_report.server_stats
+    snapshot = serving_report.telemetry or None
+    baseline_report = (_run_world(config, workload_config, users, backend,
+                                  profile_factory) if baseline else None)
 
     # The per-kind mutation counters the server tracks (inserts, deletes,
     # in-place tuple updates), surfaced explicitly in both output modes.
@@ -339,23 +331,22 @@ def run_serve_replay(scale: str = "tiny",
                        "insert_weight": insert_weight,
                        "delete_weight": delete_weight,
                        "data_update_weight": data_update_weight},
-            "serving": serving_report.as_dict(),
-            "baseline": baseline_report.as_dict() if baseline_report else None,
+            "serving": _arm(serving_report),
+            "baseline": _arm(baseline_report) if baseline_report else None,
             "server": metrics,
             "mutations": mutations,
             "telemetry": snapshot,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    arms = [serving_report] + ([baseline_report] if baseline_report else [])
+    arms = {"serving": serving_report}
+    if baseline_report is not None:
+        arms["baseline"] = baseline_report
     table = reporting.format_table([
-        {"arm": arm.label, "ops": arm.ops, "reads": arm.reads,
-         "read_hits": arm.read_hits, "zero_sql_reads": arm.zero_sql_reads,
-         "updates": arm.updates, "inserts": arm.inserts,
-         "deletes": arm.deletes, "data_updates": arm.data_updates,
-         "sql_statements": arm.sql_statements,
-         "seconds": f"{arm.seconds:.3f}"}
-        for arm in arms])
+        {"arm": label, "ops": arm.ops, **arm.kind_counts,
+         "read_hits": arm.read_hits, "sql_statements": arm.sql_statements,
+         "seconds": f"{arm.duration_seconds:.3f}"}
+        for label, arm in arms.items()])
     lines = [f"Serve-replay ({users} users, {requests} requests, "
              f"k={k}, scale={scale}, family={family}"
              + (f", mix={mix}" if mix else "")
@@ -419,19 +410,14 @@ def run_load(scale: str = "tiny",
     :meth:`~repro.serving.OpMix.named`), including its hot/boundary
     mutation targeting and base-relation churn behaviour.
     """
-    from .loadgen import (LoadConfig, LoadGenerator, loadgen_payload,
-                          write_bench_json)
-
     workload_config, profile_factory = _resolve_workload(family, scale)
     config = LoadConfig(threads=threads, duration_seconds=duration,
                         target_qps=qps, mix=OpMix.named(mix), k=k,
                         seed=seed, audit_interval=audit_interval or None)
-    driver = ReplayDriver(ReplayConfig(users=users, k=k, seed=seed),
-                          profile_factory=profile_factory)
-    with _serving_world(driver, workload_config, backend, capacity=capacity,
-                        repair_delta=repair_delta) as server:
-        report = LoadGenerator(config).run(
-            server, telemetry=Telemetry() if telemetry else None)
+    report = _run_world(config, workload_config, users, backend,
+                        profile_factory, capacity=capacity,
+                        repair_delta=repair_delta,
+                        telemetry=Telemetry() if telemetry else None)
 
     run_record = report.as_dict()
     config_record = {"scale": scale, "users": users, "threads": threads,
@@ -508,15 +494,14 @@ def run_stats(scale: str = "tiny",
     span by span.
     """
     workload_config, _ = _resolve_workload("dblp", scale)
-    driver = ReplayDriver(ReplayConfig(users=users, requests=requests,
-                                       k=k, seed=seed))
-    observer = Telemetry(slow_threshold=slow_ms / 1000.0)
-    with _serving_world(driver, workload_config, backend, capacity=capacity,
-                        observer=observer) as server:
-        driver.run(server, driver.schedule(server.db))
-        if prometheus:
-            return observer.prometheus()
-        return json.dumps(observer.json_snapshot(), indent=2, sort_keys=True)
+    config = LoadConfig(threads=1, requests=requests, k=k, seed=seed,
+                        audit_interval=None)
+    report = _run_world(config, workload_config, users, backend,
+                        capacity=capacity,
+                        telemetry=Telemetry(slow_threshold=slow_ms / 1000.0))
+    if prometheus:
+        return prometheus_text(report.telemetry["metrics"])
+    return json.dumps(report.telemetry, indent=2, sort_keys=True)
 
 
 def list_experiments() -> str:

@@ -1,33 +1,38 @@
-"""Concurrent load harness with latency SLOs for the serving engine.
+"""The one runner: serial replays and concurrent load, with latency SLOs.
 
-Everything before this subsystem measured the serving layer serially; the
-ROADMAP's "heavy traffic" target is only proven by **concurrent** load.
-:mod:`repro.loadgen` hammers a live :class:`~repro.serving.TopKServer` with
-worker threads replaying deterministic Zipf-skewed mixes of Top-K reads and
-profile/tuple mutations, and reports tail latency, throughput at
-saturation, per-lock contention and a background correctness audit — the
-numbers land in ``BENCH_loadgen.json`` (see ``docs/LOADGEN.md`` for the
-tutorial and ``python -m repro.cli load`` for the command-line front end).
+:mod:`repro.loadgen` drives a live :class:`~repro.serving.TopKServer` (or
+the :class:`~repro.serving.Uncached` no-serving-layer arm) with worker
+threads applying deterministic Zipf-skewed mixes of Top-K reads and
+profile/tuple mutations, and reports tail latency, throughput, the SQL the
+ops issued, per-lock contention and a correctness audit.  A serial replay
+is the one-worker run with an op budget; the ``serve-replay``, ``load`` and
+``stats`` commands of ``python -m repro.cli`` all run through it, and load
+numbers land in ``BENCH_loadgen.json`` (see ``docs/LOADGEN.md``).
 
 Public API
 ----------
+:func:`build_world` / :func:`load_population` / :func:`population` / :func:`initial_profile`
+    The world a run drives: a generated workload in a fresh backend plus
+    one persisted profile per population uid (``initial_profile`` is the
+    default shape; a ``profile_factory`` replaces it).
 :class:`LoadGenerator`
     Drives one run: spawns the workers (closed-loop, or open-loop against a
-    target QPS), starts the background auditor, merges the per-worker
-    histograms and assembles the report.
+    target QPS), runs the auditor (in the background, or inline after every
+    op), merges the per-worker histograms and assembles the report.
 :class:`LoadConfig`
-    Shape of a run: ``threads`` / ``duration_seconds`` / ``target_qps``
-    (``None`` = closed loop) / ``mix`` (an :class:`~repro.serving.OpMix`;
+    Shape of a run: ``threads`` / ``duration_seconds`` / ``requests`` (an
+    op budget that replaces the duration) / ``target_qps`` (``None`` =
+    closed loop) / ``mix`` (an :class:`~repro.serving.OpMix`;
     ``OpMix.named("hot-keys")`` for a hostile one) / ``k`` / ``seed`` /
-    audit cadence.  Each worker consumes one
-    :class:`~repro.serving.OpStream` built by
+    audit cadence (``audit_interval=0``: inline, one worker only).  Each
+    worker consumes one :class:`~repro.serving.OpStream` built by
     :func:`~repro.serving.build_streams` — the op vocabulary, mixes and
-    generator are the serving package's (:mod:`repro.serving.ops`), shared
-    with the serial replay driver.
+    generator are the serving package's (:mod:`repro.serving.ops`).
 :class:`LoadReport`
-    The JSON-ready outcome: p50/p95/p99 overall and per op kind,
-    ``throughput_ops_per_sec``, ``locks`` (contention, hottest first),
-    ``gate``/``audit`` sections and per-worker ``errors``.
+    The one report: p50/p95/p99 overall and per op kind,
+    ``throughput_ops_per_sec``, ``read_hits``, ``sql_statements``,
+    ``locks`` (contention, hottest first), ``gate``/``audit`` sections,
+    the target's ``server_stats`` and per-worker ``errors``.
 :class:`WorkerResult`
     One worker's private accounting (its
     :class:`~repro.telemetry.LatencyHistogram` instances, op counts, error)
@@ -55,6 +60,7 @@ from .report import (
     write_bench_json,
 )
 from .runner import LoadConfig, LoadGenerator, LoadReport, WorkerResult
+from .world import build_world, initial_profile, load_population, population
 
 __all__ = [
     "EquivalenceAuditor",
@@ -65,8 +71,12 @@ __all__ = [
     "TrafficGate",
     "WorkerResult",
     "bench_envelope",
+    "build_world",
+    "initial_profile",
     "load_and_validate",
+    "load_population",
     "loadgen_payload",
+    "population",
     "validate_loadgen_payload",
     "write_bench_json",
 ]

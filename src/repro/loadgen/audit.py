@@ -2,10 +2,10 @@
 
 The serving layer's standing guarantee is that every materialised answer
 equals a from-scratch recomputation (:func:`~repro.serving.server.fresh_top_k`).
-The replay driver asserts it *between* serial operations; under concurrent
-load the assertion only makes sense against a **quiesced snapshot** — a
-moment with no request in flight, so the caches and the relation are
-mutually consistent.
+A one-worker run can assert it inline, between serial operations; under
+concurrent load the assertion only makes sense against a **quiesced
+snapshot** — a moment with no request in flight, so the caches and the
+relation are mutually consistent.
 
 :class:`TrafficGate` provides that moment without stopping the world for
 long: workers wrap every request in :meth:`TrafficGate.request`, and the
@@ -17,15 +17,17 @@ latency the audits themselves injected.
 
 :class:`EquivalenceAuditor` is the daemon thread that periodically quiesces
 and compares a sample of the server's materialised answers against
-``fresh_top_k``.  Mismatches are collected (not raised across threads); the
-run fails afterwards if any audit saw a divergence.
+``fresh_top_k``; with ``interval=0`` it is never started, and the one worker
+calls :meth:`EquivalenceAuditor.check` after every op instead.  Mismatches
+are collected (not raised across threads); the run fails afterwards if any
+audit saw a divergence.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Sequence
 
 from ..serving.ops import audit_materialised
 
@@ -112,14 +114,17 @@ class EquivalenceAuditor(threading.Thread):
     Every ``interval`` seconds the auditor quiesces the gate, samples up to
     ``sample`` cached users (round-robin over the cached population, so
     successive audits cover different users) and verifies each materialised
-    ``(uid, k)`` answer.  Divergences land in :attr:`mismatches`.
+    ``(uid, k)`` answer.  ``interval=0`` is the inline auditor: not started,
+    driven through :meth:`check`.  Divergences land in :attr:`mismatches`;
+    the backend statements the recomputations issued in
+    :attr:`sql_statements`, so a run can keep them out of its own count.
     """
 
     def __init__(self, server: Any, gate: TrafficGate, k: int,
                  interval: float = 0.5, sample: int = 8) -> None:
         super().__init__(name="loadgen-auditor", daemon=True)
-        if interval <= 0:
-            raise ValueError("audit interval must be positive")
+        if interval < 0:
+            raise ValueError("audit interval must not be negative")
         self.server = server
         self.gate = gate
         self.k = k
@@ -130,28 +135,38 @@ class EquivalenceAuditor(threading.Thread):
         #: Audit outcome counters.
         self.audits = 0
         self.comparisons = 0
+        self.sql_statements = 0
         self.mismatches: List[Dict[str, Any]] = []
         self.errors: List[str] = []
 
     # -- one audit pass -----------------------------------------------------------
 
+    def check(self, uids: Sequence[int]) -> int:
+        """Quiesce and verify the materialised answers of ``uids``; returns
+        the comparisons made."""
+        with self.gate.quiesce():
+            return self._compare(uids)
+
+    def _compare(self, uids: Sequence[int]) -> int:
+        self.audits += 1
+        db = self.server.db
+        statements_before = db.statements_executed
+        checked, mismatches = audit_materialised(self.server, uids, self.k)
+        self.sql_statements += db.statements_executed - statements_before
+        self.comparisons += checked
+        self.mismatches.extend(mismatches)
+        return checked
+
     def audit_once(self) -> int:
         """Quiesce, verify a sample of cached answers; returns comparisons made."""
         with self.gate.quiesce():
-            self.audits += 1
             cached = self.server.results.cached_users()
-            if not cached:
-                return 0
             # Round-robin window over the cached population.
-            start = self._cursor % len(cached)
+            start = self._cursor % len(cached) if cached else 0
             window = [cached[(start + offset) % len(cached)]
                       for offset in range(min(self.sample, len(cached)))]
             self._cursor += self.sample
-            checked, mismatches = audit_materialised(self.server, window,
-                                                     self.k)
-            self.comparisons += checked
-            self.mismatches.extend(mismatches)
-        return checked
+            return self._compare(window)
 
     # -- thread lifecycle ---------------------------------------------------------
 

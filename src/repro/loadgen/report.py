@@ -35,7 +35,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 #: v5 dropped ``processes``: the harness drives one process.
 #: v6 dropped the three user-partitioning fields (partition count,
 #: requests per partition, their skew): the harness drives one server.
-SCHEMA_VERSION = 6
+#: v7 added the required per-run ``read_hits`` and ``sql_statements`` (the
+#: backend statements the ops issued, audits excluded): the one runner also
+#: replays serially, and its report is the only report.
+SCHEMA_VERSION = 7
 
 #: Keys every per-run record must carry, with their required types.
 RUN_REQUIRED_KEYS: Dict[str, type] = {
@@ -45,6 +48,8 @@ RUN_REQUIRED_KEYS: Dict[str, type] = {
     "duration_seconds": float,
     "ops": int,
     "throughput_ops_per_sec": float,
+    "read_hits": int,
+    "sql_statements": int,
     "latency": dict,
     "latency_by_kind": dict,
     "locks": list,

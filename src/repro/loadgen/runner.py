@@ -1,11 +1,11 @@
-"""The multi-threaded load generator: closed- and open-loop, with SLOs.
+"""The one runner: N worker threads (or one) applying op streams to a target.
 
-:class:`LoadGenerator` hammers a live
-:class:`~repro.serving.server.TopKServer` with N worker threads,
-each consuming its own deterministic :class:`~repro.serving.ops.OpStream`
-of Zipf-skewed Top-K reads and profile/tuple mutations (the same generator
-a serial replay runs one of), and produces a
-:class:`LoadReport` with:
+:class:`LoadGenerator` drives a live
+:class:`~repro.serving.server.TopKServer` — or an
+:class:`~repro.serving.ops.Uncached` world, the no-serving-layer arm — with
+``threads`` workers, each consuming its own deterministic
+:class:`~repro.serving.ops.OpStream` of Zipf-skewed Top-K reads and
+profile/tuple mutations, and produces a :class:`LoadReport` with:
 
 * **latency SLOs** — p50/p95/p99 (and min/mean/max) overall and per op
   kind, from lock-free per-worker
@@ -19,12 +19,20 @@ a serial replay runs one of), and produces a
   schedule and latency is measured from each op's *scheduled* start, so
   queueing delay is charged to the service, not hidden (the classic
   coordinated-omission correction);
+* **work** — the backend statements the ops issued (``sql_statements``,
+  audits excluded) and the reads served from the result cache;
 * **lock contention** — wait/hold per named serving-layer lock (via
   :func:`repro.telemetry.instrument_locks`);
 * **audit outcome** — a background
   :class:`~repro.loadgen.audit.EquivalenceAuditor` periodically quiesces
   traffic through a :class:`~repro.loadgen.audit.TrafficGate` and verifies
-  materialised answers against a from-scratch recomputation.
+  materialised answers against a from-scratch recomputation; with
+  ``audit_interval=0`` (one worker only) it audits inline instead, after
+  every op.
+
+A serial replay is the one-worker run with an op budget
+(``LoadConfig(threads=1, requests=N)``): its one stream owns the whole
+relation, so two identical worlds replay the identical op list.
 
 Failures inside workers are captured per worker and surfaced in the report
 (``errors``); a worker never takes the run down silently.
@@ -32,10 +40,11 @@ Failures inside workers are captured per worker and surfaced in the report
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..exceptions import ServingError
 from ..serving.ops import (
@@ -52,17 +61,21 @@ from .audit import EquivalenceAuditor, TrafficGate
 
 @dataclass(frozen=True)
 class LoadConfig:
-    """Shape of one load-generator run."""
+    """Shape of one run."""
 
     threads: int = 2
     duration_seconds: float = 2.0
+    #: Ops to run across all workers; the run stops after that many instead
+    #: of at ``duration_seconds``.  ``None`` runs for the duration.
+    requests: Optional[int] = None
     #: Target arrival rate across all workers; ``None`` = closed loop.
     target_qps: Optional[float] = None
     mix: OpMix = OpMix()
     #: The ``k`` of every read (and of the audited answers).
     k: int = 5
     seed: int = 17
-    #: Seconds between background equivalence audits; ``None`` disables.
+    #: Seconds between background equivalence audits; ``0`` audits inline
+    #: after every op (one worker only); ``None`` disables auditing.
     audit_interval: Optional[float] = 0.5
     audit_sample: int = 8
 
@@ -71,10 +84,15 @@ class LoadConfig:
             raise ServingError("load run needs at least one worker thread")
         if self.duration_seconds <= 0:
             raise ServingError("load run duration must be positive")
+        if self.requests is not None and self.requests < 1:
+            raise ServingError("an op budget must be at least one request")
         if self.target_qps is not None and self.target_qps <= 0:
             raise ServingError("target QPS must be positive (or None)")
-        if self.audit_interval is not None and self.audit_interval <= 0:
-            raise ServingError("audit interval must be positive (or None)")
+        if self.audit_interval is not None and self.audit_interval < 0:
+            raise ServingError("audit interval must not be negative")
+        if self.audit_interval == 0 and self.threads != 1:
+            raise ServingError("an inline audit (audit interval 0) needs "
+                               "exactly one worker thread")
 
 
 @dataclass
@@ -105,7 +123,7 @@ class WorkerResult:
 
 @dataclass
 class LoadReport:
-    """Aggregated outcome of one load run (JSON-ready via :meth:`as_dict`)."""
+    """Aggregated outcome of one run (JSON-ready via :meth:`as_dict`)."""
 
     mode: str
     backend: str
@@ -115,7 +133,10 @@ class LoadReport:
     seed: int
     ops: int
     throughput_ops_per_sec: float
+    read_hits: int
     read_hit_rate: float
+    #: Backend statements the ops issued (audit recomputations excluded).
+    sql_statements: int
     late_starts: int
     kind_counts: Dict[str, int]
     latency: Dict[str, Any]
@@ -123,7 +144,8 @@ class LoadReport:
     locks: List[Dict[str, Any]]
     gate: Dict[str, Any]
     audit: Dict[str, Any]
-    #: The server's end-of-run ``metrics()`` (flat unified names).
+    #: The target's end-of-run ``metrics()`` (flat unified names; empty for
+    #: an uncached arm).
     server_stats: Dict[str, Any]
     errors: List[str]
     #: The run's telemetry JSON snapshot (unified metrics + trace-buffer
@@ -145,7 +167,9 @@ class LoadReport:
             "target_qps": self.target_qps, "seed": self.seed,
             "ops": self.ops,
             "throughput_ops_per_sec": self.throughput_ops_per_sec,
+            "read_hits": self.read_hits,
             "read_hit_rate": self.read_hit_rate,
+            "sql_statements": self.sql_statements,
             "late_starts": self.late_starts,
             "kind_counts": dict(self.kind_counts),
             "latency": dict(self.latency),
@@ -161,69 +185,71 @@ class LoadReport:
 
 
 class LoadGenerator:
-    """Drives one concurrent load run and assembles the :class:`LoadReport`."""
+    """Drives one run and assembles the :class:`LoadReport`."""
 
     def __init__(self, config: LoadConfig = LoadConfig()) -> None:
         self.config = config
 
     # -- worker body --------------------------------------------------------------
 
-    def _closed_loop(self, server: Any, stream: OpStream, gate: TrafficGate,
-                     result: WorkerResult, deadline: float) -> None:
-        while time.perf_counter() < deadline:
-            op = next(stream)
-            with gate.request():
-                start = time.perf_counter()
-                outcome = apply_op(server, op)
-                elapsed = time.perf_counter() - start
-            result.record(op.kind, elapsed,
-                          op.kind == READ and outcome.cache_hit)
-
-    def _open_loop(self, server: Any, stream: OpStream, gate: TrafficGate,
-                   result: WorkerResult, deadline: float,
-                   interval: float) -> None:
-        # Fixed-schedule arrivals: op i is *due* at start + i*interval.
-        # Latency is measured from the due time, so time spent queued behind
-        # a slow op counts against the service (coordinated omission).
+    def _worker(self, target: Any, stream: OpStream, gate: TrafficGate,
+                result: WorkerResult, more: Callable[[float], bool],
+                interval: Optional[float],
+                inline: Optional[EquivalenceAuditor]) -> None:
+        # Open loop: op i is *due* at start + i*interval, and latency is
+        # measured from the due time, so time spent queued behind a slow op
+        # counts against the service (coordinated omission).
         scheduled = time.perf_counter()
-        while scheduled < deadline:
-            now = time.perf_counter()
-            if now < scheduled:
-                time.sleep(scheduled - now)
-            else:
-                result.late_starts += 1
-            op = next(stream)
-            with gate.request():
-                outcome = apply_op(server, op)
-            result.record(op.kind, time.perf_counter() - scheduled,
-                          op.kind == READ and outcome.cache_hit)
-            scheduled += interval
-
-    def _worker(self, server: Any, stream: OpStream, gate: TrafficGate,
-                result: WorkerResult, deadline: float,
-                interval: Optional[float]) -> None:
         try:
-            if interval is None:
-                self._closed_loop(server, stream, gate, result, deadline)
-            else:
-                self._open_loop(server, stream, gate, result, deadline,
-                                interval)
+            while more(scheduled if interval else time.perf_counter()):
+                if interval:
+                    lag = scheduled - time.perf_counter()
+                    if lag > 0:
+                        time.sleep(lag)
+                    else:
+                        result.late_starts += 1
+                op = next(stream)
+                with gate.request():
+                    start = time.perf_counter()
+                    outcome = apply_op(target, op)
+                    finished = time.perf_counter()
+                result.record(op.kind,
+                              finished - (scheduled if interval else start),
+                              op.kind == READ and outcome.cache_hit)
+                if inline is not None:
+                    # The answer a read materialised, or — after anything
+                    # else — every answer still materialised.
+                    inline.check([op.uid] if op.kind == READ
+                                 else target.results.cached_users())
+                if interval:
+                    scheduled += interval
         except Exception as exc:
             result.error = (f"worker {result.worker_id}: "
                             f"{type(exc).__name__}: {exc}")
 
+    def _budget(self, start: float) -> Callable[[float], bool]:
+        """Whether a worker may fire one more op, given when it would fire:
+        until the deadline, or until the run's ``requests`` are handed out."""
+        if self.config.requests is None:
+            deadline = start + self.config.duration_seconds
+            return lambda now: now < deadline
+        tickets = itertools.count()  # shared by every worker; next() is atomic
+        budget = self.config.requests
+        return lambda now: next(tickets) < budget
+
     # -- orchestration ------------------------------------------------------------
 
-    def run(self, server: Any,
+    def run(self, target: Any,
             telemetry: Optional[Telemetry] = None) -> LoadReport:
-        """Run the configured load against ``server`` and report.
+        """Run the configured load against ``target`` and report.
 
-        ``server`` must be idle (no concurrent external traffic): lock
-        instrumentation swaps lock objects in place before the first worker
-        starts (and restores the originals once the report is assembled).
-        The population driven is whatever profiles are already persisted in
-        ``server.db`` — prepare the world first (e.g. with
-        :meth:`~repro.serving.driver.ReplayDriver.prepare`).
+        ``target`` is a :class:`~repro.serving.server.TopKServer` or an
+        :class:`~repro.serving.ops.Uncached` world, and must be idle (no
+        concurrent external traffic): lock instrumentation swaps lock
+        objects in place before the first worker starts (and restores the
+        originals once the report is assembled).  The population driven is
+        whatever profiles are already persisted in ``target.db`` — build the
+        world first (:func:`~repro.loadgen.world.build_world`).
 
         Pass a :class:`~repro.telemetry.Telemetry` to run under full
         observability: the server (and the gate/auditor pair) is registered
@@ -232,22 +258,28 @@ class LoadGenerator:
         ``telemetry`` section holding the end-of-run JSON snapshot.
         """
         config = self.config
-        uids = sorted(profile.uid for profile in server.db.read_profiles())
-        streams = build_streams(server.db, config.threads, config.mix, uids,
+        if config.audit_interval is not None \
+                and getattr(target, "results", None) is None:
+            raise ServingError("a target without a result cache has nothing "
+                               "to audit: run it with audit_interval=None")
+        db = target.db
+        uids = sorted(profile.uid for profile in db.read_profiles())
+        streams = build_streams(db, config.threads, config.mix, uids,
                                 config.k, config.seed)
         if telemetry is not None:
-            telemetry.observe(server)
+            telemetry.observe(target)
         # Load runs observe, they don't permanently rewire: everything after
         # the first swapped-in lock runs inside the handle's ``with``, so any
-        # exit hands the server back the exact locks it started with.
+        # exit hands the target back the exact locks it started with.
         registry = telemetry.registry if telemetry is not None else None
-        with instrument_locks(server, registry=registry) as handle:
+        with instrument_locks(target, registry=registry) as handle:
             gate = TrafficGate()
             auditor = None
             if config.audit_interval is not None:
-                auditor = EquivalenceAuditor(server, gate, k=config.k,
+                auditor = EquivalenceAuditor(target, gate, k=config.k,
                                              interval=config.audit_interval,
                                              sample=config.audit_sample)
+            inline = auditor if config.audit_interval == 0 else None
             if telemetry is not None:
                 telemetry.observe_gate(gate)
                 if auditor is not None:
@@ -257,17 +289,19 @@ class LoadGenerator:
                        for stream in streams]
             interval = (config.threads / config.target_qps
                         if config.target_qps else None)
+            statements_before = db.statements_executed
             start = time.perf_counter()
-            deadline = start + config.duration_seconds
+            more = self._budget(start)
             threads = [
                 threading.Thread(
                     target=self._worker, name=f"loadgen-{stream.worker_id}",
-                    args=(server, stream, gate, result, deadline, interval),
+                    args=(target, stream, gate, result, more, interval,
+                          inline),
                     daemon=True)
                 for stream, result in zip(streams, results)]
             for thread in threads:
                 thread.start()
-            if auditor is not None:
+            if auditor is not None and inline is None:
                 auditor.start()
             for thread in threads:
                 thread.join()
@@ -276,15 +310,17 @@ class LoadGenerator:
                 auditor.stop()
                 # One final audit over the fully quiesced end state.
                 auditor.audit_once()
-            return self._assemble(server, results, handle.report(), gate,
-                                  auditor, elapsed, telemetry)
+            sql_statements = (db.statements_executed - statements_before
+                              - (auditor.sql_statements if auditor else 0))
+            return self._assemble(target, results, handle.report(), gate,
+                                  auditor, elapsed, sql_statements, telemetry)
 
     # -- report assembly ----------------------------------------------------------
 
-    def _assemble(self, server: Any, results: Sequence[WorkerResult],
+    def _assemble(self, target: Any, results: Sequence[WorkerResult],
                   locks: List[Dict[str, Any]], gate: TrafficGate,
                   auditor: Optional[EquivalenceAuditor],
-                  elapsed: float,
+                  elapsed: float, sql_statements: int,
                   telemetry: Optional[Telemetry] = None) -> LoadReport:
         config = self.config
         overall = LatencyHistogram.merged(result.overall for result in results)
@@ -303,14 +339,16 @@ class LoadGenerator:
         read_hits = sum(result.read_hits for result in results)
         return LoadReport(
             mode="open" if config.target_qps else "closed",
-            backend=server.db.backend_name,
+            backend=target.db.backend_name,
             threads=config.threads,
             duration_seconds=elapsed,
             target_qps=config.target_qps,
             seed=config.seed,
             ops=ops,
             throughput_ops_per_sec=(ops / elapsed) if elapsed else 0.0,
+            read_hits=read_hits,
             read_hit_rate=(read_hits / reads) if reads else 0.0,
+            sql_statements=sql_statements,
             late_starts=sum(result.late_starts for result in results),
             kind_counts=kind_counts,
             latency=overall.as_dict(),
@@ -321,7 +359,7 @@ class LoadGenerator:
             audit=(auditor.stats() if auditor is not None
                    else {"audits": 0, "comparisons": 0, "mismatches": 0,
                          "errors": []}),
-            server_stats=server.metrics(),
+            server_stats=target.metrics(),
             errors=[result.error for result in results if result.error],
             telemetry=(telemetry.json_snapshot()
                        if telemetry is not None else {}),

@@ -1,0 +1,93 @@
+"""The world a run drives: one workload relation plus a synthetic population.
+
+Plain functions, no class.  :func:`build_world` generates a workload (any
+family :func:`~repro.workload.synthetic.generate_workload` dispatches on),
+loads it into a fresh backend and persists one small profile per user of
+the :func:`population`; :func:`load_population` does the last step alone on
+a world built some other way.  Two calls with the same arguments build
+identical worlds on any storage engine, which is what makes a serving arm,
+an uncached arm and a second engine comparable op for op.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, List, Optional, Sequence
+
+from ..backend import create_backend
+from ..backend.protocol import StorageBackend
+from ..core.preference import ProfileRegistry, UserProfile
+from ..exceptions import ServingError
+from ..serving.ops import venue_predicate
+from ..workload.loader import load_dataset, load_profiles
+from ..workload.synthetic import generate_workload
+
+#: ``(uid, venues, lo, hi) -> UserProfile``: a user's initial profile over
+#: the world's venues and year range.
+ProfileFactory = Callable[[int, Sequence[str], int, int], UserProfile]
+
+#: First population uid (kept clear of extractor-mined profiles).
+UID_BASE = 10_001
+
+
+def population(users: int) -> List[int]:
+    """The uids of a ``users``-strong population, in Zipf-rank order."""
+    return [UID_BASE + index for index in range(users)]
+
+
+def initial_profile(uid: int, venues: Sequence[str], lo: int,
+                    hi: int) -> UserProfile:
+    """The default profile shape: two venue likes plus a narrow year band.
+
+    Venue choices rotate with the uid so a single inserted paper's venue
+    touches only a slice of the population — that is what makes the result
+    cache's data-side invalidation measurably selective.
+    """
+    profile = UserProfile(uid=uid)
+    first = venues[uid % len(venues)]
+    second = venues[(uid * 5 + 2) % len(venues)]
+    profile.add_quantitative(venue_predicate(first), 0.9)
+    if second != first:
+        profile.add_quantitative(venue_predicate(second), 0.7)
+    span = max(1, hi - lo - 1)
+    start = lo + (uid % span)
+    profile.add_quantitative(
+        f"dblp.year >= {start} AND dblp.year <= {start + 1}", 0.5)
+    return profile
+
+
+def load_population(db: StorageBackend, users: int,
+                    profile_factory: Optional[ProfileFactory] = None
+                    ) -> ProfileRegistry:
+    """Persist one profile per population user into ``db``'s staging tables.
+
+    ``profile_factory`` replaces :func:`initial_profile` wholesale (the
+    synthetic family passes
+    :func:`~repro.workload.synthetic.synthetic_profile_factory`, whose
+    profiles also carry extra-attribute predicates).
+    """
+    if users < 1:
+        raise ServingError("a world needs at least one user")
+    venues, lo, hi = db.workload_shape()
+    if not venues:
+        raise ServingError("world has no papers loaded")
+    factory = profile_factory or initial_profile
+    registry = ProfileRegistry()
+    for uid in population(users):
+        registry.add(factory(uid, venues, lo, hi))
+    load_profiles(db, registry)
+    return registry
+
+
+def build_world(workload_config: Any, users: int,
+                backend: Optional[str] = None,
+                profile_factory: Optional[ProfileFactory] = None
+                ) -> StorageBackend:
+    """A fresh backend holding the generated workload and the population.
+
+    ``backend`` picks the storage engine by factory name (``None`` defers to
+    the ``REPRO_BACKEND`` environment default).
+    """
+    db = create_backend(backend)
+    load_dataset(db, generate_workload(workload_config))
+    load_population(db, users, profile_factory)
+    return db

@@ -53,18 +53,12 @@ Public API
     ``apply_op(target, op)`` calls the front door an op names and returns
     its result; ``target`` is a :class:`TopKServer` or ``Uncached(db)``,
     the same five doors over the bare loader and :func:`fresh_top_k` (the
-    no-serving-layer arm).
-:class:`ReplayDriver` / :class:`ReplayConfig` / :class:`ReplayReport`
-    Deterministic Zipf-skewed multi-user workload replay (reads / profile
-    updates / data inserts / deletes / in-place tuple updates) against any
-    arm, with a no-cache baseline and equivalence verifiers — the engine
-    behind ``benchmarks/bench_serving.py`` and
-    ``python -m repro.cli serve-replay``.
+    no-serving-layer arm).  The one runner that applies streams to an arm,
+    serially or from N threads, is :class:`repro.loadgen.LoadGenerator`.
 :func:`fresh_top_k`
     From-scratch recomputation of one user's Top-K — the serving oracle.
 """
 
-from .driver import ReplayConfig, ReplayDriver, ReplayReport
 from .ops import (
     DATA_UPDATE,
     DELETE,
@@ -108,9 +102,6 @@ __all__ = [
     "OpMix",
     "OpStream",
     "READ",
-    "ReplayConfig",
-    "ReplayDriver",
-    "ReplayReport",
     "ResultCache",
     "ServeResult",
     "SessionRegistry",

@@ -1,19 +1,18 @@
 """The one operation vocabulary: kinds, mixes, streams and how an op is applied.
 
-Everything that drives the serving engine — the serial
-:class:`~repro.serving.driver.ReplayDriver`, the concurrent
-:class:`~repro.loadgen.runner.LoadGenerator`, the differential arms of the
-benchmarks — speaks this module and nothing else: five op kinds and one
-frozen :class:`Op` record; an :class:`OpMix` of relative weights, user skew
-and mutation targeting (``OpMix()`` is benign, :data:`MIXES` names the
-hostile ones); an :class:`OpStream` generating ops over an *owned* pid
-namespace (a serial replay is the one-worker stream that owns the whole
-relation, a load run the N streams of :func:`build_streams`);
-:func:`apply_op`, which calls the front door an op names on a
-:class:`~repro.serving.server.TopKServer` or on :class:`Uncached` (the
-same doors over the bare loader and ``fresh_top_k``); and the one
-served-vs-``fresh_top_k`` comparison (:func:`audit_materialised`) whose
-mismatches the replay verifier raises on and the load harness's auditor
+Everything that drives the serving engine — the one runner
+(:class:`~repro.loadgen.runner.LoadGenerator`, serial or concurrent), the
+stateful test oracle, the differential arms of the benchmarks — speaks this
+module and nothing else: five op kinds and one frozen :class:`Op` record;
+an :class:`OpMix` of relative weights, user skew and mutation targeting
+(``OpMix()`` is benign, :data:`MIXES` names the hostile ones); an
+:class:`OpStream` generating ops over an *owned* pid namespace (a serial
+replay is the one-worker stream that owns the whole relation, a load run
+the N streams of :func:`build_streams`); :func:`apply_op`, which calls the
+front door an op names on a :class:`~repro.serving.server.TopKServer` or on
+:class:`Uncached` (the same doors over the bare loader and
+``fresh_top_k``); and the one served-vs-``fresh_top_k`` comparison
+(:func:`audit_materialised`) whose mismatches the load harness's auditor
 collects.
 
 Owned namespaces are what keep concurrent streams race-free: a stream
@@ -313,19 +312,20 @@ def build_streams(db: StorageBackend, workers: int, mix: OpMix,
                   uids: Sequence[int], k: int, seed: int) -> List[OpStream]:
     """One :class:`OpStream` per concurrent worker, namespaces pre-partitioned.
 
-    A mix that deletes but never inserts can only drain the *loaded*
-    relation, so its workers are seeded with disjoint stripes of it — worker
-    *w* owns ``paper_ids[w::workers]`` — and two workers never race for the
-    same pid; any other mix starts its workers empty-handed (they delete
-    what they inserted).  The mix's target pool is shared: those pids only
-    ever receive in-place updates, which commute — except under seeding,
-    where a worker keeps just its own stripe of the pool, because an owner
-    may delete what it owns.
+    One worker — a serial replay — owns the whole loaded relation, target
+    pool included.  Among several, a mix that deletes but never inserts can
+    only drain the *loaded* relation, so its workers are seeded with
+    disjoint stripes of it — worker *w* owns ``paper_ids[w::workers]`` — and
+    two workers never race for the same pid; any other mix starts its
+    workers empty-handed (they delete what they inserted).  The mix's
+    target pool is shared: those pids only ever receive in-place updates,
+    which commute — except under seeding, where a worker keeps just its own
+    stripe of the pool, because an owner may delete what it owns.
     """
     if workers < 1:
         raise ServingError("a load run needs at least one worker")
     seeded = mix.insert_weight == 0 and mix.delete_weight > 0
-    base = db.paper_ids() if seeded else []
+    base = db.paper_ids() if seeded or workers == 1 else []
     pool = target_pool(db, uids, k, mix.target)
     streams = []
     for worker in range(workers):
@@ -367,14 +367,15 @@ class Uncached:
     scratch (:func:`~repro.serving.server.fresh_top_k` — the seed's ad-hoc
     behaviour, and the reference every differential compares against);
     profile updates and data mutations only persist rows and return the
-    loader's own row counts.  Nothing is ever materialised.
+    loader's own row counts.  Nothing is ever materialised, and it has no
+    locks to instrument and no counters of its own.
     """
-
-    #: An uncached arm keeps no answers.
-    results: Tuple[()] = ()
 
     def __init__(self, db: StorageBackend) -> None:
         self.db = db
+
+    def metrics(self) -> Dict[str, int]:
+        return {}
 
     def top_k(self, uid: int, k: int) -> ServeResult:
         start = time.perf_counter()

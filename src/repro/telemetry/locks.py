@@ -133,7 +133,8 @@ def instrument_locks(server: Any,
     server whose handle is still active returns that handle unchanged (no
     wrapper stacking); after :meth:`~LockInstrumentation.uninstrument` a new
     call instruments afresh.  With ``registry``, the handle's lock metrics
-    join every snapshot until the handle is restored.
+    join every snapshot until the handle is restored.  A target with no
+    lock of its own (the uncached arm) gets a handle that tracks nothing.
     """
     existing = getattr(server, _HANDLE_ATTR, None)
     if existing is not None and existing.active:
@@ -141,6 +142,8 @@ def instrument_locks(server: Any,
             existing._export(registry)
         return existing
     handle = LockInstrumentation(server)
+    if getattr(server, "_lock", None) is None:
+        return handle
     _wrap(handle, server, "server")
     _wrap(handle, server.sessions, "sessions")
     cache = server.sessions.count_cache

@@ -315,15 +315,15 @@ def validate_dataset(config: SyntheticConfig, dataset: DblpDataset) -> None:
 
 def synthetic_profile_factory(
         config: SyntheticConfig) -> Callable[[int, Sequence[str], int, int], Any]:
-    """A replay-driver profile factory exercising the extra attributes.
+    """A population profile factory exercising the extra attributes.
 
-    The returned callable matches
-    :class:`~repro.serving.driver.ReplayDriver`'s profile hook signature
-    ``(uid, venues, lo, hi) -> UserProfile``: two rotating venue likes plus
-    a narrow year band (the DBLP driver's shape), and — for each extra
-    attribute ``width`` activates — one equality predicate over that
+    The returned callable matches the ``profile_factory`` hook of
+    :func:`repro.loadgen.build_world`, ``(uid, venues, lo, hi) ->
+    UserProfile``: two rotating venue likes plus a narrow year band (the
+    default :func:`~repro.loadgen.initial_profile` shape), and — for each
+    extra attribute ``width`` activates — one equality predicate over that
     attribute's deterministic value domain, rotating with the uid.  With
-    zero width it degenerates to the driver's default profile shape.
+    zero width it degenerates to the default profile shape.
     """
     config.validate()
     specs = attribute_specs(config)[1:]
@@ -360,7 +360,7 @@ def generate_workload(config: Any) -> DblpDataset:
     Dispatches on the config type: :class:`~repro.workload.dblp.DblpConfig`
     runs the DBLP family, :class:`SyntheticConfig` this module's family.
     Every consumer that builds a world from a config —
-    :meth:`repro.serving.ReplayDriver.build_world`,
+    :func:`repro.loadgen.build_world`,
     :func:`repro.workload.loader.build_workload_database`, the CLI — goes
     through here, so a third family plugs into the whole stack by adding
     one branch.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.algorithms.base import PreferenceQueryRunner, make_preferences
 from repro.core.preference import UserProfile
@@ -10,6 +13,11 @@ from repro.experiments.context import ExperimentContext
 from repro.sqldb.database import Database
 from repro.workload.dblp import DblpConfig, generate_dblp
 from repro.workload.loader import load_dataset
+
+#: ``HYPOTHESIS_PROFILE=ci`` runs ten times the default examples; CI runs the
+#: server state machine (``test_server_machine.py``) under it.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """The named adversarial mixes: targeting, replay and loadgen.
 
-Every mix must (a) produce the identical verified replay on both storage
-engines, (b) aim its mutations where its targeting policy says, and (c)
+Every mix must (a) produce the identical audited serial replay on both
+storage engines, (b) aim its mutations where its targeting policy says, and (c)
 drive the load harness — with real thread concurrency — to a clean finish.
 The catalogue itself and the generator-level rules (a mix with inserts
 disabled never synthesizes a liveness-fallback insert) live in
@@ -11,13 +11,14 @@ disabled never synthesizes a liveness-fallback insert) live in
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import pytest
 
 from repro.backend import BACKEND_NAMES
 from repro.cli import run_load, run_serve_replay
 from repro.exceptions import ServingError
-from repro.loadgen import LoadConfig, LoadGenerator
+from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
@@ -27,9 +28,8 @@ from repro.serving import (
     TARGET_BOUNDARY,
     TARGET_HOT,
     OpMix,
-    ReplayConfig,
-    ReplayDriver,
     TopKServer,
+    build_streams,
     target_pool,
 )
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
@@ -39,11 +39,27 @@ SYN = SyntheticConfig(n_papers=160, n_authors=50, width=2,
                       correlation=0.3, seed=13)
 
 
-def make_driver(mix_name, users=16, requests=90, seed=21):
-    return ReplayDriver(
-        ReplayConfig(users=users, requests=requests, k=4, seed=seed,
-                     mix=OpMix.named(mix_name)),
-        profile_factory=synthetic_profile_factory(SYN))
+USERS = 16
+K = 4
+
+
+def make_world(backend):
+    return build_world(SYN, USERS, backend, synthetic_profile_factory(SYN))
+
+
+def schedule(db, mix_name, requests=90, seed=21):
+    """A serial replay's op list: the one-worker stream, cut."""
+    (stream,) = build_streams(db, 1, OpMix.named(mix_name), population(USERS),
+                              K, seed)
+    return list(islice(stream, requests))
+
+
+def replay(db, mix_name, requests=90):
+    """The serial replay over ``db``, audited inline after every op."""
+    with TopKServer(db, capacity=8) as server:
+        return LoadGenerator(LoadConfig(
+            threads=1, requests=requests, mix=OpMix.named(mix_name), k=K,
+            seed=21, audit_interval=0)).run(server)
 
 
 # -- replay: cross-backend agreement per mix ----------------------------------
@@ -53,51 +69,34 @@ def make_driver(mix_name, users=16, requests=90, seed=21):
 def test_mix_replays_verified_and_identical_on_both_backends(mix_name):
     outcomes = {}
     for backend in sorted(BACKEND_NAMES):
-        driver = make_driver(mix_name)
-        db = driver.build_world(SYN, backend=backend)
-        server = TopKServer(db, capacity=8)
-        try:
-            report = driver.run(server, driver.schedule(db), verify=True)
-        finally:
-            server.close()
-            db.close()
-        assert report.verified_results > 0
-        outcomes[backend] = (report.ops, report.reads, report.updates,
-                             report.inserts, report.deletes,
-                             report.data_updates, report.verified_results)
+        with make_world(backend) as db:
+            report = replay(db, mix_name)
+        assert report.clean, report.audit
+        assert report.audit["comparisons"] > 0
+        outcomes[backend] = (report.ops, report.kind_counts,
+                             report.read_hits, report.audit["comparisons"])
     values = list(outcomes.values())
     assert all(value == values[0] for value in values[1:]), outcomes
 
 
 def test_delete_churn_schedules_no_inserts_and_drains():
     """Regression: the liveness fallback must not resurrect the relation."""
-    driver = make_driver("delete-churn", requests=200)
-    db = driver.build_world(SYN, backend="memory")
-    try:
-        ops = driver.schedule(db)
-        kinds = [op.kind for op in ops]
+    with make_world("memory") as db:
+        kinds = [op.kind for op in schedule(db, "delete-churn", 200)]
         assert INSERT not in kinds
         assert kinds.count(DELETE) > 0
-        server = TopKServer(db, capacity=8)
-        try:
-            report = driver.run(server, ops, verify=True)
-        finally:
-            server.close()
-        assert report.inserts == 0
-        assert report.deletes > 0
-        assert report.verified_results > 0
-    finally:
-        db.close()
+        report = replay(db, "delete-churn", requests=200)
+    assert report.kind_counts[INSERT] == 0
+    assert report.kind_counts[DELETE] > 0
+    assert report.clean and report.audit["comparisons"] > 0
 
 
 def test_hot_keys_mutations_land_in_the_hot_pool():
-    driver = make_driver("hot-keys", requests=120)
-    db = driver.build_world(SYN, backend="sqlite")
-    try:
-        pool = set(driver.target_pids(db))
+    with make_world("sqlite") as db:
+        pool = set(target_pool(db, population(USERS), K, TARGET_HOT))
         assert pool
         targeted = 0
-        for op in driver.schedule(db):
+        for op in schedule(db, "hot-keys", 120):
             if op.kind == DELETE:
                 assert op.pids[0] in pool
                 targeted += 1
@@ -105,38 +104,28 @@ def test_hot_keys_mutations_land_in_the_hot_pool():
                 assert op.papers[0].pid in pool
                 targeted += 1
         assert targeted > 0
-    finally:
-        db.close()
 
 
 def test_boundary_pool_sits_past_the_top_k():
-    driver = make_driver("repair-hostile")
-    db = driver.build_world(SYN, backend="memory")
-    try:
-        uids = driver.config.uids()
-        hot = target_pool(db, uids, driver.config.k, TARGET_HOT)
-        boundary = target_pool(db, uids, driver.config.k, TARGET_BOUNDARY)
+    with make_world("memory") as db:
+        uids = population(USERS)
+        hot = target_pool(db, uids, K, TARGET_HOT)
+        boundary = target_pool(db, uids, K, TARGET_BOUNDARY)
         assert boundary
         # The boundary pool reaches deeper than the pure top-k pool and is
-        # what the repair-hostile driver actually targets.
+        # what the repair-hostile stream actually targets.
         assert set(boundary) - set(hot)
-        assert driver.target_pids(db) == boundary
-        assert target_pool(db, uids, driver.config.k, TARGET_ANY) == []
-    finally:
-        db.close()
+        (stream,) = build_streams(db, 1, OpMix.named("repair-hostile"), uids,
+                                  K, 21)
+        assert stream._hot == boundary
+        assert target_pool(db, uids, K, TARGET_ANY) == []
 
 
 def test_benign_schedule_unchanged_by_mix_support():
     """No mix configured: schedules stay deterministic and insert-fallback."""
-    driver_a = ReplayDriver(ReplayConfig(users=10, requests=60, seed=9))
-    driver_b = ReplayDriver(ReplayConfig(users=10, requests=60, seed=9))
-    db_a = driver_a.build_world(SYN, backend="memory")
-    db_b = driver_b.build_world(SYN, backend="memory")
-    try:
-        assert driver_a.schedule(db_a) == driver_b.schedule(db_b)
-    finally:
-        db_a.close()
-        db_b.close()
+    with make_world("memory") as db_a, make_world("memory") as db_b:
+        assert schedule(db_a, None, 60, seed=9) == \
+            schedule(db_b, None, 60, seed=9)
 
 
 # -- loadgen: the targeted mixes under real concurrency -----------------------
@@ -147,16 +136,10 @@ def test_benign_schedule_unchanged_by_mix_support():
 def test_mix_runs_clean_through_the_load_harness(mix_name, backend):
     """Two threads on a shared target pool (hot-keys, repair-hostile) or on
     striped base pids (delete-churn): no worker may ever name a dead pid."""
-    driver = make_driver(mix_name)
-    db = driver.build_world(SYN, backend=backend)
-    server = TopKServer(db, capacity=8)
-    try:
+    with make_world(backend) as db, TopKServer(db, capacity=8) as server:
         report = LoadGenerator(LoadConfig(
             threads=2, duration_seconds=0.6, seed=21,
             mix=OpMix.named(mix_name), k=4, audit_interval=0.2)).run(server)
-    finally:
-        server.close()
-        db.close()
     assert report.clean, (report.errors, report.audit)
     assert not [error for error in report.errors if "WorkloadError" in error]
     assert report.ops > 0

@@ -174,9 +174,10 @@ class TestJsonOutput:
         assert mutations == {
             kind: payload["server"][f"serving.server.{kind}"]
             for kind in ("inserts", "deletes", "tuple_updates")}
-        assert mutations["inserts"] == payload["serving"]["inserts"]
-        assert mutations["deletes"] == payload["serving"]["deletes"]
-        assert mutations["tuple_updates"] == payload["serving"]["data_updates"]
+        kinds = payload["serving"]["kind_counts"]
+        assert mutations["inserts"] == kinds["insert"]
+        assert mutations["deletes"] == kinds["delete"]
+        assert mutations["tuple_updates"] == kinds["data_update"]
 
     def test_serve_replay_repairs_by_default_and_disables_on_negative(self):
         """The default serving arm repairs answers in place; a negative

@@ -22,7 +22,8 @@ from repro.extensions import (
     prioritized_skyline,
     skyline,
 )
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer, fresh_top_k
+from repro.loadgen import build_world, population
+from repro.serving import TopKServer, fresh_top_k
 from repro.workload.dblp import Paper
 from repro.workload.synthetic import (
     SyntheticConfig,
@@ -35,29 +36,28 @@ SYN = SyntheticConfig(n_papers=140, n_authors=40, width=2,
                       venue_cardinality=7, extra_cardinality=6,
                       correlation=0.35, seed=19)
 K = 5
+UIDS = population(8)
 
 
 @pytest.fixture(params=sorted(BACKEND_NAMES))
 def served_world(request):
-    driver = ReplayDriver(ReplayConfig(users=8, k=K, seed=23),
-                          profile_factory=synthetic_profile_factory(SYN))
-    db = driver.build_world(SYN, backend=request.param)
-    driver.prepare(db)
+    db = build_world(SYN, len(UIDS), request.param,
+                     synthetic_profile_factory(SYN))
     server = TopKServer(db, capacity=8)
-    yield driver, db, server
+    yield db, server
     server.close()
     db.close()
 
 
-def _member_profiles(driver, db, count=3):
+def _member_profiles(db, count=3):
     venues, lo, hi = db.workload_shape()
     build = synthetic_profile_factory(SYN)
     return [build(uid, venues, lo, hi) for uid in range(1, count + 1)]
 
 
 def test_merged_group_profile_serves_and_survives_mutations(served_world):
-    driver, db, server = served_world
-    members = _member_profiles(driver, db)
+    db, server = served_world
+    members = _member_profiles(db)
     group_uid = 9000
     group = merge_profiles(members, group_uid, strategy="average")
     assert group.uid == group_uid
@@ -86,8 +86,8 @@ def test_merged_group_profile_serves_and_survives_mutations(served_world):
 
 
 def test_group_profile_class_round_trips_through_the_server(served_world):
-    driver, db, server = served_world
-    members = _member_profiles(driver, db)
+    db, server = served_world
+    members = _member_profiles(db)
     group = GroupProfile(group_uid=9100)
     for profile in members:
         group.add_member(profile)
@@ -102,8 +102,8 @@ def test_group_profile_class_round_trips_through_the_server(served_world):
 
 
 def test_skyline_over_served_ranking_rows(served_world):
-    driver, db, server = served_world
-    uid = driver.config.uids()[0]
+    db, server = served_world
+    uid = UIDS[0]
     result = server.top_k(uid, 10)
     pids = [pid for pid, _ in result.ranking]
     assert pids
@@ -130,8 +130,8 @@ def test_skyline_over_served_ranking_rows(served_world):
 
 
 def test_prioritized_skyline_tiers_on_synthetic_rows(served_world):
-    driver, db, server = served_world
-    uid = driver.config.uids()[1]
+    db, server = served_world
+    uid = UIDS[1]
     result = server.top_k(uid, 12)
     rows = db.joined_rows([pid for pid, _ in result.ranking])
     assert rows

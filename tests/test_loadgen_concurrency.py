@@ -30,7 +30,7 @@ import pytest
 
 from repro.core.predicate import equals
 from repro.index import CountCache, RowMatch
-from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate
+from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate, build_world
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
@@ -39,8 +39,6 @@ from repro.serving import (
     UPDATE,
     OpMix,
     OpStream,
-    ReplayConfig,
-    ReplayDriver,
     TopKServer,
     apply_op,
 )
@@ -54,7 +52,8 @@ from repro.workload.dblp import DblpConfig
 DEADLINE_SECONDS = 60.0
 
 DBLP = DblpConfig(n_papers=180, n_authors=80, n_venues=8, seed=11)
-REPLAY = ReplayConfig(users=16, k=5, seed=31)
+USERS = 16
+K = 5
 
 
 @pytest.fixture(params=("sqlite", "memory"))
@@ -64,8 +63,7 @@ def backend(request):
 
 @pytest.fixture()
 def world(backend):
-    driver = ReplayDriver(REPLAY)
-    db = driver.build_world(DBLP, backend=backend)
+    db = build_world(DBLP, USERS, backend)
     yield db
     db.close()
 
@@ -103,7 +101,7 @@ def test_mixed_load_finishes_clean_under_contention(world):
     """Reads + all mutation kinds, 3 threads, auditor live: clean finish."""
     server = TopKServer(world, capacity=12)
     config = LoadConfig(threads=3, duration_seconds=1.0, seed=31,
-                        k=REPLAY.k, audit_interval=0.25,
+                        k=K, audit_interval=0.25,
                         audit_sample=6)
     outcome = {}
 
@@ -154,7 +152,7 @@ def test_readers_and_writers_no_torn_reads(world):
                       insert_weight=0.0, delete_weight=0.0,
                       data_update_weight=0.0)
     streams = [
-        OpStream(world, mix, uids, REPLAY.k, seed=31, worker=worker_id)
+        OpStream(world, mix, uids, K, seed=31, worker=worker_id)
         for worker_id, mix in enumerate([write_only, write_only,
                                          read_only, read_only])]
     threads = [threading.Thread(target=worker, args=(stream,),
@@ -172,10 +170,10 @@ def test_readers_and_writers_no_torn_reads(world):
             with gate.quiesce():
                 quiesce_points += 1
                 for uid in server.results.cached_users():
-                    entry = server.results.peek(uid, REPLAY.k)
+                    entry = server.results.peek(uid, K)
                     if entry is None:
                         continue
-                    fresh = fresh_top_k(world, uid, REPLAY.k)
+                    fresh = fresh_top_k(world, uid, K)
                     if list(entry.ranking) != list(fresh):
                         torn.append((uid, list(entry.ranking), list(fresh)))
     finally:
@@ -318,7 +316,7 @@ class TestOneLockServing:
 
             def read(uid):
                 try:
-                    outcome[uid] = server.top_k(uid, REPLAY.k)
+                    outcome[uid] = server.top_k(uid, K)
                 except Exception as exc:  # noqa: BLE001 - surfaced below
                     errors.append(f"{uid}: {type(exc).__name__}: {exc}")
 
@@ -340,7 +338,7 @@ class TestOneLockServing:
             for uid in (uid_a, uid_b):
                 assert not outcome[uid].cache_hit
                 assert list(outcome[uid].ranking) \
-                    == fresh_top_k(world, uid, REPLAY.k)
+                    == fresh_top_k(world, uid, K)
             record = next(record for record in telemetry.traces.snapshot()
                           if record.name == "server.top_k"
                           and record.annotation("uid") == uid_b)
@@ -379,13 +377,13 @@ class TestOneLockServing:
                 return threading.Thread(target=run, args=(name, call),
                                         daemon=True, name=name)
 
-            first = thread("first", lambda: server.top_k(uid, REPLAY.k))
+            first = thread("first", lambda: server.top_k(uid, K))
             first.start()
             assert ready.wait(DEADLINE_SECONDS)
             stale_before = server.results.stats()["stale_puts_rejected"]
             pid = world.max_paper_id() + 1
             waiters = [
-                thread("second", lambda: server.top_k(uid, REPLAY.k)),
+                thread("second", lambda: server.top_k(uid, K)),
                 thread("insert", lambda: server.insert_tuples(
                     [{"pid": pid, "title": "mid-put insert",
                       "venue": "VLDB", "year": 2015, "aids": [1]}]))]
@@ -405,9 +403,9 @@ class TestOneLockServing:
             assert server.results.stats()["stale_puts_rejected"] \
                 == stale_before
             for cached_uid in server.results.cached_users():
-                entry = server.results.peek(cached_uid, REPLAY.k)
+                entry = server.results.peek(cached_uid, K)
                 assert list(entry.ranking) \
-                    == fresh_top_k(world, cached_uid, REPLAY.k)
+                    == fresh_top_k(world, cached_uid, K)
         finally:
             proceed.set()
             server.close()
@@ -420,7 +418,7 @@ class TestOneLockServing:
         try:
             uids = sorted(profile.uid for profile in world.read_profiles())
             for uid in uids:
-                server.top_k(uid, REPLAY.k)
+                server.top_k(uid, K)
             dropped = set()
             stop = threading.Event()
             errors = []
@@ -429,7 +427,7 @@ class TestOneLockServing:
                 generator = random.Random(worker)
                 try:
                     while not stop.is_set():
-                        server.top_k(generator.choice(uids), REPLAY.k)
+                        server.top_k(generator.choice(uids), K)
                 except Exception as exc:  # noqa: BLE001 - surfaced below
                     errors.append(f"{worker}: {type(exc).__name__}: {exc}")
 
@@ -442,7 +440,7 @@ class TestOneLockServing:
                 for _ in range(4):
                     victims = set()
                     for uid in uids:
-                        entry = server.results.peek(uid, REPLAY.k)
+                        entry = server.results.peek(uid, K)
                         if entry is not None and entry.ranking:
                             victims.add(entry.ranking[0][0])
                         if len(victims) >= 2:
@@ -459,7 +457,7 @@ class TestOneLockServing:
             assert dropped, "no cached paper was ever deleted"
 
             for uid in uids:
-                entry = server.results.peek(uid, REPLAY.k)
+                entry = server.results.peek(uid, K)
                 if entry is None:
                     continue
                 cached_pids = {pid for pid, _score in entry.ranking}
@@ -467,6 +465,6 @@ class TestOneLockServing:
                     f"uid {uid}: dropped papers resurrected: "
                     f"{sorted(cached_pids & dropped)}")
                 assert list(entry.ranking) \
-                    == fresh_top_k(world, uid, REPLAY.k)
+                    == fresh_top_k(world, uid, K)
         finally:
             server.close()

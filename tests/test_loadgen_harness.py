@@ -26,22 +26,24 @@ from repro.loadgen import (
     LoadGenerator,
     TrafficGate,
     bench_envelope,
+    build_world,
     load_and_validate,
     loadgen_payload,
     validate_loadgen_payload,
     write_bench_json,
 )
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer
+from repro.serving import TopKServer
 from repro.telemetry import instrument_locks
 from repro.workload.dblp import DblpConfig
 
 DBLP = DblpConfig(n_papers=150, n_authors=60, n_venues=6, seed=11)
-REPLAY = ReplayConfig(users=8, k=4, seed=31)
+USERS = 8
+K = 4
 
 
 @pytest.fixture()
 def server():
-    db = ReplayDriver(REPLAY).build_world(DBLP, backend="sqlite")
+    db = build_world(DBLP, USERS, "sqlite")
     instance = TopKServer(db, capacity=8)
     yield instance
     instance.close()
@@ -110,19 +112,19 @@ class TestEquivalenceAuditor:
     def test_clean_on_a_consistent_server(self, server):
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         for uid in uids[:4]:
-            server.top_k(uid, REPLAY.k)
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=REPLAY.k)
+            server.top_k(uid, K)
+        auditor = EquivalenceAuditor(server, TrafficGate(), k=K)
         assert auditor.audit_once() > 0
         assert auditor.clean
         assert auditor.stats()["mismatches"] == 0
 
     def test_flags_a_corrupted_cached_answer(self, server):
         uids = sorted(profile.uid for profile in server.db.read_profiles())
-        server.top_k(uids[0], REPLAY.k)
-        entry = server.results.peek(uids[0], REPLAY.k)
+        server.top_k(uids[0], K)
+        entry = server.results.peek(uids[0], K)
         # Corrupt the materialised ranking behind the cache's back.
         object.__setattr__(entry, "ranking", ((999_999, 1.0),))
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=REPLAY.k)
+        auditor = EquivalenceAuditor(server, TrafficGate(), k=K)
         auditor.audit_once()
         assert not auditor.clean
         assert auditor.stats()["mismatches"] == 1
@@ -131,8 +133,8 @@ class TestEquivalenceAuditor:
     def test_round_robin_covers_the_population(self, server):
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         for uid in uids:
-            server.top_k(uid, REPLAY.k)
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=REPLAY.k,
+            server.top_k(uid, K)
+        auditor = EquivalenceAuditor(server, TrafficGate(), k=K,
                                      sample=3)
         passes = 0
         while auditor.comparisons < len(uids) and passes < 10:
@@ -141,7 +143,7 @@ class TestEquivalenceAuditor:
         assert auditor.comparisons >= len(uids)
 
     def test_start_stop_lifecycle(self, server):
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=REPLAY.k,
+        auditor = EquivalenceAuditor(server, TrafficGate(), k=K,
                                      interval=0.05)
         auditor.start()
         time.sleep(0.2)
@@ -150,9 +152,22 @@ class TestEquivalenceAuditor:
         assert auditor.audits >= 1
         assert auditor.clean
 
-    def test_rejects_non_positive_interval(self, server):
+    def test_rejects_negative_interval(self, server):
         with pytest.raises(ValueError):
-            EquivalenceAuditor(server, TrafficGate(), k=3, interval=0.0)
+            EquivalenceAuditor(server, TrafficGate(), k=3, interval=-1.0)
+
+    def test_check_audits_the_given_users_and_counts_its_sql(self, server):
+        """The inline auditor (interval 0): ``check`` compares the named
+        users' materialised answers, and keeps the SQL its recomputations
+        issued apart so a run can leave it out of its own count."""
+        uids = sorted(profile.uid for profile in server.db.read_profiles())
+        server.top_k(uids[0], K)
+        auditor = EquivalenceAuditor(server, TrafficGate(), k=K, interval=0)
+        before = server.db.statements_executed
+        assert auditor.check(uids[:2]) == 1
+        assert auditor.sql_statements == \
+            server.db.statements_executed - before > 0
+        assert auditor.clean
 
 
 # -- lock instrumentation ----------------------------------------------------
@@ -166,13 +181,13 @@ class TestInstrumentation:
         # The instrumented server still serves (and the condition variable
         # over the count cache still coalesces).
         uid = sorted(profile.uid for profile in server.db.read_profiles())[0]
-        assert server.top_k(uid, REPLAY.k).ranking
+        assert server.top_k(uid, K).ranking
         report = handle.report()
         assert report[0]["wait_seconds"] >= report[-1]["wait_seconds"]
         assert any(record["acquisitions"] > 0 for record in report)
 
     def test_memory_backend_lock_is_included(self):
-        db = ReplayDriver(REPLAY).build_world(DBLP, backend="memory")
+        db = build_world(DBLP, USERS, "memory")
         instance = TopKServer(db, capacity=8)
         try:
             original = db._lock
@@ -236,9 +251,20 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("interval", [0, 0.0, -0.5])
     def test_rejects_non_positive_audit_interval(self, interval):
+        """Negative never; zero — the inline audit — only with one worker."""
         with pytest.raises(ServingError):
             LoadConfig(audit_interval=interval)
         assert LoadConfig(audit_interval=None).audit_interval is None
+        if interval == 0:
+            assert LoadConfig(threads=1, audit_interval=interval)
+
+    def test_an_op_budget_replaces_the_duration(self, server):
+        report = LoadGenerator(LoadConfig(
+            threads=2, requests=25, duration_seconds=0.001,
+            audit_interval=None)).run(server)
+        assert report.ops == 25 and report.clean
+        with pytest.raises(ServingError):
+            LoadConfig(requests=0)
 
     def test_a_failing_run_hands_the_original_locks_back(self, server):
         """Regression: a run that failed after lock instrumentation (here:
@@ -252,7 +278,7 @@ class TestLoadConfig:
         config = LoadConfig(threads=1, duration_seconds=0.1)
         # Slip a bad interval past the config's own validation, so the run
         # fails between instrumentation and report assembly.
-        object.__setattr__(config, "audit_interval", 0.0)
+        object.__setattr__(config, "audit_interval", -1.0)
         with pytest.raises(ValueError, match="audit interval"):
             LoadGenerator(config).run(server)
         assert lock_types() == before
@@ -268,6 +294,7 @@ def _minimal_run(**overrides):
     run = {
         "mode": "closed", "backend": "sqlite", "threads": 2,
         "duration_seconds": 1.0, "ops": 10, "throughput_ops_per_sec": 10.0,
+        "read_hits": 4, "sql_statements": 12,
         "latency": dict(latency),
         "latency_by_kind": {"read": dict(latency)},
         "locks": [{"name": "server", "acquisitions": 1, "contended": 0,
@@ -314,6 +341,7 @@ class TestReportSchema:
         (lambda run: run["locks"][0].pop("wait_seconds"), "locks"),
         (lambda run: run.pop("telemetry"), "missing 'telemetry'"),
         (lambda run: run.pop("server_stats"), "missing 'server_stats'"),
+        (lambda run: run.pop("sql_statements"), "missing 'sql_statements'"),
         (lambda run: run.update(server_stats={"sql_statements_total": 7}),
          "server_stats missing 'backend.sqlite.statements_executed'"),
         (lambda run: run.update(telemetry={"schema_version": 1}),
@@ -343,7 +371,7 @@ class TestReportSchema:
 
 def test_generator_report_passes_the_schema_validator(server):
     config = LoadConfig(threads=2, duration_seconds=0.4, seed=31,
-                        k=REPLAY.k, audit_interval=0.2)
+                        k=K, audit_interval=0.2)
     report = LoadGenerator(config).run(server)
     assert report.clean, (report.errors, report.audit)
     document = bench_envelope("loadgen",

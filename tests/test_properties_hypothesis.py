@@ -44,12 +44,10 @@ from repro.serving import (
     TARGET_HOT,
     UPDATE,
     OpMix,
-    OpStream,
-    ReplayConfig,
-    ReplayDriver,
     build_streams,
     target_pool,
 )
+from repro.loadgen import build_world
 from repro.serving.ops import PID_STRIDE
 from repro.workload.dblp import DblpConfig
 
@@ -294,10 +292,8 @@ STREAM_K = 3
 @pytest.fixture(scope="module")
 def stream_world():
     """A small prepared world; streams only read it, at construction."""
-    driver = ReplayDriver(ReplayConfig(users=6, k=STREAM_K, seed=5))
-    db = driver.build_world(
-        DblpConfig(n_papers=24, n_authors=10, n_venues=4, seed=3),
-        backend="memory")
+    db = build_world(DblpConfig(n_papers=24, n_authors=10, n_venues=4, seed=3),
+                     6, "memory")
     yield db
     db.close()
 
@@ -307,18 +303,16 @@ def stream_world():
                         min_size=5, max_size=5).filter(any),
        target=st.sampled_from([TARGET_ANY, TARGET_HOT]),
        seed=st.integers(min_value=0, max_value=10_000),
-       workers=st.integers(min_value=1, max_value=4),
-       serial=st.booleans())
+       workers=st.integers(min_value=1, max_value=4))
 def test_op_streams_only_name_their_own_live_pids(stream_world, weights,
-                                                  target, seed, workers,
-                                                  serial):
+                                                  target, seed, workers):
     """Deletes and in-place updates name only live pids, workers never name
     each other's pids, and a mix with inserts disabled never emits an insert
     — once drained it degrades to reads instead of resurrecting the relation.
 
-    ``serial`` checks the replay shape (one stream owning the whole
-    relation and its target pool); otherwise ``workers`` concurrent streams
-    from :func:`build_streams`, whose shared pool is update-only.
+    One worker is the replay shape (one stream owning the whole relation
+    and its target pool); several are concurrent streams whose shared pool
+    is update-only.
     """
     db = stream_world
     read, update, insert, delete, data_update = weights
@@ -328,18 +322,13 @@ def test_op_streams_only_name_their_own_live_pids(stream_world, weights,
     uids = sorted(profile.uid for profile in db.read_profiles())
     base, first_free = db.paper_ids(), db.max_paper_id() + 1
     pool = target_pool(db, uids, STREAM_K, target)
-    if serial:
-        streams = [OpStream(db, mix, uids, STREAM_K, seed, owned=base,
-                            hot=pool)]
-        owned = [set(base)]
-        shared = set()
-    else:
-        streams = build_streams(db, workers, mix, uids, STREAM_K, seed)
-        seeded = insert == 0 and delete > 0
-        owned = [set(base[worker::workers]) if seeded else set()
-                 for worker in range(workers)]
-        # Under seeding every pool pid has an owner who may delete it.
-        shared = set() if seeded else set(pool)
+    streams = build_streams(db, workers, mix, uids, STREAM_K, seed)
+    # One worker, or several draining the relation, own it in stripes; then
+    # every pool pid has an owner who may delete it.
+    striped = workers == 1 or (insert == 0 and delete > 0)
+    owned = [set(base[worker::workers]) if striped else set()
+             for worker in range(workers)]
+    shared = set() if striped else set(pool)
     for stream, mine in zip(streams, owned):
         others = set().union(*(other for other in owned if other is not mine))
         lane = first_free + stream.worker_id * PID_STRIDE

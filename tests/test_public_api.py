@@ -139,6 +139,22 @@ def test_in_process_cluster_is_gone():
         assert not hasattr(repro.TopKServer, name), name
 
 
+def test_replay_driver_is_gone():
+    """One runner: a serial replay is the load runner's one-worker run, so
+    the replay driver module and its three names are gone everywhere."""
+    import importlib
+    import pkgutil
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.serving.driver")
+    gone = {f"Replay{part}" for part in ("Driver", "Config", "Report")}
+    modules = [repro] + [importlib.import_module(info.name) for info
+                         in pkgutil.walk_packages(repro.__path__, "repro.")]
+    for module in modules:
+        assert not gone & set(getattr(module, "__all__", ())), module.__name__
+        assert not gone & set(vars(module)), module.__name__
+
+
 class TestReadmeQuickstart:
     """The README quickstart must stay runnable end to end."""
 

@@ -1,13 +1,12 @@
 """Differential property tests for the repair path ("repair, don't recompute").
 
 The repair machinery maintains cached Top-K answers in place under data
-mutations; its oracle is a from-scratch recomputation.  This module drives
-the equivalence adversarially:
+mutations; its oracle is a from-scratch recomputation, and random mutation
+sequences against a live server are the state machine's
+(``test_server_machine.py``: after every step every answer equals
+``fresh_top_k`` and every repair ran zero SQL).  This module holds the
+unit-level rules:
 
-* **Random mutation sequences** (hypothesis): arbitrary interleavings of
-  inserts, deletes and in-place updates against a live ``TopKServer``, on
-  *both* storage backends, asserting after every mutation that every served
-  answer equals ``fresh_top_k`` and that repairs ran zero SQL.
 * **Unit-level ``apply_delta`` coverage**: floor handling on truncated
   buffers, complete-buffer growth, tie ordering, and each mandatory
   fallback (unscorable rows, buffer underflow, repair disabled).
@@ -23,8 +22,6 @@ from __future__ import annotations
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
 from repro import TopKServer, UserProfile, fresh_top_k, parse_predicate
 from repro.core.intensity import combine_and
 from repro.backend import create_backend
@@ -62,98 +59,6 @@ def _build_server(backend, repair_delta=None):
         server.update_profile(uid, profile)
         server.top_k(uid, K)
     return db, server
-
-
-# -- random mutation sequences (hypothesis) -----------------------------------
-
-#: Abstract op seeds; deletes/updates resolve their pid against the live
-#: population at apply time (modular indexing keeps every seed applicable).
-_ops = st.one_of(
-    st.tuples(st.just("insert"), st.integers(0, len(VENUES) - 1),
-              st.integers(1995, 2015), st.integers(1, DBLP.n_authors)),
-    st.tuples(st.just("delete"), st.integers(0, 10_000)),
-    st.tuples(st.just("update"), st.integers(0, 10_000),
-              st.integers(0, len(VENUES) - 1), st.integers(1995, 2015)),
-)
-
-
-def _apply(server, live, next_pid, op):
-    kind = op[0]
-    if kind == "insert":
-        _, venue_index, year, aid = op
-        pid = next_pid
-        report = server.insert_tuples(
-            [Paper(pid=pid, title=f"P{pid}", venue=VENUES[venue_index],
-                   year=year)],
-            paper_authors=[(pid, aid)])
-        live.add(pid)
-        return report, next_pid + 1
-    pool = sorted(live)
-    if not pool:
-        return None, next_pid
-    pid = pool[op[1] % len(pool)]
-    if kind == "delete":
-        report = server.delete_tuples([pid])
-        live.discard(pid)
-    else:
-        _, _, venue_index, year = op
-        report = server.update_tuples(
-            [Paper(pid=pid, title=f"P{pid}", venue=VENUES[venue_index],
-                   year=year)])
-    return report, next_pid
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(ops=st.lists(_ops, min_size=1, max_size=10))
-def test_random_mutation_sequences_stay_exact(backend, ops):
-    """After every mutation of a random sequence, on either backend, every
-    served answer equals a from-scratch recomputation, repairs run zero SQL
-    and the impact accounting covers every previously cached entry."""
-    db, server = _build_server(backend)
-    try:
-        live = {row["pid"] for row in db.joined_rows()}
-        next_pid = 9000
-        for op in ops:
-            cached_before = len(server.results)
-            report, next_pid = _apply(server, live, next_pid, op)
-            if report is None:
-                continue
-            assert report.repair_sql_statements == 0
-            assert (report.results_invalidated + report.results_repaired
-                    + report.results_spared) == cached_before
-            for uid in USERS:
-                served = server.top_k(uid, K)
-                assert list(served.ranking) == fresh_top_k(db, uid, K), (
-                    f"{backend}: divergence after {op!r} for uid={uid}")
-    finally:
-        server.close()
-        db.close()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fixed_mutation_mix_actually_repairs(backend):
-    """A deterministic mutation mix exercises the repair path for real —
-    most affected answers are maintained in place, none incorrectly."""
-    db, server = _build_server(backend)
-    try:
-        for step, venue in enumerate(("SIGMOD", "PVLDB", "ICDE", "SIGMOD")):
-            pid = 9100 + step
-            server.insert_tuples(
-                [Paper(pid=pid, title=f"R{pid}", venue=venue, year=2012)],
-                paper_authors=[(pid, 1 + step)])
-        server.update_tuples(
-            [Paper(pid=9100, title="R9100", venue="PVLDB", year=2013)])
-        server.delete_tuples([9101, 9102])
-        stats = server.results.stats()
-        assert stats["repairs"] > 0
-        assert stats["repairs"] >= stats["repair_fallbacks"]
-        for uid in USERS:
-            assert list(server.top_k(uid, K).ranking) == fresh_top_k(db, uid, K)
-    finally:
-        server.close()
-        db.close()
 
 
 # -- forced fallbacks end to end ----------------------------------------------

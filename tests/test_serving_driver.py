@@ -1,156 +1,125 @@
-"""Tests for the deterministic multi-user replay driver."""
+"""A serial replay: the one-worker run of the one runner.
+
+Its schedule is ``build_streams(db, 1, ...)[0]``, the one stream that owns
+the whole relation; the run is ``LoadGenerator`` with one thread and an op
+budget, on a server or on the uncached arm, optionally auditing inline
+after every op.
+"""
 
 from __future__ import annotations
+
+import json
+from itertools import islice
 
 import pytest
 
 from repro.exceptions import ServingError
+from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
     INSERT,
-    MUTATION_KINDS,
     READ,
     UPDATE,
-    Op,
-    ReplayConfig,
-    ReplayDriver,
+    OpMix,
     TopKServer,
+    Uncached,
+    build_streams,
 )
 from repro.workload.dblp import DblpConfig
 
 DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
-CONFIG = ReplayConfig(users=10, requests=60, k=4, seed=3)
+USERS, REQUESTS, K, SEED = 10, 60, 4, 3
 
 
-@pytest.fixture(scope="module")
-def driver():
-    return ReplayDriver(CONFIG)
+@pytest.fixture()
+def db():
+    world = build_world(DBLP, USERS)
+    yield world
+    world.close()
+
+
+def schedule(db):
+    (stream,) = build_streams(db, 1, OpMix(), population(USERS), K, SEED)
+    return list(islice(stream, REQUESTS))
+
+
+def replay(target, audit_interval=None):
+    return LoadGenerator(LoadConfig(
+        threads=1, requests=REQUESTS, k=K, seed=SEED,
+        audit_interval=audit_interval)).run(target)
 
 
 class TestSchedule:
-    def test_deterministic_across_identical_worlds(self, driver):
-        first_db = driver.build_world(DBLP)
-        second_db = driver.build_world(DBLP)
+    def test_deterministic_across_identical_worlds(self, db):
+        other = build_world(DBLP, USERS)
         try:
-            assert driver.schedule(first_db) == driver.schedule(second_db)
+            assert schedule(db) == schedule(other)
         finally:
-            first_db.close()
-            second_db.close()
+            other.close()
 
-    def test_contains_every_op_kind(self, driver):
-        db = driver.build_world(DBLP)
-        try:
-            kinds = {op.kind for op in driver.schedule(db)}
-        finally:
-            db.close()
+    def test_contains_every_op_kind(self, db):
+        kinds = {op.kind for op in schedule(db)}
         assert kinds == {READ, UPDATE, INSERT, DELETE, DATA_UPDATE}
 
-    def test_zipf_skew_concentrates_reads(self, driver):
-        db = driver.build_world(DBLP)
-        try:
-            ops = driver.schedule(db)
-        finally:
-            db.close()
-        reads_per_uid: dict = {}
-        for op in ops:
-            if op.kind == READ:
-                reads_per_uid[op.uid] = reads_per_uid.get(op.uid, 0) + 1
-        hottest = max(reads_per_uid.values())
+    def test_zipf_skew_concentrates_reads(self, db):
+        ops = schedule(db)
+        reads = [op.uid for op in ops if op.kind == READ]
+        hottest = max(reads.count(uid) for uid in set(reads))
         # The hottest user dominates a uniform share by construction.
-        assert hottest > len(ops) / CONFIG.users
+        assert hottest > len(ops) / USERS
 
     def test_rejects_degenerate_config(self):
         with pytest.raises(ServingError):
-            ReplayDriver(ReplayConfig(users=0))
+            build_world(DBLP, 0)
 
 
 class TestReplay:
-    def test_equivalence_after_every_mutation(self, driver):
-        """The acceptance equivalence test: every answer the server keeps
-        materialised equals a from-scratch recomputation after every single
-        mutation in the replay (verify raises on the first divergence)."""
-        db = driver.build_world(DBLP)
-        try:
-            with TopKServer(db, capacity=6) as server:
-                report = driver.run(server, driver.schedule(db), verify=True)
-        finally:
-            db.close()
-        assert report.verified_results > 0
-        assert report.inserts > 0 and report.updates > 0
+    def test_equivalence_after_every_mutation(self, db):
+        """Every answer the server keeps materialised equals a from-scratch
+        recomputation after every single op of the replay."""
+        with TopKServer(db, capacity=6) as server:
+            report = replay(server, audit_interval=0)
+        assert report.clean, report.audit
+        assert report.audit["comparisons"] > 0
+        assert report.ops == REQUESTS
         # The full update spectrum is exercised, not just inserts.
-        assert report.deletes > 0 and report.data_updates > 0
+        assert all(report.kind_counts[kind] > 0 for kind in
+                   (INSERT, UPDATE, DELETE, DATA_UPDATE))
 
-    def test_verify_raises_on_the_first_divergence_naming_the_user(self, driver):
+    def test_inline_audit_flags_a_divergence(self, db):
         """A materialised answer that no longer equals a fresh recomputation
-        fails the replay — on the read that serves it, and after any other
-        op, while it is still cached."""
-        db = driver.build_world(DBLP)
+        fails the inline audit."""
+        with TopKServer(db, capacity=6) as server:
+            stale = population(USERS)[0]
+            server.top_k(stale, K)
+            entry = server.results.peek(stale, K)
+            # Corrupt the materialised ranking behind the cache's back.
+            object.__setattr__(entry, "ranking", ((999_999, 1.0),))
+            report = replay(server, audit_interval=0)
+        assert not report.clean
+        assert report.audit["mismatches"] > 0
+
+    def test_serving_beats_baseline_and_hits_are_free(self, db):
+        baseline_db = build_world(DBLP, USERS)
         try:
             with TopKServer(db, capacity=6) as server:
-                stale, other = CONFIG.uids()[:2]
-                server.top_k(stale, CONFIG.k)
-                entry = server.results.peek(stale, CONFIG.k)
-                # Corrupt the materialised ranking behind the cache's back.
-                object.__setattr__(entry, "ranking", ((999_999, 1.0),))
-                update = next(op for op in driver.schedule(db)
-                              if op.kind == UPDATE and op.uid != stale)
-                for op in (Op(READ, uid=stale, k=CONFIG.k), update):
-                    with pytest.raises(ServingError, match=f"uid={stale} "):
-                        driver.run(server, [op], verify=True)
-                assert driver.run(server, [Op(READ, uid=other, k=CONFIG.k)],
-                                  verify=True).verified_results == 1
+                serving = replay(server)
+            baseline = replay(Uncached(baseline_db))
+            # An uncached arm materialises nothing to audit.
+            with pytest.raises(ServingError, match="audit_interval=None"):
+                replay(Uncached(baseline_db), audit_interval=0)
         finally:
-            db.close()
-
-    def test_serving_beats_baseline_and_hits_are_free(self, driver):
-        serving_db = driver.build_world(DBLP)
-        baseline_db = driver.build_world(DBLP)
-        try:
-            with TopKServer(serving_db, capacity=6) as server:
-                serving = driver.run(server, driver.schedule(serving_db))
-            baseline = driver.run_baseline(baseline_db,
-                                           driver.schedule(baseline_db))
-        finally:
-            serving_db.close()
             baseline_db.close()
         assert serving.read_hits > 0
-        assert serving.zero_sql_reads == serving.read_hits
+        assert serving.server_stats["serving.results.hits"] == \
+            serving.read_hits
         assert serving.sql_statements < baseline.sql_statements
-        assert baseline.read_hits == 0
+        assert baseline.read_hits == 0 and baseline.server_stats == {}
+        assert baseline.locks == []
 
-    def test_mutation_events_record_partial_invalidation(self, driver):
-        db = driver.build_world(DBLP)
-        try:
-            with TopKServer(db, capacity=6) as server:
-                report = driver.run(server, driver.schedule(db))
-        finally:
-            db.close()
-        assert {event["kind"] for event in report.mutation_events} == set(
-            MUTATION_KINDS)
-        # Inserts touch one venue, so they always invalidate a strict subset
-        # of a multi-entry cache.
-        populated_inserts = [event for event in report.events_of_kind(INSERT)
-                             if event["cached_before"] >= 2]
-        assert populated_inserts
-        assert all(event["results_invalidated"] < event["cached_before"]
-                   for event in populated_inserts)
-        # A delete/update of one hot tuple may legitimately touch every
-        # cached user, but across the replay each kind spares entries —
-        # no kind ever degenerates into a blanket cache flush.
-        for kind in MUTATION_KINDS:
-            events = report.events_of_kind(kind)
-            assert events, f"replay produced no {kind} events"
-            assert sum(event["results_spared"] for event in events) > 0
-
-    def test_report_as_dict_roundtrips_to_json(self, driver):
-        import json
-        db = driver.build_world(DBLP)
-        try:
-            with TopKServer(db, capacity=6) as server:
-                report = driver.run(server, driver.schedule(db))
-        finally:
-            db.close()
-        payload = json.loads(json.dumps(report.as_dict()))
-        assert payload["label"] == "serving"
-        assert payload["ops"] == CONFIG.requests
+    def test_report_as_dict_roundtrips_to_json(self, db):
+        with TopKServer(db, capacity=6) as server:
+            payload = json.loads(json.dumps(replay(server).as_dict()))
+        assert payload["threads"] == 1
+        assert payload["ops"] == REQUESTS

@@ -4,8 +4,8 @@
 updates, inserts, deletes and in-place updates" in the repo.  This file pins
 that down:
 
-* a serial replay schedule *is* the first ``requests`` ops of the one-worker
-  stream that owns the whole relation;
+* a serial replay's stream, ``build_streams(db, 1, ...)[0]``, *is* the
+  one-worker stream that owns the whole relation;
 * the load harness's per-worker streams are op-for-op what they were before
   the two generators were merged (digests computed at the parent commit);
 * one op list applied through :func:`~repro.serving.apply_op` leaves a
@@ -28,6 +28,7 @@ import pytest
 
 from repro.backend import BACKEND_NAMES, create_backend
 from repro.exceptions import ServingError
+from repro.loadgen import build_world, load_population, population
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
@@ -41,25 +42,26 @@ from repro.serving import (
     Op,
     OpMix,
     OpStream,
-    ReplayConfig,
-    ReplayDriver,
     TopKServer,
     Uncached,
     apply_op,
     build_streams,
+    target_pool,
 )
 from repro.workload.dblp import DblpConfig, Paper
 from repro.workload.loader import append_papers
 
 DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
 K = 4
+USERS = 10
 #: The benign default plus every named mix.
 MIX_NAMES = [None] + sorted(MIXES)
 
 
-def make_driver(mix_name=None, requests=60):
-    return ReplayDriver(ReplayConfig(users=10, requests=requests, k=K, seed=3,
-                                     mix=OpMix.named(mix_name)))
+def serial(db, mix=OpMix(), requests=60):
+    """A serial replay's schedule: the one-worker stream, cut."""
+    (stream,) = build_streams(db, 1, mix, population(USERS), K, seed=3)
+    return list(islice(stream, requests))
 
 
 @pytest.fixture(params=sorted(BACKEND_NAMES))
@@ -70,7 +72,7 @@ def backend_name(request):
 @pytest.fixture(scope="module")
 def world():
     """A prepared read-only world (streams only read it at construction)."""
-    db = make_driver().build_world(DBLP, backend="memory")
+    db = build_world(DBLP, USERS, "memory")
     yield db
     db.close()
 
@@ -189,17 +191,17 @@ class TestOpStream:
 
 
 def test_authorless_world_still_schedules(backend_name):
-    """Regression: ``schedule`` divided by ``max_author_id()`` — zero on a
-    world with papers but no author links — where the load stream clamped."""
-    driver = make_driver()
+    """Regression: the serial schedule divided by ``max_author_id()`` — zero
+    on a world with papers but no author links — where the load stream
+    clamped."""
     db = create_backend(backend_name)
     try:
         append_papers(db, [Paper(pid=1, title="Solo", venue="VLDB",
                                  year=2001)], [])
-        driver.prepare(db)
+        load_population(db, USERS)
         assert db.max_author_id() == 0
-        ops = driver.schedule(db)
-        assert len(ops) == driver.config.requests
+        ops = serial(db)
+        assert len(ops) == 60
         inserts = [op for op in ops if op.kind == INSERT]
         assert inserts
         assert all(op.paper_authors == ((op.papers[0].pid, 1),)
@@ -213,14 +215,13 @@ def test_authorless_world_still_schedules(backend_name):
 
 @pytest.mark.parametrize("mix_name", MIX_NAMES)
 def test_schedule_is_the_one_worker_stream(mix_name):
-    driver = make_driver(mix_name)
-    db = driver.build_world(DBLP, backend="memory")
+    mix = OpMix.named(mix_name)
+    db = build_world(DBLP, USERS, "memory")
     try:
-        config = driver.config
-        stream = OpStream(db, config.mix, config.uids(), config.k,
-                          config.seed, owned=db.paper_ids(),
-                          hot=driver.target_pids(db))
-        assert driver.schedule(db) == list(islice(stream, config.requests))
+        uids = population(USERS)
+        stream = OpStream(db, mix, uids, K, 3, owned=db.paper_ids(),
+                          hot=target_pool(db, uids, K, mix.target))
+        assert serial(db, mix) == list(islice(stream, 60))
     finally:
         db.close()
 
@@ -242,7 +243,7 @@ PARENT_DIGESTS = {
 
 @pytest.mark.parametrize("mix_name", MIX_NAMES)
 def test_worker_streams_match_the_parent_commit(backend_name, mix_name):
-    db = make_driver().build_world(DBLP, backend=backend_name)
+    db = build_world(DBLP, USERS, backend_name)
     try:
         streams = build_streams(db, 3, OpMix.named(mix_name), uids_of(db),
                                 K, seed=17)
@@ -266,8 +267,6 @@ def test_apply_op_leaves_every_arm_in_the_same_state():
     mutation_heavy = OpMix(read_weight=4.0, update_weight=1.0,
                            insert_weight=1.5, delete_weight=1.0,
                            data_update_weight=1.0)
-    driver = ReplayDriver(ReplayConfig(users=10, requests=80, k=K, seed=3,
-                                       mix=mutation_heavy))
     arms = {
         "server": lambda db: TopKServer(db, capacity=6),
         "uncached": Uncached,
@@ -276,18 +275,18 @@ def test_apply_op_leaves_every_arm_in_the_same_state():
     states = {}
     for backend in sorted(BACKEND_NAMES):
         for label, build in arms.items():
-            db = driver.build_world(DBLP, backend=backend)
+            db = build_world(DBLP, USERS, backend)
             arm = build(db)
             try:
                 if ops is None:
-                    ops = driver.schedule(db)
+                    ops = serial(db, mutation_heavy, requests=80)
                     assert {op.kind for op in ops} == set(OP_KINDS)
                 for op in ops:
                     apply_op(arm, op)
                 states[backend, label] = (
                     _normalised_rows(db.joined_rows()),
                     [list(arm.top_k(uid, K).ranking)
-                     for uid in driver.config.uids()])
+                     for uid in population(USERS)])
             finally:
                 if label != "uncached":
                     arm.close()

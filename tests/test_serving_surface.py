@@ -2,19 +2,19 @@
 
 Pins, on every registered storage backend: one mutation report type and
 valid ``metrics()`` names for one fixed script whose every answer equals
-``fresh_top_k``, a terminal ``close()``, served == ``fresh_top_k`` under
-profile updates drawn from the user's own predicates, and the fault
-contract's first rules — a failed sweep or a cold read whose backend raises
-surfaces at the door and leaves nothing held, claimed or published.  Also
-pins the construction surface (every settable parameter, by name), the lock
-set, and what a sweep guarantees: it judges relevance through one
-``RowMatch`` — each distinct predicate once.
+``fresh_top_k``, a terminal ``close()``, and the fault contract's first
+rules — a failed sweep or a cold read whose backend raises surfaces at the
+door, is counted by kind and leaves nothing held, claimed or published.
+Also pins the construction surface (every settable parameter, by name), the
+lock set, and what a sweep guarantees: it judges relevance through one
+``RowMatch`` — each distinct predicate once.  Served == ``fresh_top_k``
+under every op, profile-update shape and fault is the state machine's
+(``test_server_machine.py``).
 """
 
 from __future__ import annotations
 
 import inspect
-import random
 import threading
 from pathlib import Path
 
@@ -26,19 +26,15 @@ import repro.concurrency
 import repro.index.selectivity as selectivity
 from repro.backend import BACKEND_NAMES
 from repro.cli import run_load, run_serve_replay, run_stats
+from repro.loadgen import (LoadConfig, LoadGenerator, build_world,
+                           load_population, population)
 from repro.concurrency import TimedRLock
 from repro.core.predicate import And, are_and_compatible, parse_predicate
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
 from repro.algorithms.peps import PEPSAlgorithm
 from repro.index import IncrementalPairIndex, RowMatch, may_match_row
-from repro.serving import (
-    DataMutationReport,
-    ReplayConfig,
-    ReplayDriver,
-    TopKServer,
-    fresh_top_k,
-)
+from repro.serving import DataMutationReport, TopKServer, fresh_top_k
 from repro.serving.results import CachedResult
 from repro.serving.sessions import UserSession
 from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
@@ -46,8 +42,8 @@ from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
 from repro.workload.dblp import DblpConfig, Paper
 
 DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
-REPLAY = ReplayConfig(users=8, k=4, seed=3)
-K = REPLAY.k
+UIDS = population(8)
+K = 4
 
 
 @pytest.fixture(params=sorted(BACKEND_NAMES))
@@ -59,7 +55,7 @@ def backend(request):
 # whichever backend list it runs over.
 @pytest.fixture(params=["server"])
 def surface(request, backend):
-    db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
+    db = build_world(DBLP, len(UIDS), backend)
     server = TopKServer(db, capacity=16)
     yield server
     server.close()
@@ -69,7 +65,7 @@ def surface(request, backend):
 def run_script(server):
     """One fixed read/update/insert/update-tuples/delete script: every answer
     must equal a fresh recomputation, every door the one report type."""
-    uids = REPLAY.uids()
+    uids = UIDS
     venues, _, hi = server.db.workload_shape()
 
     def read_everyone():
@@ -119,8 +115,9 @@ def test_script_reports_and_metrics(surface):
 
 def test_construction_surface_is_pinned():
     """Every settable parameter of the serving constructor, of what a
-    session is built from and of the CLI's serving front doors, by name: a
-    new option is a deliberate edit of this list, not a drive-by."""
+    session is built from, of the one runner and the world it drives, and
+    of the CLI's serving front doors, by name: a new option is a deliberate
+    edit of this list, not a drive-by."""
     pinned = {
         IncrementalPairIndex: ["counter", "preferences"],
         UserSession: ["uid", "runner", "profile"],
@@ -140,8 +137,14 @@ def test_construction_surface_is_pinned():
         run_stats: ["scale", "users", "requests", "k", "seed", "capacity",
                     "backend", "prometheus", "slow_ms"],
         TopKServer: ["db", "capacity", "repair_delta"],
-        ReplayDriver.verify_backend_equivalence: [
-            "self", "workload_config", "capacity"],
+        LoadConfig: ["threads", "duration_seconds", "requests", "target_qps",
+                     "mix", "k", "seed", "audit_interval", "audit_sample"],
+        LoadGenerator: ["config"],
+        LoadGenerator.run: ["self", "target", "telemetry"],
+        build_world: ["workload_config", "users", "backend",
+                      "profile_factory"],
+        load_population: ["db", "users", "profile_factory"],
+        population: ["users"],
     }
     for target, names in pinned.items():
         assert list(inspect.signature(target).parameters) == names, target
@@ -179,7 +182,7 @@ def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
     """A sweep that raises surfaces at the door that caused it, and by then
     every lock is released: cold reads and a further mutation, all from
     another thread, complete."""
-    uids = REPLAY.uids()
+    uids = UIDS
 
     def failing(mutation):
         raise RuntimeError("sweep failed")
@@ -189,6 +192,8 @@ def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
         surface.insert_tuples(
             [Paper(pid=90_004, title="Unswept", venue="V0", year=2012)])
     del surface._sweep  # the class's method again
+    assert surface.metrics()[
+        "serving.server.errors.insert_tuples.runtime_error"] == 1
     outcome = {}
 
     def read_everyone_then_mutate():
@@ -208,7 +213,7 @@ def test_cold_read_whose_backend_raises_publishes_nothing(surface, monkeypatch):
     user's cold read from a second thread completes), no count is still
     claimed in flight, no answer is published and no session is resident.
     Once the backend answers again, the same read is exact."""
-    uid, other = REPLAY.uids()[:2]
+    uid, other = UIDS[:2]
     db, cache = surface.db, surface.sessions.count_cache
     calls = []
 
@@ -220,6 +225,7 @@ def test_cold_read_whose_backend_raises_publishes_nothing(surface, monkeypatch):
     with pytest.raises(RuntimeError, match="backend down"):
         surface.top_k(uid, K)
     assert calls  # the failure came from the session build's pair counts
+    assert surface.metrics()["serving.server.errors.top_k.runtime_error"] == 1
     monkeypatch.undo()
 
     outcome = {}
@@ -257,7 +263,7 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     session pairs up only the preferences some row may match.  No rows, no
     work: an author-less insert notifies, yet no consumer walks the keys it
     holds."""
-    db, uids = surface.db, REPLAY.uids()
+    db, uids = surface.db, UIDS
     Telemetry().observe(surface)
     ranked = [hit for uid in uids for hit in surface.top_k(uid, K).ranking]
     # Scoring above one intensity means matching a venue *and* a year
@@ -320,7 +326,7 @@ def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch)
     a venue, a year and an author nobody mentions — looks up one mask per
     preference per session (two for a year range: one per conjunct) and
     visits no pair; nothing is dropped, no session is stale."""
-    uids = REPLAY.uids()
+    uids = UIDS
     Telemetry().observe(surface)
     for uid in uids:
         surface.top_k(uid, K)
@@ -369,7 +375,7 @@ def test_closed_surface_refuses_instead_of_serving_stale(surface):
     top_k(u); delete_tuples([top pid]); top_k(u)`` served the deleted tuple
     as a cache hit.
     """
-    uid = REPLAY.uids()[0]
+    uid = UIDS[0]
     top_pid = surface.top_k(uid, K).ranking[0][0]
     surface.close()
     assert len(surface.results) == 0
@@ -392,95 +398,6 @@ def test_closed_surface_refuses_instead_of_serving_stale(surface):
     surface.close()  # idempotent
 
 
-# -- served == fresh_top_k under profile updates --------------------------------
-#
-# The first rules of the stateful oracle (ROADMAP item 3): each takes the
-# surface, a seeded rng and one user's state — ``uid`` plus the predicates and
-# qualitative pairs the user has stated so far — and performs one step.
-# Profile updates draw from the user's *own* predicates: the door generated
-# schedules (``dblp.year``, which no mined preference mentions) never open.
-
-
-def _state(surface, rng, user, predicate, over=None):
-    """One profile update: ``predicate`` at a drawn intensity, or preferred
-    ``over`` another predicate by it."""
-    update = UserProfile(uid=user["uid"])
-    if over is None:
-        update.add_quantitative(predicate, rng.choice(INTENSITIES))
-    else:
-        update.add_qualitative(predicate, over, rng.choice(INTENSITIES))
-    surface.update_profile(user["uid"], update)
-
-
-def rule_restate_right_side(surface, rng, user):
-    _state(surface, rng, user, rng.choice(user["pairs"])[1])
-
-
-def rule_restate_left_side(surface, rng, user):
-    _state(surface, rng, user, rng.choice(user["pairs"])[0])
-
-
-def rule_duplicate_quantitative(surface, rng, user):
-    _state(surface, rng, user, rng.choice(user["predicates"]))
-
-
-def rule_edge_between_existing_nodes(surface, rng, user):
-    left, right = rng.sample(user["predicates"], 2)
-    _state(surface, rng, user, left, over=right)
-    user["pairs"].append((left, right))
-
-
-def rule_fresh_predicate(surface, rng, user):
-    predicate = f"dblp.year >= {rng.randint(1990, 2012)}"
-    _state(surface, rng, user, predicate)
-    user["predicates"].append(predicate)
-
-
-def rule_evict(surface, rng, user):
-    surface.sessions.evict(user["uid"])
-
-
-def rule_read(surface, rng, user):
-    """Every step ends in a checked read; this one is only that."""
-
-
-INTENSITIES = (0.15, 0.45, 0.75, 0.95)
-RULES = (rule_restate_right_side, rule_restate_left_side,
-         rule_duplicate_quantitative, rule_edge_between_existing_nodes,
-         rule_fresh_predicate, rule_evict, rule_read)
-
-
-def test_resident_session_matches_rebuilt_after_restating_update(surface):
-    """Whichever door a preference came through, and whether or not the user
-    was resident when it did, the surface serves ``fresh_top_k``.
-
-    What this pins against: a resident session that folds an update in
-    arrival order while a rebuild inserts all quantitative preferences
-    before all qualitative ones — re-stating a predicate inside a mined
-    qualitative chain then makes the two disagree.
-    """
-    db = surface.db
-    mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
-    load_profiles(db, mined)
-    profiles = [profile for profile in sorted(mined, key=lambda p: p.uid)
-                if profile.qualitative and len(profile.predicates()) >= 2][:8]
-    rng = random.Random(22)
-    diverged = []
-    for profile in profiles:
-        user = {"uid": profile.uid, "predicates": profile.predicates(),
-                "pairs": [(pair.left_sql, pair.right_sql)
-                          for pair in profile.qualitative]}
-        trail = ["cold"]
-        for rule in [rule_read, rule_restate_right_side] + rng.choices(RULES, k=6):
-            rule(surface, rng, user)
-            trail.append(rule.__name__)
-            served = list(surface.top_k(profile.uid, K).ranking)
-            if served != fresh_top_k(db, profile.uid, K):
-                diverged.append((profile.uid, tuple(trail)))
-                break
-    assert not diverged, f"{len(diverged)} of {len(profiles)} users diverged: {diverged[:3]}"
-
-
 def test_update_then_read_counts_only_the_new_predicates_pairs(backend):
     """What *persist, drop, rebuild* costs, in counters: the read after an
     update that adds one predicate to a resident user's profile misses the
@@ -489,7 +406,7 @@ def test_update_then_read_counts_only_the_new_predicates_pairs(backend):
     count statement, and the only SQL the rebuild adds to that read is the
     two ``read_profiles`` statements (3 statements with the fold this
     replaced, 5 now)."""
-    db = ReplayDriver(REPLAY).build_world(DBLP, backend=backend)
+    db = build_world(DBLP, len(UIDS), backend)
     mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
     load_profiles(db, mined)
     uid = max(mined, key=lambda profile: len(profile.predicates())).uid

@@ -17,8 +17,8 @@ from repro.backend import BACKEND_NAMES, create_backend
 from repro.concurrency import TimedRLock
 from repro.core.preference import UserProfile
 from repro.exceptions import TelemetryError
-from repro.loadgen import LoadConfig, LoadGenerator
-from repro.serving import ReplayConfig, ReplayDriver, TopKServer
+from repro.loadgen import LoadConfig, LoadGenerator, load_population
+from repro.serving import TopKServer
 from repro.telemetry import (
     MetricsRegistry,
     SNAPSHOT_SCHEMA_VERSION,
@@ -387,14 +387,12 @@ class TestLoadgenTelemetry:
 
 class TestEndToEnd:
     def test_replay_snapshot_covers_four_layers(self, serving_db):
-        driver = ReplayDriver(ReplayConfig(users=8, requests=40, k=5, seed=3))
         telemetry = Telemetry(slow_threshold=0.0)
+        load_population(serving_db, 8)
         with TopKServer(serving_db, capacity=8) as engine:
-            telemetry.observe(engine)
-            with telemetry.instrument_locks(engine):
-                driver.prepare(serving_db)
-                driver.run(engine, driver.schedule(serving_db))
-                document = telemetry.json_snapshot()
+            document = LoadGenerator(LoadConfig(
+                threads=1, requests=40, k=5, seed=3, audit_interval=None,
+            )).run(engine, telemetry=telemetry).telemetry
         layers = {name.split(".", 1)[0] for name in document["metrics"]}
         assert {"serving", "index", "backend", "concurrency"} <= layers
         slow = document["traces"]["slow"]
