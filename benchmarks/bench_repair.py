@@ -1,41 +1,40 @@
-"""Repair, don't recompute: delta-maintained answers vs invalidation (ISSUE 8).
+"""Repair, don't recompute: delta-maintained answers, stated as counters.
 
 A mutation-heavy Zipf-skewed serial replay (the one-worker run of
-:class:`repro.loadgen.LoadGenerator`) runs twice over identical worlds, both
-times through :class:`repro.serving.TopKServer` with the inline audit on:
-
-* the **repair arm** (default ``repair_delta``) maintains affected cached
-  answers in place from the mutation's row images — zero SQL per repair;
-* the **baseline arm** (``repair_delta=-1``) is the pre-repair behaviour:
-  every affected answer is dropped and recomputed on the next read.
-
-The printed report and the assertions cover the acceptance criteria, stated
-from the server's ``serving.result_cache.*`` / ``serving.results.*``
-counters:
+:class:`repro.loadgen.LoadGenerator`) runs through
+:class:`repro.serving.TopKServer` with the inline audit on.  Every cached
+answer is a repairable buffer, so there is no invalidate-only arm to run
+beside it: what repair saves is read from the server's
+``serving.result_cache.*`` / ``serving.results.*`` counters and the cost of
+a from-scratch recompute.  The printed report and the assertions cover the
+acceptance criteria:
 
 (a) **repair dominates** — of the cached answers data mutations touched, at
     least 60% were repaired in place rather than falling back to
     invalidation (``repairs / (repairs + repair_fallbacks)``);
-(b) **repairs buy warm reads** — the repair arm's warm-read rate is
-    strictly above the baseline's (repaired answers keep serving from
-    memory where the baseline recomputes), and its end-to-end SQL total is
-    strictly below the baseline's;
-(c) **repairs stay exact** — both arms audit inline after every op (every
+(b) **repairs buy warm reads** — every repair is an answer an
+    invalidate-only cache would have dropped and recomputed on its next
+    read.  A repair runs zero SQL (an invariant of the state machine,
+    ``tests/test_server_machine.py``, checked on every mutation report); a
+    from-scratch recompute (``fresh_top_k``) costs what the bench measures
+    per user on the replay's end state.  The recomputes the repairs stand
+    in for would have cost more statements than the whole replay issued,
+    and the warm-read rate stays at or above :data:`WARM_RATE_FLOOR`.  (On this schedule the
+    invalidate-and-recompute arm this bench used to run beside it served
+    0.240 warm and issued 708 statements, against 0.753 and 599.)
+(c) **repairs stay exact** — the replay audits inline after every op (every
     materialised answer, repaired or spared, equals a from-scratch
     recomputation), and a short concurrent load run with the background
     :class:`~repro.loadgen.EquivalenceAuditor` finishes clean while repairs
     are happening live.
-
-That every repair runs **zero** SQL is an invariant of the state machine
-(``tests/test_server_machine.py``), checked on every mutation report.
 """
 
 from __future__ import annotations
 
 from repro.experiments import reporting
 from repro.experiments.context import SCALES
-from repro.loadgen import LoadConfig, LoadGenerator, build_world
-from repro.serving import OpMix, TopKServer
+from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
+from repro.serving import OpMix, TopKServer, fresh_top_k
 from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
 
@@ -51,69 +50,67 @@ SCALE = "tiny"
 CAPACITY = 24
 #: The acceptance floor: share of touched answers repaired in place.
 REPAIR_RATE_FLOOR = 0.6
+#: The warm-read floor: twice the invalidate-and-recompute arm's 0.240.
+WARM_RATE_FLOOR = 0.5
 
 
-def _run_arm(repair_delta):
+def _replay():
+    """The audited replay, plus the mean statements one from-scratch
+    recompute (``fresh_top_k``) costs per user on the replay's end state."""
     db = build_world(SCALES[SCALE], USERS)
-    server = TopKServer(db, capacity=CAPACITY, repair_delta=repair_delta)
+    server = TopKServer(db, capacity=CAPACITY)
     try:
-        return LoadGenerator(REPLAY).run(server)
+        report = LoadGenerator(REPLAY).run(server)
+        uids = population(USERS)
+        before = db.statements_executed
+        for uid in uids:
+            fresh_top_k(db, uid, REPLAY.k)
+        return report, (db.statements_executed - before) / len(uids)
     finally:
         server.close()
         db.close()
 
 
 def test_repair_beats_invalidate_and_recompute(benchmark):
-    """The acceptance benchmark: repair rate, warm-rate and SQL comparison."""
-    repair = run_once(benchmark, _run_arm, None)
-    baseline = _run_arm(-1)
-    repair_metrics, baseline_metrics = repair.server_stats, \
-        baseline.server_stats
-
-    repairs = repair_metrics["serving.result_cache.repairs"]
-    fallbacks = repair_metrics["serving.result_cache.repair_fallbacks"]
+    """The acceptance benchmark: repair rate, warm rate and avoided SQL."""
+    report, recompute = run_once(benchmark, _replay)
+    metrics = report.server_stats
+    repairs = metrics["serving.result_cache.repairs"]
+    fallbacks = metrics["serving.result_cache.repair_fallbacks"]
     entry_rate = repairs / max(1, repairs + fallbacks)
+    avoided = repairs * recompute
 
     reporting.print_report(
-        f"Repair vs invalidate-and-recompute — {USERS} users, "
-        f"{REPLAY.requests} requests, mutation-heavy mix",
-        reporting.format_table([
-            {"arm": label, "reads": arm.kind_counts["read"],
-             "read_hits": arm.read_hits,
-             "warm_rate": f"{arm.read_hit_rate:.3f}",
-             "sql_statements": arm.sql_statements,
-             "audited": arm.audit["comparisons"],
-             "seconds": f"{arm.duration_seconds:.3f}"}
-            for label, arm in (("repair", repair),
-                               ("invalidate", baseline))]))
-    reporting.print_report(
-        "Repair behaviour",
+        f"Repair, don't recompute — {USERS} users, {REPLAY.requests} "
+        f"requests, mutation-heavy mix",
         reporting.format_mapping({
+            "reads": report.kind_counts["read"],
+            "read hits": report.read_hits,
+            "warm rate": f"{report.read_hit_rate:.3f}",
+            "replay SQL statements": report.sql_statements,
             "entries repaired": repairs,
             "repair fallbacks": fallbacks,
             "underflow fallbacks":
-                repair_metrics["serving.result_cache.repair_underflows"],
+                metrics["serving.result_cache.repair_underflows"],
             "entry repair rate": f"{entry_rate:.3f}",
+            "SQL per from-scratch recompute": f"{recompute:.1f}",
+            "recompute SQL the repairs stand in for": f"{avoided:.0f}",
+            "audited": report.audit["comparisons"],
+            "seconds": f"{report.duration_seconds:.3f}",
         }))
 
     # (a) Repair dominates.
     assert repairs > 0, "replay produced no mutation that touched an answer"
     assert entry_rate >= REPAIR_RATE_FLOOR
+    assert metrics["serving.results.data_invalidations"] == fallbacks
 
-    # The baseline arm really is the old world: no repairs anywhere, same
-    # schedule, strictly more invalidations.
-    assert baseline_metrics["serving.result_cache.repairs"] == 0
-    assert (baseline_metrics["serving.results.data_invalidations"]
-            > repair_metrics["serving.results.data_invalidations"])
-
-    # (b) Repairs convert recomputations into warm hits: strictly better
-    # warm-read rate, strictly less SQL end to end.
-    assert repair.read_hit_rate > baseline.read_hit_rate
-    assert repair.sql_statements < baseline.sql_statements
+    # (b) Repairs buy warm reads: the recomputes they replace would have cost
+    # more SQL than the whole replay, and the warm rate holds its floor.
+    assert avoided > report.sql_statements
+    assert report.read_hit_rate >= WARM_RATE_FLOOR
 
     # (c) Every repaired answer survived the after-every-op audit.
-    for arm in (repair, baseline):
-        assert arm.clean and arm.audit["comparisons"] > 0, arm.audit
+    assert report.clean and report.audit["comparisons"] > 0, report.audit
 
 
 def test_repairs_stay_clean_under_concurrent_load(benchmark):

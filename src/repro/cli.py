@@ -96,7 +96,6 @@ def _resolve_workload(family: str, scale: str):
 def _run_world(config: LoadConfig, workload_config: Any, users: int,
                backend: Optional[str], profile_factory: Any = None,
                capacity: Optional[int] = None,
-               repair_delta: Optional[int] = None,
                telemetry: Optional[Telemetry] = None) -> LoadReport:
     """One run over a fresh world, closed afterwards: through a
     :class:`~repro.serving.TopKServer` of ``capacity`` sessions, or — with
@@ -105,8 +104,7 @@ def _run_world(config: LoadConfig, workload_config: Any, users: int,
     try:
         if capacity is None:
             return LoadGenerator(config).run(Uncached(db))
-        with TopKServer(db, capacity=capacity,
-                        repair_delta=repair_delta) as server:
+        with TopKServer(db, capacity=capacity) as server:
             return LoadGenerator(config).run(server, telemetry=telemetry)
     finally:
         db.close()
@@ -274,7 +272,6 @@ def run_serve_replay(scale: str = "tiny",
                      as_json: bool = False,
                      backend: Optional[str] = None,
                      telemetry: bool = False,
-                     repair_delta: Optional[int] = None,
                      family: str = "dblp",
                      mix: Optional[str] = None) -> str:
     """Replay a deterministic multi-user workload through the serving engine.
@@ -308,8 +305,7 @@ def run_serve_replay(scale: str = "tiny",
                         seed=seed, audit_interval=None)
     serving_report = _run_world(
         config, workload_config, users, backend, profile_factory,
-        capacity=capacity, repair_delta=repair_delta,
-        telemetry=Telemetry() if telemetry else None)
+        capacity=capacity, telemetry=Telemetry() if telemetry else None)
     metrics = serving_report.server_stats
     snapshot = serving_report.telemetry or None
     baseline_report = (_run_world(config, workload_config, users, backend,
@@ -389,7 +385,6 @@ def run_load(scale: str = "tiny",
              output: Optional[str] = None,
              as_json: bool = False,
              telemetry: bool = False,
-             repair_delta: Optional[int] = None,
              family: str = "dblp",
              mix: Optional[str] = None) -> str:
     """Drive the concurrent load harness against a live serving instance.
@@ -416,7 +411,6 @@ def run_load(scale: str = "tiny",
                         seed=seed, audit_interval=audit_interval or None)
     report = _run_world(config, workload_config, users, backend,
                         profile_factory, capacity=capacity,
-                        repair_delta=repair_delta,
                         telemetry=Telemetry() if telemetry else None)
 
     run_record = report.as_dict()
@@ -550,10 +544,6 @@ def _workload_options(parser: argparse.ArgumentParser) -> None:
                         help="drive a named adversarial mix instead of the "
                              "benign default (hot-key storms, delete churn, "
                              "profile thrash, repair-boundary updates)")
-    parser.add_argument("--repair-delta", type=int, default=None, metavar="N",
-                        help="over-fetch margin for in-place answer repair "
-                             "(default: 2*k per request; negative disables "
-                             "repair, restoring invalidate-and-recompute)")
     parser.add_argument("--telemetry", action="store_true",
                         help="run under request tracing, the unified metrics "
                              "registry and lock instrumentation, and report "

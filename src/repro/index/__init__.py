@@ -20,8 +20,10 @@ Public API
     One ``<first, second, intensity, tuple count>`` row of a pair index.
 :class:`RowMatch`
     One data mutation's rows with each distinct predicate judged against
-    them at most once (a row bitmask per predicate); the serving sweep
-    builds one per mutation and every ``invalidate_matching`` consumes it.
+    them at most once (a may-match and a surely-matches row bitmask per
+    predicate); the serving sweep builds one per mutation, every
+    ``invalidate_matching`` consumes it and the result cache's repair
+    scores from it.
 :func:`may_match_row`
     Sound tuple-relevance check used by data-update invalidation across
     the full mutation spectrum: ``False`` proves that no image of an
@@ -32,9 +34,10 @@ Public API
 :func:`exact_match_row`
     Three-valued exact row evaluation: ``True``/``False`` when every
     attribute the predicate references is present on the row, ``None``
-    when the verdict cannot be decided from the row alone.  The repair
-    path uses it to re-score cached answers without SQL, falling back to
-    invalidation whenever it returns ``None``.
+    when the verdict cannot be decided from the row alone.  Only
+    :class:`RowMatch` calls it, once per (distinct predicate, row); the
+    repair path re-scores cached answers from those verdicts without SQL,
+    falling back to invalidation when a score hangs on a ``None``.
 """
 
 from .count_cache import CountCache

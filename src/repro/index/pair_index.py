@@ -87,9 +87,11 @@ class IncrementalPairIndex:
     def __init__(self, counter, preferences: Sequence) -> None:
         self.counter = counter
         self.preferences = sorted(preferences, key=preference_sort_key)
-        #: Each preference's conjuncts — what the sweep's staleness rule reads.
-        self._conjuncts = [CountCache.key(pref.predicate)
-                           for pref in self.preferences]
+        #: Each preference's conjunct keys, in preference order — what the
+        #: sweep's staleness rule reads, here and in the answers cached from
+        #: this index's PEPS runs.
+        self.conjuncts = [CountCache.key(pref.predicate)
+                          for pref in self.preferences]
         self._stale = True
         #: Statistics: pair conjunctions asked of the counter, pairs recorded
         #: empty as incompatible, refreshes, pairs a sweep had to compare.
@@ -149,7 +151,7 @@ class IncrementalPairIndex:
         """
         if not match.rows:
             return 0
-        touched = [mask for mask in map(match.shared, self._conjuncts) if mask]
+        touched = [mask for mask in map(match.shared, self.conjuncts) if mask]
         self.pairs_visited += len(touched) * (len(touched) - 1) // 2
         stale_pairs = sum(1 for first, second in combinations(touched, 2)
                           if first & second)

@@ -6,17 +6,19 @@ lists, each session's pair table, materialised Top-K answers — asks one sound
 question about each mutation: *can this tuple image satisfy this predicate?*
 
 * :func:`exact_match_row` is the three-valued verdict (``None`` when the
-  row lacks a referenced attribute); the result cache's repair path needs
-  the exact one.
+  row lacks a referenced attribute), and only :class:`RowMatch` calls it:
+  once per (distinct predicate, row) and sweep.
 * :func:`may_match_row` folds ``None`` into a conservative ``True``: the
-  only judge invalidation consults, and only :class:`RowMatch` consults it.
+  judge invalidation needs, which :meth:`RowMatch.mask` derives from that
+  same one verdict.
 * :class:`RowMatch` is one mutation's rows, each distinct predicate tested
   against them at most once.  ``TopKServer._sweep`` builds one per mutation
   and every consumer reads its verdicts as row bitmasks.  A count, an id
-  list and a pair of preferences are all conjunctions, and one rule —
-  :meth:`RowMatch.shared`, *some row may match every conjunct* — judges all
-  three; a cached answer is stale iff any of its predicates' masks is
-  non-zero.
+  list, a pair of preferences and a cached answer's predicates are all
+  conjunctions, and one rule — :meth:`RowMatch.shared`, *some row may match
+  every conjunct* — judges all four.  The same one verdict per (predicate,
+  row) also yields :meth:`RowMatch.exact`, *some row surely matches every
+  conjunct*, which is what the result cache's repair scores with.
 
 Nothing in this module touches a storage engine — predicates are evaluated
 over event-carried rows — which is why the same relevance test serves every
@@ -52,9 +54,10 @@ def exact_match_row(predicate: Union[str, PredicateExpr],
     row carries every attribute the predicate references, and ``None`` when
     some referenced attribute is absent, i.e. the question cannot be decided
     from the row alone.  The repair path of the result cache distinguishes
-    the two: a ``None`` forces fallback to invalidation (the delta cannot be
-    scored exactly), whereas :func:`may_match_row` folds it into a
-    conservative ``True`` because invalidation only needs soundness.
+    the two (through :meth:`RowMatch.exact`): a ``None`` forces fallback to
+    invalidation (the delta cannot be scored exactly), whereas
+    :func:`may_match_row` folds it into a conservative ``True`` because
+    invalidation only needs soundness.
     """
     predicate = ensure_predicate(predicate)
     if not all(_row_has_attribute(row, attribute)
@@ -84,16 +87,18 @@ class RowMatch:
 
     ``rows`` are a :class:`~repro.sqldb.events.DataMutation`'s
     ``invalidation_rows()`` (pre ∪ post image).  :meth:`mask` judges one
-    predicate, :meth:`shared` a conjunction by its conjuncts' masks; every
-    invalidation consumer of one sweep shares this object, so a predicate
-    many users hold is evaluated once per mutation, not once per cache entry
-    that mentions it.
+    predicate, :meth:`shared` and :meth:`exact` a conjunction by its
+    conjuncts' verdicts; every consumer of one sweep shares this object, so a
+    predicate many users hold is evaluated once per mutation, not once per
+    cache entry that mentions it.
     """
 
     def __init__(self, rows: Iterable[Mapping[str, Any]]) -> None:
         self.rows = tuple(rows)
+        #: Per predicate key: rows it may match / rows it surely matches.
         self._masks: Dict[str, int] = {}
-        #: ``may_match_row`` evaluations made so far — always
+        self._exact: Dict[str, int] = {}
+        #: ``exact_match_row`` evaluations made so far — always
         #: ``distinct_predicates * len(rows)``, the sweep's work counter.
         self.predicate_row_tests = 0
 
@@ -106,17 +111,23 @@ class RowMatch:
         """Row bitmask: bit *i* is set iff ``may_match_row(predicate, rows[i])``.
 
         Memoised by the predicate's SQL text (a string is taken as its own
-        key — the caches' keys are canonical renderings already).
+        key — the caches' keys are canonical renderings already).  One
+        :func:`exact_match_row` per row gives both this mask and the
+        surely-matching one :meth:`exact` reads.
         """
         key = predicate if isinstance(predicate, str) else predicate.to_sql()
         mask = self._masks.get(key)
         if mask is None:
             parsed = ensure_predicate(predicate)
-            mask = 0
+            mask = exact = 0
             for index, row in enumerate(self.rows):
-                if may_match_row(parsed, row):
+                verdict = exact_match_row(parsed, row)
+                if verdict is not False:
                     mask |= 1 << index
+                    if verdict:
+                        exact |= 1 << index
             self._masks[key] = mask
+            self._exact[key] = exact
             self.predicate_row_tests += len(self.rows)
         return mask
 
@@ -133,3 +144,16 @@ class RowMatch:
         for conjunct in conjuncts:
             shared &= self.mask(conjunct)
         return shared
+
+    def exact(self, conjuncts: Iterable[str]) -> int:
+        """Row bitmask of the rows that surely match *every* conjunct.
+
+        ``conjuncts`` are conjunct keys (SQL texts).  A bit set in
+        :meth:`shared` but not here is a row whose verdict the row alone
+        cannot decide; the result cache's repair must then fall back.
+        """
+        exact = (1 << len(self.rows)) - 1
+        for conjunct in conjuncts:
+            self.mask(conjunct)
+            exact &= self._exact[conjunct]
+        return exact

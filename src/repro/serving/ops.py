@@ -185,8 +185,8 @@ def target_pool(db: StorageBackend, uids: Sequence[int], k: int, target: str,
     ``users`` uids (the Zipf-hottest — exactly the answers the result cache
     keeps warm); ``boundary`` collects the pids around ranking positions
     ``[k, k+Δ]`` of those users, the rows whose movement stresses the
-    repair buffer's over-fetch margin (Δ defaults to ``2*k``, the server's
-    default ``repair_delta``).  Computed by fresh recomputation, so two
+    repair buffer's over-fetch margin (Δ is ``2*k``, the server's
+    ``REPAIR_MARGIN``).  Computed by fresh recomputation, so two
     identical worlds — on any storage engine — produce the identical pool;
     ``any`` (or an empty world) yields an empty pool.
     """

@@ -11,34 +11,42 @@ view, the events are the deltas):
   (the update also drops the user's session: persist, drop, rebuild).
 * **data events** — :class:`~repro.sqldb.events.DataMutation` notifications
   from the workload database, covering the full update spectrum.  A
-  mutation drops a cached answer **iff** one of the predicates it was
+  mutation touches a cached answer **iff** one of the predicates it was
   computed from may match one of the event's invalidation rows
   (:func:`~repro.index.selectivity.may_match_row`, asked through the
   sweep's shared :class:`~repro.index.selectivity.RowMatch`) — the new
   joined-view rows for an insert, the removed pre-image rows for a delete,
-  either image for an in-place update; every other user's answer provably
-  cannot change and survives.
+  either image for an in-place update — and repairs it, or drops it when it
+  cannot; every other user's answer provably cannot change and survives.
 
-Every entry therefore remembers the predicate list it was computed from —
-the same positive-intensity predicates PEPS scored with.
+Every entry therefore remembers the predicates it was computed from — the
+same positive-intensity predicates PEPS scored with — as each one's conjunct
+keys (:meth:`~repro.index.CountCache.key`), rendered once when its session
+was built: the sweep judges an answer by the same rule,
+:meth:`~repro.index.selectivity.RowMatch.shared`, as every count, id list and
+pair, and renders no predicate.
 
 **Repair, don't recompute.**  Dropping an answer makes the *next* read pay a
 full PEPS recomputation, so a data mutation that merely moves one tuple in
-or out of a ranking is far more expensive than it needs to be.  Entries
-materialised through the serving path therefore carry a *maintainable view*:
-the exact ``k + delta`` over-fetched prefix of the user's total order
-(``buffer``), each predicate's intensity, and a ``complete`` flag set when
-the buffer holds the entire covered universe.  :meth:`CachedResult.apply_delta`
-then folds a :class:`~repro.sqldb.events.DataMutation` into the view in
-memory — insert post-image tuples that score above the buffer floor, remove
-deleted pre-image pids, re-score in-place updates — with **zero SQL**.  The
-exactness argument rests on two invariants: per-tuple scores are independent
-(a tuple's score depends only on which predicates *its own* joined rows
-match), and the buffer is an exact prefix of the total order under the sort
-key ``(-score, pid)``, so a tuple absent from a truncated buffer provably
-ranks below its floor.  Repair **must** fall back to invalidation when a
-predicate cannot be evaluated exactly against an event row
-(:func:`~repro.index.selectivity.exact_match_row` returns ``None``) or when
+or out of a ranking is far more expensive than it needs to be.  Every entry
+is therefore a *maintainable view* — there is no other kind: the exact
+``k + delta`` over-fetched prefix of the user's total order (``buffer``),
+each predicate's intensity and conjunct keys, and a ``complete`` flag set
+when the buffer holds the entire covered universe.
+:meth:`CachedResult.apply_delta` then folds a
+:class:`~repro.sqldb.events.DataMutation` into the view in memory — insert
+post-image tuples that score above the buffer floor, remove deleted
+pre-image pids, re-score in-place updates — with **zero SQL**, scoring each
+tuple by bit tests against the verdicts the sweep's
+:class:`~repro.index.selectivity.RowMatch` already holds: one
+:func:`~repro.index.selectivity.exact_match_row` per (distinct predicate,
+row), however many entries ask.  The exactness argument rests on two
+invariants: per-tuple scores are independent (a tuple's score depends only
+on which predicates *its own* joined rows match), and the buffer is an exact
+prefix of the total order under the sort key ``(-score, pid)``, so a tuple
+absent from a truncated buffer provably ranks below its floor.  Repair
+**must** fall back to invalidation when a predicate cannot be evaluated
+exactly against an event row (``exact_match_row`` returns ``None``) or when
 removals underflow a truncated buffer below ``k`` — the conditions
 ``docs/INVALIDATION.md`` spells out.  A repair is itself an epoch-bumping
 sweep step, so a stale put racing the sweep still loses.
@@ -63,21 +71,19 @@ proven fresh.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.intensity import combine_and
-from ..core.predicate import PredicateExpr
-from ..index.selectivity import RowMatch, exact_match_row
+from ..index.selectivity import RowMatch
 from ..sqldb.events import DataMutation
 from ..telemetry import annotate
 
 ResultKey = Tuple[int, int]
+Ranking = Tuple[Tuple[int, float], ...]
 
 #: ``apply_delta`` outcome labels (the second element of its return pair).
 REPAIRED = "repaired"
-#: The entry carries no intensities/buffer (legacy put) — cannot repair.
-FALLBACK_DISABLED = "disabled"
 #: A predicate could not be evaluated exactly against an event row.
 FALLBACK_UNSCORABLE = "unscorable"
 #: Removals sank a truncated buffer below ``k`` ranked tuples.
@@ -88,30 +94,24 @@ FALLBACK_UNDERFLOW = "underflow"
 class CachedResult:
     """One materialised Top-K answer plus the state needed to maintain it.
 
-    ``ranking`` is what gets served (``buffer[:k]`` for maintainable
-    entries).  ``buffer`` is the exact over-fetched prefix of the user's
-    total order under ``(-score, pid)``; ``complete`` marks a buffer that
-    holds the *whole* covered universe; ``depth`` is the capacity the buffer
-    was fetched with (repairs trim truncated buffers back to it);
-    ``intensities`` parallels ``predicates`` — both in PEPS preference
+    ``ranking`` is what gets served, ``buffer[:k]``.  ``buffer`` is the exact
+    over-fetched prefix of the user's total order under ``(-score, pid)``;
+    ``complete`` marks a buffer that holds the *whole* covered universe;
+    ``depth`` is the capacity the buffer was fetched with (repairs trim
+    truncated buffers back to it).  ``conjuncts`` (each scored predicate's
+    conjunct keys) and ``intensities`` run in parallel, in PEPS preference
     order, so repair scoring folds intensities exactly as
     :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k` does.
     """
 
     uid: int
     k: int
-    ranking: Tuple[Tuple[int, float], ...]
-    predicates: Tuple[PredicateExpr, ...]
-    intensities: Tuple[float, ...] = ()
-    buffer: Tuple[Tuple[int, float], ...] = ()
-    complete: bool = False
-    depth: int = 0
-
-    @property
-    def maintainable(self) -> bool:
-        """Whether this entry carries what :meth:`apply_delta` needs."""
-        return bool(self.intensities) and \
-            len(self.intensities) == len(self.predicates)
+    ranking: Ranking
+    conjuncts: Tuple[FrozenSet[str], ...]
+    intensities: Tuple[float, ...]
+    buffer: Ranking
+    complete: bool
+    depth: int
 
     def is_affected(self, match: RowMatch) -> bool:
         """Can the data mutation behind ``match`` change this answer?
@@ -124,61 +124,62 @@ class CachedResult:
         discovered, so its insertion, deletion or rewrite cannot move any
         ranked tuple either.  ``False`` therefore proves the answer fresh.
         """
-        return any(match.mask(predicate) for predicate in self.predicates)
+        return any(map(match.shared, self.conjuncts))
 
     # -- repair ------------------------------------------------------------------
 
-    def _score_pid(self, rows: Sequence[Mapping[str, Any]]) -> Optional[float]:
-        """Exact score of one tuple from its complete joined-row image.
-
-        A tuple matches a predicate when **any** of its joined rows does, so
-        the matched set is the union over ``rows``; intensities fold in
-        preference order, mirroring PEPS's scoring pass bit for bit.
-        Returns ``None`` when a verdict would require an attribute the rows
-        do not carry — the caller must fall back to invalidation.
-        """
-        matched = [False] * len(self.predicates)
-        for row in rows:
-            for index, predicate in enumerate(self.predicates):
-                if matched[index] or self.intensities[index] <= 0.0:
-                    continue
-                verdict = exact_match_row(predicate, row)
-                if verdict is None:
-                    return None
-                if verdict:
-                    matched[index] = True
-        values = [intensity for intensity, hit
-                  in zip(self.intensities, matched) if hit]
-        return combine_and(values) if values else 0.0
-
     def apply_delta(self, mutation: DataMutation,
+                    match: Optional[RowMatch] = None,
                     ) -> Tuple[Optional["CachedResult"], str]:
         """Fold one data mutation into the maintained view, in memory.
+
+        ``match`` is the sweep's :class:`~repro.index.selectivity.RowMatch`
+        over ``mutation.invalidation_rows()`` (built here when omitted);
+        post-image rows lead it, so a tuple is scored by bit tests against
+        the verdicts the sweep already holds — a predicate counts when one
+        of the tuple's post-image rows surely matches it, and a row that
+        may match it but cannot be decided makes the tuple unscorable.
+        Intensities fold in preference order, mirroring PEPS's scoring pass
+        bit for bit.
 
         Returns ``(repaired entry, REPAIRED)`` on success — possibly
         ``self`` when the delta provably leaves the buffer untouched — or
         ``(None, reason)`` when invalidation is mandatory:
-        ``FALLBACK_DISABLED`` (no buffer/intensities), ``FALLBACK_UNSCORABLE``
-        (a predicate cannot be evaluated exactly against an event row) or
-        ``FALLBACK_UNDERFLOW`` (removals sank a truncated buffer below
-        ``k``).  **Producer obligation**: the mutation's post-image rows for
-        each pid must be that pid's *complete* joined-row image (the loader
-        guarantees this for every mutation kind) — scoring a partial image
-        would silently under-score.
+        ``FALLBACK_UNSCORABLE`` (a predicate cannot be evaluated exactly
+        against an event row) or ``FALLBACK_UNDERFLOW`` (removals sank a
+        truncated buffer below ``k``).  **Producer obligation**: the
+        mutation's post-image rows for each pid must be that pid's
+        *complete* joined-row image (the loader guarantees this for every
+        mutation kind) — scoring a partial image would silently under-score.
         """
-        if not self.maintainable:
-            return None, FALLBACK_DISABLED
-        post: Dict[int, List[Mapping[str, Any]]] = {}
-        for row in mutation.rows:
-            post.setdefault(int(row["pid"]), []).append(row)
+        if match is None:
+            match = RowMatch(mutation.invalidation_rows())
+        post: Dict[int, int] = {}
+        for index, row in enumerate(mutation.rows):
+            pid = int(row["pid"])
+            post[pid] = post.get(pid, 0) | 1 << index
         affected = set(post)
         affected.update(int(row["pid"]) for row in mutation.old_rows)
+        # (surely, maybe, intensity) of each scored predicate some post-image
+        # row may match — no other can score a tuple; a delete asks nothing.
+        verdicts = []
+        if post:
+            post_rows = (1 << len(mutation.rows)) - 1
+            for conjuncts, intensity in zip(self.conjuncts, self.intensities):
+                maybe = match.shared(conjuncts) & post_rows
+                if maybe and intensity > 0.0:
+                    verdicts.append((match.exact(conjuncts), maybe, intensity))
         buffer = list(self.buffer)
         changed = False
         for pid in sorted(affected):
-            score = self._score_pid(post.get(pid, ()))
-            if score is None:
-                return None, FALLBACK_UNSCORABLE
+            rows = post.get(pid, 0)
+            values = []
+            for surely, maybe, intensity in verdicts:
+                if surely & rows:
+                    values.append(intensity)
+                elif maybe & rows:
+                    return None, FALLBACK_UNSCORABLE
+            score = combine_and(values) if values else 0.0
             index = next((position for position, (member, _) in enumerate(buffer)
                           if member == pid), None)
             if index is not None:
@@ -204,14 +205,14 @@ class CachedResult:
         if not self.complete:
             if len(buffer) < self.k:
                 return None, FALLBACK_UNDERFLOW
-            cap = max(self.depth or len(self.buffer), self.k)
+            cap = max(self.depth, self.k)
             if len(buffer) > cap:
                 del buffer[cap:]
         if not changed:
             return self, REPAIRED
         return CachedResult(
             uid=self.uid, k=self.k, ranking=tuple(buffer[:self.k]),
-            predicates=self.predicates, intensities=self.intensities,
+            conjuncts=self.conjuncts, intensities=self.intensities,
             buffer=tuple(buffer), complete=self.complete,
             depth=self.depth), REPAIRED
 
@@ -219,7 +220,7 @@ class CachedResult:
 class ResultCache:
     """Update-aware cache of materialised Top-K answers keyed by (uid, k)."""
 
-    def __init__(self, repair: bool = True) -> None:
+    def __init__(self) -> None:
         # The cache is a shared leaf structure: warm lookups, puts and
         # invalidation sweeps may arrive from different threads without the
         # server lock, so every access holds this lock.
@@ -227,10 +228,6 @@ class ResultCache:
         self._entries: Dict[ResultKey, CachedResult] = {}
         #: Monotonic invalidation epoch (see module docs).
         self._epoch = 0
-        #: Route affected entries through :meth:`CachedResult.apply_delta`
-        #: before dropping them; ``False`` restores the pure
-        #: invalidate-and-recompute behaviour (the benchmark baseline).
-        self.repair_enabled = repair
         #: Warm requests answered from memory / requests that had to compute.
         self.hits = 0
         self.misses = 0
@@ -280,14 +277,17 @@ class ResultCache:
         with self._lock:
             return self._entries.get((uid, k))
 
-    def put(self, uid: int, k: int,
-            ranking: Sequence[Tuple[int, float]],
-            predicates: Sequence[PredicateExpr],
-            epoch: Optional[int] = None,
-            intensities: Optional[Sequence[float]] = None,
-            buffer: Optional[Sequence[Tuple[int, float]]] = None,
-            complete: bool = False) -> Optional[CachedResult]:
-        """Materialise a freshly computed answer.
+    def put(self, uid: int, k: int, buffer: Sequence[Tuple[int, float]],
+            complete: bool, conjuncts: Sequence[FrozenSet[str]],
+            intensities: Sequence[float],
+            epoch: Optional[int] = None) -> Optional[CachedResult]:
+        """Materialise a freshly computed answer as a maintainable view.
+
+        ``buffer`` is the exact over-fetched prefix PEPS returned (the answer
+        served is its first ``k`` entries), ``complete`` whether it holds the
+        whole covered universe, and ``conjuncts`` / ``intensities`` the
+        scored predicates' conjunct keys and intensities in PEPS preference
+        order.
 
         ``epoch`` is the :attr:`epoch` snapshot taken before the answer was
         computed; when given and an invalidation sweep has run since, the
@@ -296,26 +296,17 @@ class ResultCache:
         and ``stale_puts_rejected`` incremented.  ``epoch=None`` preserves
         the unguarded behaviour for callers that serialise puts and sweeps
         externally.
-
-        ``intensities`` (parallel to ``predicates``, PEPS preference order),
-        ``buffer`` (the exact over-fetched prefix, of which ``ranking`` is
-        the first ``k`` entries) and ``complete`` make the entry a
-        maintainable view that data-mutation sweeps repair in place instead
-        of dropping; omitting them stores a plain invalidate-only answer.
         """
         with self._lock:
             if epoch is not None and epoch != self._epoch:
                 self.stale_puts_rejected += 1
                 annotate("result_cache_put", "stale_rejected")
                 return None
+            buffer = tuple(buffer)
             entry = CachedResult(
-                uid=uid, k=k, ranking=tuple(ranking),
-                predicates=tuple(predicates),
-                intensities=(tuple(intensities)
-                             if intensities is not None else ()),
-                buffer=tuple(buffer) if buffer is not None else (),
-                complete=complete,
-                depth=len(buffer) if buffer is not None else 0)
+                uid=uid, k=k, ranking=buffer[:k], conjuncts=tuple(conjuncts),
+                intensities=tuple(intensities), buffer=buffer,
+                complete=complete, depth=len(buffer))
             self._entries[(uid, k)] = entry
         annotate("result_cache_put", "materialised")
         return entry
@@ -342,12 +333,13 @@ class ResultCache:
         ``mutation.invalidation_rows()`` that a server sweep shares with its
         other caches (a cache listening on its own builds one); a mutation
         that carries no rows spares every entry without visiting one.  Each
-        affected entry is routed repair-first: a maintainable view is
-        folded forward by :meth:`CachedResult.apply_delta` (zero SQL, counted
-        in :attr:`repairs`) and only an entry whose repair is impossible is
-        dropped (counted in :attr:`repair_fallbacks` *and*
-        :attr:`data_invalidations`; underflow fallbacks additionally in
-        :attr:`repair_underflows`).  The sweep bumps the epoch exactly like a
+        affected entry is routed repair-first: it is folded forward by
+        :meth:`CachedResult.apply_delta`, scored from ``match``'s verdicts
+        (zero SQL, counted in :attr:`repairs`), and only an entry whose
+        repair is impossible is dropped (counted in :attr:`repair_fallbacks`
+        *and* :attr:`data_invalidations`, which are therefore equal;
+        underflow fallbacks additionally in :attr:`repair_underflows`).  The
+        sweep bumps the epoch exactly like a
         pure invalidation sweep — a repaired entry reflects post-mutation
         data, so an answer computed from pre-mutation data must still lose
         the put race.  Returns the number of entries dropped; unaffected
@@ -366,9 +358,7 @@ class ResultCache:
             for key, entry in examined:
                 if not entry.is_affected(match):
                     continue
-                replacement, reason = (
-                    entry.apply_delta(mutation) if self.repair_enabled
-                    else (None, FALLBACK_DISABLED))
+                replacement, reason = entry.apply_delta(mutation, match)
                 if replacement is not None:
                     if replacement is not entry:
                         self._entries[key] = replacement

@@ -86,6 +86,11 @@ _DOORS: Dict[str, Tuple[str, str]] = {
     TUPLES_UPDATED: ("update_tuples", "tuple_updates"),
 }
 
+#: Over-fetch margin of every cached answer, in multiples of ``k``: a cold
+#: ``top_k(uid, k)`` scores ``k + 2k`` tuples, so data mutations can be folded
+#: into the cached buffer in place instead of dropping it.
+REPAIR_MARGIN = 2
+
 #: Result-cache counters reported under ``serving.result_cache.*`` (the
 #: repair path's own metric component) instead of ``serving.results.*``.
 _REPAIR_METRIC_KEYS = frozenset(
@@ -146,7 +151,7 @@ class DataMutationReport:
     #: Cached answers maintained in place by a delta repair, the affected
     #: entries that had to fall back to invalidation, and the SQL the result
     #: cache sweep itself issued (always 0 — repairs are pure in-memory;
-    #: ``benchmarks/bench_repair.py`` asserts it).
+    #: ``tests/test_server_machine.py`` asserts it).
     results_repaired: int = 0
     repair_fallbacks: int = 0
     repair_sql_statements: int = 0
@@ -203,23 +208,13 @@ class TopKServer:
     loader call — reaches every cache layer exactly once.
     """
 
-    def __init__(self, db: StorageBackend,
-                 capacity: int = 64,
-                 repair_delta: Optional[int] = None) -> None:
+    def __init__(self, db: StorageBackend, capacity: int = 64) -> None:
         self.db = db
         # The one server lock (see the module docstring).
         self._lock = threading.RLock()
-        #: Over-fetch depth of the maintainable result buffers: a cold
-        #: ``top_k(uid, k)`` scores ``k + repair_delta`` tuples so data
-        #: mutations can be folded into the cached answer in place instead
-        #: of dropping it.  ``None`` means the default ``2 * k`` per
-        #: request; a negative value disables the repair path entirely
-        #: (the invalidate-and-recompute baseline).
-        self.repair_delta = repair_delta
         self.sessions = SessionRegistry(db, capacity=capacity,
                                         profile_loader=self._load_profile)
-        self.results = ResultCache(
-            repair=repair_delta is None or repair_delta >= 0)
+        self.results = ResultCache()
         self._closed = False
         self._telemetry: Optional[Telemetry] = None
         self._read_latency = None
@@ -460,23 +455,13 @@ class TopKServer:
             # under the server lock — so the guard only protects a cache
             # driven without a server.
             epoch = self.results.epoch
-            repair = self.results.repair_enabled
             with span("peps.top_k", self.db):
-                if repair:
-                    delta = (self.repair_delta
-                             if self.repair_delta is not None else 2 * k)
-                    buffer, complete = session.top_k_buffer(k, delta)
-                    ranking = tuple(buffer[:k])
-                else:
-                    buffer, complete = None, False
-                    ranking = tuple(session.top_k(k))
+                buffer, complete = session.top_k_buffer(k, REPAIR_MARGIN * k)
             peps = session.algorithm()
-            predicates = [pref.predicate for pref in peps.preferences]
-            intensities = ([pref.intensity for pref in peps.preferences]
-                           if repair else None)
             self.results.put(
-                uid, k, ranking, predicates, epoch=epoch,
-                intensities=intensities, buffer=buffer, complete=complete)
+                uid, k, buffer, complete, peps.pair_index.conjuncts,
+                [pref.intensity for pref in peps.preferences], epoch=epoch)
+            ranking = tuple(buffer[:k])
             self._bump(reads=1, stripe_acquisitions=1)
             return ServeResult(
                 uid=uid, k=k, ranking=ranking, cache_hit=False,

@@ -81,16 +81,11 @@ class UserSession:
                 pair_index=self.index)
         return self._peps
 
-    def top_k(self, k: int) -> List:
-        """Compute the Top-K answer for this session's user."""
-        self.queries_served += 1
-        return self.algorithm().top_k(k)
-
     def top_k_buffer(self, k: int, delta: int = 0):
         """Compute the over-fetched ``(buffer, complete)`` answer (see
-        :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k_buffer`) — the
-        serving engine caches the buffer so data mutations can repair the
-        answer in place."""
+        :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k_buffer`): the Top-K
+        is its first ``k`` entries, and the serving engine caches the whole
+        buffer so data mutations can repair the answer in place."""
         self.queries_served += 1
         return self.algorithm().top_k_buffer(k, delta)
 

@@ -70,13 +70,11 @@ class TestParser:
                 build_parser().parse_args([command, "--shards", "4"])
 
     def test_repair_delta_flag(self):
-        assert build_parser().parse_args(
-            ["serve-replay"]).repair_delta is None
-        assert build_parser().parse_args(
-            ["serve-replay", "--repair-delta", "-1"]).repair_delta == -1
-        assert build_parser().parse_args(["load"]).repair_delta is None
-        assert build_parser().parse_args(
-            ["load", "--repair-delta", "8"]).repair_delta == 8
+        """Gone with the invalidate-only mode its negative values selected:
+        every cached answer is a repairable buffer of depth ``3k``."""
+        for command in ("serve-replay", "load"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--repair-delta", "8"])
 
     def test_load_defaults(self):
         args = build_parser().parse_args(["load"])
@@ -179,19 +177,15 @@ class TestJsonOutput:
         assert mutations["deletes"] == kinds["delete"]
         assert mutations["tuple_updates"] == kinds["data_update"]
 
-    def test_serve_replay_repairs_by_default_and_disables_on_negative(self):
-        """The default serving arm repairs answers in place; a negative
-        --repair-delta restores the invalidate-and-recompute behaviour."""
+    def test_serve_replay_repairs_in_place(self):
+        """The serving arm repairs touched answers in place rather than
+        dropping them."""
         repaired = json.loads(run_serve_replay(
             scale="tiny", users=8, requests=40, k=3, capacity=4, seed=2,
             baseline=False, as_json=True))
-        assert repaired["server"]["serving.result_cache.repairs"] > 0
-        disabled = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=40, k=3, capacity=4, seed=2,
-            baseline=False, as_json=True, repair_delta=-1))
-        assert disabled["server"]["serving.result_cache.repairs"] == 0
-        assert (disabled["server"]["serving.results.data_invalidations"]
-                >= repaired["server"]["serving.results.data_invalidations"])
+        server = repaired["server"]
+        assert server["serving.result_cache.repairs"] > \
+            server["serving.result_cache.repair_fallbacks"]
 
 
 class TestServeReplayText:

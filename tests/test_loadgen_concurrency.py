@@ -205,7 +205,7 @@ class TestInvalidationRaceRegression:
             ranking = ((1, 0.9), (2, 0.5))  # "computed" from pre-sweep data
             computed.wait()  # hand the window to the invalidator...
             swept.wait()     # ...and resume only after the sweep ran
-            outcome["entry"] = cache.put(7, 2, ranking, predicates=(),
+            outcome["entry"] = cache.put(7, 2, ranking, True, (), (),
                                          epoch=epoch)
 
         def invalidate():
@@ -225,7 +225,7 @@ class TestInvalidationRaceRegression:
     def test_result_cache_put_without_race_is_accepted(self):
         cache = ResultCache()
         epoch = cache.epoch
-        assert cache.put(7, 2, ((1, 0.9),), predicates=(),
+        assert cache.put(7, 2, ((1, 0.9),), True, (), (),
                          epoch=epoch) is not None
         assert cache.peek(7, 2) is not None
         assert cache.stats()["stale_puts_rejected"] == 0

@@ -8,10 +8,12 @@ sequences against a live server are the state machine's
 unit-level rules:
 
 * **Unit-level ``apply_delta`` coverage**: floor handling on truncated
-  buffers, complete-buffer growth, tie ordering, and each mandatory
-  fallback (unscorable rows, buffer underflow, repair disabled).
-* **Forced fallbacks end to end**: a zero-margin buffer (``repair_delta=0``)
-  underflows on the first ranked delete and must invalidate, never guess.
+  buffers, complete-buffer growth, tie ordering, scoring from the sweep's
+  ``RowMatch`` verdicts, and each mandatory fallback (unscorable rows,
+  buffer underflow).
+* **Forced fallbacks end to end**: deleting more ranked tuples than the
+  ``2k`` over-fetch margin holds underflows the buffer, which must
+  invalidate, never guess.
 * **The repair-vs-epoch race**: a repair sweep is an epoch-bumping sweep,
   so stale puts still lose, and no sweep ever resurrects an entry that an
   invalidation dropped.
@@ -22,10 +24,12 @@ from __future__ import annotations
 import threading
 
 import pytest
-from repro import TopKServer, UserProfile, fresh_top_k, parse_predicate
+
+import repro.index.selectivity as selectivity
+from repro import TopKServer, UserProfile, fresh_top_k
 from repro.core.intensity import combine_and
 from repro.backend import create_backend
-from repro.index import RowMatch
+from repro.index import CountCache, RowMatch
 from repro.serving.results import (
     FALLBACK_UNDERFLOW,
     FALLBACK_UNSCORABLE,
@@ -39,7 +43,7 @@ from repro.sqldb.events import (
     TUPLES_UPDATED,
     DataMutation,
 )
-from repro.workload import DblpConfig, Paper, generate_dblp, load_dataset
+from repro.workload import DblpConfig, generate_dblp, load_dataset
 
 BACKENDS = ("sqlite", "memory")
 VENUES = ("VLDB", "SIGMOD", "PVLDB", "ICDE", "PODS", "CIKM")
@@ -48,10 +52,10 @@ USERS = (1, 2, 3)
 K = 4
 
 
-def _build_server(backend, repair_delta=None):
+def _build_server(backend):
     db = create_backend(backend, path=":memory:")
     load_dataset(db, generate_dblp(DBLP))
-    server = TopKServer(db, capacity=8, repair_delta=repair_delta)
+    server = TopKServer(db, capacity=8)
     for uid in USERS:
         profile = UserProfile(uid=uid)
         profile.add_quantitative(f"dblp.venue = '{VENUES[uid]}'", 0.9)
@@ -65,39 +69,20 @@ def _build_server(backend, repair_delta=None):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_forced_underflow_falls_back_to_invalidation(backend):
-    """With a zero over-fetch margin the buffer is exactly k deep; deleting a
-    ranked tuple spends margin that does not exist, so the repair must
-    refuse and the entry must be dropped — then recompute exactly."""
-    db, server = _build_server(backend, repair_delta=0)
+    """The buffer is ``3k`` deep; deleting all but ``k - 1`` of its tuples
+    at once spends more margin than it holds, so the repair must refuse and
+    the entry must be dropped — then recompute exactly."""
+    db, server = _build_server(backend)
     try:
-        served = server.top_k(1, K)
-        victim = served.ranking[0][0]
+        entry = server.results.peek(1, K)
+        assert not entry.complete and len(entry.buffer) == 3 * K
+        victims = [pid for pid, _ in entry.buffer[K - 1:]]
         before = server.results.repair_underflows
-        report = server.delete_tuples([victim])
+        report = server.delete_tuples(victims)
         assert server.results.repair_underflows == before + 1
         assert report.results_invalidated >= 1
         assert server.results.peek(1, K) is None
         assert list(server.top_k(1, K).ranking) == fresh_top_k(db, 1, K)
-    finally:
-        server.close()
-        db.close()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_negative_repair_delta_disables_repair(backend):
-    """``repair_delta < 0`` is the invalidate-and-recompute baseline: every
-    affected answer is dropped, never repaired, and answers stay exact."""
-    db, server = _build_server(backend, repair_delta=-1)
-    try:
-        assert not server.results.repair_enabled
-        report = server.insert_tuples(
-            [Paper(pid=9300, title="B", venue=VENUES[1], year=2012)],
-            paper_authors=[(9300, 1)])
-        assert report.results_repaired == 0
-        assert report.results_invalidated >= 1
-        assert server.results.repairs == 0
-        for uid in USERS:
-            assert list(server.top_k(uid, K).ranking) == fresh_top_k(db, uid, K)
     finally:
         server.close()
         db.close()
@@ -118,10 +103,12 @@ def _row(pid, venue="VLDB", year=2012, **overrides):
     return row
 
 
+_CONJUNCTS = tuple(CountCache.key(sql) for sql in _PREDS)
+
+
 def _entry(buffer, k=2, complete=False):
-    predicates = tuple(parse_predicate(sql) for sql in _PREDS)
     return CachedResult(uid=1, k=k, ranking=tuple(buffer[:k]),
-                        predicates=predicates, intensities=_INTENS,
+                        conjuncts=_CONJUNCTS, intensities=_INTENS,
                         buffer=tuple(buffer), complete=complete,
                         depth=len(buffer))
 
@@ -204,13 +191,34 @@ class TestApplyDelta:
         repaired, reason = entry.apply_delta(mutation)
         assert repaired is None and reason == FALLBACK_UNSCORABLE
 
-    def test_plain_entry_without_buffer_is_not_maintainable(self):
-        predicates = (parse_predicate(_PREDS[0]),)
-        entry = CachedResult(uid=1, k=1, ranking=((1, 0.9),),
-                             predicates=predicates)
-        assert not entry.maintainable
-        repaired, _ = entry.apply_delta(_insert(_row(10)))
-        assert repaired is None
+    def test_undecidable_row_is_outvoted_by_a_surely_matching_one(self):
+        """A predicate one of the tuple's rows surely matches counts, even
+        when another of its rows cannot decide it."""
+        entry = _entry([(1, BOTH), (2, VENUE_ONLY)], complete=True)
+        partial = {"pid": 9, "venue": "VLDB", "aid": 1}  # no year
+        mutation = DataMutation(TUPLES_INSERTED, "dblp",
+                                rows=[partial, _row(9, aid=2)],
+                                old_rows=[], pids=[9])
+        repaired, reason = entry.apply_delta(mutation)
+        assert reason == REPAIRED
+        assert repaired.buffer == ((1, BOTH), (9, BOTH), (2, VENUE_ONLY))
+
+    def test_scores_from_the_sweeps_verdicts(self, monkeypatch):
+        """Repairs judge nothing themselves: with the sweep's ``RowMatch``
+        handed in, every ``exact_match_row`` call is one of the match's
+        (distinct predicate, row) tests, however many entries repair."""
+        calls = []
+        judge = selectivity.exact_match_row
+        monkeypatch.setattr(selectivity, "exact_match_row",
+                            lambda p, row: calls.append(p) or judge(p, row))
+        mutation = _update(_row(2, year=1999), _row(2, year=2014))
+        match = RowMatch(mutation.invalidation_rows())
+        for _ in range(3):
+            entry = _entry([(1, BOTH), (2, VENUE_ONLY)], complete=True)
+            assert entry.is_affected(match)
+            repaired, _ = entry.apply_delta(mutation, match)
+            assert repaired.buffer == ((1, BOTH), (2, BOTH))
+        assert len(calls) == match.predicate_row_tests == 2 * len(_PREDS)
 
     def test_is_affected_iff_a_row_may_match_a_predicate(self):
         entry = _entry([(1, BOTH)])
@@ -224,19 +232,17 @@ class TestApplyDelta:
 class TestRepairEpochGuard:
     def _cache_with_entry(self):
         cache = ResultCache()
-        predicates = tuple(parse_predicate(sql) for sql in _PREDS)
-        cache.put(1, 1, ((7, BOTH),), predicates, intensities=_INTENS,
-                  buffer=((7, BOTH),), complete=True)
-        return cache, predicates
+        cache.put(1, 1, ((7, BOTH),), True, _CONJUNCTS, _INTENS)
+        return cache, _CONJUNCTS
 
     def test_repair_sweep_bumps_epoch_and_rejects_stale_put(self):
-        cache, predicates = self._cache_with_entry()
+        cache, conjuncts = self._cache_with_entry()
         snapshot = cache.epoch
         dropped = cache.on_data_mutation(
             _update(_row(7, year=1999), _row(7, year=2014)))
         assert dropped == 0 and cache.repairs == 1  # repaired, not dropped
         # An answer computed from pre-mutation data must still lose the race.
-        assert cache.put(1, 1, ((7, BOTH),), predicates,
+        assert cache.put(1, 1, ((7, BOTH),), True, conjuncts, _INTENS,
                          epoch=snapshot) is None
         assert cache.stale_puts_rejected == 1
 
@@ -251,15 +257,13 @@ class TestRepairEpochGuard:
         """Hammer puts/invalidations against repair sweeps: the cache must
         never crash, and once the final invalidation lands the entry stays
         gone — a sweep only transforms entries that are still present."""
-        cache, predicates = self._cache_with_entry()
+        cache, conjuncts = self._cache_with_entry()
         mutation = _update(_row(7, year=1999), _row(7, year=2014))
         stop = threading.Event()
 
         def hammer():
             while not stop.is_set():
-                cache.put(1, 1, ((7, BOTH),), predicates,
-                          intensities=_INTENS, buffer=((7, BOTH),),
-                          complete=True)
+                cache.put(1, 1, ((7, BOTH),), True, conjuncts, _INTENS)
                 cache.invalidate_user(1)
 
         worker = threading.Thread(target=hammer)

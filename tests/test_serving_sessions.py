@@ -35,8 +35,8 @@ class TestUserSession:
     def test_session_serves_topk(self, serving_db):
         registry = SessionRegistry(serving_db, capacity=4)
         session = registry.get_or_create(1, make_profile(1))
-        ranking = session.top_k(5)
-        assert len(ranking) == 5
+        ranking, complete = session.top_k_buffer(5)
+        assert len(ranking) == 5 and not complete
         assert session.queries_served == 1
 
     def test_profile_uid_mismatch_rejected(self, serving_db):
@@ -97,11 +97,11 @@ class TestSessionRegistryLRU:
         profiles = {uid: make_profile(uid) for uid in (1, 2)}
         registry = SessionRegistry(serving_db, capacity=1,
                                    profile_loader=profiles.get)
-        before = registry.get_or_create(1).top_k(5)
+        before = registry.get_or_create(1).top_k_buffer(5)
         registry.get_or_create(2)
         assert 1 not in registry
         rebuilt = registry.get_or_create(1)
-        assert rebuilt.top_k(5) == before
+        assert rebuilt.top_k_buffer(5) == before
         assert registry.stats()["sessions_built"] == 3
 
     def test_unknown_user_without_loader_raises(self, serving_db):
@@ -121,9 +121,9 @@ class TestSharedCountCache:
         shared.add_quantitative("dblp.year >= 2005", 0.5)
         shared_too = UserProfile(uid=2)
         shared_too.add_quantitative("dblp.year >= 2005", 0.8)
-        registry.get_or_create(1, shared).top_k(3)
+        registry.get_or_create(1, shared).top_k_buffer(3)
         misses_before = registry.count_cache.misses
-        registry.get_or_create(2, shared_too).top_k(3)
+        registry.get_or_create(2, shared_too).top_k_buffer(3)
         # User 2's only predicate was already counted while serving user 1.
         assert registry.count_cache.misses == misses_before
 
@@ -131,5 +131,5 @@ class TestSharedCountCache:
         cache = CountCache(serving_db)
         registry = SessionRegistry(serving_db, capacity=4, count_cache=cache)
         assert registry.count_cache is cache
-        registry.get_or_create(1, make_profile(1)).top_k(3)
+        registry.get_or_create(1, make_profile(1)).top_k_buffer(3)
         assert len(cache) > 0

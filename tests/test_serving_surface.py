@@ -7,9 +7,10 @@ rules — a failed sweep or a cold read whose backend raises surfaces at the
 door, is counted by kind and leaves nothing held, claimed or published.
 Also pins the construction surface (every settable parameter, by name), the
 lock set, and what a sweep guarantees: it judges relevance through one
-``RowMatch`` — each distinct predicate once.  Served == ``fresh_top_k``
-under every op, profile-update shape and fault is the state machine's
-(``test_server_machine.py``).
+``RowMatch`` — each distinct predicate once, the only ``exact_match_row``
+calls it makes, repairs included — and renders no predicate.  Served ==
+``fresh_top_k`` under every op, profile-update shape and fault is the state
+machine's (``test_server_machine.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from repro.cli import run_load, run_serve_replay, run_stats
 from repro.loadgen import (LoadConfig, LoadGenerator, build_world,
                            load_population, population)
 from repro.concurrency import TimedRLock
-from repro.core.predicate import And, are_and_compatible, parse_predicate
+from repro.core.predicate import (And, Condition, Or, are_and_compatible,
+                                  parse_predicate)
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
 from repro.algorithms.peps import PEPSAlgorithm
@@ -127,16 +129,15 @@ def test_construction_surface_is_pinned():
                         "pair_index"],
         run_load: ["scale", "users", "threads", "duration", "qps",
                    "backend", "seed", "k", "capacity", "audit_interval",
-                   "output", "as_json", "telemetry", "repair_delta", "family",
-                   "mix"],
+                   "output", "as_json", "telemetry", "family", "mix"],
         run_serve_replay: ["scale", "users", "requests", "k", "seed",
                            "capacity", "baseline", "read_weight",
                            "update_weight", "insert_weight", "delete_weight",
                            "data_update_weight", "as_json", "backend",
-                           "telemetry", "repair_delta", "family", "mix"],
+                           "telemetry", "family", "mix"],
         run_stats: ["scale", "users", "requests", "k", "seed", "capacity",
                     "backend", "prometheus", "slow_ms"],
-        TopKServer: ["db", "capacity", "repair_delta"],
+        TopKServer: ["db", "capacity"],
         LoadConfig: ["threads", "duration_seconds", "requests", "target_qps",
                      "mix", "k", "seed", "audit_interval", "audit_sample"],
         LoadGenerator: ["config"],
@@ -270,7 +271,7 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     # predicate: the pre-image alone stales a count, an id list and a session.
     pid = next(pid for pid, score in ranked
                if score > 0.9 and len(db.joined_rows([pid])) >= 2)
-    answers = {(uid, K): surface.results.peek(uid, K).predicates
+    answers = {(uid, K): surface.results.peek(uid, K).conjuncts
                for uid in uids}
     before = sweepable_keys(surface)
     judged = count_calls(monkeypatch, selectivity, "exact_match_row")
@@ -289,10 +290,12 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     assert sweep.annotation("rows") == len(rows) >= 4
     assert asked == sweep.annotation("predicate_row_tests") == \
         sweep.annotation("distinct_predicates") * len(rows)
-    # Count and id-list keys reach ``mask`` as conjunct texts, never whole.
+    # Every consumer's keys — counts, id lists, pairs and cached answers —
+    # reach ``mask`` as conjunct texts, never whole.
     assert any(len(members) > 1 for _, members in before)
+    assert all(isinstance(asked, str) for _, asked in masks)
     assert not any(isinstance(parse_predicate(asked), And)
-                   for _, asked in masks if isinstance(asked, str))
+                   for _, asked in masks)
 
     def stale(members):  # the plain loop: some row may match every member
         return any(all(may_match_row(predicate, row) for predicate in members)
@@ -309,9 +312,9 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     assert sweep.annotation("sessions_stale") == sum(
         any(stale([first, second]) for position, first in enumerate(sqls)
             for second in sqls[position + 1:]) for sqls in touched) > 0
-    assert {(entry.uid, entry.k) for entry, _ in repairs} == {
-        key for key, predicates in answers.items()
-        if any(stale([predicate]) for predicate in predicates)} != set()
+    assert {(entry.uid, entry.k) for entry, *_ in repairs} == {
+        key for key, conjuncts in answers.items()
+        if any(stale(members) for members in conjuncts)} != set()
 
     masks.clear()
     report = surface.insert_tuples(
@@ -319,6 +322,26 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     assert masks == [] and before - sweepable_keys(surface) == dropped
     assert report.joined_rows == report.index_entries_dropped == 0
     assert report.results_spared == len(surface.results) > 0
+
+
+def test_sweep_renders_no_predicate(surface, monkeypatch):
+    """Every key a sweep reads — a count, an id list, a pair, a cached
+    answer's predicates — was rendered when it was stored: mutations that
+    touch and repair cached answers render no predicate."""
+    for uid in UIDS:
+        surface.top_k(uid, K)
+    renders = [count_calls(monkeypatch, cls, "to_sql")
+               for cls in (Condition, And, Or)]
+    venues, _, hi = surface.db.workload_shape()
+    reports = [
+        surface.insert_tuples(
+            [Paper(pid=90_007, title="Fresh", venue=venues[0], year=hi)],
+            paper_authors=[(90_007, 1)]),
+        surface.update_tuples(
+            [Paper(pid=90_007, title="Moved", venue=venues[1], year=hi)]),
+        surface.delete_tuples([90_007])]
+    assert sum(report.results_repaired for report in reports) > 0
+    assert renders == [[], [], []]
 
 
 def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch):
@@ -358,12 +381,22 @@ def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch)
         masks.clear()
 
 
+def calling_modules(name):
+    src = Path(selectivity.__file__).parents[1]
+    return [path.relative_to(src).as_posix() for path in src.rglob("*.py")
+            if f"{name}(" in path.read_text(encoding="utf-8")]
+
+
 def test_may_match_row_has_one_calling_module():
     """A fifth private relevance loop is a deliberate edit of this test."""
-    src = Path(selectivity.__file__).parents[1]
-    callers = [path.relative_to(src).as_posix() for path in src.rglob("*.py")
-               if "may_match_row(" in path.read_text(encoding="utf-8")]
-    assert callers == ["index/selectivity.py"]
+    assert calling_modules("may_match_row") == ["index/selectivity.py"]
+
+
+def test_exact_match_row_has_one_calling_module():
+    """One verdict per (predicate, row): only ``RowMatch`` judges a row, and
+    the result cache's repair scores from its verdicts — so a sweep's
+    ``exact_match_row`` calls equal its ``predicate_row_tests``."""
+    assert calling_modules("exact_match_row") == ["index/selectivity.py"]
 
 
 def test_closed_surface_refuses_instead_of_serving_stale(surface):
