@@ -1,19 +1,17 @@
-"""Adversarial mixes on the synthetic family, audited on both engines.
+"""Adversarial mixes on the synthetic family, audited after every op.
 
 Every named hostile mix (:data:`repro.serving.MIXES` — hot-key mutation
 storms, delete-heavy churn, profile thrash, repair-boundary updates) replays
-serially over the synthetic workload family on **both** storage engines:
-one run of :class:`repro.loadgen.LoadGenerator` per cell, with one worker,
-an op budget and the inline audit (every materialised answer compared with
-a from-scratch recomputation after every op).
+serially over the synthetic workload family: one run of
+:class:`repro.loadgen.LoadGenerator` per mix, with one worker, an op budget
+and the inline audit (every materialised answer compared with a
+from-scratch recomputation after every op).
 
 The assertions cover the acceptance criteria:
 
-(a) **audited throughout** — every cell of the mix x backend matrix
-    compares materialised answers against the from-scratch oracle without a
-    single divergence, and the two engines' cells of one mix agree op for
-    op (same kinds, warm hits and audit comparisons);
-(b) **the mixes bite** — across the matrix the repair path fires (nonzero
+(a) **audited throughout** — every mix's cell compares materialised answers
+    against the from-scratch oracle without a single divergence;
+(b) **the mixes bite** — across the cells the repair path fires (nonzero
     repairs), invalidations happen (nonzero profile + data invalidations),
     and at least one mix documented as ``cache_hostile`` drives the
     warm-read rate below the benign DBLP baseline's;
@@ -44,7 +42,6 @@ REQUESTS = 140
 K = 5
 CAPACITY = 12
 SEED = 29
-BACKENDS = ("sqlite", "memory")
 
 
 def _replay(db, mix_name=None):
@@ -58,14 +55,14 @@ def _replay(db, mix_name=None):
     return report
 
 
-def _run_cell(mix_name, backend):
-    """One matrix cell: audited replay of one mix on one engine."""
-    report = _replay(build_world(SYN, USERS, backend,
-                                 synthetic_profile_factory(SYN)), mix_name)
+def _run_cell(mix_name):
+    """One cell: audited replay of one mix."""
+    report = _replay(build_world(SYN, USERS, synthetic_profile_factory(SYN)),
+                     mix_name)
     metrics = report.server_stats
     kinds = report.kind_counts
     return {
-        "mix": mix_name, "backend": backend,
+        "mix": mix_name,
         "ops": report.ops, "reads": kinds["read"],
         "read_hits": report.read_hits,
         "warm_rate": report.read_hit_rate,
@@ -91,24 +88,20 @@ def _dblp_baseline():
             "verified_results": report.audit["comparisons"]}
 
 
-def _matrix():
-    return [_run_cell(mix_name, backend)
-            for mix_name in sorted(MIXES)
-            for backend in BACKENDS]
+def _cells():
+    return [_run_cell(mix_name) for mix_name in sorted(MIXES)]
 
 
 def test_adversarial_matrix_verified(benchmark):
-    """Every mix x backend cell passes the inline audit, and both engines
-    replay each mix alike."""
-    runs = run_once(benchmark, _matrix)
+    """Every mix's cell passes the inline audit."""
+    runs = run_once(benchmark, _cells)
     baseline = _dblp_baseline()
 
     reporting.print_report(
         f"Adversarial mixes on the synthetic family — {USERS} users, "
         f"{REQUESTS} requests, audited after every op",
         reporting.format_table([
-            {"mix": run["mix"], "backend": run["backend"],
-             "reads": run["reads"],
+            {"mix": run["mix"], "reads": run["reads"],
              "warm_rate": f"{run['warm_rate']:.3f}",
              "mutations": run["mutations"], "repairs": run["repairs"],
              "data_inv": run["data_invalidations"],
@@ -122,18 +115,10 @@ def test_adversarial_matrix_verified(benchmark):
             "reads": baseline["reads"],
             "verified": baseline["verified_results"]}))
 
-    # (a) Every cell audited materialised answers against the oracle, and
-    # the two engines' cells of one mix agree.
-    assert len(runs) == len(MIXES) * len(BACKENDS)
+    # (a) Every cell audited materialised answers against the oracle.
+    assert len(runs) == len(MIXES)
     for run in runs:
-        assert run["verified_results"] > 0, (
-            f"{run['mix']} on {run['backend']} verified nothing")
-    same = ("ops", "reads", "read_hits", "mutations", "verified_results",
-            "repairs", "data_invalidations", "profile_invalidations")
-    for mix_name in MIXES:
-        sqlite, memory = ([run[key] for key in same] for run in runs
-                          if run["mix"] == mix_name)
-        assert sqlite == memory, f"{mix_name}: engines diverged"
+        assert run["verified_results"] > 0, f"{run['mix']} verified nothing"
 
     # (b) The mixes exercise the maintenance machinery: repairs fire,
     # invalidations happen (the data side repairs in place, so the
@@ -159,20 +144,3 @@ def test_adversarial_matrix_verified(benchmark):
         "dblp_baseline": baseline,
     })
 
-
-def test_synthetic_worlds_identical_across_backends(benchmark):
-    """Both engines load the synthetic family to identical statistics."""
-    def shapes():
-        out = {}
-        for backend in BACKENDS:
-            db = build_world(SYN, USERS, backend,
-                             synthetic_profile_factory(SYN))
-            try:
-                out[backend] = (db.table_counts(), db.workload_shape(),
-                                db.max_paper_id(), db.max_author_id())
-            finally:
-                db.close()
-        return out
-
-    out = run_once(benchmark, shapes)
-    assert out["sqlite"] == out["memory"]

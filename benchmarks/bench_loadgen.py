@@ -1,22 +1,22 @@
-"""Concurrent load harness SLO cells (ISSUE 6; one lock per server since ISSUE 20).
+"""Concurrent load harness SLO cell (ISSUE 6; one lock per server since ISSUE 20).
 
 Runs the :mod:`repro.loadgen` generator closed-loop against a single
-:class:`~repro.serving.TopKServer` on each storage engine, with the
-background equivalence auditor live, and persists the cells (p50/p95/p99,
-throughput at saturation, lock contention, audit outcome) as the
-schema-versioned ``BENCH_loadgen.json`` at the repository root.
+:class:`~repro.serving.TopKServer` over SQLite, with the background
+equivalence auditor live, and persists the cell (p50/p95/p99, throughput
+at saturation, lock contention, audit outcome) as the schema-versioned
+``BENCH_loadgen.json`` at the repository root.
 
 Assertions — what is machine-independent, no wall-clock constant:
 
-(a) **clean under contention** — every cell finishes with zero worker
+(a) **clean under contention** — the cell finishes with zero worker
     errors and zero audit mismatches (the auditor quiesced a live
-    mixed-mutation run several times per cell), and its telemetry snapshot
-    is non-empty;
+    mixed-mutation run several times), and its telemetry snapshot is
+    non-empty;
 (b) **the artifact is consumable** — the written document passes
     :func:`repro.loadgen.validate_loadgen_payload`, the same structural
     check the CI smoke job applies before uploading it;
 (c) **the lock set is the one documented** — the lock report names exactly
-    the server lock and its three leaf locks, plus the memory engine's own.
+    the server lock and its three leaf locks.
 """
 
 from __future__ import annotations
@@ -39,19 +39,18 @@ DBLP = DblpConfig(n_papers=220, n_authors=90, n_venues=8, seed=7)
 #: Profile population the workers draw uids from.
 USERS = 32
 CAPACITY = 16
-BACKENDS = ("sqlite", "memory")
 #: Per-cell closed-loop run shape.
 LOAD = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
                   k=5, audit_interval=0.3,
                   audit_sample=6)
-#: Every lock a server's load report may name (``memory-backend`` on that
-#: engine only); ``tests/test_serving_surface.py`` pins the same set.
+#: Every lock a server's load report may name;
+#: ``tests/test_serving_surface.py`` pins the same set.
 SERVER_LOCKS = {"server", "sessions", "count-cache", "result-cache"}
 
 
-def _run_cell(backend: str):
-    """One cell: build the world, run the load, return the record."""
-    db = build_world(DBLP, USERS, backend)
+def _run_cell():
+    """The cell: build the world, run the load, return the record."""
+    db = build_world(DBLP, USERS)
     server = TopKServer(db, capacity=CAPACITY)
     try:
         report = LoadGenerator(LOAD).run(server, telemetry=Telemetry())
@@ -59,13 +58,11 @@ def _run_cell(backend: str):
         server.close()
         db.close()
     assert report.clean, (
-        f"load cell backend={backend} was not clean: "
+        f"load cell was not clean: "
         f"errors={report.errors} audit={report.audit}")
     assert report.telemetry["metrics"], "telemetry snapshot came back empty"
     assert report.ops > 0 and report.throughput_ops_per_sec > 0
-    expected = SERVER_LOCKS | ({"memory-backend"} if backend == "memory"
-                               else set())
-    assert {lock["name"] for lock in report.locks} == expected
+    assert {lock["name"] for lock in report.locks} == SERVER_LOCKS
     # The committed artifact is a baseline, not a dump: it carries the
     # numbers (latency, throughput, locks, audit, server_stats), not the
     # run's full telemetry snapshot.
@@ -73,9 +70,8 @@ def _run_cell(backend: str):
 
 
 def test_loadgen_slo_cells(benchmark):
-    """Acceptance: one clean cell per backend, artifact valid."""
-    runs = [run_once(benchmark, _run_cell, BACKENDS[0])]
-    runs += [_run_cell(backend) for backend in BACKENDS[1:]]
+    """Acceptance: one clean cell, artifact valid."""
+    runs = [run_once(benchmark, _run_cell)]
 
     write_bench_json("loadgen", loadgen_payload(runs, {
         "threads": LOAD.threads,
@@ -83,8 +79,7 @@ def test_loadgen_slo_cells(benchmark):
         "seed": LOAD.seed,
         "users": USERS,
         "papers": DBLP.n_papers,
-        "backends": list(BACKENDS),
         "audit_interval": LOAD.audit_interval,
     }))
     document = load_and_validate(str(REPO_ROOT / "BENCH_loadgen.json"))
-    assert len(document["payload"]["runs"]) == len(BACKENDS)
+    assert len(document["payload"]["runs"]) == 1

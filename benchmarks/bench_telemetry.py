@@ -1,22 +1,22 @@
 """Telemetry overhead gate (ISSUE 7).
 
-Three claims the observability layer makes, priced and asserted:
+Three claims the observability layer makes, asserted with work counters
+(no wall-clock comparison):
 
 (a) **the warm path stays warm** — with a full ``Telemetry`` bundle
     observing the server *and* timed locks installed, every warm read is
     still served with zero SQL statements and without touching the server's
     big lock (the acquisition counter does not move across the loop);
-(b) **tracing overhead is bounded** — the best-of-three warm-read loop on
-    an observed, lock-instrumented server finishes within a generous
-    multiplicative bound of the same loop on a bare server;
+(b) **tracing a warm read costs one record** — on an observed,
+    lock-instrumented server every warm read records exactly one root
+    trace, ``server.top_k``, with no child span: the hit path opens no
+    stage below the front door;
 (c) **slow traces attribute latency** — a captured slow request carries a
     span tree at least three levels deep (server -> cache -> backend) whose
     child timings are consistent with the root.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.core.preference import UserProfile
 from repro.serving import TopKServer
@@ -32,10 +32,6 @@ USERS = 12
 K = 5
 WARM_READS = 400
 REPEATS = 3
-#: Observed warm loop must finish within this factor of the bare loop (plus
-#: a small absolute allowance for timer noise on loaded CI machines).
-OVERHEAD_FACTOR = 10.0
-OVERHEAD_SLACK_SECONDS = 0.05
 VENUES = ("VLDB", "SIGMOD", "ICDE", "PVLDB", "PODS", "CIKM")
 
 
@@ -58,16 +54,12 @@ def _build_world():
     return db, server
 
 
-def _warm_loop(server) -> float:
-    """Best-of-``REPEATS`` wall-clock for ``WARM_READS`` warm reads."""
-    best = float("inf")
+def _warm_loop(server) -> None:
+    """``REPEATS`` passes of ``WARM_READS`` warm reads."""
     for _ in range(REPEATS):
-        start = time.perf_counter()
         for index in range(WARM_READS):
             result = server.top_k(1 + (index % USERS), K)
             assert result.cache_hit and result.sql_statements == 0
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_warm_reads_stay_sql_and_lock_free_under_observation(benchmark):
@@ -80,7 +72,7 @@ def test_warm_reads_stay_sql_and_lock_free_under_observation(benchmark):
         lock_before = telemetry.snapshot()[
             "concurrency.lock.server.acquisitions"]
         statements_before = db.statements_executed
-        elapsed = run_once(benchmark, _warm_loop, server)
+        run_once(benchmark, _warm_loop, server)
         after = telemetry.snapshot()
         assert after["concurrency.lock.server.acquisitions"] == lock_before, (
             "a warm read acquired the server's big lock")
@@ -88,43 +80,41 @@ def test_warm_reads_stay_sql_and_lock_free_under_observation(benchmark):
             "a warm read reached the backend")
         assert after["serving.server.read_hits"] >= REPEATS * WARM_READS
         assert after["telemetry.traces.recorded"] >= REPEATS * WARM_READS
-        per_read_us = elapsed / WARM_READS * 1e6
         print(f"\nwarm reads under full observation: "
-              f"{WARM_READS} reads in {elapsed * 1e3:.1f}ms "
-              f"({per_read_us:.1f}us/read), 0 SQL, 0 server-lock acquisitions")
+              f"{REPEATS * WARM_READS} reads, 0 SQL, "
+              f"0 server-lock acquisitions")
     finally:
         handle.uninstrument()
         server.close()
         db.close()
 
 
-def test_tracing_overhead_is_bounded(benchmark):
-    """(b): observed warm loop within ``OVERHEAD_FACTOR``x of the bare loop."""
-    bare_db, bare_server = _build_world()
-    try:
-        bare = _warm_loop(bare_server)
-    finally:
-        bare_server.close()
-        bare_db.close()
-
+def test_warm_read_records_one_childless_trace(benchmark):
+    """(b): each observed warm read is one root trace and nothing below it."""
     db, server = _build_world()
     telemetry = Telemetry()
     telemetry.observe(server)
     handle = telemetry.instrument_locks(server)
+    traces = telemetry.traces
+
+    def observed_loop():
+        traces.clear()
+        for index in range(WARM_READS):
+            assert server.top_k(1 + (index % USERS), K).cache_hit
+            assert traces.recorded == index + 1
+            record = traces.snapshot()[-1]
+            assert record.name == "server.top_k", record.tree()
+            assert record.children == (), record.tree()
+            assert record.sql_statements == 0
+
     try:
-        observed = run_once(benchmark, _warm_loop, server)
+        run_once(benchmark, observed_loop)
     finally:
         handle.uninstrument()
         server.close()
         db.close()
-
-    bound = bare * OVERHEAD_FACTOR + OVERHEAD_SLACK_SECONDS
-    print(f"\nwarm-loop overhead: bare={bare * 1e3:.1f}ms "
-          f"observed={observed * 1e3:.1f}ms "
-          f"ratio={observed / bare:.2f}x (bound {OVERHEAD_FACTOR:.0f}x)")
-    assert observed <= bound, (
-        f"tracing overhead out of bounds: observed={observed:.4f}s "
-        f"bare={bare:.4f}s bound={bound:.4f}s")
+    print(f"\nwarm reads traced: {WARM_READS} reads, {WARM_READS} root "
+          f"traces, 0 child spans")
 
 
 def test_slow_trace_attributes_latency_across_nested_spans(benchmark):

@@ -78,11 +78,10 @@ Storage backends (:mod:`repro.backend`)
     :class:`StorageBackend` — the narrow engine protocol every layer above
     storage is wired against (counts, id lists, joined-view scan, mutation
     surface with image capture, op accounting, event subscriptions).
-    :class:`MemoryBackend` — the pure in-memory columnar engine
-    (dict-of-columns + per-attribute inverted index, SQLite-faithful
-    predicate semantics).
-    :func:`create_backend` — engine factory by name (``REPRO_BACKEND``
-    environment default); ``"sqlite"`` is :class:`Database`.
+    :func:`create_backend` — engine factory by name; ``"sqlite"`` is
+    :class:`Database`, the one engine every world builder uses (the
+    columnar ``"memory"`` engine is a differential arm, reached only by
+    name or as :class:`repro.backend.MemoryBackend`).
 
 Relational substrate and workload
     :class:`Database` — SQLite connection wrapper with the DBLP schema,
@@ -132,7 +131,7 @@ from .algorithms import (
     preferences_from_graph,
     ta_top_k,
 )
-from .backend import MemoryBackend, StorageBackend, create_backend
+from .backend import StorageBackend, create_backend
 from .index import CountCache, IncrementalPairIndex
 from .serving import (
     OpMix,
@@ -167,7 +166,6 @@ __all__ = [
     "HypreGraph",
     "HypreGraphBuilder",
     "IncrementalPairIndex",
-    "MemoryBackend",
     "NaiveTopK",
     "OpMix",
     "PEPSAlgorithm",

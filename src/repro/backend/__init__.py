@@ -1,11 +1,13 @@
-"""Storage-backend abstraction: one protocol, interchangeable engines.
+"""Storage-backend abstraction: one protocol, one served engine.
 
-The engine seam of the reproduction (see ``docs/BACKENDS.md``): every layer
-above storage — count cache, query runner, serving engine, replay driver,
-experiment context, CLI — consumes the narrow
+The engine seam of the reproduction: every layer above storage — count
+cache, query runner, serving engine, load runner — consumes the narrow
 :class:`~repro.backend.protocol.StorageBackend` surface instead of a
-concrete engine, so the relational substrate of the paper's prototype is one
-implementation among several rather than the floor of the hot path.
+concrete engine.  The engine a user, the CLI or a world builder gets is
+SQLite, :class:`~repro.sqldb.database.Database`: the relational substrate
+of the paper's prototype.  The columnar engine stays only as a
+differential arm (see ``docs/ARCHITECTURE.md``, "Why there is one served
+engine").
 
 Public API
 ----------
@@ -14,34 +16,28 @@ Public API
     (``count_matching`` / ``count_many`` / ``matching_paper_ids`` /
     ``joined_rows``), the mutation surface with pre-/post-image capture,
     data-mutation subscriptions, op accounting (``statements_executed``,
-    ``rows_touched``) and the replay driver's workload-shape helpers.
+    ``rows_touched``) and the workload-shape helpers schedules are built
+    from.
 :class:`MemoryBackend`
     The pure in-memory columnar engine: dict-of-columns over the joined
     view with a per-attribute inverted index, answering predicates by set
-    algebra under the same SQLite-faithful comparison rules.
+    algebra under the same SQLite-faithful comparison rules.  Reached only
+    by name; nothing serves it by default.
 :func:`create_backend`
-    Factory: engine name (``"sqlite"`` / ``"memory"`` or ``None`` for the
-    environment default) → a fresh backend instance.  ``"sqlite"`` is the
-    relational engine, :class:`~repro.sqldb.database.Database`.
-:func:`default_backend_name`
-    The process-wide default engine name: the ``REPRO_BACKEND`` environment
-    variable when set (this is how the CI matrix re-runs the tier-1 suite
-    on the memory engine), ``"sqlite"`` otherwise.
+    Factory: engine name (``"sqlite"`` / ``"memory"``) → a fresh backend
+    instance.  ``"sqlite"`` is :class:`~repro.sqldb.database.Database`.
 ``BACKEND_NAMES``
     The registered engine names, in factory order.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from ..exceptions import RelationalError
 from ..sqldb.database import Database
 from .memory import MemoryBackend
 from .protocol import StorageBackend
 
-#: Engine name -> backend class (extend here to register a third engine).
+#: Engine name -> backend class.
 _REGISTRY = {
     "sqlite": Database,
     "memory": MemoryBackend,
@@ -51,34 +47,13 @@ _REGISTRY = {
 BACKEND_NAMES = tuple(_REGISTRY)
 
 
-def default_backend_name() -> str:
-    """The default engine name for this process.
-
-    Reads the ``REPRO_BACKEND`` environment variable (validated against
-    :data:`BACKEND_NAMES`) and falls back to ``"sqlite"`` — the knob the CI
-    matrix uses to replay the whole tier-1 suite on the memory engine.
-    """
-    name = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if not name:
-        return "sqlite"
-    if name not in _REGISTRY:
-        raise RelationalError(
-            f"REPRO_BACKEND={name!r} is not a registered backend; "
-            f"pick one of {', '.join(BACKEND_NAMES)}")
-    return name
-
-
-def create_backend(name: Optional[str] = None,
-                   path: str = ":memory:") -> StorageBackend:
+def create_backend(name: str, path: str = ":memory:") -> StorageBackend:
     """Build a fresh storage backend by engine name.
 
-    ``name`` is ``"sqlite"``, ``"memory"`` or ``None`` (the
-    :func:`default_backend_name` environment default).  ``path`` is the
-    storage location for engines that persist; the memory engine accepts
-    only ``":memory:"``.
+    ``name`` is ``"sqlite"`` or ``"memory"``.  ``path`` is the storage
+    location for engines that persist; the memory engine accepts only
+    ``":memory:"``.
     """
-    if name is None:
-        name = default_backend_name()
     key = str(name).strip().lower()
     if key not in _REGISTRY:
         raise RelationalError(
@@ -91,5 +66,4 @@ __all__ = [
     "MemoryBackend",
     "StorageBackend",
     "create_backend",
-    "default_backend_name",
 ]

@@ -33,8 +33,13 @@ bit-identical across backends.
 Op accounting: ``statements_executed`` counts *logical operations* (one per
 query call, one per non-empty write batch — the shape a SQL engine would
 see), ``rows_touched`` counts rows written.  Statement counts are therefore
-backend-shaped; cross-backend comparisons should use ``rows_touched`` and
-wall-clock (see ``benchmarks/bench_backends.py``).
+backend-shaped; cross-backend comparisons should use ``rows_touched``.
+
+The engine is not served: no flag, environment variable or world builder
+selects it.  It is reached as ``create_backend("memory")`` by the tests that
+pin its answers against SQLite and by the end-to-end benchmark's
+``mixed-churn-memory`` workload (``docs/ARCHITECTURE.md``, "Why there is one
+served engine").
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from ..core.predicate import (
 )
 from ..core.preference import ProfileRegistry, QualitativePreference, QuantitativePreference
 from ..exceptions import RelationalError, WorkloadError
-from ..sqldb import schema
 from ..sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED, DataMutation
 from ..sqldb.query_builder import BATCH_COUNT_CHUNK
 from ..workload.loader import _joined_rows
@@ -77,7 +81,7 @@ class MemoryBackend:
 
     backend_name = "memory"
 
-    def __init__(self, path: str = ":memory:", create: bool = True) -> None:
+    def __init__(self, path: str = ":memory:") -> None:
         if str(path) != ":memory:":
             raise RelationalError(
                 f"the memory backend cannot persist to {path!r}; "
@@ -147,10 +151,6 @@ class MemoryBackend:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def commit(self) -> None:
-        """No-op (memory writes are immediately visible); raises once closed."""
-        self._require_open()
 
     def _account(self, statements: int = 0, rows: int = 0) -> None:
         """Bump op accounting under its own mutex."""
@@ -349,15 +349,15 @@ class MemoryBackend:
             self._account(statements=1)
             return len(self._matching_pids(predicate))
 
-    def count_many(self, predicates: Sequence[Any],
-                   chunk_size: Optional[int] = None) -> List[int]:
-        """One count per predicate, in order; accounted one op per chunk."""
+    def count_many(self, predicates: Sequence[Any]) -> List[int]:
+        """One count per predicate, in order; accounted one op per chunk
+        of :data:`~repro.sqldb.query_builder.BATCH_COUNT_CHUNK`, as SQLite
+        would batch them."""
         with self._lock:
             self._require_open()
-            chunk = BATCH_COUNT_CHUNK if chunk_size is None else max(1, chunk_size)
             if predicates:
-                self._account(
-                    statements=(len(predicates) + chunk - 1) // chunk)
+                self._account(statements=(len(predicates) + BATCH_COUNT_CHUNK - 1)
+                              // BATCH_COUNT_CHUNK)
             return [len(self._matching_pids(predicate)) for predicate in predicates]
 
     def matching_paper_ids(self, predicate: Optional[Any] = None,
@@ -401,50 +401,6 @@ class MemoryBackend:
                 "quantitative_pref": len(self._quant),
                 "qualitative_pref": len(self._qual),
             }
-
-    def total_papers(self) -> int:
-        """Number of papers in the relation."""
-        with self._lock:
-            self._require_open()
-            return len(self._papers)
-
-    def distinct_count(self, table: str, column: str) -> int:
-        """``COUNT(DISTINCT column)`` over a workload table."""
-        with self._lock:
-            self._require_open()
-            if table not in schema.TABLES:
-                raise RelationalError(f"unknown table {table!r}")
-            values = self._table_column(table, column)
-            return len(set(values))
-
-    def _table_column(self, table: str, column: str) -> List[Any]:
-        if table == "dblp":
-            if column not in ("pid", "title", "venue", "year", "abstract"):
-                raise RelationalError(f"unknown column {table}.{column}")
-            return [record[column] for record in self._papers.values()]
-        if table == "author":
-            mapping = {"aid": list(self._authors),
-                       "full_name": list(self._authors.values())}
-        elif table == "citation":
-            mapping = {"pid": [pid for pid, _ in self._citations],
-                       "cid": [cid for _, cid in self._citations]}
-        elif table == "dblp_author":
-            mapping = {"pid": [pid for pid, aids in self._links.items() for _ in aids],
-                       "aid": [aid for aids in self._links.values() for aid in aids]}
-        elif table == "quantitative_pref":
-            mapping = {"pfid": [row[0] for row in self._quant],
-                       "uid": [row[1] for row in self._quant],
-                       "preference": [row[2] for row in self._quant],
-                       "intensity": [row[3] for row in self._quant]}
-        else:  # qualitative_pref (table membership already validated)
-            mapping = {"pfid": [row[0] for row in self._qual],
-                       "uid": [row[1] for row in self._qual],
-                       "left_pref": [row[2] for row in self._qual],
-                       "right_pref": [row[3] for row in self._qual],
-                       "intensity": [row[4] for row in self._qual]}
-        if column not in mapping:
-            raise RelationalError(f"unknown column {table}.{column}")
-        return mapping[column]
 
     # -- workload shape (replay-driver surface) -----------------------------------
 

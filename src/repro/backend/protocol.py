@@ -1,13 +1,15 @@
 """The :class:`StorageBackend` protocol — the engine seam of the repro.
 
-Every layer above the storage engine (count cache, query runner, serving
-engine, replay driver, experiment context, CLI) consumes exactly the narrow
-surface written down here, never a concrete engine class.  The protocol is
-*structural* (:class:`typing.Protocol`): any object with these members is a
-backend — :class:`~repro.sqldb.database.Database` (the SQLite engine) and
-:class:`repro.backend.MemoryBackend` (the pure in-memory columnar engine)
-both satisfy it, and a third engine only has to implement the same members
-(see ``docs/BACKENDS.md`` for the recipe).
+Every serving layer above the storage engine (count cache, query runner,
+serving engine, load runner) consumes exactly the narrow surface written
+down here, never a concrete engine class.  The protocol is *structural*
+(:class:`typing.Protocol`): any object with these members is a backend —
+:class:`~repro.sqldb.database.Database` (the SQLite engine, the one that is
+served) and :class:`repro.backend.MemoryBackend` (the columnar engine, kept
+as a differential arm) both satisfy it.  Members outside the serving
+surface (``total_papers`` and ``distinct_count`` for the experiments,
+``commit`` for the loader bodies) live on
+:class:`~repro.sqldb.database.Database` alone.
 
 The surface has five groups:
 
@@ -116,9 +118,8 @@ class StorageBackend(Protocol):
         """Distinct papers matching ``predicate`` (whole relation on ``None``)."""
         ...
 
-    def count_many(self, predicates: Sequence[PredicateLike],
-                   chunk_size: Optional[int] = None) -> List[int]:
-        """One count per predicate, in order, batched per ``chunk_size``."""
+    def count_many(self, predicates: Sequence[PredicateLike]) -> List[int]:
+        """One count per predicate, in order."""
         ...
 
     def matching_paper_ids(self, predicate: Optional[PredicateLike] = None,
@@ -135,14 +136,6 @@ class StorageBackend(Protocol):
 
     def table_counts(self) -> Dict[str, int]:
         """Row counts for every workload table (Table 10 statistics)."""
-        ...
-
-    def total_papers(self) -> int:
-        """Number of papers in the relation."""
-        ...
-
-    def distinct_count(self, table: str, column: str) -> int:
-        """``COUNT(DISTINCT column)`` over a workload table."""
         ...
 
     # -- workload shape (replay-driver surface) -----------------------------------

@@ -9,13 +9,11 @@ Usage::
     python -m repro.cli topk --scale tiny --k 10 --json
     python -m repro.cli serve-replay --scale tiny --users 50 --requests 300
     python -m repro.cli serve-replay --scale tiny --delete-weight 1 --data-update-weight 1
-    python -m repro.cli topk --scale tiny --backend memory
-    python -m repro.cli serve-replay --scale tiny --backend memory
     python -m repro.cli serve-replay --scale tiny --family synthetic --mix hot-keys
     python -m repro.cli load --scale tiny --threads 2 --duration 2
     python -m repro.cli load --scale tiny --family synthetic --mix delete-churn
     python -m repro.cli load --scale tiny --threads 4 --qps 500
-    python -m repro.cli load --scale tiny --backend memory --output BENCH_loadgen.json
+    python -m repro.cli load --scale tiny --output BENCH_loadgen.json
     python -m repro.cli serve-replay --scale tiny --telemetry --json
     python -m repro.cli load --scale tiny --telemetry --json
     python -m repro.cli stats --scale tiny --json
@@ -43,9 +41,8 @@ lock contention and backend statement accounting — under one naming
 scheme.  ``--telemetry`` on ``serve-replay``/``load`` attaches the same
 observability to those runs and adds the snapshot to their reports.
 ``--json`` on ``topk``/``serve-replay``/``load`` switches the
-output to machine-readable JSON, and ``--backend {sqlite,memory}`` picks
-the storage engine (:mod:`repro.backend`) the workload lives on — answers
-are engine-independent, so both values produce the same rankings.
+output to machine-readable JSON.  Every command's workload lives in SQLite
+(:class:`~repro.sqldb.database.Database`); no flag picks another engine.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ import sys
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from .algorithms import PEPSAlgorithm
-from .backend import BACKEND_NAMES, default_backend_name
 from .experiments import figures, reporting
 from .experiments.context import SCALES, ExperimentContext
 from .loadgen import (LoadConfig, LoadGenerator, LoadReport, build_world,
@@ -94,13 +90,13 @@ def _resolve_workload(family: str, scale: str):
 
 
 def _run_world(config: LoadConfig, workload_config: Any, users: int,
-               backend: Optional[str], profile_factory: Any = None,
+               profile_factory: Any = None,
                capacity: Optional[int] = None,
                telemetry: Optional[Telemetry] = None) -> LoadReport:
     """One run over a fresh world, closed afterwards: through a
     :class:`~repro.serving.TopKServer` of ``capacity`` sessions, or — with
     no capacity — the :class:`~repro.serving.Uncached` baseline arm."""
-    db = build_world(workload_config, users, backend, profile_factory)
+    db = build_world(workload_config, users, profile_factory)
     try:
         if capacity is None:
             return LoadGenerator(config).run(Uncached(db))
@@ -205,19 +201,14 @@ def run_experiment(name: str, scale: str = "tiny", uid: Optional[int] = None) ->
 
 
 def run_topk(scale: str, k: int, uid: Optional[int] = None,
-             as_json: bool = False,
-             backend: Optional[str] = None) -> str:
+             as_json: bool = False) -> str:
     """Run a personalised Top-K query on the synthetic workload.
 
     The pairwise combination index's statistics are reported alongside the
     ranking.  ``as_json`` renders both as one machine-readable JSON object
     instead of the text table.
-    ``backend`` picks the storage engine answering the enhanced queries
-    (``sqlite`` / ``memory``; default: the ``REPRO_BACKEND`` environment
-    default) — the ranking is engine-independent.
     """
-    ctx = ExperimentContext.create(scale=scale, profile_users=25,
-                                   backend=backend)
+    ctx = ExperimentContext.create(scale=scale, profile_users=25)
     try:
         user = _resolve_uid(ctx, uid)
         peps = PEPSAlgorithm(ctx.runner, ctx.preferences(user))
@@ -235,7 +226,6 @@ def run_topk(scale: str, k: int, uid: Optional[int] = None,
                        "refreshes": index.refreshes}
         if as_json:
             return json.dumps({"uid": user, "k": k, "scale": scale,
-                               "backend": ctx.db.backend_name,
                                "results": rows, "index": index_stats},
                               indent=2, sort_keys=True)
         return (f"Top-{k} papers for uid={user}\n"
@@ -270,7 +260,6 @@ def run_serve_replay(scale: str = "tiny",
                      data_update_weight: float = (
                          _REPLAY_DEFAULTS.data_update_weight),
                      as_json: bool = False,
-                     backend: Optional[str] = None,
                      telemetry: bool = False,
                      family: str = "dblp",
                      mix: Optional[str] = None) -> str:
@@ -282,11 +271,7 @@ def run_serve_replay(scale: str = "tiny",
     SQL statements and cache behaviour side by side.  The five weights
     control the operation mix (reads, profile updates, tuple
     inserts/deletes/in-place updates); a weight of zero removes that kind
-    entirely.  ``backend`` picks the
-    storage engine every arm's world is built on (``sqlite`` / ``memory``;
-    default: the ``REPRO_BACKEND`` environment default) — the replay
-    answers are engine-independent, only the cost profile changes.
-    ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` (request
+    entirely.  ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` (request
     tracing, unified metrics, instrumented locks) to the serving arm and
     reports its end-of-run snapshot alongside the arm comparison.
     ``family`` picks the workload family the world is generated from
@@ -304,11 +289,11 @@ def run_serve_replay(scale: str = "tiny",
     config = LoadConfig(threads=1, requests=requests, mix=op_mix, k=k,
                         seed=seed, audit_interval=None)
     serving_report = _run_world(
-        config, workload_config, users, backend, profile_factory,
+        config, workload_config, users, profile_factory,
         capacity=capacity, telemetry=Telemetry() if telemetry else None)
     metrics = serving_report.server_stats
     snapshot = serving_report.telemetry or None
-    baseline_report = (_run_world(config, workload_config, users, backend,
+    baseline_report = (_run_world(config, workload_config, users,
                                   profile_factory) if baseline else None)
 
     # The per-kind mutation counters the server tracks (inserts, deletes,
@@ -320,7 +305,6 @@ def run_serve_replay(scale: str = "tiny",
         payload: Dict[str, Any] = {
             "config": {"scale": scale, "users": users, "requests": requests,
                        "k": k, "seed": seed, "capacity": capacity,
-                       "backend": backend or default_backend_name(),
                        "family": family, "mix": mix,
                        "read_weight": read_weight,
                        "update_weight": update_weight,
@@ -345,8 +329,7 @@ def run_serve_replay(scale: str = "tiny",
         for label, arm in arms.items()])
     lines = [f"Serve-replay ({users} users, {requests} requests, "
              f"k={k}, scale={scale}, family={family}"
-             + (f", mix={mix}" if mix else "")
-             + f", backend={backend or default_backend_name()})", table]
+             + (f", mix={mix}" if mix else "") + ")", table]
     lines.append(
         f"sessions: {metrics['serving.sessions.resident']}/"
         f"{metrics['serving.sessions.capacity']} resident, "
@@ -377,7 +360,6 @@ def run_load(scale: str = "tiny",
              threads: int = 2,
              duration: float = 2.0,
              qps: Optional[float] = None,
-             backend: Optional[str] = None,
              seed: int = 17,
              k: int = 5,
              capacity: int = 16,
@@ -409,14 +391,13 @@ def run_load(scale: str = "tiny",
     config = LoadConfig(threads=threads, duration_seconds=duration,
                         target_qps=qps, mix=OpMix.named(mix), k=k,
                         seed=seed, audit_interval=audit_interval or None)
-    report = _run_world(config, workload_config, users, backend,
+    report = _run_world(config, workload_config, users,
                         profile_factory, capacity=capacity,
                         telemetry=Telemetry() if telemetry else None)
 
     run_record = report.as_dict()
     config_record = {"scale": scale, "users": users, "threads": threads,
                      "duration_seconds": duration, "target_qps": qps,
-                     "backend": backend or default_backend_name(),
                      "family": family, "mix": mix,
                      "seed": seed, "k": k, "capacity": capacity,
                      "audit_interval": audit_interval}
@@ -432,8 +413,7 @@ def run_load(scale: str = "tiny",
     lines = [
         f"Load run ({report.mode} loop, {report.threads} threads"
         f", {report.duration_seconds:.2f}s, scale={scale}, family={family}"
-        + (f", mix={mix}" if mix else "")
-        + f", backend={report.backend})",
+        + (f", mix={mix}" if mix else "") + ")",
         f"ops: {report.ops} "
         f"({report.throughput_ops_per_sec:.0f} ops/sec"
         + (f", target {qps:.0f} QPS, {report.late_starts} late starts)"
@@ -473,7 +453,6 @@ def run_stats(scale: str = "tiny",
               k: int = 5,
               seed: int = 17,
               capacity: int = 16,
-              backend: Optional[str] = None,
               prometheus: bool = False,
               slow_ms: float = 250.0) -> str:
     """Drive a short replay under full observability and export the metrics.
@@ -490,7 +469,7 @@ def run_stats(scale: str = "tiny",
     workload_config, _ = _resolve_workload("dblp", scale)
     config = LoadConfig(threads=1, requests=requests, k=k, seed=seed,
                         audit_interval=None)
-    report = _run_world(config, workload_config, users, backend,
+    report = _run_world(config, workload_config, users,
                         capacity=capacity,
                         telemetry=Telemetry(slow_threshold=slow_ms / 1000.0))
     if prometheus:
@@ -516,11 +495,6 @@ def _scale_option(parser: argparse.ArgumentParser) -> None:
 
 def _query_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--backend", default=None,
-                        choices=sorted(BACKEND_NAMES),
-                        help="storage engine the workload lives on "
-                             "(default: the REPRO_BACKEND environment "
-                             "default)")
 
 
 def _json_option(parser: argparse.ArgumentParser) -> None:

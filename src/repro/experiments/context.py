@@ -5,12 +5,9 @@ synthetic DBLP workload, load it into a storage backend, extract preference
 profiles, and build the HYPRE graph.  :class:`ExperimentContext` performs
 that setup once and exposes the pieces the individual experiments consume;
 the module keeps a small cache keyed by scale so the benchmark suite does
-not rebuild the world for every benchmark.
-
-The workload engine is pluggable: :meth:`ExperimentContext.create` accepts a
-``backend`` factory name (``"sqlite"`` / ``"memory"``), defaulting to the
-``REPRO_BACKEND`` environment variable — which is how the CI matrix replays
-the experiment suite on the in-memory columnar engine.
+not rebuild the world for every benchmark.  The workload lives in SQLite
+(:class:`~repro.sqldb.database.Database`), the substrate the paper's
+prototype issued its SQL against.
 """
 
 from __future__ import annotations
@@ -19,11 +16,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..algorithms.base import PreferenceQueryRunner, ScoredPreference, preferences_from_graph
-from ..backend import create_backend
-from ..backend.protocol import StorageBackend
 from ..core.hypre import BuildReport, HypreGraph, HypreGraphBuilder
 from ..core.preference import ProfileRegistry
 from ..index import CountCache
+from ..sqldb.database import Database
 from ..workload.dblp import DblpConfig, DblpDataset, generate_dblp
 from ..workload.extraction import ExtractionConfig, PreferenceExtractor, richest_users
 from ..workload.loader import load_dataset, load_profiles
@@ -43,7 +39,7 @@ class ExperimentContext:
 
     config: DblpConfig
     dataset: DblpDataset
-    db: StorageBackend
+    db: Database
     extractor: PreferenceExtractor
     registry: ProfileRegistry
     hypre: HypreGraph
@@ -67,23 +63,20 @@ class ExperimentContext:
                config: Optional[DblpConfig] = None,
                extraction: ExtractionConfig = ExtractionConfig(),
                profile_users: Optional[int] = 40,
-               focus_count: int = 2,
-               backend: Optional[str] = None) -> "ExperimentContext":
+               focus_count: int = 2) -> "ExperimentContext":
         """Build the workload, profiles and HYPRE graph for one scale.
 
         ``profile_users`` limits how many of the extracted profiles are loaded
         into the graph (the most preference-rich ones are kept); ``None``
         loads every author's profile, which is what the population-level
-        figures (17, Table 10/11) use.  ``backend`` picks the storage engine
-        by factory name (``None`` defers to the ``REPRO_BACKEND``
-        environment default, falling back to SQLite).
+        figures (17, Table 10/11) use.
         """
         if config is None:
             if scale not in SCALES:
                 raise ValueError(f"unknown scale {scale!r}; pick one of {sorted(SCALES)}")
             config = SCALES[scale]
         dataset = generate_dblp(config)
-        db = create_backend(backend)
+        db = Database()
         load_dataset(db, dataset)
 
         extractor = PreferenceExtractor(dataset, extraction)

@@ -2,22 +2,23 @@
 
 Plain functions, no class.  :func:`build_world` generates a workload (any
 family :func:`~repro.workload.synthetic.generate_workload` dispatches on),
-loads it into a fresh backend and persists one small profile per user of
-the :func:`population`; :func:`load_population` does the last step alone on
-a world built some other way.  Two calls with the same arguments build
-identical worlds on any storage engine, which is what makes a serving arm,
-an uncached arm and a second engine comparable op for op.
+loads it into a fresh SQLite :class:`~repro.sqldb.database.Database` and
+persists one small profile per user of the :func:`population`;
+:func:`load_population` does the last step alone on a world built some
+other way (a test's second engine, say).  Two calls with the same arguments
+build identical worlds, which is what makes a serving arm and an uncached
+arm comparable op for op.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from ..backend import create_backend
 from ..backend.protocol import StorageBackend
 from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError
 from ..serving.ops import venue_predicate
+from ..sqldb.database import Database
 from ..workload.loader import load_dataset, load_profiles
 from ..workload.synthetic import generate_workload
 
@@ -79,15 +80,11 @@ def load_population(db: StorageBackend, users: int,
 
 
 def build_world(workload_config: Any, users: int,
-                backend: Optional[str] = None,
                 profile_factory: Optional[ProfileFactory] = None
-                ) -> StorageBackend:
-    """A fresh backend holding the generated workload and the population.
-
-    ``backend`` picks the storage engine by factory name (``None`` defers to
-    the ``REPRO_BACKEND`` environment default).
-    """
-    db = create_backend(backend)
+                ) -> Database:
+    """A fresh in-memory SQLite database holding the generated workload
+    and the population."""
+    db = Database()
     load_dataset(db, generate_workload(workload_config))
     load_population(db, users, profile_factory)
     return db

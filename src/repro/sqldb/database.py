@@ -24,7 +24,11 @@ SQLite implementation of the** :class:`~repro.backend.protocol.StorageBackend`
 (:meth:`load_dataset` / :meth:`append_papers` / :meth:`delete_papers` /
 :meth:`update_papers` / profile round-trips) and the op accounting
 (:attr:`statements_executed`, :attr:`rows_touched`).
-:func:`repro.backend.create_backend` returns this class for ``"sqlite"``.
+:func:`repro.backend.create_backend` returns this class for ``"sqlite"``, and
+it is the one engine every world builder, the experiments and the CLI use.
+The members outside the serving surface (:meth:`total_papers` and
+:meth:`distinct_count` for the experiments, :meth:`commit` for the loader
+bodies) live here and not on the protocol.
 """
 
 from __future__ import annotations
@@ -267,18 +271,15 @@ class Database:
         from .query_builder import count_matching_papers
         return count_matching_papers(self, predicate)
 
-    def count_many(self, predicates: Sequence[Any],
-                   chunk_size: Optional[int] = None) -> List[int]:
+    def count_many(self, predicates: Sequence[Any]) -> List[int]:
         """Counts for many predicates, batched into compound statements.
 
-        One ``UNION ALL`` statement per ``chunk_size`` predicates (default:
-        :data:`~repro.sqldb.query_builder.BATCH_COUNT_CHUNK`); returns one
-        count per input predicate, in input order.
+        One ``UNION ALL`` statement per
+        :data:`~repro.sqldb.query_builder.BATCH_COUNT_CHUNK` predicates;
+        returns one count per input predicate, in input order.
         """
-        from .query_builder import BATCH_COUNT_CHUNK, count_matching_papers_many
-        return count_matching_papers_many(
-            self, predicates,
-            chunk_size=BATCH_COUNT_CHUNK if chunk_size is None else chunk_size)
+        from .query_builder import count_matching_papers_many
+        return count_matching_papers_many(self, predicates)
 
     def matching_paper_ids(self, predicate: Optional[Any] = None,
                            limit: Optional[int] = None) -> List[int]:

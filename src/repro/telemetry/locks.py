@@ -9,9 +9,9 @@ plain locks back.  This module makes the swap a *handle*:
 * :func:`instrument_locks` covers the whole lock set: the server lock,
   the session registry, the shared count cache + rebuilt condition
   variable and the result cache — ``server`` / ``sessions`` /
-  ``count-cache`` / ``result-cache`` — plus ``memory-backend`` on that
-  engine.  Every swap is recorded as ``(owner, attribute, original)`` in
-  the returned :class:`LockInstrumentation`;
+  ``count-cache`` / ``result-cache``.  Every swap is recorded as
+  ``(owner, attribute, original)`` in the returned
+  :class:`LockInstrumentation`;
 * :meth:`LockInstrumentation.uninstrument` restores every original object
   in reverse order — including the count cache's original condition
   variable, so in-flight coalescing waiters are never left parked on a
@@ -152,9 +152,6 @@ def instrument_locks(server: Any,
     handle._swap(cache, "_cond", threading.Condition(
         _wrap(handle, cache, "count-cache")))
     _wrap(handle, server.results, "result-cache")
-    if getattr(server.db, "_lock", None) is not None:
-        # Only the memory engine has a lock of its own (``memory-backend``).
-        _wrap(handle, server.db, f"{server.db.backend_name}-backend")
     setattr(server, _HANDLE_ATTR, handle)
     if registry is not None:
         handle._export(registry)

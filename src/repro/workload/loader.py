@@ -18,8 +18,8 @@ the historical ``loader.append_papers(db, ...)`` spelling while the image
 capture runs inside whichever engine owns the data.  The ``sqlite_*``
 functions below are the SQLite implementation bodies —
 :class:`~repro.sqldb.database.Database` delegates its mutation methods to
-them; :class:`~repro.backend.MemoryBackend` implements the same contract
-natively over its column store.
+them; :class:`~repro.backend.MemoryBackend`, the differential arm,
+implements the same contract natively over its column store.
 """
 
 from __future__ import annotations
@@ -256,13 +256,17 @@ def sqlite_update_papers(db: Database, papers: Sequence[Paper]) -> Dict[str, int
         return {"dblp": 0}
     pids = [paper.pid for paper in papers]
     placeholders = ", ".join("?" for _ in pids)
-    existing = {int(row["pid"]) for row in db.query(
-        f"SELECT pid FROM dblp WHERE pid IN ({placeholders})", pids)}
-    missing = sorted(set(pids) - existing)
-    if missing:
-        raise WorkloadError(f"cannot update unknown papers: {missing}")
     # Atomic against concurrent profile-staging writes (see append body).
+    # The existence check and both images are taken under the same lock, as
+    # the memory engine does: a delete landing between check and write
+    # would leave the update touching no row while still reporting one and
+    # notifying an empty post-image.
     with db._write_lock:
+        existing = {int(row["pid"]) for row in db.query(
+            f"SELECT pid FROM dblp WHERE pid IN ({placeholders})", pids)}
+        missing = sorted(set(pids) - existing)
+        if missing:
+            raise WorkloadError(f"cannot update unknown papers: {missing}")
         pre_image = db.joined_rows(pids) if db.has_subscribers else []
         db.executemany(
             "UPDATE dblp SET title = ?, venue = ?, year = ?, abstract = ?"
@@ -270,10 +274,11 @@ def sqlite_update_papers(db: Database, papers: Sequence[Paper]) -> Dict[str, int
             [(paper.title, paper.venue, paper.year, paper.abstract, paper.pid)
              for paper in papers])
         db.commit()
+        post_image = db.joined_rows(pids) if db.has_subscribers else []
     if db.has_subscribers:
         db.notify(DataMutation(
             TUPLES_UPDATED, "dblp",
-            rows=db.joined_rows(pids),
+            rows=post_image,
             old_rows=pre_image,
             pids=pids))
     return {"dblp": len(papers)}
@@ -336,21 +341,17 @@ def sqlite_read_profiles(db: Database,
 
 
 def build_workload_database(config: Any = DblpConfig(),
-                            path: str = ":memory:",
-                            backend: Optional[str] = None) -> Tuple[Any, DblpDataset]:
-    """Generate a dataset for ``config`` and load it into a fresh backend.
+                            path: str = ":memory:") -> Tuple[Database, DblpDataset]:
+    """Generate a dataset for ``config`` and load it into a fresh SQLite
+    :class:`~repro.sqldb.database.Database` at ``path``.
 
     ``config`` may belong to any workload family
     (:class:`~repro.workload.dblp.DblpConfig` or
     :class:`~repro.workload.synthetic.SyntheticConfig` — dispatch happens
-    in :func:`~repro.workload.synthetic.generate_workload`).  ``backend``
-    picks the storage engine by factory name (``"sqlite"`` / ``"memory"``);
-    ``None`` defers to the ``REPRO_BACKEND`` environment variable and falls
-    back to SQLite — see :func:`repro.backend.create_backend`.
+    in :func:`~repro.workload.synthetic.generate_workload`).
     """
-    from ..backend import create_backend
     from .synthetic import generate_workload
     dataset = generate_workload(config)
-    db = create_backend(backend, path=path)
+    db = Database(path)
     load_dataset(db, dataset)
     return db, dataset

@@ -18,7 +18,7 @@ import pytest
 from repro.backend import BACKEND_NAMES
 from repro.cli import run_load, run_serve_replay
 from repro.exceptions import ServingError
-from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
+from repro.loadgen import LoadConfig, LoadGenerator, population
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
@@ -33,6 +33,7 @@ from repro.serving import (
     target_pool,
 )
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
+from worlds import engine_world
 
 SYN = SyntheticConfig(n_papers=160, n_authors=50, width=2,
                       venue_cardinality=8, extra_cardinality=6,
@@ -43,8 +44,8 @@ USERS = 16
 K = 4
 
 
-def make_world(backend):
-    return build_world(SYN, USERS, backend, synthetic_profile_factory(SYN))
+def make_world(backend="sqlite"):
+    return engine_world(backend, SYN, USERS, synthetic_profile_factory(SYN))
 
 
 def schedule(db, mix_name, requests=90, seed=21):
@@ -81,7 +82,7 @@ def test_mix_replays_verified_and_identical_on_both_backends(mix_name):
 
 def test_delete_churn_schedules_no_inserts_and_drains():
     """Regression: the liveness fallback must not resurrect the relation."""
-    with make_world("memory") as db:
+    with make_world() as db:
         kinds = [op.kind for op in schedule(db, "delete-churn", 200)]
         assert INSERT not in kinds
         assert kinds.count(DELETE) > 0
@@ -92,7 +93,7 @@ def test_delete_churn_schedules_no_inserts_and_drains():
 
 
 def test_hot_keys_mutations_land_in_the_hot_pool():
-    with make_world("sqlite") as db:
+    with make_world() as db:
         pool = set(target_pool(db, population(USERS), K, TARGET_HOT))
         assert pool
         targeted = 0
@@ -107,7 +108,7 @@ def test_hot_keys_mutations_land_in_the_hot_pool():
 
 
 def test_boundary_pool_sits_past_the_top_k():
-    with make_world("memory") as db:
+    with make_world() as db:
         uids = population(USERS)
         hot = target_pool(db, uids, K, TARGET_HOT)
         boundary = target_pool(db, uids, K, TARGET_BOUNDARY)
@@ -123,7 +124,7 @@ def test_boundary_pool_sits_past_the_top_k():
 
 def test_benign_schedule_unchanged_by_mix_support():
     """No mix configured: schedules stay deterministic and insert-fallback."""
-    with make_world("memory") as db_a, make_world("memory") as db_b:
+    with make_world() as db_a, make_world() as db_b:
         assert schedule(db_a, None, 60, seed=9) == \
             schedule(db_b, None, 60, seed=9)
 

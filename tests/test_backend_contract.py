@@ -1,27 +1,20 @@
 """Shared conformance contract every storage backend must satisfy.
 
 One test class, parametrised over every registered backend
-(:data:`repro.backend.BACKEND_NAMES`): whatever engine sits below the
-protocol, schema statistics, image capture, lifecycle/notify semantics,
-op accounting and predicate rejection must behave identically.  A third
-backend added to the registry is covered the moment it lands — the fixture
-iterates the registry, not a hand-kept list.
+(:data:`repro.backend.BACKEND_NAMES`): SQLite, the served engine, and the
+columnar engine kept as its differential arm must agree on schema
+statistics, image capture, lifecycle/notify semantics, op accounting and
+predicate rejection.  The protocol's member list is pinned in
+``test_public_api.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backend import (
-    BACKEND_NAMES,
-    MemoryBackend,
-    StorageBackend,
-    create_backend,
-    default_backend_name,
-)
+from repro.backend import BACKEND_NAMES, StorageBackend, create_backend
 from repro.core.preference import ProfileRegistry, UserProfile
 from repro.exceptions import PredicateError, RelationalError, WorkloadError
-from repro.sqldb.database import Database
 from repro.sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED
 from repro.workload.dblp import DblpConfig, Paper, generate_dblp
 from repro.workload.loader import (
@@ -81,17 +74,6 @@ class TestBackendContract:
         with pytest.raises(RelationalError):
             create_backend("postgres")
 
-    def test_default_backend_honours_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "memory")
-        assert default_backend_name() == "memory"
-        assert isinstance(create_backend(None), MemoryBackend)
-        monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
-        with pytest.raises(RelationalError):
-            default_backend_name()
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert default_backend_name() == "sqlite"
-        assert type(create_backend(None)) is Database
-
     # -- schema / statistics ------------------------------------------------------
 
     def test_load_reports_schema_statistics(self, loaded):
@@ -100,13 +82,6 @@ class TestBackendContract:
         assert counts["author"] == len(DATASET.authors)
         assert counts["dblp_author"] == len(DATASET.paper_authors)
         assert counts["citation"] == len(DATASET.citations)
-        assert loaded.total_papers() == len(DATASET.papers)
-        venues = {paper.venue for paper in DATASET.papers}
-        assert loaded.distinct_count("dblp", "venue") == len(venues)
-
-    def test_distinct_count_rejects_unknown_table(self, loaded):
-        with pytest.raises(RelationalError):
-            loaded.distinct_count("no_such_table", "pid")
 
     def test_workload_shape(self, loaded):
         venues, lo, hi = loaded.workload_shape()

@@ -69,6 +69,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--shards", "4"])
 
+    def test_backend_flag(self):
+        """Gone: SQLite is the one engine a command's world lives on."""
+        for command in ("topk", "serve-replay", "load", "stats"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", "sqlite"])
+
     def test_repair_delta_flag(self):
         """Gone with the invalidate-only mode its negative values selected:
         every cached answer is a repairable buffer of depth ``3k``."""
@@ -88,11 +94,9 @@ class TestParser:
     def test_load_options(self):
         args = build_parser().parse_args(
             ["load", "--threads", "4", "--qps", "500", "--duration", "1.5",
-             "--backend", "memory",
              "--output", "BENCH_loadgen.json", "--json"])
         assert (args.threads, args.qps) == (4, 500.0)
         assert args.duration == 1.5
-        assert args.backend == "memory"
         assert args.output == "BENCH_loadgen.json" and args.as_json
 
     def test_missing_command_errors(self):

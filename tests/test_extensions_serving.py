@@ -22,7 +22,7 @@ from repro.extensions import (
     prioritized_skyline,
     skyline,
 )
-from repro.loadgen import build_world, population
+from repro.loadgen import population
 from repro.serving import TopKServer, fresh_top_k
 from repro.workload.dblp import Paper
 from repro.workload.synthetic import (
@@ -31,6 +31,7 @@ from repro.workload.synthetic import (
     attribute_values,
     synthetic_profile_factory,
 )
+from worlds import engine_world
 
 SYN = SyntheticConfig(n_papers=140, n_authors=40, width=2,
                       venue_cardinality=7, extra_cardinality=6,
@@ -41,8 +42,8 @@ UIDS = population(8)
 
 @pytest.fixture(params=sorted(BACKEND_NAMES))
 def served_world(request):
-    db = build_world(SYN, len(UIDS), request.param,
-                     synthetic_profile_factory(SYN))
+    db = engine_world(request.param, SYN, len(UIDS),
+                      synthetic_profile_factory(SYN))
     server = TopKServer(db, capacity=8)
     yield db, server
     server.close()

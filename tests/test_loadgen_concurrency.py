@@ -30,7 +30,7 @@ import pytest
 
 from repro.core.predicate import equals
 from repro.index import CountCache, RowMatch
-from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate, build_world
+from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
@@ -46,6 +46,7 @@ from repro.serving.results import ResultCache
 from repro.serving.server import fresh_top_k
 from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
+from worlds import engine_world
 
 #: Upper bound on any single concurrent phase; generous on purpose — it
 #: only ever bites when something deadlocks.
@@ -63,7 +64,7 @@ def backend(request):
 
 @pytest.fixture()
 def world(backend):
-    db = build_world(DBLP, USERS, backend)
+    db = engine_world(backend, DBLP, USERS)
     yield db
     db.close()
 

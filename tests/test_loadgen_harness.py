@@ -43,7 +43,7 @@ K = 4
 
 @pytest.fixture()
 def server():
-    db = build_world(DBLP, USERS, "sqlite")
+    db = build_world(DBLP, USERS)
     instance = TopKServer(db, capacity=8)
     yield instance
     instance.close()
@@ -185,21 +185,6 @@ class TestInstrumentation:
         report = handle.report()
         assert report[0]["wait_seconds"] >= report[-1]["wait_seconds"]
         assert any(record["acquisitions"] > 0 for record in report)
-
-    def test_memory_backend_lock_is_included(self):
-        db = build_world(DBLP, USERS, "memory")
-        instance = TopKServer(db, capacity=8)
-        try:
-            original = db._lock
-            handle = instrument_locks(instance)
-            assert db._lock in handle.locks
-            assert db._lock.name == "memory-backend"
-            assert db._lock._inner is original
-            handle.uninstrument()
-            assert db._lock is original
-        finally:
-            instance.close()
-            db.close()
 
     def test_timed_rlock_counts_contention(self):
         lock = TimedRLock("probe")

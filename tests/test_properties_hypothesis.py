@@ -293,7 +293,7 @@ STREAM_K = 3
 def stream_world():
     """A small prepared world; streams only read it, at construction."""
     db = build_world(DblpConfig(n_papers=24, n_authors=10, n_venues=4, seed=3),
-                     6, "memory")
+                     6)
     yield db
     db.close()
 

@@ -155,6 +155,73 @@ def test_replay_driver_is_gone():
         assert not gone & set(vars(module)), module.__name__
 
 
+def test_one_served_engine(monkeypatch):
+    """SQLite is the only engine a flag, an environment variable or a world
+    builder can pick: no ``backend=`` is left on the builders or the CLI's
+    run functions, the environment is not read, and the columnar engine is
+    reached only by name or as ``repro.backend.MemoryBackend``."""
+    import inspect
+
+    import repro.backend as backend
+    from repro.cli import run_load, run_serve_replay, run_stats, run_topk
+    from repro.experiments.context import ExperimentContext
+    from repro.loadgen import build_world
+
+    assert "MemoryBackend" not in repro.__all__
+    assert not hasattr(repro, "MemoryBackend")
+    assert backend.MemoryBackend().backend_name == "memory"
+
+    pinned = {
+        backend.create_backend: ["name", "path"],
+        backend.MemoryBackend: ["path"],
+        ExperimentContext.create: ["scale", "config", "extraction",
+                                   "profile_users", "focus_count"],
+        repro.build_workload_database: ["config", "path"],
+        build_world: ["workload_config", "users", "profile_factory"],
+    }
+    for target, names in pinned.items():
+        assert list(inspect.signature(target).parameters) == names, target
+    name = inspect.signature(backend.create_backend).parameters["name"]
+    assert name.default is inspect.Parameter.empty
+    for run in (run_topk, run_serve_replay, run_load, run_stats):
+        assert "backend" not in inspect.signature(run).parameters, run
+
+    monkeypatch.setenv("REPRO_BACKEND", "memory")
+    db, _ = repro.build_workload_database(
+        DblpConfig(n_papers=20, n_authors=10, n_venues=3, seed=1))
+    with db:
+        assert type(db) is Database
+
+
+def test_storage_backend_members_are_pinned():
+    """The protocol is what serving needs; the experiments' members
+    (``total_papers``, ``distinct_count``, ``commit``) live on ``Database``
+    alone, and ``count_many`` has no chunking knob."""
+    import inspect
+
+    from repro.backend import MemoryBackend, StorageBackend
+
+    members = sorted(set(StorageBackend.__annotations__)
+                     | {name for name in vars(StorageBackend)
+                        if not name.startswith("_")})
+    assert members == sorted([
+        "backend_name", "statements_executed", "rows_touched",
+        "is_closed", "close",
+        "subscribe", "unsubscribe", "has_subscribers", "notify",
+        "count_matching", "count_many", "matching_paper_ids", "joined_rows",
+        "table_counts",
+        "workload_shape", "paper_ids", "max_paper_id", "max_author_id",
+        "load_dataset", "append_papers", "delete_papers", "update_papers",
+        "load_profiles", "read_profiles",
+    ])
+    for engine in (StorageBackend, Database, MemoryBackend):
+        assert list(inspect.signature(engine.count_many).parameters) == [
+            "self", "predicates"], engine
+    for name in ("total_papers", "distinct_count", "commit"):
+        assert hasattr(Database, name)
+        assert not hasattr(MemoryBackend, name), name
+
+
 class TestReadmeQuickstart:
     """The README quickstart must stay runnable end to end."""
 

@@ -27,7 +27,7 @@ from test_loadgen_concurrency import start_and_join
 
 from repro.backend import create_backend
 from repro.core.preference import UserProfile
-from repro.loadgen import build_world, load_population, population
+from repro.loadgen import load_population, population
 from repro.serving import (DATA_UPDATE, DELETE, INSERT, READ, UPDATE, Op,
                            OpMix, TopKServer, apply_op, build_streams,
                            fresh_top_k)
@@ -35,6 +35,7 @@ from repro.serving.ops import audit_materialised, venue_predicate
 from repro.workload import (PreferenceExtractor, generate_dblp, load_dataset,
                             load_profiles)
 from repro.workload.dblp import DblpConfig, Paper
+from worlds import engine_world
 
 BACKENDS = ("sqlite", "memory")
 DBLP = DblpConfig(n_papers=120, n_authors=40, n_venues=6, seed=7)
@@ -349,7 +350,7 @@ def test_engines_report_alike():
                 delete_weight=0.8, data_update_weight=0.8)
     outcomes, final = {}, {}
     for backend in BACKENDS:
-        db = build_world(DBLP, 14, backend)
+        db = engine_world(backend, DBLP, 14)
         with TopKServer(db, capacity=6) as server:
             (stream,) = build_streams(db, 1, mix, population(14), K, seed=29)
             outcomes[backend] = [

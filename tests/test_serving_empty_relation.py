@@ -17,9 +17,10 @@ import pytest
 
 from repro.backend import BACKEND_NAMES
 from repro.exceptions import ServingError
-from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
+from repro.loadgen import LoadConfig, LoadGenerator, population
 from repro.serving import OpMix, TopKServer, build_streams, fresh_top_k
 from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
+from worlds import engine_world
 
 SYN = SyntheticConfig(n_papers=90, n_authors=30, width=2,
                       venue_cardinality=6, extra_cardinality=5,
@@ -41,8 +42,8 @@ def backend_name(request):
 
 
 def make_world(backend_name):
-    return build_world(SYN, USERS, backend_name,
-                       synthetic_profile_factory(SYN))
+    return engine_world(backend_name, SYN, USERS,
+                        synthetic_profile_factory(SYN))
 
 
 def test_churn_to_empty_replays_identically_on_both_backends():
@@ -54,7 +55,7 @@ def test_churn_to_empty_replays_identically_on_both_backends():
             assert report.clean, report.audit
             outcomes[backend_name] = (
                 report.ops, report.kind_counts, report.read_hits,
-                report.audit["comparisons"], db.total_papers())
+                report.audit["comparisons"], db.table_counts()["dblp"])
     values = list(outcomes.values())
     assert all(value == values[0] for value in values[1:]), outcomes
     assert values[0][1]["insert"] == 0
@@ -68,7 +69,7 @@ def test_top_k_over_a_fully_drained_relation_is_empty(backend_name):
         warm = server.top_k(uid, 4)
         assert warm.ranking  # papers exist before the drain
         server.delete_tuples(db.paper_ids())
-        assert db.total_papers() == 0
+        assert db.paper_ids() == []
         served = server.top_k(uid, 4)
         assert list(served.ranking) == []
         assert fresh_top_k(db, uid, 4) == []

@@ -50,6 +50,7 @@ from repro.serving import (
 )
 from repro.workload.dblp import DblpConfig, Paper
 from repro.workload.loader import append_papers
+from worlds import engine_world
 
 DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
 K = 4
@@ -72,7 +73,7 @@ def backend_name(request):
 @pytest.fixture(scope="module")
 def world():
     """A prepared read-only world (streams only read it at construction)."""
-    db = build_world(DBLP, USERS, "memory")
+    db = build_world(DBLP, USERS)
     yield db
     db.close()
 
@@ -145,7 +146,7 @@ class TestOpStream:
     def test_empty_population_and_empty_world_are_rejected(self, world):
         with pytest.raises(ServingError):
             OpStream(world, OpMix(), [], K, seed=5)
-        empty = create_backend("memory")
+        empty = create_backend("sqlite")
         try:
             with pytest.raises(ServingError):
                 OpStream(empty, OpMix(), [1], K, seed=5)
@@ -216,7 +217,7 @@ def test_authorless_world_still_schedules(backend_name):
 @pytest.mark.parametrize("mix_name", MIX_NAMES)
 def test_schedule_is_the_one_worker_stream(mix_name):
     mix = OpMix.named(mix_name)
-    db = build_world(DBLP, USERS, "memory")
+    db = build_world(DBLP, USERS)
     try:
         uids = population(USERS)
         stream = OpStream(db, mix, uids, K, 3, owned=db.paper_ids(),
@@ -243,7 +244,7 @@ PARENT_DIGESTS = {
 
 @pytest.mark.parametrize("mix_name", MIX_NAMES)
 def test_worker_streams_match_the_parent_commit(backend_name, mix_name):
-    db = build_world(DBLP, USERS, backend_name)
+    db = engine_world(backend_name, DBLP, USERS)
     try:
         streams = build_streams(db, 3, OpMix.named(mix_name), uids_of(db),
                                 K, seed=17)
@@ -275,7 +276,7 @@ def test_apply_op_leaves_every_arm_in_the_same_state():
     states = {}
     for backend in sorted(BACKEND_NAMES):
         for label, build in arms.items():
-            db = build_world(DBLP, USERS, backend)
+            db = engine_world(backend, DBLP, USERS)
             arm = build(db)
             try:
                 if ops is None:

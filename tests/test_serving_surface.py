@@ -42,6 +42,7 @@ from repro.serving.sessions import UserSession
 from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
 from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
 from repro.workload.dblp import DblpConfig, Paper
+from worlds import engine_world
 
 DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
 UIDS = population(8)
@@ -57,7 +58,7 @@ def backend(request):
 # whichever backend list it runs over.
 @pytest.fixture(params=["server"])
 def surface(request, backend):
-    db = build_world(DBLP, len(UIDS), backend)
+    db = engine_world(backend, DBLP, len(UIDS))
     server = TopKServer(db, capacity=16)
     yield server
     server.close()
@@ -128,22 +129,21 @@ def test_construction_surface_is_pinned():
                         "max_combination_size", "max_combinations",
                         "pair_index"],
         run_load: ["scale", "users", "threads", "duration", "qps",
-                   "backend", "seed", "k", "capacity", "audit_interval",
+                   "seed", "k", "capacity", "audit_interval",
                    "output", "as_json", "telemetry", "family", "mix"],
         run_serve_replay: ["scale", "users", "requests", "k", "seed",
                            "capacity", "baseline", "read_weight",
                            "update_weight", "insert_weight", "delete_weight",
-                           "data_update_weight", "as_json", "backend",
+                           "data_update_weight", "as_json",
                            "telemetry", "family", "mix"],
         run_stats: ["scale", "users", "requests", "k", "seed", "capacity",
-                    "backend", "prometheus", "slow_ms"],
+                    "prometheus", "slow_ms"],
         TopKServer: ["db", "capacity"],
         LoadConfig: ["threads", "duration_seconds", "requests", "target_qps",
                      "mix", "k", "seed", "audit_interval", "audit_sample"],
         LoadGenerator: ["config"],
         LoadGenerator.run: ["self", "target", "telemetry"],
-        build_world: ["workload_config", "users", "backend",
-                      "profile_factory"],
+        build_world: ["workload_config", "users", "profile_factory"],
         load_population: ["db", "users", "profile_factory"],
         population: ["users"],
     }
@@ -160,9 +160,6 @@ def test_lock_set_is_pinned(surface):
     swapped = [(owner, "_lock") for owner in (surface, surface.sessions,
                                                cache, surface.results)]
     swapped.append((cache, "_cond"))
-    if surface.db.backend_name == "memory":
-        expected.append("memory-backend")
-        swapped.append((surface.db, "_lock"))
     originals = [getattr(owner, name) for owner, name in swapped]
 
     handle = instrument_locks(surface)
@@ -439,7 +436,7 @@ def test_update_then_read_counts_only_the_new_predicates_pairs(backend):
     count statement, and the only SQL the rebuild adds to that read is the
     two ``read_profiles`` statements (3 statements with the fold this
     replaced, 5 now)."""
-    db = build_world(DBLP, len(UIDS), backend)
+    db = engine_world(backend, DBLP, len(UIDS))
     mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
     load_profiles(db, mined)
     uid = max(mined, key=lambda profile: len(profile.predicates())).uid

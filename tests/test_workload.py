@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from repro.core.preference import ProfileRegistry
 from repro.exceptions import ExtractionError, WorkloadError
 from repro.sqldb.database import Database
-from repro.workload.dblp import DEFAULT_VENUES, DblpConfig, generate_dblp, small_dataset
+from repro.sqldb.events import TUPLES_DELETED, TUPLES_UPDATED
+from repro.workload.dblp import (DEFAULT_VENUES, DblpConfig, Paper, generate_dblp,
+                                 small_dataset)
 from repro.workload.extraction import (
     ExtractionConfig,
     PreferenceExtractor,
@@ -19,9 +22,11 @@ from repro.workload.extraction import (
 )
 from repro.workload.loader import (
     build_workload_database,
+    delete_papers,
     load_dataset,
     load_profiles,
     read_profiles,
+    update_papers,
 )
 
 
@@ -98,6 +103,42 @@ class TestLoader:
             assert db.total_papers() == len(dataset.papers) == 100
         finally:
             db.close()
+
+    def test_update_checks_existence_under_the_write_lock(self, monkeypatch):
+        """A direct delete racing an update cannot land between the
+        update's existence check and its write: it waits for the update,
+        which notifies the row it really changed, and then deletes it."""
+        dataset = generate_dblp(DblpConfig(n_papers=30, n_authors=12,
+                                           n_venues=4, seed=2))
+        with Database(":memory:") as db:
+            load_dataset(db, dataset)
+            target = dataset.papers[0]
+            events = []
+            db.subscribe(events.append)
+            racer = threading.Thread(target=delete_papers,
+                                     args=(db, [target.pid]), daemon=True)
+            query = db.query
+
+            def query_then_race(sql, parameters=()):
+                rows = query(sql, parameters)
+                if sql.startswith("SELECT pid FROM dblp") and not racer.ident:
+                    racer.start()
+                    racer.join(0.2)
+                return rows
+
+            monkeypatch.setattr(db, "query", query_then_race)
+            moved = Paper(pid=target.pid, title=target.title, venue="RACED",
+                          year=target.year)
+            assert update_papers(db, [moved]) == {"dblp": 1}
+            racer.join(5)
+            assert not racer.is_alive()
+            (updated,) = [e for e in events if e.kind == TUPLES_UPDATED]
+            assert updated.rows
+            assert {(row["pid"], row["venue"]) for row in updated.rows} == {
+                (target.pid, "RACED")}
+            (deleted,) = [e for e in events if e.kind == TUPLES_DELETED]
+            assert {row["venue"] for row in deleted.old_rows} == {"RACED"}
+            assert target.pid not in db.paper_ids()
 
     def test_profiles_roundtrip(self, tiny_dataset):
         extractor = PreferenceExtractor(tiny_dataset)
