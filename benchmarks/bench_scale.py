@@ -5,32 +5,33 @@ Every other benchmark in this directory runs at 220–800 papers; this one
 publishes how the serving path grows with the *relation*.  Per size and
 backend it builds the world through the public front doors, serves 40 users
 once cold (fresh server, session LRU large enough to hold them) and then
-warm, and writes ``BENCH_scale.json``: build phases, cold/warm latency, and
-the three work counters :class:`~repro.algorithms.peps.PEPSAlgorithm`
-records per call.  Then, with the 40 sessions resident, it inserts, rewrites
-in place and deletes one 2-author paper: latency per kind, plus what the
-sweep did — ``predicate_row_tests`` (the relevance evaluations its one
-:class:`~repro.index.RowMatch` made) and ``index_entries_dropped`` (counts and
-id lists dropped from the shared stores; sessions hold none).
+warm, and writes ``BENCH_scale.json``: build phases, cold/warm latency, the
+two work counters :class:`~repro.algorithms.peps.PEPSAlgorithm` records per
+call, and ``cold_id_fetches`` — the id lists the shared runner fetched over
+the cold reads, which is every statement a cold read issues besides its
+profile read.  Then, with the 40 sessions resident, it inserts, rewrites in
+place and deletes one 2-author paper: latency per kind, plus what the sweep
+did — ``predicate_row_tests`` (the relevance evaluations its one
+:class:`~repro.index.RowMatch` made) and ``index_entries_dropped`` (id lists
+dropped from the shared memo; sessions hold none).
 
 The gate is on the counters, not the clock.  A cold read folds every
 preference's id list once, so ``memberships_folded`` (= Σ|ids|, pinned to
 that meaning by ``tests/test_peps_cold_path.py``) is the input size of the
-read; ``tuples_scored + combinations_scanned`` is what PEPS does with it:
-one score per covered tuple, and a combination scan that stops after a
-bounded number of records.  Their ratio must not grow with the relation, at
-any machine speed.  The counters must also be equal on both engines: they
-count answers, not storage work — and so must the two mutation counters,
-which depend on the resident predicates and the mutation rows alone: a sweep
-evaluates each distinct predicate text it is asked about once per row, and
-it is only ever asked about a resident preference or one of its conjuncts —
-never about a pair, however many pairs the sessions hold.
+read; ``tuples_scored`` is what PEPS does with it: one score per covered
+tuple.  Their ratio must not grow with the relation, at any machine speed.
+Serving counts no pair, so the shared count cache must see no miss.  The
+counters must also be equal on both engines: they count answers, not
+storage work — and so must the two mutation counters, which depend on the
+resident predicates and the mutation rows alone: a sweep evaluates each
+distinct predicate text it is asked about once per row, and it is only ever
+asked about a resident preference or one of its conjuncts.
 
 The 40 users are a systematic sample of the *typical* mined profiles (at
 most 64 preferences, the same cut the end-to-end benchmark's ``typical``
 population uses).  That holds profile width steady while the relation grows
-100×: the pair table is quadratic in profile width by design, and the
-productive authors of a 30 000-paper world mine thousands of preferences.
+100×: the productive authors of a 30 000-paper world mine thousands of
+preferences.
 
 ``pytest benchmarks/bench_scale.py -q -s`` runs 300 and 3 000 papers (2 s);
 the 30 000-paper row (15 s, most of it mining 6 400 profiles) is opt-in:
@@ -67,7 +68,7 @@ MUTATIONS = ("insert", "update", "delete")
 MUTATION_COUNTERS = ("predicate_row_tests", "index_entries_dropped")
 #: Every machine-independent field of a row: equal on both engines here, and
 #: equal to the committed ``BENCH_scale.json``'s in CI's ``scale-benchmark`` job.
-WORK_COUNTERS = ("tuples_scored", "memberships_folded", "combinations_scanned",
+WORK_COUNTERS = ("tuples_scored", "memberships_folded", "cold_id_fetches",
                  *(f"{kind}_{counter}" for kind in MUTATIONS
                    for counter in MUTATION_COUNTERS))
 
@@ -109,9 +110,9 @@ def _mutate(server: TopKServer, dataset) -> dict:
         "delete": lambda: server.delete_tuples([deleted.pid]),
     }
     # Every text a sweep can be asked about: a resident preference (the
-    # result cache asks) or one of its conjuncts (the stores and sessions do).
+    # result cache asks) or one of its conjuncts (the id-list memo does).
     preferences = [pref for uid in server.sessions.resident_uids()
-                   for pref in server.sessions.peek(uid).index.preferences]
+                   for pref in server.sessions.peek(uid).algorithm().preferences]
     resident_texts = {pref.sql for pref in preferences}.union(
         *(CountCache.key(pref.predicate) for pref in preferences))
     measured = {}
@@ -151,22 +152,26 @@ def _measure(papers: int) -> list:
         server = TopKServer(db, capacity=2 * USERS)
         try:
             cold_ms = []
-            work = {"tuples_scored": 0, "memberships_folded": 0,
-                    "combinations_scanned": 0}
+            work = {"tuples_scored": 0, "memberships_folded": 0}
+            runner = server.sessions.runner
+            fetched = runner.queries_executed
             for uid in uids:
                 started = now()
                 result = server.top_k(uid, K)
                 cold_ms.append((now() - started) * 1e3)
                 assert not result.cache_hit
-                peps = server.sessions.get_or_create(uid).algorithm()
+                peps = server.sessions.peek(uid).algorithm()
                 for counter in work:
                     work[counter] += getattr(peps, counter)
+            work["cold_id_fetches"] = runner.queries_executed - fetched
             started = now()
             for _ in range(WARM_ROUNDS):
                 for uid in uids:
                     server.top_k(uid, K)
             warm_us = (now() - started) * 1e6 / (WARM_ROUNDS * len(uids))
             mutated = _mutate(server, dataset)
+            assert server.metrics()["index.count_cache.misses"] == 0, (
+                "serving counted a predicate")
         finally:
             server.close()
             db.close()
@@ -178,8 +183,7 @@ def _measure(papers: int) -> list:
             "cold_ms_max": max(cold_ms), "warm_us_mean": warm_us,
             **work, **mutated,
             "work_per_membership": (
-                (work["tuples_scored"] + work["combinations_scanned"])
-                / max(1, work["memberships_folded"])),
+                work["tuples_scored"] / max(1, work["memberships_folded"])),
         })
     return rows
 
@@ -198,7 +202,7 @@ def _publish(rows) -> None:
              "warm_us": f"{row['warm_us_mean']:.1f}",
              "memberships": row["memberships_folded"],
              "scored": row["tuples_scored"],
-             "scanned": row["combinations_scanned"],
+             "id_fetches": row["cold_id_fetches"],
              "work/membership": f"{row['work_per_membership']:.3f}"}
             for row in rows]))
     reporting.print_report(

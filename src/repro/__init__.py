@@ -50,7 +50,8 @@ Algorithms and Top-K
     :class:`CombineTwoAlgorithm` — §5.3.1 pairwise combination.
     :class:`PartiallyCombineAllAlgorithm` — §5.3.2 mixed-clause combination.
     :class:`BiasRandomSelectionAlgorithm` — §5.4 randomised selection.
-    :class:`PEPSAlgorithm` — §5.5 Top-K via the pairwise index.
+    :class:`PEPSAlgorithm` — §5.5 Top-K: one fold over the preferences'
+    id lists (the pairwise index backs only its ``ORDER`` list).
     :class:`ThresholdAlgorithm` / :class:`NaiveTopK` / :func:`ta_top_k` —
     Fagin's TA baseline and the brute-force reference.
 
@@ -63,7 +64,7 @@ Serving engine (:mod:`repro.serving`)
     :class:`TopKServer` — thread-safe multi-user Top-K front door with an
     update-aware result cache and per-request metrics.
     :class:`SessionRegistry` — LRU of resident user sessions sharing one
-    count cache.
+    id-list memo.
     :class:`ResultCache` — materialised Top-K answers, invalidated by
     profile events and selectively by data mutations (insert/delete/update).
     :class:`OpMix` / :func:`apply_op` — the one op vocabulary

@@ -32,8 +32,9 @@ Combination counting (Propositions 3/4)
     :func:`growth_table` — closed-form bounds and their growth series.
 
 Top-K retrieval
-    :class:`PEPSAlgorithm` / :func:`peps_top_k` — §5.5 Top-K over the
-    pairwise combination index (see :mod:`repro.index`).
+    :class:`PEPSAlgorithm` / :func:`peps_top_k` — §5.5 Top-K: one fold over
+    the positive preferences' id lists; the pairwise combination index (see
+    :mod:`repro.index`) backs only its ``ORDER`` list.
     :class:`PairCombination` — the pair index's row type (re-exported from
     :mod:`repro.index`).
     :class:`ThresholdAlgorithm` / :func:`ta_top_k` — Fagin's TA baseline.

@@ -168,20 +168,20 @@ class PreferenceQueryRunner:
         return self.count(predicate) > 0
 
     def invalidate_matching(self, match: RowMatch) -> int:
-        """Selectively invalidate after a data mutation changed the relation.
+        """Selectively invalidate the id lists after a data mutation.
 
-        Drops the memoised id lists *and* the shared count-cache entries
-        whose predicate may match one of the mutation rows (pre ∪ post
-        image).  Both stores key an entry by its conjuncts
-        (:meth:`CountCache.key`) and a key is stale iff ``match.shared(key)``
-        is non-zero; everything provably unaffected stays cached.  Returns
-        the number of entries dropped across both caches.
+        Drops the memoised id lists whose predicate may match one of the
+        mutation rows (pre ∪ post image): a list is keyed by its conjuncts
+        (:meth:`CountCache.key`) and is stale iff ``match.shared(key)`` is
+        non-zero; everything provably unaffected stays cached.  Counts are
+        the count cache's own (:meth:`CountCache.invalidate_matching`).
+        Returns the number of id lists dropped.
         """
         stale_ids = ([key for key in self._ids_cache if match.shared(key)]
                      if match.rows else ())
         for key in stale_ids:
             del self._ids_cache[key]
-        return len(stale_ids) + self.count_cache.invalidate_matching(match)
+        return len(stale_ids)
 
     def clear(self) -> None:
         """Drop this runner's cached results (used between benchmark reps).

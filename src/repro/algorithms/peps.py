@@ -1,35 +1,40 @@
 """PEPS — Practical and Efficient Preference Selection (paper Section 5.5).
 
-PEPS is the dissertation's Top-K algorithm.  It relies on a *pre-computed
-pairwise combination index*: for every AND-compatible pair of preferences the
-combined intensity and the number of returned tuples are stored whenever the
-pair is applicable.  Starting from the highest-intensity preference, PEPS
-expands those pairs into multi-predicate AND combinations (a stack-based
-exploration), pruning extensions whose pairwise sub-combinations are known to
-be empty, and emits combinations ordered by combined intensity.  Tuples are
-then retrieved combination-by-combination until ``k`` are collected.
+PEPS is the dissertation's Top-K algorithm.  A tuple's score is the combined
+intensity (``f_and``, Eq. 4.3) of the positive preferences it matches, and
+the answer is the total order those scores define over every covered tuple.
+:meth:`PEPSAlgorithm.top_k` computes exactly that with one fold: each
+preference's id list is read once and walked once, and the ``k`` best tuples
+are cut from the scores.
 
-The pair index lives in :mod:`repro.index`:
-:class:`~repro.index.IncrementalPairIndex` (batched counts, emptiness
-pre-filter, re-counts only what a data mutation invalidated).  Pass one in to
-reuse its table across PEPS instances over the same preference list.
+The paper's pre-computed pairwise combination index — every AND-compatible
+pair's combined intensity and tuple count — and the ``ORDER`` list of
+multi-predicate combinations it expands into (:meth:`order_combinations`) are
+kept for the paper's figures.  They cannot change the answer, so Top-K never
+builds them: :attr:`PEPSAlgorithm.pair_index`
+(:class:`~repro.index.IncrementalPairIndex`) is built the first time
+:meth:`order_combinations` asks for it.  Pass one in to reuse its table across
+PEPS instances over the same preference list.
 
-Two variants exist (Sections 5.5.1 / 5.5.2):
+Two variants of the ``ORDER`` list exist (Sections 5.5.1 / 5.5.2):
 
 * **Complete PEPS** keeps every pair that could still beat the current best
   intensity given enough additional predicates (Proposition 6).
 * **Approximate PEPS** keeps only pairs that already beat the top
   preference's intensity, trading a little completeness for speed.
+
+Both return the same Top-K; they differ only in the size of that list.
 """
 
 from __future__ import annotations
 
-from heapq import heappush, heapreplace
+from heapq import nsmallest
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.intensity import combine_and, min_preferences_to_beat
 from ..core.predicate import Or, conjunction
 from ..exceptions import EmptyPreferenceListError, TopKError
+from ..index.count_cache import CountCache
 from ..index.pair_index import IncrementalPairIndex, PairCombination
 from ..telemetry import annotate
 from .base import (
@@ -40,8 +45,14 @@ from .base import (
 )
 
 
+def _best_first(entry: Tuple[int, float]) -> Tuple[float, int]:
+    """Ranking key: descending score, then ascending pid."""
+    return (-entry[1], entry[0])
+
+
 class PEPSAlgorithm:
-    """Practical and Efficient Preference Selection (complete or approximate)."""
+    """Practical and Efficient Preference Selection (complete or approximate)
+    over a list of positive preferences."""
 
     def __init__(self, runner: PreferenceQueryRunner,
                  preferences: Sequence[ScoredPreference],
@@ -53,18 +64,31 @@ class PEPSAlgorithm:
         self.preferences = ordered_by_intensity(preferences)
         if not self.preferences:
             raise EmptyPreferenceListError("PEPS requires at least one preference")
+        if self.preferences[-1].intensity <= 0.0:
+            raise TopKError(
+                f"PEPS scores positive preferences only, got "
+                f"{self.preferences[-1]!r}")
         self.approximate = approximate
         self.max_combination_size = max(2, max_combination_size)
         self.max_combinations = max(1, max_combinations)
-        self.pair_index = (pair_index if pair_index is not None
-                           else IncrementalPairIndex(runner, self.preferences))
+        self._pair_index = pair_index
+        #: Each preference's conjunct keys, in preference order — what the
+        #: sweep's staleness rule reads in the answers cached from this
+        #: instance.
+        self.conjuncts = [CountCache.key(pref.predicate)
+                          for pref in self.preferences]
         #: Work done by the most recent :meth:`top_k` / :meth:`retrieved_above`
         #: call — machine-independent, so tests gate on these, not on a clock:
-        #: tuples given a score, id-list entries folded into the scores, and
-        #: combination records whose id list was read before the scan stopped.
+        #: tuples given a score and id-list entries folded into the scores.
         self.tuples_scored = 0
         self.memberships_folded = 0
-        self.combinations_scanned = 0
+
+    @property
+    def pair_index(self) -> IncrementalPairIndex:
+        """The pair table behind :meth:`order_combinations`, built on first use."""
+        if self._pair_index is None:
+            self._pair_index = IncrementalPairIndex(self.runner, self.preferences)
+        return self._pair_index
 
     # ------------------------------------------------------------------
     # Combination ordering
@@ -194,93 +218,45 @@ class PEPSAlgorithm:
               min_intensity: Optional[float] = None) -> List[Tuple[int, float]]:
         """Return the ``k`` most preferred tuples as ``(pid, intensity)`` pairs.
 
-        Tuples are *discovered* combination-by-combination in descending order
-        of combined intensity (the expensive part PEPS optimises); every
-        discovered tuple is then *scored* with the combined intensity of the
-        preferences it actually matches, so the final order is exactly the
-        total order the intensity values define.  ``min_intensity`` optionally
-        cuts the scan at a score threshold instead of a count, matching the
-        Figure 37/38 experiment.
+        Every covered tuple is scored with the combined intensity of the
+        preferences it matches, so the order is exactly the total order the
+        intensity values define (ties broken by ascending pid).
+        ``min_intensity`` cuts at a score threshold instead of a count,
+        matching the Figure 37/38 experiment.
         """
         if k <= 0:
             raise TopKError("k must be positive")
         if min_intensity is not None:
             return self.retrieved_above(min_intensity)
-        return self._ranking(k=k)[:k]
+        return nsmallest(k, self._scores(), key=_best_first)
 
     def retrieved_above(self, min_intensity: float) -> List[Tuple[int, float]]:
         """All tuples whose combined intensity reaches ``min_intensity``."""
-        return [entry for entry in self._ranking(min_intensity=min_intensity)
-                if entry[1] >= min_intensity]
+        return sorted((entry for entry in self._scores()
+                       if entry[1] >= min_intensity), key=_best_first)
 
-    def _ranking(self, k: Optional[int] = None,
-                 min_intensity: Optional[float] = None
-                 ) -> List[Tuple[int, float]]:
-        """Every discovered and covered tuple with its exact score, best first.
+    def _scores(self) -> List[Tuple[int, float]]:
+        """Every covered tuple with its exact score, in no particular order.
 
-        The combination scan stops at the first record below
-        ``min_intensity`` (threshold mode) or, given ``k`` instead, as soon
-        as the k-th best score found so far reaches the next record's
-        intensity (count mode).
+        A transient inverted map: pid -> prod(1 - intensity) over the
+        preferences matching it.  Each id list is walked once, in preference
+        order, so the product runs through exactly the factors, in exactly
+        the order, of ``combine_and`` over the tuple's matched intensities —
+        the scores are the same floats, for O(sum |ids|).
         """
-        ordered = self.order_combinations(include_singletons=True)
-        # Transient inverted map: pid -> prod(1 - intensity) over the positive
-        # preferences matching it.  Each id list is walked once, in
-        # preference order, so the product runs through exactly the factors,
-        # in exactly the order, of ``combine_and`` over the tuple's matched
-        # intensities — the scores are the same floats, for O(sum |ids|).
         remainder: Dict[int, float] = {}
         memberships = 0
         for pref in self.preferences:
-            if pref.intensity <= 0.0:
-                continue
             miss = 1.0 - pref.intensity
             pids = self.runner.ids(pref.predicate)
             memberships += len(pids)
             for pid in pids:
                 remainder[pid] = remainder.get(pid, 1.0) * miss
-        scores: Dict[int, float] = {}
-        best: List[float] = []  # min-heap of the k best scores discovered
-        scanned = 0
-        for record in ordered:
-            if min_intensity is not None:
-                if record.intensity < min_intensity:
-                    break
-            elif len(best) == k and best[0] >= record.intensity:
-                # Sound stopping rule: every undiscovered tuple's exact score
-                # is bounded by the intensity of its (not yet processed) full
-                # combination, which cannot exceed the current record's
-                # intensity because combinations are processed in descending
-                # order.  Once the current k-th best score reaches that bound
-                # no later combination can change the Top-K.
-                break
-            scanned += 1
-            for pid in self.runner.ids(record.predicate):
-                if pid in scores:
-                    continue
-                # A tuple only non-positive preferences match scores 0.
-                score = scores[pid] = (1.0 - remainder[pid]
-                                       if pid in remainder else 0.0)
-                if k is None:
-                    continue
-                if len(best) < k:
-                    heappush(best, score)
-                elif score > best[0]:
-                    heapreplace(best, score)
-        # The combination scan can stop early (or be truncated by the
-        # expansion caps); fold in every tuple covered by a single preference
-        # so the produced order is the complete total order over covered
-        # tuples — the guarantee the paper's system provides.
-        for pid, missed in remainder.items():
-            if pid not in scores:
-                scores[pid] = 1.0 - missed
-        self.tuples_scored = len(scores)
+        self.tuples_scored = len(remainder)
         self.memberships_folded = memberships
-        self.combinations_scanned = scanned
         annotate("tuples_scored", self.tuples_scored)
         annotate("memberships_folded", memberships)
-        annotate("combinations_scanned", scanned)
-        return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        return [(pid, 1.0 - missed) for pid, missed in remainder.items()]
 
 
 def peps_top_k(runner: PreferenceQueryRunner,

@@ -57,7 +57,8 @@ from ..core.predicate import (
 )
 from ..core.preference import ProfileRegistry, QualitativePreference, QuantitativePreference
 from ..exceptions import RelationalError, WorkloadError
-from ..sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED, DataMutation
+from ..sqldb.events import (TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED,
+                            DataMutation, deliver)
 from ..sqldb.query_builder import BATCH_COUNT_CHUNK
 from ..workload.loader import _joined_rows
 
@@ -180,10 +181,11 @@ class MemoryBackend:
         return bool(self._listeners)
 
     def notify(self, mutation: DataMutation) -> None:
-        """Deliver ``mutation`` to every subscriber (raises once closed)."""
+        """Deliver ``mutation`` to every subscriber, even past one that
+        raises (see :func:`~repro.sqldb.events.deliver`; raises once
+        closed)."""
         self._require_open()
-        for listener in tuple(self._listeners):
-            listener(mutation)
+        deliver(self._listeners, mutation)
 
     # -- joined-view maintenance --------------------------------------------------
 

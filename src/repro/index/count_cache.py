@@ -22,9 +22,9 @@ build.  :class:`CountCache` centralises the answers:
 Statistics (``hits``, ``misses``, ``statements``) are tracked so tests and
 benchmarks can assert the batching and reuse actually happen.
 
-The cache is **thread-safe**: the serving layer shares one instance across
-every resident user session and serves requests from worker threads, so all
-lookups and mutations hold an internal re-entrant lock.  The backend
+The cache is **thread-safe**: any number of threads may share one instance
+(the serving layer's shared runner owns one, though its Top-K fold counts
+nothing), so all lookups and mutations hold an internal re-entrant lock.  The backend
 round-trip itself, however, runs **outside** that lock — holding it across
 the query would serialise every other session's lookups on the slowest
 count (the dominant contention the multi-threaded load harness measured).

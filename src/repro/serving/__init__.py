@@ -3,8 +3,7 @@
 This subsystem is the layer the ROADMAP's "heavy traffic from millions of
 users" target plugs into: instead of rebuilding one user's state per query
 (the seed behaviour), many users' HYPRE state stays **resident** behind an
-LRU, all sessions share one batched
-:class:`~repro.index.CountCache`, and finished Top-K answers are
+LRU, all sessions share one id-list memo, and finished Top-K answers are
 **materialised** and kept exactly as fresh as one event stream proves
 necessary — the full tuple-mutation spectrum (inserts, deletes, in-place
 updates) from :mod:`repro.sqldb.events`; a profile update persists, drops
@@ -24,11 +23,11 @@ Public API
 :class:`ServeResult` / :class:`UpdateReport` / :class:`DataMutationReport`
     The per-request metrics records.
 :class:`SessionRegistry`
-    Capacity-bounded LRU of resident user sessions sharing one count cache,
-    with hit/miss/eviction statistics.
+    Capacity-bounded LRU of resident user sessions sharing one id-list
+    memo, with hit/miss/eviction statistics.
 :class:`UserSession`
     One user's resident state, a snapshot of one persisted profile: HYPRE
-    graph + pair index + PEPS instance.
+    graph + PEPS instance (no pair table).
 :class:`ResultCache`
     Materialised ``(uid, k) -> ranking`` answers, invalidated per-user by
     profile updates and *selectively* by data-mutation events.

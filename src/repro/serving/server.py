@@ -17,10 +17,9 @@
   :func:`~repro.workload.loader.append_papers` /
   :func:`~repro.workload.loader.delete_papers` /
   :func:`~repro.workload.loader.update_papers`; the resulting
-  :class:`~repro.sqldb.events.DataMutation` selectively invalidates the
-  shared count/id caches, every resident pair index and only the cached
-  answers whose predicates may match the mutation's pre- or post-image
-  rows.
+  :class:`~repro.sqldb.events.DataMutation` selectively prunes the shared
+  id-list memo and repairs or drops only the cached answers whose
+  predicates may match the mutation's pre- or post-image rows.
 
 Every request returns a metrics record (cache hit, SQL statements issued,
 wall-clock seconds) so benchmarks and operators can attribute cost; a door
@@ -33,7 +32,7 @@ that raises counts the error by kind
 brings every cache layer up to date through one shared
 :class:`~repro.index.RowMatch` and returns the impact the report carries.
 A mutation that raises before its sweep completed may still have committed,
-so the server then forgets every cached answer, session, count and id list:
+so the server then forgets every cached answer, session and id list:
 after a fault it serves the exact answer or refuses, never a stale one.
 
 **Locking.**  Warm reads take no server lock; everything else — cold read,
@@ -144,7 +143,7 @@ class DataMutationReport:
     joined_rows: int
     results_invalidated: int
     results_spared: int
-    #: Counts and id lists dropped from the shared stores (sessions hold none).
+    #: Id lists dropped from the shared memo (sessions hold none).
     index_entries_dropped: int
     sql_statements: int
     seconds: float
@@ -329,11 +328,10 @@ class TopKServer:
             self._errors[key] = self._errors.get(key, 0) + 1
 
     def _forget(self) -> None:
-        """Drop every cached answer, resident session, count and id list."""
+        """Drop every cached answer, resident session and id list."""
         self.results.clear()
         for uid in self.sessions.resident_uids():
             self.sessions.evict(uid)
-        self.sessions.count_cache.clear()
         self.sessions.runner.clear()
 
     def _bump(self, reads: int = 0, read_hits: int = 0, updates: int = 0,
@@ -359,8 +357,8 @@ class TopKServer:
         cached answers are dropped.  The next read rebuilds the session from
         the staging tables through the same
         :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_profile`
-        every other build uses, re-counting only the pairs the shared count
-        cache has not seen.
+        every other build uses, fetching only the id lists the shared memo
+        does not hold.
         """
         try:
             if profile.uid != uid:
@@ -403,8 +401,8 @@ class TopKServer:
         Warm requests are served straight from the result cache — zero SQL
         statements and **no server-level lock** (see the module docstring),
         the acceptance criterion of the serving benchmark and the load
-        harness' hot path.  Cold requests take the server lock,
-        build/refresh the user's session, run PEPS and materialise the
+        harness' hot path.  Cold requests take the server lock, find or
+        build the user's session, run its PEPS fold and materialise the
         answer for the next caller while still holding it.
         """
         try:
@@ -459,7 +457,7 @@ class TopKServer:
                 buffer, complete = session.top_k_buffer(k, REPAIR_MARGIN * k)
             peps = session.algorithm()
             self.results.put(
-                uid, k, buffer, complete, peps.pair_index.conjuncts,
+                uid, k, buffer, complete, peps.conjuncts,
                 [pref.intensity for pref in peps.preferences], epoch=epoch)
             ranking = tuple(buffer[:k])
             self._bump(reads=1, stripe_acquisitions=1)
@@ -491,10 +489,9 @@ class TopKServer:
         """Delete workload tuples and selectively invalidate every cache.
 
         The delete commits and then notifies with the removed rows'
-        *pre-image*, so by the time this returns every cached answer, count
-        and id list a removed tuple may have contributed to is gone —
-        including id-list memos, which deletes shrink in a way counts alone
-        would not reveal — and everything provably unaffected survived.
+        *pre-image*, so by the time this returns every cached answer and id
+        list a removed tuple may have contributed to is repaired or gone,
+        and everything provably unaffected survived.
         """
         pids = list(pids)
         return self._mutate(TUPLES_DELETED, len(pids),
@@ -616,10 +613,13 @@ class TopKServer:
 
         The one introspection surface: names follow the telemetry naming
         scheme (``serving.server.reads``, ``serving.results.hits``,
-        ``index.count_cache.misses``,
         ``backend.<name>.statements_executed``), so the mapping plugs
         straight into a :class:`~repro.telemetry.MetricsRegistry` as a
         snapshot adapter.
+
+        ``index.count_cache.*`` reads the shared runner's count cache, which
+        serving never consults: the keys stay, at 0, because the end-to-end
+        benchmark reads them by name.
         """
         with self._stats_lock:
             flat: Dict[str, Union[int, float]] = {
@@ -639,7 +639,7 @@ class TopKServer:
             component = ("result_cache" if key in _REPAIR_METRIC_KEYS
                          else "results")
             flat[f"serving.{component}.{key}"] = value
-        count_cache = self.sessions.count_cache
+        count_cache = self.sessions.runner.count_cache
         flat["index.count_cache.entries"] = len(count_cache)
         flat["index.count_cache.hits"] = count_cache.hits
         flat["index.count_cache.misses"] = count_cache.misses
@@ -653,7 +653,7 @@ def fresh_top_k(db: StorageBackend, uid: int, k: int) -> List[Tuple[int, float]]
     """Recompute one user's Top-K from scratch — the serving-path oracle.
 
     Reads the profile from the staging tables, builds a fresh HYPRE graph and
-    a fresh (unshared) runner, and runs PEPS with a from-scratch pair index.
+    a fresh (unshared) runner, and runs PEPS over fresh id lists.
     Used by the equivalence tests and the no-cache replay baseline: whatever
     :meth:`TopKServer.top_k` serves must equal this after every mutation.
     """

@@ -4,17 +4,17 @@ A :class:`UserSession` is the resident state the serving engine keeps for one
 user between requests: an immutable snapshot of one persisted profile — the
 user's HYPRE graph, built by the same
 :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_profile` the oracles
-use (all quantitative preferences, then all qualitative ones), the
-:class:`~repro.index.IncrementalPairIndex` over that graph's preference list,
-and the most recent :class:`~repro.algorithms.peps.PEPSAlgorithm` instance
-wired to both.  A profile update never touches a live session: the server
-*persists, drops, rebuilds* — the next read builds a new session from the
-staging tables, so a session that lived through updates and one rebuilt after
-eviction cannot differ.  Sessions never own a count store — every session
-shares the registry's one :class:`~repro.index.CountCache` (through a shared
-:class:`~repro.algorithms.base.PreferenceQueryRunner`), so predicate counts
-learned while serving one user are reused for every other user whose profile
-mentions the same predicate, and by that user's own next session.
+use (all quantitative preferences, then all qualitative ones) — and the one
+:class:`~repro.algorithms.peps.PEPSAlgorithm` over that graph's preference
+list.  A session holds no pair table and no count: a Top-K is one id list per
+preference, folded.  A profile update never touches a live session: the
+server *persists, drops, rebuilds* — the next read builds a new session from
+the staging tables, so a session that lived through updates and one rebuilt
+after eviction cannot differ.  Every session reads its id lists through the
+registry's one shared :class:`~repro.algorithms.base.PreferenceQueryRunner`,
+so an id list fetched while serving one user is reused for every other user
+whose profile mentions the same predicate, and by that user's own next
+session.
 
 :class:`SessionRegistry` bounds how many sessions stay resident: it is an LRU
 keyed by uid with drop statistics by reason, guarded by its own re-entrant
@@ -38,15 +38,15 @@ from ..backend.protocol import StorageBackend
 from ..core.hypre.builder import HypreGraphBuilder
 from ..core.preference import UserProfile
 from ..exceptions import ServingError
-from ..index import CountCache, IncrementalPairIndex, RowMatch
-from ..telemetry import annotate, span
+from ..index import RowMatch
+from ..telemetry import span
 
 ProfileLoader = Callable[[int], Optional[UserProfile]]
 
 
 class UserSession:
-    """One user's resident serving state (graph + pair index + PEPS), a
-    snapshot of the ``profile`` it was built from."""
+    """One user's resident serving state (graph + PEPS), a snapshot of the
+    ``profile`` it was built from."""
 
     def __init__(self, uid: int, runner: PreferenceQueryRunner,
                  profile: UserProfile) -> None:
@@ -54,12 +54,9 @@ class UserSession:
             raise ServingError(
                 f"profile for uid={profile.uid} given to session uid={uid}")
         self.uid = uid
-        self.runner = runner
         self.builder = HypreGraphBuilder()
         self.builder.build_profile(profile)
-        self.index = IncrementalPairIndex(
-            runner, preferences_from_graph(self.hypre, uid))
-        self._peps: Optional[PEPSAlgorithm] = None
+        self._peps = PEPSAlgorithm(runner, preferences_from_graph(self.hypre, uid))
         #: Number of Top-K computations served by this session.
         self.queries_served = 0
 
@@ -69,16 +66,7 @@ class UserSession:
         return self.builder.hypre
 
     def algorithm(self) -> PEPSAlgorithm:
-        """The session's PEPS instance, rebuilt only when the index is stale.
-
-        A PEPS instance captures the pair table positionally, so it is
-        replaced whenever a data mutation may have changed a pair count;
-        between mutations the same instance serves every request.
-        """
-        if self._peps is None or self.index.stale:
-            self._peps = PEPSAlgorithm(
-                self.runner, self.index.refresh().preferences,
-                pair_index=self.index)
+        """The session's PEPS instance: one per session, for its lifetime."""
         return self._peps
 
     def top_k_buffer(self, k: int, delta: int = 0):
@@ -87,18 +75,18 @@ class UserSession:
         is its first ``k`` entries, and the serving engine caches the whole
         buffer so data mutations can repair the answer in place."""
         self.queries_served += 1
-        return self.algorithm().top_k_buffer(k, delta)
+        return self._peps.top_k_buffer(k, delta)
 
     def preference_count(self) -> int:
         """Number of algorithm-usable (positive quantitative) preferences."""
-        return len(preferences_from_graph(self.hypre, self.uid))
+        return len(self._peps.preferences)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"UserSession(uid={self.uid}, queries={self.queries_served})"
 
 
 class SessionRegistry:
-    """Capacity-bounded LRU of :class:`UserSession` objects sharing one cache.
+    """Capacity-bounded LRU of :class:`UserSession` objects sharing one runner.
 
     ``capacity`` bounds the number of *resident* sessions; the least recently
     used session is evicted when a new user arrives at capacity.
@@ -117,16 +105,14 @@ class SessionRegistry:
 
     def __init__(self, db: StorageBackend,
                  capacity: int = 64,
-                 count_cache: Optional[CountCache] = None,
                  profile_loader: Optional[ProfileLoader] = None) -> None:
         if capacity < 1:
             raise ServingError("session capacity must be at least 1")
         self.db = db
         self.capacity = capacity
-        self.count_cache = count_cache if count_cache is not None else CountCache(db)
-        #: One shared runner: every session's counts and id lists flow through
-        #: the same memo stores, so sessions reuse each other's work.
-        self.runner = PreferenceQueryRunner(db, count_cache=self.count_cache)
+        #: One shared runner: every session's id lists flow through the same
+        #: memo, so sessions reuse each other's work.
+        self.runner = PreferenceQueryRunner(db)
         self.profile_loader = profile_loader
         # Guards the LRU dict and the counters; the server's big lock sits
         # strictly outside it (see lock ordering in :mod:`repro.concurrency`).
@@ -208,25 +194,15 @@ class SessionRegistry:
     # -- data-update fan-out ------------------------------------------------------
 
     def invalidate_matching(self, match: RowMatch) -> int:
-        """Propagate a data mutation to the shared stores and every resident
-        session's pair index.
+        """Propagate a data mutation to the shared id-list memo.
 
-        The shared runner (count cache + id lists) is invalidated once, then
-        each resident session's index marks itself stale if the mutation rows
-        (pre ∪ post image) may have changed one of its pairs — all through the
-        one ``match`` the sweep built, so a predicate many sessions share is
-        judged once.  Returns the number of entries dropped from the shared
-        stores (sessions hold none); the span carries the sessions' share.
+        Prunes every memoised id list whose predicate may match a mutation
+        row (pre ∪ post image), through the one ``match`` the sweep built.
+        Sessions hold nothing a mutation can stale: their PEPS reads the
+        memo.  Returns the number of id lists dropped.
         """
         with self._lock:
-            dropped = self.runner.invalidate_matching(match)
-            indexes = [session.index for session in self._sessions.values()]
-            visited = sum(index.pairs_visited for index in indexes)
-            annotate("sessions_stale", sum(
-                index.invalidate_matching(match) > 0 for index in indexes))
-            annotate("pairs_visited",
-                     sum(index.pairs_visited for index in indexes) - visited)
-            return dropped
+            return self.runner.invalidate_matching(match)
 
     # -- introspection ------------------------------------------------------------
 

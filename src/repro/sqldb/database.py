@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from ..exceptions import RelationalError
 from . import schema
-from .events import DataMutation
+from .events import DataMutation, deliver
 
 PathLike = Union[str, Path]
 
@@ -152,7 +152,8 @@ class Database:
         return bool(self._listeners)
 
     def notify(self, mutation: DataMutation) -> None:
-        """Deliver ``mutation`` to every subscriber.
+        """Deliver ``mutation`` to every subscriber, even past one that
+        raises (the first error is re-raised once all have run).
 
         Public so the loader (which alone knows the joined-row view of a
         mutation) can emit the event after committing.  Raises
@@ -161,8 +162,7 @@ class Database:
         for a connection that can no longer mutate is always a caller bug.
         """
         self._require_connection()
-        for listener in tuple(self._listeners):
-            listener(mutation)
+        deliver(self._listeners, mutation)
 
     # -- execution ---------------------------------------------------------------
 

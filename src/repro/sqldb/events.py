@@ -27,7 +27,7 @@ the update is the delta, the syntactic match is the relevance test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Tuple
+from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
 #: Rows were appended to the workload relation.
 TUPLES_INSERTED = "tuples_inserted"
@@ -93,3 +93,22 @@ class DataMutation:
 
     def __len__(self) -> int:
         return len(self.rows) + len(self.old_rows)
+
+
+def deliver(listeners: Iterable[Callable[[DataMutation], None]],
+            mutation: DataMutation) -> None:
+    """Call every listener with ``mutation``, then re-raise the first error.
+
+    The write behind ``mutation`` has already committed, so a listener that
+    raises must not keep the ones behind it from hearing about it: a cache
+    that missed the event would serve answers the write made stale.
+    """
+    first: Optional[BaseException] = None
+    for listener in tuple(listeners):
+        try:
+            listener(mutation)
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            if first is None:
+                first = exc
+    if first is not None:
+        raise first

@@ -146,7 +146,7 @@ def instrument_locks(server: Any,
         return handle
     _wrap(handle, server, "server")
     _wrap(handle, server.sessions, "sessions")
-    cache = server.sessions.count_cache
+    cache = server.sessions.runner.count_cache
     # The condition is rebuilt on the wrapper, so in-flight coalescing
     # parks and resumes through the lock the cache now holds.
     handle._swap(cache, "_cond", threading.Condition(

@@ -131,6 +131,7 @@ class TestAlgorithmExperiments:
         for row in rows:
             assert row["approximate_seconds"] > 0.0
             assert row["complete_seconds"] > 0.0
+            assert row["complete_order_list"] >= row["approximate_order_list"] > 0
 
     def test_prop3_4(self):
         result = figures.prop3_4_counting(max_n=10, verify_up_to=5)

@@ -1,14 +1,14 @@
 """The linear cold path: differentials, work gates and a golden ranking digest.
 
-PEPS scores through one inverted fold over the preferences' id lists, orders
-its combinations from positional views of the pair table, and the incremental
-index keys its refresh once per preference.  This module holds that path to
-three things:
+PEPS answers a Top-K with one inverted fold over the preferences' id lists
+and nothing else; the paper's ``ORDER`` list is ordered from positional views
+of the pair table, and the incremental index keys its refresh once per
+preference.  This module holds that path to three things:
 
 * **bit-identity** — ``top_k`` / ``top_k_buffer`` / ``retrieved_above`` equal
-  (``==`` on the floats) a brute-force reference that scans every id list per
-  tuple and re-sorts per record, and the positional views equal a scan of the
-  pair table, on both backends;
+  (``==`` on the floats) a brute-force reference that scans every positive id
+  list per tuple, ``order_combinations`` equals a scan of the pair table, and
+  the positional views equal the table, on both backends;
 * **work, not wall-clock** — the counters PEPS publishes and monkeypatched
   call counts bound the work per read, so a scan that creeps back in fails
   here instead of in a stopwatch;
@@ -32,6 +32,7 @@ from repro.algorithms.base import (
     preferences_from_graph,
 )
 from repro.algorithms.peps import PEPSAlgorithm
+from repro.exceptions import TopKError
 from repro.core.hypre import HypreGraphBuilder
 from repro.core.intensity import combine_and, min_preferences_to_beat
 from repro.core.predicate import conjunction
@@ -134,44 +135,27 @@ def reference_order(peps):
 
 
 def reference_ranking(peps, k=None, min_intensity=None):
-    """The scoring pass as a per-tuple scan of every positive id list.
-
-    Returns the ranking and the number of combination records scanned before
-    the stopping rule fired (the k-th best score re-sorted per record).
-    """
+    """The scoring pass as a per-tuple scan of every id list: each covered
+    tuple's score is ``combine_and`` over the intensities of the preferences
+    whose list holds it, ranked best first, pid ascending on ties."""
     ids = peps.runner.ids
     membership = [(pref.intensity, ids(pref.predicate))
-                  for pref in peps.preferences if pref.intensity > 0.0]
-
-    def exact(pid):
-        matched = [intensity for intensity, pids in membership if pid in pids]
-        return combine_and(matched) if matched else 0.0
-
-    scores = {}
-    scanned = 0
-    for _, _, intensity, predicate, _ in reference_order(peps):
-        if min_intensity is not None and intensity < min_intensity:
-            break
-        if min_intensity is None and len(scores) >= k:
-            if sorted(scores.values(), reverse=True)[k - 1] >= intensity:
-                break
-        scanned += 1
-        for pid in ids(predicate):
-            scores.setdefault(pid, exact(pid))
-    for _, pids in membership:
-        for pid in pids:
-            scores.setdefault(pid, exact(pid))
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+                  for pref in peps.preferences]
+    covered = {pid for _, pids in membership for pid in pids}
+    ranked = sorted(((pid, combine_and([intensity for intensity, pids
+                                        in membership if pid in pids]))
+                     for pid in covered),
+                    key=lambda item: (-item[1], item[0]))
     if min_intensity is not None:
-        return [entry for entry in ranked if entry[1] >= min_intensity], scanned
-    return ranked[:k], scanned
+        return [entry for entry in ranked if entry[1] >= min_intensity]
+    return ranked[:k]
 
 
 # -- hypothesis: PEPS against the reference --------------------------------------
 
 intensities = st.one_of(
-    st.sampled_from([0.0, -0.5, -1.0, 0.5, 1.0]),
-    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
+    st.sampled_from([0.5, 1.0, 5e-324]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
 preference_lists = st.lists(
     st.tuples(st.sampled_from(POOL), intensities),
     min_size=1, max_size=9, unique_by=lambda entry: entry[0])
@@ -192,38 +176,45 @@ property_settings = settings(
        threshold=st.sampled_from([0.0, 0.3, 0.8, 1.0]))
 def test_peps_equals_brute_force(runner, entries, approximate, caps, k, delta,
                                  threshold):
-    """Zero and negative intensities stay in the list on purpose: they join
-    combinations (a tuple only they match scores 0.0) but never the fold."""
-    preferences = make_preferences(entries, positive_only=False)
+    """Over positive lists: the answer is the brute-force ranking whatever
+    the variant or the ``ORDER`` list's caps, and reading it reads each id
+    list once and builds no pair table."""
+    preferences = make_preferences(entries)
     peps = PEPSAlgorithm(runner, preferences, approximate=approximate, **caps)
+
+    expected = reference_ranking(peps, k=k)
+    assert peps.top_k(k) == expected
+    assert peps._pair_index is None  # scoring never asked for the table
+    covered = set()
+    for pref in peps.preferences:
+        covered.update(runner.ids(pref.predicate))
+    assert peps.memberships_folded == sum(
+        len(runner.ids(pref.predicate)) for pref in peps.preferences)
+    assert peps.tuples_scored == len(covered)
+
+    buffer, complete = peps.top_k_buffer(k, delta)
+    assert buffer == reference_ranking(peps, k=k + delta)
+    assert complete == (len(buffer) < k + delta)
+
+    above = reference_ranking(peps, min_intensity=threshold)
+    assert peps.retrieved_above(threshold) == above
+    assert peps.top_k(k, min_intensity=threshold) == above
 
     ordered = peps.order_combinations()
     assert [(r.size, r.tuple_count, r.intensity, r.predicate, r.label)
             for r in ordered] == reference_order(peps)
 
-    expected, scanned = reference_ranking(peps, k=k)
-    assert peps.top_k(k) == expected
-    assert peps.combinations_scanned == scanned <= len(ordered)
-    covered = set()
-    for pref in peps.preferences:
-        if pref.intensity > 0.0:
-            covered.update(runner.ids(pref.predicate))
-    assert peps.memberships_folded == sum(
-        len(runner.ids(pref.predicate)) for pref in peps.preferences
-        if pref.intensity > 0.0)
-    assert peps.tuples_scored >= len(covered)
-    if all(pref.intensity > 0.0 for pref in peps.preferences):
-        assert peps.tuples_scored == len(covered)
 
-    buffer, complete = peps.top_k_buffer(k, delta)
-    expected, scanned = reference_ranking(peps, k=k + delta)
-    assert buffer == expected and peps.combinations_scanned == scanned
-    assert complete == (len(buffer) < k + delta)
-
-    above, scanned = reference_ranking(peps, min_intensity=threshold)
-    assert peps.retrieved_above(threshold) == above
-    assert peps.combinations_scanned == scanned
-    assert peps.top_k(k, min_intensity=threshold) == above
+@pytest.mark.parametrize("intensity", [0.0, -0.5, -1.0])
+def test_non_positive_preferences_are_refused(tiny_db, intensity):
+    """The fold scores what positive preferences match; a list holding a
+    zero or negative one is refused before anything is read."""
+    runner = PreferenceQueryRunner(tiny_db)
+    preferences = make_preferences(PROFILE[:3] + [(POOL[5], intensity)],
+                                   positive_only=False)
+    with pytest.raises(TopKError, match="positive preferences only"):
+        PEPSAlgorithm(runner, preferences)
+    assert runner.queries_executed == 0
 
 
 @property_settings
@@ -301,7 +292,7 @@ def test_views_follow_the_table_through_refreshes(tiny_dataset, backend):
         paper = Paper(pid=9001, title="t", venue="VLDB", year=2012)
         db.append_papers([paper], [(9001, 1)])
         match = RowMatch(db.joined_rows([9001]))
-        query_runner.invalidate_matching(match)
+        query_runner.count_cache.invalidate_matching(match)
         assert index.invalidate_matching(match) > 0
         index.refresh()
         assert_views_match_table(index)
@@ -389,7 +380,7 @@ def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):
         db.append_papers([Paper(pid=9001, title="t", venue="VLDB", year=2012)],
                          [(9001, 1)])
         match = RowMatch(db.joined_rows([9001]))
-        dropped = runner.invalidate_matching(match)
+        dropped = runner.count_cache.invalidate_matching(match)
         assert 0 < index.invalidate_matching(match) < 45
         misses_before = runner.count_cache.misses
         index.refresh()
@@ -402,17 +393,22 @@ def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):
         db.close()
 
 
-def test_counters_are_annotated_on_the_request_span(tiny_runner):
+def test_counters_are_annotated_on_the_request_span(tiny_db):
+    """The span carries the fold's two counters, and a read costs one id
+    list per preference and no count."""
     from repro.telemetry import Telemetry
 
+    runner = PreferenceQueryRunner(tiny_db)
     telemetry = Telemetry()
-    peps = PEPSAlgorithm(tiny_runner, make_preferences(PROFILE))
+    peps = PEPSAlgorithm(runner, make_preferences(PROFILE))
     with telemetry.trace("peps.top_k"):
         peps.top_k(5)
     notes = dict(telemetry.traces.snapshot()[-1].annotations)
-    assert notes["tuples_scored"] == peps.tuples_scored > 0
-    assert notes["memberships_folded"] == peps.memberships_folded > 0
-    assert notes["combinations_scanned"] == peps.combinations_scanned > 0
+    assert notes == {"tuples_scored": peps.tuples_scored,
+                     "memberships_folded": peps.memberships_folded}
+    assert peps.tuples_scored > 0 and peps.memberships_folded > 0
+    assert runner.queries_executed == len(PROFILE)
+    assert runner.count_cache.misses == runner.count_cache.hits == 0
 
 
 # -- golden rankings ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the per-user session registry (LRU, shared cache, rebuilds)."""
+"""Tests for the per-user session registry (LRU, shared id lists, rebuilds)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
-from repro.index import CountCache, RowMatch
+from repro.index import RowMatch
 from repro.serving.sessions import SessionRegistry
 from repro.sqldb.database import Database
 from repro.workload.dblp import DblpConfig, generate_dblp
@@ -45,18 +45,19 @@ class TestUserSession:
             registry.get_or_create(1, make_profile(2))
         assert 1 not in registry
 
-    def test_peps_instance_reused_until_stale(self, serving_db):
+    def test_one_peps_instance_per_session(self, serving_db):
+        """A session builds its PEPS once; a data mutation prunes the shared
+        id lists it reads and leaves the instance — which holds no pair
+        table — in place."""
         registry = SessionRegistry(serving_db, capacity=4)
         session = registry.get_or_create(1, make_profile(1))
         first = session.algorithm()
-        assert session.algorithm() is first
-        # A data mutation the profile's pairs may match drops their counts.
+        session.top_k_buffer(5)
         row = {"pid": 9001, "title": "t", "venue": VENUES[1], "year": 2011,
                "abstract": "", "aid": 1}
         assert registry.invalidate_matching(RowMatch([row])) > 0
-        assert session.index.stale
-        assert session.algorithm() is not first
-        assert not session.index.stale
+        assert session.algorithm() is first
+        assert first._pair_index is None
 
     def test_resident_session_ignores_a_handed_in_profile(self, serving_db):
         """Sessions are snapshots: only a drop replaces one."""
@@ -114,22 +115,15 @@ class TestSessionRegistryLRU:
             SessionRegistry(serving_db, capacity=0)
 
 
-class TestSharedCountCache:
-    def test_sessions_share_one_count_store(self, serving_db):
+class TestSharedIdLists:
+    def test_sessions_share_one_id_list_memo(self, serving_db):
         registry = SessionRegistry(serving_db, capacity=4)
         shared = UserProfile(uid=1)
         shared.add_quantitative("dblp.year >= 2005", 0.5)
         shared_too = UserProfile(uid=2)
         shared_too.add_quantitative("dblp.year >= 2005", 0.8)
         registry.get_or_create(1, shared).top_k_buffer(3)
-        misses_before = registry.count_cache.misses
+        fetched = registry.runner.queries_executed
         registry.get_or_create(2, shared_too).top_k_buffer(3)
-        # User 2's only predicate was already counted while serving user 1.
-        assert registry.count_cache.misses == misses_before
-
-    def test_external_cache_accepted(self, serving_db):
-        cache = CountCache(serving_db)
-        registry = SessionRegistry(serving_db, capacity=4, count_cache=cache)
-        assert registry.count_cache is cache
-        registry.get_or_create(1, make_profile(1)).top_k_buffer(3)
-        assert len(cache) > 0
+        # User 2's only predicate was already fetched while serving user 1.
+        assert registry.runner.queries_executed == fetched == 1

@@ -2,9 +2,11 @@
 
 Pins, on every registered storage backend: one mutation report type and
 valid ``metrics()`` names for one fixed script whose every answer equals
-``fresh_top_k``, a terminal ``close()``, and the fault contract's first
-rules — a failed sweep or a cold read whose backend raises surfaces at the
-door, is counted by kind and leaves nothing held, claimed or published.
+``fresh_top_k`` — built with no pair table and no count — a terminal
+``close()`` that waits out a parked cold read, and the fault contract's
+first rules — a failed sweep or a cold read whose backend raises surfaces
+at the door, is counted by kind and leaves nothing held or published, and a
+subscriber raising ahead of the server's leaves nothing stale.
 Also pins the construction surface (every settable parameter, by name), the
 lock set, and what a sweep guarantees: it judges relevance through one
 ``RowMatch`` — each distinct predicate once, the only ``exact_match_row``
@@ -30,17 +32,18 @@ from repro.cli import run_load, run_serve_replay, run_stats
 from repro.loadgen import (LoadConfig, LoadGenerator, build_world,
                            load_population, population)
 from repro.concurrency import TimedRLock
-from repro.core.predicate import (And, Condition, Or, are_and_compatible,
-                                  parse_predicate)
+from repro.core.predicate import And, Condition, Or, parse_predicate
 from repro.core.preference import UserProfile
 from repro.exceptions import ServingError
 from repro.algorithms.peps import PEPSAlgorithm
-from repro.index import IncrementalPairIndex, RowMatch, may_match_row
+from repro.index import (CountCache, IncrementalPairIndex, RowMatch,
+                         may_match_row)
 from repro.serving import DataMutationReport, TopKServer, fresh_top_k
 from repro.serving.results import CachedResult
-from repro.serving.sessions import UserSession
+from repro.serving.sessions import SessionRegistry, UserSession
 from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
 from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
+from repro.workload.loader import append_papers, delete_papers
 from repro.workload.dblp import DblpConfig, Paper
 from worlds import engine_world
 
@@ -116,6 +119,22 @@ def test_script_reports_and_metrics(surface):
     assert metrics["serving.server.updates"] == 1
 
 
+def test_serving_builds_no_pair_table_and_counts_nothing(surface, monkeypatch):
+    """Cold reads, a profile update and all three mutation kinds — and the
+    ``fresh_top_k`` oracle behind every answer — build no pair index and
+    count nothing: both raise here, and the script still runs exact."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("serving asked for a pair table or a count")
+
+    monkeypatch.setattr(IncrementalPairIndex, "__init__", refuse)
+    for name in ("count_many", "count_matching"):
+        monkeypatch.setattr(surface.db, name, refuse)
+    run_script(surface)
+    metrics = surface.metrics()
+    assert metrics["index.count_cache.misses"] == 0
+    assert metrics["index.count_cache.statements"] == 0
+
+
 def test_construction_surface_is_pinned():
     """Every settable parameter of the serving constructor, of what a
     session is built from, of the one runner and the world it drives, and
@@ -125,6 +144,7 @@ def test_construction_surface_is_pinned():
         IncrementalPairIndex: ["counter", "preferences"],
         UserSession: ["uid", "runner", "profile"],
         UserSession.algorithm: ["self"],
+        SessionRegistry: ["db", "capacity", "profile_loader"],
         PEPSAlgorithm: ["runner", "preferences", "approximate",
                         "max_combination_size", "max_combinations",
                         "pair_index"],
@@ -156,7 +176,7 @@ def test_lock_set_is_pinned(surface):
     shape ``repro.concurrency`` defines; a new lock is a deliberate edit of
     this list.  Restoring hands back every original object."""
     expected = ["server", "sessions", "count-cache", "result-cache"]
-    cache = surface.sessions.count_cache
+    cache = surface.sessions.runner.count_cache
     swapped = [(owner, "_lock") for owner in (surface, surface.sessions,
                                                cache, surface.results)]
     swapped.append((cache, "_cond"))
@@ -205,51 +225,114 @@ def test_failed_sweep_propagates_and_leaves_nothing_held(surface):
 
 
 def test_cold_read_whose_backend_raises_publishes_nothing(surface, monkeypatch):
-    """Fault contract, first rule: a cold read whose backend raises while a
-    resident-free user's session is built surfaces the error from
-    ``top_k`` and leaves nothing behind — the server lock is free (another
-    user's cold read from a second thread completes), no count is still
-    claimed in flight, no answer is published and no session is resident.
-    Once the backend answers again, the same read is exact."""
+    """Fault contract, first rule: a cold read whose backend raises while it
+    fetches a user's id lists surfaces the error from ``top_k`` and leaves
+    nothing behind — the server lock is free (another user's cold read from
+    a second thread completes), no id list is memoised and no answer is
+    published.  Once the backend answers again, the same read is exact."""
     uid, other = UIDS[:2]
-    db, cache = surface.db, surface.sessions.count_cache
+    db, runner = surface.db, surface.sessions.runner
     calls = []
 
-    def failing(predicates):
-        calls.append(len(predicates))
+    def failing(predicate):
+        calls.append(predicate)
         raise RuntimeError("backend down")
 
-    monkeypatch.setattr(db, "count_many", failing)
+    monkeypatch.setattr(db, "matching_paper_ids", failing)
     with pytest.raises(RuntimeError, match="backend down"):
         surface.top_k(uid, K)
-    assert calls  # the failure came from the session build's pair counts
+    assert calls  # the failure came from the fold's first id list
     assert surface.metrics()["serving.server.errors.top_k.runtime_error"] == 1
     monkeypatch.undo()
+    assert runner._ids_cache == {}
 
     outcome = {}
     start_and_join([threading.Thread(
         target=lambda: outcome.update(other=surface.top_k(other, K)),
         name="after-failed-cold-read", daemon=True)])
     assert list(outcome["other"].ranking) == fresh_top_k(db, other, K)
-    assert cache._inflight == set()
     assert surface.results.peek(uid, K) is None
-    assert uid not in surface.sessions
     served = surface.top_k(uid, K)
     assert not served.cache_hit
     assert list(served.ranking) == fresh_top_k(db, uid, K)
 
 
+def test_raising_subscriber_ahead_of_the_server_leaves_nothing_stale(backend):
+    """Fault contract: a ``DataMutation`` subscriber registered before the
+    server that raises must not keep the server's sweep from running.
+    Direct loader writes behind it raise its error, yet every answer cached
+    before them is repaired or dropped: served == ``fresh_top_k``."""
+    db = engine_world(backend, DBLP, len(UIDS))
+
+    def raising(mutation):
+        raise RuntimeError("subscriber failed")
+
+    db.subscribe(raising)
+    with TopKServer(db, capacity=16) as server:
+        tops = [server.top_k(uid, K).ranking[0][0] for uid in UIDS]
+        pid = db.max_paper_id()
+        for top in tops:
+            rows = db.joined_rows([top])
+            pid += 1
+            clone = Paper(pid=pid, title="Clone", venue=rows[0]["venue"],
+                          year=rows[0]["year"])
+            with pytest.raises(RuntimeError, match="subscriber failed"):
+                append_papers(db, [clone], [(pid, row["aid"]) for row in rows])
+        with pytest.raises(RuntimeError, match="subscriber failed"):
+            delete_papers(db, tops[:2])
+        for uid in UIDS:
+            assert list(server.top_k(uid, K).ranking) == fresh_top_k(db, uid, K)
+    db.close()
+
+
+def test_close_racing_a_cold_read_waits_then_refuses(surface, monkeypatch):
+    """Fault contract: ``close()`` from one thread while another's cold read
+    is parked in its id-list fetch waits for that read, then closes — the
+    read's answer does not outlive the close, and the next read refuses."""
+    uid, db = UIDS[0], surface.db
+    inside, release, closed = (threading.Event(), threading.Event(),
+                               threading.Event())
+    fetch = db.matching_paper_ids
+
+    def blocking(predicate):
+        inside.set()
+        assert release.wait(60)
+        return fetch(predicate)
+
+    monkeypatch.setattr(db, "matching_paper_ids", blocking)
+    outcome = {}
+
+    def read():
+        outcome["read"] = surface.top_k(uid, K)
+
+    def close():
+        assert inside.wait(60)
+        surface.close()
+        closed.set()
+
+    def watch():
+        assert inside.wait(60)
+        # The close has been asked for; while the read is parked it must
+        # not return.
+        outcome["closed_while_parked"] = closed.wait(0.2)
+        release.set()
+
+    start_and_join([threading.Thread(target=target, name=name, daemon=True)
+                    for name, target in (("cold-read", read), ("close", close),
+                                         ("watch", watch))])
+    monkeypatch.undo()
+    assert outcome["closed_while_parked"] is False and closed.is_set()
+    assert not outcome["read"].cache_hit
+    assert list(outcome["read"].ranking) == fresh_top_k(db, uid, K)
+    assert len(surface.results) == 0
+    with pytest.raises(ServingError, match="server is closed"):
+        surface.top_k(uid, K)
+
+
 def sweepable_keys(surface):
-    """Every key a data sweep can drop, as ``(kind, conjunct SQLs)``: the
-    server owns its count and id-list stores; sessions hold none."""
-    registry = surface.sessions
-    return ({("count", key) for key in registry.count_cache._counts}
-            | {("ids", key) for key in registry.runner._ids_cache})
-
-
-def resident_indexes(surface):
-    return [surface.sessions.peek(uid).index
-            for uid in surface.sessions.resident_uids()]
+    """Every key a data sweep can drop, as conjunct SQLs: the server's one
+    id-list memo; sessions hold none."""
+    return set(surface.sessions.runner._ids_cache)
 
 
 def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
@@ -257,15 +340,14 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     predicates, updating a multi-author paper costs distinct predicates x rows
     evaluations through one ``RowMatch`` per sweep and drops exactly what the
     plain loop, written out below, calls stale — judged conjunct by conjunct:
-    no count or id-list key hands ``mask`` a conjunction to parse again, and a
-    session pairs up only the preferences some row may match.  No rows, no
+    no id-list key hands ``mask`` a conjunction to parse again.  No rows, no
     work: an author-less insert notifies, yet no consumer walks the keys it
     holds."""
     db, uids = surface.db, UIDS
     Telemetry().observe(surface)
     ranked = [hit for uid in uids for hit in surface.top_k(uid, K).ranking]
     # Scoring above one intensity means matching a venue *and* a year
-    # predicate: the pre-image alone stales a count, an id list and a session.
+    # predicate: the pre-image alone stales an id list and a cached answer.
     pid = next(pid for pid, score in ranked
                if score > 0.9 and len(db.joined_rows([pid])) >= 2)
     answers = {(uid, K): surface.results.peek(uid, K).conjuncts
@@ -287,9 +369,9 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     assert sweep.annotation("rows") == len(rows) >= 4
     assert asked == sweep.annotation("predicate_row_tests") == \
         sweep.annotation("distinct_predicates") * len(rows)
-    # Every consumer's keys — counts, id lists, pairs and cached answers —
-    # reach ``mask`` as conjunct texts, never whole.
-    assert any(len(members) > 1 for _, members in before)
+    # Every consumer's keys — id lists and cached answers — reach ``mask``
+    # as conjunct texts, never whole.
+    assert any(len(members) > 1 for members in before)
     assert all(isinstance(asked, str) for _, asked in masks)
     assert not any(isinstance(parse_predicate(asked), And)
                    for _, asked in masks)
@@ -299,16 +381,8 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
                    for row in rows)
 
     dropped = before - sweepable_keys(surface)
-    assert dropped == {key for key in before if stale(key[1])}
-    assert {kind for kind, _ in dropped} == {"count", "ids"}
+    assert dropped == {key for key in before if stale(key)} != set()
     assert report.index_entries_dropped == len(dropped)
-    touched = [[pref.sql for pref in index.preferences if stale([pref.sql])]
-               for index in resident_indexes(surface)]
-    assert sweep.annotation("pairs_visited") == sum(
-        len(sqls) * (len(sqls) - 1) // 2 for sqls in touched) > 0
-    assert sweep.annotation("sessions_stale") == sum(
-        any(stale([first, second]) for position, first in enumerate(sqls)
-            for second in sqls[position + 1:]) for sqls in touched) > 0
     assert {(entry.uid, entry.k) for entry, *_ in repairs} == {
         key for key, conjuncts in answers.items()
         if any(stale(members) for members in conjuncts)} != set()
@@ -343,15 +417,18 @@ def test_sweep_renders_no_predicate(surface, monkeypatch):
 
 def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch):
     """Work gate, by counting: a mutation no resident preference can match —
-    a venue, a year and an author nobody mentions — looks up one mask per
-    preference per session (two for a year range: one per conjunct) and
-    visits no pair; nothing is dropped, no session is stale."""
+    a venue, a year and an author nobody mentions — costs the sessions
+    nothing and the shared memo one mask per distinct preference (two for a
+    year range: one per conjunct); nothing is dropped, no answer repaired."""
     uids = UIDS
     Telemetry().observe(surface)
     for uid in uids:
         surface.top_k(uid, K)
     before = sweepable_keys(surface)
-    indexes = resident_indexes(surface)
+    preferences = {pref.sql: pref for uid in uids
+                   for pref in surface.sessions.peek(uid).algorithm().preferences}
+    assert before == {CountCache.key(pref.predicate)
+                      for pref in preferences.values()}
     report = surface.insert_tuples(
         [Paper(pid=90_006, title="Elsewhere", venue="NOWHERE", year=1900)],
         paper_authors=[(90_006, 999_999)])
@@ -359,23 +436,17 @@ def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch)
                 in surface.telemetry.traces.snapshot()[-1].walk()
                 if record.name == "server.on_data_mutation"]
     assert sweep.annotation("rows") == 1
-    assert sweep.annotation("pairs_visited") == 0 == \
-        sweep.annotation("sessions_stale")
     assert sweep.annotation("predicate_row_tests") == \
         sweep.annotation("distinct_predicates") > 0
-    assert report.index_entries_dropped == 0
+    assert (report.index_entries_dropped, report.results_repaired) == (0, 0)
     assert sweepable_keys(surface) == before
-    assert len(indexes) == len(uids)
 
     match = RowMatch(surface.db.joined_rows([90_006]))
     masks = count_calls(monkeypatch, RowMatch, "mask")
-    for index in indexes:
-        assert index.invalidate_matching(match) == 0
-        assert len(masks) == sum(
-            2 if isinstance(pref.predicate, And) else 1
-            for pref in index.preferences) >= len(index.preferences) > 1
-        assert (index.pairs_visited, index.stale) == (0, False)
-        masks.clear()
+    assert surface.sessions.invalidate_matching(match) == 0
+    assert len(masks) == sum(
+        2 if isinstance(pref.predicate, And) else 1
+        for pref in preferences.values()) >= len(preferences) > 1
 
 
 def calling_modules(name):
@@ -428,27 +499,25 @@ def test_closed_surface_refuses_instead_of_serving_stale(surface):
     surface.close()  # idempotent
 
 
-def test_update_then_read_counts_only_the_new_predicates_pairs(backend):
+def test_update_then_read_fetches_only_the_new_predicates_ids(backend):
     """What *persist, drop, rebuild* costs, in counters: the read after an
-    update that adds one predicate to a resident user's profile misses the
-    shared count cache exactly for the AND-compatible pairs containing the
-    new predicate — no pair of the old profile is counted again — in one
-    count statement, and the only SQL the rebuild adds to that read is the
-    two ``read_profiles`` statements (3 statements with the fold this
-    replaced, 5 now)."""
+    update that adds one predicate to a resident user's profile fetches one
+    id list — the new predicate's; every old one is still memoised — counts
+    nothing, and adds to that read only the two ``read_profiles``
+    statements: 3 statements in all."""
     db = engine_world(backend, DBLP, len(UIDS))
     mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
     load_profiles(db, mined)
     uid = max(mined, key=lambda profile: len(profile.predicates())).uid
     with TopKServer(db, capacity=16) as server:
         server.top_k(uid, K)
-        cache, runner = server.sessions.count_cache, server.sessions.runner
+        runner = server.sessions.runner
         old = server.sessions.peek(uid).algorithm().preferences
         assert len(old) > 10
-        misses, statements = cache.misses, cache.statements
         queries = runner.queries_executed
 
         new = parse_predicate("dblp.year >= 1990")
+        assert new.to_sql() not in {pref.sql for pref in old}
         update = UserProfile(uid=uid)
         update.add_quantitative(new, 0.33)
         report = server.update_profile(uid, update)
@@ -457,11 +526,9 @@ def test_update_then_read_counts_only_the_new_predicates_pairs(backend):
         result = server.top_k(uid, K)
 
         assert list(result.ranking) == fresh_top_k(db, uid, K)
-        new_pairs = sum(are_and_compatible(new, pref.predicate) for pref in old)
-        assert 0 < new_pairs == cache.misses - misses
-        assert cache.statements - statements == 1
-        id_lists = runner.queries_executed - queries - new_pairs
-        assert result.sql_statements == 2 + 1 + id_lists
+        assert runner.queries_executed - queries == 1
+        assert result.sql_statements == 2 + 1
+        assert runner.count_cache.misses == runner.count_cache.hits == 0
         stats = server.sessions.stats()
         assert (stats["profile_drops"], stats["evictions"]) == (1, 0)
         assert stats["sessions_built"] == 2
