@@ -40,7 +40,6 @@ DBLP = DblpConfig(n_papers=240, n_authors=70, n_venues=10, seed=13)
 USERS = 22
 REQUESTS = 140
 K = 5
-CAPACITY = 12
 SEED = 29
 
 
@@ -48,7 +47,7 @@ def _replay(db, mix_name=None):
     """One audited serial replay of ``mix_name`` over ``db``."""
     config = LoadConfig(threads=1, requests=REQUESTS, k=K, seed=SEED,
                         mix=OpMix.named(mix_name), audit_interval=0)
-    with TopKServer(db, capacity=CAPACITY) as server:
+    with TopKServer(db) as server:
         report = LoadGenerator(config).run(server)
     db.close()
     assert report.clean, (report.errors, report.audit)
@@ -139,7 +138,7 @@ def test_adversarial_matrix_verified(benchmark):
                      "width": SYN.width, "correlation": SYN.correlation,
                      "seed": SYN.seed},
         "replay": {"users": USERS, "requests": REQUESTS, "k": K,
-                   "capacity": CAPACITY, "seed": SEED},
+                   "seed": SEED},
         "runs": runs,
         "dblp_baseline": baseline,
     })

@@ -38,7 +38,6 @@ from bench_utils import REPO_ROOT, run_once, write_bench_json
 DBLP = DblpConfig(n_papers=220, n_authors=90, n_venues=8, seed=7)
 #: Profile population the workers draw uids from.
 USERS = 32
-CAPACITY = 16
 #: Per-cell closed-loop run shape.
 LOAD = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
                   k=5, audit_interval=0.3,
@@ -51,7 +50,7 @@ SERVER_LOCKS = {"server", "sessions", "count-cache", "result-cache"}
 def _run_cell():
     """The cell: build the world, run the load, return the record."""
     db = build_world(DBLP, USERS)
-    server = TopKServer(db, capacity=CAPACITY)
+    server = TopKServer(db)
     try:
         report = LoadGenerator(LOAD).run(server, telemetry=Telemetry())
     finally:

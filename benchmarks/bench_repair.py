@@ -47,7 +47,6 @@ REPLAY = LoadConfig(threads=1, requests=260, k=5, seed=17, audit_interval=0,
                               insert_weight=1.5, delete_weight=1.2,
                               data_update_weight=1.2))
 SCALE = "tiny"
-CAPACITY = 24
 #: The acceptance floor: share of touched answers repaired in place.
 REPAIR_RATE_FLOOR = 0.6
 #: The warm-read floor: twice the invalidate-and-recompute arm's 0.240.
@@ -58,7 +57,7 @@ def _replay():
     """The audited replay, plus the mean statements one from-scratch
     recompute (``fresh_top_k``) costs per user on the replay's end state."""
     db = build_world(SCALES[SCALE], USERS)
-    server = TopKServer(db, capacity=CAPACITY)
+    server = TopKServer(db)
     try:
         report = LoadGenerator(REPLAY).run(server)
         uids = population(USERS)
@@ -117,7 +116,7 @@ def test_repairs_stay_clean_under_concurrent_load(benchmark):
     """Live repairs under threads + the background auditor: zero mismatches."""
     db = build_world(DblpConfig(n_papers=220, n_authors=90, n_venues=8,
                                 seed=7), 32)
-    server = TopKServer(db, capacity=16)
+    server = TopKServer(db)
     config = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
                         mix=OpMix(delete_weight=1.0, data_update_weight=1.0),
                         k=5,

@@ -4,16 +4,15 @@ kind, from 300 to 30 000 papers.
 Every other benchmark in this directory runs at 220–800 papers; this one
 publishes how the serving path grows with the *relation*.  Per size and
 backend it builds the world through the public front doors, serves 40 users
-once cold (fresh server, session LRU large enough to hold them) and then
-warm, and writes ``BENCH_scale.json``: build phases, cold/warm latency, the
-two work counters :class:`~repro.algorithms.peps.PEPSAlgorithm` records per
-call, and ``cold_id_fetches`` — the id lists the shared runner fetched over
+once cold (fresh server) and then warm, and writes ``BENCH_scale.json``:
+build phases, cold/warm latency, the two work counters
+:class:`~repro.algorithms.peps.PEPSAlgorithm` records per call, and ``cold_id_fetches`` — the id lists the shared runner fetched over
 the cold reads, which is every statement a cold read issues besides its
-profile read.  Then, with the 40 sessions resident, it inserts, rewrites in
+profile read.  Then, with the 40 answers cached, it inserts, rewrites in
 place and deletes one 2-author paper: latency per kind, plus what the sweep
 did — ``predicate_row_tests`` (the relevance evaluations its one
 :class:`~repro.index.RowMatch` made) and ``index_entries_dropped`` (id lists
-dropped from the shared memo; sessions hold none).
+dropped from the shared memo).
 
 The gate is on the counters, not the clock.  A cold read folds every
 preference's id list once, so ``memberships_folded`` (= Σ|ids|, pinned to
@@ -23,9 +22,10 @@ tuple.  Their ratio must not grow with the relation, at any machine speed.
 Serving counts no pair, so the shared count cache must see no miss.  The
 counters must also be equal on both engines: they count answers, not
 storage work — and so must the two mutation counters, which depend on the
-resident predicates and the mutation rows alone: a sweep evaluates each
-distinct predicate text it is asked about once per row, and it is only ever
-asked about a resident preference or one of its conjuncts.
+cached answers' predicates and the mutation rows alone: a sweep evaluates
+each distinct predicate text it is asked about once per row, and it is only
+ever asked about a conjunct of a predicate some cached answer was scored
+with.
 
 The 40 users are a systematic sample of the *typical* mined profiles (at
 most 64 preferences, the same cut the end-to-end benchmark's ``typical``
@@ -45,7 +45,7 @@ from statistics import mean, median
 
 import pytest
 
-from repro import (CountCache, PreferenceExtractor, TopKServer, create_backend,
+from repro import (PreferenceExtractor, TopKServer, create_backend,
                    generate_dblp)
 from repro.experiments import reporting
 from repro.telemetry import Telemetry
@@ -88,7 +88,7 @@ def _sample_users(registry) -> list:
 
 def _mutate(server: TopKServer, dataset) -> dict:
     """Insert, rewrite in place and delete one 2-author paper each, with
-    every session resident; per kind: latency and what the sweep did.
+    every answer cached; per kind: latency and what the sweep did.
 
     The three papers sit in three different venues, so no kind finds its
     cache entries already dropped by the one before it.
@@ -109,12 +109,11 @@ def _mutate(server: TopKServer, dataset) -> dict:
                    rewritten.year + 1)]),
         "delete": lambda: server.delete_tuples([deleted.pid]),
     }
-    # Every text a sweep can be asked about: a resident preference (the
-    # result cache asks) or one of its conjuncts (the id-list memo does).
-    preferences = [pref for uid in server.sessions.resident_uids()
-                   for pref in server.sessions.peek(uid).algorithm().preferences]
-    resident_texts = {pref.sql for pref in preferences}.union(
-        *(CountCache.key(pref.predicate) for pref in preferences))
+    # Every text a sweep can be asked about: a conjunct of a predicate a
+    # cached answer was scored with (the id-list memo holds the same keys).
+    resident_texts = set().union(*(
+        key for uid in server.results.cached_users()
+        for key in server.results.peek(uid, K).conjuncts))
     measured = {}
     for kind in MUTATIONS:
         started = time.perf_counter()
@@ -149,18 +148,29 @@ def _measure(papers: int) -> list:
         load_dataset(db, dataset)
         load_profiles(db, registry)
         load_s = now() - started
-        server = TopKServer(db, capacity=2 * USERS)
+        server = TopKServer(db)
         try:
             cold_ms = []
             work = {"tuples_scored": 0, "memberships_folded": 0}
             runner = server.sessions.runner
             fetched = runner.queries_executed
+            # Keep each cold read's PEPS for its counters: serving keeps
+            # only the answer.
+            built, build = [], server.sessions.get_or_create
+
+            def keep(uid):
+                built.append(build(uid))
+                return built[-1]
+
+            server.sessions.get_or_create = keep
             for uid in uids:
                 started = now()
                 result = server.top_k(uid, K)
                 cold_ms.append((now() - started) * 1e3)
                 assert not result.cache_hit
-                peps = server.sessions.peek(uid).algorithm()
+            del server.sessions.get_or_create
+            assert len(built) == len(uids)
+            for peps in built:
                 for counter in work:
                     work[counter] += getattr(peps, counter)
             work["cold_id_fetches"] = runner.queries_executed - fetched
@@ -206,7 +216,7 @@ def _publish(rows) -> None:
              "work/membership": f"{row['work_per_membership']:.3f}"}
             for row in rows]))
     reporting.print_report(
-        f"Mutation curve — one 2-author paper, {USERS} resident sessions",
+        f"Mutation curve — one 2-author paper, {USERS} cached answers",
         reporting.format_table([
             {"papers": row["papers"], "backend": row["backend"], "kind": kind,
              "ms": f"{row[f'{kind}_ms']:.2f}",

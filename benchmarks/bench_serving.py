@@ -5,9 +5,9 @@ A 50+-user Zipf-skewed serial replay (reads / profile updates / tuple
 inserts, deletes and in-place updates) runs twice over identical worlds —
 the one-worker run of :class:`repro.loadgen.LoadGenerator`, so both arms
 apply the identical op list: once through :class:`repro.serving.TopKServer`
-(resident LRU sessions, shared count cache, update-aware result cache) and
-once through :class:`repro.serving.Uncached`, which rebuilds every user's
-state per read — the seed behaviour the serving layer replaces.
+(one shared id-list memo, update-aware result cache) and once through
+:class:`repro.serving.Uncached`, which recomputes every read from scratch —
+the seed behaviour the serving layer replaces.
 
 The printed report and the assertions cover the acceptance criteria:
 
@@ -27,8 +27,7 @@ so a third, identical world steps the same one-worker op list through
 :class:`~repro.serving.DataMutationReport`.
 
 Equivalence (served results == fresh recomputation after every op) is the
-state machine's, ``tests/test_server_machine.py``; the eviction-thrash case
-below also audits inline.
+state machine's, ``tests/test_server_machine.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ USERS = 50
 REPLAY = LoadConfig(threads=1, requests=300, k=5, seed=17,
                     audit_interval=None)
 SCALE = "tiny"
-CAPACITY = 24
 
 
 def _run(target):
@@ -75,13 +73,13 @@ def _step(server):
 def test_serving_replay_beats_no_cache_baseline(benchmark):
     """The acceptance benchmark: cache behaviour + SQL-statement comparison."""
     serving_db = build_world(SCALES[SCALE], USERS)
-    server = TopKServer(serving_db, capacity=CAPACITY)
+    server = TopKServer(serving_db)
     serving = run_once(benchmark, _run, server)
     metrics = serving.server_stats
     baseline_db = build_world(SCALES[SCALE], USERS)
     baseline = _run(Uncached(baseline_db))
     stepped_db = build_world(SCALES[SCALE], USERS)
-    with TopKServer(stepped_db, capacity=CAPACITY) as stepped:
+    with TopKServer(stepped_db) as stepped:
         reads, events = _step(stepped)
     server.close()
     for db in (serving_db, baseline_db, stepped_db):
@@ -141,30 +139,7 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
     # ad-hoc recomputation over the identical schedule.
     assert serving.sql_statements < baseline.sql_statements
 
-    # Sessions outnumber residency, and serving counts no predicate: every
-    # cold read is the fold over id lists from the one shared memo.
-    assert metrics["serving.sessions.resident"] <= CAPACITY
+    # Serving counts no predicate: every cold read is the fold over id
+    # lists from the one shared memo.
     assert metrics["index.count_cache.misses"] == 0
 
-
-def test_eviction_rebuild_stays_correct(benchmark):
-    """A tiny-capacity registry thrashes, yet every answer stays exact."""
-    config = LoadConfig(threads=1, requests=60, k=4, seed=5,
-                        audit_interval=0)
-    db = build_world(SCALES[SCALE], 12)
-    server = TopKServer(db, capacity=3)
-    report = run_once(benchmark, LoadGenerator(config).run, server)
-    server.close()
-    db.close()
-
-    evictions = report.server_stats["serving.sessions.evictions"]
-    reporting.print_report(
-        "Eviction thrash — capacity 3, 12 users",
-        reporting.format_mapping({
-            "evictions": evictions,
-            "sessions_built":
-                report.server_stats["serving.sessions.sessions_built"],
-            "audit_comparisons": report.audit["comparisons"],
-        }))
-    assert evictions > 0
-    assert report.clean and report.audit["comparisons"] > 0

@@ -63,8 +63,8 @@ Index subsystem (:mod:`repro.index`)
 Serving engine (:mod:`repro.serving`)
     :class:`TopKServer` — thread-safe multi-user Top-K front door with an
     update-aware result cache and per-request metrics.
-    :class:`SessionRegistry` — LRU of resident user sessions sharing one
-    id-list memo.
+    :class:`SessionRegistry` — a cold read's build path (staging tables →
+    HYPRE graph → PEPS) and the id-list memo every build shares.
     :class:`ResultCache` — materialised Top-K answers, invalidated by
     profile events and selectively by data mutations (insert/delete/update).
     :class:`OpMix` / :func:`apply_op` — the one op vocabulary

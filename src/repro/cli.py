@@ -8,7 +8,6 @@ Usage::
     python -m repro.cli topk --scale tiny --k 10
     python -m repro.cli topk --scale tiny --k 10 --json
     python -m repro.cli serve-replay --scale tiny --users 50 --requests 300
-    python -m repro.cli serve-replay --scale tiny --delete-weight 1 --data-update-weight 1
     python -m repro.cli serve-replay --scale tiny --family synthetic --mix hot-keys
     python -m repro.cli load --scale tiny --threads 2 --duration 2
     python -m repro.cli load --scale tiny --family synthetic --mix delete-churn
@@ -25,9 +24,9 @@ runs a personalised Top-K query for one user of the synthetic workload and
 prints the statistics of its pairwise-combination index;
 ``serve-replay`` drives the multi-user serving engine of :mod:`repro.serving`
 with a deterministic Zipf-skewed request mix — Top-K reads, profile updates
-and the full tuple-mutation spectrum (inserts, deletes, in-place updates,
-mixed via the ``--*-weight`` flags) — and compares it against the no-cache
-baseline; ``load`` drives the concurrent load harness of
+and the full tuple-mutation spectrum (inserts, deletes, in-place updates)
+in the benign default mix or a named ``--mix`` — and compares it against
+the no-cache baseline; ``load`` drives the concurrent load harness of
 :mod:`repro.loadgen` — N worker threads, closed-loop at saturation or
 open-loop against ``--qps``, with a background equivalence audit — and
 reports latency SLOs (p50/p95/p99), throughput and per-lock contention
@@ -61,10 +60,6 @@ from .serving import MIXES, OpMix, TopKServer, Uncached
 from .telemetry import Telemetry, prometheus_text
 from .workload.synthetic import SYNTHETIC_SCALES, synthetic_profile_factory
 
-#: Single source of truth for the replay op-mix defaults (the CLI flags and
-#: run_serve_replay must not drift from the dataclass).
-_REPLAY_DEFAULTS = OpMix()
-
 #: Workload families the serving/load commands can build their world from.
 WORKLOAD_FAMILIES = ("dblp", "synthetic")
 
@@ -90,17 +85,16 @@ def _resolve_workload(family: str, scale: str):
 
 
 def _run_world(config: LoadConfig, workload_config: Any, users: int,
-               profile_factory: Any = None,
-               capacity: Optional[int] = None,
+               profile_factory: Any = None, cached: bool = True,
                telemetry: Optional[Telemetry] = None) -> LoadReport:
     """One run over a fresh world, closed afterwards: through a
-    :class:`~repro.serving.TopKServer` of ``capacity`` sessions, or — with
-    no capacity — the :class:`~repro.serving.Uncached` baseline arm."""
+    :class:`~repro.serving.TopKServer`, or — not ``cached`` — the
+    :class:`~repro.serving.Uncached` baseline arm."""
     db = build_world(workload_config, users, profile_factory)
     try:
-        if capacity is None:
+        if not cached:
             return LoadGenerator(config).run(Uncached(db))
-        with TopKServer(db, capacity=capacity) as server:
+        with TopKServer(db) as server:
             return LoadGenerator(config).run(server, telemetry=telemetry)
     finally:
         db.close()
@@ -251,14 +245,7 @@ def run_serve_replay(scale: str = "tiny",
                      requests: int = 300,
                      k: int = 5,
                      seed: int = 17,
-                     capacity: int = 16,
                      baseline: bool = True,
-                     read_weight: float = _REPLAY_DEFAULTS.read_weight,
-                     update_weight: float = _REPLAY_DEFAULTS.update_weight,
-                     insert_weight: float = _REPLAY_DEFAULTS.insert_weight,
-                     delete_weight: float = _REPLAY_DEFAULTS.delete_weight,
-                     data_update_weight: float = (
-                         _REPLAY_DEFAULTS.data_update_weight),
                      as_json: bool = False,
                      telemetry: bool = False,
                      family: str = "dblp",
@@ -268,33 +255,30 @@ def run_serve_replay(scale: str = "tiny",
     Builds one world per arm (identical datasets and schedules), runs the
     :class:`~repro.serving.TopKServer` arm and — unless ``baseline`` is
     disabled — the no-cache baseline arm, and reports request counters,
-    SQL statements and cache behaviour side by side.  The five weights
-    control the operation mix (reads, profile updates, tuple
-    inserts/deletes/in-place updates); a weight of zero removes that kind
-    entirely.  ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` (request
-    tracing, unified metrics, instrumented locks) to the serving arm and
-    reports its end-of-run snapshot alongside the arm comparison.
+    SQL statements and cache behaviour side by side.  The benign default
+    :class:`~repro.serving.OpMix` draws all five op kinds (reads, profile
+    updates, tuple inserts/deletes/in-place updates).  ``telemetry``
+    attaches a :class:`~repro.telemetry.Telemetry` (request tracing,
+    unified metrics, instrumented locks) to the serving arm and reports its
+    end-of-run snapshot alongside the arm comparison.
     ``family`` picks the workload family the world is generated from
-    (``dblp`` / ``synthetic``); ``mix`` replaces the five weight knobs with
-    a named adversarial mix from :data:`~repro.serving.MIXES` (hot-key
+    (``dblp`` / ``synthetic``); ``mix`` replaces the default with a named
+    adversarial mix from :data:`~repro.serving.MIXES` (hot-key
     mutation storms, delete-heavy churn, profile thrash, repair-boundary
     updates).
     """
     workload_config, profile_factory = _resolve_workload(family, scale)
-    op_mix = OpMix.named(mix) if mix is not None else OpMix(
-        read_weight=read_weight, update_weight=update_weight,
-        insert_weight=insert_weight, delete_weight=delete_weight,
-        data_update_weight=data_update_weight)
     # A serial replay: one worker, an op budget, no audit.
-    config = LoadConfig(threads=1, requests=requests, mix=op_mix, k=k,
-                        seed=seed, audit_interval=None)
+    config = LoadConfig(threads=1, requests=requests, mix=OpMix.named(mix),
+                        k=k, seed=seed, audit_interval=None)
     serving_report = _run_world(
         config, workload_config, users, profile_factory,
-        capacity=capacity, telemetry=Telemetry() if telemetry else None)
+        telemetry=Telemetry() if telemetry else None)
     metrics = serving_report.server_stats
     snapshot = serving_report.telemetry or None
     baseline_report = (_run_world(config, workload_config, users,
-                                  profile_factory) if baseline else None)
+                                  profile_factory, cached=False)
+                       if baseline else None)
 
     # The per-kind mutation counters the server tracks (inserts, deletes,
     # in-place tuple updates), surfaced explicitly in both output modes.
@@ -304,13 +288,8 @@ def run_serve_replay(scale: str = "tiny",
     if as_json:
         payload: Dict[str, Any] = {
             "config": {"scale": scale, "users": users, "requests": requests,
-                       "k": k, "seed": seed, "capacity": capacity,
-                       "family": family, "mix": mix,
-                       "read_weight": read_weight,
-                       "update_weight": update_weight,
-                       "insert_weight": insert_weight,
-                       "delete_weight": delete_weight,
-                       "data_update_weight": data_update_weight},
+                       "k": k, "seed": seed, "family": family,
+                       "mix": mix},
             "serving": _arm(serving_report),
             "baseline": _arm(baseline_report) if baseline_report else None,
             "server": metrics,
@@ -331,9 +310,7 @@ def run_serve_replay(scale: str = "tiny",
              f"k={k}, scale={scale}, family={family}"
              + (f", mix={mix}" if mix else "") + ")", table]
     lines.append(
-        f"sessions: {metrics['serving.sessions.resident']}/"
-        f"{metrics['serving.sessions.capacity']} resident, "
-        f"{metrics['serving.sessions.evictions']} evictions; result cache: "
+        f"builds: {metrics['serving.sessions.sessions_built']}; result cache: "
         f"{metrics['serving.results.hits']} hits, "
         f"{metrics['serving.results.data_invalidations']} "
         f"data-invalidated, {metrics['serving.results.data_spared']} spared")
@@ -362,7 +339,6 @@ def run_load(scale: str = "tiny",
              qps: Optional[float] = None,
              seed: int = 17,
              k: int = 5,
-             capacity: int = 16,
              audit_interval: Optional[float] = 0.5,
              output: Optional[str] = None,
              as_json: bool = False,
@@ -391,15 +367,14 @@ def run_load(scale: str = "tiny",
     config = LoadConfig(threads=threads, duration_seconds=duration,
                         target_qps=qps, mix=OpMix.named(mix), k=k,
                         seed=seed, audit_interval=audit_interval or None)
-    report = _run_world(config, workload_config, users,
-                        profile_factory, capacity=capacity,
+    report = _run_world(config, workload_config, users, profile_factory,
                         telemetry=Telemetry() if telemetry else None)
 
     run_record = report.as_dict()
     config_record = {"scale": scale, "users": users, "threads": threads,
                      "duration_seconds": duration, "target_qps": qps,
                      "family": family, "mix": mix,
-                     "seed": seed, "k": k, "capacity": capacity,
+                     "seed": seed, "k": k,
                      "audit_interval": audit_interval}
     if output:
         write_bench_json(output, "loadgen",
@@ -452,7 +427,6 @@ def run_stats(scale: str = "tiny",
               requests: int = 120,
               k: int = 5,
               seed: int = 17,
-              capacity: int = 16,
               prometheus: bool = False,
               slow_ms: float = 250.0) -> str:
     """Drive a short replay under full observability and export the metrics.
@@ -470,7 +444,6 @@ def run_stats(scale: str = "tiny",
     config = LoadConfig(threads=1, requests=requests, k=k, seed=seed,
                         audit_interval=None)
     report = _run_world(config, workload_config, users,
-                        capacity=capacity,
                         telemetry=Telemetry(slow_threshold=slow_ms / 1000.0))
     if prometheus:
         return prometheus_text(report.telemetry["metrics"])
@@ -506,8 +479,6 @@ def _population_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--users", type=int, default=50,
                         help="size of the synthetic user population")
     parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--capacity", type=int, default=16,
-                        help="maximum number of resident user sessions")
 
 
 def _workload_options(parser: argparse.ArgumentParser) -> None:
@@ -565,22 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of operations in the replay schedule")
     replay.add_argument("--no-baseline", action="store_true",
                         help="skip the no-cache baseline arm")
-    replay.add_argument("--read-weight", type=float,
-                        default=_REPLAY_DEFAULTS.read_weight,
-                        help="relative weight of Top-K reads in the mix")
-    replay.add_argument("--update-weight", type=float,
-                        default=_REPLAY_DEFAULTS.update_weight,
-                        help="relative weight of profile updates in the mix")
-    replay.add_argument("--insert-weight", type=float,
-                        default=_REPLAY_DEFAULTS.insert_weight,
-                        help="relative weight of tuple inserts in the mix")
-    replay.add_argument("--delete-weight", type=float,
-                        default=_REPLAY_DEFAULTS.delete_weight,
-                        help="relative weight of tuple deletes in the mix")
-    replay.add_argument("--data-update-weight", type=float,
-                        default=_REPLAY_DEFAULTS.data_update_weight,
-                        help="relative weight of in-place tuple updates "
-                             "in the mix")
 
     load = subparsers.add_parser(
         "load",

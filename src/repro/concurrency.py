@@ -9,8 +9,8 @@ of a live server so a load report can name the hot lock instead of
 guessing, and reads the numbers back through ``stats()``
 (``acquisitions`` / ``contended`` / ``wait_seconds`` / ``hold_seconds``).
 
-Lock order across the system, outermost first: *server lock → session
-registry → count cache / result cache → backend* (the protocol is one
+Lock order across the system, outermost first: *server lock → build
+counter → count cache / result cache → backend* (the protocol is one
 sentence in the :mod:`repro.serving.server` docstring).  Notifications are
 always delivered with no backend-side lock held (see
 :mod:`repro.backend.memory`), which is what keeps the server→backend order

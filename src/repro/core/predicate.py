@@ -591,7 +591,7 @@ def _parse_predicate_cached(text: str) -> PredicateExpr:
     What still leans on it: a data-mutation sweep parses each distinct
     *conjunct* text of the count and id-list keys once per mutation
     (:class:`~repro.index.selectivity.RowMatch` — never a whole conjunction),
-    and a session rebuild parses the user's persisted preference texts.
+    and every cold-read build parses the user's persisted preference texts.
     Parse errors are not cached (``lru_cache`` re-raises by re-running), so
     failure behaviour is unchanged.
     """

@@ -17,10 +17,9 @@ positional *view*: it stores no count of its own.
   refresh re-reads the counts — those the cache's own sweep spared are hits,
   so only the dropped ones reach the backend.
 
-The preference list never changes.  A profile update is *persist, drop,
-rebuild*: the serving layer drops the user's session and the next read builds
-a new index over the rebuilt graph's list — through the same shared cache, so
-only pairs the cache has not seen are counted again.
+The preference list never changes: a new profile means a new index over
+the new graph's list — through the same shared cache, so only pairs the
+cache has not seen are counted again.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class IncrementalPairIndex:
         preferences — their masks in the sweep's shared
         :class:`~repro.index.selectivity.RowMatch` intersect.  One mask
         lookup per preference; only preferences some row may match are paired
-        up, so a session the mutation cannot touch visits no pair.  Returns
+        up, so an index the mutation cannot touch visits no pair.  Returns
         the number of pairs whose masks intersect.
         """
         if not match.rows:

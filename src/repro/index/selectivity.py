@@ -2,7 +2,7 @@
 
 A change to the *relation* is the one event the preference graph cannot
 signal, so everything that depends on the data — predicate counts, id
-lists, each session's pair table, materialised Top-K answers — asks one sound
+lists, each pair table, materialised Top-K answers — asks one sound
 question about each mutation: *can this tuple image satisfy this predicate?*
 
 * :func:`exact_match_row` is the three-valued verdict (``None`` when the

@@ -2,14 +2,15 @@
 
 This subsystem is the layer the ROADMAP's "heavy traffic from millions of
 users" target plugs into: instead of rebuilding one user's state per query
-(the seed behaviour), many users' HYPRE state stays **resident** behind an
-LRU, all sessions share one id-list memo, and finished Top-K answers are
-**materialised** and kept exactly as fresh as one event stream proves
-necessary — the full tuple-mutation spectrum (inserts, deletes, in-place
-updates) from :mod:`repro.sqldb.events`; a profile update persists, drops
-that user's session and answers, and the next read rebuilds them (see
-``docs/ARCHITECTURE.md`` for the event flow, and ``docs/SERVING.md`` for the
-end-to-end tutorial).
+(the seed behaviour), finished Top-K answers are **materialised** and kept
+exactly as fresh as one event stream proves necessary — the full
+tuple-mutation spectrum (inserts, deletes, in-place updates) from
+:mod:`repro.sqldb.events`.  A cold read builds the user's HYPRE graph and
+PEPS from the persisted profile, reads its id lists through one memo every
+read shares, and keeps only the answer; a profile update persists and drops
+that user's answers, and the next read builds again (see
+``docs/ARCHITECTURE.md`` for the event flow and "Why no session is
+resident", and ``docs/SERVING.md`` for the end-to-end tutorial).
 
 Public API
 ----------
@@ -23,11 +24,9 @@ Public API
 :class:`ServeResult` / :class:`UpdateReport` / :class:`DataMutationReport`
     The per-request metrics records.
 :class:`SessionRegistry`
-    Capacity-bounded LRU of resident user sessions sharing one id-list
-    memo, with hit/miss/eviction statistics.
-:class:`UserSession`
-    One user's resident state, a snapshot of one persisted profile: HYPRE
-    graph + PEPS instance (no pair table).
+    The cold read's build path — staging tables → HYPRE graph → one PEPS
+    over its positive preferences — and the id-list memo every build
+    shares; it keeps no session.
 :class:`ResultCache`
     Materialised ``(uid, k) -> ranking`` answers, invalidated per-user by
     profile updates and *selectively* by data-mutation events.
@@ -86,7 +85,7 @@ from .server import (
     UpdateReport,
     fresh_top_k,
 )
-from .sessions import SessionRegistry, UserSession
+from .sessions import SessionRegistry
 
 __all__ = [
     "CachedResult",
@@ -111,7 +110,6 @@ __all__ = [
     "UPDATE",
     "Uncached",
     "UpdateReport",
-    "UserSession",
     "apply_op",
     "build_streams",
     "fresh_top_k",

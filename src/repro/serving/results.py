@@ -8,7 +8,7 @@ view, the events are the deltas):
 
 * **profile updates** — the server calls :meth:`ResultCache.invalidate_user`
   after persisting one, which drops every cached answer *of that user only*
-  (the update also drops the user's session: persist, drop, rebuild).
+  (persist, invalidate: the next read builds from the persisted profile).
 * **data events** — :class:`~repro.sqldb.events.DataMutation` notifications
   from the workload database, covering the full update spectrum.  A
   mutation touches a cached answer **iff** one of the predicates it was
@@ -21,8 +21,8 @@ view, the events are the deltas):
 
 Every entry therefore remembers the predicates it was computed from — the
 same positive-intensity predicates PEPS scored with — as each one's conjunct
-keys (:meth:`~repro.index.CountCache.key`), rendered once when its session
-was built: the sweep judges an answer by the same rule,
+keys (:meth:`~repro.index.CountCache.key`), rendered once when the cold
+read built the user's PEPS: the sweep judges an answer by the same rule,
 :meth:`~repro.index.selectivity.RowMatch.shared`, as every count, id list and
 pair, and renders no predicate.
 

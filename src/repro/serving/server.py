@@ -4,14 +4,14 @@
 
 * ``top_k(uid, k)`` — answer a personalised Top-K request, serving warm
   repeats from the :class:`~repro.serving.results.ResultCache` (zero SQL
-  statements) and cold ones through the user's resident
-  :class:`~repro.serving.sessions.UserSession`;
-* ``update_profile(uid, profile)`` — *persist, drop, rebuild*: append the
-  new preferences to the staging tables, drop the user's resident session
-  and cached answers, and let the next read rebuild the session from the
-  persisted profile — the one way a user's graph is ever built, so what is
-  served equals :func:`fresh_top_k` whichever door a preference came
-  through;
+  statements) and cold ones by building the user's PEPS from the persisted
+  profile (:meth:`~repro.serving.sessions.SessionRegistry.get_or_create`)
+  and keeping only the answer;
+* ``update_profile(uid, profile)`` — *persist, invalidate*: append the new
+  preferences to the staging tables and drop the user's cached answers; the
+  next read builds from the staging tables — the one way a user's graph is
+  ever built, so what is served equals :func:`fresh_top_k` whichever door a
+  preference came through;
 * ``insert_tuples(...)`` / ``delete_tuples(...)`` / ``update_tuples(...)``
   — mutate the workload relation through the loader's
   :func:`~repro.workload.loader.append_papers` /
@@ -32,13 +32,14 @@ that raises counts the error by kind
 brings every cache layer up to date through one shared
 :class:`~repro.index.RowMatch` and returns the impact the report carries.
 A mutation that raises before its sweep completed may still have committed,
-so the server then forgets every cached answer, session and id list:
-after a fault it serves the exact answer or refuses, never a stale one.
+so the server then forgets every cached answer and id list (counted as
+``serving.server.forgets.<door>``): after a fault it serves the exact answer
+or refuses, never a stale one.
 
 **Locking.**  Warm reads take no server lock; everything else — cold read,
 profile update, data mutation, close — runs alone under the server's one
-re-entrant lock.  Lock order, outermost first: server lock → session
-registry → count cache / result cache → backend.
+re-entrant lock.  Lock order, outermost first: server lock → build
+counter → count cache / result cache → backend.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ class UpdateReport:
     """Metrics of one ``update_profile`` call."""
 
     uid: int
-    resident: bool
     quantitative: int
     qualitative: int
     results_invalidated: int
@@ -143,7 +143,7 @@ class DataMutationReport:
     joined_rows: int
     results_invalidated: int
     results_spared: int
-    #: Id lists dropped from the shared memo (sessions hold none).
+    #: Id lists dropped from the shared memo.
     index_entries_dropped: int
     sql_statements: int
     seconds: float
@@ -207,12 +207,13 @@ class TopKServer:
     loader call — reaches every cache layer exactly once.
     """
 
-    def __init__(self, db: StorageBackend, capacity: int = 64) -> None:
+    def __init__(self, db: StorageBackend, capacity: object = None) -> None:
+        # ``capacity`` is accepted and ignored: no session is resident, but
+        # the end-to-end benchmark's world still passes it.
         self.db = db
         # The one server lock (see the module docstring).
         self._lock = threading.RLock()
-        self.sessions = SessionRegistry(db, capacity=capacity,
-                                        profile_loader=self._load_profile)
+        self.sessions = SessionRegistry(db)
         self.results = ResultCache()
         self._closed = False
         self._telemetry: Optional[Telemetry] = None
@@ -231,8 +232,10 @@ class TopKServer:
         #: updates).  The name predates the one lock: the e2e benchmark
         #: indexes ``serving.server.stripe_acquisitions``.
         self.stripe_acquisitions = 0
-        #: Door errors by ``<door>.<exception kind>``.
+        #: Door errors by ``<door>.<exception kind>``, and :meth:`_forget`
+        #: calls by the door whose failed mutation caused them.
         self._errors: Dict[str, int] = {}
+        self._forgets: Dict[str, int] = {}
         #: The impact of the sweep the mutation in flight caused; written by
         #: the listener, consumed by ``_mutate`` (both under the lock).
         self._last_sweep: Optional[Dict[str, int]] = None
@@ -327,12 +330,13 @@ class TopKServer:
         with self._stats_lock:
             self._errors[key] = self._errors.get(key, 0) + 1
 
-    def _forget(self) -> None:
-        """Drop every cached answer, resident session and id list."""
+    def _forget(self, door: str) -> None:
+        """Drop every cached answer and id list after ``door``'s mutation
+        failed with no completed sweep behind it."""
         self.results.clear()
-        for uid in self.sessions.resident_uids():
-            self.sessions.evict(uid)
         self.sessions.runner.clear()
+        with self._stats_lock:
+            self._forgets[door] = self._forgets.get(door, 0) + 1
 
     def _bump(self, reads: int = 0, read_hits: int = 0, updates: int = 0,
               stripe_acquisitions: int = 0) -> None:
@@ -345,16 +349,11 @@ class TopKServer:
 
     # -- profile storage ----------------------------------------------------------
 
-    def _load_profile(self, uid: int) -> Optional[UserProfile]:
-        registry = read_profiles(self.db, [uid])
-        return registry.get(uid) if uid in registry else None
-
     def update_profile(self, uid: int, profile: UserProfile) -> UpdateReport:
         """Persist ``profile``'s preferences and drop what they outdate.
 
-        The preferences are appended to the relational staging tables; the
-        user's resident session (a snapshot of the profile as it was) and
-        cached answers are dropped.  The next read rebuilds the session from
+        The preferences are appended to the relational staging tables and
+        the user's cached answers are dropped.  The next read builds from
         the staging tables through the same
         :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_profile`
         every other build uses, fetching only the id lists the shared memo
@@ -373,13 +372,10 @@ class TopKServer:
                     registry = ProfileRegistry()
                     registry.add(profile)
                     load_profiles(self.db, registry)
-                    resident = self.sessions.drop_for_profile_update(uid)
-                    trace.annotate("resident", resident)
                     invalidated = self.results.invalidate_user(uid)
                     self._bump(updates=1, stripe_acquisitions=1)
                     report = UpdateReport(
                         uid=uid,
-                        resident=resident,
                         quantitative=len(profile.quantitative),
                         qualitative=len(profile.qualitative),
                         results_invalidated=invalidated,
@@ -401,9 +397,11 @@ class TopKServer:
         Warm requests are served straight from the result cache — zero SQL
         statements and **no server-level lock** (see the module docstring),
         the acceptance criterion of the serving benchmark and the load
-        harness' hot path.  Cold requests take the server lock, find or
-        build the user's session, run its PEPS fold and materialise the
-        answer for the next caller while still holding it.
+        harness' hot path.  Cold requests take the server lock, build the
+        user's PEPS from the persisted profile, run its fold and materialise
+        the answer for the next caller while still holding it.  A known user
+        with no positive preference is served the empty ranking, cached as
+        a complete answer that depends on no predicate.
         """
         try:
             with self._trace("server.top_k") as trace:
@@ -443,22 +441,22 @@ class TopKServer:
             # The warm path above never asks: a closed server holds no
             # cached answers, so every read ends up here.
             self._check_open()
-            try:
-                with span("sessions.get_or_create", self.db):
-                    session = self.sessions.get_or_create(uid)
-            except ServingError:
-                raise UnknownUserError(uid) from None
+            with span("sessions.get_or_create", self.db):
+                peps = self.sessions.get_or_create(uid)
             # Snapshot *before* the data-reading computation the snapshot
             # guards.  No sweep can run before the put below — both happen
             # under the server lock — so the guard only protects a cache
             # driven without a server.
             epoch = self.results.epoch
-            with span("peps.top_k", self.db):
-                buffer, complete = session.top_k_buffer(k, REPAIR_MARGIN * k)
-            peps = session.algorithm()
-            self.results.put(
-                uid, k, buffer, complete, peps.conjuncts,
-                [pref.intensity for pref in peps.preferences], epoch=epoch)
+            if peps is None:
+                buffer, complete, conjuncts, intensities = [], True, (), ()
+            else:
+                with span("peps.top_k", self.db):
+                    buffer, complete = peps.top_k_buffer(k, REPAIR_MARGIN * k)
+                conjuncts = peps.conjuncts
+                intensities = [pref.intensity for pref in peps.preferences]
+            self.results.put(uid, k, buffer, complete, conjuncts, intensities,
+                             epoch=epoch)
             ranking = tuple(buffer[:k])
             self._bump(reads=1, stripe_acquisitions=1)
             return ServeResult(
@@ -536,7 +534,7 @@ class TopKServer:
                             # behind it (a fault in ``notify``, in a
                             # listener ahead of ours, or in the sweep):
                             # nothing cached is provably fresh any more.
-                            self._forget()
+                            self._forget(door)
                         raise
                     impact, self._last_sweep = self._last_sweep, None
                     if impact is None:
@@ -633,6 +631,8 @@ class TopKServer:
             }
             for key, value in self._errors.items():
                 flat[f"serving.server.errors.{key}"] = value
+            for door, value in self._forgets.items():
+                flat[f"serving.server.forgets.{door}"] = value
         for key, value in self.sessions.stats().items():
             flat[f"serving.sessions.{key}"] = value
         for key, value in self.results.stats().items():
@@ -653,7 +653,8 @@ def fresh_top_k(db: StorageBackend, uid: int, k: int) -> List[Tuple[int, float]]
     """Recompute one user's Top-K from scratch — the serving-path oracle.
 
     Reads the profile from the staging tables, builds a fresh HYPRE graph and
-    a fresh (unshared) runner, and runs PEPS over fresh id lists.
+    a fresh (unshared) runner, and runs PEPS over fresh id lists; a user
+    with no positive preference ranks nothing.
     Used by the equivalence tests and the no-cache replay baseline: whatever
     :meth:`TopKServer.top_k` serves must equal this after every mutation.
     """
@@ -665,6 +666,7 @@ def fresh_top_k(db: StorageBackend, uid: int, k: int) -> List[Tuple[int, float]]
         raise UnknownUserError(uid)
     builder = HypreGraphBuilder()
     builder.build_profile(registry.get(uid))
-    runner = PreferenceQueryRunner(db)
-    peps = PEPSAlgorithm(runner, preferences_from_graph(builder.hypre, uid))
-    return peps.top_k(k)
+    preferences = preferences_from_graph(builder.hypre, uid)
+    if not preferences:
+        return []
+    return PEPSAlgorithm(PreferenceQueryRunner(db), preferences).top_k(k)

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from ..exceptions import RelationalError
 from . import schema
@@ -203,6 +205,25 @@ class Database:
     def commit(self) -> None:
         """Commit the current transaction."""
         self._require_connection().commit()
+
+    @contextmanager
+    def write_transaction(self) -> Iterator[None]:
+        """``with db.write_transaction(): ...`` — one atomic write on the
+        shared connection.
+
+        Holds the write lock throughout; the body's statements commit
+        together when it returns, or roll back when it (or the commit)
+        raises, and the error propagates.  A failed write therefore leaves
+        no open transaction behind for the next write to commit.
+        """
+        with self._write_lock:
+            try:
+                yield
+                self.commit()
+            except BaseException:
+                if self._connection is not None:
+                    self._connection.rollback()
+                raise
 
     # -- querying -----------------------------------------------------------------
 
@@ -371,17 +392,10 @@ class Database:
         return sqlite_update_papers(self, papers)
 
     def load_profiles(self, registry: Any) -> Dict[str, int]:
-        """Persist extracted preference profiles into the staging tables.
-
-        Atomic on the shared connection (see ``_write_lock``): a direct
-        loader call or a second server on the same connection may write
-        profiles from a concurrent thread, and interleaving their
-        transactions would let one thread commit another's half-written
-        profile.
-        """
+        """Persist extracted preference profiles into the staging tables,
+        in one :meth:`write_transaction`."""
         from ..workload.loader import sqlite_load_profiles
-        with self._write_lock:
-            return sqlite_load_profiles(self, registry)
+        return sqlite_load_profiles(self, registry)
 
     def read_profiles(self, uids: Optional[Iterable[int]] = None) -> Any:
         """Rebuild a profile registry from the staging tables."""

@@ -7,8 +7,8 @@ long-lived process that wants contention numbers for a while and then its
 plain locks back.  This module makes the swap a *handle*:
 
 * :func:`instrument_locks` covers the whole lock set: the server lock,
-  the session registry, the shared count cache + rebuilt condition
-  variable and the result cache — ``server`` / ``sessions`` /
+  the session registry's build counter, the shared count cache + rebuilt
+  condition variable and the result cache — ``server`` / ``sessions`` /
   ``count-cache`` / ``result-cache``.  Every swap is recorded as
   ``(owner, attribute, original)`` in the returned
   :class:`LockInstrumentation`;

@@ -139,20 +139,21 @@ def read_profiles(db: Any, uids: Optional[Iterable[int]] = None) -> ProfileRegis
 
 def sqlite_load_dataset(db: Database, dataset: DblpDataset) -> Dict[str, int]:
     """SQLite body of :func:`load_dataset` (see that front door's contract)."""
-    db.executemany(
-        "INSERT OR REPLACE INTO dblp (pid, title, venue, year, abstract) VALUES (?, ?, ?, ?, ?)",
-        [(paper.pid, paper.title, paper.venue, paper.year, paper.abstract)
-         for paper in dataset.papers])
-    db.executemany(
-        "INSERT OR REPLACE INTO author (aid, full_name) VALUES (?, ?)",
-        [(author.aid, author.full_name) for author in dataset.authors])
-    db.executemany(
-        "INSERT OR REPLACE INTO dblp_author (pid, aid) VALUES (?, ?)",
-        dataset.paper_authors)
-    db.executemany(
-        "INSERT OR REPLACE INTO citation (pid, cid) VALUES (?, ?)",
-        dataset.citations)
-    db.commit()
+    with db.write_transaction():
+        db.executemany(
+            "INSERT OR REPLACE INTO dblp (pid, title, venue, year, abstract)"
+            " VALUES (?, ?, ?, ?, ?)",
+            [(paper.pid, paper.title, paper.venue, paper.year, paper.abstract)
+             for paper in dataset.papers])
+        db.executemany(
+            "INSERT OR REPLACE INTO author (aid, full_name) VALUES (?, ?)",
+            [(author.aid, author.full_name) for author in dataset.authors])
+        db.executemany(
+            "INSERT OR REPLACE INTO dblp_author (pid, aid) VALUES (?, ?)",
+            dataset.paper_authors)
+        db.executemany(
+            "INSERT OR REPLACE INTO citation (pid, cid) VALUES (?, ?)",
+            dataset.citations)
     if db.has_subscribers:
         # Bulk loads rarely have listeners (caches are built afterwards);
         # the payload is only materialised when somebody will consume it.
@@ -175,11 +176,11 @@ def sqlite_append_papers(db: Database,
     # replaced paper must ride along in the notification: a cached entry may
     # only be spared when neither the old nor the new tuple values can match
     # its predicates.  Captured before the insert overwrites them.
-    # The write lock keeps this transaction atomic against concurrent
-    # profile-staging writes on the shared connection; the notification
-    # below stays OUTSIDE it (listeners take serving-layer locks, and
-    # write-lock -> server-lock edges would close a deadlock cycle).
-    with db._write_lock:
+    # One write transaction (atomic against concurrent profile-staging
+    # writes on the shared connection, rolled back if any statement fails);
+    # the notification below stays OUTSIDE it (listeners take serving-layer
+    # locks, and write-lock -> server-lock edges would close a deadlock cycle).
+    with db.write_transaction():
         replaced_rows = (db.joined_rows([paper.pid for paper in papers])
                          if papers and db.has_subscribers else [])
         if papers:
@@ -196,7 +197,6 @@ def sqlite_append_papers(db: Database,
             db.executemany(
                 "INSERT OR REPLACE INTO citation (pid, cid) VALUES (?, ?)",
                 citations)
-        db.commit()
     if db.has_subscribers and (papers or paper_authors):
         # Post-image rows for brand-new papers are derivable in memory from
         # this call's arguments (a paper that gets no link here is invisible
@@ -229,8 +229,8 @@ def sqlite_delete_papers(db: Database, pids: Iterable[int]) -> Dict[str, int]:
     if not pids:
         return {"dblp": 0, "dblp_author": 0, "citation": 0}
     placeholders = ", ".join("?" for _ in pids)
-    # Atomic against concurrent profile-staging writes (see append body).
-    with db._write_lock:
+    # One write transaction (see the append body).
+    with db.write_transaction():
         pre_image = db.joined_rows(pids) if db.has_subscribers else []
         removed = {
             "dblp": db.execute(
@@ -242,7 +242,6 @@ def sqlite_delete_papers(db: Database, pids: Iterable[int]) -> Dict[str, int]:
                 f"DELETE FROM citation WHERE pid IN ({placeholders})"
                 f" OR cid IN ({placeholders})", pids + pids).rowcount,
         }
-        db.commit()
     if db.has_subscribers and any(removed.values()):
         db.notify(DataMutation(TUPLES_DELETED, "dblp",
                                old_rows=pre_image, pids=pids))
@@ -256,12 +255,11 @@ def sqlite_update_papers(db: Database, papers: Sequence[Paper]) -> Dict[str, int
         return {"dblp": 0}
     pids = [paper.pid for paper in papers]
     placeholders = ", ".join("?" for _ in pids)
-    # Atomic against concurrent profile-staging writes (see append body).
-    # The existence check and both images are taken under the same lock, as
-    # the memory engine does: a delete landing between check and write
-    # would leave the update touching no row while still reporting one and
-    # notifying an empty post-image.
-    with db._write_lock:
+    # One write transaction (see the append body).  The existence check and
+    # both images are taken inside it, as the memory engine does: a delete
+    # landing between check and write would leave the update touching no
+    # row while still reporting one and notifying an empty post-image.
+    with db.write_transaction():
         existing = {int(row["pid"]) for row in db.query(
             f"SELECT pid FROM dblp WHERE pid IN ({placeholders})", pids)}
         missing = sorted(set(pids) - existing)
@@ -273,7 +271,6 @@ def sqlite_update_papers(db: Database, papers: Sequence[Paper]) -> Dict[str, int
             " WHERE pid = ?",
             [(paper.title, paper.venue, paper.year, paper.abstract, paper.pid)
              for paper in papers])
-        db.commit()
         post_image = db.joined_rows(pids) if db.has_subscribers else []
     if db.has_subscribers:
         db.notify(DataMutation(
@@ -296,14 +293,17 @@ def sqlite_load_profiles(db: Database, registry: ProfileRegistry) -> Dict[str, i
             qualitative_rows.append(
                 (profile.uid, preference.left_sql, preference.right_sql,
                  preference.intensity))
-    db.executemany(
-        "INSERT INTO quantitative_pref (uid, preference, intensity) VALUES (?, ?, ?)",
-        quantitative_rows)
-    db.executemany(
-        "INSERT INTO qualitative_pref (uid, left_pref, right_pref, intensity)"
-        " VALUES (?, ?, ?, ?)",
-        qualitative_rows)
-    db.commit()
+    # One write transaction: a concurrent writer on the shared connection
+    # can neither interleave with nor commit a half-written profile.
+    with db.write_transaction():
+        db.executemany(
+            "INSERT INTO quantitative_pref (uid, preference, intensity)"
+            " VALUES (?, ?, ?)",
+            quantitative_rows)
+        db.executemany(
+            "INSERT INTO qualitative_pref"
+            " (uid, left_pref, right_pref, intensity) VALUES (?, ?, ?, ?)",
+            qualitative_rows)
     return {
         "quantitative_pref": len(quantitative_rows),
         "qualitative_pref": len(qualitative_rows),
@@ -325,7 +325,7 @@ def sqlite_read_profiles(db: Database,
         params = tuple(uid_list)
     # Insertion order (pfid) makes profile reconstruction deterministic: the
     # builder's duplicate-merge averaging depends on the order preferences
-    # are replayed, and the serving layer rebuilds evicted sessions this way.
+    # are replayed, and every serving cold read builds from it.
     uid_filter += " ORDER BY pfid"
     for row in db.query(quant_sql + uid_filter, params):
         profile = registry.get_or_create(int(row["uid"]))

@@ -57,7 +57,7 @@ def schedule(db, mix_name, requests=90, seed=21):
 
 def replay(db, mix_name, requests=90):
     """The serial replay over ``db``, audited inline after every op."""
-    with TopKServer(db, capacity=8) as server:
+    with TopKServer(db) as server:
         return LoadGenerator(LoadConfig(
             threads=1, requests=requests, mix=OpMix.named(mix_name), k=K,
             seed=21, audit_interval=0)).run(server)
@@ -137,7 +137,7 @@ def test_benign_schedule_unchanged_by_mix_support():
 def test_mix_runs_clean_through_the_load_harness(mix_name, backend):
     """Two threads on a shared target pool (hot-keys, repair-hostile) or on
     striped base pids (delete-churn): no worker may ever name a dead pid."""
-    with make_world(backend) as db, TopKServer(db, capacity=8) as server:
+    with make_world(backend) as db, TopKServer(db) as server:
         report = LoadGenerator(LoadConfig(
             threads=2, duration_seconds=0.6, seed=21,
             mix=OpMix.named(mix_name), k=4, audit_interval=0.2)).run(server)

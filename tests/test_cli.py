@@ -59,9 +59,21 @@ class TestParser:
     def test_serve_replay_options(self):
         args = build_parser().parse_args(
             ["serve-replay", "--users", "20", "--requests", "80",
-             "--capacity", "8", "--no-baseline", "--json"])
-        assert (args.users, args.requests, args.capacity) == (20, 80, 8)
+             "--no-baseline", "--json"])
+        assert (args.users, args.requests) == (20, 80)
         assert args.no_baseline and args.as_json
+
+    def test_capacity_and_weight_flags(self):
+        """Gone: no session is resident, so there is no capacity to bound,
+        and ``--mix`` (default: the benign mix of all five op kinds) is the
+        one way to shape a replay."""
+        for command in ("serve-replay", "load", "stats"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--capacity", "8"])
+        for kind in ("read", "update", "insert", "delete", "data-update"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["serve-replay", f"--{kind}-weight", "1"])
 
     def test_serve_replay_shards_flag(self):
         """Gone with the in-process cluster it partitioned users across."""
@@ -149,17 +161,17 @@ class TestJsonOutput:
 
     def test_serve_replay_json_reports_both_arms(self):
         payload = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=30, k=3, capacity=4,
+            scale="tiny", users=8, requests=30, k=3,
             as_json=True))
         assert payload["serving"]["ops"] == 30
         assert payload["baseline"]["ops"] == 30
         assert payload["serving"]["sql_statements"] < \
             payload["baseline"]["sql_statements"]
-        assert "serving.sessions.resident" in payload["server"]
+        assert payload["server"]["serving.sessions.sessions_built"] > 0
 
     def test_serve_replay_json_without_baseline(self):
         payload = json.loads(run_serve_replay(
-            scale="tiny", users=6, requests=20, k=3, capacity=4,
+            scale="tiny", users=6, requests=20, k=3,
             baseline=False, as_json=True))
         assert payload["baseline"] is None
         assert set(payload) == {"config", "serving", "baseline", "server",
@@ -169,7 +181,7 @@ class TestJsonOutput:
         """The JSON report surfaces the server's per-kind mutation counters
         (inserts / deletes / tuple_updates), matching the replay arm."""
         payload = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=40, k=3, capacity=4, seed=2,
+            scale="tiny", users=8, requests=40, k=3, seed=2,
             baseline=False, as_json=True))
         mutations = payload["mutations"]
         assert set(mutations) == {"inserts", "deletes", "tuple_updates"}
@@ -185,7 +197,7 @@ class TestJsonOutput:
         """The serving arm repairs touched answers in place rather than
         dropping them."""
         repaired = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=40, k=3, capacity=4, seed=2,
+            scale="tiny", users=8, requests=40, k=3, seed=2,
             baseline=False, as_json=True))
         server = repaired["server"]
         assert server["serving.result_cache.repairs"] > \
@@ -194,8 +206,7 @@ class TestJsonOutput:
 
 class TestServeReplayText:
     def test_text_report_mentions_both_arms(self):
-        text = run_serve_replay(scale="tiny", users=8, requests=30, k=3,
-                                capacity=4)
+        text = run_serve_replay(scale="tiny", users=8, requests=30, k=3)
         assert "serving" in text and "baseline" in text
         assert "SQL statements saved" in text
         assert "mutations:" in text and "in-place updates" in text
@@ -268,7 +279,7 @@ class TestMainEntryPoint:
 
     def test_main_serve_replay(self, capsys):
         assert main(["serve-replay", "--scale", "tiny", "--users", "6",
-                     "--requests", "20", "--capacity", "4", "--json"]) == 0
+                     "--requests", "20", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["users"] == 6
 
@@ -315,7 +326,7 @@ class TestStats:
 class TestTelemetryFlags:
     def test_serve_replay_telemetry_json_section(self):
         payload = json.loads(run_serve_replay(
-            scale="tiny", users=6, requests=20, capacity=4, baseline=False,
+            scale="tiny", users=6, requests=20, baseline=False,
             as_json=True, telemetry=True))
         snapshot = payload["telemetry"]
         assert snapshot is not None
@@ -324,7 +335,7 @@ class TestTelemetryFlags:
 
     def test_serve_replay_text_mentions_telemetry(self):
         text = run_serve_replay(scale="tiny", users=6, requests=20,
-                                capacity=4, baseline=False, telemetry=True)
+                                baseline=False, telemetry=True)
         assert "telemetry:" in text and "traces recorded" in text
 
     def test_load_telemetry_carries_snapshot(self):

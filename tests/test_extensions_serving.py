@@ -44,7 +44,7 @@ UIDS = population(8)
 def served_world(request):
     db = engine_world(request.param, SYN, len(UIDS),
                       synthetic_profile_factory(SYN))
-    server = TopKServer(db, capacity=8)
+    server = TopKServer(db)
     yield db, server
     server.close()
     db.close()

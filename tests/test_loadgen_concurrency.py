@@ -100,7 +100,7 @@ def test_join_with_deadline_detects_a_hung_thread():
 
 def test_mixed_load_finishes_clean_under_contention(world):
     """Reads + all mutation kinds, 3 threads, auditor live: clean finish."""
-    server = TopKServer(world, capacity=12)
+    server = TopKServer(world)
     config = LoadConfig(threads=3, duration_seconds=1.0, seed=31,
                         k=K, audit_interval=0.25,
                         audit_sample=6)
@@ -131,7 +131,7 @@ def test_readers_and_writers_no_torn_reads(world):
     """2 writers + 2 readers race; every quiesce point must find every
     materialised ranking equal to a from-scratch recomputation on the
     frozen (quiesced) database."""
-    server = TopKServer(world, capacity=12)
+    server = TopKServer(world)
     uids = sorted(profile.uid for profile in world.read_profiles())
     gate = TrafficGate()
     stop = threading.Event()
@@ -293,7 +293,7 @@ class TestOneLockServing:
     def test_cold_computes_never_overlap(self, world):
         """A cold read parked inside its compute keeps a second user's cold
         read out until it finishes; the second one's trace shows the wait."""
-        server = TopKServer(world, capacity=12)
+        server = TopKServer(world)
         telemetry = Telemetry()
         telemetry.observe(server)
         inside, release = threading.Event(), threading.Event()
@@ -352,7 +352,7 @@ class TestOneLockServing:
         """While a cold read's put is parked, neither a second reader of the
         same user nor a data mutation gets in: the window between compute
         and put that the epoch guard used to cover no longer exists."""
-        server = TopKServer(world, capacity=12)
+        server = TopKServer(world)
         ready, proceed = threading.Event(), threading.Event()
         try:
             uid = sorted(profile.uid
@@ -415,7 +415,7 @@ class TestOneLockServing:
         """Deletes land while readers hammer the server; after the dust
         settles no cached ranking may contain a dropped paper, and every
         survivor must equal the from-scratch oracle."""
-        server = TopKServer(world, capacity=32)
+        server = TopKServer(world)
         try:
             uids = sorted(profile.uid for profile in world.read_profiles())
             for uid in uids:

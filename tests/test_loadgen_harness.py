@@ -44,7 +44,7 @@ K = 4
 @pytest.fixture()
 def server():
     db = build_world(DBLP, USERS)
-    instance = TopKServer(db, capacity=8)
+    instance = TopKServer(db)
     yield instance
     instance.close()
     db.close()

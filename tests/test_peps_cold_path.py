@@ -425,7 +425,7 @@ def test_served_rankings_match_the_golden_digest(backend):
     registry = PreferenceExtractor(dataset).extract_all()
     db = fresh_db(dataset, backend)
     load_profiles(db, registry)
-    server = TopKServer(db, capacity=8)
+    server = TopKServer(db)
     try:
         uids = sorted(profile.uid for profile in registry)
         digest = hashlib.sha256()

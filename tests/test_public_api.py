@@ -155,6 +155,29 @@ def test_replay_driver_is_gone():
         assert not gone & set(vars(module)), module.__name__
 
 
+def test_no_session_is_resident():
+    """Serving keeps answers and id lists, nothing per user: ``UserSession``
+    is gone everywhere, the registry has no LRU surface, and neither the
+    server nor an update report speaks of residency."""
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import repro.serving as serving
+
+    modules = [repro] + [importlib.import_module(info.name) for info
+                         in pkgutil.walk_packages(repro.__path__, "repro.")]
+    for module in modules:
+        assert "UserSession" not in vars(module), module.__name__
+    for name in ("peek", "get", "evict", "drop_for_profile_update",
+                 "resident_uids", "_evict_over_capacity", "__len__",
+                 "__contains__"):
+        assert not hasattr(serving.SessionRegistry, name), name
+    assert not hasattr(serving.TopKServer, "_load_profile")
+    assert "resident" not in {
+        field.name for field in dataclasses.fields(serving.UpdateReport)}
+
+
 def test_one_served_engine(monkeypatch):
     """SQLite is the only engine a flag, an environment variable or a world
     builder can pick: no ``backend=`` is left on the builders or the CLI's

@@ -55,7 +55,7 @@ K = 4
 def _build_server(backend):
     db = create_backend(backend, path=":memory:")
     load_dataset(db, generate_dblp(DBLP))
-    server = TopKServer(db, capacity=8)
+    server = TopKServer(db)
     for uid in USERS:
         profile = UserProfile(uid=uid)
         profile.add_quantitative(f"dblp.venue = '{VENUES[uid]}'", 0.9)

@@ -2,7 +2,7 @@
 
 A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
-evict, close-and-reopen, the five profile-update shapes and three faults.
+close-and-reopen, the five profile-update shapes and three faults.
 After every step every read, and every answer still materialised, equals
 ``fresh_top_k``, and no repair ran SQL.  Concurrent interleavings are the
 load auditor's job; ``test_engines_report_alike`` compares the two engines.
@@ -42,7 +42,6 @@ DBLP = DblpConfig(n_papers=120, n_authors=40, n_venues=6, seed=7)
 DATASET = generate_dblp(DBLP)
 VENUES = sorted({paper.venue for paper in DATASET.papers})
 K = 4
-CAPACITY = 4
 #: Three mined users with qualitative pairs, beside three population users.
 MINED = [profile for profile in sorted(
     PreferenceExtractor(DATASET).extract_all(), key=lambda p: p.uid)
@@ -121,7 +120,7 @@ class ServerMachine(RuleBasedStateMachine):
         load_population(self.real, POPULATION)
         load_profiles(self.real, MINED)
         self.db = FaultyBackend(self.real)
-        self.server = TopKServer(self.db, capacity=CAPACITY)
+        self.server = TopKServer(self.db)
         # Each user's own predicates and qualitative pairs, as stated so far.
         self.users = {profile.uid: {
             "predicates": profile.predicates(),
@@ -211,16 +210,12 @@ class ServerMachine(RuleBasedStateMachine):
         self.apply(Op(DATA_UPDATE, papers=(self.paper(
             pid, venue or rows[0]["venue"], year or rows[0]["year"]),)))
 
-    # -- sessions and lifecycle ----------------------------------------------
-
-    @rule(uid=st.sampled_from(UIDS))
-    def evict(self, uid):
-        self.server.sessions.evict(uid)
+    # -- lifecycle -----------------------------------------------------------
 
     @rule()
     def reopen(self):
         self.server.close()
-        self.server = TopKServer(self.db, capacity=CAPACITY)
+        self.server = TopKServer(self.db)
 
     # -- the five profile-update shapes --------------------------------------
 
@@ -265,11 +260,16 @@ class ServerMachine(RuleBasedStateMachine):
           year=st.integers(1995, 2013), other=st.sampled_from(UIDS))
     def fault(self, place, kind, pick, venue, year, other):
         """A write whose backend raises once surfaces at its door, is
-        counted there, and leaves the server exact and unwedged."""
+        counted there, and leaves the server exact and unwedged.  A data
+        mutation's fault — before the commit, in ``notify`` or in a
+        subscriber ahead of the server's — leaves no completed sweep, so
+        the server forgets every cache, counted by door."""
         door = {INSERT: "insert_tuples", DELETE: "delete_tuples",
                 DATA_UPDATE: "update_tuples", UPDATE: "update_profile"}[kind]
         errors = f"serving.server.errors.{door}.injected_fault"
+        forgets = f"serving.server.forgets.{door}"
         before = self.server.metrics().get(errors, 0)
+        forgotten = self.server.metrics().get(forgets, 0)
         fired = self.db.fired
         self.db.armed = place
         try:
@@ -286,8 +286,10 @@ class ServerMachine(RuleBasedStateMachine):
         finally:
             self.db.armed = None
             self.fresh.clear()
-        assert self.server.metrics().get(errors, 0) == \
-            before + self.db.fired - fired
+        metrics = self.server.metrics()
+        assert metrics.get(errors, 0) == before + self.db.fired - fired
+        assert metrics.get(forgets, 0) == forgotten + (
+            self.db.fired - fired if kind != UPDATE else 0)
         outcome = {}
         start_and_join([threading.Thread(
             target=lambda: outcome.update(read=self.server.top_k(other, K)),
@@ -330,7 +332,7 @@ def _outcome(op, result):
     if op.kind == READ:
         return result.cache_hit, result.ranking
     if op.kind == UPDATE:
-        return result.resident, result.results_invalidated
+        return result.results_invalidated
     return {key: value for key, value in result.as_dict().items()
             if key not in ("seconds", "sql_statements")}
 
@@ -351,7 +353,7 @@ def test_engines_report_alike():
     outcomes, final = {}, {}
     for backend in BACKENDS:
         db = engine_world(backend, DBLP, 14)
-        with TopKServer(db, capacity=6) as server:
+        with TopKServer(db) as server:
             (stream,) = build_streams(db, 1, mix, population(14), K, seed=29)
             outcomes[backend] = [
                 (op.kind, _outcome(op, apply_op(server, op)),

@@ -78,7 +78,7 @@ class TestReplay:
     def test_equivalence_after_every_mutation(self, db):
         """Every answer the server keeps materialised equals a from-scratch
         recomputation after every single op of the replay."""
-        with TopKServer(db, capacity=6) as server:
+        with TopKServer(db) as server:
             report = replay(server, audit_interval=0)
         assert report.clean, report.audit
         assert report.audit["comparisons"] > 0
@@ -90,7 +90,7 @@ class TestReplay:
     def test_inline_audit_flags_a_divergence(self, db):
         """A materialised answer that no longer equals a fresh recomputation
         fails the inline audit."""
-        with TopKServer(db, capacity=6) as server:
+        with TopKServer(db) as server:
             stale = population(USERS)[0]
             server.top_k(stale, K)
             entry = server.results.peek(stale, K)
@@ -103,7 +103,7 @@ class TestReplay:
     def test_serving_beats_baseline_and_hits_are_free(self, db):
         baseline_db = build_world(DBLP, USERS)
         try:
-            with TopKServer(db, capacity=6) as server:
+            with TopKServer(db) as server:
                 serving = replay(server)
             baseline = replay(Uncached(baseline_db))
             # An uncached arm materialises nothing to audit.
@@ -119,7 +119,7 @@ class TestReplay:
         assert baseline.locks == []
 
     def test_report_as_dict_roundtrips_to_json(self, db):
-        with TopKServer(db, capacity=6) as server:
+        with TopKServer(db) as server:
             payload = json.loads(json.dumps(replay(server).as_dict()))
         assert payload["threads"] == 1
         assert payload["ops"] == REQUESTS

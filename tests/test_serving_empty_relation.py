@@ -50,7 +50,7 @@ def test_churn_to_empty_replays_identically_on_both_backends():
     outcomes = {}
     for backend_name in sorted(BACKEND_NAMES):
         with make_world(backend_name) as db, \
-                TopKServer(db, capacity=6) as server:
+                TopKServer(db) as server:
             report = LoadGenerator(CHURN).run(server)
             assert report.clean, report.audit
             outcomes[backend_name] = (
@@ -64,7 +64,7 @@ def test_churn_to_empty_replays_identically_on_both_backends():
 
 def test_top_k_over_a_fully_drained_relation_is_empty(backend_name):
     with make_world(backend_name) as db, \
-            TopKServer(db, capacity=6) as server:
+            TopKServer(db) as server:
         uid = population(USERS)[0]
         warm = server.top_k(uid, 4)
         assert warm.ranking  # papers exist before the drain
@@ -78,7 +78,7 @@ def test_top_k_over_a_fully_drained_relation_is_empty(backend_name):
 def test_repair_sweep_with_zero_surviving_rows(backend_name):
     """Deleting every row sweeps the cached answers without diverging."""
     with make_world(backend_name) as db, \
-            TopKServer(db, capacity=6) as server:
+            TopKServer(db) as server:
         uids = population(USERS)[:4]
         for uid in uids:
             server.top_k(uid, 4)

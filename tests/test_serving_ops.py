@@ -269,7 +269,7 @@ def test_apply_op_leaves_every_arm_in_the_same_state():
                            insert_weight=1.5, delete_weight=1.0,
                            data_update_weight=1.0)
     arms = {
-        "server": lambda db: TopKServer(db, capacity=6),
+        "server": lambda db: TopKServer(db),
         "uncached": Uncached,
     }
     ops = None

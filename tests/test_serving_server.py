@@ -9,7 +9,7 @@ import pytest
 from repro.backend import BACKEND_NAMES, create_backend
 from repro.core.predicate import Condition
 from repro.core.preference import UserProfile
-from repro.exceptions import ServingError, UnknownUserError
+from repro.exceptions import RelationalError, ServingError, UnknownUserError
 from repro.serving import TopKServer, fresh_top_k
 from repro.sqldb.database import Database
 from repro.workload.dblp import DblpConfig, Paper, generate_dblp
@@ -37,7 +37,7 @@ def serving_db():
 
 @pytest.fixture()
 def server(serving_db):
-    with TopKServer(serving_db, capacity=8) as engine:
+    with TopKServer(serving_db) as engine:
         for uid in range(1, 5):
             engine.update_profile(uid, make_profile(uid))
         yield engine
@@ -60,6 +60,35 @@ class TestReads:
         with pytest.raises(UnknownUserError):
             server.top_k(999, 5)
 
+    def test_known_user_with_no_positive_preference_ranks_nothing(self,
+                                                                   server):
+        """A persisted profile holding only a dislike is a known user with
+        an empty answer: served == fresh == empty, cached as a complete
+        answer that depends on no predicate, so no sweep touches it and
+        only a profile update replaces it."""
+        dislike = UserProfile(uid=7)
+        dislike.add_quantitative(f"dblp.venue = '{VENUES[0]}'", -0.5)
+        server.update_profile(7, dislike)
+        cold = server.top_k(7, 5)
+        assert cold.ranking == () and not cold.cache_hit
+        assert fresh_top_k(server.db, 7, 5) == []
+        warm = server.top_k(7, 5)
+        assert warm.cache_hit and warm.sql_statements == 0
+        assert warm.ranking == ()
+        entry = server.results.peek(7, 5)
+        assert entry.complete and entry.conjuncts == ()
+        server.insert_tuples([{"pid": 90_002, "title": "New",
+                               "venue": VENUES[0], "year": 2009, "aids": [1]}])
+        assert server.results.peek(7, 5) is entry
+
+        like = UserProfile(uid=7)
+        like.add_quantitative("dblp.year >= 2008", 0.7)
+        server.update_profile(7, like)
+        served = server.top_k(7, 5)
+        assert not served.cache_hit and len(served.ranking) == 5
+        assert list(served.ranking) == fresh_top_k(server.db, 7, 5)
+        assert not any(".errors." in name for name in server.metrics())
+
     def test_different_k_is_a_different_entry(self, server):
         server.top_k(1, 5)
         result = server.top_k(1, 3)
@@ -74,7 +103,6 @@ class TestProfileUpdates:
         update = UserProfile(uid=1)
         update.add_quantitative("dblp.venue = 'PODS'", 0.8)
         report = server.update_profile(1, update)
-        assert report.resident
         assert report.results_invalidated >= 1
         assert server.results.peek(1, 5) is None
         assert server.results.peek(2, 5) is not None
@@ -88,20 +116,21 @@ class TestProfileUpdates:
         assert not served.cache_hit
         assert list(served.ranking) == fresh_top_k(server.db, 1, 5)
 
-    def test_update_for_evicted_user_invalidates_cache(self, serving_db):
-        with TopKServer(serving_db, capacity=1) as engine:
-            engine.update_profile(1, make_profile(1))
-            engine.update_profile(2, make_profile(2))
-            engine.top_k(1, 5)
-            engine.top_k(2, 5)  # evicts session 1; its answer stays cached
-            assert engine.results.peek(1, 5) is not None
-            update = UserProfile(uid=1)
-            update.add_quantitative("dblp.venue = 'PODS'", 0.8)
-            report = engine.update_profile(1, update)
-            assert not report.resident
-            assert engine.results.peek(1, 5) is None
-            served = engine.top_k(1, 5)
-            assert list(served.ranking) == fresh_top_k(serving_db, 1, 5)
+    def test_update_for_evicted_user_invalidates_cache(self, server):
+        """No session is resident, so every user is in the state an eviction
+        used to leave: only the cached answer remembers the old profile,
+        and the update drops it (and only it) — the next read is fresh."""
+        server.top_k(1, 5)
+        server.top_k(2, 5)
+        update = UserProfile(uid=1)
+        update.add_quantitative("dblp.venue = 'PODS'", 0.8)
+        report = server.update_profile(1, update)
+        assert report.results_invalidated == 1
+        assert server.results.peek(1, 5) is None
+        assert server.results.peek(2, 5) is not None
+        served = server.top_k(1, 5)
+        assert not served.cache_hit
+        assert list(served.ranking) == fresh_top_k(server.db, 1, 5)
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_exponent_form_literal_survives_the_round_trip(self, backend):
@@ -111,7 +140,7 @@ class TestProfileUpdates:
         db = create_backend(backend)
         load_dataset(db, generate_dblp(
             DblpConfig(n_papers=200, n_authors=60, n_venues=6, seed=7)))
-        with TopKServer(db, capacity=8) as server:
+        with TopKServer(db) as server:
             server.update_profile(1, make_profile(1))
             update = UserProfile(uid=1)
             update.add_quantitative(Condition("dblp.year", "<", 1e16), 0.8)
@@ -129,6 +158,24 @@ class TestProfileUpdates:
 
 
 class TestDataInserts:
+    def test_failed_insert_commits_nothing_now_or_later(self, server):
+        """A write that fails mid-transaction rolls back: the paper row its
+        first statement wrote is gone, no transaction stays open, and the
+        next write commits only its own rows."""
+        db = server.db
+        with pytest.raises(RelationalError):
+            server.insert_tuples([Paper(9001, "Half", VENUES[0], 2009)],
+                                 paper_authors=[(9001,)])
+        assert not db.connection.in_transaction
+        assert 9001 not in db.paper_ids()
+        assert server.metrics()["serving.server.forgets.insert_tuples"] == 1
+        server.insert_tuples([Paper(9002, "Whole", VENUES[0], 2009)],
+                             paper_authors=[(9002, 1)])
+        assert 9001 not in db.paper_ids() and 9002 in db.paper_ids()
+        for uid in range(1, 5):
+            served = server.top_k(uid, 5).ranking
+            assert list(served) == fresh_top_k(db, uid, 5)
+
     def test_insert_invalidates_selectively_and_stays_exact(self, server):
         for uid in range(1, 5):
             server.top_k(uid, 5)

@@ -1,16 +1,17 @@
-"""Tests for the per-user session registry (LRU, shared id lists, rebuilds)."""
+"""Tests for the cold read's build path (staging tables -> PEPS, shared id
+lists, nothing resident)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.preference import UserProfile
-from repro.exceptions import ServingError
+from repro.core.preference import ProfileRegistry, UserProfile
+from repro.exceptions import UnknownUserError
 from repro.index import RowMatch
 from repro.serving.sessions import SessionRegistry
 from repro.sqldb.database import Database
 from repro.workload.dblp import DblpConfig, generate_dblp
-from repro.workload.loader import load_dataset
+from repro.workload.loader import load_dataset, load_profiles
 
 VENUES = ("VLDB", "SIGMOD", "PVLDB", "ICDE", "PODS", "CIKM")
 
@@ -31,99 +32,71 @@ def serving_db():
     db.close()
 
 
+@pytest.fixture()
+def registry(serving_db):
+    """A registry over a world whose staging tables hold users 1-3."""
+    profiles = ProfileRegistry()
+    for uid in (1, 2, 3):
+        profiles.add(make_profile(uid))
+    load_profiles(serving_db, profiles)
+    return SessionRegistry(serving_db)
+
+
 class TestUserSession:
-    def test_session_serves_topk(self, serving_db):
-        registry = SessionRegistry(serving_db, capacity=4)
-        session = registry.get_or_create(1, make_profile(1))
-        ranking, complete = session.top_k_buffer(5)
+    """What a cold read builds: a PEPS over the persisted profile, used for
+    one answer and not kept."""
+
+    def test_session_serves_topk(self, registry):
+        ranking, complete = registry.get_or_create(1).top_k_buffer(5)
         assert len(ranking) == 5 and not complete
-        assert session.queries_served == 1
+        assert registry.stats()["sessions_built"] == 1
 
-    def test_profile_uid_mismatch_rejected(self, serving_db):
-        registry = SessionRegistry(serving_db, capacity=4)
-        with pytest.raises(ServingError):
-            registry.get_or_create(1, make_profile(2))
-        assert 1 not in registry
-
-    def test_one_peps_instance_per_session(self, serving_db):
-        """A session builds its PEPS once; a data mutation prunes the shared
-        id lists it reads and leaves the instance — which holds no pair
-        table — in place."""
-        registry = SessionRegistry(serving_db, capacity=4)
-        session = registry.get_or_create(1, make_profile(1))
-        first = session.algorithm()
-        session.top_k_buffer(5)
+    def test_one_peps_instance_per_session(self, registry):
+        """Every build is a fresh PEPS that holds no pair table; a data
+        mutation prunes only the shared id lists it reads."""
+        first = registry.get_or_create(1)
+        first.top_k_buffer(5)
         row = {"pid": 9001, "title": "t", "venue": VENUES[1], "year": 2011,
                "abstract": "", "aid": 1}
         assert registry.invalidate_matching(RowMatch([row])) > 0
-        assert session.algorithm() is first
+        assert registry.get_or_create(1) is not first
         assert first._pair_index is None
-
-    def test_resident_session_ignores_a_handed_in_profile(self, serving_db):
-        """Sessions are snapshots: only a drop replaces one."""
-        registry = SessionRegistry(serving_db, capacity=4)
-        session = registry.get_or_create(1, make_profile(1))
-        update = make_profile(1)
-        update.add_quantitative("dblp.venue = 'PODS'", 0.4)
-        assert registry.get_or_create(1, update) is session
-        assert session.preference_count() == 2
-        assert registry.drop_for_profile_update(1)
-        assert registry.get_or_create(1, update).preference_count() == 3
 
 
 class TestSessionRegistryLRU:
-    def test_capacity_evicts_least_recently_used(self, serving_db):
-        registry = SessionRegistry(serving_db, capacity=2)
-        registry.get_or_create(1, make_profile(1))
-        registry.get_or_create(2, make_profile(2))
-        registry.get(1)  # touch: 2 becomes LRU
-        registry.get_or_create(3, make_profile(3))
-        assert 1 in registry and 3 in registry
-        assert 2 not in registry
-        assert registry.stats()["evictions"] == 1
-
-    def test_drops_are_counted_by_reason(self, serving_db):
-        registry = SessionRegistry(serving_db, capacity=1)
-        registry.get_or_create(1, make_profile(1))
-        registry.get_or_create(2, make_profile(2))      # LRU pressure
-        assert registry.evict(2) and not registry.evict(2)
-        registry.get_or_create(3, make_profile(3))
-        assert registry.drop_for_profile_update(3)
-        assert not registry.drop_for_profile_update(3)
-        stats = registry.stats()
-        assert (stats["evictions"], stats["profile_drops"]) == (2, 1)
-        assert stats["resident"] == 0
-
-    def test_evicted_user_rebuilds_through_loader(self, serving_db):
-        profiles = {uid: make_profile(uid) for uid in (1, 2)}
-        registry = SessionRegistry(serving_db, capacity=1,
-                                   profile_loader=profiles.get)
+    def test_evicted_user_rebuilds_through_loader(self, registry, serving_db):
+        """Every read builds from the staging tables: an update persisted
+        there is in the next build, and nothing is resident to hit."""
         before = registry.get_or_create(1).top_k_buffer(5)
-        registry.get_or_create(2)
-        assert 1 not in registry
-        rebuilt = registry.get_or_create(1)
-        assert rebuilt.top_k_buffer(5) == before
-        assert registry.stats()["sessions_built"] == 3
+        assert registry.get_or_create(1).top_k_buffer(5) == before
+        update = UserProfile(uid=1)
+        update.add_quantitative("dblp.venue = 'PODS'", 0.4)
+        profiles = ProfileRegistry()
+        profiles.add(update)
+        load_profiles(serving_db, profiles)
+        assert len(registry.get_or_create(1).preferences) == 3
+        assert registry.stats() == {"hits": 0, "misses": 3, "evictions": 0,
+                                    "sessions_built": 3}
 
-    def test_unknown_user_without_loader_raises(self, serving_db):
-        registry = SessionRegistry(serving_db, capacity=2)
-        with pytest.raises(ServingError):
+    def test_unknown_user_without_loader_raises(self, registry):
+        with pytest.raises(UnknownUserError):
             registry.get_or_create(99)
-
-    def test_capacity_must_be_positive(self, serving_db):
-        with pytest.raises(ServingError):
-            SessionRegistry(serving_db, capacity=0)
+        assert registry.stats()["sessions_built"] == 0
 
 
 class TestSharedIdLists:
     def test_sessions_share_one_id_list_memo(self, serving_db):
-        registry = SessionRegistry(serving_db, capacity=4)
         shared = UserProfile(uid=1)
         shared.add_quantitative("dblp.year >= 2005", 0.5)
         shared_too = UserProfile(uid=2)
         shared_too.add_quantitative("dblp.year >= 2005", 0.8)
-        registry.get_or_create(1, shared).top_k_buffer(3)
+        profiles = ProfileRegistry()
+        profiles.add(shared)
+        profiles.add(shared_too)
+        load_profiles(serving_db, profiles)
+        registry = SessionRegistry(serving_db)
+        registry.get_or_create(1).top_k_buffer(3)
         fetched = registry.runner.queries_executed
-        registry.get_or_create(2, shared_too).top_k_buffer(3)
+        registry.get_or_create(2).top_k_buffer(3)
         # User 2's only predicate was already fetched while serving user 1.
         assert registry.runner.queries_executed == fetched == 1

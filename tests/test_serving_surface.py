@@ -18,6 +18,7 @@ machine's (``test_server_machine.py``).
 from __future__ import annotations
 
 import inspect
+import re
 import threading
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from repro.index import (CountCache, IncrementalPairIndex, RowMatch,
                          may_match_row)
 from repro.serving import DataMutationReport, TopKServer, fresh_top_k
 from repro.serving.results import CachedResult
-from repro.serving.sessions import SessionRegistry, UserSession
+from repro.serving.sessions import SessionRegistry
 from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
 from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
 from repro.workload.loader import append_papers, delete_papers
@@ -62,7 +63,7 @@ def backend(request):
 @pytest.fixture(params=["server"])
 def surface(request, backend):
     db = engine_world(backend, DBLP, len(UIDS))
-    server = TopKServer(db, capacity=16)
+    server = TopKServer(db)
     yield server
     server.close()
     db.close()
@@ -142,22 +143,21 @@ def test_construction_surface_is_pinned():
     edit of this list, not a drive-by."""
     pinned = {
         IncrementalPairIndex: ["counter", "preferences"],
-        UserSession: ["uid", "runner", "profile"],
-        UserSession.algorithm: ["self"],
-        SessionRegistry: ["db", "capacity", "profile_loader"],
+        SessionRegistry: ["db"],
+        SessionRegistry.get_or_create: ["self", "uid"],
         PEPSAlgorithm: ["runner", "preferences", "approximate",
                         "max_combination_size", "max_combinations",
                         "pair_index"],
         run_load: ["scale", "users", "threads", "duration", "qps",
-                   "seed", "k", "capacity", "audit_interval",
+                   "seed", "k", "audit_interval",
                    "output", "as_json", "telemetry", "family", "mix"],
         run_serve_replay: ["scale", "users", "requests", "k", "seed",
-                           "capacity", "baseline", "read_weight",
-                           "update_weight", "insert_weight", "delete_weight",
-                           "data_update_weight", "as_json",
-                           "telemetry", "family", "mix"],
-        run_stats: ["scale", "users", "requests", "k", "seed", "capacity",
+                           "baseline", "as_json", "telemetry", "family",
+                           "mix"],
+        run_stats: ["scale", "users", "requests", "k", "seed",
                     "prometheus", "slow_ms"],
+        # ``capacity`` is accepted and ignored: only the end-to-end
+        # benchmark's world passes it (see the test below).
         TopKServer: ["db", "capacity"],
         LoadConfig: ["threads", "duration_seconds", "requests", "target_qps",
                      "mix", "k", "seed", "audit_interval", "audit_sample"],
@@ -169,6 +169,22 @@ def test_construction_surface_is_pinned():
     }
     for target, names in pinned.items():
         assert list(inspect.signature(target).parameters) == names, target
+
+
+def test_only_the_e2e_world_passes_a_session_capacity():
+    """No session is resident, so ``capacity=`` on ``TopKServer`` is a shim
+    for the end-to-end benchmark's world alone: no other file passes it."""
+    root = Path(__file__).resolve().parents[1]
+    call = re.compile(r"TopKServer\((?:[^()]|\([^()]*\))*\bcapacity\s*=")
+    files = [root / "README.md"] + [
+        path for folder in ("src", "tests", "benchmarks", "examples", "docs",
+                            ".github")
+        for pattern in ("*.py", "*.md", "*.yml")
+        for path in (root / folder).rglob(pattern)]
+    passing = sorted(path.relative_to(root).as_posix() for path in files
+                     if call.search(path.read_text(encoding="utf-8")))
+    assert passing and all(path.startswith("benchmarks/e2e/")
+                           for path in passing), passing
 
 
 def test_lock_set_is_pinned(surface):
@@ -268,7 +284,7 @@ def test_raising_subscriber_ahead_of_the_server_leaves_nothing_stale(backend):
         raise RuntimeError("subscriber failed")
 
     db.subscribe(raising)
-    with TopKServer(db, capacity=16) as server:
+    with TopKServer(db) as server:
         tops = [server.top_k(uid, K).ranking[0][0] for uid in UIDS]
         pid = db.max_paper_id()
         for top in tops:
@@ -425,10 +441,9 @@ def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch)
     for uid in uids:
         surface.top_k(uid, K)
     before = sweepable_keys(surface)
-    preferences = {pref.sql: pref for uid in uids
-                   for pref in surface.sessions.peek(uid).algorithm().preferences}
-    assert before == {CountCache.key(pref.predicate)
-                      for pref in preferences.values()}
+    keys = {key for uid in uids
+            for key in surface.results.peek(uid, K).conjuncts}
+    assert before == keys
     report = surface.insert_tuples(
         [Paper(pid=90_006, title="Elsewhere", venue="NOWHERE", year=1900)],
         paper_authors=[(90_006, 999_999)])
@@ -444,9 +459,7 @@ def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch)
     match = RowMatch(surface.db.joined_rows([90_006]))
     masks = count_calls(monkeypatch, RowMatch, "mask")
     assert surface.sessions.invalidate_matching(match) == 0
-    assert len(masks) == sum(
-        2 if isinstance(pref.predicate, And) else 1
-        for pref in preferences.values()) >= len(preferences) > 1
+    assert len(masks) == sum(len(key) for key in keys) >= len(keys) > 1
 
 
 def calling_modules(name):
@@ -500,36 +513,34 @@ def test_closed_surface_refuses_instead_of_serving_stale(surface):
 
 
 def test_update_then_read_fetches_only_the_new_predicates_ids(backend):
-    """What *persist, drop, rebuild* costs, in counters: the read after an
-    update that adds one predicate to a resident user's profile fetches one
-    id list — the new predicate's; every old one is still memoised — counts
+    """What *persist, invalidate* costs, in counters: the read after an
+    update that adds one predicate to a user's profile fetches one id list
+    — the new predicate's; every old one is still memoised — counts
     nothing, and adds to that read only the two ``read_profiles``
     statements: 3 statements in all."""
     db = engine_world(backend, DBLP, len(UIDS))
     mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
     load_profiles(db, mined)
     uid = max(mined, key=lambda profile: len(profile.predicates())).uid
-    with TopKServer(db, capacity=16) as server:
+    with TopKServer(db) as server:
         server.top_k(uid, K)
         runner = server.sessions.runner
-        old = server.sessions.peek(uid).algorithm().preferences
+        old = server.results.peek(uid, K).conjuncts
         assert len(old) > 10
         queries = runner.queries_executed
 
         new = parse_predicate("dblp.year >= 1990")
-        assert new.to_sql() not in {pref.sql for pref in old}
+        assert CountCache.key(new) not in old
         update = UserProfile(uid=uid)
         update.add_quantitative(new, 0.33)
         report = server.update_profile(uid, update)
-        assert report.resident and report.sql_statements == 1
-        assert uid not in server.sessions
+        assert report.sql_statements == 1
+        assert server.results.peek(uid, K) is None
         result = server.top_k(uid, K)
 
         assert list(result.ranking) == fresh_top_k(db, uid, K)
         assert runner.queries_executed - queries == 1
         assert result.sql_statements == 2 + 1
         assert runner.count_cache.misses == runner.count_cache.hits == 0
-        stats = server.sessions.stats()
-        assert (stats["profile_drops"], stats["evictions"]) == (1, 0)
-        assert stats["sessions_built"] == 2
+        assert server.sessions.stats()["sessions_built"] == 2
     db.close()

@@ -100,6 +100,15 @@ class TestDatabase:
             assert counts["citation"] == len(tiny_dataset.citations)
             assert counts["dblp_author"] == len(tiny_dataset.paper_authors)
 
+    def test_failed_write_transaction_rolls_back(self, tiny_db):
+        papers = tiny_db.total_papers()
+        with pytest.raises(RuntimeError, match="midway"):
+            with tiny_db.write_transaction():
+                tiny_db.execute("DELETE FROM dblp")
+                raise RuntimeError("midway")
+        assert not tiny_db.connection.in_transaction
+        assert tiny_db.total_papers() == papers > 0
+
 
 class TestClosedDatabase:
     def test_close_is_idempotent(self):
