@@ -12,7 +12,8 @@ profile read.  Then, with the 40 answers cached, it inserts, rewrites in
 place and deletes one 2-author paper: latency per kind, plus what the sweep
 did — ``predicate_row_tests`` (the relevance evaluations its one
 :class:`~repro.index.RowMatch` made) and ``index_entries_dropped`` (id lists
-dropped from the shared memo).
+dropped from the shared memo) — and asserts that it visited exactly the
+cached answers it repaired or invalidated.
 
 The gate is on the counters, not the clock.  A cold read folds every
 preference's id list once, so ``memberships_folded`` (= Σ|ids|, pinned to
@@ -23,9 +24,10 @@ Serving counts no pair, so the shared count cache must see no miss.  The
 counters must also be equal on both engines: they count answers, not
 storage work — and so must the two mutation counters, which depend on the
 cached answers' predicates and the mutation rows alone: a sweep evaluates
-each distinct predicate text it is asked about once per row, and it is only
-ever asked about a conjunct of a predicate some cached answer was scored
-with.
+each distinct predicate text it judges once per row, and it judges only the
+held conjuncts a mutation row's values can reach (a mined preference is one
+``attr = literal`` conjunct, so: the row's venue and authors' keys, where
+some cached answer holds them).
 
 The 40 users are a systematic sample of the *typical* mined profiles (at
 most 64 preferences, the same cut the end-to-end benchmark's ``typical``
@@ -109,8 +111,8 @@ def _mutate(server: TopKServer, dataset) -> dict:
                    rewritten.year + 1)]),
         "delete": lambda: server.delete_tuples([deleted.pid]),
     }
-    # Every text a sweep can be asked about: a conjunct of a predicate a
-    # cached answer was scored with (the id-list memo holds the same keys).
+    # Every text a sweep can judge: a conjunct of a predicate a cached
+    # answer was scored with (the id-list memo holds the same keys).
     resident_texts = set().union(*(
         key for uid in server.results.cached_users()
         for key in server.results.peek(uid, K).conjuncts))
@@ -124,6 +126,8 @@ def _mutate(server: TopKServer, dataset) -> dict:
         assert 0 < distinct <= len(resident_texts)
         assert (sweep.annotation("predicate_row_tests")
                 == distinct * sweep.annotation("rows"))
+        assert (report.entries_visited == sweep.annotation("entries_visited")
+                == report.results_repaired + report.results_invalidated)
         measured[f"{kind}_predicate_row_tests"] = sweep.annotation(
             "predicate_row_tests")
         measured[f"{kind}_index_entries_dropped"] = report.index_entries_dropped

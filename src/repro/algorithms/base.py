@@ -29,7 +29,7 @@ from ..backend.protocol import StorageBackend
 from ..exceptions import EmptyPreferenceListError
 from ..index.count_cache import CountCache
 from ..index.pair_index import preference_sort_key
-from ..index.selectivity import RowMatch
+from ..index.selectivity import ConjunctIndex, RowMatch
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,8 @@ class PreferenceQueryRunner:
         self._owns_cache = count_cache is None
         self.count_cache = count_cache if count_cache is not None else CountCache(db)
         self._ids_cache: Dict[FrozenSet[str], Tuple[int, ...]] = {}
+        #: Every conjunct of a memoised key -> the keys holding it.
+        self._ids_held = ConjunctIndex()
         self.queries_executed = 0
 
     def count(self, predicate: PredicateExpr) -> int:
@@ -158,10 +160,14 @@ class PreferenceQueryRunner:
     def ids(self, predicate: PredicateExpr) -> Tuple[int, ...]:
         """Distinct paper ids matching ``predicate`` (cached)."""
         key = CountCache.key(predicate)
-        if key not in self._ids_cache:
-            self._ids_cache[key] = tuple(self.db.matching_paper_ids(predicate))
+        ids = self._ids_cache.get(key)
+        if ids is None:
+            ids = self._ids_cache[key] = tuple(
+                self.db.matching_paper_ids(predicate))
+            for conjunct in key:
+                self._ids_held.add(conjunct, key)
             self.queries_executed += 1
-        return self._ids_cache[key]
+        return ids
 
     def is_applicable(self, predicate: PredicateExpr) -> bool:
         """Definition 15 — the enhanced query returns at least one tuple."""
@@ -173,14 +179,21 @@ class PreferenceQueryRunner:
         Drops the memoised id lists whose predicate may match one of the
         mutation rows (pre ∪ post image): a list is keyed by its conjuncts
         (:meth:`CountCache.key`) and is stale iff ``match.shared(key)`` is
-        non-zero; everything provably unaffected stays cached.  Counts are
-        the count cache's own (:meth:`CountCache.invalidate_matching`).
+        non-zero; everything provably unaffected stays cached.  Only the
+        keys held under a *live* conjunct
+        (:meth:`~repro.index.selectivity.ConjunctIndex.live`) are asked —
+        a key with a conjunct no row may match is provably fresh.  Counts
+        are the count cache's own (:meth:`CountCache.invalidate_matching`).
         Returns the number of id lists dropped.
         """
-        stale_ids = ([key for key in self._ids_cache if match.shared(key)]
-                     if match.rows else ())
+        live = self._ids_held.live(match)
+        stale_ids = {key for conjunct in live
+                     for key in self._ids_held.holders(conjunct)
+                     if key <= live and match.shared(key)}
         for key in stale_ids:
             del self._ids_cache[key]
+            for conjunct in key:
+                self._ids_held.remove(conjunct, key)
         return len(stale_ids)
 
     def clear(self) -> None:
@@ -194,6 +207,7 @@ class PreferenceQueryRunner:
         if self._owns_cache:
             self.count_cache.clear()
         self._ids_cache.clear()
+        self._ids_held.clear()
         self.queries_executed = 0
 
 

@@ -24,6 +24,10 @@ Public API
     predicate); the serving sweep builds one per mutation, every
     ``invalidate_matching`` consumes it and the result cache's repair
     scores from it.
+:class:`ConjunctIndex`
+    The conjunct texts one store holds, ``attr = literal`` ones bucketed by
+    literal: a sweep judges only the keys a mutation row can reach and
+    visits only the entries held under the live ones.
 :func:`may_match_row`
     Sound tuple-relevance check used by data-update invalidation across
     the full mutation spectrum: ``False`` proves that no image of an
@@ -42,9 +46,11 @@ Public API
 
 from .count_cache import CountCache
 from .pair_index import IncrementalPairIndex, PairCombination
-from .selectivity import RowMatch, exact_match_row, may_match_row
+from .selectivity import (ConjunctIndex, RowMatch, exact_match_row,
+                          may_match_row)
 
 __all__ = [
+    "ConjunctIndex",
     "CountCache",
     "IncrementalPairIndex",
     "PairCombination",

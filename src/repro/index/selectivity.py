@@ -19,6 +19,12 @@ question about each mutation: *can this tuple image satisfy this predicate?*
   every conjunct* — judges all four.  The same one verdict per (predicate,
   row) also yields :meth:`RowMatch.exact`, *some row surely matches every
   conjunct*, which is what the result cache's repair scores with.
+* :class:`ConjunctIndex` is the set of conjunct texts one store holds, with
+  each ``attr = literal`` conjunct bucketed by its literal.  A mutation row
+  carries one value per attribute, so it can match only the few keys under
+  that value: :meth:`ConjunctIndex.live` hands :class:`RowMatch` those (and
+  every conjunct of another shape) and no other, and the store visits only
+  what the live conjuncts hold.
 
 Nothing in this module touches a storage engine — predicates are evaluated
 over event-carried rows — which is why the same relevance test serves every
@@ -27,13 +33,21 @@ over event-carried rows — which is why the same relevance test serves every
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Union
+from functools import lru_cache
+from typing import (Any, Dict, Hashable, Iterable, Mapping, Optional, Set,
+                    Tuple, Union)
 
 from ..core.predicate import (
+    Condition,
     PredicateExpr,
+    _as_number,
+    _lookup,
+    _sqlite_text,
     attribute_names_match,
     ensure_predicate,
 )
+
+Number = Union[int, float]
 
 
 def _row_has_attribute(row: Mapping[str, Any], attribute: str) -> bool:
@@ -82,6 +96,12 @@ def may_match_row(predicate: Union[str, PredicateExpr],
     return True if verdict is None else verdict
 
 
+def _key(predicate: Union[str, PredicateExpr]) -> str:
+    """A predicate's verdict key: its SQL text (a string is its own key —
+    the caches' keys are canonical renderings already)."""
+    return predicate if isinstance(predicate, str) else predicate.to_sql()
+
+
 class RowMatch:
     """One mutation's rows, each distinct predicate judged at most once.
 
@@ -104,18 +124,22 @@ class RowMatch:
 
     @property
     def distinct_predicates(self) -> int:
-        """Number of distinct predicate keys :meth:`mask` was asked about."""
+        """Number of distinct predicate keys judged so far."""
         return len(self._masks)
+
+    @property
+    def live_predicates(self) -> int:
+        """Number of judged predicate keys some row may match."""
+        return sum(1 for mask in self._masks.values() if mask)
 
     def mask(self, predicate: Union[str, PredicateExpr]) -> int:
         """Row bitmask: bit *i* is set iff ``may_match_row(predicate, rows[i])``.
 
-        Memoised by the predicate's SQL text (a string is taken as its own
-        key — the caches' keys are canonical renderings already).  One
-        :func:`exact_match_row` per row gives both this mask and the
-        surely-matching one :meth:`exact` reads.
+        Memoised by the predicate's SQL text.  One :func:`exact_match_row`
+        per row gives both this mask and the surely-matching one
+        :meth:`exact` reads.
         """
-        key = predicate if isinstance(predicate, str) else predicate.to_sql()
+        key = _key(predicate)
         mask = self._masks.get(key)
         if mask is None:
             parsed = ensure_predicate(predicate)
@@ -145,15 +169,165 @@ class RowMatch:
             shared &= self.mask(conjunct)
         return shared
 
-    def exact(self, conjuncts: Iterable[str]) -> int:
+    def exact(self, conjuncts: Iterable[Union[str, PredicateExpr]]) -> int:
         """Row bitmask of the rows that surely match *every* conjunct.
 
-        ``conjuncts`` are conjunct keys (SQL texts).  A bit set in
-        :meth:`shared` but not here is a row whose verdict the row alone
-        cannot decide; the result cache's repair must then fall back.
+        Takes the conjuncts :meth:`shared` takes, keyed the same way.  A bit
+        set in :meth:`shared` but not here is a row whose verdict the row
+        alone cannot decide; the result cache's repair must then fall back.
         """
         exact = (1 << len(self.rows)) - 1
         for conjunct in conjuncts:
-            self.mask(conjunct)
-            exact &= self._exact[conjunct]
+            key = _key(conjunct)
+            self.mask(key)
+            exact &= self._exact[key]
         return exact
+
+
+#: How one held conjunct is bucketed: ``(attribute, values)`` for an
+#: ``attribute = literal`` conjunct — the row values that can equal the
+#: literal are among ``values`` — and ``None`` for every other shape.
+_Shape = Optional[Tuple[str, Tuple[Union[str, Number], ...]]]
+
+
+@lru_cache(maxsize=8192)
+def _equality_shape(conjunct: str) -> _Shape:
+    """The bucket values a row value can reach ``conjunct`` through.
+
+    ``Condition.evaluate`` compares an ``=`` literal the way SQLite's
+    affinity does (:func:`~repro.core.predicate._compare_values`): a text
+    value equals the literal's text (a numeric literal rendered as SQLite
+    renders it), a numeric value equals the literal's number (a text literal
+    coerced when it is numeric-shaped).  A text bucket value never equals a
+    numeric one, so one dict holds both: a text row value finds the key only
+    under its text, a number only under its number.  NULL and NaN literals,
+    and every non-equality shape, are ``None``: a candidate for every row.
+    Memoised: both serving stores hold the same conjuncts, and one returns
+    whenever an answer holding it is recomputed.
+    """
+    parsed = ensure_predicate(conjunct)
+    if not isinstance(parsed, Condition) or parsed.op != "=":
+        return None
+    literal = parsed.value
+    if isinstance(literal, str):
+        number = _as_number(literal)
+        return parsed.attribute, ((literal,) if number is None
+                                  else (literal, number))
+    if isinstance(literal, (int, float)) and literal == literal:
+        return parsed.attribute, (_sqlite_text(literal), literal)
+    return None
+
+
+class ConjunctIndex:
+    """The conjunct texts one store holds, each with the entries holding it.
+
+    A store registers every conjunct of every entry it keeps
+    (:meth:`add`, :meth:`remove`); a conjunct stays held while any holder
+    does.  An ``attribute = literal`` conjunct is bucketed under its
+    attribute spelling by its literal's text and its literal's number
+    (:func:`_equality_shape`); every other shape is *generic*.
+
+    :meth:`candidates` over-approximates the keys some row may match: every
+    generic key, and per row and bucketed attribute — all of the attribute's
+    keys when the row lacks it (the verdict is ``None``), none when its
+    value is NULL, the keys bucketed under its value when it is text or a
+    number, and all of them for any other value type.  :meth:`live` then
+    judges only the candidates, through the sweep's :class:`RowMatch` —
+    still the only judge — so a key that is not a candidate costs nothing:
+    its mask is provably 0.  A sweep visits the holders of the live keys
+    and nothing else.
+    """
+
+    def __init__(self) -> None:
+        #: Per held conjunct: the store's entries holding it.
+        self._holders: Dict[str, Set[Hashable]] = {}
+        self._generic: Set[str] = set()
+        #: Per bucketed attribute spelling: all its keys / value -> keys.
+        self._keys: Dict[str, Set[str]] = {}
+        self._buckets: Dict[str, Dict[Any, Set[str]]] = {}
+
+    def add(self, conjunct: str, holder: Hashable) -> None:
+        """Record that ``holder`` holds ``conjunct``."""
+        holders = self._holders.get(conjunct)
+        if holders is None:
+            holders = self._holders[conjunct] = set()
+            shape = _equality_shape(conjunct)
+            if shape is None:
+                self._generic.add(conjunct)
+            else:
+                attribute, values = shape
+                keys = self._keys.get(attribute)
+                if keys is None:
+                    keys = self._keys[attribute] = set()
+                    self._buckets[attribute] = {}
+                keys.add(conjunct)
+                buckets = self._buckets[attribute]
+                for value in values:
+                    bucket = buckets.get(value)
+                    if bucket is None:
+                        buckets[value] = {conjunct}
+                    else:
+                        bucket.add(conjunct)
+        holders.add(holder)
+
+    def remove(self, conjunct: str, holder: Hashable) -> None:
+        """Forget that ``holder`` holds ``conjunct``; the last holder's
+        removal drops the conjunct from its buckets."""
+        holders = self._holders[conjunct]
+        holders.remove(holder)
+        if holders:
+            return
+        del self._holders[conjunct]
+        shape = _equality_shape(conjunct)
+        if shape is None:
+            self._generic.discard(conjunct)
+            return
+        attribute, values = shape
+        keys = self._keys[attribute]
+        keys.discard(conjunct)
+        if not keys:
+            del self._keys[attribute], self._buckets[attribute]
+            return
+        buckets = self._buckets[attribute]
+        for value in values:
+            bucket = buckets[value]
+            bucket.discard(conjunct)
+            if not bucket:
+                del buckets[value]
+
+    def holders(self, conjunct: str) -> Set[Hashable]:
+        """The entries holding a held ``conjunct``."""
+        return self._holders[conjunct]
+
+    def candidates(self, rows: Iterable[Mapping[str, Any]]) -> Set[str]:
+        """Every held key some row of ``rows`` may match, and maybe more."""
+        found = set(self._generic)
+        for row in rows:
+            for attribute, keys in self._keys.items():
+                if not _row_has_attribute(row, attribute):
+                    found |= keys
+                    continue
+                value = _lookup(row, attribute)
+                if value is None:
+                    continue
+                reached = keys
+                if isinstance(value, (str, int, float)):
+                    reached = self._buckets[attribute].get(value)
+                if reached:
+                    found |= reached
+        return found
+
+    def live(self, match: RowMatch) -> Set[str]:
+        """The held keys some row of ``match`` may match: the candidates,
+        each judged once by ``match``.  A mutation with no rows judges
+        nothing."""
+        if not match.rows:
+            return set()
+        return {key for key in self.candidates(match.rows) if match.mask(key)}
+
+    def clear(self) -> None:
+        """Forget every held conjunct."""
+        self._holders.clear()
+        self._generic.clear()
+        self._keys.clear()
+        self._buckets.clear()

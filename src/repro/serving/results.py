@@ -17,7 +17,10 @@ view, the events are the deltas):
   sweep's shared :class:`~repro.index.selectivity.RowMatch`) — the new
   joined-view rows for an insert, the removed pre-image rows for a delete,
   either image for an in-place update — and repairs it, or drops it when it
-  cannot; every other user's answer provably cannot change and survives.
+  cannot; every other user's answer provably cannot change and survives
+  unvisited: the cache's :class:`~repro.index.selectivity.ConjunctIndex`
+  leads the sweep from the rows' values to the answers that hold a
+  conjunct they may match.
 
 Every entry therefore remembers the predicates it was computed from — the
 same positive-intensity predicates PEPS scored with — as each one's conjunct
@@ -72,10 +75,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.intensity import combine_and
-from ..index.selectivity import RowMatch
+from ..index.selectivity import ConjunctIndex, RowMatch
 from ..sqldb.events import DataMutation
 from ..telemetry import annotate
 
@@ -113,23 +116,11 @@ class CachedResult:
     complete: bool
     depth: int
 
-    def is_affected(self, match: RowMatch) -> bool:
-        """Can the data mutation behind ``match`` change this answer?
-
-        ``match`` holds the mutation's invalidation rows: inserted
-        post-image, deleted pre-image, or both images of an in-place update.
-        A tuple enters (or leaves, or re-scores in) the user's ranking only
-        if one of its images matches at least one of the user's scored
-        predicates — a tuple matching none scores zero and is never
-        discovered, so its insertion, deletion or rewrite cannot move any
-        ranked tuple either.  ``False`` therefore proves the answer fresh.
-        """
-        return any(map(match.shared, self.conjuncts))
-
     # -- repair ------------------------------------------------------------------
 
     def apply_delta(self, mutation: DataMutation,
                     match: Optional[RowMatch] = None,
+                    positions: Optional[Sequence[int]] = None,
                     ) -> Tuple[Optional["CachedResult"], str]:
         """Fold one data mutation into the maintained view, in memory.
 
@@ -139,8 +130,12 @@ class CachedResult:
         the verdicts the sweep already holds — a predicate counts when one
         of the tuple's post-image rows surely matches it, and a row that
         may match it but cannot be decided makes the tuple unscorable.
-        Intensities fold in preference order, mirroring PEPS's scoring pass
-        bit for bit.
+        ``positions`` are the ascending preference positions some row may
+        match (the sweep found them through its
+        :class:`~repro.index.selectivity.ConjunctIndex`; every position when
+        omitted): no other position can score a tuple, so none other is
+        asked.  Intensities fold in
+        preference order, mirroring PEPS's scoring pass bit for bit.
 
         Returns ``(repaired entry, REPAIRED)`` on success — possibly
         ``self`` when the delta provably leaves the buffer untouched — or
@@ -165,7 +160,11 @@ class CachedResult:
         verdicts = []
         if post:
             post_rows = (1 << len(mutation.rows)) - 1
-            for conjuncts, intensity in zip(self.conjuncts, self.intensities):
+            if positions is None:
+                positions = range(len(self.conjuncts))
+            for position in positions:
+                conjuncts = self.conjuncts[position]
+                intensity = self.intensities[position]
                 maybe = match.shared(conjuncts) & post_rows
                 if maybe and intensity > 0.0:
                     verdicts.append((match.exact(conjuncts), maybe, intensity))
@@ -226,6 +225,9 @@ class ResultCache:
         # server lock, so every access holds this lock.
         self._lock = threading.RLock()
         self._entries: Dict[ResultKey, CachedResult] = {}
+        #: Every conjunct an entry holds -> the ``(uid, k)`` keys holding it:
+        #: a sweep visits the holders of the conjuncts a row may match.
+        self._held = ConjunctIndex()
         #: Monotonic invalidation epoch (see module docs).
         self._epoch = 0
         #: Warm requests answered from memory / requests that had to compute.
@@ -234,8 +236,10 @@ class ResultCache:
         #: Entries dropped by profile mutations / by data inserts.
         self.profile_invalidations = 0
         self.data_invalidations = 0
-        #: Entries a data insert examined but proved unaffected (kept).
+        #: Entries a data insert did not affect (kept) / entries a sweep
+        #: visited: one of their preferences has every conjunct live.
         self.data_spared = 0
+        self.entries_visited = 0
         #: Affected entries maintained in place by a zero-SQL delta repair /
         #: affected entries that had to be dropped after a repair attempt
         #: (every fallback is also counted in ``data_invalidations``) /
@@ -307,11 +311,27 @@ class ResultCache:
                 uid=uid, k=k, ranking=buffer[:k], conjuncts=tuple(conjuncts),
                 intensities=tuple(intensities), buffer=buffer,
                 complete=complete, depth=len(buffer))
+            replaced = self._entries.get((uid, k))
+            if replaced is not None:
+                self._release((uid, k), replaced)
             self._entries[(uid, k)] = entry
+            self._hold((uid, k), entry)
         annotate("result_cache_put", "materialised")
         return entry
 
     # -- invalidation -------------------------------------------------------------
+
+    def _hold(self, key: ResultKey, entry: CachedResult) -> None:
+        for conjuncts in entry.conjuncts:
+            for conjunct in conjuncts:
+                self._held.add(conjunct, key)
+
+    def _release(self, key: ResultKey, entry: CachedResult) -> None:
+        for conjunct in frozenset().union(*entry.conjuncts):
+            self._held.remove(conjunct, key)
+
+    def _drop(self, key: ResultKey) -> None:
+        self._release(key, self._entries.pop(key))
 
     def invalidate_user(self, uid: int) -> int:
         """Drop every cached answer of one user (profile changed)."""
@@ -319,7 +339,7 @@ class ResultCache:
             self._epoch += 1
             stale = [key for key in self._entries if key[0] == uid]
             for key in stale:
-                del self._entries[key]
+                self._drop(key)
             self.profile_invalidations += len(stale)
             return len(stale)
 
@@ -331,34 +351,55 @@ class ResultCache:
         checking predicates against the event's pre- *and* post-image rows —
         ``match``, the :class:`~repro.index.selectivity.RowMatch` over
         ``mutation.invalidation_rows()`` that a server sweep shares with its
-        other caches (a cache listening on its own builds one); a mutation
-        that carries no rows spares every entry without visiting one.  Each
-        affected entry is routed repair-first: it is folded forward by
-        :meth:`CachedResult.apply_delta`, scored from ``match``'s verdicts
-        (zero SQL, counted in :attr:`repairs`), and only an entry whose
-        repair is impossible is dropped (counted in :attr:`repair_fallbacks`
-        *and* :attr:`data_invalidations`, which are therefore equal;
-        underflow fallbacks additionally in :attr:`repair_underflows`).  The
-        sweep bumps the epoch exactly like a
-        pure invalidation sweep — a repaired entry reflects post-mutation
-        data, so an answer computed from pre-mutation data must still lose
-        the put race.  Returns the number of entries dropped; unaffected
-        entries are counted in :attr:`data_spared` — the benchmark asserts
-        this stays positive, i.e. no mutation kind ever blindly flushes the
-        cache.
+        other caches (a cache listening on its own builds one).  The sweep
+        costs what the mutation touches: the cache's
+        :class:`~repro.index.selectivity.ConjunctIndex` names the *live*
+        conjuncts — held ones some row may match — and only their holders
+        are looked at.  An answer is *visited* (counted in
+        :attr:`entries_visited`) when one of its preferences has every
+        conjunct live, and affected iff some one row may match all of them
+        (:meth:`~repro.index.selectivity.RowMatch.shared`) — so with
+        single-conjunct preferences visited and affected are the same; a
+        mutation that carries no rows visits none.  An affected answer is
+        folded forward by :meth:`CachedResult.apply_delta` at exactly its
+        affected positions, scored from ``match``'s verdicts (zero SQL,
+        counted in :attr:`repairs`), and only an entry whose repair is
+        impossible is dropped (counted in :attr:`repair_fallbacks` *and*
+        :attr:`data_invalidations`, which are therefore equal; underflow
+        fallbacks additionally in :attr:`repair_underflows`).  The sweep
+        bumps the epoch exactly like a pure invalidation sweep — a repaired
+        entry reflects post-mutation data, so an answer computed from
+        pre-mutation data must still lose the put race.  Returns the number
+        of entries dropped; unaffected entries are counted in
+        :attr:`data_spared` — the benchmark asserts this stays positive,
+        i.e. no mutation kind ever blindly flushes the cache.
         """
         if match is None:
             match = RowMatch(mutation.invalidation_rows())
         with self._lock:
             self._epoch += 1
+            live = self._held.live(match)
+            held: Set[ResultKey] = set()
+            for conjunct in live:
+                held |= self._held.holders(conjunct)
             stale: List[ResultKey] = []
-            repaired = 0
-            underflows = 0
-            examined = self._entries.items() if match.rows else ()
-            for key, entry in examined:
-                if not entry.is_affected(match):
+            visited = repaired = underflows = 0
+            for key in held:
+                entry = self._entries[key]
+                # A preference with a conjunct no row may match is provably
+                # unaffected; the entry is visited when one has none.
+                positions = [position for position, conjuncts
+                             in enumerate(entry.conjuncts)
+                             if conjuncts <= live]
+                if not positions:
                     continue
-                replacement, reason = entry.apply_delta(mutation, match)
+                visited += 1
+                positions = [position for position in positions
+                             if match.shared(entry.conjuncts[position])]
+                if not positions:
+                    continue
+                replacement, reason = entry.apply_delta(
+                    mutation, match, positions)
                 if replacement is not None:
                     if replacement is not entry:
                         self._entries[key] = replacement
@@ -368,7 +409,8 @@ class ResultCache:
                     if reason == FALLBACK_UNDERFLOW:
                         underflows += 1
             for key in stale:
-                del self._entries[key]
+                self._drop(key)
+            self.entries_visited += visited
             self.repairs += repaired
             self.repair_fallbacks += len(stale)
             self.repair_underflows += underflows
@@ -383,11 +425,13 @@ class ResultCache:
         with self._lock:
             self._epoch += 1
             self._entries.clear()
+            self._held.clear()
             self.hits = 0
             self.misses = 0
             self.profile_invalidations = 0
             self.data_invalidations = 0
             self.data_spared = 0
+            self.entries_visited = 0
             self.repairs = 0
             self.repair_fallbacks = 0
             self.repair_underflows = 0
@@ -410,6 +454,7 @@ class ResultCache:
                 "profile_invalidations": self.profile_invalidations,
                 "data_invalidations": self.data_invalidations,
                 "data_spared": self.data_spared,
+                "entries_visited": self.entries_visited,
                 "repairs": self.repairs,
                 "repair_fallbacks": self.repair_fallbacks,
                 "repair_underflows": self.repair_underflows,

@@ -154,6 +154,11 @@ class DataMutationReport:
     results_repaired: int = 0
     repair_fallbacks: int = 0
     repair_sql_statements: int = 0
+    #: Cached answers the sweep visited: those with a preference whose every
+    #: conjunct some mutation row may match — every repaired or invalidated
+    #: answer, and no other unless a multi-conjunct preference's conjuncts
+    #: matched only on different rows.
+    entries_visited: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict rendering (for JSON reports)."""
@@ -164,6 +169,7 @@ class DataMutationReport:
                 "results_repaired": self.results_repaired,
                 "repair_fallbacks": self.repair_fallbacks,
                 "repair_sql_statements": self.repair_sql_statements,
+                "entries_visited": self.entries_visited,
                 "index_entries_dropped": self.index_entries_dropped,
                 "sql_statements": self.sql_statements,
                 "seconds": self.seconds}
@@ -578,23 +584,30 @@ class TopKServer:
         post-image, deleted pre-image, both images of an in-place update —
         so one sound relevance test serves all three kinds: one
         :class:`~repro.index.selectivity.RowMatch` per sweep, shared by
-        every layer.
+        every layer.  Each layer judges only the conjuncts its
+        :class:`~repro.index.selectivity.ConjunctIndex` says a row can
+        reach and visits only their holders, so a sweep costs what the
+        mutation touches, not what is cached.
         """
         with span("server.on_data_mutation") as trace:
             match = RowMatch(mutation.invalidation_rows())
             repairs_before = self.results.repairs
             fallbacks_before = self.results.repair_fallbacks
+            visited_before = self.results.entries_visited
             sweep_statements_before = self.db.statements_executed
             results_invalidated = self.results.on_data_mutation(mutation, match)
             results_repaired = self.results.repairs - repairs_before
             repair_fallbacks = self.results.repair_fallbacks - fallbacks_before
+            entries_visited = self.results.entries_visited - visited_before
             repair_sql = self.db.statements_executed - sweep_statements_before
             dropped = self.sessions.invalidate_matching(match)
             trace.annotate("kind", mutation.kind)
             trace.annotate("results_invalidated", results_invalidated)
             trace.annotate("results_repaired", results_repaired)
+            trace.annotate("entries_visited", entries_visited)
             trace.annotate("rows", len(match.rows))
             trace.annotate("distinct_predicates", match.distinct_predicates)
+            trace.annotate("keys_live", match.live_predicates)
             trace.annotate("predicate_row_tests", match.predicate_row_tests)
             return {"joined_rows": len(match.rows),
                     "results_invalidated": results_invalidated,
@@ -602,7 +615,8 @@ class TopKServer:
                     "index_entries_dropped": dropped,
                     "results_repaired": results_repaired,
                     "repair_fallbacks": repair_fallbacks,
-                    "repair_sql_statements": repair_sql}
+                    "repair_sql_statements": repair_sql,
+                    "entries_visited": entries_visited}
 
     # -- introspection ------------------------------------------------------------
 

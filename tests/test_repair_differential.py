@@ -213,18 +213,29 @@ class TestApplyDelta:
                             lambda p, row: calls.append(p) or judge(p, row))
         mutation = _update(_row(2, year=1999), _row(2, year=2014))
         match = RowMatch(mutation.invalidation_rows())
-        for _ in range(3):
-            entry = _entry([(1, BOTH), (2, VENUE_ONLY)], complete=True)
-            assert entry.is_affected(match)
-            repaired, _ = entry.apply_delta(mutation, match)
-            assert repaired.buffer == ((1, BOTH), (2, BOTH))
+        cache = ResultCache()
+        for uid in range(3):
+            cache.put(uid, 2, [(1, BOTH), (2, VENUE_ONLY)], True, _CONJUNCTS,
+                      _INTENS)
+        assert cache.on_data_mutation(mutation, match) == 0
+        assert (cache.entries_visited, cache.repairs) == (3, 3)
+        for uid in range(3):
+            assert cache.peek(uid, 2).buffer == ((1, BOTH), (2, BOTH))
         assert len(calls) == match.predicate_row_tests == 2 * len(_PREDS)
 
-    def test_is_affected_iff_a_row_may_match_a_predicate(self):
-        entry = _entry([(1, BOTH)])
+    def test_sweep_affects_iff_a_row_may_match_a_predicate(self):
         rows = [_row(5), _row(6, venue="ICDE", year=1999), _row(7, year=2011)]
-        assert entry.is_affected(RowMatch(rows))
-        assert not entry.is_affected(RowMatch([rows[1]]))
+
+        def visited(*rows):
+            cache = ResultCache()
+            cache.put(1, 1, [(1, BOTH)], False, _CONJUNCTS, _INTENS)
+            cache.on_data_mutation(_insert(*rows))
+            affected = cache.repairs + cache.repair_fallbacks
+            assert cache.entries_visited == affected
+            return affected
+
+        assert visited(*rows) == 1
+        assert visited(rows[1]) == 0
 
 
 # -- the repair-vs-epoch race -------------------------------------------------

@@ -431,11 +431,13 @@ def test_sweep_renders_no_predicate(surface, monkeypatch):
     assert renders == [[], [], []]
 
 
-def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch):
-    """Work gate, by counting: a mutation no resident preference can match —
-    a venue, a year and an author nobody mentions — costs the sessions
-    nothing and the shared memo one mask per distinct preference (two for a
-    year range: one per conjunct); nothing is dropped, no answer repaired."""
+def test_unmatched_mutation_visits_no_entry(surface, monkeypatch):
+    """Work gate, by counting: a mutation no held preference can match — a
+    venue, a year and an author nobody mentions — visits no entry of either
+    store (nothing asks ``shared``), judges no ``attr = literal`` key (its
+    value reaches none of their buckets) and judges every other held key
+    once per row: here the year-range conjuncts.  Nothing is dropped, no
+    answer repaired."""
     uids = UIDS
     Telemetry().observe(surface)
     for uid in uids:
@@ -444,22 +446,33 @@ def test_untouched_sessions_cost_one_lookup_per_preference(surface, monkeypatch)
     keys = {key for uid in uids
             for key in surface.results.peek(uid, K).conjuncts}
     assert before == keys
+    held = set().union(*keys)
+    generic = {conjunct for conjunct in held
+               if not isinstance(parse_predicate(conjunct), Condition)
+               or parse_predicate(conjunct).op != "="}
+    assert generic and held - generic
+    masks = count_calls(monkeypatch, RowMatch, "mask")
+    shared = count_calls(monkeypatch, RowMatch, "shared")
     report = surface.insert_tuples(
         [Paper(pid=90_006, title="Elsewhere", venue="NOWHERE", year=1900)],
         paper_authors=[(90_006, 999_999)])
     (sweep,) = [record for record
                 in surface.telemetry.traces.snapshot()[-1].walk()
                 if record.name == "server.on_data_mutation"]
-    assert sweep.annotation("rows") == 1
-    assert sweep.annotation("predicate_row_tests") == \
-        sweep.annotation("distinct_predicates") > 0
+    rows = sweep.annotation("rows")
+    assert rows == 1
+    assert shared == []
+    assert report.entries_visited == sweep.annotation("entries_visited") == 0
+    # A year range's open side is live, its other side is not: no
+    # preference has every conjunct live.
+    (row,) = surface.db.joined_rows([90_006])
+    assert sweep.annotation("keys_live") == len(
+        [conjunct for conjunct in generic if may_match_row(conjunct, row)]) > 0
+    assert {asked for _, asked in masks} == generic
+    assert sweep.annotation("distinct_predicates") == len(generic)
+    assert sweep.annotation("predicate_row_tests") == rows * len(generic)
     assert (report.index_entries_dropped, report.results_repaired) == (0, 0)
     assert sweepable_keys(surface) == before
-
-    match = RowMatch(surface.db.joined_rows([90_006]))
-    masks = count_calls(monkeypatch, RowMatch, "mask")
-    assert surface.sessions.invalidate_matching(match) == 0
-    assert len(masks) == sum(len(key) for key in keys) >= len(keys) > 1
 
 
 def calling_modules(name):
