@@ -16,7 +16,8 @@ Assertions — what is machine-independent, no wall-clock constant:
     :func:`repro.loadgen.validate_loadgen_payload`, the same structural
     check the CI smoke job applies before uploading it;
 (c) **the lock set is the one documented** — the lock report names exactly
-    the server lock and its three leaf locks.
+    the two locks a request can queue on: the server lock and the result
+    cache's.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ LOAD = LoadConfig(threads=2, duration_seconds=1.0, seed=23,
                   audit_sample=6)
 #: Every lock a server's load report may name;
 #: ``tests/test_serving_surface.py`` pins the same set.
-SERVER_LOCKS = {"server", "sessions", "count-cache", "result-cache"}
+SERVER_LOCKS = {"server", "result-cache"}
 
 
 def _run_cell():

@@ -56,7 +56,7 @@ Algorithms and Top-K
     Fagin's TA baseline and the brute-force reference.
 
 Index subsystem (:mod:`repro.index`)
-    :class:`CountCache` — shared, batched, invalidation-aware count store.
+    :class:`CountCache` — a runner's batched, invalidation-aware count memo.
     :class:`IncrementalPairIndex` — the pairwise index, a view over the
     store's pair counts; stale only when a data mutation may change one.
 

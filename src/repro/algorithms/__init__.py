@@ -5,8 +5,8 @@ Public API
 Shared building blocks (:mod:`repro.algorithms.base`)
     :class:`ScoredPreference` — one preference as the algorithms consume it.
     :class:`CombinationRecord` — one ``<size, #tuples, intensity>`` output row.
-    :class:`PreferenceQueryRunner` — memoised count/id execution over a
-    shared :class:`~repro.index.CountCache` (with batched ``count_many``).
+    :class:`PreferenceQueryRunner` — memoised count/id execution over its
+    own :class:`~repro.index.CountCache` (with batched ``count_many``).
     :func:`make_preferences` — ``(predicate, intensity)`` pairs → ordered list.
     :func:`preferences_from_graph` — extract a user's list from a HYPRE graph.
     :func:`and_combine` / :func:`or_combine` / :func:`mixed_combine` —

@@ -118,21 +118,19 @@ class PreferenceQueryRunner:
 
     The combination algorithms issue the same sub-combination queries over and
     over (every applicability check is a count query).  Counts are delegated
-    to a :class:`~repro.index.count_cache.CountCache` — pass one in to share
-    a single count store between PEPS, Combine-Two, Partially-Combine-All,
-    the TA baseline and the pair indexes; by default each runner owns one.
-    Id lists stay memoised per runner.
+    to the runner's own :class:`~repro.index.count_cache.CountCache`; share
+    one count store between PEPS, Combine-Two, Partially-Combine-All, the TA
+    baseline and the pair indexes by sharing the runner.  Id lists are
+    memoised beside it.
 
     ``db`` is any :class:`~repro.backend.protocol.StorageBackend`; the
     runner only consumes the protocol's count/id query surface, so the
     algorithms never know which engine answers them.
     """
 
-    def __init__(self, db: StorageBackend,
-                 count_cache: Optional[CountCache] = None) -> None:
+    def __init__(self, db: StorageBackend) -> None:
         self.db = db
-        self._owns_cache = count_cache is None
-        self.count_cache = count_cache if count_cache is not None else CountCache(db)
+        self.count_cache = CountCache(db)
         self._ids_cache: Dict[FrozenSet[str], Tuple[int, ...]] = {}
         #: Every conjunct of a memoised key -> the keys holding it.
         self._ids_held = ConjunctIndex()
@@ -197,15 +195,9 @@ class PreferenceQueryRunner:
         return len(stale_ids)
 
     def clear(self) -> None:
-        """Drop this runner's cached results (used between benchmark reps).
-
-        The count cache is cleared only when this runner created it; a
-        *shared* cache (passed into the constructor) holds counts other
-        runners and pair indexes rely on — clear that explicitly through
-        the cache itself when that is really what you want.
-        """
-        if self._owns_cache:
-            self.count_cache.clear()
+        """Drop both memos, counts and id lists (used between benchmark
+        reps)."""
+        self.count_cache.clear()
         self._ids_cache.clear()
         self._ids_held.clear()
         self.queries_executed = 0

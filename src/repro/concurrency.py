@@ -9,12 +9,11 @@ of a live server so a load report can name the hot lock instead of
 guessing, and reads the numbers back through ``stats()``
 (``acquisitions`` / ``contended`` / ``wait_seconds`` / ``hold_seconds``).
 
-Lock order across the system, outermost first: *server lock → build
-counter → count cache / result cache → backend* (the protocol is one
-sentence in the :mod:`repro.serving.server` docstring).  Notifications are
-always delivered with no backend-side lock held (see
-:mod:`repro.backend.memory`), which is what keeps the server→backend order
-acyclic.
+Lock order across the system, outermost first: *server lock → result
+cache → backend* (the protocol is one sentence in the
+:mod:`repro.serving.server` docstring).  Notifications are always delivered
+with no backend-side lock held (see :mod:`repro.backend.memory`), which is
+what keeps the server→backend order acyclic.
 """
 
 from __future__ import annotations
@@ -85,13 +84,15 @@ class TimedRLock:
                     self.max_wait_seconds = waited
 
     def release(self) -> None:
+        # The inner lock judges ownership first: releasing a lock this
+        # thread does not hold raises before the accounting is touched.
+        released_at = time.perf_counter()
+        self._inner.release()
         depth = self._depth()
         if depth == 1:
-            held = time.perf_counter() - self._local.acquired_at
             with self._stats_lock:
-                self.hold_seconds += held
+                self.hold_seconds += released_at - self._local.acquired_at
         self._local.depth = depth - 1
-        self._inner.release()
 
     def __enter__(self) -> "TimedRLock":
         self.acquire()
@@ -99,23 +100,6 @@ class TimedRLock:
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
-
-    # -- Condition-variable support ----------------------------------------------
-    # threading.Condition(lock) calls these to park/resume around wait();
-    # delegating to the inner RLock keeps ``Condition(TimedRLock(...))``
-    # working (the count cache's in-flight coalescing relies on it).  Time
-    # spent parked in wait() stays inside the surrounding hold measurement —
-    # acceptable for a contention report, documented here so nobody chases
-    # the discrepancy.
-
-    def _is_owned(self) -> bool:
-        return self._inner._is_owned()
-
-    def _release_save(self):
-        return self._inner._release_save()
-
-    def _acquire_restore(self, state) -> None:
-        self._inner._acquire_restore(state)
 
     def stats(self) -> Dict[str, Any]:
         """Contention counters in the shared lock-report vocabulary."""

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 from ..algorithms.base import PreferenceQueryRunner, ScoredPreference, preferences_from_graph
 from ..core.hypre import BuildReport, HypreGraph, HypreGraphBuilder
 from ..core.preference import ProfileRegistry
-from ..index import CountCache
 from ..sqldb.database import Database
 from ..workload.dblp import DblpConfig, DblpDataset, generate_dblp
 from ..workload.extraction import ExtractionConfig, PreferenceExtractor, richest_users
@@ -45,15 +44,13 @@ class ExperimentContext:
     hypre: HypreGraph
     build_report: BuildReport
     focus_users: List[int]
-    count_cache: CountCache = field(init=False)
     runner: PreferenceQueryRunner = field(init=False)
 
     def __post_init__(self) -> None:
-        # One count store shared by every algorithm and pair index built on
-        # this context — PEPS, Combine-Two, Partially-Combine-All and TA all
-        # reuse each other's predicate counts.
-        self.count_cache = CountCache(self.db)
-        self.runner = PreferenceQueryRunner(self.db, count_cache=self.count_cache)
+        # One runner shared by every algorithm and pair index built on this
+        # context — PEPS, Combine-Two, Partially-Combine-All and TA all
+        # reuse each other's predicate counts through its memo.
+        self.runner = PreferenceQueryRunner(self.db)
 
     # -- factory ----------------------------------------------------------------
 

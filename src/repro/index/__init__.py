@@ -1,17 +1,18 @@
-"""Pairwise-combination index with a shared count cache.
+"""Pairwise-combination index with a runner-owned count cache.
 
 This subsystem replaces the throwaway per-run pair index of the seed
-implementation: counts are memoised in one shared store, executed in batched
-SQL round-trips, and maintained *incrementally* under data mutations instead
-of rebuilt from scratch (see ``docs/ARCHITECTURE.md`` for the layer diagram
-and the invalidation contract).
+implementation: counts are memoised in one store per query runner, executed
+in batched SQL round-trips, and maintained *incrementally* under data
+mutations instead of rebuilt from scratch (see ``docs/ARCHITECTURE.md`` for
+the layer diagram and the invalidation contract).
 
 Public API
 ----------
 :class:`CountCache`
-    Memoizing, invalidation-aware predicate-count store shared by all
-    combination algorithms, keyed by a predicate's conjuncts; batches cache
-    misses into compound statements.
+    Single-threaded, invalidation-aware predicate-count memo that a
+    :class:`~repro.algorithms.base.PreferenceQueryRunner` owns and every
+    combination algorithm on that runner shares, keyed by a predicate's
+    conjuncts; batches cache misses into compound statements.
 :class:`IncrementalPairIndex`
     The pair index of one fixed preference list, a positional view that
     stores no count: one batched request per refresh, stale only when a

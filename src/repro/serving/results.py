@@ -421,21 +421,13 @@ class ResultCache:
         return len(stale)
 
     def clear(self) -> None:
-        """Drop every entry and reset the statistics."""
+        """Drop every entry and bump the epoch.  The statistics are
+        cumulative and stay: a server exports them as counters, which never
+        go backwards."""
         with self._lock:
             self._epoch += 1
             self._entries.clear()
             self._held.clear()
-            self.hits = 0
-            self.misses = 0
-            self.profile_invalidations = 0
-            self.data_invalidations = 0
-            self.data_spared = 0
-            self.entries_visited = 0
-            self.repairs = 0
-            self.repair_fallbacks = 0
-            self.repair_underflows = 0
-            self.stale_puts_rejected = 0
 
     # -- introspection ------------------------------------------------------------
 

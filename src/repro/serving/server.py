@@ -38,8 +38,8 @@ or refuses, never a stale one.
 
 **Locking.**  Warm reads take no server lock; everything else — cold read,
 profile update, data mutation, close — runs alone under the server's one
-re-entrant lock.  Lock order, outermost first: server lock → build
-counter → count cache / result cache → backend.
+re-entrant lock.  Lock order, outermost first: server lock → result
+cache → backend.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ mentions the same predicate.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional
 
 from ..algorithms.base import PreferenceQueryRunner, preferences_from_graph
@@ -43,9 +42,7 @@ class SessionRegistry:
         self.db = db
         #: One shared runner: every build's id lists flow through its memo.
         self.runner = PreferenceQueryRunner(db)
-        # Guards the counter ``stats`` reads from other threads; the server's
-        # lock sits strictly outside it (see :mod:`repro.concurrency`).
-        self._lock = threading.RLock()
+        #: Written only by the server-lock holder; ``stats`` reads the int.
         self.sessions_built = 0
 
     def get_or_create(self, uid: int) -> Optional[PEPSAlgorithm]:
@@ -61,8 +58,7 @@ class SessionRegistry:
             raise UnknownUserError(uid)
         builder = HypreGraphBuilder()
         builder.build_profile(profiles.get(uid))
-        with self._lock:
-            self.sessions_built += 1
+        self.sessions_built += 1
         preferences = preferences_from_graph(builder.hypre, uid)
         return PEPSAlgorithm(self.runner, preferences) if preferences else None
 
@@ -76,7 +72,6 @@ class SessionRegistry:
         """Build counters.  Nothing is resident, so nothing hits or is
         evicted: ``hits`` and ``evictions`` stay 0 and ``misses`` equals
         ``sessions_built`` — the end-to-end report reads all four."""
-        with self._lock:
-            built = self.sessions_built
+        built = self.sessions_built
         return {"hits": 0, "misses": built, "evictions": 0,
                 "sessions_built": built}

@@ -6,23 +6,19 @@ A one-way swap is fine for a load run that owns the server, wrong for a
 long-lived process that wants contention numbers for a while and then its
 plain locks back.  This module makes the swap a *handle*:
 
-* :func:`instrument_locks` covers the whole lock set: the server lock,
-  the session registry's build counter, the shared count cache + rebuilt
-  condition variable and the result cache — ``server`` / ``sessions`` /
-  ``count-cache`` / ``result-cache``.  Every swap is recorded as
-  ``(owner, attribute, original)`` in the returned
-  :class:`LockInstrumentation`;
-* :meth:`LockInstrumentation.uninstrument` restores every original object
-  in reverse order — including the count cache's original condition
-  variable, so in-flight coalescing waiters are never left parked on a
-  condition nobody notifies;
+* :func:`instrument_locks` covers the two locks a request can queue on:
+  the server lock and the result cache's — ``server`` / ``result-cache``.
+  Every swap is recorded as ``(owner, attribute, original)`` in the
+  returned :class:`LockInstrumentation`;
+* :meth:`LockInstrumentation.uninstrument` restores every original lock in
+  reverse order;
 * instrumenting an already-instrumented server returns the **same active
   handle** instead of stacking wrappers on wrappers, so repeated
   instrumentation is idempotent;
 * given a :class:`~repro.telemetry.registry.MetricsRegistry`, the handle
   registers a snapshot adapter exporting every tracked lock under
   ``concurrency.lock.<name>.<metric>`` (the wrapper names are sanitised
-  into legal segments, e.g. ``count-cache`` → ``count_cache``), and
+  into legal segments, e.g. ``result-cache`` → ``result_cache``), and
   unregisters it again on restore.
 
 The swap still requires an **idle** engine: a thread blocked inside an old
@@ -31,7 +27,6 @@ lock object at swap time would hold a lock nobody else looks at.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Tuple, Union
 
 from ..concurrency import TimedRLock
@@ -145,12 +140,6 @@ def instrument_locks(server: Any,
     if getattr(server, "_lock", None) is None:
         return handle
     _wrap(handle, server, "server")
-    _wrap(handle, server.sessions, "sessions")
-    cache = server.sessions.runner.count_cache
-    # The condition is rebuilt on the wrapper, so in-flight coalescing
-    # parks and resumes through the lock the cache now holds.
-    handle._swap(cache, "_cond", threading.Condition(
-        _wrap(handle, cache, "count-cache")))
     _wrap(handle, server.results, "result-cache")
     setattr(server, _HANDLE_ATTR, handle)
     if registry is not None:

@@ -1,8 +1,6 @@
-"""Tests for the shared count cache and the batched counting SQL."""
+"""Tests for the runner-owned count cache and the batched counting SQL."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -106,6 +104,30 @@ class TestCountCache:
         assert cache.count(forward) == cache.count(backward)
         assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
 
+    def test_a_raised_backend_call_memoises_nothing(self):
+        predicate = parse_predicate("dblp.venue = 'VLDB'")
+
+        class FlakyBackend:
+            answers = [RuntimeError("backend down"), 41]
+
+            def count_matching(self, _predicate):
+                answer = self.answers.pop(0)
+                if isinstance(answer, Exception):
+                    raise answer
+                return answer
+
+            def count_many(self, _predicates):
+                raise RuntimeError("backend down")
+
+        cache = CountCache(FlakyBackend())
+        with pytest.raises(RuntimeError):
+            cache.count(predicate)
+        with pytest.raises(RuntimeError):
+            cache.count_many([predicate])
+        assert cache.peek(predicate) is None and len(cache) == 0
+        assert cache.count(predicate) == 41
+        assert cache.peek(predicate) == 41
+
     def test_clear_resets_statistics(self, tiny_db):
         cache = CountCache(tiny_db)
         cache.count(parse_predicate("dblp.year >= 2005"))
@@ -151,87 +173,8 @@ class TestInvalidateMatching:
         assert cache.peek(icde) is not None and cache.peek(vldb) is None
 
 
-class TestConcurrentAccess:
-    def test_concurrent_count_many_never_double_executes(self, tiny_db):
-        """Many sessions batch-counting the same predicates concurrently must
-        produce exact statistics: each unique predicate is a miss exactly
-        once, every other lookup is a hit, and the statement counters of the
-        cache and the database agree."""
-        cache = CountCache(tiny_db)
-        predicates = [parse_predicate(sql) for sql in PREDICATES]
-        expected = [count_matching_papers(tiny_db, predicate)
-                    for predicate in predicates]
-        statements_before = tiny_db.statements_executed
-        threads_n, rounds = 8, 5
-        errors = []
-        barrier = threading.Barrier(threads_n)
-
-        def worker() -> None:
-            try:
-                barrier.wait()
-                for _ in range(rounds):
-                    values = cache.count_many(predicates)
-                    if values != expected:
-                        raise AssertionError(f"wrong counts: {values}")
-            except Exception as exc:  # pragma: no cover - failure signal
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert not errors
-        lookups = threads_n * rounds * len(PREDICATES)
-        # Exactly one miss per unique predicate, one batched statement total,
-        # and hits + misses account for every lookup — no lost updates.
-        assert cache.misses == len(PREDICATES)
-        assert cache.statements == 1
-        assert cache.hits == lookups - len(PREDICATES)
-        assert tiny_db.statements_executed - statements_before == 1
-
-    def test_concurrent_single_counts_memoise_once(self, tiny_db):
-        cache = CountCache(tiny_db)
-        predicate = parse_predicate("dblp.venue = 'SIGMOD' AND dblp.year >= 2001")
-        results = []
-
-        def worker() -> None:
-            results.append(cache.count(predicate))
-
-        threads = [threading.Thread(target=worker) for _ in range(12)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(set(results)) == 1
-        assert cache.misses == 1
-        assert cache.hits == 11
-
-
 class TestSharedCache:
-    def test_runners_share_one_cache(self, tiny_db):
-        cache = CountCache(tiny_db)
-        first = PreferenceQueryRunner(tiny_db, count_cache=cache)
-        second = PreferenceQueryRunner(tiny_db, count_cache=cache)
-        predicate = parse_predicate("dblp.venue = 'VLDB'")
-        first.count(predicate)
-        misses = cache.misses
-        # The second runner is served from the shared store.
-        second.count(predicate)
-        assert cache.misses == misses
-        assert second.queries_executed == 0
-
-    def test_runner_clear_spares_shared_cache(self, tiny_db):
-        cache = CountCache(tiny_db)
-        runner = PreferenceQueryRunner(tiny_db, count_cache=cache)
-        predicate = parse_predicate("dblp.venue = 'VLDB'")
-        runner.count(predicate)
-        runner.clear()
-        # A shared cache holds state other consumers rely on — the runner
-        # only drops what it owns.
-        assert cache.peek(predicate) is not None
-        assert runner.queries_executed == 0
+    """Algorithms share one count store by sharing the runner that owns it."""
 
     def test_runner_clear_drops_owned_cache(self, tiny_db):
         runner = PreferenceQueryRunner(tiny_db)

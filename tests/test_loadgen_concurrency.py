@@ -13,9 +13,8 @@ instead of hanging the suite — the repo has no pytest-timeout plugin):
   recomputes every materialised answer from scratch on the quiesced
   (frozen) database: no torn read may survive a quiesce point;
 
-plus barrier-provoked regression tests for the invalidation races the
-epoch guards in :class:`~repro.serving.results.ResultCache` and
-:class:`~repro.index.count_cache.CountCache` exist to close: an
+plus barrier-provoked regression tests for the invalidation race the epoch
+guard in :class:`~repro.serving.results.ResultCache` exists to close: an
 invalidation sweep landing *mid-computation* must prevent the stale answer
 from being (re-)cached after the sweep.
 """
@@ -29,7 +28,7 @@ import time
 import pytest
 
 from repro.core.predicate import equals
-from repro.index import CountCache, RowMatch
+from repro.index import CountCache
 from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate
 from repro.serving import (
     DATA_UPDATE,
@@ -230,40 +229,6 @@ class TestInvalidationRaceRegression:
                          epoch=epoch) is not None
         assert cache.peek(7, 2) is not None
         assert cache.stats()["stale_puts_rejected"] == 0
-
-    def test_count_cache_does_not_memoise_across_invalidation(self):
-        """The backend round-trip runs with the lock released; a sweep
-        landing inside that window must keep the result out of the cache."""
-        predicate = equals("venue", "VLDB")
-        in_query = threading.Event()
-        release_query = threading.Event()
-        answers = iter([41, 42])
-
-        class BlockingBackend:
-            def count_matching(self, _predicate):
-                in_query.set()
-                assert release_query.wait(DEADLINE_SECONDS)
-                return next(answers)
-
-        cache = CountCache(BlockingBackend())
-        outcome = {}
-
-        def count():
-            outcome["value"] = cache.count(predicate)
-
-        counter = threading.Thread(target=count, name="counter", daemon=True)
-        counter.start()
-        assert in_query.wait(DEADLINE_SECONDS)
-        # The relation changes while the count query is in flight.
-        cache.invalidate_matching(RowMatch([{"venue": "VLDB"}]))
-        release_query.set()
-        assert join_with_deadline([counter]) == []
-
-        assert outcome["value"] == 41  # the caller still gets its answer...
-        assert cache.peek(predicate) is None  # ...but it was not memoised
-        release_query.set()
-        assert cache.count(predicate) == 42  # a fresh query, not 41 replayed
-        assert cache.misses == 2
 
     def test_count_cache_memoises_without_a_sweep(self):
         class CountingBackend:

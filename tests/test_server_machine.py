@@ -4,7 +4,7 @@ A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
 close-and-reopen, the five profile-update shapes and three faults.
 After every step every read, and every answer still materialised, equals
-``fresh_top_k``, and no repair ran SQL.  Concurrent interleavings are the
+``fresh_top_k``, no repair ran SQL and no exported counter went down.  Concurrent interleavings are the
 load auditor's job; ``test_engines_report_alike`` compares the two engines.
 ``HYPOTHESIS_PROFILE=ci`` runs ten times the examples.  See "One oracle" in
 ``docs/ARCHITECTURE.md``.
@@ -131,6 +131,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.served = []   # (uid, ranking) read since the last check
         self.reports = []  # data-mutation reports since the last check
         self.fresh = {}    # uid -> fresh_top_k, until the next write
+        self.exported = {}  # the server's metrics() at the last check
 
     def teardown(self):
         self.server.close()
@@ -216,6 +217,7 @@ class ServerMachine(RuleBasedStateMachine):
     def reopen(self):
         self.server.close()
         self.server = TopKServer(self.db)
+        self.exported = {}
 
     # -- the five profile-update shapes --------------------------------------
 
@@ -319,6 +321,19 @@ class ServerMachine(RuleBasedStateMachine):
     def repairs_run_no_sql(self):
         reports, self.reports = self.reports, []
         assert all(report.repair_sql_statements == 0 for report in reports)
+
+    @invariant()
+    def no_exported_counter_decreases(self):
+        """Every exported name but the ``*.entries`` gauges is a counter:
+        a fault that makes the server forget its caches must not rewind
+        one."""
+        metrics = self.server.metrics()
+        rewound = {name: (before, metrics.get(name, 0))
+                   for name, before in self.exported.items()
+                   if not name.endswith(".entries")
+                   and metrics.get(name, 0) < before}
+        assert not rewound, rewound
+        self.exported = metrics
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

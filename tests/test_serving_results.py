@@ -132,12 +132,23 @@ class TestDataInvalidation:
         assert (cache.repairs, cache.data_spared) == (2, 1)
 
     def test_clear_resets_everything(self):
+        """``clear`` resets every entry, holder and in-flight put; the
+        statistics are exported counters and keep counting."""
         cache = ResultCache()
         put(cache, 1, 5, [(10, 0.9)], [VLDB])
         cache.get(1, 5)
+        cache.get(2, 5)
+        epoch = cache.epoch
         cache.clear()
-        assert len(cache) == 0
-        assert (cache.hits, cache.misses) == (0, 0)
+        assert len(cache) == 0 and cache.cached_users() == []
+        assert cache.epoch > epoch
+        # No conjunct is held any more: a matching sweep visits nothing.
+        assert cache.on_data_mutation(insert([VLDB_ROW])) == 0
+        assert cache.entries_visited == 0
+        assert put(cache, 1, 5, [(10, 0.9)], [VLDB], epoch=epoch) is None
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert stats["stale_puts_rejected"] == 1
 
     def test_cached_users_lists_distinct_uids(self):
         cache = ResultCache()

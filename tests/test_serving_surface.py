@@ -2,7 +2,8 @@
 
 Pins, on every registered storage backend: one mutation report type and
 valid ``metrics()`` names for one fixed script whose every answer equals
-``fresh_top_k`` — built with no pair table and no count — a terminal
+``fresh_top_k`` — built with no pair table and no count, as is a
+four-thread load run — a terminal
 ``close()`` that waits out a parked cold read, and the fault contract's
 first rules — a failed sweep or a cold read whose backend raises surfaces
 at the door, is counted by kind and leaves nothing held or published, and a
@@ -39,7 +40,8 @@ from repro.exceptions import ServingError
 from repro.algorithms.peps import PEPSAlgorithm
 from repro.index import (CountCache, IncrementalPairIndex, RowMatch,
                          may_match_row)
-from repro.serving import DataMutationReport, TopKServer, fresh_top_k
+from repro.serving import (DATA_UPDATE, DELETE, INSERT, READ, UPDATE,
+                           DataMutationReport, OpMix, TopKServer, fresh_top_k)
 from repro.serving.results import CachedResult
 from repro.serving.sessions import SessionRegistry
 from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
@@ -120,17 +122,39 @@ def test_script_reports_and_metrics(surface):
     assert metrics["serving.server.updates"] == 1
 
 
-def test_serving_builds_no_pair_table_and_counts_nothing(surface, monkeypatch):
-    """Cold reads, a profile update and all three mutation kinds — and the
+def run_load_mix(server):
+    """Four workers over every op kind with the background auditor live."""
+    mix = OpMix(read_weight=2.0, update_weight=1.0, insert_weight=1.0,
+                delete_weight=1.0, data_update_weight=1.0)
+    report = LoadGenerator(LoadConfig(
+        threads=4, requests=120, mix=mix, seed=31, k=K,
+        audit_interval=0.01, audit_sample=4)).run(server)
+    assert report.clean, (report.errors, report.audit)
+    assert report.audit["audits"] >= 1
+    assert all(report.kind_counts.get(kind, 0) > 0
+               for kind in (READ, UPDATE, INSERT, DELETE, DATA_UPDATE)), \
+        report.kind_counts
+
+
+# The drive rides the ``surface`` id, ahead of the backend's, so the serial
+# script's case is ``[server-<backend>]`` like every other test here.
+@pytest.mark.parametrize("backend", sorted(BACKEND_NAMES))
+@pytest.mark.parametrize("surface", ["server", "load"], indirect=True)
+def test_serving_builds_no_pair_table_and_counts_nothing(surface, request,
+                                                          monkeypatch):
+    """Cold reads, profile updates and all three mutation kinds — and the
     ``fresh_top_k`` oracle behind every answer — build no pair index and
-    count nothing: both raise here, and the script still runs exact."""
+    count nothing: both raise here, and the run still serves exact.  The
+    serial script and a four-thread load run with the auditor live both
+    hold; the count cache is single-threaded because of it."""
     def refuse(*args, **kwargs):
         raise AssertionError("serving asked for a pair table or a count")
 
     monkeypatch.setattr(IncrementalPairIndex, "__init__", refuse)
     for name in ("count_many", "count_matching"):
         monkeypatch.setattr(surface.db, name, refuse)
-    run_script(surface)
+    drive = {"server": run_script, "load": run_load_mix}
+    drive[request.node.callspec.params["surface"]](surface)
     metrics = surface.metrics()
     assert metrics["index.count_cache.misses"] == 0
     assert metrics["index.count_cache.statements"] == 0
@@ -191,11 +215,8 @@ def test_lock_set_is_pinned(surface):
     """Every lock ``instrument_locks`` may report, by name, all of the one
     shape ``repro.concurrency`` defines; a new lock is a deliberate edit of
     this list.  Restoring hands back every original object."""
-    expected = ["server", "sessions", "count-cache", "result-cache"]
-    cache = surface.sessions.runner.count_cache
-    swapped = [(owner, "_lock") for owner in (surface, surface.sessions,
-                                               cache, surface.results)]
-    swapped.append((cache, "_cond"))
+    expected = ["server", "result-cache"]
+    swapped = [(owner, "_lock") for owner in (surface, surface.results)]
     originals = [getattr(owner, name) for owner, name in swapped]
 
     handle = instrument_locks(surface)
@@ -203,7 +224,7 @@ def test_lock_set_is_pinned(surface):
     assert sorted(record["name"] for record in records) == sorted(expected)
     assert {record["kind"] for record in records} == {"rlock"}
     assert all(isinstance(getattr(owner, name), TimedRLock)
-               for owner, name in swapped if name == "_lock")
+               for owner, name in swapped)
     handle.uninstrument()
     assert all(getattr(owner, name) is original
                for (owner, name), original in zip(swapped, originals))

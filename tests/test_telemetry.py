@@ -310,9 +310,7 @@ class TestServerTelemetry:
 
 class TestLockInstrumentation:
     def test_roundtrip_restores_every_original(self, server):
-        cache = server.sessions.runner.count_cache
-        originals = (server._lock, server.sessions._lock,
-                     cache._lock, cache._cond, server.results._lock)
+        originals = (server._lock, server.results._lock)
         handle = instrument_locks(server)
         assert handle.active
         assert all(isinstance(lock.stats(), dict) for lock in handle.locks)
@@ -320,14 +318,11 @@ class TestLockInstrumentation:
         # thread mid-acquire keeps working).
         assert isinstance(server._lock, TimedRLock)
         assert server._lock._inner is originals[0]
-        # The count cache's condition must ride the wrapper lock while
-        # instrumented, or in-flight coalescing would deadlock.
-        assert cache._cond._lock is cache._lock
+        assert server.results._lock._inner is originals[1]
         server.top_k(1, 5)
         handle.uninstrument()
         assert not handle.active
-        restored = (server._lock, server.sessions._lock,
-                    cache._lock, cache._cond, server.results._lock)
+        restored = (server._lock, server.results._lock)
         assert restored == originals
         server.top_k(2, 5)  # engine still serves after restore
 
