@@ -26,7 +26,12 @@ acceptance criteria:
     materialised answer, repaired or spared, equals a from-scratch
     recomputation), and a short concurrent load run with the background
     :class:`~repro.loadgen.EquivalenceAuditor` finishes clean while repairs
-    are happening live.
+    are happening live;
+(d) **the score bound skips most repairs** — a sweep hands an affected
+    answer to ``apply_delta`` only when its per-answer score bound cannot
+    prove it unchanged: ``serving.result_cache.deltas_applied`` stays at or
+    below :data:`DELTA_SHARE_CEILING` of the affected answers
+    (``repairs + repair_fallbacks``).
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ SCALE = "tiny"
 REPAIR_RATE_FLOOR = 0.6
 #: The warm-read floor: twice the invalidate-and-recompute arm's 0.240.
 WARM_RATE_FLOOR = 0.5
+#: The ceiling on ``apply_delta`` calls per affected answer (without the
+#: bound every affected answer is a call).
+DELTA_SHARE_CEILING = 0.4
 
 
 def _replay():
@@ -78,6 +86,7 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
     fallbacks = metrics["serving.result_cache.repair_fallbacks"]
     entry_rate = repairs / max(1, repairs + fallbacks)
     avoided = repairs * recompute
+    deltas = metrics["serving.result_cache.deltas_applied"]
 
     reporting.print_report(
         f"Repair, don't recompute — {USERS} users, {REPLAY.requests} "
@@ -92,6 +101,7 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
             "underflow fallbacks":
                 metrics["serving.result_cache.repair_underflows"],
             "entry repair rate": f"{entry_rate:.3f}",
+            "apply_delta calls": deltas,
             "SQL per from-scratch recompute": f"{recompute:.1f}",
             "recompute SQL the repairs stand in for": f"{avoided:.0f}",
             "audited": report.audit["comparisons"],
@@ -110,6 +120,9 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
 
     # (c) Every repaired answer survived the after-every-op audit.
     assert report.clean and report.audit["comparisons"] > 0, report.audit
+
+    # (d) The score bound spares most affected answers the repair call.
+    assert deltas <= DELTA_SHARE_CEILING * (repairs + fallbacks)
 
 
 def test_repairs_stay_clean_under_concurrent_load(benchmark):

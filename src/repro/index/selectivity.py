@@ -223,7 +223,10 @@ class ConjunctIndex:
 
     A store registers every conjunct of every entry it keeps
     (:meth:`add`, :meth:`remove`); a conjunct stays held while any holder
-    does.  An ``attribute = literal`` conjunct is bucketed under its
+    does.  Each (conjunct, holder) carries one payload the store chooses —
+    the result cache keeps its score-bound factors there, so a sweep reads
+    them from the holders it visits anyway and no second map is kept in
+    sync.  An ``attribute = literal`` conjunct is bucketed under its
     attribute spelling by its literal's text and its literal's number
     (:func:`_equality_shape`); every other shape is *generic*.
 
@@ -239,18 +242,19 @@ class ConjunctIndex:
     """
 
     def __init__(self) -> None:
-        #: Per held conjunct: the store's entries holding it.
-        self._holders: Dict[str, Set[Hashable]] = {}
+        #: Per held conjunct: the store's entries holding it -> the payload
+        #: each carries under it.
+        self._holders: Dict[str, Dict[Hashable, Any]] = {}
         self._generic: Set[str] = set()
         #: Per bucketed attribute spelling: all its keys / value -> keys.
         self._keys: Dict[str, Set[str]] = {}
         self._buckets: Dict[str, Dict[Any, Set[str]]] = {}
 
-    def add(self, conjunct: str, holder: Hashable) -> None:
-        """Record that ``holder`` holds ``conjunct``."""
+    def add(self, conjunct: str, holder: Hashable, payload: Any = None) -> None:
+        """Record that ``holder`` holds ``conjunct``, carrying ``payload``."""
         holders = self._holders.get(conjunct)
         if holders is None:
-            holders = self._holders[conjunct] = set()
+            holders = self._holders[conjunct] = {}
             shape = _equality_shape(conjunct)
             if shape is None:
                 self._generic.add(conjunct)
@@ -268,13 +272,13 @@ class ConjunctIndex:
                         buckets[value] = {conjunct}
                     else:
                         bucket.add(conjunct)
-        holders.add(holder)
+        holders[holder] = payload
 
     def remove(self, conjunct: str, holder: Hashable) -> None:
         """Forget that ``holder`` holds ``conjunct``; the last holder's
         removal drops the conjunct from its buckets."""
         holders = self._holders[conjunct]
-        holders.remove(holder)
+        del holders[holder]
         if holders:
             return
         del self._holders[conjunct]
@@ -295,8 +299,8 @@ class ConjunctIndex:
             if not bucket:
                 del buckets[value]
 
-    def holders(self, conjunct: str) -> Set[Hashable]:
-        """The entries holding a held ``conjunct``."""
+    def holders(self, conjunct: str) -> Dict[Hashable, Any]:
+        """The entries holding a held ``conjunct``, each with its payload."""
         return self._holders[conjunct]
 
     def candidates(self, rows: Iterable[Mapping[str, Any]]) -> Set[str]:

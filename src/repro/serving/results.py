@@ -52,7 +52,11 @@ absent from a truncated buffer provably ranks below its floor.  Repair
 exactly against an event row (``exact_match_row`` returns ``None``) or when
 removals underflow a truncated buffer below ``k`` — the conditions
 ``docs/INVALIDATION.md`` spells out.  A repair is itself an epoch-bumping
-sweep step, so a stale put racing the sweep still loses.
+sweep step, so a stale put racing the sweep still loses.  Most affected
+answers never reach ``apply_delta``: a per-answer score bound, accumulated
+in the sweep's one pass over the live conjuncts' holders, proves that no
+inserted or rescored tuple can reach the buffer's floor (the threshold
+argument of Fagin's algorithm, applied to one cached answer).
 
 **Thread safety and the re-cache race.**  The cache carries its own
 re-entrant lock, so warm lookups no longer need the server's big lock (the
@@ -91,6 +95,16 @@ REPAIRED = "repaired"
 FALLBACK_UNSCORABLE = "unscorable"
 #: Removals sank a truncated buffer below ``k`` ranked tuples.
 FALLBACK_UNDERFLOW = "underflow"
+#: Absolute slack on the sweep's score bound: the bound multiplies its
+#: factors in conjunct order, a repair in preference order, so the two
+#: products may differ in their last bits.
+BOUND_MARGIN = 1e-9
+
+#: What an entry carries under one conjunct it holds (see :func:`holdings`):
+#: ``Π(1 − i)`` over its single-conjunct preferences on exactly that
+#: conjunct (``None`` when it has none), and ``(conjuncts, Π(1 − i))`` per
+#: multi-conjunct preference set whose least conjunct it is.
+Holding = Tuple[Optional[float], Tuple[Tuple[FrozenSet[str], float], ...]]
 
 
 @dataclass(frozen=True)
@@ -216,6 +230,38 @@ class CachedResult:
             depth=self.depth), REPAIRED
 
 
+def holdings(entry: CachedResult) -> Dict[str, Holding]:
+    """Each conjunct ``entry`` holds -> the score-bound factors it carries.
+
+    A tuple's repaired score is ``1 − Π(1 − i)`` over the preferences it
+    matches, so multiplying ``1 − i`` over every preference a post-image row
+    may match bounds every such score from above.  A single-conjunct
+    preference's factor sits under its conjunct; a multi-conjunct one's
+    under its least conjunct only, so a sweep counts it once.  Every
+    conjunct set is non-empty (:meth:`~repro.index.CountCache.key`).
+    """
+    single: Dict[str, float] = {}
+    groups: Dict[str, Dict[FrozenSet[str], float]] = {}
+    for conjuncts, intensity in zip(entry.conjuncts, entry.intensities):
+        # Intensities lie in [-1, 1]; a non-positive one scores nothing
+        # (``apply_delta`` skips it).
+        factor = 1.0 - intensity if intensity > 0.0 else 1.0
+        if len(conjuncts) == 1:
+            (conjunct,) = conjuncts
+            single[conjunct] = single.get(conjunct, 1.0) * factor
+        else:
+            group = groups.setdefault(min(conjuncts), {})
+            group[conjuncts] = group.get(conjuncts, 1.0) * factor
+    held: Dict[str, Holding] = {conjunct: (factor, ())
+                                for conjunct, factor in single.items()}
+    for least, group in groups.items():
+        for conjuncts in group:
+            for conjunct in conjuncts:
+                held.setdefault(conjunct, (None, ()))
+        held[least] = (held[least][0], tuple(group.items()))
+    return held
+
+
 class ResultCache:
     """Update-aware cache of materialised Top-K answers keyed by (uid, k)."""
 
@@ -225,9 +271,13 @@ class ResultCache:
         # server lock, so every access holds this lock.
         self._lock = threading.RLock()
         self._entries: Dict[ResultKey, CachedResult] = {}
-        #: Every conjunct an entry holds -> the ``(uid, k)`` keys holding it:
-        #: a sweep visits the holders of the conjuncts a row may match.
+        #: Every conjunct an entry holds -> the ``(uid, k)`` keys holding it,
+        #: each carrying its :func:`holdings` factors under it: a sweep
+        #: visits the holders of the conjuncts a row may match.
         self._held = ConjunctIndex()
+        #: Every pid some entry's buffer holds -> the keys holding it: a
+        #: removal or rescore changes only the buffers holding its pid.
+        self._pids: Dict[int, Set[ResultKey]] = {}
         #: Monotonic invalidation epoch (see module docs).
         self._epoch = 0
         #: Warm requests answered from memory / requests that had to compute.
@@ -247,6 +297,9 @@ class ResultCache:
         self.repairs = 0
         self.repair_fallbacks = 0
         self.repair_underflows = 0
+        #: :meth:`CachedResult.apply_delta` calls: the affected entries the
+        #: sweep's score bound could not prove unchanged.
+        self.deltas_applied = 0
         #: Materialisations refused because an invalidation ran since the
         #: caller snapshotted the epoch (the check-then-act guard firing).
         self.stale_puts_rejected = 0
@@ -322,13 +375,28 @@ class ResultCache:
     # -- invalidation -------------------------------------------------------------
 
     def _hold(self, key: ResultKey, entry: CachedResult) -> None:
-        for conjuncts in entry.conjuncts:
-            for conjunct in conjuncts:
-                self._held.add(conjunct, key)
+        for conjunct, holding in holdings(entry).items():
+            self._held.add(conjunct, key, holding)
+        self._index_pids(key, (), entry.buffer)
 
     def _release(self, key: ResultKey, entry: CachedResult) -> None:
         for conjunct in frozenset().union(*entry.conjuncts):
             self._held.remove(conjunct, key)
+        self._index_pids(key, entry.buffer, ())
+
+    def _index_pids(self, key: ResultKey, old: Ranking, new: Ranking) -> None:
+        """Move ``key`` in the pid index from buffer ``old`` to ``new``."""
+        for pid, _ in old:
+            keys = self._pids[pid]
+            keys.discard(key)
+            if not keys:
+                del self._pids[pid]
+        for pid, _ in new:
+            keys = self._pids.get(pid)
+            if keys is None:
+                self._pids[pid] = {key}
+            else:
+                keys.add(key)
 
     def _drop(self, key: ResultKey) -> None:
         self._release(key, self._entries.pop(key))
@@ -360,11 +428,24 @@ class ResultCache:
         conjunct live, and affected iff some one row may match all of them
         (:meth:`~repro.index.selectivity.RowMatch.shared`) — so with
         single-conjunct preferences visited and affected are the same; a
-        mutation that carries no rows visits none.  An affected answer is
-        folded forward by :meth:`CachedResult.apply_delta` at exactly its
-        affected positions, scored from ``match``'s verdicts (zero SQL,
-        counted in :attr:`repairs`), and only an entry whose repair is
-        impossible is dropped (counted in :attr:`repair_fallbacks` *and*
+        mutation that carries no rows visits none.
+
+        **The score bound.**  One pass over the live conjuncts' holders
+        multiplies each affected answer's ``miss`` by the :func:`holdings`
+        factor it carries under a conjunct some *post-image* row may match:
+        no inserted or rescored tuple can score above ``1 − miss``.  An
+        affected answer is handed to :meth:`CachedResult.apply_delta`
+        (counted in :attr:`deltas_applied`) only when it holds an affected
+        pid in its buffer, is ``complete``, has a post row its preferences
+        may but need not match (the unscorable fallback), is a truncated
+        buffer shorter than ``k`` (the underflow fallback), or its bound
+        reaches its buffer's floor less :data:`BOUND_MARGIN`.  Any other
+        affected answer provably comes back from ``apply_delta`` as itself,
+        so it is counted as repaired without the call.
+
+        A repair scores from ``match``'s verdicts (zero SQL, counted in
+        :attr:`repairs`), and only an entry whose repair is impossible is
+        dropped (counted in :attr:`repair_fallbacks` *and*
         :attr:`data_invalidations`, which are therefore equal; underflow
         fallbacks additionally in :attr:`repair_underflows`).  The sweep
         bumps the epoch exactly like a pure invalidation sweep — a repaired
@@ -376,33 +457,63 @@ class ResultCache:
         """
         if match is None:
             match = RowMatch(mutation.invalidation_rows())
+        post_rows = (1 << len(mutation.rows)) - 1
+        pids = {int(row["pid"]) for row in mutation.rows}
+        pids.update(int(row["pid"]) for row in mutation.old_rows)
         with self._lock:
             self._epoch += 1
             live = self._held.live(match)
-            held: Set[ResultKey] = set()
+            # Affected entry -> Π(1 − i) over the preferences a post row may
+            # match; visited entries none of whose preferences is affected;
+            # entries ``apply_delta`` must see whatever their bound.
+            misses: Dict[ResultKey, float] = {}
+            visited: Set[ResultKey] = set()
+            must: Set[ResultKey] = set()
             for conjunct in live:
-                held |= self._held.holders(conjunct)
+                hit = match.mask(conjunct) & post_rows
+                undecided = hit & ~match.exact((conjunct,))
+                for key, (factor, groups) in \
+                        self._held.holders(conjunct).items():
+                    if factor is not None:
+                        miss = misses.get(key, 1.0)
+                        misses[key] = miss * factor if hit else miss
+                        if undecided:
+                            must.add(key)
+                    for conjuncts, product in groups:
+                        if not conjuncts <= live:
+                            continue
+                        visited.add(key)
+                        shared = match.shared(conjuncts)
+                        if not shared:
+                            continue
+                        miss = misses.get(key, 1.0)
+                        if shared & post_rows:
+                            miss *= product
+                            if shared & post_rows & ~match.exact(conjuncts):
+                                must.add(key)
+                        misses[key] = miss
+            for pid in pids:
+                must.update(self._pids.get(pid, ()))
             stale: List[ResultKey] = []
-            visited = repaired = underflows = 0
-            for key in held:
+            repaired = underflows = applied = 0
+            for key, miss in misses.items():
                 entry = self._entries[key]
-                # A preference with a conjunct no row may match is provably
-                # unaffected; the entry is visited when one has none.
+                buffer = entry.buffer
+                if not (key in must or entry.complete or not buffer
+                        or len(buffer) < entry.k
+                        or 1.0 - miss >= buffer[-1][1] - BOUND_MARGIN):
+                    repaired += 1
+                    continue
                 positions = [position for position, conjuncts
                              in enumerate(entry.conjuncts)
-                             if conjuncts <= live]
-                if not positions:
-                    continue
-                visited += 1
-                positions = [position for position in positions
-                             if match.shared(entry.conjuncts[position])]
-                if not positions:
-                    continue
+                             if conjuncts <= live and match.shared(conjuncts)]
+                applied += 1
                 replacement, reason = entry.apply_delta(
                     mutation, match, positions)
                 if replacement is not None:
                     if replacement is not entry:
                         self._entries[key] = replacement
+                        self._index_pids(key, buffer, replacement.buffer)
                     repaired += 1
                 else:
                     stale.append(key)
@@ -410,8 +521,9 @@ class ResultCache:
                         underflows += 1
             for key in stale:
                 self._drop(key)
-            self.entries_visited += visited
+            self.entries_visited += len(visited.union(misses))
             self.repairs += repaired
+            self.deltas_applied += applied
             self.repair_fallbacks += len(stale)
             self.repair_underflows += underflows
             self.data_invalidations += len(stale)
@@ -428,6 +540,7 @@ class ResultCache:
             self._epoch += 1
             self._entries.clear()
             self._held.clear()
+            self._pids.clear()
 
     # -- introspection ------------------------------------------------------------
 
@@ -450,6 +563,7 @@ class ResultCache:
                 "repairs": self.repairs,
                 "repair_fallbacks": self.repair_fallbacks,
                 "repair_underflows": self.repair_underflows,
+                "deltas_applied": self.deltas_applied,
                 "stale_puts_rejected": self.stale_puts_rejected,
             }
 

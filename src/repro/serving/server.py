@@ -32,9 +32,11 @@ that raises counts the error by kind
 brings every cache layer up to date through one shared
 :class:`~repro.index.RowMatch` and returns the impact the report carries.
 A mutation that raises before its sweep completed may still have committed,
-so the server then forgets every cached answer and id list (counted as
-``serving.server.forgets.<door>``): after a fault it serves the exact answer
-or refuses, never a stale one.
+so the server then forgets every cached answer and id list, counted as
+``serving.server.forgets.<door>.<place>`` — ``before_sweep`` when the loader
+or the backend raised and no notification reached the server, ``in_sweep``
+when the server's own sweep raised partway: after a fault it serves the
+exact answer or refuses, never a stale one.
 
 **Locking.**  Warm reads take no server lock; everything else — cold read,
 profile update, data mutation, close — runs alone under the server's one
@@ -94,7 +96,7 @@ REPAIR_MARGIN = 2
 #: Result-cache counters reported under ``serving.result_cache.*`` (the
 #: repair path's own metric component) instead of ``serving.results.*``.
 _REPAIR_METRIC_KEYS = frozenset(
-    {"repairs", "repair_fallbacks", "repair_underflows"})
+    {"repairs", "repair_fallbacks", "repair_underflows", "deltas_applied"})
 
 @dataclass(frozen=True)
 class ServeResult:
@@ -239,12 +241,14 @@ class TopKServer:
         #: indexes ``serving.server.stripe_acquisitions``.
         self.stripe_acquisitions = 0
         #: Door errors by ``<door>.<exception kind>``, and :meth:`_forget`
-        #: calls by the door whose failed mutation caused them.
+        #: calls by ``<door>.<place>`` of the failed mutation behind them.
         self._errors: Dict[str, int] = {}
         self._forgets: Dict[str, int] = {}
-        #: The impact of the sweep the mutation in flight caused; written by
-        #: the listener, consumed by ``_mutate`` (both under the lock).
+        #: The impact of the sweep the mutation in flight caused, and whether
+        #: its notification reached the listener; written by the listener,
+        #: consumed by ``_mutate`` (both under the lock).
         self._last_sweep: Optional[Dict[str, int]] = None
+        self._sweep_began = False
         self._data_listener = db.subscribe(self._on_data_mutation)
 
     # -- telemetry ----------------------------------------------------------------
@@ -336,13 +340,15 @@ class TopKServer:
         with self._stats_lock:
             self._errors[key] = self._errors.get(key, 0) + 1
 
-    def _forget(self, door: str) -> None:
+    def _forget(self, door: str, place: str) -> None:
         """Drop every cached answer and id list after ``door``'s mutation
-        failed with no completed sweep behind it."""
+        failed with no completed sweep behind it; ``place`` is where it
+        failed — ``before_sweep`` or ``in_sweep``."""
         self.results.clear()
         self.sessions.runner.clear()
+        key = f"{door}.{place}"
         with self._stats_lock:
-            self._forgets[door] = self._forgets.get(door, 0) + 1
+            self._forgets[key] = self._forgets.get(key, 0) + 1
 
     def _bump(self, reads: int = 0, read_hits: int = 0, updates: int = 0,
               stripe_acquisitions: int = 0) -> None:
@@ -532,15 +538,17 @@ class TopKServer:
                     start = time.perf_counter()
                     statements_before = self.db.statements_executed
                     self._last_sweep = None
+                    self._sweep_began = False
                     try:
                         loader_call()
                     except Exception:
                         if self._last_sweep is None:
                             # The write may have committed with no sweep
-                            # behind it (a fault in ``notify``, in a
-                            # listener ahead of ours, or in the sweep):
-                            # nothing cached is provably fresh any more.
-                            self._forget(door)
+                            # behind it (a fault in ``notify``, in the
+                            # listener call, or in the sweep): nothing
+                            # cached is provably fresh any more.
+                            self._forget(door, "in_sweep" if self._sweep_began
+                                         else "before_sweep")
                         raise
                     impact, self._last_sweep = self._last_sweep, None
                     if impact is None:
@@ -573,6 +581,7 @@ class TopKServer:
         in-flight :meth:`_mutate` and being misattributed to its report.
         """
         with self._lock:
+            self._sweep_began = True
             self._last_sweep = self._sweep(mutation)
 
     def _sweep(self, mutation: DataMutation) -> Dict[str, int]:
@@ -645,8 +654,8 @@ class TopKServer:
             }
             for key, value in self._errors.items():
                 flat[f"serving.server.errors.{key}"] = value
-            for door, value in self._forgets.items():
-                flat[f"serving.server.forgets.{door}"] = value
+            for key, value in self._forgets.items():
+                flat[f"serving.server.forgets.{key}"] = value
         for key, value in self.sessions.stats().items():
             flat[f"serving.sessions.{key}"] = value
         for key, value in self.results.stats().items():

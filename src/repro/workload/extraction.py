@@ -66,6 +66,10 @@ class PreferenceExtractor:
         self._authors_by_paper = dataset.authors_of()
         self._citations_by_paper = dataset.cited_by()
         self._venue_by_paper = {paper.pid: paper.venue for paper in dataset.papers}
+        # Read ``dataset.authors`` once: a per-profile scan made mining
+        # quadratic in the number of authors.
+        self._author_ids = tuple(author.aid for author in dataset.authors)
+        self._known_authors = frozenset(self._author_ids)
         self._venue_intensities_cache: Dict[int, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
@@ -129,7 +133,7 @@ class PreferenceExtractor:
 
     def extract_profile(self, uid: int) -> UserProfile:
         """Extract the full profile (quantitative + qualitative) for one user."""
-        if uid not in {author.aid for author in self.dataset.authors}:
+        if uid not in self._known_authors:
             raise ExtractionError(f"unknown author/user id {uid}")
         profile = UserProfile(uid=uid)
         config = self.config
@@ -175,7 +179,7 @@ class PreferenceExtractor:
         """Extract profiles for ``uids`` (default: every author)."""
         registry = ProfileRegistry()
         if uids is None:
-            uids = [author.aid for author in self.dataset.authors]
+            uids = self._author_ids
         for uid in uids:
             profile = self.extract_profile(uid)
             if skip_empty and profile.is_empty():

@@ -13,7 +13,13 @@ ints, floats, text, NULLs and absent attributes under qualified or bare keys.
 * ``ResultCache.on_data_mutation`` repairs and drops exactly the entries
   the plain loop — ``any(shared(c) for c in entry.conjuncts)`` — calls
   affected, each to the very entry a full-width ``apply_delta`` builds, and
-  leaves every other entry untouched.
+  leaves every other entry untouched.  Its score bound changes nothing but
+  the number of ``apply_delta`` calls: every counter and drop equals the
+  unfiltered loop's, an unchanged entry is the very same object, and every
+  entry whose buffer changed was handed to ``apply_delta`` — over
+  multi-conjunct preferences, ties at the floor, ``complete`` entries,
+  unscorable rows, buffers shorter than ``k`` and intensities of exactly 0
+  and 1.
 
 ``HYPOTHESIS_PROFILE=ci`` runs ten times the default examples.
 """
@@ -23,9 +29,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.base import PreferenceQueryRunner
+from repro.core.intensity import combine_and
 from repro.core.predicate import Condition, Or, parse_predicate
 from repro.index import ConjunctIndex, CountCache, RowMatch
-from repro.serving.results import ResultCache
+from repro.serving.results import CachedResult, ResultCache, holdings
 from repro.sqldb.events import (TUPLES_DELETED, TUPLES_INSERTED,
                                 TUPLES_UPDATED, DataMutation)
 
@@ -64,11 +71,12 @@ row_values = st.one_of(
 
 
 @st.composite
-def rows(draw, pids=st.integers(min_value=1, max_value=6)):
-    """A joined-view row: each attribute absent, or under one spelling."""
+def rows(draw, pids=st.integers(min_value=1, max_value=6), absent=True):
+    """A joined-view row: each attribute absent (when ``absent``), or under
+    one spelling."""
     row = {"pid": draw(pids)}
     for names in ATTRIBUTES.values():
-        spelling = draw(st.sampled_from((None,) + names))
+        spelling = draw(st.sampled_from(((None,) if absent else ()) + names))
         if spelling is not None:
             row[spelling] = draw(row_values)
     return row
@@ -146,63 +154,159 @@ def test_a_bucket_reaches_only_the_values_sqlite_equates():
 kinds = st.sampled_from([TUPLES_INSERTED, TUPLES_DELETED, TUPLES_UPDATED])
 
 
+#: Scores and intensities drawn from a small grid, so a repaired tuple's
+#: score often equals a buffer's floor (``1 − 0.5 · 0.5 = 0.75``).
+GRID_SCORES = (0.25, 0.5, 0.625, 0.75, 0.875, 1.0)
+GRID_INTENSITIES = (0.0, 0.25, 0.5, 1.0)
+
+
 @st.composite
 def entries(draw, conjunct_sets):
-    """One cached answer's fields: an exact-looking buffer over pids 1..9."""
-    preferences = draw(st.lists(st.tuples(conjunct_sets,
-                                          st.floats(min_value=0.05,
-                                                    max_value=1.0)),
-                                min_size=1, max_size=5))
-    pids = draw(st.lists(st.integers(min_value=1, max_value=9), unique=True,
+    """One cached answer's fields: an exact-looking buffer over pids 1..16
+    whose scores can tie the floor of another."""
+    preferences = draw(st.lists(st.tuples(
+        conjunct_sets, st.one_of(st.sampled_from(GRID_INTENSITIES),
+                                 st.floats(min_value=0.0, max_value=1.0))),
+        min_size=1, max_size=5))
+    pids = draw(st.lists(st.integers(min_value=1, max_value=16), unique=True,
                          max_size=6))
-    scores = draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+    scores = draw(st.lists(st.one_of(st.sampled_from(GRID_SCORES),
+                                     st.floats(min_value=0.05, max_value=1.0)),
                            min_size=len(pids), max_size=len(pids)))
     buffer = sorted(zip(pids, scores), key=lambda hit: (-hit[1], hit[0]))
     k = draw(st.integers(min_value=1, max_value=3))
-    return (buffer, draw(st.booleans()),
+    return (buffer, draw(st.sampled_from((False, False, False, True))),
             [conjuncts for conjuncts, _ in preferences],
             [intensity for _, intensity in preferences], k)
+
+
+def unfiltered_sweep(entries, mutation):
+    """The loop the bound replaced: ``apply_delta`` on every affected entry.
+    Returns each affected key's outcome and the number of visited keys."""
+    full = RowMatch(mutation.invalidation_rows())
+    visited, outcomes = 0, {}
+    for key, entry in entries.items():
+        if any(all(full.mask(conjunct) for conjunct in conjuncts)
+               for conjuncts in entry.conjuncts):
+            visited += 1
+        if any(full.shared(conjuncts) for conjuncts in entry.conjuncts):
+            outcomes[key] = entry.apply_delta(mutation)[0]
+    return outcomes, visited
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
-    pool = data.draw(st.lists(conjunct_texts, min_size=1, max_size=8,
+    pool = data.draw(st.lists(conjunct_texts, min_size=1, max_size=6,
                               unique=True))
     conjunct_sets = st.sets(st.sampled_from(pool), min_size=1,
-                            max_size=2).map(frozenset)
+                            max_size=3).map(frozenset)
     cache = ResultCache()
-    for uid in range(data.draw(st.integers(min_value=1, max_value=6))):
+    for uid in range(data.draw(st.integers(min_value=1, max_value=8))):
         buffer, complete, conjuncts, intensities, k = data.draw(
             entries(conjunct_sets))
         cache.put(uid, k, buffer, complete, conjuncts, intensities)
     kind = data.draw(kinds)
-    post = data.draw(st.lists(rows(), max_size=3)) \
+    # Mostly rows that carry every attribute, so the bound is what decides.
+    row = st.one_of(rows(absent=False), rows(absent=False), rows())
+    post = data.draw(st.lists(row, max_size=3)) \
         if kind != TUPLES_DELETED else []
-    pre = data.draw(st.lists(rows(), max_size=3)) \
+    pre = data.draw(st.lists(row, max_size=3)) \
         if kind != TUPLES_INSERTED else []
     mutation = DataMutation(kind, "dblp", rows=post, old_rows=pre,
                             pids=sorted({row["pid"] for row in post + pre}))
 
-    before = {key: cache.peek(*key) for key in cache._entries}
-    full = RowMatch(mutation.invalidation_rows())
-    affected = {key for key, entry in before.items()
-                if any(full.shared(members) for members in entry.conjuncts)}
-    expected = {key: before[key].apply_delta(mutation)[0] for key in affected}
+    before = dict(cache._entries)
+    outcomes, visited = unfiltered_sweep(before, mutation)
+    calls = []
+    apply_delta = CachedResult.apply_delta
 
-    dropped = cache.on_data_mutation(mutation)
-    assert dropped == sum(1 for entry in expected.values() if entry is None)
-    assert cache.repairs + cache.repair_fallbacks == len(affected)
-    assert cache.entries_visited >= len(affected)
+    def counted(entry, *args, **kwargs):
+        calls.append((entry.uid, entry.k))
+        return apply_delta(entry, *args, **kwargs)
+    CachedResult.apply_delta = counted
+    try:
+        dropped = cache.on_data_mutation(mutation)
+    finally:
+        CachedResult.apply_delta = apply_delta
+
+    fallbacks = sum(1 for outcome in outcomes.values() if outcome is None)
+    assert dropped == cache.repair_fallbacks == fallbacks
+    assert cache.repairs == len(outcomes) - fallbacks
+    assert cache.entries_visited == visited
+    assert cache.deltas_applied == len(calls) == len(set(calls))
     for key, entry in before.items():
-        if key not in affected:
+        outcome = outcomes.get(key, entry)
+        if outcome is None:
+            assert key not in cache
+        elif outcome is entry:
             assert cache.peek(*key) is entry
         else:
-            assert cache.peek(*key) == expected[key]
-    # The index forgot the dropped entries' conjuncts and kept the rest.
-    assert set(cache._held._holders) == set().union(
-        *(conjuncts for entry in cache._entries.values()
-          for conjuncts in entry.conjuncts))
+            assert cache.peek(*key) == outcome
+    changed = {key for key, outcome in outcomes.items()
+               if outcome is not before[key]}
+    assert changed <= set(calls) <= set(outcomes)
+    # The index forgot the dropped entries and the bound's state still
+    # equals a recomputation from the entries left.
+    assert bound_state(cache) == (cache._held._holders, cache._pids)
+
+
+def bound_state(cache):
+    """What a result cache's score bound reads, recomputed from its
+    entries: each conjunct's holders with their factors, and the buffer pid
+    index."""
+    held, pids = {}, {}
+    for key, entry in cache._entries.items():
+        for conjunct, holding in holdings(entry).items():
+            held.setdefault(conjunct, {})[key] = holding
+        for pid, _ in entry.buffer:
+            pids.setdefault(pid, set()).add(key)
+    return held, pids
+
+
+def test_a_tie_at_the_floor_reaches_apply_delta():
+    """A tuple scoring exactly the floor enters ahead of a larger pid.  The
+    bound multiplies ``0.65 · 0.8 · 0.9`` in conjunct order, the repair in
+    preference order, and four of the six orders land an ulp below the
+    floor's ``0.532``: the margin still hands the entry to ``apply_delta``.
+    A tuple the bound keeps below the floor is not handed over."""
+    conjuncts = [frozenset({"dblp.venue = 'VLDB'"}),
+                 frozenset({"dblp.year = 2005"}),
+                 frozenset({"dblp_author.aid = 7"})]
+    floor = 0.532
+    cache = ResultCache()
+    entry = cache.put(1, 1, [(5, floor), (8, floor)], False, conjuncts,
+                      [0.35, 0.2, 0.1])
+    below = {"pid": 3, "venue": "VLDB", "year": 2005, "aid": 9}
+    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
+                                        rows=[below], pids=[3]))
+    assert cache.deltas_applied == 0 and cache.repairs == 1
+    assert cache.peek(1, 1) is entry
+    tie = dict(below, aid=7)
+    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
+                                        rows=[tie], pids=[3]))
+    assert cache.deltas_applied == 1 and cache.repairs == 2
+    assert cache.peek(1, 1).buffer == ((3, floor), (5, floor))
+
+
+def test_a_multi_conjunct_preference_enters_the_bound():
+    """A conjunction enters the bound, through its least conjunct, only when
+    some one row may match all of its conjuncts."""
+    pair = frozenset({"dblp.venue = 'VLDB'", "dblp.year = 2005"})
+    cache = ResultCache()
+    entry = cache.put(1, 1, [(5, 0.5), (8, 0.5)], False,
+                      [pair, frozenset({"dblp.venue = 'VLDB'"})], [0.9, 0.2])
+    assert holdings(entry) == {"dblp.venue = 'VLDB'": (1 - 0.2,
+                                                       ((pair, 1 - 0.9),)),
+                               "dblp.year = 2005": (None, ())}
+    row = {"pid": 3, "venue": "VLDB", "year": 2004, "aid": 1}
+    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
+                                        rows=[row], pids=[3]))
+    assert cache.deltas_applied == 0 and cache.peek(1, 1) is entry
+    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
+                                        rows=[dict(row, year=2005)], pids=[3]))
+    assert cache.deltas_applied == 1
+    assert cache.peek(1, 1).ranking == ((3, combine_and([0.9, 0.2])),)
 
 
 def test_memo_prunes_exactly_the_stale_keys(tiny_db):

@@ -2,9 +2,11 @@
 
 A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
-close-and-reopen, the five profile-update shapes and three faults.
+close-and-reopen, the five profile-update shapes and four faults.
 After every step every read, and every answer still materialised, equals
-``fresh_top_k``, no repair ran SQL and no exported counter went down.  Concurrent interleavings are the
+``fresh_top_k``, no repair ran SQL, no exported counter went down, and the
+result cache's pid index and score-bound factors equal a recomputation from
+its entries.  Concurrent interleavings are the
 load auditor's job; ``test_engines_report_alike`` compares the two engines.
 ``HYPOTHESIS_PROFILE=ci`` runs ten times the examples.  See "One oracle" in
 ``docs/ARCHITECTURE.md``.
@@ -23,6 +25,7 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
+from test_conjunct_index import bound_state
 from test_loadgen_concurrency import start_and_join
 
 from repro.backend import create_backend
@@ -256,24 +259,40 @@ class ServerMachine(RuleBasedStateMachine):
 
     # -- faults --------------------------------------------------------------
 
-    @rule(place=st.sampled_from(FaultyBackend.PLACES),
+    def arm_sweep(self):
+        """Make the server's next sweep raise partway: after the result
+        cache repaired, before the id-list memo is pruned."""
+        sessions = self.server.sessions
+
+        def prune(match):
+            del sessions.invalidate_matching
+            self.db.fired += 1
+            raise InjectedFault("sweep")
+        sessions.invalidate_matching = prune
+
+    @rule(place=st.sampled_from(FaultyBackend.PLACES + ("sweep",)),
           kind=st.sampled_from((INSERT, DELETE, DATA_UPDATE, UPDATE)),
           pick=PICK, venue=st.sampled_from(VENUES),
           year=st.integers(1995, 2013), other=st.sampled_from(UIDS))
     def fault(self, place, kind, pick, venue, year, other):
-        """A write whose backend raises once surfaces at its door, is
-        counted there, and leaves the server exact and unwedged.  A data
-        mutation's fault — before the commit, in ``notify`` or in a
-        subscriber ahead of the server's — leaves no completed sweep, so
-        the server forgets every cache, counted by door."""
+        """A write whose backend or sweep raises once surfaces at its door,
+        is counted there, and leaves the server exact and unwedged.  A data
+        mutation's fault leaves no completed sweep, so the server forgets
+        every cache, counted by door and place: ``before_sweep`` for a fault
+        before the commit, in ``notify`` or in the listener call,
+        ``in_sweep`` for one inside the server's sweep."""
         door = {INSERT: "insert_tuples", DELETE: "delete_tuples",
                 DATA_UPDATE: "update_tuples", UPDATE: "update_profile"}[kind]
         errors = f"serving.server.errors.{door}.injected_fault"
-        forgets = f"serving.server.forgets.{door}"
+        forgets = "serving.server.forgets.{}.{}".format(
+            door, "in_sweep" if place == "sweep" else "before_sweep")
         before = self.server.metrics().get(errors, 0)
         forgotten = self.server.metrics().get(forgets, 0)
         fired = self.db.fired
-        self.db.armed = place
+        if place == "sweep":
+            self.arm_sweep()
+        else:
+            self.db.armed = place
         try:
             if kind == INSERT:
                 self.insert(venue, year, [1 + pick % DBLP.n_authors])
@@ -287,6 +306,7 @@ class ServerMachine(RuleBasedStateMachine):
             pass
         finally:
             self.db.armed = None
+            self.server.sessions.__dict__.pop("invalidate_matching", None)
             self.fresh.clear()
         metrics = self.server.metrics()
         assert metrics.get(errors, 0) == before + self.db.fired - fired
@@ -321,6 +341,14 @@ class ServerMachine(RuleBasedStateMachine):
     def repairs_run_no_sql(self):
         reports, self.reports = self.reports, []
         assert all(report.repair_sql_statements == 0 for report in reports)
+
+    @invariant()
+    def bound_state_equals_a_recomputation(self):
+        """The sweep's score bound reads two structures kept beside the
+        entries: each (conjunct, holder)'s factors and the buffer pid
+        index.  Both equal what the entries alone give."""
+        results = self.server.results
+        assert bound_state(results) == (results._held._holders, results._pids)
 
     @invariant()
     def no_exported_counter_decreases(self):

@@ -168,13 +168,41 @@ class TestDataInserts:
                                  paper_authors=[(9001,)])
         assert not db.connection.in_transaction
         assert 9001 not in db.paper_ids()
-        assert server.metrics()["serving.server.forgets.insert_tuples"] == 1
+        assert server.metrics()[
+            "serving.server.forgets.insert_tuples.before_sweep"] == 1
         server.insert_tuples([Paper(9002, "Whole", VENUES[0], 2009)],
                              paper_authors=[(9002, 1)])
         assert 9001 not in db.paper_ids() and 9002 in db.paper_ids()
         for uid in range(1, 5):
             served = server.top_k(uid, 5).ranking
             assert list(served) == fresh_top_k(db, uid, 5)
+
+    def test_sweep_that_raises_partway_forgets_every_cache(self, server,
+                                                            monkeypatch):
+        """A sweep that repaired the cached answers and then raised before
+        pruning the id-list memo leaves a half-maintained state: the server
+        forgets both stores, counts the fault ``in_sweep`` and then serves
+        exactly."""
+        for uid in range(1, 5):
+            server.top_k(uid, 5)
+
+        def prune(match):
+            raise RuntimeError("sweep fault")
+        monkeypatch.setattr(server.sessions, "invalidate_matching", prune)
+        with pytest.raises(RuntimeError):
+            server.insert_tuples([Paper(9003, "Mid", VENUES[1], 2008)],
+                                 paper_authors=[(9003, 1)])
+        monkeypatch.undo()
+        metrics = server.metrics()
+        assert metrics["serving.server.forgets.insert_tuples.in_sweep"] == 1
+        assert "serving.server.forgets.insert_tuples.before_sweep" \
+            not in metrics
+        assert len(server.results) == 0
+        assert server.sessions.runner._ids_cache == {}
+        assert 9003 in server.db.paper_ids()
+        for uid in range(1, 5):
+            assert list(server.top_k(uid, 5).ranking) == \
+                fresh_top_k(server.db, uid, 5)
 
     def test_insert_invalidates_selectively_and_stays_exact(self, server):
         for uid in range(1, 5):

@@ -389,10 +389,12 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
                if score > 0.9 and len(db.joined_rows([pid])) >= 2)
     answers = {(uid, K): surface.results.peek(uid, K).conjuncts
                for uid in uids}
+    entries = {key: surface.results.peek(*key) for key in answers}
     before = sweepable_keys(surface)
     judged = count_calls(monkeypatch, selectivity, "exact_match_row")
     built = count_calls(monkeypatch, RowMatch, "__init__")
-    # ``apply_delta`` runs on exactly the affected answers.
+    # ``apply_delta`` runs on affected answers only, and on every answer
+    # whose buffer changed.
     repairs = count_calls(monkeypatch, CachedResult, "apply_delta")
     masks = count_calls(monkeypatch, RowMatch, "mask")
     venues, _, hi = db.workload_shape()
@@ -420,9 +422,12 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     dropped = before - sweepable_keys(surface)
     assert dropped == {key for key in before if stale(key)} != set()
     assert report.index_entries_dropped == len(dropped)
-    assert {(entry.uid, entry.k) for entry, *_ in repairs} == {
+    applied = {(entry.uid, entry.k) for entry, *_ in repairs}
+    changed = {key for key, entry in entries.items()
+               if surface.results.peek(*key) is not entry}
+    assert set() != changed <= applied <= {
         key for key, conjuncts in answers.items()
-        if any(stale(members) for members in conjuncts)} != set()
+        if any(stale(members) for members in conjuncts)}
 
     masks.clear()
     report = surface.insert_tuples(

@@ -11,8 +11,8 @@ from repro.core.preference import ProfileRegistry
 from repro.exceptions import ExtractionError, WorkloadError
 from repro.sqldb.database import Database
 from repro.sqldb.events import TUPLES_DELETED, TUPLES_UPDATED
-from repro.workload.dblp import (DEFAULT_VENUES, DblpConfig, Paper, generate_dblp,
-                                 small_dataset)
+from repro.workload.dblp import (DEFAULT_VENUES, DblpConfig, DblpDataset, Paper,
+                                 generate_dblp, small_dataset)
 from repro.workload.extraction import (
     ExtractionConfig,
     PreferenceExtractor,
@@ -207,6 +207,32 @@ class TestExtraction:
     def test_unknown_user_rejected(self, extractor):
         with pytest.raises(ExtractionError):
             extractor.extract_profile(10_000)
+
+    def test_mining_reads_the_author_list_once(self, tiny_dataset):
+        """The extractor reads ``dataset.authors`` at construction only: a
+        per-profile read made mining quadratic in the number of authors."""
+
+        class SealedAuthors(DblpDataset):
+            sealed = False
+
+            def __getattribute__(self, name):
+                if name == "authors" and \
+                        object.__getattribute__(self, "sealed"):
+                    raise AssertionError("dataset.authors read after __init__")
+                return super().__getattribute__(name)
+
+        sealed = SealedAuthors(
+            papers=tiny_dataset.papers, authors=tiny_dataset.authors,
+            paper_authors=tiny_dataset.paper_authors,
+            citations=tiny_dataset.citations)
+        extractor = PreferenceExtractor(sealed)
+        sealed.sealed = True
+        mined = extractor.extract_all()
+        with pytest.raises(ExtractionError):
+            extractor.extract_profile(10_000)
+        expected = PreferenceExtractor(tiny_dataset).extract_all()
+        assert [(profile.uid, profile.predicates()) for profile in mined] == \
+            [(profile.uid, profile.predicates()) for profile in expected]
 
     def test_extract_all_skips_empty(self, extractor, tiny_dataset):
         registry = extractor.extract_all()
