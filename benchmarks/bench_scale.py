@@ -11,8 +11,9 @@ the cold reads, which is every statement a cold read issues besides its
 profile read.  Then, with the 40 answers cached, it inserts, rewrites in
 place and deletes one 2-author paper: latency per kind, plus what the sweep
 did — ``predicate_row_tests`` (the relevance evaluations its one
-:class:`~repro.index.RowMatch` made) and ``index_entries_dropped`` (id lists
-dropped from the shared memo) — and asserts that it visited exactly the
+:class:`~repro.index.RowMatch` made), ``index_entries_patched`` (stale id
+lists the shared memo patched in place) and ``index_entries_dropped`` (those
+it dropped on an undecidable row) — and asserts that it visited exactly the
 cached answers it repaired or invalidated.
 
 The gate is on the counters, not the clock.  A cold read folds every
@@ -22,7 +23,7 @@ read; ``tuples_scored`` is what PEPS does with it: one score per covered
 tuple.  Their ratio must not grow with the relation, at any machine speed.
 Serving counts no pair, so the shared count cache must see no miss.  The
 counters must also be equal on both engines: they count answers, not
-storage work — and so must the two mutation counters, which depend on the
+storage work — and so must the mutation counters, which depend on the
 cached answers' predicates and the mutation rows alone: a sweep evaluates
 each distinct predicate text it judges once per row, and it judges only the
 held conjuncts a mutation row's values can reach (a mined preference is one
@@ -66,8 +67,9 @@ TYPICAL_PREFERENCES = 64
 #: How far the work-per-membership ratio may drift above the smallest size's.
 RATIO_SLACK = 2.0
 MUTATIONS = ("insert", "update", "delete")
-#: The sweep's two machine-independent counters, per mutation kind.
-MUTATION_COUNTERS = ("predicate_row_tests", "index_entries_dropped")
+#: The sweep's machine-independent counters, per mutation kind.
+MUTATION_COUNTERS = ("predicate_row_tests", "index_entries_patched",
+                     "index_entries_dropped")
 #: Every machine-independent field of a row: equal on both engines here, and
 #: equal to the committed ``BENCH_scale.json``'s in CI's ``scale-benchmark`` job.
 WORK_COUNTERS = ("tuples_scored", "memberships_folded", "cold_id_fetches",
@@ -130,6 +132,7 @@ def _mutate(server: TopKServer, dataset) -> dict:
                 == report.results_repaired + report.results_invalidated)
         measured[f"{kind}_predicate_row_tests"] = sweep.annotation(
             "predicate_row_tests")
+        measured[f"{kind}_index_entries_patched"] = report.index_entries_patched
         measured[f"{kind}_index_entries_dropped"] = report.index_entries_dropped
     return measured
 

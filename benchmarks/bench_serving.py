@@ -101,6 +101,7 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
              "results_invalidated": report.results_invalidated,
              "results_spared": report.results_spared,
              "results_repaired": report.results_repaired,
+             "index_entries_patched": report.index_entries_patched,
              "index_entries_dropped": report.index_entries_dropped}
             for position, (kind, cached_before, report)
             in enumerate(events)]))

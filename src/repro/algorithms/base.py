@@ -11,6 +11,7 @@ that extracts an algorithm-ready preference list from a HYPRE graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -135,6 +136,10 @@ class PreferenceQueryRunner:
         #: Every conjunct of a memoised key -> the keys holding it.
         self._ids_held = ConjunctIndex()
         self.queries_executed = 0
+        #: Stale id lists :meth:`invalidate_matching` patched / dropped;
+        #: cumulative — :meth:`clear` keeps them, a server exports them.
+        self.id_lists_patched = 0
+        self.id_lists_dropped = 0
 
     def count(self, predicate: PredicateExpr) -> int:
         """Number of distinct papers matching ``predicate`` (cached)."""
@@ -171,32 +176,81 @@ class PreferenceQueryRunner:
         """Definition 15 — the enhanced query returns at least one tuple."""
         return self.count(predicate) > 0
 
-    def invalidate_matching(self, match: RowMatch) -> int:
-        """Selectively invalidate the id lists after a data mutation.
+    def invalidate_matching(self, match: RowMatch,
+                            post_rows: Optional[int] = None) -> int:
+        """Bring the id lists up to date after a data mutation.
 
-        Drops the memoised id lists whose predicate may match one of the
-        mutation rows (pre ∪ post image): a list is keyed by its conjuncts
-        (:meth:`CountCache.key`) and is stale iff ``match.shared(key)`` is
-        non-zero; everything provably unaffected stays cached.  Only the
-        keys held under a *live* conjunct
-        (:meth:`~repro.index.selectivity.ConjunctIndex.live`) are asked —
-        a key with a conjunct no row may match is provably fresh.  Counts
-        are the count cache's own (:meth:`CountCache.invalidate_matching`).
-        Returns the number of id lists dropped.
+        A list is keyed by its conjuncts (:meth:`CountCache.key`) and is
+        stale iff ``match.shared(key)`` is non-zero: some mutation row (pre
+        ∪ post image) may match every conjunct.  Only the keys held under a
+        *live* conjunct (:meth:`~repro.index.selectivity.ConjunctIndex.live`)
+        are asked — a key with a conjunct no row may match is provably
+        fresh.  Counts are the count cache's own
+        (:meth:`CountCache.invalidate_matching`).
+
+        The first ``post_rows`` rows of ``match`` are the mutation's
+        post-image (they lead ``invalidation_rows()``).  A stale list is
+        *patched*: every pid a mutation row carries leaves it, and re-enters
+        when one of its post rows surely matches every conjunct
+        (``match.exact``).  That is exact under the producer obligation
+        :meth:`~repro.serving.results.CachedResult.apply_delta` relies on —
+        each pid's post rows are its complete joined-row image.  A list is
+        dropped only when a post row may match it but cannot be decided;
+        ``post_rows=None`` (the images are unknown) drops every stale list.
+        Lists stay pid-ordered, and one is copied only when some pid's
+        membership flips.  Returns the number of stale lists;
+        :attr:`id_lists_patched` and :attr:`id_lists_dropped` count them.
         """
         live = self._ids_held.live(match)
-        stale_ids = {key for conjunct in live
-                     for key in self._ids_held.holders(conjunct)
-                     if key <= live and match.shared(key)}
-        for key in stale_ids:
+        stale = {key for conjunct in live
+                 for key in self._ids_held.holders(conjunct)
+                 if key <= live and match.shared(key)}
+        if not stale:
+            return 0
+        dropped = stale
+        if post_rows is not None:
+            dropped = set()
+            post_mask = (1 << post_rows) - 1
+            # Every pid a mutation row carries -> the bits of its rows; only
+            # post-row bits can meet ``surely``, which is masked to them.
+            images: Dict[int, int] = {}
+            for index, row in enumerate(match.rows):
+                pid = int(row["pid"])
+                images[pid] = images.get(pid, 0) | 1 << index
+            affected = sorted(images.items())
+            for key in stale:
+                post = match.shared(key) & post_mask
+                surely = match.exact(key) & post
+                if post != surely:
+                    dropped.add(key)
+                    continue
+                ids = self._ids_cache[key]
+                patched: Optional[List[int]] = None
+                for pid, image in affected:
+                    current = ids if patched is None else patched
+                    at = bisect_left(current, pid)
+                    member = bool(image & surely)
+                    if (at < len(current) and current[at] == pid) == member:
+                        continue
+                    if patched is None:
+                        patched = list(ids)
+                    if member:
+                        patched.insert(at, pid)
+                    else:
+                        del patched[at]
+                if patched is not None:
+                    self._ids_cache[key] = tuple(patched)
+        for key in dropped:
             del self._ids_cache[key]
             for conjunct in key:
                 self._ids_held.remove(conjunct, key)
-        return len(stale_ids)
+        self.id_lists_patched += len(stale) - len(dropped)
+        self.id_lists_dropped += len(dropped)
+        return len(stale)
 
     def clear(self) -> None:
         """Drop both memos, counts and id lists (used between benchmark
-        reps)."""
+        reps).  The patch/drop counters are cumulative and stay."""
         self.count_cache.clear()
         self._ids_cache.clear()
         self._ids_held.clear()

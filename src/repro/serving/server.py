@@ -17,9 +17,10 @@
   :func:`~repro.workload.loader.append_papers` /
   :func:`~repro.workload.loader.delete_papers` /
   :func:`~repro.workload.loader.update_papers`; the resulting
-  :class:`~repro.sqldb.events.DataMutation` selectively prunes the shared
-  id-list memo and repairs or drops only the cached answers whose
-  predicates may match the mutation's pre- or post-image rows.
+  :class:`~repro.sqldb.events.DataMutation` patches the shared id-list
+  memo's lists it touches — dropping one only on an undecidable row — and
+  repairs or drops only the cached answers whose predicates may match the
+  mutation's pre- or post-image rows.
 
 Every request returns a metrics record (cache hit, SQL statements issued,
 wall-clock seconds) so benchmarks and operators can attribute cost; a door
@@ -145,7 +146,8 @@ class DataMutationReport:
     joined_rows: int
     results_invalidated: int
     results_spared: int
-    #: Id lists dropped from the shared memo.
+    #: Stale id lists dropped from the shared memo: only those a post-image
+    #: row may match but cannot be decided against (the rest are patched).
     index_entries_dropped: int
     sql_statements: int
     seconds: float
@@ -161,6 +163,8 @@ class DataMutationReport:
     #: answer, and no other unless a multi-conjunct preference's conjuncts
     #: matched only on different rows.
     entries_visited: int = 0
+    #: Stale id lists patched in place from the mutation's rows.
+    index_entries_patched: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict rendering (for JSON reports)."""
@@ -172,6 +176,7 @@ class DataMutationReport:
                 "repair_fallbacks": self.repair_fallbacks,
                 "repair_sql_statements": self.repair_sql_statements,
                 "entries_visited": self.entries_visited,
+                "index_entries_patched": self.index_entries_patched,
                 "index_entries_dropped": self.index_entries_dropped,
                 "sql_statements": self.sql_statements,
                 "seconds": self.seconds}
@@ -557,6 +562,7 @@ class TopKServer:
                         # everything cached counts as spared.
                         impact = {"joined_rows": 0, "results_invalidated": 0,
                                   "results_spared": len(self.results),
+                                  "index_entries_patched": 0,
                                   "index_entries_dropped": 0}
                     report = DataMutationReport(
                         kind=kind, papers=papers,
@@ -596,7 +602,11 @@ class TopKServer:
         every layer.  Each layer judges only the conjuncts its
         :class:`~repro.index.selectivity.ConjunctIndex` says a row can
         reach and visits only their holders, so a sweep costs what the
-        mutation touches, not what is cached.
+        mutation touches, not what is cached.  Both stores are maintained
+        from the rows, with no SQL: the result cache repairs its answers and
+        the id-list memo patches its lists from the post-image
+        (``mutation.rows``, which leads ``invalidation_rows``), each
+        dropping an entry only on a row it cannot decide.
         """
         with span("server.on_data_mutation") as trace:
             match = RowMatch(mutation.invalidation_rows())
@@ -609,11 +619,18 @@ class TopKServer:
             repair_fallbacks = self.results.repair_fallbacks - fallbacks_before
             entries_visited = self.results.entries_visited - visited_before
             repair_sql = self.db.statements_executed - sweep_statements_before
-            dropped = self.sessions.invalidate_matching(match)
+            runner = self.sessions.runner
+            patched_before = runner.id_lists_patched
+            dropped_before = runner.id_lists_dropped
+            self.sessions.invalidate_matching(match, len(mutation.rows))
+            patched = runner.id_lists_patched - patched_before
+            dropped = runner.id_lists_dropped - dropped_before
             trace.annotate("kind", mutation.kind)
             trace.annotate("results_invalidated", results_invalidated)
             trace.annotate("results_repaired", results_repaired)
             trace.annotate("entries_visited", entries_visited)
+            trace.annotate("id_lists_patched", patched)
+            trace.annotate("id_lists_dropped", dropped)
             trace.annotate("rows", len(match.rows))
             trace.annotate("distinct_predicates", match.distinct_predicates)
             trace.annotate("keys_live", match.live_predicates)
@@ -621,6 +638,7 @@ class TopKServer:
             return {"joined_rows": len(match.rows),
                     "results_invalidated": results_invalidated,
                     "results_spared": len(self.results) - results_repaired,
+                    "index_entries_patched": patched,
                     "index_entries_dropped": dropped,
                     "results_repaired": results_repaired,
                     "repair_fallbacks": repair_fallbacks,

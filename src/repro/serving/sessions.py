@@ -62,16 +62,26 @@ class SessionRegistry:
         preferences = preferences_from_graph(builder.hypre, uid)
         return PEPSAlgorithm(self.runner, preferences) if preferences else None
 
-    def invalidate_matching(self, match: RowMatch) -> int:
-        """Prune every memoised id list whose predicate may match a mutation
-        row (pre ∪ post image), through the one ``match`` the sweep built.
-        Returns the number of id lists dropped."""
-        return self.runner.invalidate_matching(match)
+    def invalidate_matching(self, match: RowMatch,
+                            post_rows: Optional[int] = None) -> int:
+        """Patch every memoised id list a mutation row (pre ∪ post image)
+        may match, through the one ``match`` the sweep built; the first
+        ``post_rows`` rows are the post-image.  A list is dropped only on an
+        undecidable post row, or on any stale one when ``post_rows`` is
+        ``None`` (see
+        :meth:`~repro.algorithms.base.PreferenceQueryRunner.invalidate_matching`).
+        Returns the number of stale lists, patched or dropped."""
+        return self.runner.invalidate_matching(match, post_rows)
 
     def stats(self) -> Dict[str, int]:
-        """Build counters.  Nothing is resident, so nothing hits or is
-        evicted: ``hits`` and ``evictions`` stay 0 and ``misses`` equals
-        ``sessions_built`` — the end-to-end report reads all four."""
+        """Build and memo counters.  Nothing is resident, so nothing hits or
+        is evicted: ``hits`` and ``evictions`` stay 0 and ``misses`` equals
+        ``sessions_built`` — the end-to-end report reads all four.
+        ``id_lists_patched`` / ``id_lists_dropped`` count the stale id lists
+        every sweep so far patched or dropped; a forgetting server keeps
+        them."""
         built = self.sessions_built
         return {"hits": 0, "misses": built, "evictions": 0,
-                "sessions_built": built}
+                "sessions_built": built,
+                "id_lists_patched": self.runner.id_lists_patched,
+                "id_lists_dropped": self.runner.id_lists_dropped}

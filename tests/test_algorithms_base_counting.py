@@ -25,11 +25,16 @@ from repro.algorithms.counting import (
     enumerate_and_or_combinations,
     growth_table,
 )
+from repro.backend import BACKEND_NAMES, create_backend
 from repro.core.hypre import build_hypre_graph
 from repro.core.intensity import f_and, f_or
 from repro.core.predicate import parse_predicate
 from repro.core.preference import UserProfile
 from repro.exceptions import EmptyPreferenceListError
+from repro.index import CountCache, RowMatch
+from repro.workload.dblp import Paper
+from repro.workload.loader import (append_papers, delete_papers,
+                                   load_dataset, update_papers)
 
 
 class TestScoredPreferenceHelpers:
@@ -130,6 +135,156 @@ class TestQueryRunner:
         runner.count(parse_predicate("dblp.year >= 2005"))
         runner.clear()
         assert runner.queries_executed == 0
+
+
+#: The lists a patch test memoises: single venues and years, an author, a
+#: range and conjunctions across attributes.
+MEMO_TEXTS = ("dblp.venue = 'VLDB'", "dblp.venue = 'SIGMOD'",
+              "dblp.year = 2011", "dblp.year >= 2010",
+              "dblp_author.aid = 1",
+              "dblp.venue = 'VLDB' AND dblp.year >= 2010",
+              "dblp.venue = 'SIGMOD' AND dblp_author.aid = 1")
+
+
+@pytest.fixture(params=BACKEND_NAMES)
+def memo_world(request, tiny_dataset):
+    """A private tiny world on each engine, a runner holding every
+    ``MEMO_TEXTS`` list, and the data mutations the world announces."""
+    db = create_backend(request.param)
+    load_dataset(db, tiny_dataset)
+    runner = PreferenceQueryRunner(db)
+    for text in MEMO_TEXTS:
+        runner.ids(parse_predicate(text))
+    mutations = []
+    db.subscribe(mutations.append)
+    yield db, runner, mutations
+    db.close()
+
+
+def sweep(runner, mutations, strip=None):
+    """Hand the runner the one announced mutation as a server sweep does
+    (``strip``: an attribute taken off every row first); returns the stale,
+    patched and dropped list counts."""
+    (mutation,) = mutations
+    mutations.clear()
+    rows = [{name: value for name, value in row.items() if name != strip}
+            for row in mutation.invalidation_rows()]
+    patched, dropped = runner.id_lists_patched, runner.id_lists_dropped
+    stale = runner.invalidate_matching(RowMatch(rows), len(mutation.rows))
+    return (stale, runner.id_lists_patched - patched,
+            runner.id_lists_dropped - dropped)
+
+
+def memo(runner):
+    return {text: runner._ids_cache.get(CountCache.key(text))
+            for text in MEMO_TEXTS}
+
+
+def assert_patched_equals_a_fetch(db, runner):
+    """Every list still held equals a fresh fetch, pid order included, and
+    reading them all issues no statement."""
+    executed = runner.queries_executed
+    held = {text: ids for text, ids in memo(runner).items() if ids is not None}
+    assert held == {text: tuple(db.matching_paper_ids(parse_predicate(text)))
+                    for text in held}
+    for text in held:
+        runner.ids(parse_predicate(text))
+    assert runner.queries_executed == executed
+
+
+def pid_in(db, venue, year=None):
+    """The least pid of ``venue`` (and ``year``) with an author link."""
+    return next(row["pid"] for row in sorted(db.joined_rows(),
+                                             key=lambda row: row["pid"])
+                if row["venue"] == venue and year in (None, row["year"]))
+
+
+class TestMemoPatch:
+    """A sweep patches each stale id list from the mutation's rows; the
+    patched list equals a fresh fetch for every producer shape."""
+
+    def test_insert(self, memo_world):
+        db, runner, mutations = memo_world
+        append_papers(db, [Paper(99001, "New", "VLDB", 2011)],
+                      [(99001, 1), (99001, 2)])
+        assert sweep(runner, mutations) == (5, 5, 0)
+        lists = memo(runner)
+        assert all(99001 in lists[text] for text in MEMO_TEXTS
+                   if "SIGMOD" not in text)
+        assert_patched_equals_a_fetch(db, runner)
+
+    def test_insert_or_replace_of_an_existing_pid(self, memo_world):
+        db, runner, mutations = memo_world
+        pid = pid_in(db, "VLDB")
+        assert pid in memo(runner)["dblp.venue = 'VLDB'"]
+        append_papers(db, [Paper(pid, "Replaced", "SIGMOD", 2011)])
+        stale, patched, dropped = sweep(runner, mutations)
+        assert stale == patched > 0 and dropped == 0
+        lists = memo(runner)
+        assert pid not in lists["dblp.venue = 'VLDB'"]
+        assert pid in lists["dblp.venue = 'SIGMOD'"]
+        assert_patched_equals_a_fetch(db, runner)
+
+    def test_link_only_append(self, memo_world):
+        db, runner, mutations = memo_world
+        pid = min(pid for pid in db.matching_paper_ids(
+            parse_predicate("dblp.venue = 'SIGMOD'"))
+            if pid not in memo(runner)["dblp_author.aid = 1"])
+        append_papers(db, [], [(pid, 1)])
+        stale, patched, dropped = sweep(runner, mutations)
+        assert stale == patched > 0 and dropped == 0
+        lists = memo(runner)
+        assert pid in lists["dblp_author.aid = 1"]
+        assert pid in lists["dblp.venue = 'SIGMOD' AND dblp_author.aid = 1"]
+        assert_patched_equals_a_fetch(db, runner)
+
+    def test_delete(self, memo_world):
+        db, runner, mutations = memo_world
+        pids = [pid_in(db, "VLDB"), pid_in(db, "SIGMOD")]
+        delete_papers(db, pids)
+        stale, patched, dropped = sweep(runner, mutations)
+        assert stale == patched > 0 and dropped == 0
+        assert not any(set(pids) & set(ids) for ids in memo(runner).values())
+        assert_patched_equals_a_fetch(db, runner)
+
+    def test_in_place_update_moves_a_pid_between_lists(self, memo_world):
+        db, runner, mutations = memo_world
+        pid = next(pid for pid in memo(runner)["dblp.venue = 'SIGMOD'"]
+                   if pid not in memo(runner)["dblp.year = 2011"])
+        update_papers(db, [Paper(pid, "Moved", "VLDB", 2011)])
+        stale, patched, dropped = sweep(runner, mutations)
+        assert stale == patched > 0 and dropped == 0
+        lists = memo(runner)
+        assert pid not in lists["dblp.venue = 'SIGMOD'"]
+        assert pid in lists["dblp.venue = 'VLDB'"]
+        assert pid in lists["dblp.year = 2011"]
+        assert_patched_equals_a_fetch(db, runner)
+
+    def test_an_undecidable_row_drops_the_list(self, memo_world):
+        """A post row lacking ``year``: a list it may match through a year
+        conjunct is dropped (the verdict is ``None``) and refetched by the
+        next read; the lists it decides are patched."""
+        db, runner, mutations = memo_world
+        append_papers(db, [Paper(99002, "New", "VLDB", 2011)], [(99002, 1)])
+        stale, patched, dropped = sweep(runner, mutations, strip="year")
+        assert (stale, patched, dropped) == (5, 2, 3)
+        lists = memo(runner)
+        assert {text for text, ids in lists.items() if ids is None} == {
+            "dblp.year = 2011", "dblp.year >= 2010",
+            "dblp.venue = 'VLDB' AND dblp.year >= 2010"}
+        assert_patched_equals_a_fetch(db, runner)
+        executed = runner.queries_executed
+        assert 99002 in runner.ids(parse_predicate("dblp.year = 2011"))
+        assert runner.queries_executed == executed + 1
+
+    def test_unknown_images_drop_every_stale_list(self, memo_world):
+        db, runner, mutations = memo_world
+        append_papers(db, [Paper(99003, "New", "VLDB", 2011)], [(99003, 1)])
+        (mutation,) = mutations
+        assert runner.invalidate_matching(
+            RowMatch(mutation.invalidation_rows())) == 5
+        assert runner.id_lists_dropped == 5 and runner.id_lists_patched == 0
+        assert sum(ids is None for ids in memo(runner).values()) == 5
 
 
 class TestCountingBounds:

@@ -2,11 +2,12 @@
 
 A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
-close-and-reopen, the five profile-update shapes and four faults.
+close-and-reopen, the five profile-update shapes and five faults.
 After every step every read, and every answer still materialised, equals
-``fresh_top_k``, no repair ran SQL, no exported counter went down, and the
+``fresh_top_k``, no repair ran SQL, no exported counter went down, the
 result cache's pid index and score-bound factors equal a recomputation from
-its entries.  Concurrent interleavings are the
+its entries, and every memoised id list equals a fresh fetch.  Concurrent
+interleavings are the
 load auditor's job; ``test_engines_report_alike`` compares the two engines.
 ``HYPOTHESIS_PROFILE=ci`` runs ten times the examples.  See "One oracle" in
 ``docs/ARCHITECTURE.md``.
@@ -29,6 +30,7 @@ from test_conjunct_index import bound_state
 from test_loadgen_concurrency import start_and_join
 
 from repro.backend import create_backend
+from repro.core.predicate import conjunction, parse_predicate
 from repro.core.preference import UserProfile
 from repro.loadgen import load_population, population
 from repro.serving import (DATA_UPDATE, DELETE, INSERT, READ, UPDATE, Op,
@@ -261,16 +263,42 @@ class ServerMachine(RuleBasedStateMachine):
 
     def arm_sweep(self):
         """Make the server's next sweep raise partway: after the result
-        cache repaired, before the id-list memo is pruned."""
+        cache repaired, before the id-list memo is patched."""
         sessions = self.server.sessions
 
-        def prune(match):
+        def prune(match, post_rows):
             del sessions.invalidate_matching
             self.db.fired += 1
             raise InjectedFault("sweep")
         sessions.invalidate_matching = prune
 
-    @rule(place=st.sampled_from(FaultyBackend.PLACES + ("sweep",)),
+    def arm_patch(self):
+        """Make the server's next sweep raise inside the id-list memo's
+        patch, right after it rewrote a list — the lists after it are left
+        unpatched — or, when it rewrites none, once the patch returns."""
+        sessions, runner = self.server.sessions, self.server.sessions.runner
+        patch, db = sessions.invalidate_matching, self.db
+
+        def fault():
+            db.fired += 1
+            return InjectedFault("patch")
+
+        class RaisingMemo(dict):
+            def __setitem__(self, key, ids):
+                super().__setitem__(key, ids)
+                raise fault()
+
+        def raising_patch(match, post_rows):
+            del sessions.invalidate_matching
+            runner._ids_cache = RaisingMemo(runner._ids_cache)
+            try:
+                patch(match, post_rows)
+            finally:
+                runner._ids_cache = dict(runner._ids_cache)
+            raise fault()
+        sessions.invalidate_matching = raising_patch
+
+    @rule(place=st.sampled_from(FaultyBackend.PLACES + ("sweep", "patch")),
           kind=st.sampled_from((INSERT, DELETE, DATA_UPDATE, UPDATE)),
           pick=PICK, venue=st.sampled_from(VENUES),
           year=st.integers(1995, 2013), other=st.sampled_from(UIDS))
@@ -280,17 +308,22 @@ class ServerMachine(RuleBasedStateMachine):
         mutation's fault leaves no completed sweep, so the server forgets
         every cache, counted by door and place: ``before_sweep`` for a fault
         before the commit, in ``notify`` or in the listener call,
-        ``in_sweep`` for one inside the server's sweep."""
+        ``in_sweep`` for one inside the server's sweep — before the id-list
+        memo is patched (``sweep``) or partway through its patch
+        (``patch``)."""
         door = {INSERT: "insert_tuples", DELETE: "delete_tuples",
                 DATA_UPDATE: "update_tuples", UPDATE: "update_profile"}[kind]
         errors = f"serving.server.errors.{door}.injected_fault"
         forgets = "serving.server.forgets.{}.{}".format(
-            door, "in_sweep" if place == "sweep" else "before_sweep")
+            door, "before_sweep" if place in FaultyBackend.PLACES
+            else "in_sweep")
         before = self.server.metrics().get(errors, 0)
         forgotten = self.server.metrics().get(forgets, 0)
         fired = self.db.fired
         if place == "sweep":
             self.arm_sweep()
+        elif place == "patch":
+            self.arm_patch()
         else:
             self.db.armed = place
         try:
@@ -349,6 +382,15 @@ class ServerMachine(RuleBasedStateMachine):
         index.  Both equal what the entries alone give."""
         results = self.server.results
         assert bound_state(results) == (results._held._holders, results._pids)
+
+    @invariant()
+    def every_memoised_list_equals_a_fetch(self):
+        """The id-list memo is a maintained view: each list equals a fresh
+        fetch of its predicate, pid order included."""
+        for key, ids in self.server.sessions.runner._ids_cache.items():
+            predicate = conjunction(parse_predicate(text)
+                                    for text in sorted(key))
+            assert ids == tuple(self.real.matching_paper_ids(predicate)), key
 
     @invariant()
     def no_exported_counter_decreases(self):

@@ -186,7 +186,7 @@ class TestDataInserts:
         for uid in range(1, 5):
             server.top_k(uid, 5)
 
-        def prune(match):
+        def prune(match, post_rows):
             raise RuntimeError("sweep fault")
         monkeypatch.setattr(server.sessions, "invalidate_matching", prune)
         with pytest.raises(RuntimeError):
@@ -200,6 +200,33 @@ class TestDataInserts:
         assert len(server.results) == 0
         assert server.sessions.runner._ids_cache == {}
         assert 9003 in server.db.paper_ids()
+        for uid in range(1, 5):
+            assert list(server.top_k(uid, 5).ranking) == \
+                fresh_top_k(server.db, uid, 5)
+
+    def test_patch_that_raises_partway_forgets_every_cache(self, server):
+        """A memo patch that raises right after rewriting its first id list
+        leaves the lists after it unpatched: the server forgets both
+        stores, counts the fault ``in_sweep`` and then serves exactly."""
+        for uid in range(1, 5):
+            server.top_k(uid, 5)
+        runner = server.sessions.runner
+        rewritten = []
+
+        class RaisingMemo(dict):
+            def __setitem__(self, key, ids):
+                super().__setitem__(key, ids)
+                rewritten.append(key)
+                raise RuntimeError("patch fault")
+        runner._ids_cache = RaisingMemo(runner._ids_cache)
+        with pytest.raises(RuntimeError, match="patch fault"):
+            server.insert_tuples([Paper(9004, "Mid", VENUES[1], 2008)],
+                                 paper_authors=[(9004, 1)])
+        assert len(rewritten) == 1 and runner._ids_cache == {}
+        runner._ids_cache = {}
+        metrics = server.metrics()
+        assert metrics["serving.server.forgets.insert_tuples.in_sweep"] == 1
+        assert len(server.results) == 0
         for uid in range(1, 5):
             assert list(server.top_k(uid, 5).ranking) == \
                 fresh_top_k(server.db, uid, 5)

@@ -76,7 +76,9 @@ class TestSessionRegistryLRU:
         load_profiles(serving_db, profiles)
         assert len(registry.get_or_create(1).preferences) == 3
         assert registry.stats() == {"hits": 0, "misses": 3, "evictions": 0,
-                                    "sessions_built": 3}
+                                    "sessions_built": 3,
+                                    "id_lists_patched": 0,
+                                    "id_lists_dropped": 0}
 
     def test_unknown_user_without_loader_raises(self, registry):
         with pytest.raises(UnknownUserError):

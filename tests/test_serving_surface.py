@@ -367,17 +367,18 @@ def test_close_racing_a_cold_read_waits_then_refuses(surface, monkeypatch):
 
 
 def sweepable_keys(surface):
-    """Every key a data sweep can drop, as conjunct SQLs: the server's one
-    id-list memo; sessions hold none."""
+    """Every key a data sweep can patch or drop, as conjunct SQLs: the
+    server's one id-list memo; sessions hold none."""
     return set(surface.sessions.runner._ids_cache)
 
 
 def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     """Work gate, by counting: with eight resident sessions sharing
     predicates, updating a multi-author paper costs distinct predicates x rows
-    evaluations through one ``RowMatch`` per sweep and drops exactly what the
-    plain loop, written out below, calls stale — judged conjunct by conjunct:
-    no id-list key hands ``mask`` a conjunction to parse again.  No rows, no
+    evaluations through one ``RowMatch`` per sweep and patches or drops
+    exactly what the plain loop, written out below, calls stale — dropping
+    only a list some post-image row may match but cannot be decided
+    against — judged conjunct by conjunct: no id-list key hands ``mask`` a conjunction to parse again.  No rows, no
     work: an author-less insert notifies, yet no consumer walks the keys it
     holds."""
     db, uids = surface.db, UIDS
@@ -419,9 +420,22 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
         return any(all(may_match_row(predicate, row) for predicate in members)
                    for row in rows)
 
+    def undecidable(members):  # a post row may match, not surely
+        return any(all(may_match_row(predicate, row) for predicate in members)
+                   and not all(selectivity.exact_match_row(predicate, row)
+                               for predicate in members)
+                   for row in db.joined_rows([pid]))
+
+    reference = {key for key in before if stale(key)}
     dropped = before - sweepable_keys(surface)
-    assert dropped == {key for key in before if stale(key)} != set()
-    assert report.index_entries_dropped == len(dropped)
+    patched = reference & sweepable_keys(surface)
+    assert patched | dropped == reference != set()
+    assert dropped <= {key for key in before if undecidable(key)}
+    assert report.index_entries_patched + report.index_entries_dropped == \
+        len(reference)
+    assert (sweep.annotation("id_lists_patched"),
+            sweep.annotation("id_lists_dropped")) == (
+        report.index_entries_patched, report.index_entries_dropped)
     applied = {(entry.uid, entry.k) for entry, *_ in repairs}
     changed = {key for key, entry in entries.items()
                if surface.results.peek(*key) is not entry}
@@ -433,7 +447,8 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     report = surface.insert_tuples(
         [Paper(pid=90_005, title="No author", venue=venues[0], year=hi)])
     assert masks == [] and before - sweepable_keys(surface) == dropped
-    assert report.joined_rows == report.index_entries_dropped == 0
+    assert report.joined_rows == report.index_entries_dropped == \
+        report.index_entries_patched == 0
     assert report.results_spared == len(surface.results) > 0
 
 
