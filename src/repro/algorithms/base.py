@@ -176,8 +176,7 @@ class PreferenceQueryRunner:
         """Definition 15 — the enhanced query returns at least one tuple."""
         return self.count(predicate) > 0
 
-    def invalidate_matching(self, match: RowMatch,
-                            post_rows: Optional[int] = None) -> int:
+    def invalidate_matching(self, match: RowMatch, post_rows: int) -> int:
         """Bring the id lists up to date after a data mutation.
 
         A list is keyed by its conjuncts (:meth:`CountCache.key`) and is
@@ -195,8 +194,7 @@ class PreferenceQueryRunner:
         (``match.exact``).  That is exact under the producer obligation
         :meth:`~repro.serving.results.CachedResult.apply_delta` relies on —
         each pid's post rows are its complete joined-row image.  A list is
-        dropped only when a post row may match it but cannot be decided;
-        ``post_rows=None`` (the images are unknown) drops every stale list.
+        dropped only when a post row may match it but cannot be decided.
         Lists stay pid-ordered, and one is copied only when some pid's
         membership flips.  Returns the number of stale lists;
         :attr:`id_lists_patched` and :attr:`id_lists_dropped` count them.
@@ -207,39 +205,37 @@ class PreferenceQueryRunner:
                  if key <= live and match.shared(key)}
         if not stale:
             return 0
-        dropped = stale
-        if post_rows is not None:
-            dropped = set()
-            post_mask = (1 << post_rows) - 1
-            # Every pid a mutation row carries -> the bits of its rows; only
-            # post-row bits can meet ``surely``, which is masked to them.
-            images: Dict[int, int] = {}
-            for index, row in enumerate(match.rows):
-                pid = int(row["pid"])
-                images[pid] = images.get(pid, 0) | 1 << index
-            affected = sorted(images.items())
-            for key in stale:
-                post = match.shared(key) & post_mask
-                surely = match.exact(key) & post
-                if post != surely:
-                    dropped.add(key)
+        dropped: Set[FrozenSet[str]] = set()
+        post_mask = (1 << post_rows) - 1
+        # Every pid a mutation row carries -> the bits of its rows; only
+        # post-row bits can meet ``surely``, which is masked to them.
+        images: Dict[int, int] = {}
+        for index, row in enumerate(match.rows):
+            pid = int(row["pid"])
+            images[pid] = images.get(pid, 0) | 1 << index
+        affected = sorted(images.items())
+        for key in stale:
+            post = match.shared(key) & post_mask
+            surely = match.exact(key) & post
+            if post != surely:
+                dropped.add(key)
+                continue
+            ids = self._ids_cache[key]
+            patched: Optional[List[int]] = None
+            for pid, image in affected:
+                current = ids if patched is None else patched
+                at = bisect_left(current, pid)
+                member = bool(image & surely)
+                if (at < len(current) and current[at] == pid) == member:
                     continue
-                ids = self._ids_cache[key]
-                patched: Optional[List[int]] = None
-                for pid, image in affected:
-                    current = ids if patched is None else patched
-                    at = bisect_left(current, pid)
-                    member = bool(image & surely)
-                    if (at < len(current) and current[at] == pid) == member:
-                        continue
-                    if patched is None:
-                        patched = list(ids)
-                    if member:
-                        patched.insert(at, pid)
-                    else:
-                        del patched[at]
-                if patched is not None:
-                    self._ids_cache[key] = tuple(patched)
+                if patched is None:
+                    patched = list(ids)
+                if member:
+                    patched.insert(at, pid)
+                else:
+                    del patched[at]
+            if patched is not None:
+                self._ids_cache[key] = tuple(patched)
         for key in dropped:
             del self._ids_cache[key]
             for conjunct in key:

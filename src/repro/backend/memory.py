@@ -500,6 +500,11 @@ class MemoryBackend:
             citations = [(int(pid), int(cid)) for pid, cid in citations]
             replaced_rows = (self._joined_rows_unlocked([p.pid for p in papers])
                              if papers and self.has_subscribers else [])
+            # Papers with a link already stored: replaced ones, and new ones
+            # whose (orphan) links came first — their post-image is read
+            # back from the view, as the SQLite body does.
+            linked = ({paper.pid for paper in papers if self._links.get(paper.pid)}
+                      if self.has_subscribers else set())
             batches = 0
             if papers:
                 batches += 1
@@ -517,14 +522,13 @@ class MemoryBackend:
             self._condition_memo.clear()
             mutation = None
             if self.has_subscribers and (papers or paper_authors):
-                replaced_pids = {row["pid"] for row in replaced_rows}
-                fetch = sorted(replaced_pids
+                fetch = sorted(linked
                                | ({pid for pid, _ in paper_authors}
                                   - {paper.pid for paper in papers}))
                 post_rows = _joined_rows(
-                    [paper for paper in papers if paper.pid not in replaced_pids],
+                    [paper for paper in papers if paper.pid not in linked],
                     [(pid, aid) for pid, aid in paper_authors
-                     if pid not in replaced_pids])
+                     if pid not in linked])
                 if fetch:
                     post_rows += self._joined_rows_unlocked(fetch)
                 mutation = DataMutation(

@@ -62,13 +62,11 @@ class SessionRegistry:
         preferences = preferences_from_graph(builder.hypre, uid)
         return PEPSAlgorithm(self.runner, preferences) if preferences else None
 
-    def invalidate_matching(self, match: RowMatch,
-                            post_rows: Optional[int] = None) -> int:
+    def invalidate_matching(self, match: RowMatch, post_rows: int) -> int:
         """Patch every memoised id list a mutation row (pre ∪ post image)
         may match, through the one ``match`` the sweep built; the first
         ``post_rows`` rows are the post-image.  A list is dropped only on an
-        undecidable post row, or on any stale one when ``post_rows`` is
-        ``None`` (see
+        undecidable post row (see
         :meth:`~repro.algorithms.base.PreferenceQueryRunner.invalidate_matching`).
         Returns the number of stale lists, patched or dropped."""
         return self.runner.invalidate_matching(match, post_rows)

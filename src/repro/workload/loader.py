@@ -24,7 +24,7 @@ implements the same contract natively over its column store.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.preference import ProfileRegistry, QualitativePreference, QuantitativePreference
 from ..exceptions import WorkloadError
@@ -43,8 +43,9 @@ def _joined_rows(papers: Sequence[Paper],
     it provably cannot affect any cached result (the notification that later
     adds its first link carries the real joined row).
 
-    Shared by both backends — the synthesized post-image of a brand-new paper
-    depends only on the call's own arguments, never on the engine.
+    Shared by both backends — the synthesized post-image of a paper with no
+    earlier author link depends only on the call's own arguments, never on
+    the engine.
     """
     authors_of: Dict[int, List[int]] = {}
     for pid, aid in paper_authors:
@@ -164,6 +165,26 @@ def sqlite_load_dataset(db: Database, dataset: DblpDataset) -> Dict[str, int]:
     return db.table_counts()
 
 
+def _sqlite_linked_image(db: Database, pids: Sequence[int]
+                         ) -> Tuple[List[Dict[str, Any]], Set[int]]:
+    """``(pre-image rows, linked pids)`` of ``pids``, read before an append.
+
+    The pre-image is every joined-view row of a paper the append replaces;
+    the linked pids are those with any ``dblp_author`` link already stored —
+    replaced papers, and brand-new ones whose links came first (orphan links
+    are legal: there is no foreign key).  One statement.
+    """
+    placeholders = ", ".join("?" for _ in pids)
+    rows = db.query(
+        "SELECT dblp_author.pid AS pid, dblp.pid IS NOT NULL AS known,"
+        " title, venue, year, abstract, aid"
+        " FROM dblp_author LEFT JOIN dblp ON dblp.pid = dblp_author.pid"
+        f" WHERE dblp_author.pid IN ({placeholders})", list(pids))
+    linked = {row["pid"] for row in rows}
+    known = [row.pop("known") for row in rows]
+    return [row for row, present in zip(rows, known) if present], linked
+
+
 def sqlite_append_papers(db: Database,
                          papers: Sequence[Paper],
                          paper_authors: Iterable[Tuple[int, int]] = (),
@@ -181,8 +202,9 @@ def sqlite_append_papers(db: Database,
     # the notification below stays OUTSIDE it (listeners take serving-layer
     # locks, and write-lock -> server-lock edges would close a deadlock cycle).
     with db.write_transaction():
-        replaced_rows = (db.joined_rows([paper.pid for paper in papers])
-                         if papers and db.has_subscribers else [])
+        replaced_rows, linked = (
+            _sqlite_linked_image(db, [paper.pid for paper in papers])
+            if papers and db.has_subscribers else ([], set()))
         if papers:
             db.executemany(
                 "INSERT OR REPLACE INTO dblp (pid, title, venue, year, abstract)"
@@ -198,20 +220,20 @@ def sqlite_append_papers(db: Database,
                 "INSERT OR REPLACE INTO citation (pid, cid) VALUES (?, ?)",
                 citations)
     if db.has_subscribers and (papers or paper_authors):
-        # Post-image rows for brand-new papers are derivable in memory from
-        # this call's arguments (a paper that gets no link here is invisible
-        # to the inner join and carries no row).  Only pids the database
-        # knows more about need the committed joined view: REPLACE'd papers
-        # keep their surviving dblp_author links, and link-only appends
-        # target papers inserted earlier.
-        replaced_pids = {row["pid"] for row in replaced_rows}
-        fetch = sorted(replaced_pids
+        # Post-image rows for papers with no earlier link are derivable in
+        # memory from this call's arguments (a paper that gets no link here
+        # is invisible to the inner join and carries no row).  Only pids the
+        # database knows more about need the committed joined view: a
+        # REPLACE'd paper keeps its surviving dblp_author links, a brand-new
+        # paper joins the links stored before it, and link-only appends
+        # target papers inserted earlier.  Each pid's post rows are then its
+        # complete joined image, which the caches' repair relies on.
+        fetch = sorted(linked
                        | ({pid for pid, _ in paper_authors}
                           - {paper.pid for paper in papers}))
         post_rows = _joined_rows(
-            [paper for paper in papers if paper.pid not in replaced_pids],
-            [(pid, aid) for pid, aid in paper_authors
-             if pid not in replaced_pids])
+            [paper for paper in papers if paper.pid not in linked],
+            [(pid, aid) for pid, aid in paper_authors if pid not in linked])
         if fetch:
             post_rows += db.joined_rows(fetch)
         db.notify(DataMutation(

@@ -260,6 +260,23 @@ class TestMemoPatch:
         assert pid in lists["dblp.year = 2011"]
         assert_patched_equals_a_fetch(db, runner)
 
+    def test_links_landing_before_their_paper(self, memo_world):
+        """Author links may precede their paper; the paper's insert joins
+        them, so its post-image carries them even when this call adds only
+        other links — ``aid = 1`` goes stale through another pid's row and
+        the new pid must enter it."""
+        db, runner, mutations = memo_world
+        other = min(pid for pid in db.paper_ids()
+                    if pid not in memo(runner)["dblp_author.aid = 1"])
+        append_papers(db, [], [(99004, 1)])
+        assert sweep(runner, mutations) == (0, 0, 0)
+        append_papers(db, [Paper(99004, "Late", "VLDB", 2011)],
+                      [(99004, 2), (other, 1)])
+        stale, patched, dropped = sweep(runner, mutations)
+        assert stale == patched > 0 and dropped == 0
+        assert {99004, other} <= set(memo(runner)["dblp_author.aid = 1"])
+        assert_patched_equals_a_fetch(db, runner)
+
     def test_an_undecidable_row_drops_the_list(self, memo_world):
         """A post row lacking ``year``: a list it may match through a year
         conjunct is dropped (the verdict is ``None``) and refetched by the
@@ -276,15 +293,6 @@ class TestMemoPatch:
         executed = runner.queries_executed
         assert 99002 in runner.ids(parse_predicate("dblp.year = 2011"))
         assert runner.queries_executed == executed + 1
-
-    def test_unknown_images_drop_every_stale_list(self, memo_world):
-        db, runner, mutations = memo_world
-        append_papers(db, [Paper(99003, "New", "VLDB", 2011)], [(99003, 1)])
-        (mutation,) = mutations
-        assert runner.invalidate_matching(
-            RowMatch(mutation.invalidation_rows())) == 5
-        assert runner.id_lists_dropped == 5 and runner.id_lists_patched == 0
-        assert sum(ids is None for ids in memo(runner).values()) == 5
 
 
 class TestCountingBounds:

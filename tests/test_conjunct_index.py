@@ -310,8 +310,9 @@ def test_a_multi_conjunct_preference_enters_the_bound():
 
 
 def test_memo_prunes_exactly_the_stale_keys(tiny_db):
-    """The id-list memo drops the keys the plain loop calls stale and
-    forgets their conjuncts; nothing else is asked about."""
+    """The id-list memo patches the keys the plain loop calls stale — the
+    row surely matches, so its pid joins each — and keeps every other list
+    as it was; nothing else is asked about."""
     runner = PreferenceQueryRunner(tiny_db)
     venues, lo, hi = tiny_db.workload_shape()
     texts = [f"dblp.venue = '{venue}'" for venue in venues[:4]]
@@ -324,8 +325,12 @@ def test_memo_prunes_exactly_the_stale_keys(tiny_db):
     full = RowMatch([row])
     stale = {key for key in keys if full.shared(key)}
     match = RowMatch([row])
-    assert runner.invalidate_matching(match) == len(stale) == 1
-    assert set(runner._ids_cache) == set(keys) - stale
+    before = dict(runner._ids_cache)
+    assert runner.invalidate_matching(match, 1) == len(stale) == 1
+    assert (runner.id_lists_patched, runner.id_lists_dropped) == (1, 0)
+    assert runner._ids_cache == {
+        key: tuple(sorted({*before[key], 1})) if key in stale else before[key]
+        for key in keys}
     assert set(runner._ids_held._holders) == set().union(*runner._ids_cache)
     # Judged: the row's venue key and the generic year range — no other.
     assert set(match._masks) == {texts[0], f"dblp.year >= {hi - 1}"}

@@ -253,7 +253,7 @@ class TestRelationUpdateInvalidation:
 class TestPepsIntegration:
     def test_mutation_mid_run_does_not_desync_live_peps(self, own_db):
         """A data mutation landing while a PEPS instance is live: once the
-        runner's id lists are pruned the live instance serves the
+        runner's id lists are patched the live instance serves the
         post-mutation answer — its Top-K reads no pair table, and the one
         its ``ORDER`` list builds on demand is over the same fixed list."""
         runner = PreferenceQueryRunner(own_db)
@@ -261,7 +261,7 @@ class TestPepsIntegration:
         peps = PEPSAlgorithm(runner, preferences)
         before = dict(peps.top_k(1000))
         match = append_vldb_2011(own_db)
-        assert runner.invalidate_matching(match) > 0
+        assert runner.invalidate_matching(match, len(match.rows)) > 0
         oracle = PEPSAlgorithm(PreferenceQueryRunner(own_db), preferences)
         after = peps.top_k(1000)
         assert after == oracle.top_k(1000)

@@ -199,6 +199,19 @@ class ServerMachine(RuleBasedStateMachine):
         self.apply(Op(INSERT, papers=(self.paper(pid, venue, year),),
                       paper_authors=tuple((pid, aid) for aid in aids)))
 
+    @rule(venue=st.sampled_from(VENUES), year=st.integers(1995, 2013),
+          early=st.lists(st.integers(1, DBLP.n_authors), min_size=1,
+                         max_size=2, unique=True),
+          late=st.lists(st.integers(1, DBLP.n_authors), max_size=1))
+    def insert_after_its_links(self, venue, year, early, late):
+        """Author links land before their paper (orphan links are legal);
+        the paper's insert then joins them as well as its own."""
+        pid, self.next_pid = self.next_pid, self.next_pid + 1
+        self.apply(Op(INSERT, papers=(),
+                      paper_authors=tuple((pid, aid) for aid in early)))
+        self.apply(Op(INSERT, papers=(self.paper(pid, venue, year),),
+                      paper_authors=tuple((pid, aid) for aid in late)))
+
     @rule(picks=st.lists(PICK, min_size=1, max_size=3), hot=st.booleans())
     def delete(self, picks, hot):
         self.apply(Op(DELETE, pids=tuple(self.pick_pids(picks, hot))))

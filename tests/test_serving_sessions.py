@@ -53,12 +53,12 @@ class TestUserSession:
 
     def test_one_peps_instance_per_session(self, registry):
         """Every build is a fresh PEPS that holds no pair table; a data
-        mutation prunes only the shared id lists it reads."""
+        mutation patches only the shared id lists it reads."""
         first = registry.get_or_create(1)
         first.top_k_buffer(5)
         row = {"pid": 9001, "title": "t", "venue": VENUES[1], "year": 2011,
                "abstract": "", "aid": 1}
-        assert registry.invalidate_matching(RowMatch([row])) > 0
+        assert registry.invalidate_matching(RowMatch([row]), 1) > 0
         assert registry.get_or_create(1) is not first
         assert first._pair_index is None
 
