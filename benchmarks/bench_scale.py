@@ -5,7 +5,9 @@ Every other benchmark in this directory runs at 220–800 papers; this one
 publishes how the serving path grows with the *relation*.  Per size and
 backend it builds the world through the public front doors, serves 40 users
 once cold (fresh server) and then warm, and writes ``BENCH_scale.json``:
-build phases, cold/warm latency, the two work counters
+build phases (``extract_s_per_1k`` is mining time per 1 000 of the
+``mined_preferences``, so a mining cost that grows faster than its output
+shows), cold/warm latency, the two work counters
 :class:`~repro.algorithms.peps.PEPSAlgorithm` records per call, and ``cold_id_fetches`` — the id lists the shared runner fetched over
 the cold reads, which is every statement a cold read issues besides its
 profile read.  Then, with the 40 answers cached, it inserts, rewrites in
@@ -72,7 +74,8 @@ MUTATION_COUNTERS = ("predicate_row_tests", "index_entries_patched",
                      "index_entries_dropped")
 #: Every machine-independent field of a row: equal on both engines here, and
 #: equal to the committed ``BENCH_scale.json``'s in CI's ``scale-benchmark`` job.
-WORK_COUNTERS = ("tuples_scored", "memberships_folded", "cold_id_fetches",
+WORK_COUNTERS = ("mined_preferences", "tuples_scored", "memberships_folded",
+                 "cold_id_fetches",
                  *(f"{kind}_{counter}" for kind in MUTATIONS
                    for counter in MUTATION_COUNTERS))
 
@@ -146,6 +149,7 @@ def _measure(papers: int) -> list:
     started = now()
     registry = PreferenceExtractor(dataset).extract_all()
     extract_s = now() - started
+    mined = sum(len(profile) for profile in registry)
     uids = _sample_users(registry)
 
     rows = []
@@ -196,6 +200,8 @@ def _measure(papers: int) -> list:
             "papers": papers, "backend": backend, "users": len(uids), "k": K,
             "generate_s": generate_s, "extract_s": extract_s, "load_s": load_s,
             "build_s": generate_s + extract_s + load_s,
+            "mined_preferences": mined,
+            "extract_s_per_1k": extract_s * 1000 / max(1, mined),
             "cold_ms_mean": mean(cold_ms), "cold_ms_p50": median(cold_ms),
             "cold_ms_max": max(cold_ms), "warm_us_mean": warm_us,
             **work, **mutated,
@@ -215,6 +221,8 @@ def _publish(rows) -> None:
         reporting.format_table([
             {"papers": row["papers"], "backend": row["backend"],
              "build_s": f"{row['build_s']:.2f}",
+             "mined": row["mined_preferences"],
+             "extract_s/1k": f"{row['extract_s_per_1k']:.3f}",
              "cold_ms": f"{row['cold_ms_mean']:.2f}",
              "warm_us": f"{row['warm_us_mean']:.1f}",
              "memberships": row["memberships_folded"],

@@ -70,6 +70,7 @@ def main() -> None:
                              columns=["DISTINCT dblp.pid"])
     print("\nEnhanced query:")
     print(f"  {enhanced.sql}")
+    print(f"  parameters = {enhanced.parameters}")
     print(f"  combined intensity = {enhanced.combined_intensity:.3f}")
 
     # 4. Top-10 papers by combined intensity (PEPS).

@@ -29,6 +29,8 @@ Both return the same Top-K; they differ only in the size of that list.
 from __future__ import annotations
 
 from heapq import nsmallest
+from itertools import repeat
+from operator import sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.intensity import combine_and, min_preferences_to_beat
@@ -43,11 +45,6 @@ from .base import (
     ScoredPreference,
     ordered_by_intensity,
 )
-
-
-def _best_first(entry: Tuple[int, float]) -> Tuple[float, int]:
-    """Ranking key: descending score, then ascending pid."""
-    return (-entry[1], entry[0])
 
 
 class PEPSAlgorithm:
@@ -228,21 +225,31 @@ class PEPSAlgorithm:
             raise TopKError("k must be positive")
         if min_intensity is not None:
             return self.retrieved_above(min_intensity)
-        return nsmallest(k, self._scores(), key=_best_first)
+        remainder = self._remainders()
+        # A tuple's score is ``1.0 - m``; in IEEE arithmetic ``m - 1.0`` is
+        # exactly ``-(1.0 - m)``, so ``(m - 1.0, pid)`` is the
+        # ``(-score, pid)`` order, compared in C without a key call.
+        ranked = nsmallest(k, zip(map(sub, remainder.values(), repeat(1.0)),
+                                  remainder.keys()))
+        return [(pid, 1.0 - remainder[pid]) for _, pid in ranked]
 
     def retrieved_above(self, min_intensity: float) -> List[Tuple[int, float]]:
-        """All tuples whose combined intensity reaches ``min_intensity``."""
-        return sorted((entry for entry in self._scores()
-                       if entry[1] >= min_intensity), key=_best_first)
+        """All tuples whose combined intensity reaches ``min_intensity``,
+        in :meth:`top_k`'s order."""
+        remainder = self._remainders()
+        ranked = sorted((missed - 1.0, pid) for pid, missed in remainder.items()
+                        if 1.0 - missed >= min_intensity)
+        return [(pid, 1.0 - remainder[pid]) for _, pid in ranked]
 
-    def _scores(self) -> List[Tuple[int, float]]:
-        """Every covered tuple with its exact score, in no particular order.
+    def _remainders(self) -> Dict[int, float]:
+        """Every covered tuple's ``prod(1 - intensity)``, in no particular
+        order: its score is ``1.0`` less that remainder.
 
-        A transient inverted map: pid -> prod(1 - intensity) over the
-        preferences matching it.  Each id list is walked once, in preference
-        order, so the product runs through exactly the factors, in exactly
-        the order, of ``combine_and`` over the tuple's matched intensities —
-        the scores are the same floats, for O(sum |ids|).
+        A transient inverted map over the preferences matching each pid.
+        Each id list is walked once, in preference order, so the product
+        runs through exactly the factors, in exactly the order, of
+        ``combine_and`` over the tuple's matched intensities — the scores
+        are the same floats, for O(sum |ids|).
         """
         remainder: Dict[int, float] = {}
         memberships = 0
@@ -256,7 +263,7 @@ class PEPSAlgorithm:
         self.memberships_folded = memberships
         annotate("tuples_scored", self.tuples_scored)
         annotate("memberships_folded", memberships)
-        return [(pid, 1.0 - missed) for pid, missed in remainder.items()]
+        return remainder
 
 
 def peps_top_k(runner: PreferenceQueryRunner,

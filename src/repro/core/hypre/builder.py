@@ -90,6 +90,11 @@ class HypreGraphBuilder:
     def add_quantitative(self, preference: QuantitativePreference) -> Tuple[int, BuildReport]:
         """Insert one quantitative preference node (merging duplicates)."""
         report = BuildReport()
+        return self._add_quantitative(preference, report), report
+
+    def _add_quantitative(self, preference: QuantitativePreference,
+                          report: BuildReport) -> int:
+        """:meth:`add_quantitative`'s body, counting into ``report``."""
         node_id = self.hypre.find_node_id(preference.uid, preference.predicate)
         if node_id is not None:
             existing = self.hypre.intensity_of(node_id)
@@ -99,11 +104,11 @@ class HypreGraphBuilder:
                 merged = (existing + preference.intensity) / 2.0
                 self.hypre.set_intensity(node_id, merged, SOURCE_USER)
             report.quantitative_merged += 1
-            return node_id, report
+            return node_id
         node_id, _ = self.hypre.create_or_return_node(
             preference.uid, preference.predicate, preference.intensity, SOURCE_USER)
         report.quantitative_nodes += 1
-        return node_id, report
+        return node_id
 
     def add_all_quantitative(self, uid: int,
                              preferences: Iterable[QuantitativePreference]) -> BuildReport:
@@ -114,6 +119,13 @@ class HypreGraphBuilder:
         through duplicate detection.
         """
         report = BuildReport()
+        self._add_all_quantitative(uid, preferences, report)
+        return report
+
+    def _add_all_quantitative(self, uid: int,
+                              preferences: Iterable[QuantitativePreference],
+                              report: BuildReport) -> None:
+        """:meth:`add_all_quantitative`'s body, counting into ``report``."""
         preferences = list(preferences)
         start = time.perf_counter()
         sqls = [pref.predicate_sql for pref in preferences]
@@ -126,10 +138,8 @@ class HypreGraphBuilder:
             report.quantitative_nodes += len(preferences)
         else:
             for preference in preferences:
-                _, single = self.add_quantitative(preference)
-                report.merge(single)
+                self._add_quantitative(preference, report)
         report.quantitative_seconds += time.perf_counter() - start
-        return report
 
     # ------------------------------------------------------------------
     # Step 2 — qualitative preferences
@@ -144,6 +154,13 @@ class HypreGraphBuilder:
         strategy.
         """
         report = BuildReport()
+        self._add_qualitative(preference, default_value, report)
+        return report
+
+    def _add_qualitative(self, preference: QualitativePreference,
+                         default_value: Optional[float],
+                         report: BuildReport) -> None:
+        """:meth:`add_qualitative`'s body, counting into ``report``."""
         start = time.perf_counter()
         preference = preference.normalised()
         uid = preference.uid
@@ -158,7 +175,7 @@ class HypreGraphBuilder:
             hypre.add_cycle_edge(left_id, right_id, preference.intensity)
             report.cycle_edges += 1
             report.qualitative_seconds += time.perf_counter() - start
-            return report
+            return
 
         verdict = classify_edge(hypre, left_id, right_id)
         if verdict.kind is ConflictKind.CYCLE:
@@ -174,7 +191,6 @@ class HypreGraphBuilder:
                                      default_value, report)
 
         report.qualitative_seconds += time.perf_counter() - start
-        return report
 
     def _assign_intensities(self, uid: int, left_id: int, right_id: int,
                             edge_intensity: float,
@@ -234,11 +250,13 @@ class HypreGraphBuilder:
         return self.default_strategy(intensities)
 
     def build_profile(self, profile: UserProfile) -> BuildReport:
-        """Insert all preferences of ``profile`` (Step 1 then Step 2)."""
-        report = self.add_all_quantitative(profile.uid, profile.quantitative)
+        """Insert all preferences of ``profile`` (Step 1 then Step 2), into
+        one :class:`BuildReport`."""
+        report = BuildReport()
+        self._add_all_quantitative(profile.uid, profile.quantitative, report)
         default_value = self.user_default(profile.uid)
         for preference in profile.qualitative:
-            report.merge(self.add_qualitative(preference, default_value=default_value))
+            self._add_qualitative(preference, default_value, report)
         return report
 
     def build_registry(self, registry: ProfileRegistry) -> BuildReport:

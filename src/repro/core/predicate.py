@@ -18,10 +18,12 @@ provides:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import (Any, Callable, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..exceptions import PredicateError, PredicateParseError
 
@@ -41,6 +43,32 @@ def _sql_literal(value: Value) -> str:
         return repr(value)
     escaped = str(value).replace("'", "''")
     return f"'{escaped}'"
+
+
+#: The range of SQLite's INTEGER storage class: a Python int outside it
+#: cannot be bound (sqlite3 raises), while its inline literal reads as REAL.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _bindable(value: Any) -> bool:
+    """Whether SQLite gives ``value`` bound as a ``?`` parameter the meaning
+    of its inline :func:`_sql_literal`.
+
+    True for a ``str`` with no NUL (inline, a NUL makes the statement
+    invalid), a ``bool`` or an ``int`` within int64 (INTEGER either way) and
+    a finite ``float`` (REAL either way: ``repr`` round-trips).  Everything
+    else stays inline: ``NULL``, an int beyond int64 (an inline REAL, a
+    bind error), ``inf`` / ``nan`` (inline they name a missing column;
+    bound, a REAL or a NULL) and every other type, subclasses included.
+    """
+    kind = type(value)
+    if kind is str:
+        return "\x00" not in value
+    if kind is int:
+        return _INT64_MIN <= value <= _INT64_MAX
+    if kind is float:
+        return math.isfinite(value)
+    return kind is bool
 
 
 @lru_cache(maxsize=4096)
@@ -173,10 +201,50 @@ def _compare_values(actual: Any, value: Any, op: str) -> bool:
 
 
 class PredicateExpr:
-    """Base class for predicate expression nodes."""
+    """Base class for predicate expression nodes.
+
+    Trees are immutable (frozen dataclasses holding tuples), so each node
+    renders its SQL text, its bound statement and its conjunct key once and
+    keeps them: a tree shared through :func:`parse_predicate`'s cache is
+    rendered once per process, however many keys, lookups and statements
+    read it.
+    """
 
     def to_sql(self) -> str:
-        """Render the expression as a SQL boolean expression."""
+        """Render the expression as a SQL boolean expression, every literal
+        inline (the predicate's text identity; rendered once)."""
+        return self._sql
+
+    @cached_property
+    def _sql(self) -> str:
+        return self._render(_sql_literal)
+
+    @cached_property
+    def bound_sql(self) -> Tuple[str, Tuple[Value, ...]]:
+        """``(text, parameters)``: the SQL with each literal that
+        :func:`_bindable` accepts as a ``?`` and the others inline, and the
+        bound values in order.  Predicates of one shape share one statement
+        text, so SQLite prepares it once."""
+        parameters: List[Value] = []
+
+        def bind(value: Value) -> str:
+            if _bindable(value):
+                parameters.append(value)
+                return "?"
+            return _sql_literal(value)
+
+        return self._render(bind), tuple(parameters)
+
+    @cached_property
+    def conjunct_texts(self) -> FrozenSet[str]:
+        """The SQL texts of the predicate's conjuncts — a conjunction's
+        members, in no order; anything else is its own only conjunct (the
+        key :meth:`~repro.index.CountCache.key` memoises counts and id lists
+        under)."""
+        return frozenset((self.to_sql(),))
+
+    def _render(self, literal: Callable[[Value], str]) -> str:
+        """The one SQL renderer; ``literal`` renders each literal value."""
         raise NotImplementedError
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
@@ -248,11 +316,11 @@ class Condition(PredicateExpr):
 
     # -- rendering / evaluation ------------------------------------------------
 
-    def to_sql(self) -> str:
+    def _render(self, literal: Callable[[Value], str]) -> str:
         if self.op == "IN":
-            rendered = ", ".join(_sql_literal(item) for item in self.value)
+            rendered = ", ".join(literal(item) for item in self.value)
             return f"{self.attribute} IN ({rendered})"
-        return f"{self.attribute} {self.op} {_sql_literal(self.value)}"
+        return f"{self.attribute} {self.op} {literal(self.value)}"
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         actual = _lookup(row, self.attribute)
@@ -298,10 +366,10 @@ class _Composite(PredicateExpr):
             raise PredicateError(f"{type(self).__name__} requires at least one child")
         object.__setattr__(self, "children", tuple(self.children))
 
-    def to_sql(self) -> str:
+    def _render(self, literal: Callable[[Value], str]) -> str:
         parts = []
         for child in self.children:
-            rendered = child.to_sql()
+            rendered = child._render(literal)
             if isinstance(child, _Composite) and type(child) is not type(self):
                 rendered = f"({rendered})"
             parts.append(rendered)
@@ -328,6 +396,10 @@ class And(_Composite):
     """Conjunction of predicate expressions."""
 
     _keyword = "AND"
+
+    @cached_property
+    def conjunct_texts(self) -> FrozenSet[str]:
+        return frozenset(child.to_sql() for child in self.children)
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         return all(child.evaluate(row) for child in self.children)

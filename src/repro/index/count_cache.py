@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
 from ..backend.protocol import StorageBackend
-from ..core.predicate import And, PredicateExpr, ensure_predicate
+from ..core.predicate import PredicateExpr, ensure_predicate
 from ..sqldb.query_builder import BATCH_COUNT_CHUNK
 from ..telemetry import span
 from .selectivity import RowMatch
@@ -66,11 +66,9 @@ class CountCache:
     def key(predicate: PredicateLike) -> FrozenSet[str]:
         """Canonical cache key: the SQL texts of the predicate's conjuncts —
         a conjunction's members, in no order; anything else is its own only
-        conjunct."""
-        predicate = ensure_predicate(predicate)
-        if isinstance(predicate, And):
-            return frozenset(child.to_sql() for child in predicate.children)
-        return frozenset((predicate.to_sql(),))
+        conjunct.  Built once per predicate tree
+        (:attr:`~repro.core.predicate.PredicateExpr.conjunct_texts`)."""
+        return ensure_predicate(predicate).conjunct_texts
 
     def peek(self, predicate: PredicateLike) -> Optional[int]:
         """The cached count, or ``None`` — never executes a query."""

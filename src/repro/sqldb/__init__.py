@@ -31,7 +31,9 @@ Schema (:mod:`repro.sqldb.schema`)
     :func:`table_counts` — row counts per table (Table 10).
 
 Query building (:mod:`repro.sqldb.query_builder`)
-    :class:`SelectQuery` — small fluent SELECT builder.
+    :class:`SelectQuery` — small fluent SELECT builder; a predicate's
+    literals become bound ``?`` parameters, so every statement builder
+    returns ``(sql, parameters)``.
     :func:`count_query` / :func:`count_matching_papers` — single-predicate
     counting.
     :func:`batched_count_query` / :func:`count_matching_papers_many` — many

@@ -233,9 +233,10 @@ class Database:
         return [dict(row) for row in cursor.fetchall()]
 
     def query_tuples(self, sql: str, parameters: Sequence[Any] = ()) -> List[Tuple]:
-        """Run a SELECT and return plain tuples (cheaper for id lists)."""
+        """Run a SELECT and return plain tuples (no row objects are built)."""
         cursor = self.execute(sql, parameters)
-        return [tuple(row) for row in cursor.fetchall()]
+        cursor.row_factory = None
+        return cursor.fetchall()
 
     def query_one(self, sql: str, parameters: Sequence[Any] = ()) -> Optional[Dict[str, Any]]:
         """Run a SELECT and return the first row as a dict (or ``None``)."""
@@ -255,8 +256,7 @@ class Database:
         This is the shape the batched counting queries use: one statement,
         one value per batched predicate, in statement order.
         """
-        cursor = self.execute(sql, parameters)
-        return [row[0] for row in cursor.fetchall()]
+        return [row[0] for row in self.query_tuples(sql, parameters)]
 
     def count(self, sql: str, parameters: Sequence[Any] = ()) -> int:
         """Run a counting SELECT and return an int (0 when no rows)."""
@@ -284,7 +284,8 @@ class Database:
     # The narrow read interface every consumer (count cache, query runner,
     # serving layer, replay driver) is wired against — see
     # repro.backend.protocol.StorageBackend.  Implemented with the SQL
-    # helpers of repro.sqldb.query_builder; imported lazily so this module
+    # helpers of repro.sqldb.query_builder, whose statements bind each
+    # predicate literal as a parameter; imported lazily so this module
     # stays importable from query_builder's own dependency chain.
 
     def count_matching(self, predicate: Optional[Any] = None) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.intensity import combine_and, combine_or, f_and
 from ..core.predicate import PredicateExpr, conjunction, disjunction, ensure_predicate
@@ -32,9 +32,14 @@ ScoredPredicate = Tuple[Union[str, PredicateExpr], float]
 
 @dataclass(frozen=True)
 class EnhancedQuery:
-    """Result of enhancing a base query with a preference combination."""
+    """Result of enhancing a base query with a preference combination.
+
+    ``sql`` binds the predicate's literals as ``?`` placeholders; run it
+    with ``parameters`` (``db.query(enhanced.sql, enhanced.parameters)``).
+    """
 
     sql: str
+    parameters: Tuple[Any, ...]
     predicate: PredicateExpr
     combined_intensity: float
     preference_count: int
@@ -114,8 +119,10 @@ def enhance_query(preferences: Iterable[ScoredPredicate],
     query = SelectQuery(columns=columns, from_clause=from_clause).where(predicate)
     if limit is not None:
         query.limit(limit)
+    sql, parameters = query.statement()
     return EnhancedQuery(
-        sql=query.to_sql(),
+        sql=sql,
+        parameters=parameters,
         predicate=predicate,
         combined_intensity=intensity,
         preference_count=len(normalised),

@@ -349,16 +349,12 @@ def sqlite_read_profiles(db: Database,
     # builder's duplicate-merge averaging depends on the order preferences
     # are replayed, and every serving cold read builds from it.
     uid_filter += " ORDER BY pfid"
-    for row in db.query(quant_sql + uid_filter, params):
-        profile = registry.get_or_create(int(row["uid"]))
-        profile.quantitative.append(QuantitativePreference(
-            uid=int(row["uid"]), predicate=row["preference"],
-            intensity=float(row["intensity"])))
-    for row in db.query(qual_sql + uid_filter, params):
-        profile = registry.get_or_create(int(row["uid"]))
-        profile.qualitative.append(QualitativePreference(
-            uid=int(row["uid"]), left=row["left_pref"], right=row["right_pref"],
-            intensity=float(row["intensity"])))
+    for uid, predicate, intensity in db.query_tuples(quant_sql + uid_filter, params):
+        registry.get_or_create(int(uid)).quantitative.append(QuantitativePreference(
+            uid=int(uid), predicate=predicate, intensity=float(intensity)))
+    for uid, left, right, intensity in db.query_tuples(qual_sql + uid_filter, params):
+        registry.get_or_create(int(uid)).qualitative.append(QualitativePreference(
+            uid=int(uid), left=left, right=right, intensity=float(intensity)))
     return registry
 
 

@@ -40,9 +40,10 @@ class TestBatchedCountQuery:
         assert tiny_db.statements_executed - before == 3
 
     def test_union_all_shape(self):
-        sql = batched_count_query(["dblp.year >= 2005", "dblp.venue = 'VLDB'"])
+        sql, parameters = batched_count_query(["dblp.year >= 2005", "dblp.venue = 'VLDB'"])
         assert sql.count("UNION ALL") == 1
         assert "0 AS ord" in sql and "1 AS ord" in sql
+        assert parameters == (2005, "VLDB")
 
     def test_empty_batch_rejected(self):
         with pytest.raises(QueryBuildError):

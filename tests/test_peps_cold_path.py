@@ -23,6 +23,8 @@ import hashlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.hypre.builder as builder_module
+import repro.core.predicate as predicate_module
 import repro.index.pair_index as pair_index_module
 from repro import PreferenceExtractor, TopKServer, create_backend, generate_dblp
 from repro.algorithms.base import (
@@ -35,7 +37,7 @@ from repro.algorithms.peps import PEPSAlgorithm
 from repro.exceptions import TopKError
 from repro.core.hypre import HypreGraphBuilder
 from repro.core.intensity import combine_and, min_preferences_to_beat
-from repro.core.predicate import conjunction
+from repro.core.predicate import conjunction, equals
 from repro.core.preference import QuantitativePreference
 from repro.experiments.context import SCALES
 from repro.index import CountCache, IncrementalPairIndex
@@ -236,6 +238,85 @@ def test_scores_are_the_fold_over_matching_preferences(runner, entries):
     assert ranking == sorted(ranking, key=lambda entry: (-entry[1], entry[0]))
 
 
+# -- the key-free cut -------------------------------------------------------------
+
+
+class ListRunner:
+    """A runner over fixed id lists, keyed by predicate text."""
+
+    def __init__(self, lists):
+        self.lists = lists
+
+    def ids(self, predicate):
+        return self.lists[predicate.to_sql()]
+
+
+#: Misses that make distinct remainders round to one score: intensity 1.0
+#: leaves a remainder of 0.0, two of ``1 - 2**-53`` leave ``2**-106``, and
+#: ``1.0 - 2**-106`` rounds to 1.0 — so only the pid orders the two tuples.
+COLLIDING = (1.0, 1.0 - 2.0 ** -53)
+
+
+def listed_peps(entries):
+    """A PEPS over ``(intensity, pids)`` entries, one preference each."""
+    lists, preferences = {}, []
+    for year, (intensity, pids) in enumerate(entries):
+        predicate = equals("dblp.year", year)
+        lists[predicate.to_sql()] = tuple(sorted(pids))
+        preferences.append(ScoredPreference(predicate, intensity))
+    return PEPSAlgorithm(ListRunner(lists), preferences)
+
+
+def reference_cut(peps):
+    """Every covered tuple ranked by the ``(-(1.0 - m), pid)`` key, where
+    ``m`` is its remainder folded in preference order."""
+    remainder = {}
+    for pref in peps.preferences:
+        for pid in peps.runner.ids(pref.predicate):
+            remainder[pid] = remainder.get(pid, 1.0) * (1.0 - pref.intensity)
+    ranked = sorted(remainder.items(), key=lambda item: (-(1.0 - item[1]), item[0]))
+    return [(pid, 1.0 - missed) for pid, missed in ranked]
+
+
+def bits(ranking):
+    """A ranking with each score as its bits (``==`` equates 0.0 and -0.0)."""
+    return [(pid, score.hex()) for pid, score in ranking]
+
+
+cut_entries = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(COLLIDING + (0.5, 5e-324)),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        st.sets(st.integers(min_value=1, max_value=40), max_size=25)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=cut_entries, k=st.integers(min_value=1, max_value=50),
+       threshold=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                           st.floats(min_value=0.0, max_value=1.0)))
+def test_key_free_cut_is_the_score_pid_order(entries, k, threshold):
+    """``top_k`` and ``retrieved_above`` cut on ``(m - 1.0, pid)`` with no
+    key call; that is the ``(-(1.0 - m), pid)`` order, bit for bit."""
+    peps = listed_peps(entries)
+    expected = reference_cut(peps)
+    assert bits(peps.top_k(k)) == bits(expected[:k])
+    assert bits(peps.retrieved_above(threshold)) == bits(
+        [entry for entry in expected if entry[1] >= threshold])
+
+
+def test_colliding_remainders_rank_by_pid():
+    """Pid 7 keeps a remainder of 0.0 and pid 3 one of ``2**-106``: both
+    score 1.0, so pid 3 ranks first though its remainder is larger."""
+    peps = listed_peps([(COLLIDING[0], {7}), (COLLIDING[1], {3}),
+                        (COLLIDING[1], {3, 5})])
+    remainder = peps._remainders()
+    assert remainder[7] == 0.0 < remainder[3]
+    assert 1.0 - remainder[3] == 1.0 - remainder[7] == 1.0
+    assert peps.top_k(2) == peps.retrieved_above(1.0) == [(3, 1.0), (7, 1.0)]
+    assert bits(peps.top_k(3)) == bits(reference_cut(peps))
+
+
 # -- the positional views against a scan of the pair table -----------------------
 
 
@@ -409,6 +490,35 @@ def test_counters_are_annotated_on_the_request_span(tiny_db):
     assert peps.tuples_scored > 0 and peps.memberships_folded > 0
     assert runner.queries_executed == len(PROFILE)
     assert runner.count_cache.misses == runner.count_cache.hits == 0
+
+
+def test_a_second_cold_read_renders_no_predicate(monkeypatch):
+    """Render once: a cold read of a user already read once, on a fresh
+    server over the same backend, renders no literal — its predicate trees
+    come from the parse cache with their SQL text, bound statement and
+    conjunct key kept — and its build fills exactly one ``BuildReport``."""
+    dataset = generate_dblp(SCALES["tiny"])
+    registry = PreferenceExtractor(dataset).extract_all()
+    db = fresh_db(dataset, "sqlite")
+    load_profiles(db, registry)
+    # The widest profile, qualitative preferences included.
+    uid = max(registry, key=lambda profile: (len(profile.qualitative),
+                                              len(profile))).uid
+    try:
+        with TopKServer(db) as first:
+            expected = first.top_k(uid, 10).ranking
+        literals = count_calls(monkeypatch, predicate_module, "_sql_literal")
+        reports = count_calls(monkeypatch, builder_module, "BuildReport")
+        builds = count_calls(monkeypatch, HypreGraphBuilder, "build_profile")
+        with TopKServer(db) as second:
+            result = second.top_k(uid, 10)
+            fetched = second.sessions.runner.queries_executed
+        assert not result.cache_hit and result.ranking == expected
+        assert fetched > 0 and registry.get(uid).qualitative
+        assert literals == []
+        assert len(reports) == len(builds) == 1
+    finally:
+        db.close()
 
 
 # -- golden rankings ---------------------------------------------------------------

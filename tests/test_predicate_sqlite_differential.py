@@ -30,6 +30,7 @@ from repro.core.predicate import (
     not_equals,
     parse_predicate,
 )
+from repro.exceptions import RelationalError
 from repro.index.selectivity import RowMatch, may_match_row
 from repro.sqldb.database import Database
 from repro.sqldb.query_builder import matching_paper_ids
@@ -142,3 +143,58 @@ def test_may_match_row_never_spares_a_sql_match(differential_db, predicate):
                                         for index, row in enumerate(rows))
         assert match.mask(forms[0]) == match.mask(forms[-1])
         assert match.predicate_row_tests == len(rows)
+
+
+#: Literals at the edge of what binding may touch: a bool, ints beyond
+#: int64, ``±inf`` / NaN, ``IN`` lists mixing types, NULL and a NUL char.
+#: Each must keep its inline meaning — or its inline error — when bound.
+BINDING_EXTRAS = [
+    Condition("dblp.year", "=", True),
+    Condition("dblp.year", ">", False),
+    Condition("dblp.year", "=", 2 ** 63 - 1),
+    Condition("dblp.year", "<", 2 ** 70),
+    Condition("dblp.year", ">", -(2 ** 70)),
+    Condition("dblp.year", "<", float("inf")),
+    Condition("dblp.year", ">", float("-inf")),
+    Condition("dblp.year", "!=", float("nan")),
+    Condition("dblp.year", "IN", (2005, "2010", 1999.0, None, True, 2 ** 70)),
+    Condition("venue", "IN", ("VLDB", 100, 1e16, None)),
+    equals("venue", None),
+    Condition("venue", "!=", "VL\x00DB"),
+]
+
+
+def inline_ids(db, predicate):
+    """The inline-literal statement: ``to_sql``'s text, nothing bound."""
+    return [row[0] for row in db.query_tuples(
+        f"SELECT DISTINCT dblp.pid FROM {BASE_FROM}"
+        f" WHERE ({predicate.to_sql()}) ORDER BY dblp.pid")]
+
+
+def outcome(run, db, predicate):
+    """The pids ``run`` returns, or the SQLite error it raises."""
+    try:
+        return run(db, predicate)
+    except RelationalError as exc:
+        return type(exc.__cause__), str(exc.__cause__)
+
+
+@pytest.mark.parametrize(
+    "predicate", PREDICATES + BINDING_EXTRAS,
+    ids=[repr(pred.to_sql()) for pred in PREDICATES + BINDING_EXTRAS])
+def test_bound_statement_agrees_with_inline(differential_db, predicate):
+    """The query surface binds a literal only where SQLite reads the bound
+    value as it reads the inline one: same pids, or the same error."""
+    assert outcome(matching_paper_ids, differential_db, predicate) == \
+        outcome(inline_ids, differential_db, predicate)
+
+
+def test_binding_edges_are_reached(differential_db):
+    """The extras cover both sides: some bind, some stay inline, some
+    error inline (and so bound)."""
+    bound = [pred.bound_sql[1] for pred in BINDING_EXTRAS]
+    assert all(bound[:3]) and not any(bound[3:8])
+    assert bound[8] == (2005, "2010", 1999.0, True)
+    errors = [pred for pred in BINDING_EXTRAS
+              if isinstance(outcome(inline_ids, differential_db, pred), tuple)]
+    assert len(errors) == 4   # inf, -inf, nan (no such column) and the NUL

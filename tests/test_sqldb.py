@@ -318,8 +318,9 @@ class TestSelectQuery:
         query = SelectQuery(columns=["dblp.pid"]).where(equals("dblp.venue", "VLDB"))
         query.where("dblp.year >= 2010")
         sql = query.to_sql()
-        assert "(dblp.venue = 'VLDB')" in sql
+        assert "(dblp.venue = ?)" in sql
         assert "AND (dblp.year >= 2010)" in sql
+        assert query.statement() == (sql, ("VLDB",))
 
     def test_empty_condition_rejected(self):
         with pytest.raises(QueryBuildError):
@@ -340,14 +341,15 @@ class TestSelectQuery:
             SelectQuery(columns=[]).to_sql()
 
     def test_count_query_wrapper(self):
-        sql = count_query("dblp.venue = 'VLDB'")
+        sql, parameters = count_query("dblp.venue = 'VLDB'")
         assert sql.startswith("SELECT COUNT(DISTINCT dblp.pid)")
-        assert "dblp.venue = 'VLDB'" in sql
+        assert "dblp.venue = ?" in sql and parameters == ("VLDB",)
 
     def test_paper_ids_query_wrapper(self):
-        sql = paper_ids_query("dblp.venue = 'VLDB'", limit=10)
+        sql, parameters = paper_ids_query("dblp.venue = 'VLDB'", limit=10)
         assert "ORDER BY dblp.pid" in sql
         assert sql.endswith("LIMIT 10")
+        assert parameters == ("VLDB",)
 
 
 class TestQueryExecution:
@@ -360,6 +362,27 @@ class TestQueryExecution:
 
     def test_count_whole_table(self, tiny_db):
         assert count_matching_papers(tiny_db) == tiny_db.total_papers()
+
+    def test_one_statement_text_per_predicate_shape(self, tiny_db, monkeypatch):
+        """Literals are bound: ``dblp.venue = 'A'`` and ``dblp.venue = 'B'``
+        execute the same statement text (sqlite3 prepares it once), on each
+        method of the query surface, with the venue as the parameter."""
+        executed = []
+        execute = tiny_db.execute
+
+        def recorded(sql, parameters=()):
+            executed.append((sql, tuple(parameters)))
+            return execute(sql, parameters)
+
+        monkeypatch.setattr(tiny_db, "execute", recorded)
+        for run in (tiny_db.matching_paper_ids, tiny_db.count_matching,
+                    lambda predicate: tiny_db.count_many([predicate])):
+            executed.clear()
+            for venue in ("A", "B"):
+                run(parse_predicate(f"dblp.venue = '{venue}'"))
+            (first, a), (second, b) = executed
+            assert first == second and "'" not in first
+            assert (a, b) == (("A",), ("B",))
 
     def test_author_join_predicate(self, tiny_db):
         aid = tiny_db.scalar("SELECT aid FROM dblp_author LIMIT 1")

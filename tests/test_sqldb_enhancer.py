@@ -92,7 +92,8 @@ class TestEnhanceQuery:
         preferences = [(f"dblp.venue = '{venues[0]}'", 0.8),
                        (f"dblp.venue = '{venues[1]}'", 0.4)]
         enhanced = enhance_query(preferences, columns=["DISTINCT dblp.pid"])
-        rows = tiny_db.query(enhanced.sql)
+        assert enhanced.parameters == (venues[0], venues[1])
+        rows = tiny_db.query(enhanced.sql, enhanced.parameters)
         assert len(rows) > 0
 
 
