@@ -108,10 +108,11 @@ def preferences_from_graph(hypre: HypreGraph, uid: int,
 
     Every node with an intensity (user provided, computed or defaulted) is a
     quantitative preference the algorithms can use — this is exactly the
-    coverage increase the unified model provides.
+    coverage increase the unified model provides.  The nodes' parsed trees
+    are used as they are: nothing is parsed or rendered again.
     """
-    pairs = hypre.quantitative_preferences(uid, include_negative=not positive_only)
-    return make_preferences(pairs, positive_only=positive_only)
+    return [ScoredPreference(predicate, intensity) for predicate, intensity
+            in hypre.scored_predicates(uid, include_negative=not positive_only)]
 
 
 class PreferenceQueryRunner:

@@ -645,6 +645,20 @@ class MemoryBackend:
                     uid=int(uid), left=left, right=right, intensity=intensity))
             return registry
 
+    def profile_rows(self, uid: int) -> Tuple[List[Tuple[str, float]],
+                                              List[Tuple[str, str, float]]]:
+        """One user's staged rows as plain tuples, in insertion order."""
+        with self._lock:
+            self._require_open()
+            self._account(statements=2)  # the two staging-table reads
+            uid = int(uid)
+            return ([(predicate, intensity)
+                     for _, owner, predicate, intensity in self._quant
+                     if owner == uid],
+                    [(left, right, intensity)
+                     for _, owner, left, right, intensity in self._qual
+                     if owner == uid])
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"MemoryBackend(papers={len(self._papers)}, "
                 f"rows={len(self._columns['pid'])}, "

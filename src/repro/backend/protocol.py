@@ -23,7 +23,9 @@ The surface has five groups:
   :meth:`~StorageBackend.delete_papers`, :meth:`~StorageBackend.update_papers`
   and the profile staging round-trip
   (:meth:`~StorageBackend.load_profiles` /
-  :meth:`~StorageBackend.read_profiles`);
+  :meth:`~StorageBackend.read_profiles`, and
+  :meth:`~StorageBackend.profile_rows`, one user's rows as plain tuples —
+  what a cold read builds from);
 * **events** — :meth:`~StorageBackend.subscribe` /
   :meth:`~StorageBackend.unsubscribe` / :meth:`~StorageBackend.notify` for
   :class:`~repro.sqldb.events.DataMutation` delivery (notify after close is
@@ -183,4 +185,11 @@ class StorageBackend(Protocol):
     def read_profiles(self, uids: Optional[Iterable[int]] = None
                       ) -> "ProfileRegistry":
         """Rebuild profiles from the staging tables, in insertion order."""
+        ...
+
+    def profile_rows(self, uid: int) -> Tuple[List[Tuple[str, float]],
+                                              List[Tuple[str, str, float]]]:
+        """``uid``'s staged rows as plain tuples, in insertion order:
+        ``([(predicate, intensity)], [(left, right, intensity)])`` — both
+        empty for an unknown user.  Two statements."""
         ...

@@ -1,7 +1,8 @@
 """HYPRE graph construction (paper Algorithm 1, Sections 4.5 and 6.3).
 
-The builder turns a :class:`~repro.core.preference.UserProfile` (or a whole
-registry of them) into nodes and edges of a :class:`HypreGraph`:
+The builder turns one user's staged preference rows — or a
+:class:`~repro.core.preference.UserProfile`, or a whole registry of them —
+into nodes and edges of a :class:`HypreGraph`:
 
 * **Step 1** inserts every quantitative preference as a node; duplicate
   predicates for the same user are merged by averaging their intensities.
@@ -12,7 +13,9 @@ registry of them) into nodes and edges of a :class:`HypreGraph`:
   Equations 4.1/4.2 so that the converted qualitative preference becomes two
   ordered quantitative preferences.
 
-The per-step wall-clock times are recorded so Table 11 and Figure 13 can be
+Both steps run in :meth:`HypreGraphBuilder.build_rows`, one row at a time;
+the serving cold read hands it the staged rows as plain tuples.  The
+per-step wall-clock times are recorded so Table 11 and Figure 13 can be
 regenerated.
 """
 
@@ -20,13 +23,30 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from ..intensity import LEFT, RIGHT, compute_intensity
+from ..intensity import (
+    intensity_left,
+    intensity_right,
+    validate_qualitative,
+    validate_quantitative,
+)
+from ..predicate import PredicateExpr, ensure_predicate
 from ..preference import ProfileRegistry, QualitativePreference, QuantitativePreference, UserProfile
-from .conflict import ConflictKind, classify_edge, intensities_consistent
+from .conflict import ConflictKind, edge_conflict
 from .defaults import DefaultValueStrategy
-from .graph import SOURCE_COMPUTED, SOURCE_DEFAULT, SOURCE_USER, HypreGraph
+from .graph import (
+    CYCLE,
+    DISCARD,
+    PREFERS,
+    SOURCE_COMPUTED,
+    SOURCE_DEFAULT,
+    SOURCE_USER,
+    HypreGraph,
+)
+
+#: A staged predicate: its SQL text or its parsed tree.
+PredicateLike = Union[str, PredicateExpr]
 
 
 @dataclass
@@ -75,7 +95,13 @@ class BuildReport:
 
 
 class HypreGraphBuilder:
-    """Create and incrementally extend a :class:`HypreGraph` from profiles."""
+    """Create and incrementally extend a :class:`HypreGraph` from profiles.
+
+    Algorithm 1 has one body, :meth:`build_rows`, over staged rows (SQL
+    text or parsed trees); :meth:`build_profile`, :meth:`add_quantitative`,
+    :meth:`add_all_quantitative` and :meth:`add_qualitative` are adapters
+    onto its two per-row helpers.
+    """
 
     def __init__(self,
                  hypre: Optional[HypreGraph] = None,
@@ -84,66 +110,143 @@ class HypreGraphBuilder:
         self.default_strategy = DefaultValueStrategy.by_name(default_strategy)
 
     # ------------------------------------------------------------------
-    # Step 1 — quantitative preferences
+    # Algorithm 1 over staged rows
+    # ------------------------------------------------------------------
+
+    def build_rows(self, uid: int,
+                   quantitative: Iterable[Tuple[PredicateLike, float]],
+                   qualitative: Sequence[Tuple[PredicateLike, PredicateLike, float]]
+                   ) -> BuildReport:
+        """Insert one user's staged rows — Step 1 then Step 2 — into one
+        :class:`BuildReport`.
+
+        ``quantitative`` rows are ``(predicate, intensity)``, ``qualitative``
+        rows ``(left, right, intensity)`` with a raw (possibly negative)
+        strength, each in staging order.  A predicate is SQL text, parsed
+        once here (:class:`~repro.exceptions.PredicateParseError` on a bad
+        one), or an already parsed tree.  Every intensity is validated in
+        its domain.
+        """
+        report = BuildReport()
+        start = time.perf_counter()
+        for predicate, intensity in quantitative:
+            self._quantitative_row(uid, ensure_predicate(predicate), intensity,
+                                   report)
+        middle = time.perf_counter()
+        report.quantitative_seconds += middle - start
+        if qualitative:
+            default_value = self.user_default(uid)
+            for left, right, intensity in qualitative:
+                self._qualitative_row(uid, ensure_predicate(left),
+                                      ensure_predicate(right), intensity,
+                                      default_value, report)
+            report.qualitative_seconds += time.perf_counter() - middle
+        return report
+
+    def _quantitative_row(self, uid: int, expr: PredicateExpr,
+                          intensity: float, report: BuildReport) -> int:
+        """Step 1 for one row: a new node, or a duplicate merged by
+        averaging (a node Step 2 created without a score takes the row's)."""
+        intensity = validate_quantitative(intensity)
+        hypre = self.hypre
+        node_id, created = hypre._node_for(uid, expr)
+        node = hypre._nodes[node_id]
+        if created:
+            report.quantitative_nodes += 1
+        else:
+            if node.intensity is not None:
+                intensity = validate_quantitative((node.intensity + intensity) / 2.0)
+            report.quantitative_merged += 1
+        node.intensity = intensity
+        node.source = SOURCE_USER
+        return node_id
+
+    def _qualitative_row(self, uid: int, left: PredicateExpr,
+                         right: PredicateExpr, intensity: float,
+                         default_value: Optional[float],
+                         report: BuildReport) -> None:
+        """Step 2 for one row (Scenarios 1–3 of Section 6.3).
+
+        A negative strength means the right side is preferred: the sides
+        swap and the absolute value is the edge's (Proposition 7).  A self
+        preference or an edge closing a ``PREFERS`` cycle is kept typed
+        ``CYCLE``; incompatible intensities on two endpoints that both have
+        other ``PREFERS`` edges make it ``DISCARD`` (§6.2.3).  Otherwise the
+        ``PREFERS`` edge goes in and the endpoint intensities are filled in
+        or repaired.
+        """
+        intensity = float(intensity)
+        if intensity < 0.0:
+            left, right, intensity = right, left, -intensity
+        validate_qualitative(intensity)
+        hypre = self.hypre
+        left_id, left_created = hypre._node_for(uid, left)
+        right_id, right_created = hypre._node_for(uid, right)
+        report.nodes_created_by_qualitative += left_created + right_created
+        conflict = edge_conflict(hypre, left_id, right_id)
+        if conflict is ConflictKind.CYCLE:
+            hypre._add_edge(left_id, right_id, CYCLE, intensity)
+            report.cycle_edges += 1
+            return
+        if conflict is ConflictKind.INCOMPATIBLE:
+            hypre._add_edge(left_id, right_id, DISCARD, intensity)
+            report.discarded_edges += 1
+            return
+        left_node, right_node = hypre._nodes[left_id], hypre._nodes[right_id]
+        left_value, right_value = left_node.intensity, right_node.intensity
+        hypre._add_edge(left_id, right_id, PREFERS, intensity)
+        report.qualitative_edges += 1
+        if left_value is None and right_value is None:
+            # Scenario 3: two brand-new nodes; seed the right node and derive
+            # the left one so the edge direction holds by construction.
+            seed = validate_quantitative(
+                default_value if default_value is not None else self.user_default(uid))
+            right_node.intensity, right_node.source = seed, SOURCE_DEFAULT
+            report.defaults_assigned += 1
+            left_node.intensity = validate_quantitative(intensity_left(intensity, seed))
+            left_node.source = SOURCE_COMPUTED
+            report.intensities_computed += 1
+        elif left_value is None:
+            left_node.intensity = validate_quantitative(
+                intensity_left(intensity, right_value))
+            left_node.source = SOURCE_COMPUTED
+            report.intensities_computed += 1
+        elif right_value is None:
+            right_node.intensity = validate_quantitative(
+                intensity_right(intensity, left_value))
+            right_node.source = SOURCE_COMPUTED
+            report.intensities_computed += 1
+        elif left_value < right_value:
+            # Incompatible values but repairable: recompute the endpoint
+            # whose only PREFERS connection is the edge just inserted
+            # (Figures 14/15), so no other edge's ordering constraint can be
+            # violated; edge_conflict guarantees one endpoint is.
+            if right_node.prefers_degree <= 1:
+                right_node.intensity = validate_quantitative(
+                    intensity_right(intensity, left_value))
+                right_node.source = SOURCE_COMPUTED
+            else:
+                left_node.intensity = validate_quantitative(
+                    intensity_left(intensity, right_value))
+                left_node.source = SOURCE_COMPUTED
+            report.intensities_recomputed += 1
+
+    # ------------------------------------------------------------------
+    # Adapters: one preference (or one step) at a time
     # ------------------------------------------------------------------
 
     def add_quantitative(self, preference: QuantitativePreference) -> Tuple[int, BuildReport]:
         """Insert one quantitative preference node (merging duplicates)."""
         report = BuildReport()
-        return self._add_quantitative(preference, report), report
-
-    def _add_quantitative(self, preference: QuantitativePreference,
-                          report: BuildReport) -> int:
-        """:meth:`add_quantitative`'s body, counting into ``report``."""
-        node_id = self.hypre.find_node_id(preference.uid, preference.predicate)
-        if node_id is not None:
-            existing = self.hypre.intensity_of(node_id)
-            if existing is None:
-                self.hypre.set_intensity(node_id, preference.intensity, SOURCE_USER)
-            else:
-                merged = (existing + preference.intensity) / 2.0
-                self.hypre.set_intensity(node_id, merged, SOURCE_USER)
-            report.quantitative_merged += 1
-            return node_id
-        node_id, _ = self.hypre.create_or_return_node(
-            preference.uid, preference.predicate, preference.intensity, SOURCE_USER)
-        report.quantitative_nodes += 1
-        return node_id
+        node_id = self._quantitative_row(preference.uid, preference.predicate,
+                                         preference.intensity, report)
+        return node_id, report
 
     def add_all_quantitative(self, uid: int,
                              preferences: Iterable[QuantitativePreference]) -> BuildReport:
-        """Insert all quantitative preferences for ``uid``.
-
-        When the predicates are unique and new to the user, insertion uses
-        the fast batched path (paper Step 1); otherwise each preference goes
-        through duplicate detection.
-        """
-        report = BuildReport()
-        self._add_all_quantitative(uid, preferences, report)
-        return report
-
-    def _add_all_quantitative(self, uid: int,
-                              preferences: Iterable[QuantitativePreference],
-                              report: BuildReport) -> None:
-        """:meth:`add_all_quantitative`'s body, counting into ``report``."""
-        preferences = list(preferences)
-        start = time.perf_counter()
-        sqls = [pref.predicate_sql for pref in preferences]
-        unique = len(set(sqls)) == len(sqls)
-        no_existing = all(
-            self.hypre.find_node_id(uid, sql) is None for sql in sqls)
-        if unique and no_existing:
-            self.hypre.add_quantitative_batch(
-                uid, [(pref.predicate_sql, pref.intensity) for pref in preferences])
-            report.quantitative_nodes += len(preferences)
-        else:
-            for preference in preferences:
-                self._add_quantitative(preference, report)
-        report.quantitative_seconds += time.perf_counter() - start
-
-    # ------------------------------------------------------------------
-    # Step 2 — qualitative preferences
-    # ------------------------------------------------------------------
+        """Insert all quantitative preferences for ``uid`` (Step 1 alone)."""
+        return self.build_rows(
+            uid, [(pref.predicate, pref.intensity) for pref in preferences], ())
 
     def add_qualitative(self, preference: QualitativePreference,
                         default_value: Optional[float] = None) -> BuildReport:
@@ -154,90 +257,11 @@ class HypreGraphBuilder:
         strategy.
         """
         report = BuildReport()
-        self._add_qualitative(preference, default_value, report)
-        return report
-
-    def _add_qualitative(self, preference: QualitativePreference,
-                         default_value: Optional[float],
-                         report: BuildReport) -> None:
-        """:meth:`add_qualitative`'s body, counting into ``report``."""
         start = time.perf_counter()
-        preference = preference.normalised()
-        uid = preference.uid
-        hypre = self.hypre
-
-        left_id, left_created = hypre.create_or_return_node(uid, preference.left)
-        right_id, right_created = hypre.create_or_return_node(uid, preference.right)
-        report.nodes_created_by_qualitative += int(left_created) + int(right_created)
-
-        if left_id == right_id:
-            # A preference of a predicate over itself is a degenerate cycle.
-            hypre.add_cycle_edge(left_id, right_id, preference.intensity)
-            report.cycle_edges += 1
-            report.qualitative_seconds += time.perf_counter() - start
-            return
-
-        verdict = classify_edge(hypre, left_id, right_id)
-        if verdict.kind is ConflictKind.CYCLE:
-            hypre.add_cycle_edge(left_id, right_id, preference.intensity)
-            report.cycle_edges += 1
-        elif verdict.kind is ConflictKind.INCOMPATIBLE:
-            hypre.add_discard_edge(left_id, right_id, preference.intensity)
-            report.discarded_edges += 1
-        else:
-            hypre.add_prefers_edge(left_id, right_id, preference.intensity)
-            report.qualitative_edges += 1
-            self._assign_intensities(uid, left_id, right_id, preference.intensity,
-                                     default_value, report)
-
+        self._qualitative_row(preference.uid, preference.left, preference.right,
+                              preference.intensity, default_value, report)
         report.qualitative_seconds += time.perf_counter() - start
-
-    def _assign_intensities(self, uid: int, left_id: int, right_id: int,
-                            edge_intensity: float,
-                            default_value: Optional[float],
-                            report: BuildReport) -> None:
-        """Fill in / repair node intensities after inserting a PREFERS edge."""
-        hypre = self.hypre
-        left_intensity = hypre.intensity_of(left_id)
-        right_intensity = hypre.intensity_of(right_id)
-
-        if left_intensity is None and right_intensity is None:
-            # Scenario 3: two brand-new nodes; seed the right node and derive
-            # the left one so the edge direction holds by construction.
-            seed = default_value if default_value is not None else self.user_default(uid)
-            hypre.set_intensity(right_id, seed, SOURCE_DEFAULT)
-            report.defaults_assigned += 1
-            derived = compute_intensity(LEFT, edge_intensity, seed)
-            hypre.set_intensity(left_id, derived, SOURCE_COMPUTED)
-            report.intensities_computed += 1
-            return
-
-        if left_intensity is None:
-            derived = compute_intensity(LEFT, edge_intensity, right_intensity)
-            hypre.set_intensity(left_id, derived, SOURCE_COMPUTED)
-            report.intensities_computed += 1
-            return
-
-        if right_intensity is None:
-            derived = compute_intensity(RIGHT, edge_intensity, left_intensity)
-            hypre.set_intensity(right_id, derived, SOURCE_COMPUTED)
-            report.intensities_computed += 1
-            return
-
-        if intensities_consistent(left_intensity, right_intensity):
-            return
-
-        # Incompatible values but repairable: recompute the endpoint whose
-        # only PREFERS connection is the edge just inserted (Figures 14/15),
-        # so no other edge's ordering constraint can be violated.  classify_edge
-        # guarantees one of the two endpoints satisfies that condition.
-        if hypre.prefers_degree(right_id) <= 1:
-            derived = compute_intensity(RIGHT, edge_intensity, left_intensity)
-            hypre.set_intensity(right_id, derived, SOURCE_COMPUTED)
-        else:
-            derived = compute_intensity(LEFT, edge_intensity, right_intensity)
-            hypre.set_intensity(left_id, derived, SOURCE_COMPUTED)
-        report.intensities_recomputed += 1
+        return report
 
     # ------------------------------------------------------------------
     # Profile-level entry points
@@ -251,13 +275,11 @@ class HypreGraphBuilder:
 
     def build_profile(self, profile: UserProfile) -> BuildReport:
         """Insert all preferences of ``profile`` (Step 1 then Step 2), into
-        one :class:`BuildReport`."""
-        report = BuildReport()
-        self._add_all_quantitative(profile.uid, profile.quantitative, report)
-        default_value = self.user_default(profile.uid)
-        for preference in profile.qualitative:
-            self._add_qualitative(preference, default_value, report)
-        return report
+        one :class:`BuildReport` — :meth:`build_rows` over its parsed rows."""
+        return self.build_rows(
+            profile.uid,
+            [(pref.predicate, pref.intensity) for pref in profile.quantitative],
+            [(pref.left, pref.right, pref.intensity) for pref in profile.qualitative])
 
     def build_registry(self, registry: ProfileRegistry) -> BuildReport:
         """Insert every profile of ``registry`` into the shared graph."""

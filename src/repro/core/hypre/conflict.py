@@ -75,18 +75,30 @@ def classify_edge(hypre: HypreGraph, left_id: int, right_id: int) -> ConflictRep
     """
     left_intensity = hypre.intensity_of(left_id)
     right_intensity = hypre.intensity_of(right_id)
+    return ConflictReport(edge_conflict(hypre, left_id, right_id),
+                          left_intensity, right_intensity)
 
-    if hypre.creates_cycle(left_id, right_id):
-        return ConflictReport(ConflictKind.CYCLE, left_intensity, right_intensity)
 
-    if not intensities_consistent(left_intensity, right_intensity):
-        # The conflict can still be repaired when one endpoint touches the
-        # graph only through the new edge (in/out degree zero on PREFERS).
-        if hypre.prefers_degree(left_id) == 0 or hypre.prefers_degree(right_id) == 0:
-            return ConflictReport(ConflictKind.NONE, left_intensity, right_intensity)
-        return ConflictReport(ConflictKind.INCOMPATIBLE, left_intensity, right_intensity)
+def edge_conflict(hypre: HypreGraph, left_id: int, right_id: int) -> ConflictKind:
+    """:func:`classify_edge`'s verdict alone, for two existing node ids (the
+    builder asks once per qualitative row).
 
-    return ConflictReport(ConflictKind.NONE, left_intensity, right_intensity)
+    A ``PREFERS`` path ``right -> left`` needs a ``PREFERS`` edge out of
+    ``right`` and one into ``left``, so it is searched for only when both
+    endpoints have some; the same degrees decide whether incompatible
+    intensities can be repaired.
+    """
+    if left_id == right_id:
+        return ConflictKind.CYCLE
+    nodes = hypre._nodes
+    left, right = nodes[left_id], nodes[right_id]
+    if not (left.prefers_degree and right.prefers_degree):
+        return ConflictKind.NONE
+    if hypre._reaches(right_id, left_id):
+        return ConflictKind.CYCLE
+    if not intensities_consistent(left.intensity, right.intensity):
+        return ConflictKind.INCOMPATIBLE
+    return ConflictKind.NONE
 
 
 def intensities_consistent(left_intensity: Optional[float],

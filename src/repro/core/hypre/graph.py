@@ -4,8 +4,9 @@
 keeps exactly the structures the paper asks of its graph database (§4.3):
 
 * every vertex is a preference node with a ``uid``, a ``predicate`` (SQL
-  text), an ``intensity`` (absent until computed) and an ``intensity_source``
-  (``user`` / ``computed`` / ``default``);
+  text, kept beside the parsed tree it was rendered from), an ``intensity``
+  (absent until computed) and an ``intensity_source`` (``user`` /
+  ``computed`` / ``default``);
 * a ``uid -> node ids`` list — the paper's ``uidIndex`` — provides the
   interactive per-user lookup, and a ``(uid, predicate) -> node id`` map the
   O(1) ``createOrReturnNodeId`` of Algorithm 1;
@@ -24,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ...exceptions import NodeNotFoundError
 from ..intensity import validate_quantitative
-from ..predicate import PredicateExpr, predicate_key
+from ..predicate import PredicateExpr, ensure_predicate, predicate_key
 
 #: Edge type of a valid qualitative preference, traversed by all algorithms.
 PREFERS = "PREFERS"
@@ -61,14 +62,19 @@ class Edge:
 
 
 class _Node:
-    """One preference node with its out-edges and its typed degree."""
+    """One preference node with its out-edges and its typed degree.
 
-    __slots__ = ("uid", "predicate", "intensity", "source", "out_edges",
-                 "prefers_degree")
+    ``expr`` is the parsed predicate and ``predicate`` its SQL text, the
+    node's identity; the preference list reads the tree, never re-parses.
+    """
 
-    def __init__(self, uid: int, predicate: str,
+    __slots__ = ("uid", "expr", "predicate", "intensity", "source",
+                 "out_edges", "prefers_degree")
+
+    def __init__(self, uid: int, expr: PredicateExpr, predicate: str,
                  intensity: Optional[float], source: Optional[str]) -> None:
         self.uid = uid
+        self.expr = expr
         self.predicate = predicate
         self.intensity = intensity
         self.source = source
@@ -98,14 +104,25 @@ class HypreGraph:
             return self._nodes[node_id]
         raise NodeNotFoundError(node_id)
 
-    def _add_node(self, uid: int, sql: str, intensity: Optional[float] = None,
+    def _add_node(self, uid: int, expr: PredicateExpr, sql: str,
+                  intensity: Optional[float] = None,
                   source: Optional[str] = None) -> int:
-        """Append a node (``intensity`` already validated) and index it."""
+        """Append a node for ``expr`` (``sql`` its text, ``intensity``
+        already validated) and index it."""
         node_id = len(self._nodes)
-        self._nodes.append(_Node(uid, sql, intensity, source))
+        self._nodes.append(_Node(uid, expr, sql, intensity, source))
         self._uid_index.setdefault(uid, []).append(node_id)
         self._node_key_index[(uid, sql)] = node_id
         return node_id
+
+    def _node_for(self, uid: int, expr: PredicateExpr) -> Tuple[int, bool]:
+        """``createOrReturnNodeId`` for a parsed predicate, creating the
+        node without an intensity: ``(node_id, created)``."""
+        sql = expr.to_sql()
+        node_id = self._node_key_index.get((uid, sql))
+        if node_id is not None:
+            return node_id, False
+        return self._add_node(uid, expr, sql), True
 
     def find_node_id(self, uid: int, predicate: Union[str, PredicateExpr]) -> Optional[int]:
         """Return the node id for ``(uid, predicate)`` or ``None``."""
@@ -122,13 +139,15 @@ class HypreGraph:
         returned untouched; intensity merging for duplicate quantitative
         preferences is handled by the builder.
         """
-        sql = predicate_key(predicate)
+        expr = ensure_predicate(predicate)
+        sql = expr.to_sql()
         existing = self._node_key_index.get((uid, sql))
         if existing is not None:
             return existing, False
         if intensity is None:
-            return self._add_node(uid, sql), True
-        return self._add_node(uid, sql, validate_quantitative(intensity), source), True
+            return self._add_node(uid, expr, sql), True
+        return self._add_node(uid, expr, sql, validate_quantitative(intensity),
+                              source), True
 
     def add_quantitative_batch(self, uid: int,
                                entries: Iterable[Tuple[str, float]]) -> List[int]:
@@ -138,10 +157,10 @@ class HypreGraph:
         unique per user (the batch path skips duplicate detection for speed,
         exactly as the paper does for Step 1 of graph creation).
         """
-        validated = [(predicate_key(predicate), validate_quantitative(intensity))
+        validated = [(ensure_predicate(predicate), validate_quantitative(intensity))
                      for predicate, intensity in entries]
-        return [self._add_node(uid, sql, intensity, SOURCE_USER)
-                for sql, intensity in validated]
+        return [self._add_node(uid, expr, expr.to_sql(), intensity, SOURCE_USER)
+                for expr, intensity in validated]
 
     def intensity_of(self, node_id: int) -> Optional[float]:
         """Return the node's intensity or ``None`` when not yet assigned."""
@@ -161,29 +180,36 @@ class HypreGraph:
     # Edge management
     # ------------------------------------------------------------------
 
-    def _add_qualitative_edge(self, left_id: int, right_id: int,
-                              rel_type: str, intensity: float) -> Edge:
-        """Insert a qualitative edge carrying its intensity."""
-        left, right = self._node(left_id), self._node(right_id)
+    def _add_edge(self, left_id: int, right_id: int,
+                  rel_type: str, intensity: float) -> Edge:
+        """Insert a qualitative edge between two existing node ids."""
+        left = self._nodes[left_id]
         edge = Edge(left_id, right_id, rel_type, intensity)
         self._edges.append(edge)
         left.out_edges.append(edge)
         if rel_type == PREFERS and left_id != right_id:
             left.prefers_degree += 1
-            right.prefers_degree += 1
+            self._nodes[right_id].prefers_degree += 1
         return edge
+
+    def _add_checked_edge(self, left_id: int, right_id: int,
+                          rel_type: str, intensity: float) -> Edge:
+        """:meth:`_add_edge` after checking both ids exist."""
+        self._node(left_id)
+        self._node(right_id)
+        return self._add_edge(left_id, right_id, rel_type, intensity)
 
     def add_prefers_edge(self, left_id: int, right_id: int, intensity: float) -> Edge:
         """Insert a valid qualitative preference edge (``PREFERS``)."""
-        return self._add_qualitative_edge(left_id, right_id, PREFERS, intensity)
+        return self._add_checked_edge(left_id, right_id, PREFERS, intensity)
 
     def add_cycle_edge(self, left_id: int, right_id: int, intensity: float) -> Edge:
         """Insert a conflicting edge that would have created a cycle."""
-        return self._add_qualitative_edge(left_id, right_id, CYCLE, intensity)
+        return self._add_checked_edge(left_id, right_id, CYCLE, intensity)
 
     def add_discard_edge(self, left_id: int, right_id: int, intensity: float) -> Edge:
         """Insert an edge dropped because of incompatible intensities."""
-        return self._add_qualitative_edge(left_id, right_id, DISCARD, intensity)
+        return self._add_checked_edge(left_id, right_id, DISCARD, intensity)
 
     def prefers_degree(self, node_id: int) -> int:
         """Degree of a node counting only ``PREFERS`` edges (no self loops)."""
@@ -197,15 +223,18 @@ class HypreGraph:
         """
         self._node(left_id)
         self._node(right_id)
-        if left_id == right_id:
-            return True
-        seen = {right_id}
-        frontier = deque([right_id])
+        return left_id == right_id or self._reaches(right_id, left_id)
+
+    def _reaches(self, source_id: int, target_id: int) -> bool:
+        """Whether a ``PREFERS`` path of at least one edge leads from
+        ``source_id`` to ``target_id`` (both ids exist)."""
+        seen = {source_id}
+        frontier = deque([source_id])
         while frontier:
             for edge in self._nodes[frontier.popleft()].out_edges:
                 if edge.rel_type != PREFERS:
                     continue
-                if edge.target == left_id:
+                if edge.target == target_id:
                     return True
                 if edge.target not in seen:
                     seen.add(edge.target)
@@ -239,6 +268,19 @@ class HypreGraph:
                 and (include_negative or node.intensity > 0.0)]
         rows.sort(key=lambda row: row[1], reverse=True)
         return rows
+
+    def scored_predicates(self, uid: int, include_negative: bool = True
+                          ) -> List[Tuple[PredicateExpr, float]]:
+        """:meth:`quantitative_preferences` with the nodes' parsed trees
+        instead of their SQL text, in the algorithms' preference order
+        (:func:`~repro.index.pair_index.preference_sort_key`: descending
+        intensity, ties by SQL text)."""
+        nodes = (self._nodes[node_id] for node_id in self._uid_index.get(uid, ()))
+        ranked = sorted((-node.intensity, node.predicate, node.expr)
+                        for node in nodes
+                        if node.intensity is not None
+                        and (include_negative or node.intensity > 0.0))
+        return [(expr, -negated) for negated, _, expr in ranked]
 
     def qualitative_edges(self, uid: int,
                           rel_types: Tuple[str, ...] = (PREFERS,)) -> List[Edge]:

@@ -371,10 +371,9 @@ class TopKServer:
 
         The preferences are appended to the relational staging tables and
         the user's cached answers are dropped.  The next read builds from
-        the staging tables through the same
-        :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_profile`
-        every other build uses, fetching only the id lists the shared memo
-        does not hold.
+        the staged rows through Algorithm 1's one body,
+        :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_rows`,
+        fetching only the id lists the shared memo does not hold.
         """
         try:
             if profile.uid != uid:
@@ -698,6 +697,9 @@ def fresh_top_k(db: StorageBackend, uid: int, k: int) -> List[Tuple[int, float]]
     with no positive preference ranks nothing.
     Used by the equivalence tests and the no-cache replay baseline: whatever
     :meth:`TopKServer.top_k` serves must equal this after every mutation.
+    It deliberately keeps the ``read_profiles`` → ``build_profile`` path —
+    preference objects, then the builder's profile adapter — as the
+    differential for the serving read's ``profile_rows`` → ``build_rows``.
     """
     from ..algorithms.base import PreferenceQueryRunner, preferences_from_graph
     from ..algorithms.peps import PEPSAlgorithm

@@ -1,12 +1,13 @@
 """What a cold read builds: one user's PEPS over the persisted profile.
 
 Serving keeps no per-user state between requests.  A cold read asks
-:meth:`SessionRegistry.get_or_create`, which reads the user's profile from the
-relational staging tables (:func:`~repro.workload.loader.read_profiles`),
-builds its HYPRE graph with the same
-:meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_profile` the oracles
-use (all quantitative preferences, then all qualitative ones), and returns
-one :class:`~repro.algorithms.peps.PEPSAlgorithm` over the graph's positive
+:meth:`SessionRegistry.get_or_create`, which reads the user's staged rows as
+plain tuples (:func:`~repro.workload.loader.profile_rows`), builds its HYPRE
+graph from them in one pass with
+:meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_rows` — Algorithm
+1's one body, which the oracles' ``build_profile`` adapts to (all
+quantitative rows, then all qualitative ones) — and returns one
+:class:`~repro.algorithms.peps.PEPSAlgorithm` over the graph's positive
 preferences.  The server keeps the answer, not the build: a profile update
 is *persist, invalidate*, and nothing but the staging tables says what a
 user prefers (``docs/ARCHITECTURE.md``, "Why no session is resident").
@@ -27,7 +28,7 @@ from ..backend.protocol import StorageBackend
 from ..core.hypre.builder import HypreGraphBuilder
 from ..exceptions import UnknownUserError
 from ..index import RowMatch
-from ..workload.loader import read_profiles
+from ..workload.loader import profile_rows
 
 
 class SessionRegistry:
@@ -53,11 +54,11 @@ class SessionRegistry:
         :class:`~repro.exceptions.UnknownUserError` for a user with no
         stored preference.
         """
-        profiles = read_profiles(self.db, [uid])
-        if uid not in profiles:
+        quantitative, qualitative = profile_rows(self.db, uid)
+        if not quantitative and not qualitative:
             raise UnknownUserError(uid)
         builder = HypreGraphBuilder()
-        builder.build_profile(profiles.get(uid))
+        builder.build_rows(uid, quantitative, qualitative)
         self.sessions_built += 1
         preferences = preferences_from_graph(builder.hypre, uid)
         return PEPSAlgorithm(self.runner, preferences) if preferences else None

@@ -402,3 +402,8 @@ class Database:
         """Rebuild a profile registry from the staging tables."""
         from ..workload.loader import sqlite_read_profiles
         return sqlite_read_profiles(self, uids)
+
+    def profile_rows(self, uid: int) -> Any:
+        """One user's staged rows as plain tuples, in pfid order."""
+        from ..workload.loader import sqlite_profile_rows
+        return sqlite_profile_rows(self, uid)

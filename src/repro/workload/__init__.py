@@ -16,7 +16,8 @@ Loading (:mod:`repro.workload.loader`)
     the database's :class:`~repro.sqldb.events.DataMutation` subscribers
     with pre-/post-image joined rows (the serving layer's update path).
     :func:`load_profiles` / :func:`read_profiles` — preference staging
-    tables round-trip.
+    tables round-trip; :func:`profile_rows` — one user's staged rows as
+    plain tuples (what a serving cold read builds from).
     :func:`build_workload_database` — generate + load in one call.
 
 Extraction (:mod:`repro.workload.extraction`)
@@ -61,6 +62,7 @@ from .loader import (
     delete_papers,
     load_dataset,
     load_profiles,
+    profile_rows,
     read_profiles,
     update_papers,
 )
@@ -100,6 +102,7 @@ __all__ = [
     "generate_workload",
     "load_dataset",
     "load_profiles",
+    "profile_rows",
     "read_profiles",
     "synthetic_profile_factory",
     "update_papers",

@@ -32,6 +32,10 @@ from ..sqldb.database import Database
 from ..sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED, DataMutation
 from .dblp import DblpConfig, DblpDataset, Paper, generate_dblp
 
+#: One user's staged rows: ``(predicate, intensity)`` quantitative rows and
+#: ``(left, right, intensity)`` qualitative rows, each in pfid order.
+ProfileRows = Tuple[List[Tuple[str, float]], List[Tuple[str, str, float]]]
+
 
 def _joined_rows(papers: Sequence[Paper],
                  paper_authors: Iterable[Tuple[int, int]]) -> List[Mapping[str, Any]]:
@@ -131,6 +135,18 @@ def load_profiles(db: Any, registry: ProfileRegistry) -> Dict[str, int]:
 def read_profiles(db: Any, uids: Optional[Iterable[int]] = None) -> ProfileRegistry:
     """Rebuild a :class:`ProfileRegistry` from the staging tables."""
     return db.read_profiles(uids)
+
+
+def profile_rows(db: Any, uid: int) -> ProfileRows:
+    """One user's staged rows as plain tuples, in insertion (pfid) order:
+    ``([(predicate, intensity)], [(left, right, intensity)])``.
+
+    What a cold read builds from
+    (:meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_rows`): no
+    preference object is made and no text is parsed.  Both lists are empty
+    for a user with nothing staged.  Two statements.
+    """
+    return db.profile_rows(uid)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +372,17 @@ def sqlite_read_profiles(db: Database,
         registry.get_or_create(int(uid)).qualitative.append(QualitativePreference(
             uid=int(uid), left=left, right=right, intensity=float(intensity)))
     return registry
+
+
+def sqlite_profile_rows(db: Database, uid: int) -> ProfileRows:
+    """SQLite body of :func:`profile_rows` (see that front door's contract)."""
+    params = (int(uid),)
+    return (
+        db.query_tuples("SELECT preference, intensity FROM quantitative_pref"
+                        " WHERE uid = ? ORDER BY pfid", params),
+        db.query_tuples("SELECT left_pref, right_pref, intensity"
+                        " FROM qualitative_pref WHERE uid = ? ORDER BY pfid",
+                        params))
 
 
 def build_workload_database(config: Any = DblpConfig(),

@@ -22,6 +22,7 @@ from repro.workload.loader import (
     delete_papers,
     load_dataset,
     load_profiles,
+    profile_rows,
     read_profiles,
     update_papers,
 )
@@ -183,6 +184,35 @@ class TestBackendContract:
         assert len(restored.qualitative) == 1
         assert 999 not in read_profiles(loaded, [999])
 
+    def test_profile_rows_are_one_users_staged_rows(self, loaded):
+        """``profile_rows``: plain tuples of one user, in staging order,
+        canonical text, raw strengths, duplicates kept; empty for an
+        unknown user; two statements either way."""
+        registry = ProfileRegistry()
+        profile = UserProfile(uid=42)
+        profile.add_quantitative("dblp.year>=2005", 0.9)
+        profile.add_quantitative("dblp.venue = 'VLDB'", 0.5)
+        profile.add_quantitative("dblp.year >= 2005", -0.25)
+        profile.add_qualitative("dblp.venue = 'VLDB'", "dblp.venue = 'ICDE'", -0.3)
+        profile.add_qualitative("dblp.venue = 'ICDE'", "dblp.venue = 'ICDE'", 0.5)
+        registry.add(profile)
+        other = registry.get_or_create(7)
+        other.add_quantitative("dblp.venue = 'PODS'", 0.4)
+        load_profiles(loaded, registry)
+        before = loaded.statements_executed
+        rows = profile_rows(loaded, 42)
+        assert loaded.statements_executed - before == 2
+        assert rows == (
+            [("dblp.year >= 2005", 0.9), ("dblp.venue = 'VLDB'", 0.5),
+             ("dblp.year >= 2005", -0.25)],
+            [("dblp.venue = 'VLDB'", "dblp.venue = 'ICDE'", -0.3),
+             ("dblp.venue = 'ICDE'", "dblp.venue = 'ICDE'", 0.5)])
+        assert all(type(row) is tuple for part in rows for row in part)
+        assert profile_rows(loaded, 7) == ([("dblp.venue = 'PODS'", 0.4)], [])
+        before = loaded.statements_executed
+        assert profile_rows(loaded, 999) == ([], [])
+        assert loaded.statements_executed - before == 2
+
     # -- lifecycle / notify-after-close -------------------------------------------
 
     def test_notify_after_close_raises(self, loaded, events):
@@ -201,6 +231,7 @@ class TestBackendContract:
                      lambda: loaded.matching_paper_ids(None),
                      lambda: loaded.table_counts(),
                      lambda: loaded.paper_ids(),
+                     lambda: profile_rows(loaded, 1),
                      lambda: delete_papers(loaded, [1])):
             with pytest.raises(RelationalError):
                 call()

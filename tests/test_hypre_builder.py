@@ -127,6 +127,25 @@ class TestQualitativeInsertion:
         right_value = hypre.intensity_of(hypre.find_node_id(1, "a = 2"))
         assert left_value >= right_value
 
+    @pytest.mark.parametrize("connected", ["left", "right"])
+    def test_incompatible_nodes_with_one_side_connected_get_repaired(self, connected):
+        """The endpoint with no other PREFERS edge is the one recomputed."""
+        builder = make_builder()
+        builder.add_quantitative(QuantitativePreference(1, "a = 1", 0.2))
+        builder.add_quantitative(QuantitativePreference(1, "a = 2", 0.9))
+        if connected == "left":
+            builder.add_qualitative(QualitativePreference(1, "a = 1", "a = 0", 0.1))
+        else:
+            builder.add_qualitative(QualitativePreference(1, "a = 3", "a = 2", 0.1))
+        report = builder.add_qualitative(QualitativePreference(1, "a = 1", "a = 2", 0.5))
+        assert (report.qualitative_edges, report.intensities_recomputed) == (1, 1)
+        hypre = builder.hypre
+        left, right = hypre.find_node_id(1, "a = 1"), hypre.find_node_id(1, "a = 2")
+        kept, recomputed = (left, right) if connected == "left" else (right, left)
+        assert hypre.intensity_source(kept) == SOURCE_USER
+        assert hypre.intensity_source(recomputed) == SOURCE_COMPUTED
+        assert hypre.intensity_of(left) >= hypre.intensity_of(right)
+
     def test_incompatible_connected_nodes_get_discarded(self):
         builder = make_builder()
         # Build a chain so that both endpoints of the conflicting edge are
@@ -240,6 +259,10 @@ class TestConflictHelpers:
         a, _ = hypre.create_or_return_node(1, "a = 1", 0.2)
         b, _ = hypre.create_or_return_node(1, "a = 2", 0.9)
         assert classify_edge(hypre, a, b).kind is ConflictKind.NONE
+        c, _ = hypre.create_or_return_node(1, "a = 3", 0.1)
+        hypre.add_prefers_edge(a, c, 0.1)
+        assert classify_edge(hypre, a, b).kind is ConflictKind.NONE
+        assert classify_edge(hypre, b, c).kind is ConflictKind.NONE
 
     def test_report_merge_accumulates(self, dblp_profile):
         builder = make_builder()

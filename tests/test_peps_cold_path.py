@@ -509,7 +509,7 @@ def test_a_second_cold_read_renders_no_predicate(monkeypatch):
             expected = first.top_k(uid, 10).ranking
         literals = count_calls(monkeypatch, predicate_module, "_sql_literal")
         reports = count_calls(monkeypatch, builder_module, "BuildReport")
-        builds = count_calls(monkeypatch, HypreGraphBuilder, "build_profile")
+        builds = count_calls(monkeypatch, HypreGraphBuilder, "build_rows")
         with TopKServer(db) as second:
             result = second.top_k(uid, 10)
             fetched = second.sessions.runner.queries_executed

@@ -235,7 +235,7 @@ def test_storage_backend_members_are_pinned():
         "table_counts",
         "workload_shape", "paper_ids", "max_paper_id", "max_author_id",
         "load_dataset", "append_papers", "delete_papers", "update_papers",
-        "load_profiles", "read_profiles",
+        "load_profiles", "read_profiles", "profile_rows",
     ])
     for engine in (StorageBackend, Database, MemoryBackend):
         assert list(inspect.signature(engine.count_many).parameters) == [
