@@ -22,7 +22,8 @@ Public API
     returns per-request metrics (cache hit, SQL statements, latency), and
     every data mutation runs one pipeline.
 :class:`ServeResult` / :class:`UpdateReport` / :class:`DataMutationReport`
-    The per-request metrics records.
+    The per-request metrics records: ``ServeResult`` is a named tuple (the
+    one record a warm hit builds), the two write reports frozen dataclasses.
 :class:`SessionRegistry`
     The cold read's build path — staging tables → HYPRE graph → one PEPS
     over its positive preferences — and the id-list memo every build

@@ -382,9 +382,9 @@ class Uncached:
         statements_before = self.db.statements_executed
         ranking = tuple(tuple(entry) for entry in fresh_top_k(self.db, uid, k))
         return ServeResult(
-            uid=uid, k=k, ranking=ranking, cache_hit=False,
-            sql_statements=self.db.statements_executed - statements_before,
-            seconds=time.perf_counter() - start)
+            uid, k, ranking, False,
+            self.db.statements_executed - statements_before,
+            time.perf_counter() - start)
 
     def update_profile(self, uid: int, profile: UserProfile) -> Dict[str, int]:
         registry = ProfileRegistry()

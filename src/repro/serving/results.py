@@ -319,15 +319,19 @@ class ResultCache:
             return self._epoch
 
     def get(self, uid: int, k: int) -> Optional[CachedResult]:
-        """The cached answer for ``(uid, k)``, counting hit/miss."""
+        """The cached answer for ``(uid, k)``, counting hit/miss.
+
+        A server's warm read is this call and nothing else, so a hit is
+        what counts it (``serving.server.reads`` / ``read_hits``); the
+        server's span, not this call, says whether the read hit.
+        """
         with self._lock:
             entry = self._entries.get((uid, k))
             if entry is None:
                 self.misses += 1
             else:
                 self.hits += 1
-        annotate("result_cache", "miss" if entry is None else "hit")
-        return entry
+            return entry
 
     def peek(self, uid: int, k: int) -> Optional[CachedResult]:
         """The cached answer without touching the statistics."""

@@ -196,7 +196,9 @@ class _NullSpan:
         return None
 
 
-_NULL_SPAN = _NullSpan()
+#: The one no-op span: :func:`span` returns it whenever no span is open, so
+#: a caller can tell an untraced request by identity.
+NULL_SPAN = _NullSpan()
 
 
 def current_span() -> Optional[Span]:
@@ -213,7 +215,7 @@ def span(name: str, db: Any = None):
     never need a telemetry object or an enabled/disabled flag.
     """
     if _CURRENT_SPAN.get() is None:
-        return _NULL_SPAN
+        return NULL_SPAN
     return Span(name, db=db)
 
 

@@ -137,6 +137,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.reports = []  # data-mutation reports since the last check
         self.fresh = {}    # uid -> fresh_top_k, until the next write
         self.exported = {}  # the server's metrics() at the last check
+        self.reads = [0, 0]  # top_k calls completed / served warm, this server
 
     def teardown(self):
         self.server.close()
@@ -149,9 +150,14 @@ class ServerMachine(RuleBasedStateMachine):
             self.fresh.clear()
         outcome = apply_op(self.server, op)
         if op.kind == READ:
+            self.count_read(outcome)
             self.served.append((op.uid, list(outcome.ranking)))
         elif op.kind != UPDATE:
             self.reports.append(outcome)
+
+    def count_read(self, result):
+        self.reads[0] += 1
+        self.reads[1] += result.cache_hit
 
     def pick_pids(self, picks, hot):
         """Live pids by index — ``hot``: among the pids cached answers
@@ -236,6 +242,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.server.close()
         self.server = TopKServer(self.db)
         self.exported = {}
+        self.reads = [0, 0]
 
     # -- the five profile-update shapes --------------------------------------
 
@@ -362,6 +369,7 @@ class ServerMachine(RuleBasedStateMachine):
         start_and_join([threading.Thread(
             target=lambda: outcome.update(read=self.server.top_k(other, K)),
             name="read-after-fault", daemon=True)])
+        self.count_read(outcome["read"])
         self.served.append((other, list(outcome["read"].ranking)))
 
     # -- invariants ----------------------------------------------------------
@@ -409,8 +417,12 @@ class ServerMachine(RuleBasedStateMachine):
     def no_exported_counter_decreases(self):
         """Every exported name but the ``*.entries`` gauges is a counter:
         a fault that makes the server forget its caches must not rewind
-        one."""
+        one.  ``serving.server.reads`` / ``read_hits``, derived from the
+        result cache's ``hits``, count exactly the completed ``top_k``
+        calls and the warm ones among them."""
         metrics = self.server.metrics()
+        assert [metrics["serving.server.reads"],
+                metrics["serving.server.read_hits"]] == self.reads
         rewound = {name: (before, metrics.get(name, 0))
                    for name, before in self.exported.items()
                    if not name.endswith(".entries")

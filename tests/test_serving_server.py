@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
+from test_loadgen_concurrency import start_and_join
 
 from repro.backend import BACKEND_NAMES, create_backend
 from repro.core.predicate import Condition
@@ -12,10 +15,13 @@ from repro.core.preference import UserProfile
 from repro.exceptions import RelationalError, ServingError, UnknownUserError
 from repro.serving import TopKServer, fresh_top_k
 from repro.sqldb.database import Database
+from repro.telemetry import Span, Telemetry
 from repro.workload.dblp import DblpConfig, Paper, generate_dblp
 from repro.workload.loader import load_dataset
 
 VENUES = ("VLDB", "SIGMOD", "PVLDB", "ICDE", "PODS", "CIKM")
+#: Warm reads per thread of the counter-tearing stress test.
+WARM_READS = 2000
 
 
 def make_profile(uid: int) -> UserProfile:
@@ -94,6 +100,93 @@ class TestReads:
         result = server.top_k(1, 3)
         assert not result.cache_hit
         assert len(result.ranking) == 3
+
+
+class CountingLock:
+    """A lock wrapper that counts acquisitions, however they are made."""
+
+    def __init__(self, lock) -> None:
+        self._lock = lock
+        self.acquisitions = 0
+
+    def acquire(self, *args, **kwargs):
+        self.acquisitions += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
+class YieldingLock(CountingLock):
+    """Gives the interpreter away before each acquisition, widening any
+    window between two reads of a live counter around it."""
+
+    def acquire(self, *args, **kwargs):
+        time.sleep(0)
+        return super().acquire(*args, **kwargs)
+
+
+class TestWarmHit:
+    """A warm hit is one result-cache lookup plus one immutable record."""
+
+    READS = 50
+
+    def test_untraced_hit_takes_one_lock_and_opens_no_span(self, server,
+                                                           monkeypatch):
+        server.top_k(1, 5)
+        locks = {"result-cache": (server.results, "_lock"),
+                 "server": (server, "_lock"),
+                 "stats": (server, "_stats_lock")}
+        for name, (owner, attribute) in locks.items():
+            counting = CountingLock(getattr(owner, attribute))
+            monkeypatch.setattr(owner, attribute, counting)
+            locks[name] = counting
+        opened = []
+        init = Span.__init__
+
+        def counting_init(span, *args, **kwargs):
+            opened.append(args)
+            init(span, *args, **kwargs)
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        for _ in range(self.READS):
+            assert server.top_k(1, 5).cache_hit
+        assert {name: lock.acquisitions for name, lock in locks.items()} == {
+            "result-cache": self.READS, "server": 0, "stats": 0}
+        assert opened == []
+
+    def test_serve_result_is_an_immutable_tuple(self, server):
+        result = server.top_k(1, 5)
+        assert isinstance(result, tuple)
+        with pytest.raises(AttributeError):
+            result.cache_hit = True
+        assert result.as_dict() == {
+            "uid": 1, "k": 5, "ranking": [list(entry) for entry in result.ranking],
+            "cache_hit": False, "sql_statements": result.sql_statements,
+            "seconds": result.seconds}
+
+    def test_traced_hit_records_one_childless_root(self, server):
+        telemetry = Telemetry()
+        telemetry.observe(server)
+        server.top_k(1, 5)
+        telemetry.traces.clear()
+        for _ in range(self.READS):
+            assert server.top_k(1, 5).cache_hit
+        records = telemetry.traces.snapshot()
+        assert len(records) == self.READS
+        for record in records:
+            assert record.name == "server.top_k"
+            assert record.children == ()
+            assert record.annotations == (("uid", 1), ("cache_hit", True))
+        # The adopted histogram still records every read, cold one included.
+        latency = telemetry.registry.histogram("serving.server.read_latency")
+        assert latency.count == self.READS + 1
 
 
 class TestProfileUpdates:
@@ -430,6 +523,82 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert not errors
+
+    def test_read_counters_never_tear(self, server):
+        """``reads`` / ``read_hits`` derive from the result cache's live
+        ``hits``.  Every snapshot taken beside two warm readers and a
+        thread doing cold reads and mutations keeps ``read_hits <= reads``
+        and never rewinds either; at the end each equals what the
+        completed ``top_k`` calls say."""
+        server.top_k(1, 5)
+        server.top_k(2, 5)
+        server._stats_lock = YieldingLock(server._stats_lock)
+        before = server.metrics()
+        served = []  # (reads, hits) per reading thread
+        torn = []
+        errors = []
+
+        def reading(body):
+            def run():
+                try:
+                    served.append(body())
+                except Exception as exc:  # pragma: no cover - failure signal
+                    errors.append(exc)
+            return run
+
+        churned = threading.Event()
+
+        def warm(uid):
+            reads = hits = 0
+            while reads < WARM_READS or not churned.is_set():
+                hits += server.top_k(uid, 5).cache_hit
+                reads += 1
+            return reads, hits
+
+        def churn():
+            pid = server.db.max_paper_id()
+            reads = hits = 0
+            try:
+                for step in range(15):
+                    server.update_profile(3, make_profile(3))
+                    hits += server.top_k(3, 5).cache_hit
+                    reads += 1
+                    pid += 1
+                    server.insert_tuples([Paper(
+                        pid=pid, title="", venue=VENUES[step % len(VENUES)],
+                        year=2008, abstract="")])
+            finally:
+                churned.set()
+            return reads, hits
+
+        workers = [threading.Thread(target=reading(lambda: warm(1))),
+                   threading.Thread(target=reading(lambda: warm(2))),
+                   threading.Thread(target=reading(churn))]
+
+        def watch():
+            last = (0, 0)
+            running = True
+            while running:
+                running = any(worker.is_alive() for worker in workers)
+                metrics = server.metrics()
+                now = (metrics["serving.server.reads"],
+                       metrics["serving.server.read_hits"])
+                if now[1] > now[0] or now[0] < last[0] or now[1] < last[1]:
+                    torn.append((last, now))
+                last = now
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            start_and_join(workers + [threading.Thread(target=watch)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not torn, (errors, torn[:3])
+        after = server.metrics()
+        assert after["serving.server.reads"] == server.reads == (
+            before["serving.server.reads"] + sum(r for r, _ in served))
+        assert after["serving.server.read_hits"] == server.read_hits == (
+            before["serving.server.read_hits"] + sum(h for _, h in served))
 
     def test_metrics_snapshot_shape(self, server):
         locked_before = server.metrics()["serving.server.stripe_acquisitions"]
