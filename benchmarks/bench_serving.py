@@ -18,9 +18,11 @@ The printed report and the assertions cover the acceptance criteria:
     drop a strict subset of a multi-entry cache, and each kind spares
     entries across the replay (spared count > 0, never a blanket flush);
 (c) the end-to-end replay issues strictly fewer SQL statements than the
-    no-cache baseline.
+    no-cache baseline;
+(d) the server's per-kind mutation counters equal the ops the replay
+    applied of each kind.
 
-(c) compares the two runner reports.  (a) and (b) are per-request claims,
+(c) and (d) compare the two runner reports.  (a) and (b) are per-request claims,
 so a third, identical world steps the same one-worker op list through
 :func:`repro.serving.apply_op` and keeps each read's
 :class:`~repro.serving.ServeResult` and each mutation's
@@ -39,6 +41,7 @@ from itertools import islice
 from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
 from repro.serving import (MUTATION_KINDS, READ, TopKServer, Uncached,
                            apply_op, build_streams)
+from repro.serving.ops import ZIPF_EXPONENT
 
 from bench_utils import run_once
 
@@ -87,13 +90,23 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
 
     reporting.print_report(
         f"Serving replay — {USERS} users, {REPLAY.requests} requests "
-        f"(Zipf {REPLAY.mix.zipf_exponent})",
+        f"(Zipf {ZIPF_EXPONENT})",
         reporting.format_table([
             {"arm": label, **arm.kind_counts, "read_hits": arm.read_hits,
              "sql_statements": arm.sql_statements,
              "seconds": f"{arm.duration_seconds:.3f}"}
             for label, arm in (("serving", serving),
-                               ("baseline", baseline))]))
+                               ("baseline", baseline))])
+        + f"\nbuilds: {metrics['serving.sessions.sessions_built']}; "
+          f"result cache: {metrics['serving.results.hits']} hits, "
+          f"{metrics['serving.results.data_invalidations']} data-invalidated, "
+          f"{metrics['serving.results.data_spared']} spared"
+        + f"\nmutations: {metrics['serving.server.inserts']} inserts, "
+          f"{metrics['serving.server.deletes']} deletes, "
+          f"{metrics['serving.server.tuple_updates']} in-place updates"
+        + f"\nSQL statements saved vs no-cache baseline: "
+          f"{baseline.sql_statements - serving.sql_statements} "
+          f"({baseline.sql_statements} -> {serving.sql_statements})")
     reporting.print_report(
         "Result-cache behaviour under data mutations",
         reporting.format_table([
@@ -139,6 +152,11 @@ def test_serving_replay_beats_no_cache_baseline(benchmark):
     # (c) End to end, the serving engine does strictly less SQL work than
     # ad-hoc recomputation over the identical schedule.
     assert serving.sql_statements < baseline.sql_statements
+
+    # (d) The per-kind mutation counters match the replay's op counts.
+    assert [metrics[f"serving.server.{counter}"]
+            for counter in ("inserts", "deletes", "tuple_updates")] == [
+        serving.kind_counts[kind] for kind in MUTATION_KINDS]
 
     # Serving counts no predicate: every cold read is the fold over id
     # lists from the one shared memo.

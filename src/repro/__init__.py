@@ -68,9 +68,8 @@ Serving engine (:mod:`repro.serving`)
     :class:`ResultCache` — materialised Top-K answers, invalidated by
     profile events and selectively by data mutations (insert/delete/update).
     :class:`OpMix` / :func:`apply_op` — the one op vocabulary
-    (:mod:`repro.serving.ops`): the relative weights, skew and mutation
-    targeting of a run (``OpMix.named("hot-keys")`` for a hostile one), and
-    the single dispatcher that applies a generated op to a server or an
+    (:mod:`repro.serving.ops`): the relative op weights of a run, and the
+    single dispatcher that applies a generated op to a server or an
     uncached world (:class:`repro.loadgen.LoadGenerator` runs the streams,
     serially or from N threads).
     :func:`fresh_top_k` — from-scratch recomputation (the serving oracle).

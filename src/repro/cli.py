@@ -7,13 +7,9 @@ Usage::
     python -m repro.cli experiment fig28 --scale small --uid 1
     python -m repro.cli topk --scale tiny --k 10
     python -m repro.cli topk --scale tiny --k 10 --json
-    python -m repro.cli serve-replay --scale tiny --users 50 --requests 300
-    python -m repro.cli serve-replay --scale tiny --family synthetic --mix hot-keys
     python -m repro.cli load --scale tiny --threads 2 --duration 2
-    python -m repro.cli load --scale tiny --family synthetic --mix delete-churn
     python -m repro.cli load --scale tiny --threads 4 --qps 500
     python -m repro.cli load --scale tiny --output BENCH_loadgen.json
-    python -m repro.cli serve-replay --scale tiny --telemetry --json
     python -m repro.cli load --scale tiny --telemetry --json
     python -m repro.cli stats --scale tiny --json
     python -m repro.cli stats --scale tiny --prometheus
@@ -21,13 +17,11 @@ Usage::
 ``list`` prints every available experiment; ``experiment`` regenerates one
 table/figure and prints the same rows the benchmark harness reports; ``topk``
 runs a personalised Top-K query for one user of the synthetic workload and
-prints the statistics of its pairwise-combination index;
-``serve-replay`` drives the multi-user serving engine of :mod:`repro.serving`
-with a deterministic Zipf-skewed request mix — Top-K reads, profile updates
-and the full tuple-mutation spectrum (inserts, deletes, in-place updates)
-in the benign default mix or a named ``--mix`` — and compares it against
-the no-cache baseline; ``load`` drives the concurrent load harness of
-:mod:`repro.loadgen` — N worker threads, closed-loop at saturation or
+prints the statistics of its pairwise-combination index; ``load`` drives the
+multi-user serving engine of :mod:`repro.serving` through the concurrent
+load harness of :mod:`repro.loadgen` — N worker threads applying a
+deterministic Zipf-skewed mix of Top-K reads, profile updates and tuple
+inserts, deletes and in-place updates, closed-loop at saturation or
 open-loop against ``--qps``, with a background equivalence audit — and
 reports latency SLOs (p50/p95/p99), throughput and per-lock contention
 (``--output FILE`` additionally persists the schema-versioned
@@ -37,10 +31,10 @@ metrics registry and instrumented locks) and prints the schema-versioned
 JSON snapshot (default / ``--json``) or the Prometheus text exposition
 (``--prometheus``), with every layer — serving counters, cache behaviour,
 lock contention and backend statement accounting — under one naming
-scheme.  ``--telemetry`` on ``serve-replay``/``load`` attaches the same
-observability to those runs and adds the snapshot to their reports.
-``--json`` on ``topk``/``serve-replay``/``load`` switches the
-output to machine-readable JSON.  Every command's workload lives in SQLite
+scheme.  ``--telemetry`` on ``load`` attaches the same observability to
+the run and adds the snapshot to its report.  ``--json`` on
+``topk``/``load`` switches the output to machine-readable JSON.  Every
+command's workload lives in SQLite
 (:class:`~repro.sqldb.database.Database`); no flag picks another engine.
 """
 
@@ -49,55 +43,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from .algorithms import PEPSAlgorithm
 from .experiments import figures, reporting
 from .experiments.context import SCALES, ExperimentContext
 from .loadgen import (LoadConfig, LoadGenerator, LoadReport, build_world,
                       loadgen_payload, write_bench_json)
-from .serving import MIXES, OpMix, TopKServer, Uncached
+from .serving import TopKServer
 from .telemetry import Telemetry, prometheus_text
-from .workload.synthetic import SYNTHETIC_SCALES, synthetic_profile_factory
-
-#: Workload families the serving/load commands can build their world from.
-WORKLOAD_FAMILIES = ("dblp", "synthetic")
 
 
-def _resolve_workload(family: str, scale: str):
-    """``(workload_config, profile_factory)`` of one family at one scale.
-
-    The DBLP family replays with the default venue/year profiles
-    (:func:`~repro.loadgen.initial_profile`); the synthetic family swaps in
-    :func:`~repro.workload.synthetic.synthetic_profile_factory` so replay
-    profiles also exercise the generated extra attributes.
-    """
-    if family not in WORKLOAD_FAMILIES:
-        raise ValueError(f"unknown workload family {family!r}; "
-                         f"pick one of {sorted(WORKLOAD_FAMILIES)}")
-    scales = SYNTHETIC_SCALES if family == "synthetic" else SCALES
-    if scale not in scales:
-        raise ValueError(f"unknown scale {scale!r}; pick one of {sorted(scales)}")
-    config = scales[scale]
-    if family == "synthetic":
-        return config, synthetic_profile_factory(config)
-    return config, None
-
-
-def _run_world(config: LoadConfig, workload_config: Any, users: int,
-               profile_factory: Any = None, cached: bool = True,
+def _run_world(config: LoadConfig, scale: str, users: int,
                telemetry: Optional[Telemetry] = None) -> LoadReport:
-    """One run over a fresh world, closed afterwards: through a
-    :class:`~repro.serving.TopKServer`, or — not ``cached`` — the
-    :class:`~repro.serving.Uncached` baseline arm."""
-    db = build_world(workload_config, users, profile_factory)
+    """One run through a :class:`~repro.serving.TopKServer` over a fresh
+    world of the DBLP workload at ``scale``, closed afterwards."""
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r}; pick one of {sorted(SCALES)}")
+    db = build_world(SCALES[scale], users)
     try:
-        if not cached:
-            return LoadGenerator(config).run(Uncached(db))
         with TopKServer(db) as server:
             return LoadGenerator(config).run(server, telemetry=telemetry)
     finally:
         db.close()
+
 
 #: Experiment name -> (description, needs a uid argument).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -233,105 +202,6 @@ def run_topk(scale: str, k: int, uid: Optional[int] = None,
         ctx.close()
 
 
-def _arm(report: LoadReport) -> Dict[str, Any]:
-    """One replay arm's JSON record (the telemetry snapshot is reported
-    once, at the top level)."""
-    return {key: value for key, value in report.as_dict().items()
-            if key != "telemetry"}
-
-
-def run_serve_replay(scale: str = "tiny",
-                     users: int = 50,
-                     requests: int = 300,
-                     k: int = 5,
-                     seed: int = 17,
-                     baseline: bool = True,
-                     as_json: bool = False,
-                     telemetry: bool = False,
-                     family: str = "dblp",
-                     mix: Optional[str] = None) -> str:
-    """Replay a deterministic multi-user workload through the serving engine.
-
-    Builds one world per arm (identical datasets and schedules), runs the
-    :class:`~repro.serving.TopKServer` arm and — unless ``baseline`` is
-    disabled — the no-cache baseline arm, and reports request counters,
-    SQL statements and cache behaviour side by side.  The benign default
-    :class:`~repro.serving.OpMix` draws all five op kinds (reads, profile
-    updates, tuple inserts/deletes/in-place updates).  ``telemetry``
-    attaches a :class:`~repro.telemetry.Telemetry` (request tracing,
-    unified metrics, instrumented locks) to the serving arm and reports its
-    end-of-run snapshot alongside the arm comparison.
-    ``family`` picks the workload family the world is generated from
-    (``dblp`` / ``synthetic``); ``mix`` replaces the default with a named
-    adversarial mix from :data:`~repro.serving.MIXES` (hot-key
-    mutation storms, delete-heavy churn, profile thrash, repair-boundary
-    updates).
-    """
-    workload_config, profile_factory = _resolve_workload(family, scale)
-    # A serial replay: one worker, an op budget, no audit.
-    config = LoadConfig(threads=1, requests=requests, mix=OpMix.named(mix),
-                        k=k, seed=seed, audit_interval=None)
-    serving_report = _run_world(
-        config, workload_config, users, profile_factory,
-        telemetry=Telemetry() if telemetry else None)
-    metrics = serving_report.server_stats
-    snapshot = serving_report.telemetry or None
-    baseline_report = (_run_world(config, workload_config, users,
-                                  profile_factory, cached=False)
-                       if baseline else None)
-
-    # The per-kind mutation counters the server tracks (inserts, deletes,
-    # in-place tuple updates), surfaced explicitly in both output modes.
-    mutations = {kind: metrics[f"serving.server.{kind}"]
-                 for kind in ("inserts", "deletes", "tuple_updates")}
-
-    if as_json:
-        payload: Dict[str, Any] = {
-            "config": {"scale": scale, "users": users, "requests": requests,
-                       "k": k, "seed": seed, "family": family,
-                       "mix": mix},
-            "serving": _arm(serving_report),
-            "baseline": _arm(baseline_report) if baseline_report else None,
-            "server": metrics,
-            "mutations": mutations,
-            "telemetry": snapshot,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    arms = {"serving": serving_report}
-    if baseline_report is not None:
-        arms["baseline"] = baseline_report
-    table = reporting.format_table([
-        {"arm": label, "ops": arm.ops, **arm.kind_counts,
-         "read_hits": arm.read_hits, "sql_statements": arm.sql_statements,
-         "seconds": f"{arm.duration_seconds:.3f}"}
-        for label, arm in arms.items()])
-    lines = [f"Serve-replay ({users} users, {requests} requests, "
-             f"k={k}, scale={scale}, family={family}"
-             + (f", mix={mix}" if mix else "") + ")", table]
-    lines.append(
-        f"builds: {metrics['serving.sessions.sessions_built']}; result cache: "
-        f"{metrics['serving.results.hits']} hits, "
-        f"{metrics['serving.results.data_invalidations']} "
-        f"data-invalidated, {metrics['serving.results.data_spared']} spared")
-    lines.append(
-        f"mutations: {mutations['inserts']} inserts, "
-        f"{mutations['deletes']} deletes, "
-        f"{mutations['tuple_updates']} in-place updates")
-    if baseline_report is not None:
-        saved = baseline_report.sql_statements - serving_report.sql_statements
-        lines.append(f"SQL statements saved vs no-cache baseline: {saved} "
-                     f"({baseline_report.sql_statements} -> "
-                     f"{serving_report.sql_statements})")
-    if snapshot is not None:
-        traces = snapshot["traces"]["buffer"]
-        lines.append(
-            f"telemetry: {len(snapshot['metrics'])} metrics, "
-            f"{traces['recorded']} traces recorded "
-            f"({traces['slow_recorded']} slow)")
-    return "\n".join(lines)
-
-
 def run_load(scale: str = "tiny",
              users: int = 50,
              threads: int = 2,
@@ -342,9 +212,7 @@ def run_load(scale: str = "tiny",
              audit_interval: Optional[float] = 0.5,
              output: Optional[str] = None,
              as_json: bool = False,
-             telemetry: bool = False,
-             family: str = "dblp",
-             mix: Optional[str] = None) -> str:
+             telemetry: bool = False) -> str:
     """Drive the concurrent load harness against a live serving instance.
 
     Builds one world (``users`` synthetic profiles, persisted up front),
@@ -357,23 +225,18 @@ def run_load(scale: str = "tiny",
     the schema-versioned ``BENCH_loadgen.json`` document for the run.
     ``telemetry`` runs under a :class:`~repro.telemetry.Telemetry`, so the
     report (and the persisted document) carries the unified metrics/trace
-    snapshot for the run.  ``family`` picks the workload family
-    (``dblp`` / ``synthetic``); ``mix`` swaps the benign default
-    :class:`~repro.serving.OpMix` for a named adversarial one (via
-    :meth:`~repro.serving.OpMix.named`), including its hot/boundary
-    mutation targeting and base-relation churn behaviour.
+    snapshot for the run.  Every run draws the benign default
+    :class:`~repro.serving.OpMix`.
     """
-    workload_config, profile_factory = _resolve_workload(family, scale)
     config = LoadConfig(threads=threads, duration_seconds=duration,
-                        target_qps=qps, mix=OpMix.named(mix), k=k,
-                        seed=seed, audit_interval=audit_interval or None)
-    report = _run_world(config, workload_config, users, profile_factory,
+                        target_qps=qps, k=k, seed=seed,
+                        audit_interval=audit_interval or None)
+    report = _run_world(config, scale, users,
                         telemetry=Telemetry() if telemetry else None)
 
     run_record = report.as_dict()
     config_record = {"scale": scale, "users": users, "threads": threads,
                      "duration_seconds": duration, "target_qps": qps,
-                     "family": family, "mix": mix,
                      "seed": seed, "k": k,
                      "audit_interval": audit_interval}
     if output:
@@ -387,8 +250,7 @@ def run_load(scale: str = "tiny",
     latency = report.latency
     lines = [
         f"Load run ({report.mode} loop, {report.threads} threads"
-        f", {report.duration_seconds:.2f}s, scale={scale}, family={family}"
-        + (f", mix={mix}" if mix else "") + ")",
+        f", {report.duration_seconds:.2f}s, scale={scale})",
         f"ops: {report.ops} "
         f"({report.throughput_ops_per_sec:.0f} ops/sec"
         + (f", target {qps:.0f} QPS, {report.late_starts} late starts)"
@@ -440,10 +302,9 @@ def run_stats(scale: str = "tiny",
     in the slow-trace capture, so the snapshot attributes their latency
     span by span.
     """
-    workload_config, _ = _resolve_workload("dblp", scale)
     config = LoadConfig(threads=1, requests=requests, k=k, seed=seed,
                         audit_interval=None)
-    report = _run_world(config, workload_config, users,
+    report = _run_world(config, scale, users,
                         telemetry=Telemetry(slow_threshold=slow_ms / 1000.0))
     if prometheus:
         return prometheus_text(report.telemetry["metrics"])
@@ -481,14 +342,7 @@ def _population_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=17)
 
 
-def _workload_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", default="dblp",
-                        choices=sorted(WORKLOAD_FAMILIES),
-                        help="workload family the world is generated from")
-    parser.add_argument("--mix", default=None, choices=sorted(MIXES),
-                        help="drive a named adversarial mix instead of the "
-                             "benign default (hot-key storms, delete churn, "
-                             "profile thrash, repair-boundary updates)")
+def _telemetry_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry", action="store_true",
                         help="run under request tracing, the unified metrics "
                              "registry and lock instrumentation, and report "
@@ -527,20 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     topk.set_defaults(k=10)
     topk.add_argument("--uid", type=int, default=None)
 
-    replay = subparsers.add_parser(
-        "serve-replay",
-        parents=[_options(_scale_option, _query_options, _json_option,
-                          _population_options, _workload_options)],
-        help="replay a Zipf multi-user workload through the serving engine")
-    replay.add_argument("--requests", type=int, default=300,
-                        help="number of operations in the replay schedule")
-    replay.add_argument("--no-baseline", action="store_true",
-                        help="skip the no-cache baseline arm")
-
     load = subparsers.add_parser(
         "load",
         parents=[_options(_scale_option, _query_options, _json_option,
-                          _population_options, _workload_options)],
+                          _population_options, _telemetry_option)],
         help="hammer a live server with concurrent threads and report SLOs")
     load.add_argument("--threads", type=int, default=2,
                       help="number of load-generator worker threads")
@@ -590,9 +434,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(run_experiment(**options))
         elif command == "topk":
             print(run_topk(**options))
-        elif command == "serve-replay":
-            options["baseline"] = not options.pop("no_baseline")
-            print(run_serve_replay(**options))
         elif command == "load":
             print(run_load(**options))
         elif command == "stats":

@@ -5,16 +5,15 @@ the :class:`~repro.serving.Uncached` no-serving-layer arm) with worker
 threads applying deterministic Zipf-skewed mixes of Top-K reads and
 profile/tuple mutations, and reports tail latency, throughput, the SQL the
 ops issued, per-lock contention and a correctness audit.  A serial replay
-is the one-worker run with an op budget; the ``serve-replay``, ``load`` and
-``stats`` commands of ``python -m repro.cli`` all run through it, and load
-numbers land in ``BENCH_loadgen.json`` (see ``docs/LOADGEN.md``).
+is the one-worker run with an op budget; the ``load`` and ``stats``
+commands of ``python -m repro.cli`` run through it, and load numbers land
+in ``BENCH_loadgen.json`` (see ``docs/LOADGEN.md``).
 
 Public API
 ----------
 :func:`build_world` / :func:`load_population` / :func:`population` / :func:`initial_profile`
-    The world a run drives: a generated workload in a fresh backend plus
-    one persisted profile per population uid (``initial_profile`` is the
-    default shape; a ``profile_factory`` replaces it).
+    The world a run drives: a generated DBLP workload in a fresh backend
+    plus one persisted ``initial_profile`` per population uid.
 :class:`LoadGenerator`
     Drives one run: spawns the workers (closed-loop, or open-loop against a
     target QPS), runs the auditor (in the background, or inline after every
@@ -22,12 +21,12 @@ Public API
 :class:`LoadConfig`
     Shape of a run: ``threads`` / ``duration_seconds`` / ``requests`` (an
     op budget that replaces the duration) / ``target_qps`` (``None`` =
-    closed loop) / ``mix`` (an :class:`~repro.serving.OpMix`;
-    ``OpMix.named("hot-keys")`` for a hostile one) / ``k`` / ``seed`` /
-    audit cadence (``audit_interval=0``: inline, one worker only).  Each
-    worker consumes one :class:`~repro.serving.OpStream` built by
-    :func:`~repro.serving.build_streams` — the op vocabulary, mixes and
-    generator are the serving package's (:mod:`repro.serving.ops`).
+    closed loop) / ``mix`` (an :class:`~repro.serving.OpMix` of five
+    weights) / ``k`` / ``seed`` / audit cadence (``audit_interval=0``:
+    inline, one worker only).  Each worker consumes one
+    :class:`~repro.serving.OpStream` built by
+    :func:`~repro.serving.build_streams` — the op vocabulary and generator
+    are the serving package's (:mod:`repro.serving.ops`).
 :class:`LoadReport`
     The one report: p50/p95/p99 overall and per op kind,
     ``throughput_ops_per_sec``, ``read_hits``, ``sql_statements``,

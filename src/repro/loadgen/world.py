@@ -1,7 +1,6 @@
-"""The world a run drives: one workload relation plus a synthetic population.
+"""The world a run drives: one DBLP relation plus a synthetic population.
 
-Plain functions, no class.  :func:`build_world` generates a workload (any
-family :func:`~repro.workload.synthetic.generate_workload` dispatches on),
+Plain functions, no class.  :func:`build_world` generates a DBLP workload,
 loads it into a fresh SQLite :class:`~repro.sqldb.database.Database` and
 persists one small profile per user of the :func:`population`;
 :func:`load_population` does the last step alone on a world built some
@@ -12,19 +11,15 @@ arm comparable op for op.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..backend.protocol import StorageBackend
 from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError
 from ..serving.ops import venue_predicate
 from ..sqldb.database import Database
+from ..workload.dblp import DblpConfig, generate_dblp
 from ..workload.loader import load_dataset, load_profiles
-from ..workload.synthetic import generate_workload
-
-#: ``(uid, venues, lo, hi) -> UserProfile``: a user's initial profile over
-#: the world's venues and year range.
-ProfileFactory = Callable[[int, Sequence[str], int, int], UserProfile]
 
 #: First population uid (kept clear of extractor-mined profiles).
 UID_BASE = 10_001
@@ -37,7 +32,7 @@ def population(users: int) -> List[int]:
 
 def initial_profile(uid: int, venues: Sequence[str], lo: int,
                     hi: int) -> UserProfile:
-    """The default profile shape: two venue likes plus a narrow year band.
+    """The population's profile shape: two venue likes plus a narrow year band.
 
     Venue choices rotate with the uid so a single inserted paper's venue
     touches only a slice of the population — that is what makes the result
@@ -56,35 +51,25 @@ def initial_profile(uid: int, venues: Sequence[str], lo: int,
     return profile
 
 
-def load_population(db: StorageBackend, users: int,
-                    profile_factory: Optional[ProfileFactory] = None
-                    ) -> ProfileRegistry:
-    """Persist one profile per population user into ``db``'s staging tables.
-
-    ``profile_factory`` replaces :func:`initial_profile` wholesale (the
-    synthetic family passes
-    :func:`~repro.workload.synthetic.synthetic_profile_factory`, whose
-    profiles also carry extra-attribute predicates).
-    """
+def load_population(db: StorageBackend, users: int) -> ProfileRegistry:
+    """Persist one :func:`initial_profile` per population user into ``db``'s
+    staging tables."""
     if users < 1:
         raise ServingError("a world needs at least one user")
     venues, lo, hi = db.workload_shape()
     if not venues:
         raise ServingError("world has no papers loaded")
-    factory = profile_factory or initial_profile
     registry = ProfileRegistry()
     for uid in population(users):
-        registry.add(factory(uid, venues, lo, hi))
+        registry.add(initial_profile(uid, venues, lo, hi))
     load_profiles(db, registry)
     return registry
 
 
-def build_world(workload_config: Any, users: int,
-                profile_factory: Optional[ProfileFactory] = None
-                ) -> Database:
-    """A fresh in-memory SQLite database holding the generated workload
+def build_world(workload_config: DblpConfig, users: int) -> Database:
+    """A fresh in-memory SQLite database holding the generated DBLP workload
     and the population."""
     db = Database()
-    load_dataset(db, generate_workload(workload_config))
-    load_population(db, users, profile_factory)
+    load_dataset(db, generate_dblp(workload_config))
+    load_population(db, users)
     return db

@@ -37,17 +37,14 @@ Public API
     The one operation vocabulary: a frozen op record and its five kinds
     (``OP_KINDS`` lists them, ``MUTATION_KINDS`` groups the data-side
     three).
-:class:`OpMix` / ``MIXES``
-    The five relative op weights, Zipf exponent and mutation-targeting
-    policy of a run (``TARGET_ANY`` / ``TARGET_HOT`` / ``TARGET_BOUNDARY``).
-    ``OpMix()`` is the benign default; ``MIXES`` names the hostile ones
-    (hot-key mutation storms, delete-heavy churn, profile thrash,
-    repair-boundary updates) and ``OpMix.named(name)`` looks one up — the
-    CLI ``--mix`` flags go through it.
-:class:`OpStream` / :func:`build_streams` / :func:`target_pool`
-    The one generator: a deterministic endless op stream over an owned pid
-    namespace.  A serial replay is the one-worker stream owning the whole
-    relation; :func:`build_streams` partitions N for a concurrent run.
+:class:`OpMix`
+    The five relative op weights of a run; ``OpMix()`` is the benign
+    default, and users are drawn Zipf-skewed.
+:class:`OpStream` / :func:`build_streams`
+    The one generator: a deterministic endless op stream in its own pid
+    lane.  A serial replay is the lone stream owning the whole loaded
+    relation; :func:`build_streams` builds N empty-handed ones for a
+    concurrent run.
 :func:`apply_op` / :class:`Uncached`
     ``apply_op(target, op)`` calls the front door an op names and returns
     its result; ``target`` is a :class:`TopKServer` or ``Uncached(db)``,
@@ -62,13 +59,9 @@ from .ops import (
     DATA_UPDATE,
     DELETE,
     INSERT,
-    MIXES,
     MUTATION_KINDS,
     OP_KINDS,
     READ,
-    TARGET_ANY,
-    TARGET_BOUNDARY,
-    TARGET_HOT,
     UPDATE,
     Op,
     OpMix,
@@ -76,7 +69,6 @@ from .ops import (
     Uncached,
     apply_op,
     build_streams,
-    target_pool,
 )
 from .results import CachedResult, ResultCache
 from .server import (
@@ -94,7 +86,6 @@ __all__ = [
     "DELETE",
     "DataMutationReport",
     "INSERT",
-    "MIXES",
     "MUTATION_KINDS",
     "OP_KINDS",
     "Op",
@@ -104,9 +95,6 @@ __all__ = [
     "ResultCache",
     "ServeResult",
     "SessionRegistry",
-    "TARGET_ANY",
-    "TARGET_BOUNDARY",
-    "TARGET_HOT",
     "TopKServer",
     "UPDATE",
     "Uncached",
@@ -114,5 +102,4 @@ __all__ = [
     "apply_op",
     "build_streams",
     "fresh_top_k",
-    "target_pool",
 ]

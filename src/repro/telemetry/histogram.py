@@ -1,9 +1,9 @@
 """Mergeable latency histograms and quantile math.
 
-Born in the load harness (:mod:`repro.loadgen`, which still re-exports the
-whole surface as ``repro.loadgen.stats``), the histogram now lives at the
-telemetry layer so the :class:`~repro.telemetry.MetricsRegistry` can carry
-the same buckets without importing the serving stack.
+Born in the load harness (:mod:`repro.loadgen`), the histogram lives at the
+telemetry layer (import it from :mod:`repro.telemetry`) so the
+:class:`~repro.telemetry.MetricsRegistry` can carry the same buckets
+without importing the serving stack.
 
 :class:`LatencyHistogram` is an HDR-style log-linear histogram over integer
 microseconds: values below ``2**SUB_BUCKET_BITS`` µs land in exact unit-wide

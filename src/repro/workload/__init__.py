@@ -8,6 +8,7 @@ Generation (:mod:`repro.workload.dblp`)
     citation network.
     :func:`generate_dblp` — deterministic synthetic DBLP generator (§6.1).
     :func:`default_dataset` / :func:`small_dataset` — preset scales.
+    :func:`dataset_digest` — the canonical content hash of a dataset.
 
 Loading (:mod:`repro.workload.loader`)
     :func:`load_dataset` — dataset → SQLite workload tables.
@@ -25,19 +26,6 @@ Extraction (:mod:`repro.workload.extraction`)
     :class:`PreferenceExtractor` — citation behaviour → user profiles (§6.2).
     :func:`venue_predicate` / :func:`author_predicate` — predicate shapes.
     :func:`richest_users` — users ordered by preference count (Fig. 17).
-
-Synthetic family (:mod:`repro.workload.synthetic`)
-    :class:`SyntheticConfig` / :class:`AttributeSpec` — schema width, value
-    skew, correlation and cardinality knobs of the second workload family.
-    :func:`generate_synthetic` — the deterministic parametric generator
-    (emits an ordinary :class:`DblpDataset`, so every front door applies).
-    :func:`generate_workload` — config-type dispatch across families.
-    :func:`attribute_specs` / :func:`attribute_values` — the deterministic
-    attribute domains (predicates derive from the config alone).
-    :func:`validate_dataset` / :func:`dataset_digest` — generator
-    invariants and the canonical content hash.
-    :func:`synthetic_profile_factory` — replay profiles exercising the
-    extra attributes; ``SYNTHETIC_SCALES`` the CLI preset scales.
 """
 
 from .dblp import (
@@ -45,6 +33,7 @@ from .dblp import (
     DblpConfig,
     DblpDataset,
     Paper,
+    dataset_digest,
     default_dataset,
     generate_dblp,
     small_dataset,
@@ -66,48 +55,27 @@ from .loader import (
     read_profiles,
     update_papers,
 )
-from .synthetic import (
-    SYNTHETIC_SCALES,
-    AttributeSpec,
-    SyntheticConfig,
-    attribute_specs,
-    attribute_values,
-    dataset_digest,
-    generate_synthetic,
-    generate_workload,
-    synthetic_profile_factory,
-    validate_dataset,
-)
 
 __all__ = [
     "Author",
-    "AttributeSpec",
     "DblpConfig",
     "DblpDataset",
     "ExtractionConfig",
     "Paper",
     "PreferenceExtractor",
-    "SYNTHETIC_SCALES",
-    "SyntheticConfig",
     "append_papers",
-    "attribute_specs",
-    "attribute_values",
     "author_predicate",
     "build_workload_database",
     "dataset_digest",
     "default_dataset",
     "delete_papers",
     "generate_dblp",
-    "generate_synthetic",
-    "generate_workload",
     "load_dataset",
     "load_profiles",
     "profile_rows",
     "read_profiles",
-    "synthetic_profile_factory",
     "update_papers",
     "richest_users",
     "small_dataset",
-    "validate_dataset",
     "venue_predicate",
 ]

@@ -18,6 +18,7 @@ the experiment harness reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -242,6 +243,22 @@ def generate_dblp(config: DblpConfig = DblpConfig()) -> DblpDataset:
                 dataset.citations.append((paper.pid, cited))
 
     return dataset
+
+
+def dataset_digest(dataset: DblpDataset) -> str:
+    """A canonical content hash of every relation of ``dataset``.
+
+    Two datasets are byte-identical exactly when their digests match.
+    """
+    digest = hashlib.sha256()
+    for paper in dataset.papers:
+        digest.update(repr((paper.pid, paper.title, paper.venue, paper.year,
+                            paper.abstract)).encode())
+    for author in dataset.authors:
+        digest.update(repr((author.aid, author.full_name)).encode())
+    digest.update(repr(dataset.paper_authors).encode())
+    digest.update(repr(dataset.citations).encode())
+    return digest.hexdigest()
 
 
 def small_dataset(seed: int = 7) -> DblpDataset:

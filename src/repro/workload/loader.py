@@ -385,18 +385,11 @@ def sqlite_profile_rows(db: Database, uid: int) -> ProfileRows:
                         params))
 
 
-def build_workload_database(config: Any = DblpConfig(),
+def build_workload_database(config: DblpConfig = DblpConfig(),
                             path: str = ":memory:") -> Tuple[Database, DblpDataset]:
-    """Generate a dataset for ``config`` and load it into a fresh SQLite
-    :class:`~repro.sqldb.database.Database` at ``path``.
-
-    ``config`` may belong to any workload family
-    (:class:`~repro.workload.dblp.DblpConfig` or
-    :class:`~repro.workload.synthetic.SyntheticConfig` — dispatch happens
-    in :func:`~repro.workload.synthetic.generate_workload`).
-    """
-    from .synthetic import generate_workload
-    dataset = generate_workload(config)
+    """Generate the DBLP dataset for ``config`` and load it into a fresh
+    SQLite :class:`~repro.sqldb.database.Database` at ``path``."""
+    dataset = generate_dblp(config)
     db = Database(path)
     load_dataset(db, dataset)
     return db, dataset

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -13,7 +14,6 @@ from repro.cli import (
     main,
     run_experiment,
     run_load,
-    run_serve_replay,
     run_topk,
 )
 
@@ -48,51 +48,34 @@ class TestParser:
         args = build_parser().parse_args(["topk", "--json"])
         assert args.as_json is True
 
-    def test_serve_replay_defaults(self):
-        args = build_parser().parse_args(["serve-replay"])
-        assert args.command == "serve-replay"
-        assert args.users == 50
-        assert args.requests == 300
-        assert args.as_json is False
-        assert args.no_baseline is False
-
-    def test_serve_replay_options(self):
-        args = build_parser().parse_args(
-            ["serve-replay", "--users", "20", "--requests", "80",
-             "--no-baseline", "--json"])
-        assert (args.users, args.requests) == (20, 80)
-        assert args.no_baseline and args.as_json
-
     def test_capacity_and_weight_flags(self):
         """Gone: no session is resident, so there is no capacity to bound,
-        and ``--mix`` (default: the benign mix of all five op kinds) is the
-        one way to shape a replay."""
-        for command in ("serve-replay", "load", "stats"):
+        and no flag shapes the op mix: every run draws the benign default
+        of all five op kinds."""
+        for command in ("load", "stats"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--capacity", "8"])
         for kind in ("read", "update", "insert", "delete", "data-update"):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(
-                    ["serve-replay", f"--{kind}-weight", "1"])
+                build_parser().parse_args(["load", f"--{kind}-weight", "1"])
 
     def test_serve_replay_shards_flag(self):
         """Gone with the in-process cluster it partitioned users across."""
-        for command in ("serve-replay", "load", "stats"):
+        for command in ("load", "stats"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--shards", "4"])
 
     def test_backend_flag(self):
         """Gone: SQLite is the one engine a command's world lives on."""
-        for command in ("topk", "serve-replay", "load", "stats"):
+        for command in ("topk", "load", "stats"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--backend", "sqlite"])
 
     def test_repair_delta_flag(self):
         """Gone with the invalidate-only mode its negative values selected:
         every cached answer is a repairable buffer of depth ``3k``."""
-        for command in ("serve-replay", "load"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--repair-delta", "8"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["load", "--repair-delta", "8"])
 
     def test_load_defaults(self):
         args = build_parser().parse_args(["load"])
@@ -114,6 +97,23 @@ class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_commands_and_load_options_are_pinned(self):
+        """The replay command, the workload-family and named-mix flags are
+        gone: ``load`` builds a DBLP world and draws the benign mix, and
+        ``stats`` is the short serial replay.  A new command or ``load``
+        option is a deliberate edit of these lists."""
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(commands.choices) == [
+            "experiment", "list", "load", "stats", "topk"]
+        options = sorted(option for action
+                         in commands.choices["load"]._actions
+                         for option in action.option_strings)
+        assert options == sorted([
+            "-h", "--help", "--scale", "--k", "--json", "--users", "--seed",
+            "--telemetry", "--threads", "--duration", "--qps",
+            "--audit-interval", "--output"])
 
 
 class TestListAndDispatch:
@@ -158,63 +158,6 @@ class TestJsonOutput:
         assert index["pairs"] > 0
         assert index["pairs_counted"] + index["pairs_prefiltered"] == index["pairs"]
         assert index["refreshes"] == 1
-
-    def test_serve_replay_json_reports_both_arms(self):
-        payload = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=30, k=3,
-            as_json=True))
-        assert payload["serving"]["ops"] == 30
-        assert payload["baseline"]["ops"] == 30
-        assert payload["serving"]["sql_statements"] < \
-            payload["baseline"]["sql_statements"]
-        assert payload["server"]["serving.sessions.sessions_built"] > 0
-
-    def test_serve_replay_json_without_baseline(self):
-        payload = json.loads(run_serve_replay(
-            scale="tiny", users=6, requests=20, k=3,
-            baseline=False, as_json=True))
-        assert payload["baseline"] is None
-        assert set(payload) == {"config", "serving", "baseline", "server",
-                                "mutations", "telemetry"}
-
-    def test_serve_replay_json_reports_per_kind_mutation_counters(self):
-        """The JSON report surfaces the server's per-kind mutation counters
-        (inserts / deletes / tuple_updates), matching the replay arm."""
-        payload = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=40, k=3, seed=2,
-            baseline=False, as_json=True))
-        mutations = payload["mutations"]
-        assert set(mutations) == {"inserts", "deletes", "tuple_updates"}
-        assert mutations == {
-            kind: payload["server"][f"serving.server.{kind}"]
-            for kind in ("inserts", "deletes", "tuple_updates")}
-        kinds = payload["serving"]["kind_counts"]
-        assert mutations["inserts"] == kinds["insert"]
-        assert mutations["deletes"] == kinds["delete"]
-        assert mutations["tuple_updates"] == kinds["data_update"]
-
-    def test_serve_replay_repairs_in_place(self):
-        """The serving arm repairs touched answers in place rather than
-        dropping them."""
-        repaired = json.loads(run_serve_replay(
-            scale="tiny", users=8, requests=40, k=3, seed=2,
-            baseline=False, as_json=True))
-        server = repaired["server"]
-        assert server["serving.result_cache.repairs"] > \
-            server["serving.result_cache.repair_fallbacks"]
-
-
-class TestServeReplayText:
-    def test_text_report_mentions_both_arms(self):
-        text = run_serve_replay(scale="tiny", users=8, requests=30, k=3)
-        assert "serving" in text and "baseline" in text
-        assert "SQL statements saved" in text
-        assert "mutations:" in text and "in-place updates" in text
-
-    def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
-            run_serve_replay(scale="galactic")
-
 
 class TestLoad:
     def test_load_json_reports_slos_and_clean_audit(self):
@@ -277,12 +220,6 @@ class TestMainEntryPoint:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k"] == 3
 
-    def test_main_serve_replay(self, capsys):
-        assert main(["serve-replay", "--scale", "tiny", "--users", "6",
-                     "--requests", "20", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["config"]["users"] == 6
-
     def test_main_load(self, capsys):
         assert main(["load", "--scale", "tiny", "--users", "8",
                      "--threads", "2", "--duration", "0.4", "--k", "3",
@@ -324,20 +261,6 @@ class TestStats:
 
 
 class TestTelemetryFlags:
-    def test_serve_replay_telemetry_json_section(self):
-        payload = json.loads(run_serve_replay(
-            scale="tiny", users=6, requests=20, baseline=False,
-            as_json=True, telemetry=True))
-        snapshot = payload["telemetry"]
-        assert snapshot is not None
-        assert snapshot["metrics"]["serving.server.reads"] > 0
-        assert snapshot["traces"]["buffer"]["recorded"] > 0
-
-    def test_serve_replay_text_mentions_telemetry(self):
-        text = run_serve_replay(scale="tiny", users=6, requests=20,
-                                baseline=False, telemetry=True)
-        assert "telemetry:" in text and "traces recorded" in text
-
     def test_load_telemetry_carries_snapshot(self):
         payload = json.loads(run_load(
             scale="tiny", users=8, threads=2, duration=0.4, k=3,
@@ -345,3 +268,8 @@ class TestTelemetryFlags:
         snapshot = payload["run"]["telemetry"]
         assert snapshot["metrics"]["loadgen.audit.mismatches"] == 0
         assert snapshot["traces"]["buffer"]["recorded"] > 0
+
+    def test_load_text_mentions_telemetry(self):
+        text = run_load(scale="tiny", users=6, threads=1, duration=0.2,
+                        k=3, audit_interval=0.1, telemetry=True)
+        assert "telemetry:" in text and "traces recorded" in text

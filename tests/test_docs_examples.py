@@ -19,7 +19,7 @@ DOCS = sorted(DOCS_DIR.glob("*.md"))
 #: Documents that are executable tutorials — they must contain python blocks
 #: (plain prose/diagram documents like ARCHITECTURE.md are exempt).
 TUTORIALS = ("SERVING.md", "INVALIDATION.md", "LOADGEN.md",
-             "OBSERVABILITY.md", "WORKLOADS.md")
+             "OBSERVABILITY.md")
 
 
 def test_docs_directory_has_documents():

@@ -1,7 +1,7 @@
 """Extensions (group profiles, skyline) driven through the serving layer.
 
 The extensions were only ever exercised against raw rows and registries;
-here they run end-to-end on the synthetic workload family behind
+here they run end-to-end on a DBLP world behind
 :class:`~repro.serving.TopKServer`: a merged group profile is installed via
 ``update_profile`` and served like any user's, skylines are computed over
 the joined rows of served rankings, and after data mutations every cached
@@ -22,38 +22,46 @@ from repro.extensions import (
     prioritized_skyline,
     skyline,
 )
-from repro.loadgen import population
+from repro.loadgen import initial_profile, population
 from repro.serving import TopKServer, fresh_top_k
-from repro.workload.dblp import Paper
-from repro.workload.synthetic import (
-    SyntheticConfig,
-    attribute_specs,
-    attribute_values,
-    synthetic_profile_factory,
-)
+from repro.workload.dblp import DblpConfig, Paper
 from worlds import engine_world
 
-SYN = SyntheticConfig(n_papers=140, n_authors=40, width=2,
-                      venue_cardinality=7, extra_cardinality=6,
-                      correlation=0.35, seed=19)
+DBLP = DblpConfig(n_papers=140, n_authors=40, n_venues=7, seed=19)
 K = 5
 UIDS = population(8)
 
 
 @pytest.fixture(params=sorted(BACKEND_NAMES))
 def served_world(request):
-    db = engine_world(request.param, SYN, len(UIDS),
-                      synthetic_profile_factory(SYN))
+    db = engine_world(request.param, DBLP, len(UIDS))
     server = TopKServer(db)
     yield db, server
     server.close()
     db.close()
 
 
+def _titles(db):
+    return sorted({row["title"] for row in db.joined_rows()})
+
+
+def _title_predicate(title):
+    quoted = title.replace("'", "''")
+    return f"dblp.title = '{quoted}'"
+
+
 def _member_profiles(db, count=3):
+    """The population's venue/year profile plus one text-column equality:
+    a title some live paper carries, rotating with the uid."""
     venues, lo, hi = db.workload_shape()
-    build = synthetic_profile_factory(SYN)
-    return [build(uid, venues, lo, hi) for uid in range(1, count + 1)]
+    titles = _titles(db)
+    members = []
+    for uid in range(1, count + 1):
+        profile = initial_profile(uid, venues, lo, hi)
+        profile.add_quantitative(
+            _title_predicate(titles[(uid * 3 + 1) % len(titles)]), 0.6)
+        members.append(profile)
+    return members
 
 
 def test_merged_group_profile_serves_and_survives_mutations(served_world):
@@ -71,14 +79,14 @@ def test_merged_group_profile_serves_and_survives_mutations(served_world):
     assert list(warm.ranking) == list(first.ranking)
 
     # Mutate under the cached group answer: delete its top paper and
-    # rewrite another onto a domain value the group scores.
+    # rewrite another onto a venue and a title the group scores.
     top_pid = first.ranking[0][0]
     server.delete_tuples([top_pid])
     survivor = next(pid for pid in db.paper_ids() if pid != top_pid)
-    domain = attribute_values(attribute_specs(SYN)[0])
-    server.update_tuples([Paper(pid=survivor, title="topic-000",
-                                venue=domain[0], year=SYN.year_hi,
-                                abstract="keyword-000")])
+    venues, _, hi = db.workload_shape()
+    titles = _titles(db)
+    server.update_tuples([Paper(pid=survivor, title=titles[4 % len(titles)],
+                                venue=venues[0], year=hi, abstract="")])
 
     served = [tuple(entry) for entry in server.top_k(group_uid, K).ranking]
     fresh = [tuple(entry) for entry in fresh_top_k(db, group_uid, K)]

@@ -40,12 +40,9 @@ from repro.serving import (
     DELETE,
     INSERT,
     READ,
-    TARGET_ANY,
-    TARGET_HOT,
     UPDATE,
     OpMix,
     build_streams,
-    target_pool,
 )
 from repro.loadgen import build_world
 from repro.serving.ops import PID_STRIDE
@@ -301,34 +298,27 @@ def stream_world():
 @settings(max_examples=60, deadline=None)
 @given(weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 4.0]),
                         min_size=5, max_size=5).filter(any),
-       target=st.sampled_from([TARGET_ANY, TARGET_HOT]),
        seed=st.integers(min_value=0, max_value=10_000),
        workers=st.integers(min_value=1, max_value=4))
 def test_op_streams_only_name_their_own_live_pids(stream_world, weights,
-                                                  target, seed, workers):
+                                                  seed, workers):
     """Deletes and in-place updates name only live pids, workers never name
-    each other's pids, and a mix with inserts disabled never emits an insert
-    — once drained it degrades to reads instead of resurrecting the relation.
+    each other's pids, every insert stays in its worker's pid lane, and a
+    mix with inserts disabled never emits an insert — once drained it
+    degrades to reads instead of resurrecting the relation.
 
-    One worker is the replay shape (one stream owning the whole relation
-    and its target pool); several are concurrent streams whose shared pool
-    is update-only.
+    One worker is the replay shape (one stream owning the whole relation);
+    several are concurrent streams that start empty-handed.
     """
     db = stream_world
     read, update, insert, delete, data_update = weights
     mix = OpMix(read_weight=read, update_weight=update, insert_weight=insert,
-                delete_weight=delete, data_update_weight=data_update,
-                target=target)
+                delete_weight=delete, data_update_weight=data_update)
     uids = sorted(profile.uid for profile in db.read_profiles())
-    base, first_free = db.paper_ids(), db.max_paper_id() + 1
-    pool = target_pool(db, uids, STREAM_K, target)
+    first_free = db.max_paper_id() + 1
     streams = build_streams(db, workers, mix, uids, STREAM_K, seed)
-    # One worker, or several draining the relation, own it in stripes; then
-    # every pool pid has an owner who may delete it.
-    striped = workers == 1 or (insert == 0 and delete > 0)
-    owned = [set(base[worker::workers]) if striped else set()
-             for worker in range(workers)]
-    shared = set() if striped else set(pool)
+    owned = [set(db.paper_ids()) if workers == 1 else set()
+             for _ in range(workers)]
     for stream, mine in zip(streams, owned):
         others = set().union(*(other for other in owned if other is not mine))
         lane = first_free + stream.worker_id * PID_STRIDE
@@ -346,6 +336,6 @@ def test_op_streams_only_name_their_own_live_pids(stream_world, weights,
                 assert pid in mine
                 mine.remove(pid)
             elif op.kind == DATA_UPDATE:
-                assert op.papers[0].pid in mine | shared
+                assert op.papers[0].pid in mine
             else:
                 assert op.kind in (READ, UPDATE) and op.uid in uids

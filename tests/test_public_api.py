@@ -186,7 +186,7 @@ def test_one_served_engine(monkeypatch):
     import inspect
 
     import repro.backend as backend
-    from repro.cli import run_load, run_serve_replay, run_stats, run_topk
+    from repro.cli import run_load, run_stats, run_topk
     from repro.experiments.context import ExperimentContext
     from repro.loadgen import build_world
 
@@ -200,13 +200,13 @@ def test_one_served_engine(monkeypatch):
         ExperimentContext.create: ["scale", "config", "extraction",
                                    "profile_users", "focus_count"],
         repro.build_workload_database: ["config", "path"],
-        build_world: ["workload_config", "users", "profile_factory"],
+        build_world: ["workload_config", "users"],
     }
     for target, names in pinned.items():
         assert list(inspect.signature(target).parameters) == names, target
     name = inspect.signature(backend.create_backend).parameters["name"]
     assert name.default is inspect.Parameter.empty
-    for run in (run_topk, run_serve_replay, run_load, run_stats):
+    for run in (run_topk, run_load, run_stats):
         assert "backend" not in inspect.signature(run).parameters, run
 
     monkeypatch.setenv("REPRO_BACKEND", "memory")

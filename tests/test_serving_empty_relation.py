@@ -2,8 +2,8 @@
 
 The regression this file pins down: the op stream's liveness fallback
 used to force an INSERT whenever deletes/updates found no live pid — even
-for a mix with ``insert_weight=0`` — silently resurrecting a relation the
-delete-churn mix had deliberately drained.  The fallback now degrades to a
+for a mix with ``insert_weight=0`` — silently resurrecting a relation a
+delete-heavy mix had deliberately drained.  The fallback now degrades to a
 READ (the generator-level rule is a Hypothesis property in
 ``test_properties_hypothesis.py``), and everything downstream of an empty
 joined view (fresh Top-K, the serving front door, cached-answer repair
@@ -19,17 +19,14 @@ from repro.backend import BACKEND_NAMES
 from repro.exceptions import ServingError
 from repro.loadgen import LoadConfig, LoadGenerator, population
 from repro.serving import OpMix, TopKServer, build_streams, fresh_top_k
-from repro.workload.synthetic import SyntheticConfig, synthetic_profile_factory
+from repro.workload.dblp import DblpConfig
 from worlds import engine_world
 
-SYN = SyntheticConfig(n_papers=90, n_authors=30, width=2,
-                      venue_cardinality=6, extra_cardinality=5,
-                      correlation=0.3, seed=13)
+DBLP = DblpConfig(n_papers=90, n_authors=30, n_venues=6, seed=13)
 
 USERS = 10
-#: Delete-churn expressed through the raw weight knobs (not the named mix),
-#: so the regression is locked at the runner level independent of the
-#: catalogue.
+#: Delete-heavy churn with inserts disabled, through the raw weight knobs,
+#: so the regression is locked at the runner level.
 CHURN = LoadConfig(threads=1, requests=150, k=4, seed=11, audit_interval=0,
                    mix=OpMix(read_weight=3.0, update_weight=0.3,
                              insert_weight=0.0, delete_weight=8.0,
@@ -42,8 +39,7 @@ def backend_name(request):
 
 
 def make_world(backend_name):
-    return engine_world(backend_name, SYN, USERS,
-                        synthetic_profile_factory(SYN))
+    return engine_world(backend_name, DBLP, USERS)
 
 
 def test_churn_to_empty_replays_identically_on_both_backends():

@@ -5,9 +5,11 @@ updates, inserts, deletes and in-place updates" in the repo.  This file pins
 that down:
 
 * a serial replay's stream, ``build_streams(db, 1, ...)[0]``, *is* the
-  one-worker stream that owns the whole relation;
+  lone stream that owns the whole relation, and several workers start
+  empty-handed;
 * the load harness's per-worker streams are op-for-op what they were before
   the two generators were merged (digests computed at the parent commit);
+* no stream inserts past its pid lane;
 * one op list applied through :func:`~repro.serving.apply_op` leaves a
   server and an uncached world — on either engine — with the same relation
   and the same rankings;
@@ -30,15 +32,9 @@ from repro.backend import BACKEND_NAMES, create_backend
 from repro.exceptions import ServingError
 from repro.loadgen import build_world, load_population, population
 from repro.serving import (
-    DATA_UPDATE,
-    DELETE,
     INSERT,
-    MIXES,
     OP_KINDS,
     READ,
-    TARGET_ANY,
-    TARGET_BOUNDARY,
-    TARGET_HOT,
     Op,
     OpMix,
     OpStream,
@@ -46,8 +42,8 @@ from repro.serving import (
     Uncached,
     apply_op,
     build_streams,
-    target_pool,
 )
+from repro.serving import ops
 from repro.workload.dblp import DblpConfig, Paper
 from repro.workload.loader import append_papers
 from worlds import engine_world
@@ -55,8 +51,6 @@ from worlds import engine_world
 DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
 K = 4
 USERS = 10
-#: The benign default plus every named mix.
-MIX_NAMES = [None] + sorted(MIXES)
 
 
 def serial(db, mix=OpMix(), requests=60):
@@ -97,16 +91,6 @@ def op_fields(op):
 
 
 class TestOpMix:
-    def test_catalogue_is_a_dict_of_instances(self):
-        assert OpMix.named(None) == OpMix()
-        for name, mix in MIXES.items():
-            assert OpMix.named(name) is mix
-            assert mix.name == name
-            assert len(mix.weights()) == len(OP_KINDS)
-            assert mix.target in (TARGET_ANY, TARGET_HOT, TARGET_BOUNDARY)
-        with pytest.raises(ServingError, match="unknown adversarial mix"):
-            OpMix.named("does-not-exist")
-
     def test_weights_are_validated_once_at_construction(self):
         # random.choices samples nonsense for negative weights and raises a
         # cryptic error for all-zero ones — the mix fails loudly instead.
@@ -153,40 +137,24 @@ class TestOpStream:
         finally:
             empty.close()
 
-    def test_hot_pool_takes_the_in_place_updates(self, world):
-        """A shared (un-owned) pool is only ever updated, never deleted."""
-        pool = world.paper_ids()[:3]
-        stream = OpStream(world, OpMix.named("hot-keys"), uids_of(world), K,
-                          seed=5, hot=pool)
-        ops = list(islice(stream, 300))
-        updates = [op for op in ops if op.kind == DATA_UPDATE]
-        assert updates
-        assert all(op.papers[0].pid in pool for op in updates)
-        assert not any(op.pids[0] in pool for op in ops if op.kind == DELETE)
+    def test_the_next_insert_past_the_lane_raises(self, world, monkeypatch):
+        """Regression: ``PID_STRIDE`` bounds each worker's pid lane, but the
+        stream never checked it, so a long run's inserts would collide with
+        the next worker's pids.  A one-pid lane starts the stream at its
+        last pid: the first insert takes it, the next one raises."""
+        monkeypatch.setattr(ops, "PID_STRIDE", 1)
+        inserts_only = OpMix(read_weight=0.0, update_weight=0.0,
+                             delete_weight=0.0, data_update_weight=0.0)
+        stream = OpStream(world, inserts_only, uids_of(world), K, seed=5,
+                          worker=1)
+        (paper,) = next(stream).papers
+        assert paper.pid == world.max_paper_id() + 1 + 1
+        with pytest.raises(ServingError, match="past its lane"):
+            next(stream)
 
-    def test_deletes_prefer_a_live_owned_pool_pid(self, world):
-        """Owning the pool (the serial replay) aims deletes at it first."""
-        owned = world.paper_ids()
-        pool = owned[:3]
-        stream = OpStream(world, OpMix.named("hot-keys"), uids_of(world), K,
-                          seed=5, owned=owned, hot=pool)
-        ops = list(islice(stream, 300))
-        deleted = [op.pids[0] for op in ops if op.kind == DELETE]
-        assert deleted[:3] and set(deleted[:3]) == set(pool)
-        # Once the pool is gone, nothing names it again.
-        gone = ops.index(next(op for op in ops if op.kind == DELETE
-                              and op.pids[0] == deleted[2]))
-        for op in ops[gone + 1:]:
-            assert not set(op.pids) & set(pool)
-            assert not {paper.pid for paper in op.papers} & set(pool)
-
-    def test_build_streams_stripes_a_drained_relation_disjointly(self, world):
-        streams = build_streams(world, 3, OpMix.named("delete-churn"),
-                                uids_of(world), K, seed=7)
-        slices = [set(stream._alive) for stream in streams]
-        assert set().union(*slices) == set(world.paper_ids())
-        assert sum(len(piece) for piece in slices) == len(world.paper_ids())
-        # Any mix that can insert starts its workers empty-handed.
+    def test_only_a_lone_stream_owns_the_loaded_relation(self, world):
+        (lone,) = build_streams(world, 1, OpMix(), uids_of(world), K, seed=7)
+        assert lone._alive == world.paper_ids()
         assert all(not stream._alive for stream in
                    build_streams(world, 3, OpMix(), uids_of(world), K, seed=7))
 
@@ -214,15 +182,11 @@ def test_authorless_world_still_schedules(backend_name):
 # -- (a) a serial replay is the one-worker stream owning the relation ---------
 
 
-@pytest.mark.parametrize("mix_name", MIX_NAMES)
-def test_schedule_is_the_one_worker_stream(mix_name):
-    mix = OpMix.named(mix_name)
+def test_schedule_is_the_one_worker_stream():
     db = build_world(DBLP, USERS)
     try:
-        uids = population(USERS)
-        stream = OpStream(db, mix, uids, K, 3, owned=db.paper_ids(),
-                          hot=target_pool(db, uids, K, mix.target))
-        assert serial(db, mix) == list(islice(stream, 60))
+        stream = OpStream(db, OpMix(), population(USERS), K, 3)
+        assert serial(db) == list(islice(stream, 60))
     finally:
         db.close()
 
@@ -230,31 +194,23 @@ def test_schedule_is_the_one_worker_stream(mix_name):
 # -- (b) the load harness's streams did not move ------------------------------
 
 #: sha256 (first 16 hex digits) over the op field tuples of workers 0-2 of a
-#: 3-worker build, first 400 ops each, seed 17, k=4, over the ``world``
-#: fixture — computed at the parent commit, from the load harness's own
-#: (second) generator, before the two were merged.
-PARENT_DIGESTS = {
-    None: "4ad96239544bb4b8",
-    "delete-churn": "46c4531d742f2b77",
-    "hot-keys": "12893cad141105c3",
-    "profile-thrash": "c3ffd8435dc30c35",
-    "repair-hostile": "7f4d2e5f4e7864cb",
-}
+#: 3-worker build of the default mix, first 400 ops each, seed 17, k=4, over
+#: the ``world`` fixture — computed at the parent commit, from the load
+#: harness's own (second) generator, before the two were merged.
+PARENT_DIGEST = "4ad96239544bb4b8"
 
 
-@pytest.mark.parametrize("mix_name", MIX_NAMES)
-def test_worker_streams_match_the_parent_commit(backend_name, mix_name):
+def test_worker_streams_match_the_parent_commit(backend_name):
     db = engine_world(backend_name, DBLP, USERS)
     try:
-        streams = build_streams(db, 3, OpMix.named(mix_name), uids_of(db),
-                                K, seed=17)
+        streams = build_streams(db, 3, OpMix(), uids_of(db), K, seed=17)
         digest = hashlib.sha256()
         for stream in streams:
             for op in islice(stream, 400):
                 digest.update(repr(op_fields(op)).encode())
     finally:
         db.close()
-    assert digest.hexdigest()[:16] == PARENT_DIGESTS[mix_name]
+    assert digest.hexdigest()[:16] == PARENT_DIGEST
 
 
 # -- (c) one op list, every arm, both engines ---------------------------------

@@ -30,7 +30,7 @@ from test_peps_cold_path import count_calls
 import repro.concurrency
 import repro.index.selectivity as selectivity
 from repro.backend import BACKEND_NAMES
-from repro.cli import run_load, run_serve_replay, run_stats
+from repro.cli import run_load, run_stats
 from repro.loadgen import (LoadConfig, LoadGenerator, build_world,
                            load_population, population)
 from repro.concurrency import TimedRLock
@@ -41,7 +41,8 @@ from repro.algorithms.peps import PEPSAlgorithm
 from repro.index import (CountCache, IncrementalPairIndex, RowMatch,
                          may_match_row)
 from repro.serving import (DATA_UPDATE, DELETE, INSERT, READ, UPDATE,
-                           DataMutationReport, OpMix, TopKServer, fresh_top_k)
+                           DataMutationReport, OpMix, OpStream, TopKServer,
+                           build_streams, fresh_top_k)
 from repro.serving.results import CachedResult
 from repro.serving.sessions import SessionRegistry
 from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
@@ -174,10 +175,7 @@ def test_construction_surface_is_pinned():
                         "pair_index"],
         run_load: ["scale", "users", "threads", "duration", "qps",
                    "seed", "k", "audit_interval",
-                   "output", "as_json", "telemetry", "family", "mix"],
-        run_serve_replay: ["scale", "users", "requests", "k", "seed",
-                           "baseline", "as_json", "telemetry", "family",
-                           "mix"],
+                   "output", "as_json", "telemetry"],
         run_stats: ["scale", "users", "requests", "k", "seed",
                     "prometheus", "slow_ms"],
         # ``capacity`` is accepted and ignored: only the end-to-end
@@ -187,8 +185,12 @@ def test_construction_surface_is_pinned():
                      "mix", "k", "seed", "audit_interval", "audit_sample"],
         LoadGenerator: ["config"],
         LoadGenerator.run: ["self", "target", "telemetry"],
-        build_world: ["workload_config", "users", "profile_factory"],
-        load_population: ["db", "users", "profile_factory"],
+        OpMix: ["read_weight", "update_weight", "insert_weight",
+                "delete_weight", "data_update_weight"],
+        OpStream: ["db", "mix", "uids", "k", "seed", "worker"],
+        build_streams: ["db", "workers", "mix", "uids", "k", "seed"],
+        build_world: ["workload_config", "users"],
+        load_population: ["db", "users"],
         population: ["users"],
     }
     for target, names in pinned.items():
