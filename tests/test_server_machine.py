@@ -2,12 +2,13 @@
 
 A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
-a drain that deletes every live pid under a cached answer (later inserts
-refill the relation), close-and-reopen, the five profile-update shapes and
-five faults.  Deletes and in-place updates aim at a drawn target: ``any``
-live pid, the ``hot`` pids cached answers rank, or the ``boundary`` pids at
-ranks ``K-1 … 3K+1`` of a cached user's fresh ranking, the rows around the
-repair buffer's edge.  A fresh predicate is a year bound or a live paper's
+a drain that deletes a target's whole pool under a cached answer (every
+live pid for ``any``; later inserts refill the relation),
+close-and-reopen, the five profile-update shapes and five faults.  Deletes
+and in-place updates aim at a drawn target: ``any`` live pid, the ``hot``
+pids cached answers rank, or the ``boundary`` pids at ranks ``K-1 …
+3K+1`` of a cached user's fresh ranking, the rows around the repair
+buffer's edge.  A fresh predicate is a year bound or a live paper's
 title, so a text-column equality stays on the served path.  The five
 profile-update rules together churn profiles faster than reads re-warm
 them, so profile thrash needs no rule of its own.  ``event`` records each
@@ -170,12 +171,11 @@ class ServerMachine(RuleBasedStateMachine):
         self.reads[0] += 1
         self.reads[1] += result.cache_hit
 
-    def pick_pids(self, picks, target):
-        """Live pids by index from ``target``'s pool — ``any``: every live
-        pid; ``hot``: the pids cached answers rank; ``boundary``: the pids
-        at ranks ``K-1 … 3K+1`` of each cached user's ``fresh_top_k(…,
-        3K+2)``.  An empty pool falls back to every live pid, and an empty
-        relation to a pid nobody holds."""
+    def pool(self, target):
+        """``target``'s pids, ascending — ``any``: every live pid; ``hot``:
+        the pids cached answers rank; ``boundary``: the pids at ranks
+        ``K-1 … 3K+1`` of each cached user's ``fresh_top_k(…, 3K+2)``.  An
+        empty pool falls back to every live pid."""
         results = self.server.results
         if target == "hot":
             pool = {pid for uid in results.cached_users()
@@ -187,7 +187,12 @@ class ServerMachine(RuleBasedStateMachine):
             pool = set()
         event(f"target: {target}" + (
             "" if pool or target == "any" else " (empty pool)"))
-        pids = sorted(pool) or self.real.paper_ids()
+        return sorted(pool) or self.real.paper_ids()
+
+    def pick_pids(self, picks, target):
+        """Pids of ``target``'s pool by index; a pid nobody holds when the
+        relation is empty."""
+        pids = self.pool(target)
         return sorted({pids[pick % len(pids)] for pick in picks}) if pids \
             else [self.next_pid]
 
@@ -242,14 +247,17 @@ class ServerMachine(RuleBasedStateMachine):
     def delete(self, picks, aim):
         self.apply(Op(DELETE, pids=tuple(self.pick_pids(picks, aim))))
 
-    @rule(uid=st.sampled_from(UIDS))
-    def drain(self, uid):
-        """Warm ``uid``'s answer, then delete every live pid: a sweep with
-        no surviving row, then top-k over an empty joined view."""
-        event("drain")
+    @rule(uid=st.sampled_from(UIDS), aim=TARGETS)
+    def drain(self, uid, aim):
+        """Warm ``uid``'s answer, then delete ``aim``'s whole pool in one
+        op.  ``any`` deletes every live pid: a sweep with no surviving row,
+        then top-k over an empty joined view.  ``boundary`` can leave the
+        warmed answer's ``3K``-deep buffer ``K-1`` rows deep, one short of
+        an answer, so its repair must fall back."""
+        event(f"drain: {aim}")
         self.apply(Op(READ, uid=uid, k=K))
         self.every_read_equals_fresh()  # before the delete outdates it
-        self.apply(Op(DELETE, pids=tuple(self.real.paper_ids())))
+        self.apply(Op(DELETE, pids=tuple(self.pool(aim))))
 
     @rule(pick=PICK, aim=TARGETS,
           venue=st.none() | st.sampled_from(VENUES),
