@@ -130,7 +130,7 @@ def _mutate(server: TopKServer, dataset) -> dict:
         distinct = sweep.annotation("distinct_predicates")
         assert 0 < distinct <= len(resident_texts)
         assert (sweep.annotation("predicate_row_tests")
-                == distinct * sweep.annotation("rows"))
+                == distinct * sweep.annotation("joined_rows"))
         assert (report.entries_visited == sweep.annotation("entries_visited")
                 == report.results_repaired + report.results_invalidated)
         measured[f"{kind}_predicate_row_tests"] = sweep.annotation(

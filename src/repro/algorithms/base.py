@@ -177,7 +177,7 @@ class PreferenceQueryRunner:
         """Definition 15 — the enhanced query returns at least one tuple."""
         return self.count(predicate) > 0
 
-    def invalidate_matching(self, match: RowMatch, post_rows: int) -> int:
+    def invalidate_matching(self, match: RowMatch) -> Dict[str, int]:
         """Bring the id lists up to date after a data mutation.
 
         A list is keyed by its conjuncts (:meth:`CountCache.key`) and is
@@ -188,42 +188,31 @@ class PreferenceQueryRunner:
         fresh.  Counts are the count cache's own
         (:meth:`CountCache.invalidate_matching`).
 
-        The first ``post_rows`` rows of ``match`` are the mutation's
-        post-image (they lead ``invalidation_rows()``).  A stale list is
-        *patched*: every pid a mutation row carries leaves it, and re-enters
-        when one of its post rows surely matches every conjunct
-        (``match.exact``).  That is exact under the producer obligation
-        :meth:`~repro.serving.results.CachedResult.apply_delta` relies on —
-        each pid's post rows are its complete joined-row image.  A list is
+        A stale list is *patched* from ``match``'s pid images
+        (:attr:`~repro.index.selectivity.RowMatch.images`): every pid a
+        mutation row carries leaves it, and re-enters when one of its
+        post-image rows surely matches every conjunct (``match.exact``) —
+        exact under the producer obligation ``images`` states.  A list is
         dropped only when a post row may match it but cannot be decided.
         Lists stay pid-ordered, and one is copied only when some pid's
-        membership flips.  Returns the number of stale lists;
-        :attr:`id_lists_patched` and :attr:`id_lists_dropped` count them.
+        membership flips.  Returns this store's share of the sweep's impact,
+        ``index_entries_patched`` and ``index_entries_dropped``, which
+        :attr:`id_lists_patched` and :attr:`id_lists_dropped` accumulate.
         """
         live = self._ids_held.live(match)
         stale = {key for conjunct in live
                  for key in self._ids_held.holders(conjunct)
                  if key <= live and match.shared(key)}
-        if not stale:
-            return 0
         dropped: Set[FrozenSet[str]] = set()
-        post_mask = (1 << post_rows) - 1
-        # Every pid a mutation row carries -> the bits of its rows; only
-        # post-row bits can meet ``surely``, which is masked to them.
-        images: Dict[int, int] = {}
-        for index, row in enumerate(match.rows):
-            pid = int(row["pid"])
-            images[pid] = images.get(pid, 0) | 1 << index
-        affected = sorted(images.items())
         for key in stale:
-            post = match.shared(key) & post_mask
+            post = match.shared(key) & match.post_rows
             surely = match.exact(key) & post
             if post != surely:
                 dropped.add(key)
                 continue
             ids = self._ids_cache[key]
             patched: Optional[List[int]] = None
-            for pid, image in affected:
+            for pid, image in match.images:
                 current = ids if patched is None else patched
                 at = bisect_left(current, pid)
                 member = bool(image & surely)
@@ -243,7 +232,8 @@ class PreferenceQueryRunner:
                 self._ids_held.remove(conjunct, key)
         self.id_lists_patched += len(stale) - len(dropped)
         self.id_lists_dropped += len(dropped)
-        return len(stale)
+        return {"index_entries_patched": len(stale) - len(dropped),
+                "index_entries_dropped": len(dropped)}
 
     def clear(self) -> None:
         """Drop both memos, counts and id lists (used between benchmark

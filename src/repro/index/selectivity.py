@@ -11,14 +11,16 @@ question about each mutation: *can this tuple image satisfy this predicate?*
 * :func:`may_match_row` folds ``None`` into a conservative ``True``: the
   judge invalidation needs, which :meth:`RowMatch.mask` derives from that
   same one verdict.
-* :class:`RowMatch` is one mutation's rows, each distinct predicate tested
-  against them at most once.  ``TopKServer._sweep`` builds one per mutation
-  and every consumer reads its verdicts as row bitmasks.  A count, an id
-  list, a pair of preferences and a cached answer's predicates are all
-  conjunctions, and one rule — :meth:`RowMatch.shared`, *some row may match
-  every conjunct* — judges all four.  The same one verdict per (predicate,
-  row) also yields :meth:`RowMatch.exact`, *some row surely matches every
-  conjunct*, which is what the result cache's repair scores with.
+* :class:`RowMatch` is one mutation's facts — its rows, which are the
+  post-image, each pid's rows — with each distinct predicate tested against
+  the rows at most once.  ``TopKServer._sweep`` builds one per mutation
+  (:meth:`RowMatch.of`) and hands every store that and nothing else.  A
+  count, an id list, a pair of preferences and a cached answer's predicates
+  are all conjunctions, and one rule — :meth:`RowMatch.shared`, *some row
+  may match every conjunct* — judges all four.  The same one verdict per
+  (predicate, row) also yields :meth:`RowMatch.exact`, *some row surely
+  matches every conjunct*, which the two serving stores patch and repair
+  with.
 * :class:`ConjunctIndex` is the set of conjunct texts one store holds, with
   each ``attr = literal`` conjunct bucketed by its literal.  A mutation row
   carries one value per attribute, so it can match only the few keys under
@@ -33,7 +35,7 @@ over event-carried rows — which is why the same relevance test serves every
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import (Any, Dict, Hashable, Iterable, Mapping, Optional, Set,
                     Tuple, Union)
 
@@ -46,6 +48,7 @@ from ..core.predicate import (
     attribute_names_match,
     ensure_predicate,
 )
+from ..sqldb.events import DataMutation
 
 Number = Union[int, float]
 
@@ -103,24 +106,46 @@ def _key(predicate: Union[str, PredicateExpr]) -> str:
 
 
 class RowMatch:
-    """One mutation's rows, each distinct predicate judged at most once.
+    """One mutation's facts, each distinct predicate judged at most once.
 
     ``rows`` are a :class:`~repro.sqldb.events.DataMutation`'s
-    ``invalidation_rows()`` (pre ∪ post image).  :meth:`mask` judges one
-    predicate, :meth:`shared` and :meth:`exact` a conjunction by its
-    conjuncts' verdicts; every consumer of one sweep shares this object, so a
-    predicate many users hold is evaluated once per mutation, not once per
-    cache entry that mentions it.
+    ``invalidation_rows()`` (pre ∪ post image), the first ``post`` of them
+    the post-image (:meth:`of`).  :meth:`mask` judges one predicate,
+    :meth:`shared` and :meth:`exact` a conjunction by its conjuncts'
+    verdicts; every store of one sweep shares this object, so a predicate
+    many users hold is evaluated once per mutation, not once per cache
+    entry that mentions it.  A store that only drops (a count, a pair
+    table) needs ``RowMatch(rows)`` alone.
     """
 
-    def __init__(self, rows: Iterable[Mapping[str, Any]]) -> None:
+    def __init__(self, rows: Iterable[Mapping[str, Any]],
+                 post: int = 0) -> None:
         self.rows = tuple(rows)
+        #: Bitmask of the post-image rows: the first ``post`` of ``rows``.
+        self.post_rows = (1 << post) - 1
         #: Per predicate key: rows it may match / rows it surely matches.
         self._masks: Dict[str, int] = {}
         self._exact: Dict[str, int] = {}
         #: ``exact_match_row`` evaluations made so far — always
         #: ``distinct_predicates * len(rows)``, the sweep's work counter.
         self.predicate_row_tests = 0
+
+    @classmethod
+    def of(cls, mutation: DataMutation) -> "RowMatch":
+        """The match one sweep shares, ``mutation.rows`` leading."""
+        return cls(mutation.invalidation_rows(), len(mutation.rows))
+
+    @cached_property
+    def images(self) -> Tuple[Tuple[int, int], ...]:
+        """Each pid a row carries with the bitmask of its rows, ascending by
+        pid.  ``image & post_rows`` must be the pid's *complete* joined-row
+        image — the producer obligation both patching stores rely on, which
+        the loader meets for every mutation kind."""
+        images: Dict[int, int] = {}
+        for index, row in enumerate(self.rows):
+            pid = int(row["pid"])
+            images[pid] = images.get(pid, 0) | 1 << index
+        return tuple(sorted(images.items()))
 
     @property
     def distinct_predicates(self) -> int:

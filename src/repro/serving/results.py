@@ -36,12 +36,13 @@ is therefore a *maintainable view* — there is no other kind: the exact
 ``k + delta`` over-fetched prefix of the user's total order (``buffer``),
 each predicate's intensity and conjunct keys, and a ``complete`` flag set
 when the buffer holds the entire covered universe.
-:meth:`CachedResult.apply_delta` then folds a
-:class:`~repro.sqldb.events.DataMutation` into the view in memory — insert
-post-image tuples that score above the buffer floor, remove deleted
-pre-image pids, re-score in-place updates — with **zero SQL**, scoring each
-tuple by bit tests against the verdicts the sweep's
-:class:`~repro.index.selectivity.RowMatch` already holds: one
+:meth:`CachedResult.apply_delta` then folds a data mutation into the view
+in memory — insert post-image tuples that score above the buffer floor,
+remove deleted pre-image pids, re-score in-place updates — with **zero
+SQL**, reading nothing but the sweep's
+:class:`~repro.index.selectivity.RowMatch`: each touched pid's rows come
+from its ``images`` and each tuple is scored by bit tests against the
+verdicts it already holds — one
 :func:`~repro.index.selectivity.exact_match_row` per (distinct predicate,
 row), however many entries ask.  The exactness argument rests on two
 invariants: per-tuple scores are independent (a tuple's score depends only
@@ -83,7 +84,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.intensity import combine_and
 from ..index.selectivity import ConjunctIndex, RowMatch
-from ..sqldb.events import DataMutation
 from ..telemetry import annotate
 
 ResultKey = Tuple[int, int]
@@ -132,48 +132,38 @@ class CachedResult:
 
     # -- repair ------------------------------------------------------------------
 
-    def apply_delta(self, mutation: DataMutation,
-                    match: Optional[RowMatch] = None,
+    def apply_delta(self, match: RowMatch,
                     positions: Optional[Sequence[int]] = None,
                     ) -> Tuple[Optional["CachedResult"], str]:
         """Fold one data mutation into the maintained view, in memory.
 
         ``match`` is the sweep's :class:`~repro.index.selectivity.RowMatch`
-        over ``mutation.invalidation_rows()`` (built here when omitted);
-        post-image rows lead it, so a tuple is scored by bit tests against
-        the verdicts the sweep already holds — a predicate counts when one
-        of the tuple's post-image rows surely matches it, and a row that
-        may match it but cannot be decided makes the tuple unscorable.
-        ``positions`` are the ascending preference positions some row may
-        match (the sweep found them through its
+        (:meth:`~repro.index.selectivity.RowMatch.of` the mutation): its
+        ``images`` name the touched pids and their rows, and a tuple is
+        scored by bit tests against the verdicts the sweep already holds —
+        a predicate counts when one of the tuple's post-image rows surely
+        matches it, and a row that may match it but cannot be decided makes
+        the tuple unscorable.  ``positions`` are the ascending preference
+        positions some row may match (the sweep found them through its
         :class:`~repro.index.selectivity.ConjunctIndex`; every position when
         omitted): no other position can score a tuple, so none other is
-        asked.  Intensities fold in
-        preference order, mirroring PEPS's scoring pass bit for bit.
+        asked.  Intensities fold in preference order, mirroring PEPS's
+        scoring pass bit for bit.
 
         Returns ``(repaired entry, REPAIRED)`` on success — possibly
         ``self`` when the delta provably leaves the buffer untouched — or
         ``(None, reason)`` when invalidation is mandatory:
         ``FALLBACK_UNSCORABLE`` (a predicate cannot be evaluated exactly
         against an event row) or ``FALLBACK_UNDERFLOW`` (removals sank a
-        truncated buffer below ``k``).  **Producer obligation**: the
-        mutation's post-image rows for each pid must be that pid's
-        *complete* joined-row image (the loader guarantees this for every
-        mutation kind) — scoring a partial image would silently under-score.
+        truncated buffer below ``k``).  The exactness rests on the producer
+        obligation :attr:`~repro.index.selectivity.RowMatch.images` states:
+        each pid's post-image rows are its complete joined-row image.
         """
-        if match is None:
-            match = RowMatch(mutation.invalidation_rows())
-        post: Dict[int, int] = {}
-        for index, row in enumerate(mutation.rows):
-            pid = int(row["pid"])
-            post[pid] = post.get(pid, 0) | 1 << index
-        affected = set(post)
-        affected.update(int(row["pid"]) for row in mutation.old_rows)
         # (surely, maybe, intensity) of each scored predicate some post-image
         # row may match — no other can score a tuple; a delete asks nothing.
         verdicts = []
-        if post:
-            post_rows = (1 << len(mutation.rows)) - 1
+        post_rows = match.post_rows
+        if post_rows:
             if positions is None:
                 positions = range(len(self.conjuncts))
             for position in positions:
@@ -181,11 +171,11 @@ class CachedResult:
                 intensity = self.intensities[position]
                 maybe = match.shared(conjuncts) & post_rows
                 if maybe and intensity > 0.0:
-                    verdicts.append((match.exact(conjuncts), maybe, intensity))
+                    verdicts.append(
+                        (match.exact(conjuncts) & maybe, maybe, intensity))
         buffer = list(self.buffer)
         changed = False
-        for pid in sorted(affected):
-            rows = post.get(pid, 0)
+        for pid, rows in match.images:
             values = []
             for surely, maybe, intensity in verdicts:
                 if surely & rows:
@@ -415,19 +405,18 @@ class ResultCache:
             self.profile_invalidations += len(stale)
             return len(stale)
 
-    def on_data_mutation(self, mutation: DataMutation,
-                         match: Optional[RowMatch] = None) -> int:
+    def on_data_mutation(self, match: RowMatch) -> Dict[str, int]:
         """Data-event handler: repair the affected answers, drop the rest.
 
         Handles every :data:`~repro.sqldb.events.DATA_MUTATION_KINDS` kind by
         checking predicates against the event's pre- *and* post-image rows —
-        ``match``, the :class:`~repro.index.selectivity.RowMatch` over
-        ``mutation.invalidation_rows()`` that a server sweep shares with its
-        other caches (a cache listening on its own builds one).  The sweep
-        costs what the mutation touches: the cache's
-        :class:`~repro.index.selectivity.ConjunctIndex` names the *live*
-        conjuncts — held ones some row may match — and only their holders
-        are looked at.  An answer is *visited* (counted in
+        ``match``, the sweep's one
+        :class:`~repro.index.selectivity.RowMatch` (built by
+        :meth:`~repro.index.selectivity.RowMatch.of`), which it shares with
+        the id-list memo.  The sweep costs what the mutation touches: the
+        cache's :class:`~repro.index.selectivity.ConjunctIndex` names the
+        *live* conjuncts — held ones some row may match — and only their
+        holders are looked at.  An answer is *visited* (counted in
         :attr:`entries_visited`) when one of its preferences has every
         conjunct live, and affected iff some one row may match all of them
         (:meth:`~repro.index.selectivity.RowMatch.shared`) — so with
@@ -439,7 +428,7 @@ class ResultCache:
         factor it carries under a conjunct some *post-image* row may match:
         no inserted or rescored tuple can score above ``1 − miss``.  An
         affected answer is handed to :meth:`CachedResult.apply_delta`
-        (counted in :attr:`deltas_applied`) only when it holds an affected
+        (counted in :attr:`deltas_applied`) only when it holds a touched
         pid in its buffer, is ``complete``, has a post row its preferences
         may but need not match (the unscorable fallback), is a truncated
         buffer shorter than ``k`` (the underflow fallback), or its bound
@@ -454,16 +443,17 @@ class ResultCache:
         fallbacks additionally in :attr:`repair_underflows`).  The sweep
         bumps the epoch exactly like a pure invalidation sweep — a repaired
         entry reflects post-mutation data, so an answer computed from
-        pre-mutation data must still lose the put race.  Returns the number
-        of entries dropped; unaffected entries are counted in
-        :attr:`data_spared` — the benchmark asserts this stays positive,
-        i.e. no mutation kind ever blindly flushes the cache.
+        pre-mutation data must still lose the put race.  Unaffected entries
+        are counted in :attr:`data_spared` — the benchmark asserts this
+        stays positive, i.e. no mutation kind ever blindly flushes the cache.
+
+        Returns this store's share of the sweep's impact under the
+        :class:`~repro.serving.server.DataMutationReport` names —
+        ``results_invalidated`` (= ``repair_fallbacks``),
+        ``results_repaired``, ``results_spared``, ``entries_visited`` — the
+        amounts its counters just grew by.
         """
-        if match is None:
-            match = RowMatch(mutation.invalidation_rows())
-        post_rows = (1 << len(mutation.rows)) - 1
-        pids = {int(row["pid"]) for row in mutation.rows}
-        pids.update(int(row["pid"]) for row in mutation.old_rows)
+        post_rows = match.post_rows
         with self._lock:
             self._epoch += 1
             live = self._held.live(match)
@@ -496,7 +486,7 @@ class ResultCache:
                             if shared & post_rows & ~match.exact(conjuncts):
                                 must.add(key)
                         misses[key] = miss
-            for pid in pids:
+            for pid, _ in match.images:
                 must.update(self._pids.get(pid, ()))
             stale: List[ResultKey] = []
             repaired = underflows = applied = 0
@@ -512,8 +502,7 @@ class ResultCache:
                              in enumerate(entry.conjuncts)
                              if conjuncts <= live and match.shared(conjuncts)]
                 applied += 1
-                replacement, reason = entry.apply_delta(
-                    mutation, match, positions)
+                replacement, reason = entry.apply_delta(match, positions)
                 if replacement is not None:
                     if replacement is not entry:
                         self._entries[key] = replacement
@@ -525,16 +514,21 @@ class ResultCache:
                         underflows += 1
             for key in stale:
                 self._drop(key)
-            self.entries_visited += len(visited.union(misses))
+            impact = {"results_invalidated": len(stale),
+                      "repair_fallbacks": len(stale),
+                      "results_repaired": repaired,
+                      "results_spared": len(self._entries) - repaired,
+                      "entries_visited": len(visited.union(misses))}
+            self.entries_visited += impact["entries_visited"]
             self.repairs += repaired
             self.deltas_applied += applied
             self.repair_fallbacks += len(stale)
             self.repair_underflows += underflows
             self.data_invalidations += len(stale)
-            self.data_spared += len(self._entries) - repaired
+            self.data_spared += impact["results_spared"]
         annotate("result_cache_sweep",
                  f"repaired={repaired} invalidated={len(stale)}")
-        return len(stale)
+        return impact
 
     def clear(self) -> None:
         """Drop every entry and bump the epoch.  The statistics are

@@ -36,8 +36,10 @@ A mutation that raises before its sweep completed may still have committed,
 so the server then forgets every cached answer and id list, counted as
 ``serving.server.forgets.<door>.<place>`` — ``before_sweep`` when the loader
 or the backend raised and no notification reached the server, ``in_sweep``
-when the server's own sweep raised partway: after a fault it serves the
-exact answer or refuses, never a stale one.
+when the server's own sweep raised partway.  The listener forgets on its own
+sweep's fault, so a direct loader call's is counted too, as
+``serving.server.forgets.direct.in_sweep``: after a fault the server serves
+the exact answer or refuses, never a stale one.
 
 **Locking.**  A warm hit takes one lock, the result cache's own, and is
 counted there; everything else — cold read, profile update, data mutation,
@@ -51,7 +53,7 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
@@ -141,50 +143,43 @@ class DataMutationReport:
     """Metrics of one data-side mutation request.
 
     ``kind`` is the :class:`~repro.sqldb.events.DataMutation` kind the door
-    caused, ``papers`` counts the affected dblp rows, ``joined_rows`` the
-    pre- plus post-image joined-view rows the notification carried, and the
-    cache-impact fields how selectively each layer reacted.
+    caused and ``papers`` counts the affected dblp rows.  The rest is the
+    sweep's impact record, under the names its ``server.on_data_mutation``
+    span annotates.  A no-op mutation notifies nothing: every cached answer
+    counts as spared, and every other impact field stays 0.
     """
 
     kind: str
     papers: int
-    joined_rows: int
-    results_invalidated: int
-    results_spared: int
-    #: Stale id lists dropped from the shared memo: only those a post-image
-    #: row may match but cannot be decided against (the rest are patched).
-    index_entries_dropped: int
     sql_statements: int
     seconds: float
-    #: Cached answers maintained in place by a delta repair, the affected
-    #: entries that had to fall back to invalidation, and the SQL the result
-    #: cache sweep itself issued (always 0 — repairs are pure in-memory;
-    #: ``tests/test_server_machine.py`` asserts it).
+    #: The pre- plus post-image joined-view rows the notification carried.
+    joined_rows: int = 0
+    #: Cached answers dropped, maintained in place by a delta repair, the
+    #: drops again as repair fallbacks (every drop is one), and the answers
+    #: the mutation did not affect.
+    results_invalidated: int = 0
     results_repaired: int = 0
     repair_fallbacks: int = 0
+    results_spared: int = 0
+    #: The SQL the result cache's sweep issued: always 0, since the cache
+    #: holds no backend and repairs in memory
+    #: (``tests/test_server_machine.py`` measures it around every sweep).
     repair_sql_statements: int = 0
     #: Cached answers the sweep visited: those with a preference whose every
     #: conjunct some mutation row may match — every repaired or invalidated
     #: answer, and no other unless a multi-conjunct preference's conjuncts
     #: matched only on different rows.
     entries_visited: int = 0
-    #: Stale id lists patched in place from the mutation's rows.
+    #: Stale id lists patched in place from the mutation's rows / dropped
+    #: from the shared memo: only those a post-image row may match but
+    #: cannot be decided against.
     index_entries_patched: int = 0
+    index_entries_dropped: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict rendering (for JSON reports)."""
-        return {"kind": self.kind, "papers": self.papers,
-                "joined_rows": self.joined_rows,
-                "results_invalidated": self.results_invalidated,
-                "results_spared": self.results_spared,
-                "results_repaired": self.results_repaired,
-                "repair_fallbacks": self.repair_fallbacks,
-                "repair_sql_statements": self.repair_sql_statements,
-                "entries_visited": self.entries_visited,
-                "index_entries_patched": self.index_entries_patched,
-                "index_entries_dropped": self.index_entries_dropped,
-                "sql_statements": self.sql_statements,
-                "seconds": self.seconds}
+        return asdict(self)
 
 
 def _as_paper(row: PaperLike) -> Paper:
@@ -257,11 +252,11 @@ class TopKServer:
         #: calls by ``<door>.<place>`` of the failed mutation behind them.
         self._errors: Dict[str, int] = {}
         self._forgets: Dict[str, int] = {}
-        #: The impact of the sweep the mutation in flight caused, and whether
-        #: its notification reached the listener; written by the listener,
-        #: consumed by ``_mutate`` (both under the lock).
+        #: The door of the mutation in flight until its notification reaches
+        #: the listener, and the impact of the sweep it caused; written by
+        #: ``_mutate`` and the listener, both under the lock.
+        self._door: Optional[str] = None
         self._last_sweep: Optional[Dict[str, int]] = None
-        self._sweep_began = False
         self._data_listener = db.subscribe(self._on_data_mutation)
 
     # -- telemetry ----------------------------------------------------------------
@@ -358,7 +353,8 @@ class TopKServer:
     def _forget(self, door: str, place: str) -> None:
         """Drop every cached answer and id list after ``door``'s mutation
         failed with no completed sweep behind it; ``place`` is where it
-        failed — ``before_sweep`` or ``in_sweep``."""
+        failed — ``before_sweep`` or ``in_sweep``.  ``door`` is ``direct``
+        for a loader call that came through no door of this server."""
         self.results.clear()
         self.sessions.runner.clear()
         key = f"{door}.{place}"
@@ -567,7 +563,7 @@ class TopKServer:
 
         ``loader_call`` commits and notifies; the notification re-enters
         :meth:`_on_data_mutation` (the server lock is re-entrant), which
-        sweeps and leaves the impact in ``_last_sweep``.
+        takes the door, sweeps and leaves the impact in ``_last_sweep``.
         """
         door, counter = _DOORS[kind]
         try:
@@ -577,28 +573,26 @@ class TopKServer:
                     self._check_open()
                     start = time.perf_counter()
                     statements_before = self.db.statements_executed
-                    self._last_sweep = None
-                    self._sweep_began = False
+                    self._door, self._last_sweep = door, None
                     try:
                         loader_call()
                     except Exception:
-                        if self._last_sweep is None:
-                            # The write may have committed with no sweep
-                            # behind it (a fault in ``notify``, in the
-                            # listener call, or in the sweep): nothing
-                            # cached is provably fresh any more.
-                            self._forget(door, "in_sweep" if self._sweep_began
-                                         else "before_sweep")
+                        if self._door is not None:
+                            # No notification reached the listener, yet the
+                            # write may have committed (a fault in
+                            # ``notify`` or in the listener call): nothing
+                            # cached is provably fresh any more.  A sweep
+                            # that raised has forgotten on its own.
+                            self._forget(door, "before_sweep")
                         raise
+                    finally:
+                        self._door = None
                     impact, self._last_sweep = self._last_sweep, None
                     if impact is None:
                         # A no-op mutation (e.g. deleting unknown pids)
                         # never notifies: nothing was invalidated, so
                         # everything cached counts as spared.
-                        impact = {"joined_rows": 0, "results_invalidated": 0,
-                                  "results_spared": len(self.results),
-                                  "index_entries_patched": 0,
-                                  "index_entries_dropped": 0}
+                        impact = {"results_spared": len(self.results)}
                     report = DataMutationReport(
                         kind=kind, papers=papers,
                         sql_statements=(self.db.statements_executed
@@ -620,10 +614,17 @@ class TopKServer:
         loader calls against the shared database; the server lock keeps a
         direct mutation from another thread from interleaving with an
         in-flight :meth:`_mutate` and being misattributed to its report.
+        A sweep that raises leaves the stores half maintained, so the
+        listener forgets them before re-raising, counted under the door in
+        flight or, for a direct call, ``direct``.
         """
         with self._lock:
-            self._sweep_began = True
-            self._last_sweep = self._sweep(mutation)
+            door, self._door = self._door, None
+            try:
+                self._last_sweep = self._sweep(mutation)
+            except Exception:
+                self._forget(door or "direct", "in_sweep")
+                raise
 
     def _sweep(self, mutation: DataMutation) -> Dict[str, int]:
         """Fan one data mutation out to every cache layer of this server.
@@ -633,52 +634,29 @@ class TopKServer:
         ``invalidation_rows`` covers the full update spectrum — inserted
         post-image, deleted pre-image, both images of an in-place update —
         so one sound relevance test serves all three kinds: one
-        :class:`~repro.index.selectivity.RowMatch` per sweep, shared by
-        every layer.  Each layer judges only the conjuncts its
-        :class:`~repro.index.selectivity.ConjunctIndex` says a row can
+        :class:`~repro.index.selectivity.RowMatch` per sweep, which carries
+        the rows, the post-image and each touched pid's rows, and which is
+        all either store is handed.  Each store judges only the conjuncts
+        its :class:`~repro.index.selectivity.ConjunctIndex` says a row can
         reach and visits only their holders, so a sweep costs what the
-        mutation touches, not what is cached.  Both stores are maintained
-        from the rows, with no SQL: the result cache repairs its answers and
-        the id-list memo patches its lists from the post-image
-        (``mutation.rows``, which leads ``invalidation_rows``), each
-        dropping an entry only on a row it cannot decide.
+        mutation touches, not what is cached.  Both are maintained from the
+        rows, with no SQL — the result cache repairs its answers and the
+        id-list memo patches its lists, each dropping an entry only on a row
+        it cannot decide — and each returns its share of the impact, which
+        the span annotates under the report's names.
         """
         with span("server.on_data_mutation") as trace:
-            match = RowMatch(mutation.invalidation_rows())
-            repairs_before = self.results.repairs
-            fallbacks_before = self.results.repair_fallbacks
-            visited_before = self.results.entries_visited
-            sweep_statements_before = self.db.statements_executed
-            results_invalidated = self.results.on_data_mutation(mutation, match)
-            results_repaired = self.results.repairs - repairs_before
-            repair_fallbacks = self.results.repair_fallbacks - fallbacks_before
-            entries_visited = self.results.entries_visited - visited_before
-            repair_sql = self.db.statements_executed - sweep_statements_before
-            runner = self.sessions.runner
-            patched_before = runner.id_lists_patched
-            dropped_before = runner.id_lists_dropped
-            self.sessions.invalidate_matching(match, len(mutation.rows))
-            patched = runner.id_lists_patched - patched_before
-            dropped = runner.id_lists_dropped - dropped_before
+            match = RowMatch.of(mutation)
+            impact = self.results.on_data_mutation(match)
+            impact.update(self.sessions.invalidate_matching(match))
+            impact["joined_rows"] = len(match.rows)
             trace.annotate("kind", mutation.kind)
-            trace.annotate("results_invalidated", results_invalidated)
-            trace.annotate("results_repaired", results_repaired)
-            trace.annotate("entries_visited", entries_visited)
-            trace.annotate("id_lists_patched", patched)
-            trace.annotate("id_lists_dropped", dropped)
-            trace.annotate("rows", len(match.rows))
+            for name, value in impact.items():
+                trace.annotate(name, value)
             trace.annotate("distinct_predicates", match.distinct_predicates)
             trace.annotate("keys_live", match.live_predicates)
             trace.annotate("predicate_row_tests", match.predicate_row_tests)
-            return {"joined_rows": len(match.rows),
-                    "results_invalidated": results_invalidated,
-                    "results_spared": len(self.results) - results_repaired,
-                    "index_entries_patched": patched,
-                    "index_entries_dropped": dropped,
-                    "results_repaired": results_repaired,
-                    "repair_fallbacks": repair_fallbacks,
-                    "repair_sql_statements": repair_sql,
-                    "entries_visited": entries_visited}
+            return impact
 
     # -- introspection ------------------------------------------------------------
 

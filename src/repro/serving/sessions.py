@@ -15,7 +15,9 @@ user prefers (``docs/ARCHITECTURE.md``, "Why no session is resident").
 Every build reads its id lists through the registry's one shared
 :class:`~repro.algorithms.base.PreferenceQueryRunner`, so an id list fetched
 while serving one user is reused for every later read whose profile
-mentions the same predicate.
+mentions the same predicate.  A data mutation's sweep maintains that memo
+through :meth:`SessionRegistry.invalidate_matching`, from its one
+:class:`~repro.index.RowMatch`.
 """
 
 from __future__ import annotations
@@ -63,14 +65,12 @@ class SessionRegistry:
         preferences = preferences_from_graph(builder.hypre, uid)
         return PEPSAlgorithm(self.runner, preferences) if preferences else None
 
-    def invalidate_matching(self, match: RowMatch, post_rows: int) -> int:
-        """Patch every memoised id list a mutation row (pre ∪ post image)
-        may match, through the one ``match`` the sweep built; the first
-        ``post_rows`` rows are the post-image.  A list is dropped only on an
-        undecidable post row (see
-        :meth:`~repro.algorithms.base.PreferenceQueryRunner.invalidate_matching`).
-        Returns the number of stale lists, patched or dropped."""
-        return self.runner.invalidate_matching(match, post_rows)
+    def invalidate_matching(self, match: RowMatch) -> Dict[str, int]:
+        """Patch every memoised id list a row of the sweep's ``match`` may
+        match, dropping one only on an undecidable post row; returns the
+        memo's share of the sweep's impact (see
+        :meth:`~repro.algorithms.base.PreferenceQueryRunner.invalidate_matching`)."""
+        return self.runner.invalidate_matching(match)
 
     def stats(self) -> Dict[str, int]:
         """Build and memo counters.  Nothing is resident, so nothing hits or

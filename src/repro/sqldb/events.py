@@ -82,8 +82,8 @@ class DataMutation:
 
         The union is memoised on the (frozen) event: every listener
         subscribed to the database is handed the same event — each server
-        on a shared connection, a result cache listening on its own — and
-        each asks for these rows, so the tuple is built once per event.
+        on a shared connection — and each asks for these rows, so the tuple
+        is built once per event.
         """
         cached = getattr(self, "_invalidation_rows", None)
         if cached is None:

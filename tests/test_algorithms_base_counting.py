@@ -170,9 +170,12 @@ def sweep(runner, mutations, strip=None):
     rows = [{name: value for name, value in row.items() if name != strip}
             for row in mutation.invalidation_rows()]
     patched, dropped = runner.id_lists_patched, runner.id_lists_dropped
-    stale = runner.invalidate_matching(RowMatch(rows), len(mutation.rows))
-    return (stale, runner.id_lists_patched - patched,
-            runner.id_lists_dropped - dropped)
+    impact = runner.invalidate_matching(RowMatch(rows, len(mutation.rows)))
+    patched = runner.id_lists_patched - patched
+    dropped = runner.id_lists_dropped - dropped
+    assert impact == {"index_entries_patched": patched,
+                      "index_entries_dropped": dropped}
+    return patched + dropped, patched, dropped
 
 
 def memo(runner):

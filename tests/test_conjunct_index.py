@@ -183,14 +183,14 @@ def entries(draw, conjunct_sets):
 def unfiltered_sweep(entries, mutation):
     """The loop the bound replaced: ``apply_delta`` on every affected entry.
     Returns each affected key's outcome and the number of visited keys."""
-    full = RowMatch(mutation.invalidation_rows())
+    full = RowMatch.of(mutation)
     visited, outcomes = 0, {}
     for key, entry in entries.items():
         if any(all(full.mask(conjunct) for conjunct in conjuncts)
                for conjuncts in entry.conjuncts):
             visited += 1
         if any(full.shared(conjuncts) for conjuncts in entry.conjuncts):
-            outcomes[key] = entry.apply_delta(mutation)[0]
+            outcomes[key] = entry.apply_delta(RowMatch.of(mutation))[0]
     return outcomes, visited
 
 
@@ -226,14 +226,16 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
         return apply_delta(entry, *args, **kwargs)
     CachedResult.apply_delta = counted
     try:
-        dropped = cache.on_data_mutation(mutation)
+        impact = cache.on_data_mutation(RowMatch.of(mutation))
     finally:
         CachedResult.apply_delta = apply_delta
 
     fallbacks = sum(1 for outcome in outcomes.values() if outcome is None)
-    assert dropped == cache.repair_fallbacks == fallbacks
-    assert cache.repairs == len(outcomes) - fallbacks
-    assert cache.entries_visited == visited
+    assert impact["results_invalidated"] == impact["repair_fallbacks"] == \
+        cache.repair_fallbacks == fallbacks
+    assert impact["results_repaired"] == cache.repairs == \
+        len(outcomes) - fallbacks
+    assert impact["entries_visited"] == cache.entries_visited == visited
     assert cache.deltas_applied == len(calls) == len(set(calls))
     for key, entry in before.items():
         outcome = outcomes.get(key, entry)
@@ -278,13 +280,11 @@ def test_a_tie_at_the_floor_reaches_apply_delta():
     entry = cache.put(1, 1, [(5, floor), (8, floor)], False, conjuncts,
                       [0.35, 0.2, 0.1])
     below = {"pid": 3, "venue": "VLDB", "year": 2005, "aid": 9}
-    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
-                                        rows=[below], pids=[3]))
+    cache.on_data_mutation(RowMatch([below], post=1))
     assert cache.deltas_applied == 0 and cache.repairs == 1
     assert cache.peek(1, 1) is entry
     tie = dict(below, aid=7)
-    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
-                                        rows=[tie], pids=[3]))
+    cache.on_data_mutation(RowMatch([tie], post=1))
     assert cache.deltas_applied == 1 and cache.repairs == 2
     assert cache.peek(1, 1).buffer == ((3, floor), (5, floor))
 
@@ -300,11 +300,9 @@ def test_a_multi_conjunct_preference_enters_the_bound():
                                                        ((pair, 1 - 0.9),)),
                                "dblp.year = 2005": (None, ())}
     row = {"pid": 3, "venue": "VLDB", "year": 2004, "aid": 1}
-    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
-                                        rows=[row], pids=[3]))
+    cache.on_data_mutation(RowMatch([row], post=1))
     assert cache.deltas_applied == 0 and cache.peek(1, 1) is entry
-    cache.on_data_mutation(DataMutation(TUPLES_INSERTED, "dblp",
-                                        rows=[dict(row, year=2005)], pids=[3]))
+    cache.on_data_mutation(RowMatch([dict(row, year=2005)], post=1))
     assert cache.deltas_applied == 1
     assert cache.peek(1, 1).ranking == ((3, combine_and([0.9, 0.2])),)
 
@@ -324,9 +322,11 @@ def test_memo_prunes_exactly_the_stale_keys(tiny_db):
     row = {"pid": 1, "venue": venues[0], "year": lo, "aid": 1}
     full = RowMatch([row])
     stale = {key for key in keys if full.shared(key)}
-    match = RowMatch([row])
+    match = RowMatch([row], post=1)
     before = dict(runner._ids_cache)
-    assert runner.invalidate_matching(match, 1) == len(stale) == 1
+    assert runner.invalidate_matching(match) == {
+        "index_entries_patched": len(stale), "index_entries_dropped": 0}
+    assert len(stale) == 1
     assert (runner.id_lists_patched, runner.id_lists_dropped) == (1, 0)
     assert runner._ids_cache == {
         key: tuple(sorted({*before[key], 1})) if key in stale else before[key]

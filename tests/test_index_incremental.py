@@ -260,8 +260,9 @@ class TestPepsIntegration:
         preferences = make_preferences(POOL[:5])
         peps = PEPSAlgorithm(runner, preferences)
         before = dict(peps.top_k(1000))
-        match = append_vldb_2011(own_db)
-        assert runner.invalidate_matching(match, len(match.rows)) > 0
+        inserted = append_vldb_2011(own_db).rows
+        impact = runner.invalidate_matching(RowMatch(inserted, len(inserted)))
+        assert impact["index_entries_patched"] > 0
         oracle = PEPSAlgorithm(PreferenceQueryRunner(own_db), preferences)
         after = peps.top_k(1000)
         assert after == oracle.top_k(1000)

@@ -114,19 +114,21 @@ def _entry(buffer, k=2, complete=False):
 
 
 def _insert(*rows):
-    return DataMutation(TUPLES_INSERTED, "dblp", rows=list(rows),
-                        old_rows=[], pids=sorted({r["pid"] for r in rows}))
+    """The match a sweep builds for inserting ``rows``."""
+    return RowMatch.of(DataMutation(
+        TUPLES_INSERTED, "dblp", rows=list(rows), old_rows=[],
+        pids=sorted({r["pid"] for r in rows})))
 
 
 def _delete(*rows):
-    return DataMutation(TUPLES_DELETED, "dblp", rows=[],
-                        old_rows=list(rows),
-                        pids=sorted({r["pid"] for r in rows}))
+    return RowMatch.of(DataMutation(
+        TUPLES_DELETED, "dblp", rows=[], old_rows=list(rows),
+        pids=sorted({r["pid"] for r in rows})))
 
 
 def _update(old, new):
-    return DataMutation(TUPLES_UPDATED, "dblp", rows=[new], old_rows=[old],
-                        pids=[new["pid"]])
+    return RowMatch.of(DataMutation(TUPLES_UPDATED, "dblp", rows=[new],
+                                    old_rows=[old], pids=[new["pid"]]))
 
 
 BOTH = combine_and([0.9, 0.4])  # bit-exact: repairs fold in index order
@@ -186,9 +188,7 @@ class TestApplyDelta:
     def test_unscorable_row_forces_fallback(self):
         entry = _entry([(1, BOTH), (2, VENUE_ONLY)], complete=True)
         partial = {"pid": 9, "venue": "VLDB"}  # no year: verdict undecidable
-        mutation = DataMutation(TUPLES_INSERTED, "dblp", rows=[partial],
-                                old_rows=[], pids=[9])
-        repaired, reason = entry.apply_delta(mutation)
+        repaired, reason = entry.apply_delta(_insert(partial))
         assert repaired is None and reason == FALLBACK_UNSCORABLE
 
     def test_undecidable_row_is_outvoted_by_a_surely_matching_one(self):
@@ -196,10 +196,7 @@ class TestApplyDelta:
         when another of its rows cannot decide it."""
         entry = _entry([(1, BOTH), (2, VENUE_ONLY)], complete=True)
         partial = {"pid": 9, "venue": "VLDB", "aid": 1}  # no year
-        mutation = DataMutation(TUPLES_INSERTED, "dblp",
-                                rows=[partial, _row(9, aid=2)],
-                                old_rows=[], pids=[9])
-        repaired, reason = entry.apply_delta(mutation)
+        repaired, reason = entry.apply_delta(_insert(partial, _row(9, aid=2)))
         assert reason == REPAIRED
         assert repaired.buffer == ((1, BOTH), (9, BOTH), (2, VENUE_ONLY))
 
@@ -211,13 +208,12 @@ class TestApplyDelta:
         judge = selectivity.exact_match_row
         monkeypatch.setattr(selectivity, "exact_match_row",
                             lambda p, row: calls.append(p) or judge(p, row))
-        mutation = _update(_row(2, year=1999), _row(2, year=2014))
-        match = RowMatch(mutation.invalidation_rows())
+        match = _update(_row(2, year=1999), _row(2, year=2014))
         cache = ResultCache()
         for uid in range(3):
             cache.put(uid, 2, [(1, BOTH), (2, VENUE_ONLY)], True, _CONJUNCTS,
                       _INTENS)
-        assert cache.on_data_mutation(mutation, match) == 0
+        assert cache.on_data_mutation(match)["results_invalidated"] == 0
         assert (cache.entries_visited, cache.repairs) == (3, 3)
         for uid in range(3):
             assert cache.peek(uid, 2).buffer == ((1, BOTH), (2, BOTH))
@@ -249,9 +245,10 @@ class TestRepairEpochGuard:
     def test_repair_sweep_bumps_epoch_and_rejects_stale_put(self):
         cache, conjuncts = self._cache_with_entry()
         snapshot = cache.epoch
-        dropped = cache.on_data_mutation(
+        impact = cache.on_data_mutation(
             _update(_row(7, year=1999), _row(7, year=2014)))
-        assert dropped == 0 and cache.repairs == 1  # repaired, not dropped
+        assert impact["results_invalidated"] == 0  # repaired, not dropped
+        assert impact["results_repaired"] == cache.repairs == 1
         # An answer computed from pre-mutation data must still lose the race.
         assert cache.put(1, 1, ((7, BOTH),), True, conjuncts, _INTENS,
                          epoch=snapshot) is None

@@ -4,7 +4,8 @@ A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
 a drain that deletes a target's whole pool under a cached answer (every
 live pid for ``any``; later inserts refill the relation),
-close-and-reopen, the five profile-update shapes and five faults.  Deletes
+close-and-reopen, the five profile-update shapes and five faults (the
+two sweep faults also on a direct loader call, past every door).  Deletes
 and in-place updates aim at a drawn target: ``any`` live pid, the ``hot``
 pids cached answers rank, or the ``boundary`` pids at ranks ``K-1 …
 3K+1`` of a cached user's fresh ranking, the rows around the repair
@@ -12,9 +13,10 @@ buffer's edge.  A fresh predicate is a year bound or a live paper's
 title, so a text-column equality stays on the served path.  The five
 profile-update rules together churn profiles faster than reads re-warm
 them, so profile thrash needs no rule of its own.  ``event`` records each
-target, the drain and the predicate kind (``--hypothesis-show-statistics``).
-After every step every read, and every answer still materialised, equals
-``fresh_top_k``, no repair ran SQL, no exported counter went down, the
+target, the drain, the predicate kind and each direct-call fault
+(``--hypothesis-show-statistics``).  After every step every read, and every
+answer still materialised, equals ``fresh_top_k``, no result-cache sweep
+ran SQL, no exported counter went down, the
 result cache's pid index and score-bound factors equal a recomputation from
 its entries, and every memoised id list equals a fresh fetch.  Concurrent
 interleavings are the load auditor's job; ``test_engines_report_alike``
@@ -43,8 +45,8 @@ from repro.core.predicate import conjunction, parse_predicate
 from repro.core.preference import UserProfile
 from repro.loadgen import load_population, population
 from repro.serving import (DATA_UPDATE, DELETE, INSERT, READ, UPDATE, Op,
-                           OpMix, TopKServer, apply_op, build_streams,
-                           fresh_top_k)
+                           OpMix, TopKServer, Uncached, apply_op,
+                           build_streams, fresh_top_k)
 from repro.serving.ops import audit_materialised, venue_predicate
 from repro.workload import (PreferenceExtractor, generate_dblp, load_dataset,
                             load_profiles)
@@ -137,7 +139,8 @@ class ServerMachine(RuleBasedStateMachine):
         load_population(self.real, POPULATION)
         load_profiles(self.real, MINED)
         self.db = FaultyBackend(self.real)
-        self.server = TopKServer(self.db)
+        self.sweep_sql = []  # SQL each result-cache sweep ran, since the check
+        self.server = self.watch(TopKServer(self.db))
         # Each user's own predicates and qualitative pairs, as stated so far.
         self.users = {profile.uid: {
             "predicates": profile.predicates(),
@@ -146,7 +149,7 @@ class ServerMachine(RuleBasedStateMachine):
             for profile in self.real.read_profiles()}
         self.next_pid = self.real.max_paper_id() + 1
         self.served = []   # (uid, ranking) read since the last check
-        self.reports = []  # data-mutation reports since the last check
+        self.direct = False  # data ops call the loader, past every door
         self.fresh = {}    # uid -> fresh_top_k, until the next write
         self.exported = {}  # the server's metrics() at the last check
         self.reads = [0, 0]  # top_k calls completed / served warm, this server
@@ -157,15 +160,31 @@ class ServerMachine(RuleBasedStateMachine):
 
     # -- applying ------------------------------------------------------------
 
+    def watch(self, server):
+        """Record the SQL statements each of ``server``'s result-cache
+        sweeps runs (``repair_sql_statements`` is 0 by construction)."""
+        sweep, real = server.results.on_data_mutation, self.real
+
+        def measured(match):
+            before = real.statements_executed
+            try:
+                return sweep(match)
+            finally:
+                self.sweep_sql.append(real.statements_executed - before)
+        server.results.on_data_mutation = measured
+        return server
+
     def apply(self, op):
         if op.kind != READ:
             self.fresh.clear()
+        if self.direct and op.kind in (INSERT, DELETE, DATA_UPDATE):
+            # The bare loader; the server still hears the mutation.
+            apply_op(Uncached(self.db), op)
+            return
         outcome = apply_op(self.server, op)
         if op.kind == READ:
             self.count_read(outcome)
             self.served.append((op.uid, list(outcome.ranking)))
-        elif op.kind != UPDATE:
-            self.reports.append(outcome)
 
     def count_read(self, result):
         self.reads[0] += 1
@@ -277,7 +296,7 @@ class ServerMachine(RuleBasedStateMachine):
     @rule()
     def reopen(self):
         self.server.close()
-        self.server = TopKServer(self.db)
+        self.server = self.watch(TopKServer(self.db))
         self.exported = {}
         self.reads = [0, 0]
 
@@ -331,7 +350,7 @@ class ServerMachine(RuleBasedStateMachine):
         cache repaired, before the id-list memo is patched."""
         sessions = self.server.sessions
 
-        def prune(match, post_rows):
+        def prune(match):
             del sessions.invalidate_matching
             self.db.fired += 1
             raise InjectedFault("sweep")
@@ -353,11 +372,11 @@ class ServerMachine(RuleBasedStateMachine):
                 super().__setitem__(key, ids)
                 raise fault()
 
-        def raising_patch(match, post_rows):
+        def raising_patch(match):
             del sessions.invalidate_matching
             runner._ids_cache = RaisingMemo(runner._ids_cache)
             try:
-                patch(match, post_rows)
+                patch(match)
             finally:
                 runner._ids_cache = dict(runner._ids_cache)
             raise fault()
@@ -366,8 +385,9 @@ class ServerMachine(RuleBasedStateMachine):
     @rule(place=st.sampled_from(FaultyBackend.PLACES + ("sweep", "patch")),
           kind=st.sampled_from((INSERT, DELETE, DATA_UPDATE, UPDATE)),
           pick=PICK, venue=st.sampled_from(VENUES),
-          year=st.integers(1995, 2013), other=st.sampled_from(UIDS))
-    def fault(self, place, kind, pick, venue, year, other):
+          year=st.integers(1995, 2013), other=st.sampled_from(UIDS),
+          direct=st.booleans())
+    def fault(self, place, kind, pick, venue, year, other, direct):
         """A write whose backend or sweep raises once surfaces at its door,
         is counted there, and leaves the server exact and unwedged.  A data
         mutation's fault leaves no completed sweep, so the server forgets
@@ -375,9 +395,16 @@ class ServerMachine(RuleBasedStateMachine):
         before the commit, in ``notify`` or in the listener call,
         ``in_sweep`` for one inside the server's sweep — before the id-list
         memo is patched (``sweep``) or partway through its patch
-        (``patch``)."""
-        door = {INSERT: "insert_tuples", DELETE: "delete_tuples",
-                DATA_UPDATE: "update_tuples", UPDATE: "update_profile"}[kind]
+        (``patch``).  With ``direct`` a sweep fault hits a data mutation
+        made by a bare loader call: no door counts an error, and the
+        forget is counted as ``direct.in_sweep``."""
+        self.direct = direct = direct and place in ("sweep", "patch") \
+            and kind != UPDATE
+        if direct:
+            event(f"fault: {place} on a direct loader call")
+        door = "direct" if direct else {
+            INSERT: "insert_tuples", DELETE: "delete_tuples",
+            DATA_UPDATE: "update_tuples", UPDATE: "update_profile"}[kind]
         errors = f"serving.server.errors.{door}.injected_fault"
         forgets = "serving.server.forgets.{}.{}".format(
             door, "before_sweep" if place in FaultyBackend.PLACES
@@ -404,10 +431,12 @@ class ServerMachine(RuleBasedStateMachine):
             pass
         finally:
             self.db.armed = None
+            self.direct = False
             self.server.sessions.__dict__.pop("invalidate_matching", None)
             self.fresh.clear()
         metrics = self.server.metrics()
-        assert metrics.get(errors, 0) == before + self.db.fired - fired
+        assert metrics.get(errors, 0) == before + (
+            self.db.fired - fired if not direct else 0)
         assert metrics.get(forgets, 0) == forgotten + (
             self.db.fired - fired if kind != UPDATE else 0)
         outcome = {}
@@ -438,8 +467,8 @@ class ServerMachine(RuleBasedStateMachine):
 
     @invariant()
     def repairs_run_no_sql(self):
-        reports, self.reports = self.reports, []
-        assert all(report.repair_sql_statements == 0 for report in reports)
+        sweeps, self.sweep_sql = self.sweep_sql, []
+        assert not any(sweeps), sweeps
 
     @invariant()
     def bound_state_equals_a_recomputation(self):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.predicate import parse_predicate
-from repro.index import CountCache
+from repro.index import CountCache, RowMatch
 from repro.serving.results import ResultCache
 from repro.sqldb.events import (
     TUPLES_DELETED,
@@ -41,6 +41,12 @@ def update(old_rows, new_rows) -> DataMutation:
     return DataMutation(TUPLES_UPDATED, "dblp", rows=new_rows,
                         old_rows=old_rows,
                         pids=[row["pid"] for row in old_rows])
+
+
+def sweep(cache, mutation) -> int:
+    """Sweep ``mutation`` through ``cache`` as a server does; the number of
+    entries dropped."""
+    return cache.on_data_mutation(RowMatch.of(mutation))["results_invalidated"]
 
 
 class TestLookups:
@@ -82,7 +88,9 @@ class TestDataInvalidation:
         put(cache, 1, 5, [(10, 0.9)], [VLDB])          # matches the new row
         put(cache, 2, 5, [(11, 0.8)], [ICDE])          # provably unaffected
         put(cache, 3, 5, [(12, 0.7)], [RECENT])        # 2005 < 2010: unaffected
-        assert cache.on_data_mutation(insert([VLDB_ROW])) == 0
+        assert cache.on_data_mutation(RowMatch.of(insert([VLDB_ROW]))) == {
+            "results_invalidated": 0, "repair_fallbacks": 0,
+            "results_repaired": 1, "results_spared": 2, "entries_visited": 1}
         assert cache.peek(1, 5).ranking == ((10, 0.9), (901, 0.9))
         assert cache.peek(2, 5).ranking == ((11, 0.8),)
         assert cache.peek(3, 5).ranking == ((12, 0.7),)
@@ -93,7 +101,7 @@ class TestDataInvalidation:
         cache = ResultCache()
         put(cache, 1, 5, [(10, 0.9)], [ICDE, RECENT])
         row = {**VLDB_ROW, "year": 2012}               # matches RECENT only
-        assert cache.on_data_mutation(insert([row])) == 0
+        assert sweep(cache, insert([row])) == 0
         assert cache.repairs == 1
         assert cache.peek(1, 5).ranking == ((10, 0.9), (901, 0.9))
 
@@ -105,14 +113,14 @@ class TestDataInvalidation:
         # fresh, nor score the new tuple, so the entry must be dropped.
         row = {"pid": 902, "title": "t", "venue": "ICDE", "year": 2001,
                "abstract": ""}
-        assert cache.on_data_mutation(insert([row])) == 1
+        assert sweep(cache, insert([row])) == 1
 
     def test_delete_drops_only_users_matching_the_pre_image(self):
         cache = ResultCache()
         # A truncated one-deep buffer: removing its tuple underflows it.
         put(cache, 1, 1, [(901, 0.9)], [VLDB], complete=False)
         put(cache, 2, 1, [(11, 0.9)], [ICDE], complete=False)
-        dropped = cache.on_data_mutation(delete([VLDB_ROW]))
+        dropped = sweep(cache, delete([VLDB_ROW]))
         assert dropped == 1
         assert cache.peek(1, 1) is None
         assert cache.peek(2, 1) is not None
@@ -125,7 +133,7 @@ class TestDataInvalidation:
         put(cache, 2, 5, [(11, 0.9)], [ICDE])              # the post-image
         put(cache, 3, 5, [(12, 0.9)], [RECENT])            # neither
         moved = {**VLDB_ROW, "venue": "ICDE"}
-        assert cache.on_data_mutation(update([VLDB_ROW], [moved])) == 0
+        assert sweep(cache, update([VLDB_ROW], [moved])) == 0
         assert cache.peek(1, 5).ranking == ((10, 0.9),)
         assert cache.peek(2, 5).ranking == ((11, 0.9), (901, 0.9))
         assert cache.peek(3, 5).ranking == ((12, 0.9),)
@@ -143,7 +151,7 @@ class TestDataInvalidation:
         assert len(cache) == 0 and cache.cached_users() == []
         assert cache.epoch > epoch
         # No conjunct is held any more: a matching sweep visits nothing.
-        assert cache.on_data_mutation(insert([VLDB_ROW])) == 0
+        assert sweep(cache, insert([VLDB_ROW])) == 0
         assert cache.entries_visited == 0
         assert put(cache, 1, 5, [(10, 0.9)], [VLDB], epoch=epoch) is None
         stats = cache.stats()

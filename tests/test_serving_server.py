@@ -17,7 +17,7 @@ from repro.serving import TopKServer, fresh_top_k
 from repro.sqldb.database import Database
 from repro.telemetry import Span, Telemetry
 from repro.workload.dblp import DblpConfig, Paper, generate_dblp
-from repro.workload.loader import load_dataset
+from repro.workload.loader import append_papers, load_dataset
 
 VENUES = ("VLDB", "SIGMOD", "PVLDB", "ICDE", "PODS", "CIKM")
 #: Warm reads per thread of the counter-tearing stress test.
@@ -279,7 +279,7 @@ class TestDataInserts:
         for uid in range(1, 5):
             server.top_k(uid, 5)
 
-        def prune(match, post_rows):
+        def prune(match):
             raise RuntimeError("sweep fault")
         monkeypatch.setattr(server.sessions, "invalidate_matching", prune)
         with pytest.raises(RuntimeError):
@@ -296,6 +296,33 @@ class TestDataInserts:
         for uid in range(1, 5):
             assert list(server.top_k(uid, 5).ranking) == \
                 fresh_top_k(server.db, uid, 5)
+
+    def test_sweep_that_raises_on_a_direct_loader_call_forgets(self, server,
+                                                                monkeypatch):
+        """The server sweeps a direct loader call's mutation too, so a sweep
+        that raises on one leaves both stores half maintained just as a
+        door's would: the listener forgets them, counted as
+        ``direct.in_sweep``, and every later read — at a cached ``k`` or a
+        new one — is exact."""
+        for uid in range(1, 5):
+            server.top_k(uid, 5)
+
+        def prune(*args):
+            raise RuntimeError("sweep fault")
+        monkeypatch.setattr(server.sessions, "invalidate_matching", prune)
+        with pytest.raises(RuntimeError, match="sweep fault"):
+            append_papers(server.db, [Paper(9003, "Mid", VENUES[1], 2008)],
+                          [(9003, 1)])
+        monkeypatch.undo()
+        forgets = {name: value for name, value in server.metrics().items()
+                   if name.startswith("serving.server.forgets.")}
+        assert forgets == {"serving.server.forgets.direct.in_sweep": 1}
+        assert len(server.results) == 0
+        assert server.sessions.runner._ids_cache == {}
+        for uid in range(1, 5):
+            for k in (5, 6):
+                assert list(server.top_k(uid, k).ranking) == \
+                    fresh_top_k(server.db, uid, k)
 
     def test_patch_that_raises_partway_forgets_every_cache(self, server):
         """A memo patch that raises right after rewriting its first id list

@@ -58,7 +58,8 @@ class TestUserSession:
         first.top_k_buffer(5)
         row = {"pid": 9001, "title": "t", "venue": VENUES[1], "year": 2011,
                "abstract": "", "aid": 1}
-        assert registry.invalidate_matching(RowMatch([row]), 1) > 0
+        impact = registry.invalidate_matching(RowMatch([row], post=1))
+        assert impact["index_entries_patched"] > 0
         assert registry.get_or_create(1) is not first
         assert first._pair_index is None
 

@@ -408,7 +408,7 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
                 in surface.telemetry.traces.snapshot()[-1].walk()
                 if record.name == "server.on_data_mutation"]
     assert len(built) == 1
-    assert sweep.annotation("rows") == len(rows) >= 4
+    assert sweep.annotation("joined_rows") == len(rows) >= 4
     assert asked == sweep.annotation("predicate_row_tests") == \
         sweep.annotation("distinct_predicates") * len(rows)
     # Every consumer's keys — id lists and cached answers — reach ``mask``
@@ -435,9 +435,11 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
     assert dropped <= {key for key in before if undecidable(key)}
     assert report.index_entries_patched + report.index_entries_dropped == \
         len(reference)
-    assert (sweep.annotation("id_lists_patched"),
-            sweep.annotation("id_lists_dropped")) == (
-        report.index_entries_patched, report.index_entries_dropped)
+    # The span annotates the report's impact record, name for name.
+    impact = {name: value for name, value in report.as_dict().items()
+              if name not in ("kind", "papers", "sql_statements", "seconds",
+                              "repair_sql_statements")}
+    assert {name: sweep.annotation(name) for name in impact} == impact
     applied = {(entry.uid, entry.k) for entry, *_ in repairs}
     changed = {key for key, entry in entries.items()
                if surface.results.peek(*key) is not entry}
@@ -502,7 +504,7 @@ def test_unmatched_mutation_visits_no_entry(surface, monkeypatch):
     (sweep,) = [record for record
                 in surface.telemetry.traces.snapshot()[-1].walk()
                 if record.name == "server.on_data_mutation"]
-    rows = sweep.annotation("rows")
+    rows = sweep.annotation("joined_rows")
     assert rows == 1
     assert shared == []
     assert report.entries_visited == sweep.annotation("entries_visited") == 0
