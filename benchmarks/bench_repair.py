@@ -31,11 +31,18 @@ acceptance criteria:
     answer to ``apply_delta`` only when its per-answer score bound cannot
     prove it unchanged: ``serving.result_cache.deltas_applied`` stays at or
     below :data:`DELTA_SHARE_CEILING` of the affected answers
-    (``repairs + repair_fallbacks``).
+    (``repairs + repair_fallbacks``);
+(e) **a profile update is repaired too** — of the cold reads that come
+    right after a profile update of the same user, at least
+    :data:`PROFILE_REPAIR_FLOOR` are served by a profile repair
+    (``serving.result_cache.profile_repairs``), and a repaired read folds
+    fewer tuples (``profile_tuples_rescored`` per repair) than a full fold
+    scores (PEPS's ``tuples_scored`` per folded read).
 """
 
 from __future__ import annotations
 
+from repro.algorithms.peps import PEPSAlgorithm
 from repro.experiments import reporting
 from repro.experiments.context import SCALES
 from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
@@ -59,20 +66,64 @@ WARM_RATE_FLOOR = 0.5
 #: The ceiling on ``apply_delta`` calls per affected answer (without the
 #: bound every affected answer is a call).
 DELTA_SHARE_CEILING = 0.4
+#: The floor on post-update cold reads served by a profile repair (a user
+#: with no answer cached before the update leaves no basis to repair).
+PROFILE_REPAIR_FLOOR = 0.5
+
+
+def _watch_profile_reads(server, watch):
+    """Count, in ``watch``, the cold reads right after a profile update of
+    the same user, the profile repairs among them, and the tuples each
+    full PEPS fold scores; returns the undo."""
+    outdated = set()
+    update_profile, top_k = server.update_profile, server.top_k
+    top_k_buffer = PEPSAlgorithm.top_k_buffer
+
+    def updated(uid, profile):
+        outdated.add(uid)
+        return update_profile(uid, profile)
+
+    def read(uid, k):
+        repairs = server.results.profile_repairs
+        result = top_k(uid, k)
+        if uid in outdated and not result.cache_hit:
+            watch["post_update_reads"] += 1
+            watch["repaired"] += server.results.profile_repairs - repairs
+        outdated.discard(uid)
+        return result
+
+    def folded(peps, k, delta=0):
+        answer = top_k_buffer(peps, k, delta)
+        watch["folds"] += 1
+        watch["tuples_scored"] += peps.tuples_scored
+        return answer
+
+    server.update_profile, server.top_k = updated, read
+    PEPSAlgorithm.top_k_buffer = folded
+
+    def undo():
+        del server.update_profile, server.top_k
+        PEPSAlgorithm.top_k_buffer = top_k_buffer
+    return undo
 
 
 def _replay():
-    """The audited replay, plus the mean statements one from-scratch
-    recompute (``fresh_top_k``) costs per user on the replay's end state."""
+    """The audited replay, the mean statements one from-scratch recompute
+    (``fresh_top_k``) costs per user on the replay's end state, and the
+    post-update reads the replay served (see :func:`_watch_profile_reads`)."""
     db = build_world(SCALES[SCALE], USERS)
     server = TopKServer(db)
+    watch = dict.fromkeys(
+        ("post_update_reads", "repaired", "folds", "tuples_scored"), 0)
+    undo = _watch_profile_reads(server, watch)
     try:
         report = LoadGenerator(REPLAY).run(server)
+        undo()
         uids = population(USERS)
         before = db.statements_executed
         for uid in uids:
             fresh_top_k(db, uid, REPLAY.k)
-        return report, (db.statements_executed - before) / len(uids)
+        return report, (db.statements_executed - before) / len(uids), watch
     finally:
         server.close()
         db.close()
@@ -80,13 +131,18 @@ def _replay():
 
 def test_repair_beats_invalidate_and_recompute(benchmark):
     """The acceptance benchmark: repair rate, warm rate and avoided SQL."""
-    report, recompute = run_once(benchmark, _replay)
+    report, recompute, watch = run_once(benchmark, _replay)
     metrics = report.server_stats
     repairs = metrics["serving.result_cache.repairs"]
     fallbacks = metrics["serving.result_cache.repair_fallbacks"]
     entry_rate = repairs / max(1, repairs + fallbacks)
     avoided = repairs * recompute
     deltas = metrics["serving.result_cache.deltas_applied"]
+    profile_repairs = metrics["serving.result_cache.profile_repairs"]
+    profile_rate = watch["repaired"] / max(1, watch["post_update_reads"])
+    rescored = (metrics["serving.result_cache.profile_tuples_rescored"]
+                / max(1, profile_repairs))
+    scored = watch["tuples_scored"] / max(1, watch["folds"])
 
     reporting.print_report(
         f"Repair, don't recompute — {USERS} users, {REPLAY.requests} "
@@ -102,6 +158,11 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
                 metrics["serving.result_cache.repair_underflows"],
             "entry repair rate": f"{entry_rate:.3f}",
             "apply_delta calls": deltas,
+            "post-update cold reads": watch["post_update_reads"],
+            "served by a profile repair": watch["repaired"],
+            "profile repair rate": f"{profile_rate:.3f}",
+            "tuples rescored per profile repair": f"{rescored:.1f}",
+            "tuples scored per full fold": f"{scored:.1f}",
             "SQL per from-scratch recompute": f"{recompute:.1f}",
             "recompute SQL the repairs stand in for": f"{avoided:.0f}",
             "audited": report.audit["comparisons"],
@@ -123,6 +184,11 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
 
     # (d) The score bound spares most affected answers the repair call.
     assert deltas <= DELTA_SHARE_CEILING * (repairs + fallbacks)
+
+    # (e) Post-update reads are repaired, for fewer tuples than a fold.
+    assert watch["repaired"] == profile_repairs > 0
+    assert profile_rate >= PROFILE_REPAIR_FLOOR
+    assert watch["folds"] > 0 and rescored < scored
 
 
 def test_repairs_stay_clean_under_concurrent_load(benchmark):

@@ -173,6 +173,11 @@ class PreferenceQueryRunner:
             self.queries_executed += 1
         return ids
 
+    def memoised(self, key: FrozenSet[str]) -> Optional[Tuple[int, ...]]:
+        """The memoised id list under conjunct key ``key``, or ``None``
+        when none is held; never fetches."""
+        return self._ids_cache.get(key)
+
     def is_applicable(self, predicate: PredicateExpr) -> bool:
         """Definition 15 — the enhanced query returns at least one tuple."""
         return self.count(predicate) > 0

@@ -7,8 +7,11 @@ updates (Berkholz, Keppeler & Schweikardt — the materialised answer is the
 view, the events are the deltas):
 
 * **profile updates** — the server calls :meth:`ResultCache.invalidate_user`
-  after persisting one, which drops every cached answer *of that user only*
-  (persist, invalidate: the next read builds from the persisted profile).
+  after persisting one, which takes every cached answer *of that user only*
+  out of serving and keeps it as a *basis* (persist, outdate; the next read
+  repairs): the next read builds the user's new preference list from the
+  persisted profile and :meth:`CachedResult.apply_profile` rescores only
+  the tuples of the preferences that changed.
 * **data events** — :class:`~repro.sqldb.events.DataMutation` notifications
   from the workload database, covering the full update spectrum.  A
   mutation touches a cached answer **iff** one of the predicates it was
@@ -59,6 +62,23 @@ in the sweep's one pass over the live conjuncts' holders, proves that no
 inserted or rescored tuple can reach the buffer's floor (the threshold
 argument of Fagin's algorithm, applied to one cached answer).
 
+**A profile update is maintained too.**  A PEPS score is ``f_and``'s
+product of ``1 − i`` over the matched preferences, in preference order, so
+a tuple outside every changed preference's id list keeps the same factors
+in the same order — the same float — when the unchanged preferences keep
+their relative order.  :meth:`ResultCache.invalidate_user` therefore moves
+the user's answers into a separate store of *bases* instead of dropping
+them.  A basis is never served (:meth:`~ResultCache.get` and
+:meth:`~ResultCache.peek` read only the answers), yet every data sweep
+maintains it like an answer — through the same holdings, pid index and
+:meth:`CachedResult.apply_delta`, counted apart — so it stays the exact
+answer to its *own* preference list.  The next cold read takes it
+(:meth:`~ResultCache.take_basis`) and
+:meth:`CachedResult.apply_profile` folds only the changed preferences'
+tuples over the new list, merges them into the basis's buffer and cuts at
+its old floor; it falls back to the full fold, counted by reason, when it
+cannot prove the exact answer.
+
 **Thread safety and the re-cache race.**  The cache carries its own
 re-entrant lock, so warm lookups no longer need the server's big lock (the
 multi-threaded load harness showed every warm read serialising on it).
@@ -79,22 +99,38 @@ proven fresh.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from ..core.intensity import combine_and
 from ..index.selectivity import ConjunctIndex, RowMatch
 from ..telemetry import annotate
 
+if TYPE_CHECKING:
+    from ..algorithms.base import PreferenceQueryRunner, ScoredPreference
+
 ResultKey = Tuple[int, int]
 Ranking = Tuple[Tuple[int, float], ...]
 
-#: ``apply_delta`` outcome labels (the second element of its return pair).
+#: ``apply_delta`` / ``apply_profile`` outcome labels (the second element
+#: of their return pairs).
 REPAIRED = "repaired"
 #: A predicate could not be evaluated exactly against an event row.
 FALLBACK_UNSCORABLE = "unscorable"
 #: Removals sank a truncated buffer below ``k`` ranked tuples.
 FALLBACK_UNDERFLOW = "underflow"
+#: The preferences a profile update left unchanged changed relative order.
+FALLBACK_REORDERED = "reordered"
+#: A preference the update removed has no memoised id list to rescore from.
+FALLBACK_UNMEMOISED = "unmemoised"
+#: A truncated basis holds no tuple, so it has no floor to cut at.
+FALLBACK_EMPTY = "empty"
+#: Every ``apply_profile`` fallback, in the order it checks them; exported
+#: as ``serving.result_cache.profile_repair_fallbacks.<reason>``.
+PROFILE_FALLBACKS = (FALLBACK_REORDERED, FALLBACK_EMPTY, FALLBACK_UNMEMOISED,
+                     FALLBACK_UNDERFLOW)
 #: Absolute slack on the sweep's score bound: the bound multiplies its
 #: factors in conjunct order, a repair in preference order, so the two
 #: products may differ in their last bits.
@@ -105,6 +141,18 @@ BOUND_MARGIN = 1e-9
 #: conjunct (``None`` when it has none), and ``(conjuncts, Π(1 − i))`` per
 #: multi-conjunct preference set whose least conjunct it is.
 Holding = Tuple[Optional[float], Tuple[Tuple[FrozenSet[str], float], ...]]
+
+
+class Rebased(NamedTuple):
+    """A profile repair's answer (see :meth:`CachedResult.apply_profile`)."""
+
+    #: The exact prefix of the new total order, as ``(pid, score)`` pairs.
+    buffer: List[Tuple[int, float]]
+    #: Whether ``buffer`` holds the whole covered universe.
+    complete: bool
+    #: The tuples folded over the new list: every pid in a changed
+    #: preference's id list.
+    tuples_rescored: int
 
 
 @dataclass(frozen=True)
@@ -219,6 +267,92 @@ class CachedResult:
             buffer=tuple(buffer), complete=self.complete,
             depth=self.depth), REPAIRED
 
+    def apply_profile(self, runner: "PreferenceQueryRunner",
+                      preferences: Sequence["ScoredPreference"],
+                      conjuncts: Sequence[FrozenSet[str]], depth: int,
+                      ) -> Tuple[Optional[Rebased], str]:
+        """Rescore this answer for the user's new preference list.
+
+        ``self`` is a basis: the exact answer to its own ``conjuncts`` /
+        ``intensities`` on the current data, which every sweep since it was
+        outdated has maintained.  ``preferences`` and ``conjuncts`` are the
+        new PEPS list and its conjunct keys, in preference order;
+        ``runner`` is the shared id-list memo; ``depth`` is the depth a
+        full fold would cut at.
+
+        A preference is *changed* when its ``(conjuncts, intensity)`` pair
+        is on one list and not the other; a restated intensity changes its
+        key.  When the other preferences keep their relative order, a tuple
+        in none of the changed keys' id lists matches the same preferences
+        with the same intensities in the same order, so its score is the
+        same float.  Only the tuples in those lists are folded over the new
+        list, in preference order, as
+        :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k` folds them, and
+        merged with the rest of the buffer on ``(m − 1.0, pid)``.  A
+        truncated buffer is cut at its old floor: a tuple it never held
+        and did not rescore still ranks below it.  The result is capped at
+        ``max(depth, self.depth)``, and it is ``complete`` only when the
+        basis was and the cap cut nothing.  The new list's id lists are
+        read through ``runner.ids`` — the statements a full fold would run
+        — and a removed key's from the memo alone.
+
+        Returns ``(Rebased, REPAIRED)``, or ``(None, reason)`` when only a
+        full fold gives the exact answer: ``FALLBACK_REORDERED``,
+        ``FALLBACK_EMPTY`` (a truncated basis with no floor),
+        ``FALLBACK_UNMEMOISED`` (a removed key's list is not memoised) or
+        ``FALLBACK_UNDERFLOW`` (fewer than ``k`` tuples above the floor).
+        """
+        old = list(zip(self.conjuncts, self.intensities))
+        new = list(zip(conjuncts, (pref.intensity for pref in preferences)))
+        changed = {key for key, _ in set(old).symmetric_difference(new)}
+        annotate("preferences_changed", len(changed))
+        # The other pairs must be the same sequence: in the same order, and
+        # a pair stated twice (two texts of one key) as often.
+        if [pair for pair in old if pair[0] not in changed] != \
+                [pair for pair in new if pair[0] not in changed]:
+            return None, FALLBACK_REORDERED
+        if not self.complete and not self.buffer:
+            return None, FALLBACK_EMPTY
+        rescored: Set[int] = set()
+        for key in changed.difference(conjuncts):
+            ids = runner.memoised(key)
+            if ids is None:
+                return None, FALLBACK_UNMEMOISED
+            rescored.update(ids)
+        # The memo by key first: ``ids`` would render the key again.
+        lists = [runner.memoised(key) or runner.ids(pref.predicate)
+                 for pref, key in zip(preferences, conjuncts)]
+        for key, ids in zip(conjuncts, lists):
+            if key in changed:
+                rescored.update(ids)
+        annotate("tuples_rescored", len(rescored))
+        remainder: Dict[int, float] = {}
+        if rescored:
+            # Lists are pid-ordered: only the slice between the least and
+            # the greatest rescored pid can hold one.
+            low, high = min(rescored), max(rescored)
+            for pref, ids in zip(preferences, lists):
+                miss = 1.0 - pref.intensity
+                for pid in rescored.intersection(
+                        ids[bisect_left(ids, low):bisect_right(ids, high)]):
+                    remainder[pid] = remainder.get(pid, 1.0) * miss
+        # ``-score`` is exactly ``m - 1.0``: both sides use PEPS's key.
+        merged = [(-score, pid) for pid, score in self.buffer
+                  if pid not in rescored]
+        keys = [(missed - 1.0, pid) for pid, missed in remainder.items()]
+        if not self.complete:
+            pid, score = self.buffer[-1]
+            floor = (-score, pid)
+            keys = [key for key in keys if key <= floor]
+            if len(merged) + len(keys) < self.k:
+                return None, FALLBACK_UNDERFLOW
+        merged.extend(keys)
+        merged.sort()
+        cap = max(depth, self.depth)
+        return Rebased([(pid, -negated) for negated, pid in merged[:cap]],
+                       self.complete and len(merged) < cap,
+                       len(rescored)), REPAIRED
+
 
 def holdings(entry: CachedResult) -> Dict[str, Holding]:
     """Each conjunct ``entry`` holds -> the score-bound factors it carries.
@@ -261,6 +395,10 @@ class ResultCache:
         # server lock, so every access holds this lock.
         self._lock = threading.RLock()
         self._entries: Dict[ResultKey, CachedResult] = {}
+        #: The answers profile updates outdated, kept as repair bases and
+        #: never served.  A key is in ``_entries`` or here, never in both,
+        #: so the two indexes below hold both stores under plain keys.
+        self._bases: Dict[ResultKey, CachedResult] = {}
         #: Every conjunct an entry holds -> the ``(uid, k)`` keys holding it,
         #: each carrying its :func:`holdings` factors under it: a sweep
         #: visits the holders of the conjuncts a row may match.
@@ -273,7 +411,8 @@ class ResultCache:
         #: Warm requests answered from memory / requests that had to compute.
         self.hits = 0
         self.misses = 0
-        #: Entries dropped by profile mutations / by data inserts.
+        #: Entries profile updates took out of serving (each kept as a
+        #: basis) / entries data mutations dropped.
         self.profile_invalidations = 0
         self.data_invalidations = 0
         #: Entries a data insert did not affect (kept) / entries a sweep
@@ -290,6 +429,15 @@ class ResultCache:
         #: :meth:`CachedResult.apply_delta` calls: the affected entries the
         #: sweep's score bound could not prove unchanged.
         self.deltas_applied = 0
+        #: Affected bases a sweep maintained / dropped (their own counts:
+        #: the entry counters above describe served answers only).
+        self.basis_repairs = 0
+        self.basis_drops = 0
+        #: Reads answered by :meth:`CachedResult.apply_profile`, the tuples
+        #: those repairs folded, and the repairs that fell back, by reason.
+        self.profile_repairs = 0
+        self.profile_tuples_rescored = 0
+        self.profile_repair_fallbacks = dict.fromkeys(PROFILE_FALLBACKS, 0)
         #: Materialisations refused because an invalidation ran since the
         #: caller snapshotted the epoch (the check-then-act guard firing).
         self.stale_puts_rejected = 0
@@ -324,9 +472,40 @@ class ResultCache:
             return entry
 
     def peek(self, uid: int, k: int) -> Optional[CachedResult]:
-        """The cached answer without touching the statistics."""
+        """The cached answer without touching the statistics.  Like
+        :meth:`get`, it never returns a basis."""
         with self._lock:
             return self._entries.get((uid, k))
+
+    def take_basis(self, uid: int, k: int) -> Optional[CachedResult]:
+        """Remove and return the basis a profile update left for
+        ``(uid, k)`` (``None`` when there is none); the cold read that
+        takes it repairs it (:meth:`repair_profile`) or lets it go."""
+        with self._lock:
+            basis = self._bases.pop((uid, k), None)
+            if basis is not None:
+                self._release((uid, k), basis)
+            return basis
+
+    def repair_profile(self, basis: CachedResult,
+                       runner: "PreferenceQueryRunner",
+                       preferences: Sequence["ScoredPreference"],
+                       conjuncts: Sequence[FrozenSet[str]], depth: int,
+                       ) -> Optional[Rebased]:
+        """:meth:`CachedResult.apply_profile` on a taken ``basis``, counted:
+        the repaired answer, or ``None`` — the caller folds in full — after
+        counting the fallback's reason (annotated as ``fallback``)."""
+        rebased, reason = basis.apply_profile(runner, preferences, conjuncts,
+                                              depth)
+        with self._lock:
+            if rebased is None:
+                self.profile_repair_fallbacks[reason] += 1
+            else:
+                self.profile_repairs += 1
+                self.profile_tuples_rescored += rebased.tuples_rescored
+        if rebased is None:
+            annotate("fallback", reason)
+        return rebased
 
     def put(self, uid: int, k: int, buffer: Sequence[Tuple[int, float]],
             complete: bool, conjuncts: Sequence[FrozenSet[str]],
@@ -358,7 +537,8 @@ class ResultCache:
                 uid=uid, k=k, ranking=buffer[:k], conjuncts=tuple(conjuncts),
                 intensities=tuple(intensities), buffer=buffer,
                 complete=complete, depth=len(buffer))
-            replaced = self._entries.get((uid, k))
+            replaced = self._entries.get((uid, k)) \
+                or self._bases.pop((uid, k), None)
             if replaced is not None:
                 self._release((uid, k), replaced)
             self._entries[(uid, k)] = entry
@@ -392,16 +572,17 @@ class ResultCache:
             else:
                 keys.add(key)
 
-    def _drop(self, key: ResultKey) -> None:
-        self._release(key, self._entries.pop(key))
-
     def invalidate_user(self, uid: int) -> int:
-        """Drop every cached answer of one user (profile changed)."""
+        """Outdate every cached answer of one user (profile changed).
+
+        Each answer leaves serving and becomes its key's basis, held and
+        swept as before (a basis already kept under a key has no answer
+        beside it, and stays); returns how many answers left serving."""
         with self._lock:
             self._epoch += 1
             stale = [key for key in self._entries if key[0] == uid]
             for key in stale:
-                self._drop(key)
+                self._bases[key] = self._entries.pop(key)
             self.profile_invalidations += len(stale)
             return len(stale)
 
@@ -446,6 +627,8 @@ class ResultCache:
         pre-mutation data must still lose the put race.  Unaffected entries
         are counted in :attr:`data_spared` — the benchmark asserts this
         stays positive, i.e. no mutation kind ever blindly flushes the cache.
+        A basis is swept by the same rules and counted apart, in
+        :attr:`basis_repairs` and :attr:`basis_drops`.
 
         Returns this store's share of the sweep's impact under the
         :class:`~repro.serving.server.DataMutationReport` names —
@@ -488,55 +671,67 @@ class ResultCache:
                         misses[key] = miss
             for pid, _ in match.images:
                 must.update(self._pids.get(pid, ()))
-            stale: List[ResultKey] = []
-            repaired = underflows = applied = 0
+            # A held key is an answer's or a basis's; both are maintained
+            # alike, and only the answers count in the impact.
+            entries, bases = self._entries, self._bases
+            stale: List[Tuple[ResultKey, Dict[ResultKey, CachedResult]]] = []
+            repaired = rebased = underflows = applied = 0
             for key, miss in misses.items():
-                entry = self._entries[key]
+                served = key in entries
+                store = entries if served else bases
+                entry = store[key]
                 buffer = entry.buffer
-                if not (key in must or entry.complete or not buffer
+                if (key in must or entry.complete or not buffer
                         or len(buffer) < entry.k
                         or 1.0 - miss >= buffer[-1][1] - BOUND_MARGIN):
-                    repaired += 1
-                    continue
-                positions = [position for position, conjuncts
-                             in enumerate(entry.conjuncts)
-                             if conjuncts <= live and match.shared(conjuncts)]
-                applied += 1
-                replacement, reason = entry.apply_delta(match, positions)
-                if replacement is not None:
+                    positions = [position for position, conjuncts
+                                 in enumerate(entry.conjuncts)
+                                 if conjuncts <= live
+                                 and match.shared(conjuncts)]
+                    applied += served
+                    replacement, reason = entry.apply_delta(match, positions)
+                    if replacement is None:
+                        stale.append((key, store))
+                        if served and reason == FALLBACK_UNDERFLOW:
+                            underflows += 1
+                        continue
                     if replacement is not entry:
-                        self._entries[key] = replacement
+                        store[key] = replacement
                         self._index_pids(key, buffer, replacement.buffer)
+                if served:
                     repaired += 1
                 else:
-                    stale.append(key)
-                    if reason == FALLBACK_UNDERFLOW:
-                        underflows += 1
-            for key in stale:
-                self._drop(key)
-            impact = {"results_invalidated": len(stale),
-                      "repair_fallbacks": len(stale),
+                    rebased += 1
+            visits = len(visited.union(misses).difference(bases))
+            invalidated = sum(store is entries for _, store in stale)
+            for key, store in stale:
+                self._release(key, store.pop(key))
+            impact = {"results_invalidated": invalidated,
+                      "repair_fallbacks": invalidated,
                       "results_repaired": repaired,
-                      "results_spared": len(self._entries) - repaired,
-                      "entries_visited": len(visited.union(misses))}
-            self.entries_visited += impact["entries_visited"]
+                      "results_spared": len(entries) - repaired,
+                      "entries_visited": visits}
+            self.entries_visited += visits
             self.repairs += repaired
             self.deltas_applied += applied
-            self.repair_fallbacks += len(stale)
+            self.repair_fallbacks += invalidated
             self.repair_underflows += underflows
-            self.data_invalidations += len(stale)
+            self.data_invalidations += invalidated
             self.data_spared += impact["results_spared"]
+            self.basis_repairs += rebased
+            self.basis_drops += len(stale) - invalidated
         annotate("result_cache_sweep",
-                 f"repaired={repaired} invalidated={len(stale)}")
+                 f"repaired={repaired} invalidated={invalidated}")
         return impact
 
     def clear(self) -> None:
-        """Drop every entry and bump the epoch.  The statistics are
+        """Drop every entry and basis and bump the epoch.  The statistics are
         cumulative and stay: a server exports them as counters, which never
         go backwards."""
         with self._lock:
             self._epoch += 1
             self._entries.clear()
+            self._bases.clear()
             self._held.clear()
             self._pids.clear()
 
@@ -563,6 +758,13 @@ class ResultCache:
                 "repair_underflows": self.repair_underflows,
                 "deltas_applied": self.deltas_applied,
                 "stale_puts_rejected": self.stale_puts_rejected,
+                "bases.entries": len(self._bases),
+                "basis_repairs": self.basis_repairs,
+                "basis_drops": self.basis_drops,
+                "profile_repairs": self.profile_repairs,
+                "profile_tuples_rescored": self.profile_tuples_rescored,
+                **{f"profile_repair_fallbacks.{reason}": count
+                   for reason, count in self.profile_repair_fallbacks.items()},
             }
 
     def __len__(self) -> int:

@@ -7,11 +7,15 @@
   statements) and cold ones by building the user's PEPS from the persisted
   profile (:meth:`~repro.serving.sessions.SessionRegistry.get_or_create`)
   and keeping only the answer;
-* ``update_profile(uid, profile)`` — *persist, invalidate*: append the new
-  preferences to the staging tables and drop the user's cached answers; the
+* ``update_profile(uid, profile)`` — *persist, outdate; the next read
+  repairs*: append the new preferences to the staging tables and take the
+  user's cached answers out of serving, each kept as a repair basis; the
   next read builds from the staging tables — the one way a user's graph is
   ever built, so what is served equals :func:`fresh_top_k` whichever door a
-  preference came through;
+  preference came through — and rescores only the changed preferences'
+  tuples of the basis
+  (:meth:`~repro.serving.results.CachedResult.apply_profile`), or folds in
+  full when it cannot;
 * ``insert_tuples(...)`` / ``delete_tuples(...)`` / ``update_tuples(...)``
   — mutate the workload relation through the loader's
   :func:`~repro.workload.loader.append_papers` /
@@ -57,6 +61,7 @@ from dataclasses import asdict, dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
+from ..algorithms.peps import PEPSAlgorithm
 from ..core.hypre.builder import HypreGraphBuilder
 from ..core.preference import ProfileRegistry, UserProfile
 from ..exceptions import ServingError, UnknownUserError
@@ -78,7 +83,7 @@ from ..workload.loader import (
     read_profiles,
     update_papers,
 )
-from .results import ResultCache
+from .results import PROFILE_FALLBACKS, ResultCache
 from .sessions import SessionRegistry
 
 PaperLike = Union[Paper, Mapping[str, Any]]
@@ -100,7 +105,10 @@ REPAIR_MARGIN = 2
 #: Result-cache counters reported under ``serving.result_cache.*`` (the
 #: repair path's own metric component) instead of ``serving.results.*``.
 _REPAIR_METRIC_KEYS = frozenset(
-    {"repairs", "repair_fallbacks", "repair_underflows", "deltas_applied"})
+    {"repairs", "repair_fallbacks", "repair_underflows", "deltas_applied",
+     "bases.entries", "basis_repairs", "basis_drops", "profile_repairs",
+     "profile_tuples_rescored"}
+    | {f"profile_repair_fallbacks.{reason}" for reason in PROFILE_FALLBACKS})
 
 class ServeResult(NamedTuple):
     """Outcome and per-request metrics of one ``top_k`` call.
@@ -396,13 +404,17 @@ class TopKServer:
     # -- profile storage ----------------------------------------------------------
 
     def update_profile(self, uid: int, profile: UserProfile) -> UpdateReport:
-        """Persist ``profile``'s preferences and drop what they outdate.
+        """Persist ``profile``'s preferences and outdate the user's answers;
+        the next read repairs.
 
         The preferences are appended to the relational staging tables and
-        the user's cached answers are dropped.  The next read builds from
-        the staged rows through Algorithm 1's one body,
+        the user's cached answers leave serving, each kept as a repair
+        basis (:meth:`~repro.serving.results.ResultCache.invalidate_user`);
+        nothing is built here.  The next read builds from the staged rows
+        through Algorithm 1's one body,
         :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_rows`,
-        fetching only the id lists the shared memo does not hold.
+        fetching only the id lists the shared memo does not hold, and
+        rescores only the changed preferences' tuples of the basis.
         """
         try:
             if profile.uid != uid:
@@ -445,8 +457,10 @@ class TopKServer:
         benchmark and the load harness' hot path; untraced, a warm hit is
         one result-cache lookup and one named tuple.  Cold requests take
         the server lock, build the user's PEPS from the persisted profile,
-        run its fold and materialise the answer for the next caller while
-        still holding it.  A known user
+        repair the basis a profile update left (a ``peps.repair`` span) or
+        run the full fold (``peps.top_k``; nested in ``peps.repair`` when
+        the repair falls back) and materialise the answer for the next
+        caller while still holding it.  A known user
         with no positive preference is served the empty ranking, cached as
         a complete answer that depends on no predicate.
         """
@@ -491,6 +505,7 @@ class TopKServer:
             self._check_open()
             with span("sessions.get_or_create", self.db):
                 peps = self.sessions.get_or_create(uid)
+            basis = self.results.take_basis(uid, k)
             # Snapshot *before* the data-reading computation the snapshot
             # guards.  No sweep can run before the put below — both happen
             # under the server lock — so the guard only protects a cache
@@ -499,10 +514,19 @@ class TopKServer:
             if peps is None:
                 buffer, complete, conjuncts, intensities = [], True, (), ()
             else:
-                with span("peps.top_k", self.db):
-                    buffer, complete = peps.top_k_buffer(k, REPAIR_MARGIN * k)
                 conjuncts = peps.conjuncts
                 intensities = [pref.intensity for pref in peps.preferences]
+                if basis is None:
+                    buffer, complete = self._fold(peps, k)
+                else:
+                    with span("peps.repair", self.db):
+                        rebased = self.results.repair_profile(
+                            basis, self.sessions.runner, peps.preferences,
+                            conjuncts, k + REPAIR_MARGIN * k)
+                        if rebased is None:
+                            buffer, complete = self._fold(peps, k)
+                        else:
+                            buffer, complete = rebased.buffer, rebased.complete
             self.results.put(uid, k, buffer, complete, conjuncts, intensities,
                              epoch=epoch)
             ranking = tuple(buffer[:k])
@@ -511,6 +535,12 @@ class TopKServer:
                 uid, k, ranking, False,
                 self.db.statements_executed - statements_before,
                 time.perf_counter() - start)
+
+    def _fold(self, peps: PEPSAlgorithm, k: int
+              ) -> Tuple[List[Tuple[int, float]], bool]:
+        """The full fold of a cold read: the ``k + 2k`` deep buffer."""
+        with span("peps.top_k", self.db):
+            return peps.top_k_buffer(k, REPAIR_MARGIN * k)
 
     # -- data-side updates --------------------------------------------------------
 
@@ -718,7 +748,6 @@ def fresh_top_k(db: StorageBackend, uid: int, k: int) -> List[Tuple[int, float]]
     differential for the serving read's ``profile_rows`` → ``build_rows``.
     """
     from ..algorithms.base import PreferenceQueryRunner, preferences_from_graph
-    from ..algorithms.peps import PEPSAlgorithm
 
     registry = read_profiles(db, [uid])
     if uid not in registry:

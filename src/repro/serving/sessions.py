@@ -9,8 +9,10 @@ graph from them in one pass with
 quantitative rows, then all qualitative ones) — and returns one
 :class:`~repro.algorithms.peps.PEPSAlgorithm` over the graph's positive
 preferences.  The server keeps the answer, not the build: a profile update
-is *persist, invalidate*, and nothing but the staging tables says what a
-user prefers (``docs/ARCHITECTURE.md``, "Why no session is resident").
+is *persist, outdate; the next read repairs* — the outdated answer is kept
+as a repair basis, never a graph — and nothing but the staging tables says
+what a user prefers (``docs/ARCHITECTURE.md``, "Why no session is
+resident").
 
 Every build reads its id lists through the registry's one shared
 :class:`~repro.algorithms.base.PreferenceQueryRunner`, so an id list fetched

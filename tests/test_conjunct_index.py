@@ -255,10 +255,10 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
 
 def bound_state(cache):
     """What a result cache's score bound reads, recomputed from its
-    entries: each conjunct's holders with their factors, and the buffer pid
-    index."""
+    entries and bases: each conjunct's holders with their factors, and the
+    buffer pid index."""
     held, pids = {}, {}
-    for key, entry in cache._entries.items():
+    for key, entry in {**cache._entries, **cache._bases}.items():
         for conjunct, holding in holdings(entry).items():
             held.setdefault(conjunct, {})[key] = holding
         for pid, _ in entry.buffer:

@@ -17,6 +17,12 @@ unit-level rules:
 * **The repair-vs-epoch race**: a repair sweep is an epoch-bumping sweep,
   so stale puts still lose, and no sweep ever resurrects an entry that an
   invalidation dropped.
+* **Profile repairs**: the read after a profile update rescores the basis
+  the update left (``CachedResult.apply_profile``), checked bit for bit
+  against ``fresh_top_k`` — one case per fallback reason, and the edges of
+  the diff: a complete buffer that outgrows its depth, no positive
+  preference left, a restated intensity, two updates in one diff, an empty
+  diff, and a basis a sweep maintained.
 """
 
 from __future__ import annotations
@@ -27,11 +33,16 @@ import pytest
 
 import repro.index.selectivity as selectivity
 from repro import TopKServer, UserProfile, fresh_top_k
+from repro.algorithms.base import ScoredPreference
 from repro.core.intensity import combine_and
+from repro.core.predicate import parse_predicate
 from repro.backend import create_backend
 from repro.index import CountCache, RowMatch
 from repro.serving.results import (
+    FALLBACK_EMPTY,
+    FALLBACK_REORDERED,
     FALLBACK_UNDERFLOW,
+    FALLBACK_UNMEMOISED,
     FALLBACK_UNSCORABLE,
     REPAIRED,
     CachedResult,
@@ -286,3 +297,173 @@ class TestRepairEpochGuard:
         assert cache.peek(1, 1) is None
         cache.on_data_mutation(mutation)
         assert cache.peek(1, 1) is None
+
+
+# -- profile repairs ----------------------------------------------------------
+
+@pytest.fixture(params=BACKENDS)
+def world(request):
+    db, server = _build_server(request.param)
+    yield db, server
+    server.close()
+    db.close()
+
+
+def _state(server, uid, *preferences):
+    """One profile update of ``uid`` stating ``(predicate, intensity)``
+    pairs; a restated predicate's intensities average."""
+    profile = UserProfile(uid=uid)
+    for predicate, intensity in preferences:
+        profile.add_quantitative(predicate, intensity)
+    server.update_profile(uid, profile)
+
+
+def _read_exactly(server, db, uid):
+    """A cold read of ``uid``, bit for bit: the ranking is ``fresh_top_k``'s
+    and the buffer cached for the next read is a prefix of a fresh fold to
+    the full ``3k`` depth — the whole fold when it is complete."""
+    result = server.top_k(uid, K)
+    assert not result.cache_hit
+    assert list(result.ranking) == fresh_top_k(db, uid, K)
+    entry = server.results.peek(uid, K)
+    fold = fresh_top_k(db, uid, 3 * K)
+    assert list(entry.buffer) == fold[:len(entry.buffer)]
+    assert not entry.complete or len(entry.buffer) == len(fold) < 3 * K
+    return result, entry
+
+
+def _repairs(server):
+    """Profile repairs so far, and the fallbacks by reason."""
+    results = server.results
+    return results.profile_repairs, {
+        reason: count for reason, count
+        in results.profile_repair_fallbacks.items() if count}
+
+
+def _size(db, predicate):
+    return len(db.matching_paper_ids(parse_predicate(predicate)))
+
+
+SIGMOD = f"dblp.venue = '{VENUES[1]}'"  # user 1's venue
+
+
+class TestProfileRepair:
+    def test_an_added_preference_rescores_only_its_tuples(self, world):
+        """The read after the update runs the statements a full fold would
+        — two profile reads and the new predicate's id list — and folds
+        only the new list's tuples."""
+        db, server = world
+        _state(server, 1, ("dblp.year = 2008", 0.7))
+        result, _ = _read_exactly(server, db, 1)
+        assert _repairs(server) == (1, {})
+        assert result.sql_statements == 2 + 1
+        assert server.results.profile_tuples_rescored == \
+            _size(db, "dblp.year = 2008")
+
+    # One case per fallback reason.
+
+    def test_a_removed_preference_without_a_memoised_list_falls_back(
+            self, world):
+        db, server = world
+        _state(server, 1, (SIGMOD, -0.9))  # averages to 0: no longer scored
+        server.sessions.runner.clear()
+        _read_exactly(server, db, 1)
+        assert _repairs(server) == (0, {FALLBACK_UNMEMOISED: 1})
+
+    def test_a_truncated_buffer_that_underflows_falls_back(self, world):
+        """Every tuple matches the removed preference, so every tuple is
+        rescored below the old floor and none is left above it."""
+        db, server = world
+        _state(server, 4, ("dblp.year >= 1990", 0.9),
+               ("dblp.venue = 'ICDE'", 0.5))
+        _, basis = _read_exactly(server, db, 4)
+        assert not basis.complete
+        _state(server, 4, ("dblp.year >= 1990", -0.9))
+        _read_exactly(server, db, 4)
+        assert _repairs(server) == (0, {FALLBACK_UNDERFLOW: 1})
+
+    def test_an_empty_truncated_buffer_falls_back(self, world):
+        """A truncated basis with no tuple has no floor to cut at."""
+        db, server = world
+        entry = server.results.peek(1, K)
+        server.results.put(1, K, [], False, entry.conjuncts,
+                           entry.intensities)
+        _state(server, 1, ("dblp.year = 2008", 0.7))
+        _read_exactly(server, db, 1)
+        assert _repairs(server) == (0, {FALLBACK_EMPTY: 1})
+
+    def test_reordered_unchanged_preferences_fall_back(self):
+        """Two unchanged preferences that swapped places fold their factors
+        in another order, so no score of the basis is known to hold; the
+        check runs before any id list is read (no runner is needed)."""
+        first, second = "dblp.venue = 'VLDB'", "dblp.year >= 2010"
+        basis = _entry([(1, BOTH)], k=1, complete=True)
+        preferences = [ScoredPreference(parse_predicate(second), 0.4),
+                       ScoredPreference(parse_predicate(first), 0.9)]
+        rebased, reason = basis.apply_profile(
+            None, preferences, [CountCache.key(second), CountCache.key(first)],
+            3)
+        assert rebased is None and reason == FALLBACK_REORDERED
+
+    # The edges of the diff.
+
+    def test_a_complete_buffer_outgrows_its_depth(self, world):
+        db, server = world
+        _state(server, 5, ("dblp.venue = 'ICDE'", 0.9))
+        _, basis = _read_exactly(server, db, 5)
+        assert basis.complete and len(basis.buffer) < 3 * K
+        _state(server, 5, ("dblp.year >= 1990", 0.3))
+        _, entry = _read_exactly(server, db, 5)
+        assert _repairs(server) == (1, {})
+        assert not entry.complete and len(entry.buffer) == 3 * K
+
+    def test_an_update_that_leaves_no_positive_preference(self, world):
+        db, server = world
+        _state(server, 6, ("dblp.venue = 'ICDE'", 0.9))
+        _read_exactly(server, db, 6)
+        _state(server, 6, ("dblp.venue = 'ICDE'", -0.9))
+        result, _ = _read_exactly(server, db, 6)
+        assert result.ranking == ()
+        assert _repairs(server) == (0, {})
+        assert (6, K) not in server.results._bases
+
+    def test_a_restated_intensity_changes_its_key(self, world):
+        db, server = world
+        _state(server, 1, (SIGMOD, 0.5))  # 0.9 and 0.5 average to 0.7
+        _read_exactly(server, db, 1)
+        assert _repairs(server) == (1, {})
+        assert server.results.profile_tuples_rescored == _size(db, SIGMOD)
+
+    def test_two_updates_make_one_diff(self, world):
+        db, server = world
+        _state(server, 1, ("dblp.year = 2008", 0.7))
+        _state(server, 1, ("dblp.year = 2001", 0.6))
+        _read_exactly(server, db, 1)
+        assert _repairs(server) == (1, {})
+        assert server.results.profile_tuples_rescored == \
+            _size(db, "dblp.year = 2008") + _size(db, "dblp.year = 2001")
+
+    def test_an_empty_diff_keeps_the_basis_buffer(self, world):
+        """A negative preference is not scored, so the list is unchanged."""
+        db, server = world
+        basis = server.results.peek(1, K)
+        _state(server, 1, ("dblp.year = 1999", -0.5))
+        _, entry = _read_exactly(server, db, 1)
+        assert _repairs(server) == (1, {})
+        assert server.results.profile_tuples_rescored == 0
+        assert entry.buffer == basis.buffer
+
+    def test_a_sweep_maintains_a_basis_and_counts_it_apart(self, world):
+        """An insert between the update and the read reaches the basis;
+        the sweep's report and entry counters describe served answers
+        only."""
+        db, server = world
+        _state(server, 1, ("dblp.year = 2008", 0.7))
+        repairs = server.results.repairs
+        report = server.insert_tuples(
+            [{"pid": 900, "venue": VENUES[1], "year": 2008, "aids": [1]}])
+        assert server.results.basis_repairs == 1
+        assert report.results_repaired == server.results.repairs - repairs
+        _read_exactly(server, db, 1)
+        assert _repairs(server) == (1, {})
+        assert 900 in dict(server.results.peek(1, K).ranking)

@@ -4,8 +4,11 @@ A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
 a drain that deletes a target's whole pool under a cached answer (every
 live pid for ``any``; later inserts refill the relation),
-close-and-reopen, the five profile-update shapes and five faults (the
-two sweep faults also on a direct loader call, past every door).  Deletes
+close-and-reopen, the five profile-update shapes — each of which may
+leave its read for later, so the basis the update leaves lives through
+what comes next — and six faults (the two sweep faults also on a direct
+loader call, past every door; the sixth raises inside a read's profile
+repair).  Deletes
 and in-place updates aim at a drawn target: ``any`` live pid, the ``hot``
 pids cached answers rank, or the ``boundary`` pids at ranks ``K-1 …
 3K+1`` of a cached user's fresh ranking, the rows around the repair
@@ -18,7 +21,9 @@ target, the drain, the predicate kind and each direct-call fault
 answer still materialised, equals ``fresh_top_k``, no result-cache sweep
 ran SQL, no exported counter went down, the
 result cache's pid index and score-bound factors equal a recomputation from
-its entries, and every memoised id list equals a fresh fetch.  Concurrent
+its entries and bases, every basis equals a fresh fold of its own
+preference list, no read leaves a basis behind, and every memoised id
+list equals a fresh fetch.  Concurrent
 interleavings are the load auditor's job; ``test_engines_report_alike``
 compares the two engines.  ``HYPOTHESIS_PROFILE=ci`` runs ten times the
 examples.  See "One oracle" in ``docs/ARCHITECTURE.md``.
@@ -181,10 +186,20 @@ class ServerMachine(RuleBasedStateMachine):
             # The bare loader; the server still hears the mutation.
             apply_op(Uncached(self.db), op)
             return
+        results = self.server.results
+        before = (results.profile_repairs,
+                  dict(results.profile_repair_fallbacks))
         outcome = apply_op(self.server, op)
         if op.kind == READ:
             self.count_read(outcome)
             self.served.append((op.uid, list(outcome.ranking)))
+            # The read served an answer, and no basis is left for its key.
+            assert (op.uid, op.k) not in results._bases
+            if results.profile_repairs > before[0]:
+                event("read: profile repair")
+            for reason, count in results.profile_repair_fallbacks.items():
+                if count > before[1][reason]:
+                    event(f"read: profile repair fell back ({reason})")
 
     def count_read(self, result):
         self.reads[0] += 1
@@ -219,15 +234,21 @@ class ServerMachine(RuleBasedStateMachine):
         return Paper(pid=pid, title=f"P{pid}", venue=venue, year=year,
                      abstract="")
 
-    def state(self, uid, predicate, intensity, over=None):
-        """A profile update from the user's own predicates, then a read."""
+    def state(self, uid, predicate, intensity, over=None, then_read=True):
+        """A profile update from the user's own predicates, then — unless
+        ``then_read`` is false — a read.  Without the read, the basis the
+        update left lives on through whatever comes next: sweeps, another
+        update (one cumulative diff), faults or a reopen."""
         update = UserProfile(uid=uid)
         if over is None:
             update.add_quantitative(predicate, intensity)
         else:
             update.add_qualitative(predicate, over, intensity)
         self.apply(Op(UPDATE, uid=uid, profile=update))
-        self.apply(Op(READ, uid=uid, k=K))
+        if then_read:
+            self.apply(Op(READ, uid=uid, k=K))
+        else:
+            event("profile update: read deferred")
 
     # -- the five op kinds ---------------------------------------------------
 
@@ -303,34 +324,42 @@ class ServerMachine(RuleBasedStateMachine):
     # -- the five profile-update shapes --------------------------------------
 
     @rule(uid=st.sampled_from([profile.uid for profile in MINED]),
-          pick=PICK, intensity=INTENSITIES)
-    def restate_right_side(self, uid, pick, intensity):
+          pick=PICK, intensity=INTENSITIES, then_read=st.booleans())
+    def restate_right_side(self, uid, pick, intensity, then_read):
         pairs = self.users[uid]["pairs"]
-        self.state(uid, pairs[pick % len(pairs)][1], intensity)
+        self.state(uid, pairs[pick % len(pairs)][1], intensity,
+                   then_read=then_read)
 
     @rule(uid=st.sampled_from([profile.uid for profile in MINED]),
-          pick=PICK, intensity=INTENSITIES)
-    def restate_left_side(self, uid, pick, intensity):
+          pick=PICK, intensity=INTENSITIES, then_read=st.booleans())
+    def restate_left_side(self, uid, pick, intensity, then_read):
         pairs = self.users[uid]["pairs"]
-        self.state(uid, pairs[pick % len(pairs)][0], intensity)
+        self.state(uid, pairs[pick % len(pairs)][0], intensity,
+                   then_read=then_read)
 
-    @rule(uid=st.sampled_from(UIDS), pick=PICK, intensity=INTENSITIES)
-    def duplicate_quantitative(self, uid, pick, intensity):
+    @rule(uid=st.sampled_from(UIDS), pick=PICK, intensity=INTENSITIES,
+          then_read=st.booleans())
+    def duplicate_quantitative(self, uid, pick, intensity, then_read):
         predicates = self.users[uid]["predicates"]
-        self.state(uid, predicates[pick % len(predicates)], intensity)
+        self.state(uid, predicates[pick % len(predicates)], intensity,
+                   then_read=then_read)
 
     @rule(uid=st.sampled_from(UIDS), first=PICK, second=PICK,
-          intensity=INTENSITIES)
-    def edge_between_existing_nodes(self, uid, first, second, intensity):
+          intensity=INTENSITIES, then_read=st.booleans())
+    def edge_between_existing_nodes(self, uid, first, second, intensity,
+                                    then_read):
         predicates = self.users[uid]["predicates"]
         left = first % len(predicates)
         right = (left + 1 + second % (len(predicates) - 1)) % len(predicates)
-        self.state(uid, predicates[left], intensity, over=predicates[right])
+        self.state(uid, predicates[left], intensity, over=predicates[right],
+                   then_read=then_read)
         self.users[uid]["pairs"].append((predicates[left], predicates[right]))
 
     @rule(uid=st.sampled_from(UIDS), year=st.integers(1990, 2012),
-          title=PICK, by_title=st.booleans(), intensity=INTENSITIES)
-    def fresh_predicate(self, uid, year, title, by_title, intensity):
+          title=PICK, by_title=st.booleans(), intensity=INTENSITIES,
+          then_read=st.booleans())
+    def fresh_predicate(self, uid, year, title, by_title, intensity,
+                        then_read):
         """A year bound, or equality on a live paper's title (a year bound
         when the relation is empty)."""
         rows = self.real.joined_rows() if by_title else []
@@ -340,7 +369,7 @@ class ServerMachine(RuleBasedStateMachine):
         else:
             predicate = f"dblp.year >= {year}"
         event("fresh predicate: " + ("title" if rows else "year"))
-        self.state(uid, predicate, intensity)
+        self.state(uid, predicate, intensity, then_read=then_read)
         self.users[uid]["predicates"].append(predicate)
 
     # -- faults --------------------------------------------------------------
@@ -382,7 +411,40 @@ class ServerMachine(RuleBasedStateMachine):
             raise fault()
         sessions.invalidate_matching = raising_patch
 
-    @rule(place=st.sampled_from(FaultyBackend.PLACES + ("sweep", "patch")),
+    def fault_in_repair(self, uid, venue):
+        """A read whose profile repair raises refuses, and leaves nothing
+        behind: no answer and no basis, so the next read folds in full and
+        is exact.  The repair raises once its work is done — after the id
+        lists it fetched reached the shared memo."""
+        self.apply(Op(READ, uid=uid, k=K))  # an answer to outdate
+        self.every_read_equals_fresh()  # before the update outdates it
+        self.state(uid, venue_predicate(venue), 0.55, then_read=False)
+        results = self.server.results
+        assert (uid, K) in results._bases
+        repair, db = results.repair_profile, self.db
+
+        def raising(*args):
+            del results.repair_profile
+            repair(*args)
+            db.fired += 1
+            raise InjectedFault("repair")
+        results.repair_profile = raising
+        errors = "serving.server.errors.top_k.injected_fault"
+        before = self.server.metrics().get(errors, 0)
+        try:
+            self.server.top_k(uid, K)
+        except InjectedFault:
+            event("fault: repair")
+            assert self.server.metrics()[errors] == before + 1
+            assert results.peek(uid, K) is None
+            assert (uid, K) not in results._bases
+        else:  # the new list holds no positive preference: nothing to repair
+            event("fault: repair (no preference to repair)")
+            results.__dict__.pop("repair_profile")
+        self.apply(Op(READ, uid=uid, k=K))
+
+    @rule(place=st.sampled_from(
+              FaultyBackend.PLACES + ("sweep", "patch", "repair")),
           kind=st.sampled_from((INSERT, DELETE, DATA_UPDATE, UPDATE)),
           pick=PICK, venue=st.sampled_from(VENUES),
           year=st.integers(1995, 2013), other=st.sampled_from(UIDS),
@@ -397,7 +459,12 @@ class ServerMachine(RuleBasedStateMachine):
         memo is patched (``sweep``) or partway through its patch
         (``patch``).  With ``direct`` a sweep fault hits a data mutation
         made by a bare loader call: no door counts an error, and the
-        forget is counted as ``direct.in_sweep``."""
+        forget is counted as ``direct.in_sweep``.  A ``repair`` fault
+        raises inside a read's profile repair instead (see
+        :meth:`fault_in_repair`)."""
+        if place == "repair":
+            self.fault_in_repair(other, venue)
+            return
         self.direct = direct = direct and place in ("sweep", "patch") \
             and kind != UPDATE
         if direct:
@@ -486,6 +553,31 @@ class ServerMachine(RuleBasedStateMachine):
             predicate = conjunction(parse_predicate(text)
                                     for text in sorted(key))
             assert ids == tuple(self.real.matching_paper_ids(predicate)), key
+
+    @invariant()
+    def every_basis_equals_a_fold_of_its_own_list(self):
+        """A basis is the exact answer to the preference list it was
+        scored with: its buffer is a prefix of a fresh PEPS fold of its own
+        conjuncts and intensities (the predicates rebuilt from the conjunct
+        texts), in its own preference order — the whole fold when it is
+        complete.  No basis has a served answer beside it."""
+        results = self.server.results
+        assert not results._bases.keys() & results._entries.keys()
+        for key, basis in results._bases.items():
+            remainder = {}
+            for conjuncts, intensity in zip(basis.conjuncts,
+                                            basis.intensities):
+                predicate = conjunction(parse_predicate(text)
+                                        for text in sorted(conjuncts))
+                for pid in self.real.matching_paper_ids(predicate):
+                    remainder[pid] = remainder.get(pid, 1.0) \
+                        * (1.0 - intensity)
+            fold = [(pid, 1.0 - remainder[pid]) for _, pid in sorted(
+                (missed - 1.0, pid) for pid, missed in remainder.items())]
+            buffer = list(basis.buffer)
+            assert buffer == fold[:len(buffer)], key
+            assert not basis.complete or len(buffer) == len(fold), key
+            assert basis.ranking == basis.buffer[:basis.k], key
 
     @invariant()
     def no_exported_counter_decreases(self):

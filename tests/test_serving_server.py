@@ -636,8 +636,9 @@ class TestThreadSafety:
         assert metrics["serving.server.read_hits"] == 1
         assert {name.rsplit(".", 1)[0] for name in metrics} == {
             "serving.server", "serving.sessions", "serving.results",
-            "serving.result_cache", "index.count_cache",
-            f"backend.{server.db.backend_name}"}
+            "serving.result_cache", "serving.result_cache.bases",
+            "serving.result_cache.profile_repair_fallbacks",
+            "index.count_cache", f"backend.{server.db.backend_name}"}
         # One lock acquisition for the cold read, none for the warm hit.
         assert (metrics["serving.server.stripe_acquisitions"]
                 - locked_before) == 1

@@ -571,11 +571,12 @@ def test_closed_surface_refuses_instead_of_serving_stale(surface):
 
 
 def test_update_then_read_fetches_only_the_new_predicates_ids(backend):
-    """What *persist, invalidate* costs, in counters: the read after an
-    update that adds one predicate to a user's profile fetches one id list
-    — the new predicate's; every old one is still memoised — counts
-    nothing, and adds to that read only the two ``read_profiles``
-    statements: 3 statements in all."""
+    """What *persist, outdate; the next read repairs* costs, in counters:
+    the read after an update that adds one predicate to a user's profile
+    fetches one id list — the new predicate's; every old one is still
+    memoised — counts nothing, and adds to that read only the two
+    ``read_profiles`` statements: 3 statements in all, as a full fold
+    would run."""
     db = engine_world(backend, DBLP, len(UIDS))
     mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
     load_profiles(db, mined)

@@ -391,7 +391,19 @@ class TestEndToEnd:
                  if record["name"] == "server.top_k"
                  and not record["annotations"].get("cache_hit")]
         assert reads, "expected at least one captured cold read"
-        # Every cold read attributes its time to the build and the fold.
+        # Every cold read attributes its time to the build and to exactly
+        # one of the full fold and the repair of a profile update's basis
+        # (a repair that falls back folds inside its own span).
         for record in reads:
-            assert {"sessions.get_or_create", "peps.top_k"} <= {
-                child["name"] for child in record["children"]}
+            children = [child["name"] for child in record["children"]]
+            assert "sessions.get_or_create" in children
+            assert sum(children.count(name)
+                       for name in ("peps.top_k", "peps.repair")) == 1, \
+                children
+        repairs = [child["annotations"] for record in reads
+                   for child in record["children"]
+                   if child["name"] == "peps.repair"]
+        assert repairs, "expected a cold read right after a profile update"
+        for annotations in repairs:
+            assert {"preferences_changed", "tuples_rescored"} <= set(
+                annotations), annotations
