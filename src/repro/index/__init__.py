@@ -27,8 +27,9 @@ Public API
     scores from it.
 :class:`ConjunctIndex`
     The conjunct texts one store holds, ``attr = literal`` ones bucketed by
-    literal: a sweep judges only the keys a mutation row can reach and
-    visits only the entries held under the live ones.
+    literal: a sweep takes those keys' verdicts from the bucket lookup of a
+    mutation row's values, evaluates only the other keys, and visits only
+    the entries held under the live ones.
 :func:`may_match_row`
     Sound tuple-relevance check used by data-update invalidation across
     the full mutation spectrum: ``False`` proves that no image of an

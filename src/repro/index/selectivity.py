@@ -7,7 +7,7 @@ question about each mutation: *can this tuple image satisfy this predicate?*
 
 * :func:`exact_match_row` is the three-valued verdict (``None`` when the
   row lacks a referenced attribute), and only :class:`RowMatch` calls it:
-  once per (distinct predicate, row) and sweep.
+  once per (distinct generic predicate, row) and sweep.
 * :func:`may_match_row` folds ``None`` into a conservative ``True``: the
   judge invalidation needs, which :meth:`RowMatch.mask` derives from that
   same one verdict.
@@ -23,10 +23,11 @@ question about each mutation: *can this tuple image satisfy this predicate?*
   with.
 * :class:`ConjunctIndex` is the set of conjunct texts one store holds, with
   each ``attr = literal`` conjunct bucketed by its literal.  A mutation row
-  carries one value per attribute, so it can match only the few keys under
-  that value: :meth:`ConjunctIndex.live` hands :class:`RowMatch` those (and
-  every conjunct of another shape) and no other, and the store visits only
-  what the live conjuncts hold.
+  carries one value per attribute, and the keys under that value are
+  exactly the ones it matches: :meth:`ConjunctIndex.live` records those
+  verdicts with :meth:`RowMatch.record`, hands :class:`RowMatch` every
+  conjunct of another shape to judge, and the store visits only what the
+  live conjuncts hold.
 
 Nothing in this module touches a storage engine — predicates are evaluated
 over event-carried rows — which is why the same relevance test serves every
@@ -51,6 +52,9 @@ from ..core.predicate import (
 from ..sqldb.events import DataMutation
 
 Number = Union[int, float]
+
+#: :meth:`RowMatch.values`' stand-in for an attribute a row lacks.
+ABSENT = object()
 
 
 def _row_has_attribute(row: Mapping[str, Any], attribute: str) -> bool:
@@ -126,8 +130,11 @@ class RowMatch:
         #: Per predicate key: rows it may match / rows it surely matches.
         self._masks: Dict[str, int] = {}
         self._exact: Dict[str, int] = {}
-        #: ``exact_match_row`` evaluations made so far — always
-        #: ``distinct_predicates * len(rows)``, the sweep's work counter.
+        #: Per attribute spelling: each row's value (:meth:`values`).
+        self._values: Dict[str, Tuple[Any, ...]] = {}
+        #: ``exact_match_row`` evaluations made so far — ``len(rows)`` per
+        #: key :meth:`mask` judged, none per key :meth:`record` took: the
+        #: sweep's work counter.
         self.predicate_row_tests = 0
 
     @classmethod
@@ -149,7 +156,8 @@ class RowMatch:
 
     @property
     def distinct_predicates(self) -> int:
-        """Number of distinct predicate keys judged so far."""
+        """Number of distinct predicate keys decided so far, judged or
+        recorded."""
         return len(self._masks)
 
     @property
@@ -179,6 +187,38 @@ class RowMatch:
             self._exact[key] = exact
             self.predicate_row_tests += len(self.rows)
         return mask
+
+    def record(self, key: str, mask: int, exact: int) -> None:
+        """Take the verdicts on ``key`` that :meth:`mask` would compute —
+        ``mask`` the rows it may match, ``exact`` those it surely matches —
+        from a caller that decided them without evaluating it
+        (:meth:`ConjunctIndex.live`).  A key already decided keeps its
+        verdicts."""
+        if key not in self._masks:
+            self._masks[key] = mask
+            self._exact[key] = exact
+
+    def values(self, attribute: str) -> Tuple[Any, ...]:
+        """Each row's value of ``attribute`` (qualified or bare), or
+        :data:`ABSENT` where the row lacks it.  Read once per attribute
+        spelling: every store's :meth:`ConjunctIndex.live` shares it."""
+        values = self._values.get(attribute)
+        if values is None:
+            # The exact and the bare spelling first (the hot case), then
+            # the scan ``_row_has_attribute`` and ``_lookup`` share.
+            bare = attribute.split(".", 1)[-1]
+            read = []
+            for row in self.rows:
+                if attribute in row:
+                    read.append(row[attribute])
+                elif bare in row:
+                    read.append(row[bare])
+                elif _row_has_attribute(row, attribute):
+                    read.append(_lookup(row, attribute))
+                else:
+                    read.append(ABSENT)
+            values = self._values[attribute] = tuple(read)
+        return values
 
     def shared(self, conjuncts: Iterable[Union[str, PredicateExpr]]) -> int:
         """Row bitmask of the rows that may match *every* conjunct.
@@ -210,14 +250,14 @@ class RowMatch:
 
 
 #: How one held conjunct is bucketed: ``(attribute, values)`` for an
-#: ``attribute = literal`` conjunct — the row values that can equal the
-#: literal are among ``values`` — and ``None`` for every other shape.
+#: ``attribute = literal`` conjunct — a text or number row value matches it
+#: iff it equals one of ``values`` — and ``None`` for every other shape.
 _Shape = Optional[Tuple[str, Tuple[Union[str, Number], ...]]]
 
 
 @lru_cache(maxsize=8192)
 def _equality_shape(conjunct: str) -> _Shape:
-    """The bucket values a row value can reach ``conjunct`` through.
+    """The bucket values a row value matches ``conjunct`` through.
 
     ``Condition.evaluate`` compares an ``=`` literal the way SQLite's
     affinity does (:func:`~repro.core.predicate._compare_values`): a text
@@ -225,8 +265,11 @@ def _equality_shape(conjunct: str) -> _Shape:
     renders it), a numeric value equals the literal's number (a text literal
     coerced when it is numeric-shaped).  A text bucket value never equals a
     numeric one, so one dict holds both: a text row value finds the key only
-    under its text, a number only under its number.  NULL and NaN literals,
-    and every non-equality shape, are ``None``: a candidate for every row.
+    under its text, a number only under its number — and Python's ``==``
+    and ``hash`` agree across ``int``, ``float`` and ``bool``, so a lookup
+    finds exactly the keys ``evaluate`` calls equal.  NULL and NaN literals,
+    and every non-equality shape, are ``None``: generic, judged for every
+    row.
     Memoised: both serving stores hold the same conjuncts, and one returns
     whenever an answer holding it is recomputed.
     """
@@ -255,15 +298,17 @@ class ConjunctIndex:
     attribute spelling by its literal's text and its literal's number
     (:func:`_equality_shape`); every other shape is *generic*.
 
-    :meth:`candidates` over-approximates the keys some row may match: every
-    generic key, and per row and bucketed attribute — all of the attribute's
-    keys when the row lacks it (the verdict is ``None``), none when its
-    value is NULL, the keys bucketed under its value when it is text or a
-    number, and all of them for any other value type.  :meth:`live` then
-    judges only the candidates, through the sweep's :class:`RowMatch` —
-    still the only judge — so a key that is not a candidate costs nothing:
-    its mask is provably 0.  A sweep visits the holders of the live keys
-    and nothing else.
+    :meth:`live` decides, once per sweep, which held keys some row may
+    match.  A row value of an ``attribute = literal``
+    key's attribute reaches the key's bucket exactly when it equals the
+    literal, so for a bucketed attribute the lookup *is* the verdict: a
+    text or number value sets the may- and the sure-bit of the keys under
+    it, an absent attribute only the may-bit of every key of it (the
+    verdict is ``None``), and NULL nothing.  :meth:`live` records these
+    through :meth:`RowMatch.record`, with no predicate evaluated; a value of
+    any other type sends its attribute's keys, and every generic key, to
+    :meth:`RowMatch.mask`.  A key neither recorded nor judged has mask 0.
+    A sweep visits the holders of the live keys and nothing else.
     """
 
     def __init__(self) -> None:
@@ -328,31 +373,45 @@ class ConjunctIndex:
         """The entries holding a held ``conjunct``, each with its payload."""
         return self._holders[conjunct]
 
-    def candidates(self, rows: Iterable[Mapping[str, Any]]) -> Set[str]:
-        """Every held key some row of ``rows`` may match, and maybe more."""
-        found = set(self._generic)
-        for row in rows:
-            for attribute, keys in self._keys.items():
-                if not _row_has_attribute(row, attribute):
-                    found |= keys
-                    continue
-                value = _lookup(row, attribute)
+    def live(self, match: RowMatch) -> Set[str]:
+        """The held keys some row of ``match`` may match, their verdicts
+        left in ``match``: a bucketed attribute's from the bucket lookup,
+        every other key's from :meth:`RowMatch.mask`.  A mutation with no
+        rows decides nothing."""
+        found: Set[str] = set()
+        if not match.rows:
+            return found
+        for attribute, keys in self._keys.items():
+            buckets = self._buckets[attribute]
+            # Key -> rows that reach it; rows lacking the attribute.
+            reached: Dict[str, int] = {}
+            absent = 0
+            for index, value in enumerate(match.values(attribute)):
                 if value is None:
                     continue
-                reached = keys
-                if isinstance(value, (str, int, float)):
-                    reached = self._buckets[attribute].get(value)
-                if reached:
-                    found |= reached
+                if value is ABSENT:
+                    absent |= 1 << index
+                elif isinstance(value, (str, int, float)):
+                    for key in buckets.get(value, ()):
+                        reached[key] = reached.get(key, 0) | 1 << index
+                else:
+                    break
+            else:
+                # No value of another type: the lookup decided every key.
+                if absent:
+                    for key in keys:
+                        surely = reached.get(key, 0)
+                        match.record(key, surely | absent, surely)
+                    found |= keys
+                else:
+                    for key, surely in reached.items():
+                        match.record(key, surely, surely)
+                    found.update(reached)
+                continue
+            # A value of another type: evaluate the attribute's keys.
+            found.update(key for key in keys if match.mask(key))
+        found.update(key for key in self._generic if match.mask(key))
         return found
-
-    def live(self, match: RowMatch) -> Set[str]:
-        """The held keys some row of ``match`` may match: the candidates,
-        each judged once by ``match``.  A mutation with no rows judges
-        nothing."""
-        if not match.rows:
-            return set()
-        return {key for key in self.candidates(match.rows) if match.mask(key)}
 
     def clear(self) -> None:
         """Forget every held conjunct."""

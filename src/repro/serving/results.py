@@ -98,6 +98,7 @@ proven fresh.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -354,6 +355,17 @@ class CachedResult:
                        len(rescored)), REPAIRED
 
 
+def spare_threshold(entry: CachedResult) -> float:
+    """The score a sweep's bound must stay below to spare ``entry``: its
+    buffer's floor less :data:`BOUND_MARGIN`, or ``-inf`` — never spared —
+    for a ``complete``, empty or shorter-than-``k`` buffer, which
+    :meth:`CachedResult.apply_delta` may extend or must drop."""
+    buffer = entry.buffer
+    if entry.complete or not buffer or len(buffer) < entry.k:
+        return -math.inf
+    return buffer[-1][1] - BOUND_MARGIN
+
+
 def holdings(entry: CachedResult) -> Dict[str, Holding]:
     """Each conjunct ``entry`` holds -> the score-bound factors it carries.
 
@@ -406,6 +418,9 @@ class ResultCache:
         #: Every pid some entry's buffer holds -> the keys holding it: a
         #: removal or rescore changes only the buffers holding its pid.
         self._pids: Dict[int, Set[ResultKey]] = {}
+        #: Every held key -> the score its sweep bound must stay below to
+        #: spare the entry (:func:`spare_threshold`).
+        self._thresholds: Dict[ResultKey, float] = {}
         #: Monotonic invalidation epoch (see module docs).
         self._epoch = 0
         #: Warm requests answered from memory / requests that had to compute.
@@ -552,20 +567,27 @@ class ResultCache:
         for conjunct, holding in holdings(entry).items():
             self._held.add(conjunct, key, holding)
         self._index_pids(key, (), entry.buffer)
+        self._thresholds[key] = spare_threshold(entry)
 
     def _release(self, key: ResultKey, entry: CachedResult) -> None:
         for conjunct in frozenset().union(*entry.conjuncts):
             self._held.remove(conjunct, key)
         self._index_pids(key, entry.buffer, ())
+        del self._thresholds[key]
 
     def _index_pids(self, key: ResultKey, old: Ranking, new: Ranking) -> None:
-        """Move ``key`` in the pid index from buffer ``old`` to ``new``."""
-        for pid, _ in old:
+        """Move ``key`` in the pid index from buffer ``old`` to ``new``:
+        only the pids that left or entered."""
+        left = {pid for pid, _ in old}
+        entered = {pid for pid, _ in new}
+        if left and entered:
+            left, entered = left - entered, entered - left
+        for pid in left:
             keys = self._pids[pid]
             keys.discard(key)
             if not keys:
                 del self._pids[pid]
-        for pid, _ in new:
+        for pid in entered:
             keys = self._pids.get(pid)
             if keys is None:
                 self._pids[pid] = {key}
@@ -610,12 +632,15 @@ class ResultCache:
         no inserted or rescored tuple can score above ``1 − miss``.  An
         affected answer is handed to :meth:`CachedResult.apply_delta`
         (counted in :attr:`deltas_applied`) only when it holds a touched
-        pid in its buffer, is ``complete``, has a post row its preferences
-        may but need not match (the unscorable fallback), is a truncated
-        buffer shorter than ``k`` (the underflow fallback), or its bound
-        reaches its buffer's floor less :data:`BOUND_MARGIN`.  Any other
-        affected answer provably comes back from ``apply_delta`` as itself,
-        so it is counted as repaired without the call.
+        pid in its buffer, has a post row its preferences may but need not
+        match (the unscorable fallback) — together the keys that *must* be
+        handed over — or its bound reaches the :func:`spare_threshold` the
+        cache keeps per key: its buffer's floor less :data:`BOUND_MARGIN`,
+        or ``-inf`` for a ``complete`` buffer or a truncated one shorter
+        than ``k`` (the underflow fallback).  Any other affected answer
+        provably comes back from ``apply_delta`` as itself, so it is
+        counted as repaired without the call: one comparison and one set
+        lookup per affected answer.
 
         A repair scores from ``match``'s verdicts (zero SQL, counted in
         :attr:`repairs`), and only an entry whose repair is impossible is
@@ -648,14 +673,18 @@ class ResultCache:
             must: Set[ResultKey] = set()
             for conjunct in live:
                 hit = match.mask(conjunct) & post_rows
-                undecided = hit & ~match.exact((conjunct,))
-                for key, (factor, groups) in \
-                        self._held.holders(conjunct).items():
+                holders = self._held.holders(conjunct)
+                if hit & ~match.exact((conjunct,)):
+                    must.update(key for key, (factor, _) in holders.items()
+                                if factor is not None)
+                for key, (factor, groups) in holders.items():
                     if factor is not None:
-                        miss = misses.get(key, 1.0)
-                        misses[key] = miss * factor if hit else miss
-                        if undecided:
-                            must.add(key)
+                        # A conjunct only pre-image rows may match scores no
+                        # tuple: the entry is affected, its bound unmoved.
+                        misses[key] = misses.get(key, 1.0) * (
+                            factor if hit else 1.0)
+                    if not groups:
+                        continue
                     for conjuncts, product in groups:
                         if not conjuncts <= live:
                             continue
@@ -674,36 +703,37 @@ class ResultCache:
             # A held key is an answer's or a basis's; both are maintained
             # alike, and only the answers count in the impact.
             entries, bases = self._entries, self._bases
+            thresholds = self._thresholds
             stale: List[Tuple[ResultKey, Dict[ResultKey, CachedResult]]] = []
-            repaired = rebased = underflows = applied = 0
+            underflows = applied = 0
             for key, miss in misses.items():
+                if 1.0 - miss < thresholds[key] and key not in must:
+                    continue
                 served = key in entries
                 store = entries if served else bases
                 entry = store[key]
-                buffer = entry.buffer
-                if (key in must or entry.complete or not buffer
-                        or len(buffer) < entry.k
-                        or 1.0 - miss >= buffer[-1][1] - BOUND_MARGIN):
-                    positions = [position for position, conjuncts
-                                 in enumerate(entry.conjuncts)
-                                 if conjuncts <= live
-                                 and match.shared(conjuncts)]
-                    applied += served
-                    replacement, reason = entry.apply_delta(match, positions)
-                    if replacement is None:
-                        stale.append((key, store))
-                        if served and reason == FALLBACK_UNDERFLOW:
-                            underflows += 1
-                        continue
-                    if replacement is not entry:
-                        store[key] = replacement
-                        self._index_pids(key, buffer, replacement.buffer)
-                if served:
-                    repaired += 1
-                else:
-                    rebased += 1
-            visits = len(visited.union(misses).difference(bases))
+                # A delete scores no tuple: its repair asks no position.
+                positions = () if not post_rows else [
+                    position for position, conjuncts
+                    in enumerate(entry.conjuncts)
+                    if conjuncts <= live and match.shared(conjuncts)]
+                applied += served
+                replacement, reason = entry.apply_delta(match, positions)
+                if replacement is None:
+                    stale.append((key, store))
+                    if served and reason == FALLBACK_UNDERFLOW:
+                        underflows += 1
+                elif replacement is not entry:
+                    store[key] = replacement
+                    self._index_pids(key, entry.buffer, replacement.buffer)
+                    thresholds[key] = spare_threshold(replacement)
+            # Every affected key not dropped was repaired: spared or not.
+            affected_bases = len(bases.keys() & misses.keys())
+            visits = len(misses) - affected_bases + len(
+                visited.difference(misses, bases))
             invalidated = sum(store is entries for _, store in stale)
+            repaired = len(misses) - affected_bases - invalidated
+            rebased = affected_bases - (len(stale) - invalidated)
             for key, store in stale:
                 self._release(key, store.pop(key))
             impact = {"results_invalidated": invalidated,
@@ -722,6 +752,7 @@ class ResultCache:
             self.basis_drops += len(stale) - invalidated
         annotate("result_cache_sweep",
                  f"repaired={repaired} invalidated={invalidated}")
+        annotate("deltas_applied", applied)
         return impact
 
     def clear(self) -> None:
@@ -734,6 +765,7 @@ class ResultCache:
             self._bases.clear()
             self._held.clear()
             self._pids.clear()
+            self._thresholds.clear()
 
     # -- introspection ------------------------------------------------------------
 

@@ -666,14 +666,17 @@ class TopKServer:
         so one sound relevance test serves all three kinds: one
         :class:`~repro.index.selectivity.RowMatch` per sweep, which carries
         the rows, the post-image and each touched pid's rows, and which is
-        all either store is handed.  Each store judges only the conjuncts
-        its :class:`~repro.index.selectivity.ConjunctIndex` says a row can
-        reach and visits only their holders, so a sweep costs what the
-        mutation touches, not what is cached.  Both are maintained from the
-        rows, with no SQL — the result cache repairs its answers and the
-        id-list memo patches its lists, each dropping an entry only on a row
-        it cannot decide — and each returns its share of the impact, which
-        the span annotates under the report's names.
+        all either store is handed.  Each store's
+        :class:`~repro.index.selectivity.ConjunctIndex` decides its
+        ``attr = literal`` conjuncts by bucket lookup and evaluates only the
+        others, and the store visits only the live conjuncts' holders, so a
+        sweep costs what the mutation touches, not what is cached.  Both are
+        maintained from the rows, with no SQL — the result cache repairs its
+        answers and the id-list memo patches its lists, each dropping an
+        entry only on a row it cannot decide — and each returns its share of
+        the impact, which the span annotates under the report's names; the
+        result cache adds the answers its score bound could not spare
+        (``deltas_applied``).
         """
         with span("server.on_data_mutation") as trace:
             match = RowMatch.of(mutation)

@@ -10,6 +10,10 @@ ints, floats, text, NULLs and absent attributes under qualified or bare keys.
 
 * The live set, and every ``mask`` / ``exact`` bit a sweep reads, equal the
   full scan's; a key the sweep never judged has mask 0 in the full scan.
+* Reach is the verdict: for every equality literal and row value at
+  SQLite's affinity edges, the bits ``live`` records from its bucket lookup
+  equal ``exact_match_row``'s, and only generic keys and the keys of an
+  attribute holding an odd-typed value are evaluated.
 * ``ResultCache.on_data_mutation`` repairs and drops exactly the entries
   the plain loop — ``any(shared(c) for c in entry.conjuncts)`` — calls
   affected, each to the very entry a full-width ``apply_delta`` builds, and
@@ -26,13 +30,17 @@ ints, floats, text, NULLs and absent attributes under qualified or bare keys.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.base import PreferenceQueryRunner
 from repro.core.intensity import combine_and
 from repro.core.predicate import Condition, Or, parse_predicate
 from repro.index import ConjunctIndex, CountCache, RowMatch
-from repro.serving.results import CachedResult, ResultCache, holdings
+from repro.index.selectivity import exact_match_row
+from repro.serving.results import (BOUND_MARGIN, CachedResult, ResultCache,
+                                   holdings)
 from repro.sqldb.events import (TUPLES_DELETED, TUPLES_INSERTED,
                                 TUPLES_UPDATED, DataMutation)
 
@@ -117,7 +125,18 @@ def test_live_keys_and_every_bit_read_equal_a_full_scan(held, released, rows):
         assert match.exact([key]) == full.exact([key])
     for key in kept - judged:
         assert full.mask(key) == 0
-    assert match.predicate_row_tests == len(judged) * len(rows)
+    # Only the generic keys were evaluated: the bucket lookup decided the
+    # rest.
+    assert match.predicate_row_tests == len(
+        {key for key in kept if not bucketed(key)}) * len(rows)
+
+
+def bucketed(text):
+    """Whether a held key is an ``attr = literal`` with a literal other than
+    NULL and NaN."""
+    parsed = parse_predicate(text)
+    return (isinstance(parsed, Condition) and parsed.op == "="
+            and parsed.value is not None and parsed.value == parsed.value)
 
 
 def test_exact_takes_the_conjunct_forms_shared_takes():
@@ -131,8 +150,10 @@ def test_exact_takes_the_conjunct_forms_shared_takes():
 
 def test_a_bucket_reaches_only_the_values_sqlite_equates():
     """The case table of ``docs/INVALIDATION.md``: a text value reaches a
-    key by text, a number by number, an absent attribute every key of it,
-    NULL none, and a NaN literal is a candidate for every row."""
+    key by text, a number by number, an absent attribute every key of it
+    (may, not surely), NULL none, and a NaN literal is judged for every
+    row.  What the lookup reaches is the verdict; only the generic keys are
+    evaluated."""
     keys = ["dblp.year = '2005'", "dblp.year = 2005", "dblp.venue = 100",
             "dblp.venue = 'VLDB'", "dblp.venue = 1e16", "dblp.year = nan",
             "dblp.year >= 2010"]
@@ -140,15 +161,93 @@ def test_a_bucket_reaches_only_the_values_sqlite_equates():
     for key in keys:
         index.add(key, key)
     generic = {"dblp.year = nan", "dblp.year >= 2010"}
-    assert index.candidates([{"year": 2005, "venue": "ICDE"}]) == \
-        generic | {"dblp.year = '2005'", "dblp.year = 2005"}
-    assert index.candidates([{"year": "2005.0", "venue": "100"}]) == \
-        generic | {"dblp.venue = 100"}
-    assert index.candidates([{"year": 1, "venue": "1.0e+16"}]) == \
-        generic | {"dblp.venue = 1e16"}
-    assert index.candidates([{"year": None}]) == \
-        generic | {"dblp.venue = 100", "dblp.venue = 'VLDB'",
-                   "dblp.venue = 1e16"}
+
+    def decided(row):
+        match = RowMatch([row])
+        index.live(match)
+        assert match.predicate_row_tests == len(generic)
+        return {key: (match.mask(key), match.exact([key]))
+                for key in set(match._masks) - generic}
+
+    assert decided({"year": 2005, "venue": "ICDE"}) == {
+        "dblp.year = '2005'": (1, 1), "dblp.year = 2005": (1, 1)}
+    assert decided({"year": "2005.0", "venue": "100"}) == {
+        "dblp.venue = 100": (1, 1)}
+    assert decided({"year": 1, "venue": "1.0e+16"}) == {
+        "dblp.venue = 1e16": (1, 1)}
+    assert decided({"year": None}) == {
+        "dblp.venue = 100": (1, 0), "dblp.venue = 'VLDB'": (1, 0),
+        "dblp.venue = 1e16": (1, 0)}
+
+
+#: Equality literals at SQLite's affinity edges: numeric-shaped and padded
+#: text, ints past 2**53, ``-0.0``, booleans, NaN and NULL.
+EQUALITY_LITERALS = TEXT_LITERALS + (
+    "-0.0", "0", "1", "9007199254740993", "9007199254740992.0", "True",
+    None) + NUMERIC_LITERALS + (False, 1, 2 ** 63 - 1, 0.5)
+#: A row value of a type no column stores here: its attribute is evaluated.
+ODD_VALUE = b"5"
+ABSENT_VALUE = object()
+
+
+@st.composite
+def verdict_rows(draw):
+    """A row whose every attribute is text, an int, a float, a bool, NULL,
+    ``ODD_VALUE`` or absent, under one spelling."""
+    row = {"pid": draw(st.integers(min_value=1, max_value=6))}
+    for names in ATTRIBUTES.values():
+        value = draw(st.one_of(
+            st.sampled_from([literal for literal in EQUALITY_LITERALS
+                             if literal is not None]),
+            row_values, st.booleans(),
+            st.just(ODD_VALUE), st.just(ABSENT_VALUE)))
+        if value is not ABSENT_VALUE:
+            row[draw(st.sampled_from(names))] = value
+    return row
+
+
+def family(attribute):
+    """The ``ATTRIBUTES`` name an attribute spelling belongs to."""
+    return next(name for name, names in ATTRIBUTES.items()
+                if attribute in names)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(spellings, st.sampled_from(EQUALITY_LITERALS)),
+                min_size=1, max_size=8),
+       st.lists(verdict_rows(), min_size=1, max_size=4))
+def test_a_bucket_lookup_records_exact_match_rows_verdicts(equalities, rows):
+    """Reach is the verdict: for every equality key and row value, the
+    may- and sure-bits ``live`` records equal ``exact_match_row``'s, and
+    only a generic key (NaN literal) or a key whose attribute carries an
+    odd-typed value is evaluated — through ``RowMatch.mask``, once per
+    row."""
+    keys = {Condition(attribute, "=", literal).to_sql()
+            for attribute, literal in equalities}
+    index = ConjunctIndex()
+    for key in keys:
+        index.add(key, "entry")
+    match = RowMatch(rows)
+    live = index.live(match)
+    expected = {}
+    for key in keys:
+        may = surely = 0
+        for bit, row in enumerate(rows):
+            verdict = exact_match_row(key, row)
+            may |= (verdict is not False) << bit
+            surely |= bool(verdict) << bit
+        expected[key] = (may, surely)
+    assert live == {key for key, (may, _) in expected.items() if may}
+    for key, bits in expected.items():
+        if key in match._masks:
+            assert (match._masks[key], match._exact[key]) == bits, key
+        else:
+            assert bits == (0, 0), key
+    odd = {family(name) for row in rows for name, value in row.items()
+           if value is ODD_VALUE}
+    evaluated = {key for key in keys if not bucketed(key)
+                 or family(parse_predicate(key).attribute) in odd}
+    assert match.predicate_row_tests == len(evaluated) * len(rows)
 
 
 kinds = st.sampled_from([TUPLES_INSERTED, TUPLES_DELETED, TUPLES_UPDATED])
@@ -250,20 +349,29 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
     assert changed <= set(calls) <= set(outcomes)
     # The index forgot the dropped entries and the bound's state still
     # equals a recomputation from the entries left.
-    assert bound_state(cache) == (cache._held._holders, cache._pids)
+    assert bound_state(cache) == cache_bound_state(cache)
 
 
 def bound_state(cache):
     """What a result cache's score bound reads, recomputed from its
-    entries and bases: each conjunct's holders with their factors, and the
-    buffer pid index."""
-    held, pids = {}, {}
+    entries and bases: each conjunct's holders with their factors, the
+    buffer pid index and each key's spare threshold — its floor less the
+    margin, or ``-inf`` when the bound may not spare it."""
+    held, pids, thresholds = {}, {}, {}
     for key, entry in {**cache._entries, **cache._bases}.items():
         for conjunct, holding in holdings(entry).items():
             held.setdefault(conjunct, {})[key] = holding
         for pid, _ in entry.buffer:
             pids.setdefault(pid, set()).add(key)
-    return held, pids
+        thresholds[key] = (
+            -math.inf if entry.complete or len(entry.buffer) < max(entry.k, 1)
+            else entry.buffer[-1][1] - BOUND_MARGIN)
+    return held, pids, thresholds
+
+
+def cache_bound_state(cache):
+    """The structures ``bound_state`` recomputes, as the cache keeps them."""
+    return cache._held._holders, cache._pids, cache._thresholds
 
 
 def test_a_tie_at_the_floor_reaches_apply_delta():

@@ -31,7 +31,7 @@ from repro.core.predicate import (
     parse_predicate,
 )
 from repro.exceptions import RelationalError
-from repro.index.selectivity import RowMatch, may_match_row
+from repro.index.selectivity import ConjunctIndex, RowMatch, may_match_row
 from repro.sqldb.database import Database
 from repro.sqldb.query_builder import matching_paper_ids
 from repro.sqldb.schema import BASE_FROM
@@ -143,6 +143,28 @@ def test_may_match_row_never_spares_a_sql_match(differential_db, predicate):
                                         for index, row in enumerate(rows))
         assert match.mask(forms[0]) == match.mask(forms[-1])
         assert match.predicate_row_tests == len(rows)
+
+
+EQUALITIES = [predicate for predicate in PREDICATES
+              if isinstance(predicate, Condition) and predicate.op == "="]
+
+
+@pytest.mark.parametrize(
+    "predicate", EQUALITIES, ids=[pred.to_sql() for pred in EQUALITIES])
+def test_a_bucket_lookup_selects_sqlites_pids(differential_db, predicate):
+    """A sweep decides an ``attr = literal`` key by its bucket lookup alone:
+    the may-bits ``ConjunctIndex.live`` records over the joined view select
+    exactly the pids SQLite matches, with no predicate evaluated."""
+    rows = [dict(row) for row in joined_rows(differential_db)]
+    key = predicate.to_sql()
+    index = ConjunctIndex()
+    index.add(key, "entry")
+    match = RowMatch(rows)
+    index.live(match)
+    mask = match._masks.get(key, 0)
+    assert {row["pid"] for bit, row in enumerate(rows) if mask >> bit & 1} \
+        == set(matching_paper_ids(differential_db, predicate))
+    assert match.predicate_row_tests == 0
 
 
 #: Literals at the edge of what binding may touch: a bool, ints beyond

@@ -214,7 +214,8 @@ class TestApplyDelta:
     def test_scores_from_the_sweeps_verdicts(self, monkeypatch):
         """Repairs judge nothing themselves: with the sweep's ``RowMatch``
         handed in, every ``exact_match_row`` call is one of the match's
-        (distinct predicate, row) tests, however many entries repair."""
+        tests, however many entries repair — the generic year range's, once
+        per row; the venue equality's verdicts are its bucket lookup's."""
         calls = []
         judge = selectivity.exact_match_row
         monkeypatch.setattr(selectivity, "exact_match_row",
@@ -228,7 +229,7 @@ class TestApplyDelta:
         assert (cache.entries_visited, cache.repairs) == (3, 3)
         for uid in range(3):
             assert cache.peek(uid, 2).buffer == ((1, BOTH), (2, BOTH))
-        assert len(calls) == match.predicate_row_tests == 2 * len(_PREDS)
+        assert len(calls) == match.predicate_row_tests == 2 * 1
 
     def test_sweep_affects_iff_a_row_may_match_a_predicate(self):
         rows = [_row(5), _row(6, venue="ICDE", year=1999), _row(7, year=2011)]

@@ -42,7 +42,7 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
-from test_conjunct_index import bound_state
+from test_conjunct_index import bound_state, cache_bound_state
 from test_loadgen_concurrency import start_and_join
 
 from repro.backend import create_backend
@@ -539,11 +539,12 @@ class ServerMachine(RuleBasedStateMachine):
 
     @invariant()
     def bound_state_equals_a_recomputation(self):
-        """The sweep's score bound reads two structures kept beside the
-        entries: each (conjunct, holder)'s factors and the buffer pid
-        index.  Both equal what the entries alone give."""
+        """The sweep's score bound reads three structures kept beside the
+        entries: each (conjunct, holder)'s factors, the buffer pid index
+        and each key's spare threshold.  All equal what the entries alone
+        give."""
         results = self.server.results
-        assert bound_state(results) == (results._held._holders, results._pids)
+        assert bound_state(results) == cache_bound_state(results)
 
     @invariant()
     def every_memoised_list_equals_a_fetch(self):

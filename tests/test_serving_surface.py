@@ -374,10 +374,13 @@ def sweepable_keys(surface):
     return set(surface.sessions.runner._ids_cache)
 
 
-def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
+def test_sweep_evaluates_generic_predicates_once_per_row(surface,
+                                                        monkeypatch):
     """Work gate, by counting: with eight resident sessions sharing
-    predicates, updating a multi-author paper costs distinct predicates x rows
-    evaluations through one ``RowMatch`` per sweep and patches or drops
+    predicates, updating a multi-author paper evaluates each held generic
+    predicate (the year ranges) once per row, and no ``attr = literal`` one
+    — the bucket lookup decides those — through one ``RowMatch`` per
+    sweep, and patches or drops
     exactly what the plain loop, written out below, calls stale — dropping
     only a list some post-image row may match but cannot be decided
     against — judged conjunct by conjunct: no id-list key hands ``mask`` a conjunction to parse again.  No rows, no
@@ -409,8 +412,12 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
                 if record.name == "server.on_data_mutation"]
     assert len(built) == 1
     assert sweep.annotation("joined_rows") == len(rows) >= 4
+    generic = {conjunct for members in before for conjunct in members
+               if not isinstance(parse_predicate(conjunct), Condition)
+               or parse_predicate(conjunct).op != "="}
     assert asked == sweep.annotation("predicate_row_tests") == \
-        sweep.annotation("distinct_predicates") * len(rows)
+        len(generic) * len(rows)
+    assert sweep.annotation("distinct_predicates") > len(generic) > 0
     # Every consumer's keys — id lists and cached answers — reach ``mask``
     # as conjunct texts, never whole.
     assert any(len(members) > 1 for members in before)
@@ -441,6 +448,7 @@ def test_sweep_work_is_distinct_predicates_times_rows(surface, monkeypatch):
                               "repair_sql_statements")}
     assert {name: sweep.annotation(name) for name in impact} == impact
     applied = {(entry.uid, entry.k) for entry, *_ in repairs}
+    assert sweep.annotation("deltas_applied") == len(repairs) == len(applied)
     changed = {key for key, entry in entries.items()
                if surface.results.peek(*key) is not entry}
     assert set() != changed <= applied <= {
