@@ -37,12 +37,18 @@ acceptance criteria:
     :data:`PROFILE_REPAIR_FLOOR` are served by a profile repair
     (``serving.result_cache.profile_repairs``), and a repaired read folds
     fewer tuples (``profile_tuples_rescored`` per repair) than a full fold
-    scores (PEPS's ``tuples_scored`` per folded read).
+    scores (PEPS's ``tuples_scored`` per folded read).  Such a read that
+    takes a basis extends its build outline instead of building: over
+    those reads the graphs built (``serving.sessions.sessions_built``)
+    equal the extension fallbacks
+    (``serving.sessions.profile_extension_fallbacks.<reason>``), and every
+    extension (``serving.sessions.profile_extensions``) is one of them.
 """
 
 from __future__ import annotations
 
 from repro.algorithms.peps import PEPSAlgorithm
+from repro.core.hypre.builder import EXTENSION_FALLBACKS
 from repro.experiments import reporting
 from repro.experiments.context import SCALES
 from repro.loadgen import LoadConfig, LoadGenerator, build_world, population
@@ -73,8 +79,9 @@ PROFILE_REPAIR_FLOOR = 0.5
 
 def _watch_profile_reads(server, watch):
     """Count, in ``watch``, the cold reads right after a profile update of
-    the same user, the profile repairs among them, and the tuples each
-    full PEPS fold scores; returns the undo."""
+    the same user, the profile repairs among them, those that took a basis
+    and the graphs they built and outlines they extended, and the tuples
+    each full PEPS fold scores; returns the undo."""
     outdated = set()
     update_profile, top_k = server.update_profile, server.top_k
     top_k_buffer = PEPSAlgorithm.top_k_buffer
@@ -84,11 +91,18 @@ def _watch_profile_reads(server, watch):
         return update_profile(uid, profile)
 
     def read(uid, k):
-        repairs = server.results.profile_repairs
+        results, sessions = server.results, server.sessions
+        repairs = results.profile_repairs
+        bases = results.stats()["bases.entries"]
+        built, extended = sessions.sessions_built, sessions.profile_extensions
         result = top_k(uid, k)
         if uid in outdated and not result.cache_hit:
             watch["post_update_reads"] += 1
-            watch["repaired"] += server.results.profile_repairs - repairs
+            watch["repaired"] += results.profile_repairs - repairs
+            if results.stats()["bases.entries"] < bases:  # took a basis
+                watch["with_basis"] += 1
+                watch["built"] += sessions.sessions_built - built
+                watch["extended"] += sessions.profile_extensions - extended
         outdated.discard(uid)
         return result
 
@@ -114,7 +128,8 @@ def _replay():
     db = build_world(SCALES[SCALE], USERS)
     server = TopKServer(db)
     watch = dict.fromkeys(
-        ("post_update_reads", "repaired", "folds", "tuples_scored"), 0)
+        ("post_update_reads", "repaired", "with_basis", "built", "extended",
+         "folds", "tuples_scored"), 0)
     undo = _watch_profile_reads(server, watch)
     try:
         report = LoadGenerator(REPLAY).run(server)
@@ -143,6 +158,10 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
     rescored = (metrics["serving.result_cache.profile_tuples_rescored"]
                 / max(1, profile_repairs))
     scored = watch["tuples_scored"] / max(1, watch["folds"])
+    extensions = metrics["serving.sessions.profile_extensions"]
+    built_instead = {reason: metrics[
+        f"serving.sessions.profile_extension_fallbacks.{reason}"]
+        for reason in EXTENSION_FALLBACKS}
 
     reporting.print_report(
         f"Repair, don't recompute — {USERS} users, {REPLAY.requests} "
@@ -163,6 +182,10 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
             "profile repair rate": f"{profile_rate:.3f}",
             "tuples rescored per profile repair": f"{rescored:.1f}",
             "tuples scored per full fold": f"{scored:.1f}",
+            "post-update reads that took a basis": watch["with_basis"],
+            "outlines extended (no profile read, no graph)": extensions,
+            **{f"graphs built instead ({reason})": count
+               for reason, count in built_instead.items()},
             "SQL per from-scratch recompute": f"{recompute:.1f}",
             "recompute SQL the repairs stand in for": f"{avoided:.0f}",
             "audited": report.audit["comparisons"],
@@ -189,6 +212,10 @@ def test_repair_beats_invalidate_and_recompute(benchmark):
     assert watch["repaired"] == profile_repairs > 0
     assert profile_rate >= PROFILE_REPAIR_FLOOR
     assert watch["folds"] > 0 and rescored < scored
+    # ... and a read that took a basis built a graph only on a fallback.
+    assert watch["extended"] == extensions > 0
+    assert watch["built"] == sum(built_instead.values())
+    assert watch["built"] + watch["extended"] == watch["with_basis"]
 
 
 def test_repairs_stay_clean_under_concurrent_load(benchmark):

@@ -169,8 +169,8 @@ def _measure(papers: int) -> list:
             # only the answer.
             built, build = [], server.sessions.get_or_create
 
-            def keep(uid):
-                built.append(build(uid))
+            def keep(uid, basis=None):
+                built.append(build(uid, basis))
                 return built[-1]
 
             server.sessions.get_or_create = keep
@@ -181,7 +181,7 @@ def _measure(papers: int) -> list:
                 assert not result.cache_hit
             del server.sessions.get_or_create
             assert len(built) == len(uids)
-            for peps in built:
+            for peps, _ in built:
                 for counter in work:
                     work[counter] += getattr(peps, counter)
             work["cold_id_fetches"] = runner.queries_executed - fetched

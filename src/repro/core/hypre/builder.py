@@ -17,13 +17,19 @@ Both steps run in :meth:`HypreGraphBuilder.build_rows`, one row at a time;
 the serving cold read hands it the staged rows as plain tuples.  The
 per-step wall-clock times are recorded so Table 11 and Figure 13 can be
 regenerated.
+
+A build can leave a :class:`BuildOutline`: what Algorithm 1 needs to insert
+more quantitative rows into the same user's build without the graph (see
+:meth:`BuildOutline.extend`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+
+from ...exceptions import ReproError
 
 from ..intensity import (
     intensity_left,
@@ -47,6 +53,31 @@ from .graph import (
 
 #: A staged predicate: its SQL text or its parsed tree.
 PredicateLike = Union[str, PredicateExpr]
+
+#: :meth:`BuildOutline.extend`'s outcome labels (the second element of its
+#: return pair): the extended outline, or why only a full build is exact.
+EXTENDED = "extended"
+#: A new row is qualitative: Step 2 would run again.
+EXTEND_QUALITATIVE = "qualitative"
+#: The outlined build seeded a DEFAULT_VALUE, which reads every node.
+EXTEND_SEEDED = "seeded"
+#: A new row does not parse or its intensity is out of its domain: the
+#: full build raises the error.
+EXTEND_INVALID = "invalid"
+#: A new row's predicate is a node some qualitative row touches.
+EXTEND_ENDPOINT = "endpoint"
+#: Every :meth:`BuildOutline.extend` fallback, in the order it checks them.
+EXTENSION_FALLBACKS = (EXTEND_QUALITATIVE, EXTEND_SEEDED, EXTEND_INVALID,
+                       EXTEND_ENDPOINT)
+
+
+def merged_intensity(current: Optional[float], intensity: float) -> float:
+    """Step 1's rule for one row on its node: the row's (already validated)
+    ``intensity`` for a node with none yet, else the average of the node's
+    ``current`` intensity and the row's."""
+    if current is None:
+        return intensity
+    return validate_quantitative((current + intensity) / 2.0)
 
 
 @dataclass
@@ -154,10 +185,8 @@ class HypreGraphBuilder:
         if created:
             report.quantitative_nodes += 1
         else:
-            if node.intensity is not None:
-                intensity = validate_quantitative((node.intensity + intensity) / 2.0)
             report.quantitative_merged += 1
-        node.intensity = intensity
+        node.intensity = merged_intensity(node.intensity, intensity)
         node.source = SOURCE_USER
         return node_id
 
@@ -287,6 +316,114 @@ class HypreGraphBuilder:
         for profile in registry:
             total.merge(self.build_profile(profile))
         return total
+
+
+class BuildOutline:
+    """What one user's build leaves to take more quantitative rows without
+    its graph: not a graph, and no preference object.
+
+    * ``endpoints`` — the rendered texts of the nodes some qualitative row
+      touches (an edge of any type ends on each);
+    * ``finals`` — ``(−intensity, text, tree)`` of each endpoint whose final
+      intensity is positive (the only endpoints that rank), sorted: the
+      algorithms' order;
+    * ``step1`` — every other node's text -> ``(tree, intensity)`` as Step 1
+      left it, non-positive ones included: a later row may average one up;
+    * ``seeded`` — whether Step 2 seeded a DEFAULT_VALUE.
+
+    Built by :meth:`of` after :meth:`HypreGraphBuilder.build_rows`, and by
+    :meth:`extend` from another outline.
+    """
+
+    __slots__ = ("endpoints", "finals", "step1", "seeded")
+
+    def __init__(self, endpoints: FrozenSet[str],
+                 finals: Tuple[Tuple[float, str, PredicateExpr], ...],
+                 step1: Dict[str, Tuple[PredicateExpr, float]],
+                 seeded: bool) -> None:
+        self.endpoints = endpoints
+        self.finals = finals
+        self.step1 = step1
+        self.seeded = seeded
+
+    @classmethod
+    def of(cls, hypre: HypreGraph, uid: int,
+           report: BuildReport) -> "BuildOutline":
+        """The outline of ``uid``'s build in ``hypre``; ``report`` is that
+        build's (it says whether Step 2 seeded a default)."""
+        nodes = hypre._nodes
+        ids = hypre._uid_index.get(uid, ())
+        touched = {end for node_id in ids for edge in nodes[node_id].out_edges
+                   for end in (edge.source, edge.target)}
+        finals: List[Tuple[float, str, PredicateExpr]] = []
+        step1: Dict[str, Tuple[PredicateExpr, float]] = {}
+        for node_id in ids:
+            node = nodes[node_id]
+            if node_id not in touched:
+                step1[node.predicate] = (node.expr, node.intensity)
+            elif node.intensity is not None and node.intensity > 0.0:
+                finals.append((-node.intensity, node.predicate, node.expr))
+        finals.sort()
+        return cls(frozenset([nodes[node_id].predicate for node_id in touched]),
+                   tuple(finals), step1, report.defaults_assigned > 0)
+
+    def preferences(self) -> List[Tuple[PredicateExpr, float]]:
+        """The positive ``(tree, intensity)`` pairs in the algorithms' order
+        (:func:`~repro.index.pair_index.preference_sort_key`: descending
+        intensity, ties by text) — what
+        :meth:`~repro.core.hypre.graph.HypreGraph.scored_predicates` reads
+        off the built graph."""
+        ranked = [(-intensity, text, expr)
+                  for text, (expr, intensity) in self.step1.items()
+                  if intensity > 0.0]
+        ranked.extend(self.finals)
+        ranked.sort()
+        return [(expr, -negated) for negated, _, expr in ranked]
+
+    def extend(self, quantitative: Iterable[Tuple[PredicateLike, float]],
+               qualitative: Sequence[Tuple[PredicateLike, PredicateLike, float]]
+               ) -> Tuple[Optional["BuildOutline"], str]:
+        """The outline of the build over the outlined rows followed by these
+        staged rows (the shapes :meth:`HypreGraphBuilder.build_rows`
+        takes), without building it.
+
+        Each row is a new node or merges into a node outside ``endpoints``
+        by Step 1's rule (:func:`merged_intensity`).  That is the whole
+        build, exactly, because Step 2 reads only endpoint nodes — their
+        intensities, ``PREFERS`` degrees and edges — and the DEFAULT_VALUE
+        only for a row whose two endpoints have no intensity yet: it meets
+        the endpoints in the state the outlined build met them, so a build
+        that seeded no default seeds none, and a node outside the endpoints
+        keeps the intensity Step 1 gives it.
+
+        Returns ``(outline, EXTENDED)``, or ``(None, reason)`` when only a
+        full build is exact, checked in :data:`EXTENSION_FALLBACKS` order:
+        a qualitative row, a seeded build, a row that does not parse or
+        whose intensity is out of its domain (the full build raises), a row
+        on an endpoint.
+        """
+        if qualitative:
+            return None, EXTEND_QUALITATIVE
+        if self.seeded:
+            return None, EXTEND_SEEDED
+        endpoints, step1 = self.endpoints, dict(self.step1)
+        on_endpoint = False
+        try:
+            for predicate, intensity in quantitative:
+                expr = ensure_predicate(predicate)
+                intensity = validate_quantitative(intensity)
+                text = expr.to_sql()
+                if text in endpoints:
+                    on_endpoint = True
+                    continue
+                held = step1.get(text)
+                step1[text] = (expr, intensity) if held is None else \
+                    (held[0], merged_intensity(held[1], intensity))
+        except (ReproError, TypeError, ValueError):
+            return None, EXTEND_INVALID
+        if on_endpoint:
+            return None, EXTEND_ENDPOINT
+        return BuildOutline(endpoints, self.finals, step1, False), EXTENDED
 
 
 def build_hypre_graph(profile_or_registry,

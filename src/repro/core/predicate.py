@@ -551,6 +551,9 @@ def _tokenize(text: str) -> List[str]:
 
 
 def _literal_from_token(token: str) -> Value:
+    if token.upper() == "NULL":
+        # The SQL null literal, as ``Condition(attr, op, None)`` renders it.
+        return None
     if token.startswith("'") and token.endswith("'"):
         return token[1:-1].replace("''", "'")
     if token.startswith('"') and token.endswith('"'):

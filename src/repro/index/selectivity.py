@@ -267,9 +267,10 @@ def _equality_shape(conjunct: str) -> _Shape:
     numeric one, so one dict holds both: a text row value finds the key only
     under its text, a number only under its number — and Python's ``==``
     and ``hash`` agree across ``int``, ``float`` and ``bool``, so a lookup
-    finds exactly the keys ``evaluate`` calls equal.  NULL and NaN literals,
-    and every non-equality shape, are ``None``: generic, judged for every
-    row.
+    finds exactly the keys ``evaluate`` calls equal.  The NULL literal
+    equals no value (SQL's ``= NULL`` is never true), so it is bucketed
+    under none.  NaN literals, and every non-equality shape, are ``None``:
+    generic, judged for every row.
     Memoised: both serving stores hold the same conjuncts, and one returns
     whenever an answer holding it is recomputed.
     """
@@ -277,6 +278,8 @@ def _equality_shape(conjunct: str) -> _Shape:
     if not isinstance(parsed, Condition) or parsed.op != "=":
         return None
     literal = parsed.value
+    if literal is None:
+        return parsed.attribute, ()
     if isinstance(literal, str):
         number = _as_number(literal)
         return parsed.attribute, ((literal,) if number is None

@@ -9,9 +9,11 @@ view, the events are the deltas):
 * **profile updates** — the server calls :meth:`ResultCache.invalidate_user`
   after persisting one, which takes every cached answer *of that user only*
   out of serving and keeps it as a *basis* (persist, outdate; the next read
-  repairs): the next read builds the user's new preference list from the
-  persisted profile and :meth:`CachedResult.apply_profile` rescores only
-  the tuples of the preferences that changed.
+  repairs) that records the rows the update staged: the next read builds
+  the user's new preference list — by extending the basis's build outline
+  with those rows, or from the persisted profile — and
+  :meth:`CachedResult.apply_profile` rescores only the tuples of the
+  preferences that changed.
 * **data events** — :class:`~repro.sqldb.events.DataMutation` notifications
   from the workload database, covering the full update spectrum.  A
   mutation touches a cached answer **iff** one of the predicates it was
@@ -101,7 +103,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
@@ -111,9 +113,14 @@ from ..telemetry import annotate
 
 if TYPE_CHECKING:
     from ..algorithms.base import PreferenceQueryRunner, ScoredPreference
+    from ..core.hypre.builder import BuildOutline
 
 ResultKey = Tuple[int, int]
 Ranking = Tuple[Tuple[int, float], ...]
+#: Staged rows, as :func:`~repro.workload.loader.profile_rows` returns them:
+#: ``((predicate, intensity), …)`` and ``((left, right, intensity), …)``.
+StagedRows = Tuple[Tuple[Tuple[str, float], ...],
+                   Tuple[Tuple[str, str, float], ...]]
 
 #: ``apply_delta`` / ``apply_profile`` outcome labels (the second element
 #: of their return pairs).
@@ -167,7 +174,11 @@ class CachedResult:
     truncated buffers back to it).  ``conjuncts`` (each scored predicate's
     conjunct keys) and ``intensities`` run in parallel, in PEPS preference
     order, so repair scoring folds intensities exactly as
-    :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k` does.
+    :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k` does.  ``outline``
+    is the build the answer was scored from
+    (:class:`~repro.core.hypre.builder.BuildOutline`; ``None`` when the
+    caller kept none), and ``staged`` the rows profile updates staged since
+    — always empty on a served answer, accumulated on a basis.
     """
 
     uid: int
@@ -178,6 +189,8 @@ class CachedResult:
     buffer: Ranking
     complete: bool
     depth: int
+    outline: Optional[BuildOutline] = None
+    staged: StagedRows = ((), ())
 
     # -- repair ------------------------------------------------------------------
 
@@ -266,7 +279,8 @@ class CachedResult:
             uid=self.uid, k=self.k, ranking=tuple(buffer[:self.k]),
             conjuncts=self.conjuncts, intensities=self.intensities,
             buffer=tuple(buffer), complete=self.complete,
-            depth=self.depth), REPAIRED
+            depth=self.depth, outline=self.outline,
+            staged=self.staged), REPAIRED
 
     def apply_profile(self, runner: "PreferenceQueryRunner",
                       preferences: Sequence["ScoredPreference"],
@@ -525,14 +539,16 @@ class ResultCache:
     def put(self, uid: int, k: int, buffer: Sequence[Tuple[int, float]],
             complete: bool, conjuncts: Sequence[FrozenSet[str]],
             intensities: Sequence[float],
-            epoch: Optional[int] = None) -> Optional[CachedResult]:
+            epoch: Optional[int] = None,
+            outline: Optional[BuildOutline] = None) -> Optional[CachedResult]:
         """Materialise a freshly computed answer as a maintainable view.
 
         ``buffer`` is the exact over-fetched prefix PEPS returned (the answer
         served is its first ``k`` entries), ``complete`` whether it holds the
         whole covered universe, and ``conjuncts`` / ``intensities`` the
         scored predicates' conjunct keys and intensities in PEPS preference
-        order.
+        order; ``outline`` is the build they came from, which the answer
+        keeps for the read after a profile update.
 
         ``epoch`` is the :attr:`epoch` snapshot taken before the answer was
         computed; when given and an invalidation sweep has run since, the
@@ -551,7 +567,7 @@ class ResultCache:
             entry = CachedResult(
                 uid=uid, k=k, ranking=buffer[:k], conjuncts=tuple(conjuncts),
                 intensities=tuple(intensities), buffer=buffer,
-                complete=complete, depth=len(buffer))
+                complete=complete, depth=len(buffer), outline=outline)
             replaced = self._entries.get((uid, k)) \
                 or self._bases.pop((uid, k), None)
             if replaced is not None:
@@ -594,17 +610,34 @@ class ResultCache:
             else:
                 keys.add(key)
 
-    def invalidate_user(self, uid: int) -> int:
+    def invalidate_user(self, uid: int,
+                        rows: Optional[StagedRows] = None) -> int:
         """Outdate every cached answer of one user (profile changed).
 
         Each answer leaves serving and becomes its key's basis, held and
         swept as before (a basis already kept under a key has no answer
-        beside it, and stays); returns how many answers left serving."""
+        beside it, and stays); returns how many answers left serving.
+        ``rows`` are the rows the update staged, exactly as staged: each
+        basis of the user — one an earlier update left unread too — records
+        them after the rows it holds, so the next read can extend its
+        outline (:meth:`~repro.serving.sessions.SessionRegistry.get_or_create`).
+        Without ``rows`` what changed is unknown, and each basis of the
+        user drops its outline: the next read builds in full."""
         with self._lock:
             self._epoch += 1
             stale = [key for key in self._entries if key[0] == uid]
             for key in stale:
                 self._bases[key] = self._entries.pop(key)
+            bases = self._bases
+            for key, basis in bases.items():
+                if key[0] != uid or basis.outline is None:
+                    continue
+                if rows is None:
+                    bases[key] = replace(basis, outline=None, staged=((), ()))
+                else:
+                    bases[key] = replace(basis, staged=(
+                        basis.staged[0] + tuple(rows[0]),
+                        basis.staged[1] + tuple(rows[1])))
             self.profile_invalidations += len(stale)
             return len(stale)
 

@@ -9,11 +9,13 @@
   and keeping only the answer;
 * ``update_profile(uid, profile)`` — *persist, outdate; the next read
   repairs*: append the new preferences to the staging tables and take the
-  user's cached answers out of serving, each kept as a repair basis; the
-  next read builds from the staging tables — the one way a user's graph is
-  ever built, so what is served equals :func:`fresh_top_k` whichever door a
-  preference came through — and rescores only the changed preferences'
-  tuples of the basis
+  user's cached answers out of serving, each kept as a repair basis that
+  records the rows just staged; the next read extends the basis's build
+  outline by those rows when that is exact, else builds from the staging
+  tables (:meth:`~repro.serving.sessions.SessionRegistry.get_or_create`) —
+  either way Algorithm 1 over the staged rows, so what is served equals
+  :func:`fresh_top_k` whichever door a preference came through — and
+  rescores only the changed preferences' tuples of the basis
   (:meth:`~repro.serving.results.CachedResult.apply_profile`), or folds in
   full when it cannot;
 * ``insert_tuples(...)`` / ``delete_tuples(...)`` / ``update_tuples(...)``
@@ -81,6 +83,7 @@ from ..workload.loader import (
     delete_papers,
     load_profiles,
     read_profiles,
+    staged_rows,
     update_papers,
 )
 from .results import PROFILE_FALLBACKS, ResultCache
@@ -409,12 +412,15 @@ class TopKServer:
 
         The preferences are appended to the relational staging tables and
         the user's cached answers leave serving, each kept as a repair
-        basis (:meth:`~repro.serving.results.ResultCache.invalidate_user`);
-        nothing is built here.  The next read builds from the staged rows
-        through Algorithm 1's one body,
+        basis that records the staged rows
+        (:meth:`~repro.serving.results.ResultCache.invalidate_user`);
+        nothing is built here.  The next read extends the basis's build
+        outline by those rows, or builds from the staged rows through
+        Algorithm 1's one body,
         :meth:`~repro.core.hypre.builder.HypreGraphBuilder.build_rows`,
-        fetching only the id lists the shared memo does not hold, and
-        rescores only the changed preferences' tuples of the basis.
+        when the extension is not exact; it fetches only the id lists the
+        shared memo does not hold, and rescores only the changed
+        preferences' tuples of the basis.
         """
         try:
             if profile.uid != uid:
@@ -429,7 +435,8 @@ class TopKServer:
                     registry = ProfileRegistry()
                     registry.add(profile)
                     load_profiles(self.db, registry)
-                    invalidated = self.results.invalidate_user(uid)
+                    invalidated = self.results.invalidate_user(
+                        uid, staged_rows(profile))
                     self._bump(updates=1, stripe_acquisitions=1)
                     report = UpdateReport(
                         uid=uid,
@@ -456,8 +463,9 @@ class TopKServer:
         (see the module docstring), the acceptance criterion of the serving
         benchmark and the load harness' hot path; untraced, a warm hit is
         one result-cache lookup and one named tuple.  Cold requests take
-        the server lock, build the user's PEPS from the persisted profile,
-        repair the basis a profile update left (a ``peps.repair`` span) or
+        the server lock, take the basis a profile update left, build the
+        user's PEPS — from the basis's build outline, or from the persisted
+        profile — repair the basis (a ``peps.repair`` span) or
         run the full fold (``peps.top_k``; nested in ``peps.repair`` when
         the repair falls back) and materialise the answer for the next
         caller while still holding it.  A known user
@@ -503,9 +511,9 @@ class TopKServer:
             # The warm path above never asks: a closed server holds no
             # cached answers, so every read ends up here.
             self._check_open()
-            with span("sessions.get_or_create", self.db):
-                peps = self.sessions.get_or_create(uid)
             basis = self.results.take_basis(uid, k)
+            with span("sessions.get_or_create", self.db):
+                peps, outline = self.sessions.get_or_create(uid, basis)
             # Snapshot *before* the data-reading computation the snapshot
             # guards.  No sweep can run before the put below — both happen
             # under the server lock — so the guard only protects a cache
@@ -528,7 +536,7 @@ class TopKServer:
                         else:
                             buffer, complete = rebased.buffer, rebased.complete
             self.results.put(uid, k, buffer, complete, conjuncts, intensities,
-                             epoch=epoch)
+                             epoch=epoch, outline=outline)
             ranking = tuple(buffer[:k])
             self._bump(locked_reads=1, stripe_acquisitions=1)
             return ServeResult(

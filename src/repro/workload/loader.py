@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.preference import ProfileRegistry, QualitativePreference, QuantitativePreference
+from ..core.preference import (ProfileRegistry, QualitativePreference,
+                               QuantitativePreference, UserProfile)
 from ..exceptions import WorkloadError
 from ..sqldb.database import Database
 from ..sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED, DataMutation
@@ -130,6 +131,16 @@ def load_profiles(db: Any, registry: ProfileRegistry) -> Dict[str, int]:
     Returns the number of quantitative and qualitative rows inserted.
     """
     return db.load_profiles(registry)
+
+
+def staged_rows(profile: UserProfile) -> ProfileRows:
+    """The rows :func:`load_profiles` stages for ``profile``, in order and in
+    :func:`profile_rows`'s shapes: each preference's rendered predicate
+    text(s) and its intensity."""
+    return ([(pref.predicate_sql, pref.intensity)
+             for pref in profile.quantitative],
+            [(pref.left_sql, pref.right_sql, pref.intensity)
+             for pref in profile.qualitative])
 
 
 def read_profiles(db: Any, uids: Optional[Iterable[int]] = None) -> ProfileRegistry:
@@ -324,13 +335,9 @@ def sqlite_load_profiles(db: Database, registry: ProfileRegistry) -> Dict[str, i
     quantitative_rows: List[Tuple[int, str, float]] = []
     qualitative_rows: List[Tuple[int, str, str, float]] = []
     for profile in registry:
-        for preference in profile.quantitative:
-            quantitative_rows.append(
-                (profile.uid, preference.predicate_sql, preference.intensity))
-        for preference in profile.qualitative:
-            qualitative_rows.append(
-                (profile.uid, preference.left_sql, preference.right_sql,
-                 preference.intensity))
+        quantitative, qualitative = staged_rows(profile)
+        quantitative_rows.extend((profile.uid, *row) for row in quantitative)
+        qualitative_rows.extend((profile.uid, *row) for row in qualitative)
     # One write transaction: a concurrent writer on the shared connection
     # can neither interleave with nor commit a half-written profile.
     with db.write_transaction():

@@ -28,11 +28,11 @@ from repro.algorithms.counting import (
 from repro.backend import BACKEND_NAMES, create_backend
 from repro.core.hypre import build_hypre_graph
 from repro.core.intensity import f_and, f_or
-from repro.core.predicate import parse_predicate
+from repro.core.predicate import equals, parse_predicate
 from repro.core.preference import UserProfile
 from repro.exceptions import EmptyPreferenceListError
 from repro.index import CountCache, RowMatch
-from repro.workload.dblp import Paper
+from repro.workload.dblp import DblpConfig, Paper, generate_dblp
 from repro.workload.loader import (append_papers, delete_papers,
                                    load_dataset, update_papers)
 
@@ -279,6 +279,26 @@ class TestMemoPatch:
         assert stale == patched > 0 and dropped == 0
         assert {99004, other} <= set(memo(runner)["dblp_author.aid = 1"])
         assert_patched_equals_a_fetch(db, runner)
+
+    @pytest.mark.parametrize("engine", BACKEND_NAMES)
+    def test_a_null_literal_list_stays_empty(self, engine):
+        """``Condition(attr, "=", None)`` renders ``attr = NULL``, which
+        parses back as the SQL null literal — not the text ``'NULL'`` — so
+        a paper whose venue is the text ``NULL`` enters no list of it, as
+        SQLite's ``= NULL`` matches nothing (a 60-paper world)."""
+        db = create_backend(engine)
+        load_dataset(db, generate_dblp(DblpConfig(
+            n_papers=60, n_authors=30, n_venues=5, seed=3)))
+        runner = PreferenceQueryRunner(db)
+        null = equals("dblp.venue", None)
+        assert runner.ids(null) == ()
+        mutations = []
+        db.subscribe(mutations.append)
+        append_papers(db, [Paper(9001, "Null", "NULL", 2011)], [(9001, 1)])
+        sweep(runner, mutations)
+        assert runner._ids_cache[CountCache.key(null)] \
+            == tuple(db.matching_paper_ids(null)) == ()
+        db.close()
 
     def test_an_undecidable_row_drops_the_list(self, memo_world):
         """A post row lacking ``year``: a list it may match through a year

@@ -133,10 +133,10 @@ def test_live_keys_and_every_bit_read_equal_a_full_scan(held, released, rows):
 
 def bucketed(text):
     """Whether a held key is an ``attr = literal`` with a literal other than
-    NULL and NaN."""
+    NaN (the NULL literal is bucketed under no value)."""
     parsed = parse_predicate(text)
     return (isinstance(parsed, Condition) and parsed.op == "="
-            and parsed.value is not None and parsed.value == parsed.value)
+            and parsed.value == parsed.value)
 
 
 def test_exact_takes_the_conjunct_forms_shared_takes():
@@ -151,12 +151,12 @@ def test_exact_takes_the_conjunct_forms_shared_takes():
 def test_a_bucket_reaches_only_the_values_sqlite_equates():
     """The case table of ``docs/INVALIDATION.md``: a text value reaches a
     key by text, a number by number, an absent attribute every key of it
-    (may, not surely), NULL none, and a NaN literal is judged for every
-    row.  What the lookup reaches is the verdict; only the generic keys are
-    evaluated."""
+    (may, not surely), NULL none, the NULL literal none but an absent
+    attribute, and a NaN literal is judged for every row.  What the lookup
+    reaches is the verdict; only the generic keys are evaluated."""
     keys = ["dblp.year = '2005'", "dblp.year = 2005", "dblp.venue = 100",
-            "dblp.venue = 'VLDB'", "dblp.venue = 1e16", "dblp.year = nan",
-            "dblp.year >= 2010"]
+            "dblp.venue = 'VLDB'", "dblp.venue = 1e16", "dblp.venue = NULL",
+            "dblp.year = nan", "dblp.year >= 2010"]
     index = ConjunctIndex()
     for key in keys:
         index.add(key, key)
@@ -177,7 +177,7 @@ def test_a_bucket_reaches_only_the_values_sqlite_equates():
         "dblp.venue = 1e16": (1, 1)}
     assert decided({"year": None}) == {
         "dblp.venue = 100": (1, 0), "dblp.venue = 'VLDB'": (1, 0),
-        "dblp.venue = 1e16": (1, 0)}
+        "dblp.venue = 1e16": (1, 0), "dblp.venue = NULL": (1, 0)}
 
 
 #: Equality literals at SQLite's affinity edges: numeric-shaped and padded

@@ -186,6 +186,18 @@ class TestParsing:
         condition = Condition("dblp.venue", "=", value)
         assert parse_predicate(condition.to_sql()) == condition
 
+    @pytest.mark.parametrize("text, condition", [
+        ("dblp.venue = NULL", Condition("dblp.venue", "=", None)),
+        ("dblp.venue != null", Condition("dblp.venue", "!=", None)),
+        ("dblp.venue IN ('VLDB', Null)",
+         Condition("dblp.venue", "IN", ("VLDB", None))),
+        ("dblp.venue = 'NULL'", Condition("dblp.venue", "=", "NULL"))])
+    def test_null_literal_parses_back(self, text, condition):
+        """A bare ``NULL`` (any case) is the SQL null literal, also inside
+        ``IN (…)``; the quoted text ``'NULL'`` stays text."""
+        assert parse_predicate(text) == condition
+        assert parse_predicate(condition.to_sql()) == condition
+
     def test_parse_and(self):
         expr = parse_predicate("year>=2000 AND year<=2005")
         assert expr == between("year", 2000, 2005)

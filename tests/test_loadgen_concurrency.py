@@ -268,12 +268,12 @@ class TestOneLockServing:
             original = server.sessions.get_or_create
             events = []
 
-            def parking(uid):
+            def parking(uid, basis=None):
                 events.append(("enter", uid))
                 if uid == uid_a:
                     inside.set()
                     assert release.wait(DEADLINE_SECONDS)
-                session = original(uid)
+                session = original(uid, basis)
                 events.append(("exit", uid))
                 return session
 

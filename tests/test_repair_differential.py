@@ -350,14 +350,15 @@ SIGMOD = f"dblp.venue = '{VENUES[1]}'"  # user 1's venue
 
 class TestProfileRepair:
     def test_an_added_preference_rescores_only_its_tuples(self, world):
-        """The read after the update runs the statements a full fold would
-        — two profile reads and the new predicate's id list — and folds
-        only the new list's tuples."""
+        """The read after the update extends the answer's build outline
+        (no profile read), runs the one statement a full fold would — the
+        new predicate's id list — and folds only the new list's tuples."""
         db, server = world
         _state(server, 1, ("dblp.year = 2008", 0.7))
         result, _ = _read_exactly(server, db, 1)
         assert _repairs(server) == (1, {})
-        assert result.sql_statements == 2 + 1
+        assert result.sql_statements == 1
+        assert server.sessions.profile_extensions == 1
         assert server.results.profile_tuples_rescored == \
             _size(db, "dblp.year = 2008")
 

@@ -16,14 +16,16 @@ buffer's edge.  A fresh predicate is a year bound or a live paper's
 title, so a text-column equality stays on the served path.  The five
 profile-update rules together churn profiles faster than reads re-warm
 them, so profile thrash needs no rule of its own.  ``event`` records each
-target, the drain, the predicate kind and each direct-call fault
-(``--hypothesis-show-statistics``).  After every step every read, and every
-answer still materialised, equals ``fresh_top_k``, no result-cache sweep
-ran SQL, no exported counter went down, the
-result cache's pid index and score-bound factors equal a recomputation from
-its entries and bases, every basis equals a fresh fold of its own
-preference list, no read leaves a basis behind, and every memoised id
-list equals a fresh fetch.  Concurrent
+target, the drain, the predicate kind, each direct-call fault, and whether
+a read extended its basis's build outline (and after how many updates) or
+built in full for a reason (``--hypothesis-show-statistics``).  After every
+step every read, and every answer still materialised, equals
+``fresh_top_k``, no result-cache sweep ran SQL, no exported counter went
+down, the result cache's pid index and score-bound factors equal a
+recomputation from its entries and bases, every basis equals a fresh fold
+of its own preference list, every basis's outline extended by its staged
+rows equals the build of the staged profile, no read leaves a basis behind,
+and every memoised id list equals a fresh fetch.  Concurrent
 interleavings are the load auditor's job; ``test_engines_report_alike``
 compares the two engines.  ``HYPOTHESIS_PROFILE=ci`` runs ten times the
 examples.  See "One oracle" in ``docs/ARCHITECTURE.md``.
@@ -45,7 +47,9 @@ from hypothesis.stateful import (
 from test_conjunct_index import bound_state, cache_bound_state
 from test_loadgen_concurrency import start_and_join
 
+from repro.algorithms.base import preferences_from_graph
 from repro.backend import create_backend
+from repro.core.hypre import HypreGraphBuilder
 from repro.core.predicate import conjunction, parse_predicate
 from repro.core.preference import UserProfile
 from repro.loadgen import load_population, population
@@ -54,7 +58,7 @@ from repro.serving import (DATA_UPDATE, DELETE, INSERT, READ, UPDATE, Op,
                            build_streams, fresh_top_k)
 from repro.serving.ops import audit_materialised, venue_predicate
 from repro.workload import (PreferenceExtractor, generate_dblp, load_dataset,
-                            load_profiles)
+                            load_profiles, profile_rows)
 from repro.workload.dblp import DblpConfig, Paper
 from worlds import engine_world
 
@@ -158,6 +162,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.fresh = {}    # uid -> fresh_top_k, until the next write
         self.exported = {}  # the server's metrics() at the last check
         self.reads = [0, 0]  # top_k calls completed / served warm, this server
+        self.pending = {}  # uid -> profile updates since its last read
 
     def teardown(self):
         self.server.close()
@@ -186,11 +191,16 @@ class ServerMachine(RuleBasedStateMachine):
             # The bare loader; the server still hears the mutation.
             apply_op(Uncached(self.db), op)
             return
-        results = self.server.results
+        results, sessions = self.server.results, self.server.sessions
         before = (results.profile_repairs,
-                  dict(results.profile_repair_fallbacks))
+                  dict(results.profile_repair_fallbacks),
+                  sessions.profile_extensions,
+                  dict(sessions.profile_extension_fallbacks))
         outcome = apply_op(self.server, op)
+        if op.kind == UPDATE:
+            self.pending[op.uid] = self.pending.get(op.uid, 0) + 1
         if op.kind == READ:
+            updates = self.pending.pop(op.uid, 0)
             self.count_read(outcome)
             self.served.append((op.uid, list(outcome.ranking)))
             # The read served an answer, and no basis is left for its key.
@@ -200,6 +210,12 @@ class ServerMachine(RuleBasedStateMachine):
             for reason, count in results.profile_repair_fallbacks.items():
                 if count > before[1][reason]:
                     event(f"read: profile repair fell back ({reason})")
+            if sessions.profile_extensions > before[2]:
+                event("read: profile extended" + (
+                    f" after {updates} updates" if updates > 1 else ""))
+            for reason, count in sessions.profile_extension_fallbacks.items():
+                if count > before[3][reason]:
+                    event(f"read: profile built ({reason})")
 
     def count_read(self, result):
         self.reads[0] += 1
@@ -320,6 +336,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.server = self.watch(TopKServer(self.db))
         self.exported = {}
         self.reads = [0, 0]
+        self.pending = {}
 
     # -- the five profile-update shapes --------------------------------------
 
@@ -512,6 +529,7 @@ class ServerMachine(RuleBasedStateMachine):
             name="read-after-fault", daemon=True)])
         self.count_read(outcome["read"])
         self.served.append((other, list(outcome["read"].ranking)))
+        self.pending.pop(other, None)
 
     # -- invariants ----------------------------------------------------------
 
@@ -579,6 +597,24 @@ class ServerMachine(RuleBasedStateMachine):
             assert buffer == fold[:len(buffer)], key
             assert not basis.complete or len(buffer) == len(fold), key
             assert basis.ranking == basis.buffer[:basis.k], key
+
+    @invariant()
+    def every_basis_outline_extends_to_the_staged_build(self):
+        """A basis's build outline, extended by the rows updates staged
+        since, is the build of the user's staged profile: the same
+        preference list, floats bit for bit, or a fallback reason."""
+        for (uid, _), basis in self.server.results._bases.items():
+            if basis.outline is None:
+                continue
+            extended, _ = basis.outline.extend(*basis.staged)
+            if extended is None:
+                continue
+            builder = HypreGraphBuilder()
+            builder.build_rows(uid, *profile_rows(self.real, uid))
+            assert [(expr.to_sql(), intensity.hex()) for expr, intensity
+                    in extended.preferences()] == [
+                (pref.sql, pref.intensity.hex())
+                for pref in preferences_from_graph(builder.hypre, uid)], uid
 
     @invariant()
     def no_exported_counter_decreases(self):

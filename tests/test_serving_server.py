@@ -636,6 +636,7 @@ class TestThreadSafety:
         assert metrics["serving.server.read_hits"] == 1
         assert {name.rsplit(".", 1)[0] for name in metrics} == {
             "serving.server", "serving.sessions", "serving.results",
+            "serving.sessions.profile_extension_fallbacks",
             "serving.result_cache", "serving.result_cache.bases",
             "serving.result_cache.profile_repair_fallbacks",
             "index.count_cache", f"backend.{server.db.backend_name}"}

@@ -47,20 +47,20 @@ class TestUserSession:
     one answer and not kept."""
 
     def test_session_serves_topk(self, registry):
-        ranking, complete = registry.get_or_create(1).top_k_buffer(5)
+        ranking, complete = registry.get_or_create(1).peps.top_k_buffer(5)
         assert len(ranking) == 5 and not complete
         assert registry.stats()["sessions_built"] == 1
 
     def test_one_peps_instance_per_session(self, registry):
         """Every build is a fresh PEPS that holds no pair table; a data
         mutation patches only the shared id lists it reads."""
-        first = registry.get_or_create(1)
+        first = registry.get_or_create(1).peps
         first.top_k_buffer(5)
         row = {"pid": 9001, "title": "t", "venue": VENUES[1], "year": 2011,
                "abstract": "", "aid": 1}
         impact = registry.invalidate_matching(RowMatch([row], post=1))
         assert impact["index_entries_patched"] > 0
-        assert registry.get_or_create(1) is not first
+        assert registry.get_or_create(1).peps is not first
         assert first._pair_index is None
 
 
@@ -68,16 +68,21 @@ class TestSessionRegistryLRU:
     def test_evicted_user_rebuilds_through_loader(self, registry, serving_db):
         """Every read builds from the staging tables: an update persisted
         there is in the next build, and nothing is resident to hit."""
-        before = registry.get_or_create(1).top_k_buffer(5)
-        assert registry.get_or_create(1).top_k_buffer(5) == before
+        before = registry.get_or_create(1).peps.top_k_buffer(5)
+        assert registry.get_or_create(1).peps.top_k_buffer(5) == before
         update = UserProfile(uid=1)
         update.add_quantitative("dblp.venue = 'PODS'", 0.4)
         profiles = ProfileRegistry()
         profiles.add(update)
         load_profiles(serving_db, profiles)
-        assert len(registry.get_or_create(1).preferences) == 3
+        assert len(registry.get_or_create(1).peps.preferences) == 3
         assert registry.stats() == {"hits": 0, "misses": 3, "evictions": 0,
                                     "sessions_built": 3,
+                                    "profile_extensions": 0,
+                                    "profile_extension_fallbacks.qualitative": 0,
+                                    "profile_extension_fallbacks.seeded": 0,
+                                    "profile_extension_fallbacks.invalid": 0,
+                                    "profile_extension_fallbacks.endpoint": 0,
                                     "id_lists_patched": 0,
                                     "id_lists_dropped": 0}
 
@@ -98,8 +103,8 @@ class TestSharedIdLists:
         profiles.add(shared_too)
         load_profiles(serving_db, profiles)
         registry = SessionRegistry(serving_db)
-        registry.get_or_create(1).top_k_buffer(3)
+        registry.get_or_create(1).peps.top_k_buffer(3)
         fetched = registry.runner.queries_executed
-        registry.get_or_create(2).top_k_buffer(3)
+        registry.get_or_create(2).peps.top_k_buffer(3)
         # User 2's only predicate was already fetched while serving user 1.
         assert registry.runner.queries_executed == fetched == 1

@@ -169,7 +169,7 @@ def test_construction_surface_is_pinned():
     pinned = {
         IncrementalPairIndex: ["counter", "preferences"],
         SessionRegistry: ["db"],
-        SessionRegistry.get_or_create: ["self", "uid"],
+        SessionRegistry.get_or_create: ["self", "uid", "basis"],
         PEPSAlgorithm: ["runner", "preferences", "approximate",
                         "max_combination_size", "max_combinations",
                         "pair_index"],
@@ -582,9 +582,9 @@ def test_update_then_read_fetches_only_the_new_predicates_ids(backend):
     """What *persist, outdate; the next read repairs* costs, in counters:
     the read after an update that adds one predicate to a user's profile
     fetches one id list — the new predicate's; every old one is still
-    memoised — counts nothing, and adds to that read only the two
-    ``read_profiles`` statements: 3 statements in all, as a full fold
-    would run."""
+    memoised — counts nothing, and extends the answer's build outline by
+    the staged row: it reads no profile row and builds no graph, so its
+    one statement is the new id list."""
     db = engine_world(backend, DBLP, len(UIDS))
     mined = PreferenceExtractor(generate_dblp(DBLP)).extract_all()
     load_profiles(db, mined)
@@ -607,7 +607,8 @@ def test_update_then_read_fetches_only_the_new_predicates_ids(backend):
 
         assert list(result.ranking) == fresh_top_k(db, uid, K)
         assert runner.queries_executed - queries == 1
-        assert result.sql_statements == 2 + 1
+        assert result.sql_statements == 1
         assert runner.count_cache.misses == runner.count_cache.hits == 0
-        assert server.sessions.stats()["sessions_built"] == 2
+        assert server.sessions.stats()["sessions_built"] == 1
+        assert server.sessions.stats()["profile_extensions"] == 1
     db.close()

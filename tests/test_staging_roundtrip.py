@@ -12,11 +12,20 @@ included) and counter by counter.  CI runs this module under
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import math
+
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro import create_backend
+from repro.algorithms.base import preferences_from_graph
 from repro.core.hypre import HypreGraphBuilder
+from repro.core.hypre.builder import (EXTEND_ENDPOINT, EXTEND_INVALID,
+                                      EXTEND_QUALITATIVE, EXTEND_SEEDED,
+                                      EXTENDED, BuildOutline)
+from repro.core.predicate import parse_predicate
 from repro.core.preference import ProfileRegistry, UserProfile
+from repro.exceptions import ReproError
 from repro.workload import load_profiles, profile_rows
 from test_build_rows import BACKENDS, graph_signature
 
@@ -90,3 +99,117 @@ def test_an_empty_profile_stages_nothing():
     builder = HypreGraphBuilder()
     report = builder.build_rows(5, [], [])
     assert len(builder.hypre) == 0 and report.quantitative_nodes == 0
+
+
+UID = 7
+VLDB, SIGMOD, YEAR = POOL[0], POOL[2], POOL[3]
+#: Predicates no drawn profile states (two spellings of one), and texts that
+#: do not parse.
+FRESH = ("dblp.year >= 1995", "dblp.venue = 'ICDE'", "dblp.venue='ICDE'",
+         "dblp_author.aid = 7")
+UNPARSABLE = ("dblp.venue = ", "AND", "dblp.year >>= 3")
+#: Quantitative rows of a batch: a fresh predicate, one the profile states
+#: (an index into its texts, resolved by the test: a duplicate or an
+#: endpoint) or, rarely, unparsable text; intensities mostly in the
+#: domain, one in eight out of it.
+batch_rows = st.lists(st.tuples(
+    st.one_of(st.sampled_from(FRESH * 4 + UNPARSABLE), st.integers(0, 99)),
+    st.one_of(*[strengths] * 7,
+              st.sampled_from((-1.5, 1.0000001, 2.0, math.nan)))),
+    max_size=4)
+#: A batch: its quantitative rows, and one qualitative row a quarter of
+#: the time.
+batches = st.lists(st.tuples(batch_rows, st.one_of(
+    st.just([]), st.just([]), st.just([]),
+    st.lists(st.tuples(predicates, predicates, strengths),
+             min_size=1, max_size=1))), min_size=1, max_size=2)
+
+
+def outline_signature(outline):
+    """An outline's parts, floats by ``float.hex``."""
+    return (outline.endpoints,
+            [(text, (-negated).hex()) for negated, text, _ in outline.finals],
+            {text: intensity.hex()
+             for text, (_, intensity) in outline.step1.items()},
+            outline.seeded)
+
+
+def full_build(quantitative, qualitative):
+    """The graph's preference list (floats by ``float.hex``), the build's
+    outline and whether it seeded a default."""
+    builder = HypreGraphBuilder()
+    report = builder.build_rows(UID, quantitative, qualitative)
+    preferences = [(pref.sql, pref.intensity.hex())
+                   for pref in preferences_from_graph(builder.hypre, UID)]
+    return (preferences, BuildOutline.of(builder.hypre, UID, report),
+            report.defaults_assigned > 0)
+
+
+def invalid(quantitative):
+    """Whether a row does not parse or its intensity is out of its domain."""
+    return any(predicate in UNPARSABLE or not -1.0 <= intensity <= 1.0
+               for predicate, intensity in quantitative)
+
+
+def expected_reason(quantitative, qualitative, built_qualitative, seeded):
+    """Why the extension must fall back, from the rows alone: ``None``
+    when it must extend."""
+    if qualitative:
+        return EXTEND_QUALITATIVE
+    if seeded:
+        return EXTEND_SEEDED
+    if invalid(quantitative):
+        return EXTEND_INVALID
+    endpoints = {parse_predicate(side).to_sql()
+                 for left, right, _ in built_qualitative
+                 for side in (left, right)}
+    if any(parse_predicate(predicate).to_sql() in endpoints
+           for predicate, _ in quantitative):
+        return EXTEND_ENDPOINT
+    return None
+
+
+@settings(deadline=None)
+@given(profiles, st.booleans(), batches)
+# A restated endpoint; a seeded build; a non-positive node averaged up by
+# its other spelling, then a fresh node, in two chained batches.
+@example(([], [(VLDB, SIGMOD, 0.5)]), True, [([(SIGMOD, 0.9)], [])])
+@example(([], [(VLDB, SIGMOD, 0.5)]), False, [([(FRESH[0], 0.9)], [])])
+@example(([(YEAR, -0.2), (VLDB, 0.4)], [(VLDB, VLDB, 0.3)]), False,
+         [([(POOL[4], 0.8)], []), ([(FRESH[0], 0.1)], [])])
+def test_an_extended_outline_is_the_full_build(profile, scored, drawn):
+    """``scored`` first states every qualitative side quantitatively, so
+    Step 2 seeds no default and the endpoints a batch may restate are
+    outlined."""
+    quantitative, qualitative = map(list, profile)
+    if scored:
+        quantitative[:0] = [(side, 0.5) for row in qualitative
+                            for side in row[:2]]
+    _, outline, seeded = full_build(quantitative, qualitative)
+    own = [row[0] for row in quantitative] + [
+        side for row in qualitative for side in row[:2]] or list(FRESH)
+    for chained, (rows, new_qualitative) in enumerate(drawn):
+        rows = [(own[predicate % len(own)] if isinstance(predicate, int)
+                 else predicate, intensity) for predicate, intensity in rows]
+        reason = expected_reason(rows, new_qualitative, qualitative, seeded)
+        extended, outcome = outline.extend(rows, new_qualitative)
+        quantitative += rows
+        qualitative += new_qualitative
+        event(f"batch {chained + 1}: {outcome}")
+        if reason is not None:
+            assert (extended, outcome) == (None, reason)
+            if invalid(rows):
+                # The read falls back to the full build, which raises.
+                with pytest.raises((ReproError, TypeError, ValueError)):
+                    full_build(quantitative, qualitative)
+                return
+            # The read builds in full and keeps that build's outline.
+            _, outline, seeded = full_build(quantitative, qualitative)
+            continue
+        assert outcome == EXTENDED
+        preferences, rebuilt, seeded = full_build(quantitative, qualitative)
+        assert not seeded
+        assert [(expr.to_sql(), intensity.hex()) for expr, intensity
+                in extended.preferences()] == preferences
+        assert outline_signature(extended) == outline_signature(rebuilt)
+        outline = extended
