@@ -140,9 +140,10 @@ def test_slow_trace_attributes_latency_across_nested_spans(benchmark):
     telemetry.observe(server)
     try:
         uid = 1
-        # Force a genuinely cold read: drop the user's cached answers and
-        # the shared id lists.
-        server.results.invalidate_user(uid)
+        # Force a genuinely cold read: drop every cached answer and basis
+        # (a basis left by ``invalidate_user`` would be repaired, not
+        # folded) and the shared id lists.
+        server.results.clear()
         server.sessions.runner.clear()
         telemetry.traces.clear()
         result = run_once(benchmark, server.top_k, uid, K + 2)

@@ -113,21 +113,20 @@ class EquivalenceAuditor(threading.Thread):
     ``results`` (with ``cached_users``/``peek``) and its ``db``.
     Every ``interval`` seconds the auditor quiesces the gate, samples up to
     ``sample`` cached users (round-robin over the cached population, so
-    successive audits cover different users) and verifies each materialised
-    ``(uid, k)`` answer.  ``interval=0`` is the inline auditor: not started,
-    driven through :meth:`check`.  Divergences land in :attr:`mismatches`;
-    the backend statements the recomputations issued in
-    :attr:`sql_statements`, so a run can keep them out of its own count.
+    successive audits cover different users) and verifies each one's
+    materialised answer at its own ``k``.  ``interval=0`` is the inline
+    auditor: not started, driven through :meth:`check`.  Divergences land
+    in :attr:`mismatches`; the backend statements the recomputations issued
+    in :attr:`sql_statements`, so a run can keep them out of its own count.
     """
 
-    def __init__(self, server: Any, gate: TrafficGate, k: int,
+    def __init__(self, server: Any, gate: TrafficGate,
                  interval: float = 0.5, sample: int = 8) -> None:
         super().__init__(name="loadgen-auditor", daemon=True)
         if interval < 0:
             raise ValueError("audit interval must not be negative")
         self.server = server
         self.gate = gate
-        self.k = k
         self.interval = interval
         self.sample = max(1, sample)
         self._stop_event = threading.Event()
@@ -151,7 +150,7 @@ class EquivalenceAuditor(threading.Thread):
         self.audits += 1
         db = self.server.db
         statements_before = db.statements_executed
-        checked, mismatches = audit_materialised(self.server, uids, self.k)
+        checked, mismatches = audit_materialised(self.server, uids)
         self.sql_statements += db.statements_executed - statements_before
         self.comparisons += checked
         self.mismatches.extend(mismatches)

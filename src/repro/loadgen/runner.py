@@ -276,7 +276,7 @@ class LoadGenerator:
             gate = TrafficGate()
             auditor = None
             if config.audit_interval is not None:
-                auditor = EquivalenceAuditor(target, gate, k=config.k,
+                auditor = EquivalenceAuditor(target, gate,
                                              interval=config.audit_interval,
                                              sample=config.audit_sample)
             inline = auditor if config.audit_interval == 0 else None

@@ -7,8 +7,8 @@ exactly as fresh as one event stream proves necessary — the full
 tuple-mutation spectrum (inserts, deletes, in-place updates) from
 :mod:`repro.sqldb.events`.  A cold read builds the user's HYPRE graph and
 PEPS from the persisted profile, reads its id lists through one memo every
-read shares, and keeps only the answer; a profile update persists and drops
-that user's answers, and the next read builds again (see
+read shares, and keeps only the answer, one per user; a profile update
+outdates that user's answer, and the next read repairs it (see
 ``docs/ARCHITECTURE.md`` for the event flow and "Why no session is
 resident", and ``docs/SERVING.md`` for the end-to-end tutorial).
 
@@ -29,8 +29,9 @@ Public API
     over its positive preferences — and the id-list memo every build
     shares; it keeps no session.
 :class:`ResultCache`
-    Materialised ``(uid, k) -> ranking`` answers, invalidated per-user by
-    profile updates and *selectively* by data-mutation events.
+    One materialised answer per user, serving every k up to its own,
+    outdated by profile updates and repaired *selectively* under data
+    mutations.
 :class:`CachedResult`
     One materialised answer plus the predicates it depends on.
 :class:`Op` / ``READ`` / ``UPDATE`` / ``INSERT`` / ``DELETE`` / ``DATA_UPDATE``

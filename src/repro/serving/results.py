@@ -1,13 +1,13 @@
 """Materialised Top-K answers, invalidated selectively under updates.
 
-:class:`ResultCache` keeps finished ``(uid, k) -> ranking`` answers so a
-repeated request costs zero SQL statements.  Its correctness rests on two
-invalidation paths, in the spirit of incremental query answering under
-updates (Berkholz, Keppeler & Schweikardt — the materialised answer is the
-view, the events are the deltas):
+:class:`ResultCache` keeps one finished answer per user: fetched at
+some k, it serves that k and every smaller one at zero SQL statements.  Its
+correctness rests on two invalidation paths, in the spirit of incremental
+query answering under updates (Berkholz, Keppeler & Schweikardt — the
+materialised answer is the view, the events are the deltas):
 
 * **profile updates** — the server calls :meth:`ResultCache.invalidate_user`
-  after persisting one, which takes every cached answer *of that user only*
+  after persisting one, which takes the cached answer *of that user only*
   out of serving and keeps it as a *basis* (persist, outdate; the next read
   repairs) that records the rows the update staged: the next read builds
   the user's new preference list — by extending the basis's build outline
@@ -69,8 +69,8 @@ product of ``1 − i`` over the matched preferences, in preference order, so
 a tuple outside every changed preference's id list keeps the same factors
 in the same order — the same float — when the unchanged preferences keep
 their relative order.  :meth:`ResultCache.invalidate_user` therefore moves
-the user's answers into a separate store of *bases* instead of dropping
-them.  A basis is never served (:meth:`~ResultCache.get` and
+the user's answer into a separate store of *bases* instead of dropping
+it.  A basis is never served (:meth:`~ResultCache.get` and
 :meth:`~ResultCache.peek` read only the answers), yet every data sweep
 maintains it like an answer — through the same holdings, pid index and
 :meth:`CachedResult.apply_delta`, counted apart — so it stays the exact
@@ -115,7 +115,6 @@ if TYPE_CHECKING:
     from ..algorithms.base import PreferenceQueryRunner, ScoredPreference
     from ..core.hypre.builder import BuildOutline
 
-ResultKey = Tuple[int, int]
 Ranking = Tuple[Tuple[int, float], ...]
 #: Staged rows, as :func:`~repro.workload.loader.profile_rows` returns them:
 #: ``((predicate, intensity), …)`` and ``((left, right, intensity), …)``.
@@ -135,6 +134,9 @@ FALLBACK_REORDERED = "reordered"
 FALLBACK_UNMEMOISED = "unmemoised"
 #: A truncated basis holds no tuple, so it has no floor to cut at.
 FALLBACK_EMPTY = "empty"
+#: Over-fetch margin of every cached answer, in multiples of ``k``: a cold
+#: read at ``k`` keeps ``k + 2k`` tuples, so mutations repair in place.
+REPAIR_MARGIN = 2
 #: Every ``apply_profile`` fallback, in the order it checks them; exported
 #: as ``serving.result_cache.profile_repair_fallbacks.<reason>``.
 PROFILE_FALLBACKS = (FALLBACK_REORDERED, FALLBACK_EMPTY, FALLBACK_UNMEMOISED,
@@ -167,13 +169,14 @@ class Rebased(NamedTuple):
 class CachedResult:
     """One materialised Top-K answer plus the state needed to maintain it.
 
-    ``ranking`` is what gets served, ``buffer[:k]``.  ``buffer`` is the exact
-    over-fetched prefix of the user's total order under ``(-score, pid)``;
-    ``complete`` marks a buffer that holds the *whole* covered universe;
-    ``depth`` is the capacity the buffer was fetched with (repairs trim
-    truncated buffers back to it).  ``conjuncts`` (each scored predicate's
-    conjunct keys) and ``intensities`` run in parallel, in PEPS preference
-    order, so repair scoring folds intensities exactly as
+    ``k`` is the largest k the answer serves: ``ranking``, ``buffer[:k]``,
+    at ``k``, the prefix ``buffer[:k']`` at a smaller k'.  ``buffer`` is
+    the exact over-fetched prefix of the user's total order under
+    ``(-score, pid)``; ``complete`` marks a buffer that holds the *whole*
+    covered universe; ``depth`` is the capacity the buffer was fetched with
+    (repairs trim truncated buffers back to it).  ``conjuncts`` (each scored
+    predicate's conjunct keys) and ``intensities`` run in parallel, in PEPS
+    preference order, so repair scoring folds intensities exactly as
     :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k` does.  ``outline``
     is the build the answer was scored from
     (:class:`~repro.core.hypre.builder.BuildOutline`; ``None`` when the
@@ -275,16 +278,12 @@ class CachedResult:
                 del buffer[cap:]
         if not changed:
             return self, REPAIRED
-        return CachedResult(
-            uid=self.uid, k=self.k, ranking=tuple(buffer[:self.k]),
-            conjuncts=self.conjuncts, intensities=self.intensities,
-            buffer=tuple(buffer), complete=self.complete,
-            depth=self.depth, outline=self.outline,
-            staged=self.staged), REPAIRED
+        return replace(self, ranking=tuple(buffer[:self.k]),
+                       buffer=tuple(buffer)), REPAIRED
 
     def apply_profile(self, runner: "PreferenceQueryRunner",
                       preferences: Sequence["ScoredPreference"],
-                      conjuncts: Sequence[FrozenSet[str]], depth: int,
+                      conjuncts: Sequence[FrozenSet[str]], k: int,
                       ) -> Tuple[Optional[Rebased], str]:
         """Rescore this answer for the user's new preference list.
 
@@ -292,8 +291,8 @@ class CachedResult:
         ``intensities`` on the current data, which every sweep since it was
         outdated has maintained.  ``preferences`` and ``conjuncts`` are the
         new PEPS list and its conjunct keys, in preference order;
-        ``runner`` is the shared id-list memo; ``depth`` is the depth a
-        full fold would cut at.
+        ``runner`` is the shared id-list memo; ``k`` is the k being read,
+        which may exceed the basis's own.
 
         A preference is *changed* when its ``(conjuncts, intensity)`` pair
         is on one list and not the other; a restated intensity changes its
@@ -306,10 +305,11 @@ class CachedResult:
         merged with the rest of the buffer on ``(m − 1.0, pid)``.  A
         truncated buffer is cut at its old floor: a tuple it never held
         and did not rescore still ranks below it.  The result is capped at
-        ``max(depth, self.depth)``, and it is ``complete`` only when the
-        basis was and the cap cut nothing.  The new list's id lists are
-        read through ``runner.ids`` — the statements a full fold would run
-        — and a removed key's from the memo alone.
+        the deeper of a full fold's ``k + REPAIR_MARGIN·k`` and
+        ``self.depth``, and it is ``complete`` only when the basis was and
+        the cap cut nothing.  The new list's id lists are read through
+        ``runner.ids`` — the statements a full fold would run — and a
+        removed key's from the memo alone.
 
         Returns ``(Rebased, REPAIRED)``, or ``(None, reason)`` when only a
         full fold gives the exact answer: ``FALLBACK_REORDERED``,
@@ -359,11 +359,11 @@ class CachedResult:
             pid, score = self.buffer[-1]
             floor = (-score, pid)
             keys = [key for key in keys if key <= floor]
-            if len(merged) + len(keys) < self.k:
+            if len(merged) + len(keys) < k:
                 return None, FALLBACK_UNDERFLOW
         merged.extend(keys)
         merged.sort()
-        cap = max(depth, self.depth)
+        cap = max(k + REPAIR_MARGIN * k, self.depth)
         return Rebased([(pid, -negated) for negated, pid in merged[:cap]],
                        self.complete and len(merged) < cap,
                        len(rescored)), REPAIRED
@@ -413,28 +413,29 @@ def holdings(entry: CachedResult) -> Dict[str, Holding]:
 
 
 class ResultCache:
-    """Update-aware cache of materialised Top-K answers keyed by (uid, k)."""
+    """Update-aware cache of materialised Top-K answers: every store is
+    keyed by ``uid``, one answer or one basis per user."""
 
     def __init__(self) -> None:
         # The cache is a shared leaf structure: warm lookups, puts and
         # invalidation sweeps may arrive from different threads without the
         # server lock, so every access holds this lock.
         self._lock = threading.RLock()
-        self._entries: Dict[ResultKey, CachedResult] = {}
+        self._entries: Dict[int, CachedResult] = {}
         #: The answers profile updates outdated, kept as repair bases and
-        #: never served.  A key is in ``_entries`` or here, never in both,
-        #: so the two indexes below hold both stores under plain keys.
-        self._bases: Dict[ResultKey, CachedResult] = {}
-        #: Every conjunct an entry holds -> the ``(uid, k)`` keys holding it,
-        #: each carrying its :func:`holdings` factors under it: a sweep
-        #: visits the holders of the conjuncts a row may match.
+        #: never served.  A uid is in ``_entries`` or here, never in both,
+        #: so the indexes below hold both stores under plain uids.
+        self._bases: Dict[int, CachedResult] = {}
+        #: Every conjunct an entry holds -> the uids holding it, each
+        #: carrying its :func:`holdings` factors under it: a sweep visits
+        #: the holders of the conjuncts a row may match.
         self._held = ConjunctIndex()
-        #: Every pid some entry's buffer holds -> the keys holding it: a
+        #: Every pid some entry's buffer holds -> the uids holding it: a
         #: removal or rescore changes only the buffers holding its pid.
-        self._pids: Dict[int, Set[ResultKey]] = {}
-        #: Every held key -> the score its sweep bound must stay below to
+        self._pids: Dict[int, Set[int]] = {}
+        #: Every held uid -> the score its sweep bound must stay below to
         #: spare the entry (:func:`spare_threshold`).
-        self._thresholds: Dict[ResultKey, float] = {}
+        self._thresholds: Dict[int, float] = {}
         #: Monotonic invalidation epoch (see module docs).
         self._epoch = 0
         #: Warm requests answered from memory / requests that had to compute.
@@ -486,46 +487,47 @@ class ResultCache:
             return self._epoch
 
     def get(self, uid: int, k: int) -> Optional[CachedResult]:
-        """The cached answer for ``(uid, k)``, counting hit/miss.
+        """The user's cached answer when it serves ``k`` (``0 < k <=
+        entry.k``), counting hit/miss.
 
         A server's warm read is this call and nothing else, so a hit is
         what counts it (``serving.server.reads`` / ``read_hits``); the
         server's span, not this call, says whether the read hit.
         """
         with self._lock:
-            entry = self._entries.get((uid, k))
-            if entry is None:
-                self.misses += 1
-            else:
+            entry = self._entries.get(uid)
+            if entry is not None and 0 < k <= entry.k:
                 self.hits += 1
-            return entry
+                return entry
+            self.misses += 1
+            return None
 
     def peek(self, uid: int, k: int) -> Optional[CachedResult]:
-        """The cached answer without touching the statistics.  Like
-        :meth:`get`, it never returns a basis."""
+        """:meth:`get` without touching the statistics.  Like :meth:`get`,
+        it never returns a basis."""
         with self._lock:
-            return self._entries.get((uid, k))
+            entry = self._entries.get(uid)
+            return entry if entry is not None and 0 < k <= entry.k else None
 
-    def take_basis(self, uid: int, k: int) -> Optional[CachedResult]:
-        """Remove and return the basis a profile update left for
-        ``(uid, k)`` (``None`` when there is none); the cold read that
-        takes it repairs it (:meth:`repair_profile`) or lets it go."""
+    def take_basis(self, uid: int) -> Optional[CachedResult]:
+        """Remove and return ``uid``'s basis, or ``None``; the cold read
+        that takes it repairs it (:meth:`repair_profile`) or lets it go."""
         with self._lock:
-            basis = self._bases.pop((uid, k), None)
+            basis = self._bases.pop(uid, None)
             if basis is not None:
-                self._release((uid, k), basis)
+                self._release(uid, basis)
             return basis
 
     def repair_profile(self, basis: CachedResult,
                        runner: "PreferenceQueryRunner",
                        preferences: Sequence["ScoredPreference"],
-                       conjuncts: Sequence[FrozenSet[str]], depth: int,
+                       conjuncts: Sequence[FrozenSet[str]], k: int,
                        ) -> Optional[Rebased]:
         """:meth:`CachedResult.apply_profile` on a taken ``basis``, counted:
         the repaired answer, or ``None`` — the caller folds in full — after
         counting the fallback's reason (annotated as ``fallback``)."""
         rebased, reason = basis.apply_profile(runner, preferences, conjuncts,
-                                              depth)
+                                              k)
         with self._lock:
             if rebased is None:
                 self.profile_repair_fallbacks[reason] += 1
@@ -541,7 +543,8 @@ class ResultCache:
             intensities: Sequence[float],
             epoch: Optional[int] = None,
             outline: Optional[BuildOutline] = None) -> Optional[CachedResult]:
-        """Materialise a freshly computed answer as a maintainable view.
+        """Materialise a freshly computed answer as ``uid``'s one
+        maintainable view, replacing its answer or basis.
 
         ``buffer`` is the exact over-fetched prefix PEPS returned (the answer
         served is its first ``k`` entries), ``complete`` whether it holds the
@@ -568,78 +571,73 @@ class ResultCache:
                 uid=uid, k=k, ranking=buffer[:k], conjuncts=tuple(conjuncts),
                 intensities=tuple(intensities), buffer=buffer,
                 complete=complete, depth=len(buffer), outline=outline)
-            replaced = self._entries.get((uid, k)) \
-                or self._bases.pop((uid, k), None)
+            replaced = self._entries.get(uid) or self._bases.pop(uid, None)
             if replaced is not None:
-                self._release((uid, k), replaced)
-            self._entries[(uid, k)] = entry
-            self._hold((uid, k), entry)
+                self._release(uid, replaced)
+            self._entries[uid] = entry
+            self._hold(uid, entry)
         annotate("result_cache_put", "materialised")
         return entry
 
     # -- invalidation -------------------------------------------------------------
 
-    def _hold(self, key: ResultKey, entry: CachedResult) -> None:
+    def _hold(self, uid: int, entry: CachedResult) -> None:
         for conjunct, holding in holdings(entry).items():
-            self._held.add(conjunct, key, holding)
-        self._index_pids(key, (), entry.buffer)
-        self._thresholds[key] = spare_threshold(entry)
+            self._held.add(conjunct, uid, holding)
+        self._index_pids(uid, (), entry.buffer)
+        self._thresholds[uid] = spare_threshold(entry)
 
-    def _release(self, key: ResultKey, entry: CachedResult) -> None:
+    def _release(self, uid: int, entry: CachedResult) -> None:
         for conjunct in frozenset().union(*entry.conjuncts):
-            self._held.remove(conjunct, key)
-        self._index_pids(key, entry.buffer, ())
-        del self._thresholds[key]
+            self._held.remove(conjunct, uid)
+        self._index_pids(uid, entry.buffer, ())
+        del self._thresholds[uid]
 
-    def _index_pids(self, key: ResultKey, old: Ranking, new: Ranking) -> None:
-        """Move ``key`` in the pid index from buffer ``old`` to ``new``:
+    def _index_pids(self, uid: int, old: Ranking, new: Ranking) -> None:
+        """Move ``uid`` in the pid index from buffer ``old`` to ``new``:
         only the pids that left or entered."""
         left = {pid for pid, _ in old}
         entered = {pid for pid, _ in new}
         if left and entered:
             left, entered = left - entered, entered - left
         for pid in left:
-            keys = self._pids[pid]
-            keys.discard(key)
-            if not keys:
+            uids = self._pids[pid]
+            uids.discard(uid)
+            if not uids:
                 del self._pids[pid]
         for pid in entered:
-            keys = self._pids.get(pid)
-            if keys is None:
-                self._pids[pid] = {key}
+            uids = self._pids.get(pid)
+            if uids is None:
+                self._pids[pid] = {uid}
             else:
-                keys.add(key)
+                uids.add(uid)
 
     def invalidate_user(self, uid: int,
                         rows: Optional[StagedRows] = None) -> int:
-        """Outdate every cached answer of one user (profile changed).
-
-        Each answer leaves serving and becomes its key's basis, held and
-        swept as before (a basis already kept under a key has no answer
-        beside it, and stays); returns how many answers left serving.
-        ``rows`` are the rows the update staged, exactly as staged: each
-        basis of the user — one an earlier update left unread too — records
-        them after the rows it holds, so the next read can extend its
-        outline (:meth:`~repro.serving.sessions.SessionRegistry.get_or_create`).
-        Without ``rows`` what changed is unknown, and each basis of the
-        user drops its outline: the next read builds in full."""
+        """Outdate ``uid``'s cached answer (profile changed): it becomes
+        the user's basis, held and swept as before (a basis an earlier
+        update left stays); returns the answers that left serving, 0 or 1.
+        The basis records ``rows``, the rows the update staged, after those
+        it holds, so the next read can extend its outline
+        (:meth:`~repro.serving.sessions.SessionRegistry.get_or_create`).
+        Without ``rows`` what changed is unknown, and the basis drops its
+        outline: the next read builds in full."""
         with self._lock:
             self._epoch += 1
-            stale = [key for key in self._entries if key[0] == uid]
-            for key in stale:
-                self._bases[key] = self._entries.pop(key)
-            bases = self._bases
-            for key, basis in bases.items():
-                if key[0] != uid or basis.outline is None:
-                    continue
+            entry = self._entries.pop(uid, None)
+            basis = entry or self._bases.get(uid)
+            if basis is None:
+                return 0
+            if basis.outline is not None:
                 if rows is None:
-                    bases[key] = replace(basis, outline=None, staged=((), ()))
+                    basis = replace(basis, outline=None, staged=((), ()))
                 else:
-                    bases[key] = replace(basis, staged=(
+                    basis = replace(basis, staged=(
                         basis.staged[0] + tuple(rows[0]),
                         basis.staged[1] + tuple(rows[1])))
-            self.profile_invalidations += len(stale)
-            return len(stale)
+            self._bases[uid] = basis
+            self.profile_invalidations += entry is not None
+            return int(entry is not None)
 
     def on_data_mutation(self, match: RowMatch) -> Dict[str, int]:
         """Data-event handler: repair the affected answers, drop the rest.
@@ -666,14 +664,14 @@ class ResultCache:
         affected answer is handed to :meth:`CachedResult.apply_delta`
         (counted in :attr:`deltas_applied`) only when it holds a touched
         pid in its buffer, has a post row its preferences may but need not
-        match (the unscorable fallback) — together the keys that *must* be
-        handed over — or its bound reaches the :func:`spare_threshold` the
-        cache keeps per key: its buffer's floor less :data:`BOUND_MARGIN`,
-        or ``-inf`` for a ``complete`` buffer or a truncated one shorter
-        than ``k`` (the underflow fallback).  Any other affected answer
-        provably comes back from ``apply_delta`` as itself, so it is
-        counted as repaired without the call: one comparison and one set
-        lookup per affected answer.
+        match (the unscorable fallback) — together the answers that *must*
+        be handed over — or its bound reaches the :func:`spare_threshold`
+        the cache keeps per user: its buffer's floor less
+        :data:`BOUND_MARGIN`, or ``-inf`` for a ``complete`` buffer or a
+        truncated one shorter than ``k`` (the underflow fallback).  Any
+        other affected answer provably comes back from ``apply_delta`` as
+        itself, so it is counted as repaired without the call: one
+        comparison and one set lookup per affected answer.
 
         A repair scores from ``match``'s verdicts (zero SQL, counted in
         :attr:`repairs`), and only an entry whose repair is impossible is
@@ -701,50 +699,50 @@ class ResultCache:
             # Affected entry -> Π(1 − i) over the preferences a post row may
             # match; visited entries none of whose preferences is affected;
             # entries ``apply_delta`` must see whatever their bound.
-            misses: Dict[ResultKey, float] = {}
-            visited: Set[ResultKey] = set()
-            must: Set[ResultKey] = set()
+            misses: Dict[int, float] = {}
+            visited: Set[int] = set()
+            must: Set[int] = set()
             for conjunct in live:
                 hit = match.mask(conjunct) & post_rows
                 holders = self._held.holders(conjunct)
                 if hit & ~match.exact((conjunct,)):
-                    must.update(key for key, (factor, _) in holders.items()
+                    must.update(uid for uid, (factor, _) in holders.items()
                                 if factor is not None)
-                for key, (factor, groups) in holders.items():
+                for uid, (factor, groups) in holders.items():
                     if factor is not None:
                         # A conjunct only pre-image rows may match scores no
                         # tuple: the entry is affected, its bound unmoved.
-                        misses[key] = misses.get(key, 1.0) * (
+                        misses[uid] = misses.get(uid, 1.0) * (
                             factor if hit else 1.0)
                     if not groups:
                         continue
                     for conjuncts, product in groups:
                         if not conjuncts <= live:
                             continue
-                        visited.add(key)
+                        visited.add(uid)
                         shared = match.shared(conjuncts)
                         if not shared:
                             continue
-                        miss = misses.get(key, 1.0)
+                        miss = misses.get(uid, 1.0)
                         if shared & post_rows:
                             miss *= product
                             if shared & post_rows & ~match.exact(conjuncts):
-                                must.add(key)
-                        misses[key] = miss
+                                must.add(uid)
+                        misses[uid] = miss
             for pid, _ in match.images:
                 must.update(self._pids.get(pid, ()))
-            # A held key is an answer's or a basis's; both are maintained
+            # A held uid is an answer's or a basis's; both are maintained
             # alike, and only the answers count in the impact.
             entries, bases = self._entries, self._bases
             thresholds = self._thresholds
-            stale: List[Tuple[ResultKey, Dict[ResultKey, CachedResult]]] = []
+            stale: List[int] = []
             underflows = applied = 0
-            for key, miss in misses.items():
-                if 1.0 - miss < thresholds[key] and key not in must:
+            for uid, miss in misses.items():
+                if 1.0 - miss < thresholds[uid] and uid not in must:
                     continue
-                served = key in entries
+                served = uid in entries
                 store = entries if served else bases
-                entry = store[key]
+                entry = store[uid]
                 # A delete scores no tuple: its repair asks no position.
                 positions = () if not post_rows else [
                     position for position, conjuncts
@@ -753,22 +751,22 @@ class ResultCache:
                 applied += served
                 replacement, reason = entry.apply_delta(match, positions)
                 if replacement is None:
-                    stale.append((key, store))
+                    stale.append(uid)
                     if served and reason == FALLBACK_UNDERFLOW:
                         underflows += 1
                 elif replacement is not entry:
-                    store[key] = replacement
-                    self._index_pids(key, entry.buffer, replacement.buffer)
-                    thresholds[key] = spare_threshold(replacement)
-            # Every affected key not dropped was repaired: spared or not.
+                    store[uid] = replacement
+                    self._index_pids(uid, entry.buffer, replacement.buffer)
+                    thresholds[uid] = spare_threshold(replacement)
+            # Every affected uid not dropped was repaired: spared or not.
             affected_bases = len(bases.keys() & misses.keys())
             visits = len(misses) - affected_bases + len(
                 visited.difference(misses, bases))
-            invalidated = sum(store is entries for _, store in stale)
+            invalidated = len(entries.keys() & stale)
             repaired = len(misses) - affected_bases - invalidated
             rebased = affected_bases - (len(stale) - invalidated)
-            for key, store in stale:
-                self._release(key, store.pop(key))
+            for uid in stale:
+                self._release(uid, entries.pop(uid, None) or bases.pop(uid))
             impact = {"results_invalidated": invalidated,
                       "repair_fallbacks": invalidated,
                       "results_repaired": repaired,
@@ -803,9 +801,9 @@ class ResultCache:
     # -- introspection ------------------------------------------------------------
 
     def cached_users(self) -> List[int]:
-        """Distinct user ids with at least one cached answer."""
+        """The user ids with a cached answer, ascending."""
         with self._lock:
-            return sorted({uid for uid, _ in self._entries})
+            return sorted(self._entries)
 
     def stats(self) -> Dict[str, int]:
         """Cache counters for reports and benchmarks."""
@@ -836,6 +834,6 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: ResultKey) -> bool:
+    def __contains__(self, uid: int) -> bool:
         with self._lock:
-            return key in self._entries
+            return uid in self._entries

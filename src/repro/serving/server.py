@@ -9,8 +9,8 @@
   and keeping only the answer;
 * ``update_profile(uid, profile)`` — *persist, outdate; the next read
   repairs*: append the new preferences to the staging tables and take the
-  user's cached answers out of serving, each kept as a repair basis that
-  records the rows just staged; the next read extends the basis's build
+  user's cached answer out of serving, kept as a repair basis that records
+  the rows just staged; the next read extends the basis's build
   outline by those rows when that is exact, else builds from the staging
   tables (:meth:`~repro.serving.sessions.SessionRegistry.get_or_create`) —
   either way Algorithm 1 over the staged rows, so what is served equals
@@ -66,7 +66,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
 from ..algorithms.peps import PEPSAlgorithm
 from ..core.hypre.builder import HypreGraphBuilder
 from ..core.preference import ProfileRegistry, UserProfile
-from ..exceptions import ServingError, UnknownUserError
+from ..exceptions import ServingError, TopKError, UnknownUserError
 from ..backend.protocol import StorageBackend
 from ..index import RowMatch
 from ..sqldb.events import (
@@ -86,7 +86,7 @@ from ..workload.loader import (
     staged_rows,
     update_papers,
 )
-from .results import PROFILE_FALLBACKS, ResultCache
+from .results import PROFILE_FALLBACKS, REPAIR_MARGIN, ResultCache
 from .sessions import SessionRegistry
 
 PaperLike = Union[Paper, Mapping[str, Any]]
@@ -100,11 +100,6 @@ _DOORS: Dict[str, Tuple[str, str]] = {
     TUPLES_UPDATED: ("update_tuples", "tuple_updates"),
 }
 
-#: Over-fetch margin of every cached answer, in multiples of ``k``: a cold
-#: ``top_k(uid, k)`` scores ``k + 2k`` tuples, so data mutations can be folded
-#: into the cached buffer in place instead of dropping it.
-REPAIR_MARGIN = 2
-
 #: Result-cache counters reported under ``serving.result_cache.*`` (the
 #: repair path's own metric component) instead of ``serving.results.*``.
 _REPAIR_METRIC_KEYS = frozenset(
@@ -116,7 +111,8 @@ _REPAIR_METRIC_KEYS = frozenset(
 class ServeResult(NamedTuple):
     """Outcome and per-request metrics of one ``top_k`` call.
 
-    A named tuple, not a frozen dataclass: it is just as immutable, and a
+    ``k`` is the k asked for; the cached answer served may be deeper.  A
+    named tuple, not a frozen dataclass: it is just as immutable, and a
     warm hit builds it positionally in ≈ 0.5 µs instead of ≈ 1.9 µs by
     keyword (2 cores).
     """
@@ -407,12 +403,12 @@ class TopKServer:
     # -- profile storage ----------------------------------------------------------
 
     def update_profile(self, uid: int, profile: UserProfile) -> UpdateReport:
-        """Persist ``profile``'s preferences and outdate the user's answers;
+        """Persist ``profile``'s preferences and outdate the user's answer;
         the next read repairs.
 
         The preferences are appended to the relational staging tables and
-        the user's cached answers leave serving, each kept as a repair
-        basis that records the staged rows
+        the user's cached answer leaves serving, kept as a repair basis
+        that records the staged rows
         (:meth:`~repro.serving.results.ResultCache.invalidate_user`);
         nothing is built here.  The next read extends the basis's build
         outline by those rows, or builds from the staged rows through
@@ -462,7 +458,9 @@ class TopKServer:
         statements, **no server-level lock** and no counter of the server's
         (see the module docstring), the acceptance criterion of the serving
         benchmark and the load harness' hot path; untraced, a warm hit is
-        one result-cache lookup and one named tuple.  Cold requests take
+        one result-cache lookup and one named tuple; a larger ``k`` than
+        the cached answer's reads cold and replaces it, and ``k < 1`` raises
+        :class:`~repro.exceptions.TopKError`.  Cold requests take
         the server lock, take the basis a profile update left, build the
         user's PEPS — from the basis's build outline, or from the persisted
         profile — repair the basis (a ``peps.repair`` span) or
@@ -495,23 +493,24 @@ class TopKServer:
         entry = self.results.get(uid, k)
         if entry is not None:
             # Counted by ``get`` as a result-cache hit; see :attr:`reads`.
-            return ServeResult(uid, k, entry.ranking, True, 0,
-                               time.perf_counter() - start)
+            return ServeResult(
+                uid, k, entry.ranking if k == entry.k else entry.buffer[:k],
+                True, 0, time.perf_counter() - start)
+        if k < 1:
+            raise TopKError("k must be positive")
         with self._locked():
-            statements_before = self.db.statements_executed
             # Another thread may have materialised the answer while we
             # queued on the lock — serve it rather than recompute.
             entry = self.results.peek(uid, k)
             if entry is not None:
                 self._bump(locked_reads=1, peek_hits=1, stripe_acquisitions=1)
-                return ServeResult(
-                    uid, k, entry.ranking, True,
-                    self.db.statements_executed - statements_before,
-                    time.perf_counter() - start)
+                return ServeResult(uid, k, entry.buffer[:k], True, 0,
+                                   time.perf_counter() - start)
             # The warm path above never asks: a closed server holds no
             # cached answers, so every read ends up here.
             self._check_open()
-            basis = self.results.take_basis(uid, k)
+            statements_before = self.db.statements_executed
+            basis = self.results.take_basis(uid)
             with span("sessions.get_or_create", self.db):
                 peps, outline = self.sessions.get_or_create(uid, basis)
             # Snapshot *before* the data-reading computation the snapshot
@@ -530,7 +529,7 @@ class TopKServer:
                     with span("peps.repair", self.db):
                         rebased = self.results.repair_profile(
                             basis, self.sessions.runner, peps.preferences,
-                            conjuncts, k + REPAIR_MARGIN * k)
+                            conjuncts, k)
                         if rebased is None:
                             buffer, complete = self._fold(peps, k)
                         else:

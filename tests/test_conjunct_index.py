@@ -321,7 +321,7 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
     apply_delta = CachedResult.apply_delta
 
     def counted(entry, *args, **kwargs):
-        calls.append((entry.uid, entry.k))
+        calls.append(entry.uid)
         return apply_delta(entry, *args, **kwargs)
     CachedResult.apply_delta = counted
     try:
@@ -341,9 +341,9 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
         if outcome is None:
             assert key not in cache
         elif outcome is entry:
-            assert cache.peek(*key) is entry
+            assert cache.peek(key, entry.k) is entry
         else:
-            assert cache.peek(*key) == outcome
+            assert cache.peek(key, entry.k) == outcome
     changed = {key for key, outcome in outcomes.items()
                if outcome is not before[key]}
     assert changed <= set(calls) <= set(outcomes)

@@ -113,7 +113,7 @@ class TestEquivalenceAuditor:
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         for uid in uids[:4]:
             server.top_k(uid, K)
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=K)
+        auditor = EquivalenceAuditor(server, TrafficGate())
         assert auditor.audit_once() > 0
         assert auditor.clean
         assert auditor.stats()["mismatches"] == 0
@@ -124,7 +124,7 @@ class TestEquivalenceAuditor:
         entry = server.results.peek(uids[0], K)
         # Corrupt the materialised ranking behind the cache's back.
         object.__setattr__(entry, "ranking", ((999_999, 1.0),))
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=K)
+        auditor = EquivalenceAuditor(server, TrafficGate())
         auditor.audit_once()
         assert not auditor.clean
         assert auditor.stats()["mismatches"] == 1
@@ -134,7 +134,7 @@ class TestEquivalenceAuditor:
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         for uid in uids:
             server.top_k(uid, K)
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=K,
+        auditor = EquivalenceAuditor(server, TrafficGate(),
                                      sample=3)
         passes = 0
         while auditor.comparisons < len(uids) and passes < 10:
@@ -143,7 +143,7 @@ class TestEquivalenceAuditor:
         assert auditor.comparisons >= len(uids)
 
     def test_start_stop_lifecycle(self, server):
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=K,
+        auditor = EquivalenceAuditor(server, TrafficGate(),
                                      interval=0.05)
         auditor.start()
         time.sleep(0.2)
@@ -154,7 +154,7 @@ class TestEquivalenceAuditor:
 
     def test_rejects_negative_interval(self, server):
         with pytest.raises(ValueError):
-            EquivalenceAuditor(server, TrafficGate(), k=3, interval=-1.0)
+            EquivalenceAuditor(server, TrafficGate(), interval=-1.0)
 
     def test_check_audits_the_given_users_and_counts_its_sql(self, server):
         """The inline auditor (interval 0): ``check`` compares the named
@@ -162,7 +162,7 @@ class TestEquivalenceAuditor:
         issued apart so a run can leave it out of its own count."""
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         server.top_k(uids[0], K)
-        auditor = EquivalenceAuditor(server, TrafficGate(), k=K, interval=0)
+        auditor = EquivalenceAuditor(server, TrafficGate(), interval=0)
         before = server.db.statements_executed
         assert auditor.check(uids[:2]) == 1
         assert auditor.sql_statements == \

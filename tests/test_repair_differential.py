@@ -427,7 +427,7 @@ class TestProfileRepair:
         result, _ = _read_exactly(server, db, 6)
         assert result.ranking == ()
         assert _repairs(server) == (0, {})
-        assert (6, K) not in server.results._bases
+        assert 6 not in server.results._bases
 
     def test_a_restated_intensity_changes_its_key(self, world):
         db, server = world

@@ -3,32 +3,33 @@
 A Hypothesis state machine over one server on a small DBLP world, once per
 backend.  Rules: the five op kinds (drawn by Hypothesis, not ``OpStream``),
 a drain that deletes a target's whole pool under a cached answer (every
-live pid for ``any``; later inserts refill the relation),
-close-and-reopen, the five profile-update shapes — each of which may
-leave its read for later, so the basis the update leaves lives through
-what comes next — and six faults (the two sweep faults also on a direct
-loader call, past every door; the sixth raises inside a read's profile
-repair).  Deletes
-and in-place updates aim at a drawn target: ``any`` live pid, the ``hot``
-pids cached answers rank, or the ``boundary`` pids at ranks ``K-1 …
-3K+1`` of a cached user's fresh ranking, the rows around the repair
-buffer's edge.  A fresh predicate is a year bound or a live paper's
-title, so a text-column equality stays on the served path.  The five
-profile-update rules together churn profiles faster than reads re-warm
-them, so profile thrash needs no rule of its own.  ``event`` records each
-target, the drain, the predicate kind, each direct-call fault, and whether
-a read extended its basis's build outline (and after how many updates) or
-built in full for a reason (``--hypothesis-show-statistics``).  After every
-step every read, and every answer still materialised, equals
-``fresh_top_k``, no result-cache sweep ran SQL, no exported counter went
-down, the result cache's pid index and score-bound factors equal a
-recomputation from its entries and bases, every basis equals a fresh fold
-of its own preference list, every basis's outline extended by its staged
-rows equals the build of the staged profile, no read leaves a basis behind,
-and every memoised id list equals a fresh fetch.  Concurrent
-interleavings are the load auditor's job; ``test_engines_report_alike``
-compares the two engines.  ``HYPOTHESIS_PROFILE=ci`` runs ten times the
-examples.  See "One oracle" in ``docs/ARCHITECTURE.md``.
+live pid for ``any``; later inserts refill the relation), close-and-reopen,
+the five profile-update shapes — each of which may leave its read for
+later, so the basis the update leaves lives through what comes next — reads
+of one user at k = 1, K and 3K in a drawn order, with or without a profile
+update between two of them, and six faults (the two sweep faults also on a
+direct loader call, past every door; the sixth raises inside a read's
+profile repair).  Deletes and in-place updates aim at a drawn target:
+``any`` live pid, the ``hot`` pids cached answers rank, or the ``boundary``
+pids at ranks ``k-1 … 3k+1`` of a cached user's fresh ranking (``k`` its
+answer's own), the rows around the repair buffer's edge.  A fresh predicate
+is a year bound or a live paper's title, so a text-column equality stays on
+the served path.  The five profile-update rules together churn profiles
+faster than reads re-warm them, so profile thrash needs no rule of its own.
+``event`` records each target, the drain, the predicate kind, each
+direct-call fault, and whether a read extended its basis's build outline
+(and after how many updates) or built in full for a reason
+(``--hypothesis-show-statistics``).  After every step every read, and every
+answer still materialised, equals ``fresh_top_k`` at its own k, no
+result-cache sweep ran SQL, no exported counter went down, the result
+cache's pid index and score-bound factors equal a recomputation from its
+entries and bases, every basis equals a fresh fold of its own preference
+list, every basis's outline extended by its staged rows equals the build of
+the staged profile, no read leaves a basis behind, and every memoised id
+list equals a fresh fetch.  Concurrent interleavings are the load auditor's
+job; ``test_engines_report_alike`` compares the two engines.
+``HYPOTHESIS_PROFILE=ci`` runs ten times the examples.  See "One oracle" in
+``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ class ServerMachine(RuleBasedStateMachine):
                       for pair in profile.qualitative]}
             for profile in self.real.read_profiles()}
         self.next_pid = self.real.max_paper_id() + 1
-        self.served = []   # (uid, ranking) read since the last check
+        self.served = []   # (uid, k, ranking) read since the last check
         self.direct = False  # data ops call the loader, past every door
-        self.fresh = {}    # uid -> fresh_top_k, until the next write
+        self.fresh = {}    # (uid, k) -> fresh_top_k, until the next write
         self.exported = {}  # the server's metrics() at the last check
         self.reads = [0, 0]  # top_k calls completed / served warm, this server
         self.pending = {}  # uid -> profile updates since its last read
@@ -202,9 +203,9 @@ class ServerMachine(RuleBasedStateMachine):
         if op.kind == READ:
             updates = self.pending.pop(op.uid, 0)
             self.count_read(outcome)
-            self.served.append((op.uid, list(outcome.ranking)))
-            # The read served an answer, and no basis is left for its key.
-            assert (op.uid, op.k) not in results._bases
+            self.served.append((op.uid, op.k, list(outcome.ranking)))
+            # The read served an answer, and no basis is left for its user.
+            assert op.uid not in results._bases
             if results.profile_repairs > before[0]:
                 event("read: profile repair")
             for reason, count in results.profile_repair_fallbacks.items():
@@ -224,15 +225,15 @@ class ServerMachine(RuleBasedStateMachine):
     def pool(self, target):
         """``target``'s pids, ascending — ``any``: every live pid; ``hot``:
         the pids cached answers rank; ``boundary``: the pids at ranks
-        ``K-1 … 3K+1`` of each cached user's ``fresh_top_k(…, 3K+2)``.  An
-        empty pool falls back to every live pid."""
-        results = self.server.results
+        ``k-1 … 3k+1`` of each cached user's ``fresh_top_k(…, 3k+2)``,
+        ``k`` its answer's own.  An empty pool falls back to every live
+        pid."""
+        answers = self.server.results._entries.values()
         if target == "hot":
-            pool = {pid for uid in results.cached_users()
-                    for pid, _ in results.peek(uid, K).ranking}
+            pool = {pid for entry in answers for pid, _ in entry.ranking}
         elif target == "boundary":
-            pool = {pid for uid in results.cached_users() for pid, _
-                    in fresh_top_k(self.real, uid, 3 * K + 2)[K - 1:]}
+            pool = {pid for entry in answers for pid, _ in fresh_top_k(
+                self.real, entry.uid, 3 * entry.k + 2)[entry.k - 1:]}
         else:
             pool = set()
         event(f"target: {target}" + (
@@ -277,6 +278,28 @@ class ServerMachine(RuleBasedStateMachine):
           intensity=INTENSITIES)
     def update(self, uid, venue, intensity):
         self.state(uid, venue_predicate(venue), intensity)
+
+    @rule(uid=st.sampled_from(UIDS), depths=st.permutations((1, K, 3 * K)),
+          update_before=st.none() | st.integers(0, 2),
+          venue=st.sampled_from(VENUES), intensity=INTENSITIES)
+    def read_at_depths(self, uid, depths, update_before, venue, intensity):
+        """Read one user at ``k`` = 1, K and 3K in ``depths``' order: the
+        user's one answer serves a smaller k as its prefix, and a larger k
+        reads cold and replaces it.  A profile update before the read at
+        ``update_before`` leaves a basis that read takes, which may be
+        shallower than the read."""
+        for position, k in enumerate(depths):
+            if position == update_before:
+                self.every_read_equals_fresh()  # before the update outdates it
+                self.state(uid, venue_predicate(venue), intensity,
+                           then_read=False)
+                basis = self.server.results._bases.get(uid)
+                if basis is not None:
+                    event("read at depths: basis " + (
+                        "shallower than" if basis.k < k
+                        else "as deep as" if basis.k == k
+                        else "deeper than") + " the read")
+            self.apply(Op(READ, uid=uid, k=k))
 
     @rule(venue=st.sampled_from(VENUES), year=st.integers(1995, 2013),
           aids=st.lists(st.integers(1, DBLP.n_authors), max_size=2,
@@ -437,7 +460,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.every_read_equals_fresh()  # before the update outdates it
         self.state(uid, venue_predicate(venue), 0.55, then_read=False)
         results = self.server.results
-        assert (uid, K) in results._bases
+        assert uid in results._bases
         repair, db = results.repair_profile, self.db
 
         def raising(*args):
@@ -454,7 +477,7 @@ class ServerMachine(RuleBasedStateMachine):
             event("fault: repair")
             assert self.server.metrics()[errors] == before + 1
             assert results.peek(uid, K) is None
-            assert (uid, K) not in results._bases
+            assert uid not in results._bases
         else:  # the new list holds no positive preference: nothing to repair
             event("fault: repair (no preference to repair)")
             results.__dict__.pop("repair_profile")
@@ -528,26 +551,26 @@ class ServerMachine(RuleBasedStateMachine):
             target=lambda: outcome.update(read=self.server.top_k(other, K)),
             name="read-after-fault", daemon=True)])
         self.count_read(outcome["read"])
-        self.served.append((other, list(outcome["read"].ranking)))
+        self.served.append((other, K, list(outcome["read"].ranking)))
         self.pending.pop(other, None)
 
     # -- invariants ----------------------------------------------------------
 
-    def fresh_top_k(self, uid):
-        if uid not in self.fresh:
-            self.fresh[uid] = fresh_top_k(self.real, uid, K)
-        return self.fresh[uid]
+    def fresh_top_k(self, uid, k):
+        if (uid, k) not in self.fresh:
+            self.fresh[uid, k] = fresh_top_k(self.real, uid, k)
+        return self.fresh[uid, k]
 
     @invariant()
     def every_read_equals_fresh(self):
         served, self.served = self.served, []
-        for uid, ranking in served:
-            assert ranking == self.fresh_top_k(uid), f"uid={uid}"
+        for uid, k, ranking in served:
+            assert ranking == self.fresh_top_k(uid, k), f"uid={uid} k={k}"
 
     @invariant()
     def every_materialised_answer_equals_fresh(self):
         _, mismatches = audit_materialised(
-            self.server, self.server.results.cached_users(), K)
+            self.server, self.server.results.cached_users())
         assert not mismatches, mismatches
 
     @invariant()
@@ -603,7 +626,7 @@ class ServerMachine(RuleBasedStateMachine):
         """A basis's build outline, extended by the rows updates staged
         since, is the build of the user's staged profile: the same
         preference list, floats bit for bit, or a fallback reason."""
-        for (uid, _), basis in self.server.results._bases.items():
+        for uid, basis in self.server.results._bases.items():
             if basis.outline is None:
                 continue
             extended, _ = basis.outline.extend(*basis.staged)

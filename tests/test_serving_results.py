@@ -58,25 +58,38 @@ class TestLookups:
         assert entry is not None and entry.ranking == ((10, 0.9),)
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_keyed_by_uid_and_k(self):
+    def test_one_answer_per_uid_serves_every_smaller_k(self):
+        """A user's one answer serves every k up to its own; a larger k,
+        a k below 1 and another user miss."""
         cache = ResultCache()
-        put(cache, 1, 5, [(10, 0.9)], [VLDB])
+        entry = put(cache, 1, 5, [(10, 0.9), (11, 0.8)], [VLDB])
+        assert cache.peek(1, 3) is entry and cache.peek(1, 5) is entry
         assert cache.peek(1, 10) is None
+        assert cache.peek(1, 0) is None and cache.peek(1, -2) is None
         assert cache.peek(2, 5) is None
+        assert cache.get(1, 0) is None and cache.get(1, 3) is entry
+        assert (cache.hits, cache.misses) == (1, 1)
+        # A deeper answer replaces the user's old one.
+        deeper = put(cache, 1, 10, [(10, 0.9), (11, 0.8)], [ICDE])
+        assert cache.peek(1, 5) is deeper and len(cache) == 1
+        assert sweep(cache, insert([VLDB_ROW])) == 0
+        assert cache.entries_visited == 0
 
 
 class TestProfileInvalidation:
     def test_result_affecting_mutation_drops_only_that_user(self):
         """A profile update reaches the cache as ``invalidate_user``."""
         cache = ResultCache()
-        put(cache, 1, 5, [(10, 0.9)], [VLDB])
         put(cache, 1, 10, [(10, 0.9)], [VLDB])
         put(cache, 2, 5, [(11, 0.8)], [ICDE])
         epoch = cache.epoch
-        assert cache.invalidate_user(1) == 2
+        assert cache.invalidate_user(1) == 1
         assert cache.peek(1, 5) is None and cache.peek(1, 10) is None
         assert cache.peek(2, 5) is not None
-        assert cache.profile_invalidations == 2
+        assert cache.profile_invalidations == 1
+        # A second update finds the basis, not an answer.
+        assert cache.invalidate_user(1) == 0
+        assert cache.stats()["bases.entries"] == 1
         # An answer computed before the update must lose the put race.
         assert put(cache, 1, 5, [(10, 0.9)], [VLDB], epoch=epoch) is None
         assert cache.stale_puts_rejected == 1
@@ -162,5 +175,4 @@ class TestDataInvalidation:
         cache = ResultCache()
         put(cache, 2, 5, [(10, 0.9)], [VLDB])
         put(cache, 1, 5, [(11, 0.8)], [ICDE])
-        put(cache, 1, 10, [(11, 0.8)], [ICDE])
         assert cache.cached_users() == [1, 2]

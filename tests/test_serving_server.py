@@ -12,12 +12,15 @@ from test_loadgen_concurrency import start_and_join
 from repro.backend import BACKEND_NAMES, create_backend
 from repro.core.predicate import Condition
 from repro.core.preference import UserProfile
-from repro.exceptions import RelationalError, ServingError, UnknownUserError
+from repro.exceptions import (RelationalError, ServingError, TopKError,
+                              UnknownUserError)
+from repro.loadgen import load_population
 from repro.serving import TopKServer, fresh_top_k
 from repro.sqldb.database import Database
 from repro.telemetry import Span, Telemetry
+from repro.workload import PreferenceExtractor
 from repro.workload.dblp import DblpConfig, Paper, generate_dblp
-from repro.workload.loader import append_papers, load_dataset
+from repro.workload.loader import append_papers, load_dataset, load_profiles
 
 VENUES = ("VLDB", "SIGMOD", "PVLDB", "ICDE", "PODS", "CIKM")
 #: Warm reads per thread of the counter-tearing stress test.
@@ -95,11 +98,82 @@ class TestReads:
         assert list(served.ranking) == fresh_top_k(server.db, 7, 5)
         assert not any(".errors." in name for name in server.metrics())
 
-    def test_different_k_is_a_different_entry(self, server):
+    def test_a_smaller_k_is_a_prefix_a_larger_k_replaces(self, server):
+        """A user has one cached answer: a smaller k is served its prefix
+        warm, a larger k reads cold and replaces it with a deeper one."""
         server.top_k(1, 5)
         result = server.top_k(1, 3)
-        assert not result.cache_hit
-        assert len(result.ranking) == 3
+        assert result.cache_hit and result.k == 3
+        assert list(result.ranking) == fresh_top_k(server.db, 1, 3)
+        deeper = server.top_k(1, 8)
+        assert not deeper.cache_hit
+        assert list(deeper.ranking) == fresh_top_k(server.db, 1, 8)
+        assert server.results.peek(1, 8).k == 8 and len(server.results) == 1
+        assert server.top_k(1, 5).cache_hit
+
+    def test_k_below_one_raises_for_every_user(self, server):
+        """``k < 1`` is refused for a user with positive preferences and for
+        one without alike: counted as an error, never a hit, and nothing is
+        taken or cached."""
+        dislike = UserProfile(uid=10001)
+        dislike.add_quantitative("dblp.venue = 'VLDB'", -0.5)
+        server.update_profile(10001, dislike)
+        server.top_k(1, 5)
+        server.update_profile(2, make_profile(2))
+        server.top_k(2, 5)
+        server.update_profile(2, make_profile(2))  # leaves a basis
+        hits = server.results.hits
+        for uid in (10001, 1, 2):
+            for k in (0, -2):
+                with pytest.raises(TopKError):
+                    server.top_k(uid, k)
+        assert server.results.hits == hits
+        assert server.metrics()[
+            "serving.server.errors.top_k.top_k_error"] == 6
+        assert server.results.cached_users() == [1]
+        assert 2 in server.results._bases
+        assert server.top_k(10001, 5).ranking == ()
+
+
+def read_in_order(depths):
+    """A fresh world of mined users and a population, every user read at
+    each k of ``depths`` in turn, then one delete of a pid many answers
+    rank: the work counters the user's one answer leaves behind."""
+    dataset = generate_dblp(
+        DblpConfig(n_papers=200, n_authors=60, n_venues=6, seed=7))
+    db = Database(":memory:")
+    load_dataset(db, dataset)
+    load_population(db, 6)
+    load_profiles(db, PreferenceExtractor(dataset).extract_all())
+    with TopKServer(db) as server:
+        uids = sorted(profile.uid for profile in db.read_profiles())
+        for uid in uids:
+            for k in depths:
+                served = server.top_k(uid, k)
+                assert served.k == k and len(served.ranking) <= k
+        results = server.results
+        counters = {
+            "answers": len(results), "users": len(uids),
+            "bases": results.stats()["bases.entries"],
+            "holders": sum(map(len, results._held._holders.values())),
+            "pid_index": sum(map(len, results._pids.values()))}
+        deltas = results.deltas_applied
+        report = server.delete_tuples([server.top_k(uids[0], 1).ranking[0][0]])
+        counters["entries_visited"] = report.entries_visited
+        counters["deltas_applied"] = results.deltas_applied - deltas
+    db.close()
+    return counters
+
+
+def test_one_answer_per_user_whatever_order_k_was_read_in():
+    """Reading every user at k = 1 … 20 ascending or descending leaves the
+    stores exactly as reading k = 20 alone: one answer per user, no
+    basis, the same holders and pid index, and the same delete work."""
+    deepest = read_in_order([20])
+    assert deepest["answers"] == deepest["users"] > 6
+    assert deepest["bases"] == 0 and deepest["entries_visited"] > 0
+    assert read_in_order(range(1, 21)) == deepest
+    assert read_in_order(range(20, 0, -1)) == deepest
 
 
 class CountingLock:
