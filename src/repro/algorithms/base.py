@@ -134,8 +134,8 @@ class PreferenceQueryRunner:
         self.db = db
         self.count_cache = CountCache(db)
         self._ids_cache: Dict[FrozenSet[str], Tuple[int, ...]] = {}
-        #: Every conjunct of a memoised key -> the keys holding it.
-        self._ids_held = ConjunctIndex()
+        #: Every memoised key; a server's result cache adds its own.
+        self.conjunct_index = ConjunctIndex()
         self.queries_executed = 0
         #: Stale id lists :meth:`invalidate_matching` patched / dropped;
         #: cumulative — :meth:`clear` keeps them, a server exports them.
@@ -168,8 +168,7 @@ class PreferenceQueryRunner:
         if ids is None:
             ids = self._ids_cache[key] = tuple(
                 self.db.matching_paper_ids(predicate))
-            for conjunct in key:
-                self._ids_held.add(conjunct, key)
+            self.conjunct_index.add(key)
             self.queries_executed += 1
         return ids
 
@@ -183,15 +182,14 @@ class PreferenceQueryRunner:
         return self.count(predicate) > 0
 
     def invalidate_matching(self, match: RowMatch) -> Dict[str, int]:
-        """Bring the id lists up to date after a data mutation.
+        """Bring the id lists and counts up to date after a data mutation.
 
         A list is keyed by its conjuncts (:meth:`CountCache.key`) and is
         stale iff ``match.shared(key)`` is non-zero: some mutation row (pre
-        ∪ post image) may match every conjunct.  Only the keys held under a
-        *live* conjunct (:meth:`~repro.index.selectivity.ConjunctIndex.live`)
-        are asked — a key with a conjunct no row may match is provably
-        fresh.  Counts are the count cache's own
-        (:meth:`CountCache.invalidate_matching`).
+        ∪ post image) may match every conjunct.  Only the stale keys
+        :attr:`conjunct_index` names (``stale(match)``, memoised on
+        ``match`` for every store sharing the index) are visited.  Counts
+        are the count cache's own (:meth:`CountCache.invalidate_matching`).
 
         A stale list is *patched* from ``match``'s pid images
         (:attr:`~repro.index.selectivity.RowMatch.images`): every pid a
@@ -204,10 +202,9 @@ class PreferenceQueryRunner:
         ``index_entries_patched`` and ``index_entries_dropped``, which
         :attr:`id_lists_patched` and :attr:`id_lists_dropped` accumulate.
         """
-        live = self._ids_held.live(match)
-        stale = {key for conjunct in live
-                 for key in self._ids_held.holders(conjunct)
-                 if key <= live and match.shared(key)}
+        self.count_cache.invalidate_matching(match)
+        stale = [key for key in self.conjunct_index.stale(match)
+                 if key in self._ids_cache]
         dropped: Set[FrozenSet[str]] = set()
         for key in stale:
             post = match.shared(key) & match.post_rows
@@ -233,8 +230,7 @@ class PreferenceQueryRunner:
                 self._ids_cache[key] = tuple(patched)
         for key in dropped:
             del self._ids_cache[key]
-            for conjunct in key:
-                self._ids_held.remove(conjunct, key)
+            self.conjunct_index.remove(key)
         self.id_lists_patched += len(stale) - len(dropped)
         self.id_lists_dropped += len(dropped)
         return {"index_entries_patched": len(stale) - len(dropped),
@@ -244,8 +240,9 @@ class PreferenceQueryRunner:
         """Drop both memos, counts and id lists (used between benchmark
         reps).  The patch/drop counters are cumulative and stay."""
         self.count_cache.clear()
+        for key in self._ids_cache:
+            self.conjunct_index.remove(key)
         self._ids_cache.clear()
-        self._ids_held.clear()
         self.queries_executed = 0
 
 

@@ -26,10 +26,11 @@ Public API
     ``invalidate_matching`` consumes it and the result cache's repair
     scores from it.
 :class:`ConjunctIndex`
-    The conjunct texts one store holds, ``attr = literal`` ones bucketed by
-    literal: a sweep takes those keys' verdicts from the bucket lookup of a
-    mutation row's values, evaluates only the other keys, and visits only
-    the entries held under the live ones.
+    The conjunct keys a server's two stores hold, one index for both, their
+    ``attr = literal`` conjuncts bucketed by literal: a sweep takes those
+    conjuncts' verdicts from the bucket lookup of a mutation row's values,
+    evaluates only the others, and names the stale keys once, memoised on
+    the sweep's :class:`RowMatch`, for each store to walk.
 :func:`may_match_row`
     Sound tuple-relevance check used by data-update invalidation across
     the full mutation spectrum: ``False`` proves that no image of an

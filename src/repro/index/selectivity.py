@@ -21,13 +21,15 @@ question about each mutation: *can this tuple image satisfy this predicate?*
   (predicate, row) also yields :meth:`RowMatch.exact`, *some row surely
   matches every conjunct*, which the two serving stores patch and repair
   with.
-* :class:`ConjunctIndex` is the set of conjunct texts one store holds, with
-  each ``attr = literal`` conjunct bucketed by its literal.  A mutation row
-  carries one value per attribute, and the keys under that value are
-  exactly the ones it matches: :meth:`ConjunctIndex.live` records those
-  verdicts with :meth:`RowMatch.record`, hands :class:`RowMatch` every
-  conjunct of another shape to judge, and the store visits only what the
-  live conjuncts hold.
+* :class:`ConjunctIndex` is the set of conjunct keys a server's stores
+  hold, one index for both, with each ``attr = literal`` conjunct bucketed
+  by its literal.  A mutation row carries one value per attribute, and the
+  conjuncts under that value are exactly the ones it matches:
+  :meth:`ConjunctIndex.live` records those verdicts with
+  :meth:`RowMatch.record` and hands :class:`RowMatch` every conjunct of
+  another shape to judge, and :meth:`ConjunctIndex.stale` names the keys
+  whose conjuncts some one row may all match — once per sweep, memoised on
+  the match, for both stores to walk.
 
 Nothing in this module touches a storage engine — predicates are evaluated
 over event-carried rows — which is why the same relevance test serves every
@@ -37,7 +39,7 @@ over event-carried rows — which is why the same relevance test serves every
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import (Any, Dict, Hashable, Iterable, Mapping, Optional, Set,
+from typing import (Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set,
                     Tuple, Union)
 
 from ..core.predicate import (
@@ -136,6 +138,8 @@ class RowMatch:
         #: key :meth:`mask` judged, none per key :meth:`record` took: the
         #: sweep's work counter.
         self.predicate_row_tests = 0
+        #: Per index asked: its stale keys (:meth:`ConjunctIndex.stale`).
+        self._stale: Dict["ConjunctIndex", Set[FrozenSet[str]]] = {}
 
     @classmethod
     def of(cls, mutation: DataMutation) -> "RowMatch":
@@ -271,8 +275,8 @@ def _equality_shape(conjunct: str) -> _Shape:
     equals no value (SQL's ``= NULL`` is never true), so it is bucketed
     under none.  NaN literals, and every non-equality shape, are ``None``:
     generic, judged for every row.
-    Memoised: both serving stores hold the same conjuncts, and one returns
-    whenever an answer holding it is recomputed.
+    Memoised: a conjunct returns whenever a key holding it is memoised or
+    scored again.
     """
     parsed = ensure_predicate(conjunct)
     if not isinstance(parsed, Condition) or parsed.op != "=":
@@ -290,97 +294,84 @@ def _equality_shape(conjunct: str) -> _Shape:
 
 
 class ConjunctIndex:
-    """The conjunct texts one store holds, each with the entries holding it.
+    """The conjunct keys a server's stores hold, one index for both.
 
-    A store registers every conjunct of every entry it keeps
-    (:meth:`add`, :meth:`remove`); a conjunct stays held while any holder
-    does.  Each (conjunct, holder) carries one payload the store chooses —
-    the result cache keeps its score-bound factors there, so a sweep reads
-    them from the holders it visits anyway and no second map is kept in
-    sync.  An ``attribute = literal`` conjunct is bucketed under its
-    attribute spelling by its literal's text and its literal's number
+    A key is the conjunct set of an id list or a scored preference
+    (:meth:`~repro.index.CountCache.key`).  A store calls :meth:`add` when
+    it starts holding a key and :meth:`remove` when it stops; a key stays
+    held while any store holds it.  An ``attribute = literal`` conjunct is
+    bucketed under its attribute spelling by its literal's text and number
     (:func:`_equality_shape`); every other shape is *generic*.
 
-    :meth:`live` decides, once per sweep, which held keys some row may
-    match.  A row value of an ``attribute = literal``
-    key's attribute reaches the key's bucket exactly when it equals the
-    literal, so for a bucketed attribute the lookup *is* the verdict: a
-    text or number value sets the may- and the sure-bit of the keys under
-    it, an absent attribute only the may-bit of every key of it (the
-    verdict is ``None``), and NULL nothing.  :meth:`live` records these
-    through :meth:`RowMatch.record`, with no predicate evaluated; a value of
-    any other type sends its attribute's keys, and every generic key, to
-    :meth:`RowMatch.mask`.  A key neither recorded nor judged has mask 0.
-    A sweep visits the holders of the live keys and nothing else.
+    :meth:`live` is the bucket pass.  A row value reaches an
+    ``attribute = literal`` conjunct's bucket exactly when it equals the
+    literal, so the lookup *is* the verdict: a text or number value sets
+    the may- and the sure-bit of the conjuncts under it, an absent
+    attribute only the may-bit of every conjunct of it, and NULL nothing —
+    recorded through :meth:`RowMatch.record`, with no predicate evaluated.
+    A value of any other type sends its attribute's conjuncts, and every
+    generic one, to :meth:`RowMatch.mask`.  :meth:`stale` turns the live
+    conjuncts into the stale keys once per sweep, for both stores.
     """
 
     def __init__(self) -> None:
-        #: Per held conjunct: the store's entries holding it -> the payload
-        #: each carries under it.
-        self._holders: Dict[str, Dict[Hashable, Any]] = {}
+        #: Per conjunct of a held key: each held key containing it -> how
+        #: many stores hold that key.
+        self._holders: Dict[str, Dict[FrozenSet[str], int]] = {}
         self._generic: Set[str] = set()
-        #: Per bucketed attribute spelling: all its keys / value -> keys.
+        #: Per bucketed attribute spelling: all its conjuncts / value ->
+        #: conjuncts.
         self._keys: Dict[str, Set[str]] = {}
         self._buckets: Dict[str, Dict[Any, Set[str]]] = {}
 
-    def add(self, conjunct: str, holder: Hashable, payload: Any = None) -> None:
-        """Record that ``holder`` holds ``conjunct``, carrying ``payload``."""
-        holders = self._holders.get(conjunct)
-        if holders is None:
-            holders = self._holders[conjunct] = {}
+    def add(self, key: FrozenSet[str]) -> None:
+        """Record that one more store holds ``key``."""
+        for conjunct in key:
+            keys = self._holders.get(conjunct)
+            if keys is None:
+                keys = self._holders[conjunct] = {}
+                shape = _equality_shape(conjunct)
+                if shape is None:
+                    self._generic.add(conjunct)
+                else:
+                    attribute, values = shape
+                    self._keys.setdefault(attribute, set()).add(conjunct)
+                    buckets = self._buckets.setdefault(attribute, {})
+                    for value in values:
+                        buckets.setdefault(value, set()).add(conjunct)
+            keys[key] = keys.get(key, 0) + 1
+
+    def remove(self, key: FrozenSet[str]) -> None:
+        """Record that one store let ``key`` go; a conjunct no held key
+        contains any more leaves its buckets."""
+        for conjunct in key:
+            keys = self._holders[conjunct]
+            stores = keys.pop(key) - 1
+            if stores:
+                keys[key] = stores
+            if keys:
+                continue
+            del self._holders[conjunct]
             shape = _equality_shape(conjunct)
             if shape is None:
-                self._generic.add(conjunct)
-            else:
-                attribute, values = shape
-                keys = self._keys.get(attribute)
-                if keys is None:
-                    keys = self._keys[attribute] = set()
-                    self._buckets[attribute] = {}
-                keys.add(conjunct)
-                buckets = self._buckets[attribute]
-                for value in values:
-                    bucket = buckets.get(value)
-                    if bucket is None:
-                        buckets[value] = {conjunct}
-                    else:
-                        bucket.add(conjunct)
-        holders[holder] = payload
-
-    def remove(self, conjunct: str, holder: Hashable) -> None:
-        """Forget that ``holder`` holds ``conjunct``; the last holder's
-        removal drops the conjunct from its buckets."""
-        holders = self._holders[conjunct]
-        del holders[holder]
-        if holders:
-            return
-        del self._holders[conjunct]
-        shape = _equality_shape(conjunct)
-        if shape is None:
-            self._generic.discard(conjunct)
-            return
-        attribute, values = shape
-        keys = self._keys[attribute]
-        keys.discard(conjunct)
-        if not keys:
-            del self._keys[attribute], self._buckets[attribute]
-            return
-        buckets = self._buckets[attribute]
-        for value in values:
-            bucket = buckets[value]
-            bucket.discard(conjunct)
-            if not bucket:
-                del buckets[value]
-
-    def holders(self, conjunct: str) -> Dict[Hashable, Any]:
-        """The entries holding a held ``conjunct``, each with its payload."""
-        return self._holders[conjunct]
+                self._generic.discard(conjunct)
+                continue
+            attribute, values = shape
+            self._keys[attribute].discard(conjunct)
+            if not self._keys[attribute]:
+                del self._keys[attribute], self._buckets[attribute]
+                continue
+            buckets = self._buckets[attribute]
+            for value in values:
+                buckets[value].discard(conjunct)
+                if not buckets[value]:
+                    del buckets[value]
 
     def live(self, match: RowMatch) -> Set[str]:
-        """The held keys some row of ``match`` may match, their verdicts
-        left in ``match``: a bucketed attribute's from the bucket lookup,
-        every other key's from :meth:`RowMatch.mask`.  A mutation with no
-        rows decides nothing."""
+        """The held conjuncts some row of ``match`` may match, their
+        verdicts left in ``match``: a bucketed attribute's from the bucket
+        lookup, every other conjunct's from :meth:`RowMatch.mask`.  A
+        mutation with no rows decides nothing."""
         found: Set[str] = set()
         if not match.rows:
             return found
@@ -416,9 +407,16 @@ class ConjunctIndex:
         found.update(key for key in self._generic if match.mask(key))
         return found
 
-    def clear(self) -> None:
-        """Forget every held conjunct."""
-        self._holders.clear()
-        self._generic.clear()
-        self._keys.clear()
-        self._buckets.clear()
+    def stale(self, match: RowMatch) -> Set[FrozenSet[str]]:
+        """The held keys ``match`` may have changed: every conjunct
+        :meth:`live` and :meth:`RowMatch.shared` non-zero.  Memoised on
+        ``match``, so a sweep's stores share one bucket pass: a key added
+        after the first call is not in the set."""
+        stale = match._stale.get(self)
+        if stale is None:
+            live = self.live(match)
+            holders = self._holders
+            stale = match._stale[self] = {
+                key for conjunct in live for key in holders[conjunct]
+                if key <= live and match.shared(key)}
+        return stale

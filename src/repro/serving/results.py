@@ -23,9 +23,10 @@ materialised answer is the view, the events are the deltas):
   joined-view rows for an insert, the removed pre-image rows for a delete,
   either image for an in-place update — and repairs it, or drops it when it
   cannot; every other user's answer provably cannot change and survives
-  unvisited: the cache's :class:`~repro.index.selectivity.ConjunctIndex`
-  leads the sweep from the rows' values to the answers that hold a
-  conjunct they may match.
+  unvisited: the server's one :class:`~repro.index.selectivity.ConjunctIndex`,
+  shared with the id-list memo, leads the sweep from the rows' values to
+  the stale conjunct keys, and the cache visits only the answers scoring
+  with one.
 
 Every entry therefore remembers the predicates it was computed from — the
 same positive-intensity predicates PEPS scored with — as each one's conjunct
@@ -60,7 +61,7 @@ removals underflow a truncated buffer below ``k`` — the conditions
 ``docs/INVALIDATION.md`` spells out.  A repair is itself an epoch-bumping
 sweep step, so a stale put racing the sweep still loses.  Most affected
 answers never reach ``apply_delta``: a per-answer score bound, accumulated
-in the sweep's one pass over the live conjuncts' holders, proves that no
+in the sweep's one pass over the stale keys' holders, proves that no
 inserted or rescored tuple can reach the buffer's floor (the threshold
 argument of Fagin's algorithm, applied to one cached answer).
 
@@ -72,7 +73,7 @@ their relative order.  :meth:`ResultCache.invalidate_user` therefore moves
 the user's answer into a separate store of *bases* instead of dropping
 it.  A basis is never served (:meth:`~ResultCache.get` and
 :meth:`~ResultCache.peek` read only the answers), yet every data sweep
-maintains it like an answer — through the same holdings, pid index and
+maintains it like an answer — through the same key factors, pid index and
 :meth:`CachedResult.apply_delta`, counted apart — so it stays the exact
 answer to its *own* preference list.  The next cold read takes it
 (:meth:`~ResultCache.take_basis`) and
@@ -142,15 +143,9 @@ REPAIR_MARGIN = 2
 PROFILE_FALLBACKS = (FALLBACK_REORDERED, FALLBACK_EMPTY, FALLBACK_UNMEMOISED,
                      FALLBACK_UNDERFLOW)
 #: Absolute slack on the sweep's score bound: the bound multiplies its
-#: factors in conjunct order, a repair in preference order, so the two
+#: factors in stale-key order, a repair in preference order, so the two
 #: products may differ in their last bits.
 BOUND_MARGIN = 1e-9
-
-#: What an entry carries under one conjunct it holds (see :func:`holdings`):
-#: ``Π(1 − i)`` over its single-conjunct preferences on exactly that
-#: conjunct (``None`` when it has none), and ``(conjuncts, Π(1 − i))`` per
-#: multi-conjunct preference set whose least conjunct it is.
-Holding = Tuple[Optional[float], Tuple[Tuple[FrozenSet[str], float], ...]]
 
 
 class Rebased(NamedTuple):
@@ -209,11 +204,10 @@ class CachedResult:
         a predicate counts when one of the tuple's post-image rows surely
         matches it, and a row that may match it but cannot be decided makes
         the tuple unscorable.  ``positions`` are the ascending preference
-        positions some row may match (the sweep found them through its
-        :class:`~repro.index.selectivity.ConjunctIndex`; every position when
-        omitted): no other position can score a tuple, so none other is
-        asked.  Intensities fold in preference order, mirroring PEPS's
-        scoring pass bit for bit.
+        positions some row may match (the sweep passes those whose key is
+        stale; every position when omitted): no other position can score a
+        tuple, so none other is asked.  Intensities fold in preference
+        order, mirroring PEPS's scoring pass bit for bit.
 
         Returns ``(repaired entry, REPAIRED)`` on success — possibly
         ``self`` when the delta provably leaves the buffer untouched — or
@@ -380,43 +374,30 @@ def spare_threshold(entry: CachedResult) -> float:
     return buffer[-1][1] - BOUND_MARGIN
 
 
-def holdings(entry: CachedResult) -> Dict[str, Holding]:
-    """Each conjunct ``entry`` holds -> the score-bound factors it carries.
+def factors(entry: CachedResult) -> Dict[FrozenSet[str], float]:
+    """Each conjunct key ``entry`` scores with -> ``Π(1 − i)`` over its
+    preferences on that key, in preference order.
 
     A tuple's repaired score is ``1 − Π(1 − i)`` over the preferences it
-    matches, so multiplying ``1 − i`` over every preference a post-image row
-    may match bounds every such score from above.  A single-conjunct
-    preference's factor sits under its conjunct; a multi-conjunct one's
-    under its least conjunct only, so a sweep counts it once.  Every
-    conjunct set is non-empty (:meth:`~repro.index.CountCache.key`).
+    matches, so multiplying the factors of every key a post-image row may
+    match bounds every such score from above.  Intensities lie in
+    ``[-1, 1]``; a non-positive one scores nothing (``apply_delta`` skips
+    it), so its factor is 1.
     """
-    single: Dict[str, float] = {}
-    groups: Dict[str, Dict[FrozenSet[str], float]] = {}
+    held: Dict[FrozenSet[str], float] = {}
     for conjuncts, intensity in zip(entry.conjuncts, entry.intensities):
-        # Intensities lie in [-1, 1]; a non-positive one scores nothing
-        # (``apply_delta`` skips it).
-        factor = 1.0 - intensity if intensity > 0.0 else 1.0
-        if len(conjuncts) == 1:
-            (conjunct,) = conjuncts
-            single[conjunct] = single.get(conjunct, 1.0) * factor
-        else:
-            group = groups.setdefault(min(conjuncts), {})
-            group[conjuncts] = group.get(conjuncts, 1.0) * factor
-    held: Dict[str, Holding] = {conjunct: (factor, ())
-                                for conjunct, factor in single.items()}
-    for least, group in groups.items():
-        for conjuncts in group:
-            for conjunct in conjuncts:
-                held.setdefault(conjunct, (None, ()))
-        held[least] = (held[least][0], tuple(group.items()))
+        held[conjuncts] = held.get(conjuncts, 1.0) * (
+            1.0 - intensity if intensity > 0.0 else 1.0)
     return held
 
 
 class ResultCache:
     """Update-aware cache of materialised Top-K answers: every store is
-    keyed by ``uid``, one answer or one basis per user."""
+    keyed by ``uid``, one answer or one basis per user.  It registers its
+    answers' keys in ``conjunct_index`` — a server's is its id-list memo's,
+    shared — or, built alone, in its own."""
 
-    def __init__(self) -> None:
+    def __init__(self, conjunct_index: Optional[ConjunctIndex] = None) -> None:
         # The cache is a shared leaf structure: warm lookups, puts and
         # invalidation sweeps may arrive from different threads without the
         # server lock, so every access holds this lock.
@@ -426,10 +407,11 @@ class ResultCache:
         #: never served.  A uid is in ``_entries`` or here, never in both,
         #: so the indexes below hold both stores under plain uids.
         self._bases: Dict[int, CachedResult] = {}
-        #: Every conjunct an entry holds -> the uids holding it, each
-        #: carrying its :func:`holdings` factors under it: a sweep visits
-        #: the holders of the conjuncts a row may match.
-        self._held = ConjunctIndex()
+        #: Every conjunct key an entry scores with -> the uids holding it,
+        #: each with its :func:`factors` product: a sweep visits the holders
+        #: of the stale keys.
+        self._factors: Dict[FrozenSet[str], Dict[int, float]] = {}
+        self._index = conjunct_index or ConjunctIndex()
         #: Every pid some entry's buffer holds -> the uids holding it: a
         #: removal or rescore changes only the buffers holding its pid.
         self._pids: Dict[int, Set[int]] = {}
@@ -446,7 +428,7 @@ class ResultCache:
         self.profile_invalidations = 0
         self.data_invalidations = 0
         #: Entries a data insert did not affect (kept) / entries a sweep
-        #: visited: one of their preferences has every conjunct live.
+        #: visited: the affected ones, holding a stale key.
         self.data_spared = 0
         self.entries_visited = 0
         #: Affected entries maintained in place by a zero-SQL delta repair /
@@ -582,14 +564,22 @@ class ResultCache:
     # -- invalidation -------------------------------------------------------------
 
     def _hold(self, uid: int, entry: CachedResult) -> None:
-        for conjunct, holding in holdings(entry).items():
-            self._held.add(conjunct, uid, holding)
+        for key, factor in factors(entry).items():
+            holders = self._factors.get(key)
+            if holders is None:
+                holders = self._factors[key] = {}
+                self._index.add(key)
+            holders[uid] = factor
         self._index_pids(uid, (), entry.buffer)
         self._thresholds[uid] = spare_threshold(entry)
 
     def _release(self, uid: int, entry: CachedResult) -> None:
-        for conjunct in frozenset().union(*entry.conjuncts):
-            self._held.remove(conjunct, uid)
+        for key in set(entry.conjuncts):
+            holders = self._factors[key]
+            del holders[uid]
+            if not holders:
+                del self._factors[key]
+                self._index.remove(key)
         self._index_pids(uid, entry.buffer, ())
         del self._thresholds[uid]
 
@@ -648,18 +638,17 @@ class ResultCache:
         :class:`~repro.index.selectivity.RowMatch` (built by
         :meth:`~repro.index.selectivity.RowMatch.of`), which it shares with
         the id-list memo.  The sweep costs what the mutation touches: the
-        cache's :class:`~repro.index.selectivity.ConjunctIndex` names the
-        *live* conjuncts — held ones some row may match — and only their
-        holders are looked at.  An answer is *visited* (counted in
-        :attr:`entries_visited`) when one of its preferences has every
-        conjunct live, and affected iff some one row may match all of them
-        (:meth:`~repro.index.selectivity.RowMatch.shared`) — so with
-        single-conjunct preferences visited and affected are the same; a
-        mutation that carries no rows visits none.
+        server's one :class:`~repro.index.selectivity.ConjunctIndex`, which
+        it shares with the memo, names the *stale* keys — every conjunct
+        live and :meth:`~repro.index.selectivity.RowMatch.shared` non-zero,
+        found once per sweep for both stores — and only the holders of those
+        the cache holds are looked at.  An answer is *visited* and affected
+        (counted in :attr:`entries_visited`) when one of its keys is stale;
+        a mutation that carries no rows visits none.
 
-        **The score bound.**  One pass over the live conjuncts' holders
-        multiplies each affected answer's ``miss`` by the :func:`holdings`
-        factor it carries under a conjunct some *post-image* row may match:
+        **The score bound.**  One pass over the stale keys' holders
+        multiplies each affected answer's ``miss`` by its :func:`factors`
+        product under each key some *post-image* row may match:
         no inserted or rescored tuple can score above ``1 − miss``.  An
         affected answer is handed to :meth:`CachedResult.apply_delta`
         (counted in :attr:`deltas_applied`) only when it holds a touched
@@ -695,47 +684,30 @@ class ResultCache:
         post_rows = match.post_rows
         with self._lock:
             self._epoch += 1
-            live = self._held.live(match)
+            stale = self._index.stale(match)
             # Affected entry -> Π(1 − i) over the preferences a post row may
-            # match; visited entries none of whose preferences is affected;
-            # entries ``apply_delta`` must see whatever their bound.
+            # match; entries ``apply_delta`` must see whatever their bound.
             misses: Dict[int, float] = {}
-            visited: Set[int] = set()
             must: Set[int] = set()
-            for conjunct in live:
-                hit = match.mask(conjunct) & post_rows
-                holders = self._held.holders(conjunct)
-                if hit & ~match.exact((conjunct,)):
-                    must.update(uid for uid, (factor, _) in holders.items()
-                                if factor is not None)
-                for uid, (factor, groups) in holders.items():
-                    if factor is not None:
-                        # A conjunct only pre-image rows may match scores no
-                        # tuple: the entry is affected, its bound unmoved.
-                        misses[uid] = misses.get(uid, 1.0) * (
-                            factor if hit else 1.0)
-                    if not groups:
-                        continue
-                    for conjuncts, product in groups:
-                        if not conjuncts <= live:
-                            continue
-                        visited.add(uid)
-                        shared = match.shared(conjuncts)
-                        if not shared:
-                            continue
-                        miss = misses.get(uid, 1.0)
-                        if shared & post_rows:
-                            miss *= product
-                            if shared & post_rows & ~match.exact(conjuncts):
-                                must.add(uid)
-                        misses[uid] = miss
+            for key in stale:
+                holders = self._factors.get(key)
+                if holders is None:
+                    continue
+                hit = match.shared(key) & post_rows
+                if hit & ~match.exact(key):
+                    must.update(holders)
+                for uid, factor in holders.items():
+                    # A key only pre-image rows may match scores no tuple:
+                    # the entry is affected, its bound unmoved.
+                    misses[uid] = misses.get(uid, 1.0) * (
+                        factor if hit else 1.0)
             for pid, _ in match.images:
                 must.update(self._pids.get(pid, ()))
             # A held uid is an answer's or a basis's; both are maintained
             # alike, and only the answers count in the impact.
             entries, bases = self._entries, self._bases
             thresholds = self._thresholds
-            stale: List[int] = []
+            dropped: List[int] = []
             underflows = applied = 0
             for uid, miss in misses.items():
                 if 1.0 - miss < thresholds[uid] and uid not in must:
@@ -746,12 +718,11 @@ class ResultCache:
                 # A delete scores no tuple: its repair asks no position.
                 positions = () if not post_rows else [
                     position for position, conjuncts
-                    in enumerate(entry.conjuncts)
-                    if conjuncts <= live and match.shared(conjuncts)]
+                    in enumerate(entry.conjuncts) if conjuncts in stale]
                 applied += served
                 replacement, reason = entry.apply_delta(match, positions)
                 if replacement is None:
-                    stale.append(uid)
+                    dropped.append(uid)
                     if served and reason == FALLBACK_UNDERFLOW:
                         underflows += 1
                 elif replacement is not entry:
@@ -760,12 +731,11 @@ class ResultCache:
                     thresholds[uid] = spare_threshold(replacement)
             # Every affected uid not dropped was repaired: spared or not.
             affected_bases = len(bases.keys() & misses.keys())
-            visits = len(misses) - affected_bases + len(
-                visited.difference(misses, bases))
-            invalidated = len(entries.keys() & stale)
-            repaired = len(misses) - affected_bases - invalidated
-            rebased = affected_bases - (len(stale) - invalidated)
-            for uid in stale:
+            visits = len(misses) - affected_bases
+            invalidated = len(entries.keys() & dropped)
+            repaired = visits - invalidated
+            rebased = affected_bases - (len(dropped) - invalidated)
+            for uid in dropped:
                 self._release(uid, entries.pop(uid, None) or bases.pop(uid))
             impact = {"results_invalidated": invalidated,
                       "repair_fallbacks": invalidated,
@@ -780,7 +750,7 @@ class ResultCache:
             self.data_invalidations += invalidated
             self.data_spared += impact["results_spared"]
             self.basis_repairs += rebased
-            self.basis_drops += len(stale) - invalidated
+            self.basis_drops += len(dropped) - invalidated
         annotate("result_cache_sweep",
                  f"repaired={repaired} invalidated={invalidated}")
         annotate("deltas_applied", applied)
@@ -794,7 +764,9 @@ class ResultCache:
             self._epoch += 1
             self._entries.clear()
             self._bases.clear()
-            self._held.clear()
+            for key in self._factors:
+                self._index.remove(key)
+            self._factors.clear()
             self._pids.clear()
             self._thresholds.clear()
 

@@ -173,10 +173,9 @@ class DataMutationReport:
     #: holds no backend and repairs in memory
     #: (``tests/test_server_machine.py`` measures it around every sweep).
     repair_sql_statements: int = 0
-    #: Cached answers the sweep visited: those with a preference whose every
-    #: conjunct some mutation row may match — every repaired or invalidated
-    #: answer, and no other unless a multi-conjunct preference's conjuncts
-    #: matched only on different rows.
+    #: Cached answers the sweep visited: those holding a stale key (some one
+    #: mutation row may match its every conjunct) — exactly the repaired and
+    #: invalidated answers.
     entries_visited: int = 0
     #: Stale id lists patched in place from the mutation's rows / dropped
     #: from the shared memo: only those a post-image row may match but
@@ -234,7 +233,8 @@ class TopKServer:
         # The one server lock (see the module docstring).
         self._lock = threading.RLock()
         self.sessions = SessionRegistry(db)
-        self.results = ResultCache()
+        # One conjunct index for both stores: the memo's, shared.
+        self.results = ResultCache(self.sessions.runner.conjunct_index)
         self._closed = False
         self._telemetry: Optional[Telemetry] = None
         self._read_latency = None
@@ -459,7 +459,8 @@ class TopKServer:
         (see the module docstring), the acceptance criterion of the serving
         benchmark and the load harness' hot path; untraced, a warm hit is
         one result-cache lookup and one named tuple; a larger ``k`` than
-        the cached answer's reads cold and replaces it, and ``k < 1`` raises
+        the cached answer's reads cold from its outline and replaces it,
+        and ``k < 1`` raises
         :class:`~repro.exceptions.TopKError`.  Cold requests take
         the server lock, take the basis a profile update left, build the
         user's PEPS — from the basis's build outline, or from the persisted
@@ -500,11 +501,12 @@ class TopKServer:
             raise TopKError("k must be positive")
         with self._locked():
             # Another thread may have materialised the answer while we
-            # queued on the lock — serve it rather than recompute.
-            entry = self.results.peek(uid, k)
-            if entry is not None:
+            # queued on the lock — serve it rather than recompute.  Every
+            # answer serves k = 1: ``answer`` is the user's, at its own k.
+            answer = self.results.peek(uid, 1)
+            if answer is not None and k <= answer.k:
                 self._bump(locked_reads=1, peek_hits=1, stripe_acquisitions=1)
-                return ServeResult(uid, k, entry.buffer[:k], True, 0,
+                return ServeResult(uid, k, answer.buffer[:k], True, 0,
                                    time.perf_counter() - start)
             # The warm path above never asks: a closed server holds no
             # cached answers, so every read ends up here.
@@ -512,12 +514,15 @@ class TopKServer:
             statements_before = self.db.statements_executed
             basis = self.results.take_basis(uid)
             with span("sessions.get_or_create", self.db):
-                peps, outline = self.sessions.get_or_create(uid, basis)
+                # A shallower answer's outline is the profile's as it is.
+                peps, outline = self.sessions.get_or_create(uid,
+                                                            basis or answer)
             # Snapshot *before* the data-reading computation the snapshot
             # guards.  No sweep can run before the put below — both happen
             # under the server lock — so the guard only protects a cache
             # driven without a server.
             epoch = self.results.epoch
+            serves = k  # the largest k the answer put below serves
             if peps is None:
                 buffer, complete, conjuncts, intensities = [], True, (), ()
             else:
@@ -534,8 +539,11 @@ class TopKServer:
                             buffer, complete = self._fold(peps, k)
                         else:
                             buffer, complete = rebased.buffer, rebased.complete
-            self.results.put(uid, k, buffer, complete, conjuncts, intensities,
-                             epoch=epoch, outline=outline)
+                            # As deep as the basis's: serves its k too.
+                            if complete or len(buffer) >= basis.k:
+                                serves = max(k, basis.k)
+            self.results.put(uid, serves, buffer, complete, conjuncts,
+                             intensities, epoch=epoch, outline=outline)
             ranking = tuple(buffer[:k])
             self._bump(locked_reads=1, stripe_acquisitions=1)
             return ServeResult(
@@ -673,11 +681,11 @@ class TopKServer:
         so one sound relevance test serves all three kinds: one
         :class:`~repro.index.selectivity.RowMatch` per sweep, which carries
         the rows, the post-image and each touched pid's rows, and which is
-        all either store is handed.  Each store's
-        :class:`~repro.index.selectivity.ConjunctIndex` decides its
-        ``attr = literal`` conjuncts by bucket lookup and evaluates only the
-        others, and the store visits only the live conjuncts' holders, so a
-        sweep costs what the mutation touches, not what is cached.  Both are
+        all either store is handed.  The stores share one
+        :class:`~repro.index.selectivity.ConjunctIndex`, whose one bucket
+        pass names the stale keys (memoised on ``match``), and each walks
+        only the stale keys it holds, so a sweep costs what the mutation
+        touches, not what is cached.  Both are
         maintained from the rows, with no SQL — the result cache repairs its
         answers and the id-list memo patches its lists, each dropping an
         entry only on a row it cannot decide — and each returns its share of

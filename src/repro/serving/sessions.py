@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 from ..algorithms.base import PreferenceQueryRunner, ScoredPreference
 from ..algorithms.peps import PEPSAlgorithm
 from ..backend.protocol import StorageBackend
-from ..core.hypre.builder import (EXTENSION_FALLBACKS, BuildOutline,
-                                  HypreGraphBuilder)
+from ..core.hypre.builder import (EXTENDED, EXTENSION_FALLBACKS,
+                                  BuildOutline, HypreGraphBuilder)
 from ..exceptions import UnknownUserError
 from ..index import RowMatch
 from ..telemetry import annotate
@@ -59,9 +59,10 @@ class Build(NamedTuple):
 class SessionRegistry:
     """The cold read's build path and the id-list memo every build shares.
 
-    The name predates the build-per-read design; it stays, like
-    :meth:`get_or_create`'s, because the end-to-end benchmark's tracer wraps
-    both methods by name.
+    Its runner's ``conjunct_index`` is the server's one, shared with the
+    result cache.  The name predates the build-per-read design; it stays,
+    like :meth:`get_or_create`'s, because the end-to-end benchmark's tracer
+    wraps both methods by name.
     """
 
     def __init__(self, db: StorageBackend) -> None:
@@ -81,8 +82,9 @@ class SessionRegistry:
         exact, else from the persisted profile.
 
         ``basis`` is the answer a profile update outdated
-        (:meth:`~repro.serving.results.ResultCache.take_basis`).  When it
-        keeps an outline, the rows staged since extend it
+        (:meth:`~repro.serving.results.ResultCache.take_basis`), or the
+        user's answer a read at a larger k replaces (it staged no row).
+        When it keeps an outline, the rows staged since extend it
         (:meth:`~repro.core.hypre.builder.BuildOutline.extend`): no profile
         row is read and no graph built, counted in ``profile_extensions``.
         When the extension is not exact, or there is no outline, the read
@@ -96,7 +98,9 @@ class SessionRegistry:
         """
         outline = None if basis is None else basis.outline
         if outline is not None:
-            extended, reason = outline.extend(*basis.staged)
+            # Nothing staged (a larger k's read): the outline is exact.
+            extended, reason = (outline.extend(*basis.staged)
+                                if any(basis.staged) else (outline, EXTENDED))
             if extended is not None:
                 self.profile_extensions += 1
                 annotate("built", "outline")
@@ -121,9 +125,11 @@ class SessionRegistry:
                      if preferences else None, outline)
 
     def invalidate_matching(self, match: RowMatch) -> Dict[str, int]:
-        """Patch every memoised id list a row of the sweep's ``match`` may
-        match, dropping one only on an undecidable post row; returns the
-        memo's share of the sweep's impact (see
+        """Patch every memoised id list the sweep's ``match`` makes stale
+        (the keys the shared index named for the result cache, memoised on
+        ``match``), dropping one only on an undecidable post row, and drop
+        the stale counts; returns the memo's share of the sweep's impact
+        (see
         :meth:`~repro.algorithms.base.PreferenceQueryRunner.invalidate_matching`)."""
         return self.runner.invalidate_matching(match)
 

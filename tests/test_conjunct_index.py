@@ -1,23 +1,28 @@
 """Differential tests for the sweep's conjunct index.
 
-``ConjunctIndex`` buckets every held ``attr = literal`` conjunct by its
-literal, so a mutation row judges only the keys its values can reach.  The
-oracle is the scan it replaced: a fresh ``RowMatch`` asked about every held
-key.  Held keys mix text literals that are and are not numeric-shaped,
+``ConjunctIndex`` holds the conjunct keys of a server's two stores and
+buckets every ``attr = literal`` conjunct of them by its literal, so a
+mutation row judges only the conjuncts its values can reach, and
+``stale(match)`` names the keys some one row may match, once per sweep.
+The oracle is the scan it replaced: a fresh ``RowMatch`` asked about every
+held conjunct and key.  Held keys mix text literals that are and are not numeric-shaped,
 numeric literals (``True``, integers past 2**53, NaN), NULL, ``IN``, ranges,
 ``!=`` and ``OR`` children, in qualified and bare spellings; rows carry
 ints, floats, text, NULLs and absent attributes under qualified or bare keys.
 
-* The live set, and every ``mask`` / ``exact`` bit a sweep reads, equal the
-  full scan's; a key the sweep never judged has mask 0 in the full scan.
+* The live set, the stale keys, and every ``mask`` / ``exact`` bit a sweep
+  reads, equal the full scan's; a conjunct the sweep never judged has mask
+  0 in the full scan.
 * Reach is the verdict: for every equality literal and row value at
   SQLite's affinity edges, the bits ``live`` records from its bucket lookup
   equal ``exact_match_row``'s, and only generic keys and the keys of an
   attribute holding an odd-typed value are evaluated.
-* ``ResultCache.on_data_mutation`` repairs and drops exactly the entries
-  the plain loop — ``any(shared(c) for c in entry.conjuncts)`` — calls
-  affected, each to the very entry a full-width ``apply_delta`` builds, and
-  leaves every other entry untouched.  Its score bound changes nothing but
+* A result cache and an id-list memo sharing one index run one bucket pass
+  per sweep between them.  ``ResultCache.on_data_mutation`` repairs and
+  drops exactly the entries the plain loop — ``any(shared(c) for c in
+  entry.conjuncts)`` — calls affected, each to the very entry a full-width
+  ``apply_delta`` builds, and leaves every other entry untouched; the memo
+  patches and drops exactly the lists the plain loop calls stale.  Its score bound changes nothing but
   the number of ``apply_delta`` calls: every counter and drop equals the
   unfiltered loop's, an unchanged entry is the very same object, and every
   entry whose buffer changed was handed to ``apply_delta`` — over
@@ -34,15 +39,21 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from repro.algorithms.base import PreferenceQueryRunner
 from repro.core.intensity import combine_and
-from repro.core.predicate import Condition, Or, parse_predicate
+from repro.core.predicate import Condition, Or, conjunction, parse_predicate
 from repro.index import ConjunctIndex, CountCache, RowMatch
 from repro.index.selectivity import exact_match_row
-from repro.serving.results import (BOUND_MARGIN, CachedResult, ResultCache,
-                                   holdings)
+from repro.serving import TopKServer
+from repro.serving.results import BOUND_MARGIN, CachedResult, ResultCache
+from repro.sqldb.database import Database
 from repro.sqldb.events import (TUPLES_DELETED, TUPLES_INSERTED,
                                 TUPLES_UPDATED, DataMutation)
+from repro.workload import PreferenceExtractor
+from repro.workload.dblp import DblpConfig, generate_dblp
+from repro.workload.loader import load_dataset, load_profiles
 
 ATTRIBUTES = {"venue": ("dblp.venue", "venue"),
               "year": ("dblp.year", "year"),
@@ -97,38 +108,44 @@ def scan(keys, rows):
 
 
 @settings(deadline=None)
-@given(st.lists(conjunct_texts, min_size=1, max_size=14),
+@given(st.lists(st.sets(conjunct_texts, min_size=1, max_size=3)
+                .map(frozenset), min_size=1, max_size=14),
        st.lists(st.booleans(), max_size=14),
        st.lists(rows(), min_size=1, max_size=4))
-def test_live_keys_and_every_bit_read_equal_a_full_scan(held, released, rows):
+def test_live_keys_and_every_bit_read_equal_a_full_scan(held, released,
+                                                        rows):
     index = ConjunctIndex()
-    for holder, key in enumerate(held):
-        index.add(key, holder)
-    # Release some holders again: the index must forget a key's buckets
-    # exactly when its last holder goes.
-    kept = set()
-    for holder, key in enumerate(held):
-        if holder < len(released) and released[holder]:
-            index.remove(key, holder)
-        else:
-            kept.add(key)
-    assert set(index._holders) == kept
+    for key in held:
+        index.add(key)
+    # Release some stores again: the index must forget a conjunct's buckets
+    # exactly when the last held key containing it goes.
+    kept = list(held)
+    for position, key in enumerate(held):
+        if position < len(released) and released[position]:
+            index.remove(key)
+            kept.remove(key)
+    conjuncts = set().union(*kept)
+    assert set(index._holders) == conjuncts
+    assert held_keys(index) == {key: kept.count(key) for key in kept}
 
     match = RowMatch(rows)
     live = index.live(match)
-    full, expected = scan(kept, rows)
+    full, expected = scan(conjuncts, rows)
     assert live == expected
     judged = set(match._masks)
-    assert live <= judged <= kept
+    assert live <= judged <= conjuncts
     for key in judged:
         assert match.mask(key) == full.mask(key)
         assert match.exact([key]) == full.exact([key])
-    for key in kept - judged:
+    for key in conjuncts - judged:
         assert full.mask(key) == 0
-    # Only the generic keys were evaluated: the bucket lookup decided the
-    # rest.
+    stale = index.stale(match)
+    assert stale == {key for key in kept if full.shared(key)}
+    assert index.stale(match) is stale
+    # Only the generic conjuncts were evaluated: the bucket lookup decided
+    # the rest, and ``stale`` read only decided verdicts.
     assert match.predicate_row_tests == len(
-        {key for key in kept if not bucketed(key)}) * len(rows)
+        {key for key in conjuncts if not bucketed(key)}) * len(rows)
 
 
 def bucketed(text):
@@ -159,7 +176,7 @@ def test_a_bucket_reaches_only_the_values_sqlite_equates():
             "dblp.year = nan", "dblp.year >= 2010"]
     index = ConjunctIndex()
     for key in keys:
-        index.add(key, key)
+        index.add(frozenset({key}))
     generic = {"dblp.year = nan", "dblp.year >= 2010"}
 
     def decided(row):
@@ -226,7 +243,7 @@ def test_a_bucket_lookup_records_exact_match_rows_verdicts(equalities, rows):
             for attribute, literal in equalities}
     index = ConjunctIndex()
     for key in keys:
-        index.add(key, "entry")
+        index.add(frozenset({key}))
     match = RowMatch(rows)
     live = index.live(match)
     expected = {}
@@ -280,17 +297,40 @@ def entries(draw, conjunct_sets):
 
 
 def unfiltered_sweep(entries, mutation):
-    """The loop the bound replaced: ``apply_delta`` on every affected entry.
-    Returns each affected key's outcome and the number of visited keys."""
+    """The loop the bound replaced: ``apply_delta`` on every affected entry,
+    each affected key's outcome."""
     full = RowMatch.of(mutation)
-    visited, outcomes = 0, {}
-    for key, entry in entries.items():
-        if any(all(full.mask(conjunct) for conjunct in conjuncts)
-               for conjuncts in entry.conjuncts):
-            visited += 1
-        if any(full.shared(conjuncts) for conjuncts in entry.conjuncts):
-            outcomes[key] = entry.apply_delta(RowMatch.of(mutation))[0]
-    return outcomes, visited
+    return {key: entry.apply_delta(RowMatch.of(mutation))[0]
+            for key, entry in entries.items()
+            if any(full.shared(conjuncts) for conjuncts in entry.conjuncts)}
+
+
+def plain_patch(lists, mutation):
+    """The memo's plain loop: every stale list patched from the pid images,
+    or dropped (``None``) on an undecidable post row."""
+    full = RowMatch.of(mutation)
+    touched = {pid for pid, _ in full.images}
+    outcomes = {}
+    for key, ids in lists.items():
+        shared = full.shared(key)
+        if not shared:
+            continue
+        post = shared & full.post_rows
+        surely = full.exact(key) & post
+        outcomes[key] = None if post != surely else tuple(sorted(
+            set(ids) - touched
+            | {pid for pid, image in full.images if image & surely}))
+    return outcomes
+
+
+class DrawnLists:
+    """A backend stand-in whose id list for each key is drawn."""
+
+    def __init__(self, lists):
+        self.lists = lists
+
+    def matching_paper_ids(self, predicate):
+        return self.lists[CountCache.key(predicate)]
 
 
 @settings(deadline=None)
@@ -300,7 +340,14 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
                               unique=True))
     conjunct_sets = st.sets(st.sampled_from(pool), min_size=1,
                             max_size=3).map(frozenset)
-    cache = ResultCache()
+    # An id-list memo and a result cache sharing one index, as a server's.
+    lists = data.draw(st.dictionaries(conjunct_sets, st.lists(
+        st.integers(min_value=1, max_value=16), unique=True).map(sorted),
+        max_size=4))
+    runner = PreferenceQueryRunner(DrawnLists(lists))
+    for key in lists:
+        runner.ids(conjunction([parse_predicate(text) for text in key]))
+    cache = ResultCache(runner.conjunct_index)
     for uid in range(data.draw(st.integers(min_value=1, max_value=8))):
         buffer, complete, conjuncts, intensities, k = data.draw(
             entries(conjunct_sets))
@@ -316,25 +363,40 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
                             pids=sorted({row["pid"] for row in post + pre}))
 
     before = dict(cache._entries)
-    outcomes, visited = unfiltered_sweep(before, mutation)
-    calls = []
-    apply_delta = CachedResult.apply_delta
+    outcomes = unfiltered_sweep(before, mutation)
+    patches = plain_patch(runner._ids_cache, mutation)
+    memo = dict(runner._ids_cache)
+    calls, passes = [], []
+    apply_delta, live = CachedResult.apply_delta, ConjunctIndex.live
 
     def counted(entry, *args, **kwargs):
         calls.append(entry.uid)
         return apply_delta(entry, *args, **kwargs)
-    CachedResult.apply_delta = counted
+
+    def bucket_pass(index, match):
+        passes.append(index)
+        return live(index, match)
+    CachedResult.apply_delta, ConjunctIndex.live = counted, bucket_pass
     try:
-        impact = cache.on_data_mutation(RowMatch.of(mutation))
+        match = RowMatch.of(mutation)
+        # A server asks the result cache first; either order finds one set.
+        if data.draw(st.booleans()):
+            impact = cache.on_data_mutation(match)
+            memo_impact = runner.invalidate_matching(match)
+        else:
+            memo_impact = runner.invalidate_matching(match)
+            impact = cache.on_data_mutation(match)
     finally:
-        CachedResult.apply_delta = apply_delta
+        CachedResult.apply_delta, ConjunctIndex.live = apply_delta, live
+    assert passes == [runner.conjunct_index]
 
     fallbacks = sum(1 for outcome in outcomes.values() if outcome is None)
     assert impact["results_invalidated"] == impact["repair_fallbacks"] == \
         cache.repair_fallbacks == fallbacks
     assert impact["results_repaired"] == cache.repairs == \
         len(outcomes) - fallbacks
-    assert impact["entries_visited"] == cache.entries_visited == visited
+    assert impact["entries_visited"] == cache.entries_visited == \
+        len(outcomes)
     assert cache.deltas_applied == len(calls) == len(set(calls))
     for key, entry in before.items():
         outcome = outcomes.get(key, entry)
@@ -347,20 +409,39 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
     changed = {key for key, outcome in outcomes.items()
                if outcome is not before[key]}
     assert changed <= set(calls) <= set(outcomes)
-    # The index forgot the dropped entries and the bound's state still
-    # equals a recomputation from the entries left.
+
+    drops = {key for key, ids in patches.items() if ids is None}
+    assert memo_impact == {"index_entries_patched": len(patches) - len(drops),
+                           "index_entries_dropped": len(drops)}
+    assert runner._ids_cache == {
+        key: patches.get(key, ids) for key, ids in memo.items()
+        if key not in drops}
+    # The index forgot the dropped entries and lists, and the bound's state
+    # still equals a recomputation from the entries left.
     assert bound_state(cache) == cache_bound_state(cache)
+    assert held_keys(runner.conjunct_index) == {
+        key: (key in cache._factors) + (key in runner._ids_cache)
+        for key in {*cache._factors, *runner._ids_cache}}
+
+
+def held_keys(index):
+    """Each key ``index`` holds -> how many stores hold it."""
+    return {key: stores for keys in index._holders.values()
+            for key, stores in keys.items()}
 
 
 def bound_state(cache):
     """What a result cache's score bound reads, recomputed from its
-    entries and bases: each conjunct's holders with their factors, the
-    buffer pid index and each key's spare threshold — its floor less the
-    margin, or ``-inf`` when the bound may not spare it."""
+    entries and bases: each conjunct key's holders with ``Π(1 − i)`` over
+    their positive preferences on it, the buffer pid index and each key's
+    spare threshold — its floor less the margin, or ``-inf`` when the bound
+    may not spare it."""
     held, pids, thresholds = {}, {}, {}
     for key, entry in {**cache._entries, **cache._bases}.items():
-        for conjunct, holding in holdings(entry).items():
-            held.setdefault(conjunct, {})[key] = holding
+        for conjuncts, intensity in zip(entry.conjuncts, entry.intensities):
+            holders = held.setdefault(conjuncts, {})
+            holders[key] = holders.get(key, 1.0) * (
+                1.0 - intensity if intensity > 0.0 else 1.0)
         for pid, _ in entry.buffer:
             pids.setdefault(pid, set()).add(key)
         thresholds[key] = (
@@ -371,7 +452,7 @@ def bound_state(cache):
 
 def cache_bound_state(cache):
     """The structures ``bound_state`` recomputes, as the cache keeps them."""
-    return cache._held._holders, cache._pids, cache._thresholds
+    return cache._factors, cache._pids, cache._thresholds
 
 
 def test_a_tie_at_the_floor_reaches_apply_delta():
@@ -398,15 +479,14 @@ def test_a_tie_at_the_floor_reaches_apply_delta():
 
 
 def test_a_multi_conjunct_preference_enters_the_bound():
-    """A conjunction enters the bound, through its least conjunct, only when
-    some one row may match all of its conjuncts."""
+    """A conjunction enters the bound, under its own key, only when some
+    one row may match all of its conjuncts."""
     pair = frozenset({"dblp.venue = 'VLDB'", "dblp.year = 2005"})
+    vldb = frozenset({"dblp.venue = 'VLDB'"})
     cache = ResultCache()
-    entry = cache.put(1, 1, [(5, 0.5), (8, 0.5)], False,
-                      [pair, frozenset({"dblp.venue = 'VLDB'"})], [0.9, 0.2])
-    assert holdings(entry) == {"dblp.venue = 'VLDB'": (1 - 0.2,
-                                                       ((pair, 1 - 0.9),)),
-                               "dblp.year = 2005": (None, ())}
+    entry = cache.put(1, 1, [(5, 0.5), (8, 0.5)], False, [pair, vldb],
+                      [0.9, 0.2])
+    assert cache._factors == {pair: {1: 1 - 0.9}, vldb: {1: 1 - 0.2}}
     row = {"pid": 3, "venue": "VLDB", "year": 2004, "aid": 1}
     cache.on_data_mutation(RowMatch([row], post=1))
     assert cache.deltas_applied == 0 and cache.peek(1, 1) is entry
@@ -439,6 +519,43 @@ def test_memo_prunes_exactly_the_stale_keys(tiny_db):
     assert runner._ids_cache == {
         key: tuple(sorted({*before[key], 1})) if key in stale else before[key]
         for key in keys}
-    assert set(runner._ids_held._holders) == set().union(*runner._ids_cache)
+    assert held_keys(runner.conjunct_index) == dict.fromkeys(
+        runner._ids_cache, 1)
     # Judged: the row's venue key and the generic year range — no other.
     assert set(match._masks) == {texts[0], f"dblp.year >= {hi - 1}"}
+
+
+@pytest.mark.parametrize("door", ["insert", "delete", "update"])
+def test_one_server_mutation_runs_one_bucket_pass(door, monkeypatch):
+    """A server's result cache and id-list memo share one index: a mutation
+    through any door runs its bucket pass once, for both stores, and both
+    stores still find their stale keys in it."""
+    dataset = generate_dblp(
+        DblpConfig(n_papers=200, n_authors=60, n_venues=6, seed=7))
+    db = Database(":memory:")
+    load_dataset(db, dataset)
+    load_profiles(db, PreferenceExtractor(dataset).extract_all())
+    with TopKServer(db) as server:
+        for profile in db.read_profiles():
+            server.top_k(profile.uid, 5)
+        index = server.sessions.runner.conjunct_index
+        assert server.results._index is index
+        passes = []
+        live = ConjunctIndex.live
+
+        def bucket_pass(self, match):
+            passes.append(self)
+            return live(self, match)
+        monkeypatch.setattr(ConjunctIndex, "live", bucket_pass)
+        paper = dict(db.joined_rows([1])[0])
+        if door == "insert":
+            report = server.insert_tuples([dict(paper, pid=90_001,
+                                                aids=[paper["aid"]])])
+        elif door == "delete":
+            report = server.delete_tuples([1])
+        else:
+            report = server.update_tuples([dict(paper, year=paper["year"] + 1)])
+        assert passes == [index]
+        assert report.results_repaired + report.results_invalidated > 0
+        assert report.index_entries_patched + report.index_entries_dropped > 0
+    db.close()

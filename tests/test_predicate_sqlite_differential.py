@@ -158,7 +158,7 @@ def test_a_bucket_lookup_selects_sqlites_pids(differential_db, predicate):
     rows = [dict(row) for row in joined_rows(differential_db)]
     key = predicate.to_sql()
     index = ConjunctIndex()
-    index.add(key, "entry")
+    index.add(frozenset({key}))
     match = RowMatch(rows)
     index.live(match)
     mask = match._masks.get(key, 0)

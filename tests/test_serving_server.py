@@ -9,6 +9,7 @@ import time
 import pytest
 from test_loadgen_concurrency import start_and_join
 
+from repro.algorithms.base import PreferenceQueryRunner
 from repro.backend import BACKEND_NAMES, create_backend
 from repro.core.predicate import Condition
 from repro.core.preference import UserProfile
@@ -111,6 +112,21 @@ class TestReads:
         assert server.results.peek(1, 8).k == 8 and len(server.results) == 1
         assert server.top_k(1, 5).cache_hit
 
+    def test_a_larger_k_builds_from_the_replaced_answers_outline(self,
+                                                                 server):
+        """The profile has not changed since the answer a larger k replaces
+        was built, so its outline is exact: the read builds no graph, runs
+        no statement (the id lists are memoised) and is counted as a
+        profile extension by no row."""
+        server.top_k(1, 5)
+        sessions = server.sessions
+        built, extended = sessions.sessions_built, sessions.profile_extensions
+        deeper = server.top_k(1, 8)
+        assert not deeper.cache_hit and deeper.sql_statements == 0
+        assert sessions.sessions_built == built
+        assert sessions.profile_extensions == extended + 1
+        assert list(deeper.ranking) == fresh_top_k(server.db, 1, 8)
+
     def test_k_below_one_raises_for_every_user(self, server):
         """``k < 1`` is refused for a user with positive preferences and for
         one without alike: counted as an error, never a hit, and nothing is
@@ -155,7 +171,7 @@ def read_in_order(depths):
         counters = {
             "answers": len(results), "users": len(uids),
             "bases": results.stats()["bases.entries"],
-            "holders": sum(map(len, results._held._holders.values())),
+            "holders": sum(map(len, results._factors.values())),
             "pid_index": sum(map(len, results._pids.values()))}
         deltas = results.deltas_applied
         report = server.delete_tuples([server.top_k(uids[0], 1).ranking[0][0]])
@@ -168,10 +184,12 @@ def read_in_order(depths):
 def test_one_answer_per_user_whatever_order_k_was_read_in():
     """Reading every user at k = 1 … 20 ascending or descending leaves the
     stores exactly as reading k = 20 alone: one answer per user, no
-    basis, the same holders and pid index, and the same delete work."""
+    basis, the same key holders and pid index, and the same delete work."""
     deepest = read_in_order([20])
-    assert deepest["answers"] == deepest["users"] > 6
-    assert deepest["bases"] == 0 and deepest["entries_visited"] > 0
+    # ``holders`` counts (conjunct key, uid) pairs of the result cache.
+    assert deepest == {"answers": 62, "users": 62, "bases": 0,
+                       "holders": 1156, "pid_index": 3613,
+                       "entries_visited": 58, "deltas_applied": 39}
     assert read_in_order(range(1, 21)) == deepest
     assert read_in_order(range(20, 0, -1)) == deepest
 
@@ -283,6 +301,23 @@ class TestProfileUpdates:
         assert not served.cache_hit
         assert list(served.ranking) == fresh_top_k(server.db, 1, 5)
 
+    def test_a_smaller_read_after_an_update_keeps_the_basis_k(self, server):
+        """The read after a profile update repairs the basis's buffer (24
+        deep for k = 8) and puts the answer at the basis's k, not only the
+        smaller k read: a later read at the basis's k is a warm hit."""
+        server.top_k(1, 8)
+        update = UserProfile(uid=1)
+        update.add_quantitative("dblp.venue = 'PODS'", 0.8)
+        server.update_profile(1, update)
+        small = server.top_k(1, 2)
+        assert not small.cache_hit and server.results.profile_repairs == 1
+        assert list(small.ranking) == fresh_top_k(server.db, 1, 2)
+        built = server.sessions.sessions_built
+        deep = server.top_k(1, 8)
+        assert deep.cache_hit and deep.sql_statements == 0
+        assert server.sessions.sessions_built == built
+        assert list(deep.ranking) == fresh_top_k(server.db, 1, 8)
+
     def test_update_for_evicted_user_invalidates_cache(self, server):
         """No session is resident, so every user is in the state an eviction
         used to leave: only the cached answer remembers the old profile,
@@ -325,6 +360,17 @@ class TestProfileUpdates:
 
 
 class TestDataInserts:
+    def test_a_sweep_drops_the_runners_stale_counts(self, server):
+        """Regression: serving counts nothing, yet a count memoised through
+        the serving runner outlived an insert its row matches."""
+        runner = server.sessions.runner
+        vldb = Condition("dblp.venue", "=", "VLDB")
+        before = runner.count(vldb)
+        server.insert_tuples([{"pid": 90_003, "title": "New",
+                               "venue": "VLDB", "year": 2009, "aids": [1]}])
+        assert runner.count(vldb) == before + 1 == \
+            PreferenceQueryRunner(server.db).count(vldb)
+
     def test_failed_insert_commits_nothing_now_or_later(self, server):
         """A write that fails mid-transaction rolls back: the paper row its
         first statement wrote is gone, no transaction stays open, and the
