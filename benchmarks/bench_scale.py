@@ -131,8 +131,6 @@ def _mutate(server: TopKServer, dataset) -> dict:
         distinct = sweep.annotation("distinct_predicates")
         assert 0 < distinct <= len(resident_texts)
         assert sweep.annotation("predicate_row_tests") == 0
-        assert (report.entries_visited == sweep.annotation("entries_visited")
-                == report.results_repaired + report.results_invalidated)
         measured[f"{kind}_predicate_row_tests"] = sweep.annotation(
             "predicate_row_tests")
         measured[f"{kind}_index_entries_patched"] = report.index_entries_patched

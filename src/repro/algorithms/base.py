@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.hypre import HypreGraph
@@ -45,9 +44,10 @@ class ScoredPreference:
         """Attributes referenced by the predicate."""
         return self.predicate.attributes()
 
-    @cached_property
+    @property
     def sql(self) -> str:
-        """SQL rendering of the predicate (rendered once per preference)."""
+        """SQL rendering of the predicate (the tree renders it once and
+        keeps it)."""
         return self.predicate.to_sql()
 
     def __repr__(self) -> str:

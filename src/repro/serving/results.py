@@ -78,9 +78,11 @@ maintains it like an answer — through the same key factors, pid index and
 answer to its *own* preference list.  The next cold read takes it
 (:meth:`~ResultCache.take_basis`) and
 :meth:`CachedResult.apply_profile` folds only the changed preferences'
-tuples over the new list, merges them into the basis's buffer and cuts at
-its old floor; it falls back to the full fold, counted by reason, when it
-cannot prove the exact answer.
+tuples over the new list and merges them into the basis's buffer — the
+one merge :meth:`CachedResult.apply_delta` uses too; it falls back to the
+full fold, counted by reason, when it cannot prove the exact answer.  The
+read's :meth:`~ResultCache.put` hands the basis's holdings to the new
+answer, rewriting only the conjunct keys that changed.
 
 **Thread safety and the re-cache race.**  The cache carries its own
 re-entrant lock, so warm lookups no longer need the server's big lock (the
@@ -103,6 +105,7 @@ from __future__ import annotations
 
 import math
 import threading
+from operator import itemgetter
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple,
@@ -152,7 +155,7 @@ class Rebased(NamedTuple):
     """A profile repair's answer (see :meth:`CachedResult.apply_profile`)."""
 
     #: The exact prefix of the new total order, as ``(pid, score)`` pairs.
-    buffer: List[Tuple[int, float]]
+    buffer: Ranking
     #: Whether ``buffer`` holds the whole covered universe.
     complete: bool
     #: The tuples folded over the new list: every pid in a changed
@@ -207,7 +210,9 @@ class CachedResult:
         positions some row may match (the sweep passes those whose key is
         stale; every position when omitted): no other position can score a
         tuple, so none other is asked.  Intensities fold in preference
-        order, mirroring PEPS's scoring pass bit for bit.
+        order, mirroring PEPS's scoring pass bit for bit, and the touched
+        pids' fresh keys go through the one merge both repairs share
+        (:meth:`_merge`), capped at ``max(depth, k)`` unless ``complete``.
 
         Returns ``(repaired entry, REPAIRED)`` on success — possibly
         ``self`` when the delta provably leaves the buffer untouched — or
@@ -232,8 +237,7 @@ class CachedResult:
                 if maybe and intensity > 0.0:
                     verdicts.append(
                         (match.exact(conjuncts) & maybe, maybe, intensity))
-        buffer = list(self.buffer)
-        changed = False
+        fresh = []
         for pid, rows in match.images:
             values = []
             for surely, maybe, intensity in verdicts:
@@ -242,38 +246,16 @@ class CachedResult:
                 elif maybe & rows:
                     return None, FALLBACK_UNSCORABLE
             score = combine_and(values) if values else 0.0
-            index = next((position for position, (member, _) in enumerate(buffer)
-                          if member == pid), None)
-            if index is not None:
-                del buffer[index]
-                changed = True
-            if score <= 0.0:
-                continue
-            key = (-score, pid)
-            if not self.complete:
-                # A truncated buffer is an exact prefix: a tuple ranking at
-                # or below the current floor lives among the unseen tail, so
-                # leaving it out keeps the prefix exact.  An empty truncated
-                # buffer has no floor to compare against — skip; the
-                # underflow check below forces the fallback.
-                if not buffer or key >= (-buffer[-1][1], buffer[-1][0]):
-                    continue
-            position = 0
-            while position < len(buffer) and \
-                    (-buffer[position][1], buffer[position][0]) < key:
-                position += 1
-            buffer.insert(position, (pid, score))
-            changed = True
-        if not self.complete:
-            if len(buffer) < self.k:
-                return None, FALLBACK_UNDERFLOW
-            cap = max(self.depth, self.k)
-            if len(buffer) > cap:
-                del buffer[cap:]
-        if not changed:
+            if score > 0.0:
+                fresh.append((pid, score))
+        buffer = self._merge({pid for pid, _ in match.images}, fresh, self.k,
+                             None if self.complete
+                             else max(self.depth, self.k))
+        if buffer is None:
+            return None, FALLBACK_UNDERFLOW
+        if buffer == self.buffer:
             return self, REPAIRED
-        return replace(self, ranking=tuple(buffer[:self.k]),
-                       buffer=tuple(buffer)), REPAIRED
+        return replace(self, ranking=buffer[:self.k], buffer=buffer), REPAIRED
 
     def apply_profile(self, runner: "PreferenceQueryRunner",
                       preferences: Sequence["ScoredPreference"],
@@ -296,10 +278,10 @@ class CachedResult:
         same float.  Only the tuples in those lists are folded over the new
         list, in preference order, as
         :meth:`~repro.algorithms.peps.PEPSAlgorithm.top_k` folds them, and
-        merged with the rest of the buffer on ``(m − 1.0, pid)``.  A
-        truncated buffer is cut at its old floor: a tuple it never held
-        and did not rescore still ranks below it.  The result is capped at
-        the deeper of a full fold's ``k + REPAIR_MARGIN·k`` and
+        merged with the rest of the buffer on ``(m − 1.0, pid)`` by the one
+        merge :meth:`apply_delta` uses too (:meth:`_merge`: a truncated
+        buffer keeps what ranks at or above its old floor).  The result is
+        capped at the deeper of a full fold's ``k + REPAIR_MARGIN·k`` and
         ``self.depth``, and it is ``complete`` only when the basis was and
         the cap cut nothing.  The new list's id lists are read through
         ``runner.ids`` — the statements a full fold would run — and a
@@ -345,22 +327,43 @@ class CachedResult:
                 for pid in rescored.intersection(
                         ids[bisect_left(ids, low):bisect_right(ids, high)]):
                     remainder[pid] = remainder.get(pid, 1.0) * miss
-        # ``-score`` is exactly ``m - 1.0``: both sides use PEPS's key.
-        merged = [(-score, pid) for pid, score in self.buffer
-                  if pid not in rescored]
-        keys = [(missed - 1.0, pid) for pid, missed in remainder.items()]
-        if not self.complete:
-            pid, score = self.buffer[-1]
-            floor = (-score, pid)
-            keys = [key for key in keys if key <= floor]
-            if len(merged) + len(keys) < k:
-                return None, FALLBACK_UNDERFLOW
-        merged.extend(keys)
-        merged.sort()
+        # ``1.0 - m`` is PEPS's score, bit for bit.
         cap = max(k + REPAIR_MARGIN * k, self.depth)
-        return Rebased([(pid, -negated) for negated, pid in merged[:cap]],
-                       self.complete and len(merged) < cap,
+        buffer = self._merge(rescored, [(pid, 1.0 - missed) for pid, missed
+                                        in remainder.items()], k, cap)
+        if buffer is None:
+            return None, FALLBACK_UNDERFLOW
+        return Rebased(buffer, self.complete and len(buffer) < cap,
                        len(rescored)), REPAIRED
+
+    def _merge(self, rescored: Set[int], fresh: List[Tuple[int, float]],
+               k: int, cap: Optional[int]) -> Optional[Ranking]:
+        """The one merge of both repairs: the buffer without the
+        ``rescored`` pids, plus the ``(pid, score)`` pairs they scored anew
+        (``fresh``), sorted into ``(−score, pid)`` order and cut at ``cap``
+        (``None`` cuts nothing); ``None`` when a truncated buffer keeps
+        fewer than ``k`` tuples.
+
+        A truncated buffer is an exact prefix: every tuple it does not hold
+        ranks below its floor as it was *before* the change.  A fresh pair
+        at or above that floor is therefore kept and one below it left out,
+        so what is kept is exactly the tuples at or above the old floor — an
+        exact prefix again.  An empty truncated buffer has no floor and
+        keeps no fresh pair."""
+        buffer = self.buffer
+        if not self.complete:
+            floor = (-buffer[-1][1], buffer[-1][0]) if buffer else (-math.inf,)
+            fresh = [pair for pair in fresh if (-pair[1], pair[0]) <= floor]
+        merged = [pair for pair in buffer if pair[0] not in rescored]
+        if not self.complete and len(merged) + len(fresh) < k:
+            return None
+        if fresh:
+            # By pid, then stably by score, highest first: ``(−score, pid)``
+            # order with no key tuple built.
+            merged.extend(fresh)
+            merged.sort(key=itemgetter(0))
+            merged.sort(key=itemgetter(1), reverse=True)
+        return tuple(merged[:cap])
 
 
 def spare_threshold(entry: CachedResult) -> float:
@@ -424,19 +427,15 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         #: Entries profile updates took out of serving (each kept as a
-        #: basis) / entries data mutations dropped.
+        #: basis) / entries data mutations dropped: every one a repair that
+        #: fell back, so it is exported as ``repair_fallbacks`` too.
         self.profile_invalidations = 0
         self.data_invalidations = 0
-        #: Entries a data insert did not affect (kept) / entries a sweep
-        #: visited: the affected ones, holding a stale key.
+        #: Entries a data mutation did not affect (kept).
         self.data_spared = 0
-        self.entries_visited = 0
         #: Affected entries maintained in place by a zero-SQL delta repair /
-        #: affected entries that had to be dropped after a repair attempt
-        #: (every fallback is also counted in ``data_invalidations``) /
         #: the fallbacks caused specifically by buffer underflow.
         self.repairs = 0
-        self.repair_fallbacks = 0
         self.repair_underflows = 0
         #: :meth:`CachedResult.apply_delta` calls: the affected entries the
         #: sweep's score bound could not prove unchanged.
@@ -492,13 +491,12 @@ class ResultCache:
             return entry if entry is not None and 0 < k <= entry.k else None
 
     def take_basis(self, uid: int) -> Optional[CachedResult]:
-        """Remove and return ``uid``'s basis, or ``None``; the cold read
-        that takes it repairs it (:meth:`repair_profile`) or lets it go."""
+        """``uid``'s basis, or ``None``; the cold read that takes it
+        repairs it (:meth:`repair_profile`) or folds in full.  It stays held
+        and swept until that read's :meth:`put`, which hands its holdings
+        to the new answer."""
         with self._lock:
-            basis = self._bases.pop(uid, None)
-            if basis is not None:
-                self._release(uid, basis)
-            return basis
+            return self._bases.get(uid)
 
     def repair_profile(self, basis: CachedResult,
                        runner: "PreferenceQueryRunner",
@@ -533,7 +531,9 @@ class ResultCache:
         whole covered universe, and ``conjuncts`` / ``intensities`` the
         scored predicates' conjunct keys and intensities in PEPS preference
         order; ``outline`` is the build they came from, which the answer
-        keeps for the read after a profile update.
+        keeps for the read after a profile update.  The replaced answer's or
+        basis's holdings move to the new answer (:meth:`_move`): a read
+        after a profile update rewrites only the keys that changed.
 
         ``epoch`` is the :attr:`epoch` snapshot taken before the answer was
         computed; when given and an invalidation sweep has run since, the
@@ -554,40 +554,39 @@ class ResultCache:
                 intensities=tuple(intensities), buffer=buffer,
                 complete=complete, depth=len(buffer), outline=outline)
             replaced = self._entries.get(uid) or self._bases.pop(uid, None)
-            if replaced is not None:
-                self._release(uid, replaced)
             self._entries[uid] = entry
-            self._hold(uid, entry)
+            self._move(uid, replaced, entry)
         annotate("result_cache_put", "materialised")
         return entry
 
     # -- invalidation -------------------------------------------------------------
 
-    def _hold(self, uid: int, entry: CachedResult) -> None:
-        for key, factor in factors(entry).items():
-            holders = self._factors.get(key)
-            if holders is None:
-                holders = self._factors[key] = {}
-                self._index.add(key)
-            holders[uid] = factor
-        self._index_pids(uid, (), entry.buffer)
-        self._thresholds[uid] = spare_threshold(entry)
-
-    def _release(self, uid: int, entry: CachedResult) -> None:
-        for key in set(entry.conjuncts):
-            holders = self._factors[key]
-            del holders[uid]
-            if not holders:
-                del self._factors[key]
-                self._index.remove(key)
-        self._index_pids(uid, entry.buffer, ())
-        del self._thresholds[uid]
-
-    def _index_pids(self, uid: int, old: Ranking, new: Ranking) -> None:
-        """Move ``uid`` in the pid index from buffer ``old`` to ``new``:
-        only the pids that left or entered."""
-        left = {pid for pid, _ in old}
-        entered = {pid for pid, _ in new}
+    def _move(self, uid: int, old: Optional[CachedResult],
+              new: Optional[CachedResult]) -> None:
+        """Move ``uid``'s holdings from entry ``old`` to entry ``new``
+        (``None``: held nothing / holds nothing): only the keys whose factor
+        appeared, vanished or changed, only the pids that left or entered
+        the buffer, and the threshold.  A sweep's replacement keeps its
+        ``conjuncts`` and ``intensities``, so no factor is compared there."""
+        if old is None or new is None or old.conjuncts is not new.conjuncts \
+                or old.intensities is not new.intensities:
+            was = factors(old) if old is not None else {}
+            now = factors(new) if new is not None else {}
+            for key in was.keys() - now.keys():
+                holders = self._factors[key]
+                del holders[uid]
+                if not holders:
+                    del self._factors[key]
+                    self._index.remove(key)
+            for key, factor in now.items():
+                if was.get(key) != factor:
+                    holders = self._factors.get(key)
+                    if holders is None:
+                        holders = self._factors[key] = {}
+                        self._index.add(key)
+                    holders[uid] = factor
+        left = {pid for pid, _ in old.buffer} if old is not None else set()
+        entered = {pid for pid, _ in new.buffer} if new is not None else set()
         if left and entered:
             left, entered = left - entered, entered - left
         for pid in left:
@@ -601,6 +600,10 @@ class ResultCache:
                 self._pids[pid] = {uid}
             else:
                 uids.add(uid)
+        if new is None:
+            del self._thresholds[uid]
+        else:
+            self._thresholds[uid] = spare_threshold(new)
 
     def invalidate_user(self, uid: int,
                         rows: Optional[StagedRows] = None) -> int:
@@ -643,8 +646,9 @@ class ResultCache:
         live and :meth:`~repro.index.selectivity.RowMatch.shared` non-zero,
         found once per sweep for both stores — and only the holders of those
         the cache holds are looked at.  An answer is *visited* and affected
-        (counted in :attr:`entries_visited`) when one of its keys is stale;
-        a mutation that carries no rows visits none.
+        when one of its keys is stale — it is then repaired or dropped, so
+        the visits are ``results_repaired + results_invalidated``; a
+        mutation that carries no rows visits none.
 
         **The score bound.**  One pass over the stale keys' holders
         multiplies each affected answer's ``miss`` by its :func:`factors`
@@ -664,9 +668,9 @@ class ResultCache:
 
         A repair scores from ``match``'s verdicts (zero SQL, counted in
         :attr:`repairs`), and only an entry whose repair is impossible is
-        dropped (counted in :attr:`repair_fallbacks` *and*
-        :attr:`data_invalidations`, which are therefore equal; underflow
-        fallbacks additionally in :attr:`repair_underflows`).  The sweep
+        dropped (counted in :attr:`data_invalidations`, exported as
+        ``repair_fallbacks`` too; underflow fallbacks additionally in
+        :attr:`repair_underflows`).  The sweep
         bumps the epoch exactly like a pure invalidation sweep — a repaired
         entry reflects post-mutation data, so an answer computed from
         pre-mutation data must still lose the put race.  Unaffected entries
@@ -677,9 +681,8 @@ class ResultCache:
 
         Returns this store's share of the sweep's impact under the
         :class:`~repro.serving.server.DataMutationReport` names —
-        ``results_invalidated`` (= ``repair_fallbacks``),
-        ``results_repaired``, ``results_spared``, ``entries_visited`` — the
-        amounts its counters just grew by.
+        ``results_invalidated``, ``results_repaired``, ``results_spared`` —
+        the amounts its counters just grew by.
         """
         post_rows = match.post_rows
         with self._lock:
@@ -727,25 +730,19 @@ class ResultCache:
                         underflows += 1
                 elif replacement is not entry:
                     store[uid] = replacement
-                    self._index_pids(uid, entry.buffer, replacement.buffer)
-                    thresholds[uid] = spare_threshold(replacement)
+                    self._move(uid, entry, replacement)
             # Every affected uid not dropped was repaired: spared or not.
             affected_bases = len(bases.keys() & misses.keys())
-            visits = len(misses) - affected_bases
             invalidated = len(entries.keys() & dropped)
-            repaired = visits - invalidated
+            repaired = len(misses) - affected_bases - invalidated
             rebased = affected_bases - (len(dropped) - invalidated)
             for uid in dropped:
-                self._release(uid, entries.pop(uid, None) or bases.pop(uid))
+                self._move(uid, entries.pop(uid, None) or bases.pop(uid), None)
             impact = {"results_invalidated": invalidated,
-                      "repair_fallbacks": invalidated,
                       "results_repaired": repaired,
-                      "results_spared": len(entries) - repaired,
-                      "entries_visited": visits}
-            self.entries_visited += visits
+                      "results_spared": len(entries) - repaired}
             self.repairs += repaired
             self.deltas_applied += applied
-            self.repair_fallbacks += invalidated
             self.repair_underflows += underflows
             self.data_invalidations += invalidated
             self.data_spared += impact["results_spared"]
@@ -787,9 +784,9 @@ class ResultCache:
                 "profile_invalidations": self.profile_invalidations,
                 "data_invalidations": self.data_invalidations,
                 "data_spared": self.data_spared,
-                "entries_visited": self.entries_visited,
                 "repairs": self.repairs,
-                "repair_fallbacks": self.repair_fallbacks,
+                # One count under both names: every fallback is a drop.
+                "repair_fallbacks": self.data_invalidations,
                 "repair_underflows": self.repair_underflows,
                 "deltas_applied": self.deltas_applied,
                 "stale_puts_rejected": self.stale_puts_rejected,

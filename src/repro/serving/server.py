@@ -162,21 +162,13 @@ class DataMutationReport:
     seconds: float
     #: The pre- plus post-image joined-view rows the notification carried.
     joined_rows: int = 0
-    #: Cached answers dropped, maintained in place by a delta repair, the
-    #: drops again as repair fallbacks (every drop is one), and the answers
-    #: the mutation did not affect.
+    #: Cached answers dropped (each a repair that fell back), maintained in
+    #: place by a delta repair, and not affected by the mutation.  The
+    #: first two are the answers the sweep visited: those holding a stale
+    #: key (some one mutation row may match its every conjunct).
     results_invalidated: int = 0
     results_repaired: int = 0
-    repair_fallbacks: int = 0
     results_spared: int = 0
-    #: The SQL the result cache's sweep issued: always 0, since the cache
-    #: holds no backend and repairs in memory
-    #: (``tests/test_server_machine.py`` measures it around every sweep).
-    repair_sql_statements: int = 0
-    #: Cached answers the sweep visited: those holding a stale key (some one
-    #: mutation row may match its every conjunct) — exactly the repaired and
-    #: invalidated answers.
-    entries_visited: int = 0
     #: Stale id lists patched in place from the mutation's rows / dropped
     #: from the shared memo: only those a post-image row may match but
     #: cannot be decided against.
@@ -251,10 +243,6 @@ class TopKServer:
         self.inserts = 0
         self.deletes = 0
         self.tuple_updates = 0
-        #: Requests that took the server lock (cold reads + profile
-        #: updates).  The name predates the one lock: the e2e benchmark
-        #: indexes ``serving.server.stripe_acquisitions``.
-        self.stripe_acquisitions = 0
         #: Door errors by ``<door>.<exception kind>``, and :meth:`_forget`
         #: calls by ``<door>.<place>`` of the failed mutation behind them.
         self._errors: Dict[str, int] = {}
@@ -369,7 +357,7 @@ class TopKServer:
             self._forgets[key] = self._forgets.get(key, 0) + 1
 
     def _bump(self, locked_reads: int = 0, peek_hits: int = 0,
-              updates: int = 0, stripe_acquisitions: int = 0) -> None:
+              updates: int = 0) -> None:
         """Fold one request's counter deltas in under a single acquisition.
 
         Only requests holding the server lock call it; a warm hit is
@@ -378,7 +366,6 @@ class TopKServer:
             self._locked_reads += locked_reads
             self._peek_hits += peek_hits
             self.updates += updates
-            self.stripe_acquisitions += stripe_acquisitions
 
     def _read_counts(self, hits: int) -> Tuple[int, int]:
         """``(reads, read_hits)`` given the result cache's ``hits``.
@@ -433,7 +420,7 @@ class TopKServer:
                     load_profiles(self.db, registry)
                     invalidated = self.results.invalidate_user(
                         uid, staged_rows(profile))
-                    self._bump(updates=1, stripe_acquisitions=1)
+                    self._bump(updates=1)
                     report = UpdateReport(
                         uid=uid,
                         quantitative=len(profile.quantitative),
@@ -505,13 +492,14 @@ class TopKServer:
             # answer serves k = 1: ``answer`` is the user's, at its own k.
             answer = self.results.peek(uid, 1)
             if answer is not None and k <= answer.k:
-                self._bump(locked_reads=1, peek_hits=1, stripe_acquisitions=1)
+                self._bump(locked_reads=1, peek_hits=1)
                 return ServeResult(uid, k, answer.buffer[:k], True, 0,
                                    time.perf_counter() - start)
             # The warm path above never asks: a closed server holds no
             # cached answers, so every read ends up here.
             self._check_open()
             statements_before = self.db.statements_executed
+            # Held until the put below hands its holdings to the answer.
             basis = self.results.take_basis(uid)
             with span("sessions.get_or_create", self.db):
                 # A shallower answer's outline is the profile's as it is.
@@ -545,7 +533,7 @@ class TopKServer:
             self.results.put(uid, serves, buffer, complete, conjuncts,
                              intensities, epoch=epoch, outline=outline)
             ranking = tuple(buffer[:k])
-            self._bump(locked_reads=1, stripe_acquisitions=1)
+            self._bump(locked_reads=1)
             return ServeResult(
                 uid, k, ranking, False,
                 self.db.statements_executed - statements_before,
@@ -731,7 +719,11 @@ class TopKServer:
                 "serving.server.inserts": self.inserts,
                 "serving.server.deletes": self.deletes,
                 "serving.server.tuple_updates": self.tuple_updates,
-                "serving.server.stripe_acquisitions": self.stripe_acquisitions,
+                # The requests that took the server lock: locked reads and
+                # profile updates.  The name predates the one lock; the e2e
+                # benchmark reads it.
+                "serving.server.stripe_acquisitions":
+                    self._locked_reads + self.updates,
             }
             for key, value in self._errors.items():
                 flat[f"serving.server.errors.{key}"] = value

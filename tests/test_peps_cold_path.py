@@ -37,7 +37,7 @@ from repro.algorithms.peps import PEPSAlgorithm
 from repro.exceptions import TopKError
 from repro.core.hypre import HypreGraphBuilder
 from repro.core.intensity import combine_and, min_preferences_to_beat
-from repro.core.predicate import conjunction, equals
+from repro.core.predicate import PredicateExpr, conjunction, equals
 from repro.core.preference import QuantitativePreference
 from repro.experiments.context import SCALES
 from repro.index import CountCache, IncrementalPairIndex
@@ -435,11 +435,14 @@ def count_calls(monkeypatch, owner, name):
 
 
 def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):
-    """Per refresh over n preferences: at most n key renders (none once the
-    preferences have rendered theirs), one compatibility verdict per pair,
-    no cache peek and one ``count_many`` — first refresh (the cache has seen
-    no pair) and after a data mutation (it lost some) alike."""
-    renders = count_calls(monkeypatch, ScoredPreference.__dict__["sql"], "func")
+    """Per refresh over n preferences: each predicate tree rendered at most
+    once (none once the preferences have rendered theirs), one compatibility
+    verdict per pair, no cache peek and one ``count_many`` — first refresh
+    (the cache has seen no pair) and after a data mutation (it lost some)
+    alike.  Renders are counted where the tree renders its text, on trees
+    parsed apart from ``parse_predicate``'s shared cache, which earlier
+    tests may have rendered."""
+    renders = count_calls(monkeypatch, PredicateExpr.__dict__["_sql"], "func")
     peeks = count_calls(monkeypatch, CountCache, "peek")
     verdicts = count_calls(monkeypatch, pair_index_module, "are_and_compatible")
     batches = count_calls(monkeypatch, CountCache, "count_many")
@@ -454,8 +457,13 @@ def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):
     db = fresh_db(tiny_dataset, "sqlite")
     try:
         runner = PreferenceQueryRunner(db)
-        index = IncrementalPairIndex(runner, make_preferences(PROFILE[:10]))
-        assert spent() == (10, 0, 45, 1)
+        parse = predicate_module._parse_predicate_cached.__wrapped__
+        index = IncrementalPairIndex(runner, make_preferences(
+            [(parse(text), intensity) for text, intensity in PROFILE[:10]]))
+        # Ten preference trees, and the one conjunction's two members for
+        # its key: twelve trees, each rendered once.
+        assert len({id(tree) for tree, in renders}) == len(renders)
+        assert spent() == (12, 0, 45, 1)
         assert index.pairs_counted + index.pairs_prefiltered == 45
 
         db.append_papers([Paper(pid=9001, title="t", venue="VLDB", year=2012)],

@@ -191,6 +191,31 @@ class TestApplyDelta:
         assert repaired.buffer == (
             (1, VENUE_ONLY), (2, VENUE_ONLY), (3, VENUE_ONLY))
 
+    def test_an_updated_floor_pid_at_or_above_the_old_floor_stays(self):
+        """The floor is the buffer's as it was before the change: a floor
+        pid rescored to its own score, or above it, still belongs."""
+        entry = _entry([(1, BOTH), (2, VENUE_ONLY), (3, VENUE_ONLY)])
+        repaired, reason = entry.apply_delta(
+            _update(_row(3, year=1999), _row(3, year=1998)))
+        assert reason == REPAIRED and repaired is entry
+        repaired, reason = entry.apply_delta(
+            _update(_row(3, year=1999), _row(3, year=2014)))
+        assert reason == REPAIRED
+        assert repaired.buffer == ((1, BOTH), (3, BOTH), (2, VENUE_ONLY))
+
+    def test_a_floor_pid_rescored_below_the_old_floor_or_deleted_leaves(
+            self):
+        """Below the old floor an unseen tuple may outrank it, so it leaves
+        the truncated buffer, as a deleted floor pid does."""
+        entry = _entry([(1, BOTH), (2, VENUE_ONLY), (3, VENUE_ONLY)])
+        left = ((1, BOTH), (2, VENUE_ONLY))
+        repaired, reason = entry.apply_delta(
+            _update(_row(3, year=1999), _row(3, venue="ICDE", year=2014)))
+        assert reason == REPAIRED and repaired.buffer == left
+        repaired, reason = entry.apply_delta(_delete(_row(3, year=1999)))
+        assert reason == REPAIRED and repaired.buffer == left
+        assert repaired.ranking == left and not repaired.complete
+
     def test_truncated_underflow_forces_fallback(self):
         entry = _entry([(1, BOTH), (2, VENUE_ONLY)])
         repaired, reason = entry.apply_delta(_delete(_row(1)))
@@ -226,7 +251,7 @@ class TestApplyDelta:
             cache.put(uid, 2, [(1, BOTH), (2, VENUE_ONLY)], True, _CONJUNCTS,
                       _INTENS)
         assert cache.on_data_mutation(match)["results_invalidated"] == 0
-        assert (cache.entries_visited, cache.repairs) == (3, 3)
+        assert (cache.repairs, cache.data_invalidations) == (3, 0)
         for uid in range(3):
             assert cache.peek(uid, 2).buffer == ((1, BOTH), (2, BOTH))
         assert len(calls) == match.predicate_row_tests == 2 * 1
@@ -238,9 +263,7 @@ class TestApplyDelta:
             cache = ResultCache()
             cache.put(1, 1, [(1, BOTH)], False, _CONJUNCTS, _INTENS)
             cache.on_data_mutation(_insert(*rows))
-            affected = cache.repairs + cache.repair_fallbacks
-            assert cache.entries_visited == affected
-            return affected
+            return cache.repairs + cache.data_invalidations
 
         assert visited(*rows) == 1
         assert visited(rows[1]) == 0

@@ -173,7 +173,7 @@ class ServerMachine(RuleBasedStateMachine):
 
     def watch(self, server):
         """Record the SQL statements each of ``server``'s result-cache
-        sweeps runs (``repair_sql_statements`` is 0 by construction)."""
+        sweeps runs: the one place a repair's SQL is measured."""
         sweep, real = server.results.on_data_mutation, self.real
 
         def measured(match):
@@ -452,15 +452,16 @@ class ServerMachine(RuleBasedStateMachine):
         sessions.invalidate_matching = raising_patch
 
     def fault_in_repair(self, uid, venue):
-        """A read whose profile repair raises refuses, and leaves nothing
-        behind: no answer and no basis, so the next read folds in full and
-        is exact.  The repair raises once its work is done — after the id
-        lists it fetched reached the shared memo."""
+        """A read whose profile repair raises refuses, and leaves no answer
+        behind and the basis as it was — still held and swept — so the next
+        read repairs from it again and is exact.  The repair raises once
+        its work is done — after the id lists it fetched reached the shared
+        memo."""
         self.apply(Op(READ, uid=uid, k=K))  # an answer to outdate
         self.every_read_equals_fresh()  # before the update outdates it
         self.state(uid, venue_predicate(venue), 0.55, then_read=False)
         results = self.server.results
-        assert uid in results._bases
+        basis = results._bases[uid]
         repair, db = results.repair_profile, self.db
 
         def raising(*args):
@@ -477,7 +478,7 @@ class ServerMachine(RuleBasedStateMachine):
             event("fault: repair")
             assert self.server.metrics()[errors] == before + 1
             assert results.peek(uid, K) is None
-            assert uid not in results._bases
+            assert results._bases[uid] is basis
         else:  # the new list holds no positive preference: nothing to repair
             event("fault: repair (no preference to repair)")
             results.__dict__.pop("repair_profile")

@@ -73,7 +73,7 @@ class TestLookups:
         deeper = put(cache, 1, 10, [(10, 0.9), (11, 0.8)], [ICDE])
         assert cache.peek(1, 5) is deeper and len(cache) == 1
         assert sweep(cache, insert([VLDB_ROW])) == 0
-        assert cache.entries_visited == 0
+        assert cache.repairs == cache.data_invalidations == 0
 
 
 class TestProfileInvalidation:
@@ -102,8 +102,8 @@ class TestDataInvalidation:
         put(cache, 2, 5, [(11, 0.8)], [ICDE])          # provably unaffected
         put(cache, 3, 5, [(12, 0.7)], [RECENT])        # 2005 < 2010: unaffected
         assert cache.on_data_mutation(RowMatch.of(insert([VLDB_ROW]))) == {
-            "results_invalidated": 0, "repair_fallbacks": 0,
-            "results_repaired": 1, "results_spared": 2, "entries_visited": 1}
+            "results_invalidated": 0, "results_repaired": 1,
+            "results_spared": 2}
         assert cache.peek(1, 5).ranking == ((10, 0.9), (901, 0.9))
         assert cache.peek(2, 5).ranking == ((11, 0.8),)
         assert cache.peek(3, 5).ranking == ((12, 0.7),)
@@ -165,7 +165,7 @@ class TestDataInvalidation:
         assert cache.epoch > epoch
         # No conjunct is held any more: a matching sweep visits nothing.
         assert sweep(cache, insert([VLDB_ROW])) == 0
-        assert cache.entries_visited == 0
+        assert cache.repairs == cache.data_invalidations == 0
         assert put(cache, 1, 5, [(10, 0.9)], [VLDB], epoch=epoch) is None
         stats = cache.stats()
         assert (stats["hits"], stats["misses"]) == (1, 1)

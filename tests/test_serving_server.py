@@ -13,6 +13,7 @@ from repro.algorithms.base import PreferenceQueryRunner
 from repro.backend import BACKEND_NAMES, create_backend
 from repro.core.predicate import Condition
 from repro.core.preference import UserProfile
+from repro.index import ConjunctIndex, CountCache
 from repro.exceptions import (RelationalError, ServingError, TopKError,
                               UnknownUserError)
 from repro.loadgen import load_population
@@ -175,7 +176,9 @@ def read_in_order(depths):
             "pid_index": sum(map(len, results._pids.values()))}
         deltas = results.deltas_applied
         report = server.delete_tuples([server.top_k(uids[0], 1).ranking[0][0]])
-        counters["entries_visited"] = report.entries_visited
+        # The answers the delete visited: each repaired or dropped.
+        counters["affected"] = (report.results_repaired
+                                + report.results_invalidated)
         counters["deltas_applied"] = results.deltas_applied - deltas
     db.close()
     return counters
@@ -189,9 +192,80 @@ def test_one_answer_per_user_whatever_order_k_was_read_in():
     # ``holders`` counts (conjunct key, uid) pairs of the result cache.
     assert deepest == {"answers": 62, "users": 62, "bases": 0,
                        "holders": 1156, "pid_index": 3613,
-                       "entries_visited": 58, "deltas_applied": 39}
+                       "affected": 58, "deltas_applied": 39}
     assert read_in_order(range(1, 21)) == deepest
     assert read_in_order(range(20, 0, -1)) == deepest
+
+
+def count_moves(monkeypatch, results):
+    """The conjunct keys ``results`` writes holders under from now on, and
+    the keys each store adds to / removes from the shared conjunct index.
+
+    Every holder map present now records its writes; a key created or
+    deleted is recorded by the outer map (a new key's fresh holder map is
+    plain: its first write is the creation)."""
+    written = []
+
+    class Holders(dict):
+        def __init__(self, key, holders):
+            super().__init__(holders)
+            self.key = key
+
+        def __setitem__(self, uid, factor):
+            written.append(self.key)
+            super().__setitem__(uid, factor)
+
+        def __delitem__(self, uid):
+            written.append(self.key)
+            super().__delitem__(uid)
+
+    class Keys(dict):
+        def __setitem__(self, key, holders):
+            written.append(key)
+            super().__setitem__(key, holders)
+
+        def __delitem__(self, key):
+            written.append(key)
+            super().__delitem__(key)
+
+    results._factors = Keys({key: Holders(key, holders)
+                             for key, holders in results._factors.items()})
+    indexed = {"add": [], "remove": []}
+    for name, seen in indexed.items():
+        def counted(index, key, _original=getattr(ConjunctIndex, name),
+                    _seen=seen):
+            _seen.append(key)
+            return _original(index, key)
+        monkeypatch.setattr(ConjunctIndex, name, counted)
+    return written, indexed
+
+
+def test_a_post_update_read_moves_only_the_changed_key(server, monkeypatch):
+    """Work gate, by counting: the read after a profile update that adds one
+    preference writes exactly that key's holders — the basis hands every
+    other holding to the new answer as it is — and the key enters the
+    shared index once per store (the memo's new id list, the answer).  A
+    read at a larger k scores with the same list, so it moves no key."""
+    server.top_k(1, 5)
+    update = UserProfile(uid=1)
+    update.add_quantitative("dblp.year = 2008", 0.7)
+    server.update_profile(1, update)
+    results = server.results
+    written, indexed = count_moves(monkeypatch, results)
+    added = CountCache.key("dblp.year = 2008")
+    served = server.top_k(1, 5)
+    assert results.profile_repairs == 1
+    assert set(written) == {added} and 1 in results._factors[added]
+    assert indexed == {"add": [added, added], "remove": []}
+
+    written.clear()
+    indexed["add"].clear()
+    deeper = server.top_k(1, 8)
+    assert not deeper.cache_hit
+    assert written == [] and indexed == {"add": [], "remove": []}
+    # (The oracle's own runner adds to an index of its own.)
+    assert list(served.ranking) == fresh_top_k(server.db, 1, 5)
+    assert list(deeper.ranking) == fresh_top_k(server.db, 1, 8)
 
 
 class CountingLock:
@@ -486,7 +560,6 @@ class TestDataInserts:
                 + report.results_spared) == cached_before
         assert report.results_repaired == 1
         assert report.results_invalidated == 0
-        assert report.repair_sql_statements == 0
         assert report.results_spared > 0
         # Every user's served answer equals a fresh recomputation, whether
         # their cache entry was invalidated or spared.
@@ -544,7 +617,6 @@ class TestDataDeletes:
         assert (report.results_invalidated + report.results_repaired
                 + report.results_spared) == cached_before
         assert report.results_repaired == 1
-        assert report.repair_sql_statements == 0
         assert report.results_spared > 0
         # The affected answer is repaired in place, not dropped — and the
         # repaired view already equals a fresh recomputation.
@@ -605,7 +677,6 @@ class TestDataUpdates:
         # even touching their entries.
         assert report.results_repaired == 2
         assert report.results_spared == 2
-        assert report.repair_sql_statements == 0
         for uid in (1, 2):
             repaired = server.results.peek(uid, 5)
             assert repaired is not None

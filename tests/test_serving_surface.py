@@ -444,8 +444,7 @@ def test_sweep_evaluates_generic_predicates_once_per_row(surface,
         len(reference)
     # The span annotates the report's impact record, name for name.
     impact = {name: value for name, value in report.as_dict().items()
-              if name not in ("kind", "papers", "sql_statements", "seconds",
-                              "repair_sql_statements")}
+              if name not in ("kind", "papers", "sql_statements", "seconds")}
     assert {name: sweep.annotation(name) for name in impact} == impact
     applied = {(entry.uid, entry.k) for entry, *_ in repairs}
     assert sweep.annotation("deltas_applied") == len(repairs) == len(applied)
@@ -515,7 +514,8 @@ def test_unmatched_mutation_visits_no_entry(surface, monkeypatch):
     rows = sweep.annotation("joined_rows")
     assert rows == 1
     assert shared == []
-    assert report.entries_visited == sweep.annotation("entries_visited") == 0
+    assert report.results_repaired == report.results_invalidated == 0
+    assert sweep.annotation("results_repaired") == 0
     # A year range's open side is live, its other side is not: no
     # preference has every conjunct live.
     (row,) = surface.db.joined_rows([90_006])
