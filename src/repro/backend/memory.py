@@ -6,16 +6,29 @@ plus a **per-attribute inverted index** (``{column: {value: {rowids}}}``),
 and answers the :class:`~repro.backend.protocol.StorageBackend` query
 surface with pure set algebra:
 
-* an equality or IN condition resolves to a union of index buckets,
-* a range condition scans the column's *distinct values* (tens, not
-  thousands) and unions the qualifying buckets,
+* an equality or IN condition looks each literal up in the column's index,
+  under every key SQLite calls equal to it
+  (:func:`~repro.core.predicate._equality_keys`: a text literal under its
+  text and, when numeric-shaped, its number; a number under its number and
+  its SQLite text) — the rule the sweep's
+  :class:`~repro.index.selectivity.ConjunctIndex` buckets by — and unions
+  the buckets found,
+* a range condition, and an equality literal with no key form (NaN),
+  scans the column's *distinct values* and unions the qualifying buckets,
 * AND intersects child row-id sets, OR unions them,
 
-so a count never touches individual rows.  Queries and mutations alike run
-under the backend's one re-entrant lock (a direct loader call, a second
-server over the same backend or an oracle recomputation may run beside a
-server's request; everything on one server is already serialised by the
-server lock).  Every value comparison goes
+so a count never touches individual rows, and nothing is memoised across
+calls: a write updates the index and nothing else.  The other tables are
+kept the way their calls read them, so a call costs what it touches: the
+citation table is two adjacency maps (citing pid → cited pids, cited pid →
+citing pids), so a delete visits only its papers' citations; the staging
+tables keep each user's rows apart (each row with its table-wide pfid), so
+:meth:`MemoryBackend.profile_rows` reads one user's rows.
+
+Queries and mutations alike run under the backend's one re-entrant lock (a
+direct loader call, a second server over the same backend or an oracle
+recomputation may run beside a server's request; everything on one server
+is already serialised by the server lock).  Every value comparison goes
 through the same SQLite-faithful coercion rules as
 :meth:`repro.core.predicate.Condition.evaluate` (NUMERIC/TEXT affinity,
 number-before-text ordering, exact integer conversion) — the differential
@@ -45,6 +58,7 @@ served engine").
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.predicate import (
@@ -53,6 +67,7 @@ from ..core.predicate import (
     Or,
     PredicateExpr,
     _compare_values,
+    _equality_keys,
     ensure_predicate,
 )
 from ..core.preference import ProfileRegistry, QualitativePreference, QuantitativePreference
@@ -88,8 +103,8 @@ class MemoryBackend:
                 f"the memory backend cannot persist to {path!r}; "
                 "use the sqlite backend for file-backed workloads")
         self.path = ":memory:"
-        # Guards the tables, the joined view and the condition memo; never
-        # held while a notification is delivered (see the mutation surface).
+        # Guards the tables and the joined view; never held while a
+        # notification is delivered (see the mutation surface).
         self._lock = threading.RLock()
         # Op accounting has its own tiny mutex.
         self._stats_lock = threading.Lock()
@@ -101,10 +116,15 @@ class MemoryBackend:
         #: whose paper does not (yet) exist: SQLite has no FK constraint
         #: here, and a later paper insert makes the joined rows appear.
         self._links: Dict[int, List[int]] = {}
-        self._citations: Set[Tuple[int, int]] = set()
-        # Preference staging tables (pfid = append order, per table).
-        self._quant: List[Tuple[int, int, str, float]] = []
-        self._qual: List[Tuple[int, int, str, str, float]] = []
+        #: The citation table as adjacency lists, one entry per (pid, cid)
+        #: pair on each side: citing pid -> cited pids, cited pid -> citing
+        #: pids.  An endpoint with no pair left has no key.
+        self._cites: Dict[int, List[int]] = {}
+        self._cited_by: Dict[int, List[int]] = {}
+        # Preference staging tables, per uid: (pfid, ...) rows in append
+        # order; pfid counts appends per table, across users.
+        self._quant: Dict[int, List[Tuple[int, str, float]]] = {}
+        self._qual: Dict[int, List[Tuple[int, str, str, float]]] = {}
         self._next_quant_pfid = 1
         self._next_qual_pfid = 1
         # The joined view: dict-of-columns keyed by rowid, plus the
@@ -113,12 +133,6 @@ class MemoryBackend:
         self._index: Dict[str, Dict[Any, Set[int]]] = {col: {} for col in VIEW_COLUMNS}
         self._rows_of_pid: Dict[int, List[int]] = {}
         self._next_rowid = 1
-        # Per-condition row-set memo: the same leaf conditions recur across
-        # hundreds of conjunctions (every pair-index build ANDs the same
-        # profile predicates), so each distinct condition's bucket scan runs
-        # once per mutation epoch.  Any write clears it wholesale — coarse
-        # but sound, and mutations are rare relative to counts.
-        self._condition_memo: Dict[Tuple, frozenset] = {}
         #: Op accounting (see module docs).
         self.statements_executed = 0
         self.rows_touched = 0
@@ -253,6 +267,42 @@ class MemoryBackend:
         if pid in self._papers:
             self._add_row(pid, aid)
 
+    def _put_citations(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Insert citation pairs in one pass, making no list a pair does
+        not keep: a bulk load sends every citation through here."""
+        cites, cited_by = self._cites, self._cited_by
+        for pid, cid in pairs:
+            pid, cid = int(pid), int(cid)
+            cited = cites.get(pid)
+            if cited is None:
+                cites[pid] = [cid]
+            elif cid in cited:  # REPLACE on the (pid, cid) key is a no-op
+                continue
+            else:
+                cited.append(cid)
+            citing = cited_by.get(cid)
+            if citing is None:
+                cited_by[cid] = [pid]
+            else:
+                citing.append(pid)
+
+    def _delete_citations(self, pid: int) -> int:
+        """Drop every citation ``pid`` is an endpoint of; return how many.
+
+        Visits only ``pid``'s own pairs: each is popped from one side and
+        unlinked from its partner's list on the other (a self-citation too,
+        before the second pop could see it again)."""
+        removed = 0
+        for adjacency, partners in ((self._cites, self._cited_by),
+                                    (self._cited_by, self._cites)):
+            for partner in adjacency.pop(pid, ()):
+                others = partners[partner]
+                others.remove(pid)
+                if not others:
+                    del partners[partner]
+                removed += 1
+        return removed
+
     # -- predicate evaluation (set algebra over the inverted index) ---------------
 
     def _resolve_column(self, attribute: str) -> str:
@@ -273,49 +323,49 @@ class MemoryBackend:
             return attribute
         raise RelationalError(f"no such column: {attribute}")
 
-    def _equal_rowids(self, column: str, literal: Any) -> Set[int]:
-        """Row ids whose ``column`` equals ``literal`` under SQLite coercion.
-
-        Scans the column's *distinct values* with the same
-        ``_compare_values`` the in-memory evaluator uses, so mixed-type
-        literals (``year = '2005'``, ``venue = 100``) coerce exactly like
-        the SQL engine instead of relying on Python hash equality.
-        """
+    def _compared_rowids(self, column: str, literal: Any, op: str) -> Set[int]:
+        """Row ids whose ``column`` compares true with ``literal`` under
+        SQLite coercion: a scan of the column's *distinct values* with the
+        ``_compare_values`` the in-memory evaluator uses."""
         matched: Set[int] = set()
         for stored, rowids in self._index[column].items():
-            if _compare_values(stored, literal, "="):
+            if _compare_values(stored, literal, op):
                 matched |= rowids
         return matched
 
-    def _condition_rowids(self, condition: Condition) -> frozenset:
-        key = condition.canonical()
-        memoised = self._condition_memo.get(key)
-        if memoised is None:
-            memoised = frozenset(self._condition_rowids_uncached(condition))
-            self._condition_memo[key] = memoised
-        return memoised
+    def _equal_rowids(self, column: str, literal: Any) -> Set[int]:
+        """Row ids whose ``column`` equals ``literal`` under SQLite coercion.
 
-    def _condition_rowids_uncached(self, condition: Condition) -> Set[int]:
+        One bucket lookup per key :func:`_equality_keys` names, so
+        mixed-type literals (``year = '2005'``, ``venue = 100``) match
+        exactly what the SQL engine matches; only a literal with no key
+        form (NaN) scans the distinct values.  The result may be an index
+        bucket itself: callers read it and never change it.
+        """
+        keys = _equality_keys(literal)
+        if keys is None:
+            return self._compared_rowids(column, literal, "=")
+        index = self._index[column]
+        buckets = [index[key] for key in keys if key in index]
+        return buckets[0] if len(buckets) == 1 else set().union(*buckets)
+
+    def _condition_rowids(self, condition: Condition) -> Set[int]:
         column = self._resolve_column(condition.attribute)
         if condition.op == "IN":
             matched: Set[int] = set()
             for item in condition.value:
-                if item is not None:
-                    matched |= self._equal_rowids(column, item)
+                matched |= self._equal_rowids(column, item)
             return matched
-        if condition.value is None:
-            return set()
         if condition.op == "=":
             return self._equal_rowids(column, condition.value)
-        matched = set()
-        for stored, rowids in self._index[column].items():
-            if _compare_values(stored, condition.value, condition.op):
-                matched |= rowids
-        return matched
+        if condition.value is None:
+            return set()
+        return self._compared_rowids(column, condition.value, condition.op)
 
     def _matching_rowids(self, predicate: PredicateExpr) -> Set[int]:
         """Row ids satisfying ``predicate`` — equal, row for row, to
-        evaluating :meth:`PredicateExpr.evaluate` on every joined-view row."""
+        evaluating :meth:`PredicateExpr.evaluate` on every joined-view row.
+        The set may be an index bucket itself (:meth:`_equal_rowids`)."""
         if isinstance(predicate, Condition):
             return self._condition_rowids(predicate)
         if isinstance(predicate, And):
@@ -398,10 +448,10 @@ class MemoryBackend:
             return {
                 "dblp": len(self._papers),
                 "author": len(self._authors),
-                "citation": len(self._citations),
+                "citation": sum(len(cids) for cids in self._cites.values()),
                 "dblp_author": sum(len(aids) for aids in self._links.values()),
-                "quantitative_pref": len(self._quant),
-                "qualitative_pref": len(self._qual),
+                "quantitative_pref": self._next_quant_pfid - 1,
+                "qualitative_pref": self._next_qual_pfid - 1,
             }
 
     # -- workload shape (replay-driver surface) -----------------------------------
@@ -473,13 +523,11 @@ class MemoryBackend:
                     self._put_link(pid, aid)
             if dataset.citations:
                 batches += 1
-                for pid, cid in dataset.citations:
-                    self._citations.add((int(pid), int(cid)))
+                self._put_citations(dataset.citations)
             self._account(statements=batches,
                           rows=(len(dataset.papers) + len(dataset.authors)
                                 + len(dataset.paper_authors)
                                 + len(dataset.citations)))
-            self._condition_memo.clear()
             mutation = (DataMutation(
                 TUPLES_INSERTED, "dblp",
                 rows=_joined_rows(dataset.papers, dataset.paper_authors),
@@ -516,10 +564,9 @@ class MemoryBackend:
                     self._put_link(pid, aid)
             if citations:
                 batches += 1
-                self._citations.update(citations)
+                self._put_citations(citations)
             self._account(statements=batches,
                           rows=len(papers) + len(paper_authors) + len(citations))
-            self._condition_memo.clear()
             mutation = None
             if self.has_subscribers and (papers or paper_authors):
                 fetch = sorted(linked
@@ -557,14 +604,9 @@ class MemoryBackend:
                     self._remove_rows(pid)
                     del self._papers[pid]
                 removed["dblp_author"] += len(self._links.pop(pid, ()))
-            doomed = {int(pid) for pid in pids}
-            stale_citations = {pair for pair in self._citations
-                               if pair[0] in doomed or pair[1] in doomed}
-            removed["citation"] = len(stale_citations)
-            self._citations -= stale_citations
+                removed["citation"] += self._delete_citations(pid)
             self._account(statements=3,  # the three DELETE shapes
                           rows=sum(removed.values()))
-            self._condition_memo.clear()
             mutation = (DataMutation(TUPLES_DELETED, "dblp",
                                      old_rows=pre_image, pids=pids)
                         if self.has_subscribers and any(removed.values())
@@ -590,7 +632,6 @@ class MemoryBackend:
                 self._papers[int(paper.pid)] = self._paper_record(paper)
                 self._rewrite_rows(int(paper.pid))
             self._account(statements=1, rows=len(papers))
-            self._condition_memo.clear()
             mutation = (DataMutation(
                 TUPLES_UPDATED, "dblp",
                 rows=self._joined_rows_unlocked(pids),
@@ -605,45 +646,57 @@ class MemoryBackend:
         """Append profiles to the staging tables; return rows per table."""
         with self._lock:
             self._require_open()
-            quant = qual = 0
+            first_quant, first_qual = self._next_quant_pfid, self._next_qual_pfid
             for profile in registry:
-                for preference in profile.quantitative:
-                    self._quant.append((self._next_quant_pfid, profile.uid,
-                                        preference.predicate_sql,
-                                        float(preference.intensity)))
-                    self._next_quant_pfid += 1
-                    quant += 1
-                for preference in profile.qualitative:
-                    self._qual.append((self._next_qual_pfid, profile.uid,
-                                       preference.left_sql, preference.right_sql,
-                                       float(preference.intensity)))
-                    self._next_qual_pfid += 1
-                    qual += 1
+                uid = int(profile.uid)
+                if profile.quantitative:
+                    rows = self._quant.setdefault(uid, [])
+                    for preference in profile.quantitative:
+                        rows.append((self._next_quant_pfid,
+                                     preference.predicate_sql,
+                                     float(preference.intensity)))
+                        self._next_quant_pfid += 1
+                if profile.qualitative:
+                    rows = self._qual.setdefault(uid, [])
+                    for preference in profile.qualitative:
+                        rows.append((self._next_qual_pfid, preference.left_sql,
+                                     preference.right_sql,
+                                     float(preference.intensity)))
+                        self._next_qual_pfid += 1
+            quant = self._next_quant_pfid - first_quant
+            qual = self._next_qual_pfid - first_qual
             self._account(statements=(1 if quant else 0) + (1 if qual else 0),
                           rows=quant + qual)
             return {"quantitative_pref": quant, "qualitative_pref": qual}
 
     def read_profiles(self, uids: Optional[Iterable[int]] = None
                       ) -> ProfileRegistry:
-        """Rebuild profiles from the staging tables, in insertion order."""
+        """Rebuild profiles from the staging tables, in insertion order:
+        the wanted users' rows, merged by pfid."""
         with self._lock:
             self._require_open()
             self._account(statements=2)  # the two staging-table reads
             wanted = None if uids is None else {int(uid) for uid in uids}
             registry = ProfileRegistry()
-            for _, uid, predicate, intensity in self._quant:
-                if wanted is not None and uid not in wanted:
-                    continue
-                profile = registry.get_or_create(int(uid))
-                profile.quantitative.append(QuantitativePreference(
-                    uid=int(uid), predicate=predicate, intensity=intensity))
-            for _, uid, left, right, intensity in self._qual:
-                if wanted is not None and uid not in wanted:
-                    continue
-                profile = registry.get_or_create(int(uid))
-                profile.qualitative.append(QualitativePreference(
-                    uid=int(uid), left=left, right=right, intensity=intensity))
+            for _, uid, predicate, intensity in self._staged(self._quant, wanted):
+                registry.get_or_create(uid).quantitative.append(
+                    QuantitativePreference(uid=uid, predicate=predicate,
+                                           intensity=intensity))
+            for _, uid, left, right, intensity in self._staged(self._qual, wanted):
+                registry.get_or_create(uid).qualitative.append(
+                    QualitativePreference(uid=uid, left=left, right=right,
+                                          intensity=intensity))
             return registry
+
+    @staticmethod
+    def _staged(table: Mapping[int, List[Tuple]],
+                uids: Optional[Iterable[int]]) -> List[Tuple]:
+        """``uids``' rows of one staging table (every user's on ``None``)
+        as ``(pfid, uid, ...)``, in pfid order."""
+        return sorted(((row[0], uid) + row[1:]
+                       for uid in (table if uids is None else uids)
+                       for row in table.get(uid, ())),
+                      key=itemgetter(0))
 
     def profile_rows(self, uid: int) -> Tuple[List[Tuple[str, float]],
                                               List[Tuple[str, str, float]]]:
@@ -652,12 +705,8 @@ class MemoryBackend:
             self._require_open()
             self._account(statements=2)  # the two staging-table reads
             uid = int(uid)
-            return ([(predicate, intensity)
-                     for _, owner, predicate, intensity in self._quant
-                     if owner == uid],
-                    [(left, right, intensity)
-                     for _, owner, left, right, intensity in self._qual
-                     if owner == uid])
+            return ([row[1:] for row in self._quant.get(uid, ())],
+                    [row[1:] for row in self._qual.get(uid, ())])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"MemoryBackend(papers={len(self._papers)}, "

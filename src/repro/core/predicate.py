@@ -153,6 +153,30 @@ def _sqlite_text(value: Union[int, float]) -> str:
     return text
 
 
+def _equality_keys(literal: Any) -> Optional[Tuple[Union[str, int, float], ...]]:
+    """The dict keys under which a stored value equal to ``literal`` sits.
+
+    :func:`_compare_values` calls a text value equal to an ``=`` literal
+    when it equals the literal's text (a numeric literal rendered as SQLite
+    renders it), and a numeric value when it equals the literal's number (a
+    text literal coerced when it is numeric-shaped).  A text key never
+    equals a numeric one, and Python's ``==`` and ``hash`` agree across
+    ``int``, ``float`` and ``bool``, so a lookup of these keys in one dict
+    of text and number values finds exactly the values ``_compare_values``
+    calls equal.  The NULL literal equals no value: ``()``.  A literal with
+    no key form — NaN, or a value of another type — is ``None``: the
+    caller compares it value by value.
+    """
+    if literal is None:
+        return ()
+    if isinstance(literal, str):
+        number = _as_number(literal)
+        return (literal,) if number is None else (literal, number)
+    if isinstance(literal, (int, float)) and literal == literal:
+        return _sqlite_text(literal), literal
+    return None
+
+
 def _compare_values(actual: Any, value: Any, op: str) -> bool:
     """Compare two non-NULL values the way SQLite's comparison rules do.
 

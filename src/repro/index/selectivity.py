@@ -45,9 +45,8 @@ from typing import (Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set,
 from ..core.predicate import (
     Condition,
     PredicateExpr,
-    _as_number,
+    _equality_keys,
     _lookup,
-    _sqlite_text,
     attribute_names_match,
     ensure_predicate,
 )
@@ -264,33 +263,21 @@ def _equality_shape(conjunct: str) -> _Shape:
     """The bucket values a row value matches ``conjunct`` through.
 
     ``Condition.evaluate`` compares an ``=`` literal the way SQLite's
-    affinity does (:func:`~repro.core.predicate._compare_values`): a text
-    value equals the literal's text (a numeric literal rendered as SQLite
-    renders it), a numeric value equals the literal's number (a text literal
-    coerced when it is numeric-shaped).  A text bucket value never equals a
-    numeric one, so one dict holds both: a text row value finds the key only
-    under its text, a number only under its number — and Python's ``==``
-    and ``hash`` agree across ``int``, ``float`` and ``bool``, so a lookup
-    finds exactly the keys ``evaluate`` calls equal.  The NULL literal
-    equals no value (SQL's ``= NULL`` is never true), so it is bucketed
-    under none.  NaN literals, and every non-equality shape, are ``None``:
-    generic, judged for every row.
+    affinity does, and :func:`~repro.core.predicate._equality_keys` names
+    the dict keys a value equal to the literal is found under — the rule
+    the columnar engine looks its own equality buckets up by.  A text or
+    number row value therefore reaches the conjunct's bucket exactly when
+    ``evaluate`` calls it equal; the NULL literal is bucketed under no
+    value (SQL's ``= NULL`` is never true).  NaN literals, and every
+    non-equality shape, are ``None``: generic, judged for every row.
     Memoised: a conjunct returns whenever a key holding it is memoised or
     scored again.
     """
     parsed = ensure_predicate(conjunct)
     if not isinstance(parsed, Condition) or parsed.op != "=":
         return None
-    literal = parsed.value
-    if literal is None:
-        return parsed.attribute, ()
-    if isinstance(literal, str):
-        number = _as_number(literal)
-        return parsed.attribute, ((literal,) if number is None
-                                  else (literal, number))
-    if isinstance(literal, (int, float)) and literal == literal:
-        return parsed.attribute, (_sqlite_text(literal), literal)
-    return None
+    keys = _equality_keys(parsed.value)
+    return None if keys is None else (parsed.attribute, keys)
 
 
 class ConjunctIndex:

@@ -255,7 +255,11 @@ class CachedResult:
             return None, FALLBACK_UNDERFLOW
         if buffer == self.buffer:
             return self, REPAIRED
-        return replace(self, ranking=buffer[:self.k], buffer=buffer), REPAIRED
+        # Positional: ``dataclasses.replace`` reads every field by name
+        # first, a cost paid for each changed answer of a sweep.
+        return CachedResult(self.uid, self.k, buffer[:self.k], self.conjuncts,
+                            self.intensities, buffer, self.complete,
+                            self.depth, self.outline, self.staged), REPAIRED
 
     def apply_profile(self, runner: "PreferenceQueryRunner",
                       preferences: Sequence["ScoredPreference"],
