@@ -13,8 +13,9 @@ surface with pure set algebra:
   its SQLite text) — the rule the sweep's
   :class:`~repro.index.selectivity.ConjunctIndex` buckets by — and unions
   the buckets found,
-* a range condition, and an equality literal with no key form (NaN),
-  scans the column's *distinct values* and unions the qualifying buckets,
+* a range condition, and an equality literal with no key form (neither
+  text nor a number), scans the column's *distinct values* and unions the
+  qualifying buckets,
 * AND intersects child row-id sets, OR unions them,
 
 so a count never touches individual rows, and nothing is memoised across
@@ -339,8 +340,10 @@ class MemoryBackend:
         One bucket lookup per key :func:`_equality_keys` names, so
         mixed-type literals (``year = '2005'``, ``venue = 100``) match
         exactly what the SQL engine matches; only a literal with no key
-        form (NaN) scans the distinct values.  The result may be an index
-        bucket itself: callers read it and never change it.
+        form (neither text nor a number) scans the distinct values.  A NaN
+        literal never gets here: :class:`Condition` refuses it.  The result
+        may be an index bucket itself: callers read it and never change
+        it.
         """
         keys = _equality_keys(literal)
         if keys is None:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 import re
+import sqlite3
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import (Any, Callable, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
@@ -138,19 +140,31 @@ def _as_number(text: str) -> Optional[Union[int, float]]:
 def _sqlite_text(value: Union[int, float]) -> str:
     """Render a numeric literal the way SQLite's TEXT affinity does.
 
-    Matches modern SQLite's shortest-round-trip REAL rendering, which agrees
-    with ``repr`` except that an exponent-form mantissa always keeps a
-    fractional digit (``1.0e+16``, not ``1e+16``).
+    An integer is its decimal digits (a ``bool`` its 0 or 1).  A REAL is
+    rendered by the installed SQLite itself (:func:`_real_text`): how many
+    digits it keeps differs between versions — SQLite 3.40 keeps 15, so
+    ``0.30000000000000004`` reads ``'0.3'`` — and only the engine's own
+    conversion agrees with it for every float.
     """
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
-    text = repr(float(value))
-    mantissa, _, exponent = text.partition("e")
-    if exponent and "." not in mantissa:
-        text = f"{mantissa}.0e{exponent}"
-    return text
+    return _real_text(float(value).hex())
+
+
+@lru_cache(maxsize=4096)
+def _real_text(spelling: str) -> str:
+    """SQLite's TEXT rendering of the REAL ``float.fromhex(spelling)``, as
+    its TEXT affinity converts it (``CAST(? AS TEXT)``).  Memoised by the
+    exact float, so each literal asks the engine once, on a connection of
+    its own: nothing is shared between threads.  SQLite binds NaN as NULL,
+    which has no text: its ``repr`` stands in."""
+    value = float.fromhex(spelling)
+    with closing(sqlite3.connect(":memory:")) as connection:
+        (text,) = connection.execute("SELECT CAST(? AS TEXT)",
+                                     (value,)).fetchone()
+    return repr(value) if text is None else text
 
 
 def _equality_keys(literal: Any) -> Optional[Tuple[Union[str, int, float], ...]]:
@@ -164,8 +178,9 @@ def _equality_keys(literal: Any) -> Optional[Tuple[Union[str, int, float], ...]]
     ``int``, ``float`` and ``bool``, so a lookup of these keys in one dict
     of text and number values finds exactly the values ``_compare_values``
     calls equal.  The NULL literal equals no value: ``()``.  A literal with
-    no key form — NaN, or a value of another type — is ``None``: the
-    caller compares it value by value.
+    no key form — NaN (which no :class:`Condition` accepts as an ``=`` or
+    ``IN`` literal), or a value of another type — is ``None``: the caller
+    compares it value by value.
     """
     if literal is None:
         return ()
@@ -318,7 +333,8 @@ class Condition(PredicateExpr):
     """A single ``attribute <op> value`` comparison.
 
     ``attribute`` may be qualified (``dblp.venue``) or bare (``year``).  For
-    the ``IN`` operator ``value`` must be a sequence of literals.
+    the ``IN`` operator ``value`` must be a sequence of literals.  An ``=``
+    or ``IN`` literal must not be a NaN or infinite float.
     """
 
     attribute: str
@@ -337,6 +353,14 @@ class Condition(PredicateExpr):
             if not self.value:
                 raise PredicateError("IN conditions require at least one value")
             object.__setattr__(self, "value", tuple(self.value))
+        if self.op in ("=", "IN"):
+            # Likewise a non-finite literal: inline, ``nan`` / ``inf`` name
+            # no column, so SQLite refuses the statement, and the sweep and
+            # the columnar engine must not answer it either.
+            for literal in self.value if self.op == "IN" else (self.value,):
+                if isinstance(literal, float) and not math.isfinite(literal):
+                    raise PredicateError(f"{self.op} conditions require "
+                                         f"finite literals, not {literal!r}")
 
     # -- rendering / evaluation ------------------------------------------------
 

@@ -268,8 +268,9 @@ def _equality_shape(conjunct: str) -> _Shape:
     the columnar engine looks its own equality buckets up by.  A text or
     number row value therefore reaches the conjunct's bucket exactly when
     ``evaluate`` calls it equal; the NULL literal is bucketed under no
-    value (SQL's ``= NULL`` is never true).  NaN literals, and every
-    non-equality shape, are ``None``: generic, judged for every row.
+    value (SQL's ``= NULL`` is never true).  A literal with no key form,
+    and every non-equality shape, is ``None``: generic, judged for every
+    row.
     Memoised: a conjunct returns whenever a key holding it is memoised or
     scored again.
     """

@@ -84,13 +84,18 @@ full fold, counted by reason, when it cannot prove the exact answer.  The
 read's :meth:`~ResultCache.put` hands the basis's holdings to the new
 answer, rewriting only the conjunct keys that changed.
 
-**Thread safety and the re-cache race.**  The cache carries its own
-re-entrant lock, so warm lookups no longer need the server's big lock (the
-multi-threaded load harness showed every warm read serialising on it).
-That exposes a classic check-then-act window: a Top-K computed from
-pre-mutation data could be :meth:`~ResultCache.put` back *after* the
-mutation's invalidation sweep already ran — a stale answer re-cached where
-the sweep can never find it again.  The cache therefore keeps a monotonically
+**Thread safety and the re-cache race.**  A warm lookup takes no lock:
+:meth:`~ResultCache.get` is one dict read plus one ``itertools.count``
+step, both single operations under the GIL.  Every write holds the cache's
+own re-entrant lock and becomes visible to such a reader in one step — a
+put stores one key, a profile invalidation pops one, and a data sweep pops
+its dropped answers and then publishes every repaired one with a single
+``dict.update`` (the publication argument is at
+:meth:`~ResultCache.on_data_mutation`).  Puts and sweeps may also arrive
+without a server's lock, which exposes a classic check-then-act window: a
+Top-K computed from pre-mutation data could be :meth:`~ResultCache.put`
+back *after* the mutation's invalidation sweep already ran — a stale answer
+re-cached where the sweep can never find it again.  The cache therefore keeps a monotonically
 increasing **invalidation epoch**: every sweep (data mutation, profile
 invalidation, clear) bumps it, and a caller that snapshots
 :attr:`~ResultCache.epoch` *before* computing can pass it to
@@ -103,6 +108,7 @@ proven fresh.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from operator import itemgetter
@@ -370,6 +376,12 @@ class CachedResult:
         return tuple(merged[:cap])
 
 
+def _counted(counter: itertools.count) -> int:
+    """The next value ``counter`` would yield — the count so far — read
+    from its ``repr`` (``count(n)``) without advancing it."""
+    return int(repr(counter)[6:-1])
+
+
 def spare_threshold(entry: CachedResult) -> float:
     """The score a sweep's bound must stay below to spare ``entry``: its
     buffer's floor less :data:`BOUND_MARGIN`, or ``-inf`` — never spared —
@@ -405,9 +417,12 @@ class ResultCache:
     shared — or, built alone, in its own."""
 
     def __init__(self, conjunct_index: Optional[ConjunctIndex] = None) -> None:
-        # The cache is a shared leaf structure: warm lookups, puts and
-        # invalidation sweeps may arrive from different threads without the
-        # server lock, so every access holds this lock.
+        # The cache is a shared leaf structure: puts and invalidation sweeps
+        # may arrive from different threads without the server lock, so
+        # every write and every read but :meth:`get` holds this lock.
+        # ``get`` reads ``_entries`` with one dict lookup and no lock; each
+        # write changes what it can see in one step (see
+        # :meth:`on_data_mutation`).
         self._lock = threading.RLock()
         self._entries: Dict[int, CachedResult] = {}
         #: The answers profile updates outdated, kept as repair bases and
@@ -427,9 +442,12 @@ class ResultCache:
         self._thresholds: Dict[int, float] = {}
         #: Monotonic invalidation epoch (see module docs).
         self._epoch = 0
-        #: Warm requests answered from memory / requests that had to compute.
-        self.hits = 0
-        self.misses = 0
+        #: Warm requests answered from memory / requests that had to
+        #: compute, counted lock-free: ``next`` on a count is one step under
+        #: the GIL, so no increment is lost (read by :attr:`hits` /
+        #: :attr:`misses`).
+        self._hits = itertools.count()
+        self._misses = itertools.count()
         #: Entries profile updates took out of serving (each kept as a
         #: basis) / entries data mutations dropped: every one a repair that
         #: fell back, so it is exported as ``repair_fallbacks`` too.
@@ -460,6 +478,16 @@ class ResultCache:
     # -- lookups ----------------------------------------------------------------
 
     @property
+    def hits(self) -> int:
+        """Requests :meth:`get` answered from memory."""
+        return _counted(self._hits)
+
+    @property
+    def misses(self) -> int:
+        """Requests :meth:`get` found no serving answer for."""
+        return _counted(self._misses)
+
+    @property
     def epoch(self) -> int:
         """The current invalidation epoch.
 
@@ -475,17 +503,21 @@ class ResultCache:
         """The user's cached answer when it serves ``k`` (``0 < k <=
         entry.k``), counting hit/miss.
 
+        Takes no lock: one dict lookup, and the hit or miss counted by one
+        ``next`` on a count.  What it returns is an answer some write
+        published whole — the state before or after a sweep's one
+        publication, never a mix (:meth:`on_data_mutation`).
+
         A server's warm read is this call and nothing else, so a hit is
         what counts it (``serving.server.reads`` / ``read_hits``); the
         server's span, not this call, says whether the read hit.
         """
-        with self._lock:
-            entry = self._entries.get(uid)
-            if entry is not None and 0 < k <= entry.k:
-                self.hits += 1
-                return entry
-            self.misses += 1
-            return None
+        entry = self._entries.get(uid)
+        if entry is not None and 0 < k <= entry.k:
+            next(self._hits)
+            return entry
+        next(self._misses)
+        return None
 
     def peek(self, uid: int, k: int) -> Optional[CachedResult]:
         """:meth:`get` without touching the statistics.  Like :meth:`get`,
@@ -683,6 +715,18 @@ class ResultCache:
         A basis is swept by the same rules and counted apart, in
         :attr:`basis_repairs` and :attr:`basis_drops`.
 
+        **The publication.**  :meth:`get` reads without the lock, so the
+        sweep changes what it can see in two steps, last of all: it pops
+        every dropped answer, and then stores every repaired one with one
+        ``dict.update`` — one C call over int keys, which runs no Python
+        code a thread switch could interrupt (an answer it frees has no
+        finaliser).  Every hit
+        therefore returns the answer from before that update or the one
+        from after it; a dropped answer is gone before any repaired one
+        appears; and a miss queues on the server lock, which the sweeping
+        thread holds.  So no reader sees a post-mutation answer and then a
+        pre-mutation one.
+
         Returns this store's share of the sweep's impact under the
         :class:`~repro.serving.server.DataMutationReport` names —
         ``results_invalidated``, ``results_repaired``, ``results_spared`` —
@@ -715,13 +759,14 @@ class ResultCache:
             entries, bases = self._entries, self._bases
             thresholds = self._thresholds
             dropped: List[int] = []
+            # The repaired answers, published below in one step.
+            published: Dict[int, CachedResult] = {}
             underflows = applied = 0
             for uid, miss in misses.items():
                 if 1.0 - miss < thresholds[uid] and uid not in must:
                     continue
                 served = uid in entries
-                store = entries if served else bases
-                entry = store[uid]
+                entry = entries[uid] if served else bases[uid]
                 # A delete scores no tuple: its repair asks no position.
                 positions = () if not post_rows else [
                     position for position, conjuncts
@@ -733,15 +778,22 @@ class ResultCache:
                     if served and reason == FALLBACK_UNDERFLOW:
                         underflows += 1
                 elif replacement is not entry:
-                    store[uid] = replacement
+                    if served:
+                        published[uid] = replacement
+                    else:
+                        # A basis is never served: no reader to publish to.
+                        bases[uid] = replacement
                     self._move(uid, entry, replacement)
             # Every affected uid not dropped was repaired: spared or not.
             affected_bases = len(bases.keys() & misses.keys())
             invalidated = len(entries.keys() & dropped)
             repaired = len(misses) - affected_bases - invalidated
             rebased = affected_bases - (len(dropped) - invalidated)
+            # The publication (see the docstring): drops first, then every
+            # repair in one ``update``.
             for uid in dropped:
                 self._move(uid, entries.pop(uid, None) or bases.pop(uid), None)
+            entries.update(published)
             impact = {"results_invalidated": invalidated,
                       "results_repaired": repaired,
                       "results_spared": len(entries) - repaired}

@@ -47,19 +47,22 @@ sweep's fault, so a direct loader call's is counted too, as
 ``serving.server.forgets.direct.in_sweep``: after a fault the server serves
 the exact answer or refuses, never a stale one.
 
-**Locking.**  A warm hit takes one lock, the result cache's own, and is
-counted there; everything else — cold read, profile update, data mutation,
-close — runs alone under the server's one re-entrant lock.  Lock order,
-outermost first: server lock → result cache → backend.
+**Locking.**  A warm hit takes no lock: it is one lock-free result-cache
+lookup, counted there; everything else — cold read, profile update, data
+mutation, close — runs alone under the server's one re-entrant lock.  Each
+result-cache write holds the cache's own lock and becomes visible to a warm
+hit in one step, so a hit returns an answer from before a sweep or from
+after it (:meth:`~repro.serving.results.ResultCache.on_data_mutation`).
+Lock order, outermost first: server lock → result cache → backend.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from time import perf_counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
@@ -75,8 +78,7 @@ from ..sqldb.events import (
     TUPLES_UPDATED,
     DataMutation,
 )
-from ..telemetry import Telemetry, span
-from ..telemetry.trace import NULL_SPAN
+from ..telemetry import Telemetry, current_span, span
 from ..workload.dblp import Paper
 from ..workload.loader import (
     append_papers,
@@ -113,8 +115,9 @@ class ServeResult(NamedTuple):
 
     ``k`` is the k asked for; the cached answer served may be deeper.  A
     named tuple, not a frozen dataclass: it is just as immutable, and a
-    warm hit builds it positionally in ≈ 0.5 µs instead of ≈ 1.9 µs by
-    keyword (2 cores).
+    warm hit builds it with ``tuple.__new__`` — past the named tuple's
+    Python-level ``__new__`` — in ≈ 0.2 µs instead of ≈ 0.3 µs
+    positionally or ≈ 0.6 µs by keyword (2 cores).
     """
 
     uid: int
@@ -337,9 +340,9 @@ class TopKServer:
         name in snake case, a legal metric segment).  Each door calls it
         from a plain ``try``/``except``, which costs nothing until it
         raises; a context manager would add a generator round-trip
-        (≈ 1.5 µs) to every warm read, more than the whole untraced hit
-        (≈ 1.4 µs on 2 cores: ≈ 0.6 µs result-cache lookup, ≈ 0.5 µs
-        record, the rest two clock reads and the calls)."""
+        (≈ 1.5 µs) to every warm read, more than twice the whole untraced
+        hit (≈ 0.65 µs on 2 cores: ≈ 0.1 µs lock-free result-cache lookup,
+        ≈ 0.2 µs record, the rest two clock reads and the calls)."""
         kind = re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
         key = f"{door}.{kind}"
         with self._stats_lock:
@@ -413,7 +416,7 @@ class TopKServer:
                 trace.annotate("uid", uid)
                 with self._locked():
                     self._check_open()
-                    start = time.perf_counter()
+                    start = perf_counter()
                     statements_before = self.db.statements_executed
                     registry = ProfileRegistry()
                     registry.add(profile)
@@ -428,7 +431,7 @@ class TopKServer:
                         results_invalidated=invalidated,
                         sql_statements=(self.db.statements_executed
                                         - statements_before),
-                        seconds=time.perf_counter() - start)
+                        seconds=perf_counter() - start)
                 if self._mutation_latency is not None:
                     self._mutation_latency.record(report.seconds)
                 return report
@@ -442,12 +445,12 @@ class TopKServer:
         """Answer one personalised Top-K request.
 
         Warm requests are served straight from the result cache — zero SQL
-        statements, **no server-level lock** and no counter of the server's
-        (see the module docstring), the acceptance criterion of the serving
+        statements, **no lock** and no counter of the server's (see the
+        module docstring), the acceptance criterion of the serving
         benchmark and the load harness' hot path; untraced, a warm hit is
-        one result-cache lookup and one named tuple; a larger ``k`` than
-        the cached answer's reads cold from its outline and replaces it,
-        and ``k < 1`` raises
+        one lock-free result-cache lookup and one named tuple; a larger
+        ``k`` than the cached answer's reads cold from its outline and
+        replaces it, and ``k < 1`` raises
         :class:`~repro.exceptions.TopKError`.  Cold requests take
         the server lock, take the basis a profile update left, build the
         user's PEPS — from the basis's build outline, or from the persisted
@@ -459,12 +462,10 @@ class TopKServer:
         a complete answer that depends on no predicate.
         """
         try:
-            trace = self._trace("server.top_k")
-            if trace is NULL_SPAN:
-                # Nothing traces and nothing records latency (an adopted
-                # Telemetry always opens a real span): the bare body.
+            if self._telemetry is None and current_span() is None:
+                # Nothing traces and nothing records latency: the bare body.
                 return self._serve_top_k(uid, k)
-            with trace:
+            with self._trace("server.top_k") as trace:
                 trace.annotate("uid", uid)
                 result = self._serve_top_k(uid, k)
                 trace.annotate("cache_hit", result.cache_hit)
@@ -477,13 +478,14 @@ class TopKServer:
 
     def _serve_top_k(self, uid: int, k: int) -> ServeResult:
         """The uninstrumented ``top_k`` body (see :meth:`top_k`)."""
-        start = time.perf_counter()
+        start = perf_counter()
         entry = self.results.get(uid, k)
         if entry is not None:
             # Counted by ``get`` as a result-cache hit; see :attr:`reads`.
-            return ServeResult(
+            # ``tuple.__new__`` skips the named tuple's Python ``__new__``.
+            return tuple.__new__(ServeResult, (
                 uid, k, entry.ranking if k == entry.k else entry.buffer[:k],
-                True, 0, time.perf_counter() - start)
+                True, 0, perf_counter() - start))
         if k < 1:
             raise TopKError("k must be positive")
         with self._locked():
@@ -494,7 +496,7 @@ class TopKServer:
             if answer is not None and k <= answer.k:
                 self._bump(locked_reads=1, peek_hits=1)
                 return ServeResult(uid, k, answer.buffer[:k], True, 0,
-                                   time.perf_counter() - start)
+                                   perf_counter() - start)
             # The warm path above never asks: a closed server holds no
             # cached answers, so every read ends up here.
             self._check_open()
@@ -537,7 +539,7 @@ class TopKServer:
             return ServeResult(
                 uid, k, ranking, False,
                 self.db.statements_executed - statements_before,
-                time.perf_counter() - start)
+                perf_counter() - start)
 
     def _fold(self, peps: PEPSAlgorithm, k: int
               ) -> Tuple[List[Tuple[int, float]], bool]:
@@ -604,7 +606,7 @@ class TopKServer:
                 trace.annotate("papers", papers)
                 with self._locked():
                     self._check_open()
-                    start = time.perf_counter()
+                    start = perf_counter()
                     statements_before = self.db.statements_executed
                     self._door, self._last_sweep = door, None
                     try:
@@ -630,7 +632,7 @@ class TopKServer:
                         kind=kind, papers=papers,
                         sql_statements=(self.db.statements_executed
                                         - statements_before),
-                        seconds=time.perf_counter() - start, **impact)
+                        seconds=perf_counter() - start, **impact)
                     with self._stats_lock:
                         setattr(self, counter, getattr(self, counter) + 1)
             if self._mutation_latency is not None:

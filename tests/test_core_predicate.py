@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.core.predicate import (
@@ -22,6 +26,7 @@ from repro.core.predicate import (
     same_attribute,
     shared_attributes,
 )
+from repro.core.predicate import _sqlite_text
 from repro.exceptions import PredicateError, PredicateParseError
 
 
@@ -46,6 +51,20 @@ class TestConditionConstruction:
             Condition("venue", "IN", ())
         with pytest.raises(PredicateError, match="at least one value"):
             in_set("venue", [])
+
+    @pytest.mark.parametrize("literal", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_equality_literal_rejected_at_construction(self,
+                                                                  literal):
+        # Inline, ``nan`` / ``inf`` name no column: SQLite refuses the
+        # statement, so the predicate must not be built for a sweep or the
+        # columnar engine to answer either.
+        with pytest.raises(PredicateError, match="finite"):
+            equals("venue", literal)
+        with pytest.raises(PredicateError, match="finite"):
+            in_set("venue", ["VLDB", literal])
+        # A range literal is not an equality: it still builds.
+        assert Condition("year", "<", literal).value is literal
 
     def test_in_requires_sequence(self):
         with pytest.raises(PredicateError):
@@ -243,6 +262,13 @@ class TestParsing:
         with pytest.raises(PredicateParseError, match="at least one value"):
             parse_predicate("venue IN ()")
 
+    @pytest.mark.parametrize("text", [
+        "venue = nan", "year = 1e999", "year = -1e999", "venue = Infinity",
+        "venue IN ('VLDB', nan)", "year IN (2005, 1e999)"])
+    def test_parse_non_finite_equality_raises(self, text):
+        with pytest.raises(PredicateError, match="finite"):
+            parse_predicate(text)
+
     def test_parse_trailing_tokens_raise(self):
         with pytest.raises(PredicateParseError):
             parse_predicate("a = 1 b = 2")
@@ -308,3 +334,33 @@ class TestCompatibility:
         assert same_attribute(venue_a, venue_b)
         assert not same_attribute(venue_a, author)
         assert shared_attributes(venue_a, author) == frozenset()
+
+
+class TestFloatLiteralText:
+    """A float literal compares with a TEXT column as the text the installed
+    SQLite converts it to, whatever that version's digits."""
+
+    FLOATS = [0.1 + 0.2, 0.1, -0.0, 0.0, 1e16, 1e-05, 2.5, 100.0,
+              123456789012345678.0, 1 / 3, 5e-324, 1.7976931348623157e308]
+
+    @staticmethod
+    def sqlite_text(value):
+        with closing(sqlite3.connect(":memory:")) as connection:
+            return connection.execute("SELECT CAST(? AS TEXT)",
+                                      (value,)).fetchone()[0]
+
+    @pytest.mark.parametrize("value", FLOATS, ids=repr)
+    def test_rendering_is_sqlites(self, value):
+        assert _sqlite_text(value) == self.sqlite_text(value)
+
+    @pytest.mark.parametrize("value", FLOATS, ids=repr)
+    def test_evaluate_matches_what_sqlite_matches(self, value):
+        with closing(sqlite3.connect(":memory:")) as connection:
+            connection.execute("CREATE TABLE t (venue TEXT)")
+            texts = [repr(value), self.sqlite_text(value), "0.3"]
+            connection.executemany("INSERT INTO t VALUES (?)",
+                                   [(text,) for text in texts])
+            matched = {text for (text,) in connection.execute(
+                "SELECT venue FROM t WHERE venue = ?", (value,))}
+        assert {text for text in texts
+                if equals("venue", value).evaluate({"venue": text})} == matched

@@ -46,9 +46,12 @@ PAPERS = (
     (5, "Epsilon", "VLDB", 2012, "updates"),
     # Beyond-2**53 integer and SQLite's exponent rendering of 1e16.
     (6, "Zeta", "1.0e+16", 9007199254740993, "big"),
+    # A text 0.1 + 0.2 equals when SQLite renders it with 15 digits.
+    (7, "Eta", "0.3", 2001, "float"),
 )
 
-AUTHOR_LINKS = ((1, 1), (1, 2), (2, 1), (3, 2), (4, 3), (5, 3), (6, 1))
+AUTHOR_LINKS = ((1, 1), (1, 2), (2, 1), (3, 2), (4, 3), (5, 3), (6, 1),
+                (7, 2))
 
 PREDICATES = [
     # NULL-valued attributes: NULL never satisfies any comparison.
@@ -87,6 +90,13 @@ PREDICATES = [
     Condition("venue", "!=", 100),
     Condition("venue", ">", 100),
     Condition("venue", "IN", (100, "VLDB")),
+    # Text column vs. a full-precision float literal: SQLite compares the
+    # text it renders the REAL as (15 digits on 3.40: '0.3').
+    Condition("venue", "=", 0.1 + 0.2),
+    Condition("venue", "!=", 0.1 + 0.2),
+    Condition("venue", "<", 0.1 + 0.2),
+    Condition("venue", "IN", (0.1 + 0.2, "VLDB")),
+    Condition("title", "=", 1 / 3),
     # Plain composites over the same data, for completeness.
     parse_predicate("venue = 'VLDB' OR dblp.year >= 2010"),
     parse_predicate("venue = 'VLDB' AND dblp.year <= 2005"),

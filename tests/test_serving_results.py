@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.predicate import parse_predicate
 from repro.index import CountCache, RowMatch
-from repro.serving.results import ResultCache
+from repro.serving.results import CachedResult, ResultCache
 from repro.sqldb.events import (
     TUPLES_DELETED,
     TUPLES_INSERTED,
@@ -176,3 +176,54 @@ class TestDataInvalidation:
         put(cache, 2, 5, [(10, 0.9)], [VLDB])
         put(cache, 1, 5, [(11, 0.8)], [ICDE])
         assert cache.cached_users() == [1, 2]
+
+
+class TestPublication:
+    """A warm ``get`` takes no lock, so a sweep must change what it can see
+    in one step: every dropped answer leaves first, then every repaired one
+    appears at once."""
+
+    def test_a_sweep_publishes_its_repairs_at_once(self, monkeypatch):
+        cache = ResultCache()
+        # Truncated one-deep buffers holding the moved tuple: underflow.
+        put(cache, 1, 1, [(901, 0.9)], [VLDB], complete=False)
+        put(cache, 5, 1, [(901, 0.9)], [VLDB], complete=False)
+        put(cache, 2, 1, [(11, 0.9)], [ICDE])               # gains 901
+        put(cache, 3, 1, [(901, 0.9), (10, 0.9)], [VLDB])   # loses 901
+        put(cache, 4, 1, [(12, 0.9)], [RECENT])             # spared
+        uids = (1, 2, 3, 4, 5)
+        before = {uid: cache.peek(uid, 1) for uid in uids}
+        inside = []
+
+        def probe():
+            inside.append({uid: cache.get(uid, 1) for uid in uids})
+
+        def probed(method):
+            def wrapper(*args, **kwargs):
+                probe()
+                result = method(*args, **kwargs)
+                probe()
+                return result
+            return wrapper
+
+        monkeypatch.setattr(CachedResult, "apply_delta",
+                            probed(CachedResult.apply_delta))
+        monkeypatch.setattr(ResultCache, "_move", probed(ResultCache._move))
+        moved = {**VLDB_ROW, "venue": "ICDE"}
+        assert cache.on_data_mutation(RowMatch.of(update([VLDB_ROW],
+                                                         [moved]))) == {
+            "results_invalidated": 2, "results_repaired": 2,
+            "results_spared": 1}
+        after = {uid: cache.get(uid, 1) for uid in uids}
+        assert after[1] is after[5] is None
+        assert after[4] is before[4]
+        assert after[2].buffer == ((11, 0.9), (901, 0.9))
+        assert after[3].buffer == ((10, 0.9),)
+        # Probed before and after every repair and every holdings move.
+        assert len(inside) >= 2 * 5
+        for seen in inside:
+            for uid, entry in seen.items():
+                # The answer from before the sweep, or a miss once dropped:
+                # never a repaired answer before the sweep returns.
+                assert entry is before[uid] or (
+                    entry is None and after[uid] is None), (uid, seen)
