@@ -340,10 +340,10 @@ class MemoryBackend:
         One bucket lookup per key :func:`_equality_keys` names, so
         mixed-type literals (``year = '2005'``, ``venue = 100``) match
         exactly what the SQL engine matches; only a literal with no key
-        form (neither text nor a number) scans the distinct values.  A NaN
-        literal never gets here: :class:`Condition` refuses it.  The result
-        may be an index bucket itself: callers read it and never change
-        it.
+        form (neither text nor a number) scans the distinct values.  A NaN or
+        infinite literal never gets here: :class:`Condition` refuses it under
+        every operator.  The result may be an index bucket itself: callers
+        read it and never change it.
         """
         keys = _equality_keys(literal)
         if keys is None:

@@ -178,9 +178,9 @@ def _equality_keys(literal: Any) -> Optional[Tuple[Union[str, int, float], ...]]
     ``int``, ``float`` and ``bool``, so a lookup of these keys in one dict
     of text and number values finds exactly the values ``_compare_values``
     calls equal.  The NULL literal equals no value: ``()``.  A literal with
-    no key form — NaN (which no :class:`Condition` accepts as an ``=`` or
-    ``IN`` literal), or a value of another type — is ``None``: the caller
-    compares it value by value.
+    no key form — NaN (which no :class:`Condition` accepts as a literal), or
+    a value of another type — is ``None``: the caller compares it value by
+    value.
     """
     if literal is None:
         return ()
@@ -333,8 +333,8 @@ class Condition(PredicateExpr):
     """A single ``attribute <op> value`` comparison.
 
     ``attribute`` may be qualified (``dblp.venue``) or bare (``year``).  For
-    the ``IN`` operator ``value`` must be a sequence of literals.  An ``=``
-    or ``IN`` literal must not be a NaN or infinite float.
+    the ``IN`` operator ``value`` must be a sequence of literals.  No
+    literal may be a NaN or infinite float, whatever the operator.
     """
 
     attribute: str
@@ -353,14 +353,13 @@ class Condition(PredicateExpr):
             if not self.value:
                 raise PredicateError("IN conditions require at least one value")
             object.__setattr__(self, "value", tuple(self.value))
-        if self.op in ("=", "IN"):
-            # Likewise a non-finite literal: inline, ``nan`` / ``inf`` name
-            # no column, so SQLite refuses the statement, and the sweep and
-            # the columnar engine must not answer it either.
-            for literal in self.value if self.op == "IN" else (self.value,):
-                if isinstance(literal, float) and not math.isfinite(literal):
-                    raise PredicateError(f"{self.op} conditions require "
-                                         f"finite literals, not {literal!r}")
+        # Likewise a non-finite literal, under any operator: inline, ``nan``
+        # / ``inf`` name no column, so SQLite refuses the statement, and the
+        # sweep and the columnar engine must not answer it either.
+        for literal in self.value if self.op == "IN" else (self.value,):
+            if isinstance(literal, float) and not math.isfinite(literal):
+                raise PredicateError(f"{self.op} conditions require "
+                                     f"finite literals, not {literal!r}")
 
     # -- rendering / evaluation ------------------------------------------------
 

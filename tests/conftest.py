@@ -14,8 +14,8 @@ from repro.sqldb.database import Database
 from repro.workload.dblp import DblpConfig, generate_dblp
 from repro.workload.loader import load_dataset
 
-#: ``HYPOTHESIS_PROFILE=ci`` runs ten times the default examples; CI runs the
-#: server state machine (``test_server_machine.py``) under it.
+#: ``HYPOTHESIS_PROFILE=ci`` runs ten times the default examples; CI runs
+#: every ``differential``-marked test (``pytest -m differential``) under it.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -1,22 +1,47 @@
-"""Shared conformance contract every storage backend must satisfy.
+"""One contract for every storage engine, and the columnar engine against
+SQLite.
 
-One test class, parametrised over every registered backend
+The conformance class runs on every registered backend
 (:data:`repro.backend.BACKEND_NAMES`): SQLite, the served engine, and the
-columnar engine kept as its differential arm must agree on schema
-statistics, image capture, lifecycle/notify semantics, op accounting and
-predicate rejection.  The protocol's member list is pinned in
-``test_public_api.py``.
+columnar engine kept as its differential arm agree on schema statistics,
+image capture, lifecycle/notify semantics, op accounting and predicate
+rejection; the protocol's member list is pinned in ``test_public_api.py``.
+
+The differential drives both engines from empty through one drawn script,
+values and predicates from ``tests/strategies.py``: appends (self, orphan,
+shared and duplicate citation pairs; replaces, linked or not), deletes (of
+unknown pids, of both endpoints of a pair), in-place updates (of unknown
+pids too) and staged profiles (two spellings of a predicate) — after every
+step the reports or errors, the mutation each subscriber hears, the table
+counts, the workload shape and one drawn ``=`` / ``IN`` predicate's ids and
+count agree, and each literal's bucket lookup equals the distinct-value
+scan; then ``profile_rows`` (and its statements) and the order
+``read_profiles`` rebuilds.  The work-counter tests pin what a columnar
+call touches — citations by endpoint, staged rows by user, equality by
+bucket lookup (``_equality_keys``) — whatever the size of the tables.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from strategies import (ints, literals, names, pools, predicates, spellings,
+                        texts)
 
 from repro.backend import BACKEND_NAMES, StorageBackend, create_backend
+from repro.backend import memory as memory_module
+from repro.core.predicate import (Condition, _as_number, _compare_values,
+                                  in_set)
 from repro.core.preference import ProfileRegistry, UserProfile
-from repro.exceptions import PredicateError, RelationalError, WorkloadError
-from repro.sqldb.events import TUPLES_DELETED, TUPLES_INSERTED, TUPLES_UPDATED
-from repro.workload.dblp import DblpConfig, Paper, generate_dblp
+from repro.exceptions import (PredicateError, PredicateParseError,
+                              RelationalError, WorkloadError)
+from repro.sqldb.events import (TUPLES_DELETED, TUPLES_INSERTED,
+                                TUPLES_UPDATED, DataMutation)
+from repro.workload.dblp import (Author, DblpConfig, DblpDataset, Paper,
+                                 generate_dblp)
 from repro.workload.loader import (
     append_papers,
     delete_papers,
@@ -216,7 +241,6 @@ class TestBackendContract:
     # -- lifecycle / notify-after-close -------------------------------------------
 
     def test_notify_after_close_raises(self, loaded, events):
-        from repro.sqldb.events import DataMutation
         loaded.close()
         assert loaded.is_closed
         with pytest.raises(RelationalError):
@@ -260,34 +284,36 @@ class TestBackendContract:
                 == loaded.count_matching(None))
 
     def test_empty_in_rejected_before_reaching_engine(self, loaded):
-        from repro.exceptions import PredicateParseError
         with pytest.raises((PredicateError, PredicateParseError)):
             loaded.count_matching("dblp.venue IN ()")
-        from repro.core.predicate import in_set
         with pytest.raises(PredicateError):
             in_set("dblp.venue", [])
+
+    def test_a_non_finite_literal_is_refused(self, loaded):
+        """SQLite refuses ``year < inf`` (inline, ``inf`` names no column);
+        the columnar engine used to answer every pid.  No engine gets it."""
+        for text in ("dblp.year < 1e999", "dblp.year != nan",
+                     "dblp.venue = 'VLDB' AND dblp.year > -1e999"):
+            with pytest.raises(PredicateError, match="finite"):
+                loaded.matching_paper_ids(text)
+            with pytest.raises(PredicateError, match="finite"):
+                loaded.count_matching(text)
 
     # -- concurrency --------------------------------------------------------------
 
     def test_mutations_notify_outside_the_backend_lock(self, loaded):
-        """A listener that re-enters the backend from another thread's
-        perspective must not deadlock: notifications are delivered after the
-        engine releases its own lock (the serving layer's listeners grab the
-        server lock and then issue backend queries — delivering under the
-        backend lock would invert that order)."""
-        import threading
-
+        """A listener that re-enters the backend from another thread must
+        not deadlock: notifications are delivered after the engine releases
+        its own lock (the serving layer's listeners grab the server lock and
+        then issue backend queries — delivering under the backend lock would
+        invert that order)."""
         barrier_hit = threading.Event()
 
         def listener(mutation):
-            probe = {}
-
-            def other_thread():
-                # Re-enter the backend from a different thread while the
-                # mutation's notification is still being delivered.
-                probe["count"] = loaded.count_matching("dblp.year >= 0")
-
-            worker = threading.Thread(target=other_thread)
+            # Re-enter the backend from another thread while the mutation's
+            # notification is still being delivered.
+            worker = threading.Thread(
+                target=lambda: loaded.count_matching("dblp.year >= 0"))
             worker.start()
             worker.join(timeout=5)
             assert not worker.is_alive(), "backend lock held across notify"
@@ -313,3 +339,279 @@ class TestBackendContract:
         before_ops = backend.statements_executed
         backend.count_matching("dblp.year >= 2000")
         assert backend.statements_executed > before_ops
+
+
+# -- the columnar engine against SQLite -----------------------------------------
+
+#: A small pid universe, so drawn citations and deletes share endpoints;
+#: pids above ``PAPERS_UP_TO`` never get a paper (orphan endpoints).
+PIDS = range(1, 13)
+PAPERS_UP_TO = 9
+
+@st.composite
+def papers(draw, pids=range(1, PAPERS_UP_TO + 1)):
+    chosen = draw(st.lists(st.sampled_from(pids), min_size=1, max_size=4,
+                           unique=True))
+    return [Paper(pid, draw(texts), draw(texts), draw(ints)) for pid in chosen]
+
+
+pairs = st.tuples(st.sampled_from(PIDS), st.sampled_from(PIDS))
+links = st.lists(st.tuples(st.sampled_from(PIDS), st.integers(1, 4)),
+                 max_size=5)
+citations = st.lists(
+    st.one_of(pairs, st.sampled_from(PIDS).map(lambda pid: (pid, pid))),
+    max_size=8)
+
+
+@st.composite
+def registries(draw):
+    """Profiles over a few drawn predicates, each staged in one of its two
+    spellings."""
+    pool = draw(pools(predicates().map(lambda expr: expr.to_sql())))
+    stated = st.sampled_from(pool).flatmap(spellings)
+    registry = ProfileRegistry()
+    for uid in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3,
+                             unique=True)):
+        profile = UserProfile(uid=uid)
+        for predicate in draw(st.lists(stated, max_size=3)):
+            profile.add_quantitative(predicate, draw(st.sampled_from(
+                (0.25, 0.5, -0.5, 1.0))))
+        for left, right in draw(st.lists(st.tuples(stated, stated),
+                                         max_size=2)):
+            profile.add_qualitative(left, right, 0.5)
+        registry.add(profile)
+    return registry
+
+
+def _forms(value):
+    """``value`` and other spellings SQLite may call equal to it: a numeric
+    text's number, the next float above it (``'0.3'`` and
+    ``0.30000000000000004``: equal when SQLite renders 15 digits), a
+    number's texts and its ``int`` / ``float`` twin."""
+    forms = [value]
+    if isinstance(value, str):
+        number = _as_number(value)
+        if number is not None:
+            forms += [number, float(number), str(number),
+                      math.nextafter(float(number), math.inf)]
+    elif isinstance(value, (int, float)) and math.isfinite(value):
+        forms += [str(value), repr(float(value)), f" {value} ", float(value)]
+        if float(value).is_integer():
+            forms.append(int(value))
+    return forms
+
+
+def _registry_rows(registry):
+    """A rebuilt registry in its iteration order, rows in theirs."""
+    return [(profile.uid,
+             [(q.predicate_sql, q.intensity) for q in profile.quantitative],
+             [(q.left_sql, q.right_sql, q.intensity)
+              for q in profile.qualitative])
+            for profile in registry]
+
+
+def _outcome(call):
+    """``call()``'s result, or the kind of error it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc)
+
+
+def _state(engine):
+    return (engine.table_counts(), engine.workload_shape(),
+            engine.paper_ids(), engine.max_paper_id(), engine.max_author_id())
+
+
+def _predicate(data, memory):
+    """An ``=`` or ``IN`` over a drawn attribute: any literal, or another
+    spelling of a value the column holds."""
+    attribute = data.draw(st.one_of(names, st.just("dblp.pid")))
+    column = memory._resolve_column(attribute)
+    held = sorted({form for row in memory.joined_rows()
+                   for form in _forms(row[column])}, key=repr)
+    drawn = st.one_of(literals, st.sampled_from(held)) if held else literals
+    if data.draw(st.booleans(), label="IN"):
+        return Condition(attribute, "IN", data.draw(
+            st.lists(drawn, min_size=1, max_size=3)))
+    return Condition(attribute, "=", data.draw(drawn))
+
+
+def _agree_on(predicate, sqlite, memory):
+    answers = [(engine.matching_paper_ids(predicate),
+                engine.count_matching(predicate))
+               for engine in (sqlite, memory)]
+    assert answers[0] == answers[1], predicate
+    column = memory._resolve_column(predicate.attribute)
+    for literal in (predicate.value if predicate.op == "IN"
+                    else (predicate.value,)):
+        scanned = (set() if literal is None
+                   else memory._compared_rowids(column, literal, "="))
+        assert set(memory._equal_rowids(column, literal)) == scanned, literal
+
+
+@pytest.mark.differential
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_engines_agree_on_a_drawn_script(data):
+    sqlite, memory = create_backend("sqlite"), create_backend("memory")
+    heard = {sqlite: [], memory: []}
+    for engine in (sqlite, memory):
+        engine.subscribe(heard[engine].append)
+    try:
+        assert _state(sqlite) == _state(memory)
+        assert sqlite.count_matching(None) == memory.count_matching(None) == 0
+        seed = DblpDataset(papers=data.draw(papers()),
+                           authors=[Author(aid, f"a{aid}")
+                                    for aid in range(1, 5)],
+                           paper_authors=data.draw(links),
+                           citations=data.draw(citations))
+        assert load_dataset(sqlite, seed) == load_dataset(memory, seed)
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            step = data.draw(st.sampled_from(
+                ("append", "delete", "delete_pair", "update", "profiles")),
+                label="step")
+            if step == "append":
+                call = ("append_papers", data.draw(papers()),
+                        data.draw(links), data.draw(citations))
+            elif step == "delete":
+                call = ("delete_papers",
+                        data.draw(st.lists(st.sampled_from(PIDS), max_size=4)))
+            elif step == "delete_pair":
+                # Both endpoints of one stored pair go in one delete.
+                stored = sqlite.query_tuples("SELECT pid, cid FROM citation"
+                                             " ORDER BY pid, cid")
+                call = ("delete_papers", data.draw(st.sampled_from(stored))
+                        if stored else data.draw(pairs))
+            elif step == "update":
+                call = ("update_papers", data.draw(papers(PIDS)))
+            else:
+                call = ("load_profiles", data.draw(registries()))
+            name, *args = call
+            outcomes = [(_outcome(lambda: getattr(engine, name)(*args)),
+                         _state(engine),
+                         [_event_signature(event) for event in heard[engine]])
+                        for engine in (sqlite, memory)]
+            assert outcomes[0] == outcomes[1], step
+            for engine in (sqlite, memory):
+                heard[engine].clear()
+            _agree_on(_predicate(data, memory), sqlite, memory)
+
+        for uid in range(6):
+            rows = []
+            for engine in (sqlite, memory):
+                before = engine.statements_executed
+                rows.append((profile_rows(engine, uid),
+                             engine.statements_executed - before))
+            assert rows[0] == rows[1], uid
+        wanted = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(0, 5), max_size=4)), label="uids")
+        assert (_registry_rows(sqlite.read_profiles(wanted))
+                == _registry_rows(memory.read_profiles(wanted)))
+        for _ in range(3):
+            _agree_on(_predicate(data, memory), sqlite, memory)
+    finally:
+        sqlite.close()
+        memory.close()
+
+
+# -- work counters -------------------------------------------------------------
+
+
+class _Recording(dict):
+    """A dict that records every key a call reads or drops, and any walk
+    over the whole of it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.touched = []
+
+    def __getitem__(self, key):
+        self.touched.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.touched.append(key)
+        return super().get(key, default)
+
+    def pop(self, key, *default):
+        self.touched.append(key)
+        return super().pop(key, *default)
+
+    def __iter__(self):
+        self.touched.append("<walk>")
+        return super().__iter__()
+
+    def keys(self):
+        self.touched.append("<walk>")
+        return super().keys()
+
+    def values(self):
+        self.touched.append("<walk>")
+        return super().values()
+
+    def items(self):
+        self.touched.append("<walk>")
+        return super().items()
+
+
+def _chain_world(n_papers):
+    """Papers 1…n, each citing the next; paper 1 also cites itself."""
+    memory = create_backend("memory")
+    load_dataset(memory, DblpDataset(
+        papers=[Paper(pid, f"t{pid}", "VLDB", 2000 + pid % 10)
+                for pid in range(1, n_papers + 1)],
+        paper_authors=[(pid, 1 + pid % 3) for pid in range(1, n_papers + 1)],
+        citations=[(pid, pid + 1) for pid in range(1, n_papers)] + [(1, 1)]))
+    return memory
+
+
+@pytest.mark.parametrize("n_papers", [20, 2000])
+def test_a_delete_touches_only_its_papers_citations(n_papers):
+    memory = _chain_world(n_papers)
+    memory._cites = _Recording(memory._cites)
+    memory._cited_by = _Recording(memory._cited_by)
+    report = memory.delete_papers([5])
+    assert report == {"dblp": 1, "dblp_author": 1, "citation": 2}
+    # Its own entry on each side, and each partner's entry on the other.
+    assert sorted(memory._cites.touched) == [4, 5]
+    assert sorted(memory._cited_by.touched) == [5, 6]
+    assert memory.table_counts()["citation"] == n_papers - 2
+
+
+def test_an_equality_fetch_compares_no_value(monkeypatch):
+    memory = _chain_world(50)
+    calls = []
+
+    def counted(actual, value, op):
+        calls.append(op)
+        return _compare_values(actual, value, op)
+
+    monkeypatch.setattr(memory_module, "_compare_values", counted)
+    for predicate in (Condition("dblp.venue", "=", "VLDB"),
+                      Condition("dblp.year", "=", 2005),
+                      Condition("dblp.year", "=", "2005"),
+                      Condition("dblp.venue", "=", 100),
+                      Condition("dblp_author.aid", "IN", (1, "2", None))):
+        memory.matching_paper_ids(predicate)
+    assert calls == []
+    memory.matching_paper_ids(Condition("dblp.year", ">=", 2005))
+    assert calls and set(calls) == {">="}
+
+
+def test_profile_rows_reads_only_that_users_rows():
+    memory = create_backend("memory")
+    registry = ProfileRegistry()
+    for uid in range(200):
+        profile = UserProfile(uid=uid)
+        profile.add_quantitative("dblp.venue = 'VLDB'", 0.5)
+        profile.add_qualitative("dblp.year >= 2005", "dblp.year < 2005", 0.5)
+        registry.add(profile)
+    memory.load_profiles(registry)
+    memory._quant = _Recording(memory._quant)
+    memory._qual = _Recording(memory._qual)
+    assert memory.profile_rows(7) == ([("dblp.venue = 'VLDB'", 0.5)],
+                                      [("dblp.year >= 2005",
+                                        "dblp.year < 2005", 0.5)])
+    assert memory._quant.touched == [7]
+    assert memory._qual.touched == [7]

@@ -26,7 +26,7 @@ from repro.core.preference import QualitativePreference, QuantitativePreference,
 from repro.exceptions import UnknownUserError
 from repro.experiments.context import SCALES
 from repro.workload import load_dataset, load_profiles, profile_rows, read_profiles
-from test_peps_cold_path import count_calls
+from worlds import count_calls, graph_signature
 
 BACKENDS = ("sqlite", "memory")
 
@@ -64,18 +64,6 @@ def profile_build(db, uid):
     builder = HypreGraphBuilder()
     report = builder.build_profile(read_profiles(db, [uid]).get(uid))
     return builder.hypre, report
-
-
-def graph_signature(hypre, report, uid):
-    """Every node's text, intensity and provenance in id order, every edge
-    in insertion order, and the report's counters."""
-    nodes = [(node.predicate, node.intensity, node.source)
-             for node in map(hypre._nodes.__getitem__, hypre.user_node_ids(uid))]
-    edges = [(edge.source, edge.target, edge.rel_type, edge.intensity)
-             for edge in hypre._edges]
-    counters = {name: value for name, value in report.as_dict().items()
-                if not name.endswith("_seconds")}
-    return nodes, edges, counters
 
 
 def test_row_path_preference_lists_match_the_parent_digest(world):

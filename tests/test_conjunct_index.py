@@ -1,56 +1,46 @@
 """Differential tests for the sweep's conjunct index.
 
 ``ConjunctIndex`` holds the conjunct keys of a server's two stores and
-buckets every ``attr = literal`` conjunct of them by its literal, so a
-mutation row judges only the conjuncts its values can reach, and
-``stale(match)`` names the keys some one row may match, once per sweep.
-The oracle is the scan it replaced: a fresh ``RowMatch`` asked about every
-held conjunct and key.  Held keys mix text literals that are and are not numeric-shaped,
-numeric literals (``True``, integers past 2**53, full-precision floats),
-NULL, ``IN``, ranges (NaN among their literals),
-``!=`` and ``OR`` children, in qualified and bare spellings; rows carry
-ints, floats, text, NULLs and absent attributes under qualified or bare keys.
+buckets every ``attr = literal`` conjunct by its literal, so a mutation row
+judges only the conjuncts its values can reach, and ``stale(match)`` names
+the keys some one row may match, once per sweep.  The oracle is the scan it
+replaced: a fresh ``RowMatch`` asked about every held conjunct and key.
+Held keys, literals and rows (every stored kind, NULL, absent attributes,
+qualified or bare keys) come from ``tests/strategies.py``.
 
-* The live set, the stale keys, and every ``mask`` / ``exact`` bit a sweep
-  reads, equal the full scan's; a conjunct the sweep never judged has mask
-  0 in the full scan.
-* Reach is the verdict: for every equality literal and row value at
-  SQLite's affinity edges, the bits ``live`` records from its bucket lookup
+* The live set, the stale keys and every ``mask`` / ``exact`` bit a sweep
+  reads equal the full scan's; a conjunct never judged has mask 0 there.
+* Reach is the verdict: the bits ``live`` records from its bucket lookup
   equal ``exact_match_row``'s, and only generic keys and the keys of an
-  attribute holding an odd-typed value are evaluated.
+  attribute holding an odd-typed value are evaluated.  (That a bucket
+  reaches exactly the rows SQLite's ``=`` selects is
+  ``test_predicate_sqlite_differential.py``'s.)
 * A result cache and an id-list memo sharing one index run one bucket pass
-  per sweep between them.  ``ResultCache.on_data_mutation`` repairs and
-  drops exactly the entries the plain loop — ``any(shared(c) for c in
-  entry.conjuncts)`` — calls affected, each to the very entry a full-width
-  ``apply_delta`` builds, and leaves every other entry untouched; the memo
-  patches and drops exactly the lists the plain loop calls stale.  Its score bound changes nothing but
-  the number of ``apply_delta`` calls: every counter and drop equals the
-  unfiltered loop's, an unchanged entry is the very same object, and every
-  entry whose buffer changed was handed to ``apply_delta`` — over
+  per sweep.  ``ResultCache.on_data_mutation`` repairs and drops exactly
+  the entries the plain loop — ``any(shared(c) for c in entry.conjuncts)``
+  — calls affected, each to the very entry a full-width ``apply_delta``
+  builds, and leaves every other entry untouched; the memo patches and
+  drops exactly the lists the plain loop calls stale.  The score bound
+  changes nothing but the number of ``apply_delta`` calls — over
   multi-conjunct preferences, ties at the floor, ``complete`` entries,
-  unscorable rows, buffers shorter than ``k`` and intensities of exactly 0
-  and 1.
-
-``HYPOTHESIS_PROFILE=ci`` runs ten times the default examples.
+  unscorable rows, buffers shorter than ``k`` and intensities of 0 and 1.
 """
 
 from __future__ import annotations
 
-import math
-import sqlite3
-from contextlib import closing
-
-from hypothesis import given, settings, strategies as st
-
 import pytest
+from hypothesis import given, settings, strategies as st
+from strategies import (bound_state, cache_bound_state, conjunct_texts,
+                        held_keys, intensities, literals, names,
+                        pools, rows, stored, ODD_VALUE)
 
 from repro.algorithms.base import PreferenceQueryRunner
 from repro.core.intensity import combine_and
-from repro.core.predicate import Condition, Or, conjunction, parse_predicate
+from repro.core.predicate import Condition, conjunction, parse_predicate
 from repro.index import ConjunctIndex, CountCache, RowMatch
 from repro.index.selectivity import exact_match_row
 from repro.serving import TopKServer
-from repro.serving.results import BOUND_MARGIN, CachedResult, ResultCache
+from repro.serving.results import CachedResult, ResultCache
 from repro.sqldb.database import Database
 from repro.sqldb.events import (TUPLES_DELETED, TUPLES_INSERTED,
                                 TUPLES_UPDATED, DataMutation)
@@ -58,54 +48,7 @@ from repro.workload import PreferenceExtractor
 from repro.workload.dblp import DblpConfig, generate_dblp
 from repro.workload.loader import load_dataset, load_profiles
 
-ATTRIBUTES = {"venue": ("dblp.venue", "venue"),
-              "year": ("dblp.year", "year"),
-              "aid": ("dblp_author.aid", "aid")}
-TEXT_LITERALS = ("5", " 5 ", "5.0", "1e3", "abc", "VLDB", "1000", "nan",
-                 "1.0e+16", "0.3", "0.30000000000000004")
-#: ``0.1 + 0.2`` has 17 significant digits; SQLite's TEXT affinity may
-#: render it with fewer (``'0.3'`` on 3.40).
-NUMERIC_LITERALS = (5, 5.0, True, 0, 1000, 1000.0, 2 ** 53 + 1,
-                    float(2 ** 53), -0.0, 1e16, 0.1 + 0.2)
-literals = st.sampled_from(TEXT_LITERALS + NUMERIC_LITERALS)
-#: A range literal may also be NaN; an ``=`` or ``IN`` one may not.
-range_literals = st.one_of(literals, st.just(math.nan))
-spellings = st.sampled_from([name for names in ATTRIBUTES.values()
-                             for name in names])
-
-equalities = st.builds(Condition, spellings, st.just("="),
-                       st.one_of(literals, st.none()))
-others = st.one_of(
-    st.builds(Condition, spellings, st.sampled_from(["!=", "<", "<=", ">",
-                                                     ">="]), range_literals),
-    st.builds(Condition, spellings, st.just("IN"),
-              st.lists(literals, min_size=1, max_size=3)))
-conditions = st.one_of(equalities, equalities, others)
-#: Held conjunct texts, as a store renders them: mostly equalities.
-conjunct_texts = st.one_of(
-    conditions, conditions,
-    st.builds(lambda first, second: Or((first, second)),
-              conditions, conditions)).map(lambda expr: expr.to_sql())
-
-row_values = st.one_of(
-    st.sampled_from(TEXT_LITERALS),
-    st.sampled_from((5, 5.0, 0, 1000, 1000.0, 2 ** 53 + 1, float(2 ** 53),
-                     -0.0, 7)),
-    st.floats(allow_nan=True, allow_infinity=False),
-    st.integers(min_value=-3, max_value=2000),
-    st.none())
-
-
-@st.composite
-def rows(draw, pids=st.integers(min_value=1, max_value=6), absent=True):
-    """A joined-view row: each attribute absent (when ``absent``), or under
-    one spelling."""
-    row = {"pid": draw(pids)}
-    for names in ATTRIBUTES.values():
-        spelling = draw(st.sampled_from(((None,) if absent else ()) + names))
-        if spelling is not None:
-            row[spelling] = draw(row_values)
-    return row
+pytestmark = pytest.mark.differential
 
 
 def scan(keys, rows):
@@ -115,7 +58,7 @@ def scan(keys, rows):
 
 
 @settings(deadline=None)
-@given(st.lists(st.sets(conjunct_texts, min_size=1, max_size=3)
+@given(st.lists(st.sets(conjunct_texts(), min_size=1, max_size=3)
                 .map(frozenset), min_size=1, max_size=14),
        st.lists(st.booleans(), max_size=14),
        st.lists(rows(), min_size=1, max_size=4))
@@ -171,101 +114,32 @@ def test_exact_takes_the_conjunct_forms_shared_takes():
     assert match.distinct_predicates == 1
 
 
-def test_a_bucket_reaches_only_the_values_sqlite_equates():
-    """The case table of ``docs/INVALIDATION.md``: a text value reaches a
-    key by text, a number by number, an absent attribute every key of it
-    (may, not surely), NULL none, the NULL literal none but an absent
-    attribute, and a range is judged for every row.  A float literal
-    reaches the text SQLite renders it as.  What the lookup
-    reaches is the verdict; only the generic keys are evaluated."""
-    keys = ["dblp.year = '2005'", "dblp.year = 2005", "dblp.venue = 100",
-            "dblp.venue = 'VLDB'", "dblp.venue = 1e16", "dblp.venue = NULL",
-            "dblp.venue = 0.30000000000000004", "dblp.year >= 2010"]
-    index = ConjunctIndex()
-    for key in keys:
-        index.add(frozenset({key}))
-    generic = {"dblp.year >= 2010"}
-
-    def decided(row):
-        match = RowMatch([row])
-        index.live(match)
-        assert match.predicate_row_tests == len(generic)
-        return {key: (match.mask(key), match.exact([key]))
-                for key in set(match._masks) - generic}
-
-    assert decided({"year": 2005, "venue": "ICDE"}) == {
-        "dblp.year = '2005'": (1, 1), "dblp.year = 2005": (1, 1)}
-    assert decided({"year": "2005.0", "venue": "100"}) == {
-        "dblp.venue = 100": (1, 1)}
-    assert decided({"year": 1, "venue": "1.0e+16"}) == {
-        "dblp.venue = 1e16": (1, 1)}
-    assert decided({"year": 1, "venue": _sqlite_real_text(0.1 + 0.2)}) == {
-        "dblp.venue = 0.30000000000000004": (1, 1)}
-    assert decided({"year": None}) == {
-        "dblp.venue = 100": (1, 0), "dblp.venue = 'VLDB'": (1, 0),
-        "dblp.venue = 1e16": (1, 0), "dblp.venue = NULL": (1, 0),
-        "dblp.venue = 0.30000000000000004": (1, 0)}
-
-
-def _sqlite_real_text(value):
-    """The text the installed SQLite converts the REAL ``value`` to."""
-    with closing(sqlite3.connect(":memory:")) as connection:
-        return connection.execute("SELECT CAST(? AS TEXT)",
-                                  (value,)).fetchone()[0]
-
-
-#: Equality literals at SQLite's affinity edges: numeric-shaped and padded
-#: text, ints past 2**53, ``-0.0``, full-precision floats, booleans and NULL.
-EQUALITY_LITERALS = TEXT_LITERALS + (
-    "-0.0", "0", "1", "9007199254740993", "9007199254740992.0", "True",
-    None) + NUMERIC_LITERALS + (False, 1, 2 ** 63 - 1, 0.5)
-#: A row value of a type no column stores here: its attribute is evaluated.
-ODD_VALUE = b"5"
-ABSENT_VALUE = object()
-
-
-@st.composite
-def verdict_rows(draw):
-    """A row whose every attribute is text, an int, a float, a bool, NULL,
-    ``ODD_VALUE`` or absent, under one spelling."""
-    row = {"pid": draw(st.integers(min_value=1, max_value=6))}
-    for names in ATTRIBUTES.values():
-        value = draw(st.one_of(
-            st.sampled_from([literal for literal in EQUALITY_LITERALS
-                             if literal is not None]),
-            row_values, st.booleans(),
-            st.just(ODD_VALUE), st.just(ABSENT_VALUE)))
-        if value is not ABSENT_VALUE:
-            row[draw(st.sampled_from(names))] = value
-    return row
-
-
-def family(attribute):
-    """The ``ATTRIBUTES`` name an attribute spelling belongs to."""
-    return next(name for name, names in ATTRIBUTES.items()
-                if attribute in names)
-
-
 @settings(deadline=None)
-@given(st.lists(st.tuples(spellings, st.sampled_from(EQUALITY_LITERALS)),
-                min_size=1, max_size=8),
-       st.lists(verdict_rows(), min_size=1, max_size=4))
-def test_a_bucket_lookup_records_exact_match_rows_verdicts(equalities, rows):
+@given(st.data())
+def test_a_bucket_lookup_records_exact_match_rows_verdicts(data):
     """Reach is the verdict: for every equality key and row value, the
     may- and sure-bits ``live`` records equal ``exact_match_row``'s, and
     only a key whose attribute carries an odd-typed value is evaluated —
-    through ``RowMatch.mask``, once per row."""
+    through ``RowMatch.mask``, once per row.  Keys and row values share a
+    drawn pool, so rows often hold a key's literal or another spelling."""
+    pool = data.draw(pools(literals, max_size=6), label="pool")
+    equalities = data.draw(st.lists(st.tuples(names, st.sampled_from(pool)),
+                                    min_size=1, max_size=8))
+    held = [value for value in pool if value is not None]
+    values = st.one_of(st.sampled_from(held), stored) if held else stored
+    rows_ = data.draw(st.lists(rows(values=values, odd=True), min_size=1,
+                               max_size=4))
     keys = {Condition(attribute, "=", literal).to_sql()
             for attribute, literal in equalities}
     index = ConjunctIndex()
     for key in keys:
         index.add(frozenset({key}))
-    match = RowMatch(rows)
+    match = RowMatch(rows_)
     live = index.live(match)
     expected = {}
     for key in keys:
         may = surely = 0
-        for bit, row in enumerate(rows):
+        for bit, row in enumerate(rows_):
             verdict = exact_match_row(key, row)
             may |= (verdict is not False) << bit
             surely |= bool(verdict) << bit
@@ -276,35 +150,26 @@ def test_a_bucket_lookup_records_exact_match_rows_verdicts(equalities, rows):
             assert (match._masks[key], match._exact[key]) == bits, key
         else:
             assert bits == (0, 0), key
-    odd = {family(name) for row in rows for name, value in row.items()
-           if value is ODD_VALUE}
-    evaluated = {key for key in keys if not bucketed(key)
-                 or family(parse_predicate(key).attribute) in odd}
-    assert match.predicate_row_tests == len(evaluated) * len(rows)
+    odd = {name.split(".")[-1] for row in rows_
+           for name, value in row.items() if value is ODD_VALUE}
+    evaluated = {key for key in keys if not bucketed(key) or parse_predicate(
+        key).attribute.split(".")[-1] in odd}
+    assert match.predicate_row_tests == len(evaluated) * len(rows_)
 
 
 kinds = st.sampled_from([TUPLES_INSERTED, TUPLES_DELETED, TUPLES_UPDATED])
 
 
-#: Scores and intensities drawn from a small grid, so a repaired tuple's
-#: score often equals a buffer's floor (``1 − 0.5 · 0.5 = 0.75``).
-GRID_SCORES = (0.25, 0.5, 0.625, 0.75, 0.875, 1.0)
-GRID_INTENSITIES = (0.0, 0.25, 0.5, 1.0)
-
-
 @st.composite
 def entries(draw, conjunct_sets):
     """One cached answer's fields: an exact-looking buffer over pids 1..16
-    whose scores can tie the floor of another."""
-    preferences = draw(st.lists(st.tuples(
-        conjunct_sets, st.one_of(st.sampled_from(GRID_INTENSITIES),
-                                 st.floats(min_value=0.0, max_value=1.0))),
-        min_size=1, max_size=5))
+    whose scores can tie the floor of another (``1 − 0.5 · 0.5 = 0.75``)."""
+    preferences = draw(st.lists(st.tuples(conjunct_sets, intensities()),
+                                min_size=1, max_size=5))
     pids = draw(st.lists(st.integers(min_value=1, max_value=16), unique=True,
                          max_size=6))
-    scores = draw(st.lists(st.one_of(st.sampled_from(GRID_SCORES),
-                                     st.floats(min_value=0.05, max_value=1.0)),
-                           min_size=len(pids), max_size=len(pids)))
+    scores = draw(st.lists(intensities(0.05), min_size=len(pids),
+                           max_size=len(pids)))
     buffer = sorted(zip(pids, scores), key=lambda hit: (-hit[1], hit[0]))
     k = draw(st.integers(min_value=1, max_value=3))
     return (buffer, draw(st.sampled_from((False, False, False, True))),
@@ -352,7 +217,7 @@ class DrawnLists:
 @settings(deadline=None)
 @given(st.data())
 def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
-    pool = data.draw(st.lists(conjunct_texts, min_size=1, max_size=6,
+    pool = data.draw(st.lists(conjunct_texts(), min_size=1, max_size=6,
                               unique=True))
     conjunct_sets = st.sets(st.sampled_from(pool), min_size=1,
                             max_size=3).map(frozenset)
@@ -436,37 +301,6 @@ def test_sweep_repairs_and_drops_exactly_what_the_plain_loop_affects(data):
     assert held_keys(runner.conjunct_index) == {
         key: (key in cache._factors) + (key in runner._ids_cache)
         for key in {*cache._factors, *runner._ids_cache}}
-
-
-def held_keys(index):
-    """Each key ``index`` holds -> how many stores hold it."""
-    return {key: stores for keys in index._holders.values()
-            for key, stores in keys.items()}
-
-
-def bound_state(cache):
-    """What a result cache's score bound reads, recomputed from its
-    entries and bases: each conjunct key's holders with ``Π(1 − i)`` over
-    their positive preferences on it, the buffer pid index and each key's
-    spare threshold — its floor less the margin, or ``-inf`` when the bound
-    may not spare it."""
-    held, pids, thresholds = {}, {}, {}
-    for key, entry in {**cache._entries, **cache._bases}.items():
-        for conjuncts, intensity in zip(entry.conjuncts, entry.intensities):
-            holders = held.setdefault(conjuncts, {})
-            holders[key] = holders.get(key, 1.0) * (
-                1.0 - intensity if intensity > 0.0 else 1.0)
-        for pid, _ in entry.buffer:
-            pids.setdefault(pid, set()).add(key)
-        thresholds[key] = (
-            -math.inf if entry.complete or len(entry.buffer) < max(entry.k, 1)
-            else entry.buffer[-1][1] - BOUND_MARGIN)
-    return held, pids, thresholds
-
-
-def cache_bound_state(cache):
-    """The structures ``bound_state`` recomputes, as the cache keeps them."""
-    return cache._factors, cache._pids, cache._thresholds
 
 
 def test_a_tie_at_the_floor_reaches_apply_delta():

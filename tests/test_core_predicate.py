@@ -63,8 +63,17 @@ class TestConditionConstruction:
             equals("venue", literal)
         with pytest.raises(PredicateError, match="finite"):
             in_set("venue", ["VLDB", literal])
-        # A range literal is not an equality: it still builds.
-        assert Condition("year", "<", literal).value is literal
+
+    @pytest.mark.parametrize("op, literal", [
+        ("<", math.inf), (">", -math.inf), ("!=", math.nan), ("<=", math.nan),
+        (">=", -math.inf)], ids=["lt-inf", "gt--inf", "ne-nan", "le-nan",
+                                 "ge--inf"])
+    def test_non_finite_range_literal_rejected_at_construction(self, op,
+                                                               literal):
+        # One finiteness rule for every operator: SQLite refuses
+        # ``year < inf`` as it refuses ``year = inf``.
+        with pytest.raises(PredicateError, match="finite"):
+            Condition("dblp.year", op, literal)
 
     def test_in_requires_sequence(self):
         with pytest.raises(PredicateError):
@@ -264,7 +273,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", [
         "venue = nan", "year = 1e999", "year = -1e999", "venue = Infinity",
-        "venue IN ('VLDB', nan)", "year IN (2005, 1e999)"])
+        "venue IN ('VLDB', nan)", "year IN (2005, 1e999)",
+        "dblp.year < 1e999", "dblp.year > -1e999", "dblp.year != nan"])
     def test_parse_non_finite_equality_raises(self, text):
         with pytest.raises(PredicateError, match="finite"):
             parse_predicate(text)

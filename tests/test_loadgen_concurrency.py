@@ -45,11 +45,8 @@ from repro.serving.results import ResultCache
 from repro.serving.server import fresh_top_k
 from repro.telemetry import Telemetry
 from repro.workload.dblp import DblpConfig
-from worlds import engine_world
-
-#: Upper bound on any single concurrent phase; generous on purpose — it
-#: only ever bites when something deadlocks.
-DEADLINE_SECONDS = 60.0
+from worlds import (DEADLINE_SECONDS, engine_world, join_with_deadline,
+                    start_and_join)
 
 DBLP = DblpConfig(n_papers=180, n_authors=80, n_venues=8, seed=11)
 USERS = 16
@@ -66,21 +63,6 @@ def world(backend):
     db = engine_world(backend, DBLP, USERS)
     yield db
     db.close()
-
-
-def join_with_deadline(threads, timeout=DEADLINE_SECONDS):
-    """Join daemon ``threads``; returns the names still alive at timeout."""
-    deadline = time.monotonic() + timeout
-    for thread in threads:
-        thread.join(max(0.1, deadline - time.monotonic()))
-    return [thread.name for thread in threads if thread.is_alive()]
-
-
-def start_and_join(threads, timeout=DEADLINE_SECONDS):
-    for thread in threads:
-        thread.start()
-    stuck = join_with_deadline(threads, timeout)
-    assert not stuck, f"threads still running at the deadline: {stuck}"
 
 
 def test_join_with_deadline_detects_a_hung_thread():

@@ -22,6 +22,7 @@ import hashlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from worlds import count_calls
 
 import repro.core.hypre.builder as builder_module
 import repro.core.predicate as predicate_module
@@ -419,19 +420,6 @@ def test_ordering_never_scans_the_pair_table(tiny_runner):
     assert len(peps.order_combinations()) > len(preferences)
     peps.top_k(5)
     assert index._pairs.scans == 0
-
-
-def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a pass-through recording each call's args."""
-    original = getattr(owner, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def test_refresh_keys_each_preference_once(monkeypatch, tiny_dataset):

@@ -17,14 +17,25 @@ sets are identical, focusing on the two historically dangerous corners:
   to the literal: ``year = '2005'`` matches the integer 2005, ``venue = 100``
   only matches the text ``'100'``, and a non-numeric literal compared to a
   numeric column sorts after every number).
+
+A drawn test asks SQLite itself about every judge of an ``attr = literal``
+key over relations and literals from ``tests/strategies.py``, whose reach
+another test pins.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import event, find, given, settings, strategies as st
+from strategies import literals, names, pools, stored, values
 
 from repro.core.predicate import (
     Condition,
+    _as_number,
+    _equality_keys,
+    _sqlite_text,
     equals,
     in_set,
     not_equals,
@@ -159,26 +170,72 @@ EQUALITIES = [predicate for predicate in PREDICATES
               if isinstance(predicate, Condition) and predicate.op == "="]
 
 
+def equality_world(draw, pool):
+    """A drawn relation in SQLite: papers whose title, venue, year and
+    abstract, and author links whose aids, hold the pool's values or any
+    other."""
+    db = Database(":memory:")
+    column = st.one_of(st.sampled_from(pool), st.sampled_from(pool), values,
+                       st.sampled_from((math.inf, -math.inf)))
+    papers = [(pid, draw(column), draw(column), draw(column),
+               draw(st.one_of(column, st.none())))
+              for pid in range(1, draw(st.integers(1, 6)) + 1)]
+    links = [(pid, aid) for pid, *_ in papers
+             for aid in draw(st.lists(column, min_size=1, max_size=2))]
+    db.executemany("INSERT INTO dblp (pid, title, venue, year, abstract)"
+                   " VALUES (?, ?, ?, ?, ?)", papers)
+    db.executemany("INSERT OR IGNORE INTO dblp_author (pid, aid)"
+                   " VALUES (?, ?)", links)
+    db.commit()
+    return db
+
+
+@pytest.mark.differential
 @pytest.mark.parametrize(
-    "predicate", EQUALITIES, ids=[pred.to_sql() for pred in EQUALITIES])
-def test_a_bucket_lookup_selects_sqlites_pids(differential_db, predicate):
-    """A sweep decides an ``attr = literal`` key by its bucket lookup alone:
-    the may-bits ``ConjunctIndex.live`` records over the joined view select
-    exactly the pids SQLite matches, with no predicate evaluated."""
-    rows = [dict(row) for row in joined_rows(differential_db)]
-    key = predicate.to_sql()
-    index = ConjunctIndex()
-    index.add(frozenset({key}))
-    match = RowMatch(rows)
-    index.live(match)
-    mask = match._masks.get(key, 0)
-    assert {row["pid"] for bit, row in enumerate(rows) if mask >> bit & 1} \
-        == set(matching_paper_ids(differential_db, predicate))
-    assert match.predicate_row_tests == 0
+    "case", EQUALITIES, ids=[pred.to_sql() for pred in EQUALITIES])
+@settings(deadline=None, max_examples=settings.default.max_examples // 5)
+@given(data=st.data())
+def test_a_bucket_lookup_selects_sqlites_pids(case, data):
+    """SQLite's ``=`` is the oracle for every judge of an ``attr = literal``
+    key — the bits ``ConjunctIndex.live`` records (may and sure, nothing
+    evaluated), a lookup of ``_equality_keys`` and ``evaluate`` — for the
+    case table's ``case`` and a drawn equality, over a drawn relation that
+    shares a pool of values with the literals (``case``'s among them)."""
+    pool = data.draw(pools(values, max_size=5), label="pool")
+    if case.value is not None and case.value not in pool:
+        pool.append(case.value)
+    db = equality_world(data.draw, pool)
+    try:
+        rows = [dict(row) for row in joined_rows(db)]
+        drawn = Condition(data.draw(names, label="attribute"), "=", data.draw(
+            st.one_of(st.sampled_from(pool), st.sampled_from(pool),
+                      literals), label="literal"))
+        for predicate in (case, drawn):
+            expected = set(matching_paper_ids(db, predicate))
+            event(f"SQLite selects {'some' if expected else 'no'} pid")
+            key = predicate.to_sql()
+            index = ConjunctIndex()
+            index.add(frozenset({key}))
+            match = RowMatch(rows)
+            index.live(match)
+            may = match._masks.get(key, 0)
+            assert match._exact.get(key, 0) == may
+            assert {row["pid"] for bit, row in enumerate(rows)
+                    if may >> bit & 1} == expected
+            assert match.predicate_row_tests == 0
+            keys = _equality_keys(predicate.value)
+            column = predicate.attribute.split(".")[-1]
+            assert {row["pid"] for row in rows if any(
+                key in {row[column]: None} for key in keys)} == expected
+            assert {row["pid"] for row in rows
+                    if predicate.evaluate(row)} == expected
+    finally:
+        db.close()
 
 
 #: Literals at the edge of what binding may touch: a bool, ints beyond
-#: int64, ``±inf`` / NaN, ``IN`` lists mixing types, NULL and a NUL char.
+#: int64, ``IN`` lists mixing types, NULL and a NUL char (no ``Condition``
+#: holds a NaN or infinite literal).
 #: Each must keep its inline meaning — or its inline error — when bound.
 BINDING_EXTRAS = [
     Condition("dblp.year", "=", True),
@@ -186,9 +243,6 @@ BINDING_EXTRAS = [
     Condition("dblp.year", "=", 2 ** 63 - 1),
     Condition("dblp.year", "<", 2 ** 70),
     Condition("dblp.year", ">", -(2 ** 70)),
-    Condition("dblp.year", "<", float("inf")),
-    Condition("dblp.year", ">", float("-inf")),
-    Condition("dblp.year", "!=", float("nan")),
     Condition("dblp.year", "IN", (2005, "2010", 1999.0, None, True, 2 ** 70)),
     Condition("venue", "IN", ("VLDB", 100, 1e16, None)),
     equals("venue", None),
@@ -222,11 +276,28 @@ def test_bound_statement_agrees_with_inline(differential_db, predicate):
 
 
 def test_binding_edges_are_reached(differential_db):
-    """The extras cover both sides: some bind, some stay inline, some
-    error inline (and so bound)."""
+    """The extras cover both sides: some bind, some stay inline, one
+    errors inline (and so bound)."""
     bound = [pred.bound_sql[1] for pred in BINDING_EXTRAS]
-    assert all(bound[:3]) and not any(bound[3:8])
-    assert bound[8] == (2005, "2010", 1999.0, True)
+    assert all(bound[:3]) and not any(bound[3:5])
+    assert bound[5] == (2005, "2010", 1999.0, True)
     errors = [pred for pred in BINDING_EXTRAS
               if isinstance(outcome(inline_ids, differential_db, pred), tuple)]
-    assert len(errors) == 4   # inf, -inf, nan (no such column) and the NUL
+    assert len(errors) == 1   # the NUL
+
+
+def test_the_shared_literals_reach_every_kind():
+    """The shared literal strategy reaches every kind an arm relies on:
+    a narrower one must fail here, not in a user's profile."""
+    for reached in (
+            lambda value: type(value) is str and _as_number(value) is not None,
+            lambda value: type(value) is int and value > 2 ** 53,
+            lambda value: type(value) is int and value > 2 ** 63 - 1,
+            lambda value: type(value) is float
+            and _sqlite_text(value) != repr(value),  # 0.1 + 0.2 on 3.40
+            lambda value: type(value) is bool, lambda value: value is None):
+        assert reached(find(literals, reached))
+    assert "." in find(names, lambda name: "." in name)
+    assert "." not in find(names, lambda name: "." not in name)
+    assert math.isnan(find(stored, lambda value: value != value))
+    assert find(stored, lambda value: value == math.inf)

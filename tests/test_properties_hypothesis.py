@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the core invariants of the model.
 
-The generators stay inside the legal intensity domains and exercise the
+The generators (``tests/strategies.py``) stay inside the legal intensity
+domains and exercise the
 algebraic properties the paper's propositions rely on, plus structural
 invariants of the predicate tree and the HYPRE graph builder, and the
 liveness rules of the one op generator (``repro.serving.OpStream``).
@@ -13,6 +14,8 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from strategies import (ATTRIBUTES, conditions, intensities, literals, pools,
+                        rows, values)
 
 from repro.core.intensity import (
     combine_and,
@@ -24,13 +27,7 @@ from repro.core.intensity import (
     min_preferences_to_beat,
 )
 from repro.core.metrics import overlap, similarity
-from repro.core.predicate import (
-    Condition,
-    conjunction,
-    disjunction,
-    equals,
-    parse_predicate,
-)
+from repro.core.predicate import conjunction, disjunction, parse_predicate
 from repro.core.preference import UserProfile
 from repro.index import CountCache, RowMatch, exact_match_row, may_match_row
 from repro.core.hypre import HypreGraphBuilder
@@ -50,23 +47,14 @@ from repro.workload.dblp import DblpConfig
 
 # -- strategies --------------------------------------------------------------
 
-quantitative = st.floats(min_value=-1.0, max_value=1.0,
-                         allow_nan=False, allow_infinity=False)
-positive_quant = st.floats(min_value=0.0, max_value=1.0,
-                           allow_nan=False, allow_infinity=False)
-qualitative = st.floats(min_value=0.0, max_value=1.0,
-                        allow_nan=False, allow_infinity=False)
-attribute_names = st.sampled_from(["dblp.venue", "dblp.year", "dblp_author.aid", "price"])
-simple_values = st.one_of(st.integers(min_value=-1000, max_value=3000),
-                          st.sampled_from(["VLDB", "SIGMOD", "PODS", "Honda"]))
-
-
-@st.composite
-def conditions(draw):
-    attribute = draw(attribute_names)
-    op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
-    value = draw(simple_values)
-    return Condition(attribute, op, value)
+quantitative = intensities(-1.0, 1.0)
+positive_quant = qualitative = intensities()
+#: The literals ``parse_predicate`` can return: every shared literal but a
+#: bool, which renders as 0 / 1 and parses back an int.  (An ``AND`` or
+#: ``OR`` holding a bool compares unequal to its parse: composites sort
+#: their children by ``repr``.)
+parsed_conditions = conditions(literals.filter(lambda value: type(value)
+                                               is not bool))
 
 
 # -- intensity algebra --------------------------------------------------------
@@ -164,59 +152,52 @@ def test_condition_sql_roundtrips_through_parser(condition):
     assert parse_predicate(condition.to_sql()) == condition
 
 
-@given(st.lists(conditions(), min_size=1, max_size=5))
+@given(st.lists(parsed_conditions, min_size=1, max_size=5))
 def test_conjunction_roundtrips_through_parser(parts):
     expr = conjunction(parts)
     assert parse_predicate(expr.to_sql()) == expr
 
 
-@given(st.lists(conditions(), min_size=1, max_size=5))
-def test_disjunction_evaluation_matches_any(parts):
+@given(st.lists(conditions(), min_size=1, max_size=5), rows(absent=False))
+def test_disjunction_evaluation_matches_any(parts, row):
     expr = disjunction(parts)
-    row = {"dblp.venue": "VLDB", "dblp.year": 2010, "dblp_author.aid": 5, "price": 100}
     assert expr.evaluate(row) == any(part.evaluate(row) for part in parts)
 
 
-@given(st.lists(conditions(), min_size=1, max_size=5))
-def test_conjunction_evaluation_matches_all(parts):
+@given(st.lists(conditions(), min_size=1, max_size=5), rows(absent=False))
+def test_conjunction_evaluation_matches_all(parts, row):
     expr = conjunction(parts)
-    row = {"dblp.venue": "VLDB", "dblp.year": 2010, "dblp_author.aid": 5, "price": 100}
     assert expr.evaluate(row) == all(part.evaluate(row) for part in parts)
 
 
 # -- the one staleness rule ------------------------------------------------------
 
-#: The tiny schema's joined view, small enough that conjuncts often match.
-ROW_VALUES = {"venue": ["VLDB", "SIGMOD", "ICDE"], "year": [1999, 2005, 2011],
-              "aid": [1, 2, 3]}
-row_conjuncts = st.builds(
-    Condition,
-    st.sampled_from(["dblp.venue", "venue", "dblp.year", "dblp_author.aid"]),
-    st.sampled_from(["=", "!=", "<", ">="]),
-    st.sampled_from(["VLDB", "ICDE", 2, 2005]))
-joined_rows = st.fixed_dictionaries(
-    {name: st.sampled_from(values) for name, values in ROW_VALUES.items()})
 
-
-@given(st.lists(st.tuples(joined_rows, st.sets(st.sampled_from(sorted(ROW_VALUES)))),
-                min_size=1, max_size=4),
-       st.lists(st.one_of(row_conjuncts,
-                          st.builds(disjunction, st.lists(row_conjuncts,
-                                                          min_size=2, max_size=2))),
-                min_size=1, max_size=3))
-def test_shared_mask_is_sound_and_never_looser_than_the_whole(images, conjuncts):
+@given(st.data())
+def test_shared_mask_is_sound_and_never_looser_than_the_whole(data):
     """``RowMatch.shared`` over a conjunction's conjuncts, on rows with
     random attributes removed: a set bit implies the whole conjunction may
     match that row (never looser than judging it whole), and a row whose
-    full image definitely matches keeps its bit in every projection."""
+    full image definitely matches keeps its bit in every projection.  Rows
+    and literals share a drawn pool, so conjuncts often match."""
+    held = st.sampled_from(data.draw(pools(values), label="pool"))
+    row_conjuncts = conditions(held, ops=("=", "!=", "<", ">="))
+    images = data.draw(st.lists(st.tuples(
+        rows(values=held, absent=False),
+        st.sets(st.sampled_from(sorted(ATTRIBUTES)))), min_size=1,
+        max_size=4))
+    conjuncts = data.draw(st.lists(st.one_of(
+        row_conjuncts, st.builds(disjunction, st.lists(
+            row_conjuncts, min_size=2, max_size=2))), min_size=1, max_size=3))
     whole = conjunction(conjuncts)
-    rows = [{name: value for name, value in full.items() if name not in removed}
+    kept = [{name: value for name, value in full.items()
+             if name.split(".")[-1] not in removed}
             for full, removed in images]
-    shared = RowMatch(rows).shared(CountCache.key(whole))
+    shared = RowMatch(kept).shared(CountCache.key(whole))
     for position, (full, _) in enumerate(images):
         bit = shared >> position & 1
         if bit:
-            assert may_match_row(whole, rows[position])
+            assert may_match_row(whole, kept[position])
         if exact_match_row(whole, full) is True:
             assert bit
 
@@ -224,25 +205,32 @@ def test_shared_mask_is_sound_and_never_looser_than_the_whole(images, conjuncts)
 # -- HYPRE builder invariant ------------------------------------------------------
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
-                          st.integers(min_value=0, max_value=5),
-                          qualitative),
-                min_size=1, max_size=12))
-def test_builder_prefers_edges_never_violate_order(pairs):
-    """After building, every PREFERS edge satisfies left intensity >= right."""
+pair_lists = st.lists(st.tuples(st.integers(min_value=0, max_value=5),
+                                st.integers(min_value=0, max_value=5),
+                                qualitative), min_size=1, max_size=12)
+
+
+def prefers_edges(pairs):
+    """The PREFERS edges of a graph built from qualitative author pairs
+    (``None`` when every pair is a self pair)."""
     profile = UserProfile(uid=1)
     for left, right, strength in pairs:
-        if left == right:
-            continue
-        profile.add_qualitative(f"dblp_author.aid = {left}",
-                                f"dblp_author.aid = {right}", strength)
+        if left != right:
+            profile.add_qualitative(f"dblp_author.aid = {left}",
+                                    f"dblp_author.aid = {right}", strength)
     if not profile.qualitative:
-        return
+        return None
     builder = HypreGraphBuilder()
     builder.build_profile(profile)
-    hypre = builder.hypre
-    for edge in hypre.qualitative_edges(1, (PREFERS,)):
+    return builder.hypre, builder.hypre.qualitative_edges(1, (PREFERS,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair_lists)
+def test_builder_prefers_edges_never_violate_order(pairs):
+    """After building, every PREFERS edge satisfies left intensity >= right."""
+    hypre, edges = prefers_edges(pairs) or (None, ())
+    for edge in edges:
         left_value = hypre.intensity_of(edge.source)
         right_value = hypre.intensity_of(edge.target)
         assert left_value is not None and right_value is not None
@@ -250,23 +238,10 @@ def test_builder_prefers_edges_never_violate_order(pairs):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
-                          st.integers(min_value=0, max_value=5),
-                          qualitative),
-                min_size=1, max_size=12))
+@given(pair_lists)
 def test_builder_prefers_subgraph_is_acyclic(pairs):
     """The PREFERS subgraph never contains a directed cycle."""
-    profile = UserProfile(uid=1)
-    for left, right, strength in pairs:
-        if left == right:
-            continue
-        profile.add_qualitative(f"dblp_author.aid = {left}",
-                                f"dblp_author.aid = {right}", strength)
-    if not profile.qualitative:
-        return
-    builder = HypreGraphBuilder()
-    builder.build_profile(profile)
-    edges = builder.hypre.qualitative_edges(1, (PREFERS,))
+    _, edges = prefers_edges(pairs) or (None, ())
     successors = {}
     for edge in edges:
         successors.setdefault(edge.source, set()).add(edge.target)

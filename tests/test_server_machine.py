@@ -27,9 +27,8 @@ entries and bases, every basis equals a fresh fold of its own preference
 list, every basis's outline extended by its staged rows equals the build of
 the staged profile, no read leaves a basis behind, and every memoised id
 list equals a fresh fetch.  Concurrent interleavings are the load auditor's
-job; ``test_engines_report_alike`` compares the two engines.
-``HYPOTHESIS_PROFILE=ci`` runs ten times the examples.  See "One oracle" in
-``docs/ARCHITECTURE.md``.
+job; ``test_engines_report_alike`` compares the two engines.  See "One
+oracle" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
-from test_conjunct_index import bound_state, cache_bound_state
-from test_loadgen_concurrency import start_and_join
+from strategies import bound_state, cache_bound_state, intensities
 
 from repro.algorithms.base import preferences_from_graph
 from repro.backend import create_backend
@@ -61,7 +59,9 @@ from repro.serving.ops import audit_materialised, venue_predicate
 from repro.workload import (PreferenceExtractor, generate_dblp, load_dataset,
                             load_profiles, profile_rows)
 from repro.workload.dblp import DblpConfig, Paper
-from worlds import engine_world
+from worlds import engine_world, start_and_join
+
+pytestmark = pytest.mark.differential
 
 BACKENDS = ("sqlite", "memory")
 DBLP = DblpConfig(n_papers=120, n_authors=40, n_venues=6, seed=7)
@@ -74,7 +74,7 @@ MINED = [profile for profile in sorted(
     if profile.uid in (20, 30, 33)]
 POPULATION = 3
 UIDS = [profile.uid for profile in MINED] + population(POPULATION)
-INTENSITIES = st.sampled_from((0.15, 0.45, 0.75, 0.95))
+INTENSITIES = intensities(0.15, 0.95)
 PICK = st.integers(0, 10_000)  # an index, resolved modulo a live list
 #: Where a delete or in-place update aims (``ServerMachine.pick_pids``'s
 #: ``target``; ``target`` itself is a reserved ``rule`` argument).

@@ -7,7 +7,7 @@ import threading
 import time
 
 import pytest
-from test_loadgen_concurrency import start_and_join
+from worlds import start_and_join
 
 from repro.algorithms.base import PreferenceQueryRunner
 from repro.backend import BACKEND_NAMES, create_backend

@@ -24,8 +24,6 @@ import threading
 from pathlib import Path
 
 import pytest
-from test_loadgen_concurrency import start_and_join
-from test_peps_cold_path import count_calls
 
 import repro.concurrency
 import repro.index.selectivity as selectivity
@@ -49,7 +47,7 @@ from repro.telemetry import Telemetry, instrument_locks, validate_metric_name
 from repro.workload import PreferenceExtractor, generate_dblp, load_profiles
 from repro.workload.loader import append_papers, delete_papers
 from repro.workload.dblp import DblpConfig, Paper
-from worlds import engine_world
+from worlds import count_calls, engine_world, start_and_join
 
 DBLP = DblpConfig(n_papers=200, n_authors=60, n_venues=8, seed=7)
 UIDS = population(8)

@@ -1,21 +1,20 @@
 """Staging round trip: ``load_profiles`` → ``profile_rows`` → ``build_rows``
 builds the graph ``build_profile`` builds from the in-memory profile.
 
-Hypothesis draws small registries over a pool of predicates with two
-spellings of some of them, so profiles hold duplicate predicates, negative
-qualitative strengths, self preferences, cycles and incompatible
-intensities.  Each registry is staged on both engines and every user's graph
-is compared node by node (text, intensity, provenance), edge by edge (type
-included) and counter by counter.  CI runs this module under
-``HYPOTHESIS_PROFILE=ci``.
+Hypothesis draws registries over a pool of shared predicates
+(``tests/strategies.py``) in two spellings each: duplicate predicates,
+negative strengths, self preferences, cycles, incompatible intensities.
+Staged on both engines, every user's graph equals the profile's node by
+node, edge by edge and counter by counter.  A build's outline extended by
+drawn batches equals the full build, or falls back for the rows' reason.
 """
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
+from strategies import UNPARSABLE, intensities, pools, predicates, spellings
+from worlds import graph_signature
 
 from repro import create_backend
 from repro.algorithms.base import preferences_from_graph
@@ -27,31 +26,27 @@ from repro.core.predicate import parse_predicate
 from repro.core.preference import ProfileRegistry, UserProfile
 from repro.exceptions import ReproError
 from repro.workload import load_profiles, profile_rows
-from test_build_rows import BACKENDS, graph_signature
 
-#: Predicates over the DBLP view; a few spelled twice (the staged text is
-#: the canonical one), a conjunction, an IN list and a disjunction.
-POOL = (
-    "dblp.venue = 'VLDB'",
-    "dblp.venue='VLDB'",
-    "dblp.venue = 'SIGMOD'",
-    "dblp.year >= 2005",
-    "dblp.year>=2005",
-    "dblp.year >= 2000 AND dblp.year <= 2010",
-    "dblp_author.aid = 1",
-    "dblp_author.aid IN (1, 2, 3)",
-    "dblp.venue = 'VLDB' OR dblp.venue = 'PODS'",
-)
+pytestmark = pytest.mark.differential
 
-predicates = st.sampled_from(POOL)
-strengths = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-profiles = st.tuples(
-    st.lists(st.tuples(predicates, strengths), max_size=8),
-    st.lists(st.tuples(predicates, predicates, strengths), max_size=10))
+BACKENDS = ("sqlite", "memory")
+#: A shared predicate's text, as rendered.
+predicate_texts = predicates().map(lambda expr: expr.to_sql())
+strengths = intensities(-1.0, 1.0)
+
+
+@st.composite
+def profiles(draw):
+    """One user's quantitative and qualitative rows over a drawn pool of
+    predicates, each row stating one of a predicate's two spellings."""
+    stated = st.sampled_from(draw(pools(predicate_texts))).flatmap(spellings)
+    return (draw(st.lists(st.tuples(stated, strengths), max_size=8)),
+            draw(st.lists(st.tuples(stated, stated, strengths),
+                          max_size=10)))
 
 
 @settings(deadline=None)
-@given(st.dictionaries(st.integers(min_value=1, max_value=50), profiles,
+@given(st.dictionaries(st.integers(min_value=1, max_value=50), profiles(),
                        min_size=1, max_size=3))
 def test_staged_rows_build_the_profile_graph(drawn):
     registry = ProfileRegistry()
@@ -102,26 +97,21 @@ def test_an_empty_profile_stages_nothing():
 
 
 UID = 7
-VLDB, SIGMOD, YEAR = POOL[0], POOL[2], POOL[3]
-#: Predicates no drawn profile states (two spellings of one), and texts that
-#: do not parse.
-FRESH = ("dblp.year >= 1995", "dblp.venue = 'ICDE'", "dblp.venue='ICDE'",
-         "dblp_author.aid = 7")
-UNPARSABLE = ("dblp.venue = ", "AND", "dblp.year >>= 3")
-#: Quantitative rows of a batch: a fresh predicate, one the profile states
-#: (an index into its texts, resolved by the test: a duplicate or an
-#: endpoint) or, rarely, unparsable text; intensities mostly in the
-#: domain, one in eight out of it.
+#: An intensity out of its domain (one in eight) — NaN among them.
+batch_strengths = st.one_of(*[strengths] * 7, st.sampled_from(
+    (-1.5, 1.0000001, 2.0, float("nan"))))
+#: Quantitative rows of a batch: a fresh predicate (in either spelling),
+#: one the profile states (an index into its texts, resolved by the test: a
+#: duplicate or an endpoint) or, rarely, unparsable text.
 batch_rows = st.lists(st.tuples(
-    st.one_of(st.sampled_from(FRESH * 4 + UNPARSABLE), st.integers(0, 99)),
-    st.one_of(*[strengths] * 7,
-              st.sampled_from((-1.5, 1.0000001, 2.0, math.nan)))),
-    max_size=4)
+    st.one_of(st.one_of(*[predicate_texts.flatmap(spellings)] * 4,
+                        st.sampled_from(UNPARSABLE)), st.integers(0, 99)),
+    batch_strengths), max_size=4)
 #: A batch: its quantitative rows, and one qualitative row a quarter of
 #: the time.
 batches = st.lists(st.tuples(batch_rows, st.one_of(
     st.just([]), st.just([]), st.just([]),
-    st.lists(st.tuples(predicates, predicates, strengths),
+    st.lists(st.tuples(predicate_texts, predicate_texts, strengths),
              min_size=1, max_size=1))), min_size=1, max_size=2)
 
 
@@ -169,14 +159,18 @@ def expected_reason(quantitative, qualitative, built_qualitative, seeded):
     return None
 
 
+VLDB, SIGMOD = "dblp.venue = 'VLDB'", "dblp.venue = 'SIGMOD'"
+YEAR, FRESH = "dblp.year >= 2005", "dblp.year >= 1995"
+
+
 @settings(deadline=None)
-@given(profiles, st.booleans(), batches)
+@given(profiles(), st.booleans(), batches)
 # A restated endpoint; a seeded build; a non-positive node averaged up by
 # its other spelling, then a fresh node, in two chained batches.
 @example(([], [(VLDB, SIGMOD, 0.5)]), True, [([(SIGMOD, 0.9)], [])])
-@example(([], [(VLDB, SIGMOD, 0.5)]), False, [([(FRESH[0], 0.9)], [])])
+@example(([], [(VLDB, SIGMOD, 0.5)]), False, [([(FRESH, 0.9)], [])])
 @example(([(YEAR, -0.2), (VLDB, 0.4)], [(VLDB, VLDB, 0.3)]), False,
-         [([(POOL[4], 0.8)], []), ([(FRESH[0], 0.1)], [])])
+         [([("dblp.year>=2005", 0.8)], []), ([(FRESH, 0.1)], [])])
 def test_an_extended_outline_is_the_full_build(profile, scored, drawn):
     """``scored`` first states every qualitative side quantitatively, so
     Step 2 seeds no default and the endpoints a batch may restate are
@@ -187,7 +181,7 @@ def test_an_extended_outline_is_the_full_build(profile, scored, drawn):
                             for side in row[:2]]
     _, outline, seeded = full_build(quantitative, qualitative)
     own = [row[0] for row in quantitative] + [
-        side for row in qualitative for side in row[:2]] or list(FRESH)
+        side for row in qualitative for side in row[:2]] or [FRESH]
     for chained, (rows, new_qualitative) in enumerate(drawn):
         rows = [(own[predicate % len(own)] if isinstance(predicate, int)
                  else predicate, intensity) for predicate, intensity in rows]
