@@ -41,7 +41,7 @@ from repro.core.predicate import (
     not_equals,
     parse_predicate,
 )
-from repro.exceptions import RelationalError
+from repro.exceptions import PredicateError, RelationalError
 from repro.index.selectivity import ConjunctIndex, RowMatch, may_match_row
 from repro.sqldb.database import Database
 from repro.sqldb.query_builder import matching_paper_ids
@@ -250,11 +250,19 @@ BINDING_EXTRAS = [
 ]
 
 
+#: Non-finite literals as inline SQL text: SQLite reads ``inf`` and ``nan``
+#: as column names and refuses the statement, so no ``Condition`` may hold
+#: one, under any operator.
+NON_FINITE = ["dblp.year < inf", "dblp.year != nan", "dblp.year > -inf"]
+
+
 def inline_ids(db, predicate):
-    """The inline-literal statement: ``to_sql``'s text, nothing bound."""
+    """The inline-literal statement: ``to_sql``'s text (or the SQL text
+    itself), nothing bound."""
+    where = predicate if isinstance(predicate, str) else predicate.to_sql()
     return [row[0] for row in db.query_tuples(
         f"SELECT DISTINCT dblp.pid FROM {BASE_FROM}"
-        f" WHERE ({predicate.to_sql()}) ORDER BY dblp.pid")]
+        f" WHERE ({where}) ORDER BY dblp.pid")]
 
 
 def outcome(run, db, predicate):
@@ -266,11 +274,22 @@ def outcome(run, db, predicate):
 
 
 @pytest.mark.parametrize(
-    "predicate", PREDICATES + BINDING_EXTRAS,
-    ids=[repr(pred.to_sql()) for pred in PREDICATES + BINDING_EXTRAS])
+    "predicate", PREDICATES + BINDING_EXTRAS + NON_FINITE,
+    ids=[repr(pred) if isinstance(pred, str) else repr(pred.to_sql())
+         for pred in PREDICATES + BINDING_EXTRAS + NON_FINITE])
 def test_bound_statement_agrees_with_inline(differential_db, predicate):
     """The query surface binds a literal only where SQLite reads the bound
-    value as it reads the inline one: same pids, or the same error."""
+    value as it reads the inline one: same pids, or the same error. A
+    non-finite literal SQLite refuses inline is refused sooner, when the
+    ``Condition`` is built, so neither side answers."""
+    if isinstance(predicate, str):
+        error = outcome(inline_ids, differential_db, predicate)
+        assert isinstance(error, tuple) and \
+            error[1].startswith("no such column")
+        attribute, op, literal = predicate.split()
+        with pytest.raises(PredicateError, match="finite"):
+            Condition(attribute, op, float(literal))
+        return
     assert outcome(matching_paper_ids, differential_db, predicate) == \
         outcome(inline_ids, differential_db, predicate)
 
