@@ -13,8 +13,7 @@ surface with pure set algebra:
   its SQLite text) — the rule the sweep's
   :class:`~repro.index.selectivity.ConjunctIndex` buckets by — and unions
   the buckets found,
-* a range condition, and an equality literal with no key form (neither
-  text nor a number), scans the column's *distinct values* and unions the
+* a range condition scans the column's *distinct values* and unions the
   qualifying buckets,
 * AND intersects child row-id sets, OR unions them,
 
@@ -339,17 +338,11 @@ class MemoryBackend:
 
         One bucket lookup per key :func:`_equality_keys` names, so
         mixed-type literals (``year = '2005'``, ``venue = 100``) match
-        exactly what the SQL engine matches; only a literal with no key
-        form (neither text nor a number) scans the distinct values.  A NaN or
-        infinite literal never gets here: :class:`Condition` refuses it under
-        every operator.  The result may be an index bucket itself: callers
-        read it and never change it.
+        exactly what the SQL engine matches.  The result may be an index
+        bucket itself: callers read it and never change it.
         """
-        keys = _equality_keys(literal)
-        if keys is None:
-            return self._compared_rowids(column, literal, "=")
         index = self._index[column]
-        buckets = [index[key] for key in keys if key in index]
+        buckets = [index[key] for key in _equality_keys(literal) if key in index]
         return buckets[0] if len(buckets) == 1 else set().union(*buckets)
 
     def _condition_rowids(self, condition: Condition) -> Set[int]:

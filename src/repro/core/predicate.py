@@ -11,9 +11,9 @@ provides:
 * a small parser (:func:`parse_predicate`) for the textual predicates the
   workload extractor produces (equality, comparison, BETWEEN, IN, AND/OR);
 * compatibility checks used by the combination algorithms: two equality
-  predicates on the same attribute with different constants can never be
-  satisfied together under AND semantics (the paper's ``venue='SIGMOD' AND
-  venue='VLDB'`` example).
+  predicates on the same attribute that no stored value equals both of can
+  never be satisfied together under AND semantics (the paper's
+  ``venue='SIGMOD' AND venue='VLDB'`` example).
 """
 
 from __future__ import annotations
@@ -35,42 +35,50 @@ OPERATORS = ("=", "!=", "<", "<=", ">", ">=", "IN")
 Value = Union[str, int, float, bool, None]
 
 
-def _sql_literal(value: Value) -> str:
-    """Render a Python value as a SQL literal (single-quoted for strings)."""
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"
-
-
-#: The range of SQLite's INTEGER storage class: a Python int outside it
-#: cannot be bound (sqlite3 raises), while its inline literal reads as REAL.
+#: The range of SQLite's INTEGER storage class: an inline integer literal
+#: outside it reads as a REAL (and a Python int outside it cannot be bound).
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _bindable(value: Any) -> bool:
-    """Whether SQLite gives ``value`` bound as a ``?`` parameter the meaning
-    of its inline :func:`_sql_literal`.
+def _literal(value: Any) -> Value:
+    """The value SQLite reads for the inline literal ``value``: the one rule
+    every judge of a literal relies on, applied when a :class:`Condition`
+    is built (SQLite datatype3.html, sections 3 and 4.2).
 
-    True for a ``str`` with no NUL (inline, a NUL makes the statement
-    invalid), a ``bool`` or an ``int`` within int64 (INTEGER either way) and
-    a finite ``float`` (REAL either way: ``repr`` round-trips).  Everything
-    else stays inline: ``NULL``, an int beyond int64 (an inline REAL, a
-    bind error), ``inf`` / ``nan`` (inline they name a missing column;
-    bound, a REAL or a NULL) and every other type, subclasses included.
+    ``None``, a ``str`` and an int64 ``int`` stay; a ``bool`` is the
+    INTEGER 0 or 1; an ``int`` past int64 is the REAL its digits read as;
+    ``-0.0`` is ``0.0``.  Refused (:class:`PredicateError`): an int past a
+    float (SQLite reads ``Inf``), a NaN or infinite float (inline, ``nan``
+    / ``inf`` name no column) and every other type.
     """
     kind = type(value)
-    if kind is str:
-        return "\x00" not in value
+    if value is None or kind is str:
+        return value
+    if kind is bool:
+        return int(value)
     if kind is int:
-        return _INT64_MIN <= value <= _INT64_MAX
+        if _INT64_MIN <= value <= _INT64_MAX:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise PredicateError(f"an int literal of {value.bit_length()} bits"
+                                 " reads as a non-finite REAL") from None
     if kind is float:
-        return math.isfinite(value)
-    return kind is bool
+        if math.isfinite(value):
+            return value + 0.0
+        raise PredicateError(f"literals must be finite, not {value!r}")
+    raise PredicateError(f"unsupported literal {value!r}")
+
+
+def _sql_literal(value: Value) -> str:
+    """Render a built literal as SQL (single-quoted for strings)."""
+    if value is None:
+        return "NULL"
+    if type(value) is str:
+        escaped = value.replace("'", "''")
+        return f"'{escaped}'"
+    return repr(value)
 
 
 @lru_cache(maxsize=4096)
@@ -125,49 +133,39 @@ _NUMERIC_LITERAL_RE = re.compile(
 def _as_number(text: str) -> Optional[Union[int, float]]:
     """The numeric value of ``text`` under SQLite's NUMERIC affinity, or None.
 
-    Integer-shaped text converts to ``int`` — SQLite's conversion is exact,
-    so going through ``float`` would silently round values beyond 2**53 and
-    diverge from the SQL engine on equality.
+    Integer-shaped text within int64 converts to ``int`` — SQLite's
+    conversion is exact, so going through ``float`` would silently round
+    values beyond 2**53 and diverge from the SQL engine on equality.  Past
+    int64 it is a REAL, as a literal's digits are (:func:`_literal`).
     """
     if _NUMERIC_LITERAL_RE.fullmatch(text):
         try:
-            return int(text)
+            number = int(text)
         except ValueError:
             return float(text)
+        return number if _INT64_MIN <= number <= _INT64_MAX else float(text)
     return None
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _sqlite_text(value: Union[int, float]) -> str:
     """Render a numeric literal the way SQLite's TEXT affinity does.
 
-    An integer is its decimal digits (a ``bool`` its 0 or 1).  A REAL is
-    rendered by the installed SQLite itself (:func:`_real_text`): how many
-    digits it keeps differs between versions — SQLite 3.40 keeps 15, so
-    ``0.30000000000000004`` reads ``'0.3'`` — and only the engine's own
-    conversion agrees with it for every float.
+    An integer is its decimal digits.  A REAL is rendered by the installed
+    SQLite itself (``CAST(? AS TEXT)``, on a connection of its own, once
+    per float): how many digits it keeps differs between versions — SQLite
+    3.40 keeps 15, so ``0.30000000000000004`` reads ``'0.3'`` — and only
+    the engine's own conversion agrees with it for every float.
     """
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
+    if type(value) is int:
         return str(value)
-    return _real_text(float(value).hex())
-
-
-@lru_cache(maxsize=4096)
-def _real_text(spelling: str) -> str:
-    """SQLite's TEXT rendering of the REAL ``float.fromhex(spelling)``, as
-    its TEXT affinity converts it (``CAST(? AS TEXT)``).  Memoised by the
-    exact float, so each literal asks the engine once, on a connection of
-    its own: nothing is shared between threads.  SQLite binds NaN as NULL,
-    which has no text: its ``repr`` stands in."""
-    value = float.fromhex(spelling)
     with closing(sqlite3.connect(":memory:")) as connection:
         (text,) = connection.execute("SELECT CAST(? AS TEXT)",
                                      (value,)).fetchone()
-    return repr(value) if text is None else text
+    return text
 
 
-def _equality_keys(literal: Any) -> Optional[Tuple[Union[str, int, float], ...]]:
+def _equality_keys(literal: Value) -> Tuple[Union[str, int, float], ...]:
     """The dict keys under which a stored value equal to ``literal`` sits.
 
     :func:`_compare_values` calls a text value equal to an ``=`` literal
@@ -177,19 +175,14 @@ def _equality_keys(literal: Any) -> Optional[Tuple[Union[str, int, float], ...]]
     equals a numeric one, and Python's ``==`` and ``hash`` agree across
     ``int``, ``float`` and ``bool``, so a lookup of these keys in one dict
     of text and number values finds exactly the values ``_compare_values``
-    calls equal.  The NULL literal equals no value: ``()``.  A literal with
-    no key form — NaN (which no :class:`Condition` accepts as a literal), or
-    a value of another type — is ``None``: the caller compares it value by
-    value.
+    calls equal.  The NULL literal equals no value: ``()``.
     """
     if literal is None:
         return ()
-    if isinstance(literal, str):
+    if type(literal) is str:
         number = _as_number(literal)
         return (literal,) if number is None else (literal, number)
-    if isinstance(literal, (int, float)) and literal == literal:
-        return _sqlite_text(literal), literal
-    return None
+    return _sqlite_text(literal), literal
 
 
 def _compare_values(actual: Any, value: Any, op: str) -> bool:
@@ -260,17 +253,18 @@ class PredicateExpr:
 
     @cached_property
     def bound_sql(self) -> Tuple[str, Tuple[Value, ...]]:
-        """``(text, parameters)``: the SQL with each literal that
-        :func:`_bindable` accepts as a ``?`` and the others inline, and the
+        """``(text, parameters)``: the SQL with each literal as a ``?`` —
+        bound, a built literal means what it means inline — but ``NULL``
+        and a text holding a NUL (inline, the statement is invalid), and the
         bound values in order.  Predicates of one shape share one statement
         text, so SQLite prepares it once."""
         parameters: List[Value] = []
 
         def bind(value: Value) -> str:
-            if _bindable(value):
-                parameters.append(value)
-                return "?"
-            return _sql_literal(value)
+            if value is None or type(value) is str and "\x00" in value:
+                return _sql_literal(value)
+            parameters.append(value)
+            return "?"
 
         return self._render(bind), tuple(parameters)
 
@@ -312,9 +306,11 @@ class PredicateExpr:
     def __hash__(self) -> int:
         return hash(self.canonical())
 
-    def canonical(self) -> Tuple:
-        """Return a hashable canonical form used for equality and dedup."""
-        raise NotImplementedError
+    def canonical(self) -> str:
+        """The SQL text with each composite's children in sorted order: two
+        trees are equal exactly when they render the same statement, up to
+        child order."""
+        return self._sql
 
 
 def _flatten(kind: type, children: Iterable[PredicateExpr]) -> List[PredicateExpr]:
@@ -328,13 +324,14 @@ def _flatten(kind: type, children: Iterable[PredicateExpr]) -> List[PredicateExp
     return flattened
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Condition(PredicateExpr):
     """A single ``attribute <op> value`` comparison.
 
     ``attribute`` may be qualified (``dblp.venue``) or bare (``year``).  For
-    the ``IN`` operator ``value`` must be a sequence of literals.  No
-    literal may be a NaN or infinite float, whatever the operator.
+    the ``IN`` operator ``value`` must be a sequence of literals.  Every
+    literal is stored as the value SQLite reads for it (:func:`_literal`),
+    so no judge downstream looks at its Python type again.
     """
 
     attribute: str
@@ -344,22 +341,17 @@ class Condition(PredicateExpr):
     def __post_init__(self) -> None:
         if self.op not in OPERATORS:
             raise PredicateError(f"unsupported operator {self.op!r}")
-        if self.op == "IN":
-            if not isinstance(self.value, (list, tuple, set, frozenset)):
-                raise PredicateError("IN conditions require a sequence of values")
-            # An empty list would render as "attr IN ()" — a SQLite syntax
-            # error — so the malformed predicate is rejected at construction
-            # instead of corrupting a query downstream.
-            if not self.value:
-                raise PredicateError("IN conditions require at least one value")
-            object.__setattr__(self, "value", tuple(self.value))
-        # Likewise a non-finite literal, under any operator: inline, ``nan``
-        # / ``inf`` name no column, so SQLite refuses the statement, and the
-        # sweep and the columnar engine must not answer it either.
-        for literal in self.value if self.op == "IN" else (self.value,):
-            if isinstance(literal, float) and not math.isfinite(literal):
-                raise PredicateError(f"{self.op} conditions require "
-                                     f"finite literals, not {literal!r}")
+        if self.op != "IN":
+            object.__setattr__(self, "value", _literal(self.value))
+            return
+        if not isinstance(self.value, (list, tuple, set, frozenset)):
+            raise PredicateError("IN conditions require a sequence of values")
+        # An empty list would render as "attr IN ()" — a SQLite syntax
+        # error — so the malformed predicate is rejected at construction
+        # instead of corrupting a query downstream.
+        if not self.value:
+            raise PredicateError("IN conditions require at least one value")
+        object.__setattr__(self, "value", tuple(map(_literal, self.value)))
 
     # -- rendering / evaluation ------------------------------------------------
 
@@ -388,9 +380,6 @@ class Condition(PredicateExpr):
     def conditions(self) -> List["Condition"]:
         return [self]
 
-    def canonical(self) -> Tuple:
-        return ("cond", self.attribute, self.op, self.value)
-
     def __repr__(self) -> str:
         return f"Condition({self.to_sql()})"
 
@@ -414,13 +403,15 @@ class _Composite(PredicateExpr):
         object.__setattr__(self, "children", tuple(self.children))
 
     def _render(self, literal: Callable[[Value], str]) -> str:
-        parts = []
-        for child in self.children:
-            rendered = child._render(literal)
-            if isinstance(child, _Composite) and type(child) is not type(self):
-                rendered = f"({rendered})"
-            parts.append(rendered)
-        return f" {self._keyword} ".join(parts)
+        return f" {self._keyword} ".join(self._parts(
+            child._render(literal) for child in self.children))
+
+    def _parts(self, texts: Iterable[str]) -> List[str]:
+        """One text per child, a child of the other composite kind's
+        parenthesised."""
+        return [f"({text})" if isinstance(child, _Composite)
+                and type(child) is not type(self) else text
+                for child, text in zip(self.children, texts)]
 
     def attributes(self) -> FrozenSet[str]:
         collected: FrozenSet[str] = frozenset()
@@ -434,9 +425,13 @@ class _Composite(PredicateExpr):
             leaves.extend(child.conditions())
         return leaves
 
-    def canonical(self) -> Tuple:
-        children = sorted((child.canonical() for child in self.children), key=repr)
-        return (self._keyword, tuple(children))
+    def canonical(self) -> str:
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> str:
+        return f" {self._keyword} ".join(sorted(self._parts(
+            child.canonical() for child in self.children)))
 
 
 class And(_Composite):
@@ -522,9 +517,9 @@ def are_and_compatible(first: PredicateExpr, second: PredicateExpr) -> bool:
 
     The check is intentionally conservative (syntactic): it only detects the
     pattern the paper highlights — two equality (or IN) conditions on the same
-    attribute requiring disjoint constants, such as ``venue='SIGMOD' AND
-    venue='VLDB'``.  Range conditions and different attributes are always
-    considered compatible.
+    attribute no stored value equals both of, such as ``venue='SIGMOD' AND
+    venue='VLDB'`` (but not ``venue = '1' AND venue = 1``).  Range conditions
+    and different attributes are always considered compatible.
     """
     for cond_a in first.conditions():
         for cond_b in second.conditions():
@@ -540,12 +535,12 @@ def are_and_compatible(first: PredicateExpr, second: PredicateExpr) -> bool:
 
 
 def _equality_values(condition: Condition) -> Optional[FrozenSet[Any]]:
-    """The set of constants an equality/IN condition accepts, else ``None``."""
-    if condition.op == "=":
-        return frozenset({condition.value})
-    if condition.op == "IN":
-        return frozenset(condition.value)
-    return None
+    """The keys of the stored values an equality/IN condition accepts
+    (:func:`_equality_keys`), else ``None``."""
+    if condition.op not in ("=", "IN"):
+        return None
+    items = condition.value if condition.op == "IN" else (condition.value,)
+    return frozenset(key for item in items for key in _equality_keys(item))
 
 
 def shared_attributes(first: PredicateExpr, second: PredicateExpr) -> FrozenSet[str]:

@@ -29,11 +29,13 @@ ATTRIBUTES = {"venue": ("dblp.venue", "venue"),
               "year": ("dblp.year", "year"),
               "aid": ("dblp_author.aid", "aid")}
 
-#: Text that is and is not numeric-shaped under SQLite's affinity grammar.
+#: Text that is and is not numeric-shaped under SQLite's affinity grammar,
+#: the texts SQLite renders the REALs of :data:`HUGE_INTS` as among them.
 TEXTS = ("VLDB", "abc", "nan", "inf", "NULL", "True", "1_0", "0", "1", "5",
          " 5 ", " 7 ", "007", "1.0", "5.0", "100", "1000", "2005", "1e2",
          "1e3", "1.0e+16", "-0.0", "9007199254740993", "9007199254740992.0",
-         "0.3", "0.30000000000000004")
+         "0.3", "0.30000000000000004", "1.18059162071741e+21",
+         "-1.18059162071741e+21", "9.22337203685478e+18")
 #: Ints SQLite stores as INTEGER: small ones, 2**53 + 1, the int64 maximum.
 INTS = (0, 1, 5, 7, 100, 1000, 2005, -3, 2 ** 53 + 1, 2 ** 63 - 1)
 #: Ints past int64: SQLite reads such an inline literal as a REAL, and

@@ -5,28 +5,14 @@ from __future__ import annotations
 import math
 import sqlite3
 from contextlib import closing
+from decimal import Decimal
 
 import pytest
 
 from repro.core.predicate import (
-    And,
-    Condition,
-    Or,
-    are_and_compatible,
-    attribute_names_match,
-    between,
-    conjunction,
-    disjunction,
-    ensure_predicate,
-    equals,
-    in_set,
-    not_equals,
-    parse_predicate,
-    predicate_key,
-    same_attribute,
-    shared_attributes,
-)
-from repro.core.predicate import _sqlite_text
+    And, Condition, Or, _sqlite_text, are_and_compatible, attribute_names_match,
+    between, conjunction, disjunction, ensure_predicate, equals, in_set,
+    not_equals, parse_predicate, predicate_key, same_attribute, shared_attributes)
 from repro.exceptions import PredicateError, PredicateParseError
 
 
@@ -66,14 +52,18 @@ class TestConditionConstruction:
 
     @pytest.mark.parametrize("op, literal", [
         ("<", math.inf), (">", -math.inf), ("!=", math.nan), ("<=", math.nan),
-        (">=", -math.inf)], ids=["lt-inf", "gt--inf", "ne-nan", "le-nan",
-                                 "ge--inf"])
+        (">=", -math.inf), ("<", 10 ** 400)], ids=[
+            "lt-inf", "gt--inf", "ne-nan", "le-nan", "ge--inf", "lt-10**400"])
     def test_non_finite_range_literal_rejected_at_construction(self, op,
                                                                literal):
         # One finiteness rule for every operator: SQLite refuses
-        # ``year < inf`` as it refuses ``year = inf``.
+        # ``year < inf`` as it refuses ``year = inf`` (400 digits read as Inf).
         with pytest.raises(PredicateError, match="finite"):
             Condition("dblp.year", op, literal)
+
+    def test_a_literal_of_another_type_is_refused(self):
+        with pytest.raises(PredicateError, match="unsupported literal"):
+            in_set("dblp.year", [2005, Decimal("2005")])
 
     def test_in_requires_sequence(self):
         with pytest.raises(PredicateError):
@@ -178,6 +168,12 @@ class TestComposition:
         second = And((equals("b", 2), equals("a", 1)))
         assert first == second
         assert hash(first) == hash(second)
+
+    def test_equality_is_the_sql_text(self):
+        # On a TEXT column ``a = 1`` selects '1' and ``a = 1.0`` '1.0'.
+        assert equals("a", 1) != equals("a", 1.0)
+        assert And((in_set("a", [1]), in_set("a", [False]))) == parse_predicate(
+            "a IN (0) AND a IN (1)")
 
     def test_and_is_not_equal_to_or(self):
         assert And((equals("a", 1), equals("b", 2))) != Or((equals("a", 1), equals("b", 2)))

@@ -32,15 +32,8 @@ from hypothesis import event, find, given, settings, strategies as st
 from strategies import literals, names, pools, stored, values
 
 from repro.core.predicate import (
-    Condition,
-    _as_number,
-    _equality_keys,
-    _sqlite_text,
-    equals,
-    in_set,
-    not_equals,
-    parse_predicate,
-)
+    Condition, _as_number, _equality_keys, _sqlite_text, are_and_compatible,
+    equals, in_set, not_equals, parse_predicate)
 from repro.exceptions import PredicateError, RelationalError
 from repro.index.selectivity import ConjunctIndex, RowMatch, may_match_row
 from repro.sqldb.database import Database
@@ -59,10 +52,12 @@ PAPERS = (
     (6, "Zeta", "1.0e+16", 9007199254740993, "big"),
     # A text 0.1 + 0.2 equals when SQLite renders it with 15 digits.
     (7, "Eta", "0.3", 2001, "float"),
+    # The text SQLite renders 2**70 (and 2**70 + 1) read as a REAL as.
+    (8, "Theta", "1.18059162071741e+21", 2003, None),
 )
 
 AUTHOR_LINKS = ((1, 1), (1, 2), (2, 1), (3, 2), (4, 3), (5, 3), (6, 1),
-                (7, 2))
+                (7, 2), (8, 3))
 
 PREDICATES = [
     # NULL-valued attributes: NULL never satisfies any comparison.
@@ -108,6 +103,8 @@ PREDICATES = [
     Condition("venue", "<", 0.1 + 0.2),
     Condition("venue", "IN", (0.1 + 0.2, "VLDB")),
     Condition("title", "=", 1 / 3),
+    # An int past int64 is the REAL SQLite reads its digits as.
+    Condition("venue", "=", 2 ** 70 + 1),
     # Plain composites over the same data, for completeness.
     parse_predicate("venue = 'VLDB' OR dblp.year >= 2010"),
     parse_predicate("venue = 'VLDB' AND dblp.year <= 2005"),
@@ -200,7 +197,8 @@ def test_a_bucket_lookup_selects_sqlites_pids(case, data):
     key — the bits ``ConjunctIndex.live`` records (may and sure, nothing
     evaluated), a lookup of ``_equality_keys`` and ``evaluate`` — for the
     case table's ``case`` and a drawn equality, over a drawn relation that
-    shares a pool of values with the literals (``case``'s among them)."""
+    shares a pool of values with the literals (``case``'s among them); and
+    ``are_and_compatible`` when SQLite selects a pid for both."""
     pool = data.draw(pools(values, max_size=5), label="pool")
     if case.value is not None and case.value not in pool:
         pool.append(case.value)
@@ -210,8 +208,9 @@ def test_a_bucket_lookup_selects_sqlites_pids(case, data):
         drawn = Condition(data.draw(names, label="attribute"), "=", data.draw(
             st.one_of(st.sampled_from(pool), st.sampled_from(pool),
                       literals), label="literal"))
-        for predicate in (case, drawn):
-            expected = set(matching_paper_ids(db, predicate))
+        selected = [set(matching_paper_ids(db, pred)) for pred in (case, drawn)]
+        assert are_and_compatible(case, drawn) or not selected[0] & selected[1]
+        for predicate, expected in zip((case, drawn), selected):
             event(f"SQLite selects {'some' if expected else 'no'} pid")
             key = predicate.to_sql()
             index = ConjunctIndex()
@@ -233,27 +232,27 @@ def test_a_bucket_lookup_selects_sqlites_pids(case, data):
         db.close()
 
 
-#: Literals at the edge of what binding may touch: a bool, ints beyond
-#: int64, ``IN`` lists mixing types, NULL and a NUL char (no ``Condition``
-#: holds a NaN or infinite literal).
+#: Built literals at the edge of binding: bools, the int64 maximum, -0.0,
+#: ``IN`` lists mixing types, NULL and a NUL char (the two kept inline).
 #: Each must keep its inline meaning — or its inline error — when bound.
 BINDING_EXTRAS = [
     Condition("dblp.year", "=", True),
     Condition("dblp.year", ">", False),
     Condition("dblp.year", "=", 2 ** 63 - 1),
-    Condition("dblp.year", "<", 2 ** 70),
-    Condition("dblp.year", ">", -(2 ** 70)),
-    Condition("dblp.year", "IN", (2005, "2010", 1999.0, None, True, 2 ** 70)),
+    Condition("dblp.year", ">", -0.0),
     Condition("venue", "IN", ("VLDB", 100, 1e16, None)),
     equals("venue", None),
     Condition("venue", "!=", "VL\x00DB"),
 ]
 
 
-#: Non-finite literals as inline SQL text: SQLite reads ``inf`` and ``nan``
-#: as column names and refuses the statement, so no ``Condition`` may hold
-#: one, under any operator.
-NON_FINITE = ["dblp.year < inf", "dblp.year != nan", "dblp.year > -inf"]
+#: Staged SQL texts.  SQLite reads an int past int64 as a REAL (what the
+#: parsed literal holds), and ``inf`` / ``nan`` as column names: no
+#: ``Condition`` holds a non-finite literal, under any operator.
+INLINE = ["dblp.year < 1180591620717411303424", "dblp.year != nan",
+          "dblp.year > -1180591620717411303424", "dblp.year < inf",
+          "dblp.year IN (2005, '2010', 1999.0, NULL, 1, 1180591620717411303424)",
+          "venue = 1180591620717411303425", "dblp.year > -inf"]
 
 
 def inline_ids(db, predicate):
@@ -274,32 +273,33 @@ def outcome(run, db, predicate):
 
 
 @pytest.mark.parametrize(
-    "predicate", PREDICATES + BINDING_EXTRAS + NON_FINITE,
+    "predicate", PREDICATES + BINDING_EXTRAS + INLINE,
     ids=[repr(pred) if isinstance(pred, str) else repr(pred.to_sql())
-         for pred in PREDICATES + BINDING_EXTRAS + NON_FINITE])
+         for pred in PREDICATES + BINDING_EXTRAS + INLINE])
 def test_bound_statement_agrees_with_inline(differential_db, predicate):
-    """The query surface binds a literal only where SQLite reads the bound
-    value as it reads the inline one: same pids, or the same error. A
-    non-finite literal SQLite refuses inline is refused sooner, when the
-    ``Condition`` is built, so neither side answers."""
+    """The query surface binds every built literal but NULL and a text with
+    a NUL, and SQLite reads each bound value as it reads the inline text:
+    same pids, or the same error.  A literal SQLite refuses inline is
+    refused sooner, when the predicate is built, so neither side answers."""
+    inline = outcome(inline_ids, differential_db, predicate)
     if isinstance(predicate, str):
-        error = outcome(inline_ids, differential_db, predicate)
-        assert isinstance(error, tuple) and \
-            error[1].startswith("no such column")
-        attribute, op, literal = predicate.split()
-        with pytest.raises(PredicateError, match="finite"):
-            Condition(attribute, op, float(literal))
-        return
-    assert outcome(matching_paper_ids, differential_db, predicate) == \
-        outcome(inline_ids, differential_db, predicate)
+        try:
+            predicate = parse_predicate(predicate)
+        except PredicateError:
+            assert isinstance(inline, tuple) and \
+                inline[1].startswith("no such column")
+            return
+    assert outcome(matching_paper_ids, differential_db, predicate) == inline
 
 
 def test_binding_edges_are_reached(differential_db):
-    """The extras cover both sides: some bind, some stay inline, one
-    errors inline (and so bound)."""
+    """Every built literal binds, a bool as its int, -0.0 as 0.0 and an
+    int past int64 as its REAL, but NULL and the NUL, which errors inline
+    (and so bound)."""
     bound = [pred.bound_sql[1] for pred in BINDING_EXTRAS]
-    assert all(bound[:3]) and not any(bound[3:5])
-    assert bound[5] == (2005, "2010", 1999.0, True)
+    assert repr(bound + [parse_predicate(INLINE[4]).bound_sql[1]]) == repr([
+        (1,), (0,), (2 ** 63 - 1,), (0.0,), ("VLDB", 100, 1e16), (), (),
+        (2005, "2010", 1999.0, 1, 2.0 ** 70)])
     errors = [pred for pred in BINDING_EXTRAS
               if isinstance(outcome(inline_ids, differential_db, pred), tuple)]
     assert len(errors) == 1   # the NUL

@@ -436,22 +436,25 @@ class TestProfileUpdates:
 
 
 class TestDataInserts:
-    def test_a_float_literal_matches_the_text_sqlite_renders(self):
-        """Regression: SQLite compares a TEXT venue with a REAL literal as
-        the text it converts the REAL to — 15 significant digits on 3.40,
-        so ``dblp.venue = 0.30000000000000004`` matches an inserted
-        ``'0.3'``.  The sweep judged the row by the literal's ``repr``,
-        called it unmatched and kept serving an answer without it."""
+    @pytest.mark.parametrize("literal, venue", [
+        ("0.30000000000000004", "0.3"), (2 ** 70, "1.18059162071741e+21"),
+        (2 ** 70 + 1, "1.18059162071741e+21")], ids=["float", "2**70", "2**70+1"])
+    def test_a_float_literal_matches_the_text_sqlite_renders(self, literal, venue):
+        """Regression: SQLite compares a TEXT venue with a REAL literal (an
+        int past int64 reads as one) as the text it converts the REAL to —
+        15 significant digits on 3.40, so ``dblp.venue = 0.30000000000000004``
+        matches an inserted ``'0.3'``.  The sweep judged the row by the
+        literal's ``repr`` or digits and kept serving an answer without it."""
         db = Database(":memory:")
         load_dataset(db, generate_dblp(SCALES["tiny"]))
         profile = UserProfile(uid=1)
-        profile.add_quantitative("dblp.venue = 0.30000000000000004", 0.9)
+        profile.add_quantitative(f"dblp.venue = {literal}", 0.9)
         profile.add_quantitative("dblp.year >= 0", 0.1)
         with TopKServer(db) as server:
             server.update_profile(1, profile)
             assert list(server.top_k(1, 3).ranking) == fresh_top_k(db, 1, 3)
             server.insert_tuples([{"pid": 301, "title": "Float",
-                                   "venue": "0.3", "year": 2009,
+                                   "venue": venue, "year": 2009,
                                    "aids": [1]}])
             served = server.top_k(1, 3)
             assert served.cache_hit
