@@ -220,7 +220,7 @@ def run_load(scale: str = "tiny",
     :class:`~repro.loadgen.LoadGenerator` over it: ``threads`` workers in
     closed loop (``qps`` ``None``; the achieved rate is the throughput at
     saturation) or open loop against the target arrival rate, with the
-    background equivalence auditor quiescing traffic every
+    background equivalence auditor comparing under the server lock every
     ``audit_interval`` seconds (``0`` disables it).  ``output`` persists
     the schema-versioned ``BENCH_loadgen.json`` document for the run.
     ``telemetry`` runs under a :class:`~repro.telemetry.Telemetry`, so the

@@ -30,18 +30,16 @@ Public API
 :class:`LoadReport`
     The one report: p50/p95/p99 overall and per op kind,
     ``throughput_ops_per_sec``, ``read_hits``, ``sql_statements``,
-    ``locks`` (contention, hottest first), ``gate``/``audit`` sections,
+    ``locks`` (contention, hottest first), an ``audit`` section,
     the target's ``server_stats`` and per-worker ``errors``.
 :class:`WorkerResult`
     One worker's private accounting (its
     :class:`~repro.telemetry.LatencyHistogram` instances, op counts, error)
     before the merge.
-:class:`TrafficGate`
-    Pause-and-drain gate the auditor uses to get a quiesced snapshot while
-    workers keep their own locks out of the picture.
 :class:`EquivalenceAuditor`
-    Daemon thread that periodically quiesces traffic and verifies
-    materialised answers against a from-scratch recomputation.
+    Daemon thread that periodically verifies materialised answers against
+    a from-scratch recomputation, holding the server lock while it compares
+    (so no state change runs meanwhile; warm hits carry on).
 :func:`write_bench_json` / :func:`validate_loadgen_payload` /
 :func:`load_and_validate` / :func:`loadgen_payload` / :func:`bench_envelope`
     Schema-versioned ``BENCH_*.json`` persistence (``SCHEMA_VERSION``,
@@ -49,7 +47,7 @@ Public API
     artifact.
 """
 
-from .audit import EquivalenceAuditor, TrafficGate
+from .audit import EquivalenceAuditor
 from .report import (
     SCHEMA_VERSION,
     bench_envelope,
@@ -67,7 +65,6 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "SCHEMA_VERSION",
-    "TrafficGate",
     "WorkerResult",
     "bench_envelope",
     "build_world",

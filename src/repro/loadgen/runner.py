@@ -24,11 +24,10 @@ profile/tuple mutations, and produces a :class:`LoadReport` with:
 * **lock contention** — wait/hold per named serving-layer lock (via
   :func:`repro.telemetry.instrument_locks`);
 * **audit outcome** — a background
-  :class:`~repro.loadgen.audit.EquivalenceAuditor` periodically quiesces
-  traffic through a :class:`~repro.loadgen.audit.TrafficGate` and verifies
-  materialised answers against a from-scratch recomputation; with
-  ``audit_interval=0`` (one worker only) it audits inline instead, after
-  every op.
+  :class:`~repro.loadgen.audit.EquivalenceAuditor` periodically verifies
+  materialised answers against a from-scratch recomputation under the
+  server lock; with ``audit_interval=0`` (one worker only) it audits inline
+  instead, after every op.
 
 A serial replay is the one-worker run with an op budget
 (``LoadConfig(threads=1, requests=N)``): its one stream owns the whole
@@ -56,7 +55,7 @@ from ..serving.ops import (
     build_streams,
 )
 from ..telemetry import LatencyHistogram, Telemetry, instrument_locks
-from .audit import EquivalenceAuditor, TrafficGate
+from .audit import EquivalenceAuditor
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class LoadReport:
     latency: Dict[str, Any]
     latency_by_kind: Dict[str, Dict[str, Any]]
     locks: List[Dict[str, Any]]
-    gate: Dict[str, Any]
     audit: Dict[str, Any]
     #: The target's end-of-run ``metrics()`` (flat unified names; empty for
     #: an uncached arm).
@@ -176,7 +174,6 @@ class LoadReport:
             "latency_by_kind": {kind: dict(summary) for kind, summary
                                 in self.latency_by_kind.items()},
             "locks": [dict(record) for record in self.locks],
-            "gate": dict(self.gate),
             "audit": dict(self.audit),
             "server_stats": self.server_stats,
             "errors": list(self.errors),
@@ -192,9 +189,8 @@ class LoadGenerator:
 
     # -- worker body --------------------------------------------------------------
 
-    def _worker(self, target: Any, stream: OpStream, gate: TrafficGate,
-                result: WorkerResult, more: Callable[[float], bool],
-                interval: Optional[float],
+    def _worker(self, target: Any, stream: OpStream, result: WorkerResult,
+                more: Callable[[float], bool], interval: Optional[float],
                 inline: Optional[EquivalenceAuditor]) -> None:
         # Open loop: op i is *due* at start + i*interval, and latency is
         # measured from the due time, so time spent queued behind a slow op
@@ -209,10 +205,9 @@ class LoadGenerator:
                     else:
                         result.late_starts += 1
                 op = next(stream)
-                with gate.request():
-                    start = time.perf_counter()
-                    outcome = apply_op(target, op)
-                    finished = time.perf_counter()
+                start = time.perf_counter()
+                outcome = apply_op(target, op)
+                finished = time.perf_counter()
                 result.record(op.kind,
                               finished - (scheduled if interval else start),
                               op.kind == READ and outcome.cache_hit)
@@ -252,7 +247,7 @@ class LoadGenerator:
         world first (:func:`~repro.loadgen.world.build_world`).
 
         Pass a :class:`~repro.telemetry.Telemetry` to run under full
-        observability: the server (and the gate/auditor pair) is registered
+        observability: the server (and the auditor) is registered
         with its metrics registry, requests are traced into its
         :class:`~repro.telemetry.TraceBuffer`, and the report gains a
         ``telemetry`` section holding the end-of-run JSON snapshot.
@@ -273,17 +268,14 @@ class LoadGenerator:
         # exit hands the target back the exact locks it started with.
         registry = telemetry.registry if telemetry is not None else None
         with instrument_locks(target, registry=registry) as handle:
-            gate = TrafficGate()
             auditor = None
             if config.audit_interval is not None:
-                auditor = EquivalenceAuditor(target, gate,
+                auditor = EquivalenceAuditor(target,
                                              interval=config.audit_interval,
                                              sample=config.audit_sample)
             inline = auditor if config.audit_interval == 0 else None
-            if telemetry is not None:
-                telemetry.observe_gate(gate)
-                if auditor is not None:
-                    telemetry.observe_auditor(auditor)
+            if telemetry is not None and auditor is not None:
+                telemetry.observe_auditor(auditor)
 
             results = [WorkerResult(worker_id=stream.worker_id)
                        for stream in streams]
@@ -295,8 +287,7 @@ class LoadGenerator:
             threads = [
                 threading.Thread(
                     target=self._worker, name=f"loadgen-{stream.worker_id}",
-                    args=(target, stream, gate, result, more, interval,
-                          inline),
+                    args=(target, stream, result, more, interval, inline),
                     daemon=True)
                 for stream, result in zip(streams, results)]
             for thread in threads:
@@ -308,17 +299,17 @@ class LoadGenerator:
             elapsed = time.perf_counter() - start
             if auditor is not None:
                 auditor.stop()
-                # One final audit over the fully quiesced end state.
+                # One final audit over the end state, no worker left.
                 auditor.audit_once()
             sql_statements = (db.statements_executed - statements_before
                               - (auditor.sql_statements if auditor else 0))
-            return self._assemble(target, results, handle.report(), gate,
-                                  auditor, elapsed, sql_statements, telemetry)
+            return self._assemble(target, results, handle.report(), auditor,
+                                  elapsed, sql_statements, telemetry)
 
     # -- report assembly ----------------------------------------------------------
 
     def _assemble(self, target: Any, results: Sequence[WorkerResult],
-                  locks: List[Dict[str, Any]], gate: TrafficGate,
+                  locks: List[Dict[str, Any]],
                   auditor: Optional[EquivalenceAuditor],
                   elapsed: float, sql_statements: int,
                   telemetry: Optional[Telemetry] = None) -> LoadReport:
@@ -355,7 +346,6 @@ class LoadGenerator:
             latency_by_kind={kind: histogram.as_dict()
                              for kind, histogram in sorted(by_kind.items())},
             locks=locks,
-            gate=gate.stats(),
             audit=(auditor.stats() if auditor is not None
                    else {"audits": 0, "comparisons": 0, "mismatches": 0,
                          "errors": []}),

@@ -298,27 +298,34 @@ class Uncached:
 
 
 def audit_materialised(target: Any, uids: Sequence[int]
-                       ) -> Tuple[int, List[Dict[str, Any]]]:
+                       ) -> Tuple[int, List[Dict[str, Any]], int]:
     """Check the answer ``target`` keeps materialised for each of ``uids``,
     at the answer's own ``k``.
 
     Each is compared with ``fresh_top_k``; returns ``(answers compared,
-    mismatch records)`` — a record holds ``uid`` / ``k`` / ``served`` /
-    ``fresh``.  Users with no materialised answer are skipped.  Only
-    meaningful while no request is in flight (between serial ops, or inside
-    a quiesced traffic gate).
+    mismatch records, backend statements the recomputations issued)`` — a
+    record holds ``uid`` / ``k`` / ``served`` / ``fresh``.  Users with no
+    materialised answer are skipped.  The whole pass holds the server lock,
+    so no cold read, profile update, mutation or sweep runs while it
+    compares (warm hits change nothing and carry on), and the statement
+    count is read in that same hold: it is the audit's own SQL.  The lock
+    is looked up on each call because lock instrumentation swaps it.
     """
     compared = 0
     mismatches: List[Dict[str, Any]] = []
-    for uid in uids:
-        # Every answer serves k = 1, whatever its own k.
-        entry = target.results.peek(uid, 1)
-        if entry is None:
-            continue
-        compared += 1
-        served = list(entry.ranking)
-        fresh = fresh_top_k(target.db, uid, entry.k)
-        if served != fresh:
-            mismatches.append({"uid": uid, "k": entry.k,
-                               "served": served, "fresh": fresh})
-    return compared, mismatches
+    db = target.db
+    with target._lock:
+        statements_before = db.statements_executed
+        for uid in uids:
+            # Every answer serves k = 1, whatever its own k.
+            entry = target.results.peek(uid, 1)
+            if entry is None:
+                continue
+            compared += 1
+            served = list(entry.ranking)
+            fresh = fresh_top_k(db, uid, entry.k)
+            if served != fresh:
+                mismatches.append({"uid": uid, "k": entry.k,
+                                   "served": served, "fresh": fresh})
+        statements = db.statements_executed - statements_before
+    return compared, mismatches, statements

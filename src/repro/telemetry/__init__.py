@@ -17,9 +17,9 @@ Public API
     The per-process bundle: a :class:`MetricsRegistry` plus a
     :class:`TraceBuffer`, with ``observe(server)`` to adopt a serving
     engine (registers its ``metrics()`` and its backend as snapshot
-    adapters), ``observe_gate`` / ``observe_auditor`` for the load
-    harness' audit machinery, ``instrument_locks`` for reversible lock
-    wrapping, ``trace()`` to open a root span, and ``snapshot()`` /
+    adapters), ``observe_auditor`` for the load harness' equivalence
+    auditor, ``instrument_locks`` for reversible lock wrapping,
+    ``trace()`` to open a root span, and ``snapshot()`` /
     ``json_snapshot()`` / ``prometheus()`` to export.
 :class:`MetricsRegistry`
     Thread-safe instrument registry + snapshot adapters; one flat
@@ -45,11 +45,10 @@ Public API
     The schema-versioned JSON snapshot document and its structural check.
 :func:`prometheus_text`
     The same metrics in Prometheus text exposition format.
-:func:`backend_metrics` / :func:`gate_metrics` / :func:`audit_metrics` /
-:func:`trace_buffer_metrics`
+:func:`backend_metrics` / :func:`audit_metrics` / :func:`trace_buffer_metrics`
     Snapshot adapters translating the pre-telemetry sources (backend op
-    accounting, traffic gate, equivalence auditor, the trace ring itself)
-    into unified names.
+    accounting, equivalence auditor, the trace ring itself) into unified
+    names.
 """
 
 from functools import partial
@@ -58,7 +57,6 @@ from typing import Any, Dict, Optional
 from .adapters import (
     audit_metrics,
     backend_metrics,
-    gate_metrics,
     trace_buffer_metrics,
 )
 from .export import (
@@ -95,7 +93,6 @@ __all__ = [
     "audit_metrics",
     "backend_metrics",
     "current_span",
-    "gate_metrics",
     "instrument_locks",
     "json_snapshot",
     "prometheus_text",
@@ -151,11 +148,6 @@ class Telemetry:
         self.registry.register_adapter(
             "backend", partial(backend_metrics, server.db))
         return server
-
-    def observe_gate(self, gate: Any) -> Any:
-        """Export a :class:`~repro.loadgen.audit.TrafficGate`'s events."""
-        self.registry.register_adapter("gate", partial(gate_metrics, gate))
-        return gate
 
     def observe_auditor(self, auditor: Any) -> Any:
         """Export an :class:`~repro.loadgen.audit.EquivalenceAuditor`'s events."""

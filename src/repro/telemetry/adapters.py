@@ -9,10 +9,9 @@ under ``layer.component.metric`` names without being duplicated or moved:
 * :func:`backend_metrics` — a storage backend's op accounting
   (``backend.sqlite.statements_executed`` / ``backend.memory.rows_touched``;
   the component is the backend's own ``backend_name``);
-* :func:`gate_metrics` / :func:`audit_metrics` — the load harness'
-  :class:`~repro.loadgen.audit.TrafficGate` and
+* :func:`audit_metrics` — the load harness'
   :class:`~repro.loadgen.audit.EquivalenceAuditor` event counters
-  (``loadgen.gate.quiesces``, ``loadgen.audit.mismatches``, ...);
+  (``loadgen.audit.audits``, ``loadgen.audit.mismatches``, ...);
 * :func:`trace_buffer_metrics` — the trace ring's own occupancy and
   capture counters (``telemetry.traces.recorded``, ...).
 
@@ -34,16 +33,6 @@ def backend_metrics(db: Any) -> Dict[str, Number]:
     return {
         f"backend.{component}.statements_executed": db.statements_executed,
         f"backend.{component}.rows_touched": db.rows_touched,
-    }
-
-
-def gate_metrics(gate: Any) -> Dict[str, Number]:
-    """A :class:`~repro.loadgen.audit.TrafficGate` under ``loadgen.gate.*``."""
-    stats = gate.stats()
-    return {
-        "loadgen.gate.requests_gated": stats["requests_gated"],
-        "loadgen.gate.quiesces": stats["quiesces"],
-        "loadgen.gate.paused_seconds": stats["paused_seconds"],
     }
 
 

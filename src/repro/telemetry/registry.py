@@ -21,7 +21,7 @@ is this process doing?" meant knowing every one of them.
   counters: an adapter is a zero-argument callable returning a mapping of
   unified names to numbers, re-read on every :meth:`MetricsRegistry.snapshot`
   — the server's ``metrics()`` surface, backend op accounting, lock
-  contention, and the load harness' gate/audit sections all register this
+  contention, and the load harness' audit section all register this
   way (:mod:`repro.telemetry.adapters`).
 
 One :meth:`MetricsRegistry.snapshot` therefore covers the whole process —

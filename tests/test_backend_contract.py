@@ -3,9 +3,12 @@ SQLite.
 
 The conformance class runs on every registered backend
 (:data:`repro.backend.BACKEND_NAMES`): SQLite, the served engine, and the
-columnar engine kept as its differential arm agree on schema statistics,
-image capture, lifecycle/notify semantics, op accounting and predicate
+columnar engine kept as its differential arm agree on the workload shape,
+lifecycle/notify semantics, lock order, op accounting and predicate
 rejection; the protocol's member list is pinned in ``test_public_api.py``.
+The images a mutation notifies and the table counts are pinned once on
+SQLite (``test_sqldb.py``) and once on the columnar engine against SQLite
+(the drawn script below).
 
 The differential drives both engines from empty through one drawn script,
 values and predicates from ``tests/strategies.py``: appends (self, orphan,
@@ -37,9 +40,8 @@ from repro.core.predicate import (Condition, _as_number, _compare_values,
                                   in_set)
 from repro.core.preference import ProfileRegistry, UserProfile
 from repro.exceptions import (PredicateError, PredicateParseError,
-                              RelationalError, WorkloadError)
-from repro.sqldb.events import (TUPLES_DELETED, TUPLES_INSERTED,
-                                TUPLES_UPDATED, DataMutation)
+                              RelationalError)
+from repro.sqldb.events import TUPLES_INSERTED, DataMutation
 from repro.workload.dblp import (Author, DblpConfig, DblpDataset, Paper,
                                  generate_dblp)
 from repro.workload.loader import (
@@ -49,7 +51,6 @@ from repro.workload.loader import (
     load_profiles,
     profile_rows,
     read_profiles,
-    update_papers,
 )
 
 DATASET = generate_dblp(DblpConfig(n_papers=150, n_authors=60, n_venues=8, seed=11))
@@ -102,13 +103,6 @@ class TestBackendContract:
 
     # -- schema / statistics ------------------------------------------------------
 
-    def test_load_reports_schema_statistics(self, loaded):
-        counts = loaded.table_counts()
-        assert counts["dblp"] == len(DATASET.papers)
-        assert counts["author"] == len(DATASET.authors)
-        assert counts["dblp_author"] == len(DATASET.paper_authors)
-        assert counts["citation"] == len(DATASET.citations)
-
     def test_workload_shape(self, loaded):
         venues, lo, hi = loaded.workload_shape()
         assert venues == sorted({paper.venue for paper in DATASET.papers})
@@ -123,74 +117,6 @@ class TestBackendContract:
         assert backend.max_paper_id() == 0
         assert backend.max_author_id() == 0
         assert backend.count_matching(None) == 0
-
-    # -- mutation images ----------------------------------------------------------
-
-    def test_insert_carries_post_image(self, loaded, events):
-        paper = Paper(pid=90_001, title="T", venue="NEWVENUE", year=2012)
-        append_papers(loaded, [paper], [(90_001, 3), (90_001, 4)])
-        assert [event.kind for event in events] == [TUPLES_INSERTED]
-        rows = sorted(events[0].rows, key=lambda row: row["aid"])
-        assert [(row["pid"], row["aid"], row["venue"]) for row in rows] == [
-            (90_001, 3, "NEWVENUE"), (90_001, 4, "NEWVENUE")]
-        assert events[0].old_rows == ()
-
-    def test_unlinked_insert_carries_no_rows(self, loaded, events):
-        append_papers(loaded, [Paper(pid=90_002, title="T", venue="V", year=2000)])
-        assert events[0].rows == () and events[0].old_rows == ()
-
-    def test_replace_carries_pre_image(self, loaded, events):
-        paper = Paper(pid=90_003, title="Old", venue="V1", year=2001)
-        append_papers(loaded, [paper], [(90_003, 5)])
-        events.clear()
-        replacement = Paper(pid=90_003, title="New", venue="V2", year=2002)
-        append_papers(loaded, [replacement])
-        (event,) = events
-        assert event.kind == TUPLES_INSERTED
-        # Pre-image: the old tuple values; post-image: new values joined
-        # against the *surviving* author link.
-        assert [row["venue"] for row in event.old_rows] == ["V1"]
-        assert [(row["venue"], row["aid"]) for row in event.rows] == [("V2", 5)]
-
-    def test_delete_carries_pre_image(self, loaded, events):
-        append_papers(loaded, [Paper(pid=90_004, title="T", venue="V9", year=2003)],
-                      [(90_004, 6)])
-        events.clear()
-        removed = delete_papers(loaded, [90_004, 123_456])
-        assert removed["dblp"] == 1
-        (event,) = events
-        assert event.kind == TUPLES_DELETED
-        assert [(row["pid"], row["venue"]) for row in event.old_rows] == [(90_004, "V9")]
-        assert event.rows == ()
-
-    def test_delete_unknown_pids_is_noop(self, loaded, events):
-        assert delete_papers(loaded, [555_555]) == {
-            "dblp": 0, "dblp_author": 0, "citation": 0}
-        assert events == []
-
-    def test_update_carries_both_images(self, loaded, events):
-        append_papers(loaded, [Paper(pid=90_005, title="T", venue="A", year=2004)],
-                      [(90_005, 7)])
-        events.clear()
-        update_papers(loaded, [Paper(pid=90_005, title="T", venue="B", year=2005)])
-        (event,) = events
-        assert event.kind == TUPLES_UPDATED
-        assert [row["venue"] for row in event.old_rows] == ["A"]
-        assert [row["venue"] for row in event.rows] == ["B"]
-
-    def test_update_unknown_pid_raises(self, loaded):
-        with pytest.raises(WorkloadError):
-            update_papers(loaded, [Paper(pid=777_777, title="X", venue="V", year=2000)])
-
-    def test_mutations_change_counts(self, loaded):
-        predicate = "dblp.venue = 'CONTRACT'"
-        assert loaded.count_matching(predicate) == 0
-        append_papers(loaded, [Paper(pid=91_000, title="T", venue="CONTRACT",
-                                     year=2010)], [(91_000, 1)])
-        assert loaded.count_matching(predicate) == 1
-        assert loaded.matching_paper_ids(predicate) == [91_000]
-        delete_papers(loaded, [91_000])
-        assert loaded.count_matching(predicate) == 0
 
     # -- profiles -----------------------------------------------------------------
 

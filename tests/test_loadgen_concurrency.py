@@ -9,9 +9,10 @@ instead of hanging the suite — the repo has no pytest-timeout plugin):
   with the background equivalence auditor live; the run must finish clean;
 * **readers vs writers, frozen-copy equivalence** — hand-rolled reader and
   writer threads race on one server while the main thread repeatedly
-  quiesces traffic through a :class:`~repro.loadgen.TrafficGate` and
-  recomputes every materialised answer from scratch on the quiesced
-  (frozen) database: no torn read may survive a quiesce point;
+  audits every materialised answer under the server lock
+  (:func:`~repro.serving.ops.audit_materialised`), which holds every
+  state change out while it recomputes from scratch: no torn read may
+  survive a quiesce point;
 
 plus barrier-provoked regression tests for the invalidation race the epoch
 guard in :class:`~repro.serving.results.ResultCache` exists to close: an
@@ -29,7 +30,7 @@ import pytest
 
 from repro.core.predicate import equals
 from repro.index import CountCache
-from repro.loadgen import LoadConfig, LoadGenerator, TrafficGate
+from repro.loadgen import LoadConfig, LoadGenerator
 from repro.serving import (
     DATA_UPDATE,
     DELETE,
@@ -41,6 +42,7 @@ from repro.serving import (
     TopKServer,
     apply_op,
 )
+from repro.serving.ops import audit_materialised
 from repro.serving.results import ResultCache
 from repro.serving.server import fresh_top_k
 from repro.telemetry import Telemetry
@@ -114,16 +116,13 @@ def test_readers_and_writers_no_torn_reads(world):
     frozen (quiesced) database."""
     server = TopKServer(world)
     uids = sorted(profile.uid for profile in world.read_profiles())
-    gate = TrafficGate()
     stop = threading.Event()
     errors = []
 
     def worker(stream):
         try:
             while not stop.is_set():
-                op = next(stream)
-                with gate.request():
-                    apply_op(server, op)
+                apply_op(server, next(stream))
         except Exception as exc:
             errors.append(f"{stream.worker_id}: {type(exc).__name__}: {exc}")
 
@@ -145,19 +144,17 @@ def test_readers_and_writers_no_torn_reads(world):
 
     torn = []
     try:
-        deadline = time.monotonic() + 1.2
+        start = time.monotonic()
         quiesce_points = 0
-        while time.monotonic() < deadline:
+        # Each audit queues for the server lock behind back-to-back writers
+        # (hundreds of ms at worst): race for 1.2 s and for two audits at
+        # least, within the suite's deadlock bound.
+        while (time.monotonic() < start + 1.2 or quiesce_points < 2) \
+                and time.monotonic() < start + DEADLINE_SECONDS:
             time.sleep(0.15)
-            with gate.quiesce():
-                quiesce_points += 1
-                for uid in server.results.cached_users():
-                    entry = server.results.peek(uid, K)
-                    if entry is None:
-                        continue
-                    fresh = fresh_top_k(world, uid, K)
-                    if list(entry.ranking) != list(fresh):
-                        torn.append((uid, list(entry.ranking), list(fresh)))
+            quiesce_points += 1
+            torn += audit_materialised(server,
+                                       server.results.cached_users())[1]
     finally:
         stop.set()
         stuck = join_with_deadline(threads)

@@ -2,7 +2,7 @@
 
 The concurrency stress suite (``test_loadgen_concurrency.py``) proves the
 serving stack under the harness; this file pins down the harness's own
-parts in isolation — the traffic gate's pause-and-drain protocol, the
+parts in isolation — the server lock as the audit's quiesce point, the
 equivalence auditor's sampling and verdicts, lock instrumentation, run
 configuration validation (and lock restoration when a run fails), and the
 schema-versioned ``BENCH_loadgen.json`` envelope CI validates before
@@ -24,7 +24,6 @@ from repro.loadgen import (
     EquivalenceAuditor,
     LoadConfig,
     LoadGenerator,
-    TrafficGate,
     bench_envelope,
     build_world,
     load_and_validate,
@@ -33,8 +32,10 @@ from repro.loadgen import (
     write_bench_json,
 )
 from repro.serving import TopKServer
+from repro.serving.ops import audit_materialised
 from repro.telemetry import instrument_locks
 from repro.workload.dblp import DblpConfig
+from worlds import DEADLINE_SECONDS, join_with_deadline
 
 DBLP = DblpConfig(n_papers=150, n_authors=60, n_venues=6, seed=11)
 USERS = 8
@@ -50,59 +51,52 @@ def server():
     db.close()
 
 
-# -- traffic gate ------------------------------------------------------------
+# -- the quiesce point ---------------------------------------------------------
 
 
-class TestTrafficGate:
-    def test_requests_pass_and_are_counted(self):
-        gate = TrafficGate()
-        with gate.request():
-            with gate.request():  # re-entrant across logical requests
-                pass
-        assert gate.stats()["requests_gated"] == 2
-        assert gate.stats()["quiesces"] == 0
+def test_an_audit_waits_out_a_parked_cold_read_and_a_warm_hit_does_not(
+        server, monkeypatch):
+    """The server lock is the harness's one quiesce point: while a cold
+    read is parked inside it, ``audit_materialised`` on another thread does
+    not return, and a warm hit on a cached user does; once the read is
+    released the audit compares both answers."""
+    warm_uid, cold_uid = sorted(
+        profile.uid for profile in server.db.read_profiles())[:2]
+    server.top_k(warm_uid, K)
+    inside, release = threading.Event(), threading.Event()
+    original = server.sessions.get_or_create
 
-    def test_quiesce_waits_for_inflight_and_blocks_new_requests(self):
-        gate = TrafficGate()
-        inside = threading.Event()
-        release = threading.Event()
-        passed_during_quiesce = []
+    def parking(uid, basis=None):
+        inside.set()
+        assert release.wait(DEADLINE_SECONDS)
+        return original(uid, basis)
 
-        def long_request():
-            with gate.request():
-                inside.set()
-                release.wait(30)
+    monkeypatch.setattr(server.sessions, "get_or_create", parking)
+    outcome = {}
 
-        def late_request():
-            inside.wait(30)
-            time.sleep(0.05)  # give the quiescer time to raise the flag
-            with gate.request():
-                passed_during_quiesce.append(gate.stats()["quiesces"])
+    def run(name, call):
+        return threading.Thread(
+            target=lambda: outcome.__setitem__(name, call()), name=name,
+            daemon=True)
 
-        worker = threading.Thread(target=long_request, daemon=True)
-        late = threading.Thread(target=late_request, daemon=True)
-        worker.start()
-        late.start()
-        inside.wait(30)
-
-        quiesced = threading.Event()
-
-        def quiesce():
-            with gate.quiesce():
-                quiesced.set()
-
-        quiescer = threading.Thread(target=quiesce, daemon=True)
-        quiescer.start()
-        # The quiescer cannot finish while the long request is in flight.
-        assert not quiesced.wait(0.15)
+    cold = run("cold", lambda: server.top_k(cold_uid, K))
+    audit = run("audit", lambda: audit_materialised(server,
+                                                    [warm_uid, cold_uid]))
+    warm = run("warm", lambda: server.top_k(warm_uid, K))
+    try:
+        cold.start()
+        assert inside.wait(DEADLINE_SECONDS)
+        audit.start()
+        warm.start()
+        assert join_with_deadline([warm], timeout=5.0) == []
+        assert outcome["warm"].cache_hit
+        audit.join(0.2)
+        assert audit.is_alive(), "the audit ran beside a cold read"
+    finally:
         release.set()
-        assert quiesced.wait(30)
-        for thread in (worker, late, quiescer):
-            thread.join(30)
-            assert not thread.is_alive()
-        # The late request only got through after the quiesce completed.
-        assert passed_during_quiesce == [1]
-        assert gate.stats()["paused_seconds"] > 0.0
+    assert join_with_deadline([cold, audit]) == []
+    assert not outcome["cold"].cache_hit
+    assert outcome["audit"][:2] == (2, [])
 
 
 # -- auditor -----------------------------------------------------------------
@@ -113,7 +107,7 @@ class TestEquivalenceAuditor:
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         for uid in uids[:4]:
             server.top_k(uid, K)
-        auditor = EquivalenceAuditor(server, TrafficGate())
+        auditor = EquivalenceAuditor(server)
         assert auditor.audit_once() > 0
         assert auditor.clean
         assert auditor.stats()["mismatches"] == 0
@@ -124,7 +118,7 @@ class TestEquivalenceAuditor:
         entry = server.results.peek(uids[0], K)
         # Corrupt the materialised ranking behind the cache's back.
         object.__setattr__(entry, "ranking", ((999_999, 1.0),))
-        auditor = EquivalenceAuditor(server, TrafficGate())
+        auditor = EquivalenceAuditor(server)
         auditor.audit_once()
         assert not auditor.clean
         assert auditor.stats()["mismatches"] == 1
@@ -134,8 +128,7 @@ class TestEquivalenceAuditor:
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         for uid in uids:
             server.top_k(uid, K)
-        auditor = EquivalenceAuditor(server, TrafficGate(),
-                                     sample=3)
+        auditor = EquivalenceAuditor(server, sample=3)
         passes = 0
         while auditor.comparisons < len(uids) and passes < 10:
             auditor.audit_once()
@@ -143,8 +136,7 @@ class TestEquivalenceAuditor:
         assert auditor.comparisons >= len(uids)
 
     def test_start_stop_lifecycle(self, server):
-        auditor = EquivalenceAuditor(server, TrafficGate(),
-                                     interval=0.05)
+        auditor = EquivalenceAuditor(server, interval=0.05)
         auditor.start()
         time.sleep(0.2)
         auditor.stop()
@@ -154,7 +146,7 @@ class TestEquivalenceAuditor:
 
     def test_rejects_negative_interval(self, server):
         with pytest.raises(ValueError):
-            EquivalenceAuditor(server, TrafficGate(), interval=-1.0)
+            EquivalenceAuditor(server, interval=-1.0)
 
     def test_check_audits_the_given_users_and_counts_its_sql(self, server):
         """The inline auditor (interval 0): ``check`` compares the named
@@ -162,7 +154,7 @@ class TestEquivalenceAuditor:
         issued apart so a run can leave it out of its own count."""
         uids = sorted(profile.uid for profile in server.db.read_profiles())
         server.top_k(uids[0], K)
-        auditor = EquivalenceAuditor(server, TrafficGate(), interval=0)
+        auditor = EquivalenceAuditor(server, interval=0)
         before = server.db.statements_executed
         assert auditor.check(uids[:2]) == 1
         assert auditor.sql_statements == \

@@ -570,7 +570,7 @@ class ServerMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_materialised_answer_equals_fresh(self):
-        _, mismatches = audit_materialised(
+        _, mismatches, _ = audit_materialised(
             self.server, self.server.results.cached_users())
         assert not mismatches, mismatches
 
